@@ -122,7 +122,8 @@ stage_readme_crates() {
 # queue's batching internals. Likewise, the snapshot store is dw-serve's
 # private machinery: every other crate serves reads through ReadFrontend
 # and feeds installs through the publisher handle, never by constructing
-# or reaching into SnapshotStore directly.
+# or reaching into SnapshotStore directly. The same stage holds
+# dw-multiview to one sweep state machine and to its panic budget.
 stage_engine_boundary() {
   local hits ok=0
   hits=$(grep -rn "merged_from_source\|take_from_source" crates/*/src 2>/dev/null |
@@ -151,6 +152,34 @@ stage_engine_boundary() {
   if [[ -n "$hits" ]]; then
     echo "$hits"
     echo "FAIL: dw-serve never deep-copies a bag outside the publish freeze step — reads ride the Arc (mark a legitimate freeze copy with // freeze-step)" >&2
+    ok=1
+  fi
+  # One sweep state machine in dw-multiview: launching legs, pivot-merging
+  # and per-view finalizing each happen in exactly one file (comment lines
+  # and the `fn` definitions themselves do not count as calls).
+  local call files
+  for call in 'Leg::launch(' 'merge_pivot(' 'finalize_for_view('; do
+    files=$(grep -Fn "$call" crates/multiview/src/*.rs |
+      grep -Ev "^[^:]+:[0-9]+:[[:space:]]*(//|(pub(\([a-z]+\))? )?fn )" |
+      cut -d: -f1 | sort -u)
+    if [[ $(wc -w <<<"$files") -ne 1 ]]; then
+      echo "FAIL: '$call' must be called from exactly one file under crates/multiview/src (found: ${files:-none})" >&2
+      ok=1
+    fi
+  done
+  # Panic budget: unwrap()/expect(/panic!/unreachable! in the non-test
+  # lines (everything above `#[cfg(test)]`) of crates/multiview/src. The
+  # number below may only go down; lower it when the count drops.
+  local budget=7 count=0 f
+  for f in crates/multiview/src/*.rs; do
+    count=$((count + $(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
+      grep -c 'unwrap()\|expect(\|panic!\|unreachable!' || true)))
+  done
+  if [[ $count -gt $budget ]]; then
+    echo "FAIL: $count panic sites in non-test crates/multiview/src, budget is $budget — return a typed error (MvError::Internal) instead" >&2
+    ok=1
+  elif [[ $count -lt $budget ]]; then
+    echo "FAIL: panic sites in crates/multiview/src dropped to $count — lower the budget in ci.sh from $budget so it cannot creep back" >&2
     ok=1
   fi
   return $ok

@@ -13,7 +13,7 @@
 
 use dw_bench::perf::sharded_scenario;
 use dw_bench::TableWriter;
-use dw_core::{MultiViewExperiment, ShardedExperiment};
+use dw_core::MultiViewExperiment;
 use dw_livenet::run_live_sharded;
 use std::time::Duration;
 
@@ -40,15 +40,16 @@ fn main() {
     let mut base_makespan = 0u64;
     for &s in &shard_counts {
         let generated = sharded_scenario(s, updates);
-        let sharded = ShardedExperiment::new(generated.clone()).run().unwrap();
-        let flat = MultiViewExperiment::new(generated.scenario).run().unwrap();
+        let flat = MultiViewExperiment::new(generated.scenario.clone())
+            .run()
+            .unwrap();
+        let sharded = MultiViewExperiment::new(generated.scenario)
+            .shards(generated.map)
+            .run()
+            .unwrap();
         assert!(sharded.quiescent && flat.quiescent, "S={s}: no drain");
-        let conforms = sharded.install_fingerprint()
-            == flat
-                .views
-                .iter()
-                .map(|v| v.installs.iter().map(|r| r.consumed.clone()).collect())
-                .collect::<Vec<Vec<_>>>()
+        let stats = sharded.shard_stats.as_ref().expect("sharded run");
+        let conforms = sharded.install_fingerprint() == flat.install_fingerprint()
             && sharded
                 .views
                 .iter()
@@ -65,8 +66,8 @@ fn main() {
             format!("{speedup:.2}"),
             format!("{:.2}", if s == 1 { 1.0 } else { 0.7 * s as f64 }),
             format!("{:.1}", sharded.messages_per_update()),
-            sharded.shard_stats.max_concurrent_lanes.to_string(),
-            sharded.shard_stats.escalations.to_string(),
+            stats.max_concurrent_lanes.to_string(),
+            stats.escalations.to_string(),
             conforms.to_string(),
         ]);
     }

@@ -63,7 +63,7 @@
 use crate::json::{self, Json};
 use dw_core::{
     audit_lag_recoveries, audit_reads, Experiment, MultiViewExperiment, PolicyKind, RunReport,
-    ServeExperiment, ShardedExperiment,
+    ServeExperiment,
 };
 use dw_multiview::SchedulerMode;
 use dw_relational::{AggFn, AggregateSpec, CmpOp, Value};
@@ -1148,15 +1148,16 @@ fn collect_e18(smoke: bool) -> Vec<E18Row> {
             let generated = sharded_scenario(s, updates);
             let n = generated.scenario.base.num_relations();
             let views = generated.scenario.views.len();
-            let sharded = ShardedExperiment::new(generated.clone()).run().unwrap();
-            let flat = MultiViewExperiment::new(generated.scenario).run().unwrap();
+            let flat = MultiViewExperiment::new(generated.scenario.clone())
+                .run()
+                .unwrap();
+            let sharded = MultiViewExperiment::new(generated.scenario)
+                .shards(generated.map)
+                .run()
+                .unwrap();
+            let stats = sharded.shard_stats.as_ref().expect("sharded run");
             let conforms = flat.quiescent
-                && sharded.install_fingerprint()
-                    == flat
-                        .views
-                        .iter()
-                        .map(|v| v.installs.iter().map(|r| r.consumed.clone()).collect())
-                        .collect::<Vec<Vec<_>>>()
+                && sharded.install_fingerprint() == flat.install_fingerprint()
                 && sharded
                     .views
                     .iter()
@@ -1177,8 +1178,8 @@ fn collect_e18(smoke: bool) -> Vec<E18Row> {
                 expected_min_speedup: if s == 1 { 1.0 } else { 0.7 * s as f64 },
                 msgs_per_update: sharded.messages_per_update(),
                 expected_msgs_per_update: (2 * (n - 1)) as f64,
-                escalations: sharded.shard_stats.escalations,
-                max_lanes: sharded.shard_stats.max_concurrent_lanes as u64,
+                escalations: stats.escalations,
+                max_lanes: stats.max_concurrent_lanes as u64,
                 conforms,
                 quiescent: sharded.quiescent,
             }

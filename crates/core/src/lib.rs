@@ -27,7 +27,6 @@ pub mod multi_experiment;
 pub mod report;
 mod runner;
 pub mod serve_experiment;
-pub mod sharded_experiment;
 
 pub use experiment::{CoreError, Experiment, PolicyKind};
 pub use multi_experiment::{DerivedOutcome, MultiViewExperiment, MultiViewReport, ViewOutcome};
@@ -37,4 +36,3 @@ pub use serve_experiment::{
     LagEvent, LagSubscription, OracleAudit, ReadOutcome, ReadResult, ServeExperiment, ServeReport,
     SubscriptionOutcome,
 };
-pub use sharded_experiment::{ShardedExperiment, ShardedReport};

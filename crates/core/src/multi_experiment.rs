@@ -7,6 +7,12 @@
 //! the stream starts, and the run reports per-view outcomes (final bag,
 //! install log, metrics, consistency level) plus cross-view mutual
 //! consistency and the shared-vs-naive message accounting E14 measures.
+//!
+//! [`MultiViewExperiment::shards`] partitions the value space: the same
+//! scheduler then runs one sweep lane per shard group, and the report
+//! additionally accounts the sharding itself — lane concurrency,
+//! escalations, and, under a shard-scoped
+//! [`FaultPlan::state_crash_shard`] window, crash/re-seed statistics.
 
 use crate::experiment::CoreError;
 use crate::runner::{NetProfile, SimHarness};
@@ -16,19 +22,20 @@ use dw_consistency::{
 };
 use dw_multiview::{
     CascadeStats, DurabilityConfig, EngineOptions, MaintenanceScheduler, MvError, RecoveryStats,
-    SchedulerMode, ViewId, ViewRegistry,
+    SchedulerMode, ShardStats, ViewId, ViewRegistry,
 };
 use dw_protocol::{node_source, source_node, Message, TransportConfig, UpdateId, WAREHOUSE_NODE};
-use dw_relational::{eval_view, Bag};
-use dw_simnet::{FaultPlan, LatencyModel, NetStats, NodeId, Time};
+use dw_relational::{eval_view, Bag, ShardMap};
+use dw_simnet::{FaultPlan, LatencyModel, NetHandle, NetStats, NodeId, Time};
 use dw_source::DataSource;
 use dw_warehouse::{InstallRecord, PolicyMetrics};
 use dw_workload::{MultiViewScenario, ViewPolicy};
 
 /// A configured multi-view experiment: scenario × scheduler mode ×
-/// network profile.
+/// partitioner × network profile.
 pub struct MultiViewExperiment {
     scenario: MultiViewScenario,
+    map: Option<ShardMap>,
     mode: SchedulerMode,
     opts: EngineOptions,
     latency: LatencyModel,
@@ -50,6 +57,7 @@ impl MultiViewExperiment {
     pub fn new(scenario: MultiViewScenario) -> Self {
         MultiViewExperiment {
             scenario,
+            map: None,
             mode: SchedulerMode::Shared,
             opts: EngineOptions::default(),
             latency: LatencyModel::Constant(1_000),
@@ -63,6 +71,16 @@ impl MultiViewExperiment {
             durability: None,
             obs: dw_obs::Obs::off(),
         }
+    }
+
+    /// Partition the value space by `map`: one sweep lane per shard
+    /// group, installs still in arrival order. Pass a generated
+    /// [`dw_workload::ShardedScenario`]'s `map` alongside its `scenario`,
+    /// or any partitioner over any scenario (how the conformance suites
+    /// pit sharded against unsharded on identical inputs).
+    pub fn shards(mut self, map: ShardMap) -> Self {
+        self.map = Some(map);
+        self
     }
 
     /// Choose shared-sweep or the naive per-view baseline.
@@ -135,7 +153,10 @@ impl MultiViewExperiment {
 
     /// Install a fault plan (drops, duplicates, reordering, partitions,
     /// crashes). Pair with [`MultiViewExperiment::transport`] to restore
-    /// the reliable-FIFO contract the scheduler assumes.
+    /// the reliable-FIFO contract the scheduler assumes. On a sharded
+    /// run, shard-scoped state-crash windows
+    /// ([`FaultPlan::state_crash_shard`]) abort and re-seed one shard's
+    /// lane; unscoped warehouse state crashes are refused, typed.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -174,9 +195,17 @@ impl MultiViewExperiment {
             cfg.validate()
                 .map_err(|e| CoreError::Multi(e.to_string()))?;
         }
-        let mut sched = MaintenanceScheduler::with_options(base.clone(), self.mode, self.opts)?;
+        let mut sched = MaintenanceScheduler::with_shards(
+            base.clone(),
+            self.mode,
+            self.opts,
+            self.map.clone(),
+        )?;
         sched.set_record_snapshots(self.record_snapshots);
         sched.set_observer(self.obs.clone());
+        for bag in &scenario.initial {
+            sched.seed_groups(bag);
+        }
 
         // Register every view with its correct initial contents; build a
         // per-view recorder over the view's *local* definition (span
@@ -198,10 +227,14 @@ impl MultiViewExperiment {
         // order and rejects cycles/unknown parents up front.
         let derived_ids = sched.register_derived_many(&scenario.derived)?;
         // Durability arms after registration so the initial checkpoint
-        // already carries every view at its correct initial contents.
+        // already carries every view at its correct initial contents; a
+        // configuration that refuses it says so before any traffic.
         if let Some(cfg) = self.durability {
             sched.enable_durability(cfg);
         }
+        sched.validate()?;
+        let sharded = self.map.is_some();
+        let mut restarts = warehouse_restarts(&self.faults);
 
         let profile = NetProfile {
             latency: self.latency,
@@ -240,14 +273,9 @@ impl MultiViewExperiment {
         harness.drive(|d, net| {
             if d.to == WAREHOUSE_NODE {
                 if matches!(d.msg, Message::Restart) {
-                    // A warehouse *state crash* just healed: volatile
-                    // scheduler state is gone, the durable store is not.
                     // Recover instead of dispatching (the scheduler's
-                    // dispatcher rejects Restart as unexpected). With
-                    // durability unarmed this is a no-op — the amnesia
-                    // semantics the pre-recovery engine had.
-                    sched.crash_and_recover(net)?;
-                    return Ok(());
+                    // dispatcher rejects Restart as unexpected).
+                    return recover(&mut sched, sharded, &mut restarts, d.at, net);
                 }
                 if let Message::Update(u) = &d.msg {
                     delivery_log.push((u.id, d.at));
@@ -328,6 +356,7 @@ impl MultiViewExperiment {
             cascade: sched.views().cascade_stats(),
             scheduler_metrics: sched.metrics().clone(),
             recovery: sched.recovery_stats(),
+            shard_stats: sharded.then(|| sched.stats().clone()),
             wal_bytes_written: sched
                 .durable_stats()
                 .map(|s| s.wal_bytes_written)
@@ -344,6 +373,58 @@ impl MultiViewExperiment {
             delivery_log,
         })
     }
+}
+
+/// Last install time minus first warehouse delivery (0 when nothing
+/// installed) — shared by the multi-view and serve reports.
+pub(crate) fn makespan(views: &[ViewOutcome], delivery_log: &[(UpdateId, Time)]) -> Time {
+    let first = delivery_log.iter().map(|&(_, at)| at).min();
+    let installs = views.iter().flat_map(|v| v.installs.iter());
+    match (first, installs.map(|r| r.at).max()) {
+        (Some(f), Some(l)) if l > f => l - f,
+        _ => 0,
+    }
+}
+
+/// Per view, the sequence of consumed-update sets in install order.
+pub(crate) fn install_fingerprint(views: &[ViewOutcome]) -> Vec<Vec<Vec<UpdateId>>> {
+    let consumed = |v: &ViewOutcome| v.installs.iter().map(|r| r.consumed.clone()).collect();
+    views.iter().map(consumed).collect()
+}
+
+/// The warehouse's state-crash windows as `(restart time, shard scope)`
+/// — what the drive loops match each warehouse `Restart` against.
+pub(crate) fn warehouse_restarts(faults: &FaultPlan) -> Vec<(Time, Option<usize>)> {
+    let windows = faults.state_crashes().iter();
+    windows
+        .filter(|c| c.node == WAREHOUSE_NODE)
+        .map(|c| (c.up_at, c.shard))
+        .collect()
+}
+
+/// Route one warehouse `Restart` delivered at `at`. Unsharded, volatile
+/// scheduler state is gone and the durable store is not: recover (a
+/// no-op with durability unarmed — the amnesia semantics the
+/// pre-recovery engine had). Sharded, a shard-scoped window's restart
+/// aborts and re-seeds that shard's lane while every other lane keeps
+/// sweeping; an unscoped state crash is refused by the scheduler, typed;
+/// any other restart (a plain crash's transport resync) lost nothing.
+pub(crate) fn recover(
+    sched: &mut MaintenanceScheduler,
+    sharded: bool,
+    restarts: &mut Vec<(Time, Option<usize>)>,
+    at: Time,
+    net: &mut dyn NetHandle<Message>,
+) -> Result<(), CoreError> {
+    let window = restarts.iter().position(|&(up_at, _)| up_at == at);
+    match window.map(|pos| restarts.swap_remove(pos).1) {
+        Some(Some(shard)) if sharded => sched.crash_shard(shard, net)?,
+        None if sharded => {}
+        _ => {
+            sched.crash_and_recover(net)?;
+        }
+    }
+    Ok(())
 }
 
 impl From<MvError> for CoreError {
@@ -476,6 +557,9 @@ pub struct MultiViewReport {
     /// Accumulated crash-recovery statistics (zeros when durability was
     /// off or no state crash fired).
     pub recovery: RecoveryStats,
+    /// Sharding counters — lane concurrency, escalations, shard
+    /// crash/re-seed accounting (`None` without a partitioner).
+    pub shard_stats: Option<ShardStats>,
     /// Total modeled WAL bytes appended over the run (0 with durability
     /// off).
     pub wal_bytes_written: u64,
@@ -530,6 +614,19 @@ impl MultiViewReport {
             return 0.0;
         }
         self.logical_query_messages() as f64 / self.scheduler_metrics.updates_received as f64
+    }
+
+    /// Makespan of the maintenance work (µs): last install time minus
+    /// first transaction arrival — the virtual-time quantity E18's
+    /// speedup gate divides.
+    pub fn makespan(&self) -> Time {
+        makespan(&self.views, &self.delivery_log)
+    }
+
+    /// Install fingerprint: per view, the sequence of consumed-update
+    /// sets in install order (what the conformance suites compare).
+    pub fn install_fingerprint(&self) -> Vec<Vec<Vec<UpdateId>>> {
+        install_fingerprint(&self.views)
     }
 
     /// Every derived view passed its oracle audit: zero per-epoch
@@ -819,5 +916,208 @@ mod tests {
         assert_eq!(report.views[0].name, "all");
         assert_eq!(report.views[1].lo, 1);
         assert!(report.min_consistency().unwrap() >= ConsistencyLevel::Convergent);
+    }
+
+    /// The sharded arm: the same harness with a partitioner.
+    mod sharded {
+        use super::*;
+        use dw_relational::{AggFn, AggregateSpec, CmpOp, Value};
+        use dw_workload::{DerivedOp, DerivedSpec, ShardedConfig, ShardedScenario};
+
+        fn sharded(generated: ShardedScenario) -> MultiViewExperiment {
+            MultiViewExperiment::new(generated.scenario).shards(generated.map)
+        }
+
+        fn shard_stats(report: &MultiViewReport) -> &ShardStats {
+            report.shard_stats.as_ref().expect("sharded run")
+        }
+
+        /// A small handwritten stack over the generated base views: one σ/Π
+        /// child of V0, one Σ/group-by child of V0, and a grandchild σ over
+        /// the aggregate.
+        fn stack_on_v0() -> Vec<DerivedSpec> {
+            vec![
+                DerivedSpec {
+                    name: "hot".into(),
+                    parent: "V0".into(),
+                    op: DerivedOp::Select {
+                        selects: vec![(0, CmpOp::Ge, Value::Int(1))],
+                        projection: None,
+                    },
+                },
+                DerivedSpec {
+                    name: "counts".into(),
+                    parent: "V0".into(),
+                    op: DerivedOp::Aggregate(AggregateSpec {
+                        group_by: vec![0],
+                        aggs: vec![AggFn::CountRows],
+                    }),
+                },
+                DerivedSpec {
+                    name: "busy".into(),
+                    parent: "counts".into(),
+                    op: DerivedOp::Select {
+                        selects: vec![(1, CmpOp::Ge, Value::Int(2))],
+                        projection: None,
+                    },
+                },
+            ]
+        }
+
+        fn config(shards: usize, seed: u64) -> ShardedConfig {
+            ShardedConfig {
+                n_sources: 3,
+                shards,
+                updates: 18,
+                mean_gap: 300,
+                seed,
+                ..Default::default()
+            }
+        }
+
+        #[test]
+        fn sharded_run_converges_with_concurrent_lanes() {
+            let report = sharded(config(2, 1).generate().unwrap()).run().unwrap();
+            assert!(report.quiescent);
+            assert!(
+                shard_stats(&report).max_concurrent_lanes >= 2,
+                "bursty shard-local load must overlap lanes"
+            );
+            for v in &report.views {
+                let c = v.consistency.as_ref().unwrap();
+                assert!(
+                    c.level >= ConsistencyLevel::Convergent,
+                    "view '{}' classified {}: {}",
+                    v.name,
+                    c.level,
+                    c.detail
+                );
+            }
+            assert!(report.mutual.unwrap().final_agreement);
+        }
+
+        #[test]
+        fn sharded_matches_unsharded_installs_and_bags() {
+            let generated = config(4, 2).generate().unwrap();
+            let sharded = sharded(generated.clone()).run().unwrap();
+            let flat = MultiViewExperiment::new(generated.scenario).run().unwrap();
+            assert!(sharded.quiescent && flat.quiescent);
+            assert_eq!(sharded.query_messages(), flat.query_messages());
+            for (s, f) in sharded.views.iter().zip(flat.views.iter()) {
+                assert_eq!(s.view, f.view, "view '{}'", s.name);
+                let fp = |o: &ViewOutcome| -> Vec<Vec<UpdateId>> {
+                    o.installs.iter().map(|r| r.consumed.clone()).collect()
+                };
+                assert_eq!(fp(s), fp(f), "view '{}'", s.name);
+            }
+        }
+
+        #[test]
+        fn escalations_run_and_still_converge() {
+            let mut cfg = config(2, 3);
+            cfg.cross_shard_frac = 0.25;
+            let report = sharded(cfg.generate().unwrap()).run().unwrap();
+            assert!(report.quiescent);
+            assert!(shard_stats(&report).escalations > 0);
+            for v in &report.views {
+                assert!(v.consistency.as_ref().unwrap().level >= ConsistencyLevel::Convergent);
+            }
+        }
+
+        #[test]
+        fn scoped_crash_reseeds_without_stopping_other_shards() {
+            let generated = config(2, 4).generate().unwrap();
+            // Anchor the window mid-run; up_at lands while sweeps overlap.
+            let crash_at = generated.scenario.txns[6].at;
+            let clean = sharded(generated.clone()).run().unwrap();
+            let faulted = sharded(generated)
+                .faults(FaultPlan::none().state_crash_shard(
+                    WAREHOUSE_NODE,
+                    crash_at,
+                    crash_at + 1_200,
+                    0,
+                ))
+                .run()
+                .unwrap();
+            assert!(faulted.quiescent);
+            assert_eq!(shard_stats(&faulted).shard_crashes, 1);
+            // Identical outcome to the fault-free run.
+            assert_eq!(faulted.install_fingerprint(), clean.install_fingerprint());
+            for (f, c) in faulted.views.iter().zip(clean.views.iter()) {
+                assert_eq!(f.view, c.view);
+            }
+        }
+
+        #[test]
+        fn sharded_derived_match_flat_derived_and_oracle() {
+            let mut generated = config(3, 5).generate().unwrap();
+            generated.scenario.derived = stack_on_v0();
+            let sharded = sharded(generated.clone()).run().unwrap();
+            let flat = MultiViewExperiment::new(generated.scenario).run().unwrap();
+            assert!(sharded.quiescent && flat.quiescent);
+            assert_eq!(sharded.derived.len(), 3);
+            assert!(sharded.derived_clean());
+            assert!(flat.derived_clean());
+            // Derived views add no source traffic under either engine.
+            assert_eq!(sharded.query_messages(), flat.query_messages());
+            for (s, f) in sharded.derived.iter().zip(flat.derived.iter()) {
+                assert_eq!(s.view, f.view, "derived '{}'", s.name);
+            }
+        }
+
+        #[test]
+        fn scoped_crash_keeps_derived_oracle_clean() {
+            let mut generated = config(2, 4).generate().unwrap();
+            generated.scenario.derived = stack_on_v0();
+            let crash_at = generated.scenario.txns[6].at;
+            let report = sharded(generated)
+                .faults(FaultPlan::none().state_crash_shard(
+                    WAREHOUSE_NODE,
+                    crash_at,
+                    crash_at + 1_200,
+                    0,
+                ))
+                .run()
+                .unwrap();
+            assert!(report.quiescent);
+            assert_eq!(shard_stats(&report).shard_crashes, 1);
+            assert!(report.derived_clean());
+        }
+
+        #[test]
+        fn deterministic_replay() {
+            let r1 = sharded(config(2, 6).generate().unwrap())
+                .seed(7)
+                .run()
+                .unwrap();
+            let r2 = sharded(config(2, 6).generate().unwrap())
+                .seed(7)
+                .run()
+                .unwrap();
+            assert_eq!(r1.events, r2.events);
+            assert_eq!(r1.end_time, r2.end_time);
+            assert_eq!(r1.install_fingerprint(), r2.install_fingerprint());
+        }
+
+        #[test]
+        fn makespan_shrinks_with_shards() {
+            // Same logical load at S=1 and S=4: the sharded engine overlaps
+            // lanes, so its maintenance makespan must be meaningfully
+            // shorter. (E18 gates the precise speedup; this is the smoke
+            // version.)
+            let mk = |shards: usize| {
+                let mut cfg = config(shards, 8);
+                cfg.shards = shards;
+                cfg.updates = 16;
+                cfg.mean_gap = 200;
+                sharded(cfg.generate().unwrap()).run().unwrap().makespan()
+            };
+            let m1 = mk(1);
+            let m4 = mk(4);
+            assert!(
+                (m4 as f64) < 0.8 * m1 as f64,
+                "S=4 makespan {m4} not meaningfully below S=1 {m1}"
+            );
+        }
     }
 }

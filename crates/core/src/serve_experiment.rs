@@ -1,11 +1,10 @@
 //! Serve experiment harness: maintenance plus a snapshot-pinned read
 //! path, driven off one virtual clock.
 //!
-//! Wraps either [`MaintenanceScheduler`] (flat, optionally durable) or
-//! [`ShardedScheduler`] (partitioned lanes) exactly the way
-//! [`MultiViewExperiment`](crate::MultiViewExperiment) and
-//! [`ShardedExperiment`](crate::ShardedExperiment) do, then attaches a
-//! [`ReadFrontend`] as the engine's install publisher: every committed
+//! Drives a [`MaintenanceScheduler`] (one group and optionally durable,
+//! or partitioned into shard lanes) exactly the way
+//! [`MultiViewExperiment`](crate::MultiViewExperiment) does, then
+//! attaches a [`ReadFrontend`] as the engine's install publisher: every committed
 //! install becomes an immutable epoch in the snapshot store, and a
 //! seeded [`ReadOp`] schedule from `dw_workload::serve` is resolved
 //! against the store *between* deliveries — a read issued at virtual
@@ -22,11 +21,14 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::experiment::CoreError;
-use crate::multi_experiment::{derived_outcomes, DerivedOutcome, ViewOutcome};
+use crate::multi_experiment::{
+    derived_outcomes, install_fingerprint, makespan, recover, warehouse_restarts, DerivedOutcome,
+    ViewOutcome,
+};
 use crate::runner::{NetProfile, SimHarness};
 use dw_multiview::{
     CascadeStats, DurabilityConfig, EngineOptions, MaintenanceScheduler, RecoveryStats,
-    SchedulerMode, ShardStats, ShardedScheduler, ViewId, ViewRegistry,
+    SchedulerMode, ShardStats, ViewId,
 };
 use dw_protocol::{node_source, source_node, Message, TransportConfig, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{eval_view, Bag, ShardMap, Tuple};
@@ -39,35 +41,6 @@ use dw_workload::{MultiViewScenario, ReadKind, ReadOp};
 impl From<ServeError> for CoreError {
     fn from(e: ServeError) -> Self {
         CoreError::Multi(format!("serve: {e}"))
-    }
-}
-
-/// The maintenance engine under the serving layer.
-enum Engine {
-    Flat(Box<MaintenanceScheduler>),
-    Sharded(Box<ShardedScheduler>),
-}
-
-impl Engine {
-    fn views(&self) -> &ViewRegistry {
-        match self {
-            Engine::Flat(s) => s.views(),
-            Engine::Sharded(s) => s.views(),
-        }
-    }
-
-    fn metrics(&self) -> &PolicyMetrics {
-        match self {
-            Engine::Flat(s) => s.metrics(),
-            Engine::Sharded(s) => s.metrics(),
-        }
-    }
-
-    fn is_quiescent(&self) -> bool {
-        match self {
-            Engine::Flat(s) => s.is_quiescent(),
-            Engine::Sharded(s) => s.is_quiescent(),
-        }
     }
 }
 
@@ -121,15 +94,17 @@ impl ServeExperiment {
         }
     }
 
-    /// Drive a [`ShardedScheduler`] over this partitioner instead of the
-    /// flat engine. (Durability is a flat-engine feature and is ignored
-    /// when sharded; shard-scoped crash windows apply instead.)
+    /// Partition the value space by `map`: one sweep lane per shard
+    /// group. (Durability, the naive mode and unscoped warehouse state
+    /// crashes are refused with a typed error at
+    /// [`run`](ServeExperiment::run) when sharded; shard-scoped crash
+    /// windows apply instead.)
     pub fn sharded(mut self, map: ShardMap) -> Self {
         self.map = Some(map);
         self
     }
 
-    /// Scheduler mode for the flat engine (ignored when sharded).
+    /// Scheduler mode (shared sweep unless set).
     pub fn mode(mut self, mode: SchedulerMode) -> Self {
         self.mode = mode;
         self
@@ -209,10 +184,10 @@ impl ServeExperiment {
         self
     }
 
-    /// Install a fault plan. Unscoped warehouse state crashes route to
-    /// `crash_and_recover` on the flat engine (arm
+    /// Install a fault plan. Unsharded, warehouse state crashes route to
+    /// `crash_and_recover` (arm
     /// [`durability`](ServeExperiment::durability) to survive them);
-    /// shard-scoped windows route to `crash_shard` on the sharded one.
+    /// sharded, shard-scoped windows route to `crash_shard`.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -230,7 +205,7 @@ impl ServeExperiment {
         self
     }
 
-    /// Arm flat-engine crash recovery (checkpoints + sweep WAL).
+    /// Arm whole-warehouse crash recovery (checkpoints + sweep WAL).
     pub fn durability(mut self, checkpoint_every: usize) -> Self {
         self.durability = Some(DurabilityConfig { checkpoint_every });
         self
@@ -246,30 +221,17 @@ impl ServeExperiment {
             cfg.validate()
                 .map_err(|e| CoreError::Multi(e.to_string()))?;
         }
-        let mut sched = match &self.map {
-            None => Engine::Flat(Box::new(MaintenanceScheduler::with_options(
-                base.clone(),
-                self.mode,
-                self.opts,
-            )?)),
-            Some(map) => Engine::Sharded(Box::new(ShardedScheduler::with_options(
-                base.clone(),
-                map.clone(),
-                self.opts,
-            )?)),
-        };
-        match &mut sched {
-            Engine::Flat(s) => {
-                s.set_record_snapshots(self.record_snapshots);
-                s.set_observer(self.obs.clone());
-            }
-            Engine::Sharded(s) => {
-                s.set_record_snapshots(self.record_snapshots);
-                s.set_observer(self.obs.clone());
-                for bag in &scenario.initial {
-                    s.seed_groups(bag);
-                }
-            }
+        let sharded = self.map.is_some();
+        let mut sched = MaintenanceScheduler::with_shards(
+            base.clone(),
+            self.mode,
+            self.opts,
+            self.map.clone(),
+        )?;
+        sched.set_record_snapshots(self.record_snapshots);
+        sched.set_observer(self.obs.clone());
+        for bag in &scenario.initial {
+            sched.seed_groups(bag);
         }
 
         // The serving layer: engine installs publish into the snapshot
@@ -280,20 +242,14 @@ impl ServeExperiment {
         front.set_point_index(self.point_index);
         front.set_answer_cache_capacity(self.cache_capacity);
         front.set_observer(self.obs.clone());
-        match &mut sched {
-            Engine::Flat(s) => s.set_install_publisher(front.sink()),
-            Engine::Sharded(s) => s.set_install_publisher(front.sink()),
-        }
+        sched.set_install_publisher(front.sink());
 
         let mut ids: Vec<ViewId> = Vec::new();
         for spec in &scenario.views {
             let local = spec.compile(&base)?;
             let refs: Vec<&Bag> = scenario.initial[spec.lo..=spec.hi].iter().collect();
             let initial_view = eval_view(&local, &refs)?;
-            let id = match &mut sched {
-                Engine::Flat(s) => s.register(spec, initial_view.clone())?,
-                Engine::Sharded(s) => s.register(spec, initial_view.clone())?,
-            };
+            let id = sched.register(spec, initial_view.clone())?;
             let slot = front.register_view(&spec.name, initial_view, 0);
             debug_assert_eq!(slot, id.index(), "frontend/registry slot drift");
             ids.push(id);
@@ -303,10 +259,7 @@ impl ServeExperiment {
         // Derived views ride the cascade: register the stack with the
         // engine, then mirror it into the frontend in ascending slot
         // order so published events land on the right snapshots.
-        let mut derived_ids = match &mut sched {
-            Engine::Flat(s) => s.register_derived_many(&scenario.derived)?,
-            Engine::Sharded(s) => s.register_derived_many(&scenario.derived)?,
-        };
+        let mut derived_ids = sched.register_derived_many(&scenario.derived)?;
         derived_ids.sort_by_key(|id| id.index());
         for &id in &derived_ids {
             let reg = sched.views();
@@ -316,12 +269,12 @@ impl ServeExperiment {
         }
 
         // Durability arms after registration so the initial checkpoint
-        // already carries every view (flat engine only).
-        if let Engine::Flat(s) = &mut sched {
-            if let Some(cfg) = self.durability {
-                s.enable_durability(cfg);
-            }
+        // already carries every view; a configuration that refuses it
+        // says so before any traffic.
+        if let Some(cfg) = self.durability {
+            sched.enable_durability(cfg);
         }
+        sched.validate()?;
 
         // Baseline subscriptions from epoch 0: their streams must replay
         // each view's full install fingerprint — derived slots included.
@@ -358,15 +311,7 @@ impl ServeExperiment {
             }
         }
 
-        // Shard-scoped crash windows keyed by restart time (sharded
-        // engine); unscoped windows recover the flat engine.
-        let mut scoped_restarts: Vec<(Time, usize)> = self
-            .faults
-            .state_crashes()
-            .iter()
-            .filter(|c| c.node == WAREHOUSE_NODE)
-            .filter_map(|c| c.shard.map(|s| (c.up_at, s)))
-            .collect();
+        let mut restarts = warehouse_restarts(&self.faults);
 
         let profile = NetProfile {
             latency: self.latency,
@@ -426,28 +371,12 @@ impl ServeExperiment {
             }
             if d.to == WAREHOUSE_NODE {
                 if matches!(d.msg, Message::Restart) {
-                    match &mut sched {
-                        Engine::Flat(s) => {
-                            s.crash_and_recover(net)?;
-                        }
-                        Engine::Sharded(s) => {
-                            if let Some(pos) =
-                                scoped_restarts.iter().position(|&(at, _)| at == d.at)
-                            {
-                                let (_, shard) = scoped_restarts.swap_remove(pos);
-                                s.crash_shard(shard, net)?;
-                            }
-                        }
-                    }
-                    return Ok(());
+                    return recover(&mut sched, sharded, &mut restarts, d.at, net);
                 }
                 if let Message::Update(u) = &d.msg {
                     delivery_log.push((u.id, d.at));
                 }
-                match &mut sched {
-                    Engine::Flat(s) => s.on_message(d, net)?,
-                    Engine::Sharded(s) => s.on_message(d, net)?,
-                }
+                sched.on_message(d, net)?;
             } else {
                 if matches!(d.msg, Message::Restart) {
                     return Ok(());
@@ -526,17 +455,11 @@ impl ServeExperiment {
         let transport_quiescent = harness.transport_quiescent();
 
         Ok(ServeReport {
-            sharded: matches!(sched, Engine::Sharded(_)),
+            sharded,
             quiescent: sched.is_quiescent() && transport_quiescent,
             scheduler_metrics: sched.metrics().clone(),
-            recovery: match &sched {
-                Engine::Flat(s) => Some(s.recovery_stats()),
-                Engine::Sharded(_) => None,
-            },
-            shard_stats: match &sched {
-                Engine::Flat(_) => None,
-                Engine::Sharded(s) => Some(s.stats().clone()),
-            },
+            recovery: (!sharded).then(|| sched.recovery_stats()),
+            shard_stats: sharded.then(|| sched.stats().clone()),
             views,
             derived,
             cascade: sched.views().cascade_stats(),
@@ -884,25 +807,13 @@ impl ServeReport {
     /// block installs" invariant is gated as makespan equality against
     /// a referee run with no reads.
     pub fn makespan(&self) -> Time {
-        let first = self.delivery_log.iter().map(|&(_, at)| at).min();
-        let last = self
-            .views
-            .iter()
-            .flat_map(|v| v.installs.iter().map(|r| r.at))
-            .max();
-        match (first, last) {
-            (Some(f), Some(l)) if l > f => l - f,
-            _ => 0,
-        }
+        makespan(&self.views, &self.delivery_log)
     }
 
     /// Install fingerprint: per view, the sequence of consumed-update
     /// sets in install order.
     pub fn install_fingerprint(&self) -> Vec<Vec<Vec<UpdateId>>> {
-        self.views
-            .iter()
-            .map(|v| v.installs.iter().map(|r| r.consumed.clone()).collect())
-            .collect()
+        install_fingerprint(&self.views)
     }
 
     /// The install log backing slot `slot` — a base view's outcome for

@@ -78,6 +78,51 @@ impl HopSpan {
     };
 }
 
+/// The ambient state of **one** sweep: what every query of that sweep is
+/// stamped with and what its compensations must mirror. Owned by
+/// whoever owns the sweep — the single-view executors keep one, the
+/// multiview scheduler keeps one per in-flight lane — so any number of
+/// sweeps can share an [`EngineCore`] without stepping on each other.
+#[derive(Clone, Debug)]
+pub struct SweepCtx {
+    /// The open top-level sweep span ([`SpanLabels::sweep`]), parent of
+    /// the sweep's hop spans; [`SpanId::NONE`] when idle.
+    pub span: SpanId,
+    /// Fold width stamped onto outgoing [`SweepQuery`] envelopes: how
+    /// many queued updates the sweep services (1 unless cross-update
+    /// batching folded more in).
+    pub batch: u32,
+    /// Per-relation σ pushed to the sources, indexed by chain position
+    /// (empty when pushdown is off). [`EngineCore::send_query`] attaches
+    /// `push_preds[j]` to the outgoing query, and both compensation
+    /// paths apply the *same* predicate to the queued `ΔR_j` — the error
+    /// term must match what the source actually answered with, or the
+    /// subtraction removes tuples the answer never contained.
+    pub push_preds: Vec<Option<Predicate>>,
+    /// Shard scope stamped onto every outgoing [`SweepQuery`] so sources
+    /// join only the in-scope relation slices. `None` (full relations)
+    /// keeps the wire byte-identical to the pre-sharding protocol.
+    pub scope: Option<ShardScope>,
+}
+
+impl Default for SweepCtx {
+    fn default() -> Self {
+        SweepCtx {
+            span: SpanId::NONE,
+            batch: 1,
+            push_preds: Vec::new(),
+            scope: None,
+        }
+    }
+}
+
+impl SweepCtx {
+    /// The σ pushed to source `j` in this sweep, if any.
+    pub fn push_pred(&self, j: usize) -> Option<&Predicate> {
+        self.push_preds.get(j).and_then(|p| p.as_ref())
+    }
+}
+
 /// The shared sweep mechanism: query plumbing, compensation, metrics,
 /// and span bookkeeping. Strategies ([`SweepPolicy`] impls) own one.
 pub struct EngineCore {
@@ -91,21 +136,6 @@ pub struct EngineCore {
     pub obs: Obs,
     /// Adapter-visible span/counter names.
     pub labels: SpanLabels,
-    /// The open top-level sweep span, [`SpanId::NONE`] when idle.
-    pub cur_span: SpanId,
-    /// Fold width stamped onto outgoing [`SweepQuery`] envelopes: how
-    /// many queued updates the current sweep services (1 unless
-    /// cross-update batching folded more in).
-    pub batch: u32,
-    /// Per-relation σ pushed to the sources for the *current* sweep,
-    /// indexed by chain position (empty when pushdown is off — the
-    /// default for every adapter that never sets it).
-    /// [`EngineCore::send_query`] attaches `push_preds[j]` to the
-    /// outgoing query, and both compensation paths apply the *same*
-    /// predicate to the queued `ΔR_j` — the error term must match what
-    /// the source actually answered with, or the subtraction removes
-    /// tuples the answer never contained.
-    pub push_preds: Vec<Option<Predicate>>,
     /// Sweep epoch, stamped onto every outgoing [`SweepQuery`]. Starts at
     /// 0 and only moves when a crash-recovery replay bumps it
     /// ([`EngineCore::bump_epoch`]): sources remember the highest epoch
@@ -113,12 +143,6 @@ pub struct EngineCore {
     /// re-seeded after a warehouse state-crash never races its aborted
     /// predecessor's stale in-flight queries.
     pub epoch: u64,
-    /// Ambient shard scope stamped onto every outgoing [`SweepQuery`].
-    /// `None` for every unsharded executor — the wire is then
-    /// byte-identical to the pre-sharding protocol. The sharded
-    /// scheduler sets it to the active lane's scope before each
-    /// launch/advance so sources join only the in-scope relation slices.
-    pub scope: Option<ShardScope>,
     next_qid: u64,
 }
 
@@ -131,11 +155,7 @@ impl EngineCore {
             metrics: PolicyMetrics::default(),
             obs: Obs::off(),
             labels,
-            cur_span: SpanId::NONE,
-            batch: 1,
-            push_preds: Vec::new(),
             epoch: 0,
-            scope: None,
             next_qid: 0,
         }
     }
@@ -160,11 +180,6 @@ impl EngineCore {
         self.epoch += 1;
     }
 
-    /// The σ pushed to source `j` in the current sweep, if any.
-    pub fn push_pred(&self, j: usize) -> Option<&Predicate> {
-        self.push_preds.get(j).and_then(|p| p.as_ref())
-    }
-
     /// Chain length.
     pub fn n(&self) -> usize {
         self.view.num_relations()
@@ -175,21 +190,26 @@ impl EngineCore {
         self.obs = obs;
     }
 
-    /// Open the top-level sweep span for a new unit of work.
-    pub fn begin_sweep(&mut self, now: Time) {
-        self.cur_span = self.obs.span_start(self.labels.sweep, now, SpanId::NONE);
+    /// Open the top-level sweep span for a new unit of work and hand
+    /// back its (otherwise default) context.
+    pub fn begin_sweep(&mut self, now: Time) -> SweepCtx {
+        SweepCtx {
+            span: self.obs.span_start(self.labels.sweep, now, SpanId::NONE),
+            ..SweepCtx::default()
+        }
     }
 
-    /// Close the top-level sweep span.
-    pub fn end_sweep(&mut self, now: Time) {
-        self.obs.span_end(self.cur_span, now);
-        self.cur_span = SpanId::NONE;
+    /// Close a sweep's top-level span.
+    pub fn end_sweep(&mut self, ctx: &SweepCtx, now: Time) {
+        self.obs.span_end(ctx.span, now);
     }
 
     /// Allocate a qid, account the query, open its hop spans, and send
-    /// `dv` to source `j` for a one-hop join extension on `side`.
+    /// `dv` to source `j` for a one-hop join extension on `side`, stamped
+    /// with the sweep's context.
     pub fn send_query(
         &mut self,
+        ctx: &SweepCtx,
         net: &mut dyn NetHandle<Message>,
         dv: &PartialDelta,
         j: usize,
@@ -201,9 +221,7 @@ impl EngineCore {
         if let Some(counter) = self.labels.query_counter {
             self.obs.add(counter, 1);
         }
-        let outer = self
-            .obs
-            .span_start(self.labels.hop, net.now(), self.cur_span);
+        let outer = self.obs.span_start(self.labels.hop, net.now(), ctx.span);
         let inner = self.obs.span_start("engine.hop", net.now(), outer);
         if let Some(hist) = self.labels.query_rows {
             self.obs.observe(hist, dv.bag.distinct_len() as u64);
@@ -215,10 +233,10 @@ impl EngineCore {
                 qid,
                 partial: dv.clone(),
                 side,
-                batch: self.batch,
-                pred: self.push_pred(j).cloned(),
+                batch: ctx.batch,
+                pred: ctx.push_pred(j).cloned(),
                 epoch: self.epoch,
-                scope: self.scope.clone(),
+                scope: ctx.scope.clone(),
             }),
         );
         (qid, HopSpan { outer, inner })
@@ -236,13 +254,14 @@ impl EngineCore {
     /// the interfering updates still get their own sweeps later).
     pub fn compensate(
         &mut self,
+        ctx: &SweepCtx,
         dv: &mut PartialDelta,
         temp: &PartialDelta,
         j: usize,
         side: JoinSide,
     ) -> Result<(), WarehouseError> {
         let mut merged = self.queue.merged_from_source(j);
-        if let Some(pred) = self.push_pred(j) {
+        if let Some(pred) = ctx.push_pred(j) {
             merged = merged.filter(|t| pred.eval(t));
         }
         if merged.is_empty() {
@@ -260,6 +279,7 @@ impl EngineCore {
     #[allow(clippy::type_complexity)]
     pub fn compensate_consuming(
         &mut self,
+        ctx: &SweepCtx,
         dv: &mut PartialDelta,
         temp: &PartialDelta,
         j: usize,
@@ -275,7 +295,7 @@ impl EngineCore {
         // cancel outright there is nothing to subtract — skip the join
         // (no spurious compensation is accounted) but still hand the
         // consumed ids back so they reach the install record.
-        let filtered = match self.push_pred(j) {
+        let filtered = match ctx.push_pred(j) {
             Some(pred) => merged.filter(|t| pred.eval(t)),
             None => merged.clone(),
         };
@@ -334,12 +354,13 @@ impl Leg {
     /// copy as the compensation `TempView`.
     pub fn launch(
         core: &mut EngineCore,
+        ctx: &SweepCtx,
         net: &mut dyn NetHandle<Message>,
         dv: PartialDelta,
         j: usize,
         side: JoinSide,
     ) -> Leg {
-        let (qid, hop) = core.send_query(net, &dv, j, side);
+        let (qid, hop) = core.send_query(ctx, net, &dv, j, side);
         Leg {
             temp: dv.clone(),
             dv,
@@ -355,13 +376,13 @@ impl Leg {
     pub fn advance(
         &mut self,
         core: &mut EngineCore,
+        ctx: &SweepCtx,
         net: &mut dyn NetHandle<Message>,
         nj: usize,
         nside: JoinSide,
     ) {
         self.temp = self.dv.clone();
-        let dv = self.dv.clone();
-        let (qid, hop) = core.send_query(net, &dv, nj, nside);
+        let (qid, hop) = core.send_query(ctx, net, &self.dv, nj, nside);
         self.qid = qid;
         self.j = nj;
         self.side = nside;
@@ -375,6 +396,33 @@ pub enum LegSlot {
     Running(Leg),
     /// The leg finished; its final partial is kept for merging.
     Done(PartialDelta),
+}
+
+impl LegSlot {
+    /// If this slot's leg is waiting on `qid`, take the leg out. The slot
+    /// is left holding an empty placeholder partial; the caller puts the
+    /// advanced leg (or its final partial) back.
+    pub fn take_waiting_on(&mut self, qid: u64) -> Option<Leg> {
+        match self {
+            LegSlot::Running(leg) if leg.qid == qid => {
+                let placeholder = LegSlot::Done(PartialDelta {
+                    lo: leg.j,
+                    hi: leg.j,
+                    bag: Bag::new(),
+                });
+                match std::mem::replace(self, placeholder) {
+                    LegSlot::Running(leg) => Some(leg),
+                    LegSlot::Done(_) => None,
+                }
+            }
+            _ => None,
+        }
+    }
+
+    /// Has the leg finished?
+    pub fn is_done(&self) -> bool {
+        matches!(self, LegSlot::Done(_))
+    }
 }
 
 /// One suspended or running `ViewChange(ΔR, Left, Source, Right)` call
@@ -635,12 +683,15 @@ mod tests {
     fn send_query_stamps_qid_and_batch() {
         let mut net: Network<Message> = Network::new(0);
         let mut core = EngineCore::new(chain3(), LABELS);
-        core.batch = 3;
+        let ctx = SweepCtx {
+            batch: 3,
+            ..SweepCtx::default()
+        };
         let dv =
             PartialDelta::seed(&core.view.clone(), 1, &Bag::from_tuples([tup![3, 5]])).unwrap();
-        let (qid, _) = core.send_query(&mut net, &dv, 0, JoinSide::Left);
+        let (qid, _) = core.send_query(&ctx, &mut net, &dv, 0, JoinSide::Left);
         assert_eq!(qid, 0);
-        let (qid, _) = core.send_query(&mut net, &dv, 2, JoinSide::Right);
+        let (qid, _) = core.send_query(&ctx, &mut net, &dv, 2, JoinSide::Right);
         assert_eq!(qid, 1);
         assert_eq!(core.metrics.queries_sent, 2);
         let Message::SweepQuery(q) = net.next().unwrap().msg else {
@@ -669,7 +720,8 @@ mod tests {
             hi: 1,
             bag: Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]),
         };
-        core.compensate(&mut dv, &temp, 0, JoinSide::Left).unwrap();
+        core.compensate(&SweepCtx::default(), &mut dv, &temp, 0, JoinSide::Left)
+            .unwrap();
         assert_eq!(dv.bag, Bag::from_tuples([tup![1, 3, 3, 5]]));
         assert_eq!(core.metrics.local_compensations, 1);
         assert_eq!(core.queue.len(), 1, "plain compensation must not remove");
@@ -694,14 +746,14 @@ mod tests {
             bag: Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]),
         };
         let taken = core
-            .compensate_consuming(&mut dv, &temp, 0, JoinSide::Left)
+            .compensate_consuming(&SweepCtx::default(), &mut dv, &temp, 0, JoinSide::Left)
             .unwrap()
             .expect("update was queued");
         assert_eq!(taken.1, vec![(UpdateId { source: 0, seq: 0 }, 7)]);
         assert!(core.queue.is_empty());
         // A second call finds nothing.
         assert!(core
-            .compensate_consuming(&mut dv, &temp, 0, JoinSide::Left)
+            .compensate_consuming(&SweepCtx::default(), &mut dv, &temp, 0, JoinSide::Left)
             .unwrap()
             .is_none());
     }
@@ -737,7 +789,7 @@ mod tests {
         };
         let before = dv.bag.clone();
         let (merged, infos) = core
-            .compensate_consuming(&mut dv, &temp, 0, JoinSide::Left)
+            .compensate_consuming(&SweepCtx::default(), &mut dv, &temp, 0, JoinSide::Left)
             .unwrap()
             .expect("updates were queued");
         assert!(merged.is_empty());
@@ -758,16 +810,19 @@ mod tests {
             op: CmpOp::Ge,
             value: Value::Int(3),
         };
-        core.push_preds = vec![Some(sigma.clone()), None, None];
+        let ctx = SweepCtx {
+            push_preds: vec![Some(sigma.clone()), None, None],
+            ..SweepCtx::default()
+        };
         let dv =
             PartialDelta::seed(&core.view.clone(), 1, &Bag::from_tuples([tup![3, 5]])).unwrap();
-        let (_, _) = core.send_query(&mut net, &dv, 0, JoinSide::Left);
+        let (_, _) = core.send_query(&ctx, &mut net, &dv, 0, JoinSide::Left);
         let Message::SweepQuery(q) = net.next().unwrap().msg else {
             panic!()
         };
         assert_eq!(q.pred, Some(sigma));
         // Queried source 1 instead would carry no predicate.
-        let (_, _) = core.send_query(&mut net, &dv, 1, JoinSide::Right);
+        let (_, _) = core.send_query(&ctx, &mut net, &dv, 1, JoinSide::Right);
         let Message::SweepQuery(q) = net.next().unwrap().msg else {
             panic!()
         };
@@ -798,7 +853,8 @@ mod tests {
             hi: 1,
             bag: Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]),
         };
-        core.compensate(&mut dv, &temp, 0, JoinSide::Left).unwrap();
+        core.compensate(&ctx, &mut dv, &temp, 0, JoinSide::Left)
+            .unwrap();
         // Only the qualifying interferer was cancelled; (2,2) joins
         // nothing here anyway, but the point is the subtraction used the
         // σ-filtered merged delta.

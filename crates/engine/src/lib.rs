@@ -49,7 +49,7 @@ pub mod view;
 
 pub use crate::core::{
     dispatch, merge_pivot, support, EngineCore, Frame, HopSpan, InstallSink, Leg, LegSlot,
-    SpanLabels, SweepPolicy,
+    SpanLabels, SweepCtx, SweepPolicy,
 };
 pub use durable::{DurabilityConfig, DurableStats, DurableStore, WalRecord};
 pub use error::WarehouseError;

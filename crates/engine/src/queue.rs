@@ -132,6 +132,15 @@ impl UpdateQueue {
         self.q.retain(|p| !ids.contains(&p.update.id));
     }
 
+    /// Remove and return the update with the given id, wherever it sits;
+    /// every other update keeps its queue position. The search runs from
+    /// the head, so taking the queue head costs O(1) — the lane scheduler
+    /// launches from the head whenever only one group exists.
+    pub fn take_id(&mut self, id: UpdateId) -> Option<PendingUpdate> {
+        let pos = self.q.iter().position(|p| p.update.id == id)?;
+        self.q.remove(pos)
+    }
+
     /// Does the queue hold any update from source `j`?
     pub fn has_from_source(&self, j: SourceIndex) -> bool {
         self.q.iter().any(|p| p.update.id.source == j)
@@ -154,6 +163,19 @@ mod tests {
             delta: Bag::from_pairs([(tup![v], 1)]),
             global: None,
         }
+    }
+
+    #[test]
+    fn take_id_removes_one_and_keeps_the_rest_in_place() {
+        let mut q = UpdateQueue::new();
+        q.push(upd(0, 0, 1), 10);
+        q.push(upd(1, 0, 2), 20);
+        q.push(upd(0, 1, 3), 30);
+        let taken = q.take_id(UpdateId { source: 1, seq: 0 }).unwrap();
+        assert_eq!(taken.arrived_at, 20);
+        assert!(q.take_id(UpdateId { source: 1, seq: 0 }).is_none());
+        let left: Vec<u64> = q.iter().map(|p| p.update.id.seq).collect();
+        assert_eq!(left, vec![0, 1]);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 
 use dw_engine::{run_cluster, NodeRunner, ThreadNet};
 use dw_protocol::{source_node, Message, WAREHOUSE_NODE};
-use dw_relational::BaseRelation;
+use dw_relational::{Bag, BaseRelation, ViewDef};
 use dw_simnet::{NodeId, Time};
 use dw_source::DataSource;
 use dw_warehouse::{InstallRecord, MaintenancePolicy, PolicyMetrics, WarehouseError};
-use dw_workload::GeneratedScenario;
+use dw_workload::{GeneratedScenario, ScheduledTxn};
 use std::time::Duration;
 
 pub use dw_engine::LiveError;
@@ -22,7 +22,7 @@ pub use dw_engine::LiveError;
 #[derive(Debug)]
 pub struct LiveReport {
     /// Final materialized view.
-    pub view: dw_relational::Bag,
+    pub view: Bag,
     /// Install history (delivery order is nondeterministic).
     pub installs: Vec<InstallRecord>,
     /// Policy counters.
@@ -70,8 +70,9 @@ impl NodeRunner for PolicyRunner {
     }
 }
 
-/// A source node: the unmodified [`DataSource`] state machine.
-struct SourceRunner(DataSource);
+/// A source node: the unmodified [`DataSource`] state machine. The one
+/// source runner every live arm uses.
+pub(crate) struct SourceRunner(DataSource);
 
 impl NodeRunner for SourceRunner {
     fn handle(
@@ -85,6 +86,38 @@ impl NodeRunner for SourceRunner {
     }
 }
 
+/// Shorthand for wrapping a setup failure as a node failure.
+pub(crate) fn setup_failed(e: impl std::fmt::Display) -> LiveError {
+    LiveError::NodeFailed {
+        what: e.to_string(),
+    }
+}
+
+/// One source runner per relation of `chain`, loaded with `initial`.
+pub(crate) fn source_runners(
+    chain: &ViewDef,
+    initial: &[Bag],
+) -> Result<Vec<SourceRunner>, LiveError> {
+    (0..chain.num_relations())
+        .map(|i| {
+            let mut rel = BaseRelation::new(chain.schema(i).clone());
+            rel.apply_delta(&initial[i]).map_err(setup_failed)?;
+            Ok(SourceRunner(DataSource::new(i, chain.clone(), rel)))
+        })
+        .collect()
+}
+
+/// The scenario's transactions as timed source injections.
+pub(crate) fn injections(txns: &[ScheduledTxn]) -> Vec<(Time, NodeId, Message)> {
+    txns.iter()
+        .map(|t| {
+            let (rel, delta, global) = (t.source, t.delta.clone(), t.global);
+            let msg = Message::ApplyTxn { rel, delta, global };
+            (t.at, source_node(t.source), msg)
+        })
+        .collect()
+}
+
 /// Run a scenario on real threads.
 ///
 /// `make_policy` builds the warehouse policy from the scenario's view and
@@ -93,49 +126,15 @@ impl NodeRunner for SourceRunner {
 /// twice as fast). `deadline` bounds the whole run.
 pub fn run_live(
     scenario: &GeneratedScenario,
-    make_policy: impl FnOnce(
-        dw_relational::ViewDef,
-        dw_relational::Bag,
-    ) -> Result<Box<dyn MaintenancePolicy>, WarehouseError>,
+    make_policy: impl FnOnce(ViewDef, Bag) -> Result<Box<dyn MaintenancePolicy>, WarehouseError>,
     time_scale: f64,
     deadline: Duration,
 ) -> Result<LiveReport, LiveError> {
-    let n = scenario.view.num_relations();
-    let refs: Vec<&dw_relational::Bag> = scenario.initial.iter().collect();
-    let initial_view =
-        dw_relational::eval_view(&scenario.view, &refs).map_err(|e| LiveError::NodeFailed {
-            what: e.to_string(),
-        })?;
-    let policy =
-        make_policy(scenario.view.clone(), initial_view).map_err(|e| LiveError::NodeFailed {
-            what: e.to_string(),
-        })?;
-
-    let mut sources = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut rel = BaseRelation::new(scenario.view.schema(i).clone());
-        rel.apply_delta(&scenario.initial[i])
-            .map_err(|e| LiveError::NodeFailed {
-                what: e.to_string(),
-            })?;
-        sources.push(SourceRunner(DataSource::new(i, scenario.view.clone(), rel)));
-    }
-
-    let injections: Vec<(Time, NodeId, Message)> = scenario
-        .txns
-        .iter()
-        .map(|t| {
-            (
-                t.at,
-                source_node(t.source),
-                Message::ApplyTxn {
-                    rel: t.source,
-                    delta: t.delta.clone(),
-                    global: t.global,
-                },
-            )
-        })
-        .collect();
+    let refs: Vec<&Bag> = scenario.initial.iter().collect();
+    let initial_view = dw_relational::eval_view(&scenario.view, &refs).map_err(setup_failed)?;
+    let policy = make_policy(scenario.view.clone(), initial_view).map_err(setup_failed)?;
+    let sources = source_runners(&scenario.view, &scenario.initial)?;
+    let injections = injections(&scenario.txns);
 
     let outcome = run_cluster(
         PolicyRunner(policy),

@@ -16,9 +16,11 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
+mod multiview;
 pub mod serve;
 pub mod sharded;
 
 pub use cluster::{run_live, LiveError, LiveReport};
+pub use multiview::LiveViewOutcome;
 pub use serve::{run_live_serve, LiveServeReport};
-pub use sharded::{run_live_sharded, LiveShardedReport, LiveViewOutcome};
+pub use sharded::{run_live_sharded, LiveShardedReport};

@@ -14,14 +14,11 @@
 //! streams replay the install fingerprint, and (c) the final epoch
 //! equals the ground-truth evaluation.
 
-use dw_engine::{run_cluster, NodeRunner, ThreadNet};
-use dw_multiview::{MaintenanceScheduler, SchedulerMode, ViewId};
-use dw_protocol::{source_node, Message, WAREHOUSE_NODE};
-use dw_relational::{Bag, BaseRelation, Value};
+use crate::cluster::setup_failed as fail;
+use crate::multiview::LiveWarehouse;
+use dw_relational::{Bag, Value};
 use dw_rng::Rng64;
 use dw_serve::{ReadFrontend, ServeStats};
-use dw_simnet::{NodeId, Time};
-use dw_source::DataSource;
 use dw_warehouse::{InstallRecord, PolicyMetrics};
 use dw_workload::MultiViewScenario;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,50 +68,6 @@ pub struct LiveServeReport {
     pub wall: Duration,
 }
 
-struct ServeRunner {
-    sched: MaintenanceScheduler,
-    ids: Vec<ViewId>,
-}
-
-impl NodeRunner for ServeRunner {
-    fn handle(
-        &mut self,
-        from: NodeId,
-        at: Time,
-        msg: Message,
-        net: &mut ThreadNet,
-    ) -> Result<(), String> {
-        if matches!(msg, Message::Restart) {
-            return Ok(());
-        }
-        let d = dw_simnet::Delivery {
-            at,
-            from,
-            to: WAREHOUSE_NODE,
-            msg,
-        };
-        self.sched.on_message(d, net).map_err(|e| e.to_string())
-    }
-
-    fn is_idle(&self) -> bool {
-        self.sched.is_quiescent()
-    }
-}
-
-struct SourceRunner(DataSource);
-
-impl NodeRunner for SourceRunner {
-    fn handle(
-        &mut self,
-        from: NodeId,
-        _at: Time,
-        msg: Message,
-        net: &mut ThreadNet,
-    ) -> Result<(), String> {
-        self.0.handle(from, msg, net).map_err(|e| e.to_string())
-    }
-}
-
 /// Run a multi-view scenario on real threads with `readers` concurrent
 /// reader threads hammering the snapshot store throughout.
 ///
@@ -126,60 +79,19 @@ pub fn run_live_serve(
     time_scale: f64,
     deadline: Duration,
 ) -> Result<LiveServeReport, LiveError> {
-    let base = &scenario.base;
-    let n = base.num_relations();
-    let fail = |e: &dyn std::fmt::Display| LiveError::NodeFailed {
-        what: e.to_string(),
-    };
-
-    let mut sched =
-        MaintenanceScheduler::new(base.clone(), SchedulerMode::Shared).map_err(|e| fail(&e))?;
     let front = ReadFrontend::new();
-    sched.set_install_publisher(front.sink());
-
-    let mut ids = Vec::with_capacity(scenario.views.len());
-    for spec in &scenario.views {
-        let local = spec.compile(base).map_err(|e| fail(&e))?;
-        let refs: Vec<&Bag> = scenario.initial[spec.lo..=spec.hi].iter().collect();
-        let initial_view = dw_relational::eval_view(&local, &refs).map_err(|e| fail(&e))?;
-        ids.push(
-            sched
-                .register(spec, initial_view.clone())
-                .map_err(|e| fail(&e))?,
-        );
-        front.register_view(&spec.name, initial_view, 0);
-    }
+    let mut initial_bags: Vec<Bag> = Vec::with_capacity(scenario.views.len());
+    let warehouse = LiveWarehouse::new(scenario, None, Some(front.sink()), |name, initial| {
+        front.register_view(name, initial.clone(), 0);
+        initial_bags.push(initial.clone());
+    })?;
 
     // One subscription per view, from epoch 0: drained post-run and
     // compared against the install fingerprint.
     let mut subs = Vec::with_capacity(scenario.views.len());
     for v in 0..scenario.views.len() {
-        subs.push(front.subscribe(v).map_err(|e| fail(&e))?);
+        subs.push(front.subscribe(v).map_err(fail)?);
     }
-
-    let mut sources = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut rel = BaseRelation::new(base.schema(i).clone());
-        rel.apply_delta(&scenario.initial[i])
-            .map_err(|e| fail(&e))?;
-        sources.push(SourceRunner(DataSource::new(i, base.clone(), rel)));
-    }
-
-    let injections: Vec<(Time, NodeId, Message)> = scenario
-        .txns
-        .iter()
-        .map(|t| {
-            (
-                t.at,
-                source_node(t.source),
-                Message::ApplyTxn {
-                    rel: t.source,
-                    delta: t.delta.clone(),
-                    global: t.global,
-                },
-            )
-        })
-        .collect();
 
     // Reader threads: pin → read → unpin in a tight loop until the
     // maintenance cluster drains. Each thread records what it saw.
@@ -228,13 +140,7 @@ pub fn run_live_serve(
         ));
     }
 
-    let run = run_cluster(
-        ServeRunner { sched, ids },
-        sources,
-        injections,
-        time_scale,
-        deadline,
-    );
+    let run = warehouse.run(scenario, time_scale, deadline);
     stop.store(true, Ordering::Relaxed);
     let mut reads: Vec<LiveRead> = Vec::new();
     let mut reader_err: Option<String> = None;
@@ -245,37 +151,13 @@ pub fn run_live_serve(
             Err(_) => reader_err = Some("reader thread panicked".to_string()),
         }
     }
-    let outcome = run?;
+    let (sched, views, wall) = run?;
     if let Some(e) = reader_err {
         return Err(LiveError::NodeFailed { what: e });
-    }
-    let ServeRunner { sched, ids } = outcome.warehouse;
-
-    let mut views = Vec::with_capacity(ids.len());
-    for (v, id) in ids.into_iter().enumerate() {
-        let _ = v;
-        views.push(crate::LiveViewOutcome {
-            name: sched.views().name(id).map_err(|e| fail(&e))?.to_string(),
-            view: sched.views().view_bag(id).map_err(|e| fail(&e))?.clone(),
-            installs: sched
-                .views()
-                .install_log(id)
-                .map_err(|e| fail(&e))?
-                .to_vec(),
-        });
     }
 
     // Torn-state audit: every read's pinned epoch must reproduce the
     // committed contents at that install exactly.
-    let initial_bags: Vec<Bag> = scenario
-        .views
-        .iter()
-        .map(|spec| {
-            let local = spec.compile(base).map_err(|e| fail(&e))?;
-            let refs: Vec<&Bag> = scenario.initial[spec.lo..=spec.hi].iter().collect();
-            dw_relational::eval_view(&local, &refs).map_err(|e| fail(&e))
-        })
-        .collect::<Result<_, _>>()?;
     let committed = |view: usize, epoch: u64| -> Option<&Bag> {
         if epoch == 0 {
             return Some(&initial_bags[view]);
@@ -311,7 +193,7 @@ pub fn run_live_serve(
     // Subscription streams must replay the install fingerprint.
     let mut subs_match = true;
     for (v, sub) in subs.into_iter().enumerate() {
-        let stream = front.poll(sub).map_err(|e| fail(&e))?;
+        let stream = front.poll(sub).map_err(fail)?;
         let expected: &[InstallRecord] = &views[v].installs;
         subs_match &= stream.len() == expected.len()
             && stream
@@ -331,7 +213,7 @@ pub fn run_live_serve(
         reads_answered: reads.len() as u64,
         torn_reads: torn,
         subs_match_installs: subs_match,
-        wall: outcome.wall,
+        wall,
     })
 }
 

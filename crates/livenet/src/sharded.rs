@@ -1,39 +1,19 @@
-//! Thread-per-shard live runtime: the [`ShardedScheduler`] on real OS
-//! threads.
+//! Thread-per-shard live runtime: the sharded configuration of the
+//! multiview live arm (`crate::multiview`).
 //!
-//! The sharded scheduler's concurrency is *logical* — S lanes in flight
-//! over one shared engine — so the live arm runs the warehouse on its
-//! own thread (where overlapping lanes interleave with real,
-//! OS-scheduled answer arrivals) and every source on its own thread,
-//! exactly like [`run_live`](crate::run_live). Delivery order across
-//! threads is nondeterministic, so the assertions that make sense here
-//! are convergence against ground truth and the scheduler's own
-//! invariants (quiescence, escalation accounting) — not
+//! Delivery order across threads is nondeterministic, so the assertions
+//! that make sense here are convergence against ground truth and the
+//! scheduler's own invariants (quiescence, escalation accounting) — not
 //! install-by-install traces. The deterministic install-order identity
 //! claim lives in the simulator-backed conformance suite.
 
-use dw_engine::{run_cluster, NodeRunner, ThreadNet};
-use dw_multiview::{ShardStats, ShardedScheduler, ViewId};
-use dw_protocol::{source_node, Message, WAREHOUSE_NODE};
-use dw_relational::{Bag, BaseRelation};
-use dw_simnet::{NodeId, Time};
-use dw_source::DataSource;
-use dw_warehouse::{InstallRecord, PolicyMetrics};
+use crate::multiview::{LiveViewOutcome, LiveWarehouse};
+use dw_multiview::ShardStats;
+use dw_warehouse::PolicyMetrics;
 use dw_workload::ShardedScenario;
 use std::time::Duration;
 
 pub use dw_engine::LiveError;
-
-/// One view's outcome from a live sharded run.
-#[derive(Debug)]
-pub struct LiveViewOutcome {
-    /// View name.
-    pub name: String,
-    /// Final materialized contents.
-    pub view: Bag,
-    /// Install history (delivery order is nondeterministic).
-    pub installs: Vec<InstallRecord>,
-}
 
 /// Result of a live sharded run.
 #[derive(Debug)]
@@ -50,53 +30,6 @@ pub struct LiveShardedReport {
     pub wall: Duration,
 }
 
-/// The warehouse node: a [`ShardedScheduler`] behind the engine's
-/// runner face.
-struct ShardedRunner {
-    sched: ShardedScheduler,
-    ids: Vec<ViewId>,
-}
-
-impl NodeRunner for ShardedRunner {
-    fn handle(
-        &mut self,
-        from: NodeId,
-        at: Time,
-        msg: Message,
-        net: &mut ThreadNet,
-    ) -> Result<(), String> {
-        // Orchestration signal, not protocol traffic (see PolicyRunner).
-        if matches!(msg, Message::Restart) {
-            return Ok(());
-        }
-        let d = dw_simnet::Delivery {
-            at,
-            from,
-            to: WAREHOUSE_NODE,
-            msg,
-        };
-        self.sched.on_message(d, net).map_err(|e| e.to_string())
-    }
-
-    fn is_idle(&self) -> bool {
-        self.sched.is_quiescent()
-    }
-}
-
-struct SourceRunner(DataSource);
-
-impl NodeRunner for SourceRunner {
-    fn handle(
-        &mut self,
-        from: NodeId,
-        _at: Time,
-        msg: Message,
-        net: &mut ThreadNet,
-    ) -> Result<(), String> {
-        self.0.handle(from, msg, net).map_err(|e| e.to_string())
-    }
-}
-
 /// Run a sharded scenario on real threads.
 ///
 /// `time_scale` compresses injection timestamps (2.0 = twice as fast);
@@ -107,84 +40,21 @@ pub fn run_live_sharded(
     deadline: Duration,
 ) -> Result<LiveShardedReport, LiveError> {
     let scenario = &generated.scenario;
-    let base = &scenario.base;
-    let n = base.num_relations();
-    let fail = |e: &dyn std::fmt::Display| LiveError::NodeFailed {
-        what: e.to_string(),
-    };
-
-    let mut sched =
-        ShardedScheduler::new(base.clone(), generated.map.clone()).map_err(|e| fail(&e))?;
-    for bag in &scenario.initial {
-        sched.seed_groups(bag);
-    }
-    let mut ids = Vec::with_capacity(scenario.views.len());
-    for spec in &scenario.views {
-        let local = spec.compile(base).map_err(|e| fail(&e))?;
-        let refs: Vec<&Bag> = scenario.initial[spec.lo..=spec.hi].iter().collect();
-        let initial_view = dw_relational::eval_view(&local, &refs).map_err(|e| fail(&e))?;
-        ids.push(sched.register(spec, initial_view).map_err(|e| fail(&e))?);
-    }
-
-    let mut sources = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut rel = BaseRelation::new(base.schema(i).clone());
-        rel.apply_delta(&scenario.initial[i])
-            .map_err(|e| fail(&e))?;
-        sources.push(SourceRunner(DataSource::new(i, base.clone(), rel)));
-    }
-
-    let injections: Vec<(Time, NodeId, Message)> = scenario
-        .txns
-        .iter()
-        .map(|t| {
-            (
-                t.at,
-                source_node(t.source),
-                Message::ApplyTxn {
-                    rel: t.source,
-                    delta: t.delta.clone(),
-                    global: t.global,
-                },
-            )
-        })
-        .collect();
-
-    let outcome = run_cluster(
-        ShardedRunner { sched, ids },
-        sources,
-        injections,
-        time_scale,
-        deadline,
-    )?;
-    let ShardedRunner { sched, ids } = outcome.warehouse;
-
-    let mut views = Vec::with_capacity(ids.len());
-    for id in ids {
-        views.push(LiveViewOutcome {
-            name: sched.views().name(id).map_err(|e| fail(&e))?.to_string(),
-            view: sched.views().view_bag(id).map_err(|e| fail(&e))?.clone(),
-            installs: sched
-                .views()
-                .install_log(id)
-                .map_err(|e| fail(&e))?
-                .to_vec(),
-        });
-    }
-
+    let warehouse = LiveWarehouse::new(scenario, Some(&generated.map), None, |_, _| {})?;
+    let (sched, views, wall) = warehouse.run(scenario, time_scale, deadline)?;
     Ok(LiveShardedReport {
         quiescent: sched.is_quiescent(),
         metrics: sched.metrics().clone(),
         shard_stats: sched.stats().clone(),
         views,
-        wall: outcome.wall,
+        wall,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_relational::eval_view;
+    use dw_relational::{eval_view, Bag};
     use dw_workload::ShardedConfig;
 
     fn ground_truth(generated: &ShardedScenario) -> Vec<Bag> {

@@ -12,15 +12,37 @@
 //!   selections, projection, and maintenance cadence
 //!   ([`dw_workload::ViewPolicy`]: SWEEP, Nested-SWEEP-style batching,
 //!   or deferred refresh);
-//! * a [`MaintenanceScheduler`] — on arrival of `ΔR_j` it fans out to
-//!   every registered view referencing `R_j` and executes a **shared
-//!   sweep**: one two-leg pass over the *union* of the affected spans,
-//!   issuing a single incremental query per source hop. Each view peels
-//!   its own delta off the shared pass by snapshotting the in-flight
-//!   partials at its span endpoints and merging them on the pivot
-//!   relation's columns; per-view σ/Π are applied at the warehouse.
-//!   The paper's on-line error correction (§4) runs once per hop on the
-//!   shared partial, so every view inherits it.
+//! * a [`MaintenanceScheduler`] — **one** lane-based scheduler for every
+//!   configuration. On arrival of `ΔR_j` it fans out to every registered
+//!   view referencing `R_j` and executes a **shared sweep**: one two-leg
+//!   pass over the *union* `[L, R]` of the affected spans (contiguous,
+//!   because every affected span contains `j`), issuing a single
+//!   incremental query per source hop:
+//!   - the **left leg** carries the true delta and hops `j−1, …, L`;
+//!   - the **right leg** carries the delta's *support* (each distinct
+//!     tuple at `+1`, §5.3's parallel-sweep trick) and hops `j+1, …, R`;
+//!   - after each hop's answer, the paper's on-line error correction
+//!     (§4) subtracts `ΔR_k ⋈ Temp` for every queued concurrent update
+//!     from the hop source — once, on the shared partial, so every view
+//!     inherits it;
+//!   - a view with span `[lo, hi]` **snapshots** the left partial the
+//!     moment it reaches `lo` and the right partial the moment it
+//!     reaches `hi`; its own delta is the pivot-merge of its two
+//!     snapshots (equating the shared `ΔR_j` columns, multiplying
+//!     counts), filtered by its selections, then finalized through its
+//!     residual predicate and projection at the warehouse.
+//!
+//!   In-flight sweeps live in **lanes**, one per shard group, and every
+//!   install leaves through an arrival-order ticket. Without a
+//!   [`dw_relational::ShardMap`] there is one group — the paper's serial
+//!   SWEEP; with one, sweeps over disjoint value bands run concurrently
+//!   while the install order stays arrival order. Cross-update batching,
+//!   σ pushdown, checkpoint + WAL crash recovery and shard-scoped crash
+//!   re-seeding are options of that one state machine; the combinations
+//!   it refuses are typed errors decided in one place
+//!   ([`MaintenanceScheduler::validate`]). [`ShardedScheduler`] is a
+//!   thin newtype for callers that want the sharded configuration as a
+//!   type.
 //! * a **maintenance DAG** — derived views registered *over* other views
 //!   ([`ViewRegistry::register_derived`], specs from
 //!   [`dw_workload::DerivedSpec`]): σ/Π and Σ/group-by operators, stacks
@@ -62,5 +84,5 @@ mod sharded;
 
 pub use dw_engine::{DurabilityConfig, EngineOptions};
 pub use registry::{CascadeStats, MvError, ViewId, ViewRegistry};
-pub use scheduler::{MaintenanceScheduler, RecoveryStats, SchedulerMode};
-pub use sharded::{ShardStats, ShardedScheduler};
+pub use scheduler::{MaintenanceScheduler, RecoveryStats, SchedulerMode, ShardStats};
+pub use sharded::ShardedScheduler;

@@ -63,6 +63,13 @@ pub enum MvError {
         /// Display names of its live children, in slot order.
         children: Vec<String>,
     },
+    /// A scheduler invariant did not hold on the message path — a bug in
+    /// this crate, surfaced as an error instead of a panic so one bad
+    /// delivery cannot take the warehouse thread down.
+    Internal {
+        /// Which invariant broke.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for MvError {
@@ -87,6 +94,7 @@ impl fmt::Display for MvError {
                      the maintenance DAG must be acyclic"
                 )
             }
+            MvError::Internal { what } => write!(f, "scheduler invariant broken: {what}"),
             MvError::HasChildren { name, children } => {
                 write!(
                     f,
@@ -327,6 +335,9 @@ pub struct ViewRegistry {
     publisher: Option<SharedInstallPublisher>,
     /// Cascade bookkeeping (child installs, shared σ/Π evaluations).
     stats: CascadeStats,
+    /// Whether current and future runtimes keep a view snapshot per
+    /// install record.
+    record_snapshots: bool,
 }
 
 impl ViewRegistry {
@@ -354,6 +365,7 @@ impl ViewRegistry {
             slots: Vec::new(),
             publisher: None,
             stats: CascadeStats::default(),
+            record_snapshots: true,
         })
     }
 
@@ -383,7 +395,7 @@ impl ViewRegistry {
             pending_delta: Bag::new(),
             pending_consumed: Vec::new(),
             since_flush: 0,
-            record_snapshots: true,
+            record_snapshots: self.record_snapshots,
             slot: id.0,
             kind: ViewKind::Base,
             children: Vec::new(),
@@ -448,7 +460,7 @@ impl ViewRegistry {
             pending_delta: Bag::new(),
             pending_consumed: Vec::new(),
             since_flush: 0,
-            record_snapshots: true,
+            record_snapshots: self.record_snapshots,
             slot: id.0,
             kind: ViewKind::Derived {
                 parent: parent_slot,
@@ -556,6 +568,15 @@ impl ViewRegistry {
             .collect()
     }
 
+    /// The live view in registry slot `index` — the coordinate sequenced
+    /// installs and install events are keyed by. A direct slot lookup.
+    pub fn id_at(&self, index: usize) -> Result<ViewId, MvError> {
+        match self.slots.get(index) {
+            Some(Some(_)) => Ok(ViewId(index)),
+            _ => Err(MvError::UnknownView { index }),
+        }
+    }
+
     /// Number of live views.
     pub fn len(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
@@ -624,6 +645,15 @@ impl ViewRegistry {
 
     pub(crate) fn runtimes_mut(&mut self) -> impl Iterator<Item = &mut ViewRuntime> {
         self.slots.iter_mut().filter_map(|s| s.as_mut())
+    }
+
+    /// Toggle per-install view snapshots for every current and future
+    /// runtime.
+    pub(crate) fn set_record_snapshots(&mut self, record: bool) {
+        self.record_snapshots = record;
+        for rt in self.runtimes_mut() {
+            rt.record_snapshots = record;
+        }
     }
 
     /// Apply a finalized sweep delta to `id` and, if it installed,
@@ -794,9 +824,21 @@ impl ViewRegistry {
         self.publisher = Some(p);
     }
 
-    /// The attached publisher handle, if any.
-    pub(crate) fn install_publisher(&self) -> Option<&SharedInstallPublisher> {
-        self.publisher.as_ref()
+    /// Source update `id` was delivered at `at`: count it against every
+    /// view it reaches and tell the publisher. The footprint includes
+    /// derived descendants — a source update logically reaches them (the
+    /// serve layer's staleness ledger needs their delivery entries), even
+    /// though only base views join the sweep.
+    pub(crate) fn note_delivery(&mut self, id: UpdateId, at: Time) -> Result<(), MvError> {
+        for view in self.affected_with_descendants(id.source) {
+            self.runtime_mut(view)?.metrics.updates_received += 1;
+            if let Some(p) = &self.publisher {
+                let what = "install publisher lock poisoned";
+                let mut publisher = p.lock().map_err(|_| MvError::Internal { what })?;
+                publisher.note_delivery(view.index(), id, at);
+            }
+        }
+        Ok(())
     }
 
     /// Display name of a view.
@@ -863,6 +905,13 @@ mod tests {
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.name(b).unwrap(), "B");
         assert!(matches!(reg.runtime(a), Err(MvError::UnknownView { .. })));
+        // Slot lookup agrees: live slots resolve, dead and unknown ones fail.
+        assert_eq!(reg.id_at(b.index()).unwrap(), b);
+        assert!(matches!(
+            reg.id_at(a.index()),
+            Err(MvError::UnknownView { .. })
+        ));
+        assert!(matches!(reg.id_at(99), Err(MvError::UnknownView { .. })));
         // Slot is not reused.
         let c = reg.register(&ViewSpec::full("C", 3), Bag::new()).unwrap();
         assert_ne!(a.index(), c.index());

@@ -1,37 +1,58 @@
-//! The shared-sweep maintenance scheduler.
+//! The lane-based maintenance scheduler: one sweep state machine, any
+//! number of sweeps in flight, one install order.
 //!
-//! On arrival of `ΔR_j` the scheduler computes the set of registered
-//! views whose span contains `j` and runs **one** two-leg sweep over the
-//! *union* of the affected spans `[L, R]` (contiguous, because every
-//! affected span contains `j`):
+//! The sweep itself — two legs over the union of the affected spans,
+//! compensation once per hop on the shared partial, per-view snapshots at
+//! the span endpoints, pivot-merge and σ/Π at the warehouse — is laid out
+//! in the [crate docs](crate). Its message cost is at most `R − L ≤ n−1`
+//! queries (plus answers) per update — `≤ 2(n−1)` messages **regardless
+//! of the number of views**. [`SchedulerMode::Naive`] instead runs one
+//! dedicated sweep per affected view, back to back, each installing as
+//! it finishes (the `V·2(n−1)` baseline E14 measures against).
 //!
-//! * the **left leg** carries the true delta and hops `j−1, …, L`;
-//! * the **right leg** carries the delta's *support* (each distinct
-//!   tuple at `+1`, §5.3's parallel-sweep trick) and hops `j+1, …, R`;
-//! * after each hop's answer, the paper's on-line error correction (§4)
-//!   subtracts `ΔR_k ⋈ Temp` for every queued concurrent update from
-//!   the hop source — once, on the shared partial;
-//! * a view with span `[lo, hi]` **snapshots** the left partial the
-//!   moment it reaches `lo` and the right partial the moment it reaches
-//!   `hi`; its own delta is the pivot-merge of its two snapshots
-//!   (equating the shared `ΔR_j` columns, multiplying counts), filtered
-//!   by its selections, then finalized through its residual predicate
-//!   and projection.
+//! ## Lanes and groups
 //!
-//! Message cost: at most `R − L ≤ n−1` queries (plus answers) per
-//! update — `≤ 2(n−1)` messages **regardless of the number of views**.
-//! [`SchedulerMode::Naive`] instead runs one dedicated sweep per
-//! affected view (the `V·2(n−1)` baseline E14 measures against).
+//! In-flight sweeps live in **lanes**, at most one per *shard group*.
+//! Without a [`ShardMap`] there is one group: one sweep at a time,
+//! unscoped queries, no escalation — the paper's serial SWEEP. With a
+//! map ([`MaintenanceScheduler::with_shards`]) every attribute *value*
+//! is banded into one of `S` shards. A tuple is **pure** in shard `s`
+//! when every one of its values lands in `s`; pure tuples of different
+//! shards can never join (equality joins compare values, and the bands
+//! are disjoint). That disjointness is the whole concurrency argument: a
+//! sweep whose delta is pure in shard `s` only ever meets shard-`s`
+//! tuples, so sweeps over *distinct* shards touch disjoint data and may
+//! run concurrently without ever seeing each other.
 //!
-//! **Cross-update batching** ([`EngineOptions::batch`] > 1, shared mode
-//! only): when the sweep for `ΔR_j` starts, up to `batch − 1` further
-//! queued updates *from the same source* are folded into it
-//! Nested-SWEEP-style — their deltas merge into one composite seed, the
-//! whole batch pays one `2(n−1)`-message sweep, and every affected view
-//! consumes all k updates in one delta. Message cost per update falls
-//! toward `2(n−1)/k` under bursty arrivals (experiment E15); installs
-//! consume whole per-source delivery-order batches, so consistency is
-//! strong rather than complete.
+//! Impure tuples (values straddling bands) break the argument, so the
+//! groups are a union-find over bands. Every individually-impure
+//! resident tuple (in the initial data, or installed later by an
+//! escalated sweep) unions the bands it straddles; a lane scopes its
+//! queries to its group's band mask (sources answer from the matching
+//! slices plus the mixed slice, see [`dw_relational::ShardedRelation`]).
+//! An update whose delta is not pure in a single group **escalates** to
+//! a global lane that runs alone — the classic SWEEP, queue fence and
+//! all.
+//!
+//! All lanes share one [`EngineCore`] — one FIFO update queue, one qid
+//! space, one metrics block — and every hop compensates against the
+//! *full* queue: queued updates pure in a foreign group join the lane's
+//! `TempView` to an empty error term (disjoint bands), so the
+//! subtraction is a no-op for them and exact for same-group interferers.
+//! The per-update install deltas are therefore *identical* whatever the
+//! number of groups — concurrency changes when answers arrive, never
+//! what they add up to.
+//!
+//! ## One install order
+//!
+//! Lanes finish out of arrival order; installs must not. Every finished
+//! sweep leaves through an [`InstallSequencer`] ticket and is buffered
+//! until every earlier ticket has released. In shared mode the ticket is
+//! issued the moment the update arrives, so the install order is arrival
+//! order for any number of groups (the conformance suites hold no map
+//! and S ∈ {1, 2, 4} to byte equality on this). In naive mode the unit
+//! of install is the per-view task, ticketed when the update's tasks are
+//! formed (one group, so formation order is arrival order).
 //!
 //! Installs follow each view's [`ViewPolicy`] cadence: `Sweep` installs
 //! every update immediately (complete consistency); `NestedSweep`
@@ -40,41 +61,60 @@
 //! drain (both strong consistency — consumed sets grow by whole
 //! delivery-order batches).
 //!
-//! Global transactions (update type 3) are out of scope for the
-//! multi-view layer — tags on incoming updates are ignored.
+//! ## Cross-update batching
 //!
-//! **Crash recovery** ([`MaintenanceScheduler::enable_durability`]): the
-//! scheduler journals its sweep lifecycle into a [`DurableStore`] —
-//! update arrivals, task formation, query issue, hop completion, and one
-//! atomic commit record per finished sweep — and checkpoints the full
-//! volatile image every few commits. A warehouse *state crash*
-//! ([`MaintenanceScheduler::crash_and_recover`]) rebuilds volatile state
-//! from checkpoint + WAL replay: committed sweeps are re-applied from
-//! their logged deltas (no re-querying), the in-flight sweep — which
-//! never reached its commit record — is still durably *pending*, so it
-//! re-seeds through the ordinary `start_next` path with fresh query ids
-//! under a bumped epoch. Sources drop queries from superseded epochs and
-//! the scheduler drops answers below its post-replay qid floor, making
-//! the whole abort-and-reseed cycle idempotent. Off by default — with
-//! durability disabled the scheduler's wire behavior and installs are
+//! With [`EngineOptions::batch`] > 1 (shared mode, one group): when the
+//! sweep for `ΔR_j` starts, up to `batch − 1` further queued updates
+//! *from the same source* are folded into it Nested-SWEEP-style — their
+//! deltas merge into one composite seed, the whole batch pays one
+//! `2(n−1)`-message sweep, and every affected view consumes all k
+//! updates in one delta. Message cost per update falls toward
+//! `2(n−1)/k` under bursty arrivals (experiment E15); installs consume
+//! whole per-source delivery-order batches, so consistency is strong
+//! rather than complete.
+//!
+//! ## Crashes
+//!
+//! [`MaintenanceScheduler::enable_durability`] (one group) journals the
+//! sweep lifecycle and checkpoints between sweeps, so
+//! [`MaintenanceScheduler::crash_and_recover`] survives a whole-warehouse
+//! state crash; [`MaintenanceScheduler::crash_shard`] models one shard's
+//! sweep worker dying while the other lanes keep installing. Off by
+//! default — with durability disabled the wire behavior and installs are
 //! byte-identical to the pre-recovery engine.
+//!
+//! ## Refused combinations
+//!
+//! A [`ShardMap`] composes with neither batching (it folds queue entries
+//! a concurrent lane may need for compensation), nor σ pushdown (its
+//! predicate algebra has not been proven against scoped slices), nor
+//! durability (checkpoints assume one lane); naive mode cannot batch
+//! (its unit of work is one view). [`MaintenanceScheduler::validate`] is
+//! the one place that says so, typed (table in DESIGN.md). Global
+//! transactions (update type 3) are out of scope for the multi-view
+//! layer — tags on incoming updates are ignored.
 //!
 //! [`ViewPolicy`]: dw_workload::ViewPolicy
 
 use crate::registry::{MvError, ViewId, ViewRegistry, ViewRuntime};
 use dw_engine::{
     dispatch, merge_pivot, support, DurabilityConfig, DurableStats, DurableStore, EngineCore,
-    EngineOptions, Leg, LegSlot, PendingUpdate, SpanLabels, SweepPolicy, UpdateQueue, WalRecord,
+    EngineOptions, InstallSequencer, Leg, LegSlot, PendingUpdate, SequencedInstall, SpanLabels,
+    SweepCtx, SweepPolicy, UpdateQueue, WalRecord,
 };
 use dw_obs::Obs;
 use dw_protocol::{Message, SourceUpdate, UpdateId};
-use dw_relational::{Bag, JoinSide, PartialDelta, Predicate, RelationalError, ViewDef};
+use dw_relational::{
+    Bag, DeltaClass, JoinSide, PartialDelta, Predicate, RelationalError, ShardMap, ShardScope,
+    ViewDef,
+};
 use dw_simnet::{Delivery, NetHandle, Time};
-use dw_warehouse::PolicyMetrics;
+use dw_warehouse::{PolicyMetrics, WarehouseError};
 use dw_workload::{DerivedSpec, ViewSpec};
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 
-/// The scheduler's trace vocabulary in shared mode.
+/// The trace vocabulary: `mv.*` over one group (the query counter tells
+/// shared from naive sweeps), `shard.*` over a [`ShardMap`].
 const SHARED_LABELS: SpanLabels = SpanLabels {
     sweep: "mv.sweep",
     hop: "mv.hop",
@@ -83,16 +123,21 @@ const SHARED_LABELS: SpanLabels = SpanLabels {
     comp_rows: None,
     query_counter: Some("mv.shared_queries"),
 };
-
-/// The scheduler's trace vocabulary in naive per-view mode.
 const NAIVE_LABELS: SpanLabels = SpanLabels {
-    sweep: "mv.sweep",
-    hop: "mv.hop",
-    compensations: "mv.compensations",
-    query_rows: None,
-    comp_rows: None,
     query_counter: Some("mv.naive_queries"),
+    ..SHARED_LABELS
 };
+const SHARD_LABELS: SpanLabels = SpanLabels {
+    sweep: "shard.sweep",
+    hop: "shard.hop",
+    compensations: "shard.compensations",
+    query_counter: Some("shard.queries"),
+    ..SHARED_LABELS
+};
+
+/// Lane key of the escalated global sweep (never a valid group root —
+/// shard counts are capped at 64).
+const GLOBAL: usize = usize::MAX;
 
 /// How the scheduler turns one update into sweeps.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -117,12 +162,48 @@ impl SchedulerMode {
     }
 }
 
+/// Lane and group counters, kept on top of [`PolicyMetrics`]. Over one
+/// group every serviced update counts as `shard_local`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Updates that escalated to a global (unscoped, solo) sweep.
+    pub escalations: u64,
+    /// Updates serviced by a group-scoped lane.
+    pub shard_local: u64,
+    /// Updates skipped because no registered view referenced their
+    /// source (their sequencer slot released empty).
+    pub skipped: u64,
+    /// [`MaintenanceScheduler::crash_shard`] invocations (no-op ones
+    /// included).
+    pub shard_crashes: u64,
+    /// Lanes aborted by a shard crash and re-seeded with fresh qids.
+    pub sweeps_reseeded: u64,
+    /// Answers to a crashed lane's poisoned qids, dropped on arrival.
+    pub stale_answers_dropped: u64,
+    /// Every lane completion: `(lane key, finish time)`. The key is the
+    /// group root, or `usize::MAX` for the global lane. The recovery
+    /// suite reads this to prove surviving shards kept sweeping through
+    /// another shard's crash window.
+    pub completions: Vec<(usize, Time)>,
+    /// High-water mark of concurrently in-flight lanes.
+    pub max_concurrent_lanes: usize,
+}
+
 /// One unit of sweep work: the batch of updates it services, the span to
-/// cover, and the views fed by it. `Clone` because a formed task is
-/// journaled verbatim — its consumed set is fixed at formation, so a
-/// crash-recovered re-run consumes exactly the same updates.
+/// cover, the views fed by it, the lane it runs in and the ticket its
+/// install leaves through. Kept whole — a formed task is journaled
+/// verbatim and a crashed lane re-seeds the identical task, so its
+/// consumed set is fixed at formation and a recovered re-run consumes
+/// exactly the same updates.
 #[derive(Clone)]
 struct SweepTask {
+    ticket: u64,
+    /// Lane key: the delta's group root, or [`GLOBAL`] when escalated.
+    key: usize,
+    /// Band masks of an escalated delta's individually-impure tuples —
+    /// installed residents that union their bands when the global lane
+    /// finishes. Empty for group lanes.
+    escalate_masks: Vec<u64>,
     /// The updates this sweep folds together, in per-source delivery
     /// order. One entry unless cross-update batching folded more in.
     consumed: Vec<(UpdateId, Time)>,
@@ -136,21 +217,30 @@ struct SweepTask {
     views: Vec<ViewId>,
 }
 
-struct ActiveSweep {
+/// An in-flight sweep: the task, its per-sweep context (span, fold
+/// width, pushed σ, group scope), and per side (`JoinSide as usize`) the
+/// leg and the per-view partials captured the moment the leg reached the
+/// view's span endpoint (post-compensation for that hop).
+struct Lane {
     task: SweepTask,
-    left: LegSlot,
-    right: LegSlot,
-    /// Per-view left partials, captured the moment the left leg reached
-    /// the view's `lo` (post-compensation for that hop).
-    left_snaps: Vec<(ViewId, PartialDelta)>,
-    /// Per-view right partials, captured at each view's `hi`.
-    right_snaps: Vec<(ViewId, PartialDelta)>,
+    ctx: SweepCtx,
+    legs: [LegSlot; 2],
+    snaps: [Vec<(ViewId, PartialDelta)>; 2],
+}
+
+/// What the scheduler learns about a shared-mode update the moment it
+/// arrives: its install ticket, and how its delta sits in the shard
+/// space (a function of the delta and the map alone, so computed once).
+struct Arrival {
+    ticket: u64,
+    class: DeltaClass,
 }
 
 /// The durable image of the scheduler's volatile state, written whole at
-/// each checkpoint. The in-flight sweep is deliberately *absent*: a task
+/// each checkpoint. In-flight sweeps are deliberately *absent*: a task
 /// leaves durable `pending_tasks` only at its commit record, so replay
-/// always finds an aborted sweep still queued at the front.
+/// always finds an aborted sweep still queued at the front. Tickets are
+/// volatile — recovery re-issues them in the restored FIFO order.
 #[derive(Clone)]
 struct MvCheckpoint {
     epoch: u64,
@@ -159,15 +249,6 @@ struct MvCheckpoint {
     pending_tasks: VecDeque<SweepTask>,
     slots: Vec<Option<ViewRuntime>>,
     metrics: PolicyMetrics,
-}
-
-/// One view's share of a sweep commit: the finalized delta and the
-/// consumed updates, exactly as `apply_delta` will see them.
-#[derive(Clone)]
-struct ViewApply {
-    view: ViewId,
-    delta: Bag,
-    consumed: Vec<(UpdateId, Time)>,
 }
 
 /// Sweep lifecycle journal entries. Records are appended *before* the
@@ -189,9 +270,10 @@ enum MvWalRecord {
     /// updates were compensated. Replay ignores it (the sweep re-runs);
     /// it exists for WAL-volume accounting and post-mortem traces.
     HopDone { qid: u64, comps: u64 },
-    /// A sweep finished: every per-view finalized delta, applied
-    /// atomically. The *only* record that moves durable state forward.
-    TaskCommit { at: Time, applies: Vec<ViewApply> },
+    /// A sweep finished: every per-view finalized delta and the consumed
+    /// updates, exactly as the install will apply them, atomically. The
+    /// *only* record that moves durable state forward.
+    TaskCommit { at: Time, install: SequencedInstall },
     /// A policy-cadence drain flush installed view `view`'s accumulated
     /// batch.
     Flush { view: ViewId, at: Time },
@@ -208,17 +290,15 @@ impl WalRecord for MvWalRecord {
             MvWalRecord::QuerySent { .. } => 0,
             // 8 bytes per compensated concurrent update (its queue ref).
             MvWalRecord::HopDone { comps, .. } => 8 + 8 * (*comps as usize),
-            MvWalRecord::TaskCommit { applies, .. } => applies
-                .iter()
-                .map(|a| 16 + a.delta.size_bytes() + 24 * a.consumed.len())
+            MvWalRecord::TaskCommit { install, .. } => (install.deltas.iter())
+                .map(|(_, delta)| 16 + delta.size_bytes() + 24 * install.consumed.len())
                 .sum::<usize>(),
             MvWalRecord::Flush { .. } => 8,
         }
     }
 }
 
-/// What one recovery (or the accumulated total of several) replayed and
-/// re-seeded.
+/// What the recoveries so far replayed and re-seeded, accumulated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Completed crash-recovery cycles.
@@ -247,63 +327,128 @@ struct DurableState {
     recovery: RecoveryStats,
 }
 
+fn config_error(reason: String) -> MvError {
+    MvError::Warehouse(WarehouseError::Config { reason })
+}
+
 /// The multi-view maintenance scheduler: owns the registry, the update
-/// queue, and the shared-sweep state machine. Speaks the same
+/// queue, the shard groups and the lane state machine. Speaks the same
 /// `SweepQuery`/`SweepAnswer` protocol as single-view SWEEP, so the
-/// unmodified `dw_source::DataSource` serves it.
+/// unmodified `dw_source::DataSource` serves it; the only wire
+/// difference a [`ShardMap`] makes is the `scope` stamped on queries.
 pub struct MaintenanceScheduler {
     core: EngineCore,
     registry: ViewRegistry,
     mode: SchedulerMode,
     opts: EngineOptions,
+    /// The value-band partitioner; `None` = one group, unscoped queries.
+    map: Option<ShardMap>,
+    /// Per shard band, the band mask of the group it belongs to; a
+    /// group's root is its lowest band. One band without a map.
+    groups: Vec<u64>,
+    /// Ticket and delta class of every queued shared-mode update.
+    arrivals: HashMap<UpdateId, Arrival>,
+    /// Formed tasks waiting for their lane: naive mode's later per-view
+    /// tasks, and whatever recovery found durably pending.
     pending_tasks: VecDeque<SweepTask>,
-    active: Option<ActiveSweep>,
-    record_snapshots: bool,
+    /// In-flight lanes, keyed by group root ([`GLOBAL`] for the
+    /// escalated lane). At most one lane per key.
+    lanes: HashMap<usize, Lane>,
+    sequencer: InstallSequencer,
+    /// In-flight qid → lane key.
+    qid_routes: HashMap<u64, usize>,
+    /// Qids of shard-crash-aborted legs; their answers are dropped,
+    /// counted.
+    dead_qids: HashSet<u64>,
+    stats: ShardStats,
     durable: Option<Box<DurableState>>,
 }
 
 impl MaintenanceScheduler {
     /// New scheduler over a selection-free, identity-projection base
-    /// chain, with default options (no batching).
+    /// chain, with default options (one group, no batching).
     pub fn new(base: ViewDef, mode: SchedulerMode) -> Result<Self, MvError> {
-        Self::with_options(base, mode, EngineOptions::default())
+        Self::with_shards(base, mode, EngineOptions::default(), None)
     }
 
-    /// New scheduler with explicit engine options. Only
-    /// [`EngineOptions::batch`] (shared mode only) and
-    /// [`EngineOptions::pushdown`] are read here; the SWEEP/Nested-SWEEP
-    /// knobs are inert for the scheduler.
-    pub fn with_options(
+    /// The general constructor. With `Some(map)` the lanes are the shard
+    /// groups of `map`: sweeps over distinct groups run concurrently,
+    /// installs still leave in arrival order. `None` is one group. Of
+    /// `opts`, only [`EngineOptions::batch`] and
+    /// [`EngineOptions::pushdown`] are read; the SWEEP/Nested-SWEEP knobs
+    /// are inert for the scheduler.
+    pub fn with_shards(
         base: ViewDef,
         mode: SchedulerMode,
         opts: EngineOptions,
+        map: Option<ShardMap>,
     ) -> Result<Self, MvError> {
-        opts.validate()?;
-        let registry = ViewRegistry::new(base.clone())?;
-        let labels = match mode {
-            SchedulerMode::Shared => SHARED_LABELS,
-            SchedulerMode::Naive => NAIVE_LABELS,
+        let labels = match (&map, mode) {
+            (Some(_), _) => SHARD_LABELS,
+            (None, SchedulerMode::Shared) => SHARED_LABELS,
+            (None, SchedulerMode::Naive) => NAIVE_LABELS,
         };
-        Ok(MaintenanceScheduler {
+        let sched = MaintenanceScheduler {
+            registry: ViewRegistry::new(base.clone())?,
             core: EngineCore::new(base, labels),
-            registry,
             mode,
             opts,
+            groups: (0..map.as_ref().map_or(1, ShardMap::shards))
+                .map(|b| 1 << b)
+                .collect(),
+            map,
+            arrivals: HashMap::new(),
             pending_tasks: VecDeque::new(),
-            active: None,
-            record_snapshots: true,
+            lanes: HashMap::new(),
+            sequencer: InstallSequencer::new(),
+            qid_routes: HashMap::new(),
+            dead_qids: HashSet::new(),
+            stats: ShardStats::default(),
             durable: None,
-        })
+        };
+        sched.validate()?;
+        Ok(sched)
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> SchedulerMode {
-        self.mode
+    /// Is the configuration this scheduler holds a supported cell of the
+    /// feature matrix? The one place every refused combination is
+    /// decided: run at construction, and again before every message and
+    /// recovery (durability is armed after construction).
+    pub fn validate(&self) -> Result<(), MvError> {
+        self.opts.validate()?;
+        let (batch, sharded) = (self.opts.batch_width(), self.map.is_some());
+        let refusal = if sharded && self.mode == SchedulerMode::Naive {
+            "sharded scheduler does not support the naive per-view mode".into()
+        } else if sharded && batch > 1 {
+            format!("sharded scheduler does not support cross-update batching (batch={batch})")
+        } else if sharded && self.opts.pushdown {
+            "sharded scheduler does not support predicate pushdown".into()
+        } else if sharded && self.durable.is_some() {
+            "sharded scheduler does not support durability (checkpoints + sweep WAL)".into()
+        } else if self.mode == SchedulerMode::Naive && batch > 1 {
+            format!("naive per-view mode does not support cross-update batching (batch={batch})")
+        } else {
+            return Ok(());
+        };
+        Err(config_error(refusal))
     }
 
-    /// The configured engine options.
-    pub fn options(&self) -> EngineOptions {
-        self.opts
+    /// Fold one base relation's *initial* contents into the shard
+    /// groups: every individually-impure tuple unions the bands it
+    /// straddles. Call once per relation before traffic starts —
+    /// resident impure tuples a lane could join must already have
+    /// collapsed their bands into one group, or scoped sweeps would
+    /// wrongly run concurrently against shared rows. A no-op without a
+    /// [`ShardMap`] (one group already).
+    pub fn seed_groups(&mut self, initial: &Bag) {
+        for (t, _) in initial.iter() {
+            let Some(mask) = self.map.as_ref().map(|m| m.tuple_bands(t)) else {
+                return;
+            };
+            if mask.count_ones() > 1 {
+                self.union_mask(mask);
+            }
+        }
     }
 
     /// Register a view. `initial` must be the view's correct current
@@ -313,41 +458,33 @@ impl MaintenanceScheduler {
     /// of the sources' current state. The view participates in every
     /// sweep started after registration.
     pub fn register(&mut self, spec: &ViewSpec, initial: Bag) -> Result<ViewId, MvError> {
-        let id = self.registry.register(spec, initial)?;
-        self.registry.runtime_mut(id)?.record_snapshots = self.record_snapshots;
-        Ok(id)
+        self.registry.register(spec, initial)
     }
 
     /// Register a derived view over an already-registered parent. The
     /// initial contents are evaluated from the parent's current bag, so
     /// (like [`MaintenanceScheduler::register`]) call at a quiescent
-    /// point. Derived views are maintained by the install cascade — they
+    /// point. Derived views are maintained by the install cascade — fed
+    /// when the sequencer releases their parent's install — so they
     /// never join sweeps and never cost source messages.
     pub fn register_derived(&mut self, spec: &DerivedSpec) -> Result<ViewId, MvError> {
-        let id = self.registry.register_derived(spec)?;
-        self.registry.runtime_mut(id)?.record_snapshots = self.record_snapshots;
-        Ok(id)
+        self.registry.register_derived(spec)
     }
 
     /// Register a batch of derived specs in dependency order (the
     /// registry topologically sorts and rejects cycles and unknown
     /// parents deterministically).
     pub fn register_derived_many(&mut self, specs: &[DerivedSpec]) -> Result<Vec<ViewId>, MvError> {
-        let ids = self.registry.register_derived_many(specs)?;
-        for &id in &ids {
-            self.registry.runtime_mut(id)?.record_snapshots = self.record_snapshots;
-        }
-        Ok(ids)
+        self.registry.register_derived_many(specs)
     }
 
     /// Deregister a view. Fails with [`MvError::ViewBusy`] while a sweep
-    /// feeding the view is in flight or queued — drain first.
+    /// feeding the view is in flight or formed, or while a finished
+    /// install is still held back by the sequencer — drain first.
     pub fn deregister(&mut self, id: ViewId) -> Result<(), MvError> {
-        let busy = self
-            .active
-            .as_ref()
-            .is_some_and(|a| a.task.views.contains(&id))
-            || self.pending_tasks.iter().any(|t| t.views.contains(&id));
+        let busy = self.lanes.values().any(|l| l.task.views.contains(&id))
+            || self.pending_tasks.iter().any(|t| t.views.contains(&id))
+            || self.sequencer.has_buffered();
         if busy {
             return Err(MvError::ViewBusy {
                 name: self.registry.name(id)?.to_string(),
@@ -361,57 +498,76 @@ impl MaintenanceScheduler {
         &self.registry
     }
 
-    /// Aggregate scheduler metrics. `installs` stays zero here — install
-    /// counts are per view in the registry.
+    /// Aggregate engine metrics, shared across all lanes. `installs`
+    /// stays zero here — install counts are per view in the registry.
     pub fn metrics(&self) -> &PolicyMetrics {
         &self.core.metrics
     }
 
-    /// No sweep in flight, no queued work. Policy-pending batches are
-    /// flushed the moment this becomes true, so quiescent ⇒ installed.
+    /// Lane and group counters.
+    pub fn stats(&self) -> &ShardStats {
+        &self.stats
+    }
+
+    /// No lane in flight, no formed or queued work, every ticket
+    /// released. Policy-pending batches are flushed the moment this
+    /// becomes true, so quiescent ⇒ installed.
     pub fn is_quiescent(&self) -> bool {
-        self.active.is_none() && self.pending_tasks.is_empty() && self.core.queue.is_empty()
+        self.lanes.is_empty()
+            && self.pending_tasks.is_empty()
+            && self.core.queue.is_empty()
+            && self.sequencer.is_drained()
+    }
+
+    /// The band mask of the group shard `s` currently belongs to.
+    pub fn group_mask_of(&self, s: usize) -> u64 {
+        self.groups[s]
     }
 
     /// Toggle per-install view snapshots in the install logs (needed by
     /// the consistency checker; costly for big runs).
     pub fn set_record_snapshots(&mut self, record: bool) {
-        self.record_snapshots = record;
-        for rt in self.registry.runtimes_mut() {
-            rt.record_snapshots = record;
-        }
+        self.registry.set_record_snapshots(record);
     }
 
     /// Attach an install publisher (e.g. a `dw-serve` snapshot store's
     /// sink): every committed install of every current and future view
-    /// is announced through it, in install order, keyed by the view's
-    /// registry slot — and update arrivals are forwarded as delivery
-    /// notices so the consumer can account staleness. Crash recovery
-    /// replays committed installs through the same handle with their
-    /// original epochs; consumers deduplicate on `(view, epoch)`.
+    /// is announced through it when the sequencer releases it — the
+    /// published epoch stream is in install-ticket order even though
+    /// lanes complete out of order — keyed by the view's registry slot,
+    /// and update arrivals are forwarded as delivery notices so the
+    /// consumer can account staleness. Crash recovery replays committed
+    /// installs through the same handle with their original epochs;
+    /// consumers deduplicate on `(view, epoch)`.
     pub fn set_install_publisher(&mut self, p: dw_engine::SharedInstallPublisher) {
         self.registry.set_install_publisher(p);
     }
 
     /// Attach an observability recorder: `mv.sweep`/`mv.hop` spans plus
     /// `mv.shared_queries`/`mv.naive_queries`/`mv.compensations`
-    /// counters. Per-view staleness histograms live in the registry's
-    /// [`PolicyMetrics`].
+    /// counters (`shard.*` over a [`ShardMap`]). Per-view staleness
+    /// histograms live in the registry's [`PolicyMetrics`].
     pub fn set_observer(&mut self, obs: Obs) {
         self.core.set_observer(obs);
     }
 
-    /// Turn on durable checkpoints + sweep WAL. Call at setup, before
-    /// traffic: the initial checkpoint captures the current state, and a
-    /// sweep in flight at enable time would be invisible to it. From here
-    /// on [`MaintenanceScheduler::crash_and_recover`] can rebuild the
-    /// scheduler after a state crash.
+    /// Turn on durable checkpoints + sweep WAL: from here on the sweep
+    /// lifecycle is journaled into a [`DurableStore`] — update arrivals,
+    /// task formation, query issue, hop completion, one atomic commit
+    /// record per finished sweep — and the full volatile image is
+    /// checkpointed every few commits. Call at setup, before traffic:
+    /// the initial checkpoint captures the current state, and a sweep in
+    /// flight at enable time would be invisible to it.
+    ///
+    /// Infallible by signature (setup code arms it as a statement). On a
+    /// sharded scheduler the combination is refused all the same:
+    /// [`MaintenanceScheduler::validate`] — which every message and
+    /// recovery runs first — returns the typed error from here on.
     pub fn enable_durability(&mut self, cfg: DurabilityConfig) {
         debug_assert!(
-            self.active.is_none(),
+            self.lanes.is_empty(),
             "enable durability at a point with no sweep in flight"
         );
-        let snap = self.snapshot();
         let mut st = Box::new(DurableState {
             cfg,
             store: DurableStore::new(),
@@ -419,13 +575,8 @@ impl MaintenanceScheduler {
             stale_floor: 0,
             recovery: RecoveryStats::default(),
         });
-        st.store.checkpoint(snap);
+        st.store.checkpoint(self.checkpoint_image());
         self.durable = Some(st);
-    }
-
-    /// Is crash recovery armed?
-    pub fn durability_enabled(&self) -> bool {
-        self.durable.is_some()
     }
 
     /// Durable-store write statistics (`None` until durability is
@@ -444,38 +595,43 @@ impl MaintenanceScheduler {
     }
 
     /// A warehouse *state crash*: every volatile structure — queue,
-    /// pending tasks, the in-flight sweep, view contents, counters — is
-    /// lost; only the durable store survives. Rebuild from the last
+    /// formed tasks, in-flight lanes, tickets, view contents, counters —
+    /// is lost; only the durable store survives. Rebuild from the last
     /// checkpoint, replay the WAL (committed sweeps re-apply from their
-    /// logged deltas; the in-flight sweep is still durably pending),
-    /// fence the dead incarnation (answer floor at the replayed qid
-    /// high-water mark, query epoch bumped so sources drop re-delivered
+    /// logged deltas, no re-querying; the in-flight sweep never reached
+    /// its commit record, so it is still durably pending), fence the
+    /// dead incarnation (answer floor at the replayed qid high-water
+    /// mark, query epoch bumped so sources drop re-delivered
     /// stragglers), persist a fresh checkpoint, and resume by re-seeding
-    /// whatever is pending. Idempotent: recovering twice at the same
-    /// point replays a WAL the first recovery already truncated to empty.
+    /// whatever is pending through the ordinary pump. Idempotent:
+    /// recovering twice at the same point replays a WAL the first
+    /// recovery already truncated to empty.
     ///
-    /// No-op (returning default stats) when durability is disabled —
-    /// that configuration models an amnesia crash, which this scheduler
-    /// does not survive alone.
-    pub fn crash_and_recover(
-        &mut self,
-        net: &mut dyn NetHandle<Message>,
-    ) -> Result<RecoveryStats, MvError> {
-        if self.durable.is_none() {
-            return Ok(RecoveryStats::default());
+    /// No-op when durability is disabled — that configuration models an
+    /// amnesia crash, which this scheduler does not survive alone. A
+    /// typed error on a sharded scheduler, which models shard-scoped
+    /// crashes only ([`MaintenanceScheduler::crash_shard`]). What was
+    /// replayed accumulates in [`MaintenanceScheduler::recovery_stats`].
+    pub fn crash_and_recover(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), MvError> {
+        self.validate()?;
+        if self.map.is_some() {
+            let reason = "sharded scheduler does not recover from an unscoped warehouse \
+                          state crash (only shard-scoped crashes are modeled)";
+            return Err(config_error(reason.into()));
         }
-        let (ckpt, wal_bytes, wal_records) = {
-            let d = self.durable.as_ref().expect("checked above");
-            let ckpt = d
-                .store
-                .checkpoint_ref()
-                .expect("durability always holds a checkpoint")
-                .clone();
-            (ckpt, d.store.wal_bytes() as u64, d.store.wal().to_vec())
+        let Some(d) = self.durable.as_ref() else {
+            return Ok(());
         };
+        let Some(ckpt) = d.store.checkpoint_ref().cloned() else {
+            let what = "durable store holds no checkpoint";
+            return Err(MvError::Internal { what });
+        };
+        let (wal_bytes, wal_records) = (d.store.wal_bytes() as u64, d.store.wal().to_vec());
         // Volatile state dies with the crash; the checkpoint image
         // replaces it wholesale.
-        self.active = None;
+        self.lanes.clear();
+        self.qid_routes.clear();
+        self.dead_qids.clear();
         self.core.queue = ckpt.queue;
         self.core.metrics = ckpt.metrics;
         self.core.epoch = ckpt.epoch;
@@ -483,9 +639,7 @@ impl MaintenanceScheduler {
         self.pending_tasks = ckpt.pending_tasks;
         self.registry.restore_slots(ckpt.slots);
         // Roll the WAL forward.
-        let mut replayed = 0u64;
         for rec in &wal_records {
-            replayed += 1;
             match rec {
                 MvWalRecord::UpdateQueued { update, at } => {
                     self.core.queue.push(update.clone(), *at);
@@ -495,26 +649,20 @@ impl MaintenanceScheduler {
                     self.core.queue.remove_ids(&ids);
                     self.pending_tasks.push_back(task.clone());
                 }
-                MvWalRecord::QuerySent { qid } => {
+                // A hop completion is redundant with its QuerySent record,
+                // but it also proves the qid existed — keep the floor
+                // right even if a QuerySent were ever elided.
+                MvWalRecord::QuerySent { qid } | MvWalRecord::HopDone { qid, .. } => {
                     self.core.restore_next_qid(qid + 1);
                 }
-                MvWalRecord::HopDone { qid, comps: _ } => {
-                    // Redundant with the QuerySent record, but a hop
-                    // completion also proves the qid existed — keep the
-                    // floor right even if a QuerySent were ever elided.
-                    self.core.restore_next_qid(qid + 1);
-                }
-                MvWalRecord::TaskCommit { at, applies } => {
+                MvWalRecord::TaskCommit { at, install } => {
                     // Derived children are deliberately absent from the
                     // record: the cascade recomputes them deterministically
                     // from the checkpointed state, so replay re-derives
                     // exactly the installs the dead incarnation made.
-                    for a in applies {
-                        self.registry
-                            .apply_with_cascade(a.view, &a.delta, &a.consumed, *at)?;
-                    }
-                    if let Some(a) = applies.first() {
-                        self.core.record_batch(a.consumed.len());
+                    self.apply_install(install, *at)?;
+                    if !install.deltas.is_empty() {
+                        self.core.record_batch(install.consumed.len());
                     }
                     self.pending_tasks.pop_front();
                 }
@@ -523,44 +671,90 @@ impl MaintenanceScheduler {
                 }
             }
         }
+        // Tickets died with the crash: re-issue them in the restored
+        // FIFO order — formed tasks first, then the queue.
+        self.sequencer = InstallSequencer::new();
+        self.arrivals.clear();
+        for task in &mut self.pending_tasks {
+            task.ticket = self.sequencer.issue();
+        }
+        if self.mode == SchedulerMode::Shared {
+            for pu in self.core.queue.iter() {
+                let (ticket, class) = (self.sequencer.issue(), DeltaClass::Pure(0));
+                self.arrivals
+                    .insert(pu.update.id, Arrival { ticket, class });
+            }
+        }
         // Fence the dead incarnation, then persist the recovered image
         // (which also truncates the replayed WAL — recovery is
         // re-runnable).
         self.core.bump_epoch();
         let floor = self.core.next_qid();
-        let reseeded = self.pending_tasks.len() as u64;
-        let snap = self.snapshot();
-        let d = self.durable.as_mut().expect("checked above");
-        d.stale_floor = d.stale_floor.max(floor);
-        d.committed_since_ckpt = 0;
-        d.store.checkpoint(snap);
-        let this_recovery = RecoveryStats {
-            recoveries: 1,
-            wal_records_replayed: replayed,
-            wal_bytes_replayed: wal_bytes,
-            sweeps_reseeded: reseeded,
-            stale_answers_dropped: 0,
-        };
-        d.recovery.recoveries += 1;
-        d.recovery.wal_records_replayed += replayed;
-        d.recovery.wal_bytes_replayed += wal_bytes;
-        d.recovery.sweeps_reseeded += reseeded;
-        self.core.obs.add("mv.recovery.replays", 1);
-        self.core.obs.add("mv.recovery.wal_records", replayed);
-        self.core.obs.add("mv.recovery.wal_bytes", wal_bytes);
-        self.core.obs.add("mv.recovery.sweeps_reseeded", reseeded);
-        // Resume: re-seed the front pending task (fresh qids, new epoch).
-        if self.active.is_none() {
-            self.start_next(net)?;
+        let (records, reseeded) = (wal_records.len() as u64, self.pending_tasks.len() as u64);
+        let image = self.checkpoint_image();
+        if let Some(d) = self.durable.as_mut() {
+            d.stale_floor = d.stale_floor.max(floor);
+            d.committed_since_ckpt = 0;
+            d.store.checkpoint(image);
+            d.recovery.recoveries += 1;
+            d.recovery.wal_records_replayed += records;
+            d.recovery.wal_bytes_replayed += wal_bytes;
+            d.recovery.sweeps_reseeded += reseeded;
         }
-        Ok(this_recovery)
+        let obs = &self.core.obs;
+        obs.add("mv.recovery.replays", 1);
+        obs.add("mv.recovery.wal_records", records);
+        obs.add("mv.recovery.wal_bytes", wal_bytes);
+        obs.add("mv.recovery.sweeps_reseeded", reseeded);
+        // Resume: re-seed the front pending task (fresh qids, new epoch).
+        self.pump(net)
+    }
+
+    /// Crash shard `s`'s sweep worker: abort the lane of `s`'s group (or
+    /// the global lane, which sweeps on every shard's behalf), poison
+    /// its outstanding qids (late answers are counted and dropped), and
+    /// re-seed the identical task — same ticket, so the crash is
+    /// invisible in the install order — with fresh qids. Lanes of other
+    /// groups never stop. A crash with nothing in flight for `s` only
+    /// counts the crash.
+    pub fn crash_shard(
+        &mut self,
+        s: usize,
+        net: &mut dyn NetHandle<Message>,
+    ) -> Result<(), MvError> {
+        if s >= self.groups.len() {
+            let bands = self.groups.len();
+            return Err(config_error(format!(
+                "no shard {s}: the scheduler has {bands} shard band(s)"
+            )));
+        }
+        self.stats.shard_crashes += 1;
+        self.core.obs.add("shard.crashes", 1);
+        let root = self.root(s);
+        let Some(lane) = self
+            .lanes
+            .remove(&root)
+            .or_else(|| self.lanes.remove(&GLOBAL))
+        else {
+            return Ok(());
+        };
+        for slot in &lane.legs {
+            if let LegSlot::Running(leg) = slot {
+                self.qid_routes.remove(&leg.qid);
+                self.dead_qids.insert(leg.qid);
+            }
+        }
+        self.stats.sweeps_reseeded += 1;
+        self.core.obs.add("shard.sweeps_reseeded", 1);
+        self.core.end_sweep(&lane.ctx, net.now());
+        self.begin(net, lane.task)
     }
 
     /// The full volatile image, cloned for a checkpoint. Only valid with
-    /// no sweep in flight (an active sweep is represented durably by its
-    /// still-pending task, not by leg state).
-    fn snapshot(&self) -> MvCheckpoint {
-        debug_assert!(self.active.is_none());
+    /// no lane in flight (an in-flight sweep is represented durably by
+    /// its still-pending task, not by leg state).
+    fn checkpoint_image(&self) -> MvCheckpoint {
+        debug_assert!(self.lanes.is_empty());
         MvCheckpoint {
             epoch: self.core.epoch,
             next_qid: self.core.next_qid(),
@@ -571,10 +765,10 @@ impl MaintenanceScheduler {
         }
     }
 
-    /// Append a WAL record (no-op when durability is off).
-    fn wal(&mut self, rec: MvWalRecord) {
+    /// Append a WAL record (built only when durability is on).
+    fn wal(&mut self, rec: impl FnOnce() -> MvWalRecord) {
         if let Some(d) = self.durable.as_mut() {
-            d.store.append(rec);
+            d.store.append(rec());
         }
     }
 
@@ -584,111 +778,236 @@ impl MaintenanceScheduler {
         delivery: Delivery<Message>,
         net: &mut dyn NetHandle<Message>,
     ) -> Result<(), MvError> {
+        self.validate()?;
         dispatch(self, delivery, net)
     }
 
-    /// Pull work until a sweep is in flight or everything has drained.
-    fn start_next(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), MvError> {
-        debug_assert!(self.active.is_none());
-        loop {
-            if let Some(task) = self.pending_tasks.pop_front() {
-                if self.begin_task(net, task)? {
-                    return Ok(());
-                }
-                continue; // completed inline (no queries needed)
-            }
-            let Some(PendingUpdate { update, arrived_at }) = self.core.queue.pop() else {
-                // Fully drained: install policy-pending batches.
-                let now = net.now();
-                if self.durable.is_some() {
-                    for id in self.registry.ids() {
-                        if self.registry.runtime(id)?.has_pending() {
-                            self.wal(MvWalRecord::Flush { view: id, at: now });
-                        }
-                    }
-                }
-                self.registry.flush_all_with_cascade(now)?;
-                return Ok(());
-            };
-            let j = update.id.source;
-            let affected = self.registry.affected_by(j);
-            if affected.is_empty() {
-                continue; // no registered view references R_j
-            }
-            match self.mode {
-                SchedulerMode::Shared => {
-                    let mut lo = j;
-                    let mut hi = j;
-                    for &v in &affected {
-                        let (vlo, vhi) = self.registry.span(v)?;
-                        lo = lo.min(vlo);
-                        hi = hi.max(vhi);
-                    }
-                    // Cross-update batching: fold up to batch−1 further
-                    // queued updates from the same source into this sweep.
-                    let mut delta = update.delta.clone();
-                    let mut consumed = vec![(update.id, arrived_at)];
-                    let extra = self.opts.batch_width() - 1;
-                    if extra > 0 {
-                        let (folded, infos) = self.core.fold_same_source(j, extra);
-                        delta.merge(&folded);
-                        consumed.extend(infos);
-                    }
-                    let task = SweepTask {
-                        consumed,
-                        j,
-                        delta,
-                        lo,
-                        hi,
-                        views: affected,
-                    };
-                    if self.durable.is_some() {
-                        self.wal(MvWalRecord::TaskFormed { task: task.clone() });
-                    }
-                    self.pending_tasks.push_back(task);
-                }
-                SchedulerMode::Naive => {
-                    for v in affected {
-                        let (lo, hi) = self.registry.span(v)?;
-                        let task = SweepTask {
-                            consumed: vec![(update.id, arrived_at)],
-                            j,
-                            delta: update.delta.clone(),
-                            lo,
-                            hi,
-                            views: vec![v],
-                        };
-                        if self.durable.is_some() {
-                            self.wal(MvWalRecord::TaskFormed { task: task.clone() });
-                        }
-                        self.pending_tasks.push_back(task);
-                    }
-                }
-            }
+    // ---- shard groups ---------------------------------------------------
+
+    /// Root (lowest band) of the group shard band `s` belongs to.
+    fn root(&self, s: usize) -> usize {
+        self.groups[s].trailing_zeros() as usize
+    }
+
+    /// Merge the groups of every band set in `mask` into one.
+    fn union_mask(&mut self, mask: u64) {
+        let bands = |m: u64| (0..u64::BITS as usize).filter(move |&b| m >> b & 1 == 1);
+        let merged = bands(mask).fold(mask, |m, b| m | self.groups[b]);
+        for b in bands(merged) {
+            self.groups[b] = merged;
         }
     }
 
-    /// Seed both legs, snapshot span-endpoint views, fire the first
-    /// queries. Returns `false` when the task completed without any
-    /// queries (single-relation span).
-    fn begin_task(
-        &mut self,
-        net: &mut dyn NetHandle<Message>,
-        task: SweepTask,
-    ) -> Result<bool, MvError> {
-        let j = task.j;
-        self.core.batch = task.consumed.len() as u32;
-        if self.opts.pushdown {
-            self.core.push_preds = self.derive_push_preds(&task)?;
+    // ---- scheduling -----------------------------------------------------
+
+    /// Walk the queue in arrival order and decide what may start now.
+    /// Rules (the correctness core — see module docs):
+    ///
+    /// * while the global lane runs, nothing starts;
+    /// * a pure update may start iff its group has no lane in flight and
+    ///   none was launched earlier in this same scan (first-per-group
+    ///   keeps same-group FIFO); a claimed group's update stays queued —
+    ///   the in-flight lane compensates for it;
+    /// * an escalating update is a **fence**: it may start only from the
+    ///   effective queue head with nothing in flight (its global sweep
+    ///   compensates against the whole queue, so every prior update must
+    ///   still *be* in the queue), and nothing behind it may start
+    ///   before it does;
+    /// * the walk stops once every group is claimed — with one group,
+    ///   at once while its lane is busy, so a deep backlog costs a kick
+    ///   nothing.
+    ///
+    /// Decisions are collected first and executed after (the scan must
+    /// not mutate the queue it walks): per update, the lane key to form
+    /// its task(s) for, or `None` when no registered view references its
+    /// source and it is simply dropped.
+    fn plan_scan(&self) -> Vec<(UpdateId, Option<usize>)> {
+        let mut actions = Vec::new();
+        if self.lanes.contains_key(&GLOBAL) {
+            return actions;
         }
-        self.core.begin_sweep(net.now());
+        let groups = (0..self.groups.len())
+            .filter(|&b| self.root(b) == b)
+            .count();
+        let mut launched: HashSet<usize> = HashSet::new();
+        let mut blocked_earlier = false;
+        for pu in self.core.queue.iter() {
+            if self.lanes.len() + launched.len() == groups {
+                break;
+            }
+            let id = pu.update.id;
+            if self.registry.affected_by(id.source).is_empty() {
+                actions.push((id, None));
+                continue;
+            }
+            let shard = match self.arrivals.get(&id).map(|a| &a.class) {
+                Some(DeltaClass::Escalate { .. }) => {
+                    if self.lanes.is_empty() && launched.is_empty() && !blocked_earlier {
+                        actions.push((id, Some(GLOBAL)));
+                    }
+                    break; // fence: nothing behind an escalating update starts
+                }
+                Some(DeltaClass::Pure(s)) => *s,
+                // An empty delta is vacuously pure; route it through
+                // shard 0's lane so it still consumes its ticket. Naive
+                // mode (one group by construction) keeps no arrivals.
+                Some(DeltaClass::Empty) | None => 0,
+            };
+            let key = self.root(shard);
+            if self.lanes.contains_key(&key) || launched.contains(&key) {
+                blocked_earlier = true;
+                continue; // stays queued; the lane compensates
+            }
+            launched.insert(key);
+            actions.push((id, Some(key)));
+        }
+        actions
+    }
+
+    /// Start everything the rules allow, then release sequenced
+    /// installs. Loops because an inline-completing lane (single-relation
+    /// span) frees its group for the next formed task or queued update
+    /// immediately.
+    fn pump(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), MvError> {
+        loop {
+            // Formed tasks first, in formation order, each as soon as its
+            // lane is free: naive mode's per-view tasks run back to back,
+            // recovery's durably-pending tasks re-seed.
+            while let Some(task) = self.pending_tasks.pop_front() {
+                if self.lanes.contains_key(&task.key) {
+                    self.pending_tasks.push_front(task);
+                    break;
+                }
+                self.begin(net, task)?;
+            }
+            let actions = self.plan_scan();
+            if actions.is_empty() {
+                break;
+            }
+            for (id, key) in actions {
+                self.form(id, key)?;
+            }
+        }
+        self.drain_installs(net)
+    }
+
+    /// Take a queued shared-mode update's arrival record (its ticket).
+    fn claim(&mut self, id: UpdateId) -> Result<Arrival, MvError> {
+        let what = "queued update has no arrival ticket";
+        self.arrivals.remove(&id).ok_or(MvError::Internal { what })
+    }
+
+    /// Take update `id` out of the queue — *before* any hop answer can
+    /// compensate, a sweep must never subtract its own delta — and form
+    /// its task(s) for lane `key`: one shared sweep over the union of
+    /// the affected spans (folding up to `batch − 1` further queued
+    /// same-source updates in), or one single-view sweep per affected
+    /// view. `None`: no view references its source — drop it and release
+    /// its sequencer slot empty.
+    fn form(&mut self, id: UpdateId, key: Option<usize>) -> Result<(), MvError> {
+        let Some(PendingUpdate { update, arrived_at }) = self.core.queue.take_id(id) else {
+            let what = "planned update left the queue before launch";
+            return Err(MvError::Internal { what });
+        };
+        // Shared-mode updates were ticketed and classified at arrival.
+        let arrival = match self.mode {
+            SchedulerMode::Shared => Some(self.claim(id)?),
+            SchedulerMode::Naive => None,
+        };
+        let Some(key) = key else {
+            if let Some(arrival) = arrival {
+                self.sequencer.complete(arrival.ticket, None);
+            }
+            self.stats.skipped += 1;
+            return Ok(());
+        };
+        if key == GLOBAL {
+            self.stats.escalations += 1;
+            self.core.obs.add("shard.escalations", 1);
+        } else {
+            self.stats.shard_local += 1;
+        }
+        let j = id.source;
+        let mut task = SweepTask {
+            ticket: 0,
+            key,
+            escalate_masks: Vec::new(),
+            consumed: vec![(id, arrived_at)],
+            j,
+            delta: update.delta,
+            lo: j,
+            hi: j,
+            views: self.registry.affected_by(j),
+        };
+        let Some(Arrival { ticket, class }) = arrival else {
+            for &v in &task.views {
+                let (lo, hi) = self.registry.span(v)?;
+                let (ticket, views) = (self.sequencer.issue(), vec![v]);
+                let single = SweepTask {
+                    ticket,
+                    lo,
+                    hi,
+                    views,
+                    ..task.clone()
+                };
+                self.enqueue(single);
+            }
+            return Ok(());
+        };
+        task.ticket = ticket;
+        for &v in &task.views {
+            let (lo, hi) = self.registry.span(v)?;
+            task.lo = task.lo.min(lo);
+            task.hi = task.hi.max(hi);
+        }
+        if let DeltaClass::Escalate { impure_masks } = class {
+            task.escalate_masks = impure_masks;
+        }
+        let extra = self.opts.batch_width() - 1;
+        if extra > 0 {
+            let (folded, infos) = self.core.fold_same_source(j, extra);
+            task.delta.merge(&folded);
+            // The folded updates install under this task's ticket; their
+            // own slots release empty.
+            for &(folded_id, _) in &infos {
+                let ticket = self.claim(folded_id)?.ticket;
+                self.sequencer.complete(ticket, None);
+            }
+            task.consumed.extend(infos);
+        }
+        self.enqueue(task);
+        Ok(())
+    }
+
+    /// Journal a formed task and queue it for its lane.
+    fn enqueue(&mut self, task: SweepTask) {
+        self.wal(|| MvWalRecord::TaskFormed { task: task.clone() });
+        self.pending_tasks.push_back(task);
+    }
+
+    /// Seed both legs, snapshot span-endpoint views, fire the first
+    /// queries under the lane's context. Also the crash-reseed path. A
+    /// task that needs no queries (single-relation span) finishes inline.
+    fn begin(&mut self, net: &mut dyn NetHandle<Message>, task: SweepTask) -> Result<(), MvError> {
+        let (j, key) = (task.j, task.key);
+        let mut ctx = self.core.begin_sweep(net.now());
+        ctx.batch = task.consumed.len() as u32;
+        // A group lane scopes its queries to the group's band mask; the
+        // global lane (and every lane without a map) reads full relations.
+        ctx.scope = self.map.as_ref().filter(|_| key != GLOBAL).map(|map| {
+            let (map, mask) = (map.clone(), self.groups[key]);
+            ShardScope { map, mask }
+        });
+        if self.opts.pushdown {
+            ctx.push_preds = self.derive_push_preds(&task)?;
+        }
         self.core
             .obs
             .observe("mv.fanout_views", task.views.len() as u64);
         let mut left_seed = PartialDelta::seed(&self.core.view, j, &task.delta)?;
         // Seed tuples failing every task view's σ over R_j die at every
         // view's finalize; drop them here so they never ride a query.
-        if let Some(pred) = self.core.push_pred(j) {
+        if let Some(pred) = ctx.push_pred(j) {
             left_seed.bag = left_seed.bag.filter(|t| pred.eval(t));
         }
         let right_seed = PartialDelta {
@@ -696,201 +1015,122 @@ impl MaintenanceScheduler {
             hi: j,
             bag: support(&left_seed.bag),
         };
-        let mut active = ActiveSweep {
-            left: LegSlot::Done(left_seed.clone()),
-            right: LegSlot::Done(right_seed.clone()),
-            left_snaps: Vec::new(),
-            right_snaps: Vec::new(),
-            task,
-        };
-        snapshot(&self.registry, &mut active, j, JoinSide::Left, &left_seed)?;
-        snapshot(&self.registry, &mut active, j, JoinSide::Right, &right_seed)?;
         let first_qid = self.core.next_qid();
-        if j > active.task.lo {
-            active.left = LegSlot::Running(Leg::launch(
-                &mut self.core,
-                net,
-                left_seed,
-                j - 1,
-                JoinSide::Left,
-            ));
-        }
-        if j < active.task.hi {
-            active.right = LegSlot::Running(Leg::launch(
-                &mut self.core,
-                net,
-                right_seed,
-                j + 1,
-                JoinSide::Right,
-            ));
-        }
-        if self.durable.is_some() {
-            for qid in first_qid..self.core.next_qid() {
-                self.wal(MvWalRecord::QuerySent { qid });
-            }
-        }
-        if matches!(
-            (&active.left, &active.right),
-            (LegSlot::Done(_), LegSlot::Done(_))
-        ) {
-            self.finish_task(net, active)?;
-            return Ok(false);
-        }
-        self.active = Some(active);
-        Ok(true)
-    }
-
-    fn answer(
-        &mut self,
-        net: &mut dyn NetHandle<Message>,
-        qid: u64,
-        partial: PartialDelta,
-    ) -> Result<(), MvError> {
-        if let Some(d) = self.durable.as_mut() {
-            if qid < d.stale_floor {
-                // An answer to a query a dead incarnation sent. The
-                // recovered scheduler superseded that sweep; silently
-                // absorbing the straggler is the idempotent move.
-                d.recovery.stale_answers_dropped += 1;
-                self.core.obs.add("mv.recovery.stale_answers_dropped", 1);
-                return Ok(());
-            }
-        }
-        let Some(mut active) = self.active.take() else {
-            return Err(MvError::Warehouse(
-                dw_warehouse::WarehouseError::UnknownQuery { qid },
-            ));
+        let mut snaps = [Vec::new(), Vec::new()];
+        let mut start = |side, seed: PartialDelta, first_hop: Option<usize>| {
+            snapshot(&self.registry, &task.views, &mut snaps, j, side, &seed)?;
+            let Some(first_hop) = first_hop else {
+                return Ok::<_, MvError>(LegSlot::Done(seed));
+            };
+            let leg = Leg::launch(&mut self.core, &ctx, net, seed, first_hop, side);
+            self.qid_routes.insert(leg.qid, key);
+            Ok(LegSlot::Running(leg))
         };
-        let use_left = matches!(&active.left, LegSlot::Running(l) if l.qid == qid);
-        let use_right = matches!(&active.right, LegSlot::Running(r) if r.qid == qid);
-        if !use_left && !use_right {
-            self.active = Some(active);
-            return Err(MvError::Warehouse(
-                dw_warehouse::WarehouseError::UnknownQuery { qid },
-            ));
-        }
-        let slot = if use_left {
-            &mut active.left
-        } else {
-            &mut active.right
+        let left = start(JoinSide::Left, left_seed, (j > task.lo).then(|| j - 1))?;
+        let right = start(JoinSide::Right, right_seed, (j < task.hi).then_some(j + 1))?;
+        let lane = Lane {
+            task,
+            ctx,
+            legs: [left, right],
+            snaps,
         };
-        let LegSlot::Running(mut leg) = std::mem::replace(slot, LegSlot::Done(partial.clone()))
-        else {
-            unreachable!()
-        };
-        self.core.end_hop(leg.hop, net.now());
-        leg.dv = partial;
-        let (k, side) = (leg.j, leg.side);
-        let temp = leg.temp.clone();
-        let comps_before = self.core.metrics.local_compensations;
-        self.core.compensate(&mut leg.dv, &temp, k, side)?;
-        if self.durable.is_some() {
-            let comps = self.core.metrics.local_compensations - comps_before;
-            self.wal(MvWalRecord::HopDone { qid, comps });
+        for qid in first_qid..self.core.next_qid() {
+            self.wal(|| MvWalRecord::QuerySent { qid });
         }
-        // Views whose span ends exactly at this hop peel off the shared
-        // partial *after* this hop's compensation.
-        snapshot(&self.registry, &mut active, k, side, &leg.dv)?;
-        let next = match side {
-            JoinSide::Left if k > active.task.lo => Some(k - 1),
-            JoinSide::Left => None,
-            JoinSide::Right if k < active.task.hi => Some(k + 1),
-            JoinSide::Right => None,
-        };
-        let slot = if use_left {
-            &mut active.left
-        } else {
-            &mut active.right
-        };
-        match next {
-            Some(nj) => {
-                let next_qid = self.core.next_qid();
-                leg.advance(&mut self.core, net, nj, side);
-                if self.durable.is_some() {
-                    self.wal(MvWalRecord::QuerySent { qid: next_qid });
-                }
-                *slot = LegSlot::Running(leg);
-            }
-            None => *slot = LegSlot::Done(leg.dv),
+        if lane.legs.iter().all(LegSlot::is_done) {
+            return self.finish(net, lane);
         }
-        if matches!(
-            (&active.left, &active.right),
-            (LegSlot::Done(_), LegSlot::Done(_))
-        ) {
-            self.finish_task(net, active)?;
-            return self.start_next(net);
-        }
-        self.active = Some(active);
+        self.lanes.insert(key, lane);
+        self.stats.max_concurrent_lanes = self.stats.max_concurrent_lanes.max(self.lanes.len());
         Ok(())
     }
 
     /// Both legs done: merge each view's snapshots on the pivot columns,
-    /// apply its σ/residual/Π, and install per its cadence.
-    fn finish_task(
-        &mut self,
-        net: &mut dyn NetHandle<Message>,
-        active: ActiveSweep,
-    ) -> Result<(), MvError> {
+    /// apply its σ/residual/Π, and hand the sequencer the install
+    /// payload — it installs when every earlier ticket has.
+    fn finish(&mut self, net: &mut dyn NetHandle<Message>, lane: Lane) -> Result<(), MvError> {
         let now = net.now();
-        let task = active.task;
-        let mut applies = Vec::with_capacity(task.views.len());
+        let Lane {
+            task, ctx, snaps, ..
+        } = lane;
+        let mut deltas = Vec::with_capacity(task.views.len());
         for &v in &task.views {
-            let left = active
-                .left_snaps
-                .iter()
-                .find(|(id, _)| *id == v)
-                .map(|(_, p)| p)
-                .expect("left leg visited every affected span start");
-            let right = active
-                .right_snaps
-                .iter()
-                .find(|(id, _)| *id == v)
-                .map(|(_, p)| p)
-                .expect("right leg visited every affected span end");
+            // The legs visit every span endpoint of every task view, so
+            // both snapshots exist by the time both legs are done; a miss
+            // is a scheduler bug, reported rather than panicked on.
+            let snap_of = |side: JoinSide, what| {
+                let found = snaps[side as usize].iter().find(|(id, _)| *id == v);
+                found.map(|(_, p)| p).ok_or(MvError::Internal { what })
+            };
+            let left = snap_of(JoinSide::Left, "left leg missed an affected span start")?;
+            let right = snap_of(JoinSide::Right, "right leg missed an affected span end")?;
             let merged = merge_pivot(&self.core.view, task.j, left, right);
             let delta = finalize_for_view(&self.registry.runtime(v)?.local, &merged)?;
-            applies.push((v, delta));
+            deltas.push((v.index(), delta));
+        }
+        // An escalated delta's impure tuples are residents now: their
+        // bands share rows and must sweep as one group from here on.
+        for mask in &task.escalate_masks {
+            self.union_mask(*mask);
         }
         // One atomic commit record carrying every per-view delta: replay
         // either re-applies the whole sweep or none of it, and only a
         // committed task leaves durable `pending_tasks`.
-        if self.durable.is_some() {
-            let logged = applies
-                .iter()
-                .map(|(v, delta)| ViewApply {
-                    view: *v,
-                    delta: delta.clone(),
-                    consumed: task.consumed.clone(),
-                })
-                .collect();
-            self.wal(MvWalRecord::TaskCommit {
-                at: now,
-                applies: logged,
-            });
+        let consumed = task.consumed;
+        let install = SequencedInstall { consumed, deltas };
+        self.wal(|| MvWalRecord::TaskCommit {
+            at: now,
+            install: install.clone(),
+        });
+        if let Some(d) = self.durable.as_mut() {
+            d.committed_since_ckpt += 1;
         }
-        for (v, delta) in &applies {
+        self.core.record_batch(install.consumed.len());
+        self.core.end_sweep(&ctx, now);
+        self.stats.completions.push((task.key, now));
+        self.sequencer.complete(task.ticket, Some(install));
+        self.drain_installs(net)
+    }
+
+    /// Apply one sweep's per-view deltas, cascading each into the view's
+    /// derived children right behind it — inside the same ticket's slot.
+    fn apply_install(&mut self, install: &SequencedInstall, at: Time) -> Result<(), MvError> {
+        for (index, delta) in &install.deltas {
+            let id = self.registry.id_at(*index)?;
             self.registry
-                .apply_with_cascade(*v, delta, &task.consumed, now)?;
+                .apply_with_cascade(id, delta, &install.consumed, at)?;
         }
-        self.core.record_batch(task.consumed.len());
-        self.core.end_sweep(net.now());
-        self.core.batch = 1;
-        self.core.push_preds.clear();
+        Ok(())
+    }
+
+    /// Release every install whose ticket is next in order, then
+    /// checkpoint if the cadence says so, then, at full drain, install
+    /// policy-pending batches.
+    fn drain_installs(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), MvError> {
+        let now = net.now();
+        for install in self.sequencer.drain() {
+            self.apply_install(&install, now)?;
+        }
         // Checkpoint cadence: every `checkpoint_every` commits, replace
-        // the durable image and truncate the log. Safe here — the sweep
-        // just finished, so no in-flight state exists to miss.
-        let due = match self.durable.as_mut() {
-            Some(d) => {
-                d.committed_since_ckpt += 1;
-                d.committed_since_ckpt >= d.cfg.cadence()
+        // the durable image and truncate the log — only with no lane in
+        // flight, so no in-flight state exists to miss.
+        let due = |d: &DurableState| d.committed_since_ckpt >= d.cfg.cadence();
+        if self.lanes.is_empty() && self.durable.as_deref().is_some_and(due) {
+            let image = self.checkpoint_image();
+            if let Some(d) = self.durable.as_mut() {
+                d.committed_since_ckpt = 0;
+                d.store.checkpoint(image);
             }
-            None => false,
-        };
-        if due {
-            let snap = self.snapshot();
-            let d = self.durable.as_mut().expect("due implies enabled");
-            d.committed_since_ckpt = 0;
-            d.store.checkpoint(snap);
+        }
+        if self.is_quiescent() {
+            if self.durable.is_some() {
+                for id in self.registry.ids() {
+                    if self.registry.runtime(id)?.has_pending() {
+                        self.wal(|| MvWalRecord::Flush { view: id, at: now });
+                    }
+                }
+            }
+            self.registry.flush_all_with_cascade(now)?;
         }
         Ok(())
     }
@@ -908,35 +1148,23 @@ impl MaintenanceScheduler {
     /// would have filtered each of its join extensions anyway — the
     /// pushed filter only changes what travels, never what installs.
     fn derive_push_preds(&self, task: &SweepTask) -> Result<Vec<Option<Predicate>>, MvError> {
-        let mut preds: Vec<Option<Predicate>> = vec![None; self.core.n()];
-        for (k, slot) in preds.iter_mut().enumerate() {
-            if k < task.lo || k > task.hi {
-                continue;
-            }
+        let union_at = |k: usize| {
             let mut disjuncts = Vec::new();
-            let mut any_true = false;
             for &v in &task.views {
                 let (lo, hi) = self.registry.span(v)?;
-                if k < lo || k > hi {
-                    continue;
+                if (lo..=hi).contains(&k) {
+                    match self.registry.local_def(v)?.local_select(k - lo) {
+                        Predicate::True => return Ok(None),
+                        sel => disjuncts.push(sel.clone()),
+                    }
                 }
-                let sel = self.registry.local_def(v)?.local_select(k - lo);
-                if sel == &Predicate::True {
-                    any_true = true;
-                    break;
-                }
-                disjuncts.push(sel.clone());
             }
-            if any_true || disjuncts.is_empty() {
-                continue;
-            }
-            *slot = Some(if disjuncts.len() == 1 {
-                disjuncts.pop().expect("len checked")
-            } else {
-                Predicate::Or(disjuncts)
-            });
-        }
-        Ok(preds)
+            Ok(match disjuncts.len() {
+                0 | 1 => disjuncts.pop(),
+                _ => Some(Predicate::Or(disjuncts)),
+            })
+        };
+        (0..self.core.n()).map(union_at).collect()
     }
 }
 
@@ -944,7 +1172,10 @@ impl SweepPolicy for MaintenanceScheduler {
     type Err = MvError;
 
     fn name(&self) -> &'static str {
-        self.mode.name()
+        match self.map {
+            Some(_) => "sharded-sweep",
+            None => self.mode.name(),
+        }
     }
 
     fn core(&mut self) -> &mut EngineCore {
@@ -954,32 +1185,26 @@ impl SweepPolicy for MaintenanceScheduler {
     fn note_update(&mut self, u: &SourceUpdate, at: Time) -> Result<(), MvError> {
         // Journal the arrival before it enters the volatile queue: an
         // update the WAL knows about can never be lost to a crash.
-        if self.durable.is_some() {
-            self.wal(MvWalRecord::UpdateQueued {
-                update: u.clone(),
-                at,
-            });
+        self.wal(|| MvWalRecord::UpdateQueued {
+            update: u.clone(),
+            at,
+        });
+        // The ticket at arrival IS the install order — issued before any
+        // scheduling decision, claimed at launch, released in order.
+        // (Naive mode tickets per task, at formation.)
+        if self.mode == SchedulerMode::Shared {
+            let ticket = self.sequencer.issue();
+            let class = match &self.map {
+                Some(map) => map.classify_delta(&u.delta),
+                None => DeltaClass::Pure(0),
+            };
+            self.arrivals.insert(u.id, Arrival { ticket, class });
         }
-        // Delivery footprint includes derived descendants: a source
-        // update logically reaches them (the serve layer's staleness
-        // ledger needs their delivery entries), even though only base
-        // views join the sweep.
-        for id in self.registry.affected_with_descendants(u.id.source) {
-            self.registry.runtime_mut(id)?.metrics.updates_received += 1;
-            if let Some(p) = self.registry.install_publisher() {
-                p.lock()
-                    .expect("install publisher poisoned")
-                    .note_delivery(id.index(), u.id, at);
-            }
-        }
-        Ok(())
+        self.registry.note_delivery(u.id, at)
     }
 
     fn kick(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), MvError> {
-        if self.active.is_none() {
-            self.start_next(net)?;
-        }
-        Ok(())
+        self.pump(net)
     }
 
     fn on_answer(
@@ -988,26 +1213,84 @@ impl SweepPolicy for MaintenanceScheduler {
         partial: PartialDelta,
         net: &mut dyn NetHandle<Message>,
     ) -> Result<(), MvError> {
-        self.answer(net, qid, partial)
+        // Stragglers of aborted sweeps — a crashed shard's poisoned qids,
+        // or anything a dead warehouse incarnation asked (below the
+        // recovery floor) — were superseded by a re-seed; silently
+        // absorbing them is the idempotent move.
+        if self.dead_qids.remove(&qid) {
+            self.stats.stale_answers_dropped += 1;
+            self.core.obs.add("shard.stale_answers_dropped", 1);
+            return Ok(());
+        }
+        if let Some(d) = self.durable.as_mut().filter(|d| qid < d.stale_floor) {
+            d.recovery.stale_answers_dropped += 1;
+            self.core.obs.add("mv.recovery.stale_answers_dropped", 1);
+            return Ok(());
+        }
+        let Some(key) = self.qid_routes.remove(&qid) else {
+            return Err(WarehouseError::UnknownQuery { qid }.into());
+        };
+        let running = self.lanes.remove(&key).and_then(|mut lane| {
+            let (i, leg) = (0..2).find_map(|i| Some((i, lane.legs[i].take_waiting_on(qid)?)))?;
+            Some((lane, i, leg))
+        });
+        let Some((mut lane, i, mut leg)) = running else {
+            let what = "routed qid has no lane with a leg waiting on it";
+            return Err(MvError::Internal { what });
+        };
+        self.core.end_hop(leg.hop, net.now());
+        leg.dv = partial;
+        let (k, side) = (leg.j, leg.side);
+        // Full-queue compensation: foreign-group queued deltas join the
+        // scoped TempView to nothing, same-group ones subtract exactly.
+        let comps_before = self.core.metrics.local_compensations;
+        self.core
+            .compensate(&lane.ctx, &mut leg.dv, &leg.temp, k, side)?;
+        let comps = self.core.metrics.local_compensations - comps_before;
+        self.wal(|| MvWalRecord::HopDone { qid, comps });
+        // Views whose span ends exactly at this hop peel off the shared
+        // partial *after* this hop's compensation.
+        let views = &lane.task.views;
+        snapshot(&self.registry, views, &mut lane.snaps, k, side, &leg.dv)?;
+        let next = match side {
+            JoinSide::Left if k > lane.task.lo => Some(k - 1),
+            JoinSide::Right if k < lane.task.hi => Some(k + 1),
+            _ => None,
+        };
+        lane.legs[i] = match next {
+            Some(nj) => {
+                leg.advance(&mut self.core, &lane.ctx, net, nj, side);
+                let next_qid = leg.qid;
+                self.wal(|| MvWalRecord::QuerySent { qid: next_qid });
+                self.qid_routes.insert(next_qid, key);
+                LegSlot::Running(leg)
+            }
+            None => LegSlot::Done(leg.dv),
+        };
+        if lane.legs.iter().all(LegSlot::is_done) {
+            self.finish(net, lane)?;
+            return self.pump(net);
+        }
+        self.lanes.insert(key, lane);
+        Ok(())
     }
 }
 
-/// Record `partial` for every task view whose span endpoint is exactly
-/// the hop that just completed. At the seed hop (`k == j`) this captures
-/// views that need no leg on that side.
+/// Record `partial` for every task view whose span endpoint on `side` is
+/// exactly the hop `k` that just completed. At the seed hop (`k == j`)
+/// this captures views that need no leg on that side.
 fn snapshot(
     registry: &ViewRegistry,
-    active: &mut ActiveSweep,
+    views: &[ViewId],
+    snaps: &mut [Vec<(ViewId, PartialDelta)>; 2],
     k: usize,
     side: JoinSide,
     partial: &PartialDelta,
 ) -> Result<(), MvError> {
-    for &v in &active.task.views {
+    for &v in views {
         let (lo, hi) = registry.span(v)?;
-        match side {
-            JoinSide::Left if lo == k => active.left_snaps.push((v, partial.clone())),
-            JoinSide::Right if hi == k => active.right_snaps.push((v, partial.clone())),
-            _ => {}
+        if [lo, hi][side as usize] == k {
+            snaps[side as usize].push((v, partial.clone()));
         }
     }
     Ok(())
@@ -1017,10 +1300,7 @@ fn snapshot(
 /// offsets), then its residual predicate and projection. Sound because
 /// the shared sweep ran on unfiltered tuples and selection commutes
 /// with join; subtraction (compensation) distributes over the filter.
-pub(crate) fn finalize_for_view(
-    local: &ViewDef,
-    merged: &PartialDelta,
-) -> Result<Bag, RelationalError> {
+fn finalize_for_view(local: &ViewDef, merged: &PartialDelta) -> Result<Bag, RelationalError> {
     let mut bag = merged.bag.clone();
     for r in 0..local.num_relations() {
         let sel = local.local_select(r);
@@ -1065,6 +1345,16 @@ mod tests {
         ]
     }
 
+    /// Initial data banded by `ShardMap::range(100, 2)`: shard 0 holds
+    /// values 0..100, shard 1 the rest. Every tuple is pure.
+    fn banded_initial() -> Vec<Bag> {
+        vec![
+            Bag::from_tuples([tup![1, 3], tup![101, 103]]),
+            Bag::from_tuples([tup![3, 5], tup![103, 105]]),
+            Bag::from_tuples([tup![5, 9], tup![105, 109]]),
+        ]
+    }
+
     fn specs() -> Vec<ViewSpec> {
         vec![
             ViewSpec::full("full", 3),
@@ -1088,9 +1378,92 @@ mod tests {
         ]
     }
 
+    /// One data source per base relation, loaded with `initial`.
+    fn sources(base: &ViewDef, initial: &[Bag]) -> Vec<DataSource> {
+        (0..3)
+            .map(|i| {
+                let mut r = dw_relational::BaseRelation::new(base.schema(i).clone());
+                r.apply_delta(&initial[i]).unwrap();
+                DataSource::new(i, base.clone(), r)
+            })
+            .collect()
+    }
+
+    /// Register `spec` on `sched` with its correct contents over `rels`.
+    fn register(sched: &mut MaintenanceScheduler, spec: &ViewSpec, rels: &[Bag]) -> ViewId {
+        let local = spec.compile(sched.views().base()).unwrap();
+        let refs: Vec<&Bag> = rels[spec.lo..=spec.hi].iter().collect();
+        sched
+            .register(spec, eval_view(&local, &refs).unwrap())
+            .unwrap()
+    }
+
+    fn txn(src: usize, delta: Bag) -> Message {
+        Message::ApplyTxn {
+            rel: src,
+            delta,
+            global: None,
+        }
+    }
+
+    /// Deliver until the network drains, calling `before_warehouse` ahead
+    /// of every warehouse delivery.
+    fn pump_network(
+        net: &mut Network<Message>,
+        sched: &mut MaintenanceScheduler,
+        sources: &mut [DataSource],
+        mut before_warehouse: impl FnMut(&mut MaintenanceScheduler, &Message, &mut Network<Message>),
+    ) {
+        while let Some(d) = net.next() {
+            if d.to == WAREHOUSE_NODE {
+                before_warehouse(sched, &d.msg, net);
+                sched.on_message(d, net).unwrap();
+            } else {
+                sources[node_source(d.to)]
+                    .handle(d.from, d.msg, net)
+                    .unwrap();
+            }
+        }
+    }
+
     /// Build sources over the base chain, register every spec with its
-    /// correct initial contents, inject `txns`, run to quiescence, and
-    /// return (scheduler, shadow relations after all txns).
+    /// correct initial contents, inject `txns`, run to quiescence
+    /// (crashing `crash_on_first_answer`'s shards when the first answer
+    /// is about to be delivered), and return (scheduler, shadow relations
+    /// after all txns).
+    fn drive(
+        mut sched: MaintenanceScheduler,
+        initial: Vec<Bag>,
+        view_specs: &[ViewSpec],
+        txns: &[(Time, usize, Bag)],
+        crash_on_first_answer: &[usize],
+    ) -> (MaintenanceScheduler, Vec<Bag>) {
+        for bag in &initial {
+            sched.seed_groups(bag);
+        }
+        for spec in view_specs {
+            register(&mut sched, spec, &initial);
+        }
+        let mut net: Network<Message> = Network::new(7);
+        let mut sources = sources(sched.views().base(), &initial);
+        let mut shadows = initial;
+        for &(at, src, ref delta) in txns {
+            shadows[src].merge(delta);
+            net.inject(at, source_node(src), txn(src, delta.clone()));
+        }
+        let mut crashed = crash_on_first_answer.is_empty();
+        pump_network(&mut net, &mut sched, &mut sources, |sched, msg, net| {
+            if !crashed && matches!(msg, Message::SweepAnswer { .. }) {
+                crashed = true;
+                for &s in crash_on_first_answer {
+                    sched.crash_shard(s, net).unwrap();
+                }
+            }
+        });
+        assert!(sched.is_quiescent());
+        (sched, shadows)
+    }
+
     fn run(
         mode: SchedulerMode,
         view_specs: &[ViewSpec],
@@ -1105,48 +1478,51 @@ mod tests {
         view_specs: &[ViewSpec],
         txns: &[(Time, usize, Bag)],
     ) -> (MaintenanceScheduler, Vec<Bag>) {
-        let base = base3();
-        let initial = initial3();
-        let mut sched = MaintenanceScheduler::with_options(base.clone(), mode, opts).unwrap();
-        for spec in view_specs {
-            let local = spec.compile(&base).unwrap();
-            let refs: Vec<&Bag> = initial[spec.lo..=spec.hi].iter().collect();
-            sched
-                .register(spec, eval_view(&local, &refs).unwrap())
-                .unwrap();
-        }
-        let mut net: Network<Message> = Network::new(7);
-        let mut sources: Vec<DataSource> = (0..3)
-            .map(|i| {
-                let mut r = dw_relational::BaseRelation::new(base.schema(i).clone());
-                r.apply_delta(&initial[i]).unwrap();
-                DataSource::new(i, base.clone(), r)
-            })
-            .collect();
-        let mut shadows = initial;
-        for &(at, src, ref delta) in txns {
-            shadows[src].merge(delta);
-            net.inject(
-                at,
-                source_node(src),
-                Message::ApplyTxn {
-                    rel: src,
-                    delta: delta.clone(),
-                    global: None,
-                },
+        let sched = MaintenanceScheduler::with_shards(base3(), mode, opts, None).unwrap();
+        drive(sched, initial3(), view_specs, txns, &[])
+    }
+
+    fn sharded(map: ShardMap) -> MaintenanceScheduler {
+        let (mode, opts) = (SchedulerMode::Shared, EngineOptions::default());
+        MaintenanceScheduler::with_shards(base3(), mode, opts, Some(map)).unwrap()
+    }
+
+    /// Drive a sharded scheduler to quiescence over `txns`, crashing
+    /// shards per `crash_on_first_answer`. Returns (scheduler, shadows).
+    fn run_sharded(
+        map: ShardMap,
+        initial: Vec<Bag>,
+        view_specs: &[ViewSpec],
+        txns: &[(Time, usize, Bag)],
+        crash_on_first_answer: &[usize],
+    ) -> (MaintenanceScheduler, Vec<Bag>) {
+        drive(
+            sharded(map),
+            initial,
+            view_specs,
+            txns,
+            crash_on_first_answer,
+        )
+    }
+
+    fn assert_ground_truth(sched_views: &ViewRegistry, specs: &[ViewSpec], shadows: &[Bag]) {
+        for (spec, id) in specs.iter().zip(sched_views.ids()) {
+            let local = spec.compile(sched_views.base()).unwrap();
+            let refs: Vec<&Bag> = shadows[spec.lo..=spec.hi].iter().collect();
+            let truth = eval_view(&local, &refs).unwrap();
+            assert_eq!(
+                sched_views.view_bag(id).unwrap(),
+                &truth,
+                "view '{}'",
+                spec.name
             );
         }
-        while let Some(d) = net.next() {
-            if d.to == WAREHOUSE_NODE {
-                sched.on_message(d, &mut net).unwrap();
-            } else {
-                sources[node_source(d.to)]
-                    .handle(d.from, d.msg, &mut net)
-                    .unwrap();
-            }
-        }
-        assert!(sched.is_quiescent());
-        (sched, shadows)
+    }
+
+    /// Per-install consumed-update sets of view `id`, in install order.
+    fn consumed_log(sched: &MaintenanceScheduler, id: ViewId) -> Vec<Vec<UpdateId>> {
+        let log = sched.views().install_log(id).unwrap();
+        log.iter().map(|rec| rec.consumed.clone()).collect()
     }
 
     /// Dense, interfering transactions hitting every source.
@@ -1310,17 +1686,13 @@ mod tests {
 
     #[test]
     fn derive_push_preds_unions_selects_and_collapses_true() {
-        let base = base3();
-        let initial = initial3();
-        let mut sched = MaintenanceScheduler::with_options(
-            base.clone(),
-            SchedulerMode::Shared,
-            EngineOptions {
-                pushdown: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let pushdown = EngineOptions {
+            pushdown: true,
+            ..Default::default()
+        };
+        let mut sched =
+            MaintenanceScheduler::with_shards(base3(), SchedulerMode::Shared, pushdown, None)
+                .unwrap();
         let left_pair = ViewSpec {
             lo: 0,
             hi: 1,
@@ -1333,24 +1705,21 @@ mod tests {
             selects: vec![(1, 0, CmpOp::Le, Value::Int(9))],
             ..ViewSpec::full("mid", 3)
         };
-        let mut ids = Vec::new();
-        for spec in [&left_pair, &mid] {
-            let local = spec.compile(&base).unwrap();
-            let refs: Vec<&Bag> = initial[spec.lo..=spec.hi].iter().collect();
-            ids.push(
-                sched
-                    .register(spec, eval_view(&local, &refs).unwrap())
-                    .unwrap(),
-            );
-        }
-        let task = SweepTask {
+        let ids: Vec<ViewId> = [&left_pair, &mid]
+            .map(|spec| register(&mut sched, spec, &initial3()))
+            .to_vec();
+        let task_over = |lo, hi, views| SweepTask {
+            ticket: 0,
+            key: 0,
+            escalate_masks: Vec::new(),
             consumed: Vec::new(),
             j: 1,
             delta: Bag::new(),
-            lo: 0,
-            hi: 2,
-            views: ids.clone(),
+            lo,
+            hi,
+            views,
         };
+        let task = task_over(0, 2, ids.clone());
         let preds = sched.derive_push_preds(&task).unwrap();
         // R1: only left-pair's span contains it and it has no σ there —
         // True collapses the union to "no filter". Same for R3 via mid.
@@ -1363,14 +1732,7 @@ mod tests {
         }
 
         // A single affected view degenerates to exactly its own σ.
-        let solo_task = SweepTask {
-            consumed: Vec::new(),
-            j: 1,
-            delta: Bag::new(),
-            lo: 0,
-            hi: 1,
-            views: vec![ids[0]],
-        };
+        let solo_task = task_over(0, 1, vec![ids[0]]);
         let solo = sched.derive_push_preds(&solo_task).unwrap();
         assert_eq!(
             solo[1].as_ref(),
@@ -1424,49 +1786,23 @@ mod tests {
 
     #[test]
     fn deregister_refused_mid_sweep_then_allowed_at_drain() {
-        let base = base3();
-        let initial = initial3();
-        let mut sched = MaintenanceScheduler::new(base.clone(), SchedulerMode::Shared).unwrap();
-        let spec = ViewSpec::full("full", 3);
-        let refs: Vec<&Bag> = initial.iter().collect();
-        let full = spec.compile(&base).unwrap();
-        let id = sched
-            .register(&spec, eval_view(&full, &refs).unwrap())
-            .unwrap();
+        let mut sched = MaintenanceScheduler::new(base3(), SchedulerMode::Shared).unwrap();
+        let id = register(&mut sched, &ViewSpec::full("full", 3), &initial3());
         let mut net: Network<Message> = Network::new(0);
-        let mut sources: Vec<DataSource> = (0..3)
-            .map(|i| {
-                let mut r = dw_relational::BaseRelation::new(base.schema(i).clone());
-                r.apply_delta(&initial[i]).unwrap();
-                DataSource::new(i, base.clone(), r)
-            })
-            .collect();
-        net.inject(
-            100,
-            source_node(1),
-            Message::ApplyTxn {
-                rel: 1,
-                delta: Bag::from_tuples([tup![7, 9]]),
-                global: None,
-            },
-        );
+        let mut sources = sources(&base3(), &initial3());
+        net.inject(100, source_node(1), txn(1, Bag::from_tuples([tup![7, 9]])));
         let mut refused = false;
-        while let Some(d) = net.next() {
-            if d.to == WAREHOUSE_NODE {
-                sched.on_message(d, &mut net).unwrap();
-                if !sched.is_quiescent() && !refused {
-                    assert!(matches!(
-                        sched.deregister(id),
-                        Err(MvError::ViewBusy { .. })
-                    ));
-                    refused = true;
-                }
-            } else {
-                sources[node_source(d.to)]
-                    .handle(d.from, d.msg, &mut net)
-                    .unwrap();
+        // Checked before each warehouse delivery: the second one (the
+        // first answer) finds the sweep in flight.
+        pump_network(&mut net, &mut sched, &mut sources, |sched, _, _| {
+            if !sched.is_quiescent() && !refused {
+                assert!(matches!(
+                    sched.deregister(id),
+                    Err(MvError::ViewBusy { .. })
+                ));
+                refused = true;
             }
-        }
+        });
         assert!(refused, "the sweep should have been observed in flight");
         assert!(sched.is_quiescent());
         sched.deregister(id).unwrap();
@@ -1475,47 +1811,17 @@ mod tests {
 
     #[test]
     fn mid_run_registration_at_quiescent_point() {
-        let base = base3();
-        let initial = initial3();
-        let mut sched = MaintenanceScheduler::new(base.clone(), SchedulerMode::Shared).unwrap();
-        let full_spec = ViewSpec::full("early", 3);
-        let full = full_spec.compile(&base).unwrap();
-        let refs: Vec<&Bag> = initial.iter().collect();
-        sched
-            .register(&full_spec, eval_view(&full, &refs).unwrap())
-            .unwrap();
-
+        let mut sched = MaintenanceScheduler::new(base3(), SchedulerMode::Shared).unwrap();
+        register(&mut sched, &ViewSpec::full("early", 3), &initial3());
         let mut net: Network<Message> = Network::new(3);
-        let mut sources: Vec<DataSource> = (0..3)
-            .map(|i| {
-                let mut r = dw_relational::BaseRelation::new(base.schema(i).clone());
-                r.apply_delta(&initial[i]).unwrap();
-                DataSource::new(i, base.clone(), r)
-            })
-            .collect();
-        let mut shadows = initial;
+        let mut sources = sources(&base3(), &initial3());
+        let mut shadows = initial3();
 
         // Phase 1: one update drains.
         let d1 = Bag::from_tuples([tup![7, 9]]);
         shadows[1].merge(&d1);
-        net.inject(
-            100,
-            source_node(1),
-            Message::ApplyTxn {
-                rel: 1,
-                delta: d1,
-                global: None,
-            },
-        );
-        while let Some(d) = net.next() {
-            if d.to == WAREHOUSE_NODE {
-                sched.on_message(d, &mut net).unwrap();
-            } else {
-                sources[node_source(d.to)]
-                    .handle(d.from, d.msg, &mut net)
-                    .unwrap();
-            }
-        }
+        net.inject(100, source_node(1), txn(1, d1));
+        pump_network(&mut net, &mut sched, &mut sources, |_, _, _| {});
         assert!(sched.is_quiescent());
 
         // Quiescent: register a late view seeded from the *current*
@@ -1525,38 +1831,268 @@ mod tests {
             hi: 1,
             ..ViewSpec::full("late", 3)
         };
-        let late = late_spec.compile(&base).unwrap();
-        let refs: Vec<&Bag> = shadows[0..=1].iter().collect();
-        let late_id = sched
-            .register(&late_spec, eval_view(&late, &refs).unwrap())
-            .unwrap();
+        let late_id = register(&mut sched, &late_spec, &shadows);
 
         // Phase 2: more updates; the late view tracks them.
         let d2 = Bag::from_tuples([tup![6, 3]]);
         shadows[0].merge(&d2);
-        net.inject(
-            10_000,
-            source_node(0),
-            Message::ApplyTxn {
-                rel: 0,
-                delta: d2,
-                global: None,
-            },
-        );
-        while let Some(d) = net.next() {
-            if d.to == WAREHOUSE_NODE {
-                sched.on_message(d, &mut net).unwrap();
-            } else {
-                sources[node_source(d.to)]
-                    .handle(d.from, d.msg, &mut net)
-                    .unwrap();
-            }
-        }
+        net.inject(10_000, source_node(0), txn(0, d2));
+        pump_network(&mut net, &mut sched, &mut sources, |_, _, _| {});
         assert!(sched.is_quiescent());
-        let refs: Vec<&Bag> = shadows[0..=1].iter().collect();
-        assert_eq!(
-            sched.views().view_bag(late_id).unwrap(),
-            &eval_view(&late, &refs).unwrap()
+        assert_ground_truth(
+            sched.views(),
+            &[ViewSpec::full("early", 3), late_spec],
+            &shadows,
         );
+        assert_eq!(sched.views().ids()[1], late_id);
+    }
+
+    #[test]
+    fn shard_local_updates_sweep_concurrently() {
+        let specs = vec![ViewSpec::full("full", 3)];
+        // Two pure updates, one per shard, 50µs apart with 1000µs links:
+        // the second lane must start while the first is in flight.
+        let txns = vec![
+            (100u64, 1usize, Bag::from_tuples([tup![3, 5]])),
+            (150, 1, Bag::from_tuples([tup![103, 105]])),
+        ];
+        let (sched, shadows) = run_sharded(
+            ShardMap::range(100, 2),
+            banded_initial(),
+            &specs,
+            &txns,
+            &[],
+        );
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        assert_eq!(sched.stats().max_concurrent_lanes, 2);
+        assert_eq!(sched.stats().shard_local, 2);
+        assert_eq!(sched.stats().escalations, 0);
+        // Shard-locality is free: still exactly 2(n−1) messages each.
+        assert_eq!(sched.metrics().queries_sent, 4);
+        assert_eq!(sched.metrics().answers_received, 4);
+    }
+
+    #[test]
+    fn out_of_order_completions_install_in_arrival_order() {
+        let specs = vec![ViewSpec::full("full", 3)];
+        // Update A (src 0, shard 0) needs a 2-hop sequential right leg
+        // (~4000µs); update B (src 1, shard 1) needs one parallel
+        // round-trip (~2000µs) and finishes first — but must install
+        // second.
+        let txns = vec![
+            (100u64, 0usize, Bag::from_tuples([tup![2, 3]])),
+            (150, 1, Bag::from_tuples([tup![103, 105]])),
+        ];
+        let (sched, shadows) = run_sharded(
+            ShardMap::range(100, 2),
+            banded_initial(),
+            &specs,
+            &txns,
+            &[],
+        );
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        assert_eq!(sched.stats().max_concurrent_lanes, 2);
+        let id = sched.views().ids()[0];
+        assert_eq!(
+            consumed_log(&sched, id),
+            vec![
+                vec![UpdateId { source: 0, seq: 0 }],
+                vec![UpdateId { source: 1, seq: 0 }],
+            ],
+            "sequencer must hold B's install behind A's"
+        );
+    }
+
+    #[test]
+    fn cross_shard_update_escalates_and_unions_the_groups() {
+        let specs = vec![ViewSpec::full("full", 3)];
+        let map = ShardMap::range(100, 2);
+        // The impure R2 tuple [3, 103] straddles both bands: global
+        // sweep, then shards 0 and 1 are one group forever after.
+        let txns = vec![
+            (100u64, 1usize, Bag::from_tuples([tup![3, 103]])),
+            (10_000, 1, Bag::from_tuples([tup![3, 5]])),
+            (10_050, 1, Bag::from_tuples([tup![103, 105]])),
+        ];
+        let (sched, shadows) = run_sharded(map, banded_initial(), &specs, &txns, &[]);
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        assert_eq!(sched.stats().escalations, 1);
+        assert_eq!(sched.stats().shard_local, 2);
+        assert_eq!(sched.group_mask_of(0), 0b11);
+        assert_eq!(sched.group_mask_of(1), 0b11);
+        // Merged group ⇒ the two post-escalation updates serialized.
+        assert_eq!(sched.stats().max_concurrent_lanes, 1);
+    }
+
+    #[test]
+    fn impure_initial_data_seeds_merged_groups() {
+        let mut sched = sharded(ShardMap::range(4, 3));
+        // [5, 9] has bands {1, 2}: one impure resident merges them.
+        sched.seed_groups(&Bag::from_tuples([tup![1, 2], tup![5, 9]]));
+        assert_eq!(sched.group_mask_of(0), 0b001);
+        assert_eq!(sched.group_mask_of(1), 0b110);
+        assert_eq!(sched.group_mask_of(2), 0b110);
+    }
+
+    #[test]
+    fn sharded_matches_unsharded_on_interfering_txns() {
+        // The unsharded scheduler's own hostile workload: dense,
+        // interfering, with escalations (range-8 bands cut through the
+        // values) and impure initial residents. Byte-equal installs.
+        let specs = vec![
+            ViewSpec::full("full", 3),
+            ViewSpec {
+                lo: 1,
+                hi: 2,
+                ..ViewSpec::full("right-pair", 3)
+            },
+        ];
+        let initial = vec![
+            Bag::from_tuples([tup![1, 3], tup![2, 3], tup![2, 5]]),
+            Bag::from_tuples([tup![3, 5], tup![5, 7], tup![3, 7]]),
+            Bag::from_tuples([tup![5, 9], tup![7, 9], tup![7, 11]]),
+        ];
+        let txns = vec![
+            (100u64, 1usize, Bag::from_tuples([tup![7, 9]])),
+            (150, 0, Bag::from_tuples([tup![4, 7]])),
+            (200, 2, Bag::from_tuples([tup![9, 13]])),
+            (260, 1, Bag::from_pairs([(tup![3, 5], -1)])),
+            (300, 0, Bag::from_tuples([tup![6, 3]])),
+            (340, 2, Bag::from_pairs([(tup![5, 9], -1)])),
+        ];
+        let (sharded, shadows) =
+            run_sharded(ShardMap::range(8, 2), initial.clone(), &specs, &txns, &[]);
+        assert_ground_truth(sharded.views(), &specs, &shadows);
+
+        // Unsharded reference run over the identical scenario.
+        let flat = MaintenanceScheduler::new(base3(), SchedulerMode::Shared).unwrap();
+        let (flat, _) = drive(flat, initial, &specs, &txns, &[]);
+
+        assert_eq!(sharded.metrics().queries_sent, flat.metrics().queries_sent);
+        for (sid, fid) in sharded.views().ids().into_iter().zip(flat.views().ids()) {
+            assert_eq!(
+                sharded.views().view_bag(sid).unwrap(),
+                flat.views().view_bag(fid).unwrap()
+            );
+            assert_eq!(consumed_log(&sharded, sid), consumed_log(&flat, fid));
+        }
+    }
+
+    #[test]
+    fn shard_crash_reseeds_the_lane_and_converges() {
+        let specs = vec![ViewSpec::full("full", 3)];
+        let txns = vec![
+            (100u64, 1usize, Bag::from_tuples([tup![3, 5]])),
+            (150, 1, Bag::from_tuples([tup![103, 105]])),
+        ];
+        let (sched, shadows) = run_sharded(
+            ShardMap::range(100, 2),
+            banded_initial(),
+            &specs,
+            &txns,
+            &[0, 1], // crash both shards at the first answer delivery
+        );
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        assert_eq!(sched.stats().shard_crashes, 2);
+        assert_eq!(sched.stats().sweeps_reseeded, 2);
+        // Each aborted lane had in-flight queries whose answers landed
+        // after the crash — dropped, not folded.
+        assert!(sched.stats().stale_answers_dropped >= 2);
+        // Install order still arrival order.
+        let id = sched.views().ids()[0];
+        assert_eq!(
+            consumed_log(&sched, id),
+            vec![
+                vec![UpdateId { source: 1, seq: 0 }],
+                vec![UpdateId { source: 1, seq: 1 }],
+            ]
+        );
+    }
+
+    #[test]
+    fn batching_and_pushdown_are_refused() {
+        let (base, mode) = (base3(), SchedulerMode::Shared);
+        let batched = EngineOptions {
+            batch: 4,
+            ..EngineOptions::default()
+        };
+        assert!(matches!(
+            MaintenanceScheduler::with_shards(base.clone(), mode, batched, Some(ShardMap::hash(2))),
+            Err(MvError::Warehouse(
+                dw_warehouse::WarehouseError::Config { .. }
+            ))
+        ));
+        let pushed = EngineOptions {
+            pushdown: true,
+            ..EngineOptions::default()
+        };
+        assert!(matches!(
+            MaintenanceScheduler::with_shards(base, mode, pushed, Some(ShardMap::hash(2))),
+            Err(MvError::Warehouse(
+                dw_warehouse::WarehouseError::Config { .. }
+            ))
+        ));
+    }
+
+    #[test]
+    fn updates_nobody_references_release_their_ticket() {
+        // Only a view over R3: an R1 update must release its sequencer
+        // slot (None) or the R3 install behind it would block forever.
+        let specs = vec![ViewSpec {
+            lo: 2,
+            hi: 2,
+            ..ViewSpec::full("r3-only", 3)
+        }];
+        let txns = vec![
+            (100u64, 0usize, Bag::from_tuples([tup![4, 7]])),
+            (200, 2, Bag::from_tuples([tup![9, 13]])),
+        ];
+        let (sched, shadows) = run_sharded(
+            ShardMap::range(100, 2),
+            banded_initial(),
+            &specs,
+            &txns,
+            &[],
+        );
+        assert_eq!(sched.stats().skipped, 1);
+        let id = sched.views().ids()[0];
+        assert_eq!(sched.views().install_log(id).unwrap().len(), 1);
+        let refs: Vec<&Bag> = shadows[2..=2].iter().collect();
+        let truth = eval_view(&specs[0].compile(sched.views().base()).unwrap(), &refs).unwrap();
+        assert_eq!(sched.views().view_bag(id).unwrap(), &truth);
+    }
+
+    #[test]
+    fn escalation_fence_holds_back_later_pure_updates() {
+        let specs = vec![ViewSpec::full("full", 3)];
+        // A pure update in flight, then an escalating one, then another
+        // pure one in a *free* shard: the fence must hold the third back
+        // until the global sweep has run, and everything still installs
+        // in arrival order.
+        let txns = vec![
+            (100u64, 1usize, Bag::from_tuples([tup![3, 5]])),
+            (150, 1, Bag::from_tuples([tup![3, 103]])),
+            (200, 1, Bag::from_tuples([tup![103, 105]])),
+        ];
+        let (sched, shadows) = run_sharded(
+            ShardMap::range(100, 2),
+            banded_initial(),
+            &specs,
+            &txns,
+            &[],
+        );
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        assert_eq!(sched.stats().escalations, 1);
+        // The fence forbids overlap here: one lane at a time throughout.
+        assert_eq!(sched.stats().max_concurrent_lanes, 1);
+        let id = sched.views().ids()[0];
+        let consumed: Vec<u64> = sched
+            .views()
+            .install_log(id)
+            .unwrap()
+            .iter()
+            .flat_map(|rec| rec.consumed.iter().map(|u| u.seq))
+            .collect();
+        assert_eq!(consumed, vec![0, 1, 2]);
     }
 }

@@ -19,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod cstrobe;
 pub mod eca;
 pub mod nested_sweep;
@@ -33,7 +32,6 @@ pub mod sweep;
 // modules so `dw_warehouse::error::...`-style paths keep resolving.
 pub use dw_engine::{error, install, metrics, policy, queue, view};
 
-pub use aggregate::{AggFn, AggregateView, AggregateViewDef};
 pub use cstrobe::CStrobe;
 pub use eca::Eca;
 pub use error::WarehouseError;

@@ -34,7 +34,7 @@ use crate::metrics::PolicyMetrics;
 use crate::policy::MaintenancePolicy;
 use crate::queue::PendingUpdate;
 pub use dw_engine::NestedSweepOptions;
-use dw_engine::{dispatch, EngineCore, Frame, InstallSink, SpanLabels, SweepPolicy};
+use dw_engine::{dispatch, EngineCore, Frame, InstallSink, SpanLabels, SweepCtx, SweepPolicy};
 use dw_obs::Obs;
 use dw_protocol::{Message, UpdateId};
 use dw_relational::{Bag, JoinSide, PartialDelta, ViewDef};
@@ -59,6 +59,8 @@ struct Active {
 /// The Nested SWEEP warehouse policy.
 pub struct NestedSweep {
     core: EngineCore,
+    /// The in-flight sweep's context (its span; no batching, σ or scope).
+    ctx: SweepCtx,
     sink: InstallSink,
     opts: NestedSweepOptions,
     active: Option<Active>,
@@ -78,6 +80,7 @@ impl NestedSweep {
     ) -> Result<Self, WarehouseError> {
         Ok(NestedSweep {
             core: EngineCore::new(view_def, LABELS),
+            ctx: SweepCtx::default(),
             sink: InstallSink::new(initial_view)?,
             opts,
             active: None,
@@ -97,7 +100,7 @@ impl NestedSweep {
             return Ok(());
         };
         let i = update.id.source;
-        self.core.begin_sweep(net.now());
+        self.ctx = self.core.begin_sweep(net.now());
         self.core.obs.observe(
             "nested_sweep.delta_rows",
             update.delta.distinct_len() as u64,
@@ -128,7 +131,7 @@ impl NestedSweep {
             match top.next_target() {
                 Some((j, side)) => {
                     let dv = top.dv.clone();
-                    let (qid, hop) = self.core.send_query(net, &dv, j, side);
+                    let (qid, hop) = self.core.send_query(&self.ctx, net, &dv, j, side);
                     let top = active.stack.last_mut().expect("frame present");
                     top.pending = Some((qid, j, side, dv, hop));
                     return Ok(());
@@ -179,7 +182,7 @@ impl NestedSweep {
         self.core
             .obs
             .observe("nested_sweep.batch_updates", active.consumed.len() as u64);
-        self.core.end_sweep(net.now());
+        self.core.end_sweep(&self.ctx, net.now());
         self.core.record_batch(active.consumed.len());
         self.sink.install(
             &mut self.core.metrics,
@@ -220,7 +223,7 @@ impl NestedSweep {
                 // Figure 6: remove, compensate, recurse.
                 let (merged, infos) = self
                     .core
-                    .compensate_consuming(&mut top.dv, &temp, j, side)?
+                    .compensate_consuming(&self.ctx, &mut top.dv, &temp, j, side)?
                     .expect("has_from_source checked above");
                 self.core.obs.add("nested_sweep.recursions", 1);
                 active.consumed.extend(infos);
@@ -238,7 +241,8 @@ impl NestedSweep {
             } else {
                 // Forced termination: SWEEP-style compensation, update
                 // stays queued for its own (bounded) round later.
-                self.core.compensate(&mut top.dv, &temp, j, side)?;
+                self.core
+                    .compensate(&self.ctx, &mut top.dv, &temp, j, side)?;
                 self.core.metrics.depth_bound_hits += 1;
                 self.core.obs.add("nested_sweep.depth_bound_hits", 1);
             }

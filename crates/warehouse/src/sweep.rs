@@ -36,7 +36,8 @@ use crate::policy::MaintenancePolicy;
 use crate::queue::PendingUpdate;
 pub use dw_engine::SweepOptions;
 use dw_engine::{
-    dispatch, merge_pivot, support, EngineCore, InstallSink, Leg, LegSlot, SpanLabels, SweepPolicy,
+    dispatch, merge_pivot, support, EngineCore, InstallSink, Leg, LegSlot, SpanLabels, SweepCtx,
+    SweepPolicy,
 };
 use dw_obs::Obs;
 use dw_protocol::{GlobalPart, Message, SourceUpdate, UpdateId};
@@ -77,6 +78,8 @@ enum State {
 /// The SWEEP warehouse policy.
 pub struct Sweep {
     core: EngineCore,
+    /// The in-flight sweep's context (its span; no batching, σ or scope).
+    ctx: SweepCtx,
     sink: InstallSink,
     opts: SweepOptions,
     state: State,
@@ -103,6 +106,7 @@ impl Sweep {
     ) -> Result<Self, WarehouseError> {
         Ok(Sweep {
             core: EngineCore::new(view_def, LABELS),
+            ctx: SweepCtx::default(),
             sink: InstallSink::new(initial_view)?,
             opts: SweepOptions::default(),
             state: State::Idle,
@@ -135,7 +139,7 @@ impl Sweep {
             return Ok(());
         };
         let i = update.id.source;
-        self.core.begin_sweep(net.now());
+        self.ctx = self.core.begin_sweep(net.now());
         self.core
             .obs
             .observe("sweep.delta_rows", update.delta.distinct_len() as u64);
@@ -161,8 +165,22 @@ impl Sweep {
                 hi: i,
                 bag: support(&seeded.bag),
             };
-            let left = Leg::launch(&mut self.core, net, seeded, i - 1, JoinSide::Left);
-            let right = Leg::launch(&mut self.core, net, right_dv, i + 1, JoinSide::Right);
+            let left = Leg::launch(
+                &mut self.core,
+                &self.ctx,
+                net,
+                seeded,
+                i - 1,
+                JoinSide::Left,
+            );
+            let right = Leg::launch(
+                &mut self.core,
+                &self.ctx,
+                net,
+                right_dv,
+                i + 1,
+                JoinSide::Right,
+            );
             self.state = State::Par {
                 upd: update.id,
                 delivered_at: arrived_at,
@@ -179,7 +197,7 @@ impl Sweep {
         } else {
             (i + 1, JoinSide::Right)
         };
-        let leg = Leg::launch(&mut self.core, net, seeded, j, side);
+        let leg = Leg::launch(&mut self.core, &self.ctx, net, seeded, j, side);
         self.state = State::Seq {
             upd: update.id,
             delivered_at: arrived_at,
@@ -199,7 +217,7 @@ impl Sweep {
         self.core
             .obs
             .observe("sweep.install_rows", final_bag.distinct_len() as u64);
-        self.core.end_sweep(net.now());
+        self.core.end_sweep(&self.ctx, net.now());
         self.core.record_batch(1);
         // Global-transaction bookkeeping (type 3 updates, per the paper's
         // §2 pointer to [ZGMW96]): a part's view change is computed like
@@ -259,7 +277,8 @@ impl Sweep {
         leg.dv = partial;
         let (j, side) = (leg.j, leg.side);
         let temp = leg.temp.clone();
-        self.core.compensate(&mut leg.dv, &temp, j, side)?;
+        self.core
+            .compensate(&self.ctx, &mut leg.dv, &temp, j, side)?;
 
         if self.opts.short_circuit_empty && leg.dv.bag.is_empty() {
             return self.install(net, upd, delivered_at, Bag::new());
@@ -275,7 +294,7 @@ impl Sweep {
         };
         match next {
             Some((nj, nside)) => {
-                leg.advance(&mut self.core, net, nj, nside);
+                leg.advance(&mut self.core, &self.ctx, net, nj, nside);
                 self.state = State::Seq {
                     upd,
                     delivered_at,
@@ -332,7 +351,8 @@ impl Sweep {
         leg.dv = partial;
         let (j, side) = (leg.j, leg.side);
         let temp = leg.temp.clone();
-        self.core.compensate(&mut leg.dv, &temp, j, side)?;
+        self.core
+            .compensate(&self.ctx, &mut leg.dv, &temp, j, side)?;
         // Advance this leg only.
         let next = match side {
             JoinSide::Left if j > 0 => Some(j - 1),
@@ -342,7 +362,7 @@ impl Sweep {
         };
         match next {
             Some(nj) => {
-                leg.advance(&mut self.core, net, nj, side);
+                leg.advance(&mut self.core, &self.ctx, net, nj, side);
                 let slot_ref = if use_left { &mut left } else { &mut right };
                 *slot_ref = LegSlot::Running(leg);
             }

@@ -1,13 +1,13 @@
 //! Analytics dashboard: a SQL-defined view maintained by SWEEP, with
-//! GROUP-BY aggregates (COUNT / SUM / AVG) folded incrementally from the
-//! very same `ΔV` stream the installs produce — no rescans of the view.
+//! GROUP-BY aggregates (COUNT / SUM, AVG as their quotient) folded
+//! incrementally from the very same `ΔV` stream the installs produce —
+//! no rescans of the view.
 //!
 //! Run with: `cargo run --example analytics_dashboard`
 
 use dwsweep::prelude::*;
 use dwsweep::relational::parse_view;
 use dwsweep::rng::Rng64;
-use dwsweep::warehouse::{AggFn, AggregateView, AggregateViewDef};
 use dwsweep::workload::ScheduledTxn;
 
 fn main() {
@@ -71,45 +71,39 @@ fn main() {
         .unwrap();
 
     // View tuple layout: (SaleId, Amount, Region) → group by Region (2),
-    // aggregate COUNT, SUM(Amount), AVG(Amount).
-    let def = AggregateViewDef {
+    // aggregate COUNT and SUM(Amount); AVG is printed as SUM / COUNT.
+    let spec = AggregateSpec {
         group_by: vec![2],
-        aggregates: vec![AggFn::Count, AggFn::Sum(1), AggFn::Avg(1)],
+        aggs: vec![AggFn::CountRows, AggFn::Sum(1)],
     };
-    let mut dashboard = AggregateView::new(def.clone());
-    let mut prev: Option<Bag> = None;
+    let mut dashboard = AggregateState::new(spec.clone());
+    // The first delta is relative to the initial (empty-sales) view.
+    let mut prev = Bag::new();
     for rec in &report.installs {
         let after = rec.view_after.as_ref().unwrap();
-        let delta = match &prev {
-            Some(p) => after.minus(p),
-            None => {
-                // First delta is relative to the initial (empty-sales) view.
-                after.clone()
-            }
-        };
-        dashboard.apply_delta(&delta).unwrap();
-        prev = Some(after.clone());
+        let delta = DeltaRelation::from_bag(after.minus(&prev));
+        dashboard.apply(&delta).unwrap();
+        prev = after.clone();
     }
 
     // Cross-check against a from-scratch aggregation of the final view.
-    let recomputed = AggregateView::from_view(def, &report.view).unwrap();
-    assert_eq!(dashboard.snapshot(), recomputed.snapshot());
+    assert_eq!(dashboard.current(), spec.eval(&report.view).unwrap());
 
     println!("region dashboard (incrementally maintained):");
     println!(
         "{:>7} {:>7} {:>10} {:>10}",
         "region", "sales", "revenue", "avg"
     );
-    for (t, _) in dashboard.snapshot().to_sorted_vec() {
+    for (t, _) in dashboard.current().to_sorted_vec() {
+        let (Value::Int(sales), Value::Int(revenue)) = (t.at(1), t.at(2)) else {
+            panic!("COUNT and SUM over integer amounts are integers: {t}");
+        };
         println!(
             "{:>7} {:>7} {:>10} {:>10.2}",
             t.at(0).to_string(),
-            t.at(1).to_string(),
-            t.at(2).to_string(),
-            match t.at(3) {
-                Value::Float(f) => f.get(),
-                _ => unreachable!(),
-            }
+            sales,
+            revenue,
+            *revenue as f64 / *sales as f64
         );
     }
     println!(

@@ -48,7 +48,7 @@
 //! | [`engine`] | `dw-engine` | the one transport-blind sweep loop every executor adapts |
 //! | [`consistency`] | `dw-consistency` | ground truth + classification |
 //! | [`workload`] | `dw-workload` | scenario/stream generators |
-//! | [`multiview`] | `dw-multiview` | view registry + shared-sweep scheduler + derived-view DAG cascade |
+//! | [`multiview`] | `dw-multiview` | view registry + the one lane-based shared-sweep scheduler (unsharded = one group) + derived-view DAG cascade |
 //! | [`serve`] | `dw-serve` | snapshot-pinned read path + subscriptions |
 //! | [`livenet`] | `dw-livenet` | thread-per-node live runtime |
 //! | [`core`] | `dw-core` | experiments and reports |
@@ -79,8 +79,7 @@ pub mod prelude {
         audit_lag_recoveries, audit_reads, oracle_expects_rejection, oracle_view_at_epoch,
         CoreError, DerivedOutcome, Experiment, LagAudit, LagEvent, LagSubscription,
         MultiViewExperiment, MultiViewReport, OracleAudit, PolicyKind, ReadOutcome, ReadResult,
-        RunReport, ServeExperiment, ServeReport, ShardedExperiment, ShardedReport,
-        SubscriptionOutcome, ViewOutcome,
+        RunReport, ServeExperiment, ServeReport, SubscriptionOutcome, ViewOutcome,
     };
     pub use dw_multiview::{
         CascadeStats, MaintenanceScheduler, SchedulerMode, ShardStats, ShardedScheduler, ViewId,

@@ -205,7 +205,8 @@ fn sharded_conforms_to_unsharded_engine() {
         }
         .generate()
         .unwrap();
-        let sharded = ShardedExperiment::new(generated.clone())
+        let sharded = MultiViewExperiment::new(generated.scenario.clone())
+            .shards(generated.map)
             .seed(k)
             .run()
             .unwrap();
@@ -214,6 +215,27 @@ fn sharded_conforms_to_unsharded_engine() {
             .run()
             .unwrap();
         assert!(sharded.quiescent && flat.quiescent, "seed {k}");
+        // Referee-free: whatever order the lanes finished in, every view's
+        // concatenated install log consumes updates in warehouse arrival
+        // order — checked against the run's own delivery log, not against
+        // a second scheduler.
+        let arrival: Vec<UpdateId> = sharded.delivery_log.iter().map(|&(id, _)| id).collect();
+        for v in &sharded.views {
+            let consumed = v.installs.iter().flat_map(|r| r.consumed.iter());
+            let positions: Vec<usize> = consumed
+                .map(|id| {
+                    arrival
+                        .iter()
+                        .position(|a| a == id)
+                        .expect("consumed ⊆ delivered")
+                })
+                .collect();
+            assert!(
+                positions.windows(2).all(|w| w[0] < w[1]),
+                "seed {k}: view '{}' installed out of arrival order",
+                v.name
+            );
+        }
         assert_eq!(
             sharded.query_messages(),
             flat.query_messages(),

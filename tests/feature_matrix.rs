@@ -1,0 +1,256 @@
+//! The feature matrix, first slice: shards × {the plain constructor's
+//! defaults}, plus every refused cell.
+//!
+//! One scheduler runs every configuration, so "flat" must literally be
+//! the one-group case of the lane machinery:
+//!
+//! * **(a)** a 1-shard [`ShardMap`] through the sharded constructor and
+//!   the plain constructor must be indistinguishable — per-view bags,
+//!   install logs (consumed sets *and* install times) and message counts
+//!   — on 64 seeded multi-view schedules, derived DAG on and off;
+//! * **(b)** S ∈ {2, 4} — on the same schedules (where hash bands force
+//!   merged groups and escalations) and on banded ones (where lanes
+//!   overlap) — must match the same referee on bags, install
+//!   fingerprints and message counts (install *times* legitimately
+//!   differ — that is the concurrency);
+//! * **(c)** every combination the scheduler refuses returns its
+//!   documented, typed error (the table in DESIGN.md) instead of being
+//!   silently dropped.
+//!
+//! The referee here is the plain constructor of the same scheduler, so
+//! every run is also held to the independent oracles: per-view
+//! consistency classification against ground truth, mutual consistency,
+//! and the derived views' fresh-recompute audit at every epoch.
+
+use dwsweep::engine::{EngineOptions, WarehouseError};
+use dwsweep::multiview::MvError;
+use dwsweep::prelude::*;
+use dwsweep::protocol::WAREHOUSE_NODE;
+
+const SCHEDULES: u64 = 64;
+const SEED_BASE: u64 = 0xFEA7_0000;
+
+/// A seeded multi-view schedule: 3–4 sources, dense enough that sweeps
+/// interfere, every view on the SWEEP cadence (so install fingerprints
+/// are a pure function of arrival order and comparable across shard
+/// counts), odd seeds with a derived stack on top.
+fn schedule(k: u64) -> MultiViewScenario {
+    let mut scenario = MultiViewConfig {
+        stream: StreamConfig {
+            n_sources: 3 + (k % 2) as usize,
+            updates: 8 + (k % 5) as usize,
+            initial_per_source: 10,
+            domain: 8,
+            mean_gap: 300 + 200 * (k % 4),
+            seed: SEED_BASE + k,
+            ..Default::default()
+        },
+        n_views: 2 + (k % 3) as usize,
+        view_seed: SEED_BASE ^ k,
+        full_span: k.is_multiple_of(4),
+        n_derived: if k % 2 == 1 { 3 } else { 0 },
+        derived_seed: SEED_BASE.rotate_left(7) ^ k,
+    }
+    .generate()
+    .unwrap();
+    for view in &mut scenario.views {
+        view.policy = ViewPolicy::Sweep;
+    }
+    scenario
+}
+
+/// Run `scenario` through the plain constructor (`None`) or the sharded
+/// one, and hold the run to the independent oracles.
+fn run(scenario: &MultiViewScenario, map: Option<ShardMap>, k: u64) -> MultiViewReport {
+    let arm = format!("schedule {k}, map {map:?}");
+    let mut exp = MultiViewExperiment::new(scenario.clone()).seed(k);
+    if let Some(map) = map {
+        exp = exp.shards(map);
+    }
+    let report = exp.run().unwrap();
+    assert!(report.quiescent, "{arm}: did not drain");
+    assert_eq!(
+        report.min_consistency(),
+        Some(ConsistencyLevel::Complete),
+        "{arm}: SWEEP-cadence views must be completely consistent"
+    );
+    let mutual = report.mutual.as_ref().unwrap();
+    assert!(mutual.final_agreement, "{arm}: {}", mutual.detail);
+    assert!(report.derived_clean(), "{arm}: derived oracle audit");
+    report
+}
+
+/// Bags, install fingerprints and the message bill match the referee's —
+/// base and derived views alike.
+fn assert_same_outcome(got: &MultiViewReport, referee: &MultiViewReport, arm: &str) {
+    assert_eq!(got.query_messages(), referee.query_messages(), "{arm}");
+    assert_eq!(
+        got.install_fingerprint(),
+        referee.install_fingerprint(),
+        "{arm}: install order"
+    );
+    for (a, b) in got.views.iter().zip(&referee.views) {
+        assert_eq!(a.view, b.view, "{arm}: view '{}'", a.name);
+    }
+    assert_eq!(got.derived.len(), referee.derived.len(), "{arm}");
+    for (a, b) in got.derived.iter().zip(&referee.derived) {
+        assert_eq!(a.view, b.view, "{arm}: derived '{}'", a.name);
+        let consumed = |d: &DerivedOutcome| -> Vec<Vec<_>> {
+            d.installs.iter().map(|r| r.consumed.clone()).collect()
+        };
+        assert_eq!(consumed(a), consumed(b), "{arm}: derived '{}'", a.name);
+    }
+}
+
+#[test]
+fn one_shard_is_the_plain_scheduler() {
+    let mut with_derived = 0;
+    for k in 0..SCHEDULES {
+        let scenario = schedule(k);
+        with_derived += usize::from(!scenario.derived.is_empty());
+        let flat = run(&scenario, None, k);
+        for map in [ShardMap::hash(1), ShardMap::range(4, 1)] {
+            let arm = format!("schedule {k}, {map:?}");
+            let one = run(&scenario, Some(map), k);
+            assert_same_outcome(&one, &flat, &arm);
+            // One group ⇒ one lane ⇒ the very same timeline: every
+            // install lands at the same instant with the same contents.
+            for (a, b) in one.views.iter().zip(&flat.views) {
+                assert_eq!(a.installs, b.installs, "{arm}: view '{}'", a.name);
+            }
+            for (a, b) in one.derived.iter().zip(&flat.derived) {
+                assert_eq!(a.installs, b.installs, "{arm}: derived '{}'", a.name);
+            }
+            assert_eq!(one.end_time, flat.end_time, "{arm}");
+            let stats = one.shard_stats.as_ref().unwrap();
+            assert_eq!(stats.escalations, 0, "{arm}: one band cannot straddle");
+            assert!(
+                stats.max_concurrent_lanes <= 1,
+                "{arm}: one group, one lane"
+            );
+        }
+        assert!(flat.shard_stats.is_none(), "no map, no shard report");
+    }
+    assert!(with_derived >= SCHEDULES as usize / 2, "DAG arm never ran");
+}
+
+#[test]
+fn two_and_four_shards_match_the_plain_scheduler() {
+    let mut overlapped = 0;
+    for k in 0..SCHEDULES {
+        for shards in [2, 4] {
+            // The multi-view schedule under hash bands, which cut straight
+            // through its value domain: impure residents merge the groups
+            // and updates escalate, so this arm is the fence and the
+            // global lane. Then a banded schedule of its own (every
+            // fourth with cross-shard updates mixed in), where the lanes
+            // genuinely overlap.
+            let banded = ShardedConfig {
+                n_sources: 3,
+                shards,
+                updates: 8 + (k % 5) as usize,
+                mean_gap: 300 + 100 * (k % 3),
+                cross_shard_frac: if k % 4 == 3 { 0.3 } else { 0.0 },
+                seed: SEED_BASE + 0x1000 + k,
+                ..Default::default()
+            }
+            .generate()
+            .unwrap();
+            let arms = [
+                (schedule(k), ShardMap::hash(shards)),
+                (banded.scenario, banded.map),
+            ];
+            for (scenario, map) in arms {
+                let arm = format!("schedule {k}, {map:?}");
+                let flat = run(&scenario, None, k);
+                let sharded = run(&scenario, Some(map), k);
+                assert_same_outcome(&sharded, &flat, &arm);
+                let stats = sharded.shard_stats.as_ref().unwrap();
+                overlapped += usize::from(stats.max_concurrent_lanes > 1);
+            }
+        }
+    }
+    assert!(
+        overlapped >= SCHEDULES as usize,
+        "only {overlapped} runs ever overlapped two lanes"
+    );
+}
+
+/// The `reason` of a typed configuration refusal, whichever layer
+/// returned it.
+fn refusal(e: impl Into<CoreError>) -> String {
+    match e.into() {
+        CoreError::Warehouse(WarehouseError::Config { reason }) => reason,
+        other => panic!("expected a typed Config refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn refused_combinations_return_their_documented_errors() {
+    let scenario = schedule(1);
+    let base = scenario.base.clone();
+    let map = || ShardMap::hash(2);
+    let multi = || MultiViewExperiment::new(scenario.clone());
+    let serve = || ServeExperiment::new(scenario.clone());
+    let batched = EngineOptions {
+        batch: 2,
+        ..EngineOptions::default()
+    };
+    let state_crash = || FaultPlan::default().state_crash(WAREHOUSE_NODE, 500, 900);
+    let naive = SchedulerMode::Naive;
+
+    // shards × batching / pushdown / naive mode: refused at construction.
+    let e = multi().shards(map()).batch(2).run().unwrap_err();
+    assert!(refusal(e).contains("sharded scheduler does not support cross-update batching"));
+    let e = multi().shards(map()).pushdown(true).run().unwrap_err();
+    assert!(refusal(e).contains("sharded scheduler does not support predicate pushdown"));
+    let e = multi().shards(map()).mode(naive).run().unwrap_err();
+    assert!(refusal(e).contains("sharded scheduler does not support the naive per-view mode"));
+    let e = serve().sharded(map()).mode(naive).run().unwrap_err();
+    assert!(refusal(e).contains("naive per-view mode"));
+
+    // naive × batching: was ignored without a word.
+    let e = MaintenanceScheduler::with_shards(base.clone(), naive, batched, None).err();
+    let reason = refusal(e.expect("naive × batch must be refused"));
+    assert!(reason.contains("naive per-view mode does not support cross-update batching"));
+    let e = multi().mode(naive).batch(2).run().unwrap_err();
+    assert!(refusal(e).contains("naive per-view mode does not support cross-update batching"));
+
+    // shards × durability: was dropped silently by ServeExperiment.
+    let e = serve().sharded(map()).durability(2).run().unwrap_err();
+    assert!(refusal(e).contains("sharded scheduler does not support durability"));
+    let e = multi().shards(map()).durability(2).run().unwrap_err();
+    assert!(refusal(e).contains("sharded scheduler does not support durability"));
+    // Straight at the scheduler: arming is a statement, the refusal
+    // surfaces from `validate` (and so from the next message).
+    let (mode, opts) = (SchedulerMode::Shared, EngineOptions::default());
+    let mut sched = MaintenanceScheduler::with_shards(base.clone(), mode, opts, Some(map()));
+    let sched = sched.as_mut().unwrap();
+    sched.validate().unwrap();
+    sched.enable_durability(Default::default());
+    let reason = refusal(sched.validate().unwrap_err());
+    assert!(reason.contains("sharded scheduler does not support durability"));
+
+    // shards × an unscoped warehouse state crash: was swallowed.
+    let e = multi().shards(map()).faults(state_crash()).run();
+    assert!(refusal(e.unwrap_err()).contains("unscoped warehouse state crash"));
+    let e = serve().sharded(map()).faults(state_crash()).run();
+    assert!(refusal(e.unwrap_err()).contains("unscoped warehouse state crash"));
+
+    // A shard crash must name a shard the scheduler has.
+    let mut net: Network<dwsweep::protocol::Message> = Network::new(0);
+    let e = sched.crash_shard(7, &mut net).unwrap_err();
+    assert!(refusal(e).contains("no shard 7"));
+
+    // And the oldest one: a zero batch width.
+    let zero = EngineOptions {
+        batch: 0,
+        ..EngineOptions::default()
+    };
+    let e = MaintenanceScheduler::with_shards(base, SchedulerMode::Shared, zero, None).err();
+    assert!(refusal(e.expect("batch 0 must be refused")).contains("batch width"));
+
+    // Internal-invariant errors are typed too, not panics.
+    let e: CoreError = MvError::Internal { what: "x" }.into();
+    assert!(matches!(e, CoreError::Multi(msg) if msg.contains("invariant")));
+}

@@ -253,18 +253,21 @@ fn shard_scoped_crashes_leave_surviving_shards_sweeping() {
         let up_at = down_at + [400, 900, 1_600][(k % 3) as usize];
         let plan = FaultPlan::default().state_crash_shard(0, down_at, up_at, target);
 
-        let clean = ShardedExperiment::new(generated.clone())
+        let clean = MultiViewExperiment::new(generated.scenario.clone())
+            .shards(generated.map.clone())
             .seed(k)
             .run()
             .unwrap();
-        let crashed = ShardedExperiment::new(generated)
+        let crashed = MultiViewExperiment::new(generated.scenario)
+            .shards(generated.map)
             .seed(k)
             .faults(plan)
             .run()
             .unwrap();
 
         assert!(clean.quiescent && crashed.quiescent, "case {k}");
-        assert_eq!(crashed.shard_stats.shard_crashes, 1, "case {k}");
+        let stats = crashed.shard_stats.as_ref().expect("sharded run");
+        assert_eq!(stats.shard_crashes, 1, "case {k}");
         assert_eq!(
             crashed.install_fingerprint(),
             clean.install_fingerprint(),
@@ -277,14 +280,13 @@ fn shard_scoped_crashes_leave_surviving_shards_sweeping() {
                 a.name
             );
         }
-        stale_drops += crashed.shard_stats.stale_answers_dropped;
-        reseeds += crashed.shard_stats.sweeps_reseeded;
+        stale_drops += stats.stale_answers_dropped;
+        reseeds += stats.sweeps_reseeded;
         // Survivors keep sweeping: the re-seeded lane re-issues its
         // queries at `up_at` and cannot complete before one full 2 ms
         // round trip, so any lane completion inside (up_at, up_at+2ms)
         // belongs to a *different* shard still making progress.
-        survivor_overlapped |= crashed
-            .shard_stats
+        survivor_overlapped |= stats
             .completions
             .iter()
             .any(|&(_, at)| at > up_at && at < up_at + 2_000);

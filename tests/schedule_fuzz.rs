@@ -515,7 +515,8 @@ fn sharded_sweep_converges_on_fault_schedules() {
                 (case as usize) % shards,
             );
         }
-        let report = ShardedExperiment::new(generated.clone())
+        let report = MultiViewExperiment::new(generated.scenario.clone())
+            .shards(generated.map.clone())
             .latency(LatencyModel::Constant(r.u64_in(500, 3_000)))
             .seed(r.next_u64())
             .faults(plan)
