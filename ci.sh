@@ -187,9 +187,18 @@ stage_engine_boundary() {
 
 # Every bench binary must carry an E<N> experiment marker in its doc
 # comment and EXPERIMENTS.md must have the matching '## E<N> —' section:
-# an experiment that isn't written up doesn't exist.
+# an experiment that isn't written up doesn't exist. And a gated
+# experiment is defined once: the binary of a phase declared in
+# crates/bench/src/perf/phases.rs takes its rows from that phase
+# (perf::measure_checked) — it builds no experiment and no scenario
+# config of its own.
 stage_experiment_docs() {
-  local f tag ok=0
+  local f tag hits gated ok=0
+  gated=$(grep -oE ' as "E[0-9]+" /' crates/bench/src/perf/phases.rs | grep -oE 'E[0-9]+')
+  if [[ -z "$gated" ]]; then
+    echo "FAIL: found no phase declarations ('Row in slot as \"E<N>\" / …') in crates/bench/src/perf/phases.rs" >&2
+    ok=1
+  fi
   for f in crates/bench/src/bin/*.rs; do
     tag=$(grep -o -m1 'E[0-9]\+' "$f" | head -1 || true)
     if [[ -z "$tag" ]]; then
@@ -200,6 +209,14 @@ stage_experiment_docs() {
     if ! grep -Eq "^## $tag " EXPERIMENTS.md; then
       echo "FAIL: $f claims $tag but EXPERIMENTS.md has no '## $tag —' section" >&2
       ok=1
+    fi
+    if grep -qx "$tag" <<<"$gated"; then
+      hits=$(grep -nE 'Experiment::new\(|[A-Za-z]Config \{' "$f" || true)
+      if [[ -n "$hits" ]]; then
+        echo "$hits"
+        echo "FAIL: $f builds its own experiment or scenario, but $tag is a gated phase — take the rows from dw_bench::perf (measure_checked::<${tag}Row>)" >&2
+        ok=1
+      fi
     fi
   done
   return $ok

@@ -17,7 +17,7 @@ use dw_workload::StreamConfig;
 
 fn main() {
     let args = dw_bench::BenchArgs::parse();
-    let updates = args.pick(12, 40);
+    let updates = dw_bench::pick(args.smoke, 12, 40);
     println!("SWEEP ablation (n = 6, 3 ms links, {updates} updates)\n");
     let mut t = TableWriter::new([
         "variant",

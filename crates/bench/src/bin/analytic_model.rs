@@ -17,8 +17,12 @@ fn main() {
     let args = dw_bench::BenchArgs::parse();
     let n = 4usize;
     let latency = 2_000u64;
-    let updates = args.pick(80, 400);
-    let gaps: &[u64] = args.pick(&[50_000, 10_000], &[50_000, 20_000, 10_000, 6_000]);
+    let updates = dw_bench::pick(args.smoke, 80, 400);
+    let gaps: &[u64] = dw_bench::pick(
+        args.smoke,
+        &[50_000, 10_000],
+        &[50_000, 20_000, 10_000, 6_000],
+    );
     println!(
         "analytical model vs simulation: n = {n}, L = {latency} µs, {updates} updates, \
          Poisson arrivals\n"

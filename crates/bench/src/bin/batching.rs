@@ -9,22 +9,21 @@
 //! batched installs skip intermediate states (strong instead of complete
 //! consistency) but every view still lands on the same final contents.
 //!
+//! Scenario, sweep points, rows and laws are the `dw_bench::perf::E15Row`
+//! phase; this file is presentation.
+//!
 //! Usage: `batching [--smoke]`
 
-use dw_bench::{perf, TableWriter};
-use dw_core::MultiViewExperiment;
-use dw_simnet::LatencyModel;
+use dw_bench::perf::{self, E15Row};
+use dw_bench::TableWriter;
 
 fn main() {
     let args = dw_bench::BenchArgs::parse();
-    let n = 5usize;
-    let batches: &[usize] = args.pick(&[1, 4], &[1, 2, 4, 8, 16]);
-    let scenario = perf::burst_scenario(n, args.pick(60, 150));
-    let updates = scenario.txns.len();
+    let (rows, details) = perf::measure_checked::<E15Row>(args.smoke);
     println!(
-        "cross-update batching (n = {n} sources, {updates} burst updates from source {}, \
+        "cross-update batching (n = {} sources, {} burst updates from source {}, \
          2 ms links;\n2 full-span SWEEP views, one shared sweep folds up to k queued updates)\n",
-        n / 2
+        rows[0].n, rows[0].updates, details[0]
     );
 
     let mut t = TableWriter::new([
@@ -38,36 +37,16 @@ fn main() {
         "stale p95 (ms)",
     ]);
 
-    for &k in batches {
-        let report = MultiViewExperiment::new(scenario.clone())
-            .batch(k)
-            .latency(LatencyModel::Constant(2_000))
-            .run()
-            .unwrap();
-        assert!(report.quiescent, "k={k}: no drain");
-        let sweeps = report.views[0].installs.len();
+    for row in &rows {
         t.row([
-            k.to_string(),
-            sweeps.to_string(),
-            format!("{:.2}", report.messages_per_update()),
-            format!("{:.2}", (2 * (n - 1)) as f64 / k as f64),
-            report
-                .min_consistency()
-                .map(|l| l.to_string())
-                .unwrap_or_default(),
-            report
-                .mutual
-                .as_ref()
-                .is_some_and(|m| m.final_agreement)
-                .to_string(),
-            format!(
-                "{:.1}",
-                report.staleness_percentile(50.0).unwrap_or(0) as f64 / 1e3
-            ),
-            format!(
-                "{:.1}",
-                report.staleness_percentile(95.0).unwrap_or(0) as f64 / 1e3
-            ),
+            row.batch.to_string(),
+            row.sweeps.to_string(),
+            format!("{:.2}", row.msgs_per_update),
+            format!("{:.2}", row.amortized_floor),
+            row.min_consistency.clone(),
+            row.mutual_agreement.to_string(),
+            format!("{:.1}", row.stale_p50_us as f64 / 1e3),
+            format!("{:.1}", row.stale_p95_us as f64 / 1e3),
         ]);
     }
     t.print();

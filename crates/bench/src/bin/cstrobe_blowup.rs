@@ -38,8 +38,8 @@ fn run(n: usize, gap: u64, kind: PolicyKind, updates: usize) -> (f64, String) {
 
 fn main() {
     let args = dw_bench::BenchArgs::parse();
-    let ns: &[usize] = args.pick(&[3, 4], &[3, 4, 5, 6]);
-    let updates = args.pick(12, 30);
+    let ns: &[usize] = dw_bench::pick(args.smoke, &[3, 4], &[3, 4, 5, 6]);
+    let updates = dw_bench::pick(args.smoke, 12, 30);
     println!("C-strobe query blow-up vs SWEEP's flat n−1 ({updates} updates, 2 ms links)\n");
     let mut t = TableWriter::new([
         "n",

@@ -9,25 +9,22 @@
 //! sibling derivations share one evaluation per epoch and every derived
 //! view tracks a fresh recompute of its operator over the parent at
 //! every install epoch.
+//!
+//! Scenario, sweep points, rows and laws are the `dw_bench::perf::E20Row`
+//! phase; this file is presentation.
 
-use dw_bench::perf::{dag_scenario, dag_stack};
+use dw_bench::perf::{self, E20Row};
 use dw_bench::TableWriter;
-use dw_core::{MultiViewExperiment, MultiViewReport};
-use dw_simnet::LatencyModel;
-
-fn run(scenario: dw_workload::MultiViewScenario) -> MultiViewReport {
-    MultiViewExperiment::new(scenario)
-        .latency(LatencyModel::Constant(2_000))
-        .run()
-        .unwrap()
-}
 
 fn main() {
     let args = dw_bench::BenchArgs::parse();
-    let updates = args.pick(14, 40);
+    // The laws: the base bill exactly on 2(n−1) and byte-identical to the
+    // stack-free referee; every derived view at fresh-recompute fidelity.
+    let (rows, _) = perf::measure_checked::<E20Row>(args.smoke);
     println!(
-        "maintenance DAG (3 sources, {updates} updates, 2 ms links; one full-span\n\
-         SWEEP base view with a derived stack cascaded locally on top)\n"
+        "maintenance DAG ({} sources, {} updates, 2 ms links; one full-span\n\
+         SWEEP base view with a derived stack cascaded locally on top)\n",
+        rows[0].n, rows[0].updates
     );
     let mut t = TableWriter::new([
         "stack",
@@ -42,31 +39,18 @@ fn main() {
         "oracle",
     ]);
 
-    for label in ["sibling-fanout", "deep-stack"] {
-        let scenario = dag_scenario(updates, label);
-        let derived = scenario.derived.len();
-        let mut referee_scenario = scenario.clone();
-        referee_scenario.derived.clear();
-        let report = run(scenario);
-        let referee = run(referee_scenario);
-        assert!(report.quiescent && referee.quiescent, "{label}: no drain");
-        let extra = report.query_messages().abs_diff(referee.query_messages());
-        assert_eq!(
-            extra, 0,
-            "{label}: derived maintenance sent {extra} source messages"
-        );
-        assert_eq!(dag_stack(label).len(), derived);
+    for row in &rows {
         t.row([
-            label.to_string(),
-            derived.to_string(),
-            format!("{:.2}", report.messages_per_update()),
-            format!("{:.2}", referee.messages_per_update()),
-            extra.to_string(),
-            report.cascade.child_installs.to_string(),
-            report.cascade.shared_derivations.to_string(),
-            report.cascade.linear_evals.to_string(),
-            format!("{:.2}", report.sharing_ratio()),
-            report.derived_clean().to_string(),
+            row.label.clone(),
+            row.derived.to_string(),
+            format!("{:.2}", row.msgs_per_update),
+            format!("{:.2}", row.baseline_msgs_per_update),
+            row.derived_source_msgs.to_string(),
+            row.child_installs.to_string(),
+            row.shared_derivations.to_string(),
+            row.linear_evals.to_string(),
+            format!("{:.2}", row.sharing_ratio),
+            row.aggregate_fidelity.to_string(),
         ]);
     }
     t.print();

@@ -21,7 +21,7 @@ fn main() {
     ]);
 
     let args = dw_bench::BenchArgs::parse();
-    let ks: &[usize] = args.pick(&[1, 4, 16], &[1, 2, 4, 8, 16, 32]);
+    let ks: &[usize] = dw_bench::pick(args.smoke, &[1, 4, 16], &[1, 2, 4, 8, 16, 32]);
     let mut prev_bpq = 0.0;
     for &k in ks {
         let scenario = StreamConfig {

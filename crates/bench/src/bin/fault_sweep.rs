@@ -6,19 +6,21 @@
 //! retransmission timeouts — while the *logical* message count stays at the
 //! paper's 2(n−1) per update and consistency stays complete at every loss
 //! rate.
+//!
+//! Scenario, sweep points, rows and laws are the `dw_bench::perf::E12Row`
+//! phase; this file is presentation.
 
+use dw_bench::perf::{self, E12Row};
 use dw_bench::TableWriter;
-use dw_core::{Experiment, PolicyKind};
-use dw_simnet::{FaultPlan, LatencyModel, LinkFaults};
-use dw_workload::StreamConfig;
 
 fn main() {
     let args = dw_bench::BenchArgs::parse();
-    let losses: &[f64] = args.pick(&[0.0, 0.05, 0.20], &[0.0, 0.01, 0.05, 0.10, 0.20]);
-    let updates = args.pick(15, 40);
+    // The laws: complete, drained and logically on 2(n−1) at every rate.
+    let (rows, details) = perf::measure_checked::<E12Row>(args.smoke);
     println!(
-        "fault sweep (n = 3, 2 ms links, {updates} updates, SWEEP + reliability transport;\n\
-         each loss rate also duplicates 2% and reorders 2% of messages)\n"
+        "fault sweep (n = {}, 2 ms links, {} updates, SWEEP + reliability transport;\n\
+         each loss rate also duplicates 2% and reorders 2% of messages)\n",
+        details[0].n, details[0].report.metrics.updates_received
     );
     let mut t = TableWriter::new([
         "loss",
@@ -34,50 +36,20 @@ fn main() {
         "consistency",
     ]);
 
-    for &loss in losses {
-        let scenario = StreamConfig {
-            n_sources: 3,
-            initial_per_source: 30,
-            updates,
-            mean_gap: 2_000,
-            domain: 20,
-            seed: 12,
-            ..Default::default()
-        }
-        .generate()
-        .unwrap();
-        let plan = FaultPlan::default().uniform(LinkFaults {
-            drop_rate: loss,
-            dup_rate: if loss > 0.0 { 0.02 } else { 0.0 },
-            reorder_rate: if loss > 0.0 { 0.02 } else { 0.0 },
-            reorder_window: 4_000,
-        });
-        let report = Experiment::new(scenario)
-            .policy(PolicyKind::Sweep(Default::default()))
-            .latency(LatencyModel::Constant(2_000))
-            .faults(plan)
-            .transport_auto()
-            .run()
-            .unwrap();
-        let level = report.consistency.as_ref().unwrap().level;
-        assert_eq!(
-            level.to_string(),
-            "complete",
-            "loss {loss}: transport failed to protect SWEEP"
-        );
-        assert!(report.quiescent, "loss {loss}: transport failed to drain");
+    for (row, detail) in rows.iter().zip(&details) {
+        let report = &detail.report;
         t.row([
-            format!("{:.0}%", loss * 100.0),
+            format!("{:.0}%", row.loss_pct),
             report.net.fault_counters().dropped.to_string(),
             report.net.retransmitted().messages.to_string(),
             report.net.total().messages.to_string(),
             report.net.logical_total().messages.to_string(),
-            format!("{:.3}", report.net.inflation()),
+            format!("{:.3}", row.inflation),
             report.transport_overhead_bytes().to_string(),
-            format!("{:.2}", report.logical_messages_per_update()),
+            format!("{:.2}", row.logical_msgs_per_update),
             format!("{:.2}", report.metrics.mean_staleness() / 1_000.0),
             format!("{:.1}", report.end_time as f64 / 1_000.0),
-            level.to_string(),
+            row.consistency.clone(),
         ]);
     }
     t.print();

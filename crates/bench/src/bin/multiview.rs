@@ -5,29 +5,21 @@
 //! SWEEP per view. The paper maintains a single view at `2(n−1)` messages
 //! per update (§5); the shared sweep keeps that bound *regardless of view
 //! count*, while the naive fan-out pays `V·2(n−1)`.
+//!
+//! Scenario, sweep points, rows and laws are the `dw_bench::perf::E14Row`
+//! phase; this file is presentation.
 
+use dw_bench::perf::{self, E14Row};
 use dw_bench::TableWriter;
-use dw_core::{MultiViewExperiment, MultiViewReport};
-use dw_multiview::SchedulerMode;
-use dw_simnet::LatencyModel;
-use dw_workload::{MultiViewConfig, StreamConfig};
-
-fn run(cfg: &MultiViewConfig, mode: SchedulerMode) -> MultiViewReport {
-    MultiViewExperiment::new(cfg.generate().unwrap())
-        .mode(mode)
-        .latency(LatencyModel::Constant(2_000))
-        .run()
-        .unwrap()
-}
 
 fn main() {
     let args = dw_bench::BenchArgs::parse();
-    let n = 4usize;
-    let view_counts: &[usize] = args.pick(&[1, 3, 6], &[1, 2, 4, 8, 12]);
-    let updates = args.pick(12, 30);
+    let (rows, details) = perf::measure_checked::<E14Row>(args.smoke);
+    let n = rows[0].n;
     println!(
-        "multi-view maintenance (n = {n} sources, {updates} updates, 2 ms links;\n\
-         V random full-span views with mixed policies share one warehouse)\n"
+        "multi-view maintenance (n = {n} sources, {} updates, 2 ms links;\n\
+         V random full-span views with mixed policies share one warehouse)\n",
+        details[0].shared.scheduler_metrics.updates_received
     );
     let mut t = TableWriter::new([
         "views",
@@ -40,55 +32,28 @@ fn main() {
         "stale p95 (ms)",
     ]);
 
-    for &views in view_counts {
-        let cfg = MultiViewConfig {
-            stream: StreamConfig {
-                n_sources: n,
-                initial_per_source: 20,
-                updates,
-                mean_gap: 800,
-                domain: 10,
-                seed: 31,
-                ..Default::default()
-            },
-            n_views: views,
-            view_seed: 0xE14 ^ views as u64,
-            full_span: true,
-            n_derived: 0,
-            derived_seed: 0,
-        };
-        let shared = run(&cfg, SchedulerMode::Shared);
-        let naive = run(&cfg, SchedulerMode::Naive);
-        assert!(shared.quiescent && naive.quiescent, "V={views}: no drain");
-        for (s, nv) in shared.views.iter().zip(naive.views.iter()) {
+    for (row, run) in rows.iter().zip(&details) {
+        let views = row.views;
+        assert!(
+            run.shared.quiescent && run.naive.quiescent,
+            "V={views}: no drain"
+        );
+        for (s, nv) in run.shared.views.iter().zip(run.naive.views.iter()) {
             assert_eq!(
                 s.view, nv.view,
                 "V={views}: shared and naive disagree on {}",
                 s.name
             );
         }
-        let mutual = shared.mutual.as_ref().map(|m| m.final_agreement);
         t.row([
             views.to_string(),
-            format!("{:.2}", shared.messages_per_update()),
-            format!("{:.2}", naive.messages_per_update()),
-            format!(
-                "{:.2}x",
-                naive.messages_per_update() / shared.messages_per_update()
-            ),
-            shared
-                .min_consistency()
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "-".to_string()),
-            mutual.map(|a| a.to_string()).unwrap_or_else(|| "-".into()),
-            format!(
-                "{:.1}",
-                shared.staleness_percentile(50.0).unwrap_or(0) as f64 / 1_000.0
-            ),
-            format!(
-                "{:.1}",
-                shared.staleness_percentile(95.0).unwrap_or(0) as f64 / 1_000.0
-            ),
+            format!("{:.2}", row.shared_msgs_per_update),
+            format!("{:.2}", row.naive_msgs_per_update),
+            format!("{:.2}x", row.sharing_ratio),
+            row.min_consistency.clone(),
+            row.mutual_agreement.to_string(),
+            format!("{:.1}", row.stale_p50_us as f64 / 1_000.0),
+            format!("{:.1}", row.stale_p95_us as f64 / 1_000.0),
         ]);
     }
     t.print();

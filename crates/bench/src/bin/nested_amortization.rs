@@ -48,7 +48,7 @@ fn main() {
         "saving",
     ]);
     let args = dw_bench::BenchArgs::parse();
-    let bursts: &[usize] = args.pick(&[1, 4, 16], &[1, 2, 4, 8, 16, 32]);
+    let bursts: &[usize] = dw_bench::pick(args.smoke, &[1, 4, 16], &[1, 2, 4, 8, 16, 32]);
     for &burst in bursts {
         let (s_m, s_i, _) = msgs_per_update(PolicyKind::Sweep(Default::default()), burst);
         let (n_m, n_i, n_l) = msgs_per_update(PolicyKind::NestedSweep(Default::default()), burst);

@@ -58,7 +58,7 @@ fn main() {
         "consistency",
     ]);
     let args = dw_bench::BenchArgs::parse();
-    let bursts: &[usize] = args.pick(&[4, 8], &[4, 8, 16, 32]);
+    let bursts: &[usize] = dw_bench::pick(args.smoke, &[4, 8], &[4, 8, 16, 32]);
     let mut unbounded_depths = Vec::new();
     for &updates in bursts {
         let (d, hits, inst, level) = run(updates, None);

@@ -1,28 +1,14 @@
-//! **The CI perf-regression gate.** Re-runs the
-//! E1/E6/E12/E14/E15/E16/E17/E18/E19/E20/E21 scenarios in the same mode
-//! as the committed `BENCH_report.json` and
-//! diffs fresh against baseline (see `dw_bench::perf::gate` for the
-//! exact rules):
+//! **The CI perf-regression gate (E13).** Re-runs every gated phase in
+//! `dw_bench::perf::PHASES` in the same mode as the committed
+//! `BENCH_report.json` and diffs fresh against baseline (see
+//! `dw_bench::perf::gate` for the exact rules):
 //!
-//! * exact invariants — E6 messages/update on the `2(n−1)` line, E12
-//!   complete consistency, drained, logically pinned to `2(n−1)`, E15
-//!   batching on the exact `1 + ⌈(U−1)/k⌉` sweep schedule, E16 σ
-//!   pushdown never inflating the answers (and visibly shrinking them
-//!   on the selective workload), E17 crash recovery converging to the
-//!   fault-free run with a bounded staleness spike and replayed WAL
-//!   bytes monotone in the checkpoint interval, E18 sharded sweeps on the
-//!   same `2(n−1)` line with zero escalations, an install sequence
-//!   identical to the unsharded engine, and speedup ≥ `0.7·S`, E19
-//!   snapshot-pinned reads with a maintenance makespan and message bill
-//!   identical to the no-reader referee, fresh-recompute answer
-//!   fidelity, and staleness rejections equal to the delivery-ledger
-//!   oracle's, E21 accelerated point reads byte-identical to the
-//!   linear-scan arm at ≥ 5× less deterministic work on the skewed mix,
-//!   exactly one serve-side bag copy per install, and every lagged
-//!   subscriber recovering a stream-equivalent history;
-//! * no consistency downgrades against the baseline;
-//! * no >25 % regressions on tracked ratios (messages/update, installs,
-//!   staleness p95, wire inflation).
+//! * every phase's exact laws hold on the fresh run (`perf_report`
+//!   prints one line per phase naming them; EXPERIMENTS.md has the
+//!   details under each `## E<N>`);
+//! * no baseline row is missing and no consistency level is downgraded;
+//! * no >25 % regression on a tracked ratio (the `ratio` fields of the
+//!   row schema — EXPERIMENTS.md E13 lists them).
 //!
 //! Wall-clock is printed for comparison but never gated — the simulator
 //! is deterministic in *virtual* time only.
@@ -42,8 +28,10 @@ fn main() {
         .unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}"));
 
     let smoke = baseline.mode == "smoke";
+    let labels: Vec<&str> = perf::PHASES.iter().map(|phase| phase.label).collect();
     println!(
-        "perf gate: re-running E1/E6/E12/E14/E15/E16/E17/E18/E19/E20/E21 in {} mode against {path}",
+        "perf gate: re-running {} in {} mode against {path}",
+        labels.join("/"),
         baseline.mode
     );
     let fresh = perf::collect(smoke);

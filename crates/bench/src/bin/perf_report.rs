@@ -1,8 +1,5 @@
-//! **E13 — the perf baseline**: run the invariant-bearing experiments
-//! (E1 Table 1, E6 message linearity, E12 faults + transport, E14
-//! multi-view sharing, E15 cross-update batching, E16 σ pushdown, E17
-//! crash recovery, E18 sharded scaling, E19 serving layer, E20
-//! maintenance DAG, E21 serve at scale) and write a machine-readable
+//! **E13 — the perf baseline**: run every gated phase in
+//! `dw_bench::perf::PHASES` and write a machine-readable
 //! `BENCH_report.json`.
 //! The committed copy is the baseline `perf_gate` diffs against in CI.
 //!
@@ -33,25 +30,21 @@ fn main() {
     std::fs::write(&path, report.to_json().render())
         .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 
+    let counts: Vec<String> = perf::PHASES
+        .iter()
+        .map(|phase| format!("{} {} rows", phase.cells(&report).len(), phase.label))
+        .collect();
     println!(
-        "wrote {path} (mode = {}, {} E1 rows, {} E6 rows, {} E12 rows, {} E14 rows, {} E15 rows, {} E16 rows, {} E17 rows, {} E18 rows, {} E19 rows, {} E20 rows, {} E21 rows)",
+        "wrote {path} (mode = {}, {})",
         report.mode,
-        report.e1.len(),
-        report.e6.len(),
-        report.e12.len(),
-        report.e14.len(),
-        report.e15.len(),
-        report.e16.len(),
-        report.e17.len(),
-        report.e18.len(),
-        report.e19.len(),
-        report.e20.len(),
-        report.e21.len()
+        counts.join(", ")
     );
     for (phase, ms) in &report.phase_wall_ms {
         println!("  {phase}: {ms:.0} ms wall-clock");
     }
-    println!(
-        "invariants verified: E6 exactly 2(n\u{2212}1); E12 complete & drained at every loss rate; E14 shared sweep view-count independent; E15 batching on the 1 + \u{2308}(U\u{2212}1)/k\u{2309} sweep schedule; E16 \u{3c3} pushdown never inflates the answers; E17 crash recovery converges with a bounded staleness spike; E18 sharded sweeps scale \u{2265} 0.7\u{b7}S in the unsharded install order; E19 snapshot-pinned reads answer at fresh-recompute fidelity with zero install interference and oracle-exact staleness rejections; E20 derived stacks add exactly zero source messages at fresh-recompute fidelity; E21 indexed+cached point reads byte-identical to linear scans at \u{2265} 5\u{d7} less work with one bag copy per install and stream-equivalent lag recovery"
-    );
+    let laws: Vec<String> = perf::PHASES
+        .iter()
+        .map(|phase| format!("{} {}", phase.label, phase.law))
+        .collect();
+    println!("invariants verified: {}", laws.join("; "));
 }

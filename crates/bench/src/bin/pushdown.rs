@@ -8,24 +8,22 @@
 //! sequence (see the conformance suite), and as the σ gets more selective
 //! the answer bytes fall while the unpushed run keeps paying full freight.
 //!
+//! Scenario, sweep points, rows and laws are the `dw_bench::perf::E16Row`
+//! phase; this file is presentation.
+//!
 //! Usage: `pushdown [--smoke]`
 
-use dw_bench::{perf, TableWriter};
-use dw_core::MultiViewExperiment;
-use dw_simnet::LatencyModel;
+use dw_bench::perf::{self, E16Row};
+use dw_bench::TableWriter;
 
 fn main() {
     let args = dw_bench::BenchArgs::parse();
-    let n = 4usize;
-    let views = 2usize;
-    let updates = args.pick(10, 25);
-    let thresholds: &[Option<i64>] = args.pick(
-        &[None, Some(0), Some(7)],
-        &[None, Some(0), Some(3), Some(5), Some(7), Some(9)],
-    );
+    // The laws pin the hop structure and forbid inflated answers.
+    let (rows, thresholds) = perf::measure_checked::<E16Row>(args.smoke);
     println!(
-        "\u{3c3} query pushdown (n = {n} sources, {views} full-span SWEEP views, {updates} updates, \
-         2 ms links;\neach view selects B >= t on every span relation, join values in 0..10)\n"
+        "\u{3c3} query pushdown (n = {} sources, {} full-span SWEEP views, {} updates, \
+         2 ms links;\neach view selects B >= t on every span relation, join values in 0..10)\n",
+        rows[0].n, rows[0].views, rows[0].updates
     );
 
     let mut t = TableWriter::new([
@@ -38,48 +36,22 @@ fn main() {
         "min consistency",
     ]);
 
-    for &threshold in thresholds {
-        let scenario = perf::selective_scenario(n, updates, views, threshold);
-        let plain = MultiViewExperiment::new(scenario.clone())
-            .latency(LatencyModel::Constant(2_000))
-            .run()
-            .unwrap();
-        let pushed = MultiViewExperiment::new(scenario)
-            .pushdown(true)
-            .latency(LatencyModel::Constant(2_000))
-            .run()
-            .unwrap();
-        assert!(
-            plain.quiescent && pushed.quiescent,
-            "t={threshold:?}: no drain"
-        );
-        assert_eq!(
-            plain.query_messages(),
-            pushed.query_messages(),
-            "t={threshold:?}: pushdown changed the hop structure"
-        );
-        let pa = plain.net.label("answer").bytes;
-        let ua = pushed.net.label("answer").bytes;
-        assert!(ua <= pa, "t={threshold:?}: pushdown inflated the answers");
+    for (row, threshold) in rows.iter().zip(&thresholds) {
         t.row([
             match threshold {
                 None => "none".to_string(),
                 Some(v) => format!("B >= {v}"),
             },
-            format!("{:.1}", plain.net.label("query").bytes as f64 / 1e3),
-            format!("{:.1}", pushed.net.label("query").bytes as f64 / 1e3),
-            format!("{:.1}", pa as f64 / 1e3),
-            format!("{:.1}", ua as f64 / 1e3),
-            if pa == 0 {
+            format!("{:.1}", row.query_bytes_plain as f64 / 1e3),
+            format!("{:.1}", row.query_bytes_pushed as f64 / 1e3),
+            format!("{:.1}", row.answer_bytes_plain as f64 / 1e3),
+            format!("{:.1}", row.answer_bytes_pushed as f64 / 1e3),
+            if row.answer_bytes_plain == 0 {
                 "-".to_string()
             } else {
-                format!("{:.0}%", 100.0 * (pa - ua) as f64 / pa as f64)
+                format!("{:.0}%", row.answer_reduction_pct)
             },
-            plain
-                .min_consistency()
-                .min(pushed.min_consistency())
-                .map(|l| l.to_string())
-                .unwrap_or_default(),
+            row.min_consistency.clone(),
         ]);
     }
     t.print();

@@ -8,27 +8,23 @@
 //! the trade. Every run must land on the *exact* fault-free bags and
 //! install fingerprints — the table only prices the recovery, never the
 //! answer.
+//!
+//! Scenario, sweep points, rows and laws are the `dw_bench::perf::E17Row`
+//! phase; this file is presentation.
 
-use dw_bench::perf::recovery_scenario;
+use dw_bench::perf::{self, E17Row};
 use dw_bench::TableWriter;
-use dw_core::MultiViewExperiment;
-use dw_simnet::FaultPlan;
 
 fn main() {
     let args = dw_bench::BenchArgs::parse();
-    let cadences: &[usize] = args.pick(&[1, 16], &[1, 2, 4, 8, 16]);
-    let updates = args.pick(6, 12);
-    let n = 4;
-    let views = 2;
-    let scenario = recovery_scenario(n, updates, views);
-    let anchor = scenario.txns.last().unwrap().at;
-    let window = 3_000u64;
-    let down_at = anchor + 1_050;
-    let plan = FaultPlan::default().state_crash(0, down_at, down_at + window);
+    // The laws: every crashed run converges to the fault-free bags and
+    // install fingerprints, drained, with at least one recovery fired.
+    let (rows, details) = perf::measure_checked::<E17Row>(args.smoke);
+    let (down_at, up_at) = details[0].crash_window;
     println!(
-        "crash recovery (n = {n}, {views} full-span views, {updates} sparse updates;\n\
-         warehouse state-crash window [{down_at}, {}]µs interrupts the last sweep mid-hop)\n",
-        down_at + window
+        "crash recovery (n = {}, {} full-span views, {} sparse updates;\n\
+         warehouse state-crash window [{down_at}, {up_at}]µs interrupts the last sweep mid-hop)\n",
+        rows[0].n, rows[0].views, details[0].updates
     );
     let mut t = TableWriter::new([
         "ckpt every",
@@ -43,42 +39,18 @@ fn main() {
         "equal",
     ]);
 
-    for &k in cadences {
-        let clean = MultiViewExperiment::new(scenario.clone())
-            .transport_auto()
-            .durability(k)
-            .run()
-            .unwrap();
-        let crashed = MultiViewExperiment::new(scenario.clone())
-            .faults(plan.clone())
-            .transport_auto()
-            .durability(k)
-            .run()
-            .unwrap();
-        assert!(clean.quiescent && crashed.quiescent, "ckpt {k}: no drain");
-        assert!(crashed.recovery.recoveries >= 1, "ckpt {k}: crash missed");
-        let equal = clean
-            .views
-            .iter()
-            .zip(&crashed.views)
-            .all(|(a, b)| a.view == b.view);
+    for row in &rows {
         t.row([
-            k.to_string(),
-            crashed.checkpoints_taken.to_string(),
-            crashed.wal_bytes_written.to_string(),
-            crashed.recovery.wal_bytes_replayed.to_string(),
-            crashed.recovery.wal_records_replayed.to_string(),
-            crashed.recovery.sweeps_reseeded.to_string(),
-            crashed.recovery.stale_answers_dropped.to_string(),
-            format!(
-                "{:.1}",
-                crashed.end_time.saturating_sub(clean.end_time) as f64 / 1_000.0
-            ),
-            format!(
-                "{:.1}",
-                crashed.staleness_percentile(100.0).unwrap_or(0) as f64 / 1_000.0
-            ),
-            equal.to_string(),
+            row.checkpoint_every.to_string(),
+            row.checkpoints_taken.to_string(),
+            row.wal_bytes_written.to_string(),
+            row.wal_bytes_replayed.to_string(),
+            row.wal_records_replayed.to_string(),
+            row.sweeps_reseeded.to_string(),
+            row.stale_answers_dropped.to_string(),
+            format!("{:.1}", row.recovery_latency_us as f64 / 1_000.0),
+            format!("{:.1}", row.stale_max_us as f64 / 1_000.0),
+            row.converged.to_string(),
         ]);
     }
     t.print();

@@ -10,28 +10,26 @@
 //! threads (the livenet runtime) with free-running reader threads:
 //! nondeterministic, so the assertions there are torn-read absence and
 //! subscription/install agreement, not traces.
+//!
+//! Scenario, sweep points, rows and laws are the `dw_bench::perf::E19Row`
+//! phase; this file is presentation.
 
-use dw_bench::perf::{serve_read_mix, serve_scenario};
+use dw_bench::perf::{self, E19Row};
 use dw_bench::TableWriter;
-use dw_core::{audit_reads, ServeExperiment};
 use dw_livenet::run_live_serve;
 use std::time::Duration;
 
 fn main() {
     let args = dw_bench::BenchArgs::parse();
-    let updates = args.pick(16, 48);
-    let reads_hint = args.pick(8, 20) * 4;
-
-    let scenario = serve_scenario(updates);
-    let views = scenario.views.len();
+    // The laws: makespan and message bill equal to the no-reader referee,
+    // fresh-recompute answers, oracle-exact rejections, everything drained.
+    let (rows, details) = perf::measure_checked::<E19Row>(args.smoke);
     println!(
-        "serving layer ({views} full-span SWEEP views over a 3-source chain, {updates}\n\
-         updates; ~{reads_hint} concurrent reads per mix, half carrying a 2.5 ms\n\
-         staleness bound; no-reader run as the interference referee)\n"
+        "serving layer ({} full-span SWEEP views over a {}-source chain, {}\n\
+         updates; ~{} concurrent reads per mix, half carrying a 2.5 ms\n\
+         staleness bound; no-reader run as the interference referee)\n",
+        rows[0].views, rows[0].n, rows[0].updates, details[0].reads_scheduled
     );
-
-    let referee = ServeExperiment::new(scenario.clone()).run().unwrap();
-    assert!(referee.quiescent, "referee did not drain");
 
     let mut t = TableWriter::new([
         "mix",
@@ -46,42 +44,26 @@ fn main() {
         "snapshots",
         "exact",
     ]);
-    let mixes: [(&str, f64, f64); 2] = [("point-heavy", 0.8, 0.15), ("scan-heavy", 0.15, 0.8)];
-    for (mix, point_frac, scan_frac) in mixes {
-        let reads = serve_read_mix(args.smoke, views, point_frac, scan_frac);
-        let report = ServeExperiment::new(scenario.clone())
-            .reads(reads)
-            .run()
-            .unwrap();
-        assert!(report.quiescent, "{mix}: run did not drain");
-        assert_eq!(
-            report.makespan(),
-            referee.makespan(),
-            "{mix}: readers perturbed the maintenance makespan"
-        );
-        let audit = audit_reads(&scenario, &report).unwrap();
+    for row in &rows {
         t.row([
-            mix.to_string(),
-            audit.reads.to_string(),
-            audit.answered.to_string(),
-            audit.rejected.to_string(),
-            audit.expected_rejected.to_string(),
-            format!(
-                "{:.0}",
-                audit.answered as f64 * 1e6 / report.end_time.max(1) as f64
-            ),
-            format!("{:.1}", report.makespan() as f64 / 1_000.0),
-            format!("{:.1}", referee.makespan() as f64 / 1_000.0),
-            format!("{:.1}", report.messages_per_update()),
-            report.serve_stats.snapshots_published.to_string(),
-            (audit.clean() && report.subscriptions_match_installs()).to_string(),
+            row.mix.clone(),
+            row.reads.to_string(),
+            row.answered.to_string(),
+            row.rejected.to_string(),
+            row.expected_rejected.to_string(),
+            format!("{:.0}", row.read_qps),
+            format!("{:.1}", row.makespan_us as f64 / 1_000.0),
+            format!("{:.1}", row.baseline_makespan_us as f64 / 1_000.0),
+            format!("{:.1}", row.msgs_per_update),
+            row.snapshots_published.to_string(),
+            (row.reads_match_recompute && row.subs_match_installs).to_string(),
         ]);
     }
     t.print();
 
     println!("\nlivenet arm (same scenario on OS threads, 4 free-running readers):\n");
     let mut t = TableWriter::new(["readers", "answered", "torn", "subs ok", "wall (ms)"]);
-    let live = run_live_serve(&scenario, 4, 20.0, Duration::from_secs(60)).unwrap();
+    let live = run_live_serve(&details[0].scenario, 4, 20.0, Duration::from_secs(60)).unwrap();
     assert_eq!(live.torn_reads, 0, "livenet readers saw a torn epoch");
     t.row([
         "4".to_string(),

@@ -2,7 +2,7 @@
 //! value bands and run `S` per-shard sweep lanes concurrently, funneling
 //! every install through one global sequencer. The same logical load —
 //! identical source count, update count and arrival gaps — replays at
-//! `S ∈ {1, 2, 4}`; the virtual-time makespan (last install minus first
+//! each shard count; the virtual-time makespan (last install minus first
 //! arrival, deterministic and machine-independent) must fall near-
 //! linearly, while every shard-local sweep still pays the paper's exact
 //! `2(n−1)` messages and the install sequence stays byte-identical to
@@ -10,21 +10,23 @@
 //! on real OS threads (the livenet runtime) as a wall-clock sanity arm:
 //! nondeterministic, so only convergence and the scheduler's own
 //! counters are asserted there.
+//!
+//! Scenario, sweep points, rows and laws are the `dw_bench::perf::E18Row`
+//! phase; this file is presentation.
 
-use dw_bench::perf::sharded_scenario;
+use dw_bench::perf::{self, E18Row};
 use dw_bench::TableWriter;
-use dw_core::MultiViewExperiment;
 use dw_livenet::run_live_sharded;
 use std::time::Duration;
 
 fn main() {
     let args = dw_bench::BenchArgs::parse();
-    let updates = args.pick(24, 64);
-    let shard_counts: [usize; 3] = [1, 2, 4];
+    let (rows, scenarios) = perf::measure_checked::<E18Row>(args.smoke);
 
     println!(
-        "sharded scaling (3-source chain, 2 full-span SWEEP views, {updates} shard-local\n\
-         updates 300 µs apart; virtual-time makespan, unsharded engine as referee)\n"
+        "sharded scaling ({}-source chain, {} full-span SWEEP views, {} shard-local\n\
+         updates 300 µs apart; virtual-time makespan, unsharded engine as referee)\n",
+        rows[0].n, rows[0].views, rows[0].updates
     );
     let mut t = TableWriter::new([
         "S",
@@ -36,50 +38,26 @@ fn main() {
         "escalations",
         "conforms",
     ]);
-
-    let mut base_makespan = 0u64;
-    for &s in &shard_counts {
-        let generated = sharded_scenario(s, updates);
-        let flat = MultiViewExperiment::new(generated.scenario.clone())
-            .run()
-            .unwrap();
-        let sharded = MultiViewExperiment::new(generated.scenario)
-            .shards(generated.map)
-            .run()
-            .unwrap();
-        assert!(sharded.quiescent && flat.quiescent, "S={s}: no drain");
-        let stats = sharded.shard_stats.as_ref().expect("sharded run");
-        let conforms = sharded.install_fingerprint() == flat.install_fingerprint()
-            && sharded
-                .views
-                .iter()
-                .zip(&flat.views)
-                .all(|(a, b)| a.view == b.view);
-        let makespan = sharded.makespan();
-        if s == 1 {
-            base_makespan = makespan;
-        }
-        let speedup = base_makespan as f64 / makespan as f64;
+    for row in &rows {
         t.row([
-            s.to_string(),
-            format!("{:.1}", makespan as f64 / 1_000.0),
-            format!("{speedup:.2}"),
-            format!("{:.2}", if s == 1 { 1.0 } else { 0.7 * s as f64 }),
-            format!("{:.1}", sharded.messages_per_update()),
-            stats.max_concurrent_lanes.to_string(),
-            stats.escalations.to_string(),
-            conforms.to_string(),
+            row.shards.to_string(),
+            format!("{:.1}", row.makespan_us as f64 / 1_000.0),
+            format!("{:.2}", row.speedup),
+            format!("{:.2}", row.expected_min_speedup),
+            format!("{:.1}", row.msgs_per_update),
+            row.max_lanes.to_string(),
+            row.escalations.to_string(),
+            row.conforms.to_string(),
         ]);
     }
     t.print();
 
     println!("\nlivenet arm (same scenarios on OS threads; wall-clock, nondeterministic):\n");
     let mut t = TableWriter::new(["S", "wall (ms)", "max lanes", "quiescent"]);
-    for &s in &shard_counts {
-        let generated = sharded_scenario(s, updates);
-        let live = run_live_sharded(&generated, 50.0, Duration::from_secs(60)).unwrap();
+    for (row, generated) in rows.iter().zip(&scenarios) {
+        let live = run_live_sharded(generated, 50.0, Duration::from_secs(60)).unwrap();
         t.row([
-            s.to_string(),
+            row.shards.to_string(),
             format!("{:.1}", live.wall.as_secs_f64() * 1_000.0),
             live.shard_stats.max_concurrent_lanes.to_string(),
             live.quiescent.to_string(),

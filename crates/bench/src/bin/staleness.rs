@@ -12,8 +12,8 @@ use dw_workload::StreamConfig;
 
 fn main() {
     let args = dw_bench::BenchArgs::parse();
-    let gaps: &[u64] = args.pick(&[20_000, 1_000], &[20_000, 5_000, 1_000, 250]);
-    let updates = args.pick(20, 60);
+    let gaps: &[u64] = dw_bench::pick(args.smoke, &[20_000, 1_000], &[20_000, 5_000, 1_000, 250]);
+    let updates = dw_bench::pick(args.smoke, 20, 60);
     println!(
         "staleness vs offered load (n = 3, 2 ms links, {updates} updates):\n\
          mean/max µs from warehouse delivery to view install\n"

@@ -2,16 +2,18 @@
 //! data sources — exactly `n−1` queries (`2(n−1)` messages) per update,
 //! *independent of how much concurrency interferes*, because all
 //! compensation is local.
+//!
+//! Scenario, sweep points, rows and laws are the `dw_bench::perf::E6Row`
+//! phase; this file is presentation.
 
+use dw_bench::perf::{self, E6Row};
 use dw_bench::TableWriter;
-use dw_core::{Experiment, PolicyKind};
-use dw_simnet::LatencyModel;
-use dw_workload::StreamConfig;
 
 fn main() {
     let args = dw_bench::BenchArgs::parse();
-    let ns: &[usize] = args.pick(&[2, 4, 8], &[2, 3, 4, 6, 8, 12, 16]);
-    let updates = args.pick(10, 25);
+    // The phase's laws are the experiment's claim: every row exactly on
+    // 2(n−1), sparse and dense, regardless of interference.
+    let (rows, _) = perf::measure_checked::<E6Row>(args.smoke);
     println!("SWEEP message linearity: queries per update vs n, sparse and dense\n");
     let mut t = TableWriter::new([
         "n",
@@ -21,42 +23,15 @@ fn main() {
         "dense compensations",
         "consistency",
     ]);
-
-    for &n in ns {
-        let mut cells = vec![n.to_string(), (2 * (n - 1)).to_string()];
-        let mut comp = 0;
-        let mut level = String::new();
-        for gap in [50_000u64, 300] {
-            // Keep per-hop join fanout ≈ 1 so long chains don't explode:
-            // expected matches per tuple = initial_per_source / domain.
-            let scenario = StreamConfig {
-                n_sources: n,
-                initial_per_source: 15,
-                updates,
-                mean_gap: gap,
-                domain: 15,
-                seed: 21,
-                ..Default::default()
-            }
-            .generate()
-            .unwrap();
-            let report = Experiment::new(scenario)
-                .policy(PolicyKind::Sweep(Default::default()))
-                .latency(LatencyModel::Constant(1_500))
-                .run()
-                .unwrap();
-            assert_eq!(
-                report.messages_per_update(),
-                (2 * (n - 1)) as f64,
-                "SWEEP must be exactly 2(n−1) regardless of interference"
-            );
-            cells.push(format!("{:.2}", report.messages_per_update()));
-            comp = report.metrics.local_compensations;
-            level = report.consistency.unwrap().level.to_string();
-        }
-        cells.push(comp.to_string());
-        cells.push(level);
-        t.row(cells);
+    for row in &rows {
+        t.row([
+            row.n.to_string(),
+            row.expected_msgs_per_update.to_string(),
+            format!("{:.2}", row.sparse_msgs_per_update),
+            format!("{:.2}", row.dense_msgs_per_update),
+            row.dense_compensations.to_string(),
+            row.consistency.clone(),
+        ]);
     }
     t.print();
     println!(

@@ -10,47 +10,18 @@
 //!   C-strobe      Distributed  Complete  O(n!)  keys, not scalable
 //!   SWEEP         Distributed  Complete  O(n)   local compensation
 //!   Nested SWEEP  Distributed  Strong    O(n)   local comp., non-interference
+//!
+//! Scenario, sweep points, rows and laws are the `dw_bench::perf::E1Row`
+//! phase; this file is presentation.
 
+use dw_bench::perf::{self, E1Row};
 use dw_bench::TableWriter;
-use dw_core::{Experiment, PolicyKind};
-use dw_simnet::LatencyModel;
-use dw_workload::StreamConfig;
 
 fn main() {
-    let n = 4;
     let args = dw_bench::BenchArgs::parse();
-    let updates = args.pick(12, 40);
-    let mk = |seed| {
-        StreamConfig {
-            n_sources: n,
-            initial_per_source: 30,
-            updates,
-            mean_gap: 800, // dense vs 2 ms links → constant interference
-            domain: 10,
-            keyed: true,
-            seed,
-            ..Default::default()
-        }
-        .generate()
-        .unwrap()
-    };
-
-    let policies = [
-        ("ECA", PolicyKind::Eca, "Centralized"),
-        ("Strobe", PolicyKind::Strobe, "Distributed"),
-        ("C-strobe", PolicyKind::CStrobe, "Distributed"),
-        (
-            "SWEEP",
-            PolicyKind::Sweep(Default::default()),
-            "Distributed",
-        ),
-        (
-            "Nested SWEEP",
-            PolicyKind::NestedSweep(Default::default()),
-            "Distributed",
-        ),
-        ("Recompute", PolicyKind::Recompute, "Distributed"),
-    ];
+    let (rows, details) = perf::measure_checked::<E1Row>(args.smoke);
+    let n = details[0];
+    let updates = rows[0].updates;
 
     let mut t = TableWriter::new([
         "Algorithm",
@@ -63,24 +34,23 @@ fn main() {
         "Quiescent installs",
     ]);
 
-    for (name, kind, arch) in policies {
-        let report = Experiment::new(mk(7))
-            .policy(kind)
-            .latency(LatencyModel::Constant(2_000))
-            .run()
-            .unwrap();
-        let cons = report.consistency.as_ref().unwrap();
+    for row in &rows {
+        let arch = if row.policy == "ECA" {
+            "Centralized"
+        } else {
+            "Distributed"
+        };
         // "Requires quiescence" shows up as batching: far fewer installs
         // than updates under sustained load.
-        let quiescent_installs = report.metrics.installs * 2 <= report.metrics.updates_received;
+        let quiescent_installs = row.installs * 2 <= row.updates;
         t.row([
-            name.to_string(),
+            row.policy.clone(),
             arch.to_string(),
-            cons.level.to_string(),
-            format!("{:.2}", report.messages_per_update()),
-            report.metrics.installs.to_string(),
-            report.metrics.local_compensations.to_string(),
-            report.metrics.compensation_queries.to_string(),
+            row.consistency.clone(),
+            format!("{:.2}", row.msgs_per_update),
+            row.installs.to_string(),
+            row.local_compensations.to_string(),
+            row.compensation_queries.to_string(),
             if quiescent_installs { "yes" } else { "no" }.to_string(),
         ]);
     }

@@ -34,27 +34,12 @@ impl BenchArgs {
         BenchArgs { smoke, positional }
     }
 
-    /// Pick the smoke or the full variant of a workload parameter.
-    pub fn pick<T>(&self, smoke_value: T, full_value: T) -> T {
-        if self.smoke {
-            smoke_value
-        } else {
-            full_value
-        }
-    }
-
     /// The first non-flag argument, or `default` (baseline paths).
     pub fn positional_or(&self, default: &str) -> String {
         self.positional
             .clone()
             .unwrap_or_else(|| default.to_string())
     }
-}
-
-/// True when `--smoke` was passed on the command line. Prefer
-/// [`BenchArgs::parse`] in binaries; this remains for one-off checks.
-pub fn smoke() -> bool {
-    BenchArgs::parse().smoke
 }
 
 /// Pick the smoke or the full variant of a workload parameter.
@@ -79,7 +64,7 @@ mod tests {
         let a = parse(&["--smoke", "report.json"]);
         assert!(a.smoke);
         assert_eq!(a.positional_or("default"), "report.json");
-        assert_eq!(a.pick(1, 2), 1);
+        assert_eq!(pick(a.smoke, 1, 2), 1);
     }
 
     #[test]
@@ -87,7 +72,7 @@ mod tests {
         let a = parse(&[]);
         assert!(!a.smoke);
         assert_eq!(a.positional_or("BENCH_report.json"), "BENCH_report.json");
-        assert_eq!(a.pick(1, 2), 2);
+        assert_eq!(pick(a.smoke, 1, 2), 2);
     }
 
     #[test]

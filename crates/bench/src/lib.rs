@@ -13,6 +13,6 @@ pub mod perf;
 pub mod table;
 pub mod timing;
 
-pub use cli::{pick, smoke, BenchArgs};
+pub use cli::{pick, BenchArgs};
 pub use table::TableWriter;
 pub use timing::{Bench, Measurement};
