@@ -123,7 +123,14 @@ stage_readme_crates() {
 # private machinery: every other crate serves reads through ReadFrontend
 # and feeds installs through the publisher handle, never by constructing
 # or reaching into SnapshotStore directly. The same stage holds
-# dw-multiview to one sweep state machine and to its panic budget.
+# dw-multiview to one sweep state machine, dw-core to one experiment
+# harness, and both to their panic budgets.
+# The non-test code of one Rust file: everything above `#[cfg(test)]`,
+# minus `//` comment lines (so doc examples never count).
+non_test_code() {
+  awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1" | grep -v '^[[:space:]]*//'
+}
+
 stage_engine_boundary() {
   local hits ok=0
   hits=$(grep -rn "merged_from_source\|take_from_source" crates/*/src 2>/dev/null |
@@ -167,21 +174,39 @@ stage_engine_boundary() {
       ok=1
     fi
   done
-  # Panic budget: unwrap()/expect(/panic!/unreachable! in the non-test
-  # lines (everything above `#[cfg(test)]`) of crates/multiview/src. The
-  # number below may only go down; lower it when the count drops.
-  local budget=7 count=0 f
-  for f in crates/multiview/src/*.rs; do
-    count=$((count + $(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
-      grep -c 'unwrap()\|expect(\|panic!\|unreachable!' || true)))
+  # One experiment harness in dw-core: the scheduler, the read frontend,
+  # the source nodes and the workload injection are each wired up in
+  # exactly one file of the non-test code, so a second multi-view or
+  # serving driver cannot grow beside the builder.
+  local token f
+  for token in 'MaintenanceScheduler::with_shards(' 'ReadFrontend::new(' \
+    'DataSource::new(' 'Message::ApplyTxn {'; do
+    files=$(for f in crates/core/src/*.rs; do
+      non_test_code "$f" | grep -F "$token" >/dev/null && echo "$f"
+    done)
+    if [[ $(wc -w <<<"$files") -ne 1 ]]; then
+      echo "FAIL: '$token' must occur in exactly one non-test file under crates/core/src (found: ${files:-none})" >&2
+      ok=1
+    fi
   done
-  if [[ $count -gt $budget ]]; then
-    echo "FAIL: $count panic sites in non-test crates/multiview/src, budget is $budget — return a typed error (MvError::Internal) instead" >&2
-    ok=1
-  elif [[ $count -lt $budget ]]; then
-    echo "FAIL: panic sites in crates/multiview/src dropped to $count — lower the budget in ci.sh from $budget so it cannot creep back" >&2
-    ok=1
-  fi
+  # Panic budgets: unwrap()/expect(/panic!/unreachable! in the non-test
+  # code of each directory. A budget may only go down; lower it when the
+  # count drops.
+  local pair dir budget count
+  for pair in crates/multiview/src:7 crates/core/src:0; do
+    dir=${pair%:*} budget=${pair#*:} count=0
+    for f in "$dir"/*.rs; do
+      count=$((count + $(non_test_code "$f" |
+        grep -c 'unwrap()\|expect(\|panic!\|unreachable!' || true)))
+    done
+    if [[ $count -gt $budget ]]; then
+      echo "FAIL: $count panic sites in non-test $dir, budget is $budget — return a typed error (MvError::Internal / CoreError) instead" >&2
+      ok=1
+    elif [[ $count -lt $budget ]]; then
+      echo "FAIL: panic sites in $dir dropped to $count — lower the budget in ci.sh from $budget so it cannot creep back" >&2
+      ok=1
+    fi
+  done
   return $ok
 }
 
@@ -226,8 +251,12 @@ stage_fmt() {
   cargo fmt --all --check
 }
 
+# The frozen benchmark crate is its own workspace: check it here so an
+# API break of what it compiles (dw-multiview, dw-engine, dw-serve,
+# dw-bench) fails tier-1 instead of the next by-hand benchmark build.
 stage_build() {
-  cargo build --release --workspace
+  cargo build --release --workspace &&
+    cargo check --offline --manifest-path benchmark/Cargo.toml
 }
 
 stage_test() {

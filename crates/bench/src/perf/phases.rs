@@ -12,7 +12,7 @@ use crate::json::Json;
 use crate::pick;
 use dw_core::{
     audit_lag_recoveries, audit_reads, Experiment, LagAudit, MultiViewExperiment, MultiViewReport,
-    PolicyKind, RunReport, ServeExperiment,
+    PolicyKind, RunReport,
 };
 use dw_multiview::SchedulerMode;
 use dw_relational::{AggFn, AggregateSpec, CmpOp, Value};
@@ -1359,7 +1359,7 @@ impl Phase for E19Row {
         let scenario = serve_scenario(pick(smoke, 16, 48));
         let n = scenario.base.num_relations();
         let views = scenario.views.len();
-        let referee = ServeExperiment::new(scenario.clone()).run().unwrap();
+        let referee = serving(&scenario, Vec::new()).run().unwrap();
         let mixes: [(&str, f64, f64); 2] = [("point-heavy", 0.8, 0.15), ("scan-heavy", 0.15, 0.8)];
         mixes
             .into_iter()
@@ -1370,10 +1370,8 @@ impl Phase for E19Row {
                     .iter()
                     .filter(|r| !matches!(r.kind, ReadKind::Subscribe))
                     .count() as u64;
-                let report = ServeExperiment::new(scenario.clone())
-                    .reads(reads)
-                    .run()
-                    .unwrap();
+                let report = serving(&scenario, reads).run().unwrap();
+                let stats = &report.served().unwrap().serve_stats;
                 let audit = audit_reads(&scenario, &report).unwrap();
                 debug_assert_eq!(audit.reads, issued);
                 let row = E19Row {
@@ -1390,8 +1388,8 @@ impl Phase for E19Row {
                     baseline_makespan_us: referee.makespan(),
                     msgs_per_update: report.messages_per_update(),
                     baseline_msgs_per_update: referee.messages_per_update(),
-                    snapshots_published: report.serve_stats.snapshots_published,
-                    snapshots_gced: report.serve_stats.snapshots_gced,
+                    snapshots_published: stats.snapshots_published,
+                    snapshots_gced: stats.snapshots_gced,
                     reads_match_recompute: audit.clean(),
                     subs_match_installs: report.subscriptions_match_installs(),
                     quiescent: report.quiescent && referee.quiescent,
@@ -1469,6 +1467,16 @@ impl Phase for E19Row {
         }
         v
     }
+}
+
+/// One serving arm of E19/E21: the maintenance load with `reads`
+/// resolved beside it (an empty schedule is the no-reader referee). The
+/// delivery-ledger oracles referee these runs, so the per-view
+/// consistency checker — CPU only, no recorded field — stays off.
+fn serving(scenario: &MultiViewScenario, reads: Vec<ReadOp>) -> MultiViewExperiment {
+    MultiViewExperiment::new(scenario.clone())
+        .reads(reads)
+        .check_consistency(false)
 }
 
 /// The E19 maintenance load: `3` full-span SWEEP views over a 3-source
@@ -1839,7 +1847,7 @@ impl Phase for E21Row {
         let scenario = serve_scenario(pick(smoke, 16, 48));
         let n = scenario.base.num_relations();
         let views = scenario.views.len();
-        let referee = ServeExperiment::new(scenario.clone()).run().unwrap();
+        let referee = serving(&scenario, Vec::new()).run().unwrap();
 
         // The lag arm: the same maintenance load under a poll-heavy mix
         // with one bounded subscription (max_lag = 1) per view. It does
@@ -1849,8 +1857,7 @@ impl Phase for E21Row {
             ..ReadMixConfig::laggy_subscribers(4, pick(smoke, 10, 24), 0xE21)
         }
         .generate();
-        let lagged = ServeExperiment::new(scenario.clone())
-            .reads(lag_reads)
+        let lagged = serving(&scenario, lag_reads)
             .bounded_subscriptions(1)
             .run()
             .unwrap();
@@ -1865,21 +1872,17 @@ impl Phase for E21Row {
                     .iter()
                     .filter(|r| matches!(r.kind, ReadKind::Point { .. }))
                     .count() as u64;
-                let linear = ServeExperiment::new(scenario.clone())
-                    .reads(reads.clone())
+                let linear = serving(&scenario, reads.clone())
                     .point_index(false)
                     .run()
                     .unwrap();
-                let accel = ServeExperiment::new(scenario.clone())
-                    .reads(reads)
-                    .answer_cache(64)
-                    .run()
-                    .unwrap();
-                let linear_work = linear.serve_stats.read_work_tuples
-                    + linear.serve_stats.index_maintenance_tuples;
-                let accel_work =
-                    accel.serve_stats.read_work_tuples + accel.serve_stats.index_maintenance_tuples;
-                let cache_lookups = accel.serve_stats.cache_hits + accel.serve_stats.cache_misses;
+                let accel = serving(&scenario, reads).answer_cache(64).run().unwrap();
+                let (linear_arm, accel_arm) = (linear.served().unwrap(), accel.served().unwrap());
+                let (linear_stats, stats) = (&linear_arm.serve_stats, &accel_arm.serve_stats);
+                let linear_work =
+                    linear_stats.read_work_tuples + linear_stats.index_maintenance_tuples;
+                let accel_work = stats.read_work_tuples + stats.index_maintenance_tuples;
+                let cache_lookups = stats.cache_hits + stats.cache_misses;
 
                 let row = E21Row {
                     mix: mix.to_string(),
@@ -1891,17 +1894,16 @@ impl Phase for E21Row {
                     accel_work_tuples: accel_work,
                     speedup: linear_work as f64 / accel_work.max(1) as f64,
                     expected_min_speedup,
-                    index_builds: accel.serve_stats.point_index_builds,
-                    index_derives: accel.serve_stats.point_index_derived,
-                    index_hits: accel.serve_stats.point_index_hits,
-                    cache_hits: accel.serve_stats.cache_hits,
-                    cache_misses: accel.serve_stats.cache_misses,
-                    cache_evictions: accel.serve_stats.cache_evictions,
-                    cache_hit_ratio: accel.serve_stats.cache_hits as f64
-                        / cache_lookups.max(1) as f64,
-                    bags_deep_cloned: accel.serve_stats.bags_deep_cloned,
-                    snapshots_published: accel.serve_stats.snapshots_published,
-                    answers_match: serve_answers_identical(&linear, &accel),
+                    index_builds: stats.point_index_builds,
+                    index_derives: stats.point_index_derived,
+                    index_hits: stats.point_index_hits,
+                    cache_hits: stats.cache_hits,
+                    cache_misses: stats.cache_misses,
+                    cache_evictions: stats.cache_evictions,
+                    cache_hit_ratio: stats.cache_hits as f64 / cache_lookups.max(1) as f64,
+                    bags_deep_cloned: stats.bags_deep_cloned,
+                    snapshots_published: stats.snapshots_published,
+                    answers_match: linear_arm.reads == accel_arm.reads,
                     makespan_us: accel.makespan(),
                     baseline_makespan_us: referee.makespan(),
                     lag_events: lag_audit.lag_events,
@@ -2006,51 +2008,4 @@ fn scale_read_mix(smoke: bool, n_views: usize, zipf_theta: f64) -> Vec<ReadOp> {
         ..ReadMixConfig::hot_key_points(6, pick(smoke, 24, 60), 0xE21)
     }
     .generate()
-}
-
-/// Byte-equality of two runs' read outcomes, field-wise (`Bag` wraps a
-/// HashMap, so Debug-string comparison would be iteration-order noise).
-fn serve_answers_identical(a: &dw_core::ServeReport, b: &dw_core::ServeReport) -> bool {
-    use dw_core::ReadResult;
-    a.reads.len() == b.reads.len()
-        && a.reads.iter().zip(&b.reads).all(|(x, y)| {
-            x.op == y.op
-                && x.epoch == y.epoch
-                && x.deliveries_seen == y.deliveries_seen
-                && match (&x.result, &y.result) {
-                    (
-                        ReadResult::Point {
-                            multiplicity: m1,
-                            matches: t1,
-                        },
-                        ReadResult::Point {
-                            multiplicity: m2,
-                            matches: t2,
-                        },
-                    ) => m1 == m2 && t1 == t2,
-                    (ReadResult::Scan { bag: b1 }, ReadResult::Scan { bag: b2 }) => b1 == b2,
-                    (
-                        ReadResult::Rejected {
-                            required: r1,
-                            freshest_admissible: f1,
-                        },
-                        ReadResult::Rejected {
-                            required: r2,
-                            freshest_admissible: f2,
-                        },
-                    ) => r1 == r2 && f1 == f2,
-                    (ReadResult::Subscribed { .. }, ReadResult::Subscribed { .. }) => true,
-                    (
-                        ReadResult::Polled {
-                            delivered: d1,
-                            resumed: p1,
-                        },
-                        ReadResult::Polled {
-                            delivered: d2,
-                            resumed: p2,
-                        },
-                    ) => d1 == d2 && p1 == p2,
-                    _ => false,
-                }
-        })
 }

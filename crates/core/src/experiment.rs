@@ -1,12 +1,15 @@
 //! Experiment construction and the dispatch loop.
 
 use crate::report::RunReport;
-use crate::runner::{NetProfile, SimHarness};
+use crate::runner::{
+    build_sources, dispatch_to_source, inject_txns, net_setters, NetProfile, SimHarness,
+};
 use dw_consistency::{classify, Recorder};
-use dw_protocol::{node_source, source_node, Message, TransportConfig, UpdateId, WAREHOUSE_NODE};
+use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{eval_view, Bag, RelationalError};
-use dw_simnet::{FaultPlan, LatencyModel, NodeId, Time};
-use dw_source::{DataSource, EcaSite, SourceError};
+use dw_serve::ServeError;
+use dw_simnet::{NodeId, Time};
+use dw_source::{EcaSite, SourceError};
 use dw_warehouse::{
     CStrobe, Eca, MaintenancePolicy, NestedSweep, NestedSweepOptions, PipelinedSweep,
     PipelinedSweepOptions, Recompute, Strobe, Sweep, SweepOptions, WarehouseError,
@@ -73,6 +76,9 @@ pub enum CoreError {
         /// The offending destination.
         node: NodeId,
     },
+    /// The read frontend of a serving run failed (unknown view slot,
+    /// unpinned epoch, dead subscription, …).
+    Serve(ServeError),
     /// A multi-view scheduler failure that is not a relational or
     /// warehouse error (unknown view id, busy view, …).
     Multi(String),
@@ -88,6 +94,7 @@ impl fmt::Display for CoreError {
                 write!(f, "event cap of {cap} exceeded (livelock or oscillation)")
             }
             CoreError::NoSuchNode { node } => write!(f, "delivery to unknown node {node}"),
+            CoreError::Serve(e) => write!(f, "serve: {e}"),
             CoreError::Multi(msg) => f.write_str(msg),
         }
     }
@@ -109,22 +116,20 @@ impl From<WarehouseError> for CoreError {
         CoreError::Warehouse(e)
     }
 }
+impl From<ServeError> for CoreError {
+    fn from(e: ServeError) -> Self {
+        CoreError::Serve(e)
+    }
+}
 
 /// A configured experiment: scenario × policy × network profile.
 pub struct Experiment {
     scenario: GeneratedScenario,
     policy: PolicyKind,
-    latency: LatencyModel,
-    link_overrides: Vec<(NodeId, NodeId, LatencyModel)>,
-    seed: u64,
+    net: NetProfile,
     check_consistency: bool,
     record_snapshots: bool,
-    trace: bool,
-    event_cap: u64,
     indexed_sources: bool,
-    faults: FaultPlan,
-    transport: Option<TransportConfig>,
-    obs: dw_obs::Obs,
 }
 
 impl Experiment {
@@ -134,49 +139,18 @@ impl Experiment {
         Experiment {
             scenario,
             policy: PolicyKind::Sweep(SweepOptions::default()),
-            latency: LatencyModel::Constant(1_000),
-            link_overrides: Vec::new(),
-            seed: 0,
+            net: NetProfile::default(),
             check_consistency: true,
             record_snapshots: true,
-            trace: false,
-            event_cap: 10_000_000,
             indexed_sources: false,
-            faults: FaultPlan::default(),
-            transport: None,
-            obs: dw_obs::Obs::off(),
         }
     }
 
-    /// Attach an observability recorder: the policy, sources, network and
-    /// transport endpoints all emit spans/counters/histograms into it,
-    /// stamped in virtual time (traces are byte-deterministic per seed).
-    pub fn observe(mut self, obs: dw_obs::Obs) -> Self {
-        self.obs = obs;
-        self
-    }
+    net_setters!();
 
     /// Choose the maintenance policy.
     pub fn policy(mut self, p: PolicyKind) -> Self {
         self.policy = p;
-        self
-    }
-
-    /// Default latency model for every link.
-    pub fn latency(mut self, l: LatencyModel) -> Self {
-        self.latency = l;
-        self
-    }
-
-    /// Override one directed link's latency.
-    pub fn link_latency(mut self, from: NodeId, to: NodeId, l: LatencyModel) -> Self {
-        self.link_overrides.push((from, to, l));
-        self
-    }
-
-    /// Network RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -194,7 +168,7 @@ impl Experiment {
 
     /// Record a full network trace in the report.
     pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
+        self.net.trace = on;
         self
     }
 
@@ -204,36 +178,6 @@ impl Experiment {
     /// micro-bench).
     pub fn indexed_sources(mut self, on: bool) -> Self {
         self.indexed_sources = on;
-        self
-    }
-
-    /// Abort the run after this many deliveries (oscillation guard).
-    pub fn event_cap(mut self, cap: u64) -> Self {
-        self.event_cap = cap;
-        self
-    }
-
-    /// Install a fault plan: drops, duplicates, reordering, partitions,
-    /// node crashes. Without [`Experiment::transport`] the maintenance
-    /// policies see the raw faulted network — useful for demonstrating
-    /// that the paper's consistency claims genuinely depend on reliable
-    /// FIFO channels.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Run every node behind the reliability transport, restoring the
-    /// exactly-once in-order contract over whatever the fault plan does.
-    pub fn transport(mut self, cfg: TransportConfig) -> Self {
-        self.transport = Some(cfg);
-        self
-    }
-
-    /// Enable the transport with timing derived from the experiment's
-    /// latency model (RTO ≈ three round trips).
-    pub fn transport_auto(mut self) -> Self {
-        self.transport = Some(TransportConfig::for_latency_mean(self.latency.mean()));
         self
     }
 
@@ -273,25 +217,16 @@ impl Experiment {
             PolicyKind::Recompute => Box::new(Recompute::new(view_def.clone(), initial_view)?),
         };
         policy.set_record_snapshots(self.record_snapshots);
-        policy.set_observer(self.obs.clone());
+        policy.set_observer(self.net.obs.clone());
 
-        let node_count = if self.policy.single_site() { 2 } else { n + 1 };
-        let profile = NetProfile {
-            latency: self.latency,
-            link_overrides: self.link_overrides,
-            seed: self.seed,
-            faults: self.faults,
-            transport: self.transport,
-            event_cap: self.event_cap,
-            trace: self.trace,
-            obs: self.obs.clone(),
-        };
-        let mut harness = SimHarness::new(&profile, node_count);
-
-        // Topology.
-        let mut sources: Vec<DataSource> = Vec::new();
+        // Topology: the single-site architecture co-locates every
+        // relation at one node and takes every transaction there.
+        let single_site = self.policy.single_site();
+        let node_count = if single_site { 2 } else { n + 1 };
+        let mut harness = SimHarness::new(&self.net, node_count)?;
+        let mut sources = Vec::new();
         let mut eca_site: Option<EcaSite> = None;
-        if self.policy.single_site() {
+        if single_site {
             let rels = (0..n)
                 .map(|i| {
                     let mut r = dw_relational::BaseRelation::new(view_def.schema(i).clone());
@@ -300,40 +235,21 @@ impl Experiment {
                 .collect::<Result<Vec<_>, _>>()?;
             eca_site = Some(EcaSite::new(source_node(0), view_def.clone(), rels));
         } else {
-            for i in 0..n {
-                let mut r = dw_relational::BaseRelation::new(view_def.schema(i).clone());
-                r.apply_delta(&scenario.initial[i])?;
-                let mut src = if self.indexed_sources {
-                    DataSource::with_indexes(i, view_def.clone(), r)?
-                } else {
-                    DataSource::new(i, view_def.clone(), r)
-                };
-                src.set_observer(self.obs.clone());
-                sources.push(src);
-            }
+            sources = build_sources(
+                &view_def,
+                &scenario.initial,
+                self.indexed_sources,
+                &self.net.obs,
+            )?;
         }
 
         let mut recorder = self
             .check_consistency
             .then(|| Recorder::new(view_def.clone(), scenario.initial.clone()));
 
-        // Inject the workload.
-        for t in &scenario.txns {
-            let node = if self.policy.single_site() {
-                source_node(0)
-            } else {
-                source_node(t.source)
-            };
-            harness.net.inject(
-                t.at,
-                node,
-                Message::ApplyTxn {
-                    rel: t.source,
-                    delta: t.delta.clone(),
-                    global: t.global,
-                },
-            );
-        }
+        inject_txns(&mut harness.net, &scenario.txns, |source| {
+            source_node(if single_site { 0 } else { source })
+        });
 
         let mut delivery_log: Vec<(UpdateId, Time)> = Vec::new();
         harness.drive(|d, net| {
@@ -351,11 +267,7 @@ impl Experiment {
                 }
                 site.handle(d.from, d.msg, net)?;
             } else {
-                let idx = node_source(d.to);
-                let src = sources
-                    .get_mut(idx)
-                    .ok_or(CoreError::NoSuchNode { node: d.to })?;
-                src.handle(d.from, d.msg, net)?;
+                dispatch_to_source(&mut sources, d, net)?;
             }
             Ok(())
         })?;

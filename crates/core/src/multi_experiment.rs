@@ -13,9 +13,15 @@
 //! additionally accounts the sharding itself — lane concurrency,
 //! escalations, and, under a shard-scoped
 //! [`FaultPlan::state_crash_shard`] window, crash/re-seed statistics.
+//! [`MultiViewExperiment::reads`] attaches the serving arm (see
+//! [`crate::serve`]): the same run, with a snapshot-pinned read schedule
+//! resolved between deliveries and reported in [`MultiViewReport::serve`].
 
 use crate::experiment::CoreError;
-use crate::runner::{NetProfile, SimHarness};
+use crate::runner::{
+    build_sources, dispatch_to_source, inject_txns, net_setters, NetProfile, SimHarness,
+};
+use crate::serve::{ServeArm, ServeConfig, ServeOutcome};
 use dw_consistency::{
     classify, mutual_consistency, remap_installs, ConsistencyLevel, ConsistencyReport,
     MutualReport, Recorder, ViewLog,
@@ -24,30 +30,24 @@ use dw_multiview::{
     CascadeStats, DurabilityConfig, EngineOptions, MaintenanceScheduler, MvError, RecoveryStats,
     SchedulerMode, ShardStats, ViewId, ViewRegistry,
 };
-use dw_protocol::{node_source, source_node, Message, TransportConfig, UpdateId, WAREHOUSE_NODE};
+use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{eval_view, Bag, ShardMap};
-use dw_simnet::{FaultPlan, LatencyModel, NetHandle, NetStats, NodeId, Time};
-use dw_source::DataSource;
+use dw_simnet::{FaultPlan, NetHandle, NetStats, Time};
 use dw_warehouse::{InstallRecord, PolicyMetrics};
-use dw_workload::{MultiViewScenario, ViewPolicy};
+use dw_workload::{MultiViewScenario, ReadOp, ViewPolicy};
 
 /// A configured multi-view experiment: scenario × scheduler mode ×
-/// partitioner × network profile.
+/// partitioner × read schedule × network profile.
 pub struct MultiViewExperiment {
     scenario: MultiViewScenario,
     map: Option<ShardMap>,
     mode: SchedulerMode,
     opts: EngineOptions,
-    latency: LatencyModel,
-    link_overrides: Vec<(NodeId, NodeId, LatencyModel)>,
-    seed: u64,
+    net: NetProfile,
     check_consistency: bool,
     record_snapshots: bool,
-    event_cap: u64,
-    faults: FaultPlan,
-    transport: Option<TransportConfig>,
     durability: Option<DurabilityConfig>,
-    obs: dw_obs::Obs,
+    serve: ServeConfig,
 }
 
 impl MultiViewExperiment {
@@ -60,24 +60,26 @@ impl MultiViewExperiment {
             map: None,
             mode: SchedulerMode::Shared,
             opts: EngineOptions::default(),
-            latency: LatencyModel::Constant(1_000),
-            link_overrides: Vec::new(),
-            seed: 0,
+            net: NetProfile::default(),
             check_consistency: true,
             record_snapshots: true,
-            event_cap: 10_000_000,
-            faults: FaultPlan::default(),
-            transport: None,
             durability: None,
-            obs: dw_obs::Obs::off(),
+            serve: ServeConfig::default(),
         }
     }
+
+    net_setters!();
 
     /// Partition the value space by `map`: one sweep lane per shard
     /// group, installs still in arrival order. Pass a generated
     /// [`dw_workload::ShardedScenario`]'s `map` alongside its `scenario`,
     /// or any partitioner over any scenario (how the conformance suites
-    /// pit sharded against unsharded on identical inputs).
+    /// pit sharded against unsharded on identical inputs). Sharded,
+    /// shard-scoped state-crash windows
+    /// ([`FaultPlan::state_crash_shard`]) abort and re-seed one shard's
+    /// lane; durability, batching, pushdown, the naive mode and unscoped
+    /// warehouse state crashes are refused, typed, by
+    /// [`run`](Self::run).
     pub fn shards(mut self, map: ShardMap) -> Self {
         self.map = Some(map);
         self
@@ -108,31 +110,6 @@ impl MultiViewExperiment {
         self
     }
 
-    /// Attach an observability recorder (scheduler spans/counters, plus
-    /// network and transport instrumentation).
-    pub fn observe(mut self, obs: dw_obs::Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Default latency model for every link.
-    pub fn latency(mut self, l: LatencyModel) -> Self {
-        self.latency = l;
-        self
-    }
-
-    /// Override one directed link's latency.
-    pub fn link_latency(mut self, from: NodeId, to: NodeId, l: LatencyModel) -> Self {
-        self.link_overrides.push((from, to, l));
-        self
-    }
-
-    /// Network RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Disable ground-truth tracking and classification (for big runs).
     pub fn check_consistency(mut self, on: bool) -> Self {
         self.check_consistency = on;
@@ -142,36 +119,6 @@ impl MultiViewExperiment {
     /// Disable per-install view snapshots (for big runs).
     pub fn record_snapshots(mut self, on: bool) -> Self {
         self.record_snapshots = on;
-        self
-    }
-
-    /// Abort the run after this many deliveries (oscillation guard).
-    pub fn event_cap(mut self, cap: u64) -> Self {
-        self.event_cap = cap;
-        self
-    }
-
-    /// Install a fault plan (drops, duplicates, reordering, partitions,
-    /// crashes). Pair with [`MultiViewExperiment::transport`] to restore
-    /// the reliable-FIFO contract the scheduler assumes. On a sharded
-    /// run, shard-scoped state-crash windows
-    /// ([`FaultPlan::state_crash_shard`]) abort and re-seed one shard's
-    /// lane; unscoped warehouse state crashes are refused, typed.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Run every node behind the reliability transport.
-    pub fn transport(mut self, cfg: TransportConfig) -> Self {
-        self.transport = Some(cfg);
-        self
-    }
-
-    /// Enable the transport with timing derived from the experiment's
-    /// latency model (RTO ≈ three round trips).
-    pub fn transport_auto(mut self) -> Self {
-        self.transport = Some(TransportConfig::for_latency_mean(self.latency.mean()));
         self
     }
 
@@ -185,16 +132,63 @@ impl MultiViewExperiment {
         self
     }
 
+    /// Serve reads beside maintenance: a [`dw_serve::ReadFrontend`]
+    /// becomes the scheduler's install publisher and this schedule
+    /// (typically `ReadMixConfig::generate()`) is resolved against its
+    /// snapshot store, each op *before* any delivery sharing its
+    /// timestamp; the readers' view of the run lands in
+    /// [`MultiViewReport::serve`]. An empty schedule still serves —
+    /// the no-reader referee whose maintenance must be identical.
+    /// Without this call no frontend is built and nothing is published.
+    pub fn reads(mut self, mut reads: Vec<ReadOp>) -> Self {
+        reads.sort_by_key(|op| (op.at, op.reader));
+        self.serve.reads = Some(reads);
+        self
+    }
+
+    /// Register one subscription per view slot before traffic starts (on
+    /// by default) — their drained streams must replay the full install
+    /// fingerprint ([`MultiViewReport::subscriptions_match_installs`]).
+    pub fn baseline_subscriptions(mut self, on: bool) -> Self {
+        self.serve.baseline_subs = on;
+        self
+    }
+
+    /// Enable/disable the store's per-epoch point indexes (on by
+    /// default). The off arm linearly scans every point read — the E21
+    /// baseline, byte-identical in answers to the indexed arm.
+    pub fn point_index(mut self, on: bool) -> Self {
+        self.serve.point_index = on;
+        self
+    }
+
+    /// Capacity of the read-through answer cache (entries; 0 — the
+    /// default — disables it). Deterministic FIFO eviction; invisible to
+    /// every answer, which the equivalence suite asserts byte-for-byte.
+    pub fn answer_cache(mut self, capacity: usize) -> Self {
+        self.serve.cache_capacity = capacity;
+        self
+    }
+
+    /// Register one *bounded* subscription per base view before traffic
+    /// starts, with the given `max_lag` queue bound. `ReadKind::Poll`
+    /// ops in the read mix drain them mid-run; an overflowed one is
+    /// resumed through the snapshot-at-`resume_epoch` recovery path and
+    /// its full event history lands in [`ServeOutcome::lag`], where
+    /// [`audit_lag_recoveries`](crate::audit_lag_recoveries) proves it
+    /// equivalent to the unbounded stream.
+    pub fn bounded_subscriptions(mut self, max_lag: usize) -> Self {
+        self.serve.bounded_sub_lag = Some(max_lag);
+        self
+    }
+
     /// Run to network quiescence and report.
     pub fn run(self) -> Result<MultiViewReport, CoreError> {
         let scenario = &self.scenario;
         let base = scenario.base.clone();
         let n = base.num_relations();
+        let obs = &self.net.obs;
 
-        if let Some(cfg) = &self.transport {
-            cfg.validate()
-                .map_err(|e| CoreError::Multi(e.to_string()))?;
-        }
         let mut sched = MaintenanceScheduler::with_shards(
             base.clone(),
             self.mode,
@@ -202,7 +196,7 @@ impl MultiViewExperiment {
             self.map.clone(),
         )?;
         sched.set_record_snapshots(self.record_snapshots);
-        sched.set_observer(self.obs.clone());
+        sched.set_observer(obs.clone());
         for bag in &scenario.initial {
             sched.seed_groups(bag);
         }
@@ -224,8 +218,11 @@ impl MultiViewExperiment {
         let spans: Vec<(usize, usize)> = scenario.views.iter().map(|s| (s.lo, s.hi)).collect();
         // Derived (view-over-view) registrations go on top of the base
         // set; order-independent resolution handles stacks given in any
-        // order and rejects cycles/unknown parents up front.
-        let derived_ids = sched.register_derived_many(&scenario.derived)?;
+        // order and rejects cycles/unknown parents up front. Reported in
+        // slot order, whatever order the specs came in.
+        let mut derived_ids = sched.register_derived_many(&scenario.derived)?;
+        derived_ids.sort_by_key(|id| id.index());
+        let mut serve = ServeArm::open(self.serve, &mut sched, &ids, &derived_ids, obs)?;
         // Durability arms after registration so the initial checkpoint
         // already carries every view at its correct initial contents; a
         // configuration that refuses it says so before any traffic.
@@ -234,81 +231,45 @@ impl MultiViewExperiment {
         }
         sched.validate()?;
         let sharded = self.map.is_some();
-        let mut restarts = warehouse_restarts(&self.faults);
+        let mut restarts = warehouse_restarts(&self.net.faults);
 
-        let profile = NetProfile {
-            latency: self.latency,
-            link_overrides: self.link_overrides,
-            seed: self.seed,
-            faults: self.faults,
-            transport: self.transport,
-            event_cap: self.event_cap,
-            trace: false,
-            obs: self.obs.clone(),
-        };
-        let mut harness = SimHarness::new(&profile, n + 1);
-
-        let mut sources: Vec<DataSource> = Vec::new();
-        for i in 0..n {
-            let mut r = dw_relational::BaseRelation::new(base.schema(i).clone());
-            r.apply_delta(&scenario.initial[i])?;
-            let mut src = DataSource::new(i, base.clone(), r);
-            src.set_observer(self.obs.clone());
-            sources.push(src);
-        }
-
-        for t in &scenario.txns {
-            harness.net.inject(
-                t.at,
-                source_node(t.source),
-                Message::ApplyTxn {
-                    rel: t.source,
-                    delta: t.delta.clone(),
-                    global: t.global,
-                },
-            );
-        }
+        let mut harness = SimHarness::new(&self.net, n + 1)?;
+        let mut sources = build_sources(&base, &scenario.initial, false, obs)?;
+        inject_txns(&mut harness.net, &scenario.txns, source_node);
 
         let mut delivery_log: Vec<(UpdateId, Time)> = Vec::new();
         harness.drive(|d, net| {
-            if d.to == WAREHOUSE_NODE {
-                if matches!(d.msg, Message::Restart) {
-                    // Recover instead of dispatching (the scheduler's
-                    // dispatcher rejects Restart as unexpected).
-                    return recover(&mut sched, sharded, &mut restarts, d.at, net);
-                }
-                if let Message::Update(u) = &d.msg {
-                    delivery_log.push((u.id, d.at));
-                    // Each view's ground truth sees only in-span updates,
-                    // with the source index shifted into span coordinates.
-                    for (v, rec) in recorders.iter_mut().enumerate() {
-                        let (lo, hi) = spans[v];
-                        if let Some(rec) = rec.as_mut() {
-                            if lo <= u.id.source && u.id.source <= hi {
-                                let local_id = UpdateId {
-                                    source: u.id.source - lo,
-                                    seq: u.id.seq,
-                                };
-                                rec.record_delivery(local_id, d.at, u.delta.clone());
-                            }
-                        }
+            if let Some(arm) = serve.as_mut() {
+                arm.pump(Some(d.at), delivery_log.len())?;
+            }
+            if d.to != WAREHOUSE_NODE {
+                return dispatch_to_source(&mut sources, d, net);
+            }
+            if matches!(d.msg, Message::Restart) {
+                // Recover instead of dispatching (the scheduler's
+                // dispatcher rejects Restart as unexpected).
+                return recover(&mut sched, sharded, &mut restarts, d.at, net);
+            }
+            if let Message::Update(u) = &d.msg {
+                delivery_log.push((u.id, d.at));
+                // Each view's ground truth sees only in-span updates,
+                // with the source index shifted into span coordinates.
+                for (rec, &(lo, hi)) in recorders.iter_mut().zip(&spans) {
+                    let Some(rec) = rec else { continue };
+                    if (lo..=hi).contains(&u.id.source) {
+                        let local_id = UpdateId {
+                            source: u.id.source - lo,
+                            seq: u.id.seq,
+                        };
+                        rec.record_delivery(local_id, d.at, u.delta.clone());
                     }
                 }
-                sched.on_message(d, net)?;
-            } else {
-                if matches!(d.msg, Message::Restart) {
-                    // A source's database is modeled durable already; a
-                    // state-crash restart needs no application action.
-                    return Ok(());
-                }
-                let idx = node_source(d.to);
-                let src = sources
-                    .get_mut(idx)
-                    .ok_or(CoreError::NoSuchNode { node: d.to })?;
-                src.handle(d.from, d.msg, net)?;
             }
-            Ok(())
+            Ok(sched.on_message(d, net)?)
         })?;
+        let serve = serve
+            .map(|arm| arm.finish(delivery_log.len()))
+            .transpose()?;
 
         // Per-view outcomes: classify each install log (shifted into span
         // coordinates) against the view's own recorder.
@@ -366,6 +327,7 @@ impl MultiViewExperiment {
                 .map(|s| s.checkpoints_taken)
                 .unwrap_or(0),
             mutual,
+            serve,
             net: harness.net.stats().clone(),
             quiescent: sched.is_quiescent() && transport_quiescent,
             end_time: harness.net.now(),
@@ -375,26 +337,9 @@ impl MultiViewExperiment {
     }
 }
 
-/// Last install time minus first warehouse delivery (0 when nothing
-/// installed) — shared by the multi-view and serve reports.
-pub(crate) fn makespan(views: &[ViewOutcome], delivery_log: &[(UpdateId, Time)]) -> Time {
-    let first = delivery_log.iter().map(|&(_, at)| at).min();
-    let installs = views.iter().flat_map(|v| v.installs.iter());
-    match (first, installs.map(|r| r.at).max()) {
-        (Some(f), Some(l)) if l > f => l - f,
-        _ => 0,
-    }
-}
-
-/// Per view, the sequence of consumed-update sets in install order.
-pub(crate) fn install_fingerprint(views: &[ViewOutcome]) -> Vec<Vec<Vec<UpdateId>>> {
-    let consumed = |v: &ViewOutcome| v.installs.iter().map(|r| r.consumed.clone()).collect();
-    views.iter().map(consumed).collect()
-}
-
 /// The warehouse's state-crash windows as `(restart time, shard scope)`
 /// — what the drive loops match each warehouse `Restart` against.
-pub(crate) fn warehouse_restarts(faults: &FaultPlan) -> Vec<(Time, Option<usize>)> {
+fn warehouse_restarts(faults: &FaultPlan) -> Vec<(Time, Option<usize>)> {
     let windows = faults.state_crashes().iter();
     windows
         .filter(|c| c.node == WAREHOUSE_NODE)
@@ -409,7 +354,7 @@ pub(crate) fn warehouse_restarts(faults: &FaultPlan) -> Vec<(Time, Option<usize>
 /// aborts and re-seeds that shard's lane while every other lane keeps
 /// sweeping; an unscoped state crash is refused by the scheduler, typed;
 /// any other restart (a plain crash's transport resync) lost nothing.
-pub(crate) fn recover(
+fn recover(
     sched: &mut MaintenanceScheduler,
     sharded: bool,
     restarts: &mut Vec<(Time, Option<usize>)>,
@@ -442,19 +387,13 @@ impl From<MvError> for CoreError {
 /// parent's snapshot at the *same* epoch. The cascade consumes the same
 /// update ids as the parent install, so the two logs align 1:1 — any
 /// length difference is itself counted as a mismatch.
-pub(crate) fn derived_outcomes(
-    reg: &ViewRegistry,
-    ids: &[ViewId],
-) -> Result<Vec<DerivedOutcome>, CoreError> {
+fn derived_outcomes(reg: &ViewRegistry, ids: &[ViewId]) -> Result<Vec<DerivedOutcome>, CoreError> {
     let mut out = Vec::new();
     for &id in ids {
-        let parent = reg
-            .parent_of(id)?
-            .expect("outcome requested for a base view");
-        let op = reg
-            .derived_op(id)?
-            .expect("derived view carries its operator")
-            .clone();
+        let (Some(parent), Some(op)) = (reg.parent_of(id)?, reg.derived_op(id)?) else {
+            let what = "derived outcome requested for a base view";
+            return Err(MvError::Internal { what }.into());
+        };
         let installs = reg.install_log(id)?.to_vec();
         let parent_installs = reg.install_log(parent)?;
         let mut epochs_audited = 0usize;
@@ -544,9 +483,12 @@ pub struct MultiViewReport {
     pub mode: SchedulerMode,
     /// Per-view outcomes, in registration order.
     pub views: Vec<ViewOutcome>,
-    /// Derived (view-over-view) outcomes, in registration order. Their
-    /// maintenance is fed locally by the cascade, never by source
-    /// round-trips, so they appear nowhere in the message accounting.
+    /// Derived (view-over-view) outcomes, ascending by registry slot —
+    /// their slots follow the base views', so slot `views.len() + k` is
+    /// `derived[k]` (registration order whenever parents are listed
+    /// first). Their maintenance is fed locally by the cascade, never by
+    /// source round-trips, so they appear nowhere in the message
+    /// accounting.
     pub derived: Vec<DerivedOutcome>,
     /// Cascade counters: child installs, memoized sibling derivations,
     /// and fresh linear evaluations.
@@ -567,6 +509,11 @@ pub struct MultiViewReport {
     pub checkpoints_taken: u64,
     /// Cross-view mutual consistency (when checking was enabled).
     pub mutual: Option<MutualReport>,
+    /// What the readers observed — `Some` iff the run served
+    /// ([`MultiViewExperiment::reads`]). Reads are answered
+    /// warehouse-locally from immutable epochs, so every other field of
+    /// this report is identical to the same run without them.
+    pub serve: Option<ServeOutcome>,
     /// Network-level accounting.
     pub net: NetStats,
     /// Scheduler and transport both drained at the end of the run.
@@ -620,13 +567,19 @@ impl MultiViewReport {
     /// first transaction arrival — the virtual-time quantity E18's
     /// speedup gate divides.
     pub fn makespan(&self) -> Time {
-        makespan(&self.views, &self.delivery_log)
+        let first = self.delivery_log.iter().map(|&(_, at)| at).min();
+        let installs = self.views.iter().flat_map(|v| v.installs.iter());
+        match (first, installs.map(|r| r.at).max()) {
+            (Some(f), Some(l)) if l > f => l - f,
+            _ => 0,
+        }
     }
 
     /// Install fingerprint: per view, the sequence of consumed-update
     /// sets in install order (what the conformance suites compare).
     pub fn install_fingerprint(&self) -> Vec<Vec<Vec<UpdateId>>> {
-        install_fingerprint(&self.views)
+        let consumed = |v: &ViewOutcome| v.installs.iter().map(|r| r.consumed.clone()).collect();
+        self.views.iter().map(consumed).collect()
     }
 
     /// Every derived view passed its oracle audit: zero per-epoch
@@ -673,6 +626,7 @@ impl MultiViewReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dw_simnet::LatencyModel;
     use dw_workload::{MultiViewConfig, StreamConfig, ViewSpec};
 
     fn config(n_views: usize, seed: u64) -> MultiViewConfig {
@@ -806,6 +760,22 @@ mod tests {
         for (a, b) in r1.views.iter().zip(r2.views.iter()) {
             assert_eq!(a.view, b.view);
         }
+    }
+
+    #[test]
+    fn transport_auto_resolves_against_the_final_latency() {
+        // The RTO must derive from the 50 ms links whichever setter is
+        // called first — from the 1 ms default it fires long before any
+        // ack can arrive and floods the wire with retransmissions.
+        let slow = LatencyModel::Constant(50_000);
+        let exp = || MultiViewExperiment::new(config(2, 6).generate().unwrap());
+        let after = exp().latency(slow.clone()).transport_auto().run().unwrap();
+        let before = exp().transport_auto().latency(slow).run().unwrap();
+        assert!(after.quiescent && before.quiescent);
+        assert_eq!(before.events, after.events);
+        assert_eq!(before.end_time, after.end_time);
+        assert_eq!(before.net.total(), after.net.total());
+        assert_eq!(after.net.retransmitted().messages, 0, "fault-free run");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! byte-identical rendered traces — and attaching the recorder must not
 //! change what the experiment computes.
 
-use dw_core::{Experiment, PolicyKind, RunReport};
+use dw_core::{Experiment, MultiViewExperiment, PolicyKind, RunReport};
 use dw_obs::Obs;
 use dw_simnet::LatencyModel;
-use dw_workload::StreamConfig;
+use dw_workload::{MultiViewConfig, ReadMixConfig, StreamConfig};
 
 fn run(policy: PolicyKind, obs: Obs) -> RunReport {
     let scenario = StreamConfig {
@@ -96,4 +96,44 @@ fn observer_does_not_change_results() {
         silent.metrics.local_compensations,
         observed.metrics.local_compensations
     );
+}
+
+#[test]
+fn observing_a_serve_run_records_the_read_frontend() {
+    let scenario = MultiViewConfig {
+        stream: StreamConfig {
+            n_sources: 3,
+            updates: 12,
+            mean_gap: 900,
+            seed: 42,
+            ..Default::default()
+        },
+        n_views: 2,
+        view_seed: 42,
+        full_span: true,
+        n_derived: 0,
+        derived_seed: 0,
+    }
+    .generate()
+    .unwrap();
+    let reads = ReadMixConfig {
+        n_views: 2,
+        ..ReadMixConfig::hot_key_points(3, 12, 42)
+    }
+    .generate();
+    let (obs, rec) = Obs::trace();
+    let report = MultiViewExperiment::new(scenario)
+        .reads(reads)
+        .answer_cache(8)
+        .observe(obs)
+        .run()
+        .unwrap();
+    let stats = &report.served().unwrap().serve_stats;
+    let rec = rec.lock().unwrap();
+    assert!(stats.cache_hits > 0 && stats.point_index_builds > 0);
+    assert_eq!(rec.counter("serve.cache.hit"), stats.cache_hits);
+    assert_eq!(rec.counter("serve.cache.miss"), stats.cache_misses);
+    assert_eq!(rec.counter("serve.index.build"), stats.point_index_builds);
+    let text = rec.render();
+    assert!(text.contains("serve.cache.miss = "), "{text}");
 }

@@ -25,7 +25,7 @@ use crate::install::InstallRecord;
 use crate::metrics::PolicyMetrics;
 use crate::policy::MaintenancePolicy;
 use crate::queue::{PendingUpdate, UpdateQueue};
-use crate::view::MaterializedView;
+use dw_engine::InstallSink;
 use dw_protocol::{source_node, Message, SweepQuery, UpdateId, WAREHOUSE_NODE};
 use dw_relational::key::ViewKeyMap;
 use dw_relational::{extend_partial, Bag, JoinSide, KeySpec, PartialDelta, Tuple, Value, ViewDef};
@@ -66,10 +66,8 @@ pub struct CStrobe {
     view_def: ViewDef,
     keys: KeySpec,
     vkm: ViewKeyMap,
-    view: MaterializedView,
+    sink: InstallSink,
     metrics: PolicyMetrics,
-    install_log: Vec<InstallRecord>,
-    record_snapshots: bool,
     next_qid: u64,
     queue: UpdateQueue,
     current: Option<Processing>,
@@ -88,10 +86,8 @@ impl CStrobe {
             view_def,
             keys,
             vkm,
-            view: MaterializedView::new(initial_view)?,
+            sink: InstallSink::new(initial_view)?,
             metrics: PolicyMetrics::default(),
-            install_log: Vec::new(),
-            record_snapshots: true,
             next_qid: 0,
             queue: UpdateQueue::new(),
             current: None,
@@ -158,15 +154,12 @@ impl CStrobe {
             let Some((tuple, count)) = cur.parts.pop_front() else {
                 // Update complete: install its accumulated delta.
                 let cur = self.current.take().expect("checked");
-                self.view.install(&cur.delta_accum)?;
-                self.metrics.installs += 1;
-                let now = net.now();
-                self.metrics.record_staleness(cur.delivered_at, now);
-                self.install_log.push(InstallRecord {
-                    at: now,
-                    consumed: vec![cur.upd],
-                    view_after: self.record_snapshots.then(|| self.view.bag().clone()),
-                });
+                self.sink.install(
+                    &mut self.metrics,
+                    &cur.delta_accum,
+                    &[(cur.upd, cur.delivered_at)],
+                    net.now(),
+                )?;
                 // Begin the next queued update, if any.
                 if let Some(PendingUpdate { update, arrived_at }) = self.queue.pop() {
                     self.begin_update(net, update.id, update.delta, arrived_at)?;
@@ -181,7 +174,7 @@ impl CStrobe {
                 // Initial delete: local through the unique key.
                 let rel = cur.rel;
                 let key = self.keys.key_of_tuple(rel, &tuple);
-                let snapshot = self.view.bag().plus(&cur.delta_accum);
+                let snapshot = self.sink.bag().plus(&cur.delta_accum);
                 for (t, c) in snapshot.iter() {
                     if self.vkm.key_of_view_tuple(rel, t) == key {
                         cur.delta_accum.add(t.clone(), -c);
@@ -209,7 +202,7 @@ impl CStrobe {
             }
             let cur = self.current.as_mut().expect("still processing");
             if work.queries.is_empty() {
-                Self::finish_part(cur, &work, &self.vkm, self.view.bag());
+                Self::finish_part(cur, &work, &self.vkm, self.sink.bag());
                 continue;
             }
             cur.work = Some(work);
@@ -231,7 +224,7 @@ impl CStrobe {
             if let Some(w) = cur.work.as_ref() {
                 if w.queries.is_empty() {
                     let work = cur.work.take().expect("present");
-                    Self::finish_part(cur, &work, &self.vkm, self.view.bag());
+                    Self::finish_part(cur, &work, &self.vkm, self.sink.bag());
                     continue;
                 }
             }
@@ -386,7 +379,7 @@ impl CStrobe {
                 work.answers.push(ans);
                 if work.queries.is_empty() {
                     let work = cur.work.take().expect("present");
-                    Self::finish_part(cur, &work, &self.vkm, self.view.bag());
+                    Self::finish_part(cur, &work, &self.vkm, self.sink.bag());
                     return self.advance_parts(net);
                 }
                 Ok(())
@@ -434,11 +427,11 @@ impl MaintenancePolicy for CStrobe {
     }
 
     fn view(&self) -> &Bag {
-        self.view.bag()
+        self.sink.bag()
     }
 
     fn installs(&self) -> &[InstallRecord] {
-        &self.install_log
+        self.sink.log()
     }
 
     fn metrics(&self) -> &PolicyMetrics {
@@ -450,6 +443,6 @@ impl MaintenancePolicy for CStrobe {
     }
 
     fn set_record_snapshots(&mut self, record: bool) {
-        self.record_snapshots = record;
+        self.sink.record_snapshots = record;
     }
 }

@@ -25,7 +25,7 @@ use crate::error::WarehouseError;
 use crate::install::InstallRecord;
 use crate::metrics::PolicyMetrics;
 use crate::policy::MaintenancePolicy;
-use crate::view::MaterializedView;
+use dw_engine::InstallSink;
 use dw_protocol::{source_node, EcaQuery, EcaSlot, EcaTerm, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{Bag, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
@@ -43,10 +43,8 @@ struct PendingQuery {
 /// The ECA warehouse policy (single-source-site architecture).
 pub struct Eca {
     view_def: ViewDef,
-    view: MaterializedView,
+    sink: InstallSink,
     metrics: PolicyMetrics,
-    install_log: Vec<InstallRecord>,
-    record_snapshots: bool,
     next_qid: u64,
     uqs: Vec<PendingQuery>,
     collect: Bag,
@@ -58,10 +56,8 @@ impl Eca {
     pub fn new(view_def: ViewDef, initial_view: Bag) -> Result<Self, WarehouseError> {
         Ok(Eca {
             view_def,
-            view: MaterializedView::new(initial_view)?,
+            sink: InstallSink::new(initial_view)?,
             metrics: PolicyMetrics::default(),
-            install_log: Vec::new(),
-            record_snapshots: true,
             next_qid: 0,
             uqs: Vec::new(),
             collect: Bag::new(),
@@ -151,17 +147,9 @@ impl Eca {
         if self.uqs.is_empty() {
             // Quiescence reached: install the accumulated change.
             let delta = std::mem::take(&mut self.collect);
-            self.view.install(&delta)?;
-            self.metrics.installs += 1;
-            let now = net.now();
-            for &(_, d) in &self.collected {
-                self.metrics.record_staleness(d, now);
-            }
-            self.install_log.push(InstallRecord {
-                at: now,
-                consumed: self.collected.drain(..).map(|(id, _)| id).collect(),
-                view_after: self.record_snapshots.then(|| self.view.bag().clone()),
-            });
+            self.sink
+                .install(&mut self.metrics, &delta, &self.collected, net.now())?;
+            self.collected.clear();
         }
         Ok(())
     }
@@ -195,11 +183,11 @@ impl MaintenancePolicy for Eca {
     }
 
     fn view(&self) -> &Bag {
-        self.view.bag()
+        self.sink.bag()
     }
 
     fn installs(&self) -> &[InstallRecord] {
-        &self.install_log
+        self.sink.log()
     }
 
     fn metrics(&self) -> &PolicyMetrics {
@@ -211,7 +199,7 @@ impl MaintenancePolicy for Eca {
     }
 
     fn set_record_snapshots(&mut self, record: bool) {
-        self.record_snapshots = record;
+        self.sink.record_snapshots = record;
     }
 }
 

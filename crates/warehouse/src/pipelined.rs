@@ -28,7 +28,7 @@ use crate::error::WarehouseError;
 use crate::install::InstallRecord;
 use crate::metrics::PolicyMetrics;
 use crate::policy::MaintenancePolicy;
-use crate::view::MaterializedView;
+use dw_engine::InstallSink;
 use dw_protocol::{source_node, Message, SweepQuery, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{extend_partial, Bag, JoinSide, PartialDelta, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
@@ -65,10 +65,8 @@ struct Flight {
 /// The pipelined-SWEEP warehouse policy.
 pub struct PipelinedSweep {
     view_def: ViewDef,
-    view: MaterializedView,
+    sink: InstallSink,
     metrics: PolicyMetrics,
-    install_log: Vec<InstallRecord>,
-    record_snapshots: bool,
     opts: PipelinedSweepOptions,
     next_qid: u64,
     /// All delivered updates by arrival index.
@@ -98,10 +96,8 @@ impl PipelinedSweep {
     ) -> Result<Self, WarehouseError> {
         Ok(PipelinedSweep {
             view_def,
-            view: MaterializedView::new(initial_view)?,
+            sink: InstallSink::new(initial_view)?,
             metrics: PolicyMetrics::default(),
-            install_log: Vec::new(),
-            record_snapshots: true,
             opts,
             next_qid: 0,
             log: BTreeMap::new(),
@@ -254,14 +250,12 @@ impl PipelinedSweep {
     fn drain_installs(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), WarehouseError> {
         while let Some(bag) = self.ready.remove(&self.next_install) {
             let upd = self.log.get(&self.next_install).expect("logged").clone();
-            self.view.install(&bag)?;
-            self.metrics.installs += 1;
-            self.metrics.record_staleness(upd.arrived_at, net.now());
-            self.install_log.push(InstallRecord {
-                at: net.now(),
-                consumed: vec![upd.id],
-                view_after: self.record_snapshots.then(|| self.view.bag().clone()),
-            });
+            self.sink.install(
+                &mut self.metrics,
+                &bag,
+                &[(upd.id, upd.arrived_at)],
+                net.now(),
+            )?;
             self.next_install += 1;
         }
         // Prune log entries no in-flight or future sweep can reference:
@@ -323,11 +317,11 @@ impl MaintenancePolicy for PipelinedSweep {
     }
 
     fn view(&self) -> &Bag {
-        self.view.bag()
+        self.sink.bag()
     }
 
     fn installs(&self) -> &[InstallRecord] {
-        &self.install_log
+        self.sink.log()
     }
 
     fn metrics(&self) -> &PolicyMetrics {
@@ -339,7 +333,7 @@ impl MaintenancePolicy for PipelinedSweep {
     }
 
     fn set_record_snapshots(&mut self, record: bool) {
-        self.record_snapshots = record;
+        self.sink.record_snapshots = record;
     }
 }
 

@@ -22,7 +22,7 @@ use crate::error::WarehouseError;
 use crate::install::InstallRecord;
 use crate::metrics::PolicyMetrics;
 use crate::policy::MaintenancePolicy;
-use crate::view::MaterializedView;
+use dw_engine::InstallSink;
 use dw_protocol::{source_node, Message, SweepQuery, UpdateId, WAREHOUSE_NODE};
 use dw_relational::key::ViewKeyMap;
 use dw_relational::{Bag, JoinSide, KeySpec, PartialDelta, Value, ViewDef};
@@ -51,10 +51,8 @@ pub struct Strobe {
     view_def: ViewDef,
     keys: KeySpec,
     vkm: ViewKeyMap,
-    view: MaterializedView,
+    sink: InstallSink,
     metrics: PolicyMetrics,
-    install_log: Vec<InstallRecord>,
-    record_snapshots: bool,
     next_qid: u64,
     uqs: Vec<InFlight>,
     al: Vec<Action>,
@@ -77,10 +75,8 @@ impl Strobe {
             view_def,
             keys,
             vkm,
-            view: MaterializedView::new(initial_view)?,
+            sink: InstallSink::new(initial_view)?,
             metrics: PolicyMetrics::default(),
-            install_log: Vec::new(),
-            record_snapshots: true,
             next_qid: 0,
             uqs: Vec::new(),
             al: Vec::new(),
@@ -242,7 +238,7 @@ impl Strobe {
         }
         // Build one delta from the ordered action list, with duplicate
         // suppression against the evolving view state.
-        let mut working = self.view.bag().clone();
+        let mut working = self.sink.bag().clone();
         let mut delta = Bag::new();
         for action in self.al.drain(..) {
             match action {
@@ -267,17 +263,9 @@ impl Strobe {
                 }
             }
         }
-        self.view.install(&delta)?;
-        self.metrics.installs += 1;
-        let now = net.now();
-        for &(_, d) in &self.ready {
-            self.metrics.record_staleness(d, now);
-        }
-        self.install_log.push(InstallRecord {
-            at: now,
-            consumed: self.ready.drain(..).map(|(id, _)| id).collect(),
-            view_after: self.record_snapshots.then(|| self.view.bag().clone()),
-        });
+        self.sink
+            .install(&mut self.metrics, &delta, &self.ready, net.now())?;
+        self.ready.clear();
         Ok(())
     }
 }
@@ -309,11 +297,11 @@ impl MaintenancePolicy for Strobe {
     }
 
     fn view(&self) -> &Bag {
-        self.view.bag()
+        self.sink.bag()
     }
 
     fn installs(&self) -> &[InstallRecord] {
-        &self.install_log
+        self.sink.log()
     }
 
     fn metrics(&self) -> &PolicyMetrics {
@@ -325,7 +313,7 @@ impl MaintenancePolicy for Strobe {
     }
 
     fn set_record_snapshots(&mut self, record: bool) {
-        self.record_snapshots = record;
+        self.sink.record_snapshots = record;
     }
 }
 

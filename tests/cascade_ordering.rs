@@ -64,6 +64,12 @@ fn scenario(seed: u64) -> MultiViewScenario {
     sc
 }
 
+/// `sc` under the serving arm with no readers: the publication ledger and
+/// the baseline subscriptions are what this suite inspects.
+fn serving(sc: MultiViewScenario) -> MultiViewExperiment {
+    MultiViewExperiment::new(sc).reads(Vec::new())
+}
+
 /// V0's cascade block in the documented order: the base install at slot
 /// 0, then its children ascending by slot (hot=2, counts=3), and
 /// counts's own child depth-first (busy=4).
@@ -72,8 +78,8 @@ const V0_BLOCK: [usize; 4] = [0, 2, 3, 4];
 /// Check the publication ledger against the documented ticket order:
 /// per-slot epochs contiguous from 1, and every slot-0 install followed
 /// immediately by exactly its descendant block.
-fn assert_documented_order(report: &ServeReport, arm: &str) {
-    let log = &report.publication_log;
+fn assert_documented_order(report: &MultiViewReport, arm: &str) {
+    let log = &report.served().unwrap().publication_log;
     assert!(!log.is_empty(), "{arm}: nothing published");
 
     // Per-slot epoch contiguity: the k-th publication of a slot is its
@@ -124,13 +130,14 @@ fn assert_documented_order(report: &ServeReport, arm: &str) {
 
 #[test]
 fn flat_cascade_publishes_in_documented_ticket_order() {
-    let report = ServeExperiment::new(scenario(31)).run().unwrap();
+    let report = serving(scenario(31)).run().unwrap();
     assert!(report.quiescent);
     assert!(report.derived_clean(), "derived diverged from oracle");
     assert_documented_order(&report, "flat");
     // The hub fanned every block out: each baseline subscription (base
     // and derived slots alike) replays its view's full install log.
-    assert_eq!(report.subscriptions.len(), 5, "one baseline sub per slot");
+    let subs = &report.served().unwrap().subscriptions;
+    assert_eq!(subs.len(), 5, "one baseline sub per slot");
     assert!(report.subscriptions_match_installs());
     assert!(report.cascade.child_installs > 0, "cascade never fired");
 }
@@ -138,19 +145,17 @@ fn flat_cascade_publishes_in_documented_ticket_order() {
 #[test]
 fn sharded_sequencer_releases_the_same_ticket_order() {
     let sc = scenario(32);
-    let flat = ServeExperiment::new(sc.clone()).run().unwrap();
-    let sharded = ServeExperiment::new(sc)
-        .sharded(ShardMap::hash(2))
-        .run()
-        .unwrap();
-    assert!(sharded.sharded && sharded.quiescent);
+    let flat = serving(sc.clone()).run().unwrap();
+    let sharded = serving(sc).shards(ShardMap::hash(2)).run().unwrap();
+    assert!(sharded.shard_stats.is_some() && sharded.quiescent);
     assert!(sharded.derived_clean());
     assert_documented_order(&sharded, "sharded");
     assert!(sharded.subscriptions_match_installs());
     // Sequenced per-shard lanes must release the exact flat order:
     // ticket order is arrival order, cascades ride each release.
     assert_eq!(
-        sharded.publication_log, flat.publication_log,
+        sharded.served().unwrap().publication_log,
+        flat.served().unwrap().publication_log,
         "sharded sequencer broke the flat ticket order"
     );
 }
@@ -159,7 +164,7 @@ fn sharded_sequencer_releases_the_same_ticket_order() {
 fn crash_recovery_replays_never_reenter_the_ledger() {
     let sc = scenario(33);
     let crash_at = sc.txns[8].at;
-    let report = ServeExperiment::new(sc.clone())
+    let report = serving(sc.clone())
         .durability(2)
         .transport_auto()
         .faults(FaultPlan::none().state_crash(WAREHOUSE_NODE, crash_at, crash_at + 2_000))
@@ -174,14 +179,17 @@ fn crash_recovery_replays_never_reenter_the_ledger() {
     // high-water mark without duplicating ledger entries (checked by the
     // contiguity sweep in `assert_documented_order` above).
     assert!(
-        report.recovery.as_ref().unwrap().recoveries >= 1,
+        report.recovery.recoveries >= 1,
         "crash window produced no recovery — crash arm did not engage"
     );
     // Final derived bags equal the fault-free run's (restart equivalence
     // through the serving layer included).
-    let clean = ServeExperiment::new(sc).run().unwrap();
+    let clean = serving(sc).run().unwrap();
     for (a, b) in report.derived.iter().zip(clean.derived.iter()) {
         assert_eq!(a.view, b.view, "derived '{}' diverged across crash", a.name);
     }
-    assert_eq!(report.publication_log, clean.publication_log);
+    assert_eq!(
+        report.served().unwrap().publication_log,
+        clean.served().unwrap().publication_log
+    );
 }

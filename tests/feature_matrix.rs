@@ -15,7 +15,13 @@
 //!   differ — that is the concurrency);
 //! * **(c)** every combination the scheduler refuses returns its
 //!   documented, typed error (the table in DESIGN.md) instead of being
-//!   silently dropped.
+//!   silently dropped — one builder, so one refusal per cell;
+//! * **(d)** serving composes: `.reads(mix)` × {batch 4, pushdown, both}
+//!   on the same schedules, bounded subscriptions and the answer cache
+//!   on, must pass the read, lag and subscription oracles and leave
+//!   maintenance exactly as the same options leave it without readers;
+//! * **(e)** serving is invisible to maintenance: an empty read schedule
+//!   changes nothing but the presence of `report.serve`.
 //!
 //! The referee here is the plain constructor of the same scheduler, so
 //! every run is also held to the independent oracles: per-view
@@ -100,6 +106,24 @@ fn assert_same_outcome(got: &MultiViewReport, referee: &MultiViewReport, arm: &s
         };
         assert_eq!(consumed(a), consumed(b), "{arm}: derived '{}'", a.name);
     }
+}
+
+/// Everything maintenance produced, install times included.
+fn assert_same_maintenance(got: &MultiViewReport, referee: &MultiViewReport, arm: &str) {
+    assert_same_outcome(got, referee, arm);
+    for (a, b) in got.views.iter().zip(&referee.views) {
+        assert_eq!(a.installs, b.installs, "{arm}: view '{}'", a.name);
+    }
+    for (a, b) in got.derived.iter().zip(&referee.derived) {
+        assert_eq!(a.installs, b.installs, "{arm}: derived '{}'", a.name);
+    }
+    assert_eq!(got.net.total(), referee.net.total(), "{arm}: wire");
+    assert_eq!(got.makespan(), referee.makespan(), "{arm}");
+    assert_eq!(got.delivery_log, referee.delivery_log, "{arm}");
+    assert_eq!(
+        (got.events, got.end_time),
+        (referee.events, referee.end_time)
+    );
 }
 
 #[test]
@@ -191,7 +215,6 @@ fn refused_combinations_return_their_documented_errors() {
     let base = scenario.base.clone();
     let map = || ShardMap::hash(2);
     let multi = || MultiViewExperiment::new(scenario.clone());
-    let serve = || ServeExperiment::new(scenario.clone());
     let batched = EngineOptions {
         batch: 2,
         ..EngineOptions::default()
@@ -206,8 +229,6 @@ fn refused_combinations_return_their_documented_errors() {
     assert!(refusal(e).contains("sharded scheduler does not support predicate pushdown"));
     let e = multi().shards(map()).mode(naive).run().unwrap_err();
     assert!(refusal(e).contains("sharded scheduler does not support the naive per-view mode"));
-    let e = serve().sharded(map()).mode(naive).run().unwrap_err();
-    assert!(refusal(e).contains("naive per-view mode"));
 
     // naive × batching: was ignored without a word.
     let e = MaintenanceScheduler::with_shards(base.clone(), naive, batched, None).err();
@@ -216,9 +237,9 @@ fn refused_combinations_return_their_documented_errors() {
     let e = multi().mode(naive).batch(2).run().unwrap_err();
     assert!(refusal(e).contains("naive per-view mode does not support cross-update batching"));
 
-    // shards × durability: was dropped silently by ServeExperiment.
-    let e = serve().sharded(map()).durability(2).run().unwrap_err();
-    assert!(refusal(e).contains("sharded scheduler does not support durability"));
+    // shards × durability: refused with or without a serving arm.
+    let e = multi().shards(map()).durability(2).reads(Vec::new()).run();
+    assert!(refusal(e.unwrap_err()).contains("sharded scheduler does not support durability"));
     let e = multi().shards(map()).durability(2).run().unwrap_err();
     assert!(refusal(e).contains("sharded scheduler does not support durability"));
     // Straight at the scheduler: arming is a statement, the refusal
@@ -233,8 +254,6 @@ fn refused_combinations_return_their_documented_errors() {
 
     // shards × an unscoped warehouse state crash: was swallowed.
     let e = multi().shards(map()).faults(state_crash()).run();
-    assert!(refusal(e.unwrap_err()).contains("unscoped warehouse state crash"));
-    let e = serve().sharded(map()).faults(state_crash()).run();
     assert!(refusal(e.unwrap_err()).contains("unscoped warehouse state crash"));
 
     // A shard crash must name a shard the scheduler has.
@@ -253,4 +272,102 @@ fn refused_combinations_return_their_documented_errors() {
     // Internal-invariant errors are typed too, not panics.
     let e: CoreError = MvError::Internal { what: "x" }.into();
     assert!(matches!(e, CoreError::Multi(msg) if msg.contains("invariant")));
+}
+
+/// The read schedule of case `k`: points, scans, polls of the bounded
+/// subscriptions and fresh subscriptions, spread over the base views.
+fn read_mix(k: u64, scenario: &MultiViewScenario) -> Vec<ReadOp> {
+    ReadMixConfig {
+        n_views: scenario.views.len(),
+        ..ReadMixConfig::laggy_subscribers(3, 10, SEED_BASE + k)
+    }
+    .generate()
+}
+
+#[test]
+fn serving_composes_with_batching_and_pushdown() {
+    let (mut audited, mut lagged, mut with_derived) = (0, 0, 0);
+    // Per pushdown setting: did batch 4 ever undercut the plain message bill?
+    let mut batch_saved = [false; 2];
+    for k in 0..SCHEDULES {
+        let scenario = schedule(k);
+        with_derived += usize::from(!scenario.derived.is_empty());
+        let plain = run(&scenario, None, k);
+        for (batch, pushdown) in [(4, false), (1, true), (4, true)] {
+            let arm = format!("schedule {k}, batch {batch}, pushdown {pushdown}");
+            let options = || {
+                MultiViewExperiment::new(scenario.clone())
+                    .seed(k)
+                    .batch(batch)
+                    .pushdown(pushdown)
+            };
+            let quiet = options().run().unwrap();
+            let served = options()
+                .reads(read_mix(k, &scenario))
+                .bounded_subscriptions(2)
+                .answer_cache(8)
+                .run()
+                .unwrap();
+            assert!(served.quiescent, "{arm}: did not drain");
+
+            // The readers saw only truth…
+            let audit = audit_reads(&scenario, &served).unwrap();
+            assert!(audit.clean(), "{arm}: {audit:?}");
+            let lag = audit_lag_recoveries(&scenario, &served).unwrap();
+            assert!(lag.clean(), "{arm}: {lag:?}");
+            assert!(served.subscriptions_match_installs(), "{arm}");
+            assert!(served.derived_clean(), "{arm}: derived oracle audit");
+            audited += audit.answered;
+            lagged += lag.lag_events;
+
+            // …and maintenance never noticed them: same installs at the
+            // same instants as these options produce alone, the bags of
+            // the plain scheduler, and no weaker a consistency level.
+            assert_same_maintenance(&served, &quiet, &arm);
+            for (a, b) in served.views.iter().zip(&plain.views) {
+                assert_eq!(a.view, b.view, "{arm}: view '{}' vs plain", a.name);
+            }
+            for (a, b) in served.views.iter().zip(&quiet.views) {
+                // Folding k updates into one install skips states, so a
+                // batched view is strongly, not completely, consistent —
+                // with readers or without.
+                let level = |v: &ViewOutcome| v.consistency.as_ref().unwrap().level;
+                assert!(
+                    level(a) >= level(b) && level(a) >= ConsistencyLevel::Strong,
+                    "{arm}: view '{}' at {}",
+                    a.name,
+                    level(a)
+                );
+            }
+            assert!(served.query_messages() <= plain.query_messages(), "{arm}");
+            if batch > 1 && served.query_messages() < plain.query_messages() {
+                batch_saved[usize::from(pushdown)] = true;
+            }
+        }
+    }
+    assert!(audited > SCHEDULES, "only {audited} reads answered");
+    assert!(lagged > 0, "no bounded subscription ever overflowed");
+    assert!(with_derived >= SCHEDULES as usize / 2, "DAG arm never ran");
+    assert_eq!(batch_saved, [true; 2], "batching never engaged");
+}
+
+#[test]
+fn serving_is_invisible_to_maintenance() {
+    for k in 0..SCHEDULES {
+        let scenario = schedule(k);
+        let quiet = run(&scenario, None, k);
+        let referee = MultiViewExperiment::new(scenario.clone())
+            .seed(k)
+            .reads(Vec::new())
+            .run()
+            .unwrap();
+        let arm = format!("schedule {k}, empty read schedule");
+        assert_same_maintenance(&referee, &quiet, &arm);
+        assert!(quiet.serve.is_none() && quiet.served().is_err(), "{arm}");
+        let installs: usize = referee.views.iter().map(|v| v.installs.len()).sum();
+        let derived: usize = referee.derived.iter().map(|d| d.installs.len()).sum();
+        let served = referee.served().unwrap();
+        assert_eq!(served.publication_log.len(), installs + derived, "{arm}");
+        assert!(served.reads.is_empty() && referee.subscriptions_match_installs());
+    }
 }

@@ -105,7 +105,7 @@ fn read_mix(k: u64, scenario: &MultiViewScenario) -> Vec<ReadOp> {
 /// Audit a finished run: every answered read equals the oracle recompute
 /// at its pinned epoch, every verdict matches the staleness oracle, and
 /// subscription streams replay the install log.
-fn check(scenario: &MultiViewScenario, report: &ServeReport, k: u64) -> OracleAudit {
+fn check(scenario: &MultiViewScenario, report: &MultiViewReport, k: u64) -> OracleAudit {
     assert!(report.quiescent, "case {k}: run did not drain");
     let audit = audit_reads(scenario, report).unwrap();
     assert_eq!(
@@ -140,9 +140,11 @@ fn answered_reads_equal_oracle_recompute_across_seeded_schedules() {
     for k in 0..n_cases {
         let scenario = dense_scenario(k);
         let reads = read_mix(k, &scenario);
-        let mut exp = ServeExperiment::new(scenario.clone()).reads(reads).seed(k);
+        let mut exp = MultiViewExperiment::new(scenario.clone())
+            .reads(reads)
+            .seed(k);
         if k % 3 == 2 {
-            exp = exp.sharded(ShardMap::hash(2 + (k % 2) as usize));
+            exp = exp.shards(ShardMap::hash(2 + (k % 2) as usize));
             sharded_runs += 1;
         }
         let report = exp.run().unwrap();
@@ -154,10 +156,11 @@ fn answered_reads_equal_oracle_recompute_across_seeded_schedules() {
         // publishes nothing, so the exercised floor is aggregate.
         let installs: u64 = report.views.iter().map(|v| v.installs.len() as u64).sum();
         assert_eq!(
-            report.serve_stats.snapshots_published, installs,
+            report.served().unwrap().serve_stats.snapshots_published,
+            installs,
             "case {k}: installs and published snapshots diverged"
         );
-        snapshots += report.serve_stats.snapshots_published;
+        snapshots += report.served().unwrap().serve_stats.snapshots_published;
     }
     assert!(answered > n_cases, "only {answered} reads answered");
     assert!(
@@ -205,7 +208,7 @@ fn reads_during_crash_recovery_answer_from_last_committed_epoch() {
             }
         }
         reads.sort_by_key(|op| (op.at, op.reader));
-        let report = ServeExperiment::new(scenario.clone())
+        let report = MultiViewExperiment::new(scenario.clone())
             .reads(reads)
             .seed(k)
             .transport_auto()
@@ -214,7 +217,7 @@ fn reads_during_crash_recovery_answer_from_last_committed_epoch() {
             .run()
             .unwrap();
         check(&scenario, &report, k);
-        recoveries += report.recovery.as_ref().map_or(0, |r| r.recoveries);
+        recoveries += report.recovery.recoveries;
     }
     assert!(
         recoveries >= n_cases / 2,
@@ -223,55 +226,13 @@ fn reads_during_crash_recovery_answer_from_last_committed_epoch() {
     assert!(in_window_reads > 0);
 }
 
-/// Field-wise byte-equality of two runs' read outcomes. (`Bag` wraps a
-/// HashMap, so comparing Debug strings would be iteration-order noise;
-/// the comparison has to be structural.)
-fn assert_identical_answers(a: &ServeReport, b: &ServeReport, k: u64, arm: &str) {
-    assert_eq!(a.reads.len(), b.reads.len(), "case {k} ({arm})");
-    for (x, y) in a.reads.iter().zip(&b.reads) {
-        assert_eq!(x.op, y.op, "case {k} ({arm}): schedules diverged");
-        assert_eq!(x.epoch, y.epoch, "case {k} ({arm}): pinned epoch drifted");
-        assert_eq!(x.deliveries_seen, y.deliveries_seen, "case {k} ({arm})");
-        let same = match (&x.result, &y.result) {
-            (
-                ReadResult::Point {
-                    multiplicity: m1,
-                    matches: t1,
-                },
-                ReadResult::Point {
-                    multiplicity: m2,
-                    matches: t2,
-                },
-            ) => m1 == m2 && t1 == t2,
-            (ReadResult::Scan { bag: b1 }, ReadResult::Scan { bag: b2 }) => b1 == b2,
-            (
-                ReadResult::Rejected {
-                    required: r1,
-                    freshest_admissible: f1,
-                },
-                ReadResult::Rejected {
-                    required: r2,
-                    freshest_admissible: f2,
-                },
-            ) => r1 == r2 && f1 == f2,
-            (ReadResult::Subscribed { .. }, ReadResult::Subscribed { .. }) => true,
-            (
-                ReadResult::Polled {
-                    delivered: d1,
-                    resumed: r1,
-                },
-                ReadResult::Polled {
-                    delivered: d2,
-                    resumed: r2,
-                },
-            ) => d1 == d2 && r1 == r2,
-            _ => false,
-        };
-        assert!(
-            same,
-            "case {k} ({arm}): answer diverged at t={}: {:?} vs {:?}",
-            x.op.at, x.result, y.result
-        );
+/// Byte-equality of two runs' read outcomes, naming the first read that
+/// diverged.
+fn assert_identical_answers(a: &MultiViewReport, b: &MultiViewReport, k: u64, arm: &str) {
+    let (a, b) = (&a.served().unwrap().reads, &b.served().unwrap().reads);
+    assert_eq!(a.len(), b.len(), "case {k} ({arm})");
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x, y, "case {k} ({arm}): answer diverged at t={}", x.op.at);
     }
 }
 
@@ -295,7 +256,7 @@ fn index_and_cache_arms_answer_byte_identically_across_schedules() {
         };
         let reads = read_mix(k, &scenario);
         let build = |scenario: &MultiViewScenario, reads: &[ReadOp]| {
-            let mut exp = ServeExperiment::new(scenario.clone())
+            let mut exp = MultiViewExperiment::new(scenario.clone())
                 .reads(reads.to_vec())
                 .seed(k);
             if crashed {
@@ -305,7 +266,7 @@ fn index_and_cache_arms_answer_byte_identically_across_schedules() {
                     .durability(1 + (k % 3) as usize)
                     .faults(FaultPlan::default().state_crash(0, anchor + 1_050, anchor + 4_050));
             } else if k % 3 == 2 {
-                exp = exp.sharded(ShardMap::hash(2));
+                exp = exp.shards(ShardMap::hash(2));
             }
             exp
         };
@@ -316,11 +277,12 @@ fn index_and_cache_arms_answer_byte_identically_across_schedules() {
         assert_identical_answers(&indexed, &linear, k, "index on/off");
         assert_identical_answers(&indexed, &cached, k, "cache on/off");
         assert_eq!(
-            linear.serve_stats.point_index_builds, 0,
+            linear.served().unwrap().serve_stats.point_index_builds,
+            0,
             "case {k}: the off arm built an index"
         );
-        index_builds += indexed.serve_stats.point_index_builds;
-        cache_hits += cached.serve_stats.cache_hits;
+        index_builds += indexed.served().unwrap().serve_stats.point_index_builds;
+        cache_hits += cached.served().unwrap().serve_stats.cache_hits;
         crash_runs += u64::from(crashed);
     }
     assert!(index_builds > 0, "no schedule ever built a point index");
@@ -344,7 +306,7 @@ fn lagged_subscribers_recover_equivalent_streams_across_schedules() {
             ..ReadMixConfig::laggy_subscribers(3, 12, SEED_BASE + k)
         }
         .generate();
-        let report = ServeExperiment::new(scenario.clone())
+        let report = MultiViewExperiment::new(scenario.clone())
             .reads(reads)
             .seed(k)
             .bounded_subscriptions(1 + (k % 2) as usize)
@@ -354,7 +316,8 @@ fn lagged_subscribers_recover_equivalent_streams_across_schedules() {
         let audit = audit_lag_recoveries(&scenario, &report).unwrap();
         assert!(audit.clean(), "case {k}: {audit:?}");
         assert_eq!(
-            report.serve_stats.subs_lagged, audit.lag_events,
+            report.served().unwrap().serve_stats.subs_lagged,
+            audit.lag_events,
             "case {k}: store lag counter disagrees with the event history"
         );
         lag_events += audit.lag_events;
@@ -393,8 +356,8 @@ fn reads_during_shard_crash_recovery_answer_from_committed_epochs() {
             });
         }
         reads.sort_by_key(|op| (op.at, op.reader));
-        let report = ServeExperiment::new(scenario.clone())
-            .sharded(ShardMap::hash(shards))
+        let report = MultiViewExperiment::new(scenario.clone())
+            .shards(ShardMap::hash(shards))
             .reads(reads)
             .seed(k)
             .faults(FaultPlan::default().state_crash_shard(0, down_at, up_at, target))
