@@ -5,14 +5,16 @@
 //!   critical path (the paper's first observation);
 //! * *empty short-circuit* — once the in-flight `ΔV` is empty the final
 //!   change is empty, so remaining queries can be skipped (saves messages
-//!   on low-selectivity workloads).
+//!   on low-selectivity workloads);
+//! * *pipelining* — `window: 0` overlaps the sweeps of different updates,
+//!   installs staying in arrival order.
 //!
-//! Both must preserve complete consistency — asserted on every row.
+//! All must preserve complete consistency — asserted on every row.
 
 use dw_bench::TableWriter;
 use dw_core::{Experiment, PolicyKind};
 use dw_simnet::LatencyModel;
-use dw_warehouse::{PipelinedSweepOptions, SweepOptions};
+use dw_warehouse::SweepOptions;
 use dw_workload::StreamConfig;
 
 fn main() {
@@ -34,6 +36,7 @@ fn main() {
             PolicyKind::Sweep(SweepOptions {
                 parallel: false,
                 short_circuit_empty: false,
+                ..Default::default()
             }),
         ),
         (
@@ -41,6 +44,7 @@ fn main() {
             PolicyKind::Sweep(SweepOptions {
                 parallel: true,
                 short_circuit_empty: false,
+                ..Default::default()
             }),
         ),
         (
@@ -48,6 +52,7 @@ fn main() {
             PolicyKind::Sweep(SweepOptions {
                 parallel: false,
                 short_circuit_empty: true,
+                ..Default::default()
             }),
         ),
         (
@@ -55,11 +60,15 @@ fn main() {
             PolicyKind::Sweep(SweepOptions {
                 parallel: true,
                 short_circuit_empty: true,
+                ..Default::default()
             }),
         ),
         (
             "pipelined (unbounded)",
-            PolicyKind::PipelinedSweep(PipelinedSweepOptions { window: 0 }),
+            PolicyKind::Sweep(SweepOptions {
+                window: 0,
+                ..Default::default()
+            }),
         ),
     ];
 

@@ -8,6 +8,7 @@
 use dw_bench::TableWriter;
 use dw_core::{Experiment, PolicyKind};
 use dw_simnet::LatencyModel;
+use dw_warehouse::SweepOptions;
 use dw_workload::StreamConfig;
 
 fn main() {
@@ -33,7 +34,10 @@ fn main() {
     for &gap in gaps {
         for kind in [
             PolicyKind::Sweep(Default::default()),
-            PolicyKind::PipelinedSweep(Default::default()),
+            PolicyKind::Sweep(SweepOptions {
+                window: 0,
+                ..Default::default()
+            }),
             PolicyKind::NestedSweep(Default::default()),
             PolicyKind::Strobe,
             PolicyKind::Recompute,

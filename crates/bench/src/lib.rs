@@ -1,8 +1,9 @@
 //! # dw-bench
 //!
 //! Shared helpers for the experiment binaries (one binary per reproduced
-//! paper table/figure — see `src/bin/`) and the dependency-free
-//! micro-benches under `benches/`.
+//! paper table/figure — see `src/bin/`), the perf gate, and the
+//! dependency-free timing harness the wall-clock benchmark's kernel table
+//! uses ([`Bench`]).
 
 #![warn(missing_docs)]
 

@@ -11,8 +11,8 @@ use dw_serve::ServeError;
 use dw_simnet::{NodeId, Time};
 use dw_source::{EcaSite, SourceError};
 use dw_warehouse::{
-    CStrobe, Eca, MaintenancePolicy, NestedSweep, NestedSweepOptions, PipelinedSweep,
-    PipelinedSweepOptions, Recompute, Strobe, Sweep, SweepOptions, WarehouseError,
+    CStrobe, Eca, MaintenancePolicy, NestedSweep, NestedSweepOptions, Recompute, Strobe, Sweep,
+    SweepOptions, WarehouseError,
 };
 use dw_workload::GeneratedScenario;
 use std::fmt;
@@ -20,7 +20,9 @@ use std::fmt;
 /// Which maintenance algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// SWEEP (§5) — complete consistency, local compensation.
+    /// SWEEP (§5) — complete consistency, local compensation. With
+    /// [`SweepOptions::window`] ≠ 1 it is Pipelined SWEEP, §5.3's second
+    /// optimization: overlapped sweeps, in-order installs.
     Sweep(SweepOptions),
     /// Nested SWEEP (§6) — strong consistency, batched installs.
     NestedSweep(NestedSweepOptions),
@@ -30,9 +32,6 @@ pub enum PolicyKind {
     Strobe,
     /// C-strobe — unique keys, complete consistency, query blow-up.
     CStrobe,
-    /// Pipelined SWEEP — §5.3's second optimization: overlapped sweeps,
-    /// in-order installs, complete consistency.
-    PipelinedSweep(PipelinedSweepOptions),
     /// Full recompute — convergence only.
     Recompute,
 }
@@ -41,12 +40,12 @@ impl PolicyKind {
     /// Short name matching `MaintenancePolicy::name`.
     pub fn name(&self) -> &'static str {
         match self {
-            PolicyKind::Sweep(_) => "sweep",
+            PolicyKind::Sweep(SweepOptions { window: 1, .. }) => "sweep",
+            PolicyKind::Sweep(_) => "pipelined-sweep",
             PolicyKind::NestedSweep(_) => "nested-sweep",
             PolicyKind::Eca => "eca",
             PolicyKind::Strobe => "strobe",
             PolicyKind::CStrobe => "c-strobe",
-            PolicyKind::PipelinedSweep(_) => "pipelined-sweep",
             PolicyKind::Recompute => "recompute",
         }
     }
@@ -174,8 +173,7 @@ impl Experiment {
 
     /// Answer queries through incrementally maintained join indexes at the
     /// sources instead of per-query hashing (requires selection-free
-    /// relations; behaviourally identical, measured in the `policies`
-    /// micro-bench).
+    /// relations; behaviourally identical).
     pub fn indexed_sources(mut self, on: bool) -> Self {
         self.indexed_sources = on;
         self
@@ -208,11 +206,6 @@ impl Experiment {
                 view_def.clone(),
                 scenario.keys.clone(),
                 initial_view,
-            )?),
-            PolicyKind::PipelinedSweep(opts) => Box::new(PipelinedSweep::with_options(
-                view_def.clone(),
-                initial_view,
-                opts,
             )?),
             PolicyKind::Recompute => Box::new(Recompute::new(view_def.clone(), initial_view)?),
         };
@@ -497,6 +490,7 @@ mod tests {
             .policy(PolicyKind::Sweep(SweepOptions {
                 parallel: false,
                 short_circuit_empty: false,
+                ..Default::default()
             }))
             .run()
             .unwrap();
@@ -504,6 +498,7 @@ mod tests {
             .policy(PolicyKind::Sweep(SweepOptions {
                 parallel: true,
                 short_circuit_empty: false,
+                ..Default::default()
             }))
             .run()
             .unwrap();

@@ -84,6 +84,29 @@ fn nested_sweep_traces_are_deterministic_and_labeled() {
     assert!(first.contains("nested_sweep ["));
 }
 
+/// Every policy sends its queries through the engine, so every
+/// `SweepQuery` is observable: pipelined SWEEP and Strobe record the same
+/// `engine.hop` span per query that SWEEP and Nested SWEEP always have.
+#[test]
+fn pipelined_and_strobe_hops_are_observable_and_deterministic() {
+    let pipelined = PolicyKind::Sweep(dw_warehouse::SweepOptions {
+        window: 0,
+        ..Default::default()
+    });
+    for policy in [pipelined, PolicyKind::Strobe] {
+        let render = || {
+            let (obs, rec) = Obs::trace();
+            let report = run(policy, obs);
+            let rec = rec.lock().unwrap();
+            let hops = rec.histogram("engine.hop").map_or(0, |h| h.count());
+            assert!(hops > 0, "{}: no engine.hop span", policy.name());
+            assert_eq!(hops, report.metrics.queries_sent, "{}", policy.name());
+            rec.render()
+        };
+        assert_eq!(render(), render(), "{}", policy.name());
+    }
+}
+
 #[test]
 fn observer_does_not_change_results() {
     let silent = run(PolicyKind::Sweep(Default::default()), Obs::off());

@@ -1,22 +1,21 @@
-//! The canonical sweep mechanism.
-//!
-//! Everything the four executors used to duplicate lives here, once:
+//! The canonical sweep mechanism, once:
 //!
 //! * [`EngineCore`] — qid allocation, query emission, the on-line error
 //!   correction `ΔV ← ΔV − ΔR_j ⋈ TempView` (§4) against the FIFO update
 //!   queue, sweep/hop span bookkeeping, and aggregate metrics;
-//! * [`Leg`]/[`LegSlot`] — one directional hop chain (plain SWEEP's
-//!   sequential walk, §5.3's parallel legs, the multiview shared sweep's
-//!   two legs);
-//! * [`Frame`] — one suspended or running `ViewChange(ΔR, Left, Source,
-//!   Right)` call (Nested SWEEP's dovetailing stack, Figure 6);
-//! * [`merge_pivot`]/[`support`] — §5.3's parallel-sweep merge,
-//!   generalized to arbitrary spans;
-//! * [`InstallSink`] — atomic install with staleness accounting and the
-//!   install log the consistency checker reads;
+//! * [`SweepRun`] — the hop walk itself: seeded at `R_j`, extend the
+//!   partial over `[lo, hi]` sequentially (Figure 4, a Figure 6 frame) or
+//!   with two legs (§5.3, the multiview lane), handing each answered
+//!   [`Hop`] to the strategy for compensation;
+//! * the support seed and pivot merge behind [`SweepRun::two_legs`] and
+//!   [`SweepRun::merge`] — §5.3's parallel-sweep merge, generalized to
+//!   arbitrary spans;
+//! * [`InstallSink`] — atomic install with staleness accounting, the
+//!   install log the consistency checker reads, and the publish hook;
 //! * [`SweepPolicy`]/[`dispatch`] — the strategy hook: adapters decide
-//!   *which* hops to take and *when* to install, the engine routes
-//!   deliveries and keeps the shared counters honest.
+//!   *which* concurrent updates a hop compensates for and *when* the
+//!   result installs, the engine routes deliveries and keeps the shared
+//!   counters honest.
 //!
 //! Observability: the engine emits its own `engine.hop` span nested under
 //! the adapter's hop span, bumps `engine.compensations` next to the
@@ -252,23 +251,28 @@ impl EngineCore {
     /// `ΔR_j ⋈ TempView` for every queued concurrent update from the hop
     /// source, **without removing** them from the queue (plain SWEEP —
     /// the interfering updates still get their own sweeps later).
+    /// `later` adds the deltas of updates from `j` that already left the
+    /// queue for a sweep of their own but arrived *after* this sweep's
+    /// update (pipelining): one merged `ΔR_j`, one compensation.
     pub fn compensate(
         &mut self,
         ctx: &SweepCtx,
-        dv: &mut PartialDelta,
-        temp: &PartialDelta,
-        j: usize,
-        side: JoinSide,
+        hop: &mut Hop<'_>,
+        later: &[&Bag],
     ) -> Result<(), WarehouseError> {
+        let (j, side) = (hop.j, hop.side);
         let mut merged = self.queue.merged_from_source(j);
+        for delta in later {
+            merged.merge(delta);
+        }
         if let Some(pred) = ctx.push_pred(j) {
             merged = merged.filter(|t| pred.eval(t));
         }
         if merged.is_empty() {
             return Ok(());
         }
-        let err = extend_partial(&self.view, temp, &merged, side)?;
-        self.apply_compensation(dv, &err);
+        let err = extend_partial(&self.view, &hop.temp, &merged, side)?;
+        self.apply_compensation(hop.dv, &err);
         Ok(())
     }
 
@@ -280,11 +284,9 @@ impl EngineCore {
     pub fn compensate_consuming(
         &mut self,
         ctx: &SweepCtx,
-        dv: &mut PartialDelta,
-        temp: &PartialDelta,
-        j: usize,
-        side: JoinSide,
+        hop: &mut Hop<'_>,
     ) -> Result<Option<(Bag, Vec<(UpdateId, Time)>)>, WarehouseError> {
+        let j = hop.j;
         if !self.queue.has_from_source(j) {
             return Ok(None);
         }
@@ -300,8 +302,8 @@ impl EngineCore {
             None => merged.clone(),
         };
         if !filtered.is_empty() {
-            let err = extend_partial(&self.view, temp, &filtered, side)?;
-            self.apply_compensation(dv, &err);
+            let err = extend_partial(&self.view, &hop.temp, &filtered, hop.side)?;
+            self.apply_compensation(hop.dv, &err);
         }
         Ok(Some((merged, infos)))
     }
@@ -332,139 +334,44 @@ impl EngineCore {
     }
 }
 
-/// One directional hop chain: the partial built so far, its pre-hop copy
-/// (the compensation `TempView`), and the in-flight query.
-pub struct Leg {
-    /// The partial this leg has built so far (post-compensation).
-    pub dv: PartialDelta,
-    /// Pre-hop copy used to compute the compensation term.
-    pub temp: PartialDelta,
-    /// The in-flight query's id.
-    pub qid: u64,
-    /// The source currently being queried.
-    pub j: usize,
-    /// Which side the leg extends.
-    pub side: JoinSide,
-    /// The in-flight hop's spans.
-    pub hop: HopSpan,
+/// One walker of a run: the partial it has built so far, the chain
+/// segment it must cover, and its query in flight.
+#[derive(Debug)]
+struct Walker {
+    dv: PartialDelta,
+    lo: usize,
+    hi: usize,
+    pending: Option<Pending>,
 }
 
-impl Leg {
-    /// Fire the leg's first query: send `dv` to source `j`, keeping a
-    /// copy as the compensation `TempView`.
-    pub fn launch(
-        core: &mut EngineCore,
-        ctx: &SweepCtx,
-        net: &mut dyn NetHandle<Message>,
-        dv: PartialDelta,
-        j: usize,
-        side: JoinSide,
-    ) -> Leg {
-        let (qid, hop) = core.send_query(ctx, net, &dv, j, side);
-        Leg {
-            temp: dv.clone(),
+/// A query in flight: where it went, and the pre-hop partial it carried
+/// (the compensation `TempView`).
+#[derive(Debug)]
+struct Pending {
+    qid: u64,
+    j: usize,
+    side: JoinSide,
+    temp: PartialDelta,
+    span: HopSpan,
+}
+
+impl Walker {
+    fn new(dv: PartialDelta, lo: usize, hi: usize) -> Walker {
+        Walker {
             dv,
-            qid,
-            j,
-            side,
-            hop,
-        }
-    }
-
-    /// Fire the next hop: snapshot the current partial as the new
-    /// `TempView` and query source `nj` on `nside`.
-    pub fn advance(
-        &mut self,
-        core: &mut EngineCore,
-        ctx: &SweepCtx,
-        net: &mut dyn NetHandle<Message>,
-        nj: usize,
-        nside: JoinSide,
-    ) {
-        self.temp = self.dv.clone();
-        let (qid, hop) = core.send_query(ctx, net, &self.dv, nj, nside);
-        self.qid = qid;
-        self.j = nj;
-        self.side = nside;
-        self.hop = hop;
-    }
-}
-
-/// A leg's slot in a two-leg (parallel / shared) sweep.
-pub enum LegSlot {
-    /// The leg has a query in flight.
-    Running(Leg),
-    /// The leg finished; its final partial is kept for merging.
-    Done(PartialDelta),
-}
-
-impl LegSlot {
-    /// If this slot's leg is waiting on `qid`, take the leg out. The slot
-    /// is left holding an empty placeholder partial; the caller puts the
-    /// advanced leg (or its final partial) back.
-    pub fn take_waiting_on(&mut self, qid: u64) -> Option<Leg> {
-        match self {
-            LegSlot::Running(leg) if leg.qid == qid => {
-                let placeholder = LegSlot::Done(PartialDelta {
-                    lo: leg.j,
-                    hi: leg.j,
-                    bag: Bag::new(),
-                });
-                match std::mem::replace(self, placeholder) {
-                    LegSlot::Running(leg) => Some(leg),
-                    LegSlot::Done(_) => None,
-                }
-            }
-            _ => None,
-        }
-    }
-
-    /// Has the leg finished?
-    pub fn is_done(&self) -> bool {
-        matches!(self, LegSlot::Done(_))
-    }
-}
-
-/// One suspended or running `ViewChange(ΔR, Left, Source, Right)` call
-/// (Nested SWEEP's recursion frame, Figure 6).
-#[derive(Clone, Debug)]
-pub struct Frame {
-    /// The composite partial built so far.
-    pub dv: PartialDelta,
-    /// Left bound of the frame's chain segment.
-    pub left: usize,
-    /// The seeding source.
-    pub source: usize,
-    /// Right bound of the frame's chain segment.
-    pub right: usize,
-    /// In-flight query, if any: `(qid, j, side, TempView, hop spans)`.
-    pub pending: Option<(u64, usize, JoinSide, PartialDelta, HopSpan)>,
-}
-
-impl Frame {
-    /// Seed a frame from `delta` at `source`, covering `[left, right]`.
-    pub fn new(
-        view: &ViewDef,
-        source: usize,
-        left: usize,
-        right: usize,
-        delta: &Bag,
-    ) -> Result<Self, WarehouseError> {
-        Ok(Frame {
-            dv: PartialDelta::seed(view, source, delta)?,
-            left,
-            source,
-            right,
+            lo,
+            hi,
             pending: None,
-        })
+        }
     }
 
-    /// The next source to query given the current coverage, or `None`
-    /// when the frame's range is fully covered.
-    pub fn next_target(&self) -> Option<(usize, JoinSide)> {
-        if self.dv.lo > self.left {
+    /// The next source to query — leftward until `lo` is covered, then
+    /// rightward (Figure 4's two for-loops) — or `None` once `[lo, hi]`
+    /// is covered.
+    fn next_hop(&self) -> Option<(usize, JoinSide)> {
+        if self.dv.lo > self.lo {
             Some((self.dv.lo - 1, JoinSide::Left))
-        } else if self.dv.hi < self.right {
+        } else if self.dv.hi < self.hi {
             Some((self.dv.hi + 1, JoinSide::Right))
         } else {
             None
@@ -472,10 +379,187 @@ impl Frame {
     }
 }
 
+/// A hop whose answer just arrived ([`SweepRun::absorb`]): the strategy
+/// applies *its* compensation rule to `dv` against `temp`, and may
+/// observe the compensated partial before the run moves on.
+pub struct Hop<'a> {
+    /// The source that answered.
+    pub j: usize,
+    /// The side the hop extended.
+    pub side: JoinSide,
+    /// The partial the query carried — the paper's `TempView`.
+    pub temp: PartialDelta,
+    /// The answer, to be compensated in place.
+    pub dv: &'a mut PartialDelta,
+}
+
+/// The one hop walk every sweep-family policy drives: seeded with `ΔR_j`,
+/// extend the partial source by source until it covers `[lo, hi]`.
+///
+/// * [`SweepRun::sequential`] — leftward then rightward with one query in
+///   flight: Figure 4's `ViewChange`, one frame of Figure 6's recursion,
+///   one Strobe insert;
+/// * [`SweepRun::two_legs`] — both directions at once, the right leg
+///   seeded with the *support* of `ΔR_j` (every distinct tuple at
+///   multiplicity 1) and the halves glued by [`SweepRun::merge`] at the
+///   end: §5.3's parallel sweep and the multiview scheduler's lane.
+///
+/// The protocol per answer is [`SweepRun::absorb`] (close the hop, hand
+/// the strategy the [`Hop`] to compensate), then [`SweepRun::advance`]
+/// (send what can be sent); when nothing is in flight any more
+/// ([`SweepRun::is_done`]) the run is covered and
+/// [`SweepRun::into_partial`] yields the result. *Which* concurrent
+/// updates a hop compensates for, and *when* the result installs, stay
+/// with the strategy.
+#[derive(Debug)]
+pub struct SweepRun {
+    /// The seeded relation — the pivot a two-leg run merges on.
+    j: usize,
+    /// One sequential walker, or the left and right legs.
+    legs: Vec<Walker>,
+}
+
+impl SweepRun {
+    /// A sequential run of `seed` (a partial over the single relation
+    /// `R_j`) over `[lo, hi]`.
+    pub fn sequential(seed: PartialDelta, lo: usize, hi: usize) -> SweepRun {
+        SweepRun {
+            j: seed.lo,
+            legs: vec![Walker::new(seed, lo, hi)],
+        }
+    }
+
+    /// A two-leg run of `seed` over `[lo, hi]`: the left leg carries the
+    /// true delta over `[lo, j]`, the right leg its support over
+    /// `[j, hi]`, so multiplicities are counted once at merge time.
+    pub fn two_legs(seed: PartialDelta, lo: usize, hi: usize) -> SweepRun {
+        let j = seed.lo;
+        let right = PartialDelta {
+            lo: j,
+            hi: j,
+            bag: support(&seed.bag),
+        };
+        SweepRun {
+            j,
+            legs: vec![Walker::new(seed, lo, j), Walker::new(right, j, hi)],
+        }
+    }
+
+    /// The partial built so far on `side` (a sequential run has one
+    /// partial, whichever side is asked for).
+    pub fn leg(&self, side: JoinSide) -> &PartialDelta {
+        &self.legs[(side as usize).min(self.legs.len() - 1)].dv
+    }
+
+    /// The qids this run is waiting on.
+    pub fn in_flight(&self) -> impl Iterator<Item = u64> + '_ {
+        let pending = self.legs.iter().filter_map(|leg| leg.pending.as_ref());
+        pending.map(|p| p.qid)
+    }
+
+    /// Is this run waiting on the answer to `qid`?
+    pub fn waiting_on(&self, qid: u64) -> bool {
+        self.in_flight().any(|q| q == qid)
+    }
+
+    /// Nothing in flight: after [`SweepRun::advance`], the run has
+    /// covered its range.
+    pub fn is_done(&self) -> bool {
+        self.in_flight().next().is_none()
+    }
+
+    /// The answer to `qid` arrived: close the hop's spans, make the
+    /// answer the walker's partial and hand the hop to the strategy for
+    /// compensation. [`WarehouseError::UnknownQuery`] when this run is
+    /// not waiting on `qid`.
+    pub fn absorb(
+        &mut self,
+        core: &mut EngineCore,
+        qid: u64,
+        answer: PartialDelta,
+        now: Time,
+    ) -> Result<Hop<'_>, WarehouseError> {
+        let waiting = self.legs.iter_mut().find_map(|leg| {
+            let p = leg.pending.take_if(|p| p.qid == qid)?;
+            Some((leg, p))
+        });
+        let Some((leg, p)) = waiting else {
+            return Err(WarehouseError::UnknownQuery { qid });
+        };
+        core.end_hop(p.span, now);
+        leg.dv = answer;
+        Ok(Hop {
+            j: p.j,
+            side: p.side,
+            temp: p.temp,
+            dv: &mut leg.dv,
+        })
+    }
+
+    /// Send the next query of every walker that has none in flight and
+    /// range left to cover — the first call fires the run's first
+    /// queries (left leg first). Returns the qids sent, for the caller's
+    /// routing table and journal; an empty range with
+    /// [`SweepRun::is_done`] means the run is covered.
+    pub fn advance(
+        &mut self,
+        core: &mut EngineCore,
+        ctx: &SweepCtx,
+        net: &mut dyn NetHandle<Message>,
+    ) -> std::ops::Range<u64> {
+        let first = core.next_qid();
+        for leg in &mut self.legs {
+            if let (None, Some((j, side))) = (&leg.pending, leg.next_hop()) {
+                let (qid, span) = core.send_query(ctx, net, &leg.dv, j, side);
+                let temp = leg.dv.clone();
+                leg.pending = Some(Pending {
+                    qid,
+                    j,
+                    side,
+                    temp,
+                    span,
+                });
+            }
+        }
+        first..core.next_qid()
+    }
+
+    /// Add a completed child run's partial (Figure 6: the recursive
+    /// `ViewChange` over exactly the segment this run has covered) into
+    /// this run's.
+    pub fn fold(&mut self, child: &PartialDelta) {
+        let dv = &mut self.legs[0].dv;
+        debug_assert_eq!(
+            (dv.lo, dv.hi),
+            (child.lo, child.hi),
+            "child range must match suspended parent range"
+        );
+        dv.bag.merge(&child.bag);
+    }
+
+    /// Glue a left-leg and a right-leg partial of this run on its pivot
+    /// relation's columns — the final merge, or a view's span-endpoint
+    /// snapshots of the two legs. The left partial carries true
+    /// multiplicities, the right the support, so the product is the true
+    /// count of the glued tuple.
+    pub fn merge(&self, view: &ViewDef, left: &PartialDelta, right: &PartialDelta) -> PartialDelta {
+        merge_pivot(view, self.j, left, right)
+    }
+
+    /// The covered run's partial over `[lo, hi]`: the sequential
+    /// walker's, or the two legs merged at the pivot.
+    pub fn into_partial(mut self, view: &ViewDef) -> PartialDelta {
+        match self.legs.as_slice() {
+            [left, right] => self.merge(view, &left.dv, &right.dv),
+            _ => self.legs.swap_remove(0).dv,
+        }
+    }
+}
+
 /// The support of a delta: every distinct tuple at multiplicity `+1`
 /// (§5.3 — the right leg counts join multiplicities only; the true
 /// counts re-enter at merge time from the left leg).
-pub fn support(bag: &Bag) -> Bag {
+fn support(bag: &Bag) -> Bag {
     Bag::from_pairs(bag.iter().map(|(t, _)| (t.clone(), 1)))
 }
 
@@ -485,7 +569,7 @@ pub fn support(bag: &Bag) -> Bag {
 /// product of the counts. The left partial carries true multiplicities,
 /// the right the support — so the product is the true count of the glued
 /// tuple (§5.3's parallel-sweep merge, span-generalized).
-pub fn merge_pivot(
+fn merge_pivot(
     base: &ViewDef,
     j: usize,
     left: &PartialDelta,
@@ -521,12 +605,16 @@ pub fn merge_pivot(
 
 /// The install side of the engine: the materialized view, its install
 /// log, and the staleness accounting every install owes the metrics.
+#[derive(Clone)]
 pub struct InstallSink {
     view: MaterializedView,
     log: Vec<InstallRecord>,
     /// Whether install records capture full view snapshots (needed by
     /// the consistency checker; costly for big runs).
     pub record_snapshots: bool,
+    /// The coordinate install events are published under: the view's
+    /// registry slot (0 for a single-view policy).
+    pub view_index: usize,
     /// Optional serving-layer hook: every committed install is also
     /// published as an epoch-stamped [`crate::InstallEvent`].
     publisher: Option<crate::SharedInstallPublisher>,
@@ -539,12 +627,17 @@ impl InstallSink {
             view: MaterializedView::new(initial)?,
             log: Vec::new(),
             record_snapshots: true,
+            view_index: 0,
             publisher: None,
         })
     }
 
     /// Attach a serving-layer publisher; installs committed from now on
-    /// are published as epoch-stamped events (epoch = install ordinal).
+    /// are published as epoch-stamped events. The epoch is the install
+    /// log's length *after* the push — a 1-based install ordinal, epoch 0
+    /// being the initial contents — so a crash-recovery replay of the
+    /// same install carries the same epoch and consumers can deduplicate
+    /// (a cloned sink keeps feeding the same consumer).
     pub fn set_publisher(&mut self, p: crate::SharedInstallPublisher) {
         self.publisher = Some(p);
     }
@@ -582,7 +675,7 @@ impl InstallSink {
             p.lock()
                 .expect("publisher lock")
                 .publish(crate::InstallEvent {
-                    view_index: 0,
+                    view_index: self.view_index,
                     epoch: self.log.len() as u64,
                     at: now,
                     consumed: consumed.iter().map(|&(id, _)| id).collect(),
@@ -668,6 +761,17 @@ mod tests {
         query_counter: None,
     };
 
+    /// A just-answered left hop at source 0, as `SweepRun::absorb` hands
+    /// it out.
+    fn left_hop<'a>(temp: &PartialDelta, dv: &'a mut PartialDelta) -> Hop<'a> {
+        Hop {
+            j: 0,
+            side: JoinSide::Left,
+            temp: temp.clone(),
+            dv,
+        }
+    }
+
     fn chain3() -> ViewDef {
         ViewDefBuilder::new()
             .relation(Schema::new("R1", ["A", "B"]).unwrap())
@@ -720,7 +824,7 @@ mod tests {
             hi: 1,
             bag: Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]),
         };
-        core.compensate(&SweepCtx::default(), &mut dv, &temp, 0, JoinSide::Left)
+        core.compensate(&SweepCtx::default(), &mut left_hop(&temp, &mut dv), &[])
             .unwrap();
         assert_eq!(dv.bag, Bag::from_tuples([tup![1, 3, 3, 5]]));
         assert_eq!(core.metrics.local_compensations, 1);
@@ -746,14 +850,14 @@ mod tests {
             bag: Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]),
         };
         let taken = core
-            .compensate_consuming(&SweepCtx::default(), &mut dv, &temp, 0, JoinSide::Left)
+            .compensate_consuming(&SweepCtx::default(), &mut left_hop(&temp, &mut dv))
             .unwrap()
             .expect("update was queued");
         assert_eq!(taken.1, vec![(UpdateId { source: 0, seq: 0 }, 7)]);
         assert!(core.queue.is_empty());
         // A second call finds nothing.
         assert!(core
-            .compensate_consuming(&SweepCtx::default(), &mut dv, &temp, 0, JoinSide::Left)
+            .compensate_consuming(&SweepCtx::default(), &mut left_hop(&temp, &mut dv))
             .unwrap()
             .is_none());
     }
@@ -789,7 +893,7 @@ mod tests {
         };
         let before = dv.bag.clone();
         let (merged, infos) = core
-            .compensate_consuming(&SweepCtx::default(), &mut dv, &temp, 0, JoinSide::Left)
+            .compensate_consuming(&SweepCtx::default(), &mut left_hop(&temp, &mut dv))
             .unwrap()
             .expect("updates were queued");
         assert!(merged.is_empty());
@@ -853,7 +957,7 @@ mod tests {
             hi: 1,
             bag: Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]),
         };
-        core.compensate(&ctx, &mut dv, &temp, 0, JoinSide::Left)
+        core.compensate(&ctx, &mut left_hop(&temp, &mut dv), &[])
             .unwrap();
         // Only the qualifying interferer was cancelled; (2,2) joins
         // nothing here anyway, but the point is the subtraction used the

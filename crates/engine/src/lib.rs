@@ -1,22 +1,19 @@
 //! # dw-engine
 //!
-//! The single canonical sweep loop of the paper (§4–§5), factored out of
-//! the four executors that used to each carry their own copy
-//! (`warehouse::sweep`, `warehouse::nested_sweep`, `multiview::scheduler`,
-//! `livenet::cluster`). The engine owns the mechanism; the executors own
-//! the strategy:
+//! The single canonical sweep loop of the paper (§4–§5). The engine owns
+//! the mechanism; the executors own the strategy:
 //!
-//! * **Mechanism** ([`EngineCore`]): hop iteration over sources
-//!   (`ComputeJoin` queries correlated by qid), `TempView` accumulation
-//!   ([`Leg`]/[`Frame`]), on-line compensation
-//!   `ΔV ← ΔV − ΔR_j ⋈ TempView` against the FIFO update queue, pivot
-//!   merging of parallel legs ([`merge_pivot`]), and atomic install with
-//!   staleness accounting ([`InstallSink`]).
-//! * **Strategy** ([`SweepPolicy`] implementors): plain SWEEP's
-//!   one-update-per-sweep state machine, Nested SWEEP's dovetailing frame
-//!   stack, and the multiview shared sweep are thin adapters that decide
-//!   *which* hops to take and *when* to install, all driving the same
-//!   mechanism.
+//! * **Mechanism** ([`EngineCore`], [`SweepRun`]): hop iteration over
+//!   sources (`ComputeJoin` queries correlated by qid), `TempView`
+//!   accumulation, on-line compensation `ΔV ← ΔV − ΔR_j ⋈ TempView`
+//!   against the FIFO update queue, pivot merging of parallel legs
+//!   ([`SweepRun::merge`]), and atomic install with staleness accounting
+//!   ([`InstallSink`]).
+//! * **Strategy** ([`SweepPolicy`] implementors): SWEEP's window of runs
+//!   with in-order release, Nested SWEEP's dovetailing stack of runs, the
+//!   Strobe family's key-based actions and the multiview lanes are thin
+//!   adapters that decide *which* concurrent updates a hop compensates
+//!   for and *when* to install, all driving the same mechanism.
 //!
 //! The transport is abstracted behind [`dw_simnet::NetHandle`], which both
 //! the deterministic simulator ([`dw_simnet::Network`]) and the live
@@ -48,8 +45,7 @@ pub mod sequencer;
 pub mod view;
 
 pub use crate::core::{
-    dispatch, merge_pivot, support, EngineCore, Frame, HopSpan, InstallSink, Leg, LegSlot,
-    SpanLabels, SweepCtx, SweepPolicy,
+    dispatch, EngineCore, Hop, HopSpan, InstallSink, SpanLabels, SweepCtx, SweepPolicy, SweepRun,
 };
 pub use durable::{DurabilityConfig, DurableStats, DurableStore, WalRecord};
 pub use error::WarehouseError;

@@ -1,12 +1,7 @@
 //! Engine-level tuning knobs, shared by every sweep-family executor.
-//!
-//! Historically `SweepOptions` lived in `warehouse::sweep` and the
-//! multiview scheduler grew its own per-view option struct; both now
-//! deduplicate onto [`EngineOptions`], with the per-policy subsets kept as
-//! thin named views so existing public APIs stay put.
 
-/// Options for plain SWEEP.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Options for SWEEP.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SweepOptions {
     /// Launch both legs at once (§5.3's parallel variant): the right leg
     /// seeds from the update's *support* and the two halves are merged at
@@ -15,6 +10,20 @@ pub struct SweepOptions {
     /// Stop sweeping the moment the partial delta goes empty — the final
     /// view change is then provably empty too.
     pub short_circuit_empty: bool,
+    /// Maximum sweeps in flight at once (§5.3's pipelining; installs stay
+    /// in arrival order). `1` is the paper's Figure 4 — one update at a
+    /// time — and the default; `0` means unbounded.
+    pub window: usize,
+}
+
+impl Default for SweepOptions {
+    fn default() -> Self {
+        SweepOptions {
+            parallel: false,
+            short_circuit_empty: false,
+            window: 1,
+        }
+    }
 }
 
 /// Options for Nested SWEEP.
@@ -26,18 +35,9 @@ pub struct NestedSweepOptions {
     pub max_depth: Option<usize>,
 }
 
-/// The unified engine option set: every knob any sweep strategy accepts.
-///
-/// Each executor reads the subset it understands; [`SweepOptions`] and
-/// [`NestedSweepOptions`] convert losslessly into this type.
+/// The multiview scheduler's option set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// See [`SweepOptions::parallel`].
-    pub parallel: bool,
-    /// See [`SweepOptions::short_circuit_empty`].
-    pub short_circuit_empty: bool,
-    /// See [`NestedSweepOptions::max_depth`].
-    pub max_depth: Option<usize>,
     /// Cross-update batching width: one sweep may fold up to `batch`
     /// queued updates *from the same source* into a single composite view
     /// change, Nested-SWEEP-style, paying `2(n−1)` messages per batch
@@ -56,9 +56,6 @@ pub struct EngineOptions {
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
-            parallel: false,
-            short_circuit_empty: false,
-            max_depth: None,
             batch: 1,
             pushdown: false,
         }
@@ -88,25 +85,6 @@ impl EngineOptions {
     }
 }
 
-impl From<SweepOptions> for EngineOptions {
-    fn from(o: SweepOptions) -> Self {
-        EngineOptions {
-            parallel: o.parallel,
-            short_circuit_empty: o.short_circuit_empty,
-            ..Default::default()
-        }
-    }
-}
-
-impl From<NestedSweepOptions> for EngineOptions {
-    fn from(o: NestedSweepOptions) -> Self {
-        EngineOptions {
-            max_depth: o.max_depth,
-            ..Default::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,10 +92,12 @@ mod tests {
     #[test]
     fn defaults_disable_everything() {
         let o = EngineOptions::default();
-        assert!(!o.parallel && !o.short_circuit_empty);
-        assert_eq!(o.max_depth, None);
         assert_eq!(o.batch_width(), 1);
         assert!(!o.pushdown);
+        // Figure 4: one sweep at a time, sequential, always completed.
+        let s = SweepOptions::default();
+        assert!(!s.parallel && !s.short_circuit_empty);
+        assert_eq!(s.window, 1);
     }
 
     #[test]
@@ -148,20 +128,5 @@ mod tests {
         }
         .validate()
         .is_ok());
-    }
-
-    #[test]
-    fn subsets_convert_losslessly() {
-        let s = SweepOptions {
-            parallel: true,
-            short_circuit_empty: true,
-        };
-        let e: EngineOptions = s.into();
-        assert!(e.parallel && e.short_circuit_empty);
-        assert_eq!(e.batch_width(), 1);
-
-        let n = NestedSweepOptions { max_depth: Some(3) };
-        let e: EngineOptions = n.into();
-        assert_eq!(e.max_depth, Some(3));
     }
 }

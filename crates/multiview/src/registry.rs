@@ -16,11 +16,11 @@
 //! once per parent delta and shared (the Mistry/Roy/Ramamritham common
 //! subexpression idea, applied to the delta stream).
 
-use dw_engine::{InstallEvent, SharedInstallPublisher};
+use dw_engine::{InstallSink, SharedInstallPublisher};
 use dw_protocol::UpdateId;
 use dw_relational::{AggregateState, Bag, DeltaRelation, RelationalError, ViewDef};
 use dw_simnet::Time;
-use dw_warehouse::{InstallRecord, MaterializedView, PolicyMetrics, WarehouseError};
+use dw_warehouse::{InstallRecord, PolicyMetrics, WarehouseError};
 use dw_workload::{DerivedOp, DerivedSpec, ViewPolicy, ViewSpec};
 use std::fmt;
 
@@ -192,19 +192,19 @@ pub(crate) struct ViewRuntime {
     /// The compiled span-local definition (selections, projection).
     pub(crate) local: ViewDef,
     pub(crate) policy: ViewPolicy,
-    pub(crate) view: MaterializedView,
+    /// The materialized contents, the install log — in *global* chain
+    /// coordinates (consumed ids carry the base-chain source index) —
+    /// and where committed installs are announced (e.g. a `dw-serve`
+    /// snapshot store), under this runtime's registry slot index. The
+    /// publisher is a shared handle: checkpoint clones keep feeding the
+    /// same consumer, which deduplicates recovery replays on
+    /// `(slot, epoch)`.
+    pub(crate) sink: InstallSink,
     pub(crate) metrics: PolicyMetrics,
-    /// Install log in *global* chain coordinates (consumed ids carry the
-    /// base-chain source index).
-    pub(crate) install_log: Vec<InstallRecord>,
     /// Accumulated-but-uninstalled delta (NestedSweep / Deferred).
     pub(crate) pending_delta: Bag,
     pub(crate) pending_consumed: Vec<(UpdateId, Time)>,
     pub(crate) since_flush: usize,
-    pub(crate) record_snapshots: bool,
-    /// This runtime's registry slot index — the coordinate install
-    /// events are published under.
-    pub(crate) slot: usize,
     /// Base (swept) or derived (cascade-fed) maintenance.
     pub(crate) kind: ViewKind,
     /// Slot indices of direct derived children, ascending (registration
@@ -212,11 +212,6 @@ pub(crate) struct ViewRuntime {
     pub(crate) children: Vec<usize>,
     /// Width of this view's output rows (what children validate against).
     pub(crate) out_width: usize,
-    /// Where committed installs are announced (e.g. a `dw-serve`
-    /// snapshot store). Shared handle: checkpoint clones keep feeding
-    /// the same consumer, which deduplicates recovery replays on
-    /// `(slot, epoch)`.
-    pub(crate) publisher: Option<SharedInstallPublisher>,
 }
 
 impl ViewRuntime {
@@ -240,17 +235,7 @@ impl ViewRuntime {
     ) -> Result<Option<Installed>, WarehouseError> {
         match self.policy {
             ViewPolicy::Sweep => {
-                self.view.install(delta)?;
-                self.metrics.installs += 1;
-                for &(_, delivered_at) in consumed {
-                    self.metrics.record_staleness(delivered_at, now);
-                }
-                self.install_log.push(InstallRecord {
-                    at: now,
-                    consumed: consumed.iter().map(|&(id, _)| id).collect(),
-                    view_after: self.record_snapshots.then(|| self.view.bag().clone()),
-                });
-                self.publish_install(delta, consumed, now);
+                self.sink.install(&mut self.metrics, delta, consumed, now)?;
                 Ok(Some(Installed {
                     delta: delta.clone(),
                     consumed: consumed.to_vec(),
@@ -283,42 +268,14 @@ impl ViewRuntime {
         if self.pending_consumed.is_empty() {
             return Ok(None);
         }
-        self.view.install(&self.pending_delta)?;
-        self.metrics.installs += 1;
-        for &(_, delivered) in &self.pending_consumed {
-            self.metrics.record_staleness(delivered, now);
-        }
-        self.install_log.push(InstallRecord {
-            at: now,
-            consumed: self.pending_consumed.iter().map(|&(id, _)| id).collect(),
-            view_after: self.record_snapshots.then(|| self.view.bag().clone()),
-        });
-        self.publish_install(&self.pending_delta, &self.pending_consumed, now);
+        let (delta, consumed) = (&self.pending_delta, &self.pending_consumed);
+        self.sink.install(&mut self.metrics, delta, consumed, now)?;
         let installed = Installed {
             delta: std::mem::take(&mut self.pending_delta),
             consumed: std::mem::take(&mut self.pending_consumed),
         };
         self.since_flush = 0;
         Ok(Some(installed))
-    }
-
-    /// Announce the install just logged (no-op without a publisher). The
-    /// epoch is the install-log length *after* the push — a 1-based
-    /// install ordinal, with epoch 0 reserved for the registered initial
-    /// contents — so a crash-recovery replay of the same install carries
-    /// the same epoch and consumers can deduplicate.
-    fn publish_install(&self, delta: &Bag, consumed: &[(UpdateId, Time)], now: Time) {
-        if let Some(p) = &self.publisher {
-            p.lock()
-                .expect("install publisher poisoned")
-                .publish(InstallEvent {
-                    view_index: self.slot,
-                    epoch: self.install_log.len() as u64,
-                    at: now,
-                    consumed: consumed.iter().map(|&(id, _)| id).collect(),
-                    delta: std::sync::Arc::new(delta.clone()),
-                });
-        }
     }
 }
 
@@ -374,6 +331,18 @@ impl ViewRegistry {
         &self.base
     }
 
+    /// The install side of a runtime about to occupy slot `id`: the
+    /// registry's snapshot setting and publisher, events under the slot.
+    fn new_sink(&self, id: ViewId, initial: Bag) -> Result<InstallSink, MvError> {
+        let mut sink = InstallSink::new(initial)?;
+        sink.record_snapshots = self.record_snapshots;
+        sink.view_index = id.0;
+        if let Some(p) = &self.publisher {
+            sink.set_publisher(p.clone());
+        }
+        Ok(sink)
+    }
+
     /// Register a view. `initial` must be the view's correct current
     /// contents (at experiment start: the span evaluation of the initial
     /// base relations; at a mid-run quiescent point: the span evaluation
@@ -381,7 +350,6 @@ impl ViewRegistry {
     pub fn register(&mut self, spec: &ViewSpec, initial: Bag) -> Result<ViewId, MvError> {
         let local = spec.compile(&self.base)?;
         let out_width = local.projection().len();
-        let view = MaterializedView::new(initial)?;
         let id = ViewId(self.slots.len());
         self.slots.push(Some(ViewRuntime {
             name: spec.name.clone(),
@@ -389,18 +357,14 @@ impl ViewRegistry {
             hi: spec.hi,
             local,
             policy: spec.policy,
-            view,
+            sink: self.new_sink(id, initial)?,
             metrics: PolicyMetrics::default(),
-            install_log: Vec::new(),
             pending_delta: Bag::new(),
             pending_consumed: Vec::new(),
             since_flush: 0,
-            record_snapshots: self.record_snapshots,
-            slot: id.0,
             kind: ViewKind::Base,
             children: Vec::new(),
             out_width,
-            publisher: self.publisher.clone(),
         }));
         Ok(id)
     }
@@ -425,7 +389,7 @@ impl ViewRegistry {
             .0;
         let (parent_bag, parent_width, lo, hi) = {
             let rt = self.slots[parent_slot].as_ref().expect("resolved slot");
-            (rt.view.bag().clone(), rt.out_width, rt.lo, rt.hi)
+            (rt.sink.bag().clone(), rt.out_width, rt.lo, rt.hi)
         };
         spec.op.validate(parent_width)?;
         let initial = spec.op.eval(&parent_bag)?;
@@ -454,14 +418,11 @@ impl ViewRegistry {
             // Derived views install at every parent install: the cascade
             // is the cadence, so the policy is pinned to Sweep.
             policy: ViewPolicy::Sweep,
-            view: MaterializedView::new(initial)?,
+            sink: self.new_sink(id, initial)?,
             metrics: PolicyMetrics::default(),
-            install_log: Vec::new(),
             pending_delta: Bag::new(),
             pending_consumed: Vec::new(),
             since_flush: 0,
-            record_snapshots: self.record_snapshots,
-            slot: id.0,
             kind: ViewKind::Derived {
                 parent: parent_slot,
                 op: spec.op.clone(),
@@ -469,7 +430,6 @@ impl ViewRegistry {
             },
             children: Vec::new(),
             out_width: spec.op.output_width(parent_width),
-            publisher: self.publisher.clone(),
         }));
         self.slots[parent_slot]
             .as_mut()
@@ -652,7 +612,7 @@ impl ViewRegistry {
     pub(crate) fn set_record_snapshots(&mut self, record: bool) {
         self.record_snapshots = record;
         for rt in self.runtimes_mut() {
-            rt.record_snapshots = record;
+            rt.sink.record_snapshots = record;
         }
     }
 
@@ -809,7 +769,7 @@ impl ViewRegistry {
         self.slots = slots;
         if let Some(p) = self.publisher.clone() {
             for rt in self.runtimes_mut() {
-                rt.publisher = Some(p.clone());
+                rt.sink.set_publisher(p.clone());
             }
         }
     }
@@ -819,7 +779,7 @@ impl ViewRegistry {
     /// them) through this handle.
     pub(crate) fn set_install_publisher(&mut self, p: SharedInstallPublisher) {
         for rt in self.runtimes_mut() {
-            rt.publisher = Some(p.clone());
+            rt.sink.set_publisher(p.clone());
         }
         self.publisher = Some(p);
     }
@@ -864,7 +824,7 @@ impl ViewRegistry {
 
     /// Current materialized contents.
     pub fn view_bag(&self, id: ViewId) -> Result<&Bag, MvError> {
-        Ok(self.runtime(id)?.view.bag())
+        Ok(self.runtime(id)?.sink.bag())
     }
 
     /// Per-view metrics (installs, staleness histogram, …).
@@ -876,7 +836,7 @@ impl ViewRegistry {
     /// chain coordinates; shift `source` by `-lo` to replay against a
     /// span-local recorder.
     pub fn install_log(&self, id: ViewId) -> Result<&[InstallRecord], MvError> {
-        Ok(&self.runtime(id)?.install_log)
+        Ok(self.runtime(id)?.sink.log())
     }
 }
 

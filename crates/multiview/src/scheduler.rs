@@ -98,9 +98,9 @@
 
 use crate::registry::{MvError, ViewId, ViewRegistry, ViewRuntime};
 use dw_engine::{
-    dispatch, merge_pivot, support, DurabilityConfig, DurableStats, DurableStore, EngineCore,
-    EngineOptions, InstallSequencer, Leg, LegSlot, PendingUpdate, SequencedInstall, SpanLabels,
-    SweepCtx, SweepPolicy, UpdateQueue, WalRecord,
+    dispatch, DurabilityConfig, DurableStats, DurableStore, EngineCore, EngineOptions,
+    InstallSequencer, PendingUpdate, SequencedInstall, SpanLabels, SweepCtx, SweepPolicy, SweepRun,
+    UpdateQueue, WalRecord,
 };
 use dw_obs::Obs;
 use dw_protocol::{Message, SourceUpdate, UpdateId};
@@ -218,13 +218,13 @@ struct SweepTask {
 }
 
 /// An in-flight sweep: the task, its per-sweep context (span, fold
-/// width, pushed σ, group scope), and per side (`JoinSide as usize`) the
-/// leg and the per-view partials captured the moment the leg reached the
-/// view's span endpoint (post-compensation for that hop).
+/// width, pushed σ, group scope), its two-leg run, and per side
+/// (`JoinSide as usize`) the per-view partials captured the moment that
+/// leg reached the view's span endpoint (post-compensation for that hop).
 struct Lane {
     task: SweepTask,
     ctx: SweepCtx,
-    legs: [LegSlot; 2],
+    run: SweepRun,
     snaps: [Vec<(ViewId, PartialDelta)>; 2],
 }
 
@@ -738,11 +738,9 @@ impl MaintenanceScheduler {
         else {
             return Ok(());
         };
-        for slot in &lane.legs {
-            if let LegSlot::Running(leg) = slot {
-                self.qid_routes.remove(&leg.qid);
-                self.dead_qids.insert(leg.qid);
-            }
+        for qid in lane.run.in_flight() {
+            self.qid_routes.remove(&qid);
+            self.dead_qids.insert(qid);
         }
         self.stats.sweeps_reseeded += 1;
         self.core.obs.add("shard.sweeps_reseeded", 1);
@@ -1004,45 +1002,47 @@ impl MaintenanceScheduler {
         self.core
             .obs
             .observe("mv.fanout_views", task.views.len() as u64);
-        let mut left_seed = PartialDelta::seed(&self.core.view, j, &task.delta)?;
+        let mut seed = PartialDelta::seed(&self.core.view, j, &task.delta)?;
         // Seed tuples failing every task view's σ over R_j die at every
         // view's finalize; drop them here so they never ride a query.
         if let Some(pred) = ctx.push_pred(j) {
-            left_seed.bag = left_seed.bag.filter(|t| pred.eval(t));
+            seed.bag = seed.bag.filter(|t| pred.eval(t));
         }
-        let right_seed = PartialDelta {
-            lo: j,
-            hi: j,
-            bag: support(&left_seed.bag),
-        };
-        let first_qid = self.core.next_qid();
+        let mut run = SweepRun::two_legs(seed, task.lo, task.hi);
         let mut snaps = [Vec::new(), Vec::new()];
-        let mut start = |side, seed: PartialDelta, first_hop: Option<usize>| {
-            snapshot(&self.registry, &task.views, &mut snaps, j, side, &seed)?;
-            let Some(first_hop) = first_hop else {
-                return Ok::<_, MvError>(LegSlot::Done(seed));
-            };
-            let leg = Leg::launch(&mut self.core, &ctx, net, seed, first_hop, side);
-            self.qid_routes.insert(leg.qid, key);
-            Ok(LegSlot::Running(leg))
-        };
-        let left = start(JoinSide::Left, left_seed, (j > task.lo).then(|| j - 1))?;
-        let right = start(JoinSide::Right, right_seed, (j < task.hi).then_some(j + 1))?;
+        for side in [JoinSide::Left, JoinSide::Right] {
+            snapshot(
+                &self.registry,
+                &task.views,
+                &mut snaps,
+                j,
+                side,
+                run.leg(side),
+            )?;
+        }
+        let sent = run.advance(&mut self.core, &ctx, net);
+        self.route(key, sent);
         let lane = Lane {
             task,
             ctx,
-            legs: [left, right],
+            run,
             snaps,
         };
-        for qid in first_qid..self.core.next_qid() {
-            self.wal(|| MvWalRecord::QuerySent { qid });
-        }
-        if lane.legs.iter().all(LegSlot::is_done) {
+        if lane.run.is_done() {
             return self.finish(net, lane);
         }
         self.lanes.insert(key, lane);
         self.stats.max_concurrent_lanes = self.stats.max_concurrent_lanes.max(self.lanes.len());
         Ok(())
+    }
+
+    /// Route the answers to a lane's freshly sent queries, and journal
+    /// the qids.
+    fn route(&mut self, key: usize, sent: std::ops::Range<u64>) {
+        for qid in sent {
+            self.qid_routes.insert(qid, key);
+            self.wal(|| MvWalRecord::QuerySent { qid });
+        }
     }
 
     /// Both legs done: merge each view's snapshots on the pivot columns,
@@ -1051,7 +1051,10 @@ impl MaintenanceScheduler {
     fn finish(&mut self, net: &mut dyn NetHandle<Message>, lane: Lane) -> Result<(), MvError> {
         let now = net.now();
         let Lane {
-            task, ctx, snaps, ..
+            task,
+            ctx,
+            run,
+            snaps,
         } = lane;
         let mut deltas = Vec::with_capacity(task.views.len());
         for &v in &task.views {
@@ -1064,7 +1067,7 @@ impl MaintenanceScheduler {
             };
             let left = snap_of(JoinSide::Left, "left leg missed an affected span start")?;
             let right = snap_of(JoinSide::Right, "right leg missed an affected span end")?;
-            let merged = merge_pivot(&self.core.view, task.j, left, right);
+            let merged = run.merge(&self.core.view, left, right);
             let delta = finalize_for_view(&self.registry.runtime(v)?.local, &merged)?;
             deltas.push((v.index(), delta));
         }
@@ -1230,44 +1233,24 @@ impl SweepPolicy for MaintenanceScheduler {
         let Some(key) = self.qid_routes.remove(&qid) else {
             return Err(WarehouseError::UnknownQuery { qid }.into());
         };
-        let running = self.lanes.remove(&key).and_then(|mut lane| {
-            let (i, leg) = (0..2).find_map(|i| Some((i, lane.legs[i].take_waiting_on(qid)?)))?;
-            Some((lane, i, leg))
-        });
-        let Some((mut lane, i, mut leg)) = running else {
-            let what = "routed qid has no lane with a leg waiting on it";
+        let Some(mut lane) = self.lanes.remove(&key) else {
+            let what = "routed qid has no lane";
             return Err(MvError::Internal { what });
         };
-        self.core.end_hop(leg.hop, net.now());
-        leg.dv = partial;
-        let (k, side) = (leg.j, leg.side);
+        let mut hop = lane.run.absorb(&mut self.core, qid, partial, net.now())?;
         // Full-queue compensation: foreign-group queued deltas join the
         // scoped TempView to nothing, same-group ones subtract exactly.
         let comps_before = self.core.metrics.local_compensations;
-        self.core
-            .compensate(&lane.ctx, &mut leg.dv, &leg.temp, k, side)?;
+        self.core.compensate(&lane.ctx, &mut hop, &[])?;
         let comps = self.core.metrics.local_compensations - comps_before;
         self.wal(|| MvWalRecord::HopDone { qid, comps });
         // Views whose span ends exactly at this hop peel off the shared
         // partial *after* this hop's compensation.
-        let views = &lane.task.views;
-        snapshot(&self.registry, views, &mut lane.snaps, k, side, &leg.dv)?;
-        let next = match side {
-            JoinSide::Left if k > lane.task.lo => Some(k - 1),
-            JoinSide::Right if k < lane.task.hi => Some(k + 1),
-            _ => None,
-        };
-        lane.legs[i] = match next {
-            Some(nj) => {
-                leg.advance(&mut self.core, &lane.ctx, net, nj, side);
-                let next_qid = leg.qid;
-                self.wal(|| MvWalRecord::QuerySent { qid: next_qid });
-                self.qid_routes.insert(next_qid, key);
-                LegSlot::Running(leg)
-            }
-            None => LegSlot::Done(leg.dv),
-        };
-        if lane.legs.iter().all(LegSlot::is_done) {
+        let (views, snaps) = (&lane.task.views, &mut lane.snaps);
+        snapshot(&self.registry, views, snaps, hop.j, hop.side, hop.dv)?;
+        let sent = lane.run.advance(&mut self.core, &lane.ctx, net);
+        self.route(key, sent);
+        if lane.run.is_done() {
             self.finish(net, lane)?;
             return self.pump(net);
         }

@@ -5,7 +5,8 @@
 //! [`crate::eval::extend_partial`] does) costs `O(|R|)` per query. A
 //! [`JoinIndex`] maintains the hash table incrementally as transactions
 //! apply, so query service drops to `O(|ΔV| + |matches|)` — the classic
-//! maintained-index trade-off, measured in the `relational` micro-bench.
+//! maintained-index trade-off, recorded as the `extend_partial` vs
+//! `extend_partial_indexed` rows of the benchmark's `kernels` table.
 
 use crate::bag::Bag;
 use crate::error::RelationalError;

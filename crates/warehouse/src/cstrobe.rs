@@ -24,16 +24,29 @@ use crate::error::WarehouseError;
 use crate::install::InstallRecord;
 use crate::metrics::PolicyMetrics;
 use crate::policy::MaintenancePolicy;
-use crate::queue::{PendingUpdate, UpdateQueue};
-use dw_engine::InstallSink;
-use dw_protocol::{source_node, Message, SweepQuery, UpdateId, WAREHOUSE_NODE};
+use crate::queue::PendingUpdate;
+use dw_engine::{EngineCore, HopSpan, InstallSink, SpanLabels, SweepCtx};
+use dw_obs::Obs;
+use dw_protocol::{Message, UpdateId};
 use dw_relational::key::ViewKeyMap;
 use dw_relational::{extend_partial, Bag, JoinSide, KeySpec, PartialDelta, Tuple, Value, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
+/// C-strobe's trace vocabulary (its queries hang under no sweep span).
+const LABELS: SpanLabels = SpanLabels {
+    sweep: "c_strobe",
+    hop: "c_strobe.hop",
+    compensations: "c_strobe.compensations",
+    query_rows: None,
+    comp_rows: None,
+    query_counter: None,
+};
+
 struct CsQuery {
     pd: PartialDelta,
+    /// Spans of the network hop in flight.
+    hop: HopSpan,
     /// Chain positions whose slot is carried locally (the update's own
     /// relation implicitly, plus one pinned delete per compensation level).
     pinned: BTreeMap<usize, Bag>,
@@ -63,13 +76,11 @@ struct Processing {
 
 /// The C-strobe warehouse policy.
 pub struct CStrobe {
-    view_def: ViewDef,
+    /// Query plumbing, the queue of updates awaiting their round, metrics.
+    core: EngineCore,
     keys: KeySpec,
     vkm: ViewKeyMap,
     sink: InstallSink,
-    metrics: PolicyMetrics,
-    next_qid: u64,
-    queue: UpdateQueue,
     current: Option<Processing>,
 }
 
@@ -83,25 +94,12 @@ impl CStrobe {
     ) -> Result<Self, WarehouseError> {
         let vkm = keys.view_key_map(&view_def)?;
         Ok(CStrobe {
-            view_def,
+            core: EngineCore::new(view_def, LABELS),
             keys,
             vkm,
             sink: InstallSink::new(initial_view)?,
-            metrics: PolicyMetrics::default(),
-            next_qid: 0,
-            queue: UpdateQueue::new(),
             current: None,
         })
-    }
-
-    fn n(&self) -> usize {
-        self.view_def.num_relations()
-    }
-
-    fn fresh_qid(&mut self) -> u64 {
-        let q = self.next_qid;
-        self.next_qid += 1;
-        q
     }
 
     /// Drive one query as far as possible: join pinned neighbors locally,
@@ -115,31 +113,18 @@ impl CStrobe {
         loop {
             let (j, side) = if q.pd.lo > 0 {
                 (q.pd.lo - 1, JoinSide::Left)
-            } else if q.pd.hi + 1 < self.n() {
+            } else if q.pd.hi + 1 < self.core.n() {
                 (q.pd.hi + 1, JoinSide::Right)
             } else {
-                return Ok(Ok(q.pd.finalize(&self.view_def)?));
+                return Ok(Ok(q.pd.finalize(&self.core.view)?));
             };
             if let Some(pin) = q.pinned.get(&j) {
-                let pin = pin.clone();
-                q.pd = extend_partial(&self.view_def, &q.pd, &pin, side)?;
+                q.pd = extend_partial(&self.core.view, &q.pd, pin, side)?;
                 continue;
             }
-            let qid = self.fresh_qid();
-            self.metrics.queries_sent += 1;
-            net.send(
-                WAREHOUSE_NODE,
-                source_node(j),
-                Message::SweepQuery(SweepQuery {
-                    qid,
-                    partial: q.pd.clone(),
-                    side,
-                    batch: 1,
-                    epoch: 0,
-                    scope: None,
-                    pred: None,
-                }),
-            );
+            let ctx = SweepCtx::default();
+            let (qid, hop) = self.core.send_query(&ctx, net, &q.pd, j, side);
+            q.hop = hop;
             return Ok(Err((qid, q)));
         }
     }
@@ -155,13 +140,13 @@ impl CStrobe {
                 // Update complete: install its accumulated delta.
                 let cur = self.current.take().expect("checked");
                 self.sink.install(
-                    &mut self.metrics,
+                    &mut self.core.metrics,
                     &cur.delta_accum,
                     &[(cur.upd, cur.delivered_at)],
                     net.now(),
                 )?;
                 // Begin the next queued update, if any.
-                if let Some(PendingUpdate { update, arrived_at }) = self.queue.pop() {
+                if let Some(PendingUpdate { update, arrived_at }) = self.core.queue.pop() {
                     self.begin_update(net, update.id, update.delta, arrived_at)?;
                     if self.current.as_ref().is_some_and(|c| c.work.is_some()) {
                         return Ok(());
@@ -184,9 +169,10 @@ impl CStrobe {
             }
             // Initial insert: root query.
             cur.cur_seed = Some(tuple.clone());
-            let pd = PartialDelta::seed(&self.view_def, cur.rel, &Bag::singleton(tuple, 1))?;
+            let pd = PartialDelta::seed(&self.core.view, cur.rel, &Bag::singleton(tuple, 1))?;
             let root = CsQuery {
                 pd,
+                hop: HopSpan::NONE,
                 pinned: BTreeMap::new(),
             };
             let mut work = PartWork {
@@ -211,6 +197,7 @@ impl CStrobe {
             // concurrent with this part's evaluation and must be
             // compensated exactly like updates that arrive later.
             let backlog: Vec<(usize, Bag)> = self
+                .core
                 .queue
                 .iter()
                 .map(|p| (p.update.id.source, p.update.delta.clone()))
@@ -325,14 +312,15 @@ impl CStrobe {
                     let mut pinned = q.pinned.clone();
                     pinned.insert(rel, Bag::singleton(t.clone(), 1));
                     spawned.push(CsQuery {
-                        pd: PartialDelta::seed(&self.view_def, seed_rel, &seed_bag)?,
+                        pd: PartialDelta::seed(&self.core.view, seed_rel, &seed_bag)?,
+                        hop: HopSpan::NONE,
                         pinned,
                     });
                 }
             }
         }
         for q in spawned {
-            self.metrics.compensation_queries += 1;
+            self.core.metrics.compensation_queries += 1;
             match self.drive(net, q)? {
                 Ok(ans) => {
                     if let Some(cur) = self.current.as_mut() {
@@ -371,6 +359,7 @@ impl CStrobe {
             .queries
             .remove(&qid)
             .ok_or(WarehouseError::UnknownQuery { qid })?;
+        self.core.end_hop(q.hop, net.now());
         q.pd = partial;
         match self.drive(net, q)? {
             Ok(ans) => {
@@ -406,17 +395,17 @@ impl MaintenancePolicy for CStrobe {
     ) -> Result<(), WarehouseError> {
         match delivery.msg {
             Message::Update(u) => {
-                self.metrics.updates_received += 1;
+                self.core.metrics.updates_received += 1;
                 if self.current.is_some() {
                     self.register_concurrent(net, u.id.source, &u.delta)?;
-                    self.queue.push(u, delivery.at);
+                    self.core.queue.push(u, delivery.at);
                     Ok(())
                 } else {
                     self.begin_update(net, u.id, u.delta, delivery.at)
                 }
             }
             Message::SweepAnswer(a) => {
-                self.metrics.answers_received += 1;
+                self.core.metrics.answers_received += 1;
                 self.on_answer(net, a.qid, a.partial)
             }
             other => Err(WarehouseError::UnexpectedMessage {
@@ -435,14 +424,18 @@ impl MaintenancePolicy for CStrobe {
     }
 
     fn metrics(&self) -> &PolicyMetrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     fn is_quiescent(&self) -> bool {
-        self.current.is_none() && self.queue.is_empty()
+        self.current.is_none() && self.core.queue.is_empty()
     }
 
     fn set_record_snapshots(&mut self, record: bool) {
         self.sink.record_snapshots = record;
+    }
+
+    fn set_observer(&mut self, obs: Obs) {
+        self.core.set_observer(obs);
     }
 }

@@ -36,8 +36,6 @@ struct PendingQuery {
     delivered_at: Time,
     /// The terms this query carries (needed to build later compensations).
     terms: Vec<EcaTerm>,
-    /// Chain relation the triggering update touched.
-    rel: usize,
 }
 
 /// The ECA warehouse policy (single-source-site architecture).
@@ -125,7 +123,6 @@ impl Eca {
             update: id,
             delivered_at,
             terms,
-            rel,
         });
     }
 
@@ -143,7 +140,6 @@ impl Eca {
         let pq = self.uqs.remove(pos);
         self.collect.merge(&result);
         self.collected.push((pq.update, pq.delivered_at));
-        let _ = pq.rel;
         if self.uqs.is_empty() {
             // Quiescence reached: install the accumulated change.
             let delta = std::mem::take(&mut self.collect);
@@ -206,40 +202,15 @@ impl MaintenancePolicy for Eca {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_protocol::{EcaAnswer, SourceUpdate};
-    use dw_relational::{tup, Schema, ViewDefBuilder};
-    use dw_simnet::{Network, Payload, ENV};
-
-    fn view() -> ViewDef {
-        ViewDefBuilder::new()
-            .relation(Schema::new("R1", ["A", "B"]).unwrap())
-            .relation(Schema::new("R2", ["C", "D"]).unwrap())
-            .join("R1.B", "R2.C")
-            .build()
-            .unwrap()
-    }
-
-    fn deliver(at: Time, msg: Message) -> Delivery<Message> {
-        Delivery {
-            at,
-            from: ENV,
-            to: WAREHOUSE_NODE,
-            msg,
-        }
-    }
-
-    fn update(source: usize, seq: u64, delta: Bag) -> Message {
-        Message::Update(SourceUpdate {
-            id: UpdateId { source, seq },
-            delta,
-            global: None,
-        })
-    }
+    use crate::testkit::{deliver, two_chain, update};
+    use dw_protocol::EcaAnswer;
+    use dw_relational::tup;
+    use dw_simnet::{Network, Payload};
 
     #[test]
     fn lone_update_single_term_query() {
         let mut net: Network<Message> = Network::new(0);
-        let mut wh = Eca::new(view(), Bag::new()).unwrap();
+        let mut wh = Eca::new(two_chain(), Bag::new()).unwrap();
         wh.on_message(
             deliver(0, update(0, 0, Bag::from_tuples([tup![1, 3]]))),
             &mut net,
@@ -270,7 +241,7 @@ mod tests {
     #[test]
     fn interfering_update_adds_compensation_terms() {
         let mut net: Network<Message> = Network::new(0);
-        let mut wh = Eca::new(view(), Bag::new()).unwrap();
+        let mut wh = Eca::new(two_chain(), Bag::new()).unwrap();
         // u1 at relation 0 — query pending.
         wh.on_message(
             deliver(0, update(0, 0, Bag::from_tuples([tup![1, 3]]))),
@@ -331,7 +302,7 @@ mod tests {
     #[test]
     fn same_relation_updates_do_not_compensate() {
         let mut net: Network<Message> = Network::new(0);
-        let mut wh = Eca::new(view(), Bag::new()).unwrap();
+        let mut wh = Eca::new(two_chain(), Bag::new()).unwrap();
         wh.on_message(
             deliver(0, update(0, 0, Bag::from_tuples([tup![1, 3]]))),
             &mut net,
@@ -357,7 +328,7 @@ mod tests {
         // Alternate relations so every new query compensates all pending
         // ones: term counts 1, 2, 3, … — total size quadratic in K.
         let mut net: Network<Message> = Network::new(0);
-        let mut wh = Eca::new(view(), Bag::new()).unwrap();
+        let mut wh = Eca::new(two_chain(), Bag::new()).unwrap();
         let mut term_counts = Vec::new();
         for k in 0..6i64 {
             let rel = (k % 2) as usize;
@@ -381,7 +352,7 @@ mod tests {
     #[test]
     fn unknown_answer_rejected() {
         let mut net: Network<Message> = Network::new(0);
-        let mut wh = Eca::new(view(), Bag::new()).unwrap();
+        let mut wh = Eca::new(two_chain(), Bag::new()).unwrap();
         let res = wh.on_message(
             deliver(
                 0,

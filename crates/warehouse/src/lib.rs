@@ -5,7 +5,7 @@
 //!
 //! | Policy | Paper section | Consistency | Message cost / update | Notes |
 //! |---|---|---|---|---|
-//! | [`Sweep`] | §5, Fig. 4 | complete | `2(n−1)` | local compensation |
+//! | [`Sweep`] | §5, Fig. 4 | complete | `2(n−1)` | local compensation; §5.3 parallel legs, pipelining window |
 //! | [`NestedSweep`] | §6, Fig. 6 | strong | `O(n)` amortized | dovetails concurrent updates |
 //! | [`Eca`] | §3 (ZGMHW95) | strong | `O(1)` queries, quadratic size | single-site source |
 //! | [`Strobe`] | §3 (ZGMW96) | strong | `O(n)` | unique keys, installs at quiescence |
@@ -22,10 +22,10 @@
 pub mod cstrobe;
 pub mod eca;
 pub mod nested_sweep;
-pub mod pipelined;
 pub mod recompute;
 pub mod strobe;
 pub mod sweep;
+mod testkit;
 
 // The mechanism layer (errors, install log, metrics, the policy trait, the
 // update queue, the materialized view) lives in `dw-engine`; re-export the
@@ -38,7 +38,6 @@ pub use error::WarehouseError;
 pub use install::InstallRecord;
 pub use metrics::PolicyMetrics;
 pub use nested_sweep::{NestedSweep, NestedSweepOptions};
-pub use pipelined::{PipelinedSweep, PipelinedSweepOptions};
 pub use policy::MaintenancePolicy;
 pub use queue::{PendingUpdate, UpdateQueue};
 pub use recompute::Recompute;

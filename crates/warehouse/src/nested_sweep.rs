@@ -24,9 +24,9 @@
 //! at the bound, the update is compensated SWEEP-style (left in the queue,
 //! no recursion) and [`PolicyMetrics::depth_bound_hits`] is incremented.
 //!
-//! The mechanism — hop plumbing, both compensation flavors, install — is
-//! [`dw_engine`]'s; this module keeps only the strategy: the [`Frame`]
-//! stack discipline and the dovetailing decision.
+//! The mechanism — the hop walk, both compensation flavors, install — is
+//! [`dw_engine`]'s; this module keeps only the strategy: the stack of
+//! [`SweepRun`]s (one per `ViewChange` call) and the dovetailing decision.
 
 use crate::error::WarehouseError;
 use crate::install::InstallRecord;
@@ -34,10 +34,10 @@ use crate::metrics::PolicyMetrics;
 use crate::policy::MaintenancePolicy;
 use crate::queue::PendingUpdate;
 pub use dw_engine::NestedSweepOptions;
-use dw_engine::{dispatch, EngineCore, Frame, InstallSink, SpanLabels, SweepCtx, SweepPolicy};
+use dw_engine::{dispatch, EngineCore, InstallSink, SpanLabels, SweepCtx, SweepPolicy, SweepRun};
 use dw_obs::Obs;
 use dw_protocol::{Message, UpdateId};
-use dw_relational::{Bag, JoinSide, PartialDelta, ViewDef};
+use dw_relational::{Bag, PartialDelta, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
 
 /// Nested SWEEP's historical trace vocabulary.
@@ -52,7 +52,9 @@ const LABELS: SpanLabels = SpanLabels {
 
 #[derive(Debug)]
 struct Active {
-    stack: Vec<Frame>,
+    /// Suspended `ViewChange` calls, innermost last; only the top has a
+    /// query in flight.
+    stack: Vec<SweepRun>,
     consumed: Vec<(UpdateId, Time)>,
 }
 
@@ -96,102 +98,63 @@ impl NestedSweep {
     /// Pop the queue head and start the outer `ViewChange(ΔR, 1, i, n)`.
     fn start_next(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), WarehouseError> {
         debug_assert!(self.active.is_none());
-        let Some(PendingUpdate { update, arrived_at }) = self.core.queue.pop() else {
-            return Ok(());
-        };
-        let i = update.id.source;
-        self.ctx = self.core.begin_sweep(net.now());
-        self.core.obs.observe(
-            "nested_sweep.delta_rows",
-            update.delta.distinct_len() as u64,
-        );
-        let frame = Frame::new(&self.core.view, i, 0, self.core.n() - 1, &update.delta)?;
-        let mut active = Active {
-            stack: vec![frame],
-            consumed: vec![(update.id, arrived_at)],
-        };
-        self.core.metrics.max_recursion_depth = self.core.metrics.max_recursion_depth.max(1);
-        self.pump(net, &mut active)?;
-        self.finish_or_park(net, active)
-    }
-
-    /// Drive the top frame: issue its next query, or unwind completed
-    /// frames (merging each child into its parent) until a query is issued
-    /// or the stack empties.
-    fn pump(
-        &mut self,
-        net: &mut dyn NetHandle<Message>,
-        active: &mut Active,
-    ) -> Result<(), WarehouseError> {
-        loop {
-            let Some(top) = active.stack.last() else {
-                return Ok(());
-            };
-            debug_assert!(top.pending.is_none());
-            match top.next_target() {
-                Some((j, side)) => {
-                    let dv = top.dv.clone();
-                    let (qid, hop) = self.core.send_query(&self.ctx, net, &dv, j, side);
-                    let top = active.stack.last_mut().expect("frame present");
-                    top.pending = Some((qid, j, side, dv, hop));
-                    return Ok(());
-                }
-                None => {
-                    // Frame complete: merge into parent or finish.
-                    let done = active.stack.pop().expect("frame present");
-                    match active.stack.last_mut() {
-                        Some(parent) => {
-                            debug_assert_eq!(
-                                (parent.dv.lo, parent.dv.hi),
-                                (done.dv.lo, done.dv.hi),
-                                "child range must match suspended parent range"
-                            );
-                            parent.dv.bag.merge(&done.dv.bag);
-                        }
-                        None => {
-                            // Outer call finished: leave the final dv in a
-                            // sentinel frame for `finish_or_park`.
-                            active.stack.push(done);
-                            return Ok(());
-                        }
-                    }
-                }
+        while let Some(PendingUpdate { update, arrived_at }) = self.core.queue.pop() {
+            self.ctx = self.core.begin_sweep(net.now());
+            self.core.obs.observe(
+                "nested_sweep.delta_rows",
+                update.delta.distinct_len() as u64,
+            );
+            let seed = PartialDelta::seed(&self.core.view, update.id.source, &update.delta)?;
+            self.active = Some(Active {
+                stack: vec![SweepRun::sequential(seed, 0, self.core.n() - 1)],
+                consumed: vec![(update.id, arrived_at)],
+            });
+            self.core.metrics.max_recursion_depth = self.core.metrics.max_recursion_depth.max(1);
+            if self.pump(net)? {
+                break;
             }
         }
+        Ok(())
     }
 
-    /// If the single remaining frame is complete, install; otherwise the
-    /// sweep continues (a query is in flight).
-    fn finish_or_park(
-        &mut self,
-        net: &mut dyn NetHandle<Message>,
-        active: Active,
-    ) -> Result<(), WarehouseError> {
-        let is_done = active.stack.len() == 1
-            && active.stack[0].pending.is_none()
-            && active.stack[0].next_target().is_none();
-        if !is_done {
-            self.active = Some(active);
-            return Ok(());
+    /// Drive the top run: issue its next query (`true`: the sweep stays
+    /// in flight), or unwind covered runs — each child's partial folding
+    /// into its suspended parent — until a query is issued or the outer
+    /// call itself is covered and its composite view change installs
+    /// (`false`: idle again).
+    fn pump(&mut self, net: &mut dyn NetHandle<Message>) -> Result<bool, WarehouseError> {
+        let Some(mut active) = self.active.take() else {
+            return Ok(false);
+        };
+        while let Some(mut top) = active.stack.pop() {
+            let sent = top.advance(&mut self.core, &self.ctx, net);
+            if !sent.is_empty() {
+                active.stack.push(top);
+                self.active = Some(active);
+                return Ok(true);
+            }
+            let done = top.into_partial(&self.core.view);
+            if let Some(parent) = active.stack.last_mut() {
+                parent.fold(&done);
+                continue;
+            }
+            let final_bag = done.finalize(&self.core.view)?;
+            self.core
+                .obs
+                .observe("nested_sweep.install_rows", final_bag.distinct_len() as u64);
+            self.core
+                .obs
+                .observe("nested_sweep.batch_updates", active.consumed.len() as u64);
+            self.core.end_sweep(&self.ctx, net.now());
+            self.core.record_batch(active.consumed.len());
+            self.sink.install(
+                &mut self.core.metrics,
+                &final_bag,
+                &active.consumed,
+                net.now(),
+            )?;
         }
-        let frame = active.stack.into_iter().next().expect("one frame");
-        let final_bag = frame.dv.finalize(&self.core.view)?;
-        self.core
-            .obs
-            .observe("nested_sweep.install_rows", final_bag.distinct_len() as u64);
-        self.core
-            .obs
-            .observe("nested_sweep.batch_updates", active.consumed.len() as u64);
-        self.core.end_sweep(&self.ctx, net.now());
-        self.core.record_batch(active.consumed.len());
-        self.sink.install(
-            &mut self.core.metrics,
-            &final_bag,
-            &active.consumed,
-            net.now(),
-        )?;
-        self.active = None;
-        self.start_next(net)
+        Ok(false)
     }
 
     fn answer(
@@ -200,59 +163,42 @@ impl NestedSweep {
         qid: u64,
         partial: PartialDelta,
     ) -> Result<(), WarehouseError> {
-        let Some(mut active) = self.active.take() else {
-            return Err(WarehouseError::UnknownQuery { qid });
+        let unknown = WarehouseError::UnknownQuery { qid };
+        let Some(active) = self.active.as_mut() else {
+            return Err(unknown);
         };
-        let top = active.stack.last_mut().expect("active implies frames");
-        match &top.pending {
-            Some((want_qid, ..)) if *want_qid == qid => {}
-            _ => {
-                self.active = Some(active);
-                return Err(WarehouseError::UnknownQuery { qid });
-            }
-        }
-        let (_, j, side, temp, hop) = top.pending.take().expect("checked above");
-        self.core.end_hop(hop, net.now());
-        top.dv = partial;
         let depth = active.stack.len();
-        let top = active.stack.last_mut().expect("active implies frames");
-
-        if self.core.queue.has_from_source(j) {
-            let depth_ok = self.opts.max_depth.is_none_or(|d| depth < d);
-            if depth_ok {
-                // Figure 6: remove, compensate, recurse.
-                let (merged, infos) = self
-                    .core
-                    .compensate_consuming(&self.ctx, &mut top.dv, &temp, j, side)?
-                    .expect("has_from_source checked above");
+        let top = active.stack.last_mut().ok_or(unknown)?;
+        let mut hop = top.absorb(&mut self.core, qid, partial, net.now())?;
+        if self.opts.max_depth.is_none_or(|d| depth < d) {
+            // Figure 6: remove, compensate, recurse — the recursive call
+            // covers exactly the segment this run has covered so far.
+            if let Some((merged, infos)) = self.core.compensate_consuming(&self.ctx, &mut hop)? {
                 self.core.obs.add("nested_sweep.recursions", 1);
                 active.consumed.extend(infos);
-                let (left, source, right) = match side {
-                    JoinSide::Left => (j, j, top.source),
-                    JoinSide::Right => (top.left, j, j),
-                };
-                let child = Frame::new(&self.core.view, source, left, right, &merged)?;
-                active.stack.push(child);
+                let (j, lo, hi) = (hop.j, hop.dv.lo, hop.dv.hi);
+                let seed = PartialDelta::seed(&self.core.view, j, &merged)?;
+                active.stack.push(SweepRun::sequential(seed, lo, hi));
                 self.core.metrics.max_recursion_depth = self
                     .core
                     .metrics
                     .max_recursion_depth
                     .max(active.stack.len() as u64);
-            } else {
-                // Forced termination: SWEEP-style compensation, update
-                // stays queued for its own (bounded) round later.
-                self.core
-                    .compensate(&self.ctx, &mut top.dv, &temp, j, side)?;
-                self.core.metrics.depth_bound_hits += 1;
-                self.core.obs.add("nested_sweep.depth_bound_hits", 1);
             }
+        } else if self.core.queue.has_from_source(hop.j) {
+            // Forced termination: SWEEP-style compensation, update
+            // stays queued for its own (bounded) round later.
+            self.core.compensate(&self.ctx, &mut hop, &[])?;
+            self.core.metrics.depth_bound_hits += 1;
+            self.core.obs.add("nested_sweep.depth_bound_hits", 1);
         }
         self.core
             .obs
             .observe("nested_sweep.depth", active.stack.len() as u64);
-
-        self.pump(net, &mut active)?;
-        self.finish_or_park(net, active)
+        if !self.pump(net)? {
+            self.start_next(net)?;
+        }
+        Ok(())
     }
 }
 
@@ -325,52 +271,17 @@ impl MaintenancePolicy for NestedSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_protocol::{source_node, SourceUpdate, SweepAnswer, WAREHOUSE_NODE};
-    use dw_relational::{tup, Schema, ViewDefBuilder};
-    use dw_simnet::{Network, ENV};
-
-    fn paper_view() -> ViewDef {
-        ViewDefBuilder::new()
-            .relation(Schema::new("R1", ["A", "B"]).unwrap())
-            .relation(Schema::new("R2", ["C", "D"]).unwrap())
-            .relation(Schema::new("R3", ["E", "F"]).unwrap())
-            .join("R1.B", "R2.C")
-            .join("R2.D", "R3.E")
-            .project(["R2.D", "R3.F"])
-            .build()
-            .unwrap()
-    }
-
-    fn deliver(msg: Message) -> Delivery<Message> {
-        Delivery {
-            at: 0,
-            from: ENV,
-            to: WAREHOUSE_NODE,
-            msg,
-        }
-    }
-
-    fn update(source: usize, seq: u64, delta: Bag) -> Message {
-        Message::Update(SourceUpdate {
-            id: UpdateId { source, seq },
-            delta,
-            global: None,
-        })
-    }
-
-    fn answer(qid: u64, lo: usize, hi: usize, bag: Bag) -> Message {
-        Message::SweepAnswer(SweepAnswer {
-            qid,
-            partial: PartialDelta { lo, hi, bag },
-        })
-    }
+    use crate::testkit::{answer, deliver, paper_view, update};
+    use dw_protocol::source_node;
+    use dw_relational::{tup, JoinSide};
+    use dw_simnet::Network;
 
     #[test]
     fn without_concurrency_identical_to_sweep() {
         let mut net: Network<Message> = Network::new(0);
         let mut wh = NestedSweep::new(paper_view(), Bag::from_pairs([(tup![7, 8], 2)])).unwrap();
         wh.on_message(
-            deliver(update(1, 0, Bag::from_tuples([tup![3, 5]]))),
+            deliver(0, update(1, 0, Bag::from_tuples([tup![3, 5]]))),
             &mut net,
         )
         .unwrap();
@@ -379,12 +290,15 @@ mod tests {
         };
         assert_eq!(q1.side, JoinSide::Left);
         wh.on_message(
-            deliver(answer(
-                q1.qid,
+            deliver(
                 0,
-                1,
-                Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]),
-            )),
+                answer(
+                    q1.qid,
+                    0,
+                    1,
+                    Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]),
+                ),
+            ),
             &mut net,
         )
         .unwrap();
@@ -392,12 +306,15 @@ mod tests {
             panic!()
         };
         wh.on_message(
-            deliver(answer(
-                q2.qid,
+            deliver(
                 0,
-                2,
-                Bag::from_tuples([tup![1, 3, 3, 5, 5, 6], tup![2, 3, 3, 5, 5, 6]]),
-            )),
+                answer(
+                    q2.qid,
+                    0,
+                    2,
+                    Bag::from_tuples([tup![1, 3, 3, 5, 5, 6], tup![2, 3, 3, 5, 5, 6]]),
+                ),
+            ),
             &mut net,
         )
         .unwrap();
@@ -416,7 +333,7 @@ mod tests {
         let mut net: Network<Message> = Network::new(0);
         let mut wh = NestedSweep::new(paper_view(), Bag::from_pairs([(tup![7, 8], 2)])).unwrap();
         wh.on_message(
-            deliver(update(1, 0, Bag::from_tuples([tup![3, 5]]))),
+            deliver(0, update(1, 0, Bag::from_tuples([tup![3, 5]]))),
             &mut net,
         )
         .unwrap();
@@ -425,13 +342,16 @@ mod tests {
         };
         // Concurrent ΔR1 delivered.
         wh.on_message(
-            deliver(update(0, 0, Bag::from_pairs([(tup![2, 3], -1)]))),
+            deliver(0, update(0, 0, Bag::from_pairs([(tup![2, 3], -1)]))),
             &mut net,
         )
         .unwrap();
         // R1 answers on its post-delete state.
         wh.on_message(
-            deliver(answer(q1.qid, 0, 1, Bag::from_tuples([tup![1, 3, 3, 5]]))),
+            deliver(
+                0,
+                answer(q1.qid, 0, 1, Bag::from_tuples([tup![1, 3, 3, 5]])),
+            ),
             &mut net,
         )
         .unwrap();
@@ -449,12 +369,15 @@ mod tests {
         assert_eq!(qr.partial.bag, Bag::from_pairs([(tup![2, 3], -1)]));
         // R2 (with (3,7) and (3,5)) answers: −(2,3)⋈{(3,7),(3,5)}.
         wh.on_message(
-            deliver(answer(
-                qr.qid,
+            deliver(
                 0,
-                1,
-                Bag::from_pairs([(tup![2, 3, 3, 7], -1), (tup![2, 3, 3, 5], -1)]),
-            )),
+                answer(
+                    qr.qid,
+                    0,
+                    1,
+                    Bag::from_pairs([(tup![2, 3, 3, 7], -1), (tup![2, 3, 3, 5], -1)]),
+                ),
+            ),
             &mut net,
         )
         .unwrap();
@@ -474,12 +397,15 @@ mod tests {
         );
         // R3 = {(5,6),(7,8)}: joins D=E.
         wh.on_message(
-            deliver(answer(
-                q2.qid,
+            deliver(
                 0,
-                2,
-                Bag::from_pairs([(tup![1, 3, 3, 5, 5, 6], 1), (tup![2, 3, 3, 7, 7, 8], -1)]),
-            )),
+                answer(
+                    q2.qid,
+                    0,
+                    2,
+                    Bag::from_pairs([(tup![1, 3, 3, 5, 5, 6], 1), (tup![2, 3, 3, 7, 7, 8], -1)]),
+                ),
+            ),
             &mut net,
         )
         .unwrap();
@@ -511,7 +437,7 @@ mod tests {
         )
         .unwrap();
         wh.on_message(
-            deliver(update(1, 0, Bag::from_tuples([tup![3, 5]]))),
+            deliver(0, update(1, 0, Bag::from_tuples([tup![3, 5]]))),
             &mut net,
         )
         .unwrap();
@@ -519,12 +445,15 @@ mod tests {
             panic!()
         };
         wh.on_message(
-            deliver(update(0, 0, Bag::from_pairs([(tup![2, 3], -1)]))),
+            deliver(0, update(0, 0, Bag::from_pairs([(tup![2, 3], -1)]))),
             &mut net,
         )
         .unwrap();
         wh.on_message(
-            deliver(answer(q1.qid, 0, 1, Bag::from_tuples([tup![1, 3, 3, 5]]))),
+            deliver(
+                0,
+                answer(q1.qid, 0, 1, Bag::from_tuples([tup![1, 3, 3, 5]])),
+            ),
             &mut net,
         )
         .unwrap();
@@ -539,11 +468,11 @@ mod tests {
         let mut net: Network<Message> = Network::new(0);
         let mut wh = NestedSweep::new(paper_view(), Bag::new()).unwrap();
         wh.on_message(
-            deliver(update(1, 0, Bag::from_tuples([tup![3, 5]]))),
+            deliver(0, update(1, 0, Bag::from_tuples([tup![3, 5]]))),
             &mut net,
         )
         .unwrap();
-        let res = wh.on_message(deliver(answer(77, 0, 1, Bag::new())), &mut net);
+        let res = wh.on_message(deliver(0, answer(77, 0, 1, Bag::new())), &mut net);
         assert!(matches!(res, Err(WarehouseError::UnknownQuery { qid: 77 })));
     }
 
@@ -551,7 +480,7 @@ mod tests {
     fn idle_answer_rejected() {
         let mut net: Network<Message> = Network::new(0);
         let mut wh = NestedSweep::new(paper_view(), Bag::new()).unwrap();
-        let res = wh.on_message(deliver(answer(0, 0, 0, Bag::new())), &mut net);
+        let res = wh.on_message(deliver(0, answer(0, 0, 0, Bag::new())), &mut net);
         assert!(matches!(res, Err(WarehouseError::UnknownQuery { .. })));
     }
 }

@@ -169,32 +169,15 @@ impl MaintenancePolicy for Recompute {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{deliver, two_chain};
     use dw_protocol::SourceUpdate;
-    use dw_relational::{tup, Schema, ViewDefBuilder};
-    use dw_simnet::{Network, ENV};
-
-    fn view() -> ViewDef {
-        ViewDefBuilder::new()
-            .relation(Schema::new("R1", ["A", "B"]).unwrap())
-            .relation(Schema::new("R2", ["C", "D"]).unwrap())
-            .join("R1.B", "R2.C")
-            .build()
-            .unwrap()
-    }
-
-    fn deliver(at: Time, msg: Message) -> Delivery<Message> {
-        Delivery {
-            at,
-            from: ENV,
-            to: WAREHOUSE_NODE,
-            msg,
-        }
-    }
+    use dw_relational::tup;
+    use dw_simnet::Network;
 
     #[test]
     fn update_triggers_dump_fanout_and_replacement() {
         let mut net: Network<Message> = Network::new(0);
-        let mut wh = Recompute::new(view(), Bag::new()).unwrap();
+        let mut wh = Recompute::new(two_chain(), Bag::new()).unwrap();
         wh.on_message(
             deliver(
                 0,
@@ -248,7 +231,7 @@ mod tests {
     #[test]
     fn updates_during_refresh_chase_convergence() {
         let mut net: Network<Message> = Network::new(0);
-        let mut wh = Recompute::new(view(), Bag::new()).unwrap();
+        let mut wh = Recompute::new(two_chain(), Bag::new()).unwrap();
         let upd = |seq| {
             Message::Update(SourceUpdate {
                 id: UpdateId { source: 0, seq },
@@ -287,7 +270,7 @@ mod tests {
     #[test]
     fn duplicate_dump_answer_rejected() {
         let mut net: Network<Message> = Network::new(0);
-        let mut wh = Recompute::new(view(), Bag::new()).unwrap();
+        let mut wh = Recompute::new(two_chain(), Bag::new()).unwrap();
         wh.on_message(
             deliver(
                 0,
@@ -330,7 +313,7 @@ mod tests {
     #[test]
     fn unexpected_answer_when_idle() {
         let mut net: Network<Message> = Network::new(0);
-        let mut wh = Recompute::new(view(), Bag::new()).unwrap();
+        let mut wh = Recompute::new(two_chain(), Bag::new()).unwrap();
         let res = wh.on_message(
             deliver(
                 0,

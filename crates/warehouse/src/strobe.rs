@@ -22,12 +22,25 @@ use crate::error::WarehouseError;
 use crate::install::InstallRecord;
 use crate::metrics::PolicyMetrics;
 use crate::policy::MaintenancePolicy;
-use dw_engine::InstallSink;
-use dw_protocol::{source_node, Message, SweepQuery, UpdateId, WAREHOUSE_NODE};
+use crate::queue::PendingUpdate;
+use dw_engine::{dispatch, EngineCore, InstallSink, SpanLabels, SweepCtx, SweepPolicy, SweepRun};
+use dw_obs::Obs;
+use dw_protocol::{Message, UpdateId};
 use dw_relational::key::ViewKeyMap;
-use dw_relational::{Bag, JoinSide, KeySpec, PartialDelta, Value, ViewDef};
+use dw_relational::{Bag, KeySpec, PartialDelta, Value, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
 use std::collections::HashMap;
+
+/// Strobe's trace vocabulary (nothing opens the per-sweep span: a query
+/// belongs to one inserted tuple, not to a unit of install).
+const LABELS: SpanLabels = SpanLabels {
+    sweep: "strobe",
+    hop: "strobe.hop",
+    compensations: "strobe.compensations",
+    query_rows: None,
+    comp_rows: None,
+    query_counter: None,
+};
 
 /// One entry of the action list.
 #[derive(Clone, Debug)]
@@ -39,21 +52,19 @@ enum Action {
 }
 
 struct InFlight {
-    qid: u64,
+    /// The query `V⟨ΔR⟩`: a sequential run that never compensates.
+    run: SweepRun,
     update: UpdateId,
-    pd: PartialDelta,
     /// Delete-markers to apply to this query's final answer.
     pending_deletes: Vec<(usize, Vec<Value>)>,
 }
 
 /// The Strobe warehouse policy.
 pub struct Strobe {
-    view_def: ViewDef,
+    core: EngineCore,
     keys: KeySpec,
     vkm: ViewKeyMap,
     sink: InstallSink,
-    metrics: PolicyMetrics,
-    next_qid: u64,
     uqs: Vec<InFlight>,
     al: Vec<Action>,
     /// Updates with parts still being processed: id → (outstanding, time).
@@ -72,12 +83,10 @@ impl Strobe {
     ) -> Result<Self, WarehouseError> {
         let vkm = keys.view_key_map(&view_def)?;
         Ok(Strobe {
-            view_def,
+            core: EngineCore::new(view_def, LABELS),
             keys,
             vkm,
             sink: InstallSink::new(initial_view)?,
-            metrics: PolicyMetrics::default(),
-            next_qid: 0,
             uqs: Vec::new(),
             al: Vec::new(),
             outstanding: HashMap::new(),
@@ -91,10 +100,6 @@ impl Strobe {
         self.al.len()
     }
 
-    fn n(&self) -> usize {
-        self.view_def.num_relations()
-    }
-
     fn part_done(&mut self, id: UpdateId) {
         if let Some((left, at)) = self.outstanding.get_mut(&id) {
             *left -= 1;
@@ -104,42 +109,6 @@ impl Strobe {
                 self.ready.push((id, at));
             }
         }
-    }
-
-    fn next_target(&self, pd: &PartialDelta) -> Option<(usize, JoinSide)> {
-        if pd.lo > 0 {
-            Some((pd.lo - 1, JoinSide::Left))
-        } else if pd.hi + 1 < self.n() {
-            Some((pd.hi + 1, JoinSide::Right))
-        } else {
-            None
-        }
-    }
-
-    fn send(
-        &mut self,
-        net: &mut dyn NetHandle<Message>,
-        pd: &PartialDelta,
-        j: usize,
-        side: JoinSide,
-    ) -> u64 {
-        let qid = self.next_qid;
-        self.next_qid += 1;
-        self.metrics.queries_sent += 1;
-        net.send(
-            WAREHOUSE_NODE,
-            source_node(j),
-            Message::SweepQuery(SweepQuery {
-                qid,
-                partial: pd.clone(),
-                side,
-                batch: 1,
-                epoch: 0,
-                scope: None,
-                pred: None,
-            }),
-        );
-        qid
     }
 
     fn on_update(
@@ -175,60 +144,37 @@ impl Strobe {
                 self.part_done(id);
             } else {
                 // Insert: launch a query sweep.
-                let pd = PartialDelta::seed(&self.view_def, rel, &Bag::singleton(t, 1))?;
-                match self.next_target(&pd) {
-                    Some((j, side)) => {
-                        let qid = self.send(net, &pd, j, side);
-                        self.uqs.push(InFlight {
-                            qid,
-                            update: id,
-                            pd,
-                            pending_deletes: Vec::new(),
-                        });
-                    }
-                    None => {
-                        // Single-relation chain: complete immediately.
-                        let ans = pd.finalize(&self.view_def)?;
-                        self.al.push(Action::Insert(ans));
-                        self.part_done(id);
-                    }
-                }
+                let seed = PartialDelta::seed(&self.core.view, rel, &Bag::singleton(t, 1))?;
+                self.uqs.push(InFlight {
+                    run: SweepRun::sequential(seed, 0, self.core.n() - 1),
+                    update: id,
+                    pending_deletes: Vec::new(),
+                });
+                self.step(net, self.uqs.len() - 1)?;
             }
         }
         self.try_install(net)
     }
 
-    fn on_answer(
-        &mut self,
-        net: &mut dyn NetHandle<Message>,
-        qid: u64,
-        partial: PartialDelta,
-    ) -> Result<(), WarehouseError> {
-        let pos = self
-            .uqs
-            .iter()
-            .position(|q| q.qid == qid)
-            .ok_or(WarehouseError::UnknownQuery { qid })?;
-        self.uqs[pos].pd = partial;
-        match self.next_target(&self.uqs[pos].pd) {
-            Some((j, side)) => {
-                let pd = self.uqs[pos].pd.clone();
-                let new_qid = self.send(net, &pd, j, side);
-                self.uqs[pos].qid = new_qid;
-                Ok(())
-            }
-            None => {
-                let q = self.uqs.remove(pos);
-                let mut ans = q.pd.finalize(&self.view_def)?;
-                // Apply delete-markers accumulated while in flight.
-                for (rel, key) in &q.pending_deletes {
-                    ans = ans.filter(|t| &self.vkm.key_of_view_tuple(*rel, t) != key);
-                }
-                self.al.push(Action::Insert(ans));
-                self.part_done(q.update);
-                self.try_install(net)
-            }
+    /// Move query `pos` on: send its next hop — *without* any
+    /// compensation — or, the chain covered, turn its answer into an
+    /// insert action.
+    fn step(&mut self, net: &mut dyn NetHandle<Message>, pos: usize) -> Result<(), WarehouseError> {
+        let run = &mut self.uqs[pos].run;
+        run.advance(&mut self.core, &SweepCtx::default(), net);
+        if !run.is_done() {
+            return Ok(());
         }
+        let q = self.uqs.remove(pos);
+        let view = &self.core.view;
+        let mut ans = q.run.into_partial(view).finalize(view)?;
+        // Apply delete-markers accumulated while in flight.
+        for (rel, key) in &q.pending_deletes {
+            ans = ans.filter(|t| &self.vkm.key_of_view_tuple(*rel, t) != key);
+        }
+        self.al.push(Action::Insert(ans));
+        self.part_done(q.update);
+        Ok(())
     }
 
     /// Apply the action list when UQS is empty (the quiescence condition).
@@ -264,9 +210,46 @@ impl Strobe {
             }
         }
         self.sink
-            .install(&mut self.metrics, &delta, &self.ready, net.now())?;
+            .install(&mut self.core.metrics, &delta, &self.ready, net.now())?;
         self.ready.clear();
         Ok(())
+    }
+}
+
+impl SweepPolicy for Strobe {
+    type Err = WarehouseError;
+
+    fn name(&self) -> &'static str {
+        "strobe"
+    }
+
+    fn core(&mut self) -> &mut EngineCore {
+        &mut self.core
+    }
+
+    /// Updates are processed as they arrive — nothing waits in the queue.
+    fn kick(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), WarehouseError> {
+        while let Some(PendingUpdate { update, arrived_at }) = self.core.queue.pop() {
+            self.on_update(net, update.id, update.delta, arrived_at)?;
+        }
+        Ok(())
+    }
+
+    fn on_answer(
+        &mut self,
+        qid: u64,
+        partial: PartialDelta,
+        net: &mut dyn NetHandle<Message>,
+    ) -> Result<(), WarehouseError> {
+        let waiting = self.uqs.iter().position(|q| q.run.waiting_on(qid));
+        let pos = waiting.ok_or(WarehouseError::UnknownQuery { qid })?;
+        // Error terms from concurrent inserts become duplicates, which
+        // the key assumption lets the install suppress: no compensation.
+        self.uqs[pos]
+            .run
+            .absorb(&mut self.core, qid, partial, net.now())?;
+        self.step(net, pos)?;
+        self.try_install(net)
     }
 }
 
@@ -280,20 +263,7 @@ impl MaintenancePolicy for Strobe {
         delivery: Delivery<Message>,
         net: &mut dyn NetHandle<Message>,
     ) -> Result<(), WarehouseError> {
-        match delivery.msg {
-            Message::Update(u) => {
-                self.metrics.updates_received += 1;
-                self.on_update(net, u.id, u.delta, delivery.at)
-            }
-            Message::SweepAnswer(a) => {
-                self.metrics.answers_received += 1;
-                self.on_answer(net, a.qid, a.partial)
-            }
-            other => Err(WarehouseError::UnexpectedMessage {
-                policy: self.name(),
-                label: dw_simnet::Payload::label(&other),
-            }),
-        }
+        dispatch(self, delivery, net)
     }
 
     fn view(&self) -> &Bag {
@@ -305,7 +275,7 @@ impl MaintenancePolicy for Strobe {
     }
 
     fn metrics(&self) -> &PolicyMetrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     fn is_quiescent(&self) -> bool {
@@ -315,14 +285,19 @@ impl MaintenancePolicy for Strobe {
     fn set_record_snapshots(&mut self, record: bool) {
         self.sink.record_snapshots = record;
     }
+
+    fn set_observer(&mut self, obs: Obs) {
+        self.core.set_observer(obs);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_protocol::{SourceUpdate, SweepAnswer};
-    use dw_relational::{tup, Schema, ViewDefBuilder};
-    use dw_simnet::{Network, ENV};
+    use crate::testkit::{deliver, update};
+    use dw_protocol::SweepAnswer;
+    use dw_relational::{tup, JoinSide, Schema, ViewDefBuilder};
+    use dw_simnet::Network;
 
     /// Keyed two-relation view: keys R1.A and R2.C, both projected.
     fn keyed_view() -> (ViewDef, KeySpec) {
@@ -335,23 +310,6 @@ mod tests {
             .unwrap();
         let k = KeySpec::from_names(&v, [vec!["R1.A"], vec!["R2.C"]]).unwrap();
         (v, k)
-    }
-
-    fn deliver(at: Time, msg: Message) -> Delivery<Message> {
-        Delivery {
-            at,
-            from: ENV,
-            to: WAREHOUSE_NODE,
-            msg,
-        }
-    }
-
-    fn update(source: usize, seq: u64, delta: Bag) -> Message {
-        Message::Update(SourceUpdate {
-            id: UpdateId { source, seq },
-            delta,
-            global: None,
-        })
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! **SWEEP** — the paper's §5 algorithm (Figure 4).
 //!
-//! One update is processed at a time, in warehouse delivery order. For
-//! update `ΔR_i` the view change is evaluated by *sweeping* the chain:
-//! first leftward from `R_{i−1}` down to `R_1`, then rightward from
-//! `R_{i+1}` up to `R_n`, one source query in flight at a time. When the
-//! answer from source `j` arrives, any concurrent update `ΔR_j` already
-//! delivered (it *must* have been, by FIFO, if it interfered) is
-//! compensated **locally**: `ΔV ← ΔV − ΔR_j ⋈ TempView`. No compensating
-//! queries are ever sent, and the update queue is left untouched — the
-//! interfering updates get their own view change later.
+//! Updates are processed in warehouse delivery order. For update `ΔR_i`
+//! the view change is evaluated by *sweeping* the chain: first leftward
+//! from `R_{i−1}` down to `R_1`, then rightward from `R_{i+1}` up to
+//! `R_n`, one source query in flight at a time. When the answer from
+//! source `j` arrives, any concurrent update `ΔR_j` already delivered (it
+//! *must* have been, by FIFO, if it interfered) is compensated
+//! **locally**: `ΔV ← ΔV − ΔR_j ⋈ TempView`. No compensating queries are
+//! ever sent, and the update queue is left untouched — the interfering
+//! updates get their own view change later.
 //!
 //! Properties (verified by the consistency checker and the test suite):
 //! complete consistency, exactly `n−1` queries (`2(n−1)` messages) per
 //! update, no quiescence requirement.
 //!
-//! Two §5.3 optimizations are implemented behind [`SweepOptions`]:
+//! The §5.3 optimizations are implemented behind [`SweepOptions`]:
 //!
 //! * `parallel` — run the left and right sweeps concurrently and merge
 //!   `ΔV = ΔV_left ⋈ ΔV_right` on the shared `ΔR_i` columns (the right
@@ -23,11 +23,26 @@
 //! * `short_circuit_empty` — when the partial `ΔV` becomes empty the final
 //!   view change is necessarily empty, so remaining queries are skipped.
 //!   (Off by default: the paper always completes the sweep.)
+//! * `window` — **pipelining**: "pipeline the view construction for
+//!   multiple updates … the view changes should be incorporated in the
+//!   order of the arrival of the updates and a more elaborate mechanism
+//!   will be needed to detect concurrent updates." Up to `window` sweeps
+//!   run at once (`1`, the default, is Figure 4; `0` is unbounded). The
+//!   elaborate mechanism is the same rule restricted to later arrivals:
+//!   the sweep for update `k` compensates, at source `j`, for exactly the
+//!   delivered updates from `j` that arrived **after** `k` — the queued
+//!   ones plus those already sweeping. FIFO makes that precise: an update
+//!   from `j` delivered before the answer is *in* the answer, and belongs
+//!   to `ΔV_k`'s target state only if it arrived before `k`; one delivered
+//!   after the answer cannot be in it. Finished view changes are released
+//!   strictly in arrival order, so complete consistency is preserved while
+//!   the per-update sweep latencies overlap (experiments E9, E10).
 //!
-//! The mechanism — query plumbing, hop spans, compensation, install —
-//! lives in [`dw_engine`]; this module is the *strategy*: the
-//! one-update-at-a-time state machine plus the global-transaction hold
-//! logic, driving an [`EngineCore`] through the [`SweepPolicy`] hook.
+//! The mechanism — the hop walk, spans, compensation, install — lives in
+//! [`dw_engine`]; this module is the *strategy*: which arrivals a hop
+//! compensates for, the window, in-order release and the
+//! global-transaction hold, driving [`SweepRun`]s over one [`EngineCore`]
+//! through the [`SweepPolicy`] hook.
 
 use crate::error::WarehouseError;
 use crate::install::InstallRecord;
@@ -36,14 +51,14 @@ use crate::policy::MaintenancePolicy;
 use crate::queue::PendingUpdate;
 pub use dw_engine::SweepOptions;
 use dw_engine::{
-    dispatch, merge_pivot, support, EngineCore, InstallSink, Leg, LegSlot, SpanLabels, SweepCtx,
-    SweepPolicy,
+    dispatch, EngineCore, InstallSequencer, InstallSink, SequencedInstall, SpanLabels, SweepCtx,
+    SweepPolicy, SweepRun,
 };
 use dw_obs::Obs;
 use dw_protocol::{GlobalPart, Message, SourceUpdate, UpdateId};
-use dw_relational::{Bag, JoinSide, PartialDelta};
+use dw_relational::{Bag, PartialDelta};
 use dw_simnet::{Delivery, NetHandle, Time};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// SWEEP's historical trace vocabulary, emitted by the engine on the
 /// adapter's behalf.
@@ -56,40 +71,35 @@ const LABELS: SpanLabels = SpanLabels {
     query_counter: None,
 };
 
-enum State {
-    Idle,
-    /// Sequential: one leg at a time, left phase then right phase.
-    Seq {
-        upd: UpdateId,
-        delivered_at: Time,
-        i: usize,
-        leg: Leg,
-    },
-    /// Parallel: both legs in flight; completed sides parked until merge.
-    Par {
-        upd: UpdateId,
-        delivered_at: Time,
-        i: usize,
-        left: LegSlot,
-        right: LegSlot,
-    },
+/// One update's sweep, from leaving the queue until its view change is
+/// released.
+struct Flight {
+    /// Install ticket, issued in queue (= arrival) order.
+    ticket: u64,
+    update: SourceUpdate,
+    arrived_at: Time,
+    /// The walk and its context while it runs. Once it has finished, the
+    /// view change waits in the sequencer and the flight stays on only as
+    /// a concurrent update the older sweeps compensate for.
+    run: Option<(SweepRun, SweepCtx)>,
 }
 
 /// The SWEEP warehouse policy.
 pub struct Sweep {
     core: EngineCore,
-    /// The in-flight sweep's context (its span; no batching, σ or scope).
-    ctx: SweepCtx,
     sink: InstallSink,
     opts: SweepOptions,
-    state: State,
+    /// Started, unreleased sweeps in arrival order.
+    flights: VecDeque<Flight>,
+    /// Releases finished view changes in arrival order.
+    sequencer: InstallSequencer,
     /// Global-transaction tags of queued/processing updates (type 3).
     global_tags: HashMap<UpdateId, GlobalPart>,
     /// Parts still missing per in-progress global transaction.
     pending_globals: HashMap<u64, u32>,
-    /// Finalized view changes buffered while a global transaction is
+    /// Released view changes buffered while a global transaction is
     /// incomplete — flushed as one atomic install.
-    hold: Option<Hold>,
+    hold: Hold,
 }
 
 #[derive(Debug, Default)]
@@ -104,16 +114,7 @@ impl Sweep {
         view_def: dw_relational::ViewDef,
         initial_view: Bag,
     ) -> Result<Self, WarehouseError> {
-        Ok(Sweep {
-            core: EngineCore::new(view_def, LABELS),
-            ctx: SweepCtx::default(),
-            sink: InstallSink::new(initial_view)?,
-            opts: SweepOptions::default(),
-            state: State::Idle,
-            global_tags: HashMap::new(),
-            pending_globals: HashMap::new(),
-            hold: None,
-        })
+        Self::with_options(view_def, initial_view, SweepOptions::default())
     }
 
     /// Create with explicit options.
@@ -122,271 +123,149 @@ impl Sweep {
         initial_view: Bag,
         opts: SweepOptions,
     ) -> Result<Self, WarehouseError> {
-        let mut s = Sweep::new(view_def, initial_view)?;
-        s.opts = opts;
-        Ok(s)
+        Ok(Sweep {
+            core: EngineCore::new(view_def, LABELS),
+            sink: InstallSink::new(initial_view)?,
+            opts,
+            flights: VecDeque::new(),
+            sequencer: InstallSequencer::new(),
+            global_tags: HashMap::new(),
+            pending_globals: HashMap::new(),
+            hold: Hold::default(),
+        })
     }
 
-    /// Pending update queue length (observability hook).
-    pub fn queue_len(&self) -> usize {
-        self.core.queue.len()
+    /// Number of sweeps currently in flight (observability).
+    pub fn in_flight(&self) -> usize {
+        self.flights.iter().filter(|f| f.run.is_some()).count()
     }
 
-    /// Begin the view change for the queue head.
-    fn start_next(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), WarehouseError> {
-        let Some(PendingUpdate { update, arrived_at }) = self.core.queue.pop() else {
-            self.state = State::Idle;
-            return Ok(());
-        };
-        let i = update.id.source;
-        self.ctx = self.core.begin_sweep(net.now());
-        self.core
-            .obs
-            .observe("sweep.delta_rows", update.delta.distinct_len() as u64);
-        let seeded = PartialDelta::seed(&self.core.view, i, &update.delta)?;
+    /// Does an update at source `i` sweep with two legs? Only when
+    /// `parallel` is on and both directions have sources to visit.
+    fn two_legs(&self, i: usize) -> bool {
+        self.opts.parallel && 0 < i && i + 1 < self.core.n()
+    }
 
-        // Degenerate chains and filtered-out updates need no queries.
-        if self.core.n() == 1 {
-            let final_bag = seeded.finalize(&self.core.view)?;
-            return self.install(net, update.id, arrived_at, final_bag);
-        }
-        if self.opts.short_circuit_empty && seeded.bag.is_empty() {
-            return self.install(net, update.id, arrived_at, Bag::new());
-        }
-
-        let has_left = i > 0;
-        let has_right = i + 1 < self.core.n();
-
-        if self.opts.parallel && has_left && has_right {
-            // Left leg carries the true delta; right leg carries the
-            // support so multiplicities are counted once at merge time.
-            let right_dv = PartialDelta {
-                lo: i,
-                hi: i,
-                bag: support(&seeded.bag),
+    /// Begin the view change of queued updates, oldest first, while the
+    /// window allows (no quiescence needed).
+    fn fill_window(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), WarehouseError> {
+        while self.opts.window == 0 || self.in_flight() < self.opts.window {
+            let Some(PendingUpdate { update, arrived_at }) = self.core.queue.pop() else {
+                break;
             };
-            let left = Leg::launch(
-                &mut self.core,
-                &self.ctx,
-                net,
-                seeded,
-                i - 1,
-                JoinSide::Left,
-            );
-            let right = Leg::launch(
-                &mut self.core,
-                &self.ctx,
-                net,
-                right_dv,
-                i + 1,
-                JoinSide::Right,
-            );
-            self.state = State::Par {
-                upd: update.id,
-                delivered_at: arrived_at,
-                i,
-                left: LegSlot::Running(left),
-                right: LegSlot::Running(right),
+            let i = update.id.source;
+            let ctx = self.core.begin_sweep(net.now());
+            self.core
+                .obs
+                .observe("sweep.delta_rows", update.delta.distinct_len() as u64);
+            let seeded = PartialDelta::seed(&self.core.view, i, &update.delta)?;
+            // A filtered-out update needs no queries.
+            let dead = self.opts.short_circuit_empty && seeded.bag.is_empty();
+            let hi = self.core.n() - 1;
+            let run = match self.two_legs(i) {
+                true => SweepRun::two_legs(seeded, 0, hi),
+                false => SweepRun::sequential(seeded, 0, hi),
             };
-            return Ok(());
+            self.flights.push_back(Flight {
+                ticket: self.sequencer.issue(),
+                update,
+                arrived_at,
+                run: None,
+            });
+            self.proceed(net, self.flights.len() - 1, run, ctx, dead)?;
         }
-
-        // Sequential: left sweep first when it exists, else right.
-        let (j, side) = if has_left {
-            (i - 1, JoinSide::Left)
-        } else {
-            (i + 1, JoinSide::Right)
-        };
-        let leg = Leg::launch(&mut self.core, &self.ctx, net, seeded, j, side);
-        self.state = State::Seq {
-            upd: update.id,
-            delivered_at: arrived_at,
-            i,
-            leg,
-        };
         Ok(())
     }
 
-    fn install(
+    /// Move flight `pos`'s run on: send its next queries, or — covered,
+    /// or `dead` (short-circuited: the view change is provably empty) —
+    /// hand the finished view change to the sequencer and install
+    /// whatever that releases.
+    fn proceed(
         &mut self,
         net: &mut dyn NetHandle<Message>,
-        upd: UpdateId,
-        delivered_at: Time,
-        final_bag: Bag,
+        pos: usize,
+        mut run: SweepRun,
+        ctx: SweepCtx,
+        dead: bool,
     ) -> Result<(), WarehouseError> {
+        if !dead {
+            run.advance(&mut self.core, &ctx, net);
+            if !run.is_done() {
+                self.flights[pos].run = Some((run, ctx));
+                return Ok(());
+            }
+        }
+        let final_bag = match dead {
+            true => Bag::new(),
+            false => run
+                .into_partial(&self.core.view)
+                .finalize(&self.core.view)?,
+        };
         self.core
             .obs
             .observe("sweep.install_rows", final_bag.distinct_len() as u64);
-        self.core.end_sweep(&self.ctx, net.now());
+        self.core.end_sweep(&ctx, net.now());
         self.core.record_batch(1);
-        // Global-transaction bookkeeping (type 3 updates, per the paper's
-        // §2 pointer to [ZGMW96]): a part's view change is computed like
-        // any other update's, but installs are *held* until every part of
-        // every in-progress global transaction has been processed, then
-        // flushed as one atomic state transition.
-        if let Some(g) = self.global_tags.remove(&upd) {
-            let remaining = self.pending_globals.entry(g.gid).or_insert(g.parts);
-            *remaining -= 1;
-            if *remaining == 0 {
-                self.pending_globals.remove(&g.gid);
+        let flight = &self.flights[pos];
+        let install = SequencedInstall {
+            consumed: vec![(flight.update.id, flight.arrived_at)],
+            deltas: vec![(0, final_bag)],
+        };
+        self.sequencer.complete(flight.ticket, Some(install));
+        for SequencedInstall { consumed, deltas } in self.sequencer.drain() {
+            self.flights.pop_front();
+            for (_, final_bag) in deltas {
+                self.release(&consumed, &final_bag, net.now())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Install a released view change — or hold it. Global-transaction
+    /// bookkeeping (type 3 updates, per the paper's §2 pointer to
+    /// [ZGMW96]): a part's view change is computed like any other
+    /// update's, but installs are *held* until every part of every
+    /// in-progress global transaction has been released, then flushed as
+    /// one atomic state transition.
+    fn release(
+        &mut self,
+        consumed: &[(UpdateId, Time)],
+        final_bag: &Bag,
+        now: Time,
+    ) -> Result<(), WarehouseError> {
+        for (upd, _) in consumed {
+            if let Some(g) = self.global_tags.remove(upd) {
+                let remaining = self.pending_globals.entry(g.gid).or_insert(g.parts);
+                *remaining -= 1;
+                if *remaining == 0 {
+                    self.pending_globals.remove(&g.gid);
+                }
             }
         }
         let must_hold = !self.pending_globals.is_empty();
-        if must_hold || self.hold.is_some() {
-            let hold = self.hold.get_or_insert_with(Hold::default);
-            hold.accum.merge(&final_bag);
-            hold.consumed.push((upd, delivered_at));
-            if !must_hold {
-                let hold = self.hold.take().expect("just inserted");
-                self.sink.install(
-                    &mut self.core.metrics,
-                    &hold.accum,
-                    &hold.consumed,
-                    net.now(),
-                )?;
-            }
-        } else {
-            self.sink.install(
-                &mut self.core.metrics,
-                &final_bag,
-                &[(upd, delivered_at)],
-                net.now(),
-            )?;
+        if !must_hold && self.hold.consumed.is_empty() {
+            return self
+                .sink
+                .install(&mut self.core.metrics, final_bag, consumed, now);
         }
-        self.state = State::Idle;
-        // Immediately begin the next queued update (no quiescence needed).
-        self.start_next(net)
-    }
-
-    /// Handle an answer in sequential mode.
-    fn seq_answer(
-        &mut self,
-        net: &mut dyn NetHandle<Message>,
-        partial: PartialDelta,
-    ) -> Result<(), WarehouseError> {
-        let State::Seq {
-            upd,
-            delivered_at,
-            i,
-            mut leg,
-        } = std::mem::replace(&mut self.state, State::Idle)
-        else {
-            unreachable!("seq_answer outside Seq state");
-        };
-        self.core.end_hop(leg.hop, net.now());
-        leg.dv = partial;
-        let (j, side) = (leg.j, leg.side);
-        let temp = leg.temp.clone();
-        self.core
-            .compensate(&self.ctx, &mut leg.dv, &temp, j, side)?;
-
-        if self.opts.short_circuit_empty && leg.dv.bag.is_empty() {
-            return self.install(net, upd, delivered_at, Bag::new());
+        self.hold.accum.merge(final_bag);
+        self.hold.consumed.extend_from_slice(consumed);
+        if !must_hold {
+            let hold = std::mem::take(&mut self.hold);
+            self.sink
+                .install(&mut self.core.metrics, &hold.accum, &hold.consumed, now)?;
         }
-
-        // Advance the sweep: continue left, then switch to right, then done.
-        let next = match side {
-            JoinSide::Left if j > 0 => Some((j - 1, JoinSide::Left)),
-            JoinSide::Left if i + 1 < self.core.n() => Some((i + 1, JoinSide::Right)),
-            JoinSide::Left => None,
-            JoinSide::Right if j + 1 < self.core.n() => Some((j + 1, JoinSide::Right)),
-            JoinSide::Right => None,
-        };
-        match next {
-            Some((nj, nside)) => {
-                leg.advance(&mut self.core, &self.ctx, net, nj, nside);
-                self.state = State::Seq {
-                    upd,
-                    delivered_at,
-                    i,
-                    leg,
-                };
-                Ok(())
-            }
-            None => {
-                let final_bag = leg.dv.finalize(&self.core.view)?;
-                self.install(net, upd, delivered_at, final_bag)
-            }
-        }
-    }
-
-    /// Handle an answer in parallel mode.
-    fn par_answer(
-        &mut self,
-        net: &mut dyn NetHandle<Message>,
-        qid: u64,
-        partial: PartialDelta,
-    ) -> Result<(), WarehouseError> {
-        let State::Par {
-            upd,
-            delivered_at,
-            i,
-            mut left,
-            mut right,
-        } = std::mem::replace(&mut self.state, State::Idle)
-        else {
-            unreachable!("par_answer outside Par state");
-        };
-
-        let use_left = matches!(&left, LegSlot::Running(l) if l.qid == qid);
-        let use_right = matches!(&right, LegSlot::Running(r) if r.qid == qid);
-        if !use_left && !use_right {
-            // Restore state before surfacing the error.
-            self.state = State::Par {
-                upd,
-                delivered_at,
-                i,
-                left,
-                right,
-            };
-            return Err(WarehouseError::UnknownQuery { qid });
-        }
-        // Pull the leg out by value to avoid nested mutable borrows.
-        let slot_ref = if use_left { &mut left } else { &mut right };
-        let LegSlot::Running(mut leg) = std::mem::replace(slot_ref, LegSlot::Done(partial.clone()))
-        else {
-            unreachable!()
-        };
-        self.core.end_hop(leg.hop, net.now());
-        leg.dv = partial;
-        let (j, side) = (leg.j, leg.side);
-        let temp = leg.temp.clone();
-        self.core
-            .compensate(&self.ctx, &mut leg.dv, &temp, j, side)?;
-        // Advance this leg only.
-        let next = match side {
-            JoinSide::Left if j > 0 => Some(j - 1),
-            JoinSide::Left => None,
-            JoinSide::Right if j + 1 < self.core.n() => Some(j + 1),
-            JoinSide::Right => None,
-        };
-        match next {
-            Some(nj) => {
-                leg.advance(&mut self.core, &self.ctx, net, nj, side);
-                let slot_ref = if use_left { &mut left } else { &mut right };
-                *slot_ref = LegSlot::Running(leg);
-            }
-            None => {
-                let slot_ref = if use_left { &mut left } else { &mut right };
-                *slot_ref = LegSlot::Done(leg.dv);
-            }
-        }
-
-        if let (LegSlot::Done(l), LegSlot::Done(r)) = (&left, &right) {
-            // §5.3's merge is the span-generalized pivot merge with the
-            // pivot at the updated relation.
-            let merged = merge_pivot(&self.core.view, i, l, r);
-            let final_bag = merged.finalize(&self.core.view)?;
-            return self.install(net, upd, delivered_at, final_bag);
-        }
-        self.state = State::Par {
-            upd,
-            delivered_at,
-            i,
-            left,
-            right,
-        };
         Ok(())
+    }
+
+    /// The policy's report name: with a window other than Figure 4's it
+    /// is Pipelined SWEEP (the label of the E9/E10 rows).
+    fn label(&self) -> &'static str {
+        match self.opts.window {
+            1 => "sweep",
+            _ => "pipelined-sweep",
+        }
     }
 }
 
@@ -394,7 +273,7 @@ impl SweepPolicy for Sweep {
     type Err = WarehouseError;
 
     fn name(&self) -> &'static str {
-        "sweep"
+        self.label()
     }
 
     fn core(&mut self) -> &mut EngineCore {
@@ -409,10 +288,7 @@ impl SweepPolicy for Sweep {
     }
 
     fn kick(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), WarehouseError> {
-        if matches!(self.state, State::Idle) {
-            self.start_next(net)?;
-        }
-        Ok(())
+        self.fill_window(net)
     }
 
     fn on_answer(
@@ -421,22 +297,35 @@ impl SweepPolicy for Sweep {
         partial: PartialDelta,
         net: &mut dyn NetHandle<Message>,
     ) -> Result<(), WarehouseError> {
-        match &self.state {
-            State::Seq { leg, .. } => {
-                if leg.qid != qid {
-                    return Err(WarehouseError::UnknownQuery { qid });
-                }
-                self.seq_answer(net, partial)
-            }
-            State::Par { .. } => self.par_answer(net, qid, partial),
-            State::Idle => Err(WarehouseError::UnknownQuery { qid }),
-        }
+        let waiting = self.flights.iter_mut().enumerate().find_map(|(pos, f)| {
+            let run = f.run.take_if(|(run, _)| run.waiting_on(qid))?;
+            Some((pos, run))
+        });
+        let Some((pos, (mut run, ctx))) = waiting else {
+            return Err(WarehouseError::UnknownQuery { qid });
+        };
+        let mut hop = run.absorb(&mut self.core, qid, partial, net.now())?;
+        // The compensation set: what is still queued from the hop source
+        // (all of it arrived later), plus the later arrivals from it that
+        // already sweep — one merged ΔR_j, one compensation.
+        let later = self.flights.range(pos + 1..);
+        let later: Vec<&Bag> = later
+            .filter(|f| f.update.id.source == hop.j)
+            .map(|f| &f.update.delta)
+            .collect();
+        self.core.compensate(&ctx, &mut hop, &later)?;
+        // A two-leg run always completes: its other leg's query is out.
+        let dead = self.opts.short_circuit_empty
+            && hop.dv.bag.is_empty()
+            && !self.two_legs(self.flights[pos].update.id.source);
+        self.proceed(net, pos, run, ctx, dead)?;
+        self.fill_window(net)
     }
 }
 
 impl MaintenancePolicy for Sweep {
     fn name(&self) -> &'static str {
-        "sweep"
+        self.label()
     }
 
     fn on_message(
@@ -460,9 +349,9 @@ impl MaintenancePolicy for Sweep {
     }
 
     fn is_quiescent(&self) -> bool {
-        matches!(self.state, State::Idle)
+        self.flights.is_empty()
             && self.core.queue.is_empty()
-            && self.hold.is_none()
+            && self.hold.consumed.is_empty()
             && self.pending_globals.is_empty()
     }
 
@@ -478,38 +367,10 @@ impl MaintenancePolicy for Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_protocol::{source_node, SweepAnswer, WAREHOUSE_NODE};
-    use dw_relational::{tup, Schema, ViewDef, ViewDefBuilder};
-    use dw_simnet::{Network, ENV};
-
-    fn paper_view() -> ViewDef {
-        ViewDefBuilder::new()
-            .relation(Schema::new("R1", ["A", "B"]).unwrap())
-            .relation(Schema::new("R2", ["C", "D"]).unwrap())
-            .relation(Schema::new("R3", ["E", "F"]).unwrap())
-            .join("R1.B", "R2.C")
-            .join("R2.D", "R3.E")
-            .project(["R2.D", "R3.F"])
-            .build()
-            .unwrap()
-    }
-
-    fn deliver(msg: Message) -> Delivery<Message> {
-        Delivery {
-            at: 0,
-            from: ENV,
-            to: WAREHOUSE_NODE,
-            msg,
-        }
-    }
-
-    fn update(source: usize, seq: u64, delta: Bag) -> Message {
-        Message::Update(SourceUpdate {
-            id: UpdateId { source, seq },
-            delta,
-            global: None,
-        })
-    }
+    use crate::testkit::{answer, deliver, paper_view, two_chain, update};
+    use dw_protocol::{source_node, SweepAnswer};
+    use dw_relational::{tup, JoinSide, Schema, ViewDefBuilder};
+    use dw_simnet::Network;
 
     /// Drive the state machine by hand: answers crafted as a source would.
     #[test]
@@ -519,7 +380,7 @@ mod tests {
 
         // ΔR2 = +(3,5) (the paper's first update).
         wh.on_message(
-            deliver(update(1, 0, Bag::from_tuples([tup![3, 5]]))),
+            deliver(0, update(1, 0, Bag::from_tuples([tup![3, 5]]))),
             &mut net,
         )
         .unwrap();
@@ -535,14 +396,17 @@ mod tests {
 
         // Answer as R1 = {(1,3),(2,3)} would.
         wh.on_message(
-            deliver(Message::SweepAnswer(SweepAnswer {
-                qid: q1.qid,
-                partial: PartialDelta {
-                    lo: 0,
-                    hi: 1,
-                    bag: Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]),
-                },
-            })),
+            deliver(
+                0,
+                Message::SweepAnswer(SweepAnswer {
+                    qid: q1.qid,
+                    partial: PartialDelta {
+                        lo: 0,
+                        hi: 1,
+                        bag: Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]),
+                    },
+                }),
+            ),
             &mut net,
         )
         .unwrap();
@@ -557,14 +421,17 @@ mod tests {
 
         // Answer as R3 = {(5,6),(7,8)} would.
         wh.on_message(
-            deliver(Message::SweepAnswer(SweepAnswer {
-                qid: q2.qid,
-                partial: PartialDelta {
-                    lo: 0,
-                    hi: 2,
-                    bag: Bag::from_tuples([tup![1, 3, 3, 5, 5, 6], tup![2, 3, 3, 5, 5, 6]]),
-                },
-            })),
+            deliver(
+                0,
+                Message::SweepAnswer(SweepAnswer {
+                    qid: q2.qid,
+                    partial: PartialDelta {
+                        lo: 0,
+                        hi: 2,
+                        bag: Bag::from_tuples([tup![1, 3, 3, 5, 5, 6], tup![2, 3, 3, 5, 5, 6]]),
+                    },
+                }),
+            ),
             &mut net,
         )
         .unwrap();
@@ -592,7 +459,7 @@ mod tests {
         let mut wh = Sweep::new(paper_view(), Bag::from_pairs([(tup![7, 8], 2)])).unwrap();
 
         wh.on_message(
-            deliver(update(1, 0, Bag::from_tuples([tup![3, 5]]))),
+            deliver(0, update(1, 0, Bag::from_tuples([tup![3, 5]]))),
             &mut net,
         )
         .unwrap();
@@ -602,21 +469,24 @@ mod tests {
 
         // Concurrent ΔR1 arrives *before* the answer.
         wh.on_message(
-            deliver(update(0, 0, Bag::from_pairs([(tup![2, 3], -1)]))),
+            deliver(0, update(0, 0, Bag::from_pairs([(tup![2, 3], -1)]))),
             &mut net,
         )
         .unwrap();
 
         // R1 already applied the delete, so its answer has only (1,3,3,5).
         wh.on_message(
-            deliver(Message::SweepAnswer(SweepAnswer {
-                qid: q1.qid,
-                partial: PartialDelta {
-                    lo: 0,
-                    hi: 1,
-                    bag: Bag::from_tuples([tup![1, 3, 3, 5]]),
-                },
-            })),
+            deliver(
+                0,
+                Message::SweepAnswer(SweepAnswer {
+                    qid: q1.qid,
+                    partial: PartialDelta {
+                        lo: 0,
+                        hi: 1,
+                        bag: Bag::from_tuples([tup![1, 3, 3, 5]]),
+                    },
+                }),
+            ),
             &mut net,
         )
         .unwrap();
@@ -634,14 +504,17 @@ mod tests {
 
         // Finish the sweep; R3 unchanged.
         wh.on_message(
-            deliver(Message::SweepAnswer(SweepAnswer {
-                qid: q2.qid,
-                partial: PartialDelta {
-                    lo: 0,
-                    hi: 2,
-                    bag: Bag::from_tuples([tup![1, 3, 3, 5, 5, 6], tup![2, 3, 3, 5, 5, 6]]),
-                },
-            })),
+            deliver(
+                0,
+                Message::SweepAnswer(SweepAnswer {
+                    qid: q2.qid,
+                    partial: PartialDelta {
+                        lo: 0,
+                        hi: 2,
+                        bag: Bag::from_tuples([tup![1, 3, 3, 5, 5, 6], tup![2, 3, 3, 5, 5, 6]]),
+                    },
+                }),
+            ),
             &mut net,
         )
         .unwrap();
@@ -662,7 +535,7 @@ mod tests {
         let mut net: Network<Message> = Network::new(0);
         let mut wh = Sweep::new(paper_view(), Bag::from_pairs([(tup![7, 8], 2)])).unwrap();
         wh.on_message(
-            deliver(update(0, 0, Bag::from_pairs([(tup![9, 3], 1)]))),
+            deliver(0, update(0, 0, Bag::from_pairs([(tup![9, 3], 1)]))),
             &mut net,
         )
         .unwrap();
@@ -679,19 +552,22 @@ mod tests {
         let mut net: Network<Message> = Network::new(0);
         let mut wh = Sweep::new(paper_view(), Bag::new()).unwrap();
         wh.on_message(
-            deliver(update(1, 0, Bag::from_tuples([tup![3, 5]]))),
+            deliver(0, update(1, 0, Bag::from_tuples([tup![3, 5]]))),
             &mut net,
         )
         .unwrap();
         let res = wh.on_message(
-            deliver(Message::SweepAnswer(SweepAnswer {
-                qid: 999,
-                partial: PartialDelta {
-                    lo: 0,
-                    hi: 1,
-                    bag: Bag::new(),
-                },
-            })),
+            deliver(
+                0,
+                Message::SweepAnswer(SweepAnswer {
+                    qid: 999,
+                    partial: PartialDelta {
+                        lo: 0,
+                        hi: 1,
+                        bag: Bag::new(),
+                    },
+                }),
+            ),
             &mut net,
         );
         assert!(matches!(
@@ -705,14 +581,17 @@ mod tests {
         let mut net: Network<Message> = Network::new(0);
         let mut wh = Sweep::new(paper_view(), Bag::new()).unwrap();
         let res = wh.on_message(
-            deliver(Message::SweepAnswer(SweepAnswer {
-                qid: 0,
-                partial: PartialDelta {
-                    lo: 0,
-                    hi: 0,
-                    bag: Bag::new(),
-                },
-            })),
+            deliver(
+                0,
+                Message::SweepAnswer(SweepAnswer {
+                    qid: 0,
+                    partial: PartialDelta {
+                        lo: 0,
+                        hi: 0,
+                        bag: Bag::new(),
+                    },
+                }),
+            ),
             &mut net,
         );
         assert!(matches!(res, Err(WarehouseError::UnknownQuery { .. })));
@@ -728,7 +607,7 @@ mod tests {
         let mut net: Network<Message> = Network::new(0);
         let mut wh = Sweep::new(view, Bag::new()).unwrap();
         wh.on_message(
-            deliver(update(0, 0, Bag::from_tuples([tup![1, 7]]))),
+            deliver(0, update(0, 0, Bag::from_tuples([tup![1, 7]]))),
             &mut net,
         )
         .unwrap();
@@ -753,12 +632,13 @@ mod tests {
             SweepOptions {
                 parallel: false,
                 short_circuit_empty: true,
+                ..Default::default()
             },
         )
         .unwrap();
         // Update filtered out by the local selection: no queries at all.
         wh.on_message(
-            deliver(update(0, 0, Bag::from_tuples([tup![1, 3]]))),
+            deliver(0, update(0, 0, Bag::from_tuples([tup![1, 3]]))),
             &mut net,
         )
         .unwrap();
@@ -776,12 +656,13 @@ mod tests {
             SweepOptions {
                 parallel: true,
                 short_circuit_empty: false,
+                ..Default::default()
             },
         )
         .unwrap();
         // ΔR2 = +(3,5) with multiplicity 3 to exercise count handling.
         wh.on_message(
-            deliver(update(1, 0, Bag::from_pairs([(tup![3, 5], 3)]))),
+            deliver(0, update(1, 0, Bag::from_pairs([(tup![3, 5], 3)]))),
             &mut net,
         )
         .unwrap();
@@ -813,14 +694,17 @@ mod tests {
 
         // Right answer first (R3 matches (5,6)).
         wh.on_message(
-            deliver(Message::SweepAnswer(SweepAnswer {
-                qid: rq.qid,
-                partial: PartialDelta {
-                    lo: 1,
-                    hi: 2,
-                    bag: Bag::from_tuples([tup![3, 5, 5, 6]]),
-                },
-            })),
+            deliver(
+                0,
+                Message::SweepAnswer(SweepAnswer {
+                    qid: rq.qid,
+                    partial: PartialDelta {
+                        lo: 1,
+                        hi: 2,
+                        bag: Bag::from_tuples([tup![3, 5, 5, 6]]),
+                    },
+                }),
+            ),
             &mut net,
         )
         .unwrap();
@@ -828,14 +712,17 @@ mod tests {
 
         // Left answer: R1 has two matches, counts ×3.
         wh.on_message(
-            deliver(Message::SweepAnswer(SweepAnswer {
-                qid: lq.qid,
-                partial: PartialDelta {
-                    lo: 0,
-                    hi: 1,
-                    bag: Bag::from_pairs([(tup![1, 3, 3, 5], 3), (tup![2, 3, 3, 5], 3)]),
-                },
-            })),
+            deliver(
+                0,
+                Message::SweepAnswer(SweepAnswer {
+                    qid: lq.qid,
+                    partial: PartialDelta {
+                        lo: 0,
+                        hi: 1,
+                        bag: Bag::from_pairs([(tup![1, 3, 3, 5], 3), (tup![2, 3, 3, 5], 3)]),
+                    },
+                }),
+            ),
             &mut net,
         )
         .unwrap();
@@ -858,7 +745,7 @@ mod tests {
         let mut net: Network<Message> = Network::new(0);
         let mut wh = Sweep::new(view, Bag::new()).unwrap();
         let res = wh.on_message(
-            deliver(update(0, 0, Bag::from_pairs([(tup![1], -1)]))),
+            deliver(0, update(0, 0, Bag::from_pairs([(tup![1], -1)]))),
             &mut net,
         );
         assert!(matches!(
@@ -876,16 +763,136 @@ mod tests {
         let mut net: Network<Message> = Network::new(0);
         let mut wh = Sweep::new(view, Bag::new()).unwrap();
         wh.on_message(
-            deliver(update(0, 0, Bag::from_pairs([(tup![1], 1)]))),
+            deliver(0, update(0, 0, Bag::from_pairs([(tup![1], 1)]))),
             &mut net,
         )
         .unwrap();
         wh.on_message(
-            deliver(update(0, 1, Bag::from_pairs([(tup![2], 1)]))),
+            deliver(0, update(0, 1, Bag::from_pairs([(tup![2], 1)]))),
             &mut net,
         )
         .unwrap();
         let consumed: Vec<u64> = wh.installs().iter().map(|r| r.consumed[0].seq).collect();
         assert_eq!(consumed, vec![0, 1]);
+    }
+
+    fn unbounded() -> Sweep {
+        let opts = SweepOptions {
+            window: 0,
+            ..Default::default()
+        };
+        Sweep::with_options(two_chain(), Bag::new(), opts).unwrap()
+    }
+
+    #[test]
+    fn window_overlaps_two_sweeps_and_installs_in_order() {
+        let mut net: Network<Message> = Network::new(0);
+        let mut wh = unbounded();
+        assert_eq!(MaintenancePolicy::name(&wh), "pipelined-sweep");
+        // Two updates at source 0 arrive back to back.
+        wh.on_message(
+            deliver(0, update(0, 0, Bag::from_tuples([tup![1, 3]]))),
+            &mut net,
+        )
+        .unwrap();
+        wh.on_message(
+            deliver(1, update(0, 1, Bag::from_tuples([tup![2, 4]]))),
+            &mut net,
+        )
+        .unwrap();
+        assert_eq!(wh.in_flight(), 2, "both sweeps in flight at once");
+        // Grab both queries; answer the SECOND first.
+        let q1 = net.next().unwrap();
+        let q2 = net.next().unwrap();
+        let (Message::SweepQuery(q1), Message::SweepQuery(q2)) = (q1.msg, q2.msg) else {
+            panic!()
+        };
+        let a2 = answer(q2.qid, 0, 1, Bag::from_tuples([tup![2, 4, 4, 9]]));
+        wh.on_message(deliver(10, a2), &mut net).unwrap();
+        // Out-of-order completion: nothing installed yet.
+        assert_eq!(wh.installs().len(), 0);
+        let a1 = answer(q1.qid, 0, 1, Bag::from_tuples([tup![1, 3, 3, 7]]));
+        wh.on_message(deliver(11, a1), &mut net).unwrap();
+        // Both install, in arrival order.
+        assert_eq!(wh.installs().len(), 2);
+        assert_eq!(wh.installs()[0].consumed[0].seq, 0);
+        assert_eq!(wh.installs()[1].consumed[0].seq, 1);
+        assert!(wh.is_quiescent());
+    }
+
+    #[test]
+    fn window_compensates_only_for_later_arrivals() {
+        // Update A (first, source 1) sweeps toward source 0; update B
+        // (second, source 0) arrives before A's answer → compensate A.
+        // Then B's own sweep toward source 1 must NOT compensate for A
+        // (A arrived earlier), even though A is from source 1 and its
+        // sweep is still in the window.
+        let mut net: Network<Message> = Network::new(0);
+        let mut wh = unbounded();
+        wh.on_message(
+            deliver(0, update(1, 0, Bag::from_tuples([tup![3, 9]]))),
+            &mut net,
+        )
+        .unwrap();
+        let Message::SweepQuery(qa) = net.next().unwrap().msg else {
+            panic!()
+        };
+        assert_eq!(qa.side, JoinSide::Left);
+        wh.on_message(
+            deliver(1, update(0, 0, Bag::from_tuples([tup![7, 3]]))),
+            &mut net,
+        )
+        .unwrap();
+        let Message::SweepQuery(qb) = net.next().unwrap().msg else {
+            panic!()
+        };
+        assert_eq!(qb.side, JoinSide::Right);
+
+        // A's answer includes B's tuple (source already applied it).
+        let joined = Bag::from_tuples([tup![7, 3, 3, 9]]);
+        wh.on_message(deliver(5, answer(qa.qid, 0, 1, joined.clone())), &mut net)
+            .unwrap();
+        assert_eq!(wh.metrics().local_compensations, 1);
+        // A's install: the error term (7,3)⋈(3,9) removed → empty ΔV.
+        assert_eq!(wh.installs().len(), 1);
+        assert!(wh.installs()[0].view_after.as_ref().unwrap().is_empty());
+
+        // B's answer from source 1 includes A's tuple (3,9) — which is
+        // CORRECT for B's target state (A precedes B), so no compensation.
+        wh.on_message(deliver(6, answer(qb.qid, 0, 1, joined.clone())), &mut net)
+            .unwrap();
+        assert_eq!(wh.metrics().local_compensations, 1, "no extra compensation");
+        assert_eq!(wh.installs().len(), 2);
+        assert_eq!(
+            wh.view(),
+            &joined,
+            "final view has the joined tuple exactly once"
+        );
+    }
+
+    #[test]
+    fn window_one_serializes() {
+        let mut net: Network<Message> = Network::new(0);
+        let mut wh = Sweep::new(two_chain(), Bag::new()).unwrap();
+        assert_eq!(MaintenancePolicy::name(&wh), "sweep");
+        wh.on_message(
+            deliver(0, update(0, 0, Bag::from_tuples([tup![1, 3]]))),
+            &mut net,
+        )
+        .unwrap();
+        wh.on_message(
+            deliver(1, update(0, 1, Bag::from_tuples([tup![2, 4]]))),
+            &mut net,
+        )
+        .unwrap();
+        assert_eq!(wh.in_flight(), 1, "a window of 1 is Figure 4");
+    }
+
+    #[test]
+    fn window_rejects_unknown_qid() {
+        let mut net: Network<Message> = Network::new(0);
+        let mut wh = unbounded();
+        let res = wh.on_message(deliver(0, answer(1, 0, 0, Bag::new())), &mut net);
+        assert!(matches!(res, Err(WarehouseError::UnknownQuery { .. })));
     }
 }

@@ -7,7 +7,7 @@ use dw_protocol::{node_source, source_node, Message, WAREHOUSE_NODE};
 use dw_relational::{eval_view, tup, Bag, BaseRelation, Schema, ViewDef, ViewDefBuilder};
 use dw_simnet::{LatencyModel, Network};
 use dw_source::{DataSource, EcaSite};
-use dw_warehouse::{Eca, MaintenancePolicy, NestedSweep, PipelinedSweep, Sweep};
+use dw_warehouse::{Eca, MaintenancePolicy, NestedSweep, Sweep, SweepOptions};
 
 fn paper_view() -> ViewDef {
     ViewDefBuilder::new()
@@ -146,8 +146,13 @@ fn nested_and_pipelined_agree_with_sweep_through_real_sources() {
 
     let v_sweep = run(&|| Box::new(Sweep::new(view.clone(), initial_view.clone()).unwrap()));
     let v_nested = run(&|| Box::new(NestedSweep::new(view.clone(), initial_view.clone()).unwrap()));
-    let v_pipe =
-        run(&|| Box::new(PipelinedSweep::new(view.clone(), initial_view.clone()).unwrap()));
+    let unbounded = SweepOptions {
+        window: 0,
+        ..Default::default()
+    };
+    let v_pipe = run(&|| {
+        Box::new(Sweep::with_options(view.clone(), initial_view.clone(), unbounded).unwrap())
+    });
     assert_eq!(v_sweep, v_nested);
     assert_eq!(v_sweep, v_pipe);
 }

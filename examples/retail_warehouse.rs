@@ -108,6 +108,7 @@ fn main() {
             PolicyKind::Sweep(SweepOptions {
                 parallel: true,
                 short_circuit_empty: false,
+                ..Default::default()
             }),
         ),
         ("Nested SWEEP", PolicyKind::NestedSweep(Default::default())),

@@ -12,7 +12,6 @@
 //! [`Experiment`] options.
 
 use dwsweep::prelude::*;
-use dwsweep::warehouse::PipelinedSweepOptions;
 use std::process::ExitCode;
 
 /// Parsed command-line options.
@@ -104,16 +103,15 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
 
 fn policy_kind(o: &Opts) -> Result<PolicyKind, String> {
     Ok(match o.policy.as_str() {
-        "sweep" => PolicyKind::Sweep(SweepOptions {
+        // `pipelined` is SWEEP with a window other than Figure 4's 1.
+        name @ ("sweep" | "pipelined" | "pipelined-sweep") => PolicyKind::Sweep(SweepOptions {
             parallel: o.parallel,
             short_circuit_empty: o.short_circuit,
+            window: if name == "sweep" { 1 } else { o.window },
         }),
         "nested-sweep" | "nested" => PolicyKind::NestedSweep(NestedSweepOptions {
             max_depth: o.max_depth,
         }),
-        "pipelined" | "pipelined-sweep" => {
-            PolicyKind::PipelinedSweep(PipelinedSweepOptions { window: o.window })
-        }
         "strobe" => PolicyKind::Strobe,
         "c-strobe" | "cstrobe" => PolicyKind::CStrobe,
         "eca" => PolicyKind::Eca,
@@ -244,10 +242,11 @@ FLAGS (with defaults):
     --zipf θ            join-value skew                   [0.0]
     --unkeyed           drop keys from the projection (Strobe must fail)
     --no-check          skip ground-truth consistency checking
-    --parallel          SWEEP: parallel left/right sweeps (§5.3)
-    --short-circuit     SWEEP: stop when ΔV is empty
+    --parallel          SWEEP, pipelined: parallel left/right sweeps (§5.3)
+    --short-circuit     SWEEP, pipelined: stop when ΔV is empty
     --max-depth N       Nested SWEEP: forced-termination bound (§6.2)
-    --window N          Pipelined SWEEP: max concurrent sweeps (0 = ∞)
+    --window N          pipelined (SWEEP with a window): max concurrent
+                        sweeps; 0 = ∞, 1 = plain SWEEP    [0]
 ";
 
 fn main() -> ExitCode {

@@ -111,6 +111,7 @@ fn every_policy_reaches_figure5_final_state() {
         PolicyKind::Sweep(SweepOptions {
             parallel: true,
             short_circuit_empty: true,
+            ..Default::default()
         }),
         PolicyKind::NestedSweep(Default::default()),
         PolicyKind::Strobe,

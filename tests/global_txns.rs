@@ -67,14 +67,25 @@ fn workload_generates_global_parts() {
 
 #[test]
 fn sweep_installs_global_txns_atomically() {
+    // Pipelining (window 0 = unbounded, 3 = bounded) overlaps the parts'
+    // sweeps; the hold sits in front of the one install path either way.
+    for window in [1, 0, 3] {
+        sweep_window_installs_global_txns_atomically(window);
+    }
+}
+
+fn sweep_window_installs_global_txns_atomically(window: usize) {
     let s = scenario(2, 24);
     let gid_of = groups(&s);
     let report = Experiment::new(s)
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(SweepOptions {
+            window,
+            ..Default::default()
+        }))
         .latency(LatencyModel::Constant(2_000))
         .run()
         .unwrap();
-    assert!(report.quiescent);
+    assert!(report.quiescent, "window {window}");
 
     // Atomicity: every install consumes all-or-none of each gid's parts.
     let mut parts_per_gid: HashMap<u64, usize> = HashMap::new();
@@ -91,14 +102,17 @@ fn sweep_installs_global_txns_atomically() {
         for (gid, n) in seen {
             assert_eq!(
                 n, parts_per_gid[&gid],
-                "install {k} exposes a partial global transaction {gid}"
+                "window {window}: install {k} exposes a partial global transaction {gid}"
             );
         }
     }
 
     // Batching globals trades complete for strong consistency — verified.
     let level = report.consistency.unwrap().level;
-    assert!(level >= ConsistencyLevel::Strong, "got {level}");
+    assert!(
+        level >= ConsistencyLevel::Strong,
+        "window {window}: got {level}"
+    );
 }
 
 #[test]

@@ -142,6 +142,7 @@ fn sweep_parallel_equals_sequential() {
             .policy(PolicyKind::Sweep(SweepOptions {
                 parallel: false,
                 short_circuit_empty: false,
+                ..Default::default()
             }))
             .latency(latency.clone())
             .seed(net_seed)
@@ -151,6 +152,7 @@ fn sweep_parallel_equals_sequential() {
             .policy(PolicyKind::Sweep(SweepOptions {
                 parallel: true,
                 short_circuit_empty: false,
+                ..Default::default()
             }))
             .latency(latency)
             .seed(net_seed)
@@ -173,9 +175,13 @@ fn pipelined_sweep_complete_on_random_schedules() {
         let latency = arb_latency(&mut r);
         let net_seed = r.next_u64();
         let window = r.usize_below(5);
-        use dwsweep::warehouse::PipelinedSweepOptions;
+        let parallel = r.usize_below(2) == 1;
         let report = Experiment::new(cfg.generate().unwrap())
-            .policy(PolicyKind::PipelinedSweep(PipelinedSweepOptions { window }))
+            .policy(PolicyKind::Sweep(SweepOptions {
+                parallel,
+                window,
+                ..Default::default()
+            }))
             .latency(latency)
             .seed(net_seed)
             .run()
@@ -184,9 +190,57 @@ fn pipelined_sweep_complete_on_random_schedules() {
         assert_eq!(
             report.consistency.as_ref().unwrap().level,
             ConsistencyLevel::Complete,
-            "case {case} (window {window}): {}",
+            "case {case} (window {window}, parallel {parallel}): {}",
             report.consistency.as_ref().unwrap().detail
         );
+    }
+}
+
+/// `window = 1` *is* Figure 4, and pipelining changes *when* a view
+/// change installs, never *what* it is — the law the sharded suite holds
+/// lanes to. Constant latency pins the arrival order, so the runs are
+/// comparable install by install.
+#[test]
+fn window_changes_when_never_what() {
+    let with_window = |window| SweepOptions {
+        window,
+        ..Default::default()
+    };
+    assert_eq!(with_window(1), SweepOptions::default());
+    for case in 0..cases() {
+        // The pipelined suite's workloads, under a constant latency.
+        let mut r = Rng64::new(3_000 + case);
+        let cfg = arb_config(&mut r);
+        let latency = LatencyModel::Constant(r.u64_in(100, 10_000));
+        let net_seed = r.next_u64();
+        let run = |window| {
+            Experiment::new(cfg.generate().unwrap())
+                .policy(PolicyKind::Sweep(with_window(window)))
+                .latency(latency.clone())
+                .seed(net_seed)
+                .check_consistency(false) // the referee here is Figure 4
+                .run()
+                .unwrap()
+        };
+        // Same updates, same order, same view after each: the per-update
+        // install deltas are equal.
+        let what = |rep: &RunReport| -> Vec<_> {
+            let installs = rep.installs.iter();
+            installs
+                .map(|i| (i.consumed.clone(), i.view_after.clone()))
+                .collect()
+        };
+        let runs = [1, 0, 2].map(|window| (window, run(window)));
+        let fig4 = &runs[0].1;
+        for (window, report) in &runs {
+            assert_eq!(report.view, fig4.view, "case {case} (window {window})");
+            assert_eq!(what(report), what(fig4), "case {case} (window {window})");
+            assert_eq!(
+                report.metrics.queries_sent,
+                (cfg.n_sources as u64 - 1) * report.metrics.updates_received,
+                "case {case} (window {window})"
+            );
+        }
     }
 }
 
@@ -200,6 +254,7 @@ fn short_circuit_preserves_completeness() {
             .policy(PolicyKind::Sweep(SweepOptions {
                 parallel: false,
                 short_circuit_empty: true,
+                ..Default::default()
             }))
             .seed(net_seed)
             .run()
