@@ -122,7 +122,9 @@ stage_readme_crates() {
 # queue's batching internals. Likewise, the snapshot store is dw-serve's
 # private machinery: every other crate serves reads through ReadFrontend
 # and feeds installs through the publisher handle, never by constructing
-# or reaching into SnapshotStore directly. The same stage holds the
+# or reaching into SnapshotStore directly; dw-serve itself never
+# deep-copies a bag, and the copy-on-write chunk machinery behind that
+# stays inside dw-relational's shared module. The same stage holds the
 # workspace to one hop walk (dw-engine's SweepRun), dw-core to one
 # experiment harness, and four crates to their panic budgets.
 # The non-test code of one Rust file: everything above `#[cfg(test)]`
@@ -155,11 +157,19 @@ stage_engine_boundary() {
     echo "FAIL: aggregate group accumulators are dw-relational internals — fold deltas through AggregateState, never GroupState" >&2
     ok=1
   fi
-  hits=$(grep -rn "bag)\.clone()\|\.bag\.clone()" crates/serve/src 2>/dev/null |
-    grep -v "freeze-step" || true)
+  hits=$(for f in crates/serve/src/*.rs; do
+    non_test_code "$f" | grep -n 'to_bag()\|bag)\.clone()\|\.bag\.clone()' | sed "s|^|$f: |"
+  done)
   if [[ -n "$hits" ]]; then
     echo "$hits"
-    echo "FAIL: dw-serve never deep-copies a bag outside the publish freeze step — reads ride the Arc (mark a legitimate freeze copy with // freeze-step)" >&2
+    echo "FAIL: dw-serve never deep-copies a bag — epochs, scans and publishes share structure (spell a handle copy SharedBag::clone(&..); only test oracles materialise with to_bag())" >&2
+    ok=1
+  fi
+  hits=$(grep -rn "make_mut\|ChunkHasher\|CHUNK_TARGET" crates/*/src src examples tests 2>/dev/null |
+    grep -v "^crates/relational/src/shared.rs" || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: copy-on-write chunks are dw-relational internals (crates/relational/src/shared.rs) — share and update through SharedBag / SharedMap, never Arc::make_mut on view state" >&2
     ok=1
   fi
   # One hop walk in the workspace: every sweep query is built in

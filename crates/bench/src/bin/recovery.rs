@@ -29,6 +29,7 @@ fn main() {
     let mut t = TableWriter::new([
         "ckpt every",
         "ckpts",
+        "copied tuples",
         "WAL bytes",
         "replayed B",
         "replayed recs",
@@ -43,6 +44,7 @@ fn main() {
         t.row([
             row.checkpoint_every.to_string(),
             row.checkpoints_taken.to_string(),
+            row.checkpoint_copied_tuples.to_string(),
             row.wal_bytes_written.to_string(),
             row.wal_bytes_replayed.to_string(),
             row.wal_records_replayed.to_string(),

@@ -44,8 +44,10 @@ use std::time::Instant;
 /// block; v4 the E16 σ-pushdown block; v5 the E17 crash-recovery block;
 /// v6 the E18 sharded-scaling block; v7 the E19 serving block; v8 the
 /// E20 maintenance-DAG block; v9 the E21 serve-at-scale block (point
-/// indexes, answer cache, subscriber backpressure).
-pub const SCHEMA_VERSION: u64 = 9;
+/// indexes, answer cache, subscriber backpressure); v10 the copied-tuple
+/// counts of structurally shared views (E17 checkpoints, E21 publishes
+/// and its 27k/270k scale arm).
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// Relative regression tolerance on tracked ratios (25 %).
 pub const RATIO_TOLERANCE: f64 = 0.25;

@@ -11,11 +11,11 @@ use super::{level_rank, PerfReport, EXACT_EPS};
 use crate::json::Json;
 use crate::pick;
 use dw_core::{
-    audit_lag_recoveries, audit_reads, Experiment, LagAudit, MultiViewExperiment, MultiViewReport,
-    PolicyKind, RunReport,
+    audit_lag_recoveries, audit_reads, publish_copied_tuples, Experiment, LagAudit,
+    MultiViewExperiment, MultiViewReport, PolicyKind, RunReport,
 };
 use dw_multiview::SchedulerMode;
-use dw_relational::{AggFn, AggregateSpec, CmpOp, Value};
+use dw_relational::{tup, AggFn, AggregateSpec, Bag, CmpOp, Value};
 use dw_simnet::{FaultPlan, LatencyModel, LinkFaults};
 use dw_workload::{
     DerivedOp, DerivedSpec, MultiViewConfig, MultiViewScenario, ReadKind, ReadMixConfig, ReadOp,
@@ -923,6 +923,10 @@ row! {
         stale_answers_dropped: u64 = Info,
         /// Durable checkpoints taken over the crashed run.
         checkpoints_taken: u64 = Info,
+        /// View tuples copied taking them. Must be exactly 0: an image
+        /// holds structurally shared handles onto the live views (the
+        /// modeled byte sizes in this row stay the *logical* sizes).
+        checkpoint_copied_tuples: u64 = Info,
         /// Total modeled WAL bytes appended over the crashed run.
         wal_bytes_written: u64 = Info,
         /// Extra virtual time the crashed run needed to drain, vs the
@@ -949,7 +953,7 @@ pub struct E17Detail {
 }
 
 impl Phase for E17Row {
-    const LAW: &'static str = "crash recovery converges to the fault-free run with a bounded staleness spike and WAL replay monotone in the checkpoint interval";
+    const LAW: &'static str = "crash recovery converges to the fault-free run with a bounded staleness spike, WAL replay monotone in the checkpoint interval and checkpoints that copy no view tuple";
     type Detail = E17Detail;
 
     /// One seeded sparse workload, swept over checkpoint intervals. The
@@ -1003,6 +1007,7 @@ impl Phase for E17Row {
                     sweeps_reseeded: crashed.recovery.sweeps_reseeded,
                     stale_answers_dropped: crashed.recovery.stale_answers_dropped,
                     checkpoints_taken: crashed.checkpoints_taken,
+                    checkpoint_copied_tuples: crashed.checkpoint_copied_tuples,
                     wal_bytes_written: crashed.wal_bytes_written,
                     recovery_latency_us: crashed.end_time.saturating_sub(clean.end_time),
                     stale_max_us: crashed.staleness_percentile(100.0).unwrap_or(0),
@@ -1043,6 +1048,12 @@ impl Phase for E17Row {
                 v.push(format!(
                     "E17 ckpt={}: replayed {} WAL bytes but only {} were ever written",
                     row.checkpoint_every, row.wal_bytes_replayed, row.wal_bytes_written
+                ));
+            }
+            if row.checkpoint_copied_tuples != 0 {
+                v.push(format!(
+                    "E17 ckpt={}: {} checkpoints copied {} view tuples — an image must share the live views' structure",
+                    row.checkpoint_every, row.checkpoints_taken, row.checkpoint_copied_tuples
                 ));
             }
             if !row.quiescent {
@@ -1768,7 +1779,10 @@ row! {
     /// third **lag arm** runs bounded subscriptions with polls under the
     /// same load and proves every overflowed subscriber's
     /// deltas-plus-resume-snapshot history equivalent to the unbounded
-    /// stream.
+    /// stream. A fourth **scale arm** publishes one fixed delta stream
+    /// over a 27k- and a 270k-tuple view and counts the tuples each
+    /// publish copied: epochs share structure, so the count follows `|Δ|`
+    /// and must stay flat in the view size.
     E21Row in e21 as "E21" / "e21_serve_scale" {
         /// Key-distribution label ("hot-key-skew", "uniform").
         mix: String = Key,
@@ -1807,10 +1821,13 @@ row! {
         /// hits/(hits+misses) — the cache effectiveness ratio the gate
         /// tracks against the baseline.
         cache_hit_ratio: f64 = Ratio(Lower, "cache hit ratio"),
-        /// Serve-side bag deep copies in the accelerated arm. Must equal
-        /// `snapshots_published` exactly: one per install's freeze step,
-        /// zero per read — the zero-copy promise, enforced.
+        /// Serve-side bag deep copies in the accelerated arm. Must be
+        /// exactly 0: neither publishing nor reading copies a bag.
         bags_deep_cloned: u64 = Info,
+        /// Tuples the accelerated arm's publishes copied (the touched
+        /// chunks of each install's view, copy-on-write) — exact and
+        /// deterministic.
+        publish_copied_tuples: u64 = Ratio(Higher, "publish copied tuples"),
         /// Epoch snapshots published by the install pipeline.
         snapshots_published: u64 = Info,
         /// Both arms returned byte-identical answers for every read.
@@ -1828,13 +1845,21 @@ row! {
         /// Every lagged subscriber's delivered-deltas-plus-resume-snapshot
         /// history reconstructed the unbounded stream exactly.
         lag_stream_equivalent: bool = Info,
+        /// Scale arm: tuples copied publishing the fixed delta stream over
+        /// the 27k-tuple view.
+        scale_copied_27k: u64 = Info,
+        /// Scale arm: the same stream over the 270k-tuple view.
+        scale_copied_270k: u64 = Info,
+        /// `scale_copied_270k / scale_copied_27k`. Must stay ≤ 1.5: what
+        /// a publish copies does not grow with the view.
+        scale_copied_ratio: f64 = Ratio(Higher, "publish copied-tuples ratio 270k/27k"),
         /// All three arms and the no-reader referee drained to quiescence.
         quiescent: bool = Info,
     }
 }
 
 impl Phase for E21Row {
-    const LAW: &'static str = "indexed+cached point reads byte-identical to linear scans at \u{2265} 5\u{d7} less work on the skewed mix, one bag copy per install, stream-equivalent lag recovery";
+    const LAW: &'static str = "indexed+cached point reads byte-identical to linear scans at \u{2265} 5\u{d7} less work on the skewed mix, zero bag deep copies with publish copying O(|\u{394}|) tuples flat in the view size, stream-equivalent lag recovery";
     /// The lag arm's stream-equivalence audit (the `serve_scale` binary
     /// prints its subscriber and delivery counts).
     type Detail = LagAudit;
@@ -1862,6 +1887,7 @@ impl Phase for E21Row {
             .run()
             .unwrap();
         let lag_audit = audit_lag_recoveries(&scenario, &lagged).unwrap();
+        let (scale_27k, scale_270k) = (publish_copied(27_000), publish_copied(270_000));
 
         let mixes: [(&str, f64, f64); 2] = [("hot-key-skew", 1.1, 5.0), ("uniform", 0.0, 1.0)];
         mixes
@@ -1902,6 +1928,7 @@ impl Phase for E21Row {
                     cache_evictions: stats.cache_evictions,
                     cache_hit_ratio: stats.cache_hits as f64 / cache_lookups.max(1) as f64,
                     bags_deep_cloned: stats.bags_deep_cloned,
+                    publish_copied_tuples: stats.publish_copied_tuples,
                     snapshots_published: stats.snapshots_published,
                     answers_match: linear_arm.reads == accel_arm.reads,
                     makespan_us: accel.makespan(),
@@ -1909,6 +1936,9 @@ impl Phase for E21Row {
                     lag_events: lag_audit.lag_events,
                     lag_resumes: lag_audit.resumes,
                     lag_stream_equivalent: lag_audit.clean(),
+                    scale_copied_27k: scale_27k,
+                    scale_copied_270k: scale_270k,
+                    scale_copied_ratio: scale_270k as f64 / scale_27k.max(1) as f64,
                     quiescent: referee.quiescent
                         && linear.quiescent
                         && accel.quiescent
@@ -1947,11 +1977,22 @@ impl Phase for E21Row {
                     row.accel_work_tuples
                 ));
             }
-            if row.bags_deep_cloned != row.snapshots_published {
+            if row.bags_deep_cloned != 0 {
                 v.push(format!(
-                    "E21 {}: {} serve-side bag deep copies != {} installs — the read path broke \
-                     the one-copy-per-freeze promise",
+                    "E21 {}: {} serve-side bag deep copies over {} installs — epochs must share \
+                     structure, never copy a bag",
                     row.mix, row.bags_deep_cloned, row.snapshots_published
+                ));
+            }
+            if row.scale_copied_27k == 0 || row.scale_copied_ratio > SCALE_COPIED_MAX_RATIO {
+                v.push(format!(
+                    "E21 {}: publishing the same deltas copied {} tuples over a 270k-tuple view \
+                     vs {} over 27k (ratio {:.2} > {}) — publish must cost O(|\u{394}|), not O(|V|)",
+                    row.mix,
+                    row.scale_copied_270k,
+                    row.scale_copied_27k,
+                    row.scale_copied_ratio,
+                    SCALE_COPIED_MAX_RATIO
                 ));
             }
             if row.makespan_us != row.baseline_makespan_us {
@@ -1996,6 +2037,25 @@ impl Phase for E21Row {
         }
         v
     }
+}
+
+/// Ceiling on E21's scale-arm ratio (copied tuples, 270k- over 27k-tuple
+/// view, same deltas).
+const SCALE_COPIED_MAX_RATIO: f64 = 1.5;
+
+/// E21's scale arm: register a view of `tuples` rows with a read
+/// frontend, publish 16 installs of 8 tuples each — half inserts of new
+/// rows, half deletes of rows every view size holds — and return the
+/// tuples those publishes copied.
+fn publish_copied(tuples: i64) -> u64 {
+    let view = Bag::from_tuples((0..tuples).map(|i| tup![i, i % 97]));
+    let deltas = (1..=16i64).map(|epoch| {
+        let inserts = (0..4).map(|k| (tup![-(epoch * 4 + k), k], 1));
+        let deletes = (0..4).map(|k| epoch * 1_000 + k);
+        let deletes = deletes.map(|i| (tup![i, i % 97], -1));
+        inserts.chain(deletes).collect()
+    });
+    publish_copied_tuples(view, deltas)
 }
 
 /// The E21 read schedule: 6 readers hammering point lookups over a

@@ -154,6 +154,7 @@ fn healthy() -> PerfReport {
                 sweeps_reseeded: 1,
                 stale_answers_dropped: 1,
                 checkpoints_taken: 7,
+                checkpoint_copied_tuples: 0,
                 wal_bytes_written: 2_400,
                 recovery_latency_us: 9_000,
                 stale_max_us: 24_000,
@@ -172,6 +173,7 @@ fn healthy() -> PerfReport {
                 sweeps_reseeded: 1,
                 stale_answers_dropped: 1,
                 checkpoints_taken: 2,
+                checkpoint_copied_tuples: 0,
                 wal_bytes_written: 2_400,
                 recovery_latency_us: 9_000,
                 stale_max_us: 24_000,
@@ -322,7 +324,8 @@ fn healthy() -> PerfReport {
                 cache_misses: 60,
                 cache_evictions: 4,
                 cache_hit_ratio: 70.0 / 130.0,
-                bags_deep_cloned: 48,
+                bags_deep_cloned: 0,
+                publish_copied_tuples: 1_400,
                 snapshots_published: 48,
                 answers_match: true,
                 makespan_us: 96_000,
@@ -330,6 +333,9 @@ fn healthy() -> PerfReport {
                 lag_events: 3,
                 lag_resumes: 3,
                 lag_stream_equivalent: true,
+                scale_copied_27k: 8_300,
+                scale_copied_270k: 8_100,
+                scale_copied_ratio: 8_100.0 / 8_300.0,
                 quiescent: true,
             },
             E21Row {
@@ -349,7 +355,8 @@ fn healthy() -> PerfReport {
                 cache_misses: 116,
                 cache_evictions: 30,
                 cache_hit_ratio: 12.0 / 128.0,
-                bags_deep_cloned: 48,
+                bags_deep_cloned: 0,
+                publish_copied_tuples: 1_400,
                 snapshots_published: 48,
                 answers_match: true,
                 makespan_us: 96_000,
@@ -357,6 +364,9 @@ fn healthy() -> PerfReport {
                 lag_events: 3,
                 lag_resumes: 3,
                 lag_stream_equivalent: true,
+                scale_copied_27k: 8_300,
+                scale_copied_270k: 8_100,
+                scale_copied_ratio: 8_100.0 / 8_300.0,
                 quiescent: true,
             },
         ],
@@ -686,6 +696,18 @@ fn nonmonotone_wal_replay_fails_gate() {
         violations.iter().any(|v| v.contains("were ever written")),
         "expected a replay-accounting violation, got {violations:?}"
     );
+
+    // A checkpoint that deep-copies view contents instead of sharing
+    // the live views' structure.
+    let mut fresh = healthy();
+    fresh.e17[0].checkpoint_copied_tuples = 120;
+    let violations = gate(&healthy(), &fresh);
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.contains("must share the live views' structure")),
+        "expected a checkpoint-copy violation, got {violations:?}"
+    );
 }
 
 #[test]
@@ -952,16 +974,36 @@ fn serve_scale_regressions_fail_gate() {
         "expected an answer-divergence violation, got {violations:?}"
     );
 
-    // The zero-copy promise breaking: a read path that deep-copies a
-    // bag shows up as clones exceeding installs.
+    // The zero-copy promise breaking: any serve-side bag deep copy, at
+    // publish or on a read.
     let mut fresh = healthy();
     fresh.e21[0].bags_deep_cloned += 5;
     let violations = gate(&healthy(), &fresh);
     assert!(
+        violations.iter().any(|v| v.contains("never copy a bag")),
+        "expected a zero-copy violation, got {violations:?}"
+    );
+
+    // Publish cost growing with the view: the same deltas copying ten
+    // times the tuples over the ten times larger view.
+    let mut fresh = healthy();
+    fresh.e21[1].scale_copied_270k = 83_000;
+    fresh.e21[1].scale_copied_ratio = 10.0;
+    let violations = gate(&healthy(), &fresh);
+    assert!(
+        violations.iter().any(|v| v.contains("not O(|V|)")),
+        "expected a publish-scaling violation, got {violations:?}"
+    );
+
+    // …or the main arm's publishes copying far more than the baseline's.
+    let mut fresh = healthy();
+    fresh.e21[0].publish_copied_tuples *= 2;
+    let violations = gate(&healthy(), &fresh);
+    assert!(
         violations
             .iter()
-            .any(|v| v.contains("one-copy-per-freeze promise")),
-        "expected a zero-copy violation, got {violations:?}"
+            .any(|v| v.contains("E21 hot-key-skew publish copied tuples")),
+        "expected a copied-tuples regression, got {violations:?}"
     );
 
     // A lagged subscriber resuming into a wrong snapshot or missing
@@ -1017,6 +1059,7 @@ fn gate_reports_every_violation_in_one_pass() {
     fresh.e19[0].makespan_us = 97_000;
     fresh.e20[0].derived_source_msgs = 1;
     fresh.e21[0].bags_deep_cloned = 60;
+    fresh.e17[1].checkpoint_copied_tuples = 54;
     fresh.e1[1].msgs_per_update = healthy().e1[1].msgs_per_update * 1.3;
     let violations = gate(&healthy(), &fresh);
     for needle in [
@@ -1025,7 +1068,8 @@ fn gate_reports_every_violation_in_one_pass() {
         "E18 S=2: 3 escalations",
         "E19 point-heavy: readers must never block installs — makespan 97000us under readers != 96000us no-reader baseline",
         "E20 sibling-fanout: derived maintenance touched the sources",
-        "E21 hot-key-skew: 60 serve-side bag deep copies != 48 installs",
+        "E17 ckpt=16: 2 checkpoints copied 54 view tuples",
+        "E21 hot-key-skew: 60 serve-side bag deep copies over 48 installs",
         "E1 Strobe msgs/update",
     ] {
         assert!(

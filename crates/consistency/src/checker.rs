@@ -2,7 +2,7 @@
 
 use crate::truth::Recorder;
 use dw_protocol::UpdateId;
-use dw_relational::Bag;
+use dw_relational::SharedBag;
 use dw_warehouse::InstallRecord;
 use std::collections::HashSet;
 use std::fmt;
@@ -54,7 +54,7 @@ pub struct ConsistencyReport {
 pub fn classify(
     recorder: &Recorder,
     installs: &[InstallRecord],
-    final_view: &Bag,
+    final_view: &SharedBag,
 ) -> ConsistencyReport {
     let truth_final = match recorder.final_state() {
         Ok(b) => b,
@@ -177,7 +177,7 @@ pub fn classify(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_relational::{tup, Schema, ViewDefBuilder};
+    use dw_relational::{tup, Bag, Schema, ViewDefBuilder};
 
     /// Single-relation identity view: ground truth is trivially the bag of
     /// all applied deltas — perfect for exercising the classifier itself.
@@ -204,7 +204,7 @@ mod tests {
         InstallRecord {
             at: 0,
             consumed,
-            view_after: Some(view),
+            view_after: Some(view.into()),
         }
     }
 
@@ -221,7 +221,7 @@ mod tests {
             install(vec![id(0)], a.clone()),
             install(vec![id(1)], a.plus(&b)),
         ];
-        let rep = classify(&r, &installs, &a.plus(&b));
+        let rep = classify(&r, &installs, &a.plus(&b).into());
         assert_eq!(rep.level, ConsistencyLevel::Complete);
     }
 
@@ -231,7 +231,7 @@ mod tests {
         let b = Bag::from_tuples([tup![2]]);
         let r = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
         let installs = vec![install(vec![id(0), id(1)], a.plus(&b))];
-        let rep = classify(&r, &installs, &a.plus(&b));
+        let rep = classify(&r, &installs, &a.plus(&b).into());
         assert_eq!(rep.level, ConsistencyLevel::Strong);
     }
 
@@ -248,7 +248,7 @@ mod tests {
             install(vec![id(1)], b.clone()),
             install(vec![id(0)], a.plus(&b)),
         ];
-        let rep = classify(&r, &installs, &a.plus(&b));
+        let rep = classify(&r, &installs, &a.plus(&b).into());
         assert_eq!(rep.level, ConsistencyLevel::Weak);
     }
 
@@ -262,7 +262,7 @@ mod tests {
             install(vec![id(0)], b.clone()), // wrong snapshot
             install(vec![id(1)], a.plus(&b)),
         ];
-        let rep = classify(&r, &installs, &a.plus(&b));
+        let rep = classify(&r, &installs, &a.plus(&b).into());
         assert_eq!(rep.level, ConsistencyLevel::Convergent);
     }
 
@@ -270,7 +270,7 @@ mod tests {
     fn wrong_final_state_is_inconsistent() {
         let a = Bag::from_tuples([tup![1]]);
         let r = recorder_with(&[(0, 0, a.clone())]);
-        let rep = classify(&r, &[], &Bag::new());
+        let rep = classify(&r, &[], &SharedBag::new());
         assert_eq!(rep.level, ConsistencyLevel::Inconsistent);
     }
 
@@ -283,7 +283,7 @@ mod tests {
             consumed: vec![id(0)],
             view_after: None,
         }];
-        let rep = classify(&r, &installs, &a);
+        let rep = classify(&r, &installs, &a.clone().into());
         assert_eq!(rep.level, ConsistencyLevel::Convergent);
     }
 
@@ -304,7 +304,7 @@ mod tests {
             install(vec![id(0)], a.clone()),
             install(vec![id(0)], a.clone()),
         ];
-        let rep = classify(&r, &installs, &a);
+        let rep = classify(&r, &installs, &a.clone().into());
         assert!(rep.level <= ConsistencyLevel::Weak);
     }
 }

@@ -106,7 +106,7 @@ mod tests {
         InstallRecord {
             at,
             consumed,
-            view_after: Some(Bag::new()),
+            view_after: Some(Bag::new().into()),
         }
     }
 

@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn remap_preserves_snapshots() {
         let mut r = rec(10, &[(1, 0)]);
-        r.view_after = Some(Bag::from_tuples([tup![1]]));
+        r.view_after = Some(Bag::from_tuples([tup![1]]).into());
         let out = remap_installs(&[r], 1);
         assert_eq!(out[0].view_after.as_ref().unwrap().distinct_len(), 1);
     }

@@ -276,7 +276,7 @@ impl Experiment {
 
         Ok(RunReport {
             policy: policy.name(),
-            view: policy.view().clone(),
+            view: policy.view().to_bag(),
             installs: policy.installs().to_vec(),
             metrics: policy.metrics().clone(),
             net: harness.net.stats().clone(),

@@ -54,7 +54,7 @@ pub use experiment::{CoreError, Experiment, PolicyKind};
 pub use multi_experiment::{DerivedOutcome, MultiViewExperiment, MultiViewReport, ViewOutcome};
 pub use report::RunReport;
 pub use serve::{
-    audit_lag_recoveries, audit_reads, oracle_expects_rejection, oracle_view_at_epoch, LagAudit,
-    LagEvent, LagSubscription, OracleAudit, ReadOutcome, ReadResult, ServeOutcome,
-    SubscriptionOutcome,
+    audit_lag_recoveries, audit_reads, oracle_expects_rejection, oracle_view_at_epoch,
+    publish_copied_tuples, LagAudit, LagEvent, LagSubscription, OracleAudit, ReadOutcome,
+    ReadResult, ServeOutcome, SubscriptionOutcome,
 };

@@ -286,7 +286,7 @@ impl MultiViewExperiment {
                 lo: spans[v].0,
                 hi: spans[v].1,
                 policy: sched.views().policy(id)?,
-                view: bag,
+                view: bag.to_bag(),
                 installs,
                 metrics: sched.views().metrics(id)?.clone(),
                 consistency,
@@ -326,6 +326,7 @@ impl MultiViewExperiment {
                 .durable_stats()
                 .map(|s| s.checkpoints_taken)
                 .unwrap_or(0),
+            checkpoint_copied_tuples: sched.checkpoint_copied_tuples(),
             mutual,
             serve,
             net: harness.net.stats().clone(),
@@ -402,18 +403,19 @@ fn derived_outcomes(reg: &ViewRegistry, ids: &[ViewId]) -> Result<Vec<DerivedOut
             if let (Some(child_after), Some(parent_after)) = (&mine.view_after, &theirs.view_after)
             {
                 epochs_audited += 1;
-                if *child_after != op.eval(parent_after)? {
+                if *child_after != op.eval(&parent_after.to_bag())? {
                     epoch_mismatches += 1;
                 }
             }
         }
-        let final_matches_oracle = *reg.view_bag(id)? == op.eval(reg.view_bag(parent)?)?;
+        let final_matches_oracle =
+            *reg.view_bag(id)? == op.eval(&reg.view_bag(parent)?.to_bag())?;
         out.push(DerivedOutcome {
             name: reg.name(id)?.to_string(),
             parent: reg.name(parent)?.to_string(),
             op: op.name().to_string(),
             linear: op.is_linear(),
-            view: reg.view_bag(id)?.clone(),
+            view: reg.view_bag(id)?.to_bag(),
             installs,
             metrics: reg.metrics(id)?.clone(),
             epochs_audited,
@@ -507,6 +509,9 @@ pub struct MultiViewReport {
     pub wal_bytes_written: u64,
     /// Durable checkpoints taken over the run (0 with durability off).
     pub checkpoints_taken: u64,
+    /// View tuples copied taking those checkpoints — 0: a checkpoint
+    /// holds structurally shared handles onto the live views.
+    pub checkpoint_copied_tuples: u64,
     /// Cross-view mutual consistency (when checking was enabled).
     pub mutual: Option<MutualReport>,
     /// What the readers observed — `Some` iff the run served

@@ -21,13 +21,16 @@
 //! [`MultiViewReport::serve`]: crate::MultiViewReport::serve
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::experiment::CoreError;
 use crate::multi_experiment::MultiViewReport;
 use dw_multiview::{MaintenanceScheduler, ViewId};
 use dw_protocol::UpdateId;
-use dw_relational::{eval_view, Bag, Tuple, Value};
-use dw_serve::{InstallDelta, PinnedEpoch, ReadFrontend, ServeError, ServeStats, StalenessBound};
+use dw_relational::{eval_view, Bag, SharedBag, Tuple, Value};
+use dw_serve::{
+    InstallDelta, InstallEvent, PinnedEpoch, ReadFrontend, ServeError, ServeStats, StalenessBound,
+};
 use dw_simnet::Time;
 use dw_warehouse::InstallRecord;
 use dw_workload::{MultiViewScenario, ReadKind, ReadOp};
@@ -52,6 +55,32 @@ impl Default for ServeConfig {
             bounded_sub_lag: None,
         }
     }
+}
+
+/// Serve `initial` as one view, publish `deltas` as its consecutive
+/// installs, and return the tuples those publishes copied
+/// ([`ServeStats::publish_copied_tuples`]) — the kernel behind E21's
+/// scale arm: the count must follow the deltas, not the view.
+pub fn publish_copied_tuples(initial: Bag, deltas: impl IntoIterator<Item = Bag>) -> u64 {
+    let front = ReadFrontend::new();
+    front.register_view("V", initial, 0);
+    let sink = front.sink();
+    for (epoch, delta) in (1..).zip(deltas) {
+        let event = InstallEvent {
+            view_index: 0,
+            epoch,
+            at: epoch,
+            consumed: Vec::new(),
+            delta: Arc::new(delta),
+        };
+        // Nothing else holds this fresh frontend: the lock cannot be
+        // poisoned, and a poisoned store would still count correctly.
+        let mut store = sink
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        store.publish(event);
+    }
+    front.stats().publish_copied_tuples
 }
 
 /// A running serving arm: the frontend, the read schedule's cursor, and
@@ -184,7 +213,7 @@ impl ServeArm {
                 })
             }),
             ReadKind::Scan => pinned_read(front, op, |pin, bound| {
-                let bag = (*front.read_scan(pin, bound)?.bag).clone();
+                let bag = front.read_scan(pin, bound)?.bag;
                 Ok(ReadResult::Scan { bag })
             }),
         }
@@ -269,7 +298,7 @@ fn drain_bounded(
             entry.events.push(LagEvent::Lagged { resume_epoch });
             let pin = front.resume(entry.sub)?;
             let epoch = pin.epoch();
-            let snapshot = (*front.read_scan(&pin, None)?.bag).clone();
+            let snapshot = front.read_scan(&pin, None)?.bag;
             front.unpin(pin)?;
             entry.events.push(LagEvent::Resumed { epoch, snapshot });
             Ok((0, true))
@@ -290,8 +319,9 @@ pub enum ReadResult {
     },
     /// Full snapshot scan.
     Scan {
-        /// The pinned epoch's contents.
-        bag: Bag,
+        /// The pinned epoch's contents (the store's own handle, not a
+        /// copy).
+        bag: SharedBag,
     },
     /// The pinned epoch violated the op's staleness bound.
     Rejected {
@@ -359,7 +389,7 @@ pub enum LagEvent {
         epoch: u64,
         /// The snapshot's contents — audited against the recompute
         /// oracle by [`audit_lag_recoveries`].
-        snapshot: Bag,
+        snapshot: SharedBag,
     },
 }
 
@@ -623,7 +653,7 @@ pub fn audit_lag_recoveries(
                     if snapshot != &truth {
                         audit.snapshot_mismatches += 1;
                     }
-                    running = snapshot.clone();
+                    running = snapshot.to_bag();
                     next = epoch + 1;
                 }
             }

@@ -32,7 +32,8 @@ use crate::view::MaterializedView;
 use dw_obs::{Obs, SpanId};
 use dw_protocol::{source_node, Message, SourceUpdate, SweepQuery, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{
-    extend_partial, Bag, JoinSide, PartialDelta, Predicate, ShardScope, Tuple, Value, ViewDef,
+    extend_partial, Bag, JoinSide, PartialDelta, Predicate, ShardScope, SharedBag, Tuple, Value,
+    ViewDef,
 };
 use dw_simnet::{Delivery, NetHandle, Time};
 use std::collections::HashMap;
@@ -643,7 +644,7 @@ impl InstallSink {
     }
 
     /// The current view contents.
-    pub fn bag(&self) -> &Bag {
+    pub fn bag(&self) -> &SharedBag {
         self.view.bag()
     }
 

@@ -1,7 +1,7 @@
 //! Install records — the observable state history of the warehouse.
 
 use dw_protocol::UpdateId;
-use dw_relational::Bag;
+use dw_relational::SharedBag;
 use dw_simnet::Time;
 
 /// One view install: when it happened, which source updates it consumed
@@ -19,9 +19,10 @@ pub struct InstallRecord {
     /// Updates whose effects this install incorporated (newly, i.e. not
     /// already incorporated by an earlier install).
     pub consumed: Vec<UpdateId>,
-    /// View contents after the install; `None` when snapshots are disabled
-    /// for large benchmark runs.
-    pub view_after: Option<Bag>,
+    /// View contents after the install — a handle onto the view's shared
+    /// structure at that moment, not a copy; `None` when snapshots are
+    /// disabled for large benchmark runs.
+    pub view_after: Option<SharedBag>,
 }
 
 #[cfg(test)]
@@ -33,7 +34,7 @@ mod tests {
         let r = InstallRecord {
             at: 5,
             consumed: vec![UpdateId { source: 0, seq: 0 }],
-            view_after: Some(Bag::new()),
+            view_after: Some(SharedBag::new()),
         };
         let s = format!("{r:?}");
         assert!(s.contains("consumed"));

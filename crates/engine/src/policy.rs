@@ -4,7 +4,7 @@ use crate::error::WarehouseError;
 use crate::install::InstallRecord;
 use crate::metrics::PolicyMetrics;
 use dw_protocol::Message;
-use dw_relational::Bag;
+use dw_relational::SharedBag;
 use dw_simnet::{Delivery, NetHandle};
 
 /// A warehouse-side view maintenance algorithm.
@@ -25,7 +25,7 @@ pub trait MaintenancePolicy: Send {
     ) -> Result<(), WarehouseError>;
 
     /// Current materialized view contents.
-    fn view(&self) -> &Bag;
+    fn view(&self) -> &SharedBag;
 
     /// Every install performed so far, in order.
     fn installs(&self) -> &[InstallRecord];

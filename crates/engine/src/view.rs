@@ -1,7 +1,7 @@
 //! The materialized view store.
 
 use crate::error::WarehouseError;
-use dw_relational::{Bag, DeltaRelation};
+use dw_relational::{Bag, RelationalError, SharedBag};
 use std::fmt;
 
 /// The warehouse's materialized view: a counted bag of projected tuples
@@ -12,9 +12,13 @@ use std::fmt;
 /// a violation means the maintenance policy produced a view change that
 /// deletes tuples the view does not contain, i.e. an inconsistency. The
 /// check makes a whole class of algorithm bugs loud instead of silent.
+///
+/// The contents are a [`SharedBag`]: cloning the view (a checkpoint) or
+/// its bag (an install record's snapshot) copies no tuple, and the next
+/// install copies only the chunks its delta touches.
 #[derive(Clone, PartialEq, Eq)]
 pub struct MaterializedView {
-    bag: Bag,
+    bag: SharedBag,
     installs: u64,
 }
 
@@ -31,13 +35,13 @@ impl MaterializedView {
             return Err(WarehouseError::InconsistentInstall { tuple: bad });
         }
         Ok(MaterializedView {
-            bag: initial,
+            bag: initial.into(),
             installs: 0,
         })
     }
 
     /// Current contents.
-    pub fn bag(&self) -> &Bag {
+    pub fn bag(&self) -> &SharedBag {
         &self.bag
     }
 
@@ -50,14 +54,12 @@ impl MaterializedView {
     /// either the whole change applies or none of it. Routed through the
     /// signed-delta calculus, so inserts and deletes are one code path.
     pub fn install(&mut self, delta: &Bag) -> Result<(), WarehouseError> {
-        DeltaRelation::from_bag(delta.clone())
-            .apply_to(&mut self.bag)
-            .map_err(|e| match e {
-                dw_relational::RelationalError::NegativeMultiplicity { tuple, .. } => {
-                    WarehouseError::InconsistentInstall { tuple }
-                }
-                other => WarehouseError::Relational(other),
-            })?;
+        self.bag.apply_delta(delta).map_err(|e| match e {
+            RelationalError::NegativeMultiplicity { tuple, .. } => {
+                WarehouseError::InconsistentInstall { tuple }
+            }
+            other => WarehouseError::Relational(other),
+        })?;
         self.installs += 1;
         Ok(())
     }
@@ -72,7 +74,7 @@ impl MaterializedView {
                 .unwrap_or_default();
             return Err(WarehouseError::InconsistentInstall { tuple: bad });
         }
-        self.bag = contents;
+        self.bag = contents.into();
         self.installs += 1;
         Ok(())
     }

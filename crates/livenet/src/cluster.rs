@@ -146,7 +146,7 @@ pub fn run_live(
     let policy = outcome.warehouse.0;
 
     Ok(LiveReport {
-        view: policy.view().clone(),
+        view: policy.view().to_bag(),
         installs: policy.installs().to_vec(),
         metrics: policy.metrics().clone(),
         policy: policy.name(),
@@ -257,7 +257,7 @@ mod tests {
         .unwrap();
         let policy = outcome.warehouse.0;
         LiveReport {
-            view: policy.view().clone(),
+            view: policy.view().to_bag(),
             installs: policy.installs().to_vec(),
             metrics: policy.metrics().clone(),
             policy: policy.name(),

@@ -117,7 +117,7 @@ impl LiveWarehouse {
             .map(|id| {
                 Ok(LiveViewOutcome {
                     name: reg.name(id)?.to_string(),
-                    view: reg.view_bag(id)?.clone(),
+                    view: reg.view_bag(id)?.to_bag(),
                     installs: reg.install_log(id)?.to_vec(),
                 })
             })

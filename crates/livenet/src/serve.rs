@@ -16,7 +16,7 @@
 
 use crate::cluster::setup_failed as fail;
 use crate::multiview::LiveWarehouse;
-use dw_relational::{Bag, Value};
+use dw_relational::{SharedBag, Value};
 use dw_rng::Rng64;
 use dw_serve::{ReadFrontend, ServeStats};
 use dw_warehouse::{InstallRecord, PolicyMetrics};
@@ -31,13 +31,13 @@ pub use dw_engine::LiveError;
 struct LiveRead {
     view: usize,
     epoch: u64,
-    /// Scans keep the whole frozen bag (an `Arc` share, no copy);
+    /// Scans keep the whole frozen bag (a shared handle, no copy);
     /// points keep their matches.
     observed: Observed,
 }
 
 enum Observed {
-    Scan(Arc<Bag>),
+    Scan(SharedBag),
     Point {
         column: usize,
         key: i64,
@@ -80,10 +80,11 @@ pub fn run_live_serve(
     deadline: Duration,
 ) -> Result<LiveServeReport, LiveError> {
     let front = ReadFrontend::new();
-    let mut initial_bags: Vec<Bag> = Vec::with_capacity(scenario.views.len());
+    let mut initial_bags: Vec<SharedBag> = Vec::with_capacity(scenario.views.len());
     let warehouse = LiveWarehouse::new(scenario, None, Some(front.sink()), |name, initial| {
-        front.register_view(name, initial.clone(), 0);
-        initial_bags.push(initial.clone());
+        let epoch0 = SharedBag::from(initial.clone());
+        front.register_view(name, epoch0.clone(), 0);
+        initial_bags.push(epoch0);
     })?;
 
     // One subscription per view, from epoch 0: drained post-run and
@@ -158,7 +159,7 @@ pub fn run_live_serve(
 
     // Torn-state audit: every read's pinned epoch must reproduce the
     // committed contents at that install exactly.
-    let committed = |view: usize, epoch: u64| -> Option<&Bag> {
+    let committed = |view: usize, epoch: u64| -> Option<&SharedBag> {
         if epoch == 0 {
             return Some(&initial_bags[view]);
         }
@@ -171,7 +172,7 @@ pub fn run_live_serve(
             continue;
         };
         let ok = match &read.observed {
-            Observed::Scan(bag) => bag.as_ref() == truth,
+            Observed::Scan(bag) => bag == truth,
             Observed::Point {
                 column,
                 key,
@@ -220,7 +221,7 @@ pub fn run_live_serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_relational::eval_view;
+    use dw_relational::{eval_view, Bag};
     use dw_workload::{MultiViewConfig, StreamConfig};
 
     fn ground_truth(s: &MultiViewScenario) -> Vec<Bag> {

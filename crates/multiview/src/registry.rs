@@ -18,7 +18,7 @@
 
 use dw_engine::{InstallSink, SharedInstallPublisher};
 use dw_protocol::UpdateId;
-use dw_relational::{AggregateState, Bag, DeltaRelation, RelationalError, ViewDef};
+use dw_relational::{AggregateState, Bag, DeltaRelation, RelationalError, SharedBag, ViewDef};
 use dw_simnet::Time;
 use dw_warehouse::{InstallRecord, PolicyMetrics, WarehouseError};
 use dw_workload::{DerivedOp, DerivedSpec, ViewPolicy, ViewSpec};
@@ -183,7 +183,9 @@ pub(crate) struct Installed {
 }
 
 /// Everything the scheduler keeps per registered view. `Clone` because
-/// a durable checkpoint is a deep copy of every live runtime.
+/// a durable checkpoint holds a copy of every live runtime — the view
+/// contents and the install log's snapshots as [`SharedBag`] handles, so
+/// the copy carries no tuple.
 #[derive(Clone)]
 pub(crate) struct ViewRuntime {
     pub(crate) name: String,
@@ -389,7 +391,7 @@ impl ViewRegistry {
             .0;
         let (parent_bag, parent_width, lo, hi) = {
             let rt = self.slots[parent_slot].as_ref().expect("resolved slot");
-            (rt.sink.bag().clone(), rt.out_width, rt.lo, rt.hi)
+            (rt.sink.bag().to_bag(), rt.out_width, rt.lo, rt.hi)
         };
         spec.op.validate(parent_width)?;
         let initial = spec.op.eval(&parent_bag)?;
@@ -755,11 +757,24 @@ impl ViewRegistry {
         Ok(self.runtime(id)?.out_width)
     }
 
-    /// Deep copy of every slot — the registry half of a durable
-    /// checkpoint. Slot *positions* are part of the image so restored
-    /// [`ViewId`]s keep meaning.
+    /// The registry half of a durable checkpoint: every slot, its view
+    /// contents captured as a [`SharedBag`] handle (no tuple is copied;
+    /// later installs copy only the chunks they touch). Slot *positions*
+    /// are part of the image so restored [`ViewId`]s keep meaning.
     pub(crate) fn snapshot_slots(&self) -> Vec<Option<ViewRuntime>> {
         self.slots.clone()
+    }
+
+    /// View tuples of `image` that live in chunks the live views do not
+    /// physically share — what taking `image` copied (0 for an image
+    /// fresh from [`ViewRegistry::snapshot_slots`]).
+    pub(crate) fn unshared_tuples(&self, image: &[Option<ViewRuntime>]) -> u64 {
+        let pairs = image.iter().zip(&self.slots);
+        let unshared = pairs.filter_map(|pair| match pair {
+            (Some(kept), Some(live)) => Some(kept.sink.bag().unshared_len(live.sink.bag())),
+            _ => None,
+        });
+        unshared.sum::<usize>() as u64
     }
 
     /// Replace the live slots with a checkpoint image (crash recovery).
@@ -823,7 +838,7 @@ impl ViewRegistry {
     }
 
     /// Current materialized contents.
-    pub fn view_bag(&self, id: ViewId) -> Result<&Bag, MvError> {
+    pub fn view_bag(&self, id: ViewId) -> Result<&SharedBag, MvError> {
         Ok(self.runtime(id)?.sink.bag())
     }
 

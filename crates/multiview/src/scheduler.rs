@@ -321,6 +321,10 @@ struct DurableState {
     store: DurableStore<MvCheckpoint, MvWalRecord>,
     /// Commits since the last checkpoint (cadence counter).
     committed_since_ckpt: usize,
+    /// View tuples the checkpoint images taken so far did *not* get by
+    /// sharing the live views' structure. An image holds handles, so
+    /// this stays 0; E17 gates it.
+    checkpoint_copied_tuples: u64,
     /// Answers with `qid <` this floor are responses to a dead
     /// incarnation's queries; they are dropped, not errors.
     stale_floor: u64,
@@ -568,15 +572,22 @@ impl MaintenanceScheduler {
             self.lanes.is_empty(),
             "enable durability at a point with no sweep in flight"
         );
-        let mut st = Box::new(DurableState {
+        self.durable = Some(Box::new(DurableState {
             cfg,
             store: DurableStore::new(),
             committed_since_ckpt: 0,
+            checkpoint_copied_tuples: 0,
             stale_floor: 0,
             recovery: RecoveryStats::default(),
-        });
-        st.store.checkpoint(self.checkpoint_image());
-        self.durable = Some(st);
+        }));
+        self.checkpoint_now();
+    }
+
+    /// View tuples copied taking checkpoints so far (0 with durability
+    /// off — and 0 with it on: images share the live views' structure).
+    pub fn checkpoint_copied_tuples(&self) -> u64 {
+        let copied = self.durable.as_ref().map(|d| d.checkpoint_copied_tuples);
+        copied.unwrap_or(0)
     }
 
     /// Durable-store write statistics (`None` until durability is
@@ -691,11 +702,9 @@ impl MaintenanceScheduler {
         self.core.bump_epoch();
         let floor = self.core.next_qid();
         let (records, reseeded) = (wal_records.len() as u64, self.pending_tasks.len() as u64);
-        let image = self.checkpoint_image();
+        self.checkpoint_now();
         if let Some(d) = self.durable.as_mut() {
             d.stale_floor = d.stale_floor.max(floor);
-            d.committed_since_ckpt = 0;
-            d.store.checkpoint(image);
             d.recovery.recoveries += 1;
             d.recovery.wal_records_replayed += records;
             d.recovery.wal_bytes_replayed += wal_bytes;
@@ -748,9 +757,22 @@ impl MaintenanceScheduler {
         self.begin(net, lane.task)
     }
 
-    /// The full volatile image, cloned for a checkpoint. Only valid with
-    /// no lane in flight (an in-flight sweep is represented durably by
-    /// its still-pending task, not by leg state).
+    /// Replace the durable image with the current volatile state and
+    /// truncate the log (no-op with durability off).
+    fn checkpoint_now(&mut self) {
+        let image = self.checkpoint_image();
+        let copied = self.registry.unshared_tuples(&image.slots);
+        if let Some(d) = self.durable.as_mut() {
+            d.committed_since_ckpt = 0;
+            d.checkpoint_copied_tuples += copied;
+            d.store.checkpoint(image);
+        }
+    }
+
+    /// The full volatile image for a checkpoint: queue, pending tasks and
+    /// counters cloned, view contents captured as shared handles. Only
+    /// valid with no lane in flight (an in-flight sweep is represented
+    /// durably by its still-pending task, not by leg state).
     fn checkpoint_image(&self) -> MvCheckpoint {
         debug_assert!(self.lanes.is_empty());
         MvCheckpoint {
@@ -1119,11 +1141,7 @@ impl MaintenanceScheduler {
         // flight, so no in-flight state exists to miss.
         let due = |d: &DurableState| d.committed_since_ckpt >= d.cfg.cadence();
         if self.lanes.is_empty() && self.durable.as_deref().is_some_and(due) {
-            let image = self.checkpoint_image();
-            if let Some(d) = self.durable.as_mut() {
-                d.committed_since_ckpt = 0;
-                d.store.checkpoint(image);
-            }
+            self.checkpoint_now();
         }
         if self.is_quiescent() {
             if self.durable.is_some() {
@@ -1304,7 +1322,7 @@ fn finalize_for_view(local: &ViewDef, merged: &PartialDelta) -> Result<Bag, Rela
 mod tests {
     use super::*;
     use dw_protocol::{node_source, source_node, WAREHOUSE_NODE};
-    use dw_relational::{eval_view, tup, CmpOp, Schema, Value, ViewDefBuilder};
+    use dw_relational::{eval_view, tup, CmpOp, Schema, SharedBag, Value, ViewDefBuilder};
     use dw_simnet::Network;
     use dw_source::DataSource;
     use dw_workload::ViewPolicy;
@@ -1427,6 +1445,16 @@ mod tests {
         for spec in view_specs {
             register(&mut sched, spec, &initial);
         }
+        drive_registered(sched, initial, txns, crash_on_first_answer)
+    }
+
+    /// [`drive`] for a scheduler whose views are already registered.
+    fn drive_registered(
+        mut sched: MaintenanceScheduler,
+        initial: Vec<Bag>,
+        txns: &[(Time, usize, Bag)],
+        crash_on_first_answer: &[usize],
+    ) -> (MaintenanceScheduler, Vec<Bag>) {
         let mut net: Network<Message> = Network::new(7);
         let mut sources = sources(sched.views().base(), &initial);
         let mut shadows = initial;
@@ -1518,6 +1546,41 @@ mod tests {
             (300, 0, Bag::from_tuples([tup![6, 3]])),
             (340, 2, Bag::from_pairs([(tup![5, 9], -1)])),
         ]
+    }
+
+    /// A durable image is made of shared handles onto the live views
+    /// (no tuple copied), yet nothing installed afterwards shows in it.
+    #[test]
+    fn a_checkpoint_image_never_sees_later_installs() {
+        let (mode, opts) = (SchedulerMode::Shared, EngineOptions::default());
+        let mut sched = MaintenanceScheduler::with_shards(base3(), mode, opts, None).unwrap();
+        for spec in &specs() {
+            register(&mut sched, spec, &initial3());
+        }
+        // One image, taken here: the cadence outlasts the stream.
+        sched.enable_durability(DurabilityConfig {
+            checkpoint_every: usize::MAX,
+        });
+        let image = |sched: &MaintenanceScheduler| -> Vec<SharedBag> {
+            let durable = sched.durable.as_ref().unwrap();
+            let slots = &durable.store.checkpoint_ref().unwrap().slots;
+            let kept = slots.iter().flatten();
+            kept.map(|rt| rt.sink.bag().clone()).collect()
+        };
+        let live = |sched: &MaintenanceScheduler| -> Vec<SharedBag> {
+            let ids = sched.views().ids();
+            let bag = |id| sched.views().view_bag(id).unwrap().clone();
+            ids.into_iter().map(bag).collect()
+        };
+        let before: Vec<Bag> = image(&sched).iter().map(SharedBag::to_bag).collect();
+        assert_eq!(live(&sched), image(&sched));
+
+        let (sched, shadows) = drive_registered(sched, initial3(), &interfering_txns(), &[]);
+        assert_ground_truth(sched.views(), &specs(), &shadows);
+        assert_eq!(sched.durable_stats().unwrap().checkpoints_taken, 1);
+        assert_eq!(image(&sched), before, "the image moved with the live views");
+        assert_ne!(live(&sched), image(&sched), "the stream changed no view");
+        assert_eq!(sched.checkpoint_copied_tuples(), 0);
     }
 
     #[test]

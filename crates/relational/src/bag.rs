@@ -184,24 +184,35 @@ impl Bag {
             .map(|t| t.size_bytes() + 8)
             .sum::<usize>()
     }
+
+    /// The owned `tuple → count` map (distinct tuples, no zero counts).
+    pub(crate) fn into_counts(self) -> HashMap<Tuple, i64> {
+        self.counts
+    }
+}
+
+/// The one display form of a counted bag, over its canonical listing:
+/// `{+(3,5), (7,8)[2], -(9)}`.
+pub(crate) fn fmt_counted(sorted: Vec<(Tuple, i64)>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(f, "{{")?;
+    for (i, (t, c)) in sorted.into_iter().enumerate() {
+        if i > 0 {
+            write!(f, ", ")?;
+        }
+        if c == 1 {
+            write!(f, "+{t}")?;
+        } else if c == -1 {
+            write!(f, "-{t}")?;
+        } else {
+            write!(f, "{t}[{c}]")?;
+        }
+    }
+    write!(f, "}}")
 }
 
 impl fmt::Debug for Bag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        for (i, (t, c)) in self.to_sorted_vec().into_iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            if c == 1 {
-                write!(f, "+{t}")?;
-            } else if c == -1 {
-                write!(f, "-{t}")?;
-            } else {
-                write!(f, "{t}[{c}]")?;
-            }
-        }
-        write!(f, "}}")
+        fmt_counted(self.to_sorted_vec(), f)
     }
 }
 

@@ -130,21 +130,32 @@ impl DeltaRelation {
     /// untouched. The reported offender is the smallest violating tuple in
     /// canonical tuple order — deterministic regardless of hash layout.
     pub fn apply_to(&self, state: &mut Bag) -> Result<(), RelationalError> {
-        let mut offender: Option<(&Tuple, i64)> = None;
-        for (t, c) in self.changes.iter() {
-            let resulting = state.count(t) + c;
-            if resulting < 0 && offender.is_none_or(|(best, _)| t < best) {
-                offender = Some((t, resulting));
-            }
-        }
-        if let Some((t, resulting)) = offender {
-            return Err(RelationalError::NegativeMultiplicity {
-                tuple: format!("{t}"),
-                resulting,
-            });
-        }
+        check_non_negative(&self.changes, |t| state.count(t))?;
         state.merge(&self.changes);
         Ok(())
+    }
+}
+
+/// Would `state + changes` keep every multiplicity non-negative, `state`
+/// given by its count function? The one validation behind every checked
+/// application (plain and structurally shared state alike).
+pub(crate) fn check_non_negative(
+    changes: &Bag,
+    state_count: impl Fn(&Tuple) -> i64,
+) -> Result<(), RelationalError> {
+    let mut offender: Option<(&Tuple, i64)> = None;
+    for (t, c) in changes.iter() {
+        let resulting = state_count(t) + c;
+        if resulting < 0 && offender.is_none_or(|(best, _)| t < best) {
+            offender = Some((t, resulting));
+        }
+    }
+    match offender {
+        Some((t, resulting)) => Err(RelationalError::NegativeMultiplicity {
+            tuple: format!("{t}"),
+            resulting,
+        }),
+        None => Ok(()),
     }
 }
 

@@ -38,6 +38,7 @@ pub mod predicate;
 pub mod relation;
 pub mod schema;
 pub mod shard;
+pub mod shared;
 pub mod sql;
 pub mod tuple;
 pub mod value;
@@ -54,6 +55,7 @@ pub use predicate::{CmpOp, Predicate};
 pub use relation::BaseRelation;
 pub use schema::Schema;
 pub use shard::{DeltaClass, ShardMap, ShardScope, ShardedRelation};
+pub use shared::{SharedBag, SharedMap};
 pub use sql::parse_view;
 pub use tuple::Tuple;
 pub use value::Value;

@@ -57,3 +57,6 @@ pub use frontend::{
 };
 pub use hub::{HubPoll, InstallDelta, PublishOutcome, SubscriptionHub};
 pub use store::{ServeStats, SnapshotStore};
+
+/// What [`ReadFrontend::sink`] is fed: the engine's install event.
+pub use dw_engine::InstallEvent;

@@ -10,21 +10,24 @@
 //!
 //! **Retention.** Readers hold epochs through pins; the store keeps the
 //! latest epoch plus every pinned one and garbage-collects the rest at
-//! publish and unpin. Snapshot bags are `Arc`-shared: pinning costs a
-//! refcount, never a copy, and an install can never mutate what a
-//! reader is looking at (copy-on-write at epoch granularity — a new
-//! epoch clones the latest bag once at the freeze step, merges the
-//! delta, and freezes; that is the *only* deep copy on the serve side,
-//! counted by `bags_deep_cloned` and grepped for in CI).
+//! publish and unpin. Epochs are [`SharedBag`] handles: pinning and
+//! scanning cost a refcount, never a copy, and an install can never
+//! mutate what a reader is looking at. A new epoch is a clone of the
+//! latest *handle* plus the delta merged into it, which copies only the
+//! chunks the delta touches — `O(|Δ|)` tuples however large the view
+//! (`publish_copied_tuples` counts them exactly). The serve side takes
+//! no bag deep copy at all: `bags_deep_cloned` stays 0 and CI greps for
+//! one.
 //!
 //! **Point indexes.** Each frozen epoch can carry secondary hash
 //! indexes, one per read column, mapping a key value to the sorted
 //! matching `(tuple, multiplicity)` group. The first point read on a
 //! `(view, epoch, column)` builds the index with one full scan; every
 //! later epoch *derives* its index incrementally from the predecessor's
-//! (clone the `Arc`'d groups, rebuild only the keys the install delta
-//! touched), so steady-state point reads examine `O(|group|)` tuples
-//! instead of `O(|bag|)`. `read_work_tuples` /
+//! (a handle clone of the same structurally shared map the bags use,
+//! then only the keys the install delta touched are rebuilt), so
+//! steady-state point reads examine `O(|group|)` tuples instead of
+//! `O(|bag|)` and publish is `O(|Δ|)` end to end. `read_work_tuples` /
 //! `index_maintenance_tuples` count exactly how many tuples each path
 //! examined — the deterministic work proxy E21 gates its speedup on.
 //!
@@ -36,11 +39,15 @@
 //! it, which `tests/serve_equivalence.rs` proves by byte-comparing
 //! cache-on and cache-off runs.
 //!
-//! **Staleness.** The store tracks, per view, every delivered update
-//! and which epoch (if any) consumed it. An epoch `e` *admits* a bound
-//! `T` iff no update delivered before `T` is still unconsumed at `e` —
-//! checked exactly, against the same delivery times `dw-obs`' staleness
-//! histograms are built from.
+//! **Staleness.** The store tracks, per view, the delivered updates a
+//! retained epoch can still be missing and which epoch (if any) consumed
+//! each. An epoch `e` *admits* a bound `T` iff no update delivered before
+//! `T` is still unconsumed at `e` — checked exactly, against the same
+//! delivery times `dw-obs`' staleness histograms are built from. Entries
+//! consumed at or before the oldest retained epoch can never make a
+//! retained epoch inadmissible and are pruned at GC, so the ledger is
+//! bounded by (unconsumed + consumed inside the retained window), not by
+//! the run's length.
 //!
 //! **Replays.** Crash recovery re-publishes installs that predate the
 //! crash; the store ignores any epoch at or below its high-water mark
@@ -52,7 +59,7 @@ use crate::hub::{HubPoll, InstallDelta, SubscriptionHub};
 use dw_engine::{InstallEvent, InstallPublisher};
 use dw_obs::Obs;
 use dw_protocol::UpdateId;
-use dw_relational::{Bag, Tuple, Value};
+use dw_relational::{Bag, SharedBag, SharedMap, Tuple, Value};
 use dw_simnet::Time;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -61,13 +68,13 @@ use std::sync::Arc;
 /// sorted matching `(tuple, multiplicity)` group, `Arc`-shared so a
 /// point answer hands the group out without copying it.
 pub(crate) struct PointIndex {
-    groups: HashMap<Value, Arc<Vec<(Tuple, i64)>>>,
+    groups: SharedMap<Value, Arc<Vec<(Tuple, i64)>>>,
 }
 
 impl PointIndex {
     /// Build from a full scan of `bag`. Returns the index and the number
     /// of tuples examined (= `bag.len()`).
-    fn build(bag: &Bag, column: usize) -> (Self, u64) {
+    fn build(bag: &SharedBag, column: usize) -> (Self, u64) {
         let mut raw: HashMap<Value, Vec<(Tuple, i64)>> = HashMap::new();
         let mut work = 0u64;
         for (t, m) in bag.iter() {
@@ -76,21 +83,19 @@ impl PointIndex {
                 .push((t.clone(), m));
             work += 1;
         }
-        let groups = raw
-            .into_iter()
-            .map(|(k, mut v)| {
-                v.sort();
-                (k, Arc::new(v))
-            })
-            .collect();
+        let groups = raw.into_iter().map(|(k, mut v)| {
+            v.sort();
+            (k, Arc::new(v))
+        });
+        let groups = SharedMap::from_distinct(groups);
         (PointIndex { groups }, work)
     }
 
     /// Derive the successor epoch's index from this one plus the install
-    /// delta: `Arc`-clone every untouched group, rebuild only the keys
-    /// the delta mentions (summing multiplicities, dropping zeros —
-    /// exactly [`Bag::merge`] semantics). Returns the new index and the
-    /// tuples examined.
+    /// delta: clone the group map's handle (untouched groups stay
+    /// shared), rebuild only the keys the delta mentions (summing
+    /// multiplicities, dropping zeros — exactly [`Bag::merge`]
+    /// semantics). Returns the new index and the tuples examined.
     fn derive(&self, delta: &Bag, column: usize) -> (Self, u64) {
         let mut groups = self.groups.clone();
         let mut touched: HashMap<Value, Vec<(Tuple, i64)>> = HashMap::new();
@@ -103,25 +108,20 @@ impl PointIndex {
             work += 1;
         }
         for (key, delta_entries) in touched {
-            let mut counts: HashMap<Tuple, i64> = HashMap::new();
-            if let Some(old) = groups.get(&key) {
-                work += old.len() as u64;
-                for (t, m) in old.iter() {
+            groups.update(key, |old| {
+                let mut counts: HashMap<Tuple, i64> = HashMap::new();
+                for (t, m) in old.into_iter().flat_map(|group| group.iter()) {
+                    work += 1;
                     counts.insert(t.clone(), *m);
                 }
-            }
-            for (t, m) in delta_entries {
-                let c = counts.entry(t).or_insert(0);
-                *c += m;
-            }
-            let mut merged: Vec<(Tuple, i64)> =
-                counts.into_iter().filter(|&(_, m)| m != 0).collect();
-            if merged.is_empty() {
-                groups.remove(&key);
-            } else {
+                for (t, m) in delta_entries {
+                    *counts.entry(t).or_insert(0) += m;
+                }
+                let mut merged: Vec<(Tuple, i64)> =
+                    counts.into_iter().filter(|&(_, m)| m != 0).collect();
                 merged.sort();
-                groups.insert(key, Arc::new(merged));
-            }
+                (!merged.is_empty()).then(|| Arc::new(merged))
+            });
         }
         (PointIndex { groups }, work)
     }
@@ -139,7 +139,7 @@ impl PointIndex {
 pub(crate) struct EpochSnapshot {
     pub(crate) at: Time,
     pub(crate) consumed: Vec<UpdateId>,
-    pub(crate) bag: Arc<Bag>,
+    pub(crate) bag: SharedBag,
     /// Lazily built / incrementally derived point indexes, per column.
     indexes: HashMap<usize, Arc<PointIndex>>,
 }
@@ -156,7 +156,13 @@ struct ViewState {
     /// older entries only while pinned.
     epochs: BTreeMap<u64, EpochSnapshot>,
     latest: u64,
+    /// The delivery ledger (see the module docs' *Staleness*).
     delivered: HashMap<UpdateId, DeliveredUpdate>,
+    /// Per source, the highest update sequence number pruned from
+    /// `delivered`. Sources are consumed in delivery order, so every id
+    /// at or below it is long consumed: a late re-notice of one must not
+    /// re-enter the ledger as pending.
+    pruned_through: HashMap<usize, u64>,
     pins: HashMap<u64, usize>,
 }
 
@@ -206,9 +212,14 @@ pub struct ServeStats {
     pub read_work_tuples: u64,
     /// Tuples examined deriving successor indexes at publish.
     pub index_maintenance_tuples: u64,
-    /// Bag deep copies taken on the serve side — exactly one per
-    /// accepted install (the freeze step). Reads never bump this.
+    /// Bag deep copies taken on the serve side. Always 0: epochs are
+    /// structurally shared handles, neither publishing nor reading
+    /// copies a bag (nothing in dw-serve increments this).
     pub bags_deep_cloned: u64,
+    /// Tuples copied publishing new epochs: per install, the sizes of
+    /// the view's chunks its delta touched (copy-on-write against the
+    /// predecessor epoch). Proportional to `|Δ|`, not to the view.
+    pub publish_copied_tuples: u64,
 }
 
 type CacheKey = (usize, u64, usize, Value);
@@ -304,14 +315,14 @@ impl SnapshotStore {
     /// epoch 0. Must be called in registry order: slot indices here must
     /// equal the scheduler registry's, or published events land on the
     /// wrong view.
-    pub(crate) fn register_view(&mut self, name: &str, initial: Bag, at: Time) -> usize {
+    pub(crate) fn register_view(&mut self, name: &str, initial: SharedBag, at: Time) -> usize {
         let mut epochs = BTreeMap::new();
         epochs.insert(
             0,
             EpochSnapshot {
                 at,
                 consumed: Vec::new(),
-                bag: Arc::new(initial),
+                bag: initial,
                 indexes: HashMap::new(),
             },
         );
@@ -320,6 +331,7 @@ impl SnapshotStore {
             epochs,
             latest: 0,
             delivered: HashMap::new(),
+            pruned_through: HashMap::new(),
             pins: HashMap::new(),
         });
         self.views.len() - 1
@@ -492,7 +504,8 @@ impl SnapshotStore {
     }
 
     /// Drop unpinned non-latest epochs of `view`, along with their
-    /// cached answers (their indexes die with the snapshot).
+    /// cached answers (their indexes die with the snapshot) and the
+    /// ledger entries no retained epoch can be missing any more.
     fn gc(&mut self, view: usize) {
         let Some(v) = self.views.get_mut(view) else {
             return;
@@ -507,10 +520,30 @@ impl SnapshotStore {
             }
             keep
         });
+        // The oldest retained epoch only moves when an epoch is dropped:
+        // reads unpinning a still-retained epoch skip the ledger walk.
+        if !dropped.is_empty() {
+            let oldest = v.epochs.keys().next().copied().unwrap_or(latest);
+            let pruned = &mut v.pruned_through;
+            v.delivered.retain(|id, d| {
+                let settled = d.consumed_in.is_some_and(|e| e <= oldest);
+                if settled {
+                    let through = pruned.entry(id.source).or_insert(id.seq);
+                    *through = (*through).max(id.seq);
+                }
+                !settled
+            });
+        }
         self.stats.snapshots_gced += dropped.len() as u64;
         for e in dropped {
             self.cache.purge_epoch(view, e);
         }
+    }
+
+    /// Entries in `view`'s delivery ledger (boundedness tests).
+    #[cfg(test)]
+    pub(crate) fn ledger_len(&self, view: usize) -> usize {
+        self.views[view].delivered.len()
     }
 
     pub(crate) fn subscribe(
@@ -589,11 +622,15 @@ impl InstallPublisher for SnapshotStore {
             return;
         };
         // Idempotent: a transport may redeliver after a crash; the first
-        // noted time stands (it is the time staleness accounts against).
-        v.delivered.entry(id).or_insert(DeliveredUpdate {
-            delivered_at,
-            consumed_in: None,
-        });
+        // noted time stands (it is the time staleness accounts against),
+        // and an id already pruned as consumed stays out.
+        let pruned = v.pruned_through.get(&id.source);
+        if pruned.is_none_or(|&through| id.seq > through) {
+            v.delivered.entry(id).or_insert(DeliveredUpdate {
+                delivered_at,
+                consumed_in: None,
+            });
+        }
         self.stats.deliveries_noted += 1;
     }
 
@@ -641,12 +678,10 @@ impl InstallPublisher for SnapshotStore {
                 derived += 1;
             }
         }
-        // freeze-step: the one permitted serve-side bag deep copy — COW
-        // at epoch granularity, counted so tests can assert reads stay
-        // copy-free.
-        let mut bag = (*prev.bag).clone(); // freeze-step
-        bag.merge(&event.delta);
-        self.stats.bags_deep_cloned += 1;
+        // The successor epoch: the predecessor's handle plus the delta —
+        // only the chunks the delta touches are copied.
+        let mut bag = SharedBag::clone(&prev.bag);
+        self.stats.publish_copied_tuples += bag.merge(&event.delta) as u64;
         self.stats.index_maintenance_tuples += derive_work;
         self.stats.point_index_derived += derived;
         if derived > 0 {
@@ -657,7 +692,7 @@ impl InstallPublisher for SnapshotStore {
             EpochSnapshot {
                 at: event.at,
                 consumed: event.consumed.clone(),
-                bag: Arc::new(bag),
+                bag,
                 indexes,
             },
         );

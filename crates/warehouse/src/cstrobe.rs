@@ -29,7 +29,9 @@ use dw_engine::{EngineCore, HopSpan, InstallSink, SpanLabels, SweepCtx};
 use dw_obs::Obs;
 use dw_protocol::{Message, UpdateId};
 use dw_relational::key::ViewKeyMap;
-use dw_relational::{extend_partial, Bag, JoinSide, KeySpec, PartialDelta, Tuple, Value, ViewDef};
+use dw_relational::{
+    extend_partial, Bag, JoinSide, KeySpec, PartialDelta, SharedBag, Tuple, Value, ViewDef,
+};
 use dw_simnet::{Delivery, NetHandle, Time};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -159,7 +161,8 @@ impl CStrobe {
                 // Initial delete: local through the unique key.
                 let rel = cur.rel;
                 let key = self.keys.key_of_tuple(rel, &tuple);
-                let snapshot = self.sink.bag().plus(&cur.delta_accum);
+                let mut snapshot = self.sink.bag().to_bag();
+                snapshot.merge(&cur.delta_accum);
                 for (t, c) in snapshot.iter() {
                     if self.vkm.key_of_view_tuple(rel, t) == key {
                         cur.delta_accum.add(t.clone(), -c);
@@ -220,7 +223,7 @@ impl CStrobe {
     }
 
     /// Fold a completed part's answers into the update's delta.
-    fn finish_part(cur: &mut Processing, work: &PartWork, vkm: &ViewKeyMap, view: &Bag) {
+    fn finish_part(cur: &mut Processing, work: &PartWork, vkm: &ViewKeyMap, view: &SharedBag) {
         // Set-union all answers, scrub suppressed keys, dedupe vs. view.
         let mut seen = Bag::new();
         for ans in &work.answers {
@@ -415,7 +418,7 @@ impl MaintenancePolicy for CStrobe {
         }
     }
 
-    fn view(&self) -> &Bag {
+    fn view(&self) -> &SharedBag {
         self.sink.bag()
     }
 

@@ -27,7 +27,7 @@ use crate::metrics::PolicyMetrics;
 use crate::policy::MaintenancePolicy;
 use dw_engine::InstallSink;
 use dw_protocol::{source_node, EcaQuery, EcaSlot, EcaTerm, Message, UpdateId, WAREHOUSE_NODE};
-use dw_relational::{Bag, ViewDef};
+use dw_relational::{Bag, SharedBag, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
 
 struct PendingQuery {
@@ -178,7 +178,7 @@ impl MaintenancePolicy for Eca {
         }
     }
 
-    fn view(&self) -> &Bag {
+    fn view(&self) -> &SharedBag {
         self.sink.bag()
     }
 

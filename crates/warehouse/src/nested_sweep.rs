@@ -37,7 +37,7 @@ pub use dw_engine::NestedSweepOptions;
 use dw_engine::{dispatch, EngineCore, InstallSink, SpanLabels, SweepCtx, SweepPolicy, SweepRun};
 use dw_obs::Obs;
 use dw_protocol::{Message, UpdateId};
-use dw_relational::{Bag, PartialDelta, ViewDef};
+use dw_relational::{Bag, PartialDelta, SharedBag, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
 
 /// Nested SWEEP's historical trace vocabulary.
@@ -243,7 +243,7 @@ impl MaintenancePolicy for NestedSweep {
         dispatch(self, delivery, net)
     }
 
-    fn view(&self) -> &Bag {
+    fn view(&self) -> &SharedBag {
         self.sink.bag()
     }
 

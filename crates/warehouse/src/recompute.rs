@@ -16,7 +16,7 @@ use crate::metrics::PolicyMetrics;
 use crate::policy::MaintenancePolicy;
 use crate::view::MaterializedView;
 use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
-use dw_relational::{eval_view, Bag, ViewDef};
+use dw_relational::{eval_view, Bag, SharedBag, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
 
 struct Refresh {
@@ -145,7 +145,7 @@ impl MaintenancePolicy for Recompute {
         }
     }
 
-    fn view(&self) -> &Bag {
+    fn view(&self) -> &SharedBag {
         self.view.bag()
     }
 

@@ -27,7 +27,7 @@ use dw_engine::{dispatch, EngineCore, InstallSink, SpanLabels, SweepCtx, SweepPo
 use dw_obs::Obs;
 use dw_protocol::{Message, UpdateId};
 use dw_relational::key::ViewKeyMap;
-use dw_relational::{Bag, KeySpec, PartialDelta, Value, ViewDef};
+use dw_relational::{Bag, KeySpec, PartialDelta, SharedBag, Value, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
 use std::collections::HashMap;
 
@@ -266,7 +266,7 @@ impl MaintenancePolicy for Strobe {
         dispatch(self, delivery, net)
     }
 
-    fn view(&self) -> &Bag {
+    fn view(&self) -> &SharedBag {
         self.sink.bag()
     }
 

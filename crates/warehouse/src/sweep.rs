@@ -56,7 +56,7 @@ use dw_engine::{
 };
 use dw_obs::Obs;
 use dw_protocol::{GlobalPart, Message, SourceUpdate, UpdateId};
-use dw_relational::{Bag, PartialDelta};
+use dw_relational::{Bag, PartialDelta, SharedBag};
 use dw_simnet::{Delivery, NetHandle, Time};
 use std::collections::{HashMap, VecDeque};
 
@@ -336,7 +336,7 @@ impl MaintenancePolicy for Sweep {
         dispatch(self, delivery, net)
     }
 
-    fn view(&self) -> &Bag {
+    fn view(&self) -> &SharedBag {
         self.sink.bag()
     }
 

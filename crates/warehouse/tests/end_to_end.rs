@@ -141,7 +141,7 @@ fn nested_and_pipelined_agree_with_sweep_through_real_sources() {
         }
         drive(&mut net, policy.as_mut(), &mut srcs);
         assert!(policy.is_quiescent());
-        policy.view().clone()
+        policy.view().to_bag()
     };
 
     let v_sweep = run(&|| Box::new(Sweep::new(view.clone(), initial_view.clone()).unwrap()));

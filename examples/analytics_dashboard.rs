@@ -80,10 +80,10 @@ fn main() {
     // The first delta is relative to the initial (empty-sales) view.
     let mut prev = Bag::new();
     for rec in &report.installs {
-        let after = rec.view_after.as_ref().unwrap();
+        let after = rec.view_after.as_ref().unwrap().to_bag();
         let delta = DeltaRelation::from_bag(after.minus(&prev));
         dashboard.apply(&delta).unwrap();
-        prev = after.clone();
+        prev = after;
     }
 
     // Cross-check against a from-scratch aggregation of the final view.

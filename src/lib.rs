@@ -88,7 +88,7 @@ pub mod prelude {
     pub use dw_protocol::TransportConfig;
     pub use dw_relational::{
         tup, AggFn, AggregateSpec, AggregateState, Bag, BaseRelation, CmpOp, DeltaRelation,
-        KeySpec, Schema, ShardMap, Tuple, Value, ViewDef, ViewDefBuilder,
+        KeySpec, Schema, ShardMap, SharedBag, Tuple, Value, ViewDef, ViewDefBuilder,
     };
     pub use dw_serve::{
         HubPoll, InstallDelta, PinnedEpoch, PointAnswer, PublishOutcome, ReadFrontend, ScanAnswer,

@@ -68,7 +68,7 @@ fn sweep_walks_figure5_states_sequentially() {
         .latency(LatencyModel::Constant(5_000))
         .run()
         .unwrap();
-    let states: Vec<&Bag> = report
+    let states: Vec<&SharedBag> = report
         .installs
         .iter()
         .map(|r| r.view_after.as_ref().unwrap())
@@ -88,7 +88,7 @@ fn sweep_walks_figure5_states_concurrently() {
         .latency(LatencyModel::Constant(5_000))
         .run()
         .unwrap();
-    let states: Vec<&Bag> = report
+    let states: Vec<&SharedBag> = report
         .installs
         .iter()
         .map(|r| r.view_after.as_ref().unwrap())

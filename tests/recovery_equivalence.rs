@@ -139,6 +139,10 @@ fn state_crash_runs_match_fault_free_runs() {
             );
         }
         assert_eq!(clean.recovery.recoveries, 0, "case {k}");
+        // Checkpoints (cadence and post-recovery alike) share the live
+        // views' structure: none of them copied a tuple.
+        assert!(crashed.checkpoints_taken > 0, "case {k}");
+        assert_eq!(crashed.checkpoint_copied_tuples, 0, "case {k}");
         crashes_fired += crashed.recovery.recoveries;
         // Recovery accounting is self-consistent: replayed bytes only
         // exist if records were replayed.
