@@ -192,6 +192,18 @@ stage_engine_boundary() {
     echo "FAIL: legs are pivot-merged by dw-engine only — go through SweepRun::merge / into_partial" >&2
     ok=1
   fi
+  # A sharded sweep is an ordinary sweep on the wire: the sources never
+  # learn the ShardMap, so neither the scope type, nor source-side
+  # slices, nor a `scope:` field in a query literal may come back.
+  hits=$({
+    grep -rn 'ShardScope\|ShardedRelation' crates/
+    grep -rn -A8 'SweepQuery {' crates/ | grep 'scope:'
+  } 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: shard scoping is gone for good — a lane's query joins the source's full relation (the purity lemma, crates/relational/tests/algebra_props.rs)" >&2
+    ok=1
+  fi
   files=$(grep -Fn 'finalize_for_view(' crates/multiview/src/*.rs |
     grep -Ev "^[^:]+:[0-9]+:[[:space:]]*(//|(pub(\([a-z]+\))? )?fn )" |
     cut -d: -f1 | sort -u)

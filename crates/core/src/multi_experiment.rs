@@ -77,9 +77,9 @@ impl MultiViewExperiment {
     /// pit sharded against unsharded on identical inputs). Sharded,
     /// shard-scoped state-crash windows
     /// ([`FaultPlan::state_crash_shard`]) abort and re-seed one shard's
-    /// lane; durability, batching, pushdown, the naive mode and unscoped
-    /// warehouse state crashes are refused, typed, by
-    /// [`run`](Self::run).
+    /// lane; durability, batching, the naive mode, a base chain with a
+    /// hop that equates nothing, and unscoped warehouse state crashes are
+    /// refused, typed, by [`run`](Self::run).
     pub fn shards(mut self, map: ShardMap) -> Self {
         self.map = Some(map);
         self

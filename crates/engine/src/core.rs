@@ -32,8 +32,7 @@ use crate::view::MaterializedView;
 use dw_obs::{Obs, SpanId};
 use dw_protocol::{source_node, Message, SourceUpdate, SweepQuery, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{
-    extend_partial, Bag, JoinSide, PartialDelta, Predicate, ShardScope, SharedBag, Tuple, Value,
-    ViewDef,
+    extend_partial, Bag, JoinSide, PartialDelta, Predicate, SharedBag, Tuple, Value, ViewDef,
 };
 use dw_simnet::{Delivery, NetHandle, Time};
 use std::collections::HashMap;
@@ -88,10 +87,6 @@ pub struct SweepCtx {
     /// The open top-level sweep span ([`SpanLabels::sweep`]), parent of
     /// the sweep's hop spans; [`SpanId::NONE`] when idle.
     pub span: SpanId,
-    /// Fold width stamped onto outgoing [`SweepQuery`] envelopes: how
-    /// many queued updates the sweep services (1 unless cross-update
-    /// batching folded more in).
-    pub batch: u32,
     /// Per-relation σ pushed to the sources, indexed by chain position
     /// (empty when pushdown is off). [`EngineCore::send_query`] attaches
     /// `push_preds[j]` to the outgoing query, and both compensation
@@ -99,19 +94,13 @@ pub struct SweepCtx {
     /// term must match what the source actually answered with, or the
     /// subtraction removes tuples the answer never contained.
     pub push_preds: Vec<Option<Predicate>>,
-    /// Shard scope stamped onto every outgoing [`SweepQuery`] so sources
-    /// join only the in-scope relation slices. `None` (full relations)
-    /// keeps the wire byte-identical to the pre-sharding protocol.
-    pub scope: Option<ShardScope>,
 }
 
 impl Default for SweepCtx {
     fn default() -> Self {
         SweepCtx {
             span: SpanId::NONE,
-            batch: 1,
             push_preds: Vec::new(),
-            scope: None,
         }
     }
 }
@@ -233,10 +222,8 @@ impl EngineCore {
                 qid,
                 partial: dv.clone(),
                 side,
-                batch: ctx.batch,
                 pred: ctx.push_pred(j).cloned(),
                 epoch: self.epoch,
-                scope: ctx.scope.clone(),
             }),
         );
         (qid, HopSpan { outer, inner })
@@ -785,13 +772,10 @@ mod tests {
     }
 
     #[test]
-    fn send_query_stamps_qid_and_batch() {
+    fn send_query_stamps_qid_and_side() {
         let mut net: Network<Message> = Network::new(0);
         let mut core = EngineCore::new(chain3(), LABELS);
-        let ctx = SweepCtx {
-            batch: 3,
-            ..SweepCtx::default()
-        };
+        let ctx = SweepCtx::default();
         let dv =
             PartialDelta::seed(&core.view.clone(), 1, &Bag::from_tuples([tup![3, 5]])).unwrap();
         let (qid, _) = core.send_query(&ctx, &mut net, &dv, 0, JoinSide::Left);
@@ -802,7 +786,7 @@ mod tests {
         let Message::SweepQuery(q) = net.next().unwrap().msg else {
             panic!()
         };
-        assert_eq!(q.batch, 3);
+        assert_eq!((q.qid, q.side, q.pred), (0, JoinSide::Left, None));
     }
 
     #[test]

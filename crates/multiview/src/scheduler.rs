@@ -13,8 +13,8 @@
 //! ## Lanes and groups
 //!
 //! In-flight sweeps live in **lanes**, at most one per *shard group*.
-//! Without a [`ShardMap`] there is one group: one sweep at a time,
-//! unscoped queries, no escalation — the paper's serial SWEEP. With a
+//! Without a [`ShardMap`] there is one group: one sweep at a time, no
+//! escalation — the paper's serial SWEEP. With a
 //! map ([`MaintenanceScheduler::with_shards`]) every attribute *value*
 //! is banded into one of `S` shards. A tuple is **pure** in shard `s`
 //! when every one of its values lands in `s`; pure tuples of different
@@ -27,12 +27,13 @@
 //! Impure tuples (values straddling bands) break the argument, so the
 //! groups are a union-find over bands. Every individually-impure
 //! resident tuple (in the initial data, or installed later by an
-//! escalated sweep) unions the bands it straddles; a lane scopes its
-//! queries to its group's band mask (sources answer from the matching
-//! slices plus the mixed slice, see [`dw_relational::ShardedRelation`]).
-//! An update whose delta is not pure in a single group **escalates** to
-//! a global lane that runs alone — the classic SWEEP, queue fence and
-//! all.
+//! escalated sweep) unions the bands it straddles, so a lane's partial
+//! can only ever join tuples of its own group. Its queries are ordinary
+//! sweep queries against the sources' full relations: the tuples of
+//! every other group join nothing, which is why the sources need not
+//! know the map exists. An update whose delta is not pure in a single
+//! group **escalates** to a global lane that runs alone — the classic
+//! SWEEP, queue fence and all.
 //!
 //! All lanes share one [`EngineCore`] — one FIFO update queue, one qid
 //! space, one metrics block — and every hop compensates against the
@@ -86,10 +87,11 @@
 //! ## Refused combinations
 //!
 //! A [`ShardMap`] composes with neither batching (it folds queue entries
-//! a concurrent lane may need for compensation), nor σ pushdown (its
-//! predicate algebra has not been proven against scoped slices), nor
-//! durability (checkpoints assume one lane); naive mode cannot batch
-//! (its unit of work is one view). [`MaintenanceScheduler::validate`] is
+//! a concurrent lane may need for compensation) nor durability
+//! (checkpoints assume one lane), and needs an equi-join on every hop of
+//! the base chain (a hop that equates nothing joins across bands, so
+//! purity would confine nothing); naive mode cannot batch (its unit of
+//! work is one view). [`MaintenanceScheduler::validate`] is
 //! the one place that says so, typed (table in DESIGN.md). Global
 //! transactions (update type 3) are out of scope for the multi-view
 //! layer — tags on incoming updates are ignored.
@@ -105,8 +107,7 @@ use dw_engine::{
 use dw_obs::Obs;
 use dw_protocol::{Message, SourceUpdate, UpdateId};
 use dw_relational::{
-    Bag, DeltaClass, JoinSide, PartialDelta, Predicate, RelationalError, ShardMap, ShardScope,
-    ViewDef,
+    Bag, DeltaClass, JoinSide, PartialDelta, Predicate, RelationalError, ShardMap, ViewDef,
 };
 use dw_simnet::{Delivery, NetHandle, Time};
 use dw_warehouse::{PolicyMetrics, WarehouseError};
@@ -217,8 +218,8 @@ struct SweepTask {
     views: Vec<ViewId>,
 }
 
-/// An in-flight sweep: the task, its per-sweep context (span, fold
-/// width, pushed σ, group scope), its two-leg run, and per side
+/// An in-flight sweep: the task, its per-sweep context (span, pushed
+/// σ), its two-leg run, and per side
 /// (`JoinSide as usize`) the per-view partials captured the moment that
 /// leg reached the view's span endpoint (post-compensation for that hop).
 struct Lane {
@@ -338,14 +339,14 @@ fn config_error(reason: String) -> MvError {
 /// The multi-view maintenance scheduler: owns the registry, the update
 /// queue, the shard groups and the lane state machine. Speaks the same
 /// `SweepQuery`/`SweepAnswer` protocol as single-view SWEEP, so the
-/// unmodified `dw_source::DataSource` serves it; the only wire
-/// difference a [`ShardMap`] makes is the `scope` stamped on queries.
+/// unmodified `dw_source::DataSource` serves it, with or without a
+/// [`ShardMap`].
 pub struct MaintenanceScheduler {
     core: EngineCore,
     registry: ViewRegistry,
     mode: SchedulerMode,
     opts: EngineOptions,
-    /// The value-band partitioner; `None` = one group, unscoped queries.
+    /// The value-band partitioner; `None` = one group.
     map: Option<ShardMap>,
     /// Per shard band, the band mask of the group it belongs to; a
     /// group's root is its lowest band. One band without a map.
@@ -425,10 +426,10 @@ impl MaintenanceScheduler {
             "sharded scheduler does not support the naive per-view mode".into()
         } else if sharded && batch > 1 {
             format!("sharded scheduler does not support cross-update batching (batch={batch})")
-        } else if sharded && self.opts.pushdown {
-            "sharded scheduler does not support predicate pushdown".into()
         } else if sharded && self.durable.is_some() {
             "sharded scheduler does not support durability (checkpoints + sweep WAL)".into()
+        } else if sharded && !self.every_hop_equates() {
+            "sharded scheduler needs an equi-join on every hop of the base chain".into()
         } else if self.mode == SchedulerMode::Naive && batch > 1 {
             format!("naive per-view mode does not support cross-update batching (batch={batch})")
         } else {
@@ -437,11 +438,19 @@ impl MaintenanceScheduler {
         Err(config_error(refusal))
     }
 
+    /// Does every hop of the base chain equate at least one attribute
+    /// pair? The purity lemma rests on it: a hop that equates nothing is
+    /// a cross product, which joins tuples of different bands.
+    fn every_hop_equates(&self) -> bool {
+        let view = &self.core.view;
+        (0..view.num_relations() - 1).all(|k| !view.join_cond(k).pairs.is_empty())
+    }
+
     /// Fold one base relation's *initial* contents into the shard
     /// groups: every individually-impure tuple unions the bands it
     /// straddles. Call once per relation before traffic starts —
     /// resident impure tuples a lane could join must already have
-    /// collapsed their bands into one group, or scoped sweeps would
+    /// collapsed their bands into one group, or two lanes would
     /// wrongly run concurrently against shared rows. A no-op without a
     /// [`ShardMap`] (one group already).
     pub fn seed_groups(&mut self, initial: &Bag) {
@@ -1011,13 +1020,6 @@ impl MaintenanceScheduler {
     fn begin(&mut self, net: &mut dyn NetHandle<Message>, task: SweepTask) -> Result<(), MvError> {
         let (j, key) = (task.j, task.key);
         let mut ctx = self.core.begin_sweep(net.now());
-        ctx.batch = task.consumed.len() as u32;
-        // A group lane scopes its queries to the group's band mask; the
-        // global lane (and every lane without a map) reads full relations.
-        ctx.scope = self.map.as_ref().filter(|_| key != GLOBAL).map(|map| {
-            let (map, mask) = (map.clone(), self.groups[key]);
-            ShardScope { map, mask }
-        });
         if self.opts.pushdown {
             ctx.push_preds = self.derive_push_preds(&task)?;
         }
@@ -2056,24 +2058,29 @@ mod tests {
     }
 
     #[test]
-    fn batching_and_pushdown_are_refused() {
+    fn batching_and_cross_join_hops_are_refused() {
         let (base, mode) = (base3(), SchedulerMode::Shared);
         let batched = EngineOptions {
             batch: 4,
             ..EngineOptions::default()
         };
         assert!(matches!(
-            MaintenanceScheduler::with_shards(base.clone(), mode, batched, Some(ShardMap::hash(2))),
+            MaintenanceScheduler::with_shards(base, mode, batched, Some(ShardMap::hash(2))),
             Err(MvError::Warehouse(
                 dw_warehouse::WarehouseError::Config { .. }
             ))
         ));
-        let pushed = EngineOptions {
-            pushdown: true,
-            ..EngineOptions::default()
-        };
+        // No `.join` names the pair: the hop is a cross product, which
+        // joins across bands — flat it is fine, sharded it is refused.
+        let cross = ViewDefBuilder::new()
+            .relation(Schema::new("R1", ["A", "B"]).unwrap())
+            .relation(Schema::new("R2", ["C", "D"]).unwrap())
+            .build()
+            .unwrap();
+        let opts = EngineOptions::default;
+        assert!(MaintenanceScheduler::with_shards(cross.clone(), mode, opts(), None).is_ok());
         assert!(matches!(
-            MaintenanceScheduler::with_shards(base, mode, pushed, Some(ShardMap::hash(2))),
+            MaintenanceScheduler::with_shards(cross, mode, opts(), Some(ShardMap::range(10, 2))),
             Err(MvError::Warehouse(
                 dw_warehouse::WarehouseError::Config { .. }
             ))

@@ -23,7 +23,7 @@
 
 pub mod transport;
 
-use dw_relational::{Bag, PartialDelta, Predicate, ShardScope};
+use dw_relational::{Bag, PartialDelta, Predicate};
 use dw_simnet::{NodeId, Payload};
 
 pub use transport::{Endpoint, TransportConfig, TransportConfigError, TransportNet};
@@ -96,11 +96,6 @@ pub struct SweepQuery {
     pub partial: PartialDelta,
     /// Side on which the receiving source's relation joins.
     pub side: JoinSide,
-    /// How many queued updates the issuing sweep folded into this
-    /// partial (cross-update batching); `1` for a plain per-update
-    /// sweep. Informational for sources — the join they compute is the
-    /// same either way.
-    pub batch: u32,
     /// Optional σ pushed down to the receiving source: apply this
     /// predicate to the local base relation *before* joining, so only
     /// qualifying tuples travel back. `None` means join against the
@@ -115,13 +110,6 @@ pub struct SweepQuery {
     /// inside the query's fixed header ([`Payload::size_bytes`]), so the
     /// wire accounting is unchanged from the pre-recovery protocol.
     pub epoch: u64,
-    /// Shard scope of the issuing sweep, set only by the sharded
-    /// scheduler: the source joins against the union of its relation's
-    /// slices for the shards in `scope.mask` (plus the mixed slice of
-    /// impure tuples) instead of the full relation. `None` — every
-    /// unsharded executor — keeps the wire byte-identical to the
-    /// pre-sharding protocol.
-    pub scope: Option<ShardScope>,
 }
 
 /// Answer to a [`SweepQuery`]: the widened partial delta.
@@ -264,12 +252,9 @@ impl Payload for Message {
         HDR + match self {
             Message::ApplyTxn { delta, .. } => delta.size_bytes(),
             Message::Update(u) => u.delta.size_bytes(),
-            // The fixed 16-byte query header covers qid/side/batch/epoch.
+            // The fixed 16-byte query header covers qid/side/epoch.
             Message::SweepQuery(q) => {
-                q.partial.bag.size_bytes()
-                    + 16
-                    + q.pred.as_ref().map_or(0, Predicate::size_bytes)
-                    + q.scope.as_ref().map_or(0, ShardScope::size_bytes)
+                q.partial.bag.size_bytes() + 16 + q.pred.as_ref().map_or(0, Predicate::size_bytes)
             }
             Message::SweepAnswer(a) => a.partial.bag.size_bytes() + 16,
             Message::EcaQuery(q) => q
@@ -404,10 +389,8 @@ mod tests {
                 bag: Bag::new(),
             },
             side: JoinSide::Right,
-            batch: 1,
             pred: None,
             epoch: 0,
-            scope: None,
         });
         let full = Message::SweepQuery(SweepQuery {
             qid: 0,
@@ -417,10 +400,8 @@ mod tests {
                 bag: Bag::from_tuples((0..100).map(|i| tup![i, i])),
             },
             side: JoinSide::Right,
-            batch: 1,
             pred: None,
             epoch: 0,
-            scope: None,
         });
         assert!(full.size_bytes() > empty.size_bytes() + 1000);
     }

@@ -14,13 +14,11 @@
 //!   one serialization group so a sweep's partial provably stays inside
 //!   the group's bands.
 //!
-//! [`ShardedRelation`] is the matching *source-side* storage: one bag
-//! slice per shard for pure tuples plus a `mixed` slice for impure ones,
-//! maintained incrementally under deltas. A shard-scoped sweep query
-//! joins against the union of the in-scope slices plus the mixed slice —
-//! by purity, every tuple the full relation could have contributed is in
-//! that union, so a scoped answer equals the full-scan answer restricted
-//! to what can actually join.
+//! Nothing below the warehouse knows about shards: a lane's sweep query
+//! is an ordinary query against the source's full relation. By the same
+//! purity argument, the tuples outside the lane's group join nothing in
+//! its partial, so restricting the relation to the group's bands would
+//! not change the answer (`tests/algebra_props.rs` pins that lemma).
 
 use crate::bag::Bag;
 use crate::tuple::Tuple;
@@ -167,74 +165,6 @@ impl ShardMap {
     }
 }
 
-/// A base relation partitioned by a [`ShardMap`]: one slice of pure
-/// tuples per shard plus a `mixed` slice for impure tuples.
-#[derive(Clone, Debug)]
-pub struct ShardedRelation {
-    map: ShardMap,
-    slices: Vec<Bag>,
-    mixed: Bag,
-}
-
-impl ShardedRelation {
-    /// Partition `bag` under `map`.
-    pub fn new(map: ShardMap, bag: &Bag) -> ShardedRelation {
-        let mut sharded = ShardedRelation {
-            slices: vec![Bag::new(); map.shards()],
-            mixed: Bag::new(),
-            map,
-        };
-        sharded.apply_delta(bag);
-        sharded
-    }
-
-    /// The map this relation is partitioned under.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Route a signed delta into the slices.
-    pub fn apply_delta(&mut self, delta: &Bag) {
-        for (t, c) in delta.iter() {
-            match self.map.shard_of_tuple(t) {
-                Some(s) => self.slices[s].add(t.clone(), c),
-                None => self.mixed.add(t.clone(), c),
-            }
-        }
-    }
-
-    /// The union of the slices for every shard in `mask`, plus the mixed
-    /// slice (an impure tuple may join any in-scope partial; out-of-scope
-    /// impure tuples join nothing, so including them is harmless and
-    /// keeps the union independent of group bookkeeping).
-    pub fn scoped(&self, mask: u64) -> Bag {
-        let mut out = self.mixed.clone();
-        for (s, slice) in self.slices.iter().enumerate() {
-            if mask & (1u64 << s) != 0 {
-                out.merge(slice);
-            }
-        }
-        out
-    }
-}
-
-/// The shard scope a sweep query runs under: which slices of each base
-/// relation the sources should join against.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardScope {
-    /// The partitioner (sources slice their relation under it).
-    pub map: ShardMap,
-    /// Bitmask of the shards in scope.
-    pub mask: u64,
-}
-
-impl ShardScope {
-    /// Modeled wire size: the map descriptor plus the mask.
-    pub fn size_bytes(&self) -> usize {
-        24
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,31 +233,6 @@ mod tests {
             DeltaClass::Escalate {
                 impure_masks: vec![0b11]
             }
-        );
-    }
-
-    #[test]
-    fn sharded_relation_slices_and_scopes() {
-        let m = ShardMap::range(10, 2);
-        let bag = Bag::from_tuples([tup![1, 2], tup![11, 12], tup![1, 12]]);
-        let mut sr = ShardedRelation::new(m, &bag);
-        // Scoping to shard 0 sees its pure slice plus the mixed tuple.
-        assert_eq!(sr.scoped(0b01), Bag::from_tuples([tup![1, 2], tup![1, 12]]));
-        assert_eq!(
-            sr.scoped(0b10),
-            Bag::from_tuples([tup![11, 12], tup![1, 12]])
-        );
-        assert_eq!(sr.scoped(0b11), bag);
-        // Deltas route incrementally, deletes included.
-        sr.apply_delta(&Bag::from_pairs([(tup![1, 2], -1), (tup![15, 16], 1)]));
-        assert_eq!(
-            sr.scoped(0b01),
-            Bag::from_tuples([tup![1, 12]]),
-            "deleted pure tuple left its slice"
-        );
-        assert_eq!(
-            sr.scoped(0b10),
-            Bag::from_tuples([tup![11, 12], tup![15, 16], tup![1, 12]])
         );
     }
 }

@@ -8,7 +8,8 @@
 //! property-testing framework needed.
 
 use dw_relational::{
-    eval_view, extend_partial, tup, Bag, JoinSide, PartialDelta, Schema, Tuple, ViewDefBuilder,
+    eval_view, extend_partial, tup, Bag, JoinSide, PartialDelta, Schema, ShardMap, Tuple,
+    ViewDefBuilder,
 };
 use dw_rng::Rng64;
 
@@ -265,4 +266,68 @@ fn concat_then_project_recovers_parts() {
         assert_eq!(c.project(&left), a, "case {case}");
         assert_eq!(c.project(&right), b, "case {case}");
     }
+}
+
+// ---- The sharding lemma ------------------------------------------------
+
+/// A value in one of `bands` under a width-10 range map; the small
+/// offset domain forces join partners.
+fn band_value(r: &mut Rng64, bands: &[usize]) -> i64 {
+    bands[r.usize_below(bands.len())] as i64 * 10 + r.i64_in(0, 3)
+}
+
+/// The purity lemma the lane scheduler rests on: a partial whose values
+/// all band inside the mask `m` joins the **full** relation exactly as it
+/// joins the relation cut down to its group — the tuples pure in a band
+/// of `m`, plus the impure ones. Tuples pure in a foreign band join
+/// nothing (an equi-join equates values, and the bands are disjoint), so
+/// a lane's sweep query needs no shard scope: the source answers it from
+/// the whole relation like any other.
+#[test]
+fn foreign_band_tuples_never_join_an_in_group_partial() {
+    const SHARDS: usize = 4;
+    let map = ShardMap::range(10, SHARDS);
+    let view = two_chain();
+    let all: Vec<usize> = (0..SHARDS).collect();
+    let (mut joined, mut cut) = (0, 0);
+    for case in 0..4 * CASES {
+        let mut r = Rng64::new(1400 + case);
+        // Pure tuples of every band, one in four possibly impure.
+        let relation = Bag::from_pairs((0..4 + r.usize_below(16)).map(|_| {
+            let a = band_value(&mut r, &all);
+            let partner = if r.chance(0.25) {
+                &all[..]
+            } else {
+                &[a as usize / 10]
+            };
+            (tup![a, band_value(&mut r, partner)], 1)
+        }));
+        let mask = 1 + r.u64_below((1 << SHARDS) - 1);
+        let group_bands: Vec<usize> = (0..SHARDS).filter(|s| mask & (1 << s) != 0).collect();
+        let delta = Bag::from_pairs((0..1 + r.usize_below(6)).map(|_| {
+            let (a, b) = (
+                band_value(&mut r, &group_bands),
+                band_value(&mut r, &group_bands),
+            );
+            (tup![a, b], if r.chance(0.3) { -1 } else { 1 })
+        }));
+        let group = relation.filter(|t| {
+            let bands = map.tuple_bands(t);
+            bands.count_ones() > 1 || bands & mask != 0
+        });
+        cut += usize::from(group != relation);
+        // Rightward from R1 into R2, leftward from R2 into R1.
+        for (j, side) in [(0, JoinSide::Right), (1, JoinSide::Left)] {
+            let partial = PartialDelta::seed(&view, j, &delta).unwrap();
+            let full = extend_partial(&view, &partial, &relation, side).unwrap();
+            let in_group = extend_partial(&view, &partial, &group, side).unwrap();
+            assert_eq!(full, in_group, "case {case}, {side:?}, mask {mask:#b}");
+            joined += usize::from(!full.bag.is_empty());
+        }
+    }
+    assert!(
+        cut > CASES as usize,
+        "the group cut dropped something in only {cut} cases"
+    );
+    assert!(joined > CASES as usize, "only {joined} non-empty answers");
 }

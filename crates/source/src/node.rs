@@ -4,7 +4,7 @@ use dw_obs::Obs;
 use dw_protocol::{source_node, Message, SourceIndex, SourceUpdate, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{
     extend_partial_indexed, extend_partial_observed, BaseRelation, JoinIndex, Predicate,
-    RelationalError, ShardedRelation, ViewDef,
+    RelationalError, ViewDef,
 };
 use dw_simnet::{NetHandle, NodeId};
 use std::fmt;
@@ -81,12 +81,6 @@ pub struct DataSource {
     /// Stale-epoch queries dropped (test/inspection hook; also counted
     /// on `source.stale_epoch_dropped`).
     stale_queries_dropped: u64,
-    /// Shard slices of the relation, built lazily from the first
-    /// shard-scoped query's [`dw_relational::ShardMap`] and maintained
-    /// incrementally under every subsequent transaction. `None` until a
-    /// sharded warehouse actually scopes a query here — unsharded runs
-    /// never pay for the partitioning.
-    shards: Option<ShardedRelation>,
     /// Observability handle (no-op unless a recorder is attached).
     obs: Obs,
 }
@@ -115,7 +109,6 @@ impl DataSource {
             indexes: None,
             max_epoch_seen: 0,
             stale_queries_dropped: 0,
-            shards: None,
             obs: Obs::off(),
         }
     }
@@ -178,7 +171,6 @@ impl DataSource {
             }),
             max_epoch_seen: 0,
             stale_queries_dropped: 0,
-            shards: None,
             obs: Obs::off(),
         })
     }
@@ -230,9 +222,6 @@ impl DataSource {
                     });
                 }
                 self.relation.apply_delta(&delta)?;
-                if let Some(sh) = self.shards.as_mut() {
-                    sh.apply_delta(&delta);
-                }
                 if let Some(ix) = self.indexes.as_mut() {
                     if let Some(i) = ix.as_right_neighbor.as_mut() {
                         i.apply_delta(&delta);
@@ -266,27 +255,7 @@ impl DataSource {
                     return Ok(());
                 }
                 self.max_epoch_seen = q.epoch;
-                let widened = if let Some(scope) = &q.scope {
-                    // Shard-scoped sweep: join only the slices of the
-                    // in-scope shards (plus impure tuples, which may
-                    // join any partial). The slices are built lazily
-                    // from the query-carried map and maintained under
-                    // every later transaction; a map change (a
-                    // repartitioned warehouse) rebuilds them.
-                    let rebuild = self.shards.as_ref().is_none_or(|sh| sh.map() != &scope.map);
-                    if rebuild {
-                        self.shards =
-                            Some(ShardedRelation::new(scope.map.clone(), self.relation.bag()));
-                    }
-                    let sliced = self.shards.as_ref().unwrap().scoped(scope.mask);
-                    let full = self.relation.bag().distinct_len();
-                    self.obs.add(
-                        "source.scope_filtered",
-                        (full - sliced.distinct_len()) as u64,
-                    );
-                    self.obs.add("source.scoped_queries", 1);
-                    extend_partial_observed(&self.view, &q.partial, &sliced, q.side, &self.obs)?
-                } else if let Some(pred) = &q.pred {
+                let widened = if let Some(pred) = &q.pred {
                     // Pushed-down σ: restrict the local relation to the
                     // qualifying tuples before joining, so only they
                     // travel back. The maintained indexes cover the
@@ -470,9 +439,7 @@ mod tests {
                 bag: Bag::from_tuples([tup![1, 3]]),
             },
             side: JoinSide::Right,
-            batch: 1,
             epoch: 0,
-            scope: None,
             pred: None,
         };
         src.handle(WAREHOUSE_NODE, Message::SweepQuery(q), &mut net)
@@ -483,73 +450,6 @@ mod tests {
                 assert_eq!(a.qid, 42);
                 assert_eq!(a.partial.bag, Bag::from_tuples([tup![1, 3, 3, 7]]));
                 assert_eq!((a.partial.lo, a.partial.hi), (0, 1));
-            }
-            other => panic!("expected SweepAnswer, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn scoped_query_joins_only_in_scope_slices() {
-        use dw_relational::{ShardMap, ShardScope};
-        let mut net: Network<Message> = Network::new(0);
-        let mut src = source1(); // R2 = {(3,7), (4,8)}
-        let (obs, rec) = dw_obs::Obs::trace();
-        src.set_observer(obs);
-        // Range map with width 4: (3,7) straddles shards 0/1 (mixed
-        // slice), (4,8) is pure in shard 1. Scoping to shard 0 keeps the
-        // mixed tuple — the join partner — and drops the pure shard-1
-        // tuple.
-        let scope = ShardScope {
-            map: ShardMap::range(4, 2),
-            mask: 0b01,
-        };
-        let q = SweepQuery {
-            qid: 45,
-            partial: PartialDelta {
-                lo: 0,
-                hi: 0,
-                bag: Bag::from_tuples([tup![1, 3]]),
-            },
-            side: JoinSide::Right,
-            batch: 1,
-            epoch: 0,
-            scope: Some(scope.clone()),
-            pred: None,
-        };
-        src.handle(WAREHOUSE_NODE, Message::SweepQuery(q.clone()), &mut net)
-            .unwrap();
-        match net.next().unwrap().msg {
-            Message::SweepAnswer(a) => {
-                assert_eq!(a.partial.bag, Bag::from_tuples([tup![1, 3, 3, 7]]));
-            }
-            other => panic!("expected SweepAnswer, got {other:?}"),
-        }
-        {
-            let rec = rec.lock().unwrap();
-            assert_eq!(rec.counter("source.scoped_queries"), 1);
-            assert_eq!(rec.counter("source.scope_filtered"), 1);
-        }
-        // The lazily built slices are maintained under later txns: a new
-        // pure shard-0 tuple (1,2) must show up in shard 0's scope.
-        src.handle(
-            ENV,
-            Message::ApplyTxn {
-                rel: 1,
-                delta: Bag::from_pairs([(tup![3, 2], 1)]),
-                global: None,
-            },
-            &mut net,
-        )
-        .unwrap();
-        let _update = net.next().unwrap();
-        src.handle(WAREHOUSE_NODE, Message::SweepQuery(q), &mut net)
-            .unwrap();
-        match net.next().unwrap().msg {
-            Message::SweepAnswer(a) => {
-                assert_eq!(
-                    a.partial.bag,
-                    Bag::from_tuples([tup![1, 3, 3, 7], tup![1, 3, 3, 2]])
-                );
             }
             other => panic!("expected SweepAnswer, got {other:?}"),
         }
@@ -572,9 +472,7 @@ mod tests {
                 bag: Bag::from_tuples([tup![1, 3]]),
             },
             side: JoinSide::Right,
-            batch: 1,
             epoch: 0,
-            scope: None,
             pred: Some(Predicate::Cmp {
                 attr: 1,
                 op: CmpOp::Ge,
@@ -609,9 +507,7 @@ mod tests {
                 bag: Bag::from_tuples([tup![1, 3]]),
             },
             side: JoinSide::Right,
-            batch: 1,
             epoch: 0,
-            scope: None,
             pred: Some(Predicate::Cmp {
                 attr: 1,
                 op: CmpOp::Ge,
@@ -714,9 +610,7 @@ mod indexed_tests {
                 bag: Bag::from_tuples([tup![1, 3], tup![9, 4]]),
             },
             side: JoinSide::Right,
-            batch: 1,
             epoch: 0,
-            scope: None,
             pred: None,
         };
         assert_eq!(
@@ -732,9 +626,7 @@ mod indexed_tests {
                 bag: Bag::from_tuples([tup![5, 6]]),
             },
             side: JoinSide::Left,
-            batch: 1,
             epoch: 0,
-            scope: None,
             pred: None,
         };
         assert_eq!(
@@ -769,9 +661,7 @@ mod indexed_tests {
                 bag: Bag::from_tuples([tup![1, 3], tup![2, 8]]),
             },
             side: JoinSide::Right,
-            batch: 1,
             epoch: 0,
-            scope: None,
             pred: None,
         };
         assert_eq!(answer_of(&mut plain, q.clone()), answer_of(&mut fast, q));

@@ -61,7 +61,7 @@ struct Active {
 /// The Nested SWEEP warehouse policy.
 pub struct NestedSweep {
     core: EngineCore,
-    /// The in-flight sweep's context (its span; no batching, σ or scope).
+    /// The in-flight sweep's context (its span; no pushed σ).
     ctx: SweepCtx,
     sink: InstallSink,
     opts: NestedSweepOptions,

@@ -13,6 +13,11 @@
 //!   overlap) — must match the same referee on bags, install
 //!   fingerprints and message counts (install *times* legitimately
 //!   differ — that is the concurrency);
+//! * **(b′)** S ∈ {2, 4} × σ pushdown, on the same two families (every
+//!   banded view given selections, so the pushed σ bites), must match the
+//!   flat `.pushdown(true)` referee the same way and the unpushed run on
+//!   bags — a lane's query is an ordinary query, so the pushed predicate
+//!   algebra holds per lane exactly as it holds flat;
 //! * **(c)** every combination the scheduler refuses returns its
 //!   documented, typed error (the table in DESIGN.md) instead of being
 //!   silently dropped — one builder, so one refusal per cell;
@@ -68,8 +73,20 @@ fn schedule(k: u64) -> MultiViewScenario {
 /// Run `scenario` through the plain constructor (`None`) or the sharded
 /// one, and hold the run to the independent oracles.
 fn run(scenario: &MultiViewScenario, map: Option<ShardMap>, k: u64) -> MultiViewReport {
-    let arm = format!("schedule {k}, map {map:?}");
-    let mut exp = MultiViewExperiment::new(scenario.clone()).seed(k);
+    run_with(scenario, map, false, k)
+}
+
+/// [`run`], with σ pushdown on or off.
+fn run_with(
+    scenario: &MultiViewScenario,
+    map: Option<ShardMap>,
+    pushdown: bool,
+    k: u64,
+) -> MultiViewReport {
+    let arm = format!("schedule {k}, map {map:?}, pushdown {pushdown}");
+    let mut exp = MultiViewExperiment::new(scenario.clone())
+        .seed(k)
+        .pushdown(pushdown);
     if let Some(map) = map {
         exp = exp.shards(map);
     }
@@ -158,33 +175,36 @@ fn one_shard_is_the_plain_scheduler() {
     assert!(with_derived >= SCHEDULES as usize / 2, "DAG arm never ran");
 }
 
+/// The two sharded families of case `k`: the multi-view schedule under
+/// hash bands, which cut straight through its value domain — impure
+/// residents merge the groups and updates escalate, so this arm is the
+/// fence and the global lane — then a banded schedule of its own (every
+/// fourth with cross-shard updates mixed in), where the lanes genuinely
+/// overlap.
+fn sharded_arms(k: u64, shards: usize) -> [(MultiViewScenario, ShardMap); 2] {
+    let banded = ShardedConfig {
+        n_sources: 3,
+        shards,
+        updates: 8 + (k % 5) as usize,
+        mean_gap: 300 + 100 * (k % 3),
+        cross_shard_frac: if k % 4 == 3 { 0.3 } else { 0.0 },
+        seed: SEED_BASE + 0x1000 + k,
+        ..Default::default()
+    }
+    .generate()
+    .unwrap();
+    [
+        (schedule(k), ShardMap::hash(shards)),
+        (banded.scenario, banded.map),
+    ]
+}
+
 #[test]
 fn two_and_four_shards_match_the_plain_scheduler() {
     let mut overlapped = 0;
     for k in 0..SCHEDULES {
         for shards in [2, 4] {
-            // The multi-view schedule under hash bands, which cut straight
-            // through its value domain: impure residents merge the groups
-            // and updates escalate, so this arm is the fence and the
-            // global lane. Then a banded schedule of its own (every
-            // fourth with cross-shard updates mixed in), where the lanes
-            // genuinely overlap.
-            let banded = ShardedConfig {
-                n_sources: 3,
-                shards,
-                updates: 8 + (k % 5) as usize,
-                mean_gap: 300 + 100 * (k % 3),
-                cross_shard_frac: if k % 4 == 3 { 0.3 } else { 0.0 },
-                seed: SEED_BASE + 0x1000 + k,
-                ..Default::default()
-            }
-            .generate()
-            .unwrap();
-            let arms = [
-                (schedule(k), ShardMap::hash(shards)),
-                (banded.scenario, banded.map),
-            ];
-            for (scenario, map) in arms {
+            for (scenario, map) in sharded_arms(k, shards) {
                 let arm = format!("schedule {k}, {map:?}");
                 let flat = run(&scenario, None, k);
                 let sharded = run(&scenario, Some(map), k);
@@ -198,6 +218,70 @@ fn two_and_four_shards_match_the_plain_scheduler() {
         overlapped >= SCHEDULES as usize,
         "only {overlapped} runs ever overlapped two lanes"
     );
+}
+
+#[test]
+fn two_and_four_shards_compose_with_pushdown() {
+    let (mut runs, mut overlapped, mut bitten) = (0, 0, 0);
+    for k in 0..SCHEDULES {
+        for shards in [2, 4] {
+            let [hashed, (mut banded, banded_map)] = sharded_arms(k, shards);
+            // The pushed σ is the union over the views spanning a
+            // relation, so it bites only where every view selects: R2.B
+            // (offsets below the threshold, band 0) and R1.A (the top of
+            // the last band).
+            let top = (shards as i64 - 1) * ShardedConfig::default().width + 9;
+            for (v, view) in banded.views.iter_mut().enumerate() {
+                let v = v as i64;
+                view.selects.push((1, 1, CmpOp::Ge, Value::Int(2 + v)));
+                view.selects.push((0, 0, CmpOp::Lt, Value::Int(top + v)));
+            }
+            for (scenario, map) in [hashed, (banded, banded_map)] {
+                let arm = format!("schedule {k}, {map:?}, pushdown");
+                let plain = run(&scenario, None, k);
+                let flat = run_with(&scenario, None, true, k);
+                let sharded = run_with(&scenario, Some(map), true, k);
+                assert_same_outcome(&sharded, &flat, &arm);
+                for (a, b) in sharded.views.iter().zip(&plain.views) {
+                    assert_eq!(a.view, b.view, "{arm}: view '{}' vs unpushed", a.name);
+                }
+                // Same timeline flat, pushed or not, so the byte bills
+                // compare: did the σ this scenario pushes drop anything?
+                let answers = |r: &MultiViewReport| r.net.label("answer").bytes;
+                bitten += usize::from(answers(&flat) < answers(&plain));
+                runs += 1;
+                let stats = sharded.shard_stats.as_ref().unwrap();
+                overlapped += usize::from(stats.max_concurrent_lanes > 1);
+            }
+        }
+    }
+    assert!(runs >= 256, "only {runs} sharded × pushdown runs");
+    assert!(
+        overlapped >= SCHEDULES as usize,
+        "only {overlapped} runs ever overlapped two lanes"
+    );
+    assert!(
+        bitten >= SCHEDULES as usize,
+        "the pushed σ shrank an answer in only {bitten} runs"
+    );
+}
+
+/// The one-view scenario over the chain `R1(A,B) × R2(C,D)` — no `.join`
+/// names the pair, so the hop equates nothing.
+fn cross_join(initial: [Bag; 2], txns: Vec<ScheduledTxn>) -> MultiViewScenario {
+    let base = ViewDefBuilder::new()
+        .relation(Schema::new("R1", ["A", "B"]).unwrap())
+        .relation(Schema::new("R2", ["C", "D"]).unwrap())
+        .build()
+        .unwrap();
+    MultiViewScenario {
+        base,
+        keys: KeySpec::new(vec![Vec::new(); 2]),
+        initial: initial.into(),
+        txns,
+        views: vec![ViewSpec::full("cross", 2)],
+        derived: Vec::new(),
+    }
 }
 
 /// The `reason` of a typed configuration refusal, whichever layer
@@ -222,13 +306,37 @@ fn refused_combinations_return_their_documented_errors() {
     let state_crash = || FaultPlan::default().state_crash(WAREHOUSE_NODE, 500, 900);
     let naive = SchedulerMode::Naive;
 
-    // shards × batching / pushdown / naive mode: refused at construction.
+    // shards × batching / naive mode: refused at construction.
     let e = multi().shards(map()).batch(2).run().unwrap_err();
     assert!(refusal(e).contains("sharded scheduler does not support cross-update batching"));
-    let e = multi().shards(map()).pushdown(true).run().unwrap_err();
-    assert!(refusal(e).contains("sharded scheduler does not support predicate pushdown"));
     let e = multi().shards(map()).mode(naive).run().unwrap_err();
     assert!(refusal(e).contains("sharded scheduler does not support the naive per-view mode"));
+
+    // shards × a hop that equates nothing: a cross product joins across
+    // bands, so purity confines nothing and lanes may not run side by
+    // side. Two counter-examples: a pure insert whose only partner
+    // `(11,12)` is pure in the other band (the view must gain
+    // `(3,4,11,12)`), and two concurrent pure inserts in different bands
+    // (each lane's answer already holds the other's tuple, and an update
+    // sweeping in another lane has left the queue hops compensate
+    // against: `(3,4,13,14)` would count twice).
+    // Flat, both are completely consistent.
+    let insert = |at, source, t: Tuple| ScheduledTxn {
+        at,
+        source,
+        delta: Bag::from_tuples([t]),
+        global: None,
+    };
+    let resident = [Bag::new(), Bag::from_tuples([tup![11, 12]])];
+    let lost = cross_join(resident, vec![insert(100, 0, tup![3, 4])]);
+    let concurrent = vec![insert(100, 0, tup![3, 4]), insert(100, 1, tup![13, 14])];
+    let doubled = cross_join([Bag::new(), Bag::new()], concurrent);
+    for scenario in [lost, doubled] {
+        run(&scenario, None, 0);
+        let sharded = MultiViewExperiment::new(scenario).shards(ShardMap::range(10, 2));
+        let reason = refusal(sharded.run().unwrap_err());
+        assert!(reason.contains("sharded scheduler needs an equi-join on every hop"));
+    }
 
     // naive × batching: was ignored without a word.
     let e = MaintenanceScheduler::with_shards(base.clone(), naive, batched, None).err();
