@@ -204,6 +204,24 @@ stage_engine_boundary() {
     echo "FAIL: shard scoping is gone for good — a lane's query joins the source's full relation (the purity lemma, crates/relational/tests/algebra_props.rs)" >&2
     ok=1
   fi
+  # One scheduling rule: a lane claims a band mask and two sweeps overlap
+  # iff their masks are disjoint. The special cases it replaced — a
+  # stop-the-world lane key, a qid routing table, a three-way delta
+  # class — must not grow back beside it.
+  hits=$(grep -rn 'GLOBAL\|qid_routes\|DeltaClass' crates/multiview/src || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: plan_scan holds one conflict test (mask & claimed) — no GLOBAL lane, qid_routes map or DeltaClass cases under crates/multiview/src" >&2
+    ok=1
+  fi
+  # The scheduler and the checker sit on the mechanism layer only: the
+  # six baseline policies of dw-warehouse are not theirs to compile.
+  hits=$(grep -n 'dw-warehouse' crates/multiview/Cargo.toml crates/consistency/Cargo.toml || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: dw-multiview and dw-consistency import InstallRecord / PolicyMetrics / WarehouseError from dw-engine, not dw-warehouse" >&2
+    ok=1
+  fi
   files=$(grep -Fn 'finalize_for_view(' crates/multiview/src/*.rs |
     grep -Ev "^[^:]+:[0-9]+:[[:space:]]*(//|(pub(\([a-z]+\))? )?fn )" |
     cut -d: -f1 | sort -u)

@@ -59,14 +59,12 @@ fn main() {
             .policy(PolicyKind::Sweep(Default::default()))
             .latency(LatencyModel::Constant(latency))
             .check_consistency(false)
-            .record_snapshots(false)
             .run()
             .unwrap();
         let nested = Experiment::new(scenario(5))
             .policy(PolicyKind::NestedSweep(Default::default()))
             .latency(LatencyModel::Constant(latency))
             .check_consistency(false)
-            .record_snapshots(false)
             .run()
             .unwrap();
 

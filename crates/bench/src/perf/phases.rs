@@ -1134,7 +1134,7 @@ row! {
         msgs_per_update: f64 = Info,
         /// The invariant: shard-local sweeps pay the same `2(n−1)`.
         expected_msgs_per_update: f64 = Info,
-        /// Global sweeps forced by cross-shard updates (0 on this workload).
+        /// Updates whose delta touched more than one band (0 on this workload).
         escalations: u64 = Info,
         /// Peak concurrently in-flight sweep lanes.
         max_lanes: u64 = Info,

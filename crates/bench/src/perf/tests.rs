@@ -750,7 +750,7 @@ fn lost_sharded_scaling_fails_gate() {
     );
 
     // Escalations on a shard-local workload mean the partitioner is
-    // misrouting pure updates through the global lane.
+    // misreading pure updates as multi-band.
     let mut fresh = healthy();
     fresh.e18[1].escalations = 3;
     let violations = gate(&healthy(), &fresh);

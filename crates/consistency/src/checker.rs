@@ -1,9 +1,9 @@
 //! Install-log classification against the ground truth.
 
 use crate::truth::Recorder;
+use dw_engine::InstallRecord;
 use dw_protocol::UpdateId;
 use dw_relational::SharedBag;
-use dw_warehouse::InstallRecord;
 use std::collections::HashSet;
 use std::fmt;
 

@@ -3,9 +3,9 @@
 //! materialized view trails the updated state of the data sources"
 //! (§3, on Strobe's quiescence requirement).
 
+use dw_engine::InstallRecord;
 use dw_protocol::UpdateId;
 use dw_simnet::Time;
-use dw_warehouse::InstallRecord;
 
 /// A step series of `(time, lag)` points, where `lag` is the number of
 /// updates delivered to the warehouse but not yet reflected by an install.

@@ -21,8 +21,8 @@
 //!    differing cadences (a deferred view lags a per-update view);
 //!    *final* disagreement after a drain is a scheduler bug.
 
+use dw_engine::InstallRecord;
 use dw_protocol::{SourceIndex, UpdateId};
-use dw_warehouse::InstallRecord;
 use std::collections::HashMap;
 
 /// Shift an install log from global chain coordinates into span-local

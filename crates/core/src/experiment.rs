@@ -127,7 +127,6 @@ pub struct Experiment {
     policy: PolicyKind,
     net: NetProfile,
     check_consistency: bool,
-    record_snapshots: bool,
     indexed_sources: bool,
 }
 
@@ -140,7 +139,6 @@ impl Experiment {
             policy: PolicyKind::Sweep(SweepOptions::default()),
             net: NetProfile::default(),
             check_consistency: true,
-            record_snapshots: true,
             indexed_sources: false,
         }
     }
@@ -153,15 +151,11 @@ impl Experiment {
         self
     }
 
-    /// Disable ground-truth tracking and classification (for big runs).
+    /// Disable ground-truth tracking and classification (for big runs),
+    /// and with it the per-install view snapshots only the classifier
+    /// reads.
     pub fn check_consistency(mut self, on: bool) -> Self {
         self.check_consistency = on;
-        self
-    }
-
-    /// Disable per-install view snapshots (for big runs).
-    pub fn record_snapshots(mut self, on: bool) -> Self {
-        self.record_snapshots = on;
         self
     }
 
@@ -209,7 +203,7 @@ impl Experiment {
             )?),
             PolicyKind::Recompute => Box::new(Recompute::new(view_def.clone(), initial_view)?),
         };
-        policy.set_record_snapshots(self.record_snapshots);
+        policy.set_record_snapshots(self.check_consistency);
         policy.set_observer(self.net.obs.clone());
 
         // Topology: the single-site architecture co-locates every

@@ -45,7 +45,6 @@ pub struct MultiViewExperiment {
     opts: EngineOptions,
     net: NetProfile,
     check_consistency: bool,
-    record_snapshots: bool,
     durability: Option<DurabilityConfig>,
     serve: ServeConfig,
 }
@@ -62,7 +61,6 @@ impl MultiViewExperiment {
             opts: EngineOptions::default(),
             net: NetProfile::default(),
             check_consistency: true,
-            record_snapshots: true,
             durability: None,
             serve: ServeConfig::default(),
         }
@@ -110,15 +108,11 @@ impl MultiViewExperiment {
         self
     }
 
-    /// Disable ground-truth tracking and classification (for big runs).
+    /// Disable ground-truth tracking and classification (for big runs),
+    /// and with it the per-install view snapshots only the classifier
+    /// reads.
     pub fn check_consistency(mut self, on: bool) -> Self {
         self.check_consistency = on;
-        self
-    }
-
-    /// Disable per-install view snapshots (for big runs).
-    pub fn record_snapshots(mut self, on: bool) -> Self {
-        self.record_snapshots = on;
         self
     }
 
@@ -143,14 +137,6 @@ impl MultiViewExperiment {
     pub fn reads(mut self, mut reads: Vec<ReadOp>) -> Self {
         reads.sort_by_key(|op| (op.at, op.reader));
         self.serve.reads = Some(reads);
-        self
-    }
-
-    /// Register one subscription per view slot before traffic starts (on
-    /// by default) — their drained streams must replay the full install
-    /// fingerprint ([`MultiViewReport::subscriptions_match_installs`]).
-    pub fn baseline_subscriptions(mut self, on: bool) -> Self {
-        self.serve.baseline_subs = on;
         self
     }
 
@@ -195,7 +181,7 @@ impl MultiViewExperiment {
             self.opts,
             self.map.clone(),
         )?;
-        sched.set_record_snapshots(self.record_snapshots);
+        sched.set_record_snapshots(self.check_consistency);
         sched.set_observer(obs.clone());
         for bag in &scenario.initial {
             sched.seed_groups(bag);
@@ -364,11 +350,9 @@ fn recover(
 ) -> Result<(), CoreError> {
     let window = restarts.iter().position(|&(up_at, _)| up_at == at);
     match window.map(|pos| restarts.swap_remove(pos).1) {
+        None => {}
         Some(Some(shard)) if sharded => sched.crash_shard(shard, net)?,
-        None if sharded => {}
-        _ => {
-            sched.crash_and_recover(net)?;
-        }
+        Some(_) => sched.crash_and_recover(net)?,
     }
     Ok(())
 }

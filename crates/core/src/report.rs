@@ -103,16 +103,6 @@ impl RunReport {
                 .sum::<u64>()
     }
 
-    /// Messages the reliability transport added to the wire (see
-    /// [`RunReport::transport_overhead_bytes`]).
-    pub fn transport_overhead_messages(&self) -> u64 {
-        self.net.retransmitted().messages
-            + ["ack", "resync", "resync_ack"]
-                .iter()
-                .map(|l| self.net.label(l).messages)
-                .sum::<u64>()
-    }
-
     /// View lag over time — how far the view trails the delivered updates
     /// (the §3 "trailing" phenomenon, quantified).
     pub fn lag_series(&self) -> LagSeries {

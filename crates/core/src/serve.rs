@@ -36,10 +36,9 @@ use dw_warehouse::InstallRecord;
 use dw_workload::{MultiViewScenario, ReadKind, ReadOp};
 
 /// The serve options of a [`MultiViewExperiment`](crate::MultiViewExperiment).
-/// The arm exists iff `reads` is set; the other four only shape it.
+/// The arm exists iff `reads` is set; the other three only shape it.
 pub(crate) struct ServeConfig {
     pub reads: Option<Vec<ReadOp>>,
-    pub baseline_subs: bool,
     pub point_index: bool,
     pub cache_capacity: usize,
     pub bounded_sub_lag: Option<usize>,
@@ -49,7 +48,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             reads: None,
-            baseline_subs: true,
             point_index: true,
             cache_capacity: 0,
             bounded_sub_lag: None,
@@ -134,16 +132,14 @@ impl ServeArm {
             lag: Vec::new(),
         };
         let front = &arm.front;
-        if cfg.baseline_subs {
-            for view in 0..front.view_count() {
-                arm.subscriptions.push(SubscriptionOutcome {
-                    reader: usize::MAX,
-                    view,
-                    sub: front.subscribe(view)?,
-                    from_epoch: front.latest_epoch(view)?,
-                    stream: Vec::new(),
-                });
-            }
+        for view in 0..front.view_count() {
+            arm.subscriptions.push(SubscriptionOutcome {
+                reader: usize::MAX,
+                view,
+                sub: front.subscribe(view)?,
+                from_epoch: front.latest_epoch(view)?,
+                stream: Vec::new(),
+            });
         }
         if let Some(max_lag) = cfg.bounded_sub_lag {
             for view in 0..base.len() {

@@ -167,8 +167,7 @@ mod tests {
             let mut s = InstallSequencer::new();
             let tickets: Vec<u64> = (0..n).map(|_| s.issue()).collect();
 
-            // Mixed escalation mix: ~1/5 of updates affect no view
-            // (escalation fence drains them as empty slots).
+            // ~1/5 of updates affect no view (their slots release empty).
             let payloads: Vec<Option<SequencedInstall>> = (0..n)
                 .map(|k| (rng.usize_below(5) != 0).then(|| install(k as u64)))
                 .collect();

@@ -32,11 +32,12 @@
 //!     counts), filtered by its selections, then finalized through its
 //!     residual predicate and projection at the warehouse.
 //!
-//!   In-flight sweeps live in **lanes**, one per shard group, and every
-//!   install leaves through an arrival-order ticket. Without a
-//!   [`dw_relational::ShardMap`] there is one group — the paper's serial
-//!   SWEEP; with one, sweeps over disjoint value bands run concurrently
-//!   while the install order stays arrival order. Cross-update batching,
+//!   In-flight sweeps live in **lanes**, each claiming the mask of the
+//!   value bands its delta can touch, and every install leaves through
+//!   an arrival-order ticket. Without a [`dw_relational::ShardMap`]
+//!   there is one band — the paper's serial SWEEP; with one, sweeps with
+//!   disjoint masks run concurrently while the install order stays
+//!   arrival order. Cross-update batching,
 //!   σ pushdown, checkpoint + WAL crash recovery and shard-scoped crash
 //!   re-seeding are options of that one state machine; the combinations
 //!   it refuses are typed errors decided in one place

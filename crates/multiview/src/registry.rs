@@ -16,11 +16,12 @@
 //! once per parent delta and shared (the Mistry/Roy/Ramamritham common
 //! subexpression idea, applied to the delta stream).
 
-use dw_engine::{InstallSink, SharedInstallPublisher};
+use dw_engine::{
+    InstallRecord, InstallSink, PolicyMetrics, SharedInstallPublisher, WarehouseError,
+};
 use dw_protocol::UpdateId;
 use dw_relational::{AggregateState, Bag, DeltaRelation, RelationalError, SharedBag, ViewDef};
 use dw_simnet::Time;
-use dw_warehouse::{InstallRecord, PolicyMetrics, WarehouseError};
 use dw_workload::{DerivedOp, DerivedSpec, ViewPolicy, ViewSpec};
 use std::fmt;
 
@@ -731,17 +732,6 @@ impl ViewRegistry {
             ViewKind::Derived { parent, .. } => Some(ViewId(parent)),
             ViewKind::Base => None,
         })
-    }
-
-    /// Live direct children, ascending slot order (the cascade order).
-    pub fn children_of(&self, id: ViewId) -> Result<Vec<ViewId>, MvError> {
-        Ok(self
-            .runtime(id)?
-            .children
-            .iter()
-            .filter(|&&c| self.slots[c].is_some())
-            .map(|&c| ViewId(c))
-            .collect())
     }
 
     /// The derived operator (`None` for base views).

@@ -12,37 +12,53 @@
 //!
 //! ## Lanes and groups
 //!
-//! In-flight sweeps live in **lanes**, at most one per *shard group*.
-//! Without a [`ShardMap`] there is one group: one sweep at a time, no
-//! escalation — the paper's serial SWEEP. With a
-//! map ([`MaintenanceScheduler::with_shards`]) every attribute *value*
-//! is banded into one of `S` shards. A tuple is **pure** in shard `s`
-//! when every one of its values lands in `s`; pure tuples of different
-//! shards can never join (equality joins compare values, and the bands
-//! are disjoint). That disjointness is the whole concurrency argument: a
-//! sweep whose delta is pure in shard `s` only ever meets shard-`s`
-//! tuples, so sweeps over *distinct* shards touch disjoint data and may
-//! run concurrently without ever seeing each other.
+//! In-flight sweeps live in **lanes**, and a lane claims a **band
+//! mask**. Without a [`ShardMap`] there is one band: one sweep at a
+//! time — the paper's serial SWEEP. With a map
+//! ([`MaintenanceScheduler::with_shards`]) every attribute *value* is
+//! banded into one of `S` shards. A tuple is **pure** in shard `s` when
+//! every one of its values lands in `s`; pure tuples of different shards
+//! can never join (equality joins compare values, and the bands are
+//! disjoint).
 //!
-//! Impure tuples (values straddling bands) break the argument, so the
-//! groups are a union-find over bands. Every individually-impure
-//! resident tuple (in the initial data, or installed later by an
-//! escalated sweep) unions the bands it straddles, so a lane's partial
-//! can only ever join tuples of its own group. Its queries are ordinary
-//! sweep queries against the sources' full relations: the tuples of
-//! every other group join nothing, which is why the sources need not
-//! know the map exists. An update whose delta is not pure in a single
-//! group **escalates** to a global lane that runs alone — the classic
-//! SWEEP, queue fence and all.
+//! Impure tuples (values straddling bands) bridge their bands, so the
+//! bands are kept in **groups**, a union-find. Every individually-impure
+//! resident tuple (in the initial data, or installed later by a finished
+//! sweep) unions the bands it straddles. An update's mask is the union
+//! of the *current* groups of every band its delta touches (an empty
+//! delta rides band 0), and one rule decides everything:
+//!
+//! > two sweeps may overlap iff their masks are disjoint.
+//!
+//! The queue scan (`plan_scan`) applies it in one arrival-order pass
+//! over the queue: an update starts iff its mask misses everything
+//! claimed so far, and claims its mask either way. Why that is sound:
+//!
+//! 1. *A lane's partial stays inside its mask.* The delta's values lie
+//!    in the mask's bands, and groups are closed under resident impure
+//!    tuples, so whatever the partial joins at a source lies there too
+//!    (a not-yet-installed impure tuple it meets there is still queued,
+//!    and the hop's compensation takes it back out).
+//! 2. *Disjoint masks ⇒ disjoint data.* Neither sweep's queries can see
+//!    the other's delta, and their compensation against each other is
+//!    empty — which is also why the sources need not know the map
+//!    exists: a lane's query is an ordinary query on the full relation.
+//! 3. *Overlapping masks ⇒ strict arrival order.* The later update stays
+//!    queued until the earlier one has finished, and the earlier one's
+//!    hops compensate for it: plain SWEEP, confined to those bands.
+//!
+//! Same-group FIFO, "a delta across groups waits for, and holds back,
+//! the groups it overlaps" and "nothing overtakes an earlier update it
+//! overlaps" are all that one test; a delta touching every group is the
+//! classic stop-the-world SWEEP as the special case it is.
 //!
 //! All lanes share one [`EngineCore`] — one FIFO update queue, one qid
 //! space, one metrics block — and every hop compensates against the
-//! *full* queue: queued updates pure in a foreign group join the lane's
-//! `TempView` to an empty error term (disjoint bands), so the
-//! subtraction is a no-op for them and exact for same-group interferers.
-//! The per-update install deltas are therefore *identical* whatever the
-//! number of groups — concurrency changes when answers arrive, never
-//! what they add up to.
+//! *full* queue: queued updates outside the lane's mask join its
+//! `TempView` to an empty error term, so the subtraction is a no-op for
+//! them and exact for overlapping interferers. The per-update install
+//! deltas are therefore *identical* whatever the number of bands —
+//! concurrency changes when answers arrive, never what they add up to.
 //!
 //! ## One install order
 //!
@@ -50,8 +66,8 @@
 //! sweep leaves through an [`InstallSequencer`] ticket and is buffered
 //! until every earlier ticket has released. In shared mode the ticket is
 //! issued the moment the update arrives, so the install order is arrival
-//! order for any number of groups (the conformance suites hold no map
-//! and S ∈ {1, 2, 4} to byte equality on this). In naive mode the unit
+//! order for any number of bands (the conformance suites hold no map
+//! and S ∈ {1, 2, 3, 4} to byte equality on this). In naive mode the unit
 //! of install is the per-view task, ticketed when the update's tasks are
 //! formed (one group, so formation order is arrival order).
 //!
@@ -101,16 +117,13 @@
 use crate::registry::{MvError, ViewId, ViewRegistry, ViewRuntime};
 use dw_engine::{
     dispatch, DurabilityConfig, DurableStats, DurableStore, EngineCore, EngineOptions,
-    InstallSequencer, PendingUpdate, SequencedInstall, SpanLabels, SweepCtx, SweepPolicy, SweepRun,
-    UpdateQueue, WalRecord,
+    InstallSequencer, PendingUpdate, PolicyMetrics, SequencedInstall, SpanLabels, SweepCtx,
+    SweepPolicy, SweepRun, UpdateQueue, WalRecord, WarehouseError,
 };
 use dw_obs::Obs;
 use dw_protocol::{Message, SourceUpdate, UpdateId};
-use dw_relational::{
-    Bag, DeltaClass, JoinSide, PartialDelta, Predicate, RelationalError, ShardMap, ViewDef,
-};
+use dw_relational::{Bag, JoinSide, PartialDelta, Predicate, RelationalError, ShardMap, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
-use dw_warehouse::{PolicyMetrics, WarehouseError};
 use dw_workload::{DerivedSpec, ViewSpec};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -135,10 +148,6 @@ const SHARD_LABELS: SpanLabels = SpanLabels {
     query_counter: Some("shard.queries"),
     ..SHARED_LABELS
 };
-
-/// Lane key of the escalated global sweep (never a valid group root —
-/// shard counts are capped at 64).
-const GLOBAL: usize = usize::MAX;
 
 /// How the scheduler turns one update into sweeps.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -167,9 +176,10 @@ impl SchedulerMode {
 /// group every serviced update counts as `shard_local`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Updates that escalated to a global (unscoped, solo) sweep.
+    /// Updates whose delta touched more than one band. Their lane claims
+    /// every group those bands belong to.
     pub escalations: u64,
-    /// Updates serviced by a group-scoped lane.
+    /// Updates whose delta stayed inside one band (or was empty).
     pub shard_local: u64,
     /// Updates skipped because no registered view referenced their
     /// source (their sequencer slot released empty).
@@ -181,17 +191,16 @@ pub struct ShardStats {
     pub sweeps_reseeded: u64,
     /// Answers to a crashed lane's poisoned qids, dropped on arrival.
     pub stale_answers_dropped: u64,
-    /// Every lane completion: `(lane key, finish time)`. The key is the
-    /// group root, or `usize::MAX` for the global lane. The recovery
-    /// suite reads this to prove surviving shards kept sweeping through
-    /// another shard's crash window.
-    pub completions: Vec<(usize, Time)>,
+    /// Every lane completion: `(the lane's band mask, finish time)`. The
+    /// recovery suite reads this to prove surviving shards kept sweeping
+    /// through another shard's crash window.
+    pub completions: Vec<(u64, Time)>,
     /// High-water mark of concurrently in-flight lanes.
     pub max_concurrent_lanes: usize,
 }
 
 /// One unit of sweep work: the batch of updates it services, the span to
-/// cover, the views fed by it, the lane it runs in and the ticket its
+/// cover, the views fed by it, the bands it claims and the ticket its
 /// install leaves through. Kept whole — a formed task is journaled
 /// verbatim and a crashed lane re-seeds the identical task, so its
 /// consumed set is fixed at formation and a recovered re-run consumes
@@ -199,12 +208,12 @@ pub struct ShardStats {
 #[derive(Clone)]
 struct SweepTask {
     ticket: u64,
-    /// Lane key: the delta's group root, or [`GLOBAL`] when escalated.
-    key: usize,
-    /// Band masks of an escalated delta's individually-impure tuples —
-    /// installed residents that union their bands when the global lane
-    /// finishes. Empty for group lanes.
-    escalate_masks: Vec<u64>,
+    /// The bands this sweep claims while in flight: the union of the
+    /// groups (as of formation) of every band its delta touches.
+    mask: u64,
+    /// Band masks of the delta's individually-impure tuples — installed
+    /// residents that union their bands when the lane finishes.
+    impure_masks: Vec<u64>,
     /// The updates this sweep folds together, in per-source delivery
     /// order. One entry unless cross-update batching folded more in.
     consumed: Vec<(UpdateId, Time)>,
@@ -231,10 +240,13 @@ struct Lane {
 
 /// What the scheduler learns about a shared-mode update the moment it
 /// arrives: its install ticket, and how its delta sits in the shard
-/// space (a function of the delta and the map alone, so computed once).
+/// space ([`ShardMap::delta_bands`] — a function of the delta and the map
+/// alone, so computed once; both empty without a map).
+#[derive(Default)]
 struct Arrival {
     ticket: u64,
-    class: DeltaClass,
+    bands: u64,
+    impure_masks: Vec<u64>,
 }
 
 /// The durable image of the scheduler's volatile state, written whole at
@@ -351,17 +363,16 @@ pub struct MaintenanceScheduler {
     /// Per shard band, the band mask of the group it belongs to; a
     /// group's root is its lowest band. One band without a map.
     groups: Vec<u64>,
-    /// Ticket and delta class of every queued shared-mode update.
+    /// Ticket and delta bands of every queued shared-mode update.
     arrivals: HashMap<UpdateId, Arrival>,
     /// Formed tasks waiting for their lane: naive mode's later per-view
     /// tasks, and whatever recovery found durably pending.
     pending_tasks: VecDeque<SweepTask>,
-    /// In-flight lanes, keyed by group root ([`GLOBAL`] for the
-    /// escalated lane). At most one lane per key.
-    lanes: HashMap<usize, Lane>,
+    /// In-flight lanes; their masks are pairwise disjoint, so at most
+    /// one per band. An answer finds its lane by the qid the lane's run
+    /// is waiting on.
+    lanes: Vec<Lane>,
     sequencer: InstallSequencer,
-    /// In-flight qid → lane key.
-    qid_routes: HashMap<u64, usize>,
     /// Qids of shard-crash-aborted legs; their answers are dropped,
     /// counted.
     dead_qids: HashSet<u64>,
@@ -404,9 +415,8 @@ impl MaintenanceScheduler {
             map,
             arrivals: HashMap::new(),
             pending_tasks: VecDeque::new(),
-            lanes: HashMap::new(),
+            lanes: Vec::new(),
             sequencer: InstallSequencer::new(),
-            qid_routes: HashMap::new(),
             dead_qids: HashSet::new(),
             stats: ShardStats::default(),
             durable: None,
@@ -495,7 +505,7 @@ impl MaintenanceScheduler {
     /// feeding the view is in flight or formed, or while a finished
     /// install is still held back by the sequencer — drain first.
     pub fn deregister(&mut self, id: ViewId) -> Result<(), MvError> {
-        let busy = self.lanes.values().any(|l| l.task.views.contains(&id))
+        let busy = self.lanes.iter().any(|l| l.task.views.contains(&id))
             || self.pending_tasks.iter().any(|t| t.views.contains(&id))
             || self.sequencer.has_buffered();
         if busy {
@@ -650,7 +660,6 @@ impl MaintenanceScheduler {
         // Volatile state dies with the crash; the checkpoint image
         // replaces it wholesale.
         self.lanes.clear();
-        self.qid_routes.clear();
         self.dead_qids.clear();
         self.core.queue = ckpt.queue;
         self.core.metrics = ckpt.metrics;
@@ -700,9 +709,12 @@ impl MaintenanceScheduler {
         }
         if self.mode == SchedulerMode::Shared {
             for pu in self.core.queue.iter() {
-                let (ticket, class) = (self.sequencer.issue(), DeltaClass::Pure(0));
-                self.arrivals
-                    .insert(pu.update.id, Arrival { ticket, class });
+                let ticket = self.sequencer.issue();
+                let arrival = Arrival {
+                    ticket,
+                    ..Arrival::default()
+                };
+                self.arrivals.insert(pu.update.id, arrival);
             }
         }
         // Fence the dead incarnation, then persist the recovered image
@@ -728,13 +740,12 @@ impl MaintenanceScheduler {
         self.pump(net)
     }
 
-    /// Crash shard `s`'s sweep worker: abort the lane of `s`'s group (or
-    /// the global lane, which sweeps on every shard's behalf), poison
-    /// its outstanding qids (late answers are counted and dropped), and
-    /// re-seed the identical task — same ticket, so the crash is
-    /// invisible in the install order — with fresh qids. Lanes of other
-    /// groups never stop. A crash with nothing in flight for `s` only
-    /// counts the crash.
+    /// Crash shard `s`'s sweep worker: abort the lane whose mask holds
+    /// band `s`, poison its outstanding qids (late answers are counted
+    /// and dropped), and re-seed the identical task — same ticket, so
+    /// the crash is invisible in the install order — with fresh qids.
+    /// Every other lane keeps sweeping. A crash with nothing in flight
+    /// for `s` only counts the crash.
     pub fn crash_shard(
         &mut self,
         s: usize,
@@ -748,18 +759,12 @@ impl MaintenanceScheduler {
         }
         self.stats.shard_crashes += 1;
         self.core.obs.add("shard.crashes", 1);
-        let root = self.root(s);
-        let Some(lane) = self
-            .lanes
-            .remove(&root)
-            .or_else(|| self.lanes.remove(&GLOBAL))
-        else {
+        let holds_s = |l: &Lane| l.task.mask >> s & 1 == 1;
+        let Some(pos) = self.lanes.iter().position(holds_s) else {
             return Ok(());
         };
-        for qid in lane.run.in_flight() {
-            self.qid_routes.remove(&qid);
-            self.dead_qids.insert(qid);
-        }
+        let lane = self.lanes.swap_remove(pos);
+        self.dead_qids.extend(lane.run.in_flight());
         self.stats.sweeps_reseeded += 1;
         self.core.obs.add("shard.sweeps_reseeded", 1);
         self.core.end_sweep(&lane.ctx, net.now());
@@ -813,16 +818,15 @@ impl MaintenanceScheduler {
 
     // ---- shard groups ---------------------------------------------------
 
-    /// Root (lowest band) of the group shard band `s` belongs to.
-    fn root(&self, s: usize) -> usize {
-        self.groups[s].trailing_zeros() as usize
+    /// The union of the current groups of every band set in `bands`.
+    fn groups_of(&self, bands: u64) -> u64 {
+        band_indices(bands).fold(0, |m, b| m | self.groups[b])
     }
 
     /// Merge the groups of every band set in `mask` into one.
     fn union_mask(&mut self, mask: u64) {
-        let bands = |m: u64| (0..u64::BITS as usize).filter(move |&b| m >> b & 1 == 1);
-        let merged = bands(mask).fold(mask, |m, b| m | self.groups[b]);
-        for b in bands(merged) {
+        let merged = self.groups_of(mask);
+        for b in band_indices(merged) {
             self.groups[b] = merged;
         }
     }
@@ -830,38 +834,31 @@ impl MaintenanceScheduler {
     // ---- scheduling -----------------------------------------------------
 
     /// Walk the queue in arrival order and decide what may start now.
-    /// Rules (the correctness core — see module docs):
+    /// One rule (the correctness core — see module docs): an update's
+    /// mask is the union of the *current* groups of every band its delta
+    /// touches, and it may start iff that mask is disjoint from
+    /// everything `claimed` so far — the in-flight lanes, the formed
+    /// tasks, and every *earlier* queued update, started or not. An
+    /// update left waiting still claims its mask, so nothing it overlaps
+    /// overtakes it: it stays queued, and the lane it waits for
+    /// compensates for it.
     ///
-    /// * while the global lane runs, nothing starts;
-    /// * a pure update may start iff its group has no lane in flight and
-    ///   none was launched earlier in this same scan (first-per-group
-    ///   keeps same-group FIFO); a claimed group's update stays queued —
-    ///   the in-flight lane compensates for it;
-    /// * an escalating update is a **fence**: it may start only from the
-    ///   effective queue head with nothing in flight (its global sweep
-    ///   compensates against the whole queue, so every prior update must
-    ///   still *be* in the queue), and nothing behind it may start
-    ///   before it does;
-    /// * the walk stops once every group is claimed — with one group,
-    ///   at once while its lane is busy, so a deep backlog costs a kick
-    ///   nothing.
+    /// The walk stops once every band is claimed — with one group, at
+    /// once while its lane is busy, so a deep backlog costs a kick
+    /// nothing.
     ///
     /// Decisions are collected first and executed after (the scan must
-    /// not mutate the queue it walks): per update, the lane key to form
-    /// its task(s) for, or `None` when no registered view references its
+    /// not mutate the queue it walks): per update, the mask to form its
+    /// task(s) with, or `None` when no registered view references its
     /// source and it is simply dropped.
-    fn plan_scan(&self) -> Vec<(UpdateId, Option<usize>)> {
+    fn plan_scan(&self) -> Vec<(UpdateId, Option<u64>)> {
+        let in_flight = self.lanes.iter().map(|l| l.task.mask);
+        let formed = self.pending_tasks.iter().map(|t| t.mask);
+        let mut claimed = in_flight.chain(formed).fold(0, |m, mask| m | mask);
+        let every_band = self.map.as_ref().map_or(1, ShardMap::full_mask);
         let mut actions = Vec::new();
-        if self.lanes.contains_key(&GLOBAL) {
-            return actions;
-        }
-        let groups = (0..self.groups.len())
-            .filter(|&b| self.root(b) == b)
-            .count();
-        let mut launched: HashSet<usize> = HashSet::new();
-        let mut blocked_earlier = false;
         for pu in self.core.queue.iter() {
-            if self.lanes.len() + launched.len() == groups {
+            if claimed == every_band {
                 break;
             }
             let id = pu.update.id;
@@ -869,41 +866,30 @@ impl MaintenanceScheduler {
                 actions.push((id, None));
                 continue;
             }
-            let shard = match self.arrivals.get(&id).map(|a| &a.class) {
-                Some(DeltaClass::Escalate { .. }) => {
-                    if self.lanes.is_empty() && launched.is_empty() && !blocked_earlier {
-                        actions.push((id, Some(GLOBAL)));
-                    }
-                    break; // fence: nothing behind an escalating update starts
-                }
-                Some(DeltaClass::Pure(s)) => *s,
-                // An empty delta is vacuously pure; route it through
-                // shard 0's lane so it still consumes its ticket. Naive
-                // mode (one group by construction) keeps no arrivals.
-                Some(DeltaClass::Empty) | None => 0,
-            };
-            let key = self.root(shard);
-            if self.lanes.contains_key(&key) || launched.contains(&key) {
-                blocked_earlier = true;
-                continue; // stays queued; the lane compensates
+            // An empty delta is vacuously pure; it rides band 0 so it
+            // still consumes its ticket. Naive mode (one group by
+            // construction) keeps no arrivals.
+            let bands = self.arrivals.get(&id).map_or(0, |a| a.bands);
+            let mask = self.groups_of(bands.max(1));
+            if mask & claimed == 0 {
+                actions.push((id, Some(mask)));
             }
-            launched.insert(key);
-            actions.push((id, Some(key)));
+            claimed |= mask;
         }
         actions
     }
 
-    /// Start everything the rules allow, then release sequenced
+    /// Start everything the rule allows, then release sequenced
     /// installs. Loops because an inline-completing lane (single-relation
-    /// span) frees its group for the next formed task or queued update
+    /// span) frees its bands for the next formed task or queued update
     /// immediately.
     fn pump(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), MvError> {
         loop {
             // Formed tasks first, in formation order, each as soon as its
-            // lane is free: naive mode's per-view tasks run back to back,
-            // recovery's durably-pending tasks re-seed.
+            // bands are free: naive mode's per-view tasks run back to
+            // back, recovery's durably-pending tasks re-seed.
             while let Some(task) = self.pending_tasks.pop_front() {
-                if self.lanes.contains_key(&task.key) {
+                if self.lanes.iter().any(|l| l.task.mask & task.mask != 0) {
                     self.pending_tasks.push_front(task);
                     break;
                 }
@@ -913,8 +899,8 @@ impl MaintenanceScheduler {
             if actions.is_empty() {
                 break;
             }
-            for (id, key) in actions {
-                self.form(id, key)?;
+            for (id, mask) in actions {
+                self.form(id, mask)?;
             }
         }
         self.drain_installs(net)
@@ -928,12 +914,12 @@ impl MaintenanceScheduler {
 
     /// Take update `id` out of the queue — *before* any hop answer can
     /// compensate, a sweep must never subtract its own delta — and form
-    /// its task(s) for lane `key`: one shared sweep over the union of
+    /// its task(s) claiming `mask`: one shared sweep over the union of
     /// the affected spans (folding up to `batch − 1` further queued
     /// same-source updates in), or one single-view sweep per affected
     /// view. `None`: no view references its source — drop it and release
     /// its sequencer slot empty.
-    fn form(&mut self, id: UpdateId, key: Option<usize>) -> Result<(), MvError> {
+    fn form(&mut self, id: UpdateId, mask: Option<u64>) -> Result<(), MvError> {
         let Some(PendingUpdate { update, arrived_at }) = self.core.queue.take_id(id) else {
             let what = "planned update left the queue before launch";
             return Err(MvError::Internal { what });
@@ -943,14 +929,14 @@ impl MaintenanceScheduler {
             SchedulerMode::Shared => Some(self.claim(id)?),
             SchedulerMode::Naive => None,
         };
-        let Some(key) = key else {
+        let Some(mask) = mask else {
             if let Some(arrival) = arrival {
                 self.sequencer.complete(arrival.ticket, None);
             }
             self.stats.skipped += 1;
             return Ok(());
         };
-        if key == GLOBAL {
+        if arrival.as_ref().is_some_and(|a| a.bands.count_ones() > 1) {
             self.stats.escalations += 1;
             self.core.obs.add("shard.escalations", 1);
         } else {
@@ -959,8 +945,8 @@ impl MaintenanceScheduler {
         let j = id.source;
         let mut task = SweepTask {
             ticket: 0,
-            key,
-            escalate_masks: Vec::new(),
+            mask,
+            impure_masks: Vec::new(),
             consumed: vec![(id, arrived_at)],
             j,
             delta: update.delta,
@@ -968,7 +954,7 @@ impl MaintenanceScheduler {
             hi: j,
             views: self.registry.affected_by(j),
         };
-        let Some(Arrival { ticket, class }) = arrival else {
+        let Some(arrival) = arrival else {
             for &v in &task.views {
                 let (lo, hi) = self.registry.span(v)?;
                 let (ticket, views) = (self.sequencer.issue(), vec![v]);
@@ -983,14 +969,12 @@ impl MaintenanceScheduler {
             }
             return Ok(());
         };
-        task.ticket = ticket;
+        task.ticket = arrival.ticket;
+        task.impure_masks = arrival.impure_masks;
         for &v in &task.views {
             let (lo, hi) = self.registry.span(v)?;
             task.lo = task.lo.min(lo);
             task.hi = task.hi.max(hi);
-        }
-        if let DeltaClass::Escalate { impure_masks } = class {
-            task.escalate_masks = impure_masks;
         }
         let extra = self.opts.batch_width() - 1;
         if extra > 0 {
@@ -1018,7 +1002,7 @@ impl MaintenanceScheduler {
     /// queries under the lane's context. Also the crash-reseed path. A
     /// task that needs no queries (single-relation span) finishes inline.
     fn begin(&mut self, net: &mut dyn NetHandle<Message>, task: SweepTask) -> Result<(), MvError> {
-        let (j, key) = (task.j, task.key);
+        let j = task.j;
         let mut ctx = self.core.begin_sweep(net.now());
         if self.opts.pushdown {
             ctx.push_preds = self.derive_push_preds(&task)?;
@@ -1045,7 +1029,7 @@ impl MaintenanceScheduler {
             )?;
         }
         let sent = run.advance(&mut self.core, &ctx, net);
-        self.route(key, sent);
+        self.journal_sent(sent);
         let lane = Lane {
             task,
             ctx,
@@ -1055,16 +1039,14 @@ impl MaintenanceScheduler {
         if lane.run.is_done() {
             return self.finish(net, lane);
         }
-        self.lanes.insert(key, lane);
+        self.lanes.push(lane);
         self.stats.max_concurrent_lanes = self.stats.max_concurrent_lanes.max(self.lanes.len());
         Ok(())
     }
 
-    /// Route the answers to a lane's freshly sent queries, and journal
-    /// the qids.
-    fn route(&mut self, key: usize, sent: std::ops::Range<u64>) {
+    /// Journal a lane's freshly sent qids.
+    fn journal_sent(&mut self, sent: std::ops::Range<u64>) {
         for qid in sent {
-            self.qid_routes.insert(qid, key);
             self.wal(|| MvWalRecord::QuerySent { qid });
         }
     }
@@ -1095,9 +1077,9 @@ impl MaintenanceScheduler {
             let delta = finalize_for_view(&self.registry.runtime(v)?.local, &merged)?;
             deltas.push((v.index(), delta));
         }
-        // An escalated delta's impure tuples are residents now: their
-        // bands share rows and must sweep as one group from here on.
-        for mask in &task.escalate_masks {
+        // The delta's impure tuples are residents now: their bands share
+        // rows and must sweep as one group from here on.
+        for mask in &task.impure_masks {
             self.union_mask(*mask);
         }
         // One atomic commit record carrying every per-view delta: replay
@@ -1114,7 +1096,7 @@ impl MaintenanceScheduler {
         }
         self.core.record_batch(install.consumed.len());
         self.core.end_sweep(&ctx, now);
-        self.stats.completions.push((task.key, now));
+        self.stats.completions.push((task.mask, now));
         self.sequencer.complete(task.ticket, Some(install));
         self.drain_installs(net)
     }
@@ -1217,11 +1199,15 @@ impl SweepPolicy for MaintenanceScheduler {
         // (Naive mode tickets per task, at formation.)
         if self.mode == SchedulerMode::Shared {
             let ticket = self.sequencer.issue();
-            let class = match &self.map {
-                Some(map) => map.classify_delta(&u.delta),
-                None => DeltaClass::Pure(0),
+            let map = self.map.as_ref();
+            let (bands, impure_masks) =
+                map.map_or_else(Default::default, |m| m.delta_bands(&u.delta));
+            let arrival = Arrival {
+                ticket,
+                bands,
+                impure_masks,
             };
-            self.arrivals.insert(u.id, Arrival { ticket, class });
+            self.arrivals.insert(u.id, arrival);
         }
         self.registry.note_delivery(u.id, at)
     }
@@ -1250,13 +1236,10 @@ impl SweepPolicy for MaintenanceScheduler {
             self.core.obs.add("mv.recovery.stale_answers_dropped", 1);
             return Ok(());
         }
-        let Some(key) = self.qid_routes.remove(&qid) else {
+        let Some(pos) = self.lanes.iter().position(|l| l.run.waiting_on(qid)) else {
             return Err(WarehouseError::UnknownQuery { qid }.into());
         };
-        let Some(mut lane) = self.lanes.remove(&key) else {
-            let what = "routed qid has no lane";
-            return Err(MvError::Internal { what });
-        };
+        let mut lane = self.lanes.swap_remove(pos);
         let mut hop = lane.run.absorb(&mut self.core, qid, partial, net.now())?;
         // Full-queue compensation: foreign-group queued deltas join the
         // scoped TempView to nothing, same-group ones subtract exactly.
@@ -1269,14 +1252,19 @@ impl SweepPolicy for MaintenanceScheduler {
         let (views, snaps) = (&lane.task.views, &mut lane.snaps);
         snapshot(&self.registry, views, snaps, hop.j, hop.side, hop.dv)?;
         let sent = lane.run.advance(&mut self.core, &lane.ctx, net);
-        self.route(key, sent);
+        self.journal_sent(sent);
         if lane.run.is_done() {
             self.finish(net, lane)?;
             return self.pump(net);
         }
-        self.lanes.insert(key, lane);
+        self.lanes.push(lane);
         Ok(())
     }
+}
+
+/// The indices of the bands set in `mask`.
+fn band_indices(mask: u64) -> impl Iterator<Item = usize> {
+    (0..u64::BITS as usize).filter(move |&b| mask >> b & 1 == 1)
 }
 
 /// Record `partial` for every task view whose span endpoint on `side` is
@@ -1532,6 +1520,21 @@ mod tests {
         }
     }
 
+    /// A bare task for an `R2` delta: no ticket, nothing consumed.
+    fn r2_task(mask: u64, delta: Bag, lo: usize, hi: usize, views: Vec<ViewId>) -> SweepTask {
+        SweepTask {
+            ticket: 0,
+            mask,
+            impure_masks: Vec::new(),
+            consumed: Vec::new(),
+            j: 1,
+            delta,
+            lo,
+            hi,
+            views,
+        }
+    }
+
     /// Per-install consumed-update sets of view `id`, in install order.
     fn consumed_log(sched: &MaintenanceScheduler, id: ViewId) -> Vec<Vec<UpdateId>> {
         let log = sched.views().install_log(id).unwrap();
@@ -1756,17 +1759,7 @@ mod tests {
         let ids: Vec<ViewId> = [&left_pair, &mid]
             .map(|spec| register(&mut sched, spec, &initial3()))
             .to_vec();
-        let task_over = |lo, hi, views| SweepTask {
-            ticket: 0,
-            key: 0,
-            escalate_masks: Vec::new(),
-            consumed: Vec::new(),
-            j: 1,
-            delta: Bag::new(),
-            lo,
-            hi,
-            views,
-        };
+        let task_over = |lo, hi, views| r2_task(1, Bag::new(), lo, hi, views);
         let task = task_over(0, 2, ids.clone());
         let preds = sched.derive_push_preds(&task).unwrap();
         // R1: only left-pair's span contains it and it has no σ there —
@@ -2066,9 +2059,7 @@ mod tests {
         };
         assert!(matches!(
             MaintenanceScheduler::with_shards(base, mode, batched, Some(ShardMap::hash(2))),
-            Err(MvError::Warehouse(
-                dw_warehouse::WarehouseError::Config { .. }
-            ))
+            Err(MvError::Warehouse(WarehouseError::Config { .. }))
         ));
         // No `.join` names the pair: the hop is a cross product, which
         // joins across bands — flat it is fine, sharded it is refused.
@@ -2081,9 +2072,7 @@ mod tests {
         assert!(MaintenanceScheduler::with_shards(cross.clone(), mode, opts(), None).is_ok());
         assert!(matches!(
             MaintenanceScheduler::with_shards(cross, mode, opts(), Some(ShardMap::range(10, 2))),
-            Err(MvError::Warehouse(
-                dw_warehouse::WarehouseError::Config { .. }
-            ))
+            Err(MvError::Warehouse(WarehouseError::Config { .. }))
         ));
     }
 
@@ -2118,10 +2107,11 @@ mod tests {
     #[test]
     fn escalation_fence_holds_back_later_pure_updates() {
         let specs = vec![ViewSpec::full("full", 3)];
-        // A pure update in flight, then an escalating one, then another
-        // pure one in a *free* shard: the fence must hold the third back
-        // until the global sweep has run, and everything still installs
-        // in arrival order.
+        // A pure update in flight, then one straddling both bands, then a
+        // pure one in the still-free band 1. The third overlaps the
+        // second's mask {0, 1}, and the second is earlier and still
+        // queued, so the mask rule serialises all three — one lane at a
+        // time, installs in arrival order.
         let txns = vec![
             (100u64, 1usize, Bag::from_tuples([tup![3, 5]])),
             (150, 1, Bag::from_tuples([tup![3, 103]])),
@@ -2136,7 +2126,6 @@ mod tests {
         );
         assert_ground_truth(sched.views(), &specs, &shadows);
         assert_eq!(sched.stats().escalations, 1);
-        // The fence forbids overlap here: one lane at a time throughout.
         assert_eq!(sched.stats().max_concurrent_lanes, 1);
         let id = sched.views().ids()[0];
         let consumed: Vec<u64> = sched
@@ -2147,5 +2136,152 @@ mod tests {
             .flat_map(|rec| rec.consumed.iter().map(|u| u.seq))
             .collect();
         assert_eq!(consumed, vec![0, 1, 2]);
+    }
+
+    /// `banded_initial` plus a third band (values 200..) for
+    /// `ShardMap::range(100, 3)`.
+    fn banded_initial3() -> Vec<Bag> {
+        let mut initial = banded_initial();
+        for (bag, t) in initial
+            .iter_mut()
+            .zip([tup![201, 203], tup![203, 205], tup![205, 209]])
+        {
+            bag.merge(&Bag::from_tuples([t]));
+        }
+        initial
+    }
+
+    #[test]
+    fn a_straddling_update_sweeps_beside_the_bands_it_does_not_touch() {
+        let specs = vec![ViewSpec::full("full", 3)];
+        // Band 2 in flight; then an update straddling {0, 1} — disjoint
+        // from band 2, so it starts at once; then a band-2 update (waits
+        // for its own band's lane) and a band-0 one (waits for the
+        // straddler, which holds band 0).
+        let txns = vec![
+            (100u64, 1usize, Bag::from_tuples([tup![203, 207]])),
+            (150, 1, Bag::from_tuples([tup![3, 103]])),
+            (200, 1, Bag::from_tuples([tup![205, 205]])),
+            (250, 1, Bag::from_tuples([tup![3, 7]])),
+        ];
+        let map = ShardMap::range(100, 3);
+        let (sched, shadows) = run_sharded(map, banded_initial3(), &specs, &txns, &[]);
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        let stats = sched.stats();
+        assert_eq!((stats.escalations, stats.shard_local), (1, 3));
+        assert!(stats.max_concurrent_lanes >= 2, "the straddler ran alone");
+        // The straddler's impure tuple merged bands 0 and 1, so the
+        // band-0 update ran under the same mask — and only after the
+        // straddler finished: a full query round trip later, not beside it.
+        assert_eq!(sched.group_mask_of(0), 0b011);
+        let of_01: Vec<Time> = (stats.completions.iter())
+            .filter(|&&(mask, _)| mask == 0b011)
+            .map(|&(_, at)| at)
+            .collect();
+        assert_eq!(of_01.len(), 2);
+        assert!(of_01[1] >= of_01[0] + 2_000, "{of_01:?}");
+        let id = sched.views().ids()[0];
+        let seqs =
+            |log: Vec<Vec<UpdateId>>| -> Vec<u64> { log.iter().flatten().map(|u| u.seq).collect() };
+        assert_eq!(seqs(consumed_log(&sched, id)), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn crashing_one_band_of_a_multi_band_lane_reseeds_that_lane() {
+        let specs = vec![ViewSpec::full("full", 3)];
+        // The only lane in flight holds bands {0, 1}; band 1's worker
+        // dies at the first answer. Band 2's (idle) crash aborts nothing.
+        let txns = vec![(100u64, 1usize, Bag::from_tuples([tup![3, 103]]))];
+        let map = ShardMap::range(100, 3);
+        let (sched, shadows) = run_sharded(map, banded_initial3(), &specs, &txns, &[2, 1]);
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        let stats = sched.stats();
+        assert_eq!((stats.shard_crashes, stats.sweeps_reseeded), (2, 1));
+        assert!(stats.stale_answers_dropped >= 1);
+        assert_eq!(stats.completions.len(), 1);
+        assert_eq!(stats.completions[0].0, 0b011);
+    }
+
+    /// The mask rule itself, on 1 200 seeded scheduler states — random
+    /// group partitions, lanes in flight, queued deltas touching zero to
+    /// three bands: what one scan starts is pairwise disjoint and
+    /// disjoint from every lane; nothing started overlaps an *earlier*
+    /// queued update; and everything left waiting overlaps a lane or an
+    /// earlier queued update (the scan is maximal).
+    #[test]
+    fn one_scan_starts_a_maximal_disjoint_set_that_overtakes_nothing_it_overlaps() {
+        let mut rng = dw_rng::Rng64::new(0x1a9e);
+        let mut net: Network<Message> = Network::new(1);
+        let (mut started_total, mut waiting_total) = (0, 0);
+        for case in 0..1_200 {
+            let s = 2 + rng.usize_below(11);
+            let mut sched = sharded(ShardMap::range(10, s));
+            sched
+                .register(&ViewSpec::full("full", 3), Bag::new())
+                .unwrap();
+            for _ in 0..rng.usize_below(s / 2 + 1) {
+                sched.union_mask(1 << rng.usize_below(s) | 1 << rng.usize_below(s));
+            }
+            // A delta over R2 touching exactly `bands`.
+            let delta_over = |bands: &[usize]| {
+                let v = |b: usize| 10 * b as i64;
+                let pairs = bands.iter().zip(bands.iter().cycle().skip(1));
+                Bag::from_tuples(pairs.map(|(&a, &b)| tup![v(a), v(b)]))
+            };
+            let mut in_flight = 0u64;
+            for _ in 0..rng.usize_below(3) {
+                let band = rng.usize_below(s);
+                let mask = sched.groups_of(1 << band);
+                if mask & in_flight == 0 {
+                    in_flight |= mask;
+                    let views = sched.views().ids();
+                    let task = r2_task(mask, delta_over(&[band]), 0, 2, views);
+                    sched.begin(&mut net, task).unwrap();
+                }
+            }
+            let mut queued = Vec::new();
+            for seq in 0..rng.usize_below(9) as u64 {
+                let touched: Vec<usize> = (0..rng.usize_below(4))
+                    .map(|_| rng.usize_below(s))
+                    .collect();
+                let update = SourceUpdate {
+                    id: UpdateId { source: 1, seq },
+                    delta: delta_over(&touched),
+                    global: None,
+                };
+                sched.note_update(&update, 0).unwrap();
+                sched.core.queue.push(update, 0);
+                // The oracle's mask: band 0 for an empty delta.
+                let home: &[usize] = if touched.is_empty() { &[0] } else { &touched };
+                queued.push(home.iter().fold(0, |m, &b| m | sched.group_mask_of(b)));
+            }
+
+            let actions = sched.plan_scan();
+            let started: Vec<usize> = actions.iter().map(|(id, _)| id.seq as usize).collect();
+            for (&i, (_, mask)) in started.iter().zip(&actions) {
+                assert_eq!(*mask, Some(queued[i]), "case {case}");
+                assert_eq!(
+                    queued[i] & in_flight,
+                    0,
+                    "case {case}: #{i} overlaps a lane"
+                );
+                for (e, earlier) in queued[..i].iter().enumerate() {
+                    assert_eq!(queued[i] & earlier, 0, "case {case}: #{i} overtook #{e}");
+                }
+            }
+            for (i, &mask) in queued.iter().enumerate() {
+                let earlier = queued[..i].iter().fold(in_flight, |m, e| m | e);
+                if !started.contains(&i) {
+                    assert_ne!(mask & earlier, 0, "case {case}: #{i} could have started");
+                }
+            }
+            started_total += started.len();
+            waiting_total += queued.len() - started.len();
+        }
+        // Both outcomes are well represented.
+        assert!(
+            started_total > 1_000 && waiting_total > 1_000,
+            "{started_total} {waiting_total}"
+        );
     }
 }

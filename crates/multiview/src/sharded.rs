@@ -31,7 +31,7 @@ impl std::ops::Deref for ShardedScheduler {
 }
 
 impl ShardedScheduler {
-    /// Shared mode, default options, one lane per shard group of `map`.
+    /// Shared mode, default options, lanes over the bands of `map`.
     pub fn new(base: ViewDef, map: ShardMap) -> Result<Self, MvError> {
         let (mode, opts) = (SchedulerMode::Shared, EngineOptions::default());
         MaintenanceScheduler::with_shards(base, mode, opts, Some(map)).map(Self)

@@ -91,11 +91,6 @@ impl TraceRecorder {
         self.hists.get(name)
     }
 
-    /// All histogram names, sorted (BTreeMap order).
-    pub fn histogram_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.hists.keys().copied()
-    }
-
     /// Render the whole trace as deterministic text: spans in start
     /// order (indented by depth), then counters, then histogram
     /// summaries, both in sorted name order.

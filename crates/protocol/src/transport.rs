@@ -173,7 +173,6 @@ pub struct Endpoint {
     cfg: TransportConfig,
     rng: Rng64,
     peers: HashMap<NodeId, PeerState>,
-    retransmits: u64,
     obs: dw_obs::Obs,
 }
 
@@ -185,7 +184,6 @@ impl Endpoint {
             cfg,
             rng: Rng64::new(seed),
             peers: HashMap::new(),
-            retransmits: 0,
             obs: dw_obs::Obs::off(),
         }
     }
@@ -381,7 +379,6 @@ impl Endpoint {
         let rto_next = state.rto_cur;
         self.obs.observe("transport.rto", rto_next);
         for (seq, msg) in frames {
-            self.retransmits += 1;
             self.obs.add("transport.retransmits", 1);
             net.send(
                 node,
@@ -452,7 +449,6 @@ impl Endpoint {
             .collect();
         net.send(node, from, Message::ResyncAck { recv_cum: my_cum });
         for (seq, msg) in frames {
-            self.retransmits += 1;
             net.send(
                 node,
                 from,
@@ -479,7 +475,6 @@ impl Endpoint {
             .map(|(&seq, msg)| (seq, msg.clone()))
             .collect();
         for (seq, msg) in frames {
-            self.retransmits += 1;
             net.send(
                 node,
                 from,
@@ -491,11 +486,6 @@ impl Endpoint {
             );
         }
         self.arm_retx(from, net);
-    }
-
-    /// Frames this endpoint has retransmitted (timer or resync driven).
-    pub fn retransmit_count(&self) -> u64 {
-        self.retransmits
     }
 
     /// Unacknowledged frames currently journaled for `peer`.

@@ -54,7 +54,7 @@ pub use key::KeySpec;
 pub use predicate::{CmpOp, Predicate};
 pub use relation::BaseRelation;
 pub use schema::Schema;
-pub use shard::{DeltaClass, ShardMap};
+pub use shard::ShardMap;
 pub use shared::{SharedBag, SharedMap};
 pub use sql::parse_view;
 pub use tuple::Tuple;

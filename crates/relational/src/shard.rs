@@ -46,25 +46,6 @@ pub enum ShardMap {
     },
 }
 
-/// How a delta bag relates to the shard space.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DeltaClass {
-    /// No tuples: the sweep is a no-op for sharding purposes.
-    Empty,
-    /// Every tuple is pure in this one shard — the update is
-    /// *shard-local* and may sweep concurrently with other shards.
-    Pure(usize),
-    /// The delta straddles shards and must escalate to a global sweep.
-    Escalate {
-        /// Band masks of the *individually impure* tuples (each with
-        /// more than one bit set). After the global sweep installs, the
-        /// scheduler unions each mask's shards into one group — pure
-        /// tuples of different shards need no union, only tuples that
-        /// themselves bridge bands do.
-        impure_masks: Vec<u64>,
-    },
-}
-
 fn mix(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29)
 }
@@ -130,38 +111,22 @@ impl ShardMap {
             .fold(0u64, |m, v| m | (1u64 << self.shard_of_value(v)))
     }
 
-    /// `Some(s)` when every attribute of `t` maps to shard `s`; `None`
-    /// when the tuple straddles shards (or has no attributes).
-    pub fn shard_of_tuple(&self, t: &Tuple) -> Option<usize> {
-        let m = self.tuple_bands(t);
-        (m.count_ones() == 1).then(|| m.trailing_zeros() as usize)
-    }
-
-    /// Classify a delta bag for the sharded scheduler: shard-local
-    /// ([`DeltaClass::Pure`]) when every tuple is pure in the same shard,
-    /// otherwise an escalation carrying the impure tuples' band masks.
-    pub fn classify_delta(&self, delta: &Bag) -> DeltaClass {
-        let mut pure: Option<usize> = None;
-        let mut impure_masks = Vec::new();
-        let mut multi_pure = false;
+    /// How a delta sits in the shard space: the bitmask of every band
+    /// its tuples touch (0 for an empty delta), and the band masks of its
+    /// *individually impure* tuples (each with more than one bit set).
+    /// Once such a tuple is resident, the scheduler unions its bands into
+    /// one group — pure tuples of different bands need no union, only
+    /// tuples that themselves bridge bands do.
+    pub fn delta_bands(&self, delta: &Bag) -> (u64, Vec<u64>) {
+        let (mut bands, mut impure) = (0, Vec::new());
         for (t, _) in delta.iter() {
             let m = self.tuple_bands(t);
-            if m.count_ones() == 1 {
-                let s = m.trailing_zeros() as usize;
-                match pure {
-                    None => pure = Some(s),
-                    Some(p) if p != s => multi_pure = true,
-                    Some(_) => {}
-                }
-            } else {
-                impure_masks.push(m);
+            bands |= m;
+            if m.count_ones() > 1 {
+                impure.push(m);
             }
         }
-        match (pure, impure_masks.is_empty(), multi_pure) {
-            (None, true, _) => DeltaClass::Empty,
-            (Some(s), true, false) => DeltaClass::Pure(s),
-            _ => DeltaClass::Escalate { impure_masks },
-        }
+        (bands, impure)
     }
 }
 
@@ -206,33 +171,23 @@ mod tests {
     #[test]
     fn purity_and_band_masks() {
         let m = ShardMap::range(10, 4);
-        assert_eq!(m.shard_of_tuple(&tup![1, 2, 3]), Some(0));
-        assert_eq!(m.shard_of_tuple(&tup![11, 12]), Some(1));
-        assert_eq!(m.shard_of_tuple(&tup![1, 12]), None);
+        assert_eq!(m.tuple_bands(&tup![1, 2, 3]), 0b1);
+        assert_eq!(m.tuple_bands(&tup![11, 12]), 0b10);
+        assert_eq!(m.tuple_bands(&tup![1, 12]), 0b11);
         assert_eq!(m.tuple_bands(&tup![1, 12, 35]), 0b1011);
     }
 
     #[test]
-    fn classify_delta_covers_the_three_regimes() {
+    fn delta_bands_unions_every_tuple_and_keeps_the_impure_masks() {
         let m = ShardMap::range(10, 4);
-        assert_eq!(m.classify_delta(&Bag::new()), DeltaClass::Empty);
-        assert_eq!(
-            m.classify_delta(&Bag::from_tuples([tup![1, 2], tup![3, 4]])),
-            DeltaClass::Pure(0)
-        );
-        // Pure tuples of two different shards escalate but union nothing.
-        assert_eq!(
-            m.classify_delta(&Bag::from_tuples([tup![1, 2], tup![13, 14]])),
-            DeltaClass::Escalate {
-                impure_masks: vec![]
-            }
-        );
+        assert_eq!(m.delta_bands(&Bag::new()), (0, vec![]));
+        let one_band = Bag::from_tuples([tup![1, 2], tup![3, 4]]);
+        assert_eq!(m.delta_bands(&one_band), (0b1, vec![]));
+        // Pure tuples of two different shards touch both but union nothing.
+        let two_pure = Bag::from_tuples([tup![1, 2], tup![13, 14]]);
+        assert_eq!(m.delta_bands(&two_pure), (0b11, vec![]));
         // An individually impure tuple carries its band mask out.
-        assert_eq!(
-            m.classify_delta(&Bag::from_tuples([tup![1, 12]])),
-            DeltaClass::Escalate {
-                impure_masks: vec![0b11]
-            }
-        );
+        let impure = Bag::from_tuples([tup![1, 12], tup![35, 36]]);
+        assert_eq!(m.delta_bands(&impure), (0b1011, vec![0b11]));
     }
 }

@@ -339,16 +339,6 @@ impl ReadFrontend {
         Ok(())
     }
 
-    /// The consumed-update ids of one retained epoch (provenance; equals
-    /// the corresponding install record's consumed set).
-    pub fn epoch_consumed(
-        &self,
-        view: usize,
-        epoch: u64,
-    ) -> Result<Vec<dw_protocol::UpdateId>, ServeError> {
-        Ok(self.lock().epoch(view, epoch)?.consumed.clone())
-    }
-
     /// Subscribe to `view`'s future installs (from its current latest
     /// epoch), with an unbounded queue. Returns the subscription id to
     /// [`poll`](Self::poll).

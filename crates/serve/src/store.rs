@@ -138,7 +138,6 @@ impl PointIndex {
 /// One frozen epoch of one view.
 pub(crate) struct EpochSnapshot {
     pub(crate) at: Time,
-    pub(crate) consumed: Vec<UpdateId>,
     pub(crate) bag: SharedBag,
     /// Lazily built / incrementally derived point indexes, per column.
     indexes: HashMap<usize, Arc<PointIndex>>,
@@ -321,7 +320,6 @@ impl SnapshotStore {
             0,
             EpochSnapshot {
                 at,
-                consumed: Vec::new(),
                 bag: initial,
                 indexes: HashMap::new(),
             },
@@ -691,7 +689,6 @@ impl InstallPublisher for SnapshotStore {
             epoch,
             EpochSnapshot {
                 at: event.at,
-                consumed: event.consumed.clone(),
                 bag,
                 indexes,
             },

@@ -20,11 +20,11 @@
 //! The [`PolicyMetrics::compensation_queries`] counter measures the
 //! blow-up directly.
 
-use crate::error::WarehouseError;
-use crate::install::InstallRecord;
-use crate::metrics::PolicyMetrics;
-use crate::policy::MaintenancePolicy;
-use crate::queue::PendingUpdate;
+use crate::InstallRecord;
+use crate::MaintenancePolicy;
+use crate::PendingUpdate;
+use crate::PolicyMetrics;
+use crate::WarehouseError;
 use dw_engine::{EngineCore, HopSpan, InstallSink, SpanLabels, SweepCtx};
 use dw_obs::Obs;
 use dw_protocol::{Message, UpdateId};

@@ -21,10 +21,10 @@
 //! unanswered-query set drains — ECA **requires quiescence** to advance the
 //! view (Table 1), in contrast to SWEEP.
 
-use crate::error::WarehouseError;
-use crate::install::InstallRecord;
-use crate::metrics::PolicyMetrics;
-use crate::policy::MaintenancePolicy;
+use crate::InstallRecord;
+use crate::MaintenancePolicy;
+use crate::PolicyMetrics;
+use crate::WarehouseError;
 use dw_engine::InstallSink;
 use dw_protocol::{source_node, EcaQuery, EcaSlot, EcaTerm, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{Bag, SharedBag, ViewDef};
@@ -61,11 +61,6 @@ impl Eca {
             collect: Bag::new(),
             collected: Vec::new(),
         })
-    }
-
-    /// Size of the unanswered-query set (observability).
-    pub fn uqs_len(&self) -> usize {
-        self.uqs.len()
     }
 
     fn base_term(&self, rel: usize, delta: &Bag) -> EcaTerm {

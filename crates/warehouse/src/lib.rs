@@ -28,19 +28,15 @@ pub mod sweep;
 mod testkit;
 
 // The mechanism layer (errors, install log, metrics, the policy trait, the
-// update queue, the materialized view) lives in `dw-engine`; re-export the
-// modules so `dw_warehouse::error::...`-style paths keep resolving.
-pub use dw_engine::{error, install, metrics, policy, queue, view};
+// update queue, the materialized view) lives in `dw-engine`.
+pub use dw_engine::{
+    InstallRecord, MaintenancePolicy, MaterializedView, PendingUpdate, PolicyMetrics, UpdateQueue,
+    WarehouseError,
+};
 
 pub use cstrobe::CStrobe;
 pub use eca::Eca;
-pub use error::WarehouseError;
-pub use install::InstallRecord;
-pub use metrics::PolicyMetrics;
 pub use nested_sweep::{NestedSweep, NestedSweepOptions};
-pub use policy::MaintenancePolicy;
-pub use queue::{PendingUpdate, UpdateQueue};
 pub use recompute::Recompute;
 pub use strobe::Strobe;
 pub use sweep::{Sweep, SweepOptions};
-pub use view::MaterializedView;

@@ -28,11 +28,11 @@
 //! [`dw_engine`]'s; this module keeps only the strategy: the stack of
 //! [`SweepRun`]s (one per `ViewChange` call) and the dovetailing decision.
 
-use crate::error::WarehouseError;
-use crate::install::InstallRecord;
-use crate::metrics::PolicyMetrics;
-use crate::policy::MaintenancePolicy;
-use crate::queue::PendingUpdate;
+use crate::InstallRecord;
+use crate::MaintenancePolicy;
+use crate::PendingUpdate;
+use crate::PolicyMetrics;
+use crate::WarehouseError;
 pub use dw_engine::NestedSweepOptions;
 use dw_engine::{dispatch, EngineCore, InstallSink, SpanLabels, SweepCtx, SweepPolicy, SweepRun};
 use dw_obs::Obs;

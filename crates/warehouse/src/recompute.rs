@@ -10,11 +10,11 @@
 //! source state — only the final state after quiescence is guaranteed
 //! (convergence), which the consistency checker classifies accordingly.
 
-use crate::error::WarehouseError;
-use crate::install::InstallRecord;
-use crate::metrics::PolicyMetrics;
-use crate::policy::MaintenancePolicy;
-use crate::view::MaterializedView;
+use crate::InstallRecord;
+use crate::MaintenancePolicy;
+use crate::MaterializedView;
+use crate::PolicyMetrics;
+use crate::WarehouseError;
 use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{eval_view, Bag, SharedBag, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};

@@ -18,11 +18,11 @@
 //! provides strong consistency: every install lands exactly on the
 //! ground-truth state of a delivery prefix.
 
-use crate::error::WarehouseError;
-use crate::install::InstallRecord;
-use crate::metrics::PolicyMetrics;
-use crate::policy::MaintenancePolicy;
-use crate::queue::PendingUpdate;
+use crate::InstallRecord;
+use crate::MaintenancePolicy;
+use crate::PendingUpdate;
+use crate::PolicyMetrics;
+use crate::WarehouseError;
 use dw_engine::{dispatch, EngineCore, InstallSink, SpanLabels, SweepCtx, SweepPolicy, SweepRun};
 use dw_obs::Obs;
 use dw_protocol::{Message, UpdateId};

@@ -44,11 +44,11 @@
 //! global-transaction hold, driving [`SweepRun`]s over one [`EngineCore`]
 //! through the [`SweepPolicy`] hook.
 
-use crate::error::WarehouseError;
-use crate::install::InstallRecord;
-use crate::metrics::PolicyMetrics;
-use crate::policy::MaintenancePolicy;
-use crate::queue::PendingUpdate;
+use crate::InstallRecord;
+use crate::MaintenancePolicy;
+use crate::PendingUpdate;
+use crate::PolicyMetrics;
+use crate::WarehouseError;
 pub use dw_engine::SweepOptions;
 use dw_engine::{
     dispatch, EngineCore, InstallSequencer, InstallSink, SequencedInstall, SpanLabels, SweepCtx,

@@ -48,8 +48,8 @@ pub struct ShardedConfig {
     /// Probability an update is a deletion of a live tuple (valid by
     /// construction — it removes something currently present).
     pub delete_ratio: f64,
-    /// Fraction of updates whose delta straddles two bands (escalates to
-    /// a global sweep).
+    /// Fraction of updates whose delta straddles two bands (its lane
+    /// claims both).
     pub cross_shard_frac: f64,
     /// How many views to register (full-span, SWEEP cadence).
     pub n_views: usize,
@@ -199,7 +199,6 @@ impl ShardedConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_relational::DeltaClass;
 
     #[test]
     fn shard_local_scenarios_are_fully_pure() {
@@ -215,15 +214,16 @@ mod tests {
         assert_eq!(g.map.shards(), 4);
         for bag in &g.scenario.initial {
             for (t, _) in bag.iter() {
-                assert!(g.map.shard_of_tuple(t).is_some(), "impure initial tuple");
+                let bands = g.map.tuple_bands(t);
+                assert_eq!(bands.count_ones(), 1, "impure initial tuple");
             }
         }
         let mut seen = vec![0usize; 4];
         for txn in &g.scenario.txns {
-            match g.map.classify_delta(&txn.delta) {
-                DeltaClass::Pure(s) => seen[s] += 1,
-                other => panic!("local workload produced {other:?}"),
-            }
+            let (bands, impure) = g.map.delta_bands(&txn.delta);
+            assert_eq!(bands.count_ones(), 1, "local workload touched {bands:#b}");
+            assert!(impure.is_empty());
+            seen[bands.trailing_zeros() as usize] += 1;
         }
         // Round-robin homes: every shard carries load.
         assert!(seen.iter().all(|&c| c >= 40 / 4 - 1), "{seen:?}");
@@ -244,7 +244,7 @@ mod tests {
             .scenario
             .txns
             .iter()
-            .filter(|t| matches!(g.map.classify_delta(&t.delta), DeltaClass::Escalate { .. }))
+            .filter(|t| g.map.delta_bands(&t.delta).0.count_ones() > 1)
             .count();
         assert!((6..=30).contains(&impure), "impure={impure}");
     }

@@ -155,7 +155,6 @@ fn run_one(o: &Opts) -> Result<RunReport, String> {
         .latency(latency(o))
         .seed(o.seed)
         .check_consistency(o.check)
-        .record_snapshots(o.check)
         .run()
         .map_err(|e| e.to_string())
 }

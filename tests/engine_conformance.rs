@@ -181,25 +181,29 @@ fn pushdown_conforms_to_unpushed_engine() {
     }
 }
 
-/// Sharded vs unsharded: S concurrent per-shard sweep lanes behind one
-/// install sequencer must be *invisible downstream* — on 128 seeded
-/// banded schedules (shard counts 2 and 4, dense bursts that overlap
-/// lanes, half the seeds mixing in cross-shard escalations) the sharded
-/// engine must produce, per view, the identical final bag, the identical
-/// install sequence, and the identical query/answer message count as the
-/// unsharded shared-sweep engine on the same scenario. Every view runs
-/// the SWEEP cadence, so the fingerprint is a pure function of arrival
-/// order and the comparison is exact even under bursts.
+/// Sharded vs unsharded: concurrent sweep lanes behind one install
+/// sequencer must be *invisible downstream* — on 128 seeded banded
+/// schedules (shard counts 2, 3 and 4, dense bursts that overlap lanes,
+/// half the seeds mixing in cross-shard updates whose lanes claim
+/// several bands) the sharded engine must produce, per view, the
+/// identical final bag, the identical install sequence, and the
+/// identical query/answer message count as the unsharded shared-sweep
+/// engine on the same scenario. Every view runs the SWEEP cadence, so
+/// the fingerprint is a pure function of arrival order and the
+/// comparison is exact even under bursts.
 #[test]
 fn sharded_conforms_to_unsharded_engine() {
     const MV_SEEDS: u64 = 128;
+    // Runs in which a lane holding several bands was in flight together
+    // with a disjoint lane.
+    let mut straddler_overlapped = 0;
     for k in 0..MV_SEEDS {
         let generated = ShardedConfig {
             n_sources: 3,
-            shards: if k % 2 == 0 { 2 } else { 4 },
+            shards: [2, 3, 4][(k % 3) as usize],
             updates: 8 + (k % 4) as usize,
             mean_gap: 300 + 100 * (k % 3),
-            cross_shard_frac: if k % 4 == 3 { 0.3 } else { 0.0 },
+            cross_shard_frac: if k % 2 == 1 { 0.3 } else { 0.0 },
             seed: SEED_BASE + 0x3000 + k,
             ..Default::default()
         }
@@ -255,7 +259,23 @@ fn sharded_conforms_to_unsharded_engine() {
                 a.name
             );
         }
+        // A lane is in flight for at least one 2 ms query round trip, so
+        // two completions closer than that ran side by side.
+        let done = &sharded
+            .shard_stats
+            .as_ref()
+            .expect("sharded run")
+            .completions;
+        let beside = |&(mask, at): &(u64, Time)| {
+            let near = |&(other, t): &(u64, Time)| other != mask && t.abs_diff(at) < 2_000;
+            mask.count_ones() > 1 && done.iter().any(near)
+        };
+        straddler_overlapped += usize::from(done.iter().any(beside));
     }
+    assert!(
+        straddler_overlapped >= 16,
+        "a multi-band lane ran beside a disjoint lane in only {straddler_overlapped} runs"
+    );
 }
 
 #[test]

@@ -177,8 +177,9 @@ fn one_shard_is_the_plain_scheduler() {
 
 /// The two sharded families of case `k`: the multi-view schedule under
 /// hash bands, which cut straight through its value domain — impure
-/// residents merge the groups and updates escalate, so this arm is the
-/// fence and the global lane — then a banded schedule of its own (every
+/// residents merge the groups and updates escalate, so this arm is
+/// lanes whose masks cover most of the warehouse — then a banded
+/// schedule of its own (every
 /// fourth with cross-shard updates mixed in), where the lanes genuinely
 /// overlap.
 fn sharded_arms(k: u64, shards: usize) -> [(MultiViewScenario, ShardMap); 2] {

@@ -185,6 +185,38 @@ fn stale_answers_are_fenced_by_the_qid_floor() {
     );
 }
 
+/// A plain crash loses no application state — its restart only resyncs
+/// the transport — so beside a state crash in the same plan it must not
+/// count as, or act like, a second recovery: one replay, and the
+/// fault-free outcome.
+#[test]
+fn a_plain_crash_beside_a_state_crash_recovers_once() {
+    for k in 0..cases(16) {
+        let scenario = sparse_scenario(0x200 + k);
+        // The plain window swallows the first update's first answer (a
+        // sweep is in flight at its restart); the state crash lands
+        // mid-sweep on the last update.
+        let first = scenario.txns[0].at;
+        let last = scenario.txns[scenario.txns.len() - 1].at;
+        let plan = FaultPlan::default()
+            .crash(0, first + 2_500, first + 3_500)
+            .state_crash(0, last + 2_500, last + 5_500);
+        let clean = run(&scenario, k, FaultPlan::default());
+        let crashed = run(&scenario, k, plan);
+        assert!(clean.quiescent && crashed.quiescent, "case {k}");
+        assert_eq!(crashed.recovery.recoveries, 1, "case {k}");
+        for (a, b) in clean.views.iter().zip(&crashed.views) {
+            assert_eq!(a.view, b.view, "case {k}: view '{}'", a.name);
+            assert_eq!(
+                install_fingerprint(&a.installs),
+                install_fingerprint(&b.installs),
+                "case {k}: view '{}' install fingerprints differ",
+                a.name
+            );
+        }
+    }
+}
+
 /// Durability without any crash must not change the run at all — same
 /// bags, same fingerprints, same wire traffic as the undurable engine —
 /// while actually checkpointing and journaling.

@@ -218,7 +218,6 @@ fn window_changes_when_never_what() {
                 .policy(PolicyKind::Sweep(with_window(window)))
                 .latency(latency.clone())
                 .seed(net_seed)
-                .check_consistency(false) // the referee here is Figure 4
                 .run()
                 .unwrap()
         };
