@@ -125,8 +125,9 @@ stage_readme_crates() {
 # or reaching into SnapshotStore directly; dw-serve itself never
 # deep-copies a bag, and the copy-on-write chunk machinery behind that
 # stays inside dw-relational's shared module. The same stage holds the
-# workspace to one hop walk (dw-engine's SweepRun), dw-core to one
-# experiment harness, and four crates to their panic budgets.
+# workspace to one hop walk (dw-engine's SweepRun) over one hop join
+# (dw-relational's kernel), dw-core to one experiment harness, and ten
+# crates to their panic budgets.
 # The non-test code of one Rust file: everything above `#[cfg(test)]`
 # (a file that opens with `#![cfg(test)]` has none), minus `//` comment
 # lines (so doc examples never count).
@@ -186,10 +187,25 @@ stage_engine_boundary() {
     ok=1
   fi
   hits=$(grep -rFn 'merge_pivot(' crates/*/src src tests examples |
-    grep -Ev "^[^:]+:[0-9]+:[[:space:]]*//" | grep -v "^crates/engine/src" || true)
+    grep -Ev "^[^:]+:[0-9]+:[[:space:]]*//" |
+    grep -v "^crates/engine/src\|^crates/relational/src" || true)
   if [[ -n "$hits" ]]; then
     echo "$hits"
-    echo "FAIL: legs are pivot-merged by dw-engine only — go through SweepRun::merge / into_partial" >&2
+    echo "FAIL: legs are pivot-merged by dw-engine only (over dw-relational's join kernel) — go through SweepRun::merge / into_partial" >&2
+    ok=1
+  fi
+  # One hop join, one signed bag: the hop geometry (which JoinCond pair
+  # sits where) has one owner in dw-relational, a source answers a query
+  # without copying its relation, and a delta is a Bag — no second name
+  # for it may come back.
+  hits=$({
+    grep -rn 'DeltaRelation' crates src examples tests
+    grep -rn 'join_cond(' crates/source/src
+    non_test_code crates/source/src/node.rs | grep -n '\.filter(' | sed 's|^|crates/source/src/node.rs: |'
+  } 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: deltas are signed Bags (no DeltaRelation); sources take join keys from JoinIndex::for_neighbor and hand the pushed σ to extend_hop (no join_cond( under crates/source/src, no .filter( copy of the relation in node.rs)" >&2
     ok=1
   fi
   # A sharded sweep is an ordinary sweep on the wire: the sources never
@@ -249,7 +265,9 @@ stage_engine_boundary() {
   # count drops.
   local pair dir budget count
   for pair in crates/multiview/src:6 crates/core/src:0 crates/warehouse/src:11 \
-    crates/engine/src:1; do
+    crates/engine/src:0 crates/relational/src:2 crates/serve/src:3 \
+    crates/protocol/src:2 crates/source/src:0 crates/livenet/src:0 \
+    crates/simnet/src:0; do
     dir=${pair%:*} budget=${pair#*:} count=0
     for f in "$dir"/*.rs; do
       count=$((count + $(non_test_code "$f" |

@@ -19,42 +19,6 @@ pub fn sweep_duration_seq(n: usize, latency_us: u64) -> u64 {
     (n as u64 - 1) * 2 * latency_us
 }
 
-/// Parallel-sweep duration for an update at position `i`: the two legs run
-/// concurrently, so the critical path is the longer leg.
-pub fn sweep_duration_par_at(n: usize, i: usize, latency_us: u64) -> u64 {
-    let left = i as u64;
-    let right = (n - 1 - i) as u64;
-    left.max(right) * 2 * latency_us
-}
-
-/// Expected parallel-sweep duration with the update source uniform over
-/// the chain.
-pub fn sweep_duration_par_mean(n: usize, latency_us: u64) -> f64 {
-    (0..n)
-        .map(|i| sweep_duration_par_at(n, i, latency_us) as f64)
-        .sum::<f64>()
-        / n as f64
-}
-
-/// Probability that at least one update from one *other* source interferes
-/// with the query sent to it: an interfering update must be applied at
-/// that source inside the query's round-trip window of length `2L`
-/// (Poisson arrivals, rate `λ` per source):
-/// `P = 1 − exp(−λ·2L)`.
-pub fn interference_prob(lambda_per_us: f64, latency_us: u64) -> f64 {
-    1.0 - (-lambda_per_us * 2.0 * latency_us as f64).exp()
-}
-
-/// Expected *local compensations per update* for SWEEP: one per queried
-/// source whose window catches at least one update — `(n−1)·P`.
-///
-/// This under-counts slightly at very high load (updates queued at the
-/// warehouse lengthen the effective window) — the experiment binary shows
-/// the regime where the simple model is tight.
-pub fn sweep_compensations_per_update(n: usize, lambda_per_us: f64, latency_us: u64) -> f64 {
-    (n as f64 - 1.0) * interference_prob(lambda_per_us, latency_us)
-}
-
 /// Offered load of the SWEEP server: updates arrive at aggregate rate
 /// `n·λ` and each occupies the (serial) warehouse for a full sweep.
 pub fn sweep_utilization(n: usize, lambda_per_us: f64, latency_us: u64) -> f64 {
@@ -135,21 +99,6 @@ mod tests {
     #[test]
     fn durations() {
         assert_eq!(sweep_duration_seq(4, 1_000), 6_000);
-        // Ends of the chain sweep one long leg; middle splits.
-        assert_eq!(sweep_duration_par_at(5, 0, 1_000), 8_000);
-        assert_eq!(sweep_duration_par_at(5, 2, 1_000), 4_000);
-        let mean = sweep_duration_par_mean(5, 1_000);
-        assert!(mean < sweep_duration_seq(5, 1_000) as f64);
-        assert!(mean >= 4_000.0);
-    }
-
-    #[test]
-    fn interference_limits() {
-        assert!(interference_prob(0.0, 1_000) < 1e-12);
-        assert!(interference_prob(1.0, 1_000_000) > 0.999_999);
-        let lo = interference_prob(1e-6, 1_000);
-        let hi = interference_prob(1e-4, 1_000);
-        assert!(lo < hi);
     }
 
     #[test]

@@ -71,26 +71,6 @@ impl LagSeries {
         }
         area / (self.horizon - self.points[0].0) as f64
     }
-
-    /// Fraction of the run during which the view was behind by at least
-    /// `threshold` updates — Strobe's "frozen" windows show up here.
-    pub fn fraction_behind(&self, threshold: i64) -> f64 {
-        if self.points.len() < 2 {
-            return 0.0;
-        }
-        let total = (self.horizon - self.points[0].0) as f64;
-        if total == 0.0 {
-            return 0.0;
-        }
-        let mut behind = 0.0;
-        for w in self.points.windows(2) {
-            let ((t0, l0), (t1, _)) = (w[0], w[1]);
-            if l0 >= threshold {
-                behind += (t1 - t0) as f64;
-            }
-        }
-        behind / total
-    }
 }
 
 #[cfg(test)]
@@ -127,11 +107,6 @@ mod tests {
         assert_eq!(s.max_lag(), 3);
         assert_eq!(s.final_lag(), 0);
         assert!(s.mean_lag() > 1.5, "mean lag {}", s.mean_lag());
-        // Behind by ≥1 from t=10 to t=100: 100% of the [10,100] span.
-        assert!(s.fraction_behind(1) > 0.99);
-        // Behind by ≥3 only from t=30: 70/90 of the span.
-        let f3 = s.fraction_behind(3);
-        assert!((0.7..0.85).contains(&f3), "{f3}");
     }
 
     #[test]
@@ -147,6 +122,5 @@ mod tests {
         let s = LagSeries::new(&[], &[]);
         assert_eq!(s.max_lag(), 0);
         assert_eq!(s.mean_lag(), 0.0);
-        assert_eq!(s.fraction_behind(1), 0.0);
     }
 }

@@ -166,8 +166,8 @@ impl Experiment {
     }
 
     /// Answer queries through incrementally maintained join indexes at the
-    /// sources instead of per-query hashing (requires selection-free
-    /// relations; behaviourally identical).
+    /// sources instead of per-query hashing (behaviourally identical,
+    /// local selections and pushed-down predicates included).
     pub fn indexed_sources(mut self, on: bool) -> Self {
         self.indexed_sources = on;
         self

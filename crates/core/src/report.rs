@@ -34,13 +34,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Maintenance messages: everything except the workload injections —
-    /// the updates flowing in plus all queries/answers. This matches the
-    /// paper's message accounting.
-    pub fn maintenance_messages(&self) -> u64 {
-        self.net.total().messages - self.net.label("txn").messages
-    }
-
     /// Query/answer round-trip messages only (excludes the update stream).
     pub fn query_messages(&self) -> u64 {
         [
@@ -108,14 +101,6 @@ impl RunReport {
     pub fn lag_series(&self) -> LagSeries {
         LagSeries::new(&self.delivery_log, &self.installs)
     }
-
-    /// Bytes carried by queries (ECA's quadratic-size experiment).
-    pub fn query_bytes(&self) -> u64 {
-        ["query", "eca_query", "dump_query"]
-            .iter()
-            .map(|l| self.net.label(l).bytes)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -146,9 +131,10 @@ mod tests {
         let r = run();
         // Updates + queries + answers == everything except injections.
         let updates = r.net.label("update").messages;
-        assert_eq!(r.maintenance_messages(), updates + r.query_messages());
+        let maintenance = r.net.total().messages - r.net.label("txn").messages;
+        assert_eq!(maintenance, updates + r.query_messages());
         assert_eq!(r.messages_per_update(), 4.0); // 2(n−1)
-        assert!(r.query_bytes() > 0);
+        assert!(r.net.label("query").bytes > 0);
     }
 
     #[test]
@@ -179,6 +165,6 @@ mod tests {
         .run()
         .unwrap();
         assert_eq!(r.messages_per_update(), 0.0);
-        assert_eq!(r.maintenance_messages(), 0);
+        assert_eq!(r.net.total().messages, r.net.label("txn").messages);
     }
 }

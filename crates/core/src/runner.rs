@@ -147,7 +147,7 @@ pub(crate) fn build_sources(
         let mut r = BaseRelation::new(view.schema(i).clone());
         r.apply_delta(bag)?;
         let mut src = if indexed {
-            DataSource::with_indexes(i, view.clone(), r)?
+            DataSource::with_indexes(i, view.clone(), r)
         } else {
             DataSource::new(i, view.clone(), r)
         };

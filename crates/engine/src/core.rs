@@ -32,10 +32,9 @@ use crate::view::MaterializedView;
 use dw_obs::{Obs, SpanId};
 use dw_protocol::{source_node, Message, SourceUpdate, SweepQuery, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{
-    extend_partial, Bag, JoinSide, PartialDelta, Predicate, SharedBag, Tuple, Value, ViewDef,
+    extend_partial, merge_pivot, Bag, JoinSide, PartialDelta, Predicate, SharedBag, ViewDef,
 };
 use dw_simnet::{Delivery, NetHandle, Time};
-use std::collections::HashMap;
 
 /// The span and counter names an adapter wants the engine to emit on its
 /// behalf, so each executor keeps its historical trace vocabulary
@@ -531,7 +530,8 @@ impl SweepRun {
     /// multiplicities, the right the support, so the product is the true
     /// count of the glued tuple.
     pub fn merge(&self, view: &ViewDef, left: &PartialDelta, right: &PartialDelta) -> PartialDelta {
-        merge_pivot(view, self.j, left, right)
+        debug_assert_eq!((left.hi, right.lo), (self.j, self.j));
+        merge_pivot(view, left, right)
     }
 
     /// The covered run's partial over `[lo, hi]`: the sequential
@@ -549,46 +549,6 @@ impl SweepRun {
 /// counts re-enter at merge time from the left leg).
 fn support(bag: &Bag) -> Bag {
     Bag::from_pairs(bag.iter().map(|(t, _)| (t.clone(), 1)))
-}
-
-/// Glue two leg partials on the pivot relation `R_j`'s columns: hash the
-/// right partial by its leading `w_j` columns, probe with the left
-/// partial's trailing `w_j` columns, output `left ++ right-tail` at the
-/// product of the counts. The left partial carries true multiplicities,
-/// the right the support — so the product is the true count of the glued
-/// tuple (§5.3's parallel-sweep merge, span-generalized).
-fn merge_pivot(
-    base: &ViewDef,
-    j: usize,
-    left: &PartialDelta,
-    right: &PartialDelta,
-) -> PartialDelta {
-    debug_assert_eq!(left.hi, j);
-    debug_assert_eq!(right.lo, j);
-    let w_j = base.schema(j).arity();
-    let left_width: usize = (left.lo..=left.hi).map(|k| base.schema(k).arity()).sum();
-    let shared_off = left_width - w_j;
-
-    let mut by_key: HashMap<Vec<Value>, Vec<(&Tuple, i64)>> = HashMap::new();
-    for (t, c) in right.bag.iter() {
-        let key: Vec<Value> = (0..w_j).map(|k| t.at(k).clone()).collect();
-        by_key.entry(key).or_default().push((t, c));
-    }
-    let mut out = Bag::new();
-    for (lt, lc) in left.bag.iter() {
-        let key: Vec<Value> = (0..w_j).map(|k| lt.at(shared_off + k).clone()).collect();
-        if let Some(matches) = by_key.get(&key) {
-            for &(rt, rc) in matches {
-                let tail = Tuple::new(rt.values()[w_j..].to_vec());
-                out.add(lt.concat(&tail), lc * rc);
-            }
-        }
-    }
-    PartialDelta {
-        lo: left.lo,
-        hi: right.hi,
-        bag: out,
-    }
 }
 
 /// The install side of the engine: the materialized view, its install
@@ -654,21 +614,27 @@ impl InstallSink {
         for &(_, delivered_at) in consumed {
             metrics.record_staleness(delivered_at, now);
         }
+        let ids: Vec<UpdateId> = consumed.iter().map(|&(id, _)| id).collect();
+        let event = self.publisher.as_ref().map(|p| {
+            let event = crate::InstallEvent {
+                view_index: self.view_index,
+                epoch: self.log.len() as u64 + 1,
+                at: now,
+                consumed: ids.clone(),
+                delta: std::sync::Arc::new(delta.clone()),
+            };
+            (p, event)
+        });
         self.log.push(InstallRecord {
             at: now,
-            consumed: consumed.iter().map(|&(id, _)| id).collect(),
+            consumed: ids,
             view_after: self.record_snapshots.then(|| self.view.bag().clone()),
         });
-        if let Some(p) = &self.publisher {
-            p.lock()
-                .expect("publisher lock")
-                .publish(crate::InstallEvent {
-                    view_index: self.view_index,
-                    epoch: self.log.len() as u64,
-                    at: now,
-                    consumed: consumed.iter().map(|&(id, _)| id).collect(),
-                    delta: std::sync::Arc::new(delta.clone()),
-                });
+        if let Some((p, event)) = event {
+            // A reader thread that panicked holding the store's lock must
+            // not take the warehouse thread down with it.
+            let mut publisher = p.lock().map_err(|_| WarehouseError::PublisherPoisoned)?;
+            publisher.publish(event);
         }
         Ok(())
     }
@@ -890,7 +856,7 @@ mod tests {
 
     #[test]
     fn pushed_predicate_rides_the_query_and_filters_compensation() {
-        use dw_relational::{CmpOp, Predicate};
+        use dw_relational::{CmpOp, Predicate, Value};
         let mut net: Network<Message> = Network::new(0);
         let mut core = EngineCore::new(chain3(), LABELS);
         // σ_{B >= 3} pushed for R1 (chain position 0).
@@ -952,29 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_pivot_glues_on_shared_columns() {
-        let base = chain3();
-        // Left covers [0,1] with true counts, right covers [1,2] with
-        // support counts; pivot at j=1 (R2's two columns are shared).
-        let left = PartialDelta {
-            lo: 0,
-            hi: 1,
-            bag: Bag::from_pairs([(tup![1, 3, 3, 5], 2)]),
-        };
-        let right = PartialDelta {
-            lo: 1,
-            hi: 2,
-            bag: Bag::from_pairs([(tup![3, 5, 5, 6], 1), (tup![3, 5, 5, 7], 1)]),
-        };
-        let merged = merge_pivot(&base, 1, &left, &right);
-        assert_eq!((merged.lo, merged.hi), (0, 2));
-        assert_eq!(
-            merged.bag,
-            Bag::from_pairs([(tup![1, 3, 3, 5, 5, 6], 2), (tup![1, 3, 3, 5, 5, 7], 2)])
-        );
-    }
-
-    #[test]
     fn support_flattens_counts() {
         let b = Bag::from_pairs([(tup![1], 4), (tup![2], 1)]);
         assert_eq!(support(&b), Bag::from_pairs([(tup![1], 1), (tup![2], 1)]));
@@ -999,5 +942,27 @@ mod tests {
         assert_eq!(sink.log().len(), 1);
         assert_eq!(sink.log()[0].consumed.len(), 2);
         assert_eq!(sink.bag(), &Bag::from_tuples([tup![1]]));
+    }
+
+    #[test]
+    fn a_poisoned_publisher_fails_the_install_typed() {
+        struct Deaf;
+        impl crate::InstallPublisher for Deaf {
+            fn note_delivery(&mut self, _: usize, _: UpdateId, _: Time) {}
+            fn publish(&mut self, _: crate::InstallEvent) {}
+        }
+        let publisher: crate::SharedInstallPublisher =
+            std::sync::Arc::new(std::sync::Mutex::new(Deaf));
+        let held = publisher.clone();
+        let reader = std::thread::spawn(move || {
+            let _guard = held.lock().unwrap();
+            panic!("reader dies holding the store's lock");
+        });
+        assert!(reader.join().is_err());
+        let mut sink = InstallSink::new(Bag::new()).unwrap();
+        sink.set_publisher(publisher);
+        let mut metrics = PolicyMetrics::default();
+        let res = sink.install(&mut metrics, &Bag::from_tuples([tup![1]]), &[], 5);
+        assert_eq!(res, Err(WarehouseError::PublisherPoisoned));
     }
 }

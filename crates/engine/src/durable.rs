@@ -126,11 +126,6 @@ impl<C, R> DurableStore<C, R> {
         &self.wal
     }
 
-    /// Records currently in the log.
-    pub fn wal_len(&self) -> usize {
-        self.wal.len()
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> DurableStats {
         self.stats
@@ -192,7 +187,7 @@ mod tests {
         store.append(Rec(3));
         store.checkpoint(2);
         assert_eq!(store.checkpoint_ref(), Some(&2));
-        assert_eq!(store.wal_len(), 0);
+        assert!(store.wal().is_empty());
         let s = store.stats();
         assert_eq!(s.checkpoints_taken, 2);
         assert_eq!(s.truncations, 1);

@@ -32,6 +32,10 @@ pub enum WarehouseError {
         /// Human-readable reason.
         reason: String,
     },
+    /// The install publisher's lock is poisoned: a thread of the serving
+    /// side panicked while holding it, so committed installs can no
+    /// longer be announced.
+    PublisherPoisoned,
     /// A configuration is invalid at construction time (e.g. a zero
     /// batch width). Raised before any message flows, so a bad knob
     /// fails loudly instead of being silently clamped mid-run.
@@ -53,6 +57,7 @@ impl fmt::Display for WarehouseError {
                 write!(f, "{policy} cannot service message {label:?}")
             }
             WarehouseError::Precondition { reason } => write!(f, "precondition violated: {reason}"),
+            WarehouseError::PublisherPoisoned => write!(f, "install publisher lock poisoned"),
             WarehouseError::Config { reason } => write!(f, "invalid configuration: {reason}"),
         }
     }

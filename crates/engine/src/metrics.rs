@@ -63,14 +63,6 @@ impl PolicyMetrics {
     pub fn staleness_percentile(&self, p: f64) -> Time {
         self.staleness.percentile(p).unwrap_or(0)
     }
-
-    /// Queries per update actually observed (the Table 1 column).
-    pub fn queries_per_update(&self) -> f64 {
-        if self.updates_received == 0 {
-            return 0.0;
-        }
-        self.queries_sent as f64 / self.updates_received as f64
-    }
 }
 
 #[cfg(test)]
@@ -112,14 +104,5 @@ mod tests {
         assert_eq!(m.staleness_percentile(100.0), 100);
         assert_eq!(m.staleness_percentile(0.0), 10);
         assert_eq!(PolicyMetrics::default().staleness_percentile(50.0), 0);
-    }
-
-    #[test]
-    fn queries_per_update_ratio() {
-        let mut m = PolicyMetrics::default();
-        assert_eq!(m.queries_per_update(), 0.0);
-        m.updates_received = 4;
-        m.queries_sent = 12;
-        assert_eq!(m.queries_per_update(), 3.0);
     }
 }

@@ -20,9 +20,10 @@ use dw_engine::{
     InstallRecord, InstallSink, PolicyMetrics, SharedInstallPublisher, WarehouseError,
 };
 use dw_protocol::UpdateId;
-use dw_relational::{AggregateState, Bag, DeltaRelation, RelationalError, SharedBag, ViewDef};
+use dw_relational::{AggregateState, Bag, RelationalError, SharedBag, ViewDef};
 use dw_simnet::Time;
 use dw_workload::{DerivedOp, DerivedSpec, ViewPolicy, ViewSpec};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Errors raised by the multi-view layer.
@@ -176,11 +177,12 @@ pub struct CascadeStats {
 }
 
 /// A committed install: the delta that landed and the update ids it
-/// consumed — exactly what the cascade feeds to derived children.
-#[derive(Clone)]
-pub(crate) struct Installed {
-    pub(crate) delta: Bag,
-    pub(crate) consumed: Vec<(UpdateId, Time)>,
+/// consumed — exactly what the cascade feeds to derived children. Lent
+/// from the caller when its delta installed as is, owned when a pending
+/// batch flushed.
+pub(crate) struct Installed<'a> {
+    pub(crate) delta: Cow<'a, Bag>,
+    pub(crate) consumed: Cow<'a, [(UpdateId, Time)]>,
 }
 
 /// Everything the scheduler keeps per registered view. `Clone` because
@@ -230,18 +232,18 @@ impl ViewRuntime {
     /// batch), `None` when the delta merely accumulated. The cascade
     /// feeds the returned delta, never the argument: children must see
     /// exactly what the parent committed.
-    pub(crate) fn apply_delta(
+    pub(crate) fn apply_delta<'a>(
         &mut self,
-        delta: &Bag,
-        consumed: &[(UpdateId, Time)],
+        delta: &'a Bag,
+        consumed: &'a [(UpdateId, Time)],
         now: Time,
-    ) -> Result<Option<Installed>, WarehouseError> {
+    ) -> Result<Option<Installed<'a>>, WarehouseError> {
         match self.policy {
             ViewPolicy::Sweep => {
                 self.sink.install(&mut self.metrics, delta, consumed, now)?;
                 Ok(Some(Installed {
-                    delta: delta.clone(),
-                    consumed: consumed.to_vec(),
+                    delta: Cow::Borrowed(delta),
+                    consumed: Cow::Borrowed(consumed),
                 }))
             }
             ViewPolicy::NestedSweep | ViewPolicy::Deferred { .. } => {
@@ -267,15 +269,18 @@ impl ViewRuntime {
     /// Install whatever has accumulated (no-op when nothing is pending).
     /// Returns the installed delta and consumed ids, like
     /// [`ViewRuntime::apply_delta`].
-    pub(crate) fn flush(&mut self, now: Time) -> Result<Option<Installed>, WarehouseError> {
+    pub(crate) fn flush(
+        &mut self,
+        now: Time,
+    ) -> Result<Option<Installed<'static>>, WarehouseError> {
         if self.pending_consumed.is_empty() {
             return Ok(None);
         }
         let (delta, consumed) = (&self.pending_delta, &self.pending_consumed);
         self.sink.install(&mut self.metrics, delta, consumed, now)?;
         let installed = Installed {
-            delta: std::mem::take(&mut self.pending_delta),
-            consumed: std::mem::take(&mut self.pending_consumed),
+            delta: Cow::Owned(std::mem::take(&mut self.pending_delta)),
+            consumed: Cow::Owned(std::mem::take(&mut self.pending_consumed)),
         };
         self.since_flush = 0;
         Ok(Some(installed))
@@ -399,7 +404,7 @@ impl ViewRegistry {
         let agg = match &spec.op {
             DerivedOp::Aggregate(aspec) => {
                 let mut state = AggregateState::new(aspec.clone());
-                state.apply(&DeltaRelation::from_bag(parent_bag))?;
+                state.apply(&parent_bag)?;
                 debug_assert_eq!(state.current(), initial);
                 Some(state)
             }
@@ -666,7 +671,7 @@ impl ViewRegistry {
     fn cascade_children(
         &mut self,
         parent_slot: usize,
-        installed: &Installed,
+        installed: &Installed<'_>,
         now: Time,
     ) -> Result<(), MvError> {
         let children = match &self.slots[parent_slot] {
@@ -683,10 +688,7 @@ impl ViewRegistry {
                 match &mut rt.kind {
                     ViewKind::Derived {
                         agg: Some(state), ..
-                    } => (
-                        state.apply(&DeltaRelation::from_bag(installed.delta.clone()))?,
-                        None,
-                    ),
+                    } => (state.apply(&installed.delta)?, None),
                     ViewKind::Derived { op, agg: None, .. } => {
                         if let Some((_, shared)) = memo.iter().find(|(o, _)| o == op) {
                             (shared.clone(), Some(true))

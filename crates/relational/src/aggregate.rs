@@ -27,7 +27,6 @@
 //! the state untouched (atomic, like every other application site).
 
 use crate::bag::Bag;
-use crate::delta::DeltaRelation;
 use crate::error::RelationalError;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -119,7 +118,7 @@ impl AggregateSpec {
     /// state", so the two paths cannot drift apart.
     pub fn eval(&self, input: &Bag) -> Result<Bag, RelationalError> {
         let mut state = AggregateState::new(self.clone());
-        state.apply(&DeltaRelation::from_bag(input.clone()))?;
+        state.apply(input)?;
         Ok(state.current())
     }
 }
@@ -305,14 +304,14 @@ impl AggregateState {
     /// Atomic: a delta that would drive a row count or a MIN/MAX support
     /// count negative (deleting rows the input never contained) leaves
     /// the state untouched and reports the offense deterministically.
-    pub fn apply(&mut self, delta: &DeltaRelation) -> Result<Bag, RelationalError> {
+    pub fn apply(&mut self, delta: &Bag) -> Result<Bag, RelationalError> {
         if delta.is_empty() {
             return Ok(Bag::new());
         }
         // Group the incoming rows by key, in canonical order so both the
         // mutation order and any error are deterministic.
         let mut by_key: BTreeMap<Tuple, Vec<(Tuple, i64)>> = BTreeMap::new();
-        for (row, count) in delta.as_bag().to_sorted_vec() {
+        for (row, count) in delta.to_sorted_vec() {
             if row.arity() < self.input_width_floor() {
                 return Err(RelationalError::ArityMismatch {
                     context: "aggregate apply",
@@ -391,8 +390,8 @@ mod tests {
         AggregateSpec { group_by, aggs }
     }
 
-    fn delta(pairs: Vec<(Tuple, i64)>) -> DeltaRelation {
-        DeltaRelation::from_bag(Bag::from_pairs(pairs))
+    fn delta(pairs: Vec<(Tuple, i64)>) -> Bag {
+        Bag::from_pairs(pairs)
     }
 
     #[test]
@@ -471,7 +470,7 @@ mod tests {
         for step in steps {
             let d = delta(step);
             s.apply(&d).unwrap();
-            input.merge(d.as_bag());
+            input.merge(&d);
             assert_eq!(s.current(), sp.eval(&input).unwrap());
         }
     }

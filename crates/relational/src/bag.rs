@@ -7,6 +7,7 @@
 //! copies". The bag keeps the invariant that no stored count is zero, so
 //! `a + (−a) = ∅` and emptiness tests are exact.
 
+use crate::error::RelationalError;
 use crate::tuple::Tuple;
 use std::collections::HashMap;
 use std::fmt;
@@ -124,6 +125,17 @@ impl Bag {
         }
     }
 
+    /// Checked application `self ← self + delta` onto a non-negative
+    /// state. Every resulting multiplicity is validated *before* anything
+    /// mutates, so the application is atomic: on error `self` is
+    /// untouched. The reported offender is the smallest violating tuple in
+    /// canonical tuple order — deterministic regardless of hash layout.
+    pub fn apply_delta(&mut self, delta: &Bag) -> Result<(), RelationalError> {
+        check_non_negative(delta, |t| self.count(t))?;
+        self.merge(delta);
+        Ok(())
+    }
+
     /// The bag with all multiplicities negated.
     pub fn negated(&self) -> Bag {
         Bag {
@@ -188,6 +200,29 @@ impl Bag {
     /// The owned `tuple → count` map (distinct tuples, no zero counts).
     pub(crate) fn into_counts(self) -> HashMap<Tuple, i64> {
         self.counts
+    }
+}
+
+/// Would `state + changes` keep every multiplicity non-negative, `state`
+/// given by its count function? The one validation behind every checked
+/// application (plain and structurally shared state alike).
+pub(crate) fn check_non_negative(
+    changes: &Bag,
+    state_count: impl Fn(&Tuple) -> i64,
+) -> Result<(), RelationalError> {
+    let mut offender: Option<(&Tuple, i64)> = None;
+    for (t, c) in changes.iter() {
+        let resulting = state_count(t) + c;
+        if resulting < 0 && offender.is_none_or(|(best, _)| t < best) {
+            offender = Some((t, resulting));
+        }
+    }
+    match offender {
+        Some((t, resulting)) => Err(RelationalError::NegativeMultiplicity {
+            tuple: format!("{t}"),
+            resulting,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -312,5 +347,36 @@ mod tests {
         let f = a.filter(|t| *t.at(0) == crate::value::Value::Int(1));
         assert_eq!(f.count(&tup![1]), 4);
         assert_eq!(f.distinct_len(), 1);
+    }
+
+    #[test]
+    fn apply_delta_is_atomic_on_negative_result() {
+        let mut state = Bag::from_pairs([(tup![1], 1), (tup![2], 1)]);
+        let d = Bag::from_pairs([(tup![1], 1), (tup![2], -2)]);
+        let err = state.apply_delta(&d).unwrap_err();
+        assert!(matches!(err, RelationalError::NegativeMultiplicity { .. }));
+        // untouched — including the half that would have succeeded
+        assert_eq!(state.count(&tup![1]), 1);
+        assert_eq!(state.count(&tup![2]), 1);
+    }
+
+    #[test]
+    fn apply_delta_reports_smallest_offender_deterministically() {
+        let mut state = Bag::new();
+        let d = Bag::from_pairs([(tup![9], -1), (tup![3], -1)]);
+        match state.apply_delta(&d).unwrap_err() {
+            RelationalError::NegativeMultiplicity { tuple, resulting } => {
+                assert_eq!(tuple, "(3)");
+                assert_eq!(resulting, -1);
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn apply_delta_reaches_zero_cleanly() {
+        let mut state = Bag::from_pairs([(tup![7], 2)]);
+        state.apply_delta(&Bag::singleton(tup![7], -2)).unwrap();
+        assert!(state.is_empty());
     }
 }

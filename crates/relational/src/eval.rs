@@ -12,9 +12,14 @@
 //!   compensation term `ΔR_j ⋈ TempView` of Figure 4, performed at the
 //!   warehouse against a concurrent delta (the two are the same join, with a
 //!   base bag vs. a delta bag as the neighbor);
-//! * [`PartialDelta::finalize`]/[`ViewDef::finalize_bag`-like logic in
-//!   `finalize`] — apply the residual selection and projection once the
-//!   range covers the whole chain.
+//! * [`PartialDelta::finalize`] — apply the residual selection and
+//!   projection once the range covers the whole chain.
+//!
+//! The join itself is written once: [`extend_hop`] computes the hop's
+//! geometry and runs the one probe loop, whether the neighbor rows come
+//! from a bag hashed for the call or from a maintained
+//! [`JoinIndex`]; [`merge_pivot`] (§5.3's merge of two
+//! legs) probes with the same loop.
 //!
 //! Signed multiplicities flow through multiplication, so a delete joined
 //! with a delete produces a positive term — exactly the arithmetic the
@@ -22,6 +27,8 @@
 
 use crate::bag::Bag;
 use crate::error::RelationalError;
+use crate::index::JoinIndex;
+use crate::predicate::Predicate;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::view::ViewDef;
@@ -102,18 +109,16 @@ impl PartialDelta {
 
     /// The per-hop on-line correction: subtract an error term computed
     /// from a concurrent source update, `ΔV ← ΔV − err` (Figure 4's
-    /// `ΔV − ΔR_j ⋈ TempView`). Both sides are signed deltas over the
-    /// same range, so the subtraction is one composition in the delta
-    /// calculus — there is no insert/delete case split.
+    /// `ΔV − ΔR_j ⋈ TempView`). Both sides are signed bags over the same
+    /// range, so the subtraction is one signed sum — there is no
+    /// insert/delete case split.
     pub fn compensate(&mut self, err: &PartialDelta) {
         debug_assert_eq!(
             (self.lo, self.hi),
             (err.lo, err.hi),
             "compensation term must cover the partial's range"
         );
-        let mut delta = crate::delta::DeltaRelation::from_bag(std::mem::take(&mut self.bag));
-        delta.compensate(&crate::delta::DeltaRelation::from_bag(err.bag.clone()));
-        self.bag = delta.into_bag();
+        self.bag.subtract(&err.bag);
     }
 }
 
@@ -127,6 +132,127 @@ fn check_rel_index(view: &ViewDef, i: usize) -> Result<(), RelationalError> {
         });
     }
     Ok(())
+}
+
+/// Where a hop's neighbor rows come from.
+#[derive(Clone, Copy, Debug)]
+pub enum Neighbor<'a> {
+    /// A bag hashed on the join key for this one hop: a base relation at
+    /// a source that keeps no index, or a concurrent `ΔR_j` at the
+    /// warehouse.
+    Bag(&'a Bag),
+    /// A [`JoinIndex`] maintained over the (unfiltered) base relation.
+    Index(&'a JoinIndex),
+}
+
+/// The geometry of one hop of the chain join — which relation is the
+/// neighbor, where the join key sits on either side, what range the
+/// widened partial covers. The only place `JoinCond` pairs are read.
+pub(crate) struct HopGeometry {
+    /// Chain position of the neighbor relation.
+    pub(crate) nbr: usize,
+    /// Join-key columns inside a neighbor tuple.
+    pub(crate) nbr_keys: Vec<usize>,
+    /// The same key's columns inside the composite partial tuple.
+    part_keys: Vec<usize>,
+    /// Range of the widened partial.
+    lo: usize,
+    hi: usize,
+}
+
+impl HopGeometry {
+    /// The hop that widens a partial over `[lo, hi]` by its neighbor on
+    /// `side`; `BadRange` when the range or the neighbor falls off the
+    /// chain.
+    pub(crate) fn of(
+        view: &ViewDef,
+        lo: usize,
+        hi: usize,
+        side: JoinSide,
+    ) -> Result<HopGeometry, RelationalError> {
+        if lo > hi {
+            return Err(RelationalError::BadRange {
+                reason: format!("empty partial range [{lo},{hi}]"),
+            });
+        }
+        check_rel_index(view, hi)?;
+        // `JoinCond` pairs are (attr in R_k, attr in R_{k+1}). Leftward the
+        // neighbor is R_k and the partial starts with R_{k+1} (offset 0);
+        // rightward the partial ends with R_k and the neighbor is R_{k+1}.
+        match side {
+            JoinSide::Left => {
+                let nbr = lo.checked_sub(1).ok_or_else(|| RelationalError::BadRange {
+                    reason: "no relation to the left of the range".into(),
+                })?;
+                let (nbr_keys, part_keys) = view.join_cond(nbr).pairs.iter().copied().unzip();
+                Ok(HopGeometry {
+                    nbr,
+                    nbr_keys,
+                    part_keys,
+                    lo: nbr,
+                    hi,
+                })
+            }
+            JoinSide::Right => {
+                let nbr = hi + 1;
+                if nbr >= view.num_relations() {
+                    return Err(RelationalError::BadRange {
+                        reason: "no relation to the right of the range".into(),
+                    });
+                }
+                let last_off: usize = (lo..hi).map(|k| view.schema(k).arity()).sum();
+                let pairs = view.join_cond(hi).pairs.iter();
+                let (nbr_keys, part_keys) = pairs.map(|&(l, r)| (r, last_off + l)).unzip();
+                Ok(HopGeometry {
+                    nbr,
+                    nbr_keys,
+                    part_keys,
+                    lo,
+                    hi: nbr,
+                })
+            }
+        }
+    }
+}
+
+pub(crate) fn key_of(t: &Tuple, cols: &[usize]) -> Vec<Value> {
+    cols.iter().map(|&k| t.at(k).clone()).collect()
+}
+
+/// The probe half of the join, spelled once: every `(pt, pc)` of
+/// `partial` looks its `keys` columns up through `matches` — a hashed bag
+/// or a maintained index — and each match `(nt, nc)` emits `glue(pt, nt)`
+/// at `pc · nc`, so signs multiply.
+fn probe<'a, M: Iterator<Item = (&'a Tuple, i64)>>(
+    partial: &Bag,
+    keys: &[usize],
+    matches: impl Fn(&[Value]) -> M,
+    glue: impl Fn(&Tuple, &Tuple) -> Tuple,
+) -> Bag {
+    let mut out = Bag::new();
+    for (pt, pc) in partial.iter() {
+        for (nt, nc) in matches(&key_of(pt, keys)) {
+            out.add(glue(pt, nt), pc * nc);
+        }
+    }
+    out
+}
+
+/// Hash `rows` on their `row_keys` columns, then [`probe`] the table with
+/// `partial`. The table borrows its rows: no tuple is cloned.
+fn hash_join<'a>(
+    partial: &Bag,
+    part_keys: &[usize],
+    rows: impl Iterator<Item = (&'a Tuple, i64)>,
+    row_keys: &[usize],
+    glue: impl Fn(&Tuple, &Tuple) -> Tuple,
+) -> Bag {
+    let mut table: HashMap<Vec<Value>, Vec<(&Tuple, i64)>> = HashMap::new();
+    for (t, c) in rows {
+        table.entry(key_of(t, row_keys)).or_default().push((t, c));
+    }
+    let hits = |key: &[Value]| table.get(key).into_iter().flatten().copied();
+    probe(partial, part_keys, hits, glue)
 }
 
 /// Join a partial delta with the *neighbor* relation's bag on the given
@@ -143,113 +269,109 @@ pub fn extend_partial(
     neighbor: &Bag,
     side: JoinSide,
 ) -> Result<PartialDelta, RelationalError> {
-    extend_partial_observed(view, partial, neighbor, side, &dw_obs::Obs::off())
+    let obs = dw_obs::Obs::off();
+    extend_hop(view, partial, Neighbor::Bag(neighbor), side, None, &obs)
 }
 
-/// [`extend_partial`] with instrumentation: records the hash-join's build
-/// input (`join.build_rows`), probe input (`join.probe_rows`), and output
-/// (`join.out_rows`) sizes into the recorder behind `obs`. With
-/// `Obs::off()` this *is* `extend_partial`.
-pub fn extend_partial_observed(
+/// The one hop join behind [`extend_partial`] and
+/// [`crate::extend_partial_indexed`]: widen `partial` by its neighbor on
+/// `side`, keeping the neighbor rows that pass the view's local selection
+/// **and** the query's pushed-down `pushed` σ. A [`Neighbor::Bag`] is
+/// filtered while it is hashed, a [`Neighbor::Index`] after the probe (it
+/// stores the unfiltered relation) — the answers are equal as bags.
+///
+/// The scan records its build input (`join.build_rows`), probe input
+/// (`join.probe_rows`) and output (`join.out_rows`) sizes into the
+/// recorder behind `obs`, and under a pushed σ how many rows it turned
+/// away (`source.pushdown_filtered`).
+pub fn extend_hop(
     view: &ViewDef,
     partial: &PartialDelta,
-    neighbor: &Bag,
+    neighbor: Neighbor<'_>,
     side: JoinSide,
+    pushed: Option<&Predicate>,
     obs: &dw_obs::Obs,
 ) -> Result<PartialDelta, RelationalError> {
-    let (nbr_idx, cond_idx) = match side {
-        JoinSide::Left => {
-            if partial.lo == 0 {
-                return Err(RelationalError::BadRange {
-                    reason: "no relation to the left of the range".into(),
-                });
-            }
-            (partial.lo - 1, partial.lo - 1)
-        }
-        JoinSide::Right => {
-            if partial.hi + 1 >= view.num_relations() {
-                return Err(RelationalError::BadRange {
-                    reason: "no relation to the right of the range".into(),
-                });
-            }
-            (partial.hi + 1, partial.hi)
-        }
+    let geo = HopGeometry::of(view, partial.lo, partial.hi, side)?;
+    let local = view.local_select(geo.nbr);
+    let glue = |pt: &Tuple, nt: &Tuple| match side {
+        JoinSide::Left => nt.concat(pt),
+        JoinSide::Right => pt.concat(nt),
     };
-    let nbr_schema = view.schema(nbr_idx);
-    let nbr_select = view.local_select(nbr_idx);
-    let cond = view.join_cond(cond_idx);
-
-    // Positions of the join attributes inside the composite partial tuple.
-    // JoinCond pairs are (attr in R_k, attr in R_{k+1}) where k = cond_idx.
-    // Left side: neighbor is R_k, partial starts at R_{k+1} (offset 0).
-    // Right side: partial ends with R_k (offset width - arity(R_k)),
-    //             neighbor is R_{k+1}.
-    let (nbr_keys, part_keys): (Vec<usize>, Vec<usize>) = match side {
-        JoinSide::Left => cond
-            .pairs
-            .iter()
-            .map(|&(l, r)| (l, r)) // neighbor attr, partial attr (R_lo at offset 0)
-            .unzip(),
-        JoinSide::Right => {
-            let last_off = partial.width(view) - view.schema(partial.hi).arity();
-            cond.pairs
-                .iter()
-                .map(|&(l, r)| (r, last_off + l)) // neighbor attr, partial attr
-                .unzip()
-        }
-    };
-
-    // Hash the (selected) neighbor on its join key, then probe with the
-    // partial delta. Neighbor tuples must match the neighbor schema arity.
-    let mut table: HashMap<Vec<Value>, Vec<(&Tuple, i64)>> = HashMap::new();
-    let mut built = 0u64;
-    for (t, c) in neighbor.iter() {
-        if t.arity() != nbr_schema.arity() {
-            return Err(RelationalError::ArityMismatch {
-                context: "extend_partial neighbor",
-                expected: nbr_schema.arity(),
-                found: t.arity(),
+    let bag = match neighbor {
+        Neighbor::Bag(rows) => {
+            let arity = view.schema(geo.nbr).arity();
+            let (mut built, mut turned_away, mut bad_arity) = (0u64, 0u64, None);
+            let kept = rows.iter().filter(|&(t, _)| {
+                if t.arity() != arity {
+                    bad_arity = Some(t.arity());
+                    return false;
+                }
+                if pushed.is_some_and(|p| !p.eval(t)) {
+                    turned_away += 1;
+                    return false;
+                }
+                let kept = local.eval(t);
+                built += u64::from(kept);
+                kept
             });
-        }
-        if !nbr_select.eval(t) {
-            continue;
-        }
-        let key: Vec<Value> = nbr_keys.iter().map(|&k| t.at(k).clone()).collect();
-        table.entry(key).or_default().push((t, c));
-        built += 1;
-    }
-
-    let mut out = Bag::new();
-    for (pt, pc) in partial.bag.iter() {
-        let key: Vec<Value> = part_keys.iter().map(|&k| pt.at(k).clone()).collect();
-        if let Some(matches) = table.get(&key) {
-            for &(nt, nc) in matches {
-                let joined = match side {
-                    JoinSide::Left => nt.concat(pt),
-                    JoinSide::Right => pt.concat(nt),
-                };
-                out.add(joined, pc * nc);
+            let out = hash_join(&partial.bag, &geo.part_keys, kept, &geo.nbr_keys, glue);
+            if let Some(found) = bad_arity {
+                return Err(RelationalError::ArityMismatch {
+                    context: "extend_partial neighbor",
+                    expected: arity,
+                    found,
+                });
             }
+            if obs.enabled() {
+                if pushed.is_some() {
+                    obs.add("source.pushdown_filtered", turned_away);
+                }
+                obs.observe("join.build_rows", built);
+                obs.observe("join.probe_rows", partial.bag.distinct_len() as u64);
+                obs.observe("join.out_rows", out.distinct_len() as u64);
+            }
+            out
         }
-    }
-
-    if obs.enabled() {
-        obs.observe("join.build_rows", built);
-        obs.observe("join.probe_rows", partial.bag.distinct_len() as u64);
-        obs.observe("join.out_rows", out.distinct_len() as u64);
-    }
-
+        Neighbor::Index(index) => {
+            if index.key_attrs() != geo.nbr_keys {
+                return Err(RelationalError::BadRange {
+                    reason: format!(
+                        "index keyed on {:?} cannot serve a join on {:?}",
+                        index.key_attrs(),
+                        geo.nbr_keys
+                    ),
+                });
+            }
+            let kept = |t: &Tuple| local.eval(t) && pushed.is_none_or(|p| p.eval(t));
+            let hits = |key: &[Value]| index.probe(key).filter(|&(t, _)| kept(t));
+            probe(&partial.bag, &geo.part_keys, hits, glue)
+        }
+    };
     Ok(PartialDelta {
-        lo: match side {
-            JoinSide::Left => nbr_idx,
-            JoinSide::Right => partial.lo,
-        },
-        hi: match side {
-            JoinSide::Left => partial.hi,
-            JoinSide::Right => nbr_idx,
-        },
-        bag: out,
+        lo: geo.lo,
+        hi: geo.hi,
+        bag,
     })
+}
+
+/// Glue two partials that overlap in exactly one relation, the pivot
+/// `R_j` (`left.hi == j == right.lo`): hash the right partial on its
+/// leading `R_j` columns, probe with the left partial's trailing `R_j`
+/// columns, emit `left ++ right-tail` at the product of the counts (§5.3's
+/// parallel-sweep merge, span-generalized).
+pub fn merge_pivot(view: &ViewDef, left: &PartialDelta, right: &PartialDelta) -> PartialDelta {
+    debug_assert_eq!(left.hi, right.lo, "the legs must share their pivot");
+    let w = view.schema(left.hi).arity();
+    let shared_off = left.width(view) - w;
+    let lead: Vec<usize> = (0..w).collect();
+    let trail: Vec<usize> = (shared_off..shared_off + w).collect();
+    let glue = |lt: &Tuple, rt: &Tuple| lt.concat(&Tuple::new(rt.values()[w..].to_vec()));
+    PartialDelta {
+        lo: left.lo,
+        hi: right.hi,
+        bag: hash_join(&left.bag, &trail, right.bag.iter(), &lead, glue),
+    }
 }
 
 /// Fully evaluate the view over a snapshot of all base-relation bags
@@ -373,6 +495,29 @@ mod tests {
         let err = extend_partial(&v, &temp, &dr1, JoinSide::Left).unwrap();
         // (-1) × (-1) = +1 — the §5.2 arithmetic.
         assert_eq!(err.bag, Bag::from_pairs([(tup![2, 3, 3, 7, 7, 8], 1)]));
+    }
+
+    #[test]
+    fn merge_pivot_glues_on_shared_columns() {
+        let v = paper_view();
+        // Left covers [0,1] with true counts, right covers [1,2] with
+        // support counts; pivot at j=1 (R2's two columns are shared).
+        let left = PartialDelta {
+            lo: 0,
+            hi: 1,
+            bag: Bag::from_pairs([(tup![1, 3, 3, 5], 2), (tup![1, 4, 4, 9], 1)]),
+        };
+        let right = PartialDelta {
+            lo: 1,
+            hi: 2,
+            bag: Bag::from_pairs([(tup![3, 5, 5, 6], 1), (tup![3, 5, 5, 7], 1)]),
+        };
+        let merged = merge_pivot(&v, &left, &right);
+        assert_eq!((merged.lo, merged.hi), (0, 2));
+        assert_eq!(
+            merged.bag,
+            Bag::from_pairs([(tup![1, 3, 3, 5, 5, 6], 2), (tup![1, 3, 3, 5, 5, 7], 2)])
+        );
     }
 
     #[test]

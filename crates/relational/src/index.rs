@@ -10,20 +10,20 @@
 
 use crate::bag::Bag;
 use crate::error::RelationalError;
-use crate::eval::{JoinSide, PartialDelta};
+use crate::eval::{extend_hop, key_of, HopGeometry, JoinSide, Neighbor, PartialDelta};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::view::ViewDef;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// An incrementally maintained hash index of a relation on a fixed set of
-/// key attribute positions, mapping key values to the tuples (and counts)
+/// key attribute positions, mapping key values to the bag of tuples
 /// carrying them.
 #[derive(Clone, Debug, Default)]
 pub struct JoinIndex {
     key_attrs: Vec<usize>,
-    buckets: HashMap<Vec<Value>, HashMap<Tuple, i64>>,
-    len: usize,
+    buckets: HashMap<Vec<Value>, Bag>,
 }
 
 impl JoinIndex {
@@ -32,8 +32,19 @@ impl JoinIndex {
         JoinIndex {
             key_attrs,
             buckets: HashMap::new(),
-            len: 0,
         }
+    }
+
+    /// The empty index that serves hops *into* chain relation `rel` as the
+    /// neighbor on `side` — keyed on `rel`'s columns of that hop's join
+    /// condition; `None` when the chain has no relation to come from.
+    pub fn for_neighbor(view: &ViewDef, rel: usize, side: JoinSide) -> Option<JoinIndex> {
+        let from = match side {
+            JoinSide::Left => rel + 1,
+            JoinSide::Right => rel.checked_sub(1)?,
+        };
+        let geo = HopGeometry::of(view, from, from, side).ok()?;
+        Some(JoinIndex::new(geo.nbr_keys))
     }
 
     /// Key attribute positions this index is built on.
@@ -43,141 +54,57 @@ impl JoinIndex {
 
     /// Number of distinct indexed tuples.
     pub fn len(&self) -> usize {
-        self.len
+        self.buckets.values().map(Bag::distinct_len).sum()
     }
 
     /// Is the index empty?
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn key_of(&self, t: &Tuple) -> Vec<Value> {
-        self.key_attrs.iter().map(|&k| t.at(k).clone()).collect()
+        self.buckets.is_empty()
     }
 
     /// Fold a signed delta into the index (tuples reaching count zero are
     /// evicted; empty buckets are pruned).
     pub fn apply_delta(&mut self, delta: &Bag) {
         for (t, c) in delta.iter() {
-            let key = self.key_of(t);
-            let bucket = self.buckets.entry(key.clone()).or_default();
-            let entry = bucket.entry(t.clone()).or_insert(0);
-            let was_present = *entry != 0;
-            *entry += c;
-            let now_present = *entry != 0;
-            match (was_present, now_present) {
-                (false, true) => self.len += 1,
-                (true, false) => {
-                    bucket.remove(t);
-                    self.len -= 1;
+            match self.buckets.entry(key_of(t, &self.key_attrs)) {
+                Entry::Occupied(mut bucket) => {
+                    bucket.get_mut().add(t.clone(), c);
+                    if bucket.get().is_empty() {
+                        bucket.remove();
+                    }
                 }
-                _ => {}
-            }
-            if bucket.is_empty() {
-                self.buckets.remove(&key);
+                Entry::Vacant(slot) => {
+                    slot.insert(Bag::singleton(t.clone(), c));
+                }
             }
         }
     }
 
     /// Tuples matching a key, as `(tuple, count)` pairs.
     pub fn probe(&self, key: &[Value]) -> impl Iterator<Item = (&Tuple, i64)> {
-        self.buckets
-            .get(key)
-            .into_iter()
-            .flat_map(|b| b.iter().map(|(t, &c)| (t, c)))
+        self.buckets.get(key).into_iter().flat_map(Bag::iter)
     }
 
     /// Reconstruct the indexed bag (test/verification hook).
     pub fn to_bag(&self) -> Bag {
-        Bag::from_pairs(
-            self.buckets
-                .values()
-                .flat_map(|b| b.iter().map(|(t, &c)| (t.clone(), c))),
-        )
+        let rows = self.buckets.values().flat_map(Bag::iter);
+        Bag::from_pairs(rows.map(|(t, c)| (t.clone(), c)))
     }
 }
 
 /// [`crate::eval::extend_partial`] with the neighbor's hash table replaced
-/// by a pre-maintained [`JoinIndex`].
-///
-/// Semantics restrictions versus the general path (checked):
-/// * the index keys must equal the join condition's neighbor-side
-///   attributes in order;
-/// * the neighbor relation must have no pushed-down local selection (the
-///   index stores unfiltered tuples) — such views should use the
-///   unindexed path.
+/// by a pre-maintained [`JoinIndex`] — the same hop join, probing instead
+/// of re-hashing; the view's local selection on the neighbor filters the
+/// matches. The index keys must equal the join condition's neighbor-side
+/// attributes in order (checked).
 pub fn extend_partial_indexed(
     view: &ViewDef,
     partial: &PartialDelta,
     index: &JoinIndex,
     side: JoinSide,
 ) -> Result<PartialDelta, RelationalError> {
-    let (nbr_idx, cond_idx) = match side {
-        JoinSide::Left => {
-            if partial.lo == 0 {
-                return Err(RelationalError::BadRange {
-                    reason: "no relation to the left of the range".into(),
-                });
-            }
-            (partial.lo - 1, partial.lo - 1)
-        }
-        JoinSide::Right => {
-            if partial.hi + 1 >= view.num_relations() {
-                return Err(RelationalError::BadRange {
-                    reason: "no relation to the right of the range".into(),
-                });
-            }
-            (partial.hi + 1, partial.hi)
-        }
-    };
-    if view.local_select(nbr_idx) != &crate::predicate::Predicate::True {
-        return Err(RelationalError::BadRange {
-            reason: format!(
-                "indexed extension unsupported: relation {} has a local selection",
-                view.schema(nbr_idx).name()
-            ),
-        });
-    }
-    let cond = view.join_cond(cond_idx);
-    let (nbr_keys, part_keys): (Vec<usize>, Vec<usize>) = match side {
-        JoinSide::Left => cond.pairs.iter().map(|&(l, r)| (l, r)).unzip(),
-        JoinSide::Right => {
-            let last_off = partial.width(view) - view.schema(partial.hi).arity();
-            cond.pairs.iter().map(|&(l, r)| (r, last_off + l)).unzip()
-        }
-    };
-    if index.key_attrs() != nbr_keys.as_slice() {
-        return Err(RelationalError::BadRange {
-            reason: format!(
-                "index keyed on {:?} cannot serve a join on {:?}",
-                index.key_attrs(),
-                nbr_keys
-            ),
-        });
-    }
-
-    let mut out = Bag::new();
-    for (pt, pc) in partial.bag.iter() {
-        let key: Vec<Value> = part_keys.iter().map(|&k| pt.at(k).clone()).collect();
-        for (nt, nc) in index.probe(&key) {
-            let joined = match side {
-                JoinSide::Left => nt.concat(pt),
-                JoinSide::Right => pt.concat(nt),
-            };
-            out.add(joined, pc * nc);
-        }
-    }
-    Ok(PartialDelta {
-        lo: match side {
-            JoinSide::Left => nbr_idx,
-            JoinSide::Right => partial.lo,
-        },
-        hi: match side {
-            JoinSide::Left => partial.hi,
-            JoinSide::Right => nbr_idx,
-        },
-        bag: out,
-    })
+    let obs = dw_obs::Obs::off();
+    extend_hop(view, partial, Neighbor::Index(index), side, None, &obs)
 }
 
 #[cfg(test)]
@@ -252,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn local_selection_rejected() {
+    fn local_selection_filters_the_probed_matches() {
         let v = ViewDefBuilder::new()
             .relation(Schema::new("R1", ["A", "B"]).unwrap())
             .relation(Schema::new("R2", ["C", "D"]).unwrap())
@@ -260,9 +187,26 @@ mod tests {
             .select("R2.D", crate::predicate::CmpOp::Gt, 0)
             .build()
             .unwrap();
-        let idx = JoinIndex::new(vec![0]);
+        let r2 = Bag::from_pairs([(tup![3, 7], 1), (tup![3, 0], 2), (tup![3, -4], 1)]);
+        let mut idx = JoinIndex::for_neighbor(&v, 1, JoinSide::Right).unwrap();
+        idx.apply_delta(&r2);
         let pd = PartialDelta::seed(&v, 0, &Bag::from_tuples([tup![1, 3]])).unwrap();
-        assert!(extend_partial_indexed(&v, &pd, &idx, JoinSide::Right).is_err());
+        let fast = extend_partial_indexed(&v, &pd, &idx, JoinSide::Right).unwrap();
+        assert_eq!(fast.bag, Bag::from_tuples([tup![1, 3, 3, 7]]));
+        assert_eq!(fast, extend_partial(&v, &pd, &r2, JoinSide::Right).unwrap());
+    }
+
+    #[test]
+    fn for_neighbor_keys_follow_the_join_condition() {
+        let v = view();
+        // R2 entered from R1 is keyed on C; R1 entered from R2 on B.
+        let ix = JoinIndex::for_neighbor(&v, 1, JoinSide::Right).unwrap();
+        assert_eq!(ix.key_attrs(), [0]);
+        let ix = JoinIndex::for_neighbor(&v, 0, JoinSide::Left).unwrap();
+        assert_eq!(ix.key_attrs(), [1]);
+        // The chain ends: nothing left of R1, nothing right of R2.
+        assert!(JoinIndex::for_neighbor(&v, 0, JoinSide::Right).is_none());
+        assert!(JoinIndex::for_neighbor(&v, 1, JoinSide::Left).is_none());
     }
 
     #[test]

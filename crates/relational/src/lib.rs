@@ -29,7 +29,6 @@
 
 pub mod aggregate;
 pub mod bag;
-pub mod delta;
 pub mod error;
 pub mod eval;
 pub mod index;
@@ -46,9 +45,10 @@ pub mod view;
 
 pub use aggregate::{AggFn, AggregateSpec, AggregateState};
 pub use bag::Bag;
-pub use delta::DeltaRelation;
 pub use error::RelationalError;
-pub use eval::{eval_view, extend_partial, extend_partial_observed, JoinSide, PartialDelta};
+pub use eval::{
+    eval_view, extend_hop, extend_partial, merge_pivot, JoinSide, Neighbor, PartialDelta,
+};
 pub use index::{extend_partial_indexed, JoinIndex};
 pub use key::KeySpec;
 pub use predicate::{CmpOp, Predicate};

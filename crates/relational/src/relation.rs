@@ -105,12 +105,12 @@ impl BaseRelation {
     /// assumption of the paper's §2, including multi-tuple *source local
     /// transactions*.
     pub fn apply_delta(&mut self, delta: &Bag) -> Result<(), RelationalError> {
-        // Arity first, then the checked signed application (atomic: the
-        // delta calculus validates every count before mutating).
+        // Arity first, then the checked signed application (atomic: every
+        // count is validated before anything mutates).
         for (t, _) in delta.iter() {
             self.check_arity(t, "apply_delta")?;
         }
-        crate::delta::DeltaRelation::from_bag(delta.clone()).apply_to(&mut self.bag)?;
+        self.bag.apply_delta(delta)?;
         debug_assert!(self.bag.all_positive());
         Ok(())
     }

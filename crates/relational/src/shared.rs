@@ -326,9 +326,9 @@ impl SharedBag {
     /// Checked `self += delta` onto a non-negative state: refuses,
     /// *before* mutating, any delta that would drive a multiplicity below
     /// zero, reporting the smallest offending tuple (the contract of
-    /// [`crate::DeltaRelation::apply_to`]). Returns the tuples copied.
+    /// [`Bag::apply_delta`]). Returns the tuples copied.
     pub fn apply_delta(&mut self, delta: &Bag) -> Result<usize, RelationalError> {
-        crate::delta::check_non_negative(delta, |t| self.count(t))?;
+        crate::bag::check_non_negative(delta, |t| self.count(t))?;
         Ok(self.merge(delta))
     }
 

@@ -11,12 +11,11 @@
 //! is UNKNOWN and never selects — both rules exercised side by side.
 
 use dw_relational::{
-    tup, AggFn, AggregateSpec, AggregateState, Bag, CmpOp, DeltaRelation, Predicate,
-    RelationalError, Tuple, Value,
+    tup, AggFn, AggregateSpec, AggregateState, Bag, CmpOp, Predicate, RelationalError, Tuple, Value,
 };
 
-fn delta(pairs: Vec<(Tuple, i64)>) -> DeltaRelation {
-    DeltaRelation::from_bag(Bag::from_pairs(pairs))
+fn delta(pairs: Vec<(Tuple, i64)>) -> Bag {
+    Bag::from_pairs(pairs)
 }
 
 fn spec(group_by: Vec<usize>, aggs: Vec<AggFn>) -> AggregateSpec {
@@ -29,7 +28,7 @@ fn bag_count_below_zero_is_rejected_atomically() {
     let mut state = base.clone();
     // Mixes a legal retraction with an illegal one: nothing may stick.
     let bad = delta(vec![(tup![1, 2], -1), (tup![3, 4], -2)]);
-    let err = bad.apply_to(&mut state).unwrap_err();
+    let err = state.apply_delta(&bad).unwrap_err();
     match err {
         RelationalError::NegativeMultiplicity { resulting, .. } => {
             assert_eq!(resulting, -1);
@@ -51,8 +50,8 @@ fn rejection_is_deterministic_across_retries() {
         RelationalError::NegativeMultiplicity { tuple, resulting } => (tuple, resulting),
         other => panic!("expected NegativeMultiplicity, got {other:?}"),
     };
-    let first = report(bad.apply_to(&mut state).unwrap_err());
-    let second = report(bad.apply_to(&mut state).unwrap_err());
+    let first = report(state.apply_delta(&bad).unwrap_err());
+    let second = report(state.apply_delta(&bad).unwrap_err());
     assert_eq!(first, second);
 }
 
@@ -195,10 +194,10 @@ fn failed_aggregate_apply_keeps_subsequent_applies_consistent() {
     let mut input = Bag::new();
     let good1 = delta(vec![(tup![1, 4], 1), (tup![2, 2], 1)]);
     s.apply(&good1).unwrap();
-    input.merge(good1.as_bag());
+    input.merge(&good1);
     assert!(s.apply(&delta(vec![(tup![1, 4], -2)])).is_err());
     let good2 = delta(vec![(tup![1, 4], -1), (tup![1, 6], 1)]);
     s.apply(&good2).unwrap();
-    input.merge(good2.as_bag());
+    input.merge(&good2);
     assert_eq!(s.current(), sp.eval(&input).unwrap());
 }

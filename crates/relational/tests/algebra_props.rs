@@ -8,8 +8,8 @@
 //! property-testing framework needed.
 
 use dw_relational::{
-    eval_view, extend_partial, tup, Bag, JoinSide, PartialDelta, Schema, ShardMap, Tuple,
-    ViewDefBuilder,
+    eval_view, extend_hop, extend_partial, extend_partial_indexed, tup, Bag, CmpOp, JoinIndex,
+    JoinSide, Neighbor, PartialDelta, Predicate, Schema, ShardMap, Tuple, Value, ViewDefBuilder,
 };
 use dw_rng::Rng64;
 
@@ -330,4 +330,174 @@ fn foreign_band_tuples_never_join_an_in_group_partial() {
         "the group cut dropped something in only {cut} cases"
     );
     assert!(joined > CASES as usize, "only {joined} non-empty answers");
+}
+
+// ---- The one hop join: scan ≡ index probe ≡ nested loop ------------------
+
+/// How two adjacent relations of a random chain are joined.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Link {
+    /// `R_k.Y = R_{k+1}.X`.
+    OnKey,
+    /// `R_k.X = R_{k+1}.X ∧ R_k.Y = R_{k+1}.Y` (a two-pair condition).
+    OnBoth,
+    /// No condition: a cross-product hop.
+    Cross,
+}
+
+/// The hop kernel has three spellings — hash the neighbor bag and probe it
+/// (`extend_partial`, the source's default and the warehouse's
+/// compensation), probe a maintained `JoinIndex` (`extend_partial_indexed`)
+/// and, here, a nested loop written from the chain's own description. Over
+/// random 2–4-relation chains with local selections, an occasional
+/// cross-product hop, signed partials spanning 1–3 relations, both sides,
+/// with and without a pushed-down σ, all three agree as bags.
+#[test]
+fn index_probe_equals_scan_equals_nested_loop() {
+    const HOP_CASES: u64 = 1_200;
+    let int = |t: &Tuple, k: usize| match t.at(k) {
+        Value::Int(v) => *v,
+        other => panic!("integer column holds {other:?}"),
+    };
+    let (mut nonempty, mut pushed_cases, mut selected, mut crossed) = (0, 0, 0, 0);
+    for case in 0..HOP_CASES {
+        let mut r = Rng64::new(2_000 + case);
+        let n = 2 + r.usize_below(3);
+        let links: Vec<Link> = (1..n)
+            .map(|_| match r.usize_below(8) {
+                0 => Link::Cross,
+                1 | 2 => Link::OnBoth,
+                _ => Link::OnKey,
+            })
+            .collect();
+        // σ_k: `R_k.X >= bound`, on about half the relations.
+        let bounds: Vec<Option<i64>> = (0..n)
+            .map(|_| r.chance(0.5).then(|| r.i64_in(0, 4)))
+            .collect();
+        let mut b = ViewDefBuilder::new();
+        for (k, bound) in bounds.iter().enumerate() {
+            b = b.relation(Schema::new(format!("R{k}"), ["X", "Y"]).unwrap());
+            if let Some(bound) = *bound {
+                b = b.select(format!("R{k}.X"), CmpOp::Ge, bound);
+            }
+        }
+        for (k, link) in links.iter().enumerate() {
+            let (l, r) = (format!("R{k}"), format!("R{}", k + 1));
+            match link {
+                Link::OnKey => b = b.join(format!("{l}.Y"), format!("{r}.X")),
+                Link::OnBoth => {
+                    b = b.join(format!("{l}.X"), format!("{r}.X"));
+                    b = b.join(format!("{l}.Y"), format!("{r}.Y"));
+                }
+                Link::Cross => {}
+            }
+        }
+        let view = b.build().unwrap();
+
+        // A partial over [lo, hi] with a neighbor on the chosen side.
+        let side = if r.chance(0.5) {
+            JoinSide::Left
+        } else {
+            JoinSide::Right
+        };
+        let span = 1 + r.usize_below(n - 1);
+        let lo = match side {
+            JoinSide::Left => 1 + r.usize_below(n - span),
+            JoinSide::Right => r.usize_below(n - span),
+        };
+        let hi = lo + span - 1;
+        let (nbr, link) = match side {
+            JoinSide::Left => (lo - 1, links[lo - 1]),
+            JoinSide::Right => (hi + 1, links[hi]),
+        };
+        let partial = PartialDelta {
+            lo,
+            hi,
+            bag: Bag::from_pairs((0..r.usize_below(8)).map(|_| {
+                let vals: Vec<Value> = (0..2 * span).map(|_| r.i64_in(0, 5).into()).collect();
+                (Tuple::new(vals), r.i64_in(-2, 3))
+            })),
+        };
+        // The neighbor relation, reached through one transaction so the
+        // index is maintained, not just loaded.
+        let initial = arb_relation(&mut r);
+        let txn = Bag::from_pairs(
+            (initial.iter().take(3).map(|(t, _)| (t.clone(), -1)))
+                .chain((0..r.usize_below(4)).map(|_| (tup![r.i64_in(0, 6), r.i64_in(0, 6)], 2))),
+        );
+        let relation = initial.plus(&txn);
+        let mut index = JoinIndex::for_neighbor(&view, nbr, side).unwrap();
+        index.apply_delta(&initial);
+        index.apply_delta(&txn);
+        assert_eq!(index.to_bag(), relation, "case {case}");
+        let pushed = r.chance(0.5).then(|| Predicate::Cmp {
+            attr: 1,
+            op: CmpOp::Lt,
+            value: r.i64_in(1, 6).into(),
+        });
+
+        // The reference: every pair, every condition, spelled out.
+        let mut expected = Bag::new();
+        for (pt, pc) in partial.bag.iter() {
+            for (nt, nc) in relation.iter() {
+                // The partial's relation that faces the neighbor.
+                let facing = match side {
+                    JoinSide::Left => 0,
+                    JoinSide::Right => 2 * (span - 1),
+                };
+                let (px, py) = (int(pt, facing), int(pt, facing + 1));
+                let (nx, ny) = (int(nt, 0), int(nt, 1));
+                let joins = match (link, side) {
+                    (Link::Cross, _) => true,
+                    (Link::OnBoth, _) => px == nx && py == ny,
+                    (Link::OnKey, JoinSide::Left) => ny == px,
+                    (Link::OnKey, JoinSide::Right) => py == nx,
+                };
+                let local = bounds[nbr].is_none_or(|bound| nx >= bound);
+                let pushed = pushed.as_ref().is_none_or(|p| p.eval(nt));
+                if joins && local && pushed {
+                    let glued = match side {
+                        JoinSide::Left => nt.concat(pt),
+                        JoinSide::Right => pt.concat(nt),
+                    };
+                    expected.add(glued, pc * nc);
+                }
+            }
+        }
+
+        let obs = dw_obs::Obs::off();
+        let hop = |neighbor| extend_hop(&view, &partial, neighbor, side, pushed.as_ref(), &obs);
+        let scan = hop(Neighbor::Bag(&relation)).unwrap();
+        let probe = hop(Neighbor::Index(&index)).unwrap();
+        let ctx = format!("case {case}: {links:?} {bounds:?} [{lo},{hi}] {side:?} {pushed:?}");
+        assert_eq!(scan, probe, "{ctx}");
+        assert_eq!(scan.bag, expected, "{ctx}");
+        let range = match side {
+            JoinSide::Left => (nbr, hi),
+            JoinSide::Right => (lo, nbr),
+        };
+        assert_eq!((scan.lo, scan.hi), range, "{ctx}");
+        if pushed.is_none() {
+            // The two frozen entry points are the same kernel.
+            assert_eq!(
+                extend_partial(&view, &partial, &relation, side).unwrap(),
+                scan
+            );
+            assert_eq!(
+                extend_partial_indexed(&view, &partial, &index, side).unwrap(),
+                scan
+            );
+        }
+        nonempty += usize::from(!expected.is_empty());
+        pushed_cases += usize::from(pushed.is_some());
+        selected += usize::from(bounds[nbr].is_some());
+        crossed += usize::from(link == Link::Cross);
+    }
+    // The generator really visits every cell the claim names.
+    assert!(nonempty > 400, "only {nonempty} non-empty joins");
+    assert!(
+        pushed_cases > 400 && selected > 400,
+        "{pushed_cases} / {selected}"
+    );
+    assert!(crossed > 50, "only {crossed} cross-product hops");
 }

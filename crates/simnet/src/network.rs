@@ -36,9 +36,6 @@ struct PendingEvent<M> {
     from: NodeId,
     to: NodeId,
     msg: M,
-    /// Copy manufactured by the fault layer (counts as physical traffic
-    /// only, never logical).
-    dup: bool,
 }
 
 // Order by (time, seq); seq is globally monotone so ties resolve in
@@ -176,7 +173,7 @@ impl<M: Payload> Network<M> {
     pub fn send_after(&mut self, from: NodeId, to: NodeId, msg: M, delay: Time) {
         if from == to {
             let at = self.now.saturating_add(delay);
-            self.push(at, from, to, msg, false);
+            self.push(at, from, to, msg);
         } else {
             self.send_delayed(from, to, msg, delay);
         }
@@ -245,10 +242,10 @@ impl<M: Payload> Network<M> {
             let dup_at = naive.saturating_add(extra);
             self.stats.note_duplicate(msg.size_bytes());
             self.trace_fault(TraceKind::Duplicate, from, to, &msg);
-            self.push(dup_at, from, to, msg.clone(), true);
+            self.push(dup_at, from, to, msg.clone());
         }
 
-        self.push(at, from, to, msg, false);
+        self.push(at, from, to, msg);
     }
 
     fn trace_fault(&mut self, kind: TraceKind, from: NodeId, to: NodeId, msg: &M) {
@@ -269,10 +266,10 @@ impl<M: Payload> Network<M> {
     /// the database under a source outlives its network agent.
     pub fn inject(&mut self, at: Time, to: NodeId, msg: M) {
         let at = at.max(self.now);
-        self.push(at, ENV, to, msg, false);
+        self.push(at, ENV, to, msg);
     }
 
-    fn push(&mut self, at: Time, from: NodeId, to: NodeId, msg: M, dup: bool) {
+    fn push(&mut self, at: Time, from: NodeId, to: NodeId, msg: M) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(PendingEvent {
@@ -281,7 +278,6 @@ impl<M: Payload> Network<M> {
             from,
             to,
             msg,
-            dup,
         }));
     }
 
@@ -331,7 +327,6 @@ impl<M: Payload> Network<M> {
                     ev.msg.label(),
                     ev.msg.size_bytes(),
                     ev.msg.is_retransmit(),
-                    ev.dup,
                 );
             }
             self.trace.push(TraceEvent {
@@ -524,7 +519,6 @@ mod tests {
             "logical counts the original only"
         );
         assert_eq!(net.stats().fault_counters().duplicated, 1);
-        assert_eq!(net.stats().duplicates_delivered().messages, 1);
     }
 
     #[test]

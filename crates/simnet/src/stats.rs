@@ -66,7 +66,6 @@ pub struct NetStats {
     total: LinkStats,
     logical: LinkStats,
     retransmitted: LinkStats,
-    dup_delivered: LinkStats,
     faults: FaultCounters,
 }
 
@@ -76,7 +75,7 @@ impl NetStats {
     /// retransmitted.
     pub fn record(&mut self, from: NodeId, to: NodeId, label: &'static str, bytes: usize) {
         self.record_logical_send(label, bytes);
-        self.record_delivery(from, to, label, bytes, false, false);
+        self.record_delivery(from, to, label, bytes, false);
     }
 
     /// Record a first-transmission send: one unit of logical traffic,
@@ -88,7 +87,7 @@ impl NetStats {
     }
 
     /// Record one physical delivery; `retransmit` marks transport
-    /// retransmissions, `dup` marks fault-layer duplicate copies.
+    /// retransmissions.
     pub fn record_delivery(
         &mut self,
         from: NodeId,
@@ -96,7 +95,6 @@ impl NetStats {
         label: &'static str,
         bytes: usize,
         retransmit: bool,
-        dup: bool,
     ) {
         let b = bytes as u64;
         self.per_link.entry((from, to)).or_default().bump(b);
@@ -104,9 +102,6 @@ impl NetStats {
         self.total.bump(b);
         if retransmit {
             self.retransmitted.bump(b);
-        }
-        if dup {
-            self.dup_delivered.bump(b);
         }
     }
 
@@ -165,13 +160,6 @@ impl NetStats {
     /// Delivered transport retransmissions only.
     pub fn retransmitted(&self) -> LinkStats {
         self.retransmitted
-    }
-
-    /// Delivered fault-layer duplicate copies only. Can lag
-    /// `fault_counters().duplicated`: a manufactured copy may itself be
-    /// lost to an outage before arriving.
-    pub fn duplicates_delivered(&self) -> LinkStats {
-        self.dup_delivered
     }
 
     /// What the fault layer did to the traffic.
@@ -259,13 +247,12 @@ mod tests {
     fn retransmits_count_physically_not_logically() {
         let mut s = NetStats::default();
         s.record_logical_send("update", 100); // the algorithm sent one
-        s.record_delivery(0, 1, "update", 100, false, false); // original arrives
-        s.record_delivery(0, 1, "update", 100, true, false); // retransmit arrives
-        s.record_delivery(0, 1, "update", 100, false, true); // network dup arrives
+        s.record_delivery(0, 1, "update", 100, false); // original arrives
+        s.record_delivery(0, 1, "update", 100, true); // retransmit arrives
+        s.record_delivery(0, 1, "update", 100, false); // network dup arrives
         assert_eq!(s.total().messages, 3);
         assert_eq!(s.logical_total().messages, 1);
         assert_eq!(s.retransmitted().messages, 1);
-        assert_eq!(s.duplicates_delivered().messages, 1);
         assert_eq!(s.label("update").messages, 3);
         assert_eq!(s.label_logical("update").messages, 1);
         assert!((s.inflation() - 3.0).abs() < 1e-9);

@@ -3,8 +3,7 @@
 use dw_obs::Obs;
 use dw_protocol::{source_node, Message, SourceIndex, SourceUpdate, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{
-    extend_partial_indexed, extend_partial_observed, BaseRelation, JoinIndex, Predicate,
-    RelationalError, ViewDef,
+    extend_hop, BaseRelation, JoinIndex, JoinSide, Neighbor, RelationalError, ViewDef,
 };
 use dw_simnet::{NetHandle, NodeId};
 use std::fmt;
@@ -67,9 +66,11 @@ pub struct DataSource {
     relation: BaseRelation,
     next_seq: u64,
     txns_applied: u64,
-    /// Incrementally maintained join indexes (left-neighbor key,
-    /// right-neighbor key), when enabled.
-    indexes: Option<SourceIndexes>,
+    /// Incrementally maintained join indexes, by the `JoinSide` of the
+    /// queries each serves: `[Left]` answers leftward extensions into this
+    /// relation, `[Right]` rightward ones. `None` when not enabled, and at
+    /// the chain end no query can come from.
+    indexes: [Option<JoinIndex>; 2],
     /// Highest sweep epoch seen on any query. A warehouse state-crash
     /// recovery bumps the epoch of every query it issues; a query from
     /// an *older* epoch belongs to a sweep the warehouse already
@@ -85,18 +86,6 @@ pub struct DataSource {
     obs: Obs,
 }
 
-/// The two join indexes a chain source can be probed through: one for
-/// queries extending a partial *rightward into* this relation (keyed on
-/// this relation's side of the left join condition) and one for leftward
-/// extension.
-struct SourceIndexes {
-    /// Serves `JoinSide::Right` extensions (this relation is the right
-    /// neighbor); `None` when this is the leftmost relation.
-    as_right_neighbor: Option<JoinIndex>,
-    /// Serves `JoinSide::Left` extensions; `None` when rightmost.
-    as_left_neighbor: Option<JoinIndex>,
-}
-
 impl DataSource {
     /// Create source `index` with its initial relation contents.
     pub fn new(index: SourceIndex, view: ViewDef, relation: BaseRelation) -> Self {
@@ -106,7 +95,7 @@ impl DataSource {
             relation,
             next_seq: 0,
             txns_applied: 0,
-            indexes: None,
+            indexes: [None, None],
             max_epoch_seen: 0,
             stale_queries_dropped: 0,
             obs: Obs::off(),
@@ -119,65 +108,26 @@ impl DataSource {
         self.obs = obs;
     }
 
-    /// Create with maintained join indexes: queries are answered through
-    /// incrementally maintained hash indexes instead of re-hashing the
-    /// relation per request. Requires the relation to carry no pushed-down
-    /// local selection (the general path handles those).
-    pub fn with_indexes(
-        index: SourceIndex,
-        view: ViewDef,
-        relation: BaseRelation,
-    ) -> Result<Self, RelationalError> {
-        if view.local_select(index) != &Predicate::True {
-            return Err(RelationalError::BadRange {
-                reason: format!(
-                    "indexed source {} would bypass its local selection",
-                    view.schema(index).name()
-                ),
-            });
+    /// Create with maintained join indexes: queries are answered by
+    /// probing incrementally maintained hash indexes instead of re-hashing
+    /// the relation per request. The indexes cover the whole relation; the
+    /// view's local selection and a query's pushed-down σ filter the probed
+    /// matches, so the answers equal [`DataSource::new`]'s.
+    pub fn with_indexes(index: SourceIndex, view: ViewDef, relation: BaseRelation) -> Self {
+        let indexes = [JoinSide::Left, JoinSide::Right].map(|side| {
+            let mut ix = JoinIndex::for_neighbor(&view, index, side)?;
+            ix.apply_delta(relation.bag());
+            Some(ix)
+        });
+        DataSource {
+            indexes,
+            ..DataSource::new(index, view, relation)
         }
-        let as_right_neighbor = (index > 0).then(|| {
-            // Join condition between (index-1, index): our side is `r`.
-            let keys: Vec<usize> = view
-                .join_cond(index - 1)
-                .pairs
-                .iter()
-                .map(|&(_, r)| r)
-                .collect();
-            let mut ix = JoinIndex::new(keys);
-            ix.apply_delta(relation.bag());
-            ix
-        });
-        let as_left_neighbor = (index + 1 < view.num_relations()).then(|| {
-            let keys: Vec<usize> = view
-                .join_cond(index)
-                .pairs
-                .iter()
-                .map(|&(l, _)| l)
-                .collect();
-            let mut ix = JoinIndex::new(keys);
-            ix.apply_delta(relation.bag());
-            ix
-        });
-        Ok(DataSource {
-            index,
-            view,
-            relation,
-            next_seq: 0,
-            txns_applied: 0,
-            indexes: Some(SourceIndexes {
-                as_right_neighbor,
-                as_left_neighbor,
-            }),
-            max_epoch_seen: 0,
-            stale_queries_dropped: 0,
-            obs: Obs::off(),
-        })
     }
 
     /// Are maintained join indexes active?
     pub fn is_indexed(&self) -> bool {
-        self.indexes.is_some()
+        self.indexes.iter().any(Option::is_some)
     }
 
     /// Chain position of this source.
@@ -222,13 +172,8 @@ impl DataSource {
                     });
                 }
                 self.relation.apply_delta(&delta)?;
-                if let Some(ix) = self.indexes.as_mut() {
-                    if let Some(i) = ix.as_right_neighbor.as_mut() {
-                        i.apply_delta(&delta);
-                    }
-                    if let Some(i) = ix.as_left_neighbor.as_mut() {
-                        i.apply_delta(&delta);
-                    }
+                for ix in self.indexes.iter_mut().flatten() {
+                    ix.apply_delta(&delta);
                 }
                 self.txns_applied += 1;
                 let id = UpdateId {
@@ -255,34 +200,15 @@ impl DataSource {
                     return Ok(());
                 }
                 self.max_epoch_seen = q.epoch;
-                let widened = if let Some(pred) = &q.pred {
-                    // Pushed-down σ: restrict the local relation to the
-                    // qualifying tuples before joining, so only they
-                    // travel back. The maintained indexes cover the
-                    // *unfiltered* relation, so a pushed query always
-                    // takes the scan path.
-                    let full = self.relation.bag();
-                    let filtered = full.filter(|t| pred.eval(t));
-                    let dropped = full.distinct_len() - filtered.distinct_len();
-                    self.obs.add("source.pushdown_filtered", dropped as u64);
-                    extend_partial_observed(&self.view, &q.partial, &filtered, q.side, &self.obs)?
-                } else {
-                    // Use the maintained index when one serves this side.
-                    let chosen = self.indexes.as_ref().and_then(|ix| match q.side {
-                        dw_relational::JoinSide::Right => ix.as_right_neighbor.as_ref(),
-                        dw_relational::JoinSide::Left => ix.as_left_neighbor.as_ref(),
-                    });
-                    match chosen {
-                        Some(ix) => extend_partial_indexed(&self.view, &q.partial, ix, q.side)?,
-                        None => extend_partial_observed(
-                            &self.view,
-                            &q.partial,
-                            self.relation.bag(),
-                            q.side,
-                            &self.obs,
-                        )?,
-                    }
+                // One hop join either way; a pushed-down σ rides into it,
+                // so only the qualifying tuples travel back.
+                let neighbor = match &self.indexes[q.side as usize] {
+                    Some(ix) => Neighbor::Index(ix),
+                    None => Neighbor::Bag(self.relation.bag()),
                 };
+                let pushed = q.pred.as_ref();
+                let widened =
+                    extend_hop(&self.view, &q.partial, neighbor, q.side, pushed, &self.obs)?;
                 self.obs.add("source.queries_served", 1);
                 self.obs
                     .observe("source.answer_rows", widened.bag.distinct_len() as u64);
@@ -559,7 +485,7 @@ mod tests {
 mod indexed_tests {
     use super::*;
     use dw_protocol::SweepQuery;
-    use dw_relational::{tup, Bag, JoinSide, PartialDelta, Schema, ViewDefBuilder};
+    use dw_relational::{tup, Bag, CmpOp, PartialDelta, Predicate, Schema, Value, ViewDefBuilder};
     use dw_simnet::{Network, ENV};
 
     fn view3() -> ViewDef {
@@ -580,7 +506,7 @@ mod indexed_tests {
         )
         .unwrap();
         if indexed {
-            DataSource::with_indexes(1, view3(), rel).unwrap()
+            DataSource::with_indexes(1, view3(), rel)
         } else {
             DataSource::new(1, view3(), rel)
         }
@@ -667,23 +593,119 @@ mod indexed_tests {
         assert_eq!(answer_of(&mut plain, q.clone()), answer_of(&mut fast, q));
     }
 
+    /// Feed both sources the same message stream; every message either
+    /// yields nothing at both or the same reply at both.
+    fn assert_same_replies(plain: &mut DataSource, fast: &mut DataSource, stream: &[Message]) {
+        for msg in stream {
+            let replies = [&mut *plain, &mut *fast].map(|src| {
+                let mut net: Network<Message> = Network::new(0);
+                src.handle(WAREHOUSE_NODE, msg.clone(), &mut net).unwrap();
+                net.next().map(|d| d.msg)
+            });
+            assert_eq!(replies[0], replies[1], "replies to {msg:?} differ");
+        }
+    }
+
+    fn query(qid: u64, lo: usize, side: JoinSide, rows: Bag, pred: Option<Predicate>) -> Message {
+        let partial = PartialDelta {
+            lo,
+            hi: lo,
+            bag: rows,
+        };
+        Message::SweepQuery(SweepQuery {
+            qid,
+            partial,
+            side,
+            epoch: 0,
+            pred,
+        })
+    }
+
     #[test]
-    fn indexed_with_local_selection_rejected() {
+    fn indexed_source_honours_the_local_selection() {
         let v = ViewDefBuilder::new()
             .relation(Schema::new("R1", ["A", "B"]).unwrap())
             .relation(Schema::new("R2", ["C", "D"]).unwrap())
+            .relation(Schema::new("R3", ["E", "F"]).unwrap())
             .join("R1.B", "R2.C")
-            .select("R1.A", dw_relational::CmpOp::Gt, 0)
+            .join("R2.D", "R3.E")
+            .select("R2.D", CmpOp::Gt, 5)
             .build()
             .unwrap();
-        let rel = BaseRelation::new(Schema::new("R1", ["A", "B"]).unwrap());
-        assert!(DataSource::with_indexes(0, v, rel).is_err());
+        let rel = || {
+            BaseRelation::from_tuples(
+                Schema::new("R2", ["C", "D"]).unwrap(),
+                [tup![3, 5], tup![3, 7], tup![4, 5], tup![4, 9]],
+            )
+            .unwrap()
+        };
+        let mut plain = DataSource::new(1, v.clone(), rel());
+        let mut fast = DataSource::with_indexes(1, v, rel());
+        assert!(fast.is_indexed());
+        let probe = Bag::from_pairs([(tup![1, 3], 1), (tup![9, 4], -2)]);
+        let stream = [
+            query(1, 0, JoinSide::Right, probe.clone(), None),
+            query(
+                2,
+                2,
+                JoinSide::Left,
+                Bag::from_tuples([tup![5, 6], tup![9, 1]]),
+                None,
+            ),
+            Message::ApplyTxn {
+                rel: 1,
+                delta: Bag::from_pairs([(tup![3, 7], -1), (tup![3, 8], 1), (tup![3, 2], 1)]),
+                global: None,
+            },
+            query(3, 0, JoinSide::Right, probe, None),
+        ];
+        assert_same_replies(&mut plain, &mut fast, &stream);
+        // σ_{D > 5} really bit: (3,5) and (4,5) never travel.
+        let mut net: Network<Message> = Network::new(0);
+        let q = query(4, 0, JoinSide::Right, Bag::from_tuples([tup![1, 3]]), None);
+        fast.handle(WAREHOUSE_NODE, q, &mut net).unwrap();
+        let Message::SweepAnswer(a) = net.next().unwrap().msg else {
+            panic!("expected an answer")
+        };
+        assert_eq!(a.partial.bag, Bag::from_tuples([tup![1, 3, 3, 8]]));
+    }
+
+    #[test]
+    fn indexed_source_honours_a_pushed_predicate() {
+        let sigma = |bound: i64| {
+            Some(Predicate::Cmp {
+                attr: 1,
+                op: CmpOp::Ge,
+                value: Value::Int(bound),
+            })
+        };
+        let mut plain = mid_source(false);
+        let mut fast = mid_source(true);
+        let probe = Bag::from_tuples([tup![1, 3], tup![9, 4]]);
+        let stream = [
+            query(1, 0, JoinSide::Right, probe.clone(), sigma(7)),
+            query(
+                2,
+                2,
+                JoinSide::Left,
+                Bag::from_tuples([tup![5, 6]]),
+                sigma(6),
+            ),
+            Message::ApplyTxn {
+                rel: 1,
+                delta: Bag::from_pairs([(tup![3, 7], -1), (tup![4, 9], 1)]),
+                global: None,
+            },
+            query(3, 0, JoinSide::Right, probe.clone(), sigma(7)),
+            query(4, 0, JoinSide::Right, probe, sigma(0)),
+        ];
+        assert_same_replies(&mut plain, &mut fast, &stream);
     }
 
     #[test]
     fn end_sources_have_one_index() {
         let rel = BaseRelation::new(Schema::new("R1", ["A", "B"]).unwrap());
-        let src = DataSource::with_indexes(0, view3(), rel).unwrap();
+        let src = DataSource::with_indexes(0, view3(), rel);
         // Leftmost: only serves leftward extension (as left neighbor).
         assert!(src.is_indexed());
     }

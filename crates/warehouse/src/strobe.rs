@@ -94,12 +94,6 @@ impl Strobe {
         })
     }
 
-    /// Number of actions waiting for quiescence (observability — this is
-    /// the "view trails the sources" backlog).
-    pub fn action_backlog(&self) -> usize {
-        self.al.len()
-    }
-
     fn part_done(&mut self, id: UpdateId) {
         if let Some((left, at)) = self.outstanding.get_mut(&id) {
             *left -= 1;
@@ -499,7 +493,7 @@ mod tests {
             1,
             "delete must wait for quiescence"
         );
-        assert_eq!(wh.action_backlog(), 1);
+        assert_eq!(wh.al.len(), 1);
         assert!(!wh.is_quiescent());
     }
 }

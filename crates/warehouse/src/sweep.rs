@@ -84,6 +84,17 @@ struct Flight {
     run: Option<(SweepRun, SweepCtx)>,
 }
 
+fn bad_global_tag(g: GlobalPart, id: UpdateId) -> WarehouseError {
+    WarehouseError::Precondition {
+        reason: format!(
+            "update {id:?} tags itself part of global transaction {} of {} parts: \
+             a transaction has at least one part, every part announces the same count, \
+             and no more parts than that arrive",
+            g.gid, g.parts
+        ),
+    }
+}
+
 /// The SWEEP warehouse policy.
 pub struct Sweep {
     core: EngineCore,
@@ -95,6 +106,10 @@ pub struct Sweep {
     sequencer: InstallSequencer,
     /// Global-transaction tags of queued/processing updates (type 3).
     global_tags: HashMap<UpdateId, GlobalPart>,
+    /// Per global transaction ever announced: `(parts, parts delivered)`.
+    /// Entries outlive their transaction, so a part arriving after the
+    /// last one is refused instead of re-opening it.
+    global_seen: HashMap<u64, (u32, u32)>,
     /// Parts still missing per in-progress global transaction.
     pending_globals: HashMap<u64, u32>,
     /// Released view changes buffered while a global transaction is
@@ -130,6 +145,7 @@ impl Sweep {
             flights: VecDeque::new(),
             sequencer: InstallSequencer::new(),
             global_tags: HashMap::new(),
+            global_seen: HashMap::new(),
             pending_globals: HashMap::new(),
             hold: Hold::default(),
         })
@@ -237,7 +253,9 @@ impl Sweep {
         for (upd, _) in consumed {
             if let Some(g) = self.global_tags.remove(upd) {
                 let remaining = self.pending_globals.entry(g.gid).or_insert(g.parts);
-                *remaining -= 1;
+                *remaining = remaining
+                    .checked_sub(1)
+                    .ok_or_else(|| bad_global_tag(g, *upd))?;
                 if *remaining == 0 {
                     self.pending_globals.remove(&g.gid);
                 }
@@ -281,7 +299,15 @@ impl SweepPolicy for Sweep {
     }
 
     fn note_update(&mut self, u: &SourceUpdate, _at: Time) -> Result<(), WarehouseError> {
+        // The tag comes straight off the wire: `release` counts a
+        // transaction's parts down, so a count that cannot be met (zero,
+        // disagreeing, exceeded) would hold every later install forever.
         if let Some(g) = u.global {
+            let (parts, seen) = self.global_seen.entry(g.gid).or_insert((g.parts, 0));
+            if g.parts == 0 || g.parts != *parts || *seen == *parts {
+                return Err(bad_global_tag(g, u.id));
+            }
+            *seen += 1;
             self.global_tags.insert(u.id, g);
         }
         Ok(())

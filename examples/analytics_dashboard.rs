@@ -81,8 +81,7 @@ fn main() {
     let mut prev = Bag::new();
     for rec in &report.installs {
         let after = rec.view_after.as_ref().unwrap().to_bag();
-        let delta = DeltaRelation::from_bag(after.minus(&prev));
-        dashboard.apply(&delta).unwrap();
+        dashboard.apply(&after.minus(&prev)).unwrap();
         prev = after;
     }
 

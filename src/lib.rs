@@ -87,8 +87,8 @@ pub mod prelude {
     };
     pub use dw_protocol::TransportConfig;
     pub use dw_relational::{
-        tup, AggFn, AggregateSpec, AggregateState, Bag, BaseRelation, CmpOp, DeltaRelation,
-        KeySpec, Schema, ShardMap, SharedBag, Tuple, Value, ViewDef, ViewDefBuilder,
+        tup, AggFn, AggregateSpec, AggregateState, Bag, BaseRelation, CmpOp, KeySpec, Schema,
+        ShardMap, SharedBag, Tuple, Value, ViewDef, ViewDefBuilder,
     };
     pub use dw_serve::{
         HubPoll, InstallDelta, PinnedEpoch, PointAnswer, PublishOutcome, ReadFrontend, ScanAnswer,

@@ -5,8 +5,9 @@
 //! installs until every part of every in-progress global transaction has
 //! been processed, then flushes one atomic state transition.
 
+use dwsweep::engine::WarehouseError;
 use dwsweep::prelude::*;
-use dwsweep::protocol::UpdateId;
+use dwsweep::protocol::{GlobalPart, UpdateId};
 use std::collections::{HashMap, HashSet};
 
 fn scenario(seed: u64, updates: usize) -> GeneratedScenario {
@@ -148,4 +149,43 @@ fn non_global_updates_between_parts_are_held_not_lost() {
         }
     }
     assert_eq!(seen.len() as u64, report.metrics.updates_received);
+}
+
+/// Re-tag the first `k` plain transactions of `s` with `tag`.
+fn tag_plain_txns(s: &mut GeneratedScenario, k: usize, tag: GlobalPart) {
+    let plain = s.txns.iter_mut().filter(|t| t.global.is_none());
+    let tagged = plain.take(k).map(|t| t.global = Some(tag)).count();
+    assert_eq!(tagged, k, "scenario has too few plain transactions");
+}
+
+fn assert_refused_typed(s: GeneratedScenario, what: &str) {
+    let err = Experiment::new(s)
+        .policy(PolicyKind::Sweep(Default::default()))
+        .run()
+        .expect_err(what);
+    assert!(
+        matches!(
+            err,
+            CoreError::Warehouse(WarehouseError::Precondition { .. })
+        ),
+        "{what}: got {err}"
+    );
+}
+
+#[test]
+fn a_zero_part_global_tag_is_refused_typed() {
+    // `parts: 0` used to underflow the countdown: a panic in debug builds,
+    // a hold that never lifts in release builds.
+    let mut s = scenario(5, 12);
+    tag_plain_txns(&mut s, 1, GlobalPart { gid: 900, parts: 0 });
+    assert_refused_typed(s, "a transaction of zero parts");
+}
+
+#[test]
+fn a_part_beyond_the_announced_count_is_refused_typed() {
+    // Three updates claim to be parts of a two-part transaction: the third
+    // used to re-open the finished transaction and hold installs forever.
+    let mut s = scenario(6, 12);
+    tag_plain_txns(&mut s, 3, GlobalPart { gid: 901, parts: 2 });
+    assert_refused_typed(s, "a third part of a two-part transaction");
 }

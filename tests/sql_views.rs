@@ -90,14 +90,24 @@ fn sql_view_with_selection_filters_updates() {
         delta: Bag::from_pairs([(tup![0, 3], 1)]), // filtered out
         global: None,
     });
-    let report = Experiment::new(s)
-        .policy(PolicyKind::Sweep(Default::default()))
-        .run()
-        .unwrap();
+    let run = |indexed: bool| {
+        Experiment::new(s.clone())
+            .policy(PolicyKind::Sweep(Default::default()))
+            .indexed_sources(indexed)
+            .run()
+            .unwrap()
+    };
+    let report = run(false);
     assert_eq!(
-        report.consistency.unwrap().level,
+        report.consistency.as_ref().unwrap().level,
         ConsistencyLevel::Complete
     );
+    // Sources that probe a maintained join index honour `R1.A > 1` too:
+    // same view, same install log, same number of deliveries.
+    let indexed = run(true);
+    assert_eq!(indexed.view, report.view);
+    assert_eq!(indexed.installs, report.installs);
+    assert_eq!(indexed.events, report.events);
     // Only tuples derived through A>1 rows remain; (1,3)'s derivations are
     // excluded by the selection and (2,3) was deleted → only (3,5)'s join
     // through... R1 has no surviving row joining B=3 after the delete, so
