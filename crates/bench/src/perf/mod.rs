@@ -46,8 +46,9 @@ use std::time::Instant;
 /// E20 maintenance-DAG block; v9 the E21 serve-at-scale block (point
 /// indexes, answer cache, subscriber backpressure); v10 the copied-tuple
 /// counts of structurally shared views (E17 checkpoints, E21 publishes
-/// and its 27k/270k scale arm).
-pub const SCHEMA_VERSION: u64 = 10;
+/// and its 27k/270k scale arm); v11 E21 held to the recompute oracle and
+/// the analytic scan yardstick (the answer-cache fields go).
+pub const SCHEMA_VERSION: u64 = 11;
 
 /// Relative regression tolerance on tracked ratios (25 %).
 pub const RATIO_TOLERANCE: f64 = 0.25;

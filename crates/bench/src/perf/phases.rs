@@ -1767,22 +1767,21 @@ row! {
     /// One key-distribution row of the E21 (serve at scale) phase.
     ///
     /// Each row replays the *same* seeded maintenance load under a
-    /// point-heavy read mix twice: a **linear-scan arm** (point index off,
-    /// cache off — every point read walks the whole pinned bag) and an
-    /// **accelerated arm** (per-epoch point indexes plus the read-through
-    /// answer cache). Cost is a deterministic work proxy — tuples examined —
-    /// never wall-clock: linear scans bill the bag's distinct size, index
-    /// builds bill the bag walked once, incremental derives bill the
-    /// delta-touched groups, group walks bill the group length, cache hits
-    /// bill zero. The two arms must return byte-identical answers; the
-    /// accelerated arm must clear `expected_min_speedup` on total work. A
-    /// third **lag arm** runs bounded subscriptions with polls under the
-    /// same load and proves every overflowed subscriber's
-    /// deltas-plus-resume-snapshot history equivalent to the unbounded
-    /// stream. A fourth **scale arm** publishes one fixed delta stream
-    /// over a 27k- and a 270k-tuple view and counts the tuples each
-    /// publish copied: epochs share structure, so the count follows `|Δ|`
-    /// and must stay flat in the view size.
+    /// point-heavy read mix, every point read answered through the pinned
+    /// epoch's point index — the store's one route. Cost is a
+    /// deterministic work proxy — tuples examined — never wall-clock: an
+    /// index build bills the bag walked once, an incremental derive the
+    /// delta-touched groups, an answer the length of its group. The
+    /// yardstick is analytic: what linearly scanning each answered point
+    /// read's pinned epoch would examine, `Σ |V_epoch|`. Every answer must
+    /// equal the recompute oracle at its pinned epoch; the indexed work
+    /// must undercut the scan by `expected_min_speedup`. A **lag arm**
+    /// runs bounded subscriptions with polls under the same load and
+    /// proves every overflowed subscriber's deltas-plus-resume-snapshot
+    /// history equivalent to the unbounded stream. A **scale arm**
+    /// publishes one fixed delta stream over a 27k- and a 270k-tuple view
+    /// and counts the tuples each publish copied: epochs share structure,
+    /// so the count follows `|Δ|` and must stay flat in the view size.
     E21Row in e21 as "E21" / "e21_serve_scale" {
         /// Key-distribution label ("hot-key-skew", "uniform").
         mix: String = Key,
@@ -1792,50 +1791,42 @@ row! {
         views: u64 = Info,
         /// Updates the warehouse processed.
         updates: u64 = Info,
-        /// Point reads issued (both arms see the identical schedule).
+        /// Point reads issued.
         point_reads: u64 = Info,
-        /// Total tuples examined by the linear-scan arm (reads + index
-        /// maintenance, the latter zero by construction).
+        /// Tuples a linear scan of each answered point read's pinned epoch
+        /// would examine, `Σ |V_epoch|` — analytic, from the recompute
+        /// oracle's views.
         linear_work_tuples: u64 = Info,
-        /// Total tuples examined by the accelerated arm (group walks, index
-        /// builds, incremental derives; cache hits are free).
-        accel_work_tuples: u64 = Ratio(Higher, "accelerated work"),
-        /// `linear_work_tuples / max(1, accel_work_tuples)` — the gated
+        /// Tuples the store examined answering through the index (answered
+        /// groups, index builds, incremental derives).
+        index_work_tuples: u64 = Ratio(Higher, "indexed work"),
+        /// `linear_work_tuples / max(1, index_work_tuples)` — the gated
         /// point-read speedup.
         speedup: f64 = Ratio(Lower, "point-read speedup"),
         /// The floor `speedup` must clear (5.0 on the skewed mix).
         expected_min_speedup: f64 = Info,
-        /// Full index builds in the accelerated arm (first point read on a
-        /// `(view, epoch, column)`).
+        /// Full index builds (first point read on a `(view, epoch,
+        /// column)`).
         index_builds: u64 = Info,
         /// Incremental index derivations at publish.
         index_derives: u64 = Info,
         /// Point reads answered through an already-present index.
         index_hits: u64 = Info,
-        /// Answer-cache hits in the accelerated arm.
-        cache_hits: u64 = Info,
-        /// Answer-cache misses in the accelerated arm.
-        cache_misses: u64 = Info,
-        /// Answer-cache entries evicted at capacity.
-        cache_evictions: u64 = Info,
-        /// hits/(hits+misses) — the cache effectiveness ratio the gate
-        /// tracks against the baseline.
-        cache_hit_ratio: f64 = Ratio(Lower, "cache hit ratio"),
-        /// Serve-side bag deep copies in the accelerated arm. Must be
-        /// exactly 0: neither publishing nor reading copies a bag.
+        /// Serve-side bag deep copies. Must be exactly 0: neither
+        /// publishing nor reading copies a bag.
         bags_deep_cloned: u64 = Info,
-        /// Tuples the accelerated arm's publishes copied (the touched
-        /// chunks of each install's view, copy-on-write) — exact and
-        /// deterministic.
+        /// Tuples the run's publishes copied (the touched chunks of each
+        /// install's view, copy-on-write) — exact and deterministic.
         publish_copied_tuples: u64 = Ratio(Higher, "publish copied tuples"),
         /// Epoch snapshots published by the install pipeline.
         snapshots_published: u64 = Info,
-        /// Both arms returned byte-identical answers for every read.
-        answers_match: bool = Info,
-        /// Virtual-time maintenance makespan under the accelerated arm (µs).
+        /// Every answered read equalled a fresh recompute of its view at
+        /// its pinned epoch, and every staleness verdict the oracle's.
+        reads_match_recompute: bool = Info,
+        /// Virtual-time maintenance makespan under the readers (µs).
         makespan_us: u64 = Info,
         /// The no-reader referee's makespan (µs). Must equal `makespan_us`
-        /// exactly: acceleration changes read cost, never maintenance.
+        /// exactly: readers change read cost, never maintenance.
         baseline_makespan_us: u64 = Info,
         /// Bounded subscriptions that overflowed their `max_lag` bound in
         /// the lag arm. Must be ≥ 1: the backpressure path was exercised.
@@ -1853,21 +1844,21 @@ row! {
         /// `scale_copied_270k / scale_copied_27k`. Must stay ≤ 1.5: what
         /// a publish copies does not grow with the view.
         scale_copied_ratio: f64 = Ratio(Higher, "publish copied-tuples ratio 270k/27k"),
-        /// All three arms and the no-reader referee drained to quiescence.
+        /// The read run, the lag arm and the no-reader referee all drained
+        /// to quiescence.
         quiescent: bool = Info,
     }
 }
 
 impl Phase for E21Row {
-    const LAW: &'static str = "indexed+cached point reads byte-identical to linear scans at \u{2265} 5\u{d7} less work on the skewed mix, zero bag deep copies with publish copying O(|\u{394}|) tuples flat in the view size, stream-equivalent lag recovery";
+    const LAW: &'static str = "indexed point answers equal the recompute oracle at \u{2265} 5\u{d7} less work than scanning the pinned epoch on the skewed mix, zero bag deep copies with publish copying O(|\u{394}|) tuples flat in the view size, stream-equivalent lag recovery";
     /// The lag arm's stream-equivalence audit (the `serve_scale` binary
     /// prints its subscriber and delivery counts).
     type Detail = LagAudit;
 
     /// The E19 maintenance load under a point-heavy read schedule per key
-    /// distribution, once with the serving accelerators off (linear-scan
-    /// arm) and once with per-epoch point indexes plus the answer cache
-    /// on (accelerated arm), beside a no-reader referee.
+    /// distribution, audited read by read against the recompute oracle,
+    /// beside a no-reader referee.
     fn run(smoke: bool) -> Vec<(E21Row, LagAudit)> {
         let scenario = serve_scenario(pick(smoke, 16, 48));
         let n = scenario.base.num_relations();
@@ -1898,40 +1889,30 @@ impl Phase for E21Row {
                     .iter()
                     .filter(|r| matches!(r.kind, ReadKind::Point { .. }))
                     .count() as u64;
-                let linear = serving(&scenario, reads.clone())
-                    .point_index(false)
-                    .run()
-                    .unwrap();
-                let accel = serving(&scenario, reads).answer_cache(64).run().unwrap();
-                let (linear_arm, accel_arm) = (linear.served().unwrap(), accel.served().unwrap());
-                let (linear_stats, stats) = (&linear_arm.serve_stats, &accel_arm.serve_stats);
-                let linear_work =
-                    linear_stats.read_work_tuples + linear_stats.index_maintenance_tuples;
-                let accel_work = stats.read_work_tuples + stats.index_maintenance_tuples;
-                let cache_lookups = stats.cache_hits + stats.cache_misses;
+                let served = serving(&scenario, reads).run().unwrap();
+                let audit = audit_reads(&scenario, &served).unwrap();
+                let stats = &served.served().unwrap().serve_stats;
+                let linear_work = audit.point_scan_tuples;
+                let index_work = stats.read_work_tuples + stats.index_maintenance_tuples;
 
                 let row = E21Row {
                     mix: mix.to_string(),
                     n: n as u64,
                     views: views as u64,
-                    updates: accel.scheduler_metrics.updates_received,
+                    updates: served.scheduler_metrics.updates_received,
                     point_reads,
                     linear_work_tuples: linear_work,
-                    accel_work_tuples: accel_work,
-                    speedup: linear_work as f64 / accel_work.max(1) as f64,
+                    index_work_tuples: index_work,
+                    speedup: linear_work as f64 / index_work.max(1) as f64,
                     expected_min_speedup,
                     index_builds: stats.point_index_builds,
                     index_derives: stats.point_index_derived,
                     index_hits: stats.point_index_hits,
-                    cache_hits: stats.cache_hits,
-                    cache_misses: stats.cache_misses,
-                    cache_evictions: stats.cache_evictions,
-                    cache_hit_ratio: stats.cache_hits as f64 / cache_lookups.max(1) as f64,
                     bags_deep_cloned: stats.bags_deep_cloned,
                     publish_copied_tuples: stats.publish_copied_tuples,
                     snapshots_published: stats.snapshots_published,
-                    answers_match: linear_arm.reads == accel_arm.reads,
-                    makespan_us: accel.makespan(),
+                    reads_match_recompute: audit.clean(),
+                    makespan_us: served.makespan(),
                     baseline_makespan_us: referee.makespan(),
                     lag_events: lag_audit.lag_events,
                     lag_resumes: lag_audit.resumes,
@@ -1939,10 +1920,7 @@ impl Phase for E21Row {
                     scale_copied_27k: scale_27k,
                     scale_copied_270k: scale_270k,
                     scale_copied_ratio: scale_270k as f64 / scale_27k.max(1) as f64,
-                    quiescent: referee.quiescent
-                        && linear.quiescent
-                        && accel.quiescent
-                        && lagged.quiescent,
+                    quiescent: referee.quiescent && served.quiescent && lagged.quiescent,
                 };
                 (row, lag_audit.clone())
             })
@@ -1959,22 +1937,22 @@ impl Phase for E21Row {
             ));
         }
         for row in rows {
-            if !row.answers_match {
+            if !row.reads_match_recompute {
                 v.push(format!(
-                    "E21 {}: the accelerated arm's answers diverged from the linear-scan arm — \
-                     the index or cache is visible to correctness",
+                    "E21 {}: an indexed answer diverged from the recompute oracle at its pinned \
+                     epoch — the point index is visible to correctness",
                     row.mix
                 ));
             }
             if row.speedup + EXACT_EPS < row.expected_min_speedup {
                 v.push(format!(
-                    "E21 {}: point-read speedup {:.2} below the {}x floor — {} linear work tuples \
-                     vs {} accelerated",
+                    "E21 {}: point-read speedup {:.2} below the {}x floor — scanning the pinned \
+                     epochs examines {} tuples vs {} through the index",
                     row.mix,
                     row.speedup,
                     row.expected_min_speedup,
                     row.linear_work_tuples,
-                    row.accel_work_tuples
+                    row.index_work_tuples
                 ));
             }
             if row.bags_deep_cloned != 0 {
@@ -1997,8 +1975,8 @@ impl Phase for E21Row {
             }
             if row.makespan_us != row.baseline_makespan_us {
                 v.push(format!(
-                    "E21 {}: accelerated readers perturbed maintenance — makespan {}us != {}us \
-                     no-reader baseline",
+                    "E21 {}: readers perturbed maintenance — makespan {}us != {}us no-reader \
+                     baseline",
                     row.mix, row.makespan_us, row.baseline_makespan_us
                 ));
             }
@@ -2006,12 +1984,6 @@ impl Phase for E21Row {
                 v.push(format!(
                     "E21 {}: the point index never engaged ({} builds, {} hits)",
                     row.mix, row.index_builds, row.index_hits
-                ));
-            }
-            if row.cache_hits == 0 {
-                v.push(format!(
-                    "E21 {}: the answer cache never hit — the read-through path is dead",
-                    row.mix
                 ));
             }
             if row.lag_events == 0 || row.lag_resumes == 0 {
@@ -2059,8 +2031,8 @@ fn publish_copied(tuples: i64) -> u64 {
 }
 
 /// The E21 read schedule: 6 readers hammering point lookups over a
-/// 64-key domain at the given zipf skew — the mix where per-epoch
-/// indexes and the answer cache earn their keep.
+/// 64-key domain at the given zipf skew — the mix where the per-epoch
+/// index earns its keep.
 fn scale_read_mix(smoke: bool, n_views: usize, zipf_theta: f64) -> Vec<ReadOp> {
     ReadMixConfig {
         n_views,

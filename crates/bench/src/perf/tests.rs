@@ -314,20 +314,16 @@ fn healthy() -> PerfReport {
                 updates: 16,
                 point_reads: 130,
                 linear_work_tuples: 8_200,
-                accel_work_tuples: 640,
+                index_work_tuples: 640,
                 speedup: 8_200.0 / 640.0,
                 expected_min_speedup: 5.0,
                 index_builds: 3,
                 index_derives: 90,
                 index_hits: 120,
-                cache_hits: 70,
-                cache_misses: 60,
-                cache_evictions: 4,
-                cache_hit_ratio: 70.0 / 130.0,
                 bags_deep_cloned: 0,
                 publish_copied_tuples: 1_400,
                 snapshots_published: 48,
-                answers_match: true,
+                reads_match_recompute: true,
                 makespan_us: 96_000,
                 baseline_makespan_us: 96_000,
                 lag_events: 3,
@@ -345,20 +341,16 @@ fn healthy() -> PerfReport {
                 updates: 16,
                 point_reads: 128,
                 linear_work_tuples: 8_000,
-                accel_work_tuples: 1_900,
+                index_work_tuples: 1_900,
                 speedup: 8_000.0 / 1_900.0,
                 expected_min_speedup: 1.0,
                 index_builds: 3,
                 index_derives: 90,
                 index_hits: 118,
-                cache_hits: 12,
-                cache_misses: 116,
-                cache_evictions: 30,
-                cache_hit_ratio: 12.0 / 128.0,
                 bags_deep_cloned: 0,
                 publish_copied_tuples: 1_400,
                 snapshots_published: 48,
-                answers_match: true,
+                reads_match_recompute: true,
                 makespan_us: 96_000,
                 baseline_makespan_us: 96_000,
                 lag_events: 3,
@@ -951,10 +943,11 @@ fn dag_divergence_fails_gate() {
 
 #[test]
 fn serve_scale_regressions_fail_gate() {
-    // The acceptance demo for E21: the accelerated read path slipping
-    // below its 5x deterministic-work speedup floor on the skewed mix.
+    // The acceptance demo for E21: the indexed read path slipping below
+    // its 5x deterministic-work floor against scanning the pinned epoch
+    // on the skewed mix.
     let mut fresh = healthy();
-    fresh.e21[0].accel_work_tuples = 4_000;
+    fresh.e21[0].index_work_tuples = 4_000;
     fresh.e21[0].speedup = 8_200.0 / 4_000.0;
     let violations = gate(&healthy(), &fresh);
     assert!(
@@ -962,15 +955,15 @@ fn serve_scale_regressions_fail_gate() {
         "expected a speedup violation, got {violations:?}"
     );
 
-    // The index or cache becoming visible to correctness — answers
-    // that differ between the arms by even one byte.
+    // The index becoming visible to correctness — one answer that
+    // disagrees with the oracle's recompute at its pinned epoch.
     let mut fresh = healthy();
-    fresh.e21[1].answers_match = false;
+    fresh.e21[1].reads_match_recompute = false;
     let violations = gate(&healthy(), &fresh);
     assert!(
         violations
             .iter()
-            .any(|v| v.contains("diverged from the linear-scan arm")),
+            .any(|v| v.contains("diverged from the recompute oracle")),
         "expected an answer-divergence violation, got {violations:?}"
     );
 
@@ -1211,15 +1204,15 @@ fn every_declared_field_is_gated_as_its_kind_says() {
 
 #[test]
 fn lower_is_worse_ratios_are_measured_against_the_baseline() {
-    // A cache that stops hitting altogether: 0.54 → 0 is a total
-    // collapse, not "a ratio against zero".
+    // Siblings that stop sharing derivations altogether: 0.67 → 0 is a
+    // total collapse, not "a ratio against zero".
     let mut fresh = healthy();
-    fresh.e21[0].cache_hit_ratio = 0.0;
+    fresh.e20[0].sharing_ratio = 0.0;
     let violations = gate(&healthy(), &fresh);
     assert!(
         violations
             .iter()
-            .any(|v| v.starts_with("E21 hot-key-skew cache hit ratio: 0 vs baseline")),
+            .any(|v| v.starts_with("E20 sibling-fanout sharing ratio: 0 vs baseline")),
         "expected a collapsed-ratio violation, got {violations:?}"
     );
 

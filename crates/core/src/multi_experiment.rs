@@ -140,22 +140,6 @@ impl MultiViewExperiment {
         self
     }
 
-    /// Enable/disable the store's per-epoch point indexes (on by
-    /// default). The off arm linearly scans every point read — the E21
-    /// baseline, byte-identical in answers to the indexed arm.
-    pub fn point_index(mut self, on: bool) -> Self {
-        self.serve.point_index = on;
-        self
-    }
-
-    /// Capacity of the read-through answer cache (entries; 0 — the
-    /// default — disables it). Deterministic FIFO eviction; invisible to
-    /// every answer, which the equivalence suite asserts byte-for-byte.
-    pub fn answer_cache(mut self, capacity: usize) -> Self {
-        self.serve.cache_capacity = capacity;
-        self
-    }
-
     /// Register one *bounded* subscription per base view before traffic
     /// starts, with the given `max_lag` queue bound. `ReadKind::Poll`
     /// ops in the read mix drain them mid-run; an overflowed one is

@@ -147,16 +147,16 @@ fn observing_a_serve_run_records_the_read_frontend() {
     let (obs, rec) = Obs::trace();
     let report = MultiViewExperiment::new(scenario)
         .reads(reads)
-        .answer_cache(8)
         .observe(obs)
         .run()
         .unwrap();
     let stats = &report.served().unwrap().serve_stats;
     let rec = rec.lock().unwrap();
-    assert!(stats.cache_hits > 0 && stats.point_index_builds > 0);
-    assert_eq!(rec.counter("serve.cache.hit"), stats.cache_hits);
-    assert_eq!(rec.counter("serve.cache.miss"), stats.cache_misses);
+    assert!(stats.point_index_hits > 0 && stats.point_index_builds > 0);
+    assert_eq!(rec.counter("serve.index.hit"), stats.point_index_hits);
+    assert_eq!(rec.counter("serve.index.miss"), stats.point_index_misses);
     assert_eq!(rec.counter("serve.index.build"), stats.point_index_builds);
+    assert_eq!(rec.counter("serve.index.derive"), stats.point_index_derived);
     let text = rec.render();
-    assert!(text.contains("serve.cache.miss = "), "{text}");
+    assert!(text.contains("serve.index.hit = "), "{text}");
 }

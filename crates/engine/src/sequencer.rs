@@ -86,14 +86,6 @@ impl InstallSequencer {
         self.next_release == self.next_ticket
     }
 
-    /// Is any completed ticket still held back behind an earlier one?
-    /// (After a [`InstallSequencer::drain`], everything still buffered
-    /// is.) The scheduler refuses to deregister a view while an install
-    /// that may feed it waits here.
-    pub fn has_buffered(&self) -> bool {
-        !self.buffered.is_empty()
-    }
-
     /// Tickets issued but not yet released (completed-but-buffered ones
     /// included).
     pub fn outstanding(&self) -> u64 {
@@ -119,7 +111,6 @@ mod tests {
         // t2 finishes first: nothing releases, it buffers behind t0.
         s.complete(t2, Some(install(2)));
         assert!(s.drain().is_empty());
-        assert!(s.has_buffered());
         assert_eq!(s.outstanding(), 3);
         // t0 releases itself and nothing else (t1 still running).
         s.complete(t0, Some(install(0)));
@@ -127,7 +118,7 @@ mod tests {
         // t1 unblocks the buffered t2 behind it.
         s.complete(t1, Some(install(1)));
         assert_eq!(s.drain(), vec![install(1), install(2)]);
-        assert!(s.is_drained() && !s.has_buffered());
+        assert!(s.is_drained());
     }
 
     #[test]

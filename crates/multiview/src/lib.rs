@@ -7,7 +7,8 @@
 //! maintaining each one independently repeats the same source
 //! round-trips. This crate adds:
 //!
-//! * a [`ViewRegistry`] — register/deregister SPJ views at runtime, each
+//! * a [`ViewRegistry`] — register SPJ views at runtime (a registered
+//!   view stays for the registry's lifetime), each
 //!   a contiguous span `[lo, hi]` of one shared base chain with its own
 //!   selections, projection, and maintenance cadence
 //!   ([`dw_workload::ViewPolicy`]: SWEEP, Nested-SWEEP-style batching,

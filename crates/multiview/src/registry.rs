@@ -38,12 +38,6 @@ pub enum MvError {
         /// The offending id's slot index.
         index: usize,
     },
-    /// The view cannot be deregistered while a sweep that feeds it is
-    /// in flight.
-    ViewBusy {
-        /// The view's display name.
-        name: String,
-    },
     /// A derived spec names a parent that is not registered (and, for a
     /// batch registration, not registrable from the batch either).
     UnknownParent {
@@ -57,13 +51,6 @@ pub enum MvError {
         /// Display name of the first spec (in given order) stuck on the
         /// cycle — deterministic, for actionable error messages.
         name: String,
-    },
-    /// The view still has derived children and cannot be deregistered.
-    HasChildren {
-        /// The view's display name.
-        name: String,
-        /// Display names of its live children, in slot order.
-        children: Vec<String>,
     },
     /// A scheduler invariant did not hold on the message path — a bug in
     /// this crate, surfaced as an error instead of a panic so one bad
@@ -80,12 +67,6 @@ impl fmt::Display for MvError {
             MvError::Relational(e) => write!(f, "{e}"),
             MvError::Warehouse(e) => write!(f, "{e}"),
             MvError::UnknownView { index } => write!(f, "no registered view in slot {index}"),
-            MvError::ViewBusy { name } => {
-                write!(
-                    f,
-                    "view '{name}' has a sweep in flight; drain before deregistering"
-                )
-            }
             MvError::UnknownParent { name, parent } => {
                 write!(f, "derived view '{name}' names unknown parent '{parent}'")
             }
@@ -97,14 +78,6 @@ impl fmt::Display for MvError {
                 )
             }
             MvError::Internal { what } => write!(f, "scheduler invariant broken: {what}"),
-            MvError::HasChildren { name, children } => {
-                write!(
-                    f,
-                    "view '{name}' still feeds derived children [{}]; \
-                     deregister them first",
-                    children.join(", ")
-                )
-            }
         }
     }
 }
@@ -289,12 +262,12 @@ impl ViewRuntime {
 
 /// The registry: a slab of registered views over one shared base chain.
 ///
-/// Slots are never reused, so [`ViewId`]s stay unambiguous for the
-/// registry's lifetime; a deregistered id fails with
-/// [`MvError::UnknownView`].
+/// A view, once registered, stays for the registry's lifetime, so a
+/// [`ViewId`] is its slot index and never goes stale; an id from another
+/// registry fails with [`MvError::UnknownView`].
 pub struct ViewRegistry {
     base: ViewDef,
-    slots: Vec<Option<ViewRuntime>>,
+    slots: Vec<ViewRuntime>,
     /// Attached install publisher, propagated to every current and
     /// future runtime (and re-attached across checkpoint restores).
     publisher: Option<SharedInstallPublisher>,
@@ -359,7 +332,7 @@ impl ViewRegistry {
         let local = spec.compile(&self.base)?;
         let out_width = local.projection().len();
         let id = ViewId(self.slots.len());
-        self.slots.push(Some(ViewRuntime {
+        self.slots.push(ViewRuntime {
             name: spec.name.clone(),
             lo: spec.lo,
             hi: spec.hi,
@@ -373,7 +346,7 @@ impl ViewRegistry {
             kind: ViewKind::Base,
             children: Vec::new(),
             out_width,
-        }));
+        });
         Ok(id)
     }
 
@@ -382,9 +355,9 @@ impl ViewRegistry {
     /// by evaluating the operator over the parent's *current* bag, so
     /// registration at any quiescent point is consistent by construction.
     ///
-    /// The parent reference is resolved by name among live views; because
-    /// a child can only name an existing view and ids are never reused,
-    /// single registrations cannot create cycles — the batch form
+    /// The parent reference is resolved by name among registered views;
+    /// because a child can only name an existing view, single
+    /// registrations cannot create cycles — the batch form
     /// ([`ViewRegistry::register_derived_many`]) is where cycle rejection
     /// has teeth.
     pub fn register_derived(&mut self, spec: &DerivedSpec) -> Result<ViewId, MvError> {
@@ -395,10 +368,12 @@ impl ViewRegistry {
                 parent: spec.parent.clone(),
             })?
             .0;
-        let (parent_bag, parent_width, lo, hi) = {
-            let rt = self.slots[parent_slot].as_ref().expect("resolved slot");
-            (rt.sink.bag().to_bag(), rt.out_width, rt.lo, rt.hi)
-        };
+        let parent = &self.slots[parent_slot];
+        let (parent_bag, parent_width) = (parent.sink.bag().to_bag(), parent.out_width);
+        // The span-local join definition is the parent's chain; the
+        // derived operator lives in `kind`. Derived views are never
+        // swept, so this is only carried for display/span accounting.
+        let (lo, hi, local) = (parent.lo, parent.hi, parent.local.clone());
         spec.op.validate(parent_width)?;
         let initial = spec.op.eval(&parent_bag)?;
         let agg = match &spec.op {
@@ -411,18 +386,11 @@ impl ViewRegistry {
             DerivedOp::Select { .. } => None,
         };
         let id = ViewId(self.slots.len());
-        self.slots.push(Some(ViewRuntime {
+        self.slots.push(ViewRuntime {
             name: spec.name.clone(),
             lo,
             hi,
-            // The span-local join definition is the parent's chain; the
-            // derived operator lives in `kind`. Derived views are never
-            // swept, so this is only carried for display/span accounting.
-            local: self.slots[parent_slot]
-                .as_ref()
-                .expect("live")
-                .local
-                .clone(),
+            local,
             // Derived views install at every parent install: the cascade
             // is the cadence, so the policy is pinned to Sweep.
             policy: ViewPolicy::Sweep,
@@ -438,19 +406,15 @@ impl ViewRegistry {
             },
             children: Vec::new(),
             out_width: spec.op.output_width(parent_width),
-        }));
-        self.slots[parent_slot]
-            .as_mut()
-            .expect("live")
-            .children
-            .push(id.0);
+        });
+        self.slots[parent_slot].children.push(id.0);
         Ok(id)
     }
 
     /// Register a batch of derived specs, topologically: each pass
-    /// registers every spec whose parent is already live, in given
+    /// registers every spec whose parent is already registered, in given
     /// order, until the batch drains. A spec whose parent is neither
-    /// live nor in the batch fails with [`MvError::UnknownParent`]; a
+    /// registered nor in the batch fails with [`MvError::UnknownParent`]; a
     /// batch where a pass makes no progress while specs remain (and all
     /// parents are batch-internal) is a cycle, reported deterministically
     /// as the first stuck spec in given order.
@@ -489,87 +453,43 @@ impl ViewRegistry {
             .collect())
     }
 
-    /// Resolve a live view by display name (first match in slot order).
+    /// Resolve a view by display name (first match in slot order).
     pub fn resolve(&self, name: &str) -> Option<ViewId> {
-        self.slots.iter().enumerate().find_map(|(i, s)| match s {
-            Some(rt) if rt.name == name => Some(ViewId(i)),
-            _ => None,
-        })
+        self.slots.iter().position(|rt| rt.name == name).map(ViewId)
     }
 
-    /// Remove a view. The scheduler's wrapper refuses while the view has
-    /// a sweep in flight; the bare registry removal refuses only while
-    /// the view still feeds live derived children (deregister leaves
-    /// first).
-    pub fn deregister(&mut self, id: ViewId) -> Result<(), MvError> {
-        let rt = self.runtime(id)?;
-        let live_children: Vec<String> = rt
-            .children
-            .iter()
-            .filter_map(|&c| self.slots[c].as_ref().map(|child| child.name.clone()))
-            .collect();
-        if !live_children.is_empty() {
-            return Err(MvError::HasChildren {
-                name: rt.name.clone(),
-                children: live_children,
-            });
-        }
-        let parent = match rt.kind {
-            ViewKind::Derived { parent, .. } => Some(parent),
-            ViewKind::Base => None,
-        };
-        self.slots[id.0] = None;
-        if let Some(p) = parent {
-            if let Some(prt) = self.slots[p].as_mut() {
-                prt.children.retain(|&c| c != id.0);
-            }
-        }
-        Ok(())
-    }
-
-    /// Live view ids, in registration order.
+    /// Every view's id, in registration order.
     pub fn ids(&self) -> Vec<ViewId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| ViewId(i)))
-            .collect()
+        (0..self.slots.len()).map(ViewId).collect()
     }
 
-    /// The live view in registry slot `index` — the coordinate sequenced
-    /// installs and install events are keyed by. A direct slot lookup.
+    /// The view in registry slot `index` — the coordinate sequenced
+    /// installs and install events are keyed by.
     pub fn id_at(&self, index: usize) -> Result<ViewId, MvError> {
-        match self.slots.get(index) {
-            Some(Some(_)) => Ok(ViewId(index)),
-            _ => Err(MvError::UnknownView { index }),
-        }
+        self.runtime(ViewId(index)).map(|_| ViewId(index))
     }
 
-    /// Number of live views.
+    /// Number of registered views.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.slots.len()
     }
 
     /// True when no views are registered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.slots.is_empty()
     }
 
-    /// Live **base** views whose span contains base relation `j` — the
+    /// The **base** views whose span contains base relation `j` — the
     /// views a source update's sweep must service. Derived views are
     /// excluded by construction: they are maintained by the cascade, not
     /// by sweeps, and must never contribute to sweep formation or the
     /// source-message bill.
     pub fn affected_by(&self, j: usize) -> Vec<ViewId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                Some(rt) if matches!(rt.kind, ViewKind::Base) && rt.lo <= j && j <= rt.hi => {
-                    Some(ViewId(i))
-                }
-                _ => None,
-            })
+        let swept =
+            |rt: &ViewRuntime| matches!(rt.kind, ViewKind::Base) && rt.lo <= j && j <= rt.hi;
+        let slots = self.slots.iter().enumerate();
+        slots
+            .filter_map(|(i, rt)| swept(rt).then_some(ViewId(i)))
             .collect()
     }
 
@@ -587,9 +507,7 @@ impl ViewRegistry {
             if std::mem::replace(&mut hit[slot], true) {
                 continue;
             }
-            if let Some(rt) = &self.slots[slot] {
-                stack.extend(rt.children.iter().copied());
-            }
+            stack.extend(self.slots[slot].children.iter().copied());
         }
         hit.iter()
             .enumerate()
@@ -600,19 +518,17 @@ impl ViewRegistry {
     pub(crate) fn runtime(&self, id: ViewId) -> Result<&ViewRuntime, MvError> {
         self.slots
             .get(id.0)
-            .and_then(|s| s.as_ref())
             .ok_or(MvError::UnknownView { index: id.0 })
     }
 
     pub(crate) fn runtime_mut(&mut self, id: ViewId) -> Result<&mut ViewRuntime, MvError> {
         self.slots
             .get_mut(id.0)
-            .and_then(|s| s.as_mut())
             .ok_or(MvError::UnknownView { index: id.0 })
     }
 
     pub(crate) fn runtimes_mut(&mut self) -> impl Iterator<Item = &mut ViewRuntime> {
-        self.slots.iter_mut().filter_map(|s| s.as_mut())
+        self.slots.iter_mut()
     }
 
     /// Toggle per-install view snapshots for every current and future
@@ -649,7 +565,7 @@ impl ViewRegistry {
         Ok(())
     }
 
-    /// Flush every live view (registration order), cascading each
+    /// Flush every view (registration order), cascading each
     /// install. Derived views have nothing pending by construction
     /// (their cadence is the cascade itself), so this only ever installs
     /// at base views and recurses downward.
@@ -674,32 +590,23 @@ impl ViewRegistry {
         installed: &Installed<'_>,
         now: Time,
     ) -> Result<(), MvError> {
-        let children = match &self.slots[parent_slot] {
-            Some(rt) if !rt.children.is_empty() => rt.children.clone(),
-            _ => return Ok(()),
-        };
+        let children = self.slots[parent_slot].children.clone();
         let mut memo: Vec<(DerivedOp, Bag)> = Vec::new();
         for child_slot in children {
-            let (child_delta, linear_hit) = {
-                let rt = match self.slots[child_slot].as_mut() {
-                    Some(rt) => rt,
-                    None => continue, // child deregistered: nothing to feed
-                };
-                match &mut rt.kind {
-                    ViewKind::Derived {
-                        agg: Some(state), ..
-                    } => (state.apply(&installed.delta)?, None),
-                    ViewKind::Derived { op, agg: None, .. } => {
-                        if let Some((_, shared)) = memo.iter().find(|(o, _)| o == op) {
-                            (shared.clone(), Some(true))
-                        } else {
-                            let fresh = op.eval(&installed.delta)?;
-                            memo.push((op.clone(), fresh.clone()));
-                            (fresh, Some(false))
-                        }
+            let (child_delta, linear_hit) = match &mut self.slots[child_slot].kind {
+                ViewKind::Derived {
+                    agg: Some(state), ..
+                } => (state.apply(&installed.delta)?, None),
+                ViewKind::Derived { op, agg: None, .. } => {
+                    if let Some((_, shared)) = memo.iter().find(|(o, _)| o == op) {
+                        (shared.clone(), Some(true))
+                    } else {
+                        let fresh = op.eval(&installed.delta)?;
+                        memo.push((op.clone(), fresh.clone()));
+                        (fresh, Some(false))
                     }
-                    ViewKind::Base => unreachable!("base view listed as a derived child"),
                 }
+                ViewKind::Base => unreachable!("base view listed as a derived child"),
             };
             match linear_hit {
                 Some(true) => self.stats.shared_derivations += 1,
@@ -707,10 +614,8 @@ impl ViewRegistry {
                 None => {}
             }
             self.stats.child_installs += 1;
-            let child_installed = self.slots[child_slot]
-                .as_mut()
-                .expect("checked live above")
-                .apply_delta(&child_delta, &installed.consumed, now)?;
+            let child_installed =
+                self.slots[child_slot].apply_delta(&child_delta, &installed.consumed, now)?;
             if let Some(inst) = child_installed {
                 self.cascade_children(child_slot, &inst, now)?;
             }
@@ -751,28 +656,24 @@ impl ViewRegistry {
 
     /// The registry half of a durable checkpoint: every slot, its view
     /// contents captured as a [`SharedBag`] handle (no tuple is copied;
-    /// later installs copy only the chunks they touch). Slot *positions*
-    /// are part of the image so restored [`ViewId`]s keep meaning.
-    pub(crate) fn snapshot_slots(&self) -> Vec<Option<ViewRuntime>> {
+    /// later installs copy only the chunks they touch).
+    pub(crate) fn snapshot_slots(&self) -> Vec<ViewRuntime> {
         self.slots.clone()
     }
 
     /// View tuples of `image` that live in chunks the live views do not
     /// physically share — what taking `image` copied (0 for an image
     /// fresh from [`ViewRegistry::snapshot_slots`]).
-    pub(crate) fn unshared_tuples(&self, image: &[Option<ViewRuntime>]) -> u64 {
+    pub(crate) fn unshared_tuples(&self, image: &[ViewRuntime]) -> u64 {
         let pairs = image.iter().zip(&self.slots);
-        let unshared = pairs.filter_map(|pair| match pair {
-            (Some(kept), Some(live)) => Some(kept.sink.bag().unshared_len(live.sink.bag())),
-            _ => None,
-        });
+        let unshared = pairs.map(|(kept, live)| kept.sink.bag().unshared_len(live.sink.bag()));
         unshared.sum::<usize>() as u64
     }
 
     /// Replace the live slots with a checkpoint image (crash recovery).
     /// The attached publisher survives the restore even when the
     /// checkpoint predates the attachment.
-    pub(crate) fn restore_slots(&mut self, slots: Vec<Option<ViewRuntime>>) {
+    pub(crate) fn restore_slots(&mut self, slots: Vec<ViewRuntime>) {
         self.slots = slots;
         if let Some(p) = self.publisher.clone() {
             for rt in self.runtimes_mut() {
@@ -864,27 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_stable_across_deregistration() {
-        let mut reg = ViewRegistry::new(base3()).unwrap();
-        let a = reg.register(&ViewSpec::full("A", 3), Bag::new()).unwrap();
-        let b = reg.register(&ViewSpec::full("B", 3), Bag::new()).unwrap();
-        reg.deregister(a).unwrap();
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.name(b).unwrap(), "B");
-        assert!(matches!(reg.runtime(a), Err(MvError::UnknownView { .. })));
-        // Slot lookup agrees: live slots resolve, dead and unknown ones fail.
-        assert_eq!(reg.id_at(b.index()).unwrap(), b);
-        assert!(matches!(
-            reg.id_at(a.index()),
-            Err(MvError::UnknownView { .. })
-        ));
-        assert!(matches!(reg.id_at(99), Err(MvError::UnknownView { .. })));
-        // Slot is not reused.
-        let c = reg.register(&ViewSpec::full("C", 3), Bag::new()).unwrap();
-        assert_ne!(a.index(), c.index());
-    }
-
-    #[test]
     fn affected_by_filters_on_span() {
         let mut reg = ViewRegistry::new(base3()).unwrap();
         let full = reg
@@ -913,6 +793,12 @@ mod tests {
         assert_eq!(reg.affected_by(0), vec![full, left]);
         assert_eq!(reg.affected_by(1), vec![full, left]);
         assert_eq!(reg.affected_by(2), vec![full, right]);
+        // Slot lookup: registered slots resolve, unknown ones fail typed.
+        assert_eq!(reg.id_at(right.index()).unwrap(), right);
+        assert!(matches!(
+            reg.id_at(99),
+            Err(MvError::UnknownView { index: 99 })
+        ));
     }
 
     #[test]
@@ -1094,20 +980,6 @@ mod tests {
             }),
             Err(MvError::UnknownParent { .. })
         ));
-    }
-
-    #[test]
-    fn deregister_refuses_while_children_live() {
-        let mut reg = ViewRegistry::new(base3()).unwrap();
-        let base = seeded_base(&mut reg);
-        let hot = reg.register_derived(&hot_spec()).unwrap();
-        assert!(matches!(
-            reg.deregister(base),
-            Err(MvError::HasChildren { .. })
-        ));
-        reg.deregister(hot).unwrap();
-        reg.deregister(base).unwrap();
-        assert!(reg.is_empty());
     }
 
     #[test]

@@ -260,7 +260,7 @@ struct MvCheckpoint {
     next_qid: u64,
     queue: UpdateQueue,
     pending_tasks: VecDeque<SweepTask>,
-    slots: Vec<Option<ViewRuntime>>,
+    slots: Vec<ViewRuntime>,
     metrics: PolicyMetrics,
 }
 
@@ -479,9 +479,13 @@ impl MaintenanceScheduler {
     /// relations; mid-run, call at a quiescent point
     /// ([`MaintenanceScheduler::is_quiescent`]) with the span evaluation
     /// of the sources' current state. The view participates in every
-    /// sweep started after registration.
+    /// sweep started after registration. With durability armed the new
+    /// registry is checkpointed on the spot: no WAL record names a view,
+    /// so an older image would lose this one at the next recovery.
     pub fn register(&mut self, spec: &ViewSpec, initial: Bag) -> Result<ViewId, MvError> {
-        self.registry.register(spec, initial)
+        let id = self.registry.register(spec, initial);
+        self.checkpoint_now();
+        id
     }
 
     /// Register a derived view over an already-registered parent. The
@@ -491,29 +495,20 @@ impl MaintenanceScheduler {
     /// when the sequencer releases their parent's install — so they
     /// never join sweeps and never cost source messages.
     pub fn register_derived(&mut self, spec: &DerivedSpec) -> Result<ViewId, MvError> {
-        self.registry.register_derived(spec)
+        let id = self.registry.register_derived(spec);
+        self.checkpoint_now();
+        id
     }
 
     /// Register a batch of derived specs in dependency order (the
     /// registry topologically sorts and rejects cycles and unknown
     /// parents deterministically).
     pub fn register_derived_many(&mut self, specs: &[DerivedSpec]) -> Result<Vec<ViewId>, MvError> {
-        self.registry.register_derived_many(specs)
-    }
-
-    /// Deregister a view. Fails with [`MvError::ViewBusy`] while a sweep
-    /// feeding the view is in flight or formed, or while a finished
-    /// install is still held back by the sequencer — drain first.
-    pub fn deregister(&mut self, id: ViewId) -> Result<(), MvError> {
-        let busy = self.lanes.iter().any(|l| l.task.views.contains(&id))
-            || self.pending_tasks.iter().any(|t| t.views.contains(&id))
-            || self.sequencer.has_buffered();
-        if busy {
-            return Err(MvError::ViewBusy {
-                name: self.registry.name(id)?.to_string(),
-            });
-        }
-        self.registry.deregister(id)
+        // Checkpointed even on a refusal: the specs ahead of the refused
+        // one are registered and stay.
+        let ids = self.registry.register_derived_many(specs);
+        self.checkpoint_now();
+        ids
     }
 
     /// Read access to the registry (per-view bags, metrics, logs).
@@ -774,6 +769,9 @@ impl MaintenanceScheduler {
     /// Replace the durable image with the current volatile state and
     /// truncate the log (no-op with durability off).
     fn checkpoint_now(&mut self) {
+        if self.durable.is_none() {
+            return;
+        }
         let image = self.checkpoint_image();
         let copied = self.registry.unshared_tuples(&image.slots);
         if let Some(d) = self.durable.as_mut() {
@@ -1315,7 +1313,7 @@ mod tests {
     use dw_relational::{eval_view, tup, CmpOp, Schema, SharedBag, Value, ViewDefBuilder};
     use dw_simnet::Network;
     use dw_source::DataSource;
-    use dw_workload::ViewPolicy;
+    use dw_workload::{DerivedOp, ViewPolicy};
 
     fn base3() -> ViewDef {
         ViewDefBuilder::new()
@@ -1569,8 +1567,7 @@ mod tests {
         let image = |sched: &MaintenanceScheduler| -> Vec<SharedBag> {
             let durable = sched.durable.as_ref().unwrap();
             let slots = &durable.store.checkpoint_ref().unwrap().slots;
-            let kept = slots.iter().flatten();
-            kept.map(|rt| rt.sink.bag().clone()).collect()
+            slots.iter().map(|rt| rt.sink.bag().clone()).collect()
         };
         let live = |sched: &MaintenanceScheduler| -> Vec<SharedBag> {
             let ids = sched.views().ids();
@@ -1826,31 +1823,6 @@ mod tests {
     }
 
     #[test]
-    fn deregister_refused_mid_sweep_then_allowed_at_drain() {
-        let mut sched = MaintenanceScheduler::new(base3(), SchedulerMode::Shared).unwrap();
-        let id = register(&mut sched, &ViewSpec::full("full", 3), &initial3());
-        let mut net: Network<Message> = Network::new(0);
-        let mut sources = sources(&base3(), &initial3());
-        net.inject(100, source_node(1), txn(1, Bag::from_tuples([tup![7, 9]])));
-        let mut refused = false;
-        // Checked before each warehouse delivery: the second one (the
-        // first answer) finds the sweep in flight.
-        pump_network(&mut net, &mut sched, &mut sources, |sched, _, _| {
-            if !sched.is_quiescent() && !refused {
-                assert!(matches!(
-                    sched.deregister(id),
-                    Err(MvError::ViewBusy { .. })
-                ));
-                refused = true;
-            }
-        });
-        assert!(refused, "the sweep should have been observed in flight");
-        assert!(sched.is_quiescent());
-        sched.deregister(id).unwrap();
-        assert!(sched.views().is_empty());
-    }
-
-    #[test]
     fn mid_run_registration_at_quiescent_point() {
         let mut sched = MaintenanceScheduler::new(base3(), SchedulerMode::Shared).unwrap();
         register(&mut sched, &ViewSpec::full("early", 3), &initial3());
@@ -1886,6 +1858,50 @@ mod tests {
             &shadows,
         );
         assert_eq!(sched.views().ids()[1], late_id);
+    }
+
+    /// No WAL record names a view, so a registration under durability
+    /// must reach the checkpoint image itself: views registered after
+    /// `enable_durability` — swept and derived — survive a state crash
+    /// and are maintained afterwards like any other.
+    #[test]
+    fn views_registered_under_durability_survive_recovery() {
+        let mut sched = MaintenanceScheduler::new(base3(), SchedulerMode::Shared).unwrap();
+        let early = ViewSpec::full("early", 3);
+        let late = ViewSpec {
+            lo: 0,
+            hi: 1,
+            ..ViewSpec::full("late", 3)
+        };
+        register(&mut sched, &early, &initial3());
+        sched.enable_durability(DurabilityConfig {
+            checkpoint_every: usize::MAX,
+        });
+        let late_id = register(&mut sched, &late, &initial3());
+        let child = DerivedSpec {
+            name: "late-hot".into(),
+            parent: "late".into(),
+            op: DerivedOp::Select {
+                selects: Vec::new(),
+                projection: None,
+            },
+        };
+        let child_id = sched.register_derived(&child).unwrap();
+
+        let mut net: Network<Message> = Network::new(3);
+        sched.crash_and_recover(&mut net).unwrap();
+        assert_eq!(sched.views().ids().len(), 3);
+        assert_eq!(sched.views().resolve("late"), Some(late_id));
+        assert_eq!(sched.views().resolve("late-hot"), Some(child_id));
+        let specs = [early, late];
+        assert_ground_truth(sched.views(), &specs, &initial3());
+
+        let (sched, shadows) = drive_registered(sched, initial3(), &interfering_txns(), &[]);
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        assert_eq!(
+            sched.views().view_bag(child_id).unwrap(),
+            sched.views().view_bag(late_id).unwrap()
+        );
     }
 
     #[test]

@@ -155,15 +155,16 @@ impl PinnedEpoch {
 
 /// Answer to a point read: the tuples of the pinned snapshot whose
 /// `column` equals the queried key. The match group is `Arc`-shared with
-/// the epoch's point index (or the answer cache) — a point read never
-/// copies the snapshot, and a hot key's answers all alias one group.
+/// the epoch's point index — a point read never copies the snapshot, and
+/// a hot key's answers all alias one group.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PointAnswer {
     /// View slot answered from.
     pub view: usize,
     /// Epoch answered from.
     pub epoch: u64,
-    /// Total multiplicity over all matching tuples.
+    /// Total multiplicity over all matching tuples (stored beside the
+    /// group in the index, not re-summed per read).
     pub multiplicity: i64,
     /// The matching tuples with their multiplicities, sorted (shared,
     /// never copied).
@@ -215,22 +216,8 @@ impl ReadFrontend {
         self.lock().register_view(name, initial.into(), at)
     }
 
-    /// Enable/disable per-epoch point indexes (on by default). Off means
-    /// every point read linearly scans its frozen bag — the E21 baseline
-    /// arm, and provably answer-identical to the indexed path.
-    pub fn set_point_index(&self, on: bool) {
-        self.lock().set_point_index(on)
-    }
-
-    /// Set the read-through answer cache's capacity (entries; 0 — the
-    /// default — disables it). Eviction is deterministic FIFO.
-    pub fn set_answer_cache_capacity(&self, capacity: usize) {
-        self.lock().set_cache_capacity(capacity)
-    }
-
-    /// Attach an observability handle: index hit/miss/build/derive and
-    /// cache hit/miss counters flow to it alongside
-    /// [`ServeStats`](crate::ServeStats).
+    /// Attach an observability handle: index hit/miss/build/derive
+    /// counters flow to it alongside [`ServeStats`](crate::ServeStats).
     pub fn set_observer(&self, obs: dw_obs::Obs) {
         self.lock().set_observer(obs)
     }
@@ -271,10 +258,10 @@ impl ReadFrontend {
     }
 
     /// Point read at a pinned epoch: every tuple whose `column` is
-    /// `Int(key)`, with an optional staleness bound. Routes through the
-    /// answer cache and the epoch's point index (see the store docs):
-    /// the frozen bag is never cloned, and with the index on only the
-    /// matching group is examined.
+    /// `Int(key)`, with an optional staleness bound. Answered from the
+    /// epoch's point index on `column` (see the store docs), which the
+    /// first read to ask for it builds: the frozen bag is never cloned
+    /// and only the matching group is touched.
     pub fn read_point(
         &self,
         pin: &PinnedEpoch,
@@ -285,7 +272,7 @@ impl ReadFrontend {
         let mut s = self.lock();
         self.admit(&mut s, pin, bound)?;
         let (multiplicity, matches) =
-            s.point_lookup(pin.view, pin.epoch, column, Value::Int(key))?;
+            s.point_lookup(pin.view, pin.epoch, column, &Value::Int(key))?;
         s.stats_mut().reads_answered += 1;
         Ok(PointAnswer {
             view: pin.view,
@@ -500,67 +487,34 @@ mod tests {
 
     #[test]
     fn index_on_and_off_agree_exactly() {
-        let build = |indexed: bool| {
-            let front = ReadFrontend::new();
-            front.set_point_index(indexed);
-            let v = front.register_view("V", Bag::singleton(tup![3, 9], 2), 0);
-            for e in 1..=5 {
-                install(&front, v, e, e * 10, (e % 3) as i64);
-            }
-            let pin = front.pin(v).unwrap();
-            let answers: Vec<PointAnswer> = (0..4)
-                .map(|k| front.read_point(&pin, 0, k, None).unwrap())
+        let front = ReadFrontend::new();
+        let v = front.register_view("V", Bag::singleton(tup![3, 9], 2), 0);
+        for e in 1..=5 {
+            install(&front, v, e, e * 10, (e % 3) as i64);
+        }
+        let pin = front.pin(v).unwrap();
+        let bag = front.read_scan(&pin, None).unwrap().bag;
+        for k in 0..4 {
+            // The linear referee: one pass over the scanned bag.
+            let mut want: Vec<(Tuple, i64)> = bag
+                .iter()
+                .filter(|(t, _)| t.at(0) == &Value::Int(k))
+                .map(|(t, m)| (t.clone(), m))
                 .collect();
-            front.unpin(pin).unwrap();
-            (answers, front.stats())
-        };
-        let (indexed, si) = build(true);
-        let (linear, sl) = build(false);
-        assert_eq!(indexed, linear, "index must be answer-invisible");
-        assert!(si.point_index_builds > 0);
-        assert_eq!(sl.point_index_builds, 0);
-        assert!(
-            sl.read_work_tuples > si.read_work_tuples,
-            "linear scans examine more tuples ({} vs {})",
-            sl.read_work_tuples,
-            si.read_work_tuples
-        );
-    }
-
-    #[test]
-    fn answer_cache_is_invisible_and_evicts_fifo() {
-        let run = |capacity: usize| {
-            let front = ReadFrontend::new();
-            front.set_answer_cache_capacity(capacity);
-            let v = front.register_view("V", Bag::new(), 0);
-            for e in 1..=4 {
-                install(&front, v, e, e * 10, (e % 2) as i64);
-            }
-            let pin = front.pin(v).unwrap();
-            let mut answers = Vec::new();
-            for _ in 0..3 {
-                for k in 0..3 {
-                    answers.push(front.read_point(&pin, 0, k, None).unwrap());
-                }
-            }
-            front.unpin(pin).unwrap();
-            (answers, front.stats())
-        };
-        let (cached, sc) = run(8);
-        let (uncached, su) = run(0);
-        assert_eq!(cached, uncached, "cache must be answer-invisible");
-        assert!(
-            sc.cache_hits >= 6,
-            "repeat keys hit ({} hits)",
-            sc.cache_hits
-        );
-        assert_eq!(su.cache_hits + su.cache_misses, 0, "disabled cache is free");
-
-        // Capacity 2 over 3 distinct keys: FIFO eviction cycles, still
-        // correct, evictions counted.
-        let (small, ss) = run(2);
-        assert_eq!(small, uncached);
-        assert!(ss.cache_evictions > 0);
+            want.sort();
+            let got = front.read_point(&pin, 0, k, None).unwrap();
+            assert_eq!(
+                *got.matches, want,
+                "key {k}: index must be answer-invisible"
+            );
+            assert_eq!(got.multiplicity, want.iter().map(|&(_, m)| m).sum::<i64>());
+        }
+        front.unpin(pin).unwrap();
+        let stats = front.stats();
+        assert_eq!(stats.point_index_builds, 1);
+        // One build over the six-tuple bag plus the four answered groups
+        // — less than the four scans the referee just made.
+        assert_eq!(stats.read_work_tuples, 6 + 6);
     }
 
     #[test]

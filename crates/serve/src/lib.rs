@@ -19,12 +19,10 @@
 //!   source update delivered before `T`"); a violating epoch returns a
 //!   typed [`ServeError::TooStale`] naming the freshest admissible
 //!   epoch, so callers can retry against it or relax the bound;
-//! * point reads route through per-`(view, epoch, column)` **secondary
-//!   hash indexes** — lazily built on first touch, incrementally derived
-//!   at every publish — with an optional read-through **answer cache**
-//!   (`(view, epoch, column, key)`-keyed, FIFO-bounded), so a hot-key
-//!   lookup is `O(|group|)` instead of `O(|bag|)` and both layers are
-//!   provably invisible to correctness;
+//! * a point read has one route, the per-`(view, epoch, column)`
+//!   **secondary hash index** — built on first touch, incrementally
+//!   derived at every publish, each group stored with its total
+//!   multiplicity — so a lookup touches its group, never the bag;
 //! * a [`SubscriptionHub`] pushes install deltas to registered readers
 //!   in install order — under the sharded scheduler that order is the
 //!   [`dw_engine::InstallSequencer`] ticket order, so subscription

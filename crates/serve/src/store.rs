@@ -19,25 +19,22 @@
 //! no bag deep copy at all: `bags_deep_cloned` stays 0 and CI greps for
 //! one.
 //!
-//! **Point indexes.** Each frozen epoch can carry secondary hash
-//! indexes, one per read column, mapping a key value to the sorted
-//! matching `(tuple, multiplicity)` group. The first point read on a
-//! `(view, epoch, column)` builds the index with one full scan; every
-//! later epoch *derives* its index incrementally from the predecessor's
-//! (a handle clone of the same structurally shared map the bags use,
-//! then only the keys the install delta touched are rebuilt), so
-//! steady-state point reads examine `O(|group|)` tuples instead of
-//! `O(|bag|)` and publish is `O(|Δ|)` end to end. `read_work_tuples` /
-//! `index_maintenance_tuples` count exactly how many tuples each path
-//! examined — the deterministic work proxy E21 gates its speedup on.
-//!
-//! **Answer cache.** An optional read-through cache keyed
-//! `(view, epoch, column, key)` memoizes point answers with FIFO
-//! eviction at a fixed capacity. Epochs are immutable, so a cached
-//! answer can never go stale; entries die with their epoch at GC.
-//! Capacity 0 (the default) disables it — correctness never depends on
-//! it, which `tests/serve_equivalence.rs` proves by byte-comparing
-//! cache-on and cache-off runs.
+//! **Point reads.** A point read has one route: the pinned epoch's
+//! secondary hash index on the read column, mapping a key value to the
+//! sorted matching `(tuple, multiplicity)` group *and the group's total
+//! multiplicity*, summed once where the group is built. The first point
+//! read on a `(view, epoch, column)` builds the index with one full
+//! scan; every later epoch *derives* its index incrementally from the
+//! predecessor's (a handle clone of the same structurally shared map
+//! the bags use, then only the keys the install delta touched are
+//! rebuilt), so a steady-state point read is a hash lookup and two
+//! refcounts — it examines `O(|group|)` tuples instead of `O(|bag|)` —
+//! and publish is `O(|Δ|)` end to end. `read_work_tuples` /
+//! `index_maintenance_tuples` count exactly how many tuples each side
+//! examined — the deterministic work proxy E21 gates against scanning
+//! the pinned epoch. Nothing sits in front of the index and nothing
+//! behind it: the linear referee lives in the tests and in
+//! `dw_core::audit_reads`, which recomputes every answer from scratch.
 //!
 //! **Staleness.** The store tracks, per view, the delivered updates a
 //! retained epoch can still be missing and which epoch (if any) consumed
@@ -61,14 +58,28 @@ use dw_obs::Obs;
 use dw_protocol::UpdateId;
 use dw_relational::{Bag, SharedBag, SharedMap, Tuple, Value};
 use dw_simnet::Time;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+/// A point answer: the matching group's total multiplicity plus the
+/// sorted `Arc`-shared `(tuple, multiplicity)` group itself — cloning
+/// one is a refcount bump.
+type PointHit = (i64, Arc<Vec<(Tuple, i64)>>);
+
+/// Sort a freshly collected group and sum its multiplicities — the one
+/// place a stored [`PointHit`] is made, so the total can never drift
+/// from its matches.
+fn point_hit(mut group: Vec<(Tuple, i64)>) -> PointHit {
+    group.sort();
+    (group.iter().map(|&(_, m)| m).sum(), Arc::new(group))
+}
+
 /// A secondary hash index of one frozen epoch on one column: key value →
-/// sorted matching `(tuple, multiplicity)` group, `Arc`-shared so a
-/// point answer hands the group out without copying it.
+/// the matching group with its total multiplicity, handed out without
+/// copying or re-summing it.
 pub(crate) struct PointIndex {
-    groups: SharedMap<Value, Arc<Vec<(Tuple, i64)>>>,
+    groups: SharedMap<Value, PointHit>,
 }
 
 impl PointIndex {
@@ -83,10 +94,7 @@ impl PointIndex {
                 .push((t.clone(), m));
             work += 1;
         }
-        let groups = raw.into_iter().map(|(k, mut v)| {
-            v.sort();
-            (k, Arc::new(v))
-        });
+        let groups = raw.into_iter().map(|(k, v)| (k, point_hit(v)));
         let groups = SharedMap::from_distinct(groups);
         (PointIndex { groups }, work)
     }
@@ -110,28 +118,25 @@ impl PointIndex {
         for (key, delta_entries) in touched {
             groups.update(key, |old| {
                 let mut counts: HashMap<Tuple, i64> = HashMap::new();
-                for (t, m) in old.into_iter().flat_map(|group| group.iter()) {
+                for (t, m) in old.into_iter().flat_map(|(_, group)| group.iter()) {
                     work += 1;
                     counts.insert(t.clone(), *m);
                 }
                 for (t, m) in delta_entries {
                     *counts.entry(t).or_insert(0) += m;
                 }
-                let mut merged: Vec<(Tuple, i64)> =
+                let merged: Vec<(Tuple, i64)> =
                     counts.into_iter().filter(|&(_, m)| m != 0).collect();
-                merged.sort();
-                (!merged.is_empty()).then(|| Arc::new(merged))
+                (!merged.is_empty()).then(|| point_hit(merged))
             });
         }
         (PointIndex { groups }, work)
     }
 
-    /// The matching group for `key` (empty when absent).
-    fn group(&self, key: &Value) -> Arc<Vec<(Tuple, i64)>> {
-        self.groups
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| Arc::new(Vec::new()))
+    /// The answer for `key` (multiplicity 0 over an empty group when
+    /// absent).
+    fn hit(&self, key: &Value) -> PointHit {
+        self.groups.get(key).cloned().unwrap_or_default()
     }
 }
 
@@ -140,7 +145,7 @@ pub(crate) struct EpochSnapshot {
     pub(crate) at: Time,
     pub(crate) bag: SharedBag,
     /// Lazily built / incrementally derived point indexes, per column.
-    indexes: HashMap<usize, Arc<PointIndex>>,
+    indexes: HashMap<usize, PointIndex>,
 }
 
 struct DeliveredUpdate {
@@ -200,14 +205,13 @@ pub struct ServeStats {
     pub point_index_builds: u64,
     /// Incremental index derivations at publish.
     pub point_index_derived: u64,
-    /// Answer-cache hits.
+    /// Always 0: nothing sits in front of the epoch index. Kept only
+    /// because the frozen `benchmark/` crate reads it (ROADMAP A(v)).
     pub cache_hits: u64,
-    /// Answer-cache misses (cache enabled, entry absent).
+    /// Always 0, kept for the same reader as `cache_hits`.
     pub cache_misses: u64,
-    /// Answer-cache entries evicted at capacity.
-    pub cache_evictions: u64,
-    /// Tuples examined answering point reads (linear scans, index
-    /// builds, and group walks; cache hits examine none).
+    /// Tuples examined answering point reads (index builds plus the
+    /// length of each answered group).
     pub read_work_tuples: u64,
     /// Tuples examined deriving successor indexes at publish.
     pub index_maintenance_tuples: u64,
@@ -221,57 +225,6 @@ pub struct ServeStats {
     pub publish_copied_tuples: u64,
 }
 
-type CacheKey = (usize, u64, usize, Value);
-
-/// A cached (or index-served) point answer: total multiplicity plus the
-/// `Arc`-shared match group — cloning one is a refcount bump.
-type PointHit = (i64, Arc<Vec<(Tuple, i64)>>);
-
-/// Read-through point-answer cache with deterministic FIFO eviction.
-/// Epochs are immutable, so entries never go stale; they are purged when
-/// their epoch is garbage-collected.
-#[derive(Default)]
-struct AnswerCache {
-    capacity: usize,
-    map: HashMap<CacheKey, PointHit>,
-    fifo: VecDeque<CacheKey>,
-}
-
-impl AnswerCache {
-    fn get(&self, key: &CacheKey) -> Option<PointHit> {
-        self.map.get(key).map(|(m, v)| (*m, Arc::clone(v)))
-    }
-
-    /// Insert, evicting oldest-first at capacity. Returns evictions.
-    fn insert(&mut self, key: CacheKey, mult: i64, matches: Arc<Vec<(Tuple, i64)>>) -> u64 {
-        if self.capacity == 0 || self.map.contains_key(&key) {
-            return 0;
-        }
-        let mut evicted = 0;
-        while self.map.len() >= self.capacity {
-            let Some(old) = self.fifo.pop_front() else {
-                break;
-            };
-            if self.map.remove(&old).is_some() {
-                evicted += 1;
-            }
-        }
-        self.fifo.push_back(key.clone());
-        self.map.insert(key, (mult, matches));
-        evicted
-    }
-
-    /// Drop every entry answered from `(view, epoch)` (its snapshot is
-    /// being garbage-collected).
-    fn purge_epoch(&mut self, view: usize, epoch: u64) {
-        if self.map.is_empty() {
-            return;
-        }
-        self.fifo.retain(|k| !(k.0 == view && k.1 == epoch));
-        self.map.retain(|k, _| !(k.0 == view && k.1 == epoch));
-    }
-}
-
 /// The store itself (see module docs). Consumers never construct or
 /// hold one directly — [`crate::ReadFrontend`] owns it behind a mutex
 /// and hands the engine a publisher handle onto it.
@@ -279,10 +232,6 @@ pub struct SnapshotStore {
     views: Vec<ViewState>,
     hub: SubscriptionHub,
     stats: ServeStats,
-    /// Per-epoch secondary indexing on point-read columns (on by
-    /// default; off = every point read is a linear scan).
-    index_enabled: bool,
-    cache: AnswerCache,
     obs: Obs,
     /// Every accepted install as `(view slot, epoch)`, in publication
     /// order — the documented global ticket order. Under the flat engine
@@ -301,8 +250,6 @@ impl Default for SnapshotStore {
             views: Vec::new(),
             hub: SubscriptionHub::new(),
             stats: ServeStats::default(),
-            index_enabled: true,
-            cache: AnswerCache::default(),
             obs: Obs::off(),
             publication_log: Vec::new(),
         }
@@ -333,14 +280,6 @@ impl SnapshotStore {
             pins: HashMap::new(),
         });
         self.views.len() - 1
-    }
-
-    pub(crate) fn set_point_index(&mut self, on: bool) {
-        self.index_enabled = on;
-    }
-
-    pub(crate) fn set_cache_capacity(&mut self, capacity: usize) {
-        self.cache.capacity = capacity;
     }
 
     pub(crate) fn set_observer(&mut self, obs: Obs) {
@@ -377,77 +316,44 @@ impl SnapshotStore {
     }
 
     /// Answer a point read: the sorted matching group for `key` on
-    /// `column` at the pinned epoch, plus its total multiplicity. Routes
-    /// cache → index → linear scan, in that order, bumping the exact
-    /// work and hit/miss counters each path costs. Never copies the bag:
-    /// the group is `Arc`-shared with the index (or freshly collected by
-    /// the linear fallback, allocating only the matches).
+    /// `column` at the pinned epoch, plus its total multiplicity. One
+    /// route: the epoch's index on `column` — built by a full scan if
+    /// this is the first read to ask for it — then a lookup. Never
+    /// copies the bag and never walks the group: both halves of the
+    /// answer are stored in the index.
     pub(crate) fn point_lookup(
         &mut self,
         view: usize,
         epoch: u64,
         column: usize,
-        key: Value,
+        key: &Value,
     ) -> Result<PointHit, ServeError> {
-        // Existence check up front so cache/index paths can assume it.
-        self.epoch(view, epoch)?;
-
-        let cache_key: CacheKey = (view, epoch, column, key);
-        if self.cache.capacity > 0 {
-            if let Some((mult, matches)) = self.cache.get(&cache_key) {
-                self.stats.cache_hits += 1;
-                self.obs.add("serve.cache.hit", 1);
-                return Ok((mult, matches));
+        let snap = self
+            .views
+            .get_mut(view)
+            .ok_or(ServeError::NoSuchView { view })?
+            .epochs
+            .get_mut(&epoch)
+            .ok_or(ServeError::NoSuchEpoch { view, epoch })?;
+        let index = match snap.indexes.entry(column) {
+            Entry::Occupied(built) => {
+                self.stats.point_index_hits += 1;
+                self.obs.add("serve.index.hit", 1);
+                built.into_mut()
             }
-            self.stats.cache_misses += 1;
-            self.obs.add("serve.cache.miss", 1);
-        }
-        let key = cache_key.3.clone();
-
-        let matches: Arc<Vec<(Tuple, i64)>> = if self.index_enabled {
-            let snap = self
-                .views
-                .get_mut(view)
-                .and_then(|v| v.epochs.get_mut(&epoch))
-                .expect("checked above");
-            let index = match snap.indexes.get(&column) {
-                Some(idx) => {
-                    self.stats.point_index_hits += 1;
-                    self.obs.add("serve.index.hit", 1);
-                    Arc::clone(idx)
-                }
-                None => {
-                    self.stats.point_index_misses += 1;
-                    self.obs.add("serve.index.miss", 1);
-                    let (idx, work) = PointIndex::build(&snap.bag, column);
-                    let idx = Arc::new(idx);
-                    snap.indexes.insert(column, Arc::clone(&idx));
-                    self.stats.point_index_builds += 1;
-                    self.stats.read_work_tuples += work;
-                    self.obs.add("serve.index.build", 1);
-                    idx
-                }
-            };
-            let group = index.group(&key);
-            self.stats.read_work_tuples += group.len() as u64;
-            group
-        } else {
-            // Linear fallback: one pass over the frozen bag, allocating
-            // only the matches.
-            let snap = self.epoch(view, epoch)?;
-            let mut found: Vec<(Tuple, i64)> = snap
-                .bag
-                .iter()
-                .filter(|(t, _)| t.at(column) == &key)
-                .map(|(t, m)| (t.clone(), m))
-                .collect();
-            found.sort();
-            self.stats.read_work_tuples += self.epoch(view, epoch)?.bag.distinct_len() as u64;
-            Arc::new(found)
+            Entry::Vacant(slot) => {
+                let (index, work) = PointIndex::build(&snap.bag, column);
+                self.stats.point_index_misses += 1;
+                self.stats.point_index_builds += 1;
+                self.stats.read_work_tuples += work;
+                self.obs.add("serve.index.miss", 1);
+                self.obs.add("serve.index.build", 1);
+                slot.insert(index)
+            }
         };
-        let mult = matches.iter().map(|&(_, m)| m).sum();
-        self.stats.cache_evictions += self.cache.insert(cache_key, mult, Arc::clone(&matches));
-        Ok((mult, matches))
+        let hit = index.hit(key);
+        self.stats.read_work_tuples += hit.1.len() as u64;
+        Ok(hit)
     }
 
     /// Does `epoch` of `view` reflect every update delivered before
@@ -501,26 +407,22 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Drop unpinned non-latest epochs of `view`, along with their
-    /// cached answers (their indexes die with the snapshot) and the
-    /// ledger entries no retained epoch can be missing any more.
+    /// Drop unpinned non-latest epochs of `view` (their indexes die with
+    /// them) and the ledger entries no retained epoch can be missing
+    /// any more.
     fn gc(&mut self, view: usize) {
         let Some(v) = self.views.get_mut(view) else {
             return;
         };
         let latest = v.latest;
         let pins = &v.pins;
-        let mut dropped: Vec<u64> = Vec::new();
-        v.epochs.retain(|&e, _| {
-            let keep = e == latest || pins.get(&e).is_some_and(|&n| n > 0);
-            if !keep {
-                dropped.push(e);
-            }
-            keep
-        });
+        let before = v.epochs.len();
+        v.epochs
+            .retain(|&e, _| e == latest || pins.get(&e).is_some_and(|&n| n > 0));
+        let dropped = before - v.epochs.len();
         // The oldest retained epoch only moves when an epoch is dropped:
         // reads unpinning a still-retained epoch skip the ledger walk.
-        if !dropped.is_empty() {
+        if dropped > 0 {
             let oldest = v.epochs.keys().next().copied().unwrap_or(latest);
             let pruned = &mut v.pruned_through;
             v.delivered.retain(|id, d| {
@@ -532,10 +434,7 @@ impl SnapshotStore {
                 !settled
             });
         }
-        self.stats.snapshots_gced += dropped.len() as u64;
-        for e in dropped {
-            self.cache.purge_epoch(view, e);
-        }
+        self.stats.snapshots_gced += dropped as u64;
     }
 
     /// Entries in `view`'s delivery ledger (boundedness tests).
@@ -633,7 +532,6 @@ impl InstallPublisher for SnapshotStore {
     }
 
     fn publish(&mut self, event: InstallEvent) {
-        let index_enabled = self.index_enabled;
         let Some(v) = self.views.get_mut(event.view_index) else {
             return;
         };
@@ -664,18 +562,15 @@ impl InstallPublisher for SnapshotStore {
         let prev = &v.epochs[&v.latest];
         // Successor indexes derive incrementally from the predecessor's:
         // only delta-touched groups are rebuilt, everything else rides
-        // the Arc. (Skipped when indexing is off or nothing was built.)
+        // the shared map. (A column nobody has read yet has no index.)
         let mut indexes = HashMap::new();
         let mut derive_work = 0u64;
-        let mut derived = 0u64;
-        if index_enabled {
-            for (&column, idx) in &prev.indexes {
-                let (next, work) = idx.derive(&event.delta, column);
-                indexes.insert(column, Arc::new(next));
-                derive_work += work;
-                derived += 1;
-            }
+        for (&column, idx) in &prev.indexes {
+            let (next, work) = idx.derive(&event.delta, column);
+            indexes.insert(column, next);
+            derive_work += work;
         }
+        let derived = indexes.len() as u64;
         // The successor epoch: the predecessor's handle plus the delta —
         // only the chunks the delta touches are copied.
         let mut bag = SharedBag::clone(&prev.bag);
@@ -706,5 +601,63 @@ impl InstallPublisher for SnapshotStore {
         });
         self.stats.sub_events += out.reached;
         self.stats.subs_lagged += out.newly_lagged;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dw_relational::tup;
+
+    /// Every key of `bag`'s column 0 (plus one absent key) answers with
+    /// exactly the bag's matching tuples, sorted, and their summed
+    /// multiplicity.
+    fn assert_index_matches(index: &PointIndex, bag: &SharedBag) {
+        for k in -1..6 {
+            let mut want: Vec<(Tuple, i64)> = bag
+                .iter()
+                .filter(|(t, _)| t.at(0) == &Value::Int(k))
+                .map(|(t, m)| (t.clone(), m))
+                .collect();
+            want.sort();
+            let (mult, group) = index.hit(&Value::Int(k));
+            assert_eq!(*group, want, "key {k}");
+            assert_eq!(mult, want.iter().map(|&(_, m)| m).sum::<i64>(), "key {k}");
+        }
+    }
+
+    #[test]
+    fn stored_multiplicity_is_the_sum_over_the_group_after_build_and_derive() {
+        let mut bag: SharedBag = Bag::from_iter([
+            (tup![1, 10], 2),
+            (tup![1, 11], 3),
+            (tup![2, 20], 1),
+            (tup![3, 30], 4),
+            (tup![3, 31], 1),
+        ])
+        .into();
+        let (built, work) = PointIndex::build(&bag, 0);
+        assert_eq!(work, 5);
+        assert_eq!(built.hit(&Value::Int(1)).0, 5);
+        assert_index_matches(&built, &bag);
+
+        // Inserts into an old and a new group, a partial and a full
+        // delete inside a group, and group 2 cancelling to empty.
+        let delta = Bag::from_iter([
+            (tup![1, 12], 1),
+            (tup![1, 10], -1),
+            (tup![3, 31], -1),
+            (tup![2, 20], -1),
+            (tup![5, 50], 7),
+        ]);
+        bag.merge(&delta);
+        let (derived, _) = built.derive(&delta, 0);
+        assert_eq!(derived.hit(&Value::Int(1)).0, 5);
+        assert_eq!(derived.hit(&Value::Int(3)).0, 4);
+        assert_eq!(derived.hit(&Value::Int(5)).0, 7);
+        assert_eq!(derived.hit(&Value::Int(2)), PointHit::default());
+        assert_index_matches(&derived, &bag);
+        // The predecessor epoch's index is untouched by the derive.
+        assert_eq!(built.hit(&Value::Int(2)).0, 1);
     }
 }

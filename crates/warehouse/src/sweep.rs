@@ -104,8 +104,6 @@ pub struct Sweep {
     flights: VecDeque<Flight>,
     /// Releases finished view changes in arrival order.
     sequencer: InstallSequencer,
-    /// Global-transaction tags of queued/processing updates (type 3).
-    global_tags: HashMap<UpdateId, GlobalPart>,
     /// Per global transaction ever announced: `(parts, parts delivered)`.
     /// Entries outlive their transaction, so a part arriving after the
     /// last one is refused instead of re-opening it.
@@ -144,7 +142,6 @@ impl Sweep {
             opts,
             flights: VecDeque::new(),
             sequencer: InstallSequencer::new(),
-            global_tags: HashMap::new(),
             global_seen: HashMap::new(),
             pending_globals: HashMap::new(),
             hold: Hold::default(),
@@ -230,10 +227,31 @@ impl Sweep {
         };
         self.sequencer.complete(flight.ticket, Some(install));
         for SequencedInstall { consumed, deltas } in self.sequencer.drain() {
-            self.flights.pop_front();
+            // Tickets follow arrival order, so the released change is the
+            // front flight's; its update still carries the type-3 tag.
+            if let Some(flight) = self.flights.pop_front() {
+                self.count_part_released(&flight.update)?;
+            }
             for (_, final_bag) in deltas {
                 self.release(&consumed, &final_bag, net.now())?;
             }
+        }
+        Ok(())
+    }
+
+    /// Count a released update against its global transaction, if it is
+    /// a part of one: the transaction stops holding installs once its
+    /// last part is released.
+    fn count_part_released(&mut self, u: &SourceUpdate) -> Result<(), WarehouseError> {
+        let Some(g) = u.global else {
+            return Ok(());
+        };
+        let remaining = self.pending_globals.entry(g.gid).or_insert(g.parts);
+        *remaining = remaining
+            .checked_sub(1)
+            .ok_or_else(|| bad_global_tag(g, u.id))?;
+        if *remaining == 0 {
+            self.pending_globals.remove(&g.gid);
         }
         Ok(())
     }
@@ -250,17 +268,6 @@ impl Sweep {
         final_bag: &Bag,
         now: Time,
     ) -> Result<(), WarehouseError> {
-        for (upd, _) in consumed {
-            if let Some(g) = self.global_tags.remove(upd) {
-                let remaining = self.pending_globals.entry(g.gid).or_insert(g.parts);
-                *remaining = remaining
-                    .checked_sub(1)
-                    .ok_or_else(|| bad_global_tag(g, *upd))?;
-                if *remaining == 0 {
-                    self.pending_globals.remove(&g.gid);
-                }
-            }
-        }
         let must_hold = !self.pending_globals.is_empty();
         if !must_hold && self.hold.consumed.is_empty() {
             return self
@@ -308,7 +315,6 @@ impl SweepPolicy for Sweep {
                 return Err(bad_global_tag(g, u.id));
             }
             *seen += 1;
-            self.global_tags.insert(u.id, g);
         }
         Ok(())
     }

@@ -115,9 +115,9 @@ impl Default for ReadMixConfig {
 impl ReadMixConfig {
     /// Point-heavy, zipf-skewed preset: almost all ops are lookups over
     /// a wide key domain with θ high enough that a handful of hot keys
-    /// absorb most of the traffic. This is the mix where an epoch point
-    /// index and a read-through answer cache pay off; E21 runs it with
-    /// the serving-layer machinery on and off.
+    /// absorb most of the traffic. This is the mix where the epoch point
+    /// index pays off most; E21 holds its work against scanning the
+    /// pinned epoch.
     pub fn hot_key_points(readers: usize, reads_per_reader: usize, seed: u64) -> Self {
         ReadMixConfig {
             readers,

@@ -22,8 +22,8 @@
 //!   documented, typed error (the table in DESIGN.md) instead of being
 //!   silently dropped — one builder, so one refusal per cell;
 //! * **(d)** serving composes: `.reads(mix)` × {batch 4, pushdown, both}
-//!   on the same schedules, bounded subscriptions and the answer cache
-//!   on, must pass the read, lag and subscription oracles and leave
+//!   on the same schedules, bounded subscriptions on, must pass the
+//!   read, lag and subscription oracles and leave
 //!   maintenance exactly as the same options leave it without readers;
 //! * **(e)** serving is invisible to maintenance: an empty read schedule
 //!   changes nothing but the presence of `report.serve`.
@@ -414,7 +414,6 @@ fn serving_composes_with_batching_and_pushdown() {
             let served = options()
                 .reads(read_mix(k, &scenario))
                 .bounded_subscriptions(2)
-                .answer_cache(8)
                 .run()
                 .unwrap();
             assert!(served.quiescent, "{arm}: did not drain");
