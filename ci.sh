@@ -230,6 +230,18 @@ stage_engine_boundary() {
     echo "FAIL: plan_scan holds one conflict test (mask & claimed) — no GLOBAL lane, qid_routes map or DeltaClass cases under crates/multiview/src" >&2
     ok=1
   fi
+  # One crash, one recovery, one fence: a warehouse state crash is the
+  # only crash the scheduler models, the WAL holds only records replay
+  # reads, and a stale answer is known by the incarnation in its qid —
+  # neither the shard-scoped crash path, nor the replay-inert records,
+  # nor the two qid fences may come back.
+  hits=$(grep -rn 'crash_shard\|state_crash_shard\|dead_qids\|stale_floor\|QuerySent\|HopDone\|restore_next_qid' \
+    crates src examples tests 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: MaintenanceScheduler::crash_and_recover is the one recovery (lanes re-seed from the durable pending set) and EngineCore::is_current the one stale-answer fence" >&2
+    ok=1
+  fi
   # A point read has one path (the epoch's point index, each group
   # stored with its multiplicity) and a registered view stays
   # registered: neither the answer cache, nor the index switch, nor

@@ -1,8 +1,8 @@
 //! **E17 — the price of surviving a warehouse crash**: the scheduler
 //! keeps a durable checkpoint + sweep-WAL store; a state-crash window
 //! wipes its volatile state mid-sweep and recovery replays the store,
-//! re-seeds the aborted sweep, and fences pre-crash stragglers behind an
-//! epoch bump and a qid floor. The knob is the checkpoint cadence: rare
+//! re-seeds the aborted sweep, and fences pre-crash stragglers by the
+//! incarnation every query and qid carries. The knob is the checkpoint cadence: rare
 //! checkpoints mean cheap steady-state writes but a long WAL replay (and
 //! a longer staleness spike) at recovery; frequent checkpoints invert
 //! the trade. Every run must land on the *exact* fault-free bags and

@@ -919,7 +919,7 @@ row! {
         /// In-flight sweeps aborted by the crash and re-seeded from the
         /// durable pending queue.
         sweeps_reseeded: u64 = Info,
-        /// Pre-crash answers fenced off by the post-recovery qid floor.
+        /// Pre-crash answers fenced off by the incarnation their qid carries.
         stale_answers_dropped: u64 = Info,
         /// Durable checkpoints taken over the crashed run.
         checkpoints_taken: u64 = Info,

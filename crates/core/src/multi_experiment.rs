@@ -10,10 +10,10 @@
 //!
 //! [`MultiViewExperiment::shards`] partitions the value space: the same
 //! scheduler then runs one sweep lane per shard group, and the report
-//! additionally accounts the sharding itself — lane concurrency,
-//! escalations, and, under a shard-scoped
-//! [`FaultPlan::state_crash_shard`] window, crash/re-seed statistics.
-//! [`MultiViewExperiment::reads`] attaches the serving arm (see
+//! additionally accounts the sharding itself — lane concurrency and
+//! escalations. [`MultiViewExperiment::durability`] arms the checkpoint +
+//! WAL store every configuration recovers a [`FaultPlan::state_crash`]
+//! window from. [`MultiViewExperiment::reads`] attaches the serving arm (see
 //! [`crate::serve`]): the same run, with a snapshot-pinned read schedule
 //! resolved between deliveries and reported in [`MultiViewReport::serve`].
 
@@ -28,12 +28,12 @@ use dw_consistency::{
 };
 use dw_multiview::{
     CascadeStats, DurabilityConfig, EngineOptions, MaintenanceScheduler, MvError, RecoveryStats,
-    SchedulerMode, ShardStats, ViewId, ViewRegistry,
+    SchedulerMode, ShardStats, ViewId, ViewRegistry, NEEDS_DURABLE_STORE,
 };
 use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{eval_view, Bag, ShardMap};
 use dw_simnet::{FaultPlan, NetHandle, NetStats, Time};
-use dw_warehouse::{InstallRecord, PolicyMetrics};
+use dw_warehouse::{InstallRecord, PolicyMetrics, WarehouseError};
 use dw_workload::{MultiViewScenario, ReadOp, ViewPolicy};
 
 /// A configured multi-view experiment: scenario × scheduler mode ×
@@ -72,11 +72,8 @@ impl MultiViewExperiment {
     /// group, installs still in arrival order. Pass a generated
     /// [`dw_workload::ShardedScenario`]'s `map` alongside its `scenario`,
     /// or any partitioner over any scenario (how the conformance suites
-    /// pit sharded against unsharded on identical inputs). Sharded,
-    /// shard-scoped state-crash windows
-    /// ([`FaultPlan::state_crash_shard`]) abort and re-seed one shard's
-    /// lane; durability, batching, the naive mode, a base chain with a
-    /// hop that equates nothing, and unscoped warehouse state crashes are
+    /// pit sharded against unsharded on identical inputs). Batching, the
+    /// naive mode and a base chain with a hop that equates nothing are
     /// refused, typed, by [`run`](Self::run).
     pub fn shards(mut self, map: ShardMap) -> Self {
         self.map = Some(map);
@@ -120,7 +117,8 @@ impl MultiViewExperiment {
     /// `checkpoint_every` sweep commits plus a sweep WAL. Required for
     /// the scheduler to survive [`FaultPlan::state_crash`] windows —
     /// the harness routes each state-crash restart into
-    /// `MaintenanceScheduler::crash_and_recover`.
+    /// `MaintenanceScheduler::crash_and_recover`, and
+    /// [`run`](Self::run) refuses such a window, typed, without it.
     pub fn durability(mut self, checkpoint_every: usize) -> Self {
         self.durability = Some(DurabilityConfig { checkpoint_every });
         self
@@ -194,14 +192,18 @@ impl MultiViewExperiment {
         derived_ids.sort_by_key(|id| id.index());
         let mut serve = ServeArm::open(self.serve, &mut sched, &ids, &derived_ids, obs)?;
         // Durability arms after registration so the initial checkpoint
-        // already carries every view at its correct initial contents; a
-        // configuration that refuses it says so before any traffic.
-        if let Some(cfg) = self.durability {
-            sched.enable_durability(cfg);
-        }
-        sched.validate()?;
-        let sharded = self.map.is_some();
+        // already carries every view at its correct initial contents. A
+        // state crash nothing durable would survive is a fault that was
+        // asked for and cannot happen: refused before any traffic.
         let mut restarts = warehouse_restarts(&self.net.faults);
+        match self.durability {
+            Some(cfg) => sched.enable_durability(cfg),
+            None if restarts.is_empty() => {}
+            None => {
+                let reason = NEEDS_DURABLE_STORE.into();
+                return Err(CoreError::Warehouse(WarehouseError::Config { reason }));
+            }
+        }
 
         let mut harness = SimHarness::new(&self.net, n + 1)?;
         let mut sources = build_sources(&base, &scenario.initial, false, obs)?;
@@ -218,7 +220,7 @@ impl MultiViewExperiment {
             if matches!(d.msg, Message::Restart) {
                 // Recover instead of dispatching (the scheduler's
                 // dispatcher rejects Restart as unexpected).
-                return recover(&mut sched, sharded, &mut restarts, d.at, net);
+                return recover(&mut sched, &mut restarts, d.at, net);
             }
             if let Message::Update(u) = &d.msg {
                 delivery_log.push((u.id, d.at));
@@ -287,7 +289,7 @@ impl MultiViewExperiment {
             cascade: sched.views().cascade_stats(),
             scheduler_metrics: sched.metrics().clone(),
             recovery: sched.recovery_stats(),
-            shard_stats: sharded.then(|| sched.stats().clone()),
+            shard_stats: self.map.as_ref().map(|_| sched.stats().clone()),
             wal_bytes_written: sched
                 .durable_stats()
                 .map(|s| s.wal_bytes_written)
@@ -308,35 +310,27 @@ impl MultiViewExperiment {
     }
 }
 
-/// The warehouse's state-crash windows as `(restart time, shard scope)`
-/// — what the drive loops match each warehouse `Restart` against.
-fn warehouse_restarts(faults: &FaultPlan) -> Vec<(Time, Option<usize>)> {
+/// The restart times of the warehouse's state-crash windows — what the
+/// drive loop matches each warehouse `Restart` against.
+fn warehouse_restarts(faults: &FaultPlan) -> Vec<Time> {
     let windows = faults.state_crashes().iter();
-    windows
-        .filter(|c| c.node == WAREHOUSE_NODE)
-        .map(|c| (c.up_at, c.shard))
-        .collect()
+    let ours = windows.filter(|c| c.node == WAREHOUSE_NODE);
+    ours.map(|c| c.up_at).collect()
 }
 
-/// Route one warehouse `Restart` delivered at `at`. Unsharded, volatile
-/// scheduler state is gone and the durable store is not: recover (a
-/// no-op with durability unarmed — the amnesia semantics the
-/// pre-recovery engine had). Sharded, a shard-scoped window's restart
-/// aborts and re-seeds that shard's lane while every other lane keeps
-/// sweeping; an unscoped state crash is refused by the scheduler, typed;
-/// any other restart (a plain crash's transport resync) lost nothing.
+/// Route one warehouse `Restart` delivered at `at`. The end of a
+/// state-crash window: volatile scheduler state is gone and the durable
+/// store is not — recover. Any other restart (a plain crash's transport
+/// resync) lost nothing.
 fn recover(
     sched: &mut MaintenanceScheduler,
-    sharded: bool,
-    restarts: &mut Vec<(Time, Option<usize>)>,
+    restarts: &mut Vec<Time>,
     at: Time,
     net: &mut dyn NetHandle<Message>,
 ) -> Result<(), CoreError> {
-    let window = restarts.iter().position(|&(up_at, _)| up_at == at);
-    match window.map(|pos| restarts.swap_remove(pos).1) {
-        None => {}
-        Some(Some(shard)) if sharded => sched.crash_shard(shard, net)?,
-        Some(_) => sched.crash_and_recover(net)?,
+    if let Some(pos) = restarts.iter().position(|&up_at| up_at == at) {
+        restarts.swap_remove(pos);
+        sched.crash_and_recover(net)?;
     }
     Ok(())
 }
@@ -469,8 +463,8 @@ pub struct MultiViewReport {
     /// Accumulated crash-recovery statistics (zeros when durability was
     /// off or no state crash fired).
     pub recovery: RecoveryStats,
-    /// Sharding counters — lane concurrency, escalations, shard
-    /// crash/re-seed accounting (`None` without a partitioner).
+    /// Sharding counters — lane concurrency, escalations (`None` without
+    /// a partitioner).
     pub shard_stats: Option<ShardStats>,
     /// Total modeled WAL bytes appended over the run (0 with durability
     /// off).
@@ -968,26 +962,32 @@ mod tests {
         }
 
         #[test]
-        fn scoped_crash_reseeds_without_stopping_other_shards() {
+        fn a_state_crash_reseeds_the_lanes_and_changes_nothing() {
             let generated = config(2, 4).generate().unwrap();
-            // Anchor the window mid-run; up_at lands while sweeps overlap.
+            // Anchor the window mid-run; it opens while sweeps overlap.
             let crash_at = generated.scenario.txns[6].at;
+            let crash = FaultPlan::none().state_crash(WAREHOUSE_NODE, crash_at, crash_at + 1_200);
             let clean = sharded(generated.clone()).run().unwrap();
             let faulted = sharded(generated)
-                .faults(FaultPlan::none().state_crash_shard(
-                    WAREHOUSE_NODE,
-                    crash_at,
-                    crash_at + 1_200,
-                    0,
-                ))
+                .faults(crash)
+                .transport_auto()
+                .durability(2)
                 .run()
                 .unwrap();
             assert!(faulted.quiescent);
-            assert_eq!(shard_stats(&faulted).shard_crashes, 1);
-            // Identical outcome to the fault-free run.
-            assert_eq!(faulted.install_fingerprint(), clean.install_fingerprint());
+            assert_eq!(faulted.recovery.recoveries, 1);
+            assert!(faulted.recovery.sweeps_reseeded > 0);
+            // The fault-free run's bags. The window also swallows update
+            // deliveries, and retransmission may permute those across
+            // sources — so the install order is held to the run's own
+            // arrival order (persisted tickets), one install per update.
             for (f, c) in faulted.views.iter().zip(clean.views.iter()) {
                 assert_eq!(f.view, c.view);
+            }
+            let arrived = faulted.delivery_log.iter().map(|&(id, _)| vec![id]);
+            let arrival_order: Vec<Vec<UpdateId>> = arrived.collect();
+            for installed in faulted.install_fingerprint() {
+                assert_eq!(installed, arrival_order);
             }
         }
 
@@ -1009,21 +1009,19 @@ mod tests {
         }
 
         #[test]
-        fn scoped_crash_keeps_derived_oracle_clean() {
+        fn a_state_crash_keeps_the_derived_oracle_clean() {
             let mut generated = config(2, 4).generate().unwrap();
             generated.scenario.derived = stack_on_v0();
             let crash_at = generated.scenario.txns[6].at;
+            let crash = FaultPlan::none().state_crash(WAREHOUSE_NODE, crash_at, crash_at + 1_200);
             let report = sharded(generated)
-                .faults(FaultPlan::none().state_crash_shard(
-                    WAREHOUSE_NODE,
-                    crash_at,
-                    crash_at + 1_200,
-                    0,
-                ))
+                .faults(crash)
+                .transport_auto()
+                .durability(2)
                 .run()
                 .unwrap();
             assert!(report.quiescent);
-            assert_eq!(shard_stats(&report).shard_crashes, 1);
+            assert_eq!(report.recovery.recoveries, 1);
             assert!(report.derived_clean());
         }
 

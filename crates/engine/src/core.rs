@@ -124,15 +124,23 @@ pub struct EngineCore {
     pub obs: Obs,
     /// Adapter-visible span/counter names.
     pub labels: SpanLabels,
-    /// Sweep epoch, stamped onto every outgoing [`SweepQuery`]. Starts at
-    /// 0 and only moves when a crash-recovery replay bumps it
-    /// ([`EngineCore::bump_epoch`]): sources remember the highest epoch
-    /// they have served and drop queries from older ones, so a sweep
-    /// re-seeded after a warehouse state-crash never races its aborted
-    /// predecessor's stale in-flight queries.
+    /// The warehouse incarnation: 0 until a crash-recovery replay enters
+    /// the next one ([`EngineCore::bump_epoch`]). Stamped onto every
+    /// outgoing [`SweepQuery`] — sources remember the highest epoch they
+    /// have served and drop queries from older ones — and into the high
+    /// bits of every qid, so the warehouse drops answers to an older
+    /// incarnation's queries by the same number
+    /// ([`EngineCore::is_current`]): a sweep re-seeded after a state
+    /// crash never races its aborted predecessor, in either direction.
     pub epoch: u64,
+    /// Queries sent by this incarnation (a qid's low bits).
     next_qid: u64,
 }
+
+/// A qid's low bits count one incarnation's queries; the bits above
+/// carry that incarnation's [`EngineCore::epoch`]. Epoch 0 leaves a qid
+/// equal to its count.
+const QID_SEQ_BITS: u32 = 48;
 
 impl EngineCore {
     /// A fresh core over `view` emitting `labels`.
@@ -148,24 +156,19 @@ impl EngineCore {
         }
     }
 
-    /// The next query id this core will allocate. Recovery journals it
-    /// (a `QuerySent` WAL record per allocation) so a restarted core
-    /// never re-issues a qid that may still have an answer in flight.
-    pub fn next_qid(&self) -> u64 {
-        self.next_qid
+    /// Was `qid` issued by the current incarnation? An answer to any
+    /// other qid is a straggler: the sweep that asked died with its
+    /// warehouse and was re-seeded under fresh qids.
+    pub fn is_current(&self, qid: u64) -> bool {
+        qid >> QID_SEQ_BITS == self.epoch
     }
 
-    /// Restore the qid allocator after a checkpoint+WAL replay. Only
-    /// ever moves forward: a recovered core must allocate *fresh* qids.
-    pub fn restore_next_qid(&mut self, next: u64) {
-        self.next_qid = self.next_qid.max(next);
-    }
-
-    /// Enter the next sweep epoch (crash recovery). Queries sent from
-    /// here on carry the new epoch; sources drop stragglers from the old
-    /// one.
+    /// Enter the next incarnation (crash recovery). Queries sent from
+    /// here on carry the new epoch, on the wire and in their qid; the
+    /// query count died with the old incarnation and restarts.
     pub fn bump_epoch(&mut self) {
         self.epoch += 1;
+        self.next_qid = 0;
     }
 
     /// Chain length.
@@ -203,7 +206,7 @@ impl EngineCore {
         j: usize,
         side: JoinSide,
     ) -> (u64, HopSpan) {
-        let qid = self.next_qid;
+        let qid = self.epoch << QID_SEQ_BITS | self.next_qid;
         self.next_qid += 1;
         self.metrics.queries_sent += 1;
         if let Some(counter) = self.labels.query_counter {
@@ -438,21 +441,16 @@ impl SweepRun {
         &self.legs[(side as usize).min(self.legs.len() - 1)].dv
     }
 
-    /// The qids this run is waiting on.
-    pub fn in_flight(&self) -> impl Iterator<Item = u64> + '_ {
-        let pending = self.legs.iter().filter_map(|leg| leg.pending.as_ref());
-        pending.map(|p| p.qid)
-    }
-
     /// Is this run waiting on the answer to `qid`?
     pub fn waiting_on(&self, qid: u64) -> bool {
-        self.in_flight().any(|q| q == qid)
+        let mut pending = self.legs.iter().filter_map(|leg| leg.pending.as_ref());
+        pending.any(|p| p.qid == qid)
     }
 
     /// Nothing in flight: after [`SweepRun::advance`], the run has
     /// covered its range.
     pub fn is_done(&self) -> bool {
-        self.in_flight().next().is_none()
+        self.legs.iter().all(|leg| leg.pending.is_none())
     }
 
     /// The answer to `qid` arrived: close the hop's spans, make the
@@ -485,16 +483,14 @@ impl SweepRun {
 
     /// Send the next query of every walker that has none in flight and
     /// range left to cover — the first call fires the run's first
-    /// queries (left leg first). Returns the qids sent, for the caller's
-    /// routing table and journal; an empty range with
-    /// [`SweepRun::is_done`] means the run is covered.
+    /// queries (left leg first). Nothing in flight afterwards
+    /// ([`SweepRun::is_done`]) means the run is covered.
     pub fn advance(
         &mut self,
         core: &mut EngineCore,
         ctx: &SweepCtx,
         net: &mut dyn NetHandle<Message>,
-    ) -> std::ops::Range<u64> {
-        let first = core.next_qid();
+    ) {
         for leg in &mut self.legs {
             if let (None, Some((j, side))) = (&leg.pending, leg.next_hop()) {
                 let (qid, span) = core.send_query(ctx, net, &leg.dv, j, side);
@@ -508,7 +504,6 @@ impl SweepRun {
                 });
             }
         }
-        first..core.next_qid()
     }
 
     /// Add a completed child run's partial (Figure 6: the recursive
@@ -551,9 +546,24 @@ fn support(bag: &Bag) -> Bag {
     Bag::from_pairs(bag.iter().map(|(t, _)| (t.clone(), 1)))
 }
 
+/// What a checkpoint keeps of an [`InstallSink`]: the view contents as a
+/// shared handle, and the install log's *length*. The log is append-only
+/// history, so an image costs the same however long the run has been,
+/// and recovery truncates the log rather than restoring a copy of it.
+pub struct SinkImage {
+    view: MaterializedView,
+    log_len: usize,
+}
+
+impl SinkImage {
+    /// The view contents the image captured.
+    pub fn bag(&self) -> &SharedBag {
+        self.view.bag()
+    }
+}
+
 /// The install side of the engine: the materialized view, its install
 /// log, and the staleness accounting every install owes the metrics.
-#[derive(Clone)]
 pub struct InstallSink {
     view: MaterializedView,
     log: Vec<InstallRecord>,
@@ -593,6 +603,22 @@ impl InstallSink {
     /// The current view contents.
     pub fn bag(&self) -> &SharedBag {
         self.view.bag()
+    }
+
+    /// Capture this sink for a checkpoint (no tuple and no install
+    /// record is copied).
+    pub fn image(&self) -> SinkImage {
+        SinkImage {
+            view: self.view.clone(),
+            log_len: self.log.len(),
+        }
+    }
+
+    /// Crash recovery: back to `image` — its view contents, and the log
+    /// cut to the length it had then (replay re-appends what follows).
+    pub fn restore(&mut self, image: &SinkImage) {
+        self.view = image.view.clone();
+        self.log.truncate(image.log_len);
     }
 
     /// The install history.

@@ -8,18 +8,22 @@
 //! classical way into
 //!
 //! * a **checkpoint** — one full snapshot of the recoverable state
-//!   (installed view contents, update-queue contents, formed-but-
-//!   uncommitted sweep tasks, allocator cursors), replaced wholesale and
-//!   truncating the log; and
+//!   (installed view contents, update-queue contents with their install
+//!   tickets, formed-but-uncommitted sweep tasks — in flight or waiting —
+//!   the install sequencer, the incarnation number), replaced wholesale
+//!   and truncating the log; and
 //! * a **write-ahead log** — an ordered record of every state transition
-//!   since that snapshot, appended *before* the corresponding volatile
-//!   mutation takes effect.
+//!   since that snapshot that recovery has to redo, appended *before* the
+//!   corresponding volatile mutation takes effect. A record replay would
+//!   not read does not belong in it.
 //!
 //! The store is generic over the checkpoint and record types: the engine
 //! owns the mechanism, adapters (today `dw-multiview`'s scheduler) define
 //! what their snapshot and lifecycle records look like. Recovery is the
-//! adapter's job too — clone the checkpoint, replay the log — because
-//! only the adapter knows its own transition semantics. What lives here
+//! adapter's job too — restore the checkpoint, replay the log through its
+//! own live transitions — because only the adapter knows their
+//! semantics. (No qid allocator is rebuilt: a recovered
+//! [`crate::EngineCore`] enters the next incarnation, which its qids carry.) What lives here
 //! is the storage discipline plus the accounting recovery experiments
 //! need (bytes written, bytes replayed, truncations).
 //!

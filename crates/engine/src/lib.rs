@@ -45,7 +45,8 @@ pub mod sequencer;
 pub mod view;
 
 pub use crate::core::{
-    dispatch, EngineCore, Hop, HopSpan, InstallSink, SpanLabels, SweepCtx, SweepPolicy, SweepRun,
+    dispatch, EngineCore, Hop, HopSpan, InstallSink, SinkImage, SpanLabels, SweepCtx, SweepPolicy,
+    SweepRun,
 };
 pub use durable::{DurabilityConfig, DurableStats, DurableStore, WalRecord};
 pub use error::WarehouseError;

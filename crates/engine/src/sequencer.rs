@@ -18,6 +18,14 @@
 //!
 //! The payload speaks in plain view *indices* so the sequencer stays
 //! policy-agnostic (the multiview scheduler maps them to its `ViewId`s).
+//!
+//! Tickets are durable: a checkpoint image holds a clone of the whole
+//! sequencer, buffered payloads included, and every WAL record that
+//! concerns a ticket names it. Recovery restores the clone, marks the
+//! journaled tickets issued ([`InstallSequencer::reissue`]) and replays
+//! each logged commit through `complete` and `drain` as the live path
+//! does — a commit that was waiting behind an earlier ticket when the
+//! warehouse died still waits behind it afterwards.
 
 use dw_protocol::UpdateId;
 use dw_relational::Bag;
@@ -37,7 +45,7 @@ pub struct SequencedInstall {
 }
 
 /// Arrival-order install sequencer (see module docs).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct InstallSequencer {
     next_ticket: u64,
     next_release: u64,
@@ -56,6 +64,12 @@ impl InstallSequencer {
         let t = self.next_ticket;
         self.next_ticket += 1;
         t
+    }
+
+    /// Recovery: the WAL says `ticket` was issued before the crash. Count
+    /// it as issued, so the restored sequencer never hands it out again.
+    pub fn reissue(&mut self, ticket: u64) {
+        self.next_ticket = self.next_ticket.max(ticket + 1);
     }
 
     /// Complete a ticket with its install payload (`None` when the
@@ -119,6 +133,25 @@ mod tests {
         s.complete(t1, Some(install(1)));
         assert_eq!(s.drain(), vec![install(1), install(2)]);
         assert!(s.is_drained());
+    }
+
+    /// A restored clone behaves as the original would have: journaled
+    /// tickets are never issued twice, and a payload buffered before the
+    /// clone was taken still waits for the ticket ahead of it.
+    #[test]
+    fn a_restored_clone_keeps_buffered_payloads_and_issued_tickets() {
+        let mut s = InstallSequencer::new();
+        let (t0, t1) = (s.issue(), s.issue());
+        s.complete(t1, Some(install(1)));
+        let mut restored = s.clone();
+        // Two more tickets were journaled after the image, out of order.
+        restored.reissue(3);
+        restored.reissue(2);
+        assert_eq!(restored.issue(), 4);
+        assert!(restored.drain().is_empty(), "t1 overtook t0");
+        restored.complete(t0, Some(install(0)));
+        assert_eq!(restored.drain(), vec![install(0), install(1)]);
+        assert_eq!(restored.outstanding(), 3);
     }
 
     #[test]

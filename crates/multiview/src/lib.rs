@@ -38,13 +38,12 @@
 //!   an arrival-order ticket. Without a [`dw_relational::ShardMap`]
 //!   there is one band — the paper's serial SWEEP; with one, sweeps with
 //!   disjoint masks run concurrently while the install order stays
-//!   arrival order. Cross-update batching,
-//!   σ pushdown, checkpoint + WAL crash recovery and shard-scoped crash
-//!   re-seeding are options of that one state machine; the combinations
-//!   it refuses are typed errors decided in one place
-//!   ([`MaintenanceScheduler::validate`]). [`ShardedScheduler`] is a
-//!   thin newtype for callers that want the sharded configuration as a
-//!   type.
+//!   arrival order. Cross-update batching, σ pushdown and checkpoint +
+//!   WAL crash recovery — one recovery, lanes in flight or not — are
+//!   options of that one state machine; the combinations it refuses are
+//!   typed errors decided in one place, its constructor.
+//!   [`ShardedScheduler`] is a thin newtype for callers that want the
+//!   sharded configuration as a type.
 //! * a **maintenance DAG** — derived views registered *over* other views
 //!   ([`ViewRegistry::register_derived`], specs from
 //!   [`dw_workload::DerivedSpec`]): σ/Π and Σ/group-by operators, stacks
@@ -86,5 +85,7 @@ mod sharded;
 
 pub use dw_engine::{DurabilityConfig, EngineOptions};
 pub use registry::{CascadeStats, MvError, ViewId, ViewRegistry};
-pub use scheduler::{MaintenanceScheduler, RecoveryStats, SchedulerMode, ShardStats};
+pub use scheduler::{
+    MaintenanceScheduler, RecoveryStats, SchedulerMode, ShardStats, NEEDS_DURABLE_STORE,
+};
 pub use sharded::ShardedScheduler;

@@ -17,7 +17,7 @@
 //! subexpression idea, applied to the delta stream).
 
 use dw_engine::{
-    InstallRecord, InstallSink, PolicyMetrics, SharedInstallPublisher, WarehouseError,
+    InstallRecord, InstallSink, PolicyMetrics, SharedInstallPublisher, SinkImage, WarehouseError,
 };
 use dw_protocol::UpdateId;
 use dw_relational::{AggregateState, Bag, RelationalError, SharedBag, ViewDef};
@@ -117,7 +117,6 @@ impl fmt::Display for ViewId {
 
 /// How a registered view is maintained: from base-source sweeps, or
 /// locally from a parent view's committed install deltas.
-#[derive(Clone)]
 pub(crate) enum ViewKind {
     /// Maintained by SWEEP over the base chain span `[lo, hi]`.
     Base,
@@ -128,7 +127,7 @@ pub(crate) enum ViewKind {
         /// The operator over the parent's rows.
         op: DerivedOp,
         /// Incremental Σ state — `Some` iff the op is an aggregate. Rides
-        /// checkpoint clones, so crash recovery restores group
+        /// checkpoint images, so crash recovery restores group
         /// accumulators (and MIN/MAX support multisets) exactly.
         agg: Option<AggregateState>,
     },
@@ -158,11 +157,7 @@ pub(crate) struct Installed<'a> {
     pub(crate) consumed: Cow<'a, [(UpdateId, Time)]>,
 }
 
-/// Everything the scheduler keeps per registered view. `Clone` because
-/// a durable checkpoint holds a copy of every live runtime — the view
-/// contents and the install log's snapshots as [`SharedBag`] handles, so
-/// the copy carries no tuple.
-#[derive(Clone)]
+/// Everything the scheduler keeps per registered view.
 pub(crate) struct ViewRuntime {
     pub(crate) name: String,
     pub(crate) lo: usize,
@@ -174,8 +169,8 @@ pub(crate) struct ViewRuntime {
     /// coordinates (consumed ids carry the base-chain source index) —
     /// and where committed installs are announced (e.g. a `dw-serve`
     /// snapshot store), under this runtime's registry slot index. The
-    /// publisher is a shared handle: checkpoint clones keep feeding the
-    /// same consumer, which deduplicates recovery replays on
+    /// publisher is a shared handle: a recovered runtime keeps feeding
+    /// the same consumer, which deduplicates recovery replays on
     /// `(slot, epoch)`.
     pub(crate) sink: InstallSink,
     pub(crate) metrics: PolicyMetrics,
@@ -192,7 +187,47 @@ pub(crate) struct ViewRuntime {
     pub(crate) out_width: usize,
 }
 
+/// What a durable checkpoint keeps of one runtime: the part a sweep can
+/// change. The view contents are a [`SharedBag`] handle and the install
+/// log is only its length ([`SinkImage`]), so an image copies no tuple
+/// and no history. Everything else in a [`ViewRuntime`] is fixed at
+/// registration, and a registration checkpoints on the spot.
+pub(crate) struct SlotImage {
+    pub(crate) sink: SinkImage,
+    metrics: PolicyMetrics,
+    pending_delta: Bag,
+    pending_consumed: Vec<(UpdateId, Time)>,
+    since_flush: usize,
+    agg: Option<AggregateState>,
+}
+
 impl ViewRuntime {
+    fn image(&self) -> SlotImage {
+        let agg = match &self.kind {
+            ViewKind::Derived { agg, .. } => agg.clone(),
+            ViewKind::Base => None,
+        };
+        SlotImage {
+            sink: self.sink.image(),
+            metrics: self.metrics.clone(),
+            pending_delta: self.pending_delta.clone(),
+            pending_consumed: self.pending_consumed.clone(),
+            since_flush: self.since_flush,
+            agg,
+        }
+    }
+
+    fn restore(&mut self, image: &SlotImage) {
+        self.sink.restore(&image.sink);
+        self.metrics = image.metrics.clone();
+        self.pending_delta = image.pending_delta.clone();
+        self.pending_consumed = image.pending_consumed.clone();
+        self.since_flush = image.since_flush;
+        if let ViewKind::Derived { agg, .. } = &mut self.kind {
+            *agg = image.agg.clone();
+        }
+    }
+
     /// Fold one finalized sweep delta into the view according to the
     /// policy cadence. `consumed` lists the update(s) the sweep serviced
     /// (one entry unless cross-update batching folded several in), in
@@ -269,7 +304,7 @@ pub struct ViewRegistry {
     base: ViewDef,
     slots: Vec<ViewRuntime>,
     /// Attached install publisher, propagated to every current and
-    /// future runtime (and re-attached across checkpoint restores).
+    /// future runtime.
     publisher: Option<SharedInstallPublisher>,
     /// Cascade bookkeeping (child installs, shared σ/Π evaluations).
     stats: CascadeStats,
@@ -654,31 +689,30 @@ impl ViewRegistry {
         Ok(self.runtime(id)?.out_width)
     }
 
-    /// The registry half of a durable checkpoint: every slot, its view
-    /// contents captured as a [`SharedBag`] handle (no tuple is copied;
-    /// later installs copy only the chunks they touch).
-    pub(crate) fn snapshot_slots(&self) -> Vec<ViewRuntime> {
-        self.slots.clone()
+    /// The registry half of a durable checkpoint: what each slot's
+    /// sweeps can change, the view contents as a [`SharedBag`] handle and
+    /// the install log as its length — the cost of an image does not
+    /// grow with the run.
+    pub(crate) fn snapshot_slots(&self) -> Vec<SlotImage> {
+        self.slots.iter().map(ViewRuntime::image).collect()
     }
 
     /// View tuples of `image` that live in chunks the live views do not
     /// physically share — what taking `image` copied (0 for an image
     /// fresh from [`ViewRegistry::snapshot_slots`]).
-    pub(crate) fn unshared_tuples(&self, image: &[ViewRuntime]) -> u64 {
+    pub(crate) fn unshared_tuples(&self, image: &[SlotImage]) -> u64 {
         let pairs = image.iter().zip(&self.slots);
         let unshared = pairs.map(|(kept, live)| kept.sink.bag().unshared_len(live.sink.bag()));
         unshared.sum::<usize>() as u64
     }
 
-    /// Replace the live slots with a checkpoint image (crash recovery).
-    /// The attached publisher survives the restore even when the
-    /// checkpoint predates the attachment.
-    pub(crate) fn restore_slots(&mut self, slots: Vec<ViewRuntime>) {
-        self.slots = slots;
-        if let Some(p) = self.publisher.clone() {
-            for rt in self.runtimes_mut() {
-                rt.sink.set_publisher(p.clone());
-            }
+    /// Crash recovery: every slot back to its checkpoint image. An image
+    /// covers every registered view — a registration under durability
+    /// checkpoints on the spot.
+    pub(crate) fn restore_slots(&mut self, image: &[SlotImage]) {
+        debug_assert_eq!(image.len(), self.slots.len());
+        for (rt, kept) in self.slots.iter_mut().zip(image) {
+            rt.restore(kept);
         }
     }
 

@@ -92,29 +92,35 @@
 //!
 //! ## Crashes
 //!
-//! [`MaintenanceScheduler::enable_durability`] (one group) journals the
-//! sweep lifecycle and checkpoints between sweeps, so
-//! [`MaintenanceScheduler::crash_and_recover`] survives a whole-warehouse
-//! state crash; [`MaintenanceScheduler::crash_shard`] models one shard's
-//! sweep worker dying while the other lanes keep installing. Off by
-//! default — with durability disabled the wire behavior and installs are
-//! byte-identical to the pre-recovery engine.
+//! One crash, one recovery, for every configuration.
+//! [`MaintenanceScheduler::enable_durability`] journals what replay
+//! needs — an arrival with its ticket, a formed task, a commit, a
+//! cadence flush — and checkpoints every few commits, lanes in flight or
+//! not: durably, an in-flight lane *is* its still-pending task.
+//! [`MaintenanceScheduler::crash_and_recover`] restores the image,
+//! replays the log through the live commit path, and lets the ordinary
+//! `pump` re-seed every task without a commit record, in whatever order
+//! the mask rule allows; answers to the dead incarnation's queries are
+//! known by their qid ([`EngineCore::is_current`]) and dropped. Off by
+//! default — with durability disabled the wire behavior and installs
+//! are byte-identical to the pre-recovery engine.
 //!
 //! ## Refused combinations
 //!
-//! A [`ShardMap`] composes with neither batching (it folds queue entries
-//! a concurrent lane may need for compensation) nor durability
-//! (checkpoints assume one lane), and needs an equi-join on every hop of
-//! the base chain (a hop that equates nothing joins across bands, so
-//! purity would confine nothing); naive mode cannot batch (its unit of
-//! work is one view). [`MaintenanceScheduler::validate`] is
-//! the one place that says so, typed (table in DESIGN.md). Global
-//! transactions (update type 3) are out of scope for the multi-view
-//! layer — tags on incoming updates are ignored.
+//! A [`ShardMap`] does not compose with batching (it folds queue entries
+//! a concurrent lane may need for compensation), and needs an equi-join
+//! on every hop of the base chain (a hop that equates nothing joins
+//! across bands, so purity would confine nothing); naive mode cannot
+//! batch (its unit of work is one view) and has no lanes to shard. The
+//! constructor is the one place that says so, typed (table in
+//! DESIGN.md); a state crash without a durable store is refused by
+//! [`MaintenanceScheduler::crash_and_recover`]. Global transactions
+//! (update type 3) are out of scope for the multi-view layer — tags on
+//! incoming updates are ignored.
 //!
 //! [`ViewPolicy`]: dw_workload::ViewPolicy
 
-use crate::registry::{MvError, ViewId, ViewRegistry, ViewRuntime};
+use crate::registry::{MvError, SlotImage, ViewId, ViewRegistry};
 use dw_engine::{
     dispatch, DurabilityConfig, DurableStats, DurableStore, EngineCore, EngineOptions,
     InstallSequencer, PendingUpdate, PolicyMetrics, SequencedInstall, SpanLabels, SweepCtx,
@@ -125,7 +131,7 @@ use dw_protocol::{Message, SourceUpdate, UpdateId};
 use dw_relational::{Bag, JoinSide, PartialDelta, Predicate, RelationalError, ShardMap, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
 use dw_workload::{DerivedSpec, ViewSpec};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// The trace vocabulary: `mv.*` over one group (the query counter tells
 /// shared from naive sweeps), `shard.*` over a [`ShardMap`].
@@ -182,18 +188,12 @@ pub struct ShardStats {
     /// Updates whose delta stayed inside one band (or was empty).
     pub shard_local: u64,
     /// Updates skipped because no registered view referenced their
-    /// source (their sequencer slot released empty).
+    /// source (they take no ticket). A skip is not journaled: one a
+    /// crash undid is done, and counted, again.
     pub skipped: u64,
-    /// [`MaintenanceScheduler::crash_shard`] invocations (no-op ones
-    /// included).
-    pub shard_crashes: u64,
-    /// Lanes aborted by a shard crash and re-seeded with fresh qids.
-    pub sweeps_reseeded: u64,
-    /// Answers to a crashed lane's poisoned qids, dropped on arrival.
-    pub stale_answers_dropped: u64,
     /// Every lane completion: `(the lane's band mask, finish time)`. The
-    /// recovery suite reads this to prove surviving shards kept sweeping
-    /// through another shard's crash window.
+    /// recovery suite reads this against the install log to find commits
+    /// a crash caught still waiting behind an earlier ticket.
     pub completions: Vec<(u64, Time)>,
     /// High-water mark of concurrently in-flight lanes.
     pub max_concurrent_lanes: usize,
@@ -202,9 +202,8 @@ pub struct ShardStats {
 /// One unit of sweep work: the batch of updates it services, the span to
 /// cover, the views fed by it, the bands it claims and the ticket its
 /// install leaves through. Kept whole — a formed task is journaled
-/// verbatim and a crashed lane re-seeds the identical task, so its
-/// consumed set is fixed at formation and a recovered re-run consumes
-/// exactly the same updates.
+/// verbatim and recovery re-seeds the identical task, so its consumed
+/// set and its place in the install order are fixed at formation.
 #[derive(Clone)]
 struct SweepTask {
     ticket: u64,
@@ -242,7 +241,7 @@ struct Lane {
 /// arrives: its install ticket, and how its delta sits in the shard
 /// space ([`ShardMap::delta_bands`] — a function of the delta and the map
 /// alone, so computed once; both empty without a map).
-#[derive(Default)]
+#[derive(Clone)]
 struct Arrival {
     ticket: u64,
     bands: u64,
@@ -250,43 +249,52 @@ struct Arrival {
 }
 
 /// The durable image of the scheduler's volatile state, written whole at
-/// each checkpoint. In-flight sweeps are deliberately *absent*: a task
-/// leaves durable `pending_tasks` only at its commit record, so replay
-/// always finds an aborted sweep still queued at the front. Tickets are
-/// volatile — recovery re-issues them in the restored FIFO order.
-#[derive(Clone)]
+/// each checkpoint — with lanes in flight or without. A lane's leg state
+/// is deliberately *absent*: a task leaves the durable pending set only
+/// at its commit record, so an in-flight sweep is simply a task recovery
+/// finds still pending and runs again.
 struct MvCheckpoint {
     epoch: u64,
-    next_qid: u64,
     queue: UpdateQueue,
-    pending_tasks: VecDeque<SweepTask>,
-    slots: Vec<ViewRuntime>,
+    /// Ticket and delta bands of every queued update.
+    arrivals: HashMap<UpdateId, Arrival>,
+    /// Every formed task without a commit record: the in-flight lanes'
+    /// first, then the ones waiting for a lane.
+    tasks: VecDeque<SweepTask>,
+    /// Issued and released tickets, and the commits buffered between.
+    sequencer: InstallSequencer,
+    groups: Vec<u64>,
+    slots: Vec<SlotImage>,
     metrics: PolicyMetrics,
 }
 
-/// Sweep lifecycle journal entries. Records are appended *before* the
-/// volatile action they describe takes effect (within one message
-/// handling, which is the crash atom in the simulator), so the WAL never
-/// under-describes the durable past.
-#[derive(Clone)]
+/// Sweep lifecycle journal entries — one kind per transition replay has
+/// to redo. Records are appended *before* the volatile action they
+/// describe takes effect (within one message handling, which is the
+/// crash atom in the simulator), so the WAL never under-describes the
+/// durable past.
 enum MvWalRecord {
-    /// An update entered the queue.
-    UpdateQueued { update: SourceUpdate, at: Time },
+    /// An update entered the queue, under `ticket` (shared mode — the
+    /// ticket at arrival *is* its place in the install order; naive mode
+    /// tickets per task, and an update no view references takes none).
+    UpdateQueued {
+        update: SourceUpdate,
+        at: Time,
+        ticket: Option<u64>,
+    },
     /// A sweep task was formed: its consumed updates leave the queue and
-    /// the task joins durable `pending_tasks`.
+    /// the task joins the durable pending set.
     TaskFormed { task: SweepTask },
-    /// A sweep query was issued. Replay only restores qid monotonicity —
-    /// the message itself may or may not have survived the crash; the
-    /// re-seeded sweep supersedes it either way.
-    QuerySent { qid: u64 },
-    /// A hop's answer was folded in, with how many queued concurrent
-    /// updates were compensated. Replay ignores it (the sweep re-runs);
-    /// it exists for WAL-volume accounting and post-mortem traces.
-    HopDone { qid: u64, comps: u64 },
-    /// A sweep finished: every per-view finalized delta and the consumed
-    /// updates, exactly as the install will apply them, atomically. The
-    /// *only* record that moves durable state forward.
-    TaskCommit { at: Time, install: SequencedInstall },
+    /// The sweep of the task holding `ticket` finished: every per-view
+    /// finalized delta and the consumed updates, exactly as the install
+    /// will apply them, atomically. The *only* record that moves durable
+    /// state forward — into the sequencer, whence it installs in ticket
+    /// order, live and in replay alike.
+    TaskCommit {
+        at: Time,
+        ticket: u64,
+        install: SequencedInstall,
+    },
     /// A policy-cadence drain flush installed view `view`'s accumulated
     /// batch.
     Flush { view: ViewId, at: Time },
@@ -294,18 +302,18 @@ enum MvWalRecord {
 
 impl WalRecord for MvWalRecord {
     fn wal_bytes(&self) -> usize {
-        const HDR: usize = 16; // record tag + timestamp/qid slot
+        const HDR: usize = 16; // record tag + timestamp slot
         HDR + match self {
-            MvWalRecord::UpdateQueued { update, .. } => 16 + update.delta.size_bytes(),
+            MvWalRecord::UpdateQueued { update, .. } => 24 + update.delta.size_bytes(),
             MvWalRecord::TaskFormed { task } => {
                 32 + task.delta.size_bytes() + 24 * task.consumed.len() + 8 * task.views.len()
             }
-            MvWalRecord::QuerySent { .. } => 0,
-            // 8 bytes per compensated concurrent update (its queue ref).
-            MvWalRecord::HopDone { comps, .. } => 8 + 8 * (*comps as usize),
-            MvWalRecord::TaskCommit { install, .. } => (install.deltas.iter())
-                .map(|(_, delta)| 16 + delta.size_bytes() + 24 * install.consumed.len())
-                .sum::<usize>(),
+            MvWalRecord::TaskCommit { install, .. } => {
+                let per_view = |(_, delta): &(usize, Bag)| {
+                    16 + delta.size_bytes() + 24 * install.consumed.len()
+                };
+                8 + install.deltas.iter().map(per_view).sum::<usize>()
+            }
             MvWalRecord::Flush { .. } => 8,
         }
     }
@@ -321,10 +329,11 @@ pub struct RecoveryStats {
     /// Modeled WAL bytes replayed across all recoveries.
     pub wal_bytes_replayed: u64,
     /// Sweep tasks found durably pending after replay — aborted in-flight
-    /// work plus never-started backlog, all re-seeded from scratch.
+    /// lanes plus formed tasks that never started, all re-seeded from
+    /// scratch.
     pub sweeps_reseeded: u64,
-    /// Answers dropped because their qid predates the recovery floor
-    /// (responses to queries a dead incarnation sent).
+    /// Answers dropped because their qid carries an older incarnation
+    /// (responses to queries a dead warehouse sent).
     pub stale_answers_dropped: u64,
 }
 
@@ -338,11 +347,11 @@ struct DurableState {
     /// sharing the live views' structure. An image holds handles, so
     /// this stays 0; E17 gates it.
     checkpoint_copied_tuples: u64,
-    /// Answers with `qid <` this floor are responses to a dead
-    /// incarnation's queries; they are dropped, not errors.
-    stale_floor: u64,
-    recovery: RecoveryStats,
 }
+
+/// The refusal of a state crash nothing durable survives.
+pub const NEEDS_DURABLE_STORE: &str =
+    "a warehouse state crash needs a durable store: arm `.durability(k)`";
 
 fn config_error(reason: String) -> MvError {
     MvError::Warehouse(WarehouseError::Config { reason })
@@ -373,11 +382,9 @@ pub struct MaintenanceScheduler {
     /// is waiting on.
     lanes: Vec<Lane>,
     sequencer: InstallSequencer,
-    /// Qids of shard-crash-aborted legs; their answers are dropped,
-    /// counted.
-    dead_qids: HashSet<u64>,
     stats: ShardStats,
     durable: Option<Box<DurableState>>,
+    recovery: RecoveryStats,
 }
 
 impl MaintenanceScheduler {
@@ -417,27 +424,25 @@ impl MaintenanceScheduler {
             pending_tasks: VecDeque::new(),
             lanes: Vec::new(),
             sequencer: InstallSequencer::new(),
-            dead_qids: HashSet::new(),
             stats: ShardStats::default(),
             durable: None,
+            recovery: RecoveryStats::default(),
         };
         sched.validate()?;
         Ok(sched)
     }
 
     /// Is the configuration this scheduler holds a supported cell of the
-    /// feature matrix? The one place every refused combination is
-    /// decided: run at construction, and again before every message and
-    /// recovery (durability is armed after construction).
-    pub fn validate(&self) -> Result<(), MvError> {
+    /// feature matrix? The one place every refused combination of
+    /// constructor arguments is decided; nothing armed later can
+    /// invalidate a scheduler that was constructed.
+    fn validate(&self) -> Result<(), MvError> {
         self.opts.validate()?;
         let (batch, sharded) = (self.opts.batch_width(), self.map.is_some());
         let refusal = if sharded && self.mode == SchedulerMode::Naive {
             "sharded scheduler does not support the naive per-view mode".into()
         } else if sharded && batch > 1 {
             format!("sharded scheduler does not support cross-update batching (batch={batch})")
-        } else if sharded && self.durable.is_some() {
-            "sharded scheduler does not support durability (checkpoints + sweep WAL)".into()
         } else if sharded && !self.every_hop_equates() {
             "sharded scheduler needs an equi-join on every hop of the base chain".into()
         } else if self.mode == SchedulerMode::Naive && batch > 1 {
@@ -570,29 +575,17 @@ impl MaintenanceScheduler {
     }
 
     /// Turn on durable checkpoints + sweep WAL: from here on the sweep
-    /// lifecycle is journaled into a [`DurableStore`] — update arrivals,
-    /// task formation, query issue, hop completion, one atomic commit
-    /// record per finished sweep — and the full volatile image is
-    /// checkpointed every few commits. Call at setup, before traffic:
-    /// the initial checkpoint captures the current state, and a sweep in
-    /// flight at enable time would be invisible to it.
-    ///
-    /// Infallible by signature (setup code arms it as a statement). On a
-    /// sharded scheduler the combination is refused all the same:
-    /// [`MaintenanceScheduler::validate`] — which every message and
-    /// recovery runs first — returns the typed error from here on.
+    /// lifecycle is journaled into a [`DurableStore`] — update arrivals
+    /// with their tickets, task formation, one atomic commit record per
+    /// finished sweep, cadence flushes — and the full volatile image is
+    /// checkpointed every few commits. The initial checkpoint, taken
+    /// here, captures the current state whatever it is.
     pub fn enable_durability(&mut self, cfg: DurabilityConfig) {
-        debug_assert!(
-            self.lanes.is_empty(),
-            "enable durability at a point with no sweep in flight"
-        );
         self.durable = Some(Box::new(DurableState {
             cfg,
             store: DurableStore::new(),
             committed_since_ckpt: 0,
             checkpoint_copied_tuples: 0,
-            stale_floor: 0,
-            recovery: RecoveryStats::default(),
         }));
         self.checkpoint_now();
     }
@@ -610,190 +603,136 @@ impl MaintenanceScheduler {
         self.durable.as_ref().map(|d| d.store.stats())
     }
 
-    /// Accumulated recovery statistics (zeros until durability is
-    /// enabled or no crash has happened).
+    /// Accumulated recovery statistics (zeros until a crash happened).
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.durable
-            .as_ref()
-            .map(|d| d.recovery)
-            .unwrap_or_default()
+        self.recovery
     }
 
     /// A warehouse *state crash*: every volatile structure — queue,
-    /// formed tasks, in-flight lanes, tickets, view contents, counters —
-    /// is lost; only the durable store survives. Rebuild from the last
-    /// checkpoint, replay the WAL (committed sweeps re-apply from their
-    /// logged deltas, no re-querying; the in-flight sweep never reached
-    /// its commit record, so it is still durably pending), fence the
-    /// dead incarnation (answer floor at the replayed qid high-water
-    /// mark, query epoch bumped so sources drop re-delivered
-    /// stragglers), persist a fresh checkpoint, and resume by re-seeding
-    /// whatever is pending through the ordinary pump. Idempotent:
-    /// recovering twice at the same point replays a WAL the first
-    /// recovery already truncated to empty.
+    /// formed tasks, in-flight lanes, tickets, groups, view contents,
+    /// counters — is lost; only the durable store survives. Rebuild from
+    /// the last checkpoint, replay the WAL (a committed sweep re-enters
+    /// the sequencer from its logged deltas and installs in ticket order
+    /// — no re-querying; a sweep without a commit record is still
+    /// durably pending, whether it was in flight or waiting), enter the
+    /// next incarnation (sources drop the old one's queries, the
+    /// warehouse its answers), persist a fresh checkpoint, and resume
+    /// through the ordinary pump, which re-seeds whatever is pending.
+    /// Idempotent: recovering twice at the same point replays a WAL the
+    /// first recovery already truncated to empty.
     ///
-    /// No-op when durability is disabled — that configuration models an
-    /// amnesia crash, which this scheduler does not survive alone. A
-    /// typed error on a sharded scheduler, which models shard-scoped
-    /// crashes only ([`MaintenanceScheduler::crash_shard`]). What was
-    /// replayed accumulates in [`MaintenanceScheduler::recovery_stats`].
+    /// A typed error when durability is not armed — an amnesia crash,
+    /// which this scheduler does not survive alone. What was replayed
+    /// accumulates in [`MaintenanceScheduler::recovery_stats`].
     pub fn crash_and_recover(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), MvError> {
-        self.validate()?;
-        if self.map.is_some() {
-            let reason = "sharded scheduler does not recover from an unscoped warehouse \
-                          state crash (only shard-scoped crashes are modeled)";
-            return Err(config_error(reason.into()));
-        }
-        let Some(d) = self.durable.as_ref() else {
-            return Ok(());
+        // The store is detached while its log is read back: replay runs
+        // the live commit path, and nothing it does there may be
+        // journaled or checkpointed a second time.
+        let Some(durable) = self.durable.take() else {
+            return Err(config_error(NEEDS_DURABLE_STORE.into()));
         };
-        let Some(ckpt) = d.store.checkpoint_ref().cloned() else {
+        let replayed = self.replay(&durable.store);
+        let records = durable.store.wal().len() as u64;
+        let wal_bytes = durable.store.wal_bytes() as u64;
+        self.durable = Some(durable);
+        replayed?;
+        // Fence the dead incarnation, then persist the recovered image
+        // (which also truncates the replayed WAL — recovery is
+        // re-runnable).
+        self.core.bump_epoch();
+        self.checkpoint_now();
+        let reseeded = self.pending_tasks.len() as u64;
+        self.recovery.recoveries += 1;
+        self.recovery.wal_records_replayed += records;
+        self.recovery.wal_bytes_replayed += wal_bytes;
+        self.recovery.sweeps_reseeded += reseeded;
+        let obs = &self.core.obs;
+        obs.add("mv.recovery.replays", 1);
+        obs.add("mv.recovery.wal_records", records);
+        obs.add("mv.recovery.wal_bytes", wal_bytes);
+        obs.add("mv.recovery.sweeps_reseeded", reseeded);
+        // Resume: every pending task re-seeds (fresh qids, new epoch) as
+        // soon as the bands it claims are free.
+        self.pump(net)
+    }
+
+    /// Volatile state dies with the crash: the checkpoint image replaces
+    /// it wholesale, then the WAL rolls it forward — each record through
+    /// the same function its live transition went through.
+    fn replay(&mut self, store: &DurableStore<MvCheckpoint, MvWalRecord>) -> Result<(), MvError> {
+        let Some(ckpt) = store.checkpoint_ref() else {
             let what = "durable store holds no checkpoint";
             return Err(MvError::Internal { what });
         };
-        let (wal_bytes, wal_records) = (d.store.wal_bytes() as u64, d.store.wal().to_vec());
-        // Volatile state dies with the crash; the checkpoint image
-        // replaces it wholesale.
         self.lanes.clear();
-        self.dead_qids.clear();
-        self.core.queue = ckpt.queue;
-        self.core.metrics = ckpt.metrics;
+        self.core.queue = ckpt.queue.clone();
+        self.core.metrics = ckpt.metrics.clone();
         self.core.epoch = ckpt.epoch;
-        self.core.restore_next_qid(ckpt.next_qid);
-        self.pending_tasks = ckpt.pending_tasks;
-        self.registry.restore_slots(ckpt.slots);
-        // Roll the WAL forward.
-        for rec in &wal_records {
+        self.arrivals = ckpt.arrivals.clone();
+        self.pending_tasks = ckpt.tasks.clone();
+        self.sequencer = ckpt.sequencer.clone();
+        self.groups = ckpt.groups.clone();
+        self.registry.restore_slots(&ckpt.slots);
+        for rec in store.wal() {
             match rec {
-                MvWalRecord::UpdateQueued { update, at } => {
+                MvWalRecord::UpdateQueued { update, at, ticket } => {
+                    self.admit(update, *ticket);
                     self.core.queue.push(update.clone(), *at);
                 }
                 MvWalRecord::TaskFormed { task } => {
                     let ids: Vec<UpdateId> = task.consumed.iter().map(|&(id, _)| id).collect();
                     self.core.queue.remove_ids(&ids);
-                    self.pending_tasks.push_back(task.clone());
+                    self.adopt(task.clone());
                 }
-                // A hop completion is redundant with its QuerySent record,
-                // but it also proves the qid existed — keep the floor
-                // right even if a QuerySent were ever elided.
-                MvWalRecord::QuerySent { qid } | MvWalRecord::HopDone { qid, .. } => {
-                    self.core.restore_next_qid(qid + 1);
-                }
-                MvWalRecord::TaskCommit { at, install } => {
+                MvWalRecord::TaskCommit {
+                    at,
+                    ticket,
+                    install,
+                } => {
                     // Derived children are deliberately absent from the
                     // record: the cascade recomputes them deterministically
                     // from the checkpointed state, so replay re-derives
                     // exactly the installs the dead incarnation made.
-                    self.apply_install(install, *at)?;
-                    if !install.deltas.is_empty() {
-                        self.core.record_batch(install.consumed.len());
-                    }
-                    self.pending_tasks.pop_front();
+                    let holds = |t: &SweepTask| t.ticket == *ticket;
+                    let pos = self.pending_tasks.iter().position(holds);
+                    let Some(task) = pos.and_then(|pos| self.pending_tasks.remove(pos)) else {
+                        let what = "commit record names no pending task";
+                        return Err(MvError::Internal { what });
+                    };
+                    self.commit(&task.impure_masks, *ticket, install.clone(), *at)?;
                 }
                 MvWalRecord::Flush { view, at } => {
                     self.registry.flush_with_cascade(*view, *at)?;
                 }
             }
         }
-        // Tickets died with the crash: re-issue them in the restored
-        // FIFO order — formed tasks first, then the queue.
-        self.sequencer = InstallSequencer::new();
-        self.arrivals.clear();
-        for task in &mut self.pending_tasks {
-            task.ticket = self.sequencer.issue();
-        }
-        if self.mode == SchedulerMode::Shared {
-            for pu in self.core.queue.iter() {
-                let ticket = self.sequencer.issue();
-                let arrival = Arrival {
-                    ticket,
-                    ..Arrival::default()
-                };
-                self.arrivals.insert(pu.update.id, arrival);
-            }
-        }
-        // Fence the dead incarnation, then persist the recovered image
-        // (which also truncates the replayed WAL — recovery is
-        // re-runnable).
-        self.core.bump_epoch();
-        let floor = self.core.next_qid();
-        let (records, reseeded) = (wal_records.len() as u64, self.pending_tasks.len() as u64);
-        self.checkpoint_now();
-        if let Some(d) = self.durable.as_mut() {
-            d.stale_floor = d.stale_floor.max(floor);
-            d.recovery.recoveries += 1;
-            d.recovery.wal_records_replayed += records;
-            d.recovery.wal_bytes_replayed += wal_bytes;
-            d.recovery.sweeps_reseeded += reseeded;
-        }
-        let obs = &self.core.obs;
-        obs.add("mv.recovery.replays", 1);
-        obs.add("mv.recovery.wal_records", records);
-        obs.add("mv.recovery.wal_bytes", wal_bytes);
-        obs.add("mv.recovery.sweeps_reseeded", reseeded);
-        // Resume: re-seed the front pending task (fresh qids, new epoch).
-        self.pump(net)
+        Ok(())
     }
 
-    /// Crash shard `s`'s sweep worker: abort the lane whose mask holds
-    /// band `s`, poison its outstanding qids (late answers are counted
-    /// and dropped), and re-seed the identical task — same ticket, so
-    /// the crash is invisible in the install order — with fresh qids.
-    /// Every other lane keeps sweeping. A crash with nothing in flight
-    /// for `s` only counts the crash.
-    pub fn crash_shard(
-        &mut self,
-        s: usize,
-        net: &mut dyn NetHandle<Message>,
-    ) -> Result<(), MvError> {
-        if s >= self.groups.len() {
-            let bands = self.groups.len();
-            return Err(config_error(format!(
-                "no shard {s}: the scheduler has {bands} shard band(s)"
-            )));
-        }
-        self.stats.shard_crashes += 1;
-        self.core.obs.add("shard.crashes", 1);
-        let holds_s = |l: &Lane| l.task.mask >> s & 1 == 1;
-        let Some(pos) = self.lanes.iter().position(holds_s) else {
-            return Ok(());
-        };
-        let lane = self.lanes.swap_remove(pos);
-        self.dead_qids.extend(lane.run.in_flight());
-        self.stats.sweeps_reseeded += 1;
-        self.core.obs.add("shard.sweeps_reseeded", 1);
-        self.core.end_sweep(&lane.ctx, net.now());
-        self.begin(net, lane.task)
-    }
-
-    /// Replace the durable image with the current volatile state and
-    /// truncate the log (no-op with durability off).
+    /// Replace the durable image with the current volatile state —
+    /// queue, tickets, pending tasks, sequencer, groups and counters
+    /// cloned, view contents captured as shared handles — and truncate
+    /// the log (no-op with durability off).
     fn checkpoint_now(&mut self) {
         if self.durable.is_none() {
             return;
         }
-        let image = self.checkpoint_image();
+        let in_flight = self.lanes.iter().map(|l| &l.task);
+        let image = MvCheckpoint {
+            epoch: self.core.epoch,
+            queue: self.core.queue.clone(),
+            arrivals: self.arrivals.clone(),
+            tasks: in_flight.chain(&self.pending_tasks).cloned().collect(),
+            sequencer: self.sequencer.clone(),
+            groups: self.groups.clone(),
+            slots: self.registry.snapshot_slots(),
+            metrics: self.core.metrics.clone(),
+        };
         let copied = self.registry.unshared_tuples(&image.slots);
         if let Some(d) = self.durable.as_mut() {
             d.committed_since_ckpt = 0;
             d.checkpoint_copied_tuples += copied;
             d.store.checkpoint(image);
-        }
-    }
-
-    /// The full volatile image for a checkpoint: queue, pending tasks and
-    /// counters cloned, view contents captured as shared handles. Only
-    /// valid with no lane in flight (an in-flight sweep is represented
-    /// durably by its still-pending task, not by leg state).
-    fn checkpoint_image(&self) -> MvCheckpoint {
-        debug_assert!(self.lanes.is_empty());
-        MvCheckpoint {
-            epoch: self.core.epoch,
-            next_qid: self.core.next_qid(),
-            queue: self.core.queue.clone(),
-            pending_tasks: self.pending_tasks.clone(),
-            slots: self.registry.snapshot_slots(),
-            metrics: self.core.metrics.clone(),
         }
     }
 
@@ -810,7 +749,6 @@ impl MaintenanceScheduler {
         delivery: Delivery<Message>,
         net: &mut dyn NetHandle<Message>,
     ) -> Result<(), MvError> {
-        self.validate()?;
         dispatch(self, delivery, net)
     }
 
@@ -901,13 +839,22 @@ impl MaintenanceScheduler {
                 self.form(id, mask)?;
             }
         }
-        self.drain_installs(net)
+        self.drain_installs(net.now())
     }
 
-    /// Take a queued shared-mode update's arrival record (its ticket).
-    fn claim(&mut self, id: UpdateId) -> Result<Arrival, MvError> {
-        let what = "queued update has no arrival ticket";
-        self.arrivals.remove(&id).ok_or(MvError::Internal { what })
+    /// Record what a shared-mode update's arrival fixes (live and in
+    /// replay): its ticket, and how its delta sits in the shard space.
+    fn admit(&mut self, u: &SourceUpdate, ticket: Option<u64>) {
+        let Some(ticket) = ticket else { return };
+        self.sequencer.reissue(ticket);
+        let map = self.map.as_ref();
+        let (bands, impure_masks) = map.map_or_else(Default::default, |m| m.delta_bands(&u.delta));
+        let arrival = Arrival {
+            ticket,
+            bands,
+            impure_masks,
+        };
+        self.arrivals.insert(u.id, arrival);
     }
 
     /// Take update `id` out of the queue — *before* any hop answer can
@@ -915,25 +862,23 @@ impl MaintenanceScheduler {
     /// its task(s) claiming `mask`: one shared sweep over the union of
     /// the affected spans (folding up to `batch − 1` further queued
     /// same-source updates in), or one single-view sweep per affected
-    /// view. `None`: no view references its source — drop it and release
-    /// its sequencer slot empty.
+    /// view. `None`: no view references its source — drop it (it took no
+    /// ticket).
     fn form(&mut self, id: UpdateId, mask: Option<u64>) -> Result<(), MvError> {
         let Some(PendingUpdate { update, arrived_at }) = self.core.queue.take_id(id) else {
             let what = "planned update left the queue before launch";
             return Err(MvError::Internal { what });
         };
-        // Shared-mode updates were ticketed and classified at arrival.
-        let arrival = match self.mode {
-            SchedulerMode::Shared => Some(self.claim(id)?),
-            SchedulerMode::Naive => None,
-        };
         let Some(mask) = mask else {
-            if let Some(arrival) = arrival {
-                self.sequencer.complete(arrival.ticket, None);
-            }
             self.stats.skipped += 1;
             return Ok(());
         };
+        // Shared-mode updates were ticketed and classified at arrival.
+        let arrival = self.arrivals.remove(&id);
+        if arrival.is_none() && self.mode == SchedulerMode::Shared {
+            let what = "queued update has no arrival ticket";
+            return Err(MvError::Internal { what });
+        }
         if arrival.as_ref().is_some_and(|a| a.bands.count_ones() > 1) {
             self.stats.escalations += 1;
             self.core.obs.add("shard.escalations", 1);
@@ -978,12 +923,6 @@ impl MaintenanceScheduler {
         if extra > 0 {
             let (folded, infos) = self.core.fold_same_source(j, extra);
             task.delta.merge(&folded);
-            // The folded updates install under this task's ticket; their
-            // own slots release empty.
-            for &(folded_id, _) in &infos {
-                let ticket = self.claim(folded_id)?.ticket;
-                self.sequencer.complete(ticket, None);
-            }
             task.consumed.extend(infos);
         }
         self.enqueue(task);
@@ -993,12 +932,27 @@ impl MaintenanceScheduler {
     /// Journal a formed task and queue it for its lane.
     fn enqueue(&mut self, task: SweepTask) {
         self.wal(|| MvWalRecord::TaskFormed { task: task.clone() });
+        self.adopt(task);
+    }
+
+    /// A formed task joins the pending set (live and in replay). The
+    /// updates cross-update batching folded into it install under its
+    /// ticket; their own slots release empty.
+    fn adopt(&mut self, task: SweepTask) {
+        self.sequencer.reissue(task.ticket);
+        for (id, _) in &task.consumed {
+            let folded = self.arrivals.remove(id).filter(|a| a.ticket != task.ticket);
+            if let Some(folded) = folded {
+                self.sequencer.complete(folded.ticket, None);
+            }
+        }
         self.pending_tasks.push_back(task);
     }
 
     /// Seed both legs, snapshot span-endpoint views, fire the first
-    /// queries under the lane's context. Also the crash-reseed path. A
-    /// task that needs no queries (single-relation span) finishes inline.
+    /// queries under the lane's context — for a fresh task and for one
+    /// recovery found pending alike. A task that needs no queries
+    /// (single-relation span) finishes inline.
     fn begin(&mut self, net: &mut dyn NetHandle<Message>, task: SweepTask) -> Result<(), MvError> {
         let j = task.j;
         let mut ctx = self.core.begin_sweep(net.now());
@@ -1026,8 +980,7 @@ impl MaintenanceScheduler {
                 run.leg(side),
             )?;
         }
-        let sent = run.advance(&mut self.core, &ctx, net);
-        self.journal_sent(sent);
+        run.advance(&mut self.core, &ctx, net);
         let lane = Lane {
             task,
             ctx,
@@ -1040,13 +993,6 @@ impl MaintenanceScheduler {
         self.lanes.push(lane);
         self.stats.max_concurrent_lanes = self.stats.max_concurrent_lanes.max(self.lanes.len());
         Ok(())
-    }
-
-    /// Journal a lane's freshly sent qids.
-    fn journal_sent(&mut self, sent: std::ops::Range<u64>) {
-        for qid in sent {
-            self.wal(|| MvWalRecord::QuerySent { qid });
-        }
     }
 
     /// Both legs done: merge each view's snapshots on the pivot columns,
@@ -1075,28 +1021,44 @@ impl MaintenanceScheduler {
             let delta = finalize_for_view(&self.registry.runtime(v)?.local, &merged)?;
             deltas.push((v.index(), delta));
         }
-        // The delta's impure tuples are residents now: their bands share
-        // rows and must sweep as one group from here on.
-        for mask in &task.impure_masks {
-            self.union_mask(*mask);
-        }
         // One atomic commit record carrying every per-view delta: replay
         // either re-applies the whole sweep or none of it, and only a
-        // committed task leaves durable `pending_tasks`.
-        let consumed = task.consumed;
-        let install = SequencedInstall { consumed, deltas };
+        // committed task leaves the durable pending set.
+        let install = SequencedInstall {
+            consumed: task.consumed,
+            deltas,
+        };
         self.wal(|| MvWalRecord::TaskCommit {
             at: now,
+            ticket: task.ticket,
             install: install.clone(),
         });
+        self.core.end_sweep(&ctx, now);
+        self.stats.completions.push((task.mask, now));
+        self.commit(&task.impure_masks, task.ticket, install, now)
+    }
+
+    /// A sweep's commit takes effect, at `at` (live, and again in
+    /// replay): the delta's impure tuples are residents now — their
+    /// bands share rows and must sweep as one group from here on — and
+    /// the install enters the sequencer under its ticket, to land when
+    /// every earlier ticket has.
+    fn commit(
+        &mut self,
+        impure_masks: &[u64],
+        ticket: u64,
+        install: SequencedInstall,
+        at: Time,
+    ) -> Result<(), MvError> {
+        for mask in impure_masks {
+            self.union_mask(*mask);
+        }
         if let Some(d) = self.durable.as_mut() {
             d.committed_since_ckpt += 1;
         }
         self.core.record_batch(install.consumed.len());
-        self.core.end_sweep(&ctx, now);
-        self.stats.completions.push((task.mask, now));
-        self.sequencer.complete(task.ticket, Some(install));
-        self.drain_installs(net)
+        self.sequencer.complete(ticket, Some(install));
+        self.drain_installs(at)
     }
 
     /// Apply one sweep's per-view deltas, cascading each into the view's
@@ -1113,16 +1075,14 @@ impl MaintenanceScheduler {
     /// Release every install whose ticket is next in order, then
     /// checkpoint if the cadence says so, then, at full drain, install
     /// policy-pending batches.
-    fn drain_installs(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), MvError> {
-        let now = net.now();
+    fn drain_installs(&mut self, now: Time) -> Result<(), MvError> {
         for install in self.sequencer.drain() {
             self.apply_install(&install, now)?;
         }
         // Checkpoint cadence: every `checkpoint_every` commits, replace
-        // the durable image and truncate the log — only with no lane in
-        // flight, so no in-flight state exists to miss.
+        // the durable image and truncate the log.
         let due = |d: &DurableState| d.committed_since_ckpt >= d.cfg.cadence();
-        if self.lanes.is_empty() && self.durable.as_deref().is_some_and(due) {
+        if self.durable.as_deref().is_some_and(due) {
             self.checkpoint_now();
         }
         if self.is_quiescent() {
@@ -1186,27 +1146,22 @@ impl SweepPolicy for MaintenanceScheduler {
     }
 
     fn note_update(&mut self, u: &SourceUpdate, at: Time) -> Result<(), MvError> {
+        // The ticket at arrival IS the install order — issued before any
+        // scheduling decision, claimed at launch, released in order.
+        // (Naive mode tickets per task, at formation; an update no view
+        // references installs nothing and takes none.)
+        let ticketed = self.mode == SchedulerMode::Shared
+            && !self.registry.affected_by(u.id.source).is_empty();
+        let ticket = ticketed.then(|| self.sequencer.issue());
         // Journal the arrival before it enters the volatile queue: an
-        // update the WAL knows about can never be lost to a crash.
+        // update the WAL knows about can never be lost to a crash, nor
+        // its place in the install order.
         self.wal(|| MvWalRecord::UpdateQueued {
             update: u.clone(),
             at,
+            ticket,
         });
-        // The ticket at arrival IS the install order — issued before any
-        // scheduling decision, claimed at launch, released in order.
-        // (Naive mode tickets per task, at formation.)
-        if self.mode == SchedulerMode::Shared {
-            let ticket = self.sequencer.issue();
-            let map = self.map.as_ref();
-            let (bands, impure_masks) =
-                map.map_or_else(Default::default, |m| m.delta_bands(&u.delta));
-            let arrival = Arrival {
-                ticket,
-                bands,
-                impure_masks,
-            };
-            self.arrivals.insert(u.id, arrival);
-        }
+        self.admit(u, ticket);
         self.registry.note_delivery(u.id, at)
     }
 
@@ -1220,17 +1175,11 @@ impl SweepPolicy for MaintenanceScheduler {
         partial: PartialDelta,
         net: &mut dyn NetHandle<Message>,
     ) -> Result<(), MvError> {
-        // Stragglers of aborted sweeps — a crashed shard's poisoned qids,
-        // or anything a dead warehouse incarnation asked (below the
-        // recovery floor) — were superseded by a re-seed; silently
-        // absorbing them is the idempotent move.
-        if self.dead_qids.remove(&qid) {
-            self.stats.stale_answers_dropped += 1;
-            self.core.obs.add("shard.stale_answers_dropped", 1);
-            return Ok(());
-        }
-        if let Some(d) = self.durable.as_mut().filter(|d| qid < d.stale_floor) {
-            d.recovery.stale_answers_dropped += 1;
+        // A straggler: the answer to a query a dead incarnation sent. Its
+        // sweep was re-seeded under fresh qids; silently absorbing it is
+        // the idempotent move.
+        if !self.core.is_current(qid) {
+            self.recovery.stale_answers_dropped += 1;
             self.core.obs.add("mv.recovery.stale_answers_dropped", 1);
             return Ok(());
         }
@@ -1241,16 +1190,12 @@ impl SweepPolicy for MaintenanceScheduler {
         let mut hop = lane.run.absorb(&mut self.core, qid, partial, net.now())?;
         // Full-queue compensation: foreign-group queued deltas join the
         // scoped TempView to nothing, same-group ones subtract exactly.
-        let comps_before = self.core.metrics.local_compensations;
         self.core.compensate(&lane.ctx, &mut hop, &[])?;
-        let comps = self.core.metrics.local_compensations - comps_before;
-        self.wal(|| MvWalRecord::HopDone { qid, comps });
         // Views whose span ends exactly at this hop peel off the shared
         // partial *after* this hop's compensation.
         let (views, snaps) = (&lane.task.views, &mut lane.snaps);
         snapshot(&self.registry, views, snaps, hop.j, hop.side, hop.dv)?;
-        let sent = lane.run.advance(&mut self.core, &lane.ctx, net);
-        self.journal_sent(sent);
+        lane.run.advance(&mut self.core, &lane.ctx, net);
         if lane.run.is_done() {
             self.finish(net, lane)?;
             return self.pump(net);
@@ -1416,16 +1361,17 @@ mod tests {
     }
 
     /// Build sources over the base chain, register every spec with its
-    /// correct initial contents, inject `txns`, run to quiescence
-    /// (crashing `crash_on_first_answer`'s shards when the first answer
-    /// is about to be delivered), and return (scheduler, shadow relations
-    /// after all txns).
+    /// correct initial contents, inject `txns`, run to quiescence, and
+    /// return (scheduler, shadow relations after all txns). With
+    /// `crash_at_first_answer` the scheduler is made durable and its
+    /// warehouse state-crashes just before the first answer is delivered
+    /// — every lane started so far is mid-sweep.
     fn drive(
         mut sched: MaintenanceScheduler,
         initial: Vec<Bag>,
         view_specs: &[ViewSpec],
         txns: &[(Time, usize, Bag)],
-        crash_on_first_answer: &[usize],
+        crash_at_first_answer: bool,
     ) -> (MaintenanceScheduler, Vec<Bag>) {
         for bag in &initial {
             sched.seed_groups(bag);
@@ -1433,15 +1379,19 @@ mod tests {
         for spec in view_specs {
             register(&mut sched, spec, &initial);
         }
-        drive_registered(sched, initial, txns, crash_on_first_answer)
+        if crash_at_first_answer {
+            sched.enable_durability(DurabilityConfig::default());
+        }
+        drive_registered(sched, initial, txns, crash_at_first_answer)
     }
 
-    /// [`drive`] for a scheduler whose views are already registered.
+    /// [`drive`] for a scheduler whose views are already registered (and
+    /// whose durability, if it is to crash, is already armed).
     fn drive_registered(
         mut sched: MaintenanceScheduler,
         initial: Vec<Bag>,
         txns: &[(Time, usize, Bag)],
-        crash_on_first_answer: &[usize],
+        crash_at_first_answer: bool,
     ) -> (MaintenanceScheduler, Vec<Bag>) {
         let mut net: Network<Message> = Network::new(7);
         let mut sources = sources(sched.views().base(), &initial);
@@ -1450,13 +1400,11 @@ mod tests {
             shadows[src].merge(delta);
             net.inject(at, source_node(src), txn(src, delta.clone()));
         }
-        let mut crashed = crash_on_first_answer.is_empty();
+        let mut crash_pending = crash_at_first_answer;
         pump_network(&mut net, &mut sched, &mut sources, |sched, msg, net| {
-            if !crashed && matches!(msg, Message::SweepAnswer { .. }) {
-                crashed = true;
-                for &s in crash_on_first_answer {
-                    sched.crash_shard(s, net).unwrap();
-                }
+            if crash_pending && matches!(msg, Message::SweepAnswer { .. }) {
+                crash_pending = false;
+                sched.crash_and_recover(net).unwrap();
             }
         });
         assert!(sched.is_quiescent());
@@ -1478,7 +1426,7 @@ mod tests {
         txns: &[(Time, usize, Bag)],
     ) -> (MaintenanceScheduler, Vec<Bag>) {
         let sched = MaintenanceScheduler::with_shards(base3(), mode, opts, None).unwrap();
-        drive(sched, initial3(), view_specs, txns, &[])
+        drive(sched, initial3(), view_specs, txns, false)
     }
 
     fn sharded(map: ShardMap) -> MaintenanceScheduler {
@@ -1486,22 +1434,17 @@ mod tests {
         MaintenanceScheduler::with_shards(base3(), mode, opts, Some(map)).unwrap()
     }
 
-    /// Drive a sharded scheduler to quiescence over `txns`, crashing
-    /// shards per `crash_on_first_answer`. Returns (scheduler, shadows).
+    /// Drive a sharded scheduler to quiescence over `txns` (see
+    /// [`drive`]). Returns (scheduler, shadows).
     fn run_sharded(
         map: ShardMap,
         initial: Vec<Bag>,
         view_specs: &[ViewSpec],
         txns: &[(Time, usize, Bag)],
-        crash_on_first_answer: &[usize],
+        crash_at_first_answer: bool,
     ) -> (MaintenanceScheduler, Vec<Bag>) {
-        drive(
-            sharded(map),
-            initial,
-            view_specs,
-            txns,
-            crash_on_first_answer,
-        )
+        let sched = sharded(map);
+        drive(sched, initial, view_specs, txns, crash_at_first_answer)
     }
 
     fn assert_ground_truth(sched_views: &ViewRegistry, specs: &[ViewSpec], shadows: &[Bag]) {
@@ -1567,7 +1510,7 @@ mod tests {
         let image = |sched: &MaintenanceScheduler| -> Vec<SharedBag> {
             let durable = sched.durable.as_ref().unwrap();
             let slots = &durable.store.checkpoint_ref().unwrap().slots;
-            slots.iter().map(|rt| rt.sink.bag().clone()).collect()
+            slots.iter().map(|slot| slot.sink.bag().clone()).collect()
         };
         let live = |sched: &MaintenanceScheduler| -> Vec<SharedBag> {
             let ids = sched.views().ids();
@@ -1577,7 +1520,7 @@ mod tests {
         let before: Vec<Bag> = image(&sched).iter().map(SharedBag::to_bag).collect();
         assert_eq!(live(&sched), image(&sched));
 
-        let (sched, shadows) = drive_registered(sched, initial3(), &interfering_txns(), &[]);
+        let (sched, shadows) = drive_registered(sched, initial3(), &interfering_txns(), false);
         assert_ground_truth(sched.views(), &specs(), &shadows);
         assert_eq!(sched.durable_stats().unwrap().checkpoints_taken, 1);
         assert_eq!(image(&sched), before, "the image moved with the live views");
@@ -1896,7 +1839,7 @@ mod tests {
         let specs = [early, late];
         assert_ground_truth(sched.views(), &specs, &initial3());
 
-        let (sched, shadows) = drive_registered(sched, initial3(), &interfering_txns(), &[]);
+        let (sched, shadows) = drive_registered(sched, initial3(), &interfering_txns(), false);
         assert_ground_truth(sched.views(), &specs, &shadows);
         assert_eq!(
             sched.views().view_bag(child_id).unwrap(),
@@ -1918,7 +1861,7 @@ mod tests {
             banded_initial(),
             &specs,
             &txns,
-            &[],
+            false,
         );
         assert_ground_truth(sched.views(), &specs, &shadows);
         assert_eq!(sched.stats().max_concurrent_lanes, 2);
@@ -1945,7 +1888,7 @@ mod tests {
             banded_initial(),
             &specs,
             &txns,
-            &[],
+            false,
         );
         assert_ground_truth(sched.views(), &specs, &shadows);
         assert_eq!(sched.stats().max_concurrent_lanes, 2);
@@ -1971,7 +1914,7 @@ mod tests {
             (10_000, 1, Bag::from_tuples([tup![3, 5]])),
             (10_050, 1, Bag::from_tuples([tup![103, 105]])),
         ];
-        let (sched, shadows) = run_sharded(map, banded_initial(), &specs, &txns, &[]);
+        let (sched, shadows) = run_sharded(map, banded_initial(), &specs, &txns, false);
         assert_ground_truth(sched.views(), &specs, &shadows);
         assert_eq!(sched.stats().escalations, 1);
         assert_eq!(sched.stats().shard_local, 2);
@@ -2018,12 +1961,12 @@ mod tests {
             (340, 2, Bag::from_pairs([(tup![5, 9], -1)])),
         ];
         let (sharded, shadows) =
-            run_sharded(ShardMap::range(8, 2), initial.clone(), &specs, &txns, &[]);
+            run_sharded(ShardMap::range(8, 2), initial.clone(), &specs, &txns, false);
         assert_ground_truth(sharded.views(), &specs, &shadows);
 
         // Unsharded reference run over the identical scenario.
         let flat = MaintenanceScheduler::new(base3(), SchedulerMode::Shared).unwrap();
-        let (flat, _) = drive(flat, initial, &specs, &txns, &[]);
+        let (flat, _) = drive(flat, initial, &specs, &txns, false);
 
         assert_eq!(sharded.metrics().queries_sent, flat.metrics().queries_sent);
         for (sid, fid) in sharded.views().ids().into_iter().zip(flat.views().ids()) {
@@ -2036,25 +1979,27 @@ mod tests {
     }
 
     #[test]
-    fn shard_crash_reseeds_the_lane_and_converges() {
+    fn a_state_crash_reseeds_every_lane_and_converges() {
         let specs = vec![ViewSpec::full("full", 3)];
         let txns = vec![
             (100u64, 1usize, Bag::from_tuples([tup![3, 5]])),
             (150, 1, Bag::from_tuples([tup![103, 105]])),
         ];
+        // Both lanes are mid-sweep when the warehouse dies.
         let (sched, shadows) = run_sharded(
             ShardMap::range(100, 2),
             banded_initial(),
             &specs,
             &txns,
-            &[0, 1], // crash both shards at the first answer delivery
+            true,
         );
         assert_ground_truth(sched.views(), &specs, &shadows);
-        assert_eq!(sched.stats().shard_crashes, 2);
-        assert_eq!(sched.stats().sweeps_reseeded, 2);
+        let recovery = sched.recovery_stats();
+        assert_eq!((recovery.recoveries, recovery.sweeps_reseeded), (1, 2));
         // Each aborted lane had in-flight queries whose answers landed
-        // after the crash — dropped, not folded.
-        assert!(sched.stats().stale_answers_dropped >= 2);
+        // after the crash — dropped by their incarnation, not folded.
+        assert!(recovery.stale_answers_dropped >= 2);
+        assert_eq!(sched.stats().max_concurrent_lanes, 2);
         // Install order still arrival order.
         let id = sched.views().ids()[0];
         assert_eq!(
@@ -2064,6 +2009,100 @@ mod tests {
                 vec![UpdateId { source: 1, seq: 1 }],
             ]
         );
+    }
+
+    /// The buffered commit: B (band 1, one parallel round trip) finishes
+    /// while A (band 0, two sequential hops, the earlier ticket) is still
+    /// sweeping, and the warehouse dies right then. Whether B's commit
+    /// reaches recovery through the WAL or, already checkpointed, inside
+    /// the image's sequencer, it must come back *buffered behind A* — and
+    /// install second once the re-seeded A lands.
+    #[test]
+    fn a_commit_waiting_behind_an_earlier_ticket_survives_the_crash() {
+        let specs = vec![ViewSpec::full("full", 3)];
+        let txns = vec![
+            (100u64, 0usize, Bag::from_tuples([tup![2, 3]])),
+            (150, 1, Bag::from_tuples([tup![103, 105]])),
+        ];
+        for checkpoint_every in [usize::MAX, 1] {
+            let mut sched = sharded(ShardMap::range(100, 2));
+            register(&mut sched, &specs[0], &banded_initial());
+            sched.enable_durability(DurabilityConfig { checkpoint_every });
+            let mut net: Network<Message> = Network::new(7);
+            let mut sources = sources(sched.views().base(), &banded_initial());
+            let mut shadows = banded_initial();
+            for &(at, src, ref delta) in &txns {
+                shadows[src].merge(delta);
+                net.inject(at, source_node(src), txn(src, delta.clone()));
+            }
+            let mut crashed = false;
+            pump_network(&mut net, &mut sched, &mut sources, |sched, _, net| {
+                if crashed || sched.stats().completions.len() != 1 {
+                    return;
+                }
+                crashed = true;
+                sched.crash_and_recover(net).unwrap();
+                // Right after replay: A re-seeded and in flight, B's
+                // commit held by the sequencer, nothing installed.
+                assert_eq!(sched.recovery_stats().sweeps_reseeded, 1);
+                assert_eq!((sched.lanes.len(), sched.lanes[0].task.ticket), (1, 0));
+                assert_eq!(sched.sequencer.outstanding(), 2);
+                let id = sched.views().ids()[0];
+                assert!(sched.views().install_log(id).unwrap().is_empty());
+            });
+            assert!(crashed && sched.is_quiescent());
+            assert_ground_truth(sched.views(), &specs, &shadows);
+            assert_eq!(
+                sched.stats().completions.len(),
+                2,
+                "committed B swept again"
+            );
+            let id = sched.views().ids()[0];
+            assert_eq!(
+                consumed_log(&sched, id),
+                vec![
+                    vec![UpdateId { source: 0, seq: 0 }],
+                    vec![UpdateId { source: 1, seq: 0 }],
+                ],
+                "cadence {checkpoint_every}: B's install overtook A's"
+            );
+        }
+    }
+
+    /// A checkpoint image keeps each install log as its *length*, so the
+    /// 200th checkpoint of a run clones exactly the install records the
+    /// 1st did — none — and recovery cuts the live log back instead of
+    /// restoring a copy: the surviving prefix is the very same records.
+    #[test]
+    fn a_checkpoint_costs_the_same_however_long_the_history() {
+        let mut sched = MaintenanceScheduler::new(base3(), SchedulerMode::Shared).unwrap();
+        let spec = ViewSpec::full("full", 3);
+        let id = register(&mut sched, &spec, &initial3());
+        sched.enable_durability(DurabilityConfig {
+            checkpoint_every: 1,
+        });
+        let logged = |sched: &MaintenanceScheduler| sched.views().install_log(id).unwrap().len();
+        // 200 single-update sweeps, each committed and checkpointed.
+        let insert = |k: i64| Bag::from_tuples([tup![1_000 + k, 3]]);
+        let txns: Vec<_> = (0..200)
+            .map(|k| (100 + 10_000 * k, 0, insert(k as i64)))
+            .collect();
+        let (first, rest) = txns.split_at(1);
+        let (sched, _) = drive_registered(sched, initial3(), first, false);
+        assert_eq!(logged(&sched), 1);
+        let (mut sched, _) = drive_registered(sched, initial3(), rest, false);
+        assert_eq!(logged(&sched), 200);
+        assert_eq!(sched.durable_stats().unwrap().checkpoints_taken, 201);
+        assert_eq!(sched.checkpoint_copied_tuples(), 0);
+
+        let oldest = |sched: &MaintenanceScheduler| {
+            sched.views().install_log(id).unwrap()[0].consumed.as_ptr()
+        };
+        let before = oldest(&sched);
+        let mut net: Network<Message> = Network::new(3);
+        sched.crash_and_recover(&mut net).unwrap();
+        assert_eq!(logged(&sched), 200);
+        assert_eq!(oldest(&sched), before, "recovery copied the history");
     }
 
     #[test]
@@ -2093,9 +2132,9 @@ mod tests {
     }
 
     #[test]
-    fn updates_nobody_references_release_their_ticket() {
-        // Only a view over R3: an R1 update must release its sequencer
-        // slot (None) or the R3 install behind it would block forever.
+    fn updates_nobody_references_hold_no_ticket() {
+        // Only a view over R3: an R1 update must not hold a sequencer
+        // slot, or the R3 install behind it would block forever.
         let specs = vec![ViewSpec {
             lo: 2,
             hi: 2,
@@ -2110,7 +2149,7 @@ mod tests {
             banded_initial(),
             &specs,
             &txns,
-            &[],
+            false,
         );
         assert_eq!(sched.stats().skipped, 1);
         let id = sched.views().ids()[0];
@@ -2138,7 +2177,7 @@ mod tests {
             banded_initial(),
             &specs,
             &txns,
-            &[],
+            false,
         );
         assert_ground_truth(sched.views(), &specs, &shadows);
         assert_eq!(sched.stats().escalations, 1);
@@ -2181,7 +2220,7 @@ mod tests {
             (250, 1, Bag::from_tuples([tup![3, 7]])),
         ];
         let map = ShardMap::range(100, 3);
-        let (sched, shadows) = run_sharded(map, banded_initial3(), &specs, &txns, &[]);
+        let (sched, shadows) = run_sharded(map, banded_initial3(), &specs, &txns, false);
         assert_ground_truth(sched.views(), &specs, &shadows);
         let stats = sched.stats();
         assert_eq!((stats.escalations, stats.shard_local), (1, 3));
@@ -2203,19 +2242,22 @@ mod tests {
     }
 
     #[test]
-    fn crashing_one_band_of_a_multi_band_lane_reseeds_that_lane() {
+    fn a_state_crash_reseeds_a_multi_band_lane_under_its_mask() {
         let specs = vec![ViewSpec::full("full", 3)];
-        // The only lane in flight holds bands {0, 1}; band 1's worker
-        // dies at the first answer. Band 2's (idle) crash aborts nothing.
+        // The only lane in flight holds bands {0, 1}; the warehouse dies
+        // at its first answer. The re-seeded lane claims the same mask.
         let txns = vec![(100u64, 1usize, Bag::from_tuples([tup![3, 103]]))];
         let map = ShardMap::range(100, 3);
-        let (sched, shadows) = run_sharded(map, banded_initial3(), &specs, &txns, &[2, 1]);
+        let (sched, shadows) = run_sharded(map, banded_initial3(), &specs, &txns, true);
         assert_ground_truth(sched.views(), &specs, &shadows);
+        let recovery = sched.recovery_stats();
+        assert_eq!((recovery.recoveries, recovery.sweeps_reseeded), (1, 1));
+        assert!(recovery.stale_answers_dropped >= 1);
         let stats = sched.stats();
-        assert_eq!((stats.shard_crashes, stats.sweeps_reseeded), (2, 1));
-        assert!(stats.stale_answers_dropped >= 1);
         assert_eq!(stats.completions.len(), 1);
         assert_eq!(stats.completions[0].0, 0b011);
+        // The commit fused the groups, on the recovered scheduler too.
+        assert_eq!(sched.group_mask_of(0), 0b011);
     }
 
     /// The mask rule itself, on 1 200 seeded scheduler states — random

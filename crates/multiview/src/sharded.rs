@@ -4,10 +4,11 @@
 //! built with a [`ShardMap`]. It owns no scheduling state and no sweep
 //! logic; it exists because it cannot express what a partitioner
 //! refuses: reads go through `Deref`, and the only mutations it forwards
-//! are the ones sound for a sharded scheduler — there is no way to arm
-//! durability or ask for a whole-warehouse recovery through it. Code that
-//! needs one scheduler type for both configurations (the experiment
-//! harnesses, the live runtime) uses [`MaintenanceScheduler`] directly.
+//! are registration, wiring and message delivery (durability and
+//! recovery compose with a partitioner, but the callers of this type —
+//! the wall-clock benchmark — never arm them). Code that needs one
+//! scheduler type for both configurations (the experiment harnesses, the
+//! live runtime) uses [`MaintenanceScheduler`] directly.
 
 use crate::registry::{MvError, ViewId};
 use crate::scheduler::{MaintenanceScheduler, SchedulerMode};

@@ -96,15 +96,6 @@ pub struct Crash {
     pub down_at: Time,
     /// Restart instant (the node is up again from here on).
     pub up_at: Time,
-    /// `Some(s)`: the crash is scoped to shard `s` of a sharded
-    /// warehouse — one shard's sweep lane loses its volatile state at
-    /// `up_at` while the node as a whole (its other lanes, its network
-    /// agent) stays live. Scoped windows do NOT black-hole the node's
-    /// messages; the orchestrator delivers the restart event and the
-    /// scheduler aborts and re-seeds just that lane. `None` (every
-    /// builder except [`FaultPlan::state_crash_shard`]) is the classic
-    /// whole-node crash.
-    pub shard: Option<usize>,
 }
 
 /// A complete, deterministic description of the faults a run will suffer.
@@ -177,7 +168,6 @@ impl FaultPlan {
             node,
             down_at,
             up_at,
-            shard: None,
         });
         self
     }
@@ -193,30 +183,6 @@ impl FaultPlan {
             node,
             down_at,
             up_at,
-            shard: None,
-        });
-        self
-    }
-
-    /// State-crash a single *shard* of the (sharded) warehouse at `node`:
-    /// at `up_at` that shard's in-flight sweep is aborted and re-seeded
-    /// from the still-queued update, while every other shard's lane keeps
-    /// sweeping. Unlike a whole-node window, a scoped window does **not**
-    /// take the node off the network ([`FaultPlan::node_down`] ignores
-    /// it) — the failure is confined to one lane's volatile state, which
-    /// is the unit the sharded scheduler recovers independently.
-    pub fn state_crash_shard(
-        mut self,
-        node: NodeId,
-        down_at: Time,
-        up_at: Time,
-        shard: usize,
-    ) -> Self {
-        self.state_crashes.push(Crash {
-            node,
-            down_at,
-            up_at,
-            shard: Some(shard),
         });
         self
     }
@@ -243,7 +209,7 @@ impl FaultPlan {
         self.crashes
             .iter()
             .chain(self.state_crashes.iter())
-            .any(|c| c.node == node && c.shard.is_none() && (c.down_at..c.up_at).contains(&at))
+            .any(|c| c.node == node && (c.down_at..c.up_at).contains(&at))
     }
 
     /// All scheduled amnesia-crash windows (the orchestrator injects
@@ -397,22 +363,6 @@ mod tests {
         // One instant earlier both are still down.
         assert!(plan.node_down(3, 1_999));
         assert!(plan.node_down(3, 5_999));
-    }
-
-    /// A shard-scoped window never takes the node off the network: only
-    /// the orchestrator's restart routing sees it. Whole-node windows on
-    /// the same plan still behave classically.
-    #[test]
-    fn shard_scoped_windows_do_not_black_hole_the_node() {
-        let plan = FaultPlan::default()
-            .state_crash_shard(0, 1_000, 2_000, 3)
-            .state_crash(0, 5_000, 6_000);
-        assert!(!plan.node_down(0, 1_500), "scoped window leaves node up");
-        assert!(plan.node_down(0, 5_500), "whole-node window still downs");
-        assert_eq!(plan.state_crashes().len(), 2);
-        assert_eq!(plan.state_crashes()[0].shard, Some(3));
-        assert_eq!(plan.state_crashes()[1].shard, None);
-        assert!(!plan.is_trivial());
     }
 
     #[test]

@@ -127,8 +127,8 @@ impl NestedSweep {
             return Ok(false);
         };
         while let Some(mut top) = active.stack.pop() {
-            let sent = top.advance(&mut self.core, &self.ctx, net);
-            if !sent.is_empty() {
+            top.advance(&mut self.core, &self.ctx, net);
+            if !top.is_done() {
                 active.stack.push(top);
                 self.active = Some(active);
                 return Ok(true);

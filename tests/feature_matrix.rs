@@ -18,6 +18,11 @@
 //!   flat `.pushdown(true)` referee the same way and the unpushed run on
 //!   bags — a lane's query is an ordinary query, so the pushed predicate
 //!   algebra holds per lane exactly as it holds flat;
+//! * **(b″)** S ∈ {2, 4} × durability — checkpoints and the sweep WAL
+//!   armed on a sharded scheduler, with and without σ pushdown, a serving
+//!   arm and the derived DAG — must match the plain referee the same way
+//!   while actually journaling and checkpointing (what a state crash
+//!   then does to such a run is `recovery_equivalence.rs`'s dense arm);
 //! * **(c)** every combination the scheduler refuses returns its
 //!   documented, typed error (the table in DESIGN.md) instead of being
 //!   silently dropped — one builder, so one refusal per cell;
@@ -267,6 +272,55 @@ fn two_and_four_shards_compose_with_pushdown() {
     );
 }
 
+#[test]
+fn two_and_four_shards_compose_with_durability() {
+    let (mut overlapped, mut with_derived, mut served, mut cadence_fired) = (0, 0, 0, 0);
+    for k in 0..SCHEDULES {
+        for shards in [2, 4] {
+            for (scenario, map) in sharded_arms(k, shards) {
+                let (pushdown, reads) = (k % 2 == 1, k % 4 >= 2);
+                let arm = format!("schedule {k}, {map:?}, durable, pushdown {pushdown}");
+                let flat = run(&scenario, None, k);
+                let mut exp = MultiViewExperiment::new(scenario.clone())
+                    .shards(map)
+                    .seed(k)
+                    .pushdown(pushdown)
+                    .durability(1 + (k % 3) as usize);
+                if reads {
+                    exp = exp.reads(read_mix(k, &scenario));
+                }
+                let durable = exp.run().unwrap();
+                assert!(durable.quiescent, "{arm}: did not drain");
+                assert!(durable.derived_clean(), "{arm}: derived oracle audit");
+                assert_same_outcome(&durable, &flat, &arm);
+                if reads {
+                    let audit = audit_reads(&scenario, &durable).unwrap();
+                    assert!(audit.clean(), "{arm}: {audit:?}");
+                    assert!(durable.subscriptions_match_installs(), "{arm}");
+                    served += 1;
+                }
+                assert_eq!(durable.recovery, Default::default(), "{arm}");
+                assert!(durable.wal_bytes_written > 0, "{arm}");
+                assert_eq!(durable.checkpoint_copied_tuples, 0, "{arm}");
+                cadence_fired += usize::from(durable.checkpoints_taken > 1);
+                let stats = durable.shard_stats.as_ref().unwrap();
+                overlapped += usize::from(stats.max_concurrent_lanes > 1);
+                with_derived += usize::from(!scenario.derived.is_empty());
+            }
+        }
+    }
+    assert!(served >= SCHEDULES as usize, "only {served} served runs");
+    assert!(
+        cadence_fired >= 2 * SCHEDULES as usize,
+        "only {cadence_fired} runs checkpointed past the initial image"
+    );
+    assert!(with_derived >= SCHEDULES as usize / 2, "DAG arm never ran");
+    assert!(
+        overlapped >= SCHEDULES as usize,
+        "only {overlapped} runs ever overlapped two lanes"
+    );
+}
+
 /// The one-view scenario over the chain `R1(A,B) × R2(C,D)` — no `.join`
 /// names the pair, so the hop equates nothing.
 fn cross_join(initial: [Bag; 2], txns: Vec<ScheduledTxn>) -> MultiViewScenario {
@@ -346,29 +400,21 @@ fn refused_combinations_return_their_documented_errors() {
     let e = multi().mode(naive).batch(2).run().unwrap_err();
     assert!(refusal(e).contains("naive per-view mode does not support cross-update batching"));
 
-    // shards × durability: refused with or without a serving arm.
-    let e = multi().shards(map()).durability(2).reads(Vec::new()).run();
-    assert!(refusal(e.unwrap_err()).contains("sharded scheduler does not support durability"));
-    let e = multi().shards(map()).durability(2).run().unwrap_err();
-    assert!(refusal(e).contains("sharded scheduler does not support durability"));
-    // Straight at the scheduler: arming is a statement, the refusal
-    // surfaces from `validate` (and so from the next message).
-    let (mode, opts) = (SchedulerMode::Shared, EngineOptions::default());
-    let mut sched = MaintenanceScheduler::with_shards(base.clone(), mode, opts, Some(map()));
-    let sched = sched.as_mut().unwrap();
-    sched.validate().unwrap();
-    sched.enable_durability(Default::default());
-    let reason = refusal(sched.validate().unwrap_err());
-    assert!(reason.contains("sharded scheduler does not support durability"));
-
-    // shards × an unscoped warehouse state crash: was swallowed.
+    // A warehouse state crash with no durable store: was silently
+    // survived — the window ate its messages, every volatile structure
+    // stayed, the run reported clean. Refused before any traffic, flat and
+    // sharded, and by the scheduler itself.
+    let e = multi().faults(state_crash()).run();
+    assert!(refusal(e.unwrap_err()).contains("a warehouse state crash needs a durable store"));
     let e = multi().shards(map()).faults(state_crash()).run();
-    assert!(refusal(e.unwrap_err()).contains("unscoped warehouse state crash"));
-
-    // A shard crash must name a shard the scheduler has.
+    assert!(refusal(e.unwrap_err()).contains("a warehouse state crash needs a durable store"));
+    let (mode, opts) = (SchedulerMode::Shared, EngineOptions::default());
+    let mut sched = MaintenanceScheduler::with_shards(base.clone(), mode, opts, None).unwrap();
     let mut net: Network<dwsweep::protocol::Message> = Network::new(0);
-    let e = sched.crash_shard(7, &mut net).unwrap_err();
-    assert!(refusal(e).contains("no shard 7"));
+    let e = sched.crash_and_recover(&mut net).unwrap_err();
+    assert!(refusal(e).contains("a warehouse state crash needs a durable store"));
+    sched.enable_durability(Default::default());
+    sched.crash_and_recover(&mut net).unwrap();
 
     // And the oldest one: a zero batch width.
     let zero = EngineOptions {

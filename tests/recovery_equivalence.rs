@@ -3,24 +3,35 @@
 //! checkpoint + sweep WAL intact — must recover to **exactly** the run a
 //! fault-free warehouse would have produced: per view, the identical
 //! final bag and the identical install fingerprint (consumed-update
-//! sequences, in install order).
+//! sequences, in install order). One recovery serves every
+//! configuration: flat or sharded, one sweep outstanding or many.
 //!
-//! Why that's achievable and not just hoped for: checkpoints are only
-//! taken between sweeps, the WAL records a task's consumed set at
-//! formation time, and a task leaves the durable pending queue only at
-//! its atomic commit record — so replay always re-seeds an aborted
-//! in-flight sweep with the *same* consumed set, and epoch fencing (at
-//! the sources) plus a qid stale-floor (at the scheduler) shut out every
-//! pre-crash query/answer straggler. See DESIGN.md §failure model.
+//! Why that's achievable and not just hoped for: the WAL records an
+//! update's ticket at arrival and a task's consumed set at formation, a
+//! task leaves the durable pending set only at its atomic commit record,
+//! and a commit replays through the install sequencer it went through
+//! live — so recovery re-seeds every aborted sweep with the *same*
+//! consumed set under the *same* ticket, a commit that was waiting behind
+//! an earlier ticket still waits behind it, and the incarnation a qid
+//! carries (epoch fencing at the sources, the same number at the
+//! scheduler) shuts out every pre-crash query/answer straggler. See
+//! DESIGN.md §failure model.
 //!
-//! Schedules are sparse (constant 200 ms gaps) so each update's sweep —
-//! even one interrupted by a crash window and re-driven through the
-//! reliability transport's retransmissions — completes before the next
-//! update arrives. That pins the install fingerprint to the injection
-//! order on both the crashed and fault-free runs, making byte-for-byte
-//! equivalence assertable across 128 seeded schedules × adversarial
-//! crash placements (mid-hop, answer-in-flight, post-commit, pre-arrival)
-//! under both Shared and Naive scheduling.
+//! Two schedule shapes pin the install fingerprint to the fault-free
+//! run's. The *sparse* arms space updates 200 ms apart, so each update's
+//! sweep — even one interrupted by a crash window and re-driven through
+//! the reliability transport's retransmissions — completes before the
+//! next update arrives: 128 seeded schedules × adversarial crash
+//! placements (mid-hop, answer-in-flight, post-commit, pre-arrival) under
+//! both Shared and Naive scheduling. The *dense* arm sends a burst of
+//! updates ≤ 300 µs apart into 1 ms links and crashes the warehouse while
+//! the burst drains — several lanes in flight, commits buffered behind
+//! earlier tickets, groups fused by installed impure tuples — with the
+//! window opening after the burst's last delivery, so arrival order (and
+//! with it the fingerprint) is the fault-free flat run's. A window that
+//! swallows update deliveries may legitimately permute arrival across
+//! sources; the arms that allow it hold the install order to the run's
+//! own arrival order instead.
 //!
 //! `DW_FUZZ_SCHEDULES=<k>` multiplies the schedule count (`ci.sh --deep`
 //! sets it; every failure message names the case seed for replay).
@@ -159,16 +170,19 @@ fn state_crash_runs_match_fault_free_runs() {
 }
 
 /// An answer caught in flight by the crash window is retransmitted after
-/// recovery and must be dropped by the qid stale-floor, not re-applied.
+/// recovery and must be dropped — its qid carries the dead incarnation —
+/// not re-applied, and not mistaken for an answer to the re-seeded
+/// sweep, whose qids count from zero again under the new incarnation.
 #[test]
-fn stale_answers_are_fenced_by_the_qid_floor() {
+fn stale_answers_are_fenced_by_their_incarnation() {
     let mut seen_stale_drop = false;
     for k in 0..cases(16) {
         let scenario = sparse_scenario(k);
         // First update arrives at the warehouse at `at + 1_000`, its
         // first query answer lands at `at + 3_000`; a window over
         // [at+2_500, at+3_500] swallows the answer mid-flight, so the
-        // transport re-delivers it only after recovery bumped the floor.
+        // transport re-delivers it only after recovery entered the next
+        // incarnation.
         let at = scenario.txns[0].at;
         let plan = FaultPlan::default().state_crash(0, at + 2_500, at + 3_500);
         let crashed = run(&scenario, k, plan);
@@ -177,11 +191,20 @@ fn stale_answers_are_fenced_by_the_qid_floor() {
         for (a, b) in clean.views.iter().zip(&crashed.views) {
             assert_eq!(a.view, b.view, "case {k}: view '{}'", a.name);
         }
-        seen_stale_drop |= crashed.recovery.stale_answers_dropped > 0;
+        // Every fenced straggler answered a query that was counted as
+        // sent and never as a hop: the wire saw more answers than the
+        // fault-free run's sweeps needed.
+        let dropped = crashed.recovery.stale_answers_dropped;
+        assert!(
+            crashed.scheduler_metrics.answers_received
+                >= clean.scheduler_metrics.answers_received + dropped,
+            "case {k}"
+        );
+        seen_stale_drop |= dropped > 0;
     }
     assert!(
         seen_stale_drop,
-        "no schedule ever exercised the stale-answer floor"
+        "no schedule ever exercised the incarnation fence"
     );
 }
 
@@ -253,18 +276,27 @@ fn durability_is_invisible_without_a_crash() {
     }
 }
 
-/// Shard-scoped crashes: a state-crash window confined to one shard of
-/// the sharded warehouse aborts and re-seeds *that lane only*. The
-/// other shards' sweeps must keep running straight through the window —
-/// provably overlapping the re-seeded lane's recovery — and the
-/// recovered run must still converge to the fault-free run's exact
-/// per-view bags and install fingerprints, with every pre-crash answer
-/// straggler fenced by the lane's fresh qids.
+/// The recovered run's install order is its own arrival order: every
+/// view (full-span, SWEEP cadence) installs exactly one update per
+/// delivery, in delivery order.
+fn assert_installs_in_arrival_order(report: &dwsweep::core::MultiViewReport, k: u64) {
+    let arrived = report.delivery_log.iter().map(|&(id, _)| vec![id]);
+    let arrival_order: Vec<Vec<UpdateId>> = arrived.collect();
+    for installed in report.install_fingerprint() {
+        assert_eq!(installed, arrival_order, "case {k}: install order");
+    }
+}
+
+/// Whole-warehouse state crashes on the sharded, durable scheduler,
+/// placed like the flat arm's — including over update deliveries, which
+/// the transport then re-drives in whatever cross-source order its
+/// timers give. Every lane dies; the recovered run must converge to the
+/// fault-free run's exact per-view bags, install in its own arrival
+/// order (tickets are durable), and fence every pre-crash straggler.
 #[test]
-fn shard_scoped_crashes_leave_surviving_shards_sweeping() {
+fn sharded_state_crashes_reseed_every_lane() {
     let mut stale_drops = 0u64;
     let mut reseeds = 0u64;
-    let mut survivor_overlapped = false;
     let n_cases = cases(24);
     for k in 0..n_cases {
         let shards = if k.is_multiple_of(2) { 2 } else { 4 };
@@ -278,16 +310,15 @@ fn shard_scoped_crashes_leave_surviving_shards_sweeping() {
         }
         .generate()
         .unwrap();
-        let target = (k as usize) % shards;
         // Anchor mid-run: with 1 ms links an update injected at `at`
         // reaches the warehouse at `at + 1_000` and its first answers
-        // land at `at + 3_000`, so these offsets put `up_at` just after
-        // lane formation, mid-chain with an answer in flight, and near
-        // the likely commit.
+        // land at `at + 3_000`, so these offsets open the window just
+        // after lane formation, mid-chain with an answer in flight, and
+        // near the likely commit.
         let anchor = generated.scenario.txns[(4 + k % 4) as usize].at;
         let down_at = anchor + [1_050, 2_500, 3_500][(k % 3) as usize];
         let up_at = down_at + [400, 900, 1_600][(k % 3) as usize];
-        let plan = FaultPlan::default().state_crash_shard(0, down_at, up_at, target);
+        let plan = FaultPlan::default().state_crash(0, down_at, up_at);
 
         let clean = MultiViewExperiment::new(generated.scenario.clone())
             .shards(generated.map.clone())
@@ -298,46 +329,181 @@ fn shard_scoped_crashes_leave_surviving_shards_sweeping() {
             .shards(generated.map)
             .seed(k)
             .faults(plan)
+            .transport_auto()
+            .durability(1 + (k % 3) as usize)
             .run()
             .unwrap();
 
         assert!(clean.quiescent && crashed.quiescent, "case {k}");
-        let stats = crashed.shard_stats.as_ref().expect("sharded run");
-        assert_eq!(stats.shard_crashes, 1, "case {k}");
-        assert_eq!(
-            crashed.install_fingerprint(),
-            clean.install_fingerprint(),
-            "case {k}: shard {target} crash perturbed the install order"
-        );
+        assert_eq!(crashed.recovery.recoveries, 1, "case {k}");
+        assert_installs_in_arrival_order(&crashed, k);
         for (a, b) in clean.views.iter().zip(&crashed.views) {
             assert_eq!(
                 a.view, b.view,
-                "case {k}: view '{}' diverged after a shard-{target} crash",
+                "case {k}: view '{}' diverged after the state crash",
                 a.name
             );
         }
-        stale_drops += stats.stale_answers_dropped;
-        reseeds += stats.sweeps_reseeded;
-        // Survivors keep sweeping: the re-seeded lane re-issues its
-        // queries at `up_at` and cannot complete before one full 2 ms
-        // round trip, so any lane completion inside (up_at, up_at+2ms)
-        // belongs to a *different* shard still making progress.
-        survivor_overlapped |= stats
-            .completions
-            .iter()
-            .any(|&(_, at)| at > up_at && at < up_at + 2_000);
+        assert_eq!(crashed.checkpoint_copied_tuples, 0, "case {k}");
+        stale_drops += crashed.recovery.stale_answers_dropped;
+        reseeds += crashed.recovery.sweeps_reseeded;
     }
     assert!(
-        reseeds > 0,
-        "no window ever caught a lane in flight across {n_cases} cases"
+        reseeds >= n_cases,
+        "only {reseeds} lanes re-seeded across {n_cases} cases"
     );
     assert!(
         stale_drops > 0,
-        "no crashed lane ever had an answer fenced by its fresh qids"
+        "no crashed lane ever had an answer fenced by its incarnation"
+    );
+}
+
+/// The dense schedule of case `k`: one burst of banded updates ≤ 300 µs
+/// apart over `shards` bands. Families, by `(k / 9) % 4`: 0 — every
+/// delta pure; 1 and 3 — 30 % of the deltas straddle two bands; 2 — the
+/// *fused* family: the burst opens with the impure `R2` tuple
+/// `(5, 1005)`, whose install fuses bands 0 and 1, and closes with an
+/// `R1` and an `R3` insert, each pure in one of those bands, that both
+/// join through it. Swept side by side (which only a scheduler that
+/// forgot the fusion would do) each picks the other up and the joined
+/// tuple is counted twice.
+fn dense_scenario(k: u64, shards: usize) -> ShardedScenario {
+    let family = (k / 9) % 4;
+    let mut generated = ShardedConfig {
+        n_sources: 3,
+        shards,
+        updates: 8 + (k % 4) as usize,
+        mean_gap: 150 + 50 * (k % 4),
+        cross_shard_frac: if family % 2 == 1 { 0.3 } else { 0.0 },
+        seed: SEED_BASE + 0x400 + k,
+        ..Default::default()
+    }
+    .generate()
+    .unwrap();
+    if family == 2 && shards > 1 {
+        let txns = &mut generated.scenario.txns;
+        let n = txns.len();
+        let spliced = [
+            (0, 1, tup![5, 1005]),
+            (n - 2, 0, tup![7, 5]),
+            (n - 1, 2, tup![1005, 1009]),
+        ];
+        for (slot, source, tuple) in spliced {
+            txns[slot].source = source;
+            txns[slot].delta = Bag::from_tuples([tuple]);
+        }
+    }
+    generated
+}
+
+/// Dense-schedule recovery: S ∈ {1, 2, 4} × checkpoint cadence {1, 2, 3}
+/// × the four [`dense_scenario`] families, the crash window swept across
+/// the burst's drain — so it catches several lanes mid-sweep, commits
+/// buffered behind an earlier ticket, and groups already fused by an
+/// installed impure tuple. Every update is delivered before the window
+/// opens, so arrival order is the fault-free run's and the recovered,
+/// served run must equal the fault-free *flat* referee outright: bags,
+/// install fingerprints, publication order, subscription streams.
+#[test]
+fn dense_state_crashes_match_the_fault_free_flat_run() {
+    let (mut multi_reseeds, mut buffered_commits, mut fused) = (0u64, 0u64, 0u64);
+    let n_cases = cases(144);
+    for k in 0..n_cases {
+        let shards = [1, 2, 4][(k % 3) as usize];
+        let cadence = 1 + (k / 3 % 3) as usize;
+        let generated = dense_scenario(k, shards);
+        let scenario = &generated.scenario;
+        // The window opens after the last delivery (send + 1 ms) and
+        // sweeps across the drain, which S lanes shorten.
+        let delivered = scenario.txns.last().unwrap().at + 1_000;
+        let drain = 3_000 * scenario.txns.len() as u64 / shards as u64;
+        let down_at = delivered + 50 + drain * (k % 16) / 16;
+        let up_at = down_at + [400, 900, 1_600][(k / 2 % 3) as usize];
+        let reads = ReadMixConfig {
+            readers: 2,
+            reads_per_reader: 5,
+            start: 300,
+            mean_gap: (up_at / 8).max(500),
+            n_views: scenario.views.len(),
+            seed: SEED_BASE + k * 7,
+            ..Default::default()
+        }
+        .generate();
+
+        let referee = MultiViewExperiment::new(scenario.clone())
+            .reads(reads.clone())
+            .seed(k)
+            .run()
+            .unwrap();
+        let crashed = MultiViewExperiment::new(scenario.clone())
+            .shards(generated.map.clone())
+            .reads(reads)
+            .seed(k)
+            .faults(FaultPlan::default().state_crash(0, down_at, up_at))
+            .transport_auto()
+            .durability(cadence)
+            .run()
+            .unwrap();
+
+        assert!(referee.quiescent && crashed.quiescent, "case {k}");
+        assert_eq!(crashed.recovery.recoveries, 1, "case {k}");
+        assert_eq!(crashed.delivery_log.len(), referee.delivery_log.len());
+        assert_eq!(
+            crashed.install_fingerprint(),
+            referee.install_fingerprint(),
+            "case {k}: S={shards} install fingerprints differ"
+        );
+        for (a, b) in referee.views.iter().zip(&crashed.views) {
+            assert_eq!(
+                a.view, b.view,
+                "case {k}: S={shards} view '{}' diverged after crash recovery",
+                a.name
+            );
+        }
+        // The readers' side: the oracle audit, every subscription against
+        // its view's install log, and the referee's publication order and
+        // from-the-start streams (install times aside).
+        let audit = audit_reads(scenario, &crashed).unwrap();
+        assert!(audit.clean(), "case {k}: {audit:?}");
+        assert!(crashed.subscriptions_match_installs(), "case {k}");
+        let (ours, theirs) = (crashed.served().unwrap(), referee.served().unwrap());
+        assert_eq!(ours.publication_log, theirs.publication_log, "case {k}");
+        let baseline_streams = |served: &dwsweep::core::ServeOutcome| -> Vec<_> {
+            let baseline = served
+                .subscriptions
+                .iter()
+                .filter(|s| s.reader == usize::MAX);
+            let content = |d: &InstallDelta| (d.view, d.epoch, d.consumed.clone(), d.delta.clone());
+            baseline
+                .map(|s| s.stream.iter().map(content).collect::<Vec<_>>())
+                .collect()
+        };
+        assert_eq!(baseline_streams(ours), baseline_streams(theirs), "case {k}");
+
+        // What the crash caught. A lane completion before the window that
+        // the first view's log does not show installed by then is a
+        // commit that was waiting behind an earlier ticket.
+        let stats = crashed.shard_stats.as_ref().expect("sharded run");
+        let before = |at: Time| at < down_at;
+        let completed = stats.completions.iter().filter(|c| before(c.1)).count();
+        let installs = crashed.views[0].installs.iter();
+        let installed = installs.filter(|r| before(r.at)).count();
+        assert!(completed >= installed, "case {k}");
+        buffered_commits += u64::from(completed > installed);
+        multi_reseeds += u64::from(crashed.recovery.sweeps_reseeded >= 2);
+        fused += u64::from((k / 9) % 4 == 2 && shards > 1 && completed > 0);
+    }
+    assert!(
+        multi_reseeds >= 16,
+        "only {multi_reseeds} of {n_cases} crashes caught two sweeps outstanding"
     );
     assert!(
-        survivor_overlapped,
-        "no surviving shard ever completed a sweep during another shard's recovery"
+        buffered_commits >= 8,
+        "only {buffered_commits} of {n_cases} crashes caught a commit behind an earlier ticket"
+    );
+    assert!(
+        fused >= 4,
+        "only {fused} crashes came after the fused family's impure install"
     );
 }
 

@@ -534,7 +534,8 @@ fn multiview_pushdown_equivalent_on_fault_schedules() {
 /// The sharded warehouse behind the transport on the same adversarial
 /// network: S concurrent per-shard lanes under drops, duplication,
 /// reordering, and a source crash/restart — half the cases additionally
-/// state-crash one shard's lane mid-run. Retransmission delays can
+/// state-crash the (durable) warehouse mid-run, every lane at once.
+/// Retransmission delays can
 /// legitimately permute cross-source arrival (and hence install) order,
 /// so this arm asserts the order-independent guarantees: every view
 /// drains, lands on exactly the clean-network unsharded engine's final
@@ -556,27 +557,22 @@ fn sharded_sweep_converges_on_fault_schedules() {
         .generate()
         .unwrap();
         let mut plan = hostile_plan(&mut r, 3);
-        if case % 2 == 1 {
-            // Pile a shard-scoped warehouse crash on top of the link
-            // faults: one lane loses its volatile sweep, the rest don't.
-            let txns = &generated.scenario.txns;
-            let anchor = txns[r.usize_below(txns.len())].at;
-            let down_at = anchor + 1_000;
-            plan = plan.state_crash_shard(
-                0,
-                down_at,
-                down_at + r.u64_in(500, 3_000),
-                (case as usize) % shards,
-            );
-        }
-        let report = MultiViewExperiment::new(generated.scenario.clone())
+        let mut exp = MultiViewExperiment::new(generated.scenario.clone())
             .shards(generated.map.clone())
             .latency(LatencyModel::Constant(r.u64_in(500, 3_000)))
             .seed(r.next_u64())
-            .faults(plan)
-            .transport_auto()
-            .run()
-            .unwrap();
+            .transport_auto();
+        if case % 2 == 1 {
+            // Pile a warehouse state crash on top of the link faults:
+            // every lane loses its volatile sweep; checkpoint + WAL bring
+            // them back.
+            let txns = &generated.scenario.txns;
+            let anchor = txns[r.usize_below(txns.len())].at;
+            let down_at = anchor + 1_000;
+            plan = plan.state_crash(0, down_at, down_at + r.u64_in(500, 3_000));
+            exp = exp.durability(1 + (case % 3) as usize);
+        }
+        let report = exp.faults(plan).run().unwrap();
         // Referee: the unsharded engine on a clean network. Final bags
         // are arrival-order-independent, so they must agree exactly.
         let clean = MultiViewExperiment::new(generated.scenario).run().unwrap();

@@ -9,10 +9,10 @@
 //!
 //! The headline theorem runs 128 seeded schedules (dense arrivals, mixed
 //! point/scan/subscribe reads, tight and loose staleness bounds, flat and
-//! sharded engines alternating). Two further suites aim crash windows at
-//! the warehouse — whole-process state-crashes on the durable flat engine
-//! and shard-scoped crashes on the partitioned one — with reads scheduled
-//! *inside* the window: the frontend must keep answering from the last
+//! sharded engines alternating). Two further suites aim state-crash
+//! windows at the durable warehouse — the flat engine on sparse
+//! schedules, the partitioned one on dense schedules with every lane in
+//! flight — with reads scheduled *inside* the window: the frontend must keep answering from the last
 //! committed epoch (or reject per the oracle), never block, and never
 //! leak a torn or rolled-back state.
 //!
@@ -269,18 +269,17 @@ fn lagged_subscribers_recover_equivalent_streams_across_schedules() {
     );
 }
 
-/// Shard-scoped crash windows on the partitioned engine: one lane aborts
-/// and re-seeds while the survivors keep sweeping — reads during the
-/// window still resolve against committed epochs only, and the oracle
-/// audit holds on every one.
+/// State-crash windows on the partitioned engine under dense arrivals:
+/// every lane aborts and re-seeds from the durable store — reads during
+/// the window still resolve against committed epochs only, and the
+/// oracle audit holds on every one.
 #[test]
-fn reads_during_shard_crash_recovery_answer_from_committed_epochs() {
+fn reads_during_sharded_crash_recovery_answer_from_committed_epochs() {
     let mut reseeds = 0u64;
     let n_cases = cases(16);
     for k in 0..n_cases {
         let scenario = dense_scenario(0x40 + k);
         let shards = if k.is_multiple_of(2) { 2 } else { 4 };
-        let target = (k as usize) % shards;
         let anchor = scenario.txns[(2 + k % 4) as usize].at;
         let down_at = anchor + [1_050, 2_500, 3_500][(k % 3) as usize];
         let up_at = down_at + [400, 900, 1_600][(k % 3) as usize];
@@ -299,13 +298,17 @@ fn reads_during_shard_crash_recovery_answer_from_committed_epochs() {
             .shards(ShardMap::hash(shards))
             .reads(reads)
             .seed(k)
-            .faults(FaultPlan::default().state_crash_shard(0, down_at, up_at, target))
+            .transport_auto()
+            .durability(1 + (k % 3) as usize)
+            .faults(FaultPlan::default().state_crash(0, down_at, up_at))
             .run()
             .unwrap();
         check(&scenario, &report, k);
-        let stats = report.shard_stats.as_ref().unwrap();
-        assert_eq!(stats.shard_crashes, 1, "case {k}: the window never fired");
-        reseeds += stats.sweeps_reseeded;
+        assert_eq!(
+            report.recovery.recoveries, 1,
+            "case {k}: the window never fired"
+        );
+        reseeds += report.recovery.sweeps_reseeded;
     }
     assert!(
         reseeds > 0,
