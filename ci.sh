@@ -242,6 +242,30 @@ stage_engine_boundary() {
     echo "FAIL: MaintenanceScheduler::crash_and_recover is the one recovery (lanes re-seed from the durable pending set) and EngineCore::is_current the one stale-answer fence" >&2
     ok=1
   fi
+  # One unit of work: every update is ticketed at arrival and swept
+  # once, shared across the views that reference it. The per-view
+  # scheduler mode (the V·2(n−1) baseline is V one-view warehouses, built
+  # where it is measured) and the refusals that came with it must not
+  # grow back, nor the refusal table past its three rows.
+  hits=$({
+    grep -rn 'Naive\|naive_queries\|naive-per-view' crates src examples tests
+    grep -rn '\.mode(' crates/core/src crates/bench/src tests
+  } 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: MaintenanceScheduler has one mode — measure per-view maintenance as V one-view MultiViewExperiment runs (E14, tests/multiview_equivalence.rs), not as a scheduler mode or a builder .mode(..)" >&2
+    ok=1
+  fi
+  local rows
+  rows=$(awk '/^\| Combination \| Why \| Error \|/ {t = 1; next}
+    t && /^\|---/ {next}
+    t && /^\|/ {n++; next}
+    t {exit}
+    END {print n + 0}' DESIGN.md)
+  if [[ $rows -lt 1 || $rows -gt 3 ]]; then
+    echo "FAIL: DESIGN.md's refused-combinations table has $rows data rows — it may only shrink from 3 (make the combination compose instead of refusing it)" >&2
+    ok=1
+  fi
   # A point read has one path (the epoch's point index, each group
   # stored with its multiplicity) and a registered view stays
   # registered: neither the answer cache, nor the index switch, nor
@@ -315,9 +339,16 @@ stage_engine_boundary() {
 # experiment is defined once: the binary of a phase declared in
 # crates/bench/src/perf/phases.rs takes its rows from that phase
 # (perf::measure_checked) — it builds no experiment and no scenario
-# config of its own.
+# config of its own. And CHANGES.md is one line per PR that says what
+# changed and why: benchmark tables go to BENCH_history.jsonl, which the
+# entry cites.
 stage_experiment_docs() {
-  local f tag hits gated ok=0
+  local f tag hits gated bytes ok=0
+  bytes=$(tail -n 1 CHANGES.md | wc -c)
+  if [[ $bytes -gt 2048 ]]; then
+    echo "FAIL: the newest CHANGES.md entry is $bytes bytes (limit 2048) — cite its BENCH_history.jsonl line instead of inlining the per-cell table" >&2
+    ok=1
+  fi
   gated=$(grep -oE ' as "E[0-9]+" /' crates/bench/src/perf/phases.rs | grep -oE 'E[0-9]+')
   if [[ -z "$gated" ]]; then
     echo "FAIL: found no phase declarations ('Row in slot as \"E<N>\" / …') in crates/bench/src/perf/phases.rs" >&2

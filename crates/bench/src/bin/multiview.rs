@@ -1,10 +1,11 @@
 //! **E14 — shared-sweep message sharing across a multi-view warehouse**:
 //! register V views over the same source chain and compare the shared
 //! scheduler (one incremental query per hop, answer reused by every
-//! affected view) against the naive baseline that runs an independent
-//! SWEEP per view. The paper maintains a single view at `2(n−1)` messages
-//! per update (§5); the shared sweep keeps that bound *regardless of view
-//! count*, while the naive fan-out pays `V·2(n−1)`.
+//! affected view) against the naive baseline: V independent one-view
+//! warehouses, each sweeping for its own view. The paper maintains a
+//! single view at `2(n−1)` messages per update (§5); the shared sweep
+//! keeps that bound *regardless of view count*, while the naive fan-out
+//! pays `V·2(n−1)`.
 //!
 //! Scenario, sweep points, rows and laws are the `dw_bench::perf::E14Row`
 //! phase; this file is presentation.
@@ -34,14 +35,20 @@ fn main() {
 
     for (row, run) in rows.iter().zip(&details) {
         let views = row.views;
-        assert!(
-            run.shared.quiescent && run.naive.quiescent,
-            "V={views}: no drain"
-        );
-        for (s, nv) in run.shared.views.iter().zip(run.naive.views.iter()) {
+        assert!(run.shared.quiescent, "V={views}: no drain");
+        assert_eq!(run.shared.views.len(), run.naive.len());
+        let shared_installs = run.shared.install_fingerprint();
+        for (v, (s, alone)) in run.shared.views.iter().zip(&run.naive).enumerate() {
+            assert!(alone.quiescent, "V={views}: {} alone: no drain", s.name);
             assert_eq!(
-                s.view, nv.view,
+                s.view, alone.views[0].view,
                 "V={views}: shared and naive disagree on {}",
+                s.name
+            );
+            assert_eq!(
+                shared_installs[v],
+                alone.install_fingerprint()[0],
+                "V={views}: shared and naive install {} differently",
                 s.name
             );
         }

@@ -6,7 +6,7 @@
 //! ([`dw_workload::MultiViewScenario`]), every view is registered before
 //! the stream starts, and the run reports per-view outcomes (final bag,
 //! install log, metrics, consistency level) plus cross-view mutual
-//! consistency and the shared-vs-naive message accounting E14 measures.
+//! consistency and the message accounting E14 measures.
 //!
 //! [`MultiViewExperiment::shards`] partitions the value space: the same
 //! scheduler then runs one sweep lane per shard group, and the report
@@ -28,7 +28,7 @@ use dw_consistency::{
 };
 use dw_multiview::{
     CascadeStats, DurabilityConfig, EngineOptions, MaintenanceScheduler, MvError, RecoveryStats,
-    SchedulerMode, ShardStats, ViewId, ViewRegistry, NEEDS_DURABLE_STORE,
+    ShardStats, ViewId, ViewRegistry, NEEDS_DURABLE_STORE,
 };
 use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{eval_view, Bag, ShardMap};
@@ -36,12 +36,11 @@ use dw_simnet::{FaultPlan, NetHandle, NetStats, Time};
 use dw_warehouse::{InstallRecord, PolicyMetrics, WarehouseError};
 use dw_workload::{MultiViewScenario, ReadOp, ViewPolicy};
 
-/// A configured multi-view experiment: scenario × scheduler mode ×
-/// partitioner × read schedule × network profile.
+/// A configured multi-view experiment: scenario × partitioner ×
+/// scheduler options × read schedule × network profile.
 pub struct MultiViewExperiment {
     scenario: MultiViewScenario,
     map: Option<ShardMap>,
-    mode: SchedulerMode,
     opts: EngineOptions,
     net: NetProfile,
     check_consistency: bool,
@@ -57,7 +56,6 @@ impl MultiViewExperiment {
         MultiViewExperiment {
             scenario,
             map: None,
-            mode: SchedulerMode::Shared,
             opts: EngineOptions::default(),
             net: NetProfile::default(),
             check_consistency: true,
@@ -72,22 +70,17 @@ impl MultiViewExperiment {
     /// group, installs still in arrival order. Pass a generated
     /// [`dw_workload::ShardedScenario`]'s `map` alongside its `scenario`,
     /// or any partitioner over any scenario (how the conformance suites
-    /// pit sharded against unsharded on identical inputs). Batching, the
-    /// naive mode and a base chain with a hop that equates nothing are
-    /// refused, typed, by [`run`](Self::run).
+    /// pit sharded against unsharded on identical inputs). A base chain
+    /// with a hop that equates nothing is refused, typed, by
+    /// [`run`](Self::run).
     pub fn shards(mut self, map: ShardMap) -> Self {
         self.map = Some(map);
         self
     }
 
-    /// Choose shared-sweep or the naive per-view baseline.
-    pub fn mode(mut self, mode: SchedulerMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Enable cross-update batching: one shared sweep folds up to `k`
-    /// queued same-source updates (shared mode only; `1` disables). The
+    /// queued same-source updates (`1` disables; under
+    /// [`shards`](Self::shards), those inside the lane's band mask). The
     /// E15 experiment measures messages/update falling toward
     /// `2(n−1)/k` under bursty arrivals.
     pub fn batch(mut self, k: usize) -> Self {
@@ -157,12 +150,8 @@ impl MultiViewExperiment {
         let n = base.num_relations();
         let obs = &self.net.obs;
 
-        let mut sched = MaintenanceScheduler::with_shards(
-            base.clone(),
-            self.mode,
-            self.opts,
-            self.map.clone(),
-        )?;
+        let mut sched =
+            MaintenanceScheduler::with_shards(base.clone(), self.opts, self.map.clone())?;
         sched.set_record_snapshots(self.check_consistency);
         sched.set_observer(obs.clone());
         for bag in &scenario.initial {
@@ -283,7 +272,6 @@ impl MultiViewExperiment {
         let transport_quiescent = harness.transport_quiescent();
 
         Ok(MultiViewReport {
-            mode: self.mode,
             views,
             derived,
             cascade: sched.views().cascade_stats(),
@@ -443,8 +431,6 @@ pub struct ViewOutcome {
 /// Everything observable from one multi-view run.
 #[derive(Clone, Debug)]
 pub struct MultiViewReport {
-    /// Scheduler mode that ran.
-    pub mode: SchedulerMode,
     /// Per-view outcomes, in registration order.
     pub views: Vec<ViewOutcome>,
     /// Derived (view-over-view) outcomes, ascending by registry slot —
@@ -503,8 +489,8 @@ impl MultiViewReport {
     }
 
     /// Query/answer messages per warehouse-received update — the E14
-    /// column. Shared mode stays on `≤ 2(n−1)` regardless of view count;
-    /// naive mode scales with it.
+    /// column: `≤ 2(n−1)` regardless of view count, where one warehouse
+    /// per view would pay that once per view.
     pub fn messages_per_update(&self) -> f64 {
         if self.scheduler_metrics.updates_received == 0 {
             return 0.0;
@@ -681,20 +667,24 @@ mod tests {
 
     #[test]
     fn naive_cost_scales_with_view_count() {
+        // The baseline the shared sweep is measured against: each view
+        // maintained alone, by a warehouse of its own.
         let mut cfg = config(3, 4);
         cfg.full_span = true;
         let scenario = cfg.generate().unwrap();
         let shared = MultiViewExperiment::new(scenario.clone()).run().unwrap();
-        let naive = MultiViewExperiment::new(scenario)
-            .mode(SchedulerMode::Naive)
-            .run()
-            .unwrap();
         assert!((shared.messages_per_update() - 6.0).abs() < 1e-9);
-        assert!((naive.messages_per_update() - 18.0).abs() < 1e-9);
-        // Identical final contents per view.
-        for (s, n) in shared.views.iter().zip(naive.views.iter()) {
-            assert_eq!(s.view, n.view, "view '{}'", s.name);
+        let mut per_view_messages = 0;
+        for (spec, s) in scenario.views.iter().zip(&shared.views) {
+            let mut alone = scenario.clone();
+            alone.views = vec![spec.clone()];
+            let alone = MultiViewExperiment::new(alone).run().unwrap();
+            per_view_messages += alone.query_messages();
+            // Identical final contents per view.
+            assert_eq!(s.view, alone.views[0].view, "view '{}'", s.name);
         }
+        let updates = shared.scheduler_metrics.updates_received;
+        assert_eq!(per_view_messages, 18 * updates);
     }
 
     #[test]

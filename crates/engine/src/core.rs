@@ -27,7 +27,7 @@
 use crate::error::WarehouseError;
 use crate::install::InstallRecord;
 use crate::metrics::PolicyMetrics;
-use crate::queue::UpdateQueue;
+use crate::queue::{PendingUpdate, UpdateQueue};
 use crate::view::MaterializedView;
 use dw_obs::{Obs, SpanId};
 use dw_protocol::{source_node, Message, SourceUpdate, SweepQuery, UpdateId, WAREHOUSE_NODE};
@@ -54,7 +54,7 @@ pub struct SpanLabels {
     /// Optional histogram of compensation error-term rows.
     pub comp_rows: Option<&'static str>,
     /// Optional counter bumped once per query sent (the scheduler's
-    /// `mv.shared_queries` / `mv.naive_queries`).
+    /// `mv.shared_queries`).
     pub query_counter: Option<&'static str>,
 }
 
@@ -314,13 +314,20 @@ impl EngineCore {
         self.obs.observe("engine.batch_size", k as u64);
     }
 
-    /// Cross-update batching entry point: remove up to `extra` additional
-    /// queued updates from source `j` (oldest first) and return their
-    /// merged delta plus `(id, arrival time)` pairs, for folding into a
-    /// sweep that is about to start. With `extra == 0` this is a no-op —
-    /// plain one-update-per-sweep behavior.
-    pub fn fold_same_source(&mut self, j: usize, extra: usize) -> (Bag, Vec<(UpdateId, Time)>) {
-        self.queue.take_from_source_bounded(j, extra)
+    /// Cross-update batching entry point: remove up to `extra` queued
+    /// updates that directly succeed update `after` at its source and
+    /// return their merged delta plus `(id, arrival time)` pairs, for
+    /// folding into the sweep for `after` that is about to start. The
+    /// fold ends at the first successor that is no longer queued or that
+    /// `admit` refuses (never skipping one). With `extra == 0` this is a
+    /// no-op — plain one-update-per-sweep behavior.
+    pub fn fold_same_source(
+        &mut self,
+        after: UpdateId,
+        extra: usize,
+        admit: impl FnMut(&PendingUpdate) -> bool,
+    ) -> (Bag, Vec<(UpdateId, Time)>) {
+        self.queue.take_from_source_bounded(after, extra, admit)
     }
 }
 

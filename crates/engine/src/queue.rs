@@ -91,29 +91,40 @@ impl UpdateQueue {
         (merged, ids)
     }
 
-    /// Remove up to `max` queued updates from source `j` (oldest first),
+    /// Remove up to `max` queued updates that directly succeed update
+    /// `after` at its source — `after.seq + 1`, `after.seq + 2`, … —
     /// returning their merged delta and `(id, arrival time)` pairs in
     /// queue order. The bounded form of [`UpdateQueue::take_from_source`],
     /// used by cross-update batching to fold a capped number of queued
-    /// same-source updates into one sweep. Stops scanning as soon as the
-    /// bound is hit; every unmatched update keeps its queue position.
+    /// same-source updates into the sweep for `after`. Stops at the
+    /// bound, at the first successor that is no longer queued, and at the
+    /// first one `admit` refuses — a successor is never skipped over;
+    /// every unmatched update keeps its queue position.
     pub fn take_from_source_bounded(
         &mut self,
-        j: SourceIndex,
+        after: UpdateId,
         max: usize,
+        mut admit: impl FnMut(&PendingUpdate) -> bool,
     ) -> (Bag, Vec<(UpdateId, Time)>) {
         let mut merged = Bag::new();
         let mut ids = Vec::new();
         let mut taken = Vec::new();
+        let mut next_seq = after.seq + 1;
         for (pos, p) in self.q.iter().enumerate() {
             if ids.len() >= max {
                 break;
             }
-            if p.update.id.source == j {
-                merged.merge(&p.update.delta);
-                ids.push((p.update.id, p.arrived_at));
-                taken.push(pos);
+            let id = p.update.id;
+            if id.source != after.source || id.seq <= after.seq {
+                continue;
             }
+            if id.seq != next_seq || !admit(p) {
+                break;
+            }
+            next_seq += 1;
+            merged.merge(&p.update.delta);
+            ids.push((id, p.arrived_at));
+            taken.push(pos);
         }
         // Remove back-to-front so earlier indices stay valid; relative
         // order of everything left is untouched.
@@ -275,20 +286,21 @@ mod tests {
     #[test]
     fn bounded_take_stops_at_bound_and_preserves_positions() {
         let mut q = UpdateQueue::new();
-        q.push(upd(2, 0, 5), 1);
+        q.push(upd(2, 1, 5), 1);
         q.push(upd(1, 0, 6), 2);
-        q.push(upd(2, 1, 7), 3);
-        q.push(upd(2, 2, 8), 4);
+        q.push(upd(2, 2, 7), 3);
+        q.push(upd(2, 3, 8), 4);
         q.push(upd(1, 1, 9), 5);
-        let (m, ids) = q.take_from_source_bounded(2, 2);
+        let head = UpdateId { source: 2, seq: 0 };
+        let (m, ids) = q.take_from_source_bounded(head, 2, |_| true);
         assert_eq!(m.count(&tup![5]), 1);
         assert_eq!(m.count(&tup![7]), 1);
         assert_eq!(m.count(&tup![8]), 0, "third match is beyond the bound");
         assert_eq!(
             ids,
             vec![
-                (UpdateId { source: 2, seq: 0 }, 1),
-                (UpdateId { source: 2, seq: 1 }, 3)
+                (UpdateId { source: 2, seq: 1 }, 1),
+                (UpdateId { source: 2, seq: 2 }, 3)
             ]
         );
         // Updates past the bound keep their exact queue positions.
@@ -297,10 +309,37 @@ mod tests {
             left,
             vec![
                 UpdateId { source: 1, seq: 0 },
-                UpdateId { source: 2, seq: 2 },
+                UpdateId { source: 2, seq: 3 },
                 UpdateId { source: 1, seq: 1 },
             ]
         );
+    }
+
+    #[test]
+    fn bounded_take_never_skips_a_successor() {
+        let burst = || {
+            let mut q = UpdateQueue::new();
+            for (seq, at) in [(0, 1), (2, 2), (3, 3), (4, 4), (6, 5)] {
+                q.push(upd(2, seq, seq as i64), at);
+            }
+            q
+        };
+        let seqs =
+            |ids: Vec<(UpdateId, Time)>| -> Vec<u64> { ids.iter().map(|(id, _)| id.seq).collect() };
+        let after = |seq| UpdateId { source: 2, seq };
+        // #1 left for another sweep: #0's fold may not reach over it.
+        let (m, ids) = burst().take_from_source_bounded(after(0), 8, |_| true);
+        assert!(m.is_empty() && ids.is_empty());
+        // #0 still waits ahead of #1 and is not #1's to take; #2…#4
+        // follow on, #6 does not.
+        let mut q = burst();
+        let (_, ids) = q.take_from_source_bounded(after(1), 8, |_| true);
+        assert_eq!(seqs(ids), vec![2, 3, 4]);
+        assert_eq!(q.len(), 2);
+        // A refused successor ends the fold though later ones would pass.
+        let (m, ids) = burst().take_from_source_bounded(after(1), 8, |p| p.update.id.seq != 3);
+        assert_eq!(seqs(ids), vec![2]);
+        assert_eq!(m, Bag::from_pairs([(tup![2], 1)]));
     }
 
     #[test]
@@ -308,7 +347,7 @@ mod tests {
         let mut q = UpdateQueue::new();
         q.push(
             SourceUpdate {
-                id: UpdateId { source: 3, seq: 0 },
+                id: UpdateId { source: 3, seq: 1 },
                 delta: Bag::from_pairs([(tup![4], 2)]),
                 global: None,
             },
@@ -316,13 +355,13 @@ mod tests {
         );
         q.push(
             SourceUpdate {
-                id: UpdateId { source: 3, seq: 1 },
+                id: UpdateId { source: 3, seq: 2 },
                 delta: Bag::from_pairs([(tup![4], -2)]),
                 global: None,
             },
             1,
         );
-        let (m, ids) = q.take_from_source_bounded(3, 8);
+        let (m, ids) = q.take_from_source_bounded(UpdateId { source: 3, seq: 0 }, 8, |_| true);
         assert!(m.is_empty());
         assert_eq!(ids.len(), 2);
     }

@@ -12,7 +12,7 @@
 
 use crate::cluster::{injections, setup_failed, source_runners};
 use dw_engine::{run_cluster, LiveError, NodeRunner, SharedInstallPublisher, ThreadNet};
-use dw_multiview::{EngineOptions, MaintenanceScheduler, SchedulerMode, ViewId};
+use dw_multiview::{EngineOptions, MaintenanceScheduler, ViewId};
 use dw_protocol::{Message, WAREHOUSE_NODE};
 use dw_relational::{Bag, ShardMap};
 use dw_simnet::{NodeId, Time};
@@ -76,8 +76,8 @@ impl LiveWarehouse {
         mut on_view: impl FnMut(&str, &Bag),
     ) -> Result<Self, LiveError> {
         let base = &scenario.base;
-        let (mode, opts) = (SchedulerMode::Shared, EngineOptions::default());
-        let mut sched = MaintenanceScheduler::with_shards(base.clone(), mode, opts, map.cloned())
+        let opts = EngineOptions::default();
+        let mut sched = MaintenanceScheduler::with_shards(base.clone(), opts, map.cloned())
             .map_err(setup_failed)?;
         if let Some(p) = publisher {
             sched.set_install_publisher(p);

@@ -38,10 +38,12 @@
 //!   an arrival-order ticket. Without a [`dw_relational::ShardMap`]
 //!   there is one band — the paper's serial SWEEP; with one, sweeps with
 //!   disjoint masks run concurrently while the install order stays
-//!   arrival order. Cross-update batching, σ pushdown and checkpoint +
-//!   WAL crash recovery — one recovery, lanes in flight or not — are
-//!   options of that one state machine; the combinations it refuses are
-//!   typed errors decided in one place, its constructor.
+//!   arrival order. Cross-update batching (a lane folds its batch
+//!   inside its mask), σ pushdown and checkpoint + WAL crash recovery —
+//!   one recovery, lanes in flight or not — are options of that one
+//!   state machine and compose with each other and with a map; the two
+//!   configurations it refuses (a map over a cross-product hop, a batch
+//!   width of 0) are typed errors decided in one place, its constructor.
 //!   [`ShardedScheduler`] is a thin newtype for callers that want the
 //!   sharded configuration as a type.
 //! * a **maintenance DAG** — derived views registered *over* other views
@@ -61,7 +63,8 @@
 //!
 //! The message-cost win (experiment E14): a shared sweep costs at most
 //! `2(n−1)` messages per update **regardless of how many views**
-//! reference `R_j`, where naive per-view maintenance costs `V·2(n−1)`.
+//! reference `R_j`, where maintaining each view alone — V one-view
+//! warehouses, the baseline E14 runs — costs `V·2(n−1)`.
 //! The DAG extends it (experiment E20): a derived stack of any depth
 //! adds **zero** source messages — the `2(n−1)` toll is paid exactly
 //! once at the base layer.

@@ -6,9 +6,8 @@
 //! the span endpoints, pivot-merge and σ/Π at the warehouse — is laid out
 //! in the [crate docs](crate). Its message cost is at most `R − L ≤ n−1`
 //! queries (plus answers) per update — `≤ 2(n−1)` messages **regardless
-//! of the number of views**. [`SchedulerMode::Naive`] instead runs one
-//! dedicated sweep per affected view, back to back, each installing as
-//! it finishes (the `V·2(n−1)` baseline E14 measures against).
+//! of the number of views** (E14 measures it against `V` one-view
+//! warehouses, the `V·2(n−1)` of maintaining each view alone).
 //!
 //! ## Lanes and groups
 //!
@@ -64,12 +63,10 @@
 //!
 //! Lanes finish out of arrival order; installs must not. Every finished
 //! sweep leaves through an [`InstallSequencer`] ticket and is buffered
-//! until every earlier ticket has released. In shared mode the ticket is
-//! issued the moment the update arrives, so the install order is arrival
-//! order for any number of bands (the conformance suites hold no map
-//! and S ∈ {1, 2, 3, 4} to byte equality on this). In naive mode the unit
-//! of install is the per-view task, ticketed when the update's tasks are
-//! formed (one group, so formation order is arrival order).
+//! until every earlier ticket has released. The ticket is issued the
+//! moment the update arrives, so the install order is arrival order for
+//! any number of bands (the conformance suites hold no map and
+//! S ∈ {1, 2, 3, 4} to byte equality on this).
 //!
 //! Installs follow each view's [`ViewPolicy`] cadence: `Sweep` installs
 //! every update immediately (complete consistency); `NestedSweep`
@@ -80,15 +77,27 @@
 //!
 //! ## Cross-update batching
 //!
-//! With [`EngineOptions::batch`] > 1 (shared mode, one group): when the
-//! sweep for `ΔR_j` starts, up to `batch − 1` further queued updates
-//! *from the same source* are folded into it Nested-SWEEP-style — their
-//! deltas merge into one composite seed, the whole batch pays one
-//! `2(n−1)`-message sweep, and every affected view consumes all k
-//! updates in one delta. Message cost per update falls toward
-//! `2(n−1)/k` under bursty arrivals (experiment E15); installs consume
-//! whole per-source delivery-order batches, so consistency is strong
-//! rather than complete.
+//! With [`EngineOptions::batch`] > 1: when the sweep for `ΔR_j` starts,
+//! up to `batch − 1` further queued updates *from the same source* are
+//! folded into it Nested-SWEEP-style — their deltas merge into one
+//! composite seed, the whole batch pays one `2(n−1)`-message sweep, and
+//! every affected view consumes all k updates in one delta. Message cost
+//! per update falls toward `2(n−1)/k` under bursty arrivals (experiment
+//! E15); installs consume whole per-source delivery-order batches, so
+//! consistency is strong rather than complete.
+//!
+//! The fold rule: the task for update `u` with mask `m` takes `u`'s
+//! same-source successors `u.seq + 1, u.seq + 2, …` while each is still
+//! queued and its own mask is ⊆ `m`, and stops at the first that is not.
+//! With one band every update fits — flat batching. Sound under a
+//! [`ShardMap`] because (1) a mask inside `m` is disjoint from every
+//! concurrent lane's, so no lane needed the folded update for
+//! compensation; (2) the composite delta stays inside `m`, and the folded
+//! deltas' impure tuples union their bands at the same commit; (3) a
+//! same-source update is never skipped — one waiting on another mask, or
+//! already in another lane, ends the fold — so every install consumes a
+//! per-source run of consecutive updates: a source state. The folded
+//! updates' own tickets release empty.
 //!
 //! ## Crashes
 //!
@@ -107,13 +116,11 @@
 //!
 //! ## Refused combinations
 //!
-//! A [`ShardMap`] does not compose with batching (it folds queue entries
-//! a concurrent lane may need for compensation), and needs an equi-join
-//! on every hop of the base chain (a hop that equates nothing joins
-//! across bands, so purity would confine nothing); naive mode cannot
-//! batch (its unit of work is one view) and has no lanes to shard. The
-//! constructor is the one place that says so, typed (table in
-//! DESIGN.md); a state crash without a durable store is refused by
+//! A [`ShardMap`] needs an equi-join on every hop of the base chain (a
+//! hop that equates nothing joins across bands, so purity would confine
+//! nothing), and a batch width of 0 means nothing. The constructor is
+//! the one place that says so, typed (table in DESIGN.md); a state crash
+//! without a durable store is refused by
 //! [`MaintenanceScheduler::crash_and_recover`]. Global transactions
 //! (update type 3) are out of scope for the multi-view layer — tags on
 //! incoming updates are ignored.
@@ -133,8 +140,8 @@ use dw_simnet::{Delivery, NetHandle, Time};
 use dw_workload::{DerivedSpec, ViewSpec};
 use std::collections::{HashMap, VecDeque};
 
-/// The trace vocabulary: `mv.*` over one group (the query counter tells
-/// shared from naive sweeps), `shard.*` over a [`ShardMap`].
+/// The trace vocabulary: `mv.*` over one group, `shard.*` over a
+/// [`ShardMap`].
 const SHARED_LABELS: SpanLabels = SpanLabels {
     sweep: "mv.sweep",
     hop: "mv.hop",
@@ -142,10 +149,6 @@ const SHARED_LABELS: SpanLabels = SpanLabels {
     query_rows: None,
     comp_rows: None,
     query_counter: Some("mv.shared_queries"),
-};
-const NAIVE_LABELS: SpanLabels = SpanLabels {
-    query_counter: Some("mv.naive_queries"),
-    ..SHARED_LABELS
 };
 const SHARD_LABELS: SpanLabels = SpanLabels {
     sweep: "shard.sweep",
@@ -155,7 +158,10 @@ const SHARD_LABELS: SpanLabels = SpanLabels {
     ..SHARED_LABELS
 };
 
-/// How the scheduler turns one update into sweeps.
+/// How the scheduler turns one update into sweeps: one way. The enum
+/// (and [`MaintenanceScheduler::new`]'s second parameter) survives only
+/// because the frozen `benchmark/src/round.rs` spells both; nothing reads
+/// it. On ROADMAP A(v)'s delete list.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerMode {
     /// One shared sweep over the union of the affected spans; every
@@ -163,19 +169,6 @@ pub enum SchedulerMode {
     /// per update, independent of view count.
     #[default]
     Shared,
-    /// One dedicated sweep per affected view — the naive baseline,
-    /// `V·2(n−1)` messages per update for `V` full-span views.
-    Naive,
-}
-
-impl SchedulerMode {
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerMode::Shared => "shared-sweep",
-            SchedulerMode::Naive => "naive-per-view",
-        }
-    }
 }
 
 /// Lane and group counters, kept on top of [`PolicyMetrics`]. Over one
@@ -219,8 +212,7 @@ struct SweepTask {
     /// The updated base relation (chain index).
     j: usize,
     delta: Bag,
-    /// Span to sweep (union of affected spans in shared mode; the one
-    /// view's own span in naive mode).
+    /// Span to sweep: the union of the affected views' spans.
     lo: usize,
     hi: usize,
     views: Vec<ViewId>,
@@ -237,10 +229,10 @@ struct Lane {
     snaps: [Vec<(ViewId, PartialDelta)>; 2],
 }
 
-/// What the scheduler learns about a shared-mode update the moment it
-/// arrives: its install ticket, and how its delta sits in the shard
-/// space ([`ShardMap::delta_bands`] — a function of the delta and the map
-/// alone, so computed once; both empty without a map).
+/// What the scheduler learns about an update some view references the
+/// moment it arrives: its install ticket, and how its delta sits in the
+/// shard space ([`ShardMap::delta_bands`] — a function of the delta and
+/// the map alone, so computed once; both empty without a map).
 #[derive(Clone)]
 struct Arrival {
     ticket: u64,
@@ -274,9 +266,9 @@ struct MvCheckpoint {
 /// crash atom in the simulator), so the WAL never under-describes the
 /// durable past.
 enum MvWalRecord {
-    /// An update entered the queue, under `ticket` (shared mode — the
-    /// ticket at arrival *is* its place in the install order; naive mode
-    /// tickets per task, and an update no view references takes none).
+    /// An update entered the queue, under `ticket` — its place in the
+    /// install order (`None`: no view references its source, so it
+    /// installs nothing and takes none).
     UpdateQueued {
         update: SourceUpdate,
         at: Time,
@@ -365,17 +357,17 @@ fn config_error(reason: String) -> MvError {
 pub struct MaintenanceScheduler {
     core: EngineCore,
     registry: ViewRegistry,
-    mode: SchedulerMode,
     opts: EngineOptions,
     /// The value-band partitioner; `None` = one group.
     map: Option<ShardMap>,
     /// Per shard band, the band mask of the group it belongs to; a
     /// group's root is its lowest band. One band without a map.
     groups: Vec<u64>,
-    /// Ticket and delta bands of every queued shared-mode update.
+    /// Ticket and delta bands of every queued update some view
+    /// referenced when it arrived.
     arrivals: HashMap<UpdateId, Arrival>,
-    /// Formed tasks waiting for their lane: naive mode's later per-view
-    /// tasks, and whatever recovery found durably pending.
+    /// Formed tasks waiting for their lane: between `form` and `begin`,
+    /// and whatever recovery found durably pending.
     pending_tasks: VecDeque<SweepTask>,
     /// In-flight lanes; their masks are pairwise disjoint, so at most
     /// one per band. An answer finds its lane by the qid the lane's run
@@ -389,9 +381,12 @@ pub struct MaintenanceScheduler {
 
 impl MaintenanceScheduler {
     /// New scheduler over a selection-free, identity-projection base
-    /// chain, with default options (one group, no batching).
-    pub fn new(base: ViewDef, mode: SchedulerMode) -> Result<Self, MvError> {
-        Self::with_shards(base, mode, EngineOptions::default(), None)
+    /// chain, with default options (one group, no batching). The second
+    /// parameter is read by nobody: it and [`SchedulerMode`] stay only
+    /// because the frozen `benchmark/src/round.rs` spells both (ROADMAP
+    /// A(v) deletes them).
+    pub fn new(base: ViewDef, _: SchedulerMode) -> Result<Self, MvError> {
+        Self::with_shards(base, EngineOptions::default(), None)
     }
 
     /// The general constructor. With `Some(map)` the lanes are the shard
@@ -402,19 +397,13 @@ impl MaintenanceScheduler {
     /// are inert for the scheduler.
     pub fn with_shards(
         base: ViewDef,
-        mode: SchedulerMode,
         opts: EngineOptions,
         map: Option<ShardMap>,
     ) -> Result<Self, MvError> {
-        let labels = match (&map, mode) {
-            (Some(_), _) => SHARD_LABELS,
-            (None, SchedulerMode::Shared) => SHARED_LABELS,
-            (None, SchedulerMode::Naive) => NAIVE_LABELS,
-        };
+        let labels = map.as_ref().map_or(SHARED_LABELS, |_| SHARD_LABELS);
         let sched = MaintenanceScheduler {
             registry: ViewRegistry::new(base.clone())?,
             core: EngineCore::new(base, labels),
-            mode,
             opts,
             groups: (0..map.as_ref().map_or(1, ShardMap::shards))
                 .map(|b| 1 << b)
@@ -437,20 +426,13 @@ impl MaintenanceScheduler {
     /// constructor arguments is decided; nothing armed later can
     /// invalidate a scheduler that was constructed.
     fn validate(&self) -> Result<(), MvError> {
+        // A batch width of 0.
         self.opts.validate()?;
-        let (batch, sharded) = (self.opts.batch_width(), self.map.is_some());
-        let refusal = if sharded && self.mode == SchedulerMode::Naive {
-            "sharded scheduler does not support the naive per-view mode".into()
-        } else if sharded && batch > 1 {
-            format!("sharded scheduler does not support cross-update batching (batch={batch})")
-        } else if sharded && !self.every_hop_equates() {
-            "sharded scheduler needs an equi-join on every hop of the base chain".into()
-        } else if self.mode == SchedulerMode::Naive && batch > 1 {
-            format!("naive per-view mode does not support cross-update batching (batch={batch})")
-        } else {
-            return Ok(());
-        };
-        Err(config_error(refusal))
+        if self.map.is_some() && !self.every_hop_equates() {
+            let reason = "sharded scheduler needs an equi-join on every hop of the base chain";
+            return Err(config_error(reason.into()));
+        }
+        Ok(())
     }
 
     /// Does every hop of the base chain equate at least one attribute
@@ -481,24 +463,38 @@ impl MaintenanceScheduler {
 
     /// Register a view. `initial` must be the view's correct current
     /// contents — at start-up the span evaluation of the initial base
-    /// relations; mid-run, call at a quiescent point
-    /// ([`MaintenanceScheduler::is_quiescent`]) with the span evaluation
-    /// of the sources' current state. The view participates in every
-    /// sweep started after registration. With durability armed the new
-    /// registry is checkpointed on the spot: no WAL record names a view,
-    /// so an older image would lose this one at the next recovery.
+    /// relations; mid-run, the span evaluation of the sources' current
+    /// state, at a quiescent point
+    /// ([`MaintenanceScheduler::is_quiescent`]). Anywhere else is refused,
+    /// typed: contents taken from the sources already hold the deltas in
+    /// flight or queued, which the view would then be handed a second
+    /// time. The view participates in every sweep started after
+    /// registration. With durability armed the new registry is
+    /// checkpointed on the spot: no WAL record names a view, so an older
+    /// image would lose this one at the next recovery.
     pub fn register(&mut self, spec: &ViewSpec, initial: Bag) -> Result<ViewId, MvError> {
+        if !self.is_quiescent() {
+            let (lanes, queued) = (self.lanes.len(), self.core.queue.len());
+            let reason = format!(
+                "register a swept view at a quiescent point: \
+                 {lanes} lane(s) in flight, {queued} update(s) queued"
+            );
+            return Err(WarehouseError::Precondition { reason }.into());
+        }
         let id = self.registry.register(spec, initial);
         self.checkpoint_now();
         id
     }
 
-    /// Register a derived view over an already-registered parent. The
-    /// initial contents are evaluated from the parent's current bag, so
-    /// (like [`MaintenanceScheduler::register`]) call at a quiescent
-    /// point. Derived views are maintained by the install cascade — fed
-    /// when the sequencer releases their parent's install — so they
-    /// never join sweeps and never cost source messages.
+    /// Register a derived view over an already-registered parent.
+    /// Derived views are maintained by the install cascade — fed when
+    /// the sequencer releases their parent's install — so they never
+    /// join sweeps and never cost source messages. Unlike
+    /// [`MaintenanceScheduler::register`] this needs no quiescent point:
+    /// the initial contents are evaluated from the parent's current
+    /// *bag*, which holds exactly the installs released so far, and the
+    /// cascade hands the child every later one — nothing in flight is in
+    /// the seed, nothing released is missed.
     pub fn register_derived(&mut self, spec: &DerivedSpec) -> Result<ViewId, MvError> {
         let id = self.registry.register_derived(spec);
         self.checkpoint_now();
@@ -567,9 +563,9 @@ impl MaintenanceScheduler {
     }
 
     /// Attach an observability recorder: `mv.sweep`/`mv.hop` spans plus
-    /// `mv.shared_queries`/`mv.naive_queries`/`mv.compensations`
-    /// counters (`shard.*` over a [`ShardMap`]). Per-view staleness
-    /// histograms live in the registry's [`PolicyMetrics`].
+    /// `mv.shared_queries`/`mv.compensations` counters (`shard.*` over a
+    /// [`ShardMap`]). Per-view staleness histograms live in the
+    /// registry's [`PolicyMetrics`].
     pub fn set_observer(&mut self, obs: Obs) {
         self.core.set_observer(obs);
     }
@@ -754,14 +750,9 @@ impl MaintenanceScheduler {
 
     // ---- shard groups ---------------------------------------------------
 
-    /// The union of the current groups of every band set in `bands`.
-    fn groups_of(&self, bands: u64) -> u64 {
-        band_indices(bands).fold(0, |m, b| m | self.groups[b])
-    }
-
     /// Merge the groups of every band set in `mask` into one.
     fn union_mask(&mut self, mask: u64) {
-        let merged = self.groups_of(mask);
+        let merged = groups_of(&self.groups, mask);
         for b in band_indices(merged) {
             self.groups[b] = merged;
         }
@@ -785,8 +776,8 @@ impl MaintenanceScheduler {
     ///
     /// Decisions are collected first and executed after (the scan must
     /// not mutate the queue it walks): per update, the mask to form its
-    /// task(s) with, or `None` when no registered view references its
-    /// source and it is simply dropped.
+    /// task with, or `None` when it took no ticket — no registered view
+    /// references its source — and is simply dropped.
     fn plan_scan(&self) -> Vec<(UpdateId, Option<u64>)> {
         let in_flight = self.lanes.iter().map(|l| l.task.mask);
         let formed = self.pending_tasks.iter().map(|t| t.mask);
@@ -798,15 +789,13 @@ impl MaintenanceScheduler {
                 break;
             }
             let id = pu.update.id;
-            if self.registry.affected_by(id.source).is_empty() {
+            let Some(arrival) = self.arrivals.get(&id) else {
                 actions.push((id, None));
                 continue;
-            }
+            };
             // An empty delta is vacuously pure; it rides band 0 so it
-            // still consumes its ticket. Naive mode (one group by
-            // construction) keeps no arrivals.
-            let bands = self.arrivals.get(&id).map_or(0, |a| a.bands);
-            let mask = self.groups_of(bands.max(1));
+            // still consumes its ticket.
+            let mask = groups_of(&self.groups, arrival.bands.max(1));
             if mask & claimed == 0 {
                 actions.push((id, Some(mask)));
             }
@@ -822,8 +811,8 @@ impl MaintenanceScheduler {
     fn pump(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), MvError> {
         loop {
             // Formed tasks first, in formation order, each as soon as its
-            // bands are free: naive mode's per-view tasks run back to
-            // back, recovery's durably-pending tasks re-seed.
+            // bands are free — recovery's durably-pending tasks re-seed
+            // this way.
             while let Some(task) = self.pending_tasks.pop_front() {
                 if self.lanes.iter().any(|l| l.task.mask & task.mask != 0) {
                     self.pending_tasks.push_front(task);
@@ -842,8 +831,8 @@ impl MaintenanceScheduler {
         self.drain_installs(net.now())
     }
 
-    /// Record what a shared-mode update's arrival fixes (live and in
-    /// replay): its ticket, and how its delta sits in the shard space.
+    /// Record what an update's arrival fixes (live and in replay): its
+    /// ticket, and how its delta sits in the shard space.
     fn admit(&mut self, u: &SourceUpdate, ticket: Option<u64>) {
         let Some(ticket) = ticket else { return };
         self.sequencer.reissue(ticket);
@@ -859,27 +848,21 @@ impl MaintenanceScheduler {
 
     /// Take update `id` out of the queue — *before* any hop answer can
     /// compensate, a sweep must never subtract its own delta — and form
-    /// its task(s) claiming `mask`: one shared sweep over the union of
-    /// the affected spans (folding up to `batch − 1` further queued
-    /// same-source updates in), or one single-view sweep per affected
-    /// view. `None`: no view references its source — drop it (it took no
-    /// ticket).
+    /// its task claiming `mask`: one shared sweep over the union of the
+    /// affected spans, folding in up to `batch − 1` of its queued
+    /// same-source successors whose own masks lie inside `mask` (the fold
+    /// rule — see module docs). `None`: it took no ticket because no view
+    /// references its source — drop it.
     fn form(&mut self, id: UpdateId, mask: Option<u64>) -> Result<(), MvError> {
         let Some(PendingUpdate { update, arrived_at }) = self.core.queue.take_id(id) else {
             let what = "planned update left the queue before launch";
             return Err(MvError::Internal { what });
         };
-        let Some(mask) = mask else {
+        let (Some(mask), Some(arrival)) = (mask, self.arrivals.remove(&id)) else {
             self.stats.skipped += 1;
             return Ok(());
         };
-        // Shared-mode updates were ticketed and classified at arrival.
-        let arrival = self.arrivals.remove(&id);
-        if arrival.is_none() && self.mode == SchedulerMode::Shared {
-            let what = "queued update has no arrival ticket";
-            return Err(MvError::Internal { what });
-        }
-        if arrival.as_ref().is_some_and(|a| a.bands.count_ones() > 1) {
+        if arrival.bands.count_ones() > 1 {
             self.stats.escalations += 1;
             self.core.obs.add("shard.escalations", 1);
         } else {
@@ -887,9 +870,9 @@ impl MaintenanceScheduler {
         }
         let j = id.source;
         let mut task = SweepTask {
-            ticket: 0,
+            ticket: arrival.ticket,
             mask,
-            impure_masks: Vec::new(),
+            impure_masks: arrival.impure_masks,
             consumed: vec![(id, arrived_at)],
             j,
             delta: update.delta,
@@ -897,23 +880,6 @@ impl MaintenanceScheduler {
             hi: j,
             views: self.registry.affected_by(j),
         };
-        let Some(arrival) = arrival else {
-            for &v in &task.views {
-                let (lo, hi) = self.registry.span(v)?;
-                let (ticket, views) = (self.sequencer.issue(), vec![v]);
-                let single = SweepTask {
-                    ticket,
-                    lo,
-                    hi,
-                    views,
-                    ..task.clone()
-                };
-                self.enqueue(single);
-            }
-            return Ok(());
-        };
-        task.ticket = arrival.ticket;
-        task.impure_masks = arrival.impure_masks;
         for &v in &task.views {
             let (lo, hi) = self.registry.span(v)?;
             task.lo = task.lo.min(lo);
@@ -921,18 +887,23 @@ impl MaintenanceScheduler {
         }
         let extra = self.opts.batch_width() - 1;
         if extra > 0 {
-            let (folded, infos) = self.core.fold_same_source(j, extra);
+            let (arrivals, groups) = (&self.arrivals, &self.groups);
+            let fits = |pu: &PendingUpdate| {
+                let own = arrivals.get(&pu.update.id);
+                own.is_some_and(|a| groups_of(groups, a.bands.max(1)) & !mask == 0)
+            };
+            let (folded, infos) = self.core.fold_same_source(id, extra, fits);
             task.delta.merge(&folded);
+            for (id, _) in &infos {
+                if let Some(folded) = self.arrivals.get(id) {
+                    task.impure_masks.extend(&folded.impure_masks);
+                }
+            }
             task.consumed.extend(infos);
         }
-        self.enqueue(task);
-        Ok(())
-    }
-
-    /// Journal a formed task and queue it for its lane.
-    fn enqueue(&mut self, task: SweepTask) {
         self.wal(|| MvWalRecord::TaskFormed { task: task.clone() });
         self.adopt(task);
+        Ok(())
     }
 
     /// A formed task joins the pending set (live and in replay). The
@@ -1137,7 +1108,7 @@ impl SweepPolicy for MaintenanceScheduler {
     fn name(&self) -> &'static str {
         match self.map {
             Some(_) => "sharded-sweep",
-            None => self.mode.name(),
+            None => "shared-sweep",
         }
     }
 
@@ -1148,10 +1119,8 @@ impl SweepPolicy for MaintenanceScheduler {
     fn note_update(&mut self, u: &SourceUpdate, at: Time) -> Result<(), MvError> {
         // The ticket at arrival IS the install order — issued before any
         // scheduling decision, claimed at launch, released in order.
-        // (Naive mode tickets per task, at formation; an update no view
-        // references installs nothing and takes none.)
-        let ticketed = self.mode == SchedulerMode::Shared
-            && !self.registry.affected_by(u.id.source).is_empty();
+        // (An update no view references installs nothing and takes none.)
+        let ticketed = !self.registry.affected_by(u.id.source).is_empty();
         let ticket = ticketed.then(|| self.sequencer.issue());
         // Journal the arrival before it enters the volatile queue: an
         // update the WAL knows about can never be lost to a crash, nor
@@ -1203,6 +1172,11 @@ impl SweepPolicy for MaintenanceScheduler {
         self.lanes.push(lane);
         Ok(())
     }
+}
+
+/// The union of the current `groups` of every band set in `bands`.
+fn groups_of(groups: &[u64], bands: u64) -> u64 {
+    band_indices(bands).fold(0, |m, b| m | groups[b])
 }
 
 /// The indices of the bands set in `mask`.
@@ -1412,26 +1386,33 @@ mod tests {
     }
 
     fn run(
-        mode: SchedulerMode,
         view_specs: &[ViewSpec],
         txns: &[(Time, usize, Bag)],
     ) -> (MaintenanceScheduler, Vec<Bag>) {
-        run_with_options(mode, EngineOptions::default(), view_specs, txns)
+        run_with_options(EngineOptions::default(), view_specs, txns)
     }
 
     fn run_with_options(
-        mode: SchedulerMode,
         opts: EngineOptions,
         view_specs: &[ViewSpec],
         txns: &[(Time, usize, Bag)],
     ) -> (MaintenanceScheduler, Vec<Bag>) {
-        let sched = MaintenanceScheduler::with_shards(base3(), mode, opts, None).unwrap();
+        let sched = MaintenanceScheduler::with_shards(base3(), opts, None).unwrap();
         drive(sched, initial3(), view_specs, txns, false)
     }
 
     fn sharded(map: ShardMap) -> MaintenanceScheduler {
-        let (mode, opts) = (SchedulerMode::Shared, EngineOptions::default());
-        MaintenanceScheduler::with_shards(base3(), mode, opts, Some(map)).unwrap()
+        batched(map, 1)
+    }
+
+    /// A sharded scheduler folding up to `batch` same-source updates
+    /// per sweep.
+    fn batched(map: ShardMap, batch: usize) -> MaintenanceScheduler {
+        let opts = EngineOptions {
+            batch,
+            ..EngineOptions::default()
+        };
+        MaintenanceScheduler::with_shards(base3(), opts, Some(map)).unwrap()
     }
 
     /// Drive a sharded scheduler to quiescence over `txns` (see
@@ -1498,8 +1479,8 @@ mod tests {
     /// (no tuple copied), yet nothing installed afterwards shows in it.
     #[test]
     fn a_checkpoint_image_never_sees_later_installs() {
-        let (mode, opts) = (SchedulerMode::Shared, EngineOptions::default());
-        let mut sched = MaintenanceScheduler::with_shards(base3(), mode, opts, None).unwrap();
+        let opts = EngineOptions::default();
+        let mut sched = MaintenanceScheduler::with_shards(base3(), opts, None).unwrap();
         for spec in &specs() {
             register(&mut sched, spec, &initial3());
         }
@@ -1530,20 +1511,10 @@ mod tests {
 
     #[test]
     fn every_view_lands_on_ground_truth() {
-        for mode in [SchedulerMode::Shared, SchedulerMode::Naive] {
-            let (sched, shadows) = run(mode, &specs(), &interfering_txns());
-            for (spec, id) in specs().iter().zip(sched.views().ids()) {
-                let local = spec.compile(sched.views().base()).unwrap();
-                let refs: Vec<&Bag> = shadows[spec.lo..=spec.hi].iter().collect();
-                let truth = eval_view(&local, &refs).unwrap();
-                assert_eq!(
-                    sched.views().view_bag(id).unwrap(),
-                    &truth,
-                    "{mode:?} view '{}'",
-                    spec.name
-                );
-                assert!(sched.views().view_bag(id).unwrap().all_positive());
-            }
+        let (sched, shadows) = run(&specs(), &interfering_txns());
+        assert_ground_truth(sched.views(), &specs(), &shadows);
+        for id in sched.views().ids() {
+            assert!(sched.views().view_bag(id).unwrap().all_positive());
         }
     }
 
@@ -1552,29 +1523,34 @@ mod tests {
         // All four views are registered; the union span is the full
         // chain, so each update costs exactly 2(n−1) = 4 messages no
         // matter that four views were maintained.
-        let (sched, _) = run(SchedulerMode::Shared, &specs(), &interfering_txns());
+        let (sched, _) = run(&specs(), &interfering_txns());
         let n_txns = interfering_txns().len() as u64;
         assert_eq!(sched.metrics().queries_sent, 2 * n_txns);
         assert_eq!(sched.metrics().answers_received, 2 * n_txns);
     }
 
     #[test]
-    fn naive_mode_scales_with_view_count() {
-        // Three full-span views: every update pays 3 × 2(n−1).
+    fn naive_cost_scales_with_view_count() {
+        // Three full-span views, each maintained alone by a scheduler of
+        // its own: every update pays 3 × 2(n−1), where sharing pays 2(n−1).
         let views: Vec<ViewSpec> = (0..3).map(|v| ViewSpec::full(format!("V{v}"), 3)).collect();
         let txns = interfering_txns();
-        let (naive, _) = run(SchedulerMode::Naive, &views, &txns);
-        let (shared, _) = run(SchedulerMode::Shared, &views, &txns);
+        let (shared, _) = run(&views, &txns);
         let n_txns = txns.len() as u64;
-        assert_eq!(naive.metrics().queries_sent, 3 * 2 * n_txns);
         assert_eq!(shared.metrics().queries_sent, 2 * n_txns);
-        // Same final contents either way.
-        for id in shared.views().ids() {
+        let mut per_view_queries = 0;
+        for (view, id) in views.iter().zip(shared.views().ids()) {
+            let (alone, _) = run(std::slice::from_ref(view), &txns);
+            per_view_queries += alone.metrics().queries_sent;
+            // Same final contents, same installs either way.
+            let only = alone.views().ids()[0];
             assert_eq!(
                 shared.views().view_bag(id).unwrap(),
-                naive.views().view_bag(id).unwrap()
+                alone.views().view_bag(only).unwrap()
             );
+            assert_eq!(consumed_log(&shared, id), consumed_log(&alone, only));
         }
+        assert_eq!(per_view_queries, 3 * 2 * n_txns);
     }
 
     #[test]
@@ -1585,7 +1561,7 @@ mod tests {
             ..ViewSpec::full("solo", 3)
         }];
         let txns = vec![(100u64, 1usize, Bag::from_tuples([tup![7, 9]]))];
-        let (sched, shadows) = run(SchedulerMode::Shared, &solo, &txns);
+        let (sched, shadows) = run(&solo, &txns);
         assert_eq!(sched.metrics().queries_sent, 0);
         let id = sched.views().ids()[0];
         assert_eq!(sched.views().view_bag(id).unwrap(), &shadows[1]);
@@ -1603,7 +1579,7 @@ mod tests {
             (100u64, 0usize, Bag::from_tuples([tup![4, 7]])),
             (200, 2, Bag::from_tuples([tup![9, 13]])),
         ];
-        let (sched, shadows) = run(SchedulerMode::Shared, &right_only, &txns);
+        let (sched, shadows) = run(&right_only, &txns);
         assert_eq!(sched.metrics().updates_received, 2);
         assert_eq!(sched.metrics().queries_sent, 0);
         let id = sched.views().ids()[0];
@@ -1616,11 +1592,7 @@ mod tests {
     fn policy_cadence_batches_installs() {
         let mut batched = ViewSpec::full("batched", 3);
         batched.policy = ViewPolicy::Deferred { batch: 3 };
-        let (sched, shadows) = run(
-            SchedulerMode::Shared,
-            &[batched.clone()],
-            &interfering_txns(),
-        );
+        let (sched, shadows) = run(&[batched.clone()], &interfering_txns());
         let id = sched.views().ids()[0];
         // 6 updates at batch 3 → exactly 2 installs, still ground truth.
         assert_eq!(sched.views().metrics(id).unwrap().installs, 2);
@@ -1646,10 +1618,9 @@ mod tests {
             (101, 1, Bag::from_tuples([tup![9, 5]])),
             (102, 1, Bag::from_pairs([(tup![3, 7], -1)])),
         ];
-        let (plain, _) = run(SchedulerMode::Shared, &views, &txns);
+        let (plain, _) = run(&views, &txns);
         assert_eq!(plain.metrics().queries_sent, 3 * 2);
         let (batched, shadows) = run_with_options(
-            SchedulerMode::Shared,
             EngineOptions {
                 batch: 4,
                 ..Default::default()
@@ -1681,9 +1652,7 @@ mod tests {
             pushdown: true,
             ..Default::default()
         };
-        let mut sched =
-            MaintenanceScheduler::with_shards(base3(), SchedulerMode::Shared, pushdown, None)
-                .unwrap();
+        let mut sched = MaintenanceScheduler::with_shards(base3(), pushdown, None).unwrap();
         let left_pair = ViewSpec {
             lo: 0,
             hi: 1,
@@ -1724,43 +1693,35 @@ mod tests {
 
     #[test]
     fn pushdown_matches_unpushed_views_and_install_sequences() {
-        for mode in [SchedulerMode::Shared, SchedulerMode::Naive] {
-            let (plain, shadows) = run(mode, &specs(), &interfering_txns());
-            let (pushed, _) = run_with_options(
-                mode,
-                EngineOptions {
-                    pushdown: true,
-                    ..Default::default()
-                },
-                &specs(),
-                &interfering_txns(),
+        let (plain, shadows) = run(&specs(), &interfering_txns());
+        let (pushed, _) = run_with_options(
+            EngineOptions {
+                pushdown: true,
+                ..Default::default()
+            },
+            &specs(),
+            &interfering_txns(),
+        );
+        // Same message *count* — pushdown changes payloads, not the
+        // number of hops.
+        assert_eq!(plain.metrics().queries_sent, pushed.metrics().queries_sent);
+        // Ground truth still holds for the pushed run.
+        assert_ground_truth(pushed.views(), &specs(), &shadows);
+        for (spec, id) in specs().iter().zip(plain.views().ids()) {
+            assert_eq!(
+                plain.views().view_bag(id).unwrap(),
+                pushed.views().view_bag(id).unwrap(),
+                "view '{}' diverged under pushdown",
+                spec.name
             );
-            // Same message *count* — pushdown changes payloads, not the
-            // number of hops.
-            assert_eq!(plain.metrics().queries_sent, pushed.metrics().queries_sent);
-            for (spec, id) in specs().iter().zip(plain.views().ids()) {
-                assert_eq!(
-                    plain.views().view_bag(id).unwrap(),
-                    pushed.views().view_bag(id).unwrap(),
-                    "{mode:?} view '{}' diverged under pushdown",
-                    spec.name
-                );
-                // Ground truth still holds for the pushed run.
-                let local = spec.compile(pushed.views().base()).unwrap();
-                let refs: Vec<&Bag> = shadows[spec.lo..=spec.hi].iter().collect();
-                assert_eq!(
-                    pushed.views().view_bag(id).unwrap(),
-                    &eval_view(&local, &refs).unwrap()
-                );
-                // Identical install sequences: same consumed ids, same
-                // post-install snapshots, in the same order.
-                let a = plain.views().install_log(id).unwrap();
-                let b = pushed.views().install_log(id).unwrap();
-                assert_eq!(a.len(), b.len());
-                for (ra, rb) in a.iter().zip(b) {
-                    assert_eq!(ra.consumed, rb.consumed);
-                    assert_eq!(ra.view_after, rb.view_after);
-                }
+            // Identical install sequences: same consumed ids, same
+            // post-install snapshots, in the same order.
+            let a = plain.views().install_log(id).unwrap();
+            let b = pushed.views().install_log(id).unwrap();
+            assert_eq!(a.len(), b.len());
+            for (ra, rb) in a.iter().zip(b) {
+                assert_eq!(ra.consumed, rb.consumed);
+                assert_eq!(ra.view_after, rb.view_after);
             }
         }
     }
@@ -1801,6 +1762,54 @@ mod tests {
             &shadows,
         );
         assert_eq!(sched.views().ids()[1], late_id);
+    }
+
+    /// Contents evaluated from the sources' current state already hold
+    /// whatever is in flight or queued, and the sweeps then hand it to
+    /// the view again: a registration anywhere but a quiescent point is
+    /// refused at the call, and the run it interrupted is untouched.
+    #[test]
+    fn registering_a_swept_view_on_a_busy_scheduler_is_refused() {
+        let mut sched = MaintenanceScheduler::new(base3(), SchedulerMode::Shared).unwrap();
+        let early = ViewSpec::full("early", 3);
+        register(&mut sched, &early, &initial3());
+        let late = ViewSpec {
+            lo: 0,
+            hi: 1,
+            ..ViewSpec::full("late", 3)
+        };
+        let mut net: Network<Message> = Network::new(3);
+        let mut sources = sources(&base3(), &initial3());
+        let mut shadows = initial3();
+        // Two updates 20 µs apart: at the first answer one sweep is in
+        // flight and the other update is queued behind it.
+        for (at, src, t) in [(100, 1, tup![7, 9]), (120, 0, tup![6, 3])] {
+            let delta = Bag::from_tuples([t]);
+            shadows[src].merge(&delta);
+            net.inject(at, source_node(src), txn(src, delta));
+        }
+        let mut refusals = Vec::new();
+        pump_network(&mut net, &mut sched, &mut sources, |sched, msg, _| {
+            if refusals.is_empty() && matches!(msg, Message::SweepAnswer { .. }) {
+                let local = late.compile(sched.views().base()).unwrap();
+                let now: Vec<&Bag> = shadows[..=1].iter().collect();
+                let e = sched.register(&late, eval_view(&local, &now).unwrap());
+                refusals.push(e.unwrap_err());
+            }
+        });
+        match &refusals[..] {
+            [MvError::Warehouse(WarehouseError::Precondition { reason })] => assert_eq!(
+                reason,
+                "register a swept view at a quiescent point: \
+                 1 lane(s) in flight, 1 update(s) queued"
+            ),
+            other => panic!("expected one typed refusal, got {other:?}"),
+        }
+        assert!(sched.is_quiescent());
+        assert_eq!(sched.views().ids().len(), 1);
+        assert_ground_truth(sched.views(), &[early], &shadows);
+        // Quiescent now: the same registration is accepted.
+        register(&mut sched, &late, &shadows);
     }
 
     /// No WAL record names a view, so a registration under durability
@@ -2106,16 +2115,7 @@ mod tests {
     }
 
     #[test]
-    fn batching_and_cross_join_hops_are_refused() {
-        let (base, mode) = (base3(), SchedulerMode::Shared);
-        let batched = EngineOptions {
-            batch: 4,
-            ..EngineOptions::default()
-        };
-        assert!(matches!(
-            MaintenanceScheduler::with_shards(base, mode, batched, Some(ShardMap::hash(2))),
-            Err(MvError::Warehouse(WarehouseError::Config { .. }))
-        ));
+    fn cross_join_hops_are_refused_under_a_shard_map() {
         // No `.join` names the pair: the hop is a cross product, which
         // joins across bands — flat it is fine, sharded it is refused.
         let cross = ViewDefBuilder::new()
@@ -2124,11 +2124,100 @@ mod tests {
             .build()
             .unwrap();
         let opts = EngineOptions::default;
-        assert!(MaintenanceScheduler::with_shards(cross.clone(), mode, opts(), None).is_ok());
+        assert!(MaintenanceScheduler::with_shards(cross.clone(), opts(), None).is_ok());
         assert!(matches!(
-            MaintenanceScheduler::with_shards(cross, mode, opts(), Some(ShardMap::range(10, 2))),
+            MaintenanceScheduler::with_shards(cross, opts(), Some(ShardMap::range(10, 2))),
             Err(MvError::Warehouse(WarehouseError::Config { .. }))
         ));
+    }
+
+    /// All `R2` inserts, 50 µs apart from t = 100 on 1000 µs links: the
+    /// first sweeps alone (its round trip outlasts the burst), the rest
+    /// queue behind whatever it claims.
+    fn r2_burst(tuples: impl IntoIterator<Item = dw_relational::Tuple>) -> Vec<(Time, usize, Bag)> {
+        let at = |k: usize| 100 + 50 * k as Time;
+        let inserts = tuples.into_iter().enumerate();
+        inserts
+            .map(|(k, t)| (at(k), 1, Bag::from_tuples([t])))
+            .collect()
+    }
+
+    /// The `seq`s each install of view `id` consumed.
+    fn consumed_seqs(sched: &MaintenanceScheduler, id: ViewId) -> Vec<Vec<u64>> {
+        let seqs = |ids: Vec<UpdateId>| ids.iter().map(|u| u.seq).collect();
+        consumed_log(sched, id).into_iter().map(seqs).collect()
+    }
+
+    #[test]
+    fn a_lane_folds_its_batch_inside_its_mask() {
+        let specs = vec![ViewSpec::full("full", 3)];
+        // Band 0 busy with #0; #1 and #2 (band 0) queue behind it, #3
+        // (band 1) sweeps beside it, #4 (band 0) queues. When band 0
+        // frees, #1 folds #2 and stops: #3 has left for its own lane, and
+        // folding #4 over it would install a state the source never had.
+        let txns = r2_burst([
+            tup![3, 7],
+            tup![3, 9],
+            tup![5, 5],
+            tup![103, 107],
+            tup![5, 9],
+        ]);
+        let sched = batched(ShardMap::range(100, 2), 4);
+        let (sched, shadows) = drive(sched, banded_initial(), &specs, &txns, false);
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        assert_eq!(sched.stats().max_concurrent_lanes, 2);
+        let id = sched.views().ids()[0];
+        assert_eq!(
+            consumed_seqs(&sched, id),
+            vec![vec![0], vec![1, 2], vec![3], vec![4]]
+        );
+        // Four sweeps for five updates.
+        assert_eq!(sched.metrics().queries_sent, 4 * 2);
+    }
+
+    #[test]
+    fn a_fold_ends_at_an_update_outside_the_lanes_mask() {
+        let specs = vec![ViewSpec::full("full", 3)];
+        // Lane X (R2, band 0) and lane Y (R1, band 1 — a two-hop right
+        // leg, so it outlasts X) in flight; R2's #1 (band 0) and #2
+        // (band 1) queued behind them. X finishes first: #1 may not fold
+        // #2, whose band Y still sweeps — Y's query reached R2 after #2
+        // was applied there, and only the queued #2 compensates for it.
+        let txns = vec![
+            (50u64, 1usize, Bag::from_tuples([tup![3, 7]])),
+            (100, 0, Bag::from_tuples([tup![102, 103]])),
+            (150, 1, Bag::from_tuples([tup![3, 9]])),
+            (200, 1, Bag::from_tuples([tup![103, 105]])),
+        ];
+        let sched = batched(ShardMap::range(100, 2), 4);
+        let (sched, shadows) = drive(sched, banded_initial(), &specs, &txns, false);
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        let id = sched.views().ids()[0];
+        let r = |source, seq| vec![UpdateId { source, seq }];
+        assert_eq!(
+            consumed_log(&sched, id),
+            vec![r(1, 0), r(0, 0), r(1, 1), r(1, 2)]
+        );
+        assert!(sched.metrics().local_compensations > 0, "Y never met #2");
+    }
+
+    #[test]
+    fn folded_impure_tuples_fuse_their_bands_at_the_commit() {
+        let specs = vec![ViewSpec::full("full", 3)];
+        // #1 touches bands 0 and 1 with two *pure* tuples — its mask is
+        // {0, 1} but it fuses nothing; #2's tuple straddles the two and
+        // folds into #1's lane. Its commit must leave 0 and 1 one group,
+        // or later lanes would run side by side over rows they share.
+        let mut txns = r2_burst([tup![3, 7], tup![3, 9], tup![3, 103]]);
+        txns[1].2.merge(&Bag::from_tuples([tup![103, 107]]));
+        let sched = batched(ShardMap::range(100, 3), 2);
+        let (sched, shadows) = drive(sched, banded_initial3(), &specs, &txns, false);
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        let id = sched.views().ids()[0];
+        assert_eq!(consumed_seqs(&sched, id), vec![vec![0], vec![1, 2]]);
+        assert_eq!(sched.group_mask_of(0), 0b011);
+        assert_eq!(sched.group_mask_of(1), 0b011);
+        assert_eq!(sched.group_mask_of(2), 0b100);
     }
 
     #[test]
@@ -2289,7 +2378,7 @@ mod tests {
             let mut in_flight = 0u64;
             for _ in 0..rng.usize_below(3) {
                 let band = rng.usize_below(s);
-                let mask = sched.groups_of(1 << band);
+                let mask = groups_of(&sched.groups, 1 << band);
                 if mask & in_flight == 0 {
                     in_flight |= mask;
                     let views = sched.views().ids();

@@ -11,7 +11,7 @@
 //! live runtime) uses [`MaintenanceScheduler`] directly.
 
 use crate::registry::{MvError, ViewId};
-use crate::scheduler::{MaintenanceScheduler, SchedulerMode};
+use crate::scheduler::MaintenanceScheduler;
 use dw_engine::{EngineOptions, SharedInstallPublisher};
 use dw_obs::Obs;
 use dw_protocol::Message;
@@ -32,10 +32,9 @@ impl std::ops::Deref for ShardedScheduler {
 }
 
 impl ShardedScheduler {
-    /// Shared mode, default options, lanes over the bands of `map`.
+    /// Default options, lanes over the bands of `map`.
     pub fn new(base: ViewDef, map: ShardMap) -> Result<Self, MvError> {
-        let (mode, opts) = (SchedulerMode::Shared, EngineOptions::default());
-        MaintenanceScheduler::with_shards(base, mode, opts, Some(map)).map(Self)
+        MaintenanceScheduler::with_shards(base, EngineOptions::default(), Some(map)).map(Self)
     }
 
     /// See [`MaintenanceScheduler::seed_groups`].

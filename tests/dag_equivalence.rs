@@ -109,7 +109,7 @@ fn derived_views_equal_fresh_recompute_at_every_epoch() {
 
 /// Child maintenance costs zero source messages: the query/answer bill
 /// with the stack registered is byte-identical to the same scenario
-/// with the stack removed, across random cases and both modes.
+/// with the stack removed, across random cases.
 #[test]
 fn derived_views_never_touch_the_sources() {
     for case in 0..CASES {
@@ -121,19 +121,12 @@ fn derived_views_never_touch_the_sources() {
         let mut without = with.clone();
         without.derived.clear();
 
-        let mode = if case % 2 == 0 {
-            SchedulerMode::Shared
-        } else {
-            SchedulerMode::Naive
-        };
         let a = MultiViewExperiment::new(with)
-            .mode(mode)
             .latency(latency.clone())
             .seed(net_seed)
             .run()
             .unwrap();
         let b = MultiViewExperiment::new(without)
-            .mode(mode)
             .latency(latency)
             .seed(net_seed)
             .run()

@@ -113,8 +113,7 @@ fn sweep_conforms_across_backends() {
 
 /// Pushed vs unpushed σ: query pushdown is a *transport* optimization —
 /// on 128 seeded multi-view schedules (random spans, selections,
-/// projections, policies; shared and naive scheduling alternating) the
-/// pushed engine must produce, per view, the identical final bag and the
+/// projections, policies) the pushed engine must produce, per view, the identical final bag and the
 /// identical install sequence, while never shipping more answer bytes.
 #[test]
 fn pushdown_conforms_to_unpushed_engine() {
@@ -138,18 +137,11 @@ fn pushdown_conforms_to_unpushed_engine() {
             derived_seed: 0,
         };
         let scenario = mv.generate().unwrap();
-        let mode = if k % 2 == 0 {
-            SchedulerMode::Shared
-        } else {
-            SchedulerMode::Naive
-        };
         let plain = MultiViewExperiment::new(scenario.clone())
-            .mode(mode)
             .seed(k)
             .run()
             .unwrap();
         let pushed = MultiViewExperiment::new(scenario)
-            .mode(mode)
             .pushdown(true)
             .seed(k)
             .run()

@@ -3,7 +3,8 @@
 //! (one incremental query per hop, answer reused by every affected view)
 //! must land **every** view on exactly the bag that an independent,
 //! single-view plain SWEEP computes for that view's own sub-chain — and
-//! the naive per-view scheduler must agree with the shared one tuple for
+//! V one-view warehouses, each maintaining one of the views alone (the
+//! naive per-view baseline), must agree with the shared one tuple for
 //! tuple.
 //!
 //! Seeded random loops; every failure message names the case seed for
@@ -11,6 +12,7 @@
 
 use dw_rng::Rng64;
 use dwsweep::prelude::*;
+use dwsweep::protocol::UpdateId;
 
 /// Random latency model spanning all four families.
 fn arb_latency(r: &mut Rng64) -> LatencyModel {
@@ -108,46 +110,81 @@ fn shared_sweep_matches_per_view_plain_sweep() {
     }
 }
 
+/// The `V·2(n−1)` baseline, literally: every view maintained alone by a
+/// warehouse of its own over the same sources, stream, links and seed —
+/// a referee that shares no scheduling state with the shared run.
 #[test]
-fn shared_and_naive_modes_agree() {
+fn shared_sweep_matches_one_view_warehouses() {
+    let (mut views_compared, mut fingerprints_compared) = (0, 0);
     for case in 0..CASES {
         let mut r = Rng64::new(0xEA_0000 + case);
         let cfg = arb_multiview(&mut r);
         let latency = arb_latency(&mut r);
         let net_seed = r.next_u64();
+        let scenario = cfg.generate().unwrap();
+        let run = |scenario: MultiViewScenario| {
+            let exp = MultiViewExperiment::new(scenario).latency(latency.clone());
+            exp.seed(net_seed).run().unwrap()
+        };
 
-        let shared = MultiViewExperiment::new(cfg.generate().unwrap())
-            .latency(latency.clone())
-            .seed(net_seed)
-            .run()
-            .unwrap();
-        let naive = MultiViewExperiment::new(cfg.generate().unwrap())
-            .mode(SchedulerMode::Naive)
-            .latency(latency)
-            .seed(net_seed)
-            .run()
-            .unwrap();
-        assert!(shared.quiescent && naive.quiescent, "case {case}");
-        assert_eq!(shared.views.len(), naive.views.len(), "case {case}");
-        for (s, n) in shared.views.iter().zip(naive.views.iter()) {
+        let shared = run(scenario.clone());
+        assert!(shared.quiescent, "case {case}");
+        let mut alone_messages = 0;
+        for (spec, s) in scenario.views.iter().zip(&shared.views) {
+            let alone = run(MultiViewScenario {
+                views: vec![spec.clone()],
+                ..scenario.clone()
+            });
+            assert!(alone.quiescent, "case {case}: {} alone", spec.name);
+            alone_messages += alone.query_messages();
+            let a = &alone.views[0];
             assert_eq!(
-                s.view, n.view,
-                "case {case}: shared and naive modes disagree on view {}",
-                s.name
+                s.view, a.view,
+                "case {case}: the shared sweep and a warehouse of its own disagree on view {}",
+                spec.name
+            );
+            // Either way the view consumes its in-span updates in the
+            // order its warehouse received them…
+            let arrived = |report: &MultiViewReport| -> Vec<UpdateId> {
+                let ids = report.delivery_log.iter().map(|&(id, _)| id);
+                ids.filter(|id| spec.references(id.source)).collect()
+            };
+            let consumed = |v: &ViewOutcome| -> Vec<Vec<UpdateId>> {
+                v.installs.iter().map(|r| r.consumed.clone()).collect()
+            };
+            assert_eq!(consumed(s).concat(), arrived(&shared), "case {case}");
+            assert_eq!(consumed(a).concat(), arrived(&alone), "case {case}");
+            // …so where the two warehouses received the same order (the
+            // links draw one latency stream, and the runs send different
+            // numbers of queries), a SWEEP-cadence view has one
+            // fingerprint.
+            if spec.policy == ViewPolicy::Sweep && arrived(&shared) == arrived(&alone) {
+                assert_eq!(consumed(s), consumed(a), "case {case}: {}", spec.name);
+                fingerprints_compared += 1;
+            }
+            views_compared += 1;
+            let level = alone.min_consistency().unwrap();
+            assert!(
+                level >= ConsistencyLevel::Convergent,
+                "case {case}: {} alone is {level}",
+                spec.name
             );
         }
-        // Both modes land every view on final ground truth…
-        for (mode, report) in [("shared", &shared), ("naive", &naive)] {
-            if let Some(level) = report.min_consistency() {
-                assert!(
-                    level >= ConsistencyLevel::Convergent,
-                    "case {case}: {mode} mode weakest view is {level}"
-                );
-            }
+        // Sharing never costs messages: one sweep over the union of the
+        // spans against one sweep per affected view.
+        assert!(shared.query_messages() <= alone_messages, "case {case}");
+        // The shared run lands every view on final ground truth…
+        if let Some(level) = shared.min_consistency() {
+            assert!(
+                level >= ConsistencyLevel::Convergent,
+                "case {case}: shared sweep's weakest view is {level}"
+            );
         }
         // …and after the drain every view agrees on the shared sources.
         if let Some(m) = &shared.mutual {
             assert!(m.final_agreement, "case {case}: {}", m.detail);
         }
     }
+    assert!(views_compared >= 2 * CASES as usize, "{views_compared}");
+    assert!(fingerprints_compared >= 32, "{fingerprints_compared}");
 }

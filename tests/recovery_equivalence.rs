@@ -22,9 +22,9 @@
 //! sweep — even one interrupted by a crash window and re-driven through
 //! the reliability transport's retransmissions — completes before the
 //! next update arrives: 128 seeded schedules × adversarial crash
-//! placements (mid-hop, answer-in-flight, post-commit, pre-arrival) under
-//! both Shared and Naive scheduling. The *dense* arm sends a burst of
-//! updates ≤ 300 µs apart into 1 ms links and crashes the warehouse while
+//! placements (mid-hop, answer-in-flight, post-commit, pre-arrival).
+//! The *dense* arm sends a burst of updates ≤ 300 µs apart into 1 ms
+//! links and crashes the warehouse while
 //! the burst drains — several lanes in flight, commits buffered behind
 //! earlier tickets, groups fused by installed impure tuples — with the
 //! window opening after the burst's last delivery, so arrival order (and
@@ -96,13 +96,7 @@ fn crash_window(k: u64, txns: &[ScheduledTxn]) -> (Time, Time) {
 }
 
 fn run(scenario: &MultiViewScenario, k: u64, faults: FaultPlan) -> dwsweep::core::MultiViewReport {
-    let mode = if k.is_multiple_of(2) {
-        SchedulerMode::Shared
-    } else {
-        SchedulerMode::Naive
-    };
     MultiViewExperiment::new(scenario.clone())
-        .mode(mode)
         .seed(k)
         .faults(faults)
         .transport_auto()
@@ -112,8 +106,8 @@ fn run(scenario: &MultiViewScenario, k: u64, faults: FaultPlan) -> dwsweep::core
 }
 
 /// The headline theorem: 128 seeded schedules × adversarial crash
-/// placements, Shared and Naive alternating — crashed and fault-free
-/// runs are install-fingerprint- and bag-identical, per view.
+/// placements — crashed and fault-free runs are install-fingerprint- and
+/// bag-identical, per view.
 #[test]
 fn state_crash_runs_match_fault_free_runs() {
     let mut crashes_fired = 0u64;

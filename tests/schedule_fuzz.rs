@@ -534,8 +534,9 @@ fn multiview_pushdown_equivalent_on_fault_schedules() {
 /// The sharded warehouse behind the transport on the same adversarial
 /// network: S concurrent per-shard lanes under drops, duplication,
 /// reordering, and a source crash/restart — half the cases additionally
-/// state-crash the (durable) warehouse mid-run, every lane at once.
-/// Retransmission delays can
+/// state-crash the (durable) warehouse mid-run, every lane at once. Each
+/// case runs unbatched and again with every lane folding up to 2 or 4
+/// queued same-source updates inside its mask. Retransmission delays can
 /// legitimately permute cross-source arrival (and hence install) order,
 /// so this arm asserts the order-independent guarantees: every view
 /// drains, lands on exactly the clean-network unsharded engine's final
@@ -557,12 +558,10 @@ fn sharded_sweep_converges_on_fault_schedules() {
         .generate()
         .unwrap();
         let mut plan = hostile_plan(&mut r, 3);
-        let mut exp = MultiViewExperiment::new(generated.scenario.clone())
-            .shards(generated.map.clone())
-            .latency(LatencyModel::Constant(r.u64_in(500, 3_000)))
-            .seed(r.next_u64())
-            .transport_auto();
-        if case % 2 == 1 {
+        let latency = LatencyModel::Constant(r.u64_in(500, 3_000));
+        let net_seed = r.next_u64();
+        let durable = case % 2 == 1;
+        if durable {
             // Pile a warehouse state crash on top of the link faults:
             // every lane loses its volatile sweep; checkpoint + WAL bring
             // them back.
@@ -570,24 +569,41 @@ fn sharded_sweep_converges_on_fault_schedules() {
             let anchor = txns[r.usize_below(txns.len())].at;
             let down_at = anchor + 1_000;
             plan = plan.state_crash(0, down_at, down_at + r.u64_in(500, 3_000));
-            exp = exp.durability(1 + (case % 3) as usize);
         }
-        let report = exp.faults(plan).run().unwrap();
         // Referee: the unsharded engine on a clean network. Final bags
         // are arrival-order-independent, so they must agree exactly.
-        let clean = MultiViewExperiment::new(generated.scenario).run().unwrap();
-        assert!(report.quiescent && clean.quiescent, "case {case}");
-        assert_eq!(report.views.len(), clean.views.len(), "case {case}");
-        for (a, b) in report.views.iter().zip(&clean.views) {
-            assert_eq!(
-                a.view, b.view,
-                "case {case}: view '{}' diverged under faults + sharding",
-                a.name
-            );
-            assert!(a.view.all_positive(), "case {case}: view '{}'", a.name);
-        }
-        if let Some(m) = &report.mutual {
-            assert!(m.final_agreement, "case {case}: {}", m.detail);
+        let clean = MultiViewExperiment::new(generated.scenario.clone())
+            .run()
+            .unwrap();
+        assert!(clean.quiescent, "case {case}");
+        for batch in [1, 2 + 2 * (case / 2 % 2) as usize] {
+            let mut exp = MultiViewExperiment::new(generated.scenario.clone())
+                .shards(generated.map.clone())
+                .batch(batch)
+                .latency(latency.clone())
+                .seed(net_seed)
+                .transport_auto();
+            if durable {
+                exp = exp.durability(1 + (case % 3) as usize);
+            }
+            let report = exp.faults(plan.clone()).run().unwrap();
+            assert!(report.quiescent, "case {case}, batch {batch}");
+            assert_eq!(report.views.len(), clean.views.len(), "case {case}");
+            for (a, b) in report.views.iter().zip(&clean.views) {
+                assert_eq!(
+                    a.view, b.view,
+                    "case {case}, batch {batch}: view '{}' diverged under faults + sharding",
+                    a.name
+                );
+                assert!(a.view.all_positive(), "case {case}: view '{}'", a.name);
+            }
+            if let Some(m) = &report.mutual {
+                assert!(
+                    m.final_agreement,
+                    "case {case}, batch {batch}: {}",
+                    m.detail
+                );
+            }
         }
     }
 }
