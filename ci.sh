@@ -208,6 +208,16 @@ stage_engine_boundary() {
     echo "FAIL: deltas are signed Bags (no DeltaRelation); sources take join keys from JoinIndex::for_neighbor and hand the pushed σ to extend_hop (no join_cond( under crates/source/src, no .filter( copy of the relation in node.rs)" >&2
     ok=1
   fi
+  # The scan allocates nothing per row: hash_join hashes each row's key
+  # columns once into a flat table, and a key vector per row (key_of,
+  # a HashMap keyed by Vec<Value>) is the JoinIndex's alone (index.rs).
+  hits=$(non_test_code crates/relational/src/eval.rs |
+    grep -n 'key_of(\|HashMap<Vec<Value>' | sed 's|^|crates/relational/src/eval.rs: |')
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: the hop join's scan builds no per-row key vector — hash the key columns in place (hash_join); key_of / Vec<Value> keys live in index.rs for the JoinIndex" >&2
+    ok=1
+  fi
   # A sharded sweep is an ordinary sweep on the wire: the sources never
   # learn the ShardMap, so neither the scope type, nor source-side
   # slices, nor a `scope:` field in a query literal may come back.

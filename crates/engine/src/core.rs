@@ -32,7 +32,7 @@ use crate::view::MaterializedView;
 use dw_obs::{Obs, SpanId};
 use dw_protocol::{source_node, Message, SourceUpdate, SweepQuery, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{
-    extend_partial, merge_pivot, Bag, JoinSide, PartialDelta, Predicate, SharedBag, ViewDef,
+    extend_hop, merge_pivot, Bag, JoinSide, Neighbor, PartialDelta, Predicate, SharedBag, ViewDef,
 };
 use dw_simnet::{Delivery, NetHandle, Time};
 
@@ -250,20 +250,11 @@ impl EngineCore {
         hop: &mut Hop<'_>,
         later: &[&Bag],
     ) -> Result<(), WarehouseError> {
-        let (j, side) = (hop.j, hop.side);
-        let mut merged = self.queue.merged_from_source(j);
+        let mut merged = self.queue.merged_from_source(hop.j);
         for delta in later {
             merged.merge(delta);
         }
-        if let Some(pred) = ctx.push_pred(j) {
-            merged = merged.filter(|t| pred.eval(t));
-        }
-        if merged.is_empty() {
-            return Ok(());
-        }
-        let err = extend_partial(&self.view, &hop.temp, &merged, side)?;
-        self.apply_compensation(hop.dv, &err);
-        Ok(())
+        self.subtract_error(ctx, hop, &merged)
     }
 
     /// Nested SWEEP's variant (Figure 6): compensate **and remove** the
@@ -281,21 +272,33 @@ impl EngineCore {
             return Ok(None);
         }
         let (merged, infos) = self.queue.take_from_source(j);
-        // The error term sees the σ the source answered under; the
-        // *unfiltered* merged delta is what the caller folds into the
-        // composite change. When the interfering inserts and deletes
-        // cancel outright there is nothing to subtract — skip the join
-        // (no spurious compensation is accounted) but still hand the
-        // consumed ids back so they reach the install record.
-        let filtered = match ctx.push_pred(j) {
-            Some(pred) => merged.filter(|t| pred.eval(t)),
-            None => merged.clone(),
-        };
-        if !filtered.is_empty() {
-            let err = extend_partial(&self.view, &hop.temp, &filtered, hop.side)?;
-            self.apply_compensation(hop.dv, &err);
-        }
+        // The *unfiltered* merged delta is what the caller folds into the
+        // composite change; the consumed ids reach the install record
+        // even when no compensation is accounted.
+        self.subtract_error(ctx, hop, &merged)?;
         Ok(Some((merged, infos)))
+    }
+
+    /// `ΔV ← ΔV − ΔR_j ⋈ TempView` for one merged `ΔR_j`. The error term
+    /// sees the σ the source answered under, applied while the join
+    /// hashes `merged` (no filtered copy, no `source.*` counter). When no
+    /// row of `merged` qualifies — the interfering inserts and deletes
+    /// cancelled outright, or σ turns every one away — there is nothing
+    /// to subtract: no join runs and no compensation is accounted.
+    fn subtract_error(
+        &mut self,
+        ctx: &SweepCtx,
+        hop: &mut Hop<'_>,
+        merged: &Bag,
+    ) -> Result<(), WarehouseError> {
+        let pred = ctx.push_pred(hop.j);
+        if !merged.iter().any(|(t, _)| pred.is_none_or(|p| p.eval(t))) {
+            return Ok(());
+        }
+        let neighbor = Neighbor::Bag(merged);
+        let err = extend_hop(&self.view, &hop.temp, neighbor, hop.side, pred, &Obs::off())?;
+        self.apply_compensation(hop.dv, &err);
+        Ok(())
     }
 
     fn apply_compensation(&mut self, dv: &mut PartialDelta, err: &PartialDelta) {

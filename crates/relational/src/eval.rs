@@ -16,10 +16,11 @@
 //!   projection once the range covers the whole chain.
 //!
 //! The join itself is written once: [`extend_hop`] computes the hop's
-//! geometry and runs the one probe loop, whether the neighbor rows come
-//! from a bag hashed for the call or from a maintained
-//! [`JoinIndex`]; [`merge_pivot`] (§5.3's merge of two
-//! legs) probes with the same loop.
+//! geometry and joins the neighbor rows, whether they come from a bag
+//! hashed for the call (a flat, keyed table built without a per-row
+//! allocation) or from a maintained [`JoinIndex`]; [`merge_pivot`] (§5.3's
+//! merge of two legs) hashes with the same kernel. A NULL join key matches
+//! nothing, as under the residual selection's three-valued logic.
 //!
 //! Signed multiplicities flow through multiplication, so a delete joined
 //! with a delete produces a positive term — exactly the arithmetic the
@@ -32,7 +33,8 @@ use crate::predicate::Predicate;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::view::ViewDef;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Which side of the current range a neighbor relation is joined on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -215,44 +217,72 @@ impl HopGeometry {
     }
 }
 
-pub(crate) fn key_of(t: &Tuple, cols: &[usize]) -> Vec<Value> {
-    cols.iter().map(|&k| t.at(k).clone()).collect()
-}
+/// The link that ends a bucket's chain in [`hash_join`]'s table.
+const END: usize = usize::MAX;
 
-/// The probe half of the join, spelled once: every `(pt, pc)` of
-/// `partial` looks its `keys` columns up through `matches` — a hashed bag
-/// or a maintained index — and each match `(nt, nc)` emits `glue(pt, nt)`
-/// at `pc · nc`, so signs multiply.
-fn probe<'a, M: Iterator<Item = (&'a Tuple, i64)>>(
-    partial: &Bag,
-    keys: &[usize],
-    matches: impl Fn(&[Value]) -> M,
-    glue: impl Fn(&Tuple, &Tuple) -> Tuple,
-) -> Bag {
-    let mut out = Bag::new();
-    for (pt, pc) in partial.iter() {
-        for (nt, nc) in matches(&key_of(pt, keys)) {
-            out.add(glue(pt, nt), pc * nc);
-        }
-    }
-    out
-}
-
-/// Hash `rows` on their `row_keys` columns, then [`probe`] the table with
-/// `partial`. The table borrows its rows: no tuple is cloned.
+/// Hash `rows` on their `row_keys` columns, then probe the table with
+/// `partial`: every pair whose keys are equal emits `glue(pt, nt)` at
+/// `pc · nc`, so signs multiply.
+///
+/// The table is flat and borrows its rows: one vector of the kept rows,
+/// each with its key columns hashed **once** (SipHash under a key drawn
+/// for this call, so a crafted relation cannot flood one bucket), chained
+/// through power-of-two `heads` and `next` links. A probe row hashes its
+/// key columns the same way and compares columns only when the full
+/// 64-bit hashes agree — no key vector, no bucket vector, no rehash.
+///
+/// A row with a NULL key column joins nothing (SQL's `NULL = NULL` is not
+/// true) unless `nulls_join`: the pivot merge matches a tuple to itself.
 fn hash_join<'a>(
     partial: &Bag,
     part_keys: &[usize],
     rows: impl Iterator<Item = (&'a Tuple, i64)>,
     row_keys: &[usize],
+    nulls_join: bool,
     glue: impl Fn(&Tuple, &Tuple) -> Tuple,
 ) -> Bag {
-    let mut table: HashMap<Vec<Value>, Vec<(&Tuple, i64)>> = HashMap::new();
-    for (t, c) in rows {
-        table.entry(key_of(t, row_keys)).or_default().push((t, c));
+    let seed = RandomState::new();
+    let hash = |t: &Tuple, cols: &[usize]| {
+        let mut h = seed.build_hasher();
+        for &k in cols {
+            let v = t.at(k);
+            if !nulls_join && matches!(v, Value::Null) {
+                return None;
+            }
+            v.hash(&mut h);
+        }
+        Some(h.finish())
+    };
+    let (lower, upper) = rows.size_hint();
+    let mut built = Vec::with_capacity(upper.unwrap_or(lower));
+    built.extend(rows.filter_map(|(t, c)| Some((t, c, hash(t, row_keys)?))));
+    let mask = built.len().next_power_of_two() - 1;
+    let mut heads = vec![END; mask + 1];
+    let mut next = vec![END; built.len()];
+    for (i, &(_, _, h)) in built.iter().enumerate() {
+        let head = &mut heads[h as usize & mask];
+        next[i] = *head;
+        *head = i;
     }
-    let hits = |key: &[Value]| table.get(key).into_iter().flatten().copied();
-    probe(partial, part_keys, hits, glue)
+    let mut out = Bag::new();
+    for (pt, pc) in partial.iter() {
+        let Some(h) = hash(pt, part_keys) else {
+            continue;
+        };
+        let mut i = heads[h as usize & mask];
+        while let Some(&(nt, nc, nh)) = built.get(i) {
+            if nh == h
+                && part_keys
+                    .iter()
+                    .zip(row_keys)
+                    .all(|(&p, &r)| pt.at(p) == nt.at(r))
+            {
+                out.add(glue(pt, nt), pc * nc);
+            }
+            i = next[i];
+        }
+    }
+    out
 }
 
 /// Join a partial delta with the *neighbor* relation's bag on the given
@@ -315,7 +345,14 @@ pub fn extend_hop(
                 built += u64::from(kept);
                 kept
             });
-            let out = hash_join(&partial.bag, &geo.part_keys, kept, &geo.nbr_keys, glue);
+            let out = hash_join(
+                &partial.bag,
+                &geo.part_keys,
+                kept,
+                &geo.nbr_keys,
+                false,
+                glue,
+            );
             if let Some(found) = bad_arity {
                 return Err(RelationalError::ArityMismatch {
                     context: "extend_partial neighbor",
@@ -344,8 +381,7 @@ pub fn extend_hop(
                 });
             }
             let kept = |t: &Tuple| local.eval(t) && pushed.is_none_or(|p| p.eval(t));
-            let hits = |key: &[Value]| index.probe(key).filter(|&(t, _)| kept(t));
-            probe(&partial.bag, &geo.part_keys, hits, glue)
+            index.join(&partial.bag, &geo.part_keys, kept, glue)
         }
     };
     Ok(PartialDelta {
@@ -370,7 +406,7 @@ pub fn merge_pivot(view: &ViewDef, left: &PartialDelta, right: &PartialDelta) ->
     PartialDelta {
         lo: left.lo,
         hi: right.hi,
-        bag: hash_join(&left.bag, &trail, right.bag.iter(), &lead, glue),
+        bag: hash_join(&left.bag, &trail, right.bag.iter(), &lead, true, glue),
     }
 }
 
@@ -564,6 +600,52 @@ mod tests {
             extend_partial(&v, &pd, &bad, JoinSide::Right),
             Err(RelationalError::ArityMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn scan_counts_build_probe_out_and_pushdown_rows() {
+        // R3.F < 9 is R3's local σ; the query pushes R3.F >= 6.
+        let v = ViewDefBuilder::new()
+            .relation(Schema::new("R1", ["A", "B"]).unwrap())
+            .relation(Schema::new("R2", ["C", "D"]).unwrap())
+            .relation(Schema::new("R3", ["E", "F"]).unwrap())
+            .join("R1.B", "R2.C")
+            .join("R2.D", "R3.E")
+            .select("R3.F", CmpOp::Lt, 9)
+            .build()
+            .unwrap();
+        let r3 = Bag::from_pairs([
+            (tup![5, 1], 1), // turned away by the pushed σ
+            (tup![5, 6], 2),
+            (tup![5, 9], 1), // fails the local σ
+            (tup![7, 8], 1),
+        ]);
+        let pd = PartialDelta::seed(&v, 1, &Bag::from_tuples([tup![3, 5], tup![4, 4]])).unwrap();
+        let pushed = Predicate::Cmp {
+            attr: 1,
+            op: CmpOp::Ge,
+            value: Value::Int(6),
+        };
+        let (obs, rec) = dw_obs::Obs::trace();
+        let out = extend_hop(
+            &v,
+            &pd,
+            Neighbor::Bag(&r3),
+            JoinSide::Right,
+            Some(&pushed),
+            &obs,
+        );
+        assert_eq!(out.unwrap().bag, Bag::from_pairs([(tup![3, 5, 5, 6], 2)]));
+        let rec = rec.lock().unwrap();
+        assert_eq!(rec.counter("source.pushdown_filtered"), 1);
+        for (hist, rows) in [
+            ("join.build_rows", 2),
+            ("join.probe_rows", 2),
+            ("join.out_rows", 1),
+        ] {
+            let h = rec.histogram(hist).unwrap();
+            assert_eq!((h.count(), h.sum()), (1, rows), "{hist}");
+        }
     }
 
     #[test]

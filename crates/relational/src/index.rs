@@ -10,12 +10,16 @@
 
 use crate::bag::Bag;
 use crate::error::RelationalError;
-use crate::eval::{extend_hop, key_of, HopGeometry, JoinSide, Neighbor, PartialDelta};
+use crate::eval::{extend_hop, HopGeometry, JoinSide, Neighbor, PartialDelta};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::view::ViewDef;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+
+fn key_of(t: &Tuple, cols: &[usize]) -> Vec<Value> {
+    cols.iter().map(|&k| t.at(k).clone()).collect()
+}
 
 /// An incrementally maintained hash index of a relation on a fixed set of
 /// key attribute positions, mapping key values to the bag of tuples
@@ -83,6 +87,30 @@ impl JoinIndex {
     /// Tuples matching a key, as `(tuple, count)` pairs.
     pub fn probe(&self, key: &[Value]) -> impl Iterator<Item = (&Tuple, i64)> {
         self.buckets.get(key).into_iter().flat_map(Bag::iter)
+    }
+
+    /// The index arm of the hop join: every `(pt, pc)` of `partial` looks
+    /// its `keys` columns up, and each match `(nt, nc)` that is `kept`
+    /// emits `glue(pt, nt)` at `pc · nc`. A key with a NULL column has no
+    /// hits, as in the scan.
+    pub(crate) fn join(
+        &self,
+        partial: &Bag,
+        keys: &[usize],
+        kept: impl Fn(&Tuple) -> bool,
+        glue: impl Fn(&Tuple, &Tuple) -> Tuple,
+    ) -> Bag {
+        let mut out = Bag::new();
+        for (pt, pc) in partial.iter() {
+            let key = key_of(pt, keys);
+            if key.contains(&Value::Null) {
+                continue;
+            }
+            for (nt, nc) in self.probe(&key).filter(|&(t, _)| kept(t)) {
+                out.add(glue(pt, nt), pc * nc);
+            }
+        }
+        out
     }
 
     /// Reconstruct the indexed bag (test/verification hook).

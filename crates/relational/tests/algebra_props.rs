@@ -8,8 +8,9 @@
 //! property-testing framework needed.
 
 use dw_relational::{
-    eval_view, extend_hop, extend_partial, extend_partial_indexed, tup, Bag, CmpOp, JoinIndex,
-    JoinSide, Neighbor, PartialDelta, Predicate, Schema, ShardMap, Tuple, Value, ViewDefBuilder,
+    eval_view, extend_hop, extend_partial, extend_partial_indexed, merge_pivot, tup, Bag, CmpOp,
+    JoinIndex, JoinSide, Neighbor, PartialDelta, Predicate, Schema, ShardMap, Tuple, Value,
+    ViewDefBuilder,
 };
 use dw_rng::Rng64;
 
@@ -500,4 +501,191 @@ fn index_probe_equals_scan_equals_nested_loop() {
         "{pushed_cases} / {selected}"
     );
     assert!(crossed > 50, "only {crossed} cross-product hops");
+}
+
+// ---- The hop join's keys: every value type, fan-in, signed duplicates ---
+
+/// A join-column value from a small mixed domain: NULL, both booleans,
+/// integers, floats whose `-0.0` / NaN spellings must meet their
+/// canonical twins, and short strings — so equal keys of every type
+/// collide often, and distinct keys share the table's chains.
+fn arb_key(r: &mut Rng64) -> Value {
+    match r.usize_below(6) {
+        0 => Value::Null,
+        1 => Value::Bool(r.chance(0.5)),
+        2 => Value::Int(r.i64_in(0, 40)),
+        3 => Value::float([0.0, -0.0, f64::NAN, -f64::NAN, 1.5][r.usize_below(5)]),
+        _ => Value::str(["a", "b", ""][r.usize_below(3)]),
+    }
+}
+
+fn arb_key_pair(r: &mut Rng64) -> Tuple {
+    Tuple::new(vec![arb_key(r), arb_key(r)])
+}
+
+/// The scan and the index probe of one hop equal a nested loop over keys
+/// of every value type, where a NULL key column joins nothing: single-
+/// and two-column keys, both sides, signed partials and signed neighbors
+/// whose duplicates sum (and sometimes cancel), and in half the cases a
+/// hot key carried by 64–127 neighbor rows.
+#[test]
+fn hop_join_over_typed_keys_fan_in_and_signed_duplicates_equals_nested_loop() {
+    const KEY_CASES: u64 = 400;
+    let (mut nulls_refused, mut hot_hits, mut nonempty) = (0, 0, 0);
+    for case in 0..KEY_CASES {
+        let mut r = Rng64::new(5_000 + case);
+        let hot = r.chance(0.5).then(|| arb_key(&mut r));
+        // Two-column keys only without a hot key: a hot row there would be
+        // one tuple, not a fan-in.
+        let both = hot.is_none() && r.chance(0.4);
+        let mut b = ViewDefBuilder::new()
+            .relation(Schema::new("R0", ["X", "Y"]).unwrap())
+            .relation(Schema::new("R1", ["X", "Y"]).unwrap());
+        if both {
+            b = b.join("R0.X", "R1.X").join("R0.Y", "R1.Y");
+        } else {
+            b = b.join("R0.Y", "R1.X");
+        }
+        let view = b.build().unwrap();
+        let side = if r.chance(0.5) {
+            JoinSide::Left
+        } else {
+            JoinSide::Right
+        };
+        let (lo, nbr) = match side {
+            JoinSide::Right => (0, 1),
+            JoinSide::Left => (1, 0),
+        };
+        // (partial column, neighbor column) of every key pair.
+        let keys = match (both, side) {
+            (true, _) => vec![(0, 0), (1, 1)],
+            (false, JoinSide::Right) => vec![(1, 0)],
+            (false, JoinSide::Left) => vec![(0, 1)],
+        };
+        let with_key = |key: &Value, other: i64, col: usize| {
+            let mut vals = vec![Value::Int(other); 2];
+            vals[col] = key.clone();
+            Tuple::new(vals)
+        };
+        let mut relation = Bag::from_pairs(
+            (0..r.usize_below(200)).map(|_| (arb_key_pair(&mut r), r.i64_in(-2, 4))),
+        );
+        let mut partial_rows: Vec<(Tuple, i64)> = (0..r.usize_below(24))
+            .map(|_| (arb_key_pair(&mut r), r.i64_in(-3, 4)))
+            .collect();
+        if let Some(hot) = &hot {
+            let (pcol, ncol) = keys[0];
+            for i in 0..64 + r.usize_below(64) {
+                relation.add(with_key(hot, 1_000 + i as i64, ncol), r.i64_in(1, 3));
+            }
+            for i in 0..1 + r.usize_below(4) {
+                partial_rows.push((with_key(hot, 2_000 + i as i64, pcol), r.i64_in(-2, 3)));
+            }
+        }
+        // Duplicates sum, and a count may cancel to nothing.
+        let partial = PartialDelta {
+            lo,
+            hi: lo,
+            bag: Bag::from_pairs(partial_rows),
+        };
+
+        let mut expected = Bag::new();
+        for (pt, pc) in partial.bag.iter() {
+            for (nt, nc) in relation.iter() {
+                let equal = keys.iter().all(|&(p, n)| pt.at(p) == nt.at(n));
+                let null = keys.iter().any(|&(p, _)| *pt.at(p) == Value::Null);
+                nulls_refused += usize::from(equal && null);
+                hot_hits += usize::from(equal && !null && hot.as_ref() == Some(pt.at(keys[0].0)));
+                if equal && !null {
+                    let glued = match side {
+                        JoinSide::Left => nt.concat(pt),
+                        JoinSide::Right => pt.concat(nt),
+                    };
+                    expected.add(glued, pc * nc);
+                }
+            }
+        }
+
+        let mut index = JoinIndex::for_neighbor(&view, nbr, side).unwrap();
+        index.apply_delta(&relation);
+        let ctx = format!("case {case}: both {both}, {side:?}, hot {hot:?}");
+        let scan = extend_partial(&view, &partial, &relation, side).unwrap();
+        assert_eq!(scan.bag, expected, "{ctx}");
+        let probe = extend_partial_indexed(&view, &partial, &index, side).unwrap();
+        assert_eq!(probe, scan, "{ctx}");
+        nonempty += usize::from(!expected.is_empty());
+    }
+    assert!(nonempty > 300, "only {nonempty} non-empty joins");
+    assert!(
+        nulls_refused > 100,
+        "only {nulls_refused} NULL = NULL pairs"
+    );
+    assert!(hot_hits > 100 * 64, "only {hot_hits} hot-key matches");
+}
+
+/// The pivot merge is the one equi-join a NULL takes part in: it matches
+/// a leg's pivot tuple to the other leg's copy of the same tuple, every
+/// column included. Over signed legs with duplicates and pivots of every
+/// value type, it equals the nested loop.
+#[test]
+fn merge_pivot_equals_nested_loop() {
+    let view = ViewDefBuilder::new()
+        .relation(Schema::new("R0", ["X", "Y"]).unwrap())
+        .relation(Schema::new("R1", ["X", "Y"]).unwrap())
+        .relation(Schema::new("R2", ["X", "Y"]).unwrap())
+        .join("R0.Y", "R1.X")
+        .join("R1.Y", "R2.X")
+        .build()
+        .unwrap();
+    let (mut null_pivots, mut nonempty) = (0, 0);
+    for case in 0..CASES {
+        let mut r = Rng64::new(6_000 + case);
+        let pivots: Vec<Tuple> = (0..1 + r.usize_below(8))
+            .map(|_| arb_key_pair(&mut r))
+            .collect();
+        let leg = |r: &mut Rng64, pivot_first: bool| {
+            Bag::from_pairs((0..r.usize_below(24)).map(|_| {
+                let pivot = &pivots[r.usize_below(pivots.len())];
+                let other = arb_key_pair(r);
+                let t = if pivot_first {
+                    pivot.concat(&other)
+                } else {
+                    other.concat(pivot)
+                };
+                (t, r.i64_in(-3, 4))
+            }))
+        };
+        let left = PartialDelta {
+            lo: 0,
+            hi: 1,
+            bag: leg(&mut r, false),
+        };
+        let right = PartialDelta {
+            lo: 1,
+            hi: 2,
+            bag: leg(&mut r, true),
+        };
+        let mut expected = Bag::new();
+        for (lt, lc) in left.bag.iter() {
+            for (rt, rc) in right.bag.iter() {
+                if lt.values()[2..] == rt.values()[..2] {
+                    null_pivots += usize::from(lt.values()[2..].contains(&Value::Null));
+                    let tail = Tuple::new(rt.values()[2..].to_vec());
+                    expected.add(lt.concat(&tail), lc * rc);
+                }
+            }
+        }
+        let merged = merge_pivot(&view, &left, &right);
+        assert_eq!((merged.lo, merged.hi), (0, 2), "case {case}");
+        assert_eq!(merged.bag, expected, "case {case}");
+        nonempty += usize::from(!expected.is_empty());
+    }
+    assert!(
+        nonempty > CASES as usize / 2,
+        "only {nonempty} non-empty merges"
+    );
+    assert!(
+        null_pivots > 50,
+        "only {null_pivots} NULL-bearing pivots merged"
+    );
 }

@@ -485,7 +485,9 @@ mod tests {
 mod indexed_tests {
     use super::*;
     use dw_protocol::SweepQuery;
-    use dw_relational::{tup, Bag, CmpOp, PartialDelta, Predicate, Schema, Value, ViewDefBuilder};
+    use dw_relational::{
+        eval_view, tup, Bag, CmpOp, PartialDelta, Predicate, Schema, Tuple, Value, ViewDefBuilder,
+    };
     use dw_simnet::{Network, ENV};
 
     fn view3() -> ViewDef {
@@ -700,6 +702,66 @@ mod indexed_tests {
             query(4, 0, JoinSide::Right, probe, sigma(0)),
         ];
         assert_same_replies(&mut plain, &mut fast, &stream);
+    }
+
+    /// SQL's `R1.B = R2.C` never holds for a NULL, however it is spelled:
+    /// as the join condition it selects exactly what the same equality
+    /// selects as a residual (three-valued logic) — through `eval_view`
+    /// and through either source's answer, scanning or indexed.
+    #[test]
+    fn null_join_keys_match_nothing_in_either_spelling() {
+        let schemas = || {
+            ViewDefBuilder::new()
+                .relation(Schema::new("R1", ["A", "B"]).unwrap())
+                .relation(Schema::new("R2", ["C", "D"]).unwrap())
+        };
+        let joined = schemas().join("R1.B", "R2.C").build().unwrap();
+        let residual = schemas()
+            .select_across("R1.B", CmpOp::Eq, "R2.C")
+            .build()
+            .unwrap();
+        let row = |a: Value, b: Value| Tuple::new(vec![a, b]);
+        let r1 = [
+            tup![1, 3],
+            row(Value::Int(5), Value::Null),
+            row(Value::Int(6), Value::Null),
+        ];
+        let r2 = [
+            tup![3, 7],
+            row(Value::Null, Value::Int(8)),
+            row(Value::Null, Value::Int(9)),
+        ];
+        let truth = Bag::from_tuples([tup![1, 3, 3, 7]]);
+        let (b1, b2) = (Bag::from_tuples(r1.clone()), Bag::from_tuples(r2.clone()));
+        for view in [&joined, &residual] {
+            assert_eq!(eval_view(view, &[&b1, &b2]).unwrap(), truth, "{view:?}");
+            // R2's source answers R1's rows, R1's source answers R2's.
+            for (at, rows, other, side) in [
+                (1, &r2, &b1, JoinSide::Right),
+                (0, &r1, &b2, JoinSide::Left),
+            ] {
+                let schema = view.schema(at).clone();
+                let rel = || BaseRelation::from_tuples(schema.clone(), rows.clone()).unwrap();
+                for mut src in [
+                    DataSource::new(at, view.clone(), rel()),
+                    DataSource::with_indexes(at, view.clone(), rel()),
+                ] {
+                    let q = SweepQuery {
+                        qid: 1,
+                        partial: PartialDelta {
+                            lo: 1 - at,
+                            hi: 1 - at,
+                            bag: other.clone(),
+                        },
+                        side,
+                        epoch: 0,
+                        pred: None,
+                    };
+                    let answer = answer_of(&mut src, q).finalize(view).unwrap();
+                    assert_eq!(answer, truth, "{view:?} at {at}");
+                }
+            }
+        }
     }
 
     #[test]
