@@ -266,6 +266,16 @@ stage_engine_boundary() {
     echo "FAIL: MaintenanceScheduler has one mode — measure per-view maintenance as V one-view MultiViewExperiment runs (E14, tests/multiview_equivalence.rs), not as a scheduler mode or a builder .mode(..)" >&2
     ok=1
   fi
+  # One SWEEP: single-view SWEEP is a one-view MaintenanceScheduler
+  # under EngineOptions — the second warehouse stack and its option set
+  # must not come back (Nested SWEEP's constructors do not match).
+  hits=$(grep -rnE '\bSweepOptions\b|\bsweep::Sweep\b|(^|[^A-Za-z_])Sweep::(new|with_options)\(' \
+    crates src examples tests 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: SWEEP runs only as a MaintenanceScheduler (dw_multiview::OneViewSweep, PolicyKind::Sweep(EngineOptions::FIGURE_4)) — no single-view Sweep, no SweepOptions" >&2
+    ok=1
+  fi
   local rows
   rows=$(awk '/^\| Combination \| Why \| Error \|/ {t = 1; next}
     t && /^\|---/ {next}

@@ -12,9 +12,8 @@
 //! All must preserve complete consistency — asserted on every row.
 
 use dw_bench::TableWriter;
-use dw_core::{Experiment, PolicyKind};
+use dw_core::{EngineOptions, Experiment, PolicyKind};
 use dw_simnet::LatencyModel;
-use dw_warehouse::SweepOptions;
 use dw_workload::StreamConfig;
 
 fn main() {
@@ -30,44 +29,36 @@ fn main() {
         "consistency",
     ]);
 
+    let figure_4 = EngineOptions::FIGURE_4;
     let variants: [(&str, PolicyKind); 5] = [
-        (
-            "baseline",
-            PolicyKind::Sweep(SweepOptions {
-                parallel: false,
-                short_circuit_empty: false,
-                ..Default::default()
-            }),
-        ),
+        ("baseline", PolicyKind::Sweep(figure_4)),
         (
             "parallel sweeps",
-            PolicyKind::Sweep(SweepOptions {
-                parallel: true,
-                short_circuit_empty: false,
-                ..Default::default()
+            PolicyKind::Sweep(EngineOptions {
+                sequential: false,
+                ..figure_4
             }),
         ),
         (
             "short-circuit",
-            PolicyKind::Sweep(SweepOptions {
-                parallel: false,
+            PolicyKind::Sweep(EngineOptions {
                 short_circuit_empty: true,
-                ..Default::default()
+                ..figure_4
             }),
         ),
         (
             "parallel + short-circuit",
-            PolicyKind::Sweep(SweepOptions {
-                parallel: true,
+            PolicyKind::Sweep(EngineOptions {
+                sequential: false,
                 short_circuit_empty: true,
-                ..Default::default()
+                ..figure_4
             }),
         ),
         (
             "pipelined (unbounded)",
-            PolicyKind::Sweep(SweepOptions {
+            PolicyKind::Sweep(EngineOptions {
                 window: 0,
-                ..Default::default()
+                ..figure_4
             }),
         ),
     ];

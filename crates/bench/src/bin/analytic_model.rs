@@ -9,7 +9,7 @@
 //! * Nested SWEEP batch size — busy-period growth `1/(1−ρ)`.
 
 use dw_bench::{model, TableWriter};
-use dw_core::{Experiment, PolicyKind};
+use dw_core::{EngineOptions, Experiment, PolicyKind};
 use dw_simnet::LatencyModel;
 use dw_workload::{GapKind, StreamConfig};
 
@@ -56,7 +56,7 @@ fn main() {
             .unwrap()
         };
         let sweep = Experiment::new(scenario(5))
-            .policy(PolicyKind::Sweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .latency(LatencyModel::Constant(latency))
             .check_consistency(false)
             .run()

@@ -6,7 +6,7 @@
 //! queries per update for both.
 
 use dw_bench::TableWriter;
-use dw_core::{Experiment, PolicyKind};
+use dw_core::{EngineOptions, Experiment, PolicyKind};
 use dw_simnet::LatencyModel;
 use dw_workload::StreamConfig;
 
@@ -53,7 +53,8 @@ fn main() {
 
     for &n in ns {
         for (label, gap) in [("sparse", 60_000u64), ("dense", 600u64)] {
-            let (sweep_q, sweep_c) = run(n, gap, PolicyKind::Sweep(Default::default()), updates);
+            let (sweep_q, sweep_c) =
+                run(n, gap, PolicyKind::Sweep(EngineOptions::FIGURE_4), updates);
             let (cs_q, cs_c) = run(n, gap, PolicyKind::CStrobe, updates);
             t.row([
                 n.to_string(),

@@ -4,7 +4,7 @@
 //! *same* state sequence either way — and SWEEP delivers it.
 
 use dw_bench::TableWriter;
-use dw_core::{Experiment, PolicyKind};
+use dw_core::{EngineOptions, Experiment, PolicyKind};
 use dw_relational::{tup, Bag, KeySpec, Schema, ViewDefBuilder};
 use dw_simnet::LatencyModel;
 use dw_workload::{GeneratedScenario, ScheduledTxn};
@@ -52,7 +52,7 @@ fn scenario(gap: u64) -> GeneratedScenario {
 
 fn run(label: &str, gap: u64) -> Vec<String> {
     let report = Experiment::new(scenario(gap))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Constant(5_000))
         .run()
         .unwrap();

@@ -5,7 +5,7 @@
 //! burst grows (while worst-case stays bounded by SWEEP's cost).
 
 use dw_bench::TableWriter;
-use dw_core::{Experiment, PolicyKind};
+use dw_core::{EngineOptions, Experiment, PolicyKind};
 use dw_simnet::LatencyModel;
 use dw_workload::{GapKind, StreamConfig};
 
@@ -50,7 +50,7 @@ fn main() {
     let args = dw_bench::BenchArgs::parse();
     let bursts: &[usize] = dw_bench::pick(args.smoke, &[1, 4, 16], &[1, 2, 4, 8, 16, 32]);
     for &burst in bursts {
-        let (s_m, s_i, _) = msgs_per_update(PolicyKind::Sweep(Default::default()), burst);
+        let (s_m, s_i, _) = msgs_per_update(PolicyKind::Sweep(EngineOptions::FIGURE_4), burst);
         let (n_m, n_i, n_l) = msgs_per_update(PolicyKind::NestedSweep(Default::default()), burst);
         t.row([
             burst.to_string(),

@@ -5,7 +5,7 @@
 //! sends a compensating query. The network trace printed below is the
 //! paper's Figure 2 timeline, measured.
 
-use dw_core::{Experiment, PolicyKind};
+use dw_core::{EngineOptions, Experiment, PolicyKind};
 use dw_relational::{tup, Bag, KeySpec, Schema, ViewDefBuilder};
 use dw_simnet::{LatencyModel, TraceKind};
 use dw_workload::{GeneratedScenario, ScheduledTxn};
@@ -51,7 +51,7 @@ fn main() {
     };
 
     let report = Experiment::new(scenario)
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Constant(5_000))
         .trace(true)
         .run()

@@ -6,9 +6,8 @@
 //! (install time − delivery time) per update.
 
 use dw_bench::TableWriter;
-use dw_core::{Experiment, PolicyKind};
+use dw_core::{EngineOptions, Experiment, PolicyKind};
 use dw_simnet::LatencyModel;
-use dw_warehouse::SweepOptions;
 use dw_workload::StreamConfig;
 
 fn main() {
@@ -33,10 +32,10 @@ fn main() {
 
     for &gap in gaps {
         for kind in [
-            PolicyKind::Sweep(Default::default()),
-            PolicyKind::Sweep(SweepOptions {
+            PolicyKind::Sweep(EngineOptions::FIGURE_4),
+            PolicyKind::Sweep(EngineOptions {
                 window: 0,
-                ..Default::default()
+                ..EngineOptions::FIGURE_4
             }),
             PolicyKind::NestedSweep(Default::default()),
             PolicyKind::Strobe,

@@ -11,7 +11,7 @@ use super::{level_rank, PerfReport, EXACT_EPS};
 use crate::json::Json;
 use crate::pick;
 use dw_core::{
-    audit_lag_recoveries, audit_reads, publish_copied_tuples, Experiment, LagAudit,
+    audit_lag_recoveries, audit_reads, publish_copied_tuples, EngineOptions, Experiment, LagAudit,
     MultiViewExperiment, MultiViewReport, PolicyKind, RunReport,
 };
 use dw_relational::{tup, AggFn, AggregateSpec, Bag, CmpOp, Value};
@@ -117,7 +117,7 @@ impl Phase for E1Row {
             ("ECA", PolicyKind::Eca),
             ("Strobe", PolicyKind::Strobe),
             ("C-strobe", PolicyKind::CStrobe),
-            ("SWEEP", PolicyKind::Sweep(Default::default())),
+            ("SWEEP", PolicyKind::Sweep(EngineOptions::FIGURE_4)),
             ("Nested SWEEP", PolicyKind::NestedSweep(Default::default())),
             ("Recompute", PolicyKind::Recompute),
         ];
@@ -209,7 +209,7 @@ impl Phase for E6Row {
             .generate()
             .unwrap();
             Experiment::new(scenario)
-                .policy(PolicyKind::Sweep(Default::default()))
+                .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
                 .latency(LatencyModel::Constant(1_500))
                 .run()
                 .unwrap()
@@ -328,7 +328,7 @@ impl Phase for E12Row {
                     reorder_window: 4_000,
                 });
                 let report = Experiment::new(scenario)
-                    .policy(PolicyKind::Sweep(Default::default()))
+                    .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
                     .latency(LatencyModel::Constant(2_000))
                     .faults(plan)
                     .transport_auto()
@@ -564,7 +564,10 @@ impl Phase for E15Row {
             .iter()
             .map(|&k| {
                 let report = MultiViewExperiment::new(scenario.clone())
-                    .batch(k)
+                    .options(EngineOptions {
+                        batch: k,
+                        ..EngineOptions::default()
+                    })
                     .latency(LatencyModel::Constant(2_000))
                     .run()
                     .unwrap();
@@ -754,7 +757,10 @@ impl Phase for E16Row {
                 let scenario = selective_scenario(n, updates, views, threshold);
                 let sweep = |pushdown| {
                     MultiViewExperiment::new(scenario.clone())
-                        .pushdown(pushdown)
+                        .options(EngineOptions {
+                            pushdown,
+                            ..EngineOptions::default()
+                        })
                         .latency(LatencyModel::Constant(2_000))
                         .run()
                         .unwrap()

@@ -5,14 +5,15 @@ use crate::runner::{
     build_sources, dispatch_to_source, inject_txns, net_setters, NetProfile, SimHarness,
 };
 use dw_consistency::{classify, Recorder};
+use dw_multiview::{EngineOptions, OneViewSweep};
 use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{eval_view, Bag, RelationalError};
 use dw_serve::ServeError;
 use dw_simnet::{NodeId, Time};
 use dw_source::{EcaSite, SourceError};
 use dw_warehouse::{
-    CStrobe, Eca, MaintenancePolicy, NestedSweep, NestedSweepOptions, Recompute, Strobe, Sweep,
-    SweepOptions, WarehouseError,
+    CStrobe, Eca, MaintenancePolicy, NestedSweep, NestedSweepOptions, Recompute, Strobe,
+    WarehouseError,
 };
 use dw_workload::GeneratedScenario;
 use std::fmt;
@@ -20,10 +21,14 @@ use std::fmt;
 /// Which maintenance algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// SWEEP (§5) — complete consistency, local compensation. With
-    /// [`SweepOptions::window`] ≠ 1 it is Pipelined SWEEP, §5.3's second
-    /// optimization: overlapped sweeps, in-order installs.
-    Sweep(SweepOptions),
+    /// SWEEP (§5) — complete consistency, local compensation — as a
+    /// one-view scheduler ([`OneViewSweep`]) under these options.
+    /// [`EngineOptions::FIGURE_4`] is the paper's Figure 4;
+    /// `EngineOptions::default()` is the scheduler's default: §5.3's two
+    /// concurrent legs, not Figure 4's one. With [`EngineOptions::window`]
+    /// ≠ 1 it is Pipelined SWEEP, §5.3's second optimization: overlapped
+    /// sweeps, in-order installs.
+    Sweep(EngineOptions),
     /// Nested SWEEP (§6) — strong consistency, batched installs.
     NestedSweep(NestedSweepOptions),
     /// ECA — single-site source, quiescent installs.
@@ -40,8 +45,7 @@ impl PolicyKind {
     /// Short name matching `MaintenancePolicy::name`.
     pub fn name(&self) -> &'static str {
         match self {
-            PolicyKind::Sweep(SweepOptions { window: 1, .. }) => "sweep",
-            PolicyKind::Sweep(_) => "pipelined-sweep",
+            PolicyKind::Sweep(opts) => opts.sweep_name(),
             PolicyKind::NestedSweep(_) => "nested-sweep",
             PolicyKind::Eca => "eca",
             PolicyKind::Strobe => "strobe",
@@ -136,7 +140,7 @@ impl Experiment {
     pub fn new(scenario: GeneratedScenario) -> Self {
         Experiment {
             scenario,
-            policy: PolicyKind::Sweep(SweepOptions::default()),
+            policy: PolicyKind::Sweep(EngineOptions::FIGURE_4),
             net: NetProfile::default(),
             check_consistency: true,
             indexed_sources: false,
@@ -182,9 +186,7 @@ impl Experiment {
         let initial_view = eval_view(&view_def, &refs)?;
 
         let mut policy: Box<dyn MaintenancePolicy> = match self.policy {
-            PolicyKind::Sweep(opts) => {
-                Box::new(Sweep::with_options(view_def.clone(), initial_view, opts)?)
-            }
+            PolicyKind::Sweep(opts) => Box::new(OneViewSweep::new(&view_def, initial_view, opts)?),
             PolicyKind::NestedSweep(opts) => Box::new(NestedSweep::with_options(
                 view_def.clone(),
                 initial_view,
@@ -307,7 +309,7 @@ mod tests {
     #[test]
     fn sweep_is_complete_under_interference() {
         let report = Experiment::new(quick(25, 1))
-            .policy(PolicyKind::Sweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .run()
             .unwrap();
         assert!(report.quiescent);
@@ -385,7 +387,7 @@ mod tests {
         .generate()
         .unwrap();
         let report = Experiment::new(scenario)
-            .policy(PolicyKind::Sweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .run()
             .unwrap();
         assert!((report.messages_per_update() - (2 * (n - 1)) as f64).abs() < 1e-9);
@@ -418,7 +420,7 @@ mod tests {
         .generate()
         .unwrap();
         let report = Experiment::new(scenario)
-            .policy(PolicyKind::Sweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .run()
             .unwrap();
         assert_eq!(
@@ -481,19 +483,11 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_sequential() {
         let seq = Experiment::new(quick(25, 12))
-            .policy(PolicyKind::Sweep(SweepOptions {
-                parallel: false,
-                short_circuit_empty: false,
-                ..Default::default()
-            }))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .run()
             .unwrap();
         let par = Experiment::new(quick(25, 12))
-            .policy(PolicyKind::Sweep(SweepOptions {
-                parallel: true,
-                short_circuit_empty: false,
-                ..Default::default()
-            }))
+            .policy(PolicyKind::Sweep(EngineOptions::default()))
             .run()
             .unwrap();
         assert_eq!(seq.view, par.view);

@@ -7,14 +7,14 @@
 //! accounting, staleness, and a verified consistency classification.
 //!
 //! ```
-//! use dw_core::{Experiment, PolicyKind};
+//! use dw_core::{EngineOptions, Experiment, PolicyKind};
 //! use dw_workload::StreamConfig;
 //!
 //! let scenario = StreamConfig { updates: 10, ..Default::default() }
 //!     .generate()
 //!     .unwrap();
 //! let report = Experiment::new(scenario)
-//!     .policy(PolicyKind::Sweep(Default::default()))
+//!     .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
 //!     .run()
 //!     .unwrap();
 //! assert_eq!(report.consistency.as_ref().unwrap().level.to_string(), "complete");
@@ -50,6 +50,7 @@ pub mod report;
 mod runner;
 pub mod serve;
 
+pub use dw_multiview::EngineOptions;
 pub use experiment::{CoreError, Experiment, PolicyKind};
 pub use multi_experiment::{DerivedOutcome, MultiViewExperiment, MultiViewReport, ViewOutcome};
 pub use report::RunReport;

@@ -78,23 +78,13 @@ impl MultiViewExperiment {
         self
     }
 
-    /// Enable cross-update batching: one shared sweep folds up to `k`
-    /// queued same-source updates (`1` disables; under
-    /// [`shards`](Self::shards), those inside the lane's band mask). The
-    /// E15 experiment measures messages/update falling toward
-    /// `2(n−1)/k` under bursty arrivals.
-    pub fn batch(mut self, k: usize) -> Self {
-        self.opts.batch = k;
-        self
-    }
-
-    /// Push per-view selection predicates down to the sources: sweep
-    /// queries carry the affected views' σ over the target relation and
-    /// sources filter before joining, so only qualifying tuples travel
-    /// back. Final views and install sequences are identical either way;
-    /// the E16 experiment measures the tuples-on-wire reduction.
-    pub fn pushdown(mut self, on: bool) -> Self {
-        self.opts.pushdown = on;
+    /// The scheduler's options ([`EngineOptions`]): cross-update batching
+    /// (E15), σ pushdown (E16), Figure 4's one leg, the empty
+    /// short-circuit and pipelining, each composing with a partitioner,
+    /// durability and reads. A batch width of 0 is refused, typed, by
+    /// [`run`](Self::run).
+    pub fn options(mut self, opts: EngineOptions) -> Self {
+        self.opts = opts;
         self
     }
 

@@ -121,7 +121,7 @@ mod tests {
             .generate()
             .unwrap(),
         )
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(crate::EngineOptions::FIGURE_4))
         .run()
         .unwrap()
     }

@@ -5,7 +5,7 @@
 //! assumption instead of granting it.
 
 use dw_consistency::{verify_fifo, ConsistencyLevel};
-use dw_core::{Experiment, PolicyKind};
+use dw_core::{EngineOptions, Experiment, PolicyKind};
 use dw_simnet::{FaultPlan, LinkFaults};
 use dw_workload::{GeneratedScenario, StreamConfig};
 use std::collections::HashSet;
@@ -40,7 +40,7 @@ fn nasty_plan() -> FaultPlan {
 #[test]
 fn sweep_stays_complete_under_faults_with_transport() {
     let report = Experiment::new(scenario(25, 101))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .faults(nasty_plan())
         .transport_auto()
         .run()
@@ -77,7 +77,7 @@ fn updates_are_exactly_once_under_duplication() {
     // Heavy duplication, no drops: without the transport's dedup every
     // update would hit the warehouse at least once more.
     let report = Experiment::new(scenario(30, 103))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .faults(FaultPlan::default().dup_rate(0.8))
         .transport_auto()
         .run()
@@ -100,7 +100,7 @@ fn duplication_without_transport_breaches_the_channel_contract() {
     // Same duplication, no transport: the FIFO verifier must catch the
     // repeats that the warehouse is not built to tolerate.
     match Experiment::new(scenario(30, 103))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .faults(FaultPlan::default().dup_rate(0.8))
         .run()
     {
@@ -124,7 +124,7 @@ fn faults_without_transport_break_sweep() {
     // end quiescent-and-complete. The paper's claims really do depend on
     // the channel contract.
     match Experiment::new(scenario(25, 104))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .faults(FaultPlan::default().drop_rate(0.3))
         .run()
     {
@@ -148,11 +148,11 @@ fn transport_is_invisible_on_a_clean_network() {
     // final view, identical logical message accounting (2(n−1) per
     // update), zero retransmissions.
     let bare = Experiment::new(scenario(20, 105))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .run()
         .unwrap();
     let transported = Experiment::new(scenario(20, 105))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .transport_auto()
         .run()
         .unwrap();
@@ -173,7 +173,7 @@ fn transport_is_invisible_on_a_clean_network() {
 #[test]
 fn retransmission_overhead_is_measurable_under_loss() {
     let report = Experiment::new(scenario(25, 106))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .faults(FaultPlan::default().drop_rate(0.2))
         .transport_auto()
         .run()
@@ -197,7 +197,7 @@ fn retransmission_overhead_is_measurable_under_loss() {
 fn deterministic_replay_under_faults_and_transport() {
     let run = || {
         Experiment::new(scenario(20, 107))
-            .policy(PolicyKind::Sweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .faults(nasty_plan())
             .transport_auto()
             .seed(7)
@@ -220,7 +220,7 @@ fn source_crash_recovery_preserves_completeness() {
     // A long crash window swallowing part of the update stream: the
     // journaled transport must replay everything after restart.
     let report = Experiment::new(scenario(30, 108))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .faults(FaultPlan::default().crash(1, 1_000, 100_000))
         .transport_auto()
         .run()

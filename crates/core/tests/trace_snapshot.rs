@@ -3,7 +3,7 @@
 //! byte-identical rendered traces — and attaching the recorder must not
 //! change what the experiment computes.
 
-use dw_core::{Experiment, MultiViewExperiment, PolicyKind, RunReport};
+use dw_core::{EngineOptions, Experiment, MultiViewExperiment, PolicyKind, RunReport};
 use dw_obs::Obs;
 use dw_simnet::LatencyModel;
 use dw_workload::{MultiViewConfig, ReadMixConfig, StreamConfig};
@@ -32,7 +32,7 @@ fn run(policy: PolicyKind, obs: Obs) -> RunReport {
 fn seeded_sweep_traces_are_byte_identical() {
     let render = || {
         let (obs, rec) = Obs::trace();
-        run(PolicyKind::Sweep(Default::default()), obs);
+        run(PolicyKind::Sweep(EngineOptions::FIGURE_4), obs);
         let rec = rec.lock().unwrap();
         rec.render()
     };
@@ -45,28 +45,37 @@ fn seeded_sweep_traces_are_byte_identical() {
 #[test]
 fn sweep_trace_contains_expected_spans_and_counters() {
     let (obs, rec) = Obs::trace();
-    let report = run(PolicyKind::Sweep(Default::default()), obs);
+    let report = run(PolicyKind::Sweep(EngineOptions::FIGURE_4), obs);
     let rec = rec.lock().unwrap();
     let text = rec.render();
 
-    // One "sweep" span per processed update, one hop span per query leg.
+    // SWEEP is the one scheduler, so it speaks the scheduler's `mv.*`
+    // vocabulary: one "mv.sweep" span per processed update, one hop span
+    // per query leg.
     assert!(text.contains("== spans =="));
-    assert!(text.contains("sweep ["));
+    assert!(text.contains("mv.sweep ["));
     assert!(
-        text.contains("  sweep.hop ["),
+        text.contains("  mv.hop ["),
         "hops nest under the sweep span"
     );
     assert!(text.contains("== histograms =="));
-    assert!(text.contains("sweep:"), "span durations feed a histogram");
+    assert!(
+        text.contains("mv.sweep:"),
+        "span durations feed a histogram"
+    );
     assert!(text.contains("net.queue_delay:"));
 
     // Span accounting matches the report's own counters.
-    let sweeps = rec.histogram("sweep").map_or(0, |h| h.count());
+    let sweeps = rec.histogram("mv.sweep").map_or(0, |h| h.count());
     assert_eq!(sweeps, report.metrics.updates_received);
-    let hops = rec.histogram("sweep.hop").map_or(0, |h| h.count());
+    let hops = rec.histogram("mv.hop").map_or(0, |h| h.count());
     assert_eq!(hops, report.metrics.queries_sent);
     assert_eq!(
-        rec.counter("sweep.compensations"),
+        rec.counter("mv.shared_queries"),
+        report.metrics.queries_sent
+    );
+    assert_eq!(
+        rec.counter("mv.compensations"),
         report.metrics.local_compensations
     );
 }
@@ -89,9 +98,9 @@ fn nested_sweep_traces_are_deterministic_and_labeled() {
 /// `engine.hop` span per query that SWEEP and Nested SWEEP always have.
 #[test]
 fn pipelined_and_strobe_hops_are_observable_and_deterministic() {
-    let pipelined = PolicyKind::Sweep(dw_warehouse::SweepOptions {
+    let pipelined = PolicyKind::Sweep(EngineOptions {
         window: 0,
-        ..Default::default()
+        ..EngineOptions::FIGURE_4
     });
     for policy in [pipelined, PolicyKind::Strobe] {
         let render = || {
@@ -109,9 +118,9 @@ fn pipelined_and_strobe_hops_are_observable_and_deterministic() {
 
 #[test]
 fn observer_does_not_change_results() {
-    let silent = run(PolicyKind::Sweep(Default::default()), Obs::off());
+    let silent = run(PolicyKind::Sweep(EngineOptions::FIGURE_4), Obs::off());
     let (obs, _rec) = Obs::trace();
-    let observed = run(PolicyKind::Sweep(Default::default()), obs);
+    let observed = run(PolicyKind::Sweep(EngineOptions::FIGURE_4), obs);
     assert_eq!(silent.view, observed.view);
     assert_eq!(silent.end_time, observed.end_time);
     assert_eq!(silent.events, observed.events);

@@ -38,21 +38,19 @@ use dw_simnet::{Delivery, NetHandle, Time};
 
 /// The span and counter names an adapter wants the engine to emit on its
 /// behalf, so each executor keeps its historical trace vocabulary
-/// (`sweep.hop`, `nested_sweep.hop`, `mv.hop`, …) while the mechanism
+/// (`nested_sweep.hop`, `mv.hop`, `shard.hop`, …) while the mechanism
 /// lives in one place.
 #[derive(Clone, Copy, Debug)]
 pub struct SpanLabels {
-    /// Top-level span opened per unit of sweep work (`"sweep"`,
-    /// `"nested_sweep"`, `"mv.sweep"`).
+    /// Top-level span opened per unit of sweep work (`"nested_sweep"`,
+    /// `"mv.sweep"`, …).
     pub sweep: &'static str,
-    /// Per-hop span (`"sweep.hop"`, …), parented under [`SpanLabels::sweep`].
+    /// Per-hop span (`"mv.hop"`, …), parented under [`SpanLabels::sweep`].
     pub hop: &'static str,
     /// Counter bumped on every local compensation.
     pub compensations: &'static str,
     /// Optional histogram of outgoing query payload rows.
     pub query_rows: Option<&'static str>,
-    /// Optional histogram of compensation error-term rows.
-    pub comp_rows: Option<&'static str>,
     /// Optional counter bumped once per query sent (the scheduler's
     /// `mv.shared_queries`).
     pub query_counter: Option<&'static str>,
@@ -78,8 +76,8 @@ impl HopSpan {
 
 /// The ambient state of **one** sweep: what every query of that sweep is
 /// stamped with and what its compensations must mirror. Owned by
-/// whoever owns the sweep — the single-view executors keep one, the
-/// multiview scheduler keeps one per in-flight lane — so any number of
+/// whoever owns the sweep — Nested SWEEP keeps one per frame, the
+/// scheduler one per in-flight lane — so any number of
 /// sweeps can share an [`EngineCore`] without stepping on each other.
 #[derive(Clone, Debug)]
 pub struct SweepCtx {
@@ -242,8 +240,8 @@ impl EngineCore {
     /// source, **without removing** them from the queue (plain SWEEP —
     /// the interfering updates still get their own sweeps later).
     /// `later` adds the deltas of updates from `j` that already left the
-    /// queue for a sweep of their own but arrived *after* this sweep's
-    /// update (pipelining): one merged `ΔR_j`, one compensation.
+    /// queue for a sweep of their own but install *after* this sweep's
+    /// (pipelining): one merged `ΔR_j`, one compensation.
     pub fn compensate(
         &mut self,
         ctx: &SweepCtx,
@@ -306,9 +304,6 @@ impl EngineCore {
         self.metrics.local_compensations += 1;
         self.obs.add(self.labels.compensations, 1);
         self.obs.add("engine.compensations", 1);
-        if let Some(hist) = self.labels.comp_rows {
-            self.obs.observe(hist, err.bag.distinct_len() as u64);
-        }
     }
 
     /// Record how many queued updates one completed unit of sweep work
@@ -449,6 +444,11 @@ impl SweepRun {
     /// partial, whichever side is asked for).
     pub fn leg(&self, side: JoinSide) -> &PartialDelta {
         &self.legs[(side as usize).min(self.legs.len() - 1)].dv
+    }
+
+    /// Does this run walk one leg ([`SweepRun::sequential`])?
+    pub fn is_sequential(&self) -> bool {
+        self.legs.len() == 1
     }
 
     /// Is this run waiting on the answer to `qid`?
@@ -747,7 +747,6 @@ mod tests {
         hop: "t.hop",
         compensations: "t.comp",
         query_rows: None,
-        comp_rows: None,
         query_counter: None,
     };
 

@@ -9,10 +9,10 @@
 //!   against the FIFO update queue, pivot merging of parallel legs
 //!   ([`SweepRun::merge`]), and atomic install with staleness accounting
 //!   ([`InstallSink`]).
-//! * **Strategy** ([`SweepPolicy`] implementors): SWEEP's window of runs
-//!   with in-order release, Nested SWEEP's dovetailing stack of runs, the
-//!   Strobe family's key-based actions and the multiview lanes are thin
-//!   adapters that decide *which* concurrent updates a hop compensates
+//! * **Strategy** ([`SweepPolicy`] implementors): the scheduler's lanes
+//!   (SWEEP over one view or many, with in-order release), Nested SWEEP's
+//!   dovetailing stack of runs and the Strobe family's key-based actions
+//!   are thin adapters that decide *which* concurrent updates a hop compensates
 //!   for and *when* to install, all driving the same mechanism.
 //!
 //! The transport is abstracted behind [`dw_simnet::NetHandle`], which both
@@ -53,7 +53,7 @@ pub use error::WarehouseError;
 pub use install::InstallRecord;
 pub use live::{run_cluster, ClusterOutcome, LiveError, NodeRunner, ThreadNet};
 pub use metrics::PolicyMetrics;
-pub use options::{EngineOptions, NestedSweepOptions, SweepOptions};
+pub use options::EngineOptions;
 pub use policy::MaintenancePolicy;
 pub use publish::{InstallEvent, InstallPublisher, SharedInstallPublisher};
 pub use queue::{PendingUpdate, UpdateQueue};

@@ -1,39 +1,5 @@
-//! Engine-level tuning knobs, shared by every sweep-family executor.
-
-/// Options for SWEEP.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SweepOptions {
-    /// Launch both legs at once (§5.3's parallel variant): the right leg
-    /// seeds from the update's *support* and the two halves are merged at
-    /// the pivot when both return.
-    pub parallel: bool,
-    /// Stop sweeping the moment the partial delta goes empty — the final
-    /// view change is then provably empty too.
-    pub short_circuit_empty: bool,
-    /// Maximum sweeps in flight at once (§5.3's pipelining; installs stay
-    /// in arrival order). `1` is the paper's Figure 4 — one update at a
-    /// time — and the default; `0` means unbounded.
-    pub window: usize,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            parallel: false,
-            short_circuit_empty: false,
-            window: 1,
-        }
-    }
-}
-
-/// Options for Nested SWEEP.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NestedSweepOptions {
-    /// Maximum dovetailing depth (frame-stack height) before interfering
-    /// updates fall back to SWEEP-style compensation-without-removal.
-    /// `None` means unbounded.
-    pub max_depth: Option<usize>,
-}
+//! The scheduler's option set — the one set of knobs every SWEEP runs
+//! under, one view or many.
 
 /// The multiview scheduler's option set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,35 +12,65 @@ pub struct EngineOptions {
     /// Push per-view selection predicates down to the sources: each
     /// sweep query carries the union of the affected views' σ over the
     /// target relation, the source filters before joining, and the
-    /// compensation term applies the same predicate (multiview scheduler
-    /// only; single-view executors already evaluate their σ source-side
-    /// through the shipped view definition). Off by default — the wire
-    /// behavior is then bit-identical to the pre-pushdown engine.
+    /// compensation term applies the same predicate. Off by default —
+    /// the sources then answer over the bare join chain and every view's
+    /// σ is applied at the warehouse. SWEEP over one view
+    /// (`dw_multiview::OneViewSweep`) always pushes: its pushed σ is the
+    /// view's own, which its sources apply anyway.
     pub pushdown: bool,
+    /// Walk Figure 4's one leg (leftward, then rightward) wherever it
+    /// serves every view of the sweep — always, for one view — instead of
+    /// §5.3's two concurrent legs (the default).
+    pub sequential: bool,
+    /// Send no query for an empty seed, and stop a one-leg walk once its
+    /// partial empties: the final view change is then empty too. Off by
+    /// default — the paper always completes the sweep.
+    pub short_circuit_empty: bool,
+    /// §5.3's pipelining: how many sweeps may run at once over one band
+    /// (`0` = unbounded). `1`, the default, is Figure 4 — one sweep at a
+    /// time per band; installs leave in arrival order either way.
+    pub window: usize,
 }
 
+/// Two legs, one sweep per band, nothing else: for one view §5.3's
+/// two-leg SWEEP, not Figure 4 (that is [`EngineOptions::FIGURE_4`]).
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             batch: 1,
             pushdown: false,
+            sequential: false,
+            short_circuit_empty: false,
+            window: 1,
         }
     }
 }
 
 impl EngineOptions {
-    /// Batching width clamped to at least 1.
-    pub fn batch_width(&self) -> usize {
-        self.batch.max(1)
+    /// SWEEP as the paper's Figure 4 draws it: one leg, one update at a
+    /// time, every sweep completed.
+    pub const FIGURE_4: EngineOptions = EngineOptions {
+        batch: 1,
+        pushdown: false,
+        sequential: true,
+        short_circuit_empty: false,
+        window: 1,
+    };
+
+    /// The report name of single-view SWEEP under these options:
+    /// `pipelined-sweep` with a window other than Figure 4's.
+    pub fn sweep_name(&self) -> &'static str {
+        match self.window {
+            1 => "sweep",
+            _ => "pipelined-sweep",
+        }
     }
 
     /// Reject configurations that cannot mean anything: a batch width of
     /// zero would let zero updates drive a sweep. Executors call this at
     /// construction so the mistake surfaces as a typed
     /// [`WarehouseError::Config`](crate::error::WarehouseError::Config)
-    /// instead of being clamped silently at
-    /// use sites ([`EngineOptions::batch_width`] stays as defense in
-    /// depth for options built after validation).
+    /// instead of being clamped silently at use sites.
     pub fn validate(&self) -> Result<(), crate::error::WarehouseError> {
         if self.batch == 0 {
             return Err(crate::error::WarehouseError::Config {
@@ -90,23 +86,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_disable_everything() {
+    fn defaults_are_the_plain_scheduler_and_figure_4_is_one_leg() {
         let o = EngineOptions::default();
-        assert_eq!(o.batch_width(), 1);
-        assert!(!o.pushdown);
+        assert_eq!((o.batch, o.window), (1, 1));
+        assert!(!o.pushdown && !o.sequential && !o.short_circuit_empty);
         // Figure 4: one sweep at a time, sequential, always completed.
-        let s = SweepOptions::default();
-        assert!(!s.parallel && !s.short_circuit_empty);
-        assert_eq!(s.window, 1);
-    }
-
-    #[test]
-    fn batch_width_clamps_zero() {
-        let o = EngineOptions {
-            batch: 0,
-            ..Default::default()
-        };
-        assert_eq!(o.batch_width(), 1);
+        let f = EngineOptions::FIGURE_4;
+        assert_eq!(
+            f,
+            EngineOptions {
+                sequential: true,
+                ..o
+            }
+        );
+        assert_eq!(f.sweep_name(), "sweep");
+        let pipelined = EngineOptions { window: 0, ..f };
+        assert_eq!(pipelined.sweep_name(), "pipelined-sweep");
     }
 
     #[test]

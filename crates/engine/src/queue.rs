@@ -44,11 +44,6 @@ impl UpdateQueue {
         self.q.pop_front()
     }
 
-    /// Peek at the head without removing it.
-    pub fn peek(&self) -> Option<&PendingUpdate> {
-        self.q.front()
-    }
-
     /// Number of queued updates.
     pub fn len(&self) -> usize {
         self.q.len()
@@ -387,6 +382,6 @@ mod tests {
         assert!(q.merged_from_source(0).is_empty());
         assert!(!q.has_from_source(0));
         assert!(q.is_empty());
-        assert!(q.peek().is_none());
+        assert!(q.is_empty());
     }
 }

@@ -1,36 +1,33 @@
-//! The global install-order sequencer of the sharded warehouse.
+//! The warehouse's one install order. Sweeps *compute* view deltas in
+//! any order — lanes of different bands, or of one band under a window
+//! — but installs leave in update-arrival order:
 //!
-//! Per-shard sweeps *compute* view deltas concurrently, but the warehouse
-//! must *install* them in one global order — the sharded engine's
-//! conformance claim is that this order equals the unsharded engine's
-//! (update-arrival order). The sequencer enforces it mechanically:
-//!
-//! * a **ticket** is issued for every update the moment it arrives at the
-//!   warehouse (before any scheduling decision), so ticket order *is*
-//!   arrival order;
-//! * when an update's sweep completes — or the scheduler decides the
-//!   update affects no view — its ticket is **completed** with the
-//!   install payload (or `None`);
+//! * a **ticket** is issued for every update the moment it arrives
+//!   (before any scheduling decision), so ticket order *is* arrival
+//!   order;
+//! * a finished sweep **completes** its ticket with the install payload
+//!   (`None` when it installs nothing);
 //! * [`InstallSequencer::drain`] releases completed payloads in strict
-//!   ticket order, holding back everything behind the first still-running
-//!   ticket. A shard that finishes early buffers; a shard that finishes
-//!   late blocks only the tickets behind it.
+//!   ticket order, holding back everything behind the first running one.
 //!
-//! The payload speaks in plain view *indices* so the sequencer stays
-//! policy-agnostic (the multiview scheduler maps them to its `ViewId`s).
+//! Payloads speak in view *indices*, so the sequencer stays
+//! policy-agnostic. Tickets are durable: a checkpoint image holds a clone
+//! of the whole sequencer, and recovery marks the journaled tickets issued
+//! ([`InstallSequencer::reissue`]) and replays each logged commit through
+//! `complete` and `drain` — a commit waiting behind an earlier ticket
+//! when the warehouse died still waits behind it afterwards.
 //!
-//! Tickets are durable: a checkpoint image holds a clone of the whole
-//! sequencer, buffered payloads included, and every WAL record that
-//! concerns a ticket names it. Recovery restores the clone, marks the
-//! journaled tickets issued ([`InstallSequencer::reissue`]) and replays
-//! each logged commit through `complete` and `drain` as the live path
-//! does — a commit that was waiting behind an earlier ticket when the
-//! warehouse died still waits behind it afterwards.
+//! Global transactions (type 3 of §2, as \[ZGMW96\] handles them) are held
+//! here, at the one release point: from the release of a transaction's
+//! first part until every open transaction's last, payloads accumulate,
+//! then leave as one install per view. Parts count where their delta
+//! installs — by the updates a payload consumed.
 
-use dw_protocol::UpdateId;
+use crate::error::WarehouseError;
+use dw_protocol::{GlobalPart, SourceUpdate, UpdateId};
 use dw_relational::Bag;
 use dw_simnet::Time;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What a completed sweep hands the sequencer for one ticket: the
 /// consumed-update set (install fingerprint material) plus the final
@@ -50,6 +47,20 @@ pub struct InstallSequencer {
     next_ticket: u64,
     next_release: u64,
     buffered: BTreeMap<u64, Option<SequencedInstall>>,
+    /// Per transaction with parts still to arrive, `(parts, arrived)`.
+    announced: HashMap<u64, (u32, u32)>,
+    /// Transactions whose parts have all arrived — every gid below
+    /// `whole_below`, and those in `whole` — so one more part is refused.
+    /// Gids are dense from 0, so `whole` stays small however long the run.
+    whole_below: u64,
+    whole: BTreeSet<u64>,
+    /// The tag of every arrived, unreleased part.
+    parts: HashMap<UpdateId, GlobalPart>,
+    /// Unreleased parts per open transaction (first part released).
+    open: HashMap<u64, u32>,
+    /// Released while a transaction was open, per view: the merged delta
+    /// and the consumed updates.
+    held: BTreeMap<usize, (Bag, Vec<(UpdateId, Time)>)>,
 }
 
 impl InstallSequencer {
@@ -82,22 +93,84 @@ impl InstallSequencer {
         debug_assert!(prev.is_none(), "ticket completed twice");
     }
 
+    /// Note an arriving update's global-transaction tag, if any, before
+    /// its ticket is issued (live and in replay). A count that cannot be
+    /// met — zero, disagreeing, exceeded — would hold every later install
+    /// forever: refused, typed, nothing recorded.
+    pub fn note_part(&mut self, u: &SourceUpdate) -> Result<(), WarehouseError> {
+        let Some(g) = u.global else { return Ok(()) };
+        let (id, gid) = (u.id, g.gid);
+        let whole = gid < self.whole_below || self.whole.contains(&gid);
+        let (parts, arrived) = self.announced.get(&gid).copied().unwrap_or((g.parts, 0));
+        if whole || g.parts == 0 || g.parts != parts {
+            let reason = format!(
+                "update {id:?} tags itself part of transaction {gid} of {} parts: a \
+                 transaction has a part, every part announces one count, no more arrive",
+                g.parts
+            );
+            return Err(WarehouseError::Precondition { reason });
+        }
+        self.parts.insert(id, g);
+        if arrived + 1 < parts {
+            self.announced.insert(gid, (parts, arrived + 1));
+            return Ok(());
+        }
+        self.announced.remove(&gid);
+        self.whole.insert(gid);
+        while self.whole.remove(&self.whole_below) {
+            self.whole_below += 1;
+        }
+        Ok(())
+    }
+
     /// Release every payload whose ticket is next in order, in order.
-    /// Empty slots (`None` payloads) are skipped over silently.
+    /// Empty slots (`None` payloads) are skipped over silently, and
+    /// payloads released while a global transaction is open are held.
     pub fn drain(&mut self) -> Vec<SequencedInstall> {
         let mut out = Vec::new();
         while let Some(payload) = self.buffered.remove(&self.next_release) {
             self.next_release += 1;
-            if let Some(p) = payload {
+            let Some(p) = payload else { continue };
+            for g in p
+                .consumed
+                .iter()
+                .filter_map(|(id, _)| self.parts.remove(id))
+            {
+                let left = self.open.entry(g.gid).or_insert(g.parts);
+                *left -= 1;
+                if *left == 0 {
+                    self.open.remove(&g.gid);
+                }
+            }
+            if self.open.is_empty() && self.held.is_empty() {
                 out.push(p);
+                continue;
+            }
+            for (view, delta) in p.deltas {
+                let (merged, consumed) = self.held.entry(view).or_default();
+                merged.merge(&delta);
+                consumed.extend_from_slice(&p.consumed);
+            }
+            if self.open.is_empty() {
+                let held = std::mem::take(&mut self.held).into_iter();
+                out.extend(held.map(|(view, (delta, consumed))| SequencedInstall {
+                    consumed,
+                    deltas: vec![(view, delta)],
+                }));
             }
         }
         out
     }
 
-    /// True when every issued ticket has been released.
+    /// Has `ticket` been released (installed, or held)?
+    pub fn is_released(&self, ticket: u64) -> bool {
+        ticket < self.next_release
+    }
+
+    /// True when every issued ticket has been released and no global
+    /// transaction is open.
     pub fn is_drained(&self) -> bool {
-        self.next_release == self.next_ticket
+        self.next_release == self.next_ticket && self.open.is_empty()
     }
 
     /// Tickets issued but not yet released (completed-but-buffered ones
@@ -174,6 +247,98 @@ mod tests {
         assert!(s.drain().is_empty());
         assert!(!s.is_drained());
         assert_eq!(s.outstanding(), 2);
+    }
+
+    fn part(source: usize, gid: u64, parts: u32) -> SourceUpdate {
+        SourceUpdate {
+            id: UpdateId { source, seq: 0 },
+            delta: Bag::new(),
+            global: Some(GlobalPart { gid, parts }),
+        }
+    }
+
+    /// An install consuming update `(source, 0)`, with a one-tuple delta
+    /// for each of `views`.
+    fn install_at(source: usize, views: &[usize]) -> SequencedInstall {
+        let id = UpdateId { source, seq: 0 };
+        let delta = |v: usize| {
+            (
+                v,
+                Bag::from_pairs([(dw_relational::tup![source as i64], 1)]),
+            )
+        };
+        SequencedInstall {
+            consumed: vec![(id, 0)],
+            deltas: views.iter().map(|&v| delta(v)).collect(),
+        }
+    }
+
+    /// From the release of a transaction's first part to that of its
+    /// last, releases are held — a plain update between them included —
+    /// and leave as one install per view, each consuming just the
+    /// updates that touched the view.
+    #[test]
+    fn a_global_transaction_releases_as_one_install_per_view() {
+        let mut s = InstallSequencer::new();
+        s.note_part(&part(0, 7, 2)).unwrap();
+        s.note_part(&part(2, 7, 2)).unwrap();
+        let t: Vec<u64> = (0..3).map(|_| s.issue()).collect();
+        s.complete(t[0], Some(install_at(0, &[0, 1])));
+        assert!(s.drain().is_empty(), "the first part opens the hold");
+        s.complete(t[1], Some(install_at(1, &[1])));
+        assert!(s.drain().is_empty(), "a plain update inside it is held");
+        assert!(!s.is_drained());
+        s.complete(t[2], Some(install_at(2, &[0])));
+        let out = s.drain();
+        let views: Vec<usize> = out.iter().map(|i| i.deltas[0].0).collect();
+        assert_eq!(views, vec![0, 1]);
+        let consumed = |i: &SequencedInstall| -> Vec<usize> {
+            i.consumed.iter().map(|(id, _)| id.source).collect()
+        };
+        assert_eq!(consumed(&out[0]), vec![0, 2]);
+        assert_eq!(consumed(&out[1]), vec![0, 1]);
+        assert_eq!(out[0].deltas[0].1.distinct_len(), 2);
+        assert!(s.is_drained());
+    }
+
+    #[test]
+    fn a_global_tag_whose_count_cannot_be_met_is_refused_and_not_recorded() {
+        let mut s = InstallSequencer::new();
+        let refused = |r| matches!(r, Err(WarehouseError::Precondition { .. }));
+        assert!(refused(s.note_part(&part(0, 1, 0))), "zero parts");
+        s.note_part(&part(0, 2, 2)).unwrap();
+        assert!(refused(s.note_part(&part(1, 2, 3))), "a disagreeing count");
+        s.note_part(&part(1, 2, 2)).unwrap();
+        assert!(refused(s.note_part(&part(2, 2, 2))), "a third of two parts");
+        // Nothing refused holds a release back.
+        let (t0, t1) = (s.issue(), s.issue());
+        s.complete(t0, Some(install_at(0, &[0])));
+        s.complete(t1, Some(install_at(1, &[0])));
+        assert_eq!(s.drain().len(), 1);
+        assert!(s.is_drained());
+    }
+
+    /// What refuses an extra part does not grow with history: a whole
+    /// transaction leaves the per-transaction map, and dense gids fold
+    /// into the watermark even when they complete out of order.
+    #[test]
+    fn whole_transactions_fold_into_a_watermark() {
+        let mut s = InstallSequencer::new();
+        let refused = |r| matches!(r, Err(WarehouseError::Precondition { .. }));
+        s.note_part(&part(0, 0, 2)).unwrap();
+        for gid in 1..100 {
+            s.note_part(&part(0, gid, 1)).unwrap();
+        }
+        assert_eq!((s.whole_below, s.whole.len()), (0, 99), "gid 0 still open");
+        s.note_part(&part(1, 0, 2)).unwrap();
+        assert_eq!((s.whole_below, s.whole.len()), (100, 0));
+        assert!(s.announced.is_empty());
+        assert!(refused(s.note_part(&part(2, 0, 2))), "a third of two parts");
+        assert!(
+            refused(s.note_part(&part(2, 42, 1))),
+            "a second of one part"
+        );
+        assert_eq!((s.whole_below, s.whole.len()), (100, 0));
     }
 
     /// Ticket-order totality under mixed shard escalations: however the

@@ -121,7 +121,8 @@ pub(crate) fn injections(txns: &[ScheduledTxn]) -> Vec<(Time, NodeId, Message)> 
 /// Run a scenario on real threads.
 ///
 /// `make_policy` builds the warehouse policy from the scenario's view and
-/// the initial view contents (so callers choose SWEEP/Nested SWEEP/…).
+/// the initial view contents (so callers choose SWEEP — a
+/// `dw_multiview::OneViewSweep` — Nested SWEEP, …).
 /// `time_scale` compresses the scenario's injection timestamps (2.0 = run
 /// twice as fast). `deadline` bounds the whole run.
 pub fn run_live(
@@ -158,9 +159,16 @@ pub fn run_live(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dw_multiview::{EngineOptions, OneViewSweep};
     use dw_relational::eval_view;
-    use dw_warehouse::Sweep;
     use dw_workload::StreamConfig;
+
+    /// SWEEP under `opts`, as `run_live` builds it.
+    fn sweep(
+        opts: EngineOptions,
+    ) -> impl FnOnce(ViewDef, Bag) -> Result<Box<dyn MaintenancePolicy>, WarehouseError> {
+        move |view, initial| Ok(Box::new(OneViewSweep::new(&view, initial, opts)?))
+    }
 
     fn expected_final(s: &GeneratedScenario) -> dw_relational::Bag {
         let mut rels = s.initial.clone();
@@ -184,7 +192,7 @@ mod tests {
         .unwrap();
         let report = run_live(
             &scenario,
-            |view, initial| Ok(Box::new(Sweep::new(view, initial)?)),
+            sweep(EngineOptions::FIGURE_4),
             20.0,
             Duration::from_secs(30),
         )
@@ -222,8 +230,7 @@ mod tests {
     ) -> LiveReport {
         let refs: Vec<&dw_relational::Bag> = scenario.initial.iter().collect();
         let initial_view = eval_view(&scenario.view, &refs).unwrap();
-        let policy: Box<dyn MaintenancePolicy> =
-            Box::new(Sweep::new(scenario.view.clone(), initial_view).unwrap());
+        let policy = sweep(EngineOptions::FIGURE_4)(scenario.view.clone(), initial_view).unwrap();
         let mut sources = Vec::new();
         for i in 0..scenario.view.num_relations() {
             let mut rel = BaseRelation::new(scenario.view.schema(i).clone());
@@ -279,7 +286,7 @@ mod tests {
         .unwrap();
         let report = run_live(
             &scenario,
-            |view, initial| Ok(Box::new(Sweep::new(view, initial)?)),
+            sweep(EngineOptions::FIGURE_4),
             20.0,
             Duration::from_secs(30),
         )

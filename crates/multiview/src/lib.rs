@@ -14,38 +14,19 @@
 //!   ([`dw_workload::ViewPolicy`]: SWEEP, Nested-SWEEP-style batching,
 //!   or deferred refresh);
 //! * a [`MaintenanceScheduler`] — **one** lane-based scheduler for every
-//!   configuration. On arrival of `ΔR_j` it fans out to every registered
-//!   view referencing `R_j` and executes a **shared sweep**: one two-leg
-//!   pass over the *union* `[L, R]` of the affected spans (contiguous,
-//!   because every affected span contains `j`), issuing a single
-//!   incremental query per source hop:
-//!   - the **left leg** carries the true delta and hops `j−1, …, L`;
-//!   - the **right leg** carries the delta's *support* (each distinct
-//!     tuple at `+1`, §5.3's parallel-sweep trick) and hops `j+1, …, R`;
-//!   - after each hop's answer, the paper's on-line error correction
-//!     (§4) subtracts `ΔR_k ⋈ Temp` for every queued concurrent update
-//!     from the hop source — once, on the shared partial, so every view
-//!     inherits it;
-//!   - a view with span `[lo, hi]` **snapshots** the left partial the
-//!     moment it reaches `lo` and the right partial the moment it
-//!     reaches `hi`; its own delta is the pivot-merge of its two
-//!     snapshots (equating the shared `ΔR_j` columns, multiplying
-//!     counts), filtered by its selections, then finalized through its
-//!     residual predicate and projection at the warehouse.
-//!
-//!   In-flight sweeps live in **lanes**, each claiming the mask of the
-//!   value bands its delta can touch, and every install leaves through
-//!   an arrival-order ticket. Without a [`dw_relational::ShardMap`]
-//!   there is one band — the paper's serial SWEEP; with one, sweeps with
-//!   disjoint masks run concurrently while the install order stays
-//!   arrival order. Cross-update batching (a lane folds its batch
-//!   inside its mask), σ pushdown and checkpoint + WAL crash recovery —
-//!   one recovery, lanes in flight or not — are options of that one
-//!   state machine and compose with each other and with a map; the two
-//!   configurations it refuses (a map over a cross-product hop, a batch
-//!   width of 0) are typed errors decided in one place, its constructor.
-//!   [`ShardedScheduler`] is a thin newtype for callers that want the
-//!   sharded configuration as a type.
+//!   configuration, one view ([`OneViewSweep`], the paper's SWEEP) or
+//!   many. On arrival of `ΔR_j` it executes one **shared sweep** over the
+//!   *union* `[L, R]` of the spans of the views referencing `R_j` — one
+//!   incremental query per hop, compensated once (§4) on the shared
+//!   partial, each view peeling off its delta where the walk covers its
+//!   span — with two legs (§5.3) or Figure 4's one. Lanes claim value-band
+//!   masks and installs leave in arrival-ticket order, so sharding,
+//!   pipelining, batching, σ pushdown, global transactions and crash
+//!   recovery are options of that one state machine (module docs of
+//!   `scheduler`); the two configurations it refuses (a map over a
+//!   cross-product hop, a batch width of 0) are typed errors from its
+//!   constructor. [`ShardedScheduler`] is a thin newtype for callers that
+//!   want the sharded configuration as a type.
 //! * a **maintenance DAG** — derived views registered *over* other views
 //!   ([`ViewRegistry::register_derived`], specs from
 //!   [`dw_workload::DerivedSpec`]): σ/Π and Σ/group-by operators, stacks
@@ -82,11 +63,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod one_view;
 mod registry;
 mod scheduler;
 mod sharded;
 
 pub use dw_engine::{DurabilityConfig, EngineOptions};
+pub use one_view::OneViewSweep;
 pub use registry::{CascadeStats, MvError, ViewId, ViewRegistry};
 pub use scheduler::{
     MaintenanceScheduler, RecoveryStats, SchedulerMode, ShardStats, NEEDS_DURABLE_STORE,

@@ -1,0 +1,89 @@
+//! SWEEP over one view, behind the single-view policy face.
+
+use crate::registry::{MvError, ViewId};
+use crate::scheduler::MaintenanceScheduler;
+use dw_engine::{EngineOptions, InstallRecord, MaintenancePolicy, PolicyMetrics, WarehouseError};
+use dw_protocol::Message;
+use dw_relational::{Bag, SharedBag, ViewDef};
+use dw_simnet::{Delivery, NetHandle};
+use dw_workload::ViewSpec;
+use std::cell::OnceCell;
+
+/// SWEEP over one view: a scheduler over the view's bare chain with the
+/// view itself — σ trees, residual and Π included — registered over the
+/// whole of it. What `dw_core::PolicyKind::Sweep` runs, in the simulator
+/// and on threads.
+///
+/// The view's σ is always pushed down: over one view the pushed σ is the
+/// view's own, so the seed is filtered, an update the σ rejects
+/// short-circuits, and the sources answer over the view itself, as they
+/// do for every other policy.
+pub struct OneViewSweep {
+    pub(crate) sched: MaintenanceScheduler,
+    pub(crate) id: ViewId,
+    /// The view's bill, assembled on the first read after a delivery.
+    metrics: OnceCell<PolicyMetrics>,
+}
+
+impl OneViewSweep {
+    /// SWEEP over `view` under `opts` (with `pushdown` forced on), from
+    /// its correct initial contents.
+    pub fn new(view: &ViewDef, initial: Bag, mut opts: EngineOptions) -> Result<Self, MvError> {
+        opts.pushdown = true;
+        let mut sched = MaintenanceScheduler::with_shards(view.chain(), opts, None)?;
+        let spec = ViewSpec::full("view", view.num_relations());
+        let registry = &mut sched.registry;
+        let id = registry.register_compiled(&spec, view.clone(), initial)?;
+        let metrics = OnceCell::new();
+        Ok(OneViewSweep { sched, id, metrics })
+    }
+}
+
+impl MaintenancePolicy for OneViewSweep {
+    fn name(&self) -> &'static str {
+        self.sched.opts.sweep_name()
+    }
+
+    fn on_message(
+        &mut self,
+        delivery: Delivery<Message>,
+        net: &mut dyn NetHandle<Message>,
+    ) -> Result<(), WarehouseError> {
+        self.metrics.take();
+        Ok(self.sched.on_message(delivery, net)?)
+    }
+
+    fn view(&self) -> &SharedBag {
+        self.sched.views().slot(self.id).sink.bag()
+    }
+
+    fn installs(&self) -> &[InstallRecord] {
+        self.sched.views().slot(self.id).sink.log()
+    }
+
+    /// The view's installs and staleness beside the engine's update,
+    /// query, answer and compensation counts.
+    fn metrics(&self) -> &PolicyMetrics {
+        self.metrics.get_or_init(|| {
+            let (engine, view) = (self.sched.metrics(), self.sched.views().slot(self.id));
+            let mut m = view.metrics.clone();
+            m.updates_received = engine.updates_received;
+            m.queries_sent = engine.queries_sent;
+            m.answers_received = engine.answers_received;
+            m.local_compensations = engine.local_compensations;
+            m
+        })
+    }
+
+    fn is_quiescent(&self) -> bool {
+        self.sched.is_quiescent()
+    }
+
+    fn set_record_snapshots(&mut self, record: bool) {
+        self.sched.set_record_snapshots(record);
+    }
+
+    fn set_observer(&mut self, obs: dw_obs::Obs) {
+        self.sched.set_observer(obs);
+    }
+}

@@ -99,6 +99,26 @@
 //! per-source run of consecutive updates: a source state. The folded
 //! updates' own tickets release empty.
 //!
+//! ## Figure 4's walk, the short-circuit, pipelining, global transactions
+//!
+//! SWEEP's §5.3 variants and §2 hold are options of the same lanes:
+//!
+//! * [`EngineOptions::sequential`]: one leg (left, then right) wherever
+//!   it passes through every task view's span — each starts at the span
+//!   start or ends at `j`. From either end of the span one leg is all
+//!   there is, whatever the option.
+//! * [`EngineOptions::short_circuit_empty`]: an empty seed sends no
+//!   query, and a one-leg walk stops once its partial empties — views it
+//!   had not reached take the empty delta.
+//! * [`EngineOptions::window`] `k` lets `k` sweeps share a band (the rule
+//!   above is `k = 1`); a hop at `j` then also compensates for the tasks
+//!   from `j` that left the queue with a later ticket and an overlapping
+//!   mask — formed, in flight, or committed but unreleased (checkpointed,
+//!   and rebuilt by replay).
+//! * A global-transaction part always takes a ticket; the
+//!   [`InstallSequencer`] validates its tag and holds releases until
+//!   every open transaction is whole.
+//!
 //! ## Crashes
 //!
 //! One crash, one recovery, for every configuration.
@@ -121,9 +141,7 @@
 //! nothing), and a batch width of 0 means nothing. The constructor is
 //! the one place that says so, typed (table in DESIGN.md); a state crash
 //! without a durable store is refused by
-//! [`MaintenanceScheduler::crash_and_recover`]. Global transactions
-//! (update type 3) are out of scope for the multi-view layer — tags on
-//! incoming updates are ignored.
+//! [`MaintenanceScheduler::crash_and_recover`].
 //!
 //! [`ViewPolicy`]: dw_workload::ViewPolicy
 
@@ -139,6 +157,7 @@ use dw_relational::{Bag, JoinSide, PartialDelta, Predicate, RelationalError, Sha
 use dw_simnet::{Delivery, NetHandle, Time};
 use dw_workload::{DerivedSpec, ViewSpec};
 use std::collections::{HashMap, VecDeque};
+use std::num::NonZeroUsize;
 
 /// The trace vocabulary: `mv.*` over one group, `shard.*` over a
 /// [`ShardMap`].
@@ -147,7 +166,6 @@ const SHARED_LABELS: SpanLabels = SpanLabels {
     hop: "mv.hop",
     compensations: "mv.compensations",
     query_rows: None,
-    comp_rows: None,
     query_counter: Some("mv.shared_queries"),
 };
 const SHARD_LABELS: SpanLabels = SpanLabels {
@@ -253,6 +271,8 @@ struct MvCheckpoint {
     /// Every formed task without a commit record: the in-flight lanes'
     /// first, then the ones waiting for a lane.
     tasks: VecDeque<SweepTask>,
+    /// Committed tasks whose install is not released yet.
+    unreleased: Vec<SweepTask>,
     /// Issued and released tickets, and the commits buffered between.
     sequencer: InstallSequencer,
     groups: Vec<u64>,
@@ -349,15 +369,15 @@ fn config_error(reason: String) -> MvError {
     MvError::Warehouse(WarehouseError::Config { reason })
 }
 
-/// The multi-view maintenance scheduler: owns the registry, the update
-/// queue, the shard groups and the lane state machine. Speaks the same
-/// `SweepQuery`/`SweepAnswer` protocol as single-view SWEEP, so the
+/// The maintenance scheduler — SWEEP, for one view or many: owns the
+/// registry, the update queue, the shard groups and the lane state
+/// machine. Speaks the `SweepQuery`/`SweepAnswer` protocol, so the
 /// unmodified `dw_source::DataSource` serves it, with or without a
 /// [`ShardMap`].
 pub struct MaintenanceScheduler {
     core: EngineCore,
-    registry: ViewRegistry,
-    opts: EngineOptions,
+    pub(crate) registry: ViewRegistry,
+    pub(crate) opts: EngineOptions,
     /// The value-band partitioner; `None` = one group.
     map: Option<ShardMap>,
     /// Per shard band, the band mask of the group it belongs to; a
@@ -369,10 +389,11 @@ pub struct MaintenanceScheduler {
     /// Formed tasks waiting for their lane: between `form` and `begin`,
     /// and whatever recovery found durably pending.
     pending_tasks: VecDeque<SweepTask>,
-    /// In-flight lanes; their masks are pairwise disjoint, so at most
-    /// one per band. An answer finds its lane by the qid the lane's run
-    /// is waiting on.
+    /// In-flight lanes, at most [`EngineOptions::window`] per band. An
+    /// answer finds its lane by the qid the lane's run is waiting on.
     lanes: Vec<Lane>,
+    /// Committed tasks the sequencer has not released.
+    unreleased: Vec<SweepTask>,
     sequencer: InstallSequencer,
     stats: ShardStats,
     durable: Option<Box<DurableState>>,
@@ -391,20 +412,20 @@ impl MaintenanceScheduler {
 
     /// The general constructor. With `Some(map)` the lanes are the shard
     /// groups of `map`: sweeps over distinct groups run concurrently,
-    /// installs still leave in arrival order. `None` is one group. Of
-    /// `opts`, only [`EngineOptions::batch`] and
-    /// [`EngineOptions::pushdown`] are read; the SWEEP/Nested-SWEEP knobs
-    /// are inert for the scheduler.
+    /// installs still leave in arrival order. `None` is one group. Every
+    /// field of `opts` composes with a map.
     pub fn with_shards(
         base: ViewDef,
         opts: EngineOptions,
         map: Option<ShardMap>,
     ) -> Result<Self, MvError> {
         let labels = map.as_ref().map_or(SHARED_LABELS, |_| SHARD_LABELS);
+        // A window of 0 is no bound: no band ever fills.
+        let window = NonZeroUsize::new(opts.window).map_or(usize::MAX, NonZeroUsize::get);
         let sched = MaintenanceScheduler {
             registry: ViewRegistry::new(base.clone())?,
             core: EngineCore::new(base, labels),
-            opts,
+            opts: EngineOptions { window, ..opts },
             groups: (0..map.as_ref().map_or(1, ShardMap::shards))
                 .map(|b| 1 << b)
                 .collect(),
@@ -412,6 +433,7 @@ impl MaintenanceScheduler {
             arrivals: HashMap::new(),
             pending_tasks: VecDeque::new(),
             lanes: Vec::new(),
+            unreleased: Vec::new(),
             sequencer: InstallSequencer::new(),
             stats: ShardStats::default(),
             durable: None,
@@ -666,12 +688,14 @@ impl MaintenanceScheduler {
         self.core.epoch = ckpt.epoch;
         self.arrivals = ckpt.arrivals.clone();
         self.pending_tasks = ckpt.tasks.clone();
+        self.unreleased = ckpt.unreleased.clone();
         self.sequencer = ckpt.sequencer.clone();
         self.groups = ckpt.groups.clone();
         self.registry.restore_slots(&ckpt.slots);
         for rec in store.wal() {
             match rec {
                 MvWalRecord::UpdateQueued { update, at, ticket } => {
+                    self.sequencer.note_part(update)?;
                     self.admit(update, *ticket);
                     self.core.queue.push(update.clone(), *at);
                 }
@@ -695,7 +719,7 @@ impl MaintenanceScheduler {
                         let what = "commit record names no pending task";
                         return Err(MvError::Internal { what });
                     };
-                    self.commit(&task.impure_masks, *ticket, install.clone(), *at)?;
+                    self.commit(task, install.clone(), *at)?;
                 }
                 MvWalRecord::Flush { view, at } => {
                     self.registry.flush_with_cascade(*view, *at)?;
@@ -719,6 +743,7 @@ impl MaintenanceScheduler {
             queue: self.core.queue.clone(),
             arrivals: self.arrivals.clone(),
             tasks: in_flight.chain(&self.pending_tasks).cloned().collect(),
+            unreleased: self.unreleased.clone(),
             sequencer: self.sequencer.clone(),
             groups: self.groups.clone(),
             slots: self.registry.snapshot_slots(),
@@ -763,15 +788,14 @@ impl MaintenanceScheduler {
     /// Walk the queue in arrival order and decide what may start now.
     /// One rule (the correctness core — see module docs): an update's
     /// mask is the union of the *current* groups of every band its delta
-    /// touches, and it may start iff that mask is disjoint from
-    /// everything `claimed` so far — the in-flight lanes, the formed
-    /// tasks, and every *earlier* queued update, started or not. An
-    /// update left waiting still claims its mask, so nothing it overlaps
-    /// overtakes it: it stays queued, and the lane it waits for
-    /// compensates for it.
+    /// touches, and it may start iff no band of it is full — carries
+    /// [`EngineOptions::window`] lanes, formed tasks or updates this scan
+    /// started — and no *earlier* queued update it overlaps is waiting.
+    /// A waiting update blocks its mask, so nothing it overlaps overtakes
+    /// it: it stays queued, and the lanes it waits for compensate for it.
     ///
-    /// The walk stops once every band is claimed — with one group, at
-    /// once while its lane is busy, so a deep backlog costs a kick
+    /// The walk stops once every band is blocked — with one group, at
+    /// once while its lanes are busy, so a deep backlog costs a kick
     /// nothing.
     ///
     /// Decisions are collected first and executed after (the scan must
@@ -779,13 +803,17 @@ impl MaintenanceScheduler {
     /// task with, or `None` when it took no ticket — no registered view
     /// references its source — and is simply dropped.
     fn plan_scan(&self) -> Vec<(UpdateId, Option<u64>)> {
-        let in_flight = self.lanes.iter().map(|l| l.task.mask);
-        let formed = self.pending_tasks.iter().map(|t| t.mask);
-        let mut claimed = in_flight.chain(formed).fold(0, |m, mask| m | mask);
+        let cap = self.opts.window;
+        let (mut running, mut full) = (vec![0; self.groups.len()], 0);
+        let lanes = self.lanes.iter().map(|l| &l.task);
+        for task in lanes.chain(&self.pending_tasks) {
+            occupy(&mut running, &mut full, task.mask, cap);
+        }
         let every_band = self.map.as_ref().map_or(1, ShardMap::full_mask);
-        let mut actions = Vec::new();
+        let (mut waiting, mut actions) = (0, Vec::new());
         for pu in self.core.queue.iter() {
-            if claimed == every_band {
+            let blocked = full | waiting;
+            if blocked == every_band {
                 break;
             }
             let id = pu.update.id;
@@ -796,10 +824,12 @@ impl MaintenanceScheduler {
             // An empty delta is vacuously pure; it rides band 0 so it
             // still consumes its ticket.
             let mask = groups_of(&self.groups, arrival.bands.max(1));
-            if mask & claimed == 0 {
+            if mask & blocked == 0 {
                 actions.push((id, Some(mask)));
+                occupy(&mut running, &mut full, mask, cap);
+            } else {
+                waiting |= mask;
             }
-            claimed |= mask;
         }
         actions
     }
@@ -809,12 +839,15 @@ impl MaintenanceScheduler {
     /// span) frees its bands for the next formed task or queued update
     /// immediately.
     fn pump(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), MvError> {
+        let cap = self.opts.window;
         loop {
             // Formed tasks first, in formation order, each as soon as its
-            // bands are free — recovery's durably-pending tasks re-seed
+            // bands have room — recovery's durably-pending tasks re-seed
             // this way.
             while let Some(task) = self.pending_tasks.pop_front() {
-                if self.lanes.iter().any(|l| l.task.mask & task.mask != 0) {
+                let lanes = &self.lanes;
+                let on = move |b: usize| lanes.iter().filter(move |l| l.task.mask >> b & 1 == 1);
+                if band_indices(task.mask).any(|b| on(b).count() >= cap) {
                     self.pending_tasks.push_front(task);
                     break;
                 }
@@ -885,7 +918,7 @@ impl MaintenanceScheduler {
             task.lo = task.lo.min(lo);
             task.hi = task.hi.max(hi);
         }
-        let extra = self.opts.batch_width() - 1;
+        let extra = self.opts.batch - 1;
         if extra > 0 {
             let (arrivals, groups) = (&self.arrivals, &self.groups);
             let fits = |pu: &PendingUpdate| {
@@ -920,10 +953,23 @@ impl MaintenanceScheduler {
         self.pending_tasks.push_back(task);
     }
 
-    /// Seed both legs, snapshot span-endpoint views, fire the first
-    /// queries under the lane's context — for a fresh task and for one
-    /// recovery found pending alike. A task that needs no queries
-    /// (single-relation span) finishes inline.
+    /// Does one leg serve `task`? It covers `[k, j]` down to the span
+    /// start, then `[start, k]` up to the span end: every view that starts
+    /// at the span start or ends at `j`.
+    fn one_leg(&self, task: &SweepTask) -> Result<bool, MvError> {
+        let (j, lo, hi) = (task.j, task.lo, task.hi);
+        let mut serves = self.opts.sequential || j == lo || j == hi;
+        for &v in &task.views {
+            let (v_lo, v_hi) = self.registry.span(v)?;
+            serves &= v_lo == lo || v_hi == j;
+        }
+        Ok(serves)
+    }
+
+    /// Seed the walk, snapshot the views the seed already covers, fire
+    /// the first queries under the lane's context — for a fresh task and
+    /// for one recovery found pending alike. A task that needs no queries
+    /// (single-relation span, short-circuited seed) finishes inline.
     fn begin(&mut self, net: &mut dyn NetHandle<Message>, task: SweepTask) -> Result<(), MvError> {
         let j = task.j;
         let mut ctx = self.core.begin_sweep(net.now());
@@ -939,19 +985,20 @@ impl MaintenanceScheduler {
         if let Some(pred) = ctx.push_pred(j) {
             seed.bag = seed.bag.filter(|t| pred.eval(t));
         }
-        let mut run = SweepRun::two_legs(seed, task.lo, task.hi);
-        let mut snaps = [Vec::new(), Vec::new()];
-        for side in [JoinSide::Left, JoinSide::Right] {
-            snapshot(
-                &self.registry,
-                &task.views,
-                &mut snaps,
-                j,
-                side,
-                run.leg(side),
-            )?;
+        let dead = self.opts.short_circuit_empty && seed.bag.is_empty();
+        let one_leg = self.one_leg(&task)?;
+        let (mut run, sides) = match one_leg {
+            true => (SweepRun::sequential(seed, task.lo, task.hi), 1),
+            false => (SweepRun::two_legs(seed, task.lo, task.hi), 2),
+        };
+        let (mut snaps, reg, views) = ([Vec::new(), Vec::new()], &self.registry, &task.views);
+        // One leg has one partial; two legs, one per side.
+        for side in [JoinSide::Left, JoinSide::Right].into_iter().take(sides) {
+            snapshot(reg, views, &mut snaps, one_leg, side, run.leg(side))?;
         }
-        run.advance(&mut self.core, &ctx, net);
+        if !dead {
+            run.advance(&mut self.core, &ctx, net);
+        }
         let lane = Lane {
             task,
             ctx,
@@ -959,18 +1006,18 @@ impl MaintenanceScheduler {
             snaps,
         };
         if lane.run.is_done() {
-            return self.finish(net, lane);
+            return self.finish(lane, dead, net.now());
         }
         self.lanes.push(lane);
         self.stats.max_concurrent_lanes = self.stats.max_concurrent_lanes.max(self.lanes.len());
         Ok(())
     }
 
-    /// Both legs done: merge each view's snapshots on the pivot columns,
-    /// apply its σ/residual/Π, and hand the sequencer the install
-    /// payload — it installs when every earlier ticket has.
-    fn finish(&mut self, net: &mut dyn NetHandle<Message>, lane: Lane) -> Result<(), MvError> {
-        let now = net.now();
+    /// The walk is covered, or `dead` (short-circuited: what it had not
+    /// reached is empty). Each view's delta — its one-leg snapshot, or
+    /// its two merged on the pivot — goes through its σ/residual/Π, and
+    /// the sequencer installs the payload when every earlier ticket has.
+    fn finish(&mut self, lane: Lane, dead: bool, now: Time) -> Result<(), MvError> {
         let Lane {
             task,
             ctx,
@@ -979,24 +1026,28 @@ impl MaintenanceScheduler {
         } = lane;
         let mut deltas = Vec::with_capacity(task.views.len());
         for &v in &task.views {
-            // The legs visit every span endpoint of every task view, so
-            // both snapshots exist by the time both legs are done; a miss
-            // is a scheduler bug, reported rather than panicked on.
-            let snap_of = |side: JoinSide, what| {
-                let found = snaps[side as usize].iter().find(|(id, _)| *id == v);
-                found.map(|(_, p)| p).ok_or(MvError::Internal { what })
+            let local = &self.registry.runtime(v)?.local;
+            let snap_of = |side: usize| snaps[side].iter().find(|(id, _)| *id == v);
+            // A covered walk passed through every task view's span, so a
+            // miss is a scheduler bug, reported rather than panicked on.
+            let delta = match (run.is_sequential(), snap_of(0), snap_of(1)) {
+                (true, Some((_, whole)), _) => finalize_for_view(local, whole)?,
+                (false, Some((_, left)), Some((_, right))) => {
+                    finalize_for_view(local, &run.merge(&self.core.view, left, right))?
+                }
+                _ if dead => Bag::new(),
+                _ => {
+                    let what = "a sweep missed an affected span endpoint";
+                    return Err(MvError::Internal { what });
+                }
             };
-            let left = snap_of(JoinSide::Left, "left leg missed an affected span start")?;
-            let right = snap_of(JoinSide::Right, "right leg missed an affected span end")?;
-            let merged = run.merge(&self.core.view, left, right);
-            let delta = finalize_for_view(&self.registry.runtime(v)?.local, &merged)?;
             deltas.push((v.index(), delta));
         }
         // One atomic commit record carrying every per-view delta: replay
         // either re-applies the whole sweep or none of it, and only a
         // committed task leaves the durable pending set.
         let install = SequencedInstall {
-            consumed: task.consumed,
+            consumed: task.consumed.clone(),
             deltas,
         };
         self.wal(|| MvWalRecord::TaskCommit {
@@ -1006,7 +1057,7 @@ impl MaintenanceScheduler {
         });
         self.core.end_sweep(&ctx, now);
         self.stats.completions.push((task.mask, now));
-        self.commit(&task.impure_masks, task.ticket, install, now)
+        self.commit(task, install, now)
     }
 
     /// A sweep's commit takes effect, at `at` (live, and again in
@@ -1016,19 +1067,19 @@ impl MaintenanceScheduler {
     /// every earlier ticket has.
     fn commit(
         &mut self,
-        impure_masks: &[u64],
-        ticket: u64,
+        task: SweepTask,
         install: SequencedInstall,
         at: Time,
     ) -> Result<(), MvError> {
-        for mask in impure_masks {
+        for mask in &task.impure_masks {
             self.union_mask(*mask);
         }
         if let Some(d) = self.durable.as_mut() {
             d.committed_since_ckpt += 1;
         }
         self.core.record_batch(install.consumed.len());
-        self.sequencer.complete(ticket, Some(install));
+        self.sequencer.complete(task.ticket, Some(install));
+        self.unreleased.push(task);
         self.drain_installs(at)
     }
 
@@ -1050,6 +1101,8 @@ impl MaintenanceScheduler {
         for install in self.sequencer.drain() {
             self.apply_install(&install, now)?;
         }
+        let sequencer = &self.sequencer;
+        self.unreleased.retain(|t| !sequencer.is_released(t.ticket));
         // Checkpoint cadence: every `checkpoint_every` commits, replace
         // the durable image and truncate the log.
         let due = |d: &DurableState| d.committed_since_ckpt >= d.cfg.cadence();
@@ -1117,10 +1170,16 @@ impl SweepPolicy for MaintenanceScheduler {
     }
 
     fn note_update(&mut self, u: &SourceUpdate, at: Time) -> Result<(), MvError> {
+        // A global-transaction tag whose count cannot be met is refused
+        // before the update takes a ticket.
+        self.sequencer.note_part(u)?;
         // The ticket at arrival IS the install order — issued before any
-        // scheduling decision, claimed at launch, released in order.
-        // (An update no view references installs nothing and takes none.)
-        let ticketed = !self.registry.affected_by(u.id.source).is_empty();
+        // scheduling decision, claimed at launch, released in order. An
+        // update no view references installs nothing and takes none —
+        // unless it is a global part, whose release closes its
+        // transaction.
+        let referenced = !self.registry.affected_by(u.id.source).is_empty();
+        let ticketed = referenced || u.global.is_some();
         let ticket = ticketed.then(|| self.sequencer.issue());
         // Journal the arrival before it enters the volatile queue: an
         // update the WAL knows about can never be lost to a crash, nor
@@ -1156,17 +1215,31 @@ impl SweepPolicy for MaintenanceScheduler {
             return Err(WarehouseError::UnknownQuery { qid }.into());
         };
         let mut lane = self.lanes.swap_remove(pos);
+        let one_leg = lane.run.is_sequential();
         let mut hop = lane.run.absorb(&mut self.core, qid, partial, net.now())?;
         // Full-queue compensation: foreign-group queued deltas join the
-        // scoped TempView to nothing, same-group ones subtract exactly.
-        self.core.compensate(&lane.ctx, &mut hop, &[])?;
-        // Views whose span ends exactly at this hop peel off the shared
+        // scoped TempView to nothing, same-group ones subtract exactly —
+        // and so do the later tasks a window lets overlap this one.
+        let me = &lane.task;
+        let left_queue = self.lanes.iter().map(|l| &l.task);
+        let left_queue = left_queue
+            .chain(&self.pending_tasks)
+            .chain(&self.unreleased);
+        let later: Vec<&Bag> = left_queue
+            .filter(|t| t.j == hop.j && t.ticket > me.ticket && t.mask & me.mask != 0)
+            .map(|t| &t.delta)
+            .collect();
+        self.core.compensate(&lane.ctx, &mut hop, &later)?;
+        // Views whose span the walk now covers peel off the shared
         // partial *after* this hop's compensation.
         let (views, snaps) = (&lane.task.views, &mut lane.snaps);
-        snapshot(&self.registry, views, snaps, hop.j, hop.side, hop.dv)?;
-        lane.run.advance(&mut self.core, &lane.ctx, net);
-        if lane.run.is_done() {
-            self.finish(net, lane)?;
+        snapshot(&self.registry, views, snaps, one_leg, hop.side, hop.dv)?;
+        let dead = self.opts.short_circuit_empty && one_leg && hop.dv.bag.is_empty();
+        if !dead {
+            lane.run.advance(&mut self.core, &lane.ctx, net);
+        }
+        if dead || lane.run.is_done() {
+            self.finish(lane, dead, net.now())?;
             return self.pump(net);
         }
         self.lanes.push(lane);
@@ -1184,21 +1257,34 @@ fn band_indices(mask: u64) -> impl Iterator<Item = usize> {
     (0..u64::BITS as usize).filter(move |&b| mask >> b & 1 == 1)
 }
 
-/// Record `partial` for every task view whose span endpoint on `side` is
-/// exactly the hop `k` that just completed. At the seed hop (`k == j`)
-/// this captures views that need no leg on that side.
+/// Count one more sweep over every band of `mask`; a band carrying `cap`
+/// of them joins `full`.
+fn occupy(running: &mut [usize], full: &mut u64, mask: u64, cap: usize) {
+    for b in band_indices(mask) {
+        running[b] += 1;
+        if running[b] >= cap {
+            *full |= 1 << b;
+        }
+    }
+}
+
+/// Record `partial`, the walk's leg on `side`, for every task view whose
+/// share it now covers exactly: one leg, the whole span; two legs, the
+/// span up to the seed (left) or from it (right).
 fn snapshot(
     registry: &ViewRegistry,
     views: &[ViewId],
     snaps: &mut [Vec<(ViewId, PartialDelta)>; 2],
-    k: usize,
+    one_leg: bool,
     side: JoinSide,
     partial: &PartialDelta,
 ) -> Result<(), MvError> {
+    let slot = side as usize * usize::from(!one_leg);
+    let ends = [partial.lo, partial.hi];
     for &v in views {
         let (lo, hi) = registry.span(v)?;
-        if [lo, hi][side as usize] == k {
-            snaps[side as usize].push((v, partial.clone()));
+        if ends[slot] == [lo, hi][slot] && (!one_leg || ends == [lo, hi]) {
+            snaps[slot].push((v, partial.clone()));
         }
     }
     Ok(())
@@ -2430,5 +2516,363 @@ mod tests {
             started_total > 1_000 && waiting_total > 1_000,
             "{started_total} {waiting_total}"
         );
+    }
+
+    /// SWEEP over one view — Figure 4's walk, §5.3's legs, short-circuit
+    /// and pipelining — driven by hand (answers crafted as a source
+    /// would) and through real sources.
+    mod one_view {
+        use super::*;
+        use crate::OneViewSweep;
+        use dw_protocol::{SweepAnswer, SweepQuery};
+        use dw_simnet::{LatencyModel, ENV};
+
+        /// The paper's running example: `Π[D,F](R1 ⋈ R2 ⋈ R3)`.
+        fn paper_view() -> ViewDef {
+            ViewDefBuilder::new()
+                .relation(Schema::new("R1", ["A", "B"]).unwrap())
+                .relation(Schema::new("R2", ["C", "D"]).unwrap())
+                .relation(Schema::new("R3", ["E", "F"]).unwrap())
+                .join("R1.B", "R2.C")
+                .join("R2.D", "R3.E")
+                .project(["R2.D", "R3.F"])
+                .build()
+                .unwrap()
+        }
+
+        /// `R1(A,B) ⋈ R2(C,D)` with the identity projection.
+        fn two_chain() -> ViewDef {
+            ViewDefBuilder::new()
+                .relation(Schema::new("R1", ["A", "B"]).unwrap())
+                .relation(Schema::new("R2", ["C", "D"]).unwrap())
+                .join("R1.B", "R2.C")
+                .build()
+                .unwrap()
+        }
+
+        fn deliver(at: Time, msg: Message) -> Delivery<Message> {
+            let to = WAREHOUSE_NODE;
+            Delivery {
+                at,
+                from: ENV,
+                to,
+                msg,
+            }
+        }
+
+        fn update(source: usize, seq: u64, delta: Bag) -> Message {
+            let id = UpdateId { source, seq };
+            Message::Update(SourceUpdate {
+                id,
+                delta,
+                global: None,
+            })
+        }
+
+        fn answer(qid: u64, lo: usize, hi: usize, bag: Bag) -> Message {
+            let partial = PartialDelta { lo, hi, bag };
+            Message::SweepAnswer(SweepAnswer { qid, partial })
+        }
+
+        /// The next query on the wire, and the source it went to.
+        fn query(net: &mut Network<Message>) -> (usize, SweepQuery) {
+            let d = net.next().unwrap();
+            let Message::SweepQuery(q) = d.msg else {
+                panic!("expected a query, got {:?}", d.msg)
+            };
+            (node_source(d.to), q)
+        }
+
+        struct OneView {
+            sched: MaintenanceScheduler,
+            id: ViewId,
+            net: Network<Message>,
+        }
+
+        impl OneView {
+            fn new(view: ViewDef, initial: Bag, opts: EngineOptions) -> OneView {
+                let OneViewSweep { sched, id, .. } =
+                    OneViewSweep::new(&view, initial, opts).unwrap();
+                let net = Network::new(0);
+                OneView { sched, id, net }
+            }
+
+            fn on(&mut self, at: Time, msg: Message) -> Result<(), MvError> {
+                self.sched.on_message(deliver(at, msg), &mut self.net)
+            }
+
+            fn view(&self) -> &SharedBag {
+                self.sched.views().view_bag(self.id).unwrap()
+            }
+
+            fn installs(&self) -> &[dw_engine::InstallRecord] {
+                self.sched.views().install_log(self.id).unwrap()
+            }
+        }
+
+        #[test]
+        fn pipelining_compensates_only_for_later_arrivals() {
+            // Update A (first, source 1) sweeps toward source 0; update B
+            // (second, source 0) arrives before A's answer → compensate
+            // A. Then B's own sweep toward source 1 must NOT compensate
+            // for A (A arrived earlier), though A is from source 1 and
+            // its sweep started beside B's.
+            let unbounded = EngineOptions {
+                window: 0,
+                ..EngineOptions::FIGURE_4
+            };
+            let mut wh = OneView::new(two_chain(), Bag::new(), unbounded);
+            wh.on(0, update(1, 0, Bag::from_tuples([tup![3, 9]])))
+                .unwrap();
+            let (to, qa) = query(&mut wh.net);
+            assert_eq!((to, qa.side), (0, JoinSide::Left));
+            wh.on(1, update(0, 0, Bag::from_tuples([tup![7, 3]])))
+                .unwrap();
+            let (to, qb) = query(&mut wh.net);
+            assert_eq!((to, qb.side), (1, JoinSide::Right));
+            assert_eq!(wh.sched.lanes.len(), 2, "both sweeps in flight at once");
+
+            // A's answer includes B's tuple (the source applied it).
+            let joined = Bag::from_tuples([tup![7, 3, 3, 9]]);
+            wh.on(5, answer(qa.qid, 0, 1, joined.clone())).unwrap();
+            assert_eq!(wh.sched.metrics().local_compensations, 1);
+            // A's install: the error term (7,3)⋈(3,9) removed → empty ΔV.
+            assert_eq!(wh.installs().len(), 1);
+            assert!(wh.installs()[0].view_after.as_ref().unwrap().is_empty());
+
+            // B's answer from source 1 includes A's tuple (3,9) — right
+            // for B's target state (A precedes B): no compensation.
+            wh.on(6, answer(qb.qid, 0, 1, joined.clone())).unwrap();
+            assert_eq!(wh.sched.metrics().local_compensations, 1);
+            assert_eq!(wh.installs().len(), 2);
+            assert_eq!(wh.view(), &joined, "the joined tuple exactly once");
+            assert!(wh.sched.is_quiescent());
+        }
+
+        #[test]
+        fn out_of_order_pipelined_answers_install_in_arrival_order() {
+            let unbounded = EngineOptions {
+                window: 0,
+                ..EngineOptions::FIGURE_4
+            };
+            let mut wh = OneView::new(two_chain(), Bag::new(), unbounded);
+            wh.on(0, update(0, 0, Bag::from_tuples([tup![1, 3]])))
+                .unwrap();
+            wh.on(1, update(0, 1, Bag::from_tuples([tup![2, 4]])))
+                .unwrap();
+            let ((_, q1), (_, q2)) = (query(&mut wh.net), query(&mut wh.net));
+            // The second answers first: nothing installs yet.
+            let a2 = answer(q2.qid, 0, 1, Bag::from_tuples([tup![2, 4, 4, 9]]));
+            wh.on(10, a2).unwrap();
+            assert!(wh.installs().is_empty());
+            let a1 = answer(q1.qid, 0, 1, Bag::from_tuples([tup![1, 3, 3, 7]]));
+            wh.on(11, a1).unwrap();
+            let seqs: Vec<u64> = wh.installs().iter().map(|r| r.consumed[0].seq).collect();
+            assert_eq!(seqs, vec![0, 1]);
+            assert!(wh.sched.is_quiescent());
+        }
+
+        #[test]
+        fn two_legs_merge_the_support_counted_right_leg() {
+            let mut wh = OneView::new(
+                paper_view(),
+                Bag::from_pairs([(tup![7, 8], 2)]),
+                EngineOptions::default(),
+            );
+            // ΔR2 = +(3,5) with multiplicity 3 to exercise count handling.
+            wh.on(0, update(1, 0, Bag::from_pairs([(tup![3, 5], 3)])))
+                .unwrap();
+            let (to, lq) = query(&mut wh.net);
+            assert_eq!((to, lq.side), (0, JoinSide::Left));
+            assert_eq!(lq.partial.bag.count(&tup![3, 5]), 3, "true delta");
+            let (to, rq) = query(&mut wh.net);
+            assert_eq!((to, rq.side), (2, JoinSide::Right));
+            assert_eq!(rq.partial.bag.count(&tup![3, 5]), 1, "support");
+
+            // Right answer first (R3 matches (5,6)): the left leg is out.
+            wh.on(
+                5,
+                answer(rq.qid, 1, 2, Bag::from_tuples([tup![3, 5, 5, 6]])),
+            )
+            .unwrap();
+            assert!(wh.installs().is_empty(), "must wait for the left leg");
+            // Left answer: R1 has two matches, counts ×3.
+            let left = Bag::from_pairs([(tup![1, 3, 3, 5], 3), (tup![2, 3, 3, 5], 3)]);
+            wh.on(6, answer(lq.qid, 0, 1, left)).unwrap();
+            // Π[D,F] gives (5,6) with count 2 matches × 3 = 6.
+            let want = Bag::from_pairs([(tup![5, 6], 6), (tup![7, 8], 2)]);
+            assert_eq!(wh.view(), &want);
+            assert!(wh.sched.is_quiescent());
+        }
+
+        #[test]
+        fn figure_4_walks_left_then_right_one_query_at_a_time() {
+            let mut wh = OneView::new(
+                paper_view(),
+                Bag::from_pairs([(tup![7, 8], 2)]),
+                EngineOptions::FIGURE_4,
+            );
+            wh.on(0, update(1, 0, Bag::from_tuples([tup![3, 5]])))
+                .unwrap();
+            let (to, q1) = query(&mut wh.net);
+            assert_eq!((to, q1.side), (0, JoinSide::Left));
+            assert!(wh.net.next().is_none(), "one query in flight");
+            let left = Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]);
+            wh.on(5, answer(q1.qid, 0, 1, left)).unwrap();
+            let (to, q2) = query(&mut wh.net);
+            assert_eq!((to, q2.side), (2, JoinSide::Right));
+            let full = Bag::from_tuples([tup![1, 3, 3, 5, 5, 6], tup![2, 3, 3, 5, 5, 6]]);
+            wh.on(6, answer(q2.qid, 0, 2, full)).unwrap();
+            let want = Bag::from_pairs([(tup![5, 6], 2), (tup![7, 8], 2)]);
+            assert_eq!(wh.view(), &want);
+            assert_eq!(wh.sched.metrics().queries_sent, 2);
+            assert_eq!(wh.installs().len(), 1);
+        }
+
+        #[test]
+        fn an_empty_seed_short_circuits_without_a_query() {
+            // σ R1.A > 100, the view's own, filters the seed: an update
+            // it turns away is provably no view change.
+            let view = ViewDefBuilder::new()
+                .relation(Schema::new("R1", ["A", "B"]).unwrap())
+                .relation(Schema::new("R2", ["C", "D"]).unwrap())
+                .join("R1.B", "R2.C")
+                .select("R1.A", CmpOp::Gt, 100)
+                .build()
+                .unwrap();
+            let opts = EngineOptions {
+                short_circuit_empty: true,
+                ..EngineOptions::FIGURE_4
+            };
+            let mut wh = OneView::new(view, Bag::new(), opts);
+            wh.on(0, update(0, 0, Bag::from_tuples([tup![1, 3]])))
+                .unwrap();
+            assert_eq!(wh.sched.metrics().queries_sent, 0);
+            assert_eq!(wh.installs().len(), 1);
+            assert!(wh.view().is_empty() && wh.sched.is_quiescent());
+        }
+
+        #[test]
+        fn a_one_leg_walk_stops_when_its_partial_empties() {
+            let opts = EngineOptions {
+                short_circuit_empty: true,
+                ..EngineOptions::FIGURE_4
+            };
+            let initial = Bag::from_pairs([(tup![7, 8], 2)]);
+            let mut wh = OneView::new(paper_view(), initial.clone(), opts);
+            wh.on(0, update(1, 0, Bag::from_tuples([tup![3, 5]])))
+                .unwrap();
+            let (_, q1) = query(&mut wh.net);
+            // R1 joins nothing: the walk stops, R3 is never asked.
+            wh.on(5, answer(q1.qid, 0, 1, Bag::new())).unwrap();
+            assert!(wh.net.next().is_none());
+            assert_eq!(wh.sched.metrics().queries_sent, 1);
+            assert_eq!((wh.installs().len(), wh.view()), (1, &initial.into()));
+        }
+
+        #[test]
+        fn a_single_relation_chain_installs_without_queries() {
+            let view = ViewDefBuilder::new()
+                .relation(Schema::new("R1", ["A", "B"]).unwrap())
+                .project(["R1.B"])
+                .build()
+                .unwrap();
+            let mut wh = OneView::new(view, Bag::new(), EngineOptions::FIGURE_4);
+            wh.on(0, update(0, 0, Bag::from_tuples([tup![1, 7]])))
+                .unwrap();
+            assert_eq!(wh.view(), &Bag::from_pairs([(tup![7], 1)]));
+            assert_eq!(wh.sched.metrics().queries_sent, 0);
+            assert!(wh.sched.is_quiescent());
+        }
+
+        #[test]
+        fn an_answer_to_a_query_never_sent_is_refused() {
+            let mut wh = OneView::new(paper_view(), Bag::new(), EngineOptions::FIGURE_4);
+            let idle = wh.on(0, answer(0, 0, 0, Bag::new()));
+            assert!(matches!(
+                idle,
+                Err(MvError::Warehouse(WarehouseError::UnknownQuery { qid: 0 }))
+            ));
+            wh.on(1, update(1, 0, Bag::from_tuples([tup![3, 5]])))
+                .unwrap();
+            let res = wh.on(2, answer(999, 0, 1, Bag::new()));
+            assert!(matches!(
+                res,
+                Err(MvError::Warehouse(WarehouseError::UnknownQuery {
+                    qid: 999
+                }))
+            ));
+        }
+
+        /// Drive a one-view scheduler and real sources over its view to
+        /// quiescence through `txns`.
+        fn through_sources(
+            opts: EngineOptions,
+            latency: LatencyModel,
+            txns: &[(Time, usize, Bag)],
+        ) -> (MaintenanceScheduler, ViewId, Vec<Bag>) {
+            let initial = vec![
+                Bag::from_tuples([tup![1, 3], tup![2, 3]]),
+                Bag::from_tuples([tup![3, 7]]),
+                Bag::from_tuples([tup![5, 6], tup![7, 8]]),
+            ];
+            let view = paper_view();
+            let refs: Vec<&Bag> = initial.iter().collect();
+            let start = eval_view(&view, &refs).unwrap();
+            let sweep = OneViewSweep::new(&view, start, opts).unwrap();
+            let OneViewSweep { mut sched, id, .. } = sweep;
+            let mut net: Network<Message> = Network::new(11);
+            net.set_default_latency(latency);
+            let mut srcs = sources(&view, &initial);
+            let mut rels = initial;
+            for &(at, src, ref delta) in txns {
+                rels[src].merge(delta);
+                net.inject(at, source_node(src), txn(src, delta.clone()));
+            }
+            pump_network(&mut net, &mut sched, &mut srcs, |_, _, _| {});
+            assert!(sched.is_quiescent());
+            let refs: Vec<&Bag> = rels.iter().collect();
+            let truth = eval_view(&view, &refs).unwrap();
+            assert_eq!(sched.views().view_bag(id).unwrap(), &truth);
+            (sched, id, rels)
+        }
+
+        #[test]
+        fn figure_5_through_real_sources_matches_truth() {
+            // The paper's three updates, nearly simultaneous.
+            let txns = [
+                (0, 1, Bag::from_pairs([(tup![3, 5], 1)])),
+                (500, 2, Bag::from_pairs([(tup![7, 8], -1)])),
+                (900, 0, Bag::from_pairs([(tup![2, 3], -1)])),
+            ];
+            let latency = LatencyModel::Uniform(500, 5_000);
+            let (sched, id, _) = through_sources(EngineOptions::FIGURE_4, latency, &txns);
+            let view = sched.views().view_bag(id).unwrap();
+            assert_eq!(view, &Bag::from_pairs([(tup![5, 6], 1)]));
+            assert_eq!(sched.views().install_log(id).unwrap().len(), 3);
+        }
+
+        #[test]
+        fn pipelined_and_two_legged_agree_with_figure_4_through_real_sources() {
+            let txns = [
+                (0, 1, Bag::from_pairs([(tup![3, 5], 1)])),
+                (700, 0, Bag::from_pairs([(tup![1, 3], -1)])),
+                (1_400, 2, Bag::from_pairs([(tup![5, 6], -1)])),
+                (2_100, 1, Bag::from_pairs([(tup![3, 7], -1)])),
+            ];
+            let fig4 = EngineOptions::FIGURE_4;
+            let variants = [
+                fig4,
+                EngineOptions { window: 0, ..fig4 },
+                EngineOptions::default(),
+            ];
+            let logs = variants.map(|opts| {
+                let latency = LatencyModel::Constant(2_000);
+                let (sched, id, _) = through_sources(opts, latency, &txns);
+                consumed_log(&sched, id)
+            });
+            // One install per update, in arrival order, every way.
+            assert!(logs.iter().all(|log| log == &logs[0] && log.len() == 4));
+        }
     }
 }

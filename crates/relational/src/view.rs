@@ -95,6 +95,17 @@ impl ViewDef {
         self.total_arity
     }
 
+    /// The bare join chain under this view: the same relations and join
+    /// conditions, no selection and the identity projection.
+    pub fn chain(&self) -> ViewDef {
+        ViewDef {
+            local_selects: vec![Predicate::True; self.num_relations()],
+            residual: Predicate::True,
+            projection: (0..self.total_arity).collect(),
+            ..self.clone()
+        }
+    }
+
     /// Resolve a chain position by relation name.
     pub fn relation_index(&self, name: &str) -> Result<usize, RelationalError> {
         self.schemas

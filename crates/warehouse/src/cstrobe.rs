@@ -41,7 +41,6 @@ const LABELS: SpanLabels = SpanLabels {
     hop: "c_strobe.hop",
     compensations: "c_strobe.compensations",
     query_rows: None,
-    comp_rows: None,
     query_counter: None,
 };
 

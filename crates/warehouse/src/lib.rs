@@ -1,16 +1,21 @@
 //! # dw-warehouse
 //!
-//! The warehouse site and every view-maintenance policy studied in the
-//! paper, each as an explicit event-driven state machine:
+//! The warehouse site's comparison policies — every view-maintenance
+//! algorithm of the paper's Table 1 other than SWEEP itself — each as an
+//! explicit event-driven state machine:
 //!
 //! | Policy | Paper section | Consistency | Message cost / update | Notes |
 //! |---|---|---|---|---|
-//! | [`Sweep`] | §5, Fig. 4 | complete | `2(n−1)` | local compensation; §5.3 parallel legs, pipelining window |
 //! | [`NestedSweep`] | §6, Fig. 6 | strong | `O(n)` amortized | dovetails concurrent updates |
 //! | [`Eca`] | §3 (ZGMHW95) | strong | `O(1)` queries, quadratic size | single-site source |
 //! | [`Strobe`] | §3 (ZGMW96) | strong | `O(n)` | unique keys, installs at quiescence |
 //! | [`CStrobe`] | §3 (ZGMW96) | complete | up to `K^(n−2)` queries | unique keys |
 //! | [`Recompute`] | baseline | convergence | `2n` per refresh | full refresh |
+//!
+//! SWEEP (§5, Fig. 4 — complete consistency, `2(n−1)` messages per
+//! update, §5.3's parallel legs, short-circuit and pipelining, type-3
+//! global transactions) is a one-view `dw_multiview::MaintenanceScheduler`:
+//! one scheduler runs it for one view or many.
 //!
 //! All policies implement [`MaintenancePolicy`]; the orchestration layer
 //! feeds them [`dw_simnet::Delivery`] events and they talk back through the
@@ -24,7 +29,6 @@ pub mod eca;
 pub mod nested_sweep;
 pub mod recompute;
 pub mod strobe;
-pub mod sweep;
 mod testkit;
 
 // The mechanism layer (errors, install log, metrics, the policy trait, the
@@ -39,4 +43,3 @@ pub use eca::Eca;
 pub use nested_sweep::{NestedSweep, NestedSweepOptions};
 pub use recompute::Recompute;
 pub use strobe::Strobe;
-pub use sweep::{Sweep, SweepOptions};

@@ -33,7 +33,6 @@ use crate::MaintenancePolicy;
 use crate::PendingUpdate;
 use crate::PolicyMetrics;
 use crate::WarehouseError;
-pub use dw_engine::NestedSweepOptions;
 use dw_engine::{dispatch, EngineCore, InstallSink, SpanLabels, SweepCtx, SweepPolicy, SweepRun};
 use dw_obs::Obs;
 use dw_protocol::{Message, UpdateId};
@@ -46,7 +45,6 @@ const LABELS: SpanLabels = SpanLabels {
     hop: "nested_sweep.hop",
     compensations: "nested_sweep.compensations",
     query_rows: Some("nested_sweep.query_rows"),
-    comp_rows: None,
     query_counter: None,
 };
 
@@ -56,6 +54,15 @@ struct Active {
     /// query in flight.
     stack: Vec<SweepRun>,
     consumed: Vec<(UpdateId, Time)>,
+}
+
+/// Options for Nested SWEEP.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NestedSweepOptions {
+    /// Maximum dovetailing depth (frame-stack height) before interfering
+    /// updates fall back to SWEEP-style compensation-without-removal.
+    /// `None` means unbounded.
+    pub max_depth: Option<usize>,
 }
 
 /// The Nested SWEEP warehouse policy.

@@ -38,7 +38,6 @@ const LABELS: SpanLabels = SpanLabels {
     hop: "strobe.hop",
     compensations: "strobe.compensations",
     query_rows: None,
-    comp_rows: None,
     query_counter: None,
 };
 

@@ -204,24 +204,7 @@ impl MultiViewConfig {
     /// Generate the base chain, the update stream, and a random view set.
     pub fn generate(&self) -> Result<MultiViewScenario, RelationalError> {
         let single = self.stream.generate()?;
-        let n = self.stream.n_sources;
-        // Rebuild the chain as the *base* def: same schemas and joins,
-        // no selections, identity projection.
-        let mut b = ViewDefBuilder::new();
-        for k in 0..n {
-            b = b.relation(single.view.schema(k).clone());
-        }
-        for k in 0..n.saturating_sub(1) {
-            let left = single.view.schema(k);
-            let right = single.view.schema(k + 1);
-            for &(la, ra) in &single.view.join_cond(k).pairs {
-                b = b.join(
-                    format!("{}.{}", left.name(), left.attrs()[la]),
-                    format!("{}.{}", right.name(), right.attrs()[ra]),
-                );
-            }
-        }
-        let base = b.build()?;
+        let base = single.view.chain();
 
         let mut r = Rng64::new(self.view_seed ^ 0x5EED_B00C);
         let views: Vec<ViewSpec> = (0..self.n_views)

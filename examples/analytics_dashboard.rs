@@ -62,7 +62,7 @@ fn main() {
 
     // --- Maintain with SWEEP; fold installs into the aggregates ---------
     let report = Experiment::new(scenario)
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Jittered {
             base: 1_000,
             jitter: 1_500,

@@ -29,7 +29,7 @@ fn main() {
     );
 
     for kind in [
-        PolicyKind::Sweep(Default::default()),
+        PolicyKind::Sweep(EngineOptions::FIGURE_4),
         PolicyKind::NestedSweep(Default::default()),
         PolicyKind::Strobe,
         PolicyKind::CStrobe,

@@ -36,7 +36,13 @@ fn main() {
     );
     let report = run_live(
         &scenario,
-        |view, initial| Ok(Box::new(Sweep::new(view, initial)?)),
+        |view, initial| {
+            Ok(Box::new(OneViewSweep::new(
+                &view,
+                initial,
+                EngineOptions::FIGURE_4,
+            )?))
+        },
         10.0, // compress scenario time 10×
         Duration::from_secs(60),
     )

@@ -63,7 +63,7 @@ fn main() {
 
     // --- Run SWEEP over slow links so the updates overlap ---------------
     let report = Experiment::new(scenario)
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Constant(5_000))
         .run()
         .unwrap();

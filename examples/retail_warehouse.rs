@@ -102,14 +102,10 @@ fn main() {
     println!("retail warehouse: Orders ⋈ Products ⋈ Suppliers under bursty load\n");
     let mut rows = Vec::new();
     for (label, kind) in [
-        ("SWEEP", PolicyKind::Sweep(Default::default())),
+        ("SWEEP", PolicyKind::Sweep(EngineOptions::FIGURE_4)),
         (
             "SWEEP (parallel sweeps)",
-            PolicyKind::Sweep(SweepOptions {
-                parallel: true,
-                short_circuit_empty: false,
-                ..Default::default()
-            }),
+            PolicyKind::Sweep(EngineOptions::default()),
         ),
         ("Nested SWEEP", PolicyKind::NestedSweep(Default::default())),
     ] {

@@ -9,7 +9,7 @@
 //!
 //! Argument parsing is hand-rolled (the workspace deliberately carries no
 //! CLI dependency); every flag maps 1:1 onto [`StreamConfig`] /
-//! [`Experiment`] options.
+//! [`Experiment`] / [`EngineOptions`] options.
 
 use dwsweep::prelude::*;
 use std::process::ExitCode;
@@ -104,10 +104,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
 fn policy_kind(o: &Opts) -> Result<PolicyKind, String> {
     Ok(match o.policy.as_str() {
         // `pipelined` is SWEEP with a window other than Figure 4's 1.
-        name @ ("sweep" | "pipelined" | "pipelined-sweep") => PolicyKind::Sweep(SweepOptions {
-            parallel: o.parallel,
+        name @ ("sweep" | "pipelined" | "pipelined-sweep") => PolicyKind::Sweep(EngineOptions {
+            sequential: !o.parallel,
             short_circuit_empty: o.short_circuit,
             window: if name == "sweep" { 1 } else { o.window },
+            ..EngineOptions::FIGURE_4
         }),
         "nested-sweep" | "nested" => PolicyKind::NestedSweep(NestedSweepOptions {
             max_depth: o.max_depth,
@@ -332,6 +333,26 @@ mod tests {
             ..Opts::default()
         };
         assert!(policy_kind(&o).is_err());
+    }
+
+    #[test]
+    fn sweep_flags_set_engine_options() {
+        let kind = |s: &str| policy_kind(&parse_opts(&args(s)).unwrap()).unwrap();
+        assert_eq!(
+            kind("--policy sweep"),
+            PolicyKind::Sweep(EngineOptions::FIGURE_4)
+        );
+        let o = kind("--policy pipelined --parallel --short-circuit --window 3");
+        let want = EngineOptions {
+            sequential: false,
+            short_circuit_empty: true,
+            window: 3,
+            ..EngineOptions::FIGURE_4
+        };
+        assert_eq!(o, PolicyKind::Sweep(want));
+        // Plain SWEEP keeps Figure 4's window whatever `--window` says.
+        let o = kind("--policy sweep --window 5");
+        assert_eq!(o, PolicyKind::Sweep(EngineOptions::FIGURE_4));
     }
 
     #[test]

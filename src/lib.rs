@@ -25,9 +25,10 @@
 //! .generate()
 //! .unwrap();
 //!
-//! // Maintain it with SWEEP over 1 ms links and verify consistency.
+//! // Maintain it with SWEEP (Figure 4) over 1 ms links and verify
+//! // consistency.
 //! let report = Experiment::new(scenario)
-//!     .policy(PolicyKind::Sweep(Default::default()))
+//!     .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
 //!     .run()
 //!     .unwrap();
 //!
@@ -44,11 +45,11 @@
 //! | [`simnet`] | `dw-simnet` | deterministic FIFO network simulator |
 //! | [`protocol`] | `dw-protocol` | source ↔ warehouse messages |
 //! | [`source`] | `dw-source` | the update & query server (paper Fig. 3) |
-//! | [`warehouse`] | `dw-warehouse` | SWEEP, Nested SWEEP, ECA, Strobe, C-strobe, Recompute |
+//! | [`warehouse`] | `dw-warehouse` | Table 1's comparison policies: Nested SWEEP, ECA, Strobe, C-strobe, Recompute |
 //! | [`engine`] | `dw-engine` | the one transport-blind sweep loop every executor adapts |
 //! | [`consistency`] | `dw-consistency` | ground truth + classification |
 //! | [`workload`] | `dw-workload` | scenario/stream generators |
-//! | [`multiview`] | `dw-multiview` | view registry + the one lane-based shared-sweep scheduler (unsharded = one group) + derived-view DAG cascade |
+//! | [`multiview`] | `dw-multiview` | view registry + the one lane-based scheduler that runs SWEEP for one view or many (unsharded = one group) + derived-view DAG cascade |
 //! | [`serve`] | `dw-serve` | snapshot-pinned read path + subscriptions |
 //! | [`livenet`] | `dw-livenet` | thread-per-node live runtime |
 //! | [`core`] | `dw-core` | experiments and reports |
@@ -82,8 +83,8 @@ pub mod prelude {
         RunReport, ServeOutcome, SubscriptionOutcome, ViewOutcome,
     };
     pub use dw_multiview::{
-        CascadeStats, MaintenanceScheduler, SchedulerMode, ShardStats, ShardedScheduler, ViewId,
-        ViewRegistry,
+        CascadeStats, EngineOptions, MaintenanceScheduler, OneViewSweep, SchedulerMode, ShardStats,
+        ShardedScheduler, ViewId, ViewRegistry,
     };
     pub use dw_protocol::TransportConfig;
     pub use dw_relational::{
@@ -95,9 +96,7 @@ pub mod prelude {
         ServeError, ServeStats, StalenessBound,
     };
     pub use dw_simnet::{Crash, FaultPlan, LatencyModel, LinkFaults, Network, Outage, Time};
-    pub use dw_warehouse::{
-        MaintenancePolicy, NestedSweep, NestedSweepOptions, Sweep, SweepOptions,
-    };
+    pub use dw_warehouse::{MaintenancePolicy, NestedSweep, NestedSweepOptions};
     pub use dw_workload::{
         DerivedOp, DerivedSpec, FaultScenarioConfig, GapKind, GeneratedScenario, MultiViewConfig,
         MultiViewScenario, ReadKind, ReadMixConfig, ReadOp, ScheduledTxn, ShardedConfig,

@@ -31,7 +31,7 @@ fn sweep_complete_across_topologies() {
         for seed in [1u64, 2, 3] {
             let r = run(
                 dense(n, seed),
-                PolicyKind::Sweep(Default::default()),
+                PolicyKind::Sweep(EngineOptions::FIGURE_4),
                 LatencyModel::Constant(2_000),
             );
             assert_eq!(
@@ -48,7 +48,7 @@ fn sweep_complete_under_random_latency() {
     for seed in 0u64..4 {
         let r = run(
             dense(4, 99),
-            PolicyKind::Sweep(Default::default()),
+            PolicyKind::Sweep(EngineOptions::FIGURE_4),
             LatencyModel::Uniform(100, 8_000),
         );
         let level = r.consistency.unwrap().level;
@@ -65,7 +65,7 @@ fn sweep_complete_with_source_local_transactions() {
     };
     let r = run(
         cfg,
-        PolicyKind::Sweep(Default::default()),
+        PolicyKind::Sweep(EngineOptions::FIGURE_4),
         LatencyModel::Constant(2_000),
     );
     assert_eq!(r.consistency.unwrap().level, ConsistencyLevel::Complete);
@@ -158,7 +158,7 @@ fn all_policies_converge_to_identical_views() {
     let latency = LatencyModel::Constant(2_000);
     let baseline = run(
         dense(3, 50),
-        PolicyKind::Sweep(Default::default()),
+        PolicyKind::Sweep(EngineOptions::FIGURE_4),
         latency.clone(),
     );
     for kind in [
@@ -182,7 +182,7 @@ fn zipf_skew_does_not_break_anything() {
     };
     let r = run(
         cfg,
-        PolicyKind::Sweep(Default::default()),
+        PolicyKind::Sweep(EngineOptions::FIGURE_4),
         LatencyModel::Jittered {
             base: 1_000,
             jitter: 2_000,
@@ -199,7 +199,7 @@ fn delete_heavy_workloads() {
         ..dense(3, 70)
     };
     for kind in [
-        PolicyKind::Sweep(Default::default()),
+        PolicyKind::Sweep(EngineOptions::FIGURE_4),
         PolicyKind::NestedSweep(Default::default()),
         PolicyKind::Strobe,
     ] {

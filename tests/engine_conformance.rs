@@ -32,6 +32,7 @@ use dwsweep::relational::eval_view;
 use std::time::Duration;
 
 const SEEDS: u64 = 64;
+const FIGURE_4: EngineOptions = EngineOptions::FIGURE_4;
 const SEED_BASE: u64 = 0xC0_0000;
 
 /// Sparse schedule: 4–5 updates, 200 ms constant gaps (8 ms real time at
@@ -79,7 +80,7 @@ fn sweep_conforms_across_backends() {
         let truth = ground_truth(&s);
 
         let sim = Experiment::new(s.clone())
-            .policy(PolicyKind::Sweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .run()
             .unwrap();
         let sim_fp = install_fingerprint(&sim.installs);
@@ -87,7 +88,7 @@ fn sweep_conforms_across_backends() {
         for &scale in &TIME_SCALES {
             let r = run_live(
                 &s,
-                |view, initial| Ok(Box::new(Sweep::new(view, initial)?)),
+                |view, initial| Ok(Box::new(OneViewSweep::new(&view, initial, FIGURE_4)?)),
                 scale,
                 DEADLINE,
             )
@@ -142,7 +143,10 @@ fn pushdown_conforms_to_unpushed_engine() {
             .run()
             .unwrap();
         let pushed = MultiViewExperiment::new(scenario)
-            .pushdown(true)
+            .options(EngineOptions {
+                pushdown: true,
+                ..EngineOptions::default()
+            })
             .seed(k)
             .run()
             .unwrap();

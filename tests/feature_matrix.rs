@@ -16,7 +16,7 @@
 //!   differ — that is the concurrency);
 //! * **(b′)** S ∈ {2, 4} × σ pushdown, on the same two families (every
 //!   banded view given selections, so the pushed σ bites), must match the
-//!   flat `.pushdown(true)` referee the same way and the unpushed run on
+//!   flat pushdown referee the same way and the unpushed run on
 //!   bags — a lane's query is an ordinary query, so the pushed predicate
 //!   algebra holds per lane exactly as it holds flat;
 //! * **(b″)** S ∈ {2, 4} × durability — checkpoints and the sweep WAL
@@ -40,7 +40,15 @@
 //!   read, lag and subscription oracles and leave
 //!   maintenance exactly as the same options leave it without readers;
 //! * **(e)** serving is invisible to maintenance: an empty read schedule
-//!   changes nothing but the presence of `report.serve`.
+//!   changes nothing but the presence of `report.serve`;
+//! * **(f)** SWEEP's single-view features are scheduler options and
+//!   compose: `window ∈ {0, 3}` × S ∈ {1, 2, 4} × durability (a crash
+//!   catching later-ticket commits behind a re-seeded lane), `sequential`
+//!   × random spans, the empty short-circuit × pushdown, and type-3
+//!   global transactions × S × durability × reads × batching, each held
+//!   to the flat referee (and atomicity) and each failing under one
+//!   mutation: compensation that skips the later tickets, the hold
+//!   released one part early, one leg on mixed span starts.
 //!
 //! The referee here is the plain constructor of the same scheduler, so
 //! every run is also held to the independent oracles: per-view
@@ -60,7 +68,16 @@ const SEED_BASE: u64 = 0xFEA7_0000;
 /// are a pure function of arrival order and comparable across shard
 /// counts), odd seeds with a derived stack on top.
 fn schedule(k: u64) -> MultiViewScenario {
-    let mut scenario = MultiViewConfig {
+    let mut scenario = schedule_config(k).generate().unwrap();
+    for view in &mut scenario.views {
+        view.policy = ViewPolicy::Sweep;
+    }
+    scenario
+}
+
+/// The generator behind [`schedule`].
+fn schedule_config(k: u64) -> MultiViewConfig {
+    MultiViewConfig {
         stream: StreamConfig {
             n_sources: 3 + (k % 2) as usize,
             updates: 8 + (k % 5) as usize,
@@ -76,12 +93,6 @@ fn schedule(k: u64) -> MultiViewScenario {
         n_derived: if k % 2 == 1 { 3 } else { 0 },
         derived_seed: SEED_BASE.rotate_left(7) ^ k,
     }
-    .generate()
-    .unwrap();
-    for view in &mut scenario.views {
-        view.policy = ViewPolicy::Sweep;
-    }
-    scenario
 }
 
 /// Run `scenario` through the plain constructor (`None`) or the sharded
@@ -101,8 +112,11 @@ fn run_with(
     let arm = format!("schedule {k}, map {map:?}, pushdown {pushdown}, batch {batch}");
     let mut exp = MultiViewExperiment::new(scenario.clone())
         .seed(k)
-        .pushdown(pushdown)
-        .batch(batch);
+        .options(EngineOptions {
+            pushdown,
+            batch,
+            ..EngineOptions::default()
+        });
     if let Some(map) = map {
         exp = exp.shards(map);
     }
@@ -292,7 +306,10 @@ fn two_and_four_shards_compose_with_durability() {
                 let mut exp = MultiViewExperiment::new(scenario.clone())
                     .shards(map)
                     .seed(k)
-                    .pushdown(pushdown)
+                    .options(EngineOptions {
+                        pushdown,
+                        ..EngineOptions::default()
+                    })
                     .durability(1 + (k % 3) as usize);
                 if reads {
                     exp = exp.reads(read_mix(k, &scenario));
@@ -385,8 +402,11 @@ fn two_and_four_shards_compose_with_batching() {
                 let crashed = MultiViewExperiment::new(scenario.clone())
                     .shards(map)
                     .seed(k)
-                    .pushdown(pushdown)
-                    .batch(batch)
+                    .options(EngineOptions {
+                        pushdown,
+                        batch,
+                        ..EngineOptions::default()
+                    })
                     .reads(read_mix(k, &scenario))
                     .faults(crash)
                     .transport_auto()
@@ -521,7 +541,7 @@ fn refused_combinations_return_their_documented_errors() {
     };
     let e = MaintenanceScheduler::with_shards(base, zero, None).err();
     assert!(refusal(e.expect("batch 0 must be refused")).contains("batch width"));
-    let e = multi().shards(map()).batch(0).run().unwrap_err();
+    let e = multi().shards(map()).options(zero).run().unwrap_err();
     assert!(refusal(e).contains("batch width"));
 
     // Internal-invariant errors are typed too, not panics.
@@ -553,8 +573,11 @@ fn serving_composes_with_batching_and_pushdown() {
             let options = || {
                 MultiViewExperiment::new(scenario.clone())
                     .seed(k)
-                    .batch(batch)
-                    .pushdown(pushdown)
+                    .options(EngineOptions {
+                        pushdown,
+                        batch,
+                        ..EngineOptions::default()
+                    })
             };
             let quiet = options().run().unwrap();
             let served = options()
@@ -624,4 +647,287 @@ fn serving_is_invisible_to_maintenance() {
         assert_eq!(served.publication_log.len(), installs + derived, "{arm}");
         assert!(served.reads.is_empty() && referee.subscriptions_match_installs());
     }
+}
+
+/// A dense banded burst of case `k` over `shards` bands: every update
+/// delivered inside a few milliseconds, so pipelined sweeps overlap.
+fn dense_burst(k: u64, shards: usize) -> ShardedScenario {
+    ShardedConfig {
+        n_sources: 3,
+        shards,
+        updates: 8 + (k % 4) as usize,
+        mean_gap: 150 + 50 * (k % 4),
+        cross_shard_frac: if k % 4 == 3 { 0.3 } else { 0.0 },
+        seed: SEED_BASE + 0x2000 + k,
+        ..Default::default()
+    }
+    .generate()
+    .unwrap()
+}
+
+/// §5.3's pipelining as the lane rule's depth: `window ∈ {0, 3}` × S ∈
+/// {1, 2, 4} on dense bursts must land on the flat Figure-4 referee's
+/// bags, install fingerprints and message bill — sweeps sharing a band
+/// answer each other's interference through the later-ticket tasks — and
+/// the same cell, durable and served, must recover from a state crash
+/// swept across the drain (catching later-ticket commits waiting behind
+/// a re-seeded lane) to the same outcome under the read oracles.
+#[test]
+fn windows_compose_with_shards_and_durability() {
+    let (mut stacked, mut buffered) = (0, 0);
+    for k in 0..SCHEDULES {
+        let (shards, window) = ([1, 2, 4][(k % 3) as usize], [0, 3][(k / 3 % 2) as usize]);
+        let generated = dense_burst(k, shards);
+        let scenario = &generated.scenario;
+        let arm = format!("burst {k}, S={shards}, window {window}");
+        let referee = run(scenario, None, k);
+        let windowed = MultiViewExperiment::new(scenario.clone())
+            .shards(generated.map.clone())
+            .options(EngineOptions {
+                window,
+                ..EngineOptions::default()
+            })
+            .seed(k)
+            .run()
+            .unwrap();
+        assert!(windowed.quiescent, "{arm}");
+        assert_same_outcome(&windowed, &referee, &arm);
+        assert_eq!(windowed.min_consistency(), Some(ConsistencyLevel::Complete));
+        let stats = windowed.shard_stats.as_ref().unwrap();
+        stacked += usize::from(stats.max_concurrent_lanes > shards);
+
+        let delivered = scenario.txns.last().unwrap().at + 1_000;
+        let down_at = delivered + 50 + 400 * (k % 8);
+        let crash = FaultPlan::default().state_crash(WAREHOUSE_NODE, down_at, down_at + 900);
+        let crashed = MultiViewExperiment::new(scenario.clone())
+            .shards(generated.map)
+            .options(EngineOptions {
+                window,
+                ..EngineOptions::default()
+            })
+            .seed(k)
+            .reads(read_mix(k, scenario))
+            .faults(crash)
+            .transport_auto()
+            .durability(1 + (k % 3) as usize)
+            .run()
+            .unwrap();
+        assert!(crashed.quiescent, "{arm}: crashed run did not drain");
+        assert_eq!(crashed.recovery.recoveries, 1, "{arm}");
+        // Re-seeded lanes ask again, so only the bill may differ.
+        let fingerprint = crashed.install_fingerprint();
+        assert_eq!(fingerprint, referee.install_fingerprint(), "{arm}: crashed");
+        for (a, b) in crashed.views.iter().zip(&referee.views) {
+            assert_eq!(a.view, b.view, "{arm}: view '{}' after the crash", a.name);
+        }
+        let audit = audit_reads(scenario, &crashed).unwrap();
+        assert!(audit.clean(), "{arm}: {audit:?}");
+        // A lane completion before the window that the first view's log
+        // does not show installed by then was committed, unreleased.
+        let stats = crashed.shard_stats.as_ref().unwrap();
+        let before = |at: Time| at < down_at;
+        let completed = stats.completions.iter().filter(|c| before(c.1)).count();
+        let installs = crashed.views[0].installs.iter();
+        buffered += usize::from(completed > installs.filter(|r| before(r.at)).count());
+    }
+    assert!(
+        stacked >= SCHEDULES as usize / 2,
+        "only {stacked} runs stacked sweeps on a band"
+    );
+    assert!(
+        buffered >= 8,
+        "only {buffered} crashes caught a commit behind an earlier ticket"
+    );
+}
+
+/// Figure 4's one leg serves every view a walk passes through and falls
+/// back to two legs for the rest: on random multi-view spans, flat and
+/// sharded, `.sequential(true)` matches the two-leg referee on bags,
+/// install fingerprints and the message bill.
+#[test]
+fn sequential_composes_with_random_spans_and_shards() {
+    let mut mixed = 0;
+    for k in 0..SCHEDULES {
+        let scenario = schedule(k);
+        let referee = run(&scenario, None, k);
+        mixed += usize::from(scenario.views.iter().any(|v| v.lo != scenario.views[0].lo));
+        for map in [None, Some(ShardMap::hash(2))] {
+            let arm = format!("schedule {k}, {map:?}, sequential");
+            let mut exp = MultiViewExperiment::new(scenario.clone())
+                .options(EngineOptions {
+                    sequential: true,
+                    ..EngineOptions::default()
+                })
+                .seed(k);
+            if let Some(map) = map {
+                exp = exp.shards(map);
+            }
+            let report = exp.run().unwrap();
+            assert!(report.quiescent, "{arm}");
+            assert_same_outcome(&report, &referee, &arm);
+            assert_eq!(report.min_consistency(), Some(ConsistencyLevel::Complete));
+            assert!(report.derived_clean(), "{arm}");
+        }
+    }
+    assert!(
+        mixed >= SCHEDULES as usize / 2,
+        "only {mixed} schedules mixed span starts"
+    );
+}
+
+/// The empty short-circuit under σ pushdown: a seed the pushed σ empties
+/// sends no query, and a one-leg walk stops where its partial empties —
+/// the bags and install fingerprints are the pushed referee's, the bill
+/// never larger, and smaller where the σ bites.
+#[test]
+fn short_circuit_composes_with_pushdown() {
+    let (mut runs, mut saved) = (0, 0);
+    for k in 0..SCHEDULES {
+        let [_, (mut banded, map)] = sharded_arms(k, 2);
+        for (v, view) in banded.views.iter_mut().enumerate() {
+            view.selects
+                .push((1, 1, CmpOp::Ge, Value::Int(4 + v as i64)));
+        }
+        let referee = run_with(&banded, None, true, 1, k);
+        for (sequential, map) in [(false, None), (true, None), (true, Some(map))] {
+            let arm = format!("banded {k}, sequential {sequential}, {map:?}");
+            let mut exp = MultiViewExperiment::new(banded.clone())
+                .options(EngineOptions {
+                    pushdown: true,
+                    short_circuit_empty: true,
+                    sequential,
+                    ..EngineOptions::default()
+                })
+                .seed(k);
+            if let Some(map) = map {
+                exp = exp.shards(map);
+            }
+            let report = exp.run().unwrap();
+            assert!(report.quiescent, "{arm}");
+            assert_eq!(report.install_fingerprint(), referee.install_fingerprint());
+            for (a, b) in report.views.iter().zip(&referee.views) {
+                assert_eq!(a.view, b.view, "{arm}: view '{}'", a.name);
+            }
+            assert_eq!(report.min_consistency(), Some(ConsistencyLevel::Complete));
+            assert!(report.query_messages() <= referee.query_messages(), "{arm}");
+            saved += usize::from(report.query_messages() < referee.query_messages());
+            runs += 1;
+        }
+    }
+    assert!(
+        saved >= runs / 2,
+        "the short-circuit saved messages in only {saved} of {runs} runs"
+    );
+}
+
+/// Per view, every install consumes all or none of the parts of each
+/// global transaction whose source lies in the view's span.
+fn assert_atomic(scenario: &MultiViewScenario, report: &MultiViewReport, arm: &str) {
+    let mut seqs = vec![0; scenario.base.num_relations()];
+    let mut gid_of = std::collections::HashMap::new();
+    for t in &scenario.txns {
+        let id = dwsweep::protocol::UpdateId {
+            source: t.source,
+            seq: seqs[t.source],
+        };
+        seqs[t.source] += 1;
+        if let Some(g) = t.global {
+            gid_of.insert(id, g.gid);
+        }
+    }
+    for (spec, view) in scenario.views.iter().zip(&report.views) {
+        let in_span = |gid: u64| {
+            let parts = gid_of
+                .iter()
+                .filter(|&(id, g)| *g == gid && spec.references(id.source));
+            parts.count()
+        };
+        for rec in &view.installs {
+            let mut seen = std::collections::HashMap::new();
+            for gid in rec.consumed.iter().filter_map(|id| gid_of.get(id)) {
+                *seen.entry(*gid).or_insert(0) += 1;
+            }
+            for (gid, n) in seen {
+                assert_eq!(
+                    n,
+                    in_span(gid),
+                    "{arm}: '{}' split transaction {gid}",
+                    view.name
+                );
+            }
+        }
+    }
+}
+
+/// Type-3 global transactions × S ∈ {1, 2, 4} × durability × serving ×
+/// `batch > 1`: every view installs each transaction atomically, lands on
+/// the flat unbatched referee's bags (and, under one band, on the flat
+/// run's install fingerprints at the same batch), and the readers see
+/// only truth.
+#[test]
+fn global_transactions_compose_with_shards_durability_reads_and_batching() {
+    let mut held = 0;
+    for k in 0..SCHEDULES / 2 {
+        let mut config = MultiViewConfig {
+            n_derived: 0,
+            ..schedule_config(k)
+        };
+        config.stream.global_every = 3;
+        config.stream.global_span = 2;
+        let scenario = config.generate().unwrap();
+        let flat = |batch| {
+            let opts = EngineOptions {
+                batch,
+                ..EngineOptions::default()
+            };
+            let report = MultiViewExperiment::new(scenario.clone()).options(opts);
+            let report = report.seed(k).run().unwrap();
+            assert_atomic(
+                &scenario,
+                &report,
+                &format!("schedule {k}, flat, batch {batch}"),
+            );
+            report
+        };
+        let batch = [2, 4][(k % 2) as usize];
+        let (referee, flat_batched) = (flat(1), flat(batch));
+        for shards in [1, 2, 4] {
+            let arm = format!("schedule {k}, S={shards}, batch {batch}");
+            let report = MultiViewExperiment::new(scenario.clone())
+                .shards(ShardMap::hash(shards))
+                .options(EngineOptions {
+                    batch,
+                    ..EngineOptions::default()
+                })
+                .durability(1 + (k % 3) as usize)
+                .reads(read_mix(k, &scenario))
+                .seed(k)
+                .run()
+                .unwrap();
+            assert!(report.quiescent, "{arm}");
+            assert_atomic(&scenario, &report, &arm);
+            assert_consecutive_runs(&report, &arm);
+            // Holding a transaction skips states: strong, not complete.
+            let level = report.min_consistency().unwrap();
+            assert!(level >= ConsistencyLevel::Strong, "{arm}: {level}");
+            assert!(report.mutual.as_ref().unwrap().final_agreement, "{arm}");
+            for (a, b) in report.views.iter().zip(&referee.views) {
+                assert_eq!(a.view, b.view, "{arm}: view '{}'", a.name);
+            }
+            if shards == 1 {
+                assert_eq!(
+                    report.install_fingerprint(),
+                    flat_batched.install_fingerprint()
+                );
+            }
+            let audit = audit_reads(&scenario, &report).unwrap();
+            assert!(audit.clean(), "{arm}: {audit:?}");
+            let widest = report.views.iter().flat_map(|v| &v.installs);
+            held += usize::from(widest.map(|r| r.consumed.len()).max() > Some(batch));
+        }
+    }
+    assert!(
+        held >= SCHEDULES as usize / 2,
+        "a transaction held installs in only {held} runs"
+    );
 }

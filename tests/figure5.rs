@@ -64,7 +64,7 @@ fn figure5_states() -> [Bag; 3] {
 #[test]
 fn sweep_walks_figure5_states_sequentially() {
     let report = Experiment::new(paper_scenario(100_000))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Constant(5_000))
         .run()
         .unwrap();
@@ -84,7 +84,7 @@ fn sweep_walks_figure5_states_sequentially() {
 #[test]
 fn sweep_walks_figure5_states_concurrently() {
     let report = Experiment::new(paper_scenario(1_000))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Constant(5_000))
         .run()
         .unwrap();
@@ -107,11 +107,10 @@ fn sweep_walks_figure5_states_concurrently() {
 #[test]
 fn every_policy_reaches_figure5_final_state() {
     for kind in [
-        PolicyKind::Sweep(Default::default()),
-        PolicyKind::Sweep(SweepOptions {
-            parallel: true,
+        PolicyKind::Sweep(EngineOptions::FIGURE_4),
+        PolicyKind::Sweep(EngineOptions {
             short_circuit_empty: true,
-            ..Default::default()
+            ..EngineOptions::default()
         }),
         PolicyKind::NestedSweep(Default::default()),
         PolicyKind::Strobe,

@@ -1,13 +1,15 @@
 //! Integration: global transactions (update type 3 of §2). The paper
 //! defers their handling to the [ZGMW96] approach — tagging each part with
-//! a transaction id and incorporating all parts atomically. Our SWEEP
-//! implementation computes each part's view change as usual but holds
-//! installs until every part of every in-progress global transaction has
-//! been processed, then flushes one atomic state transition.
+//! a transaction id and incorporating all parts atomically. The scheduler
+//! computes each part's view change as usual but holds releases until
+//! every part of every in-progress global transaction has been released,
+//! then installs one atomic state transition per view — for one view or
+//! many, sharded, durable or serving.
 
 use dwsweep::engine::WarehouseError;
 use dwsweep::prelude::*;
 use dwsweep::protocol::{GlobalPart, UpdateId};
+use dwsweep::warehouse::InstallRecord;
 use std::collections::{HashMap, HashSet};
 
 fn scenario(seed: u64, updates: usize) -> GeneratedScenario {
@@ -28,11 +30,16 @@ fn scenario(seed: u64, updates: usize) -> GeneratedScenario {
 
 /// Map each update id to its global transaction group (from the scenario).
 fn groups(s: &GeneratedScenario) -> HashMap<UpdateId, u64> {
+    groups_of(&s.txns, s.view.num_relations())
+}
+
+/// [`groups`] over any stream of `n` sources.
+fn groups_of(txns: &[ScheduledTxn], n: usize) -> HashMap<UpdateId, u64> {
     // Reconstruct ids the way sources assign them: per-source injection
     // order = per-source seq numbers.
-    let mut seqs = vec![0u64; s.view.num_relations()];
+    let mut seqs = vec![0u64; n];
     let mut out = HashMap::new();
-    for t in &s.txns {
+    for t in txns {
         let id = UpdateId {
             source: t.source,
             seq: seqs[t.source],
@@ -79,9 +86,9 @@ fn sweep_window_installs_global_txns_atomically(window: usize) {
     let s = scenario(2, 24);
     let gid_of = groups(&s);
     let report = Experiment::new(s)
-        .policy(PolicyKind::Sweep(SweepOptions {
+        .policy(PolicyKind::Sweep(EngineOptions {
             window,
-            ..Default::default()
+            ..EngineOptions::FIGURE_4
         }))
         .latency(LatencyModel::Constant(2_000))
         .run()
@@ -89,24 +96,8 @@ fn sweep_window_installs_global_txns_atomically(window: usize) {
     assert!(report.quiescent, "window {window}");
 
     // Atomicity: every install consumes all-or-none of each gid's parts.
-    let mut parts_per_gid: HashMap<u64, usize> = HashMap::new();
-    for gid in gid_of.values() {
-        *parts_per_gid.entry(*gid).or_default() += 1;
-    }
-    for (k, rec) in report.installs.iter().enumerate() {
-        let mut seen: HashMap<u64, usize> = HashMap::new();
-        for id in &rec.consumed {
-            if let Some(gid) = gid_of.get(id) {
-                *seen.entry(*gid).or_default() += 1;
-            }
-        }
-        for (gid, n) in seen {
-            assert_eq!(
-                n, parts_per_gid[&gid],
-                "window {window}: install {k} exposes a partial global transaction {gid}"
-            );
-        }
-    }
+    let arm = format!("window {window}");
+    assert_atomic(&report.installs, &gid_of, |_| true, &arm);
 
     // Batching globals trades complete for strong consistency — verified.
     let level = report.consistency.unwrap().level;
@@ -121,7 +112,7 @@ fn global_txns_converge_across_policies_that_ignore_them() {
     // Policies without atomic-group support still converge (parts are
     // ordinary updates to them); SWEEP additionally guarantees atomicity.
     let baseline = Experiment::new(scenario(3, 16))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .run()
         .unwrap();
     for kind in [
@@ -137,7 +128,7 @@ fn global_txns_converge_across_policies_that_ignore_them() {
 fn non_global_updates_between_parts_are_held_not_lost() {
     let s = scenario(4, 24);
     let report = Experiment::new(s)
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Constant(2_000))
         .run()
         .unwrap();
@@ -151,18 +142,44 @@ fn non_global_updates_between_parts_are_held_not_lost() {
     assert_eq!(seen.len() as u64, report.metrics.updates_received);
 }
 
-/// Re-tag the first `k` plain transactions of `s` with `tag`.
-fn tag_plain_txns(s: &mut GeneratedScenario, k: usize, tag: GlobalPart) {
-    let plain = s.txns.iter_mut().filter(|t| t.global.is_none());
+/// Every install in `installs` consumes all or none of the parts of each
+/// global transaction that land in its view — the parts whose source
+/// `in_view` admits.
+fn assert_atomic(
+    installs: &[InstallRecord],
+    gid_of: &HashMap<UpdateId, u64>,
+    in_view: impl Fn(&UpdateId) -> bool,
+    arm: &str,
+) {
+    let mut parts_per_gid: HashMap<u64, usize> = HashMap::new();
+    for (id, gid) in gid_of {
+        *parts_per_gid.entry(*gid).or_default() += usize::from(in_view(id));
+    }
+    for (k, rec) in installs.iter().enumerate() {
+        let mut seen: HashMap<u64, usize> = HashMap::new();
+        for id in &rec.consumed {
+            if let Some(gid) = gid_of.get(id) {
+                *seen.entry(*gid).or_default() += 1;
+            }
+        }
+        for (gid, n) in seen {
+            assert_eq!(
+                n, parts_per_gid[&gid],
+                "{arm}: install {k} exposes a partial global transaction {gid}"
+            );
+        }
+    }
+}
+
+/// Re-tag the first `k` plain transactions of `txns` with `tag`.
+fn tag_plain_txns(txns: &mut [ScheduledTxn], k: usize, tag: GlobalPart) {
+    let plain = txns.iter_mut().filter(|t| t.global.is_none());
     let tagged = plain.take(k).map(|t| t.global = Some(tag)).count();
     assert_eq!(tagged, k, "scenario has too few plain transactions");
 }
 
-fn assert_refused_typed(s: GeneratedScenario, what: &str) {
-    let err = Experiment::new(s)
-        .policy(PolicyKind::Sweep(Default::default()))
-        .run()
-        .expect_err(what);
+fn assert_refused_typed(run: Result<impl std::fmt::Debug, CoreError>, what: &str) {
+    let err = run.expect_err(what);
     assert!(
         matches!(
             err,
@@ -172,20 +189,100 @@ fn assert_refused_typed(s: GeneratedScenario, what: &str) {
     );
 }
 
+/// Both warehouses refuse a malformed tag: one view, and many.
+fn assert_refused_both_ways(seed: u64, tags: usize, tag: GlobalPart, what: &str) {
+    let mut s = scenario(seed, 12);
+    tag_plain_txns(&mut s.txns, tags, tag);
+    let one = Experiment::new(s).policy(PolicyKind::Sweep(EngineOptions::FIGURE_4));
+    assert_refused_typed(one.run().map(|r| r.view), what);
+    let mut s = mv_scenario(seed, 12);
+    tag_plain_txns(&mut s.txns, tags, tag);
+    let many = MultiViewExperiment::new(s).shards(ShardMap::hash(2));
+    assert_refused_typed(many.run().map(|r| r.events), what);
+}
+
 #[test]
 fn a_zero_part_global_tag_is_refused_typed() {
     // `parts: 0` used to underflow the countdown: a panic in debug builds,
     // a hold that never lifts in release builds.
-    let mut s = scenario(5, 12);
-    tag_plain_txns(&mut s, 1, GlobalPart { gid: 900, parts: 0 });
-    assert_refused_typed(s, "a transaction of zero parts");
+    let tag = GlobalPart { gid: 900, parts: 0 };
+    assert_refused_both_ways(5, 1, tag, "a transaction of zero parts");
 }
 
 #[test]
 fn a_part_beyond_the_announced_count_is_refused_typed() {
     // Three updates claim to be parts of a two-part transaction: the third
     // used to re-open the finished transaction and hold installs forever.
-    let mut s = scenario(6, 12);
-    tag_plain_txns(&mut s, 3, GlobalPart { gid: 901, parts: 2 });
-    assert_refused_typed(s, "a third part of a two-part transaction");
+    let tag = GlobalPart { gid: 901, parts: 2 };
+    assert_refused_both_ways(6, 3, tag, "a third part of a two-part transaction");
+}
+
+/// The multi-view version of [`scenario`]: three views over random spans
+/// of the same four-source chain.
+fn mv_scenario(seed: u64, updates: usize) -> MultiViewScenario {
+    MultiViewConfig {
+        stream: StreamConfig {
+            n_sources: 4,
+            initial_per_source: 20,
+            updates,
+            mean_gap: 1_200,
+            domain: 10,
+            global_every: 4,
+            global_span: 3,
+            seed,
+            ..Default::default()
+        },
+        n_views: 3,
+        view_seed: seed ^ 0x61,
+        full_span: false,
+        n_derived: 0,
+        derived_seed: 0,
+    }
+    .generate()
+    .unwrap()
+}
+
+/// Many views under one scheduler — flat, sharded, durable, serving —
+/// install every global transaction atomically, per view: the parts in a
+/// view's span all land in one of its installs.
+#[test]
+fn multiview_installs_global_txns_atomically() {
+    let mut spanning = 0;
+    for seed in [2, 3] {
+        let s = mv_scenario(seed, 24);
+        let gid_of = groups_of(&s.txns, 4);
+        let reads = ReadMixConfig {
+            n_views: s.views.len(),
+            ..ReadMixConfig::hot_key_points(3, 12, seed)
+        }
+        .generate();
+        for (shards, durable) in [(1, false), (2, false), (1, true), (2, true)] {
+            let arm = format!("seed {seed}, {shards} shard(s), durable {durable}");
+            let mut exp =
+                MultiViewExperiment::new(s.clone()).latency(LatencyModel::Constant(2_000));
+            if shards > 1 {
+                exp = exp.shards(ShardMap::hash(shards));
+            }
+            if durable {
+                exp = exp.durability(2).reads(reads.clone());
+            }
+            let report = exp.run().unwrap();
+            assert!(report.quiescent, "{arm}");
+            for (spec, view) in s.views.iter().zip(&report.views) {
+                let in_view = |id: &UpdateId| spec.references(id.source);
+                assert_atomic(&view.installs, &gid_of, in_view, &arm);
+                let widest = view.installs.iter().map(|r| r.consumed.len()).max();
+                spanning += usize::from(widest > Some(1));
+            }
+            assert!(
+                report.min_consistency().unwrap() >= ConsistencyLevel::Strong,
+                "{arm}"
+            );
+            if durable {
+                let audit = audit_reads(&s, &report).unwrap();
+                assert!(audit.clean() && audit.answered > 0, "{arm}: {audit:?}");
+            }
+        }
+    }
+    assert!(spanning > 0, "no install ever held a global transaction");
 }

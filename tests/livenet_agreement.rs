@@ -36,14 +36,20 @@ fn sweep_simnet_and_livenet_agree() {
     let truth = ground_truth(&s);
 
     let sim = Experiment::new(s.clone())
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .run()
         .unwrap();
     assert_eq!(sim.view, truth);
 
     let live = run_live(
         &s,
-        |view, initial| Ok(Box::new(Sweep::new(view, initial)?)),
+        |view, initial| {
+            Ok(Box::new(OneViewSweep::new(
+                &view,
+                initial,
+                EngineOptions::FIGURE_4,
+            )?))
+        },
         25.0,
         Duration::from_secs(60),
     )
@@ -76,7 +82,13 @@ fn live_view_counts_never_negative() {
     let s = scenario(103);
     let live = run_live(
         &s,
-        |view, initial| Ok(Box::new(Sweep::new(view, initial)?)),
+        |view, initial| {
+            Ok(Box::new(OneViewSweep::new(
+                &view,
+                initial,
+                EngineOptions::FIGURE_4,
+            )?))
+        },
         25.0,
         Duration::from_secs(60),
     )

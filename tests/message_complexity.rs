@@ -21,7 +21,7 @@ fn dense(n: usize, updates: usize, seed: u64) -> GeneratedScenario {
 fn sweep_exactly_2n_minus_2_messages_per_update() {
     for n in [2usize, 4, 8] {
         let report = Experiment::new(dense(n, 20, 1))
-            .policy(PolicyKind::Sweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .run()
             .unwrap();
         assert_eq!(report.messages_per_update(), (2 * (n - 1)) as f64, "n={n}");
@@ -45,7 +45,7 @@ fn nested_sweep_amortizes_below_sweep_under_bursts() {
     .generate()
     .unwrap();
     let sweep = Experiment::new(burst_scenario.clone())
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Constant(3_000))
         .run()
         .unwrap();
@@ -66,7 +66,7 @@ fn nested_sweep_amortizes_below_sweep_under_bursts() {
 #[test]
 fn cstrobe_query_count_exceeds_sweep_under_interference() {
     let sweep = Experiment::new(dense(4, 25, 3))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Constant(2_500))
         .run()
         .unwrap();
@@ -87,7 +87,7 @@ fn cstrobe_query_count_exceeds_sweep_under_interference() {
 #[test]
 fn sweep_never_sends_compensating_queries() {
     let report = Experiment::new(dense(5, 30, 4))
-        .policy(PolicyKind::Sweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Uniform(500, 6_000))
         .run()
         .unwrap();

@@ -77,7 +77,7 @@ fn sweep_complete_on_random_schedules() {
         let scenario = cfg.generate().unwrap();
         let updates = scenario.txn_count() as f64;
         let report = Experiment::new(scenario)
-            .policy(PolicyKind::Sweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .latency(latency)
             .seed(net_seed)
             .run()
@@ -139,21 +139,13 @@ fn sweep_parallel_equals_sequential() {
         let latency = arb_latency(&mut r);
         let net_seed = r.next_u64();
         let seq = Experiment::new(cfg.generate().unwrap())
-            .policy(PolicyKind::Sweep(SweepOptions {
-                parallel: false,
-                short_circuit_empty: false,
-                ..Default::default()
-            }))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .latency(latency.clone())
             .seed(net_seed)
             .run()
             .unwrap();
         let par = Experiment::new(cfg.generate().unwrap())
-            .policy(PolicyKind::Sweep(SweepOptions {
-                parallel: true,
-                short_circuit_empty: false,
-                ..Default::default()
-            }))
+            .policy(PolicyKind::Sweep(EngineOptions::default()))
             .latency(latency)
             .seed(net_seed)
             .run()
@@ -177,10 +169,10 @@ fn pipelined_sweep_complete_on_random_schedules() {
         let window = r.usize_below(5);
         let parallel = r.usize_below(2) == 1;
         let report = Experiment::new(cfg.generate().unwrap())
-            .policy(PolicyKind::Sweep(SweepOptions {
-                parallel,
+            .policy(PolicyKind::Sweep(EngineOptions {
+                sequential: !parallel,
                 window,
-                ..Default::default()
+                ..EngineOptions::FIGURE_4
             }))
             .latency(latency)
             .seed(net_seed)
@@ -202,11 +194,11 @@ fn pipelined_sweep_complete_on_random_schedules() {
 /// comparable install by install.
 #[test]
 fn window_changes_when_never_what() {
-    let with_window = |window| SweepOptions {
+    let with_window = |window| EngineOptions {
         window,
-        ..Default::default()
+        ..EngineOptions::FIGURE_4
     };
-    assert_eq!(with_window(1), SweepOptions::default());
+    assert_eq!(with_window(1), EngineOptions::FIGURE_4);
     for case in 0..cases() {
         // The pipelined suite's workloads, under a constant latency.
         let mut r = Rng64::new(3_000 + case);
@@ -250,10 +242,9 @@ fn short_circuit_preserves_completeness() {
         let cfg = arb_config(&mut r);
         let net_seed = r.next_u64();
         let report = Experiment::new(cfg.generate().unwrap())
-            .policy(PolicyKind::Sweep(SweepOptions {
-                parallel: false,
+            .policy(PolicyKind::Sweep(EngineOptions {
                 short_circuit_empty: true,
-                ..Default::default()
+                ..EngineOptions::FIGURE_4
             }))
             .seed(net_seed)
             .run()
@@ -309,7 +300,7 @@ fn sweep_complete_on_fault_schedules() {
         let cfg = fault_config(&mut r);
         let plan = hostile_plan(&mut r, cfg.n_sources);
         let report = Experiment::new(cfg.generate().unwrap())
-            .policy(PolicyKind::Sweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .latency(LatencyModel::Constant(r.u64_in(500, 3_000)))
             .seed(r.next_u64())
             .faults(plan)
@@ -433,7 +424,10 @@ fn multiview_batched_sweep_converges_on_fault_schedules() {
             derived_seed: 0,
         };
         let report = MultiViewExperiment::new(mv.generate().unwrap())
-            .batch(4)
+            .options(EngineOptions {
+                batch: 4,
+                ..EngineOptions::default()
+            })
             .latency(LatencyModel::Constant(r.u64_in(500, 3_000)))
             .seed(r.next_u64())
             .faults(plan)
@@ -488,7 +482,10 @@ fn multiview_pushdown_equivalent_on_fault_schedules() {
             .run()
             .unwrap();
         let pushed = MultiViewExperiment::new(scenario)
-            .pushdown(true)
+            .options(EngineOptions {
+                pushdown: true,
+                ..EngineOptions::default()
+            })
             .latency(latency)
             .seed(net_seed)
             .faults(plan)
@@ -579,7 +576,10 @@ fn sharded_sweep_converges_on_fault_schedules() {
         for batch in [1, 2 + 2 * (case / 2 % 2) as usize] {
             let mut exp = MultiViewExperiment::new(generated.scenario.clone())
                 .shards(generated.map.clone())
-                .batch(batch)
+                .options(EngineOptions {
+                    batch,
+                    ..EngineOptions::default()
+                })
                 .latency(latency.clone())
                 .seed(net_seed)
                 .transport_auto();
@@ -621,7 +621,7 @@ fn generated_fault_scenarios_preserve_completeness() {
         }
         .generate(case);
         let report = Experiment::new(cfg.generate().unwrap())
-            .policy(PolicyKind::Sweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .latency(LatencyModel::Constant(2_000))
             .faults(plan)
             .transport_auto()

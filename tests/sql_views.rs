@@ -58,7 +58,7 @@ fn sql_view_maintained_like_builder_view() {
 
     let run = |view: ViewDef| {
         Experiment::new(scenario_with(view))
-            .policy(PolicyKind::Sweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .latency(LatencyModel::Constant(3_000))
             .run()
             .unwrap()
@@ -92,7 +92,7 @@ fn sql_view_with_selection_filters_updates() {
     });
     let run = |indexed: bool| {
         Experiment::new(s.clone())
-            .policy(PolicyKind::Sweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .indexed_sources(indexed)
             .run()
             .unwrap()
@@ -108,6 +108,19 @@ fn sql_view_with_selection_filters_updates() {
     assert_eq!(indexed.view, report.view);
     assert_eq!(indexed.installs, report.installs);
     assert_eq!(indexed.events, report.events);
+    // The view's σ filters the seed: with the short-circuit the insert
+    // of (0,3) sends no query, and still installs (an empty delta).
+    let short = Experiment::new(s.clone())
+        .policy(PolicyKind::Sweep(EngineOptions {
+            short_circuit_empty: true,
+            ..EngineOptions::FIGURE_4
+        }))
+        .run()
+        .unwrap();
+    assert_eq!(report.metrics.queries_sent, 6);
+    assert_eq!(short.metrics.queries_sent, 4);
+    assert_eq!(short.view, report.view);
+    assert_eq!(short.installs.len(), report.installs.len());
     // Only tuples derived through A>1 rows remain; (1,3)'s derivations are
     // excluded by the selection and (2,3) was deleted → only (3,5)'s join
     // through... R1 has no surviving row joining B=3 after the delete, so
