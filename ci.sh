@@ -276,6 +276,18 @@ stage_engine_boundary() {
     echo "FAIL: SWEEP runs only as a MaintenanceScheduler (dw_multiview::OneViewSweep, PolicyKind::Sweep(EngineOptions::FIGURE_4)) — no single-view Sweep, no SweepOptions" >&2
     ok=1
   fi
+  # One SWEEP family: Nested SWEEP is the scheduler's `depth` (Figure 6's
+  # nesting, EngineOptions::FIGURE_6), so neither its single-view
+  # executor, its option set, its consuming compensation nor the live
+  # runtime's policy runner may come back. The registry's install-at-drain
+  # cadence (ViewPolicy::NestedSweep) is a different thing and stays.
+  hits=$(grep -rnE 'warehouse::NestedSweep|\bNestedSweepOptions\b|nested_sweep::|compensate_consuming|PolicyKind::NestedSweep|\bPolicyRunner\b|(^|[^A-Za-z_:])NestedSweep::(new|with_options)\(' \
+    crates src examples tests 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: Nested SWEEP runs only as a MaintenanceScheduler at EngineOptions::depth != 1 (PolicyKind::Sweep(EngineOptions::FIGURE_6), livenet::run_live(scenario, opts, ..)) — no warehouse::NestedSweep, NestedSweepOptions, compensate_consuming or PolicyRunner" >&2
+    ok=1
+  fi
   local rows
   rows=$(awk '/^\| Combination \| Why \| Error \|/ {t = 1; next}
     t && /^\|---/ {next}
@@ -299,12 +311,14 @@ stage_engine_boundary() {
     echo "FAIL: SnapshotStore::point_lookup is index-hit-or-build with no option in front of or behind it (referee answers with dw_core::audit_reads), and views are never deregistered (recovery would resurrect them, dw-serve cannot forget a slot)" >&2
     ok=1
   fi
-  # The scheduler and the checker sit on the mechanism layer only: the
-  # six baseline policies of dw-warehouse are not theirs to compile.
-  hits=$(grep -n 'dw-warehouse' crates/multiview/Cargo.toml crates/consistency/Cargo.toml || true)
+  # The scheduler, the checker and the live runtime sit on the mechanism
+  # layer only: the baseline policies of dw-warehouse are not theirs to
+  # compile.
+  hits=$(grep -n 'dw-warehouse' crates/multiview/Cargo.toml crates/consistency/Cargo.toml \
+    crates/livenet/Cargo.toml || true)
   if [[ -n "$hits" ]]; then
     echo "$hits"
-    echo "FAIL: dw-multiview and dw-consistency import InstallRecord / PolicyMetrics / WarehouseError from dw-engine, not dw-warehouse" >&2
+    echo "FAIL: dw-multiview, dw-consistency and dw-livenet import InstallRecord / PolicyMetrics / WarehouseError from dw-engine, not dw-warehouse" >&2
     ok=1
   fi
   files=$(grep -Fn 'finalize_for_view(' crates/multiview/src/*.rs |

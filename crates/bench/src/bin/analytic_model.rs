@@ -62,7 +62,7 @@ fn main() {
             .run()
             .unwrap();
         let nested = Experiment::new(scenario(5))
-            .policy(PolicyKind::NestedSweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_6))
             .latency(LatencyModel::Constant(latency))
             .check_consistency(false)
             .run()

@@ -51,7 +51,7 @@ fn main() {
     let bursts: &[usize] = dw_bench::pick(args.smoke, &[1, 4, 16], &[1, 2, 4, 8, 16, 32]);
     for &burst in bursts {
         let (s_m, s_i, _) = msgs_per_update(PolicyKind::Sweep(EngineOptions::FIGURE_4), burst);
-        let (n_m, n_i, n_l) = msgs_per_update(PolicyKind::NestedSweep(Default::default()), burst);
+        let (n_m, n_i, n_l) = msgs_per_update(PolicyKind::Sweep(EngineOptions::FIGURE_6), burst);
         t.row([
             burst.to_string(),
             format!("{s_m:.2}"),

@@ -7,12 +7,11 @@
 //! flat at the same consistency level.
 
 use dw_bench::TableWriter;
-use dw_core::{Experiment, PolicyKind};
+use dw_core::{EngineOptions, Experiment, PolicyKind};
 use dw_simnet::LatencyModel;
-use dw_warehouse::NestedSweepOptions;
 use dw_workload::{GapKind, SourcePick, StreamConfig};
 
-fn run(updates: usize, max_depth: Option<usize>) -> (u64, u64, u64, String) {
+fn run(updates: usize, depth: usize) -> (u64, u64, u64, String) {
     // The oscillation needs updates that keep *trickling in* during the
     // recursive sweeps: one fresh interfering update per query round-trip.
     // With 4 ms links (8 ms RTT) and two sources alternating every 4 ms,
@@ -32,7 +31,10 @@ fn run(updates: usize, max_depth: Option<usize>) -> (u64, u64, u64, String) {
     .generate()
     .unwrap();
     let report = Experiment::new(scenario)
-        .policy(PolicyKind::NestedSweep(NestedSweepOptions { max_depth }))
+        .policy(PolicyKind::Sweep(EngineOptions {
+            depth,
+            ..EngineOptions::FIGURE_6
+        }))
         .latency(LatencyModel::Constant(4_000))
         .run()
         .unwrap();
@@ -61,7 +63,7 @@ fn main() {
     let bursts: &[usize] = dw_bench::pick(args.smoke, &[4, 8], &[4, 8, 16, 32]);
     let mut unbounded_depths = Vec::new();
     for &updates in bursts {
-        let (d, hits, inst, level) = run(updates, None);
+        let (d, hits, inst, level) = run(updates, 0);
         unbounded_depths.push(d);
         t.row([
             updates.to_string(),
@@ -73,7 +75,7 @@ fn main() {
         ]);
     }
     for &updates in bursts {
-        let (d, hits, inst, level) = run(updates, Some(3));
+        let (d, hits, inst, level) = run(updates, 3);
         t.row([
             updates.to_string(),
             "3".to_string(),

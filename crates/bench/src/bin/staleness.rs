@@ -37,7 +37,7 @@ fn main() {
                 window: 0,
                 ..EngineOptions::FIGURE_4
             }),
-            PolicyKind::NestedSweep(Default::default()),
+            PolicyKind::Sweep(EngineOptions::FIGURE_6),
             PolicyKind::Strobe,
             PolicyKind::Recompute,
         ] {

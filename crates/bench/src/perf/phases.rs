@@ -118,7 +118,7 @@ impl Phase for E1Row {
             ("Strobe", PolicyKind::Strobe),
             ("C-strobe", PolicyKind::CStrobe),
             ("SWEEP", PolicyKind::Sweep(EngineOptions::FIGURE_4)),
-            ("Nested SWEEP", PolicyKind::NestedSweep(Default::default())),
+            ("Nested SWEEP", PolicyKind::Sweep(EngineOptions::FIGURE_6)),
             ("Recompute", PolicyKind::Recompute),
         ];
         policies

@@ -11,10 +11,7 @@ use dw_relational::{eval_view, Bag, RelationalError};
 use dw_serve::ServeError;
 use dw_simnet::{NodeId, Time};
 use dw_source::{EcaSite, SourceError};
-use dw_warehouse::{
-    CStrobe, Eca, MaintenancePolicy, NestedSweep, NestedSweepOptions, Recompute, Strobe,
-    WarehouseError,
-};
+use dw_warehouse::{CStrobe, Eca, MaintenancePolicy, Recompute, Strobe, WarehouseError};
 use dw_workload::GeneratedScenario;
 use std::fmt;
 
@@ -27,10 +24,10 @@ pub enum PolicyKind {
     /// `EngineOptions::default()` is the scheduler's default: §5.3's two
     /// concurrent legs, not Figure 4's one. With [`EngineOptions::window`]
     /// ≠ 1 it is Pipelined SWEEP, §5.3's second optimization: overlapped
-    /// sweeps, in-order installs.
+    /// sweeps, in-order installs. With [`EngineOptions::depth`] ≠ 1 it is
+    /// Nested SWEEP (§6, [`EngineOptions::FIGURE_6`]) — strong
+    /// consistency, dovetailed installs, `depth` the §6.2 bound.
     Sweep(EngineOptions),
-    /// Nested SWEEP (§6) — strong consistency, batched installs.
-    NestedSweep(NestedSweepOptions),
     /// ECA — single-site source, quiescent installs.
     Eca,
     /// Strobe — unique keys, quiescent installs.
@@ -46,7 +43,6 @@ impl PolicyKind {
     pub fn name(&self) -> &'static str {
         match self {
             PolicyKind::Sweep(opts) => opts.sweep_name(),
-            PolicyKind::NestedSweep(_) => "nested-sweep",
             PolicyKind::Eca => "eca",
             PolicyKind::Strobe => "strobe",
             PolicyKind::CStrobe => "c-strobe",
@@ -187,11 +183,6 @@ impl Experiment {
 
         let mut policy: Box<dyn MaintenancePolicy> = match self.policy {
             PolicyKind::Sweep(opts) => Box::new(OneViewSweep::new(&view_def, initial_view, opts)?),
-            PolicyKind::NestedSweep(opts) => Box::new(NestedSweep::with_options(
-                view_def.clone(),
-                initial_view,
-                opts,
-            )?),
             PolicyKind::Eca => Box::new(Eca::new(view_def.clone(), initial_view)?),
             PolicyKind::Strobe => Box::new(Strobe::new(
                 view_def.clone(),
@@ -323,7 +314,7 @@ mod tests {
     #[test]
     fn nested_sweep_is_at_least_strong() {
         let report = Experiment::new(quick(25, 2))
-            .policy(PolicyKind::NestedSweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_6))
             .run()
             .unwrap();
         assert!(report.quiescent);
@@ -445,8 +436,9 @@ mod tests {
         .generate()
         .unwrap();
         let report = Experiment::new(scenario)
-            .policy(PolicyKind::NestedSweep(NestedSweepOptions {
-                max_depth: Some(4),
+            .policy(PolicyKind::Sweep(EngineOptions {
+                depth: 4,
+                ..EngineOptions::FIGURE_6
             }))
             .run()
             .unwrap();

@@ -62,7 +62,7 @@ fn sweep_stays_complete_under_faults_with_transport() {
 #[test]
 fn nested_sweep_stays_strong_under_faults_with_transport() {
     let report = Experiment::new(scenario(25, 102))
-        .policy(PolicyKind::NestedSweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_6))
         .faults(nasty_plan())
         .transport_auto()
         .run()

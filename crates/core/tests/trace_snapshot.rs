@@ -82,15 +82,27 @@ fn sweep_trace_contains_expected_spans_and_counters() {
 
 #[test]
 fn nested_sweep_traces_are_deterministic_and_labeled() {
+    // Nested SWEEP is the scheduler at depth 0: the same `mv.*`
+    // vocabulary, one `mv.sweep` span per install (a dovetailed batch is
+    // one sweep) and one `mv.hop` per query, child runs' included.
     let render = || {
         let (obs, rec) = Obs::trace();
-        run(PolicyKind::NestedSweep(Default::default()), obs);
+        let report = run(PolicyKind::Sweep(EngineOptions::FIGURE_6), obs);
         let rec = rec.lock().unwrap();
+        let count = |name| rec.histogram(name).map_or(0, |h| h.count());
+        assert_eq!(count("mv.sweep"), report.metrics.installs);
+        assert_eq!(count("mv.hop"), report.metrics.queries_sent);
+        let compensations = rec.counter("mv.compensations");
+        assert_eq!(compensations, report.metrics.local_compensations);
         rec.render()
     };
     let first = render();
     assert_eq!(first, render());
-    assert!(first.contains("nested_sweep ["));
+    assert!(first.contains("mv.sweep ["));
+    assert!(
+        first.contains("  mv.hop ["),
+        "hops nest under the sweep span"
+    );
 }
 
 /// Every policy sends its queries through the engine, so every

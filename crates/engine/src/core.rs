@@ -12,10 +12,10 @@
 //!   arbitrary spans;
 //! * [`InstallSink`] — atomic install with staleness accounting, the
 //!   install log the consistency checker reads, and the publish hook;
-//! * [`SweepPolicy`]/[`dispatch`] — the strategy hook: adapters decide
-//!   *which* concurrent updates a hop compensates for and *when* the
-//!   result installs, the engine routes deliveries and keeps the shared
-//!   counters honest.
+//! * [`SweepPolicy`]/[`dispatch`] — the strategy hook: the scheduler's
+//!   lanes and the Strobe family decide *which* concurrent updates a hop
+//!   compensates for and *when* the result installs, the engine routes
+//!   deliveries and keeps the shared counters honest.
 //!
 //! Observability: the engine emits its own `engine.hop` span nested under
 //! the adapter's hop span, bumps `engine.compensations` next to the
@@ -38,19 +38,17 @@ use dw_simnet::{Delivery, NetHandle, Time};
 
 /// The span and counter names an adapter wants the engine to emit on its
 /// behalf, so each executor keeps its historical trace vocabulary
-/// (`nested_sweep.hop`, `mv.hop`, `shard.hop`, …) while the mechanism
-/// lives in one place.
+/// (`mv.hop`, `shard.hop`, `strobe.hop`, …) while the mechanism lives in
+/// one place.
 #[derive(Clone, Copy, Debug)]
 pub struct SpanLabels {
-    /// Top-level span opened per unit of sweep work (`"nested_sweep"`,
-    /// `"mv.sweep"`, …).
+    /// Top-level span opened per unit of sweep work (`"mv.sweep"`,
+    /// `"shard.sweep"`, …).
     pub sweep: &'static str,
     /// Per-hop span (`"mv.hop"`, …), parented under [`SpanLabels::sweep`].
     pub hop: &'static str,
     /// Counter bumped on every local compensation.
     pub compensations: &'static str,
-    /// Optional histogram of outgoing query payload rows.
-    pub query_rows: Option<&'static str>,
     /// Optional counter bumped once per query sent (the scheduler's
     /// `mv.shared_queries`).
     pub query_counter: Option<&'static str>,
@@ -76,8 +74,8 @@ impl HopSpan {
 
 /// The ambient state of **one** sweep: what every query of that sweep is
 /// stamped with and what its compensations must mirror. Owned by
-/// whoever owns the sweep — Nested SWEEP keeps one per frame, the
-/// scheduler one per in-flight lane — so any number of
+/// whoever owns the sweep — the scheduler keeps one per in-flight lane,
+/// shared by every Figure 6 frame the lane stacks — so any number of
 /// sweeps can share an [`EngineCore`] without stepping on each other.
 #[derive(Clone, Debug)]
 pub struct SweepCtx {
@@ -87,7 +85,7 @@ pub struct SweepCtx {
     /// Per-relation σ pushed to the sources, indexed by chain position
     /// (empty when pushdown is off). [`EngineCore::send_query`] attaches
     /// `push_preds[j]` to the outgoing query, and both compensation
-    /// paths apply the *same* predicate to the queued `ΔR_j` — the error
+    /// the compensation applies the *same* predicate to the queued `ΔR_j` — the error
     /// term must match what the source actually answered with, or the
     /// subtraction removes tuples the answer never contained.
     pub push_preds: Vec<Option<Predicate>>,
@@ -212,9 +210,6 @@ impl EngineCore {
         }
         let outer = self.obs.span_start(self.labels.hop, net.now(), ctx.span);
         let inner = self.obs.span_start("engine.hop", net.now(), outer);
-        if let Some(hist) = self.labels.query_rows {
-            self.obs.observe(hist, dv.bag.distinct_len() as u64);
-        }
         net.send(
             WAREHOUSE_NODE,
             source_node(j),
@@ -236,12 +231,14 @@ impl EngineCore {
     }
 
     /// The paper's on-line error correction (§4): subtract
-    /// `ΔR_j ⋈ TempView` for every queued concurrent update from the hop
-    /// source, **without removing** them from the queue (plain SWEEP —
-    /// the interfering updates still get their own sweeps later).
-    /// `later` adds the deltas of updates from `j` that already left the
-    /// queue for a sweep of their own but install *after* this sweep's
-    /// (pipelining): one merged `ΔR_j`, one compensation.
+    /// `ΔR_j ⋈ TempView` for every queued update from the hop source,
+    /// **leaving them queued** (Figure 6 takes what it nests out itself),
+    /// plus `later`: deltas from `j` that left the queue for a sweep of
+    /// their own but install *after* this one (pipelining) — one merged
+    /// `ΔR_j`, one compensation. The error term sees the σ the source
+    /// answered under, applied while the join hashes the merged delta.
+    /// When no row qualifies — inserts and deletes cancelled outright, or
+    /// σ turns every one away — no join runs and no compensation counts.
     pub fn compensate(
         &mut self,
         ctx: &SweepCtx,
@@ -252,48 +249,11 @@ impl EngineCore {
         for delta in later {
             merged.merge(delta);
         }
-        self.subtract_error(ctx, hop, &merged)
-    }
-
-    /// Nested SWEEP's variant (Figure 6): compensate **and remove** the
-    /// interfering updates, returning their merged delta and ids so the
-    /// caller can fold them into the current composite view change.
-    /// Returns `None` when no update from `j` is queued.
-    #[allow(clippy::type_complexity)]
-    pub fn compensate_consuming(
-        &mut self,
-        ctx: &SweepCtx,
-        hop: &mut Hop<'_>,
-    ) -> Result<Option<(Bag, Vec<(UpdateId, Time)>)>, WarehouseError> {
-        let j = hop.j;
-        if !self.queue.has_from_source(j) {
-            return Ok(None);
-        }
-        let (merged, infos) = self.queue.take_from_source(j);
-        // The *unfiltered* merged delta is what the caller folds into the
-        // composite change; the consumed ids reach the install record
-        // even when no compensation is accounted.
-        self.subtract_error(ctx, hop, &merged)?;
-        Ok(Some((merged, infos)))
-    }
-
-    /// `ΔV ← ΔV − ΔR_j ⋈ TempView` for one merged `ΔR_j`. The error term
-    /// sees the σ the source answered under, applied while the join
-    /// hashes `merged` (no filtered copy, no `source.*` counter). When no
-    /// row of `merged` qualifies — the interfering inserts and deletes
-    /// cancelled outright, or σ turns every one away — there is nothing
-    /// to subtract: no join runs and no compensation is accounted.
-    fn subtract_error(
-        &mut self,
-        ctx: &SweepCtx,
-        hop: &mut Hop<'_>,
-        merged: &Bag,
-    ) -> Result<(), WarehouseError> {
         let pred = ctx.push_pred(hop.j);
         if !merged.iter().any(|(t, _)| pred.is_none_or(|p| p.eval(t))) {
             return Ok(());
         }
-        let neighbor = Neighbor::Bag(merged);
+        let neighbor = Neighbor::Bag(&merged);
         let err = extend_hop(&self.view, &hop.temp, neighbor, hop.side, pred, &Obs::off())?;
         self.apply_compensation(hop.dv, &err);
         Ok(())
@@ -676,10 +636,11 @@ impl InstallSink {
     }
 }
 
-/// The strategy hook: what distinguishes plain SWEEP, Nested SWEEP, and
-/// the multiview shared sweep once the mechanism lives in
-/// [`EngineCore`]. Implementors decide which hops to take and when to
-/// install; [`dispatch`] routes deliveries and keeps the shared counters.
+/// The strategy hook: what distinguishes the scheduler's lanes (SWEEP and
+/// Nested SWEEP, one view or many) from the Strobe family once the
+/// mechanism lives in [`EngineCore`]. Implementors decide which hops to
+/// take and when to install; [`dispatch`] routes deliveries and keeps the
+/// shared counters.
 pub trait SweepPolicy {
     /// The adapter's error type (`WarehouseError`, or a wrapper of it).
     type Err: From<WarehouseError>;
@@ -746,7 +707,6 @@ mod tests {
         sweep: "t.sweep",
         hop: "t.hop",
         compensations: "t.comp",
-        query_rows: None,
         query_counter: None,
     };
 
@@ -815,78 +775,6 @@ mod tests {
         assert_eq!(dv.bag, Bag::from_tuples([tup![1, 3, 3, 5]]));
         assert_eq!(core.metrics.local_compensations, 1);
         assert_eq!(core.queue.len(), 1, "plain compensation must not remove");
-    }
-
-    #[test]
-    fn compensate_consuming_removes_and_returns() {
-        let mut core = EngineCore::new(chain3(), LABELS);
-        let temp =
-            PartialDelta::seed(&core.view.clone(), 1, &Bag::from_tuples([tup![3, 5]])).unwrap();
-        core.queue.push(
-            SourceUpdate {
-                id: UpdateId { source: 0, seq: 0 },
-                delta: Bag::from_tuples([tup![2, 3]]),
-                global: None,
-            },
-            7,
-        );
-        let mut dv = PartialDelta {
-            lo: 0,
-            hi: 1,
-            bag: Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]),
-        };
-        let taken = core
-            .compensate_consuming(&SweepCtx::default(), &mut left_hop(&temp, &mut dv))
-            .unwrap()
-            .expect("update was queued");
-        assert_eq!(taken.1, vec![(UpdateId { source: 0, seq: 0 }, 7)]);
-        assert!(core.queue.is_empty());
-        // A second call finds nothing.
-        assert!(core
-            .compensate_consuming(&SweepCtx::default(), &mut left_hop(&temp, &mut dv))
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn compensate_consuming_cancelling_pair_consumes_without_compensating() {
-        let mut core = EngineCore::new(chain3(), LABELS);
-        let temp =
-            PartialDelta::seed(&core.view.clone(), 1, &Bag::from_tuples([tup![3, 5]])).unwrap();
-        // Queued insert/delete of the same tuple cancel to an empty
-        // merged delta: nothing to subtract, no compensation accounted,
-        // but both ids must still come back for the install record.
-        core.queue.push(
-            SourceUpdate {
-                id: UpdateId { source: 0, seq: 0 },
-                delta: Bag::from_tuples([tup![2, 3]]),
-                global: None,
-            },
-            1,
-        );
-        core.queue.push(
-            SourceUpdate {
-                id: UpdateId { source: 0, seq: 1 },
-                delta: Bag::from_pairs([(tup![2, 3], -1)]),
-                global: None,
-            },
-            2,
-        );
-        let mut dv = PartialDelta {
-            lo: 0,
-            hi: 1,
-            bag: Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]),
-        };
-        let before = dv.bag.clone();
-        let (merged, infos) = core
-            .compensate_consuming(&SweepCtx::default(), &mut left_hop(&temp, &mut dv))
-            .unwrap()
-            .expect("updates were queued");
-        assert!(merged.is_empty());
-        assert_eq!(infos.len(), 2);
-        assert_eq!(dv.bag, before, "empty merged delta must not touch dv");
-        assert_eq!(core.metrics.local_compensations, 0);
-        assert!(core.queue.is_empty());
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   ([`SweepRun::merge`]), and atomic install with staleness accounting
 //!   ([`InstallSink`]).
 //! * **Strategy** ([`SweepPolicy`] implementors): the scheduler's lanes
-//!   (SWEEP over one view or many, with in-order release), Nested SWEEP's
-//!   dovetailing stack of runs and the Strobe family's key-based actions
-//!   are thin adapters that decide *which* concurrent updates a hop compensates
-//!   for and *when* to install, all driving the same mechanism.
+//!   (SWEEP and Nested SWEEP over one view or many — a lane stacks Figure
+//!   6's child runs up to [`EngineOptions::depth`] — with in-order release)
+//!   and the Strobe family's key-based actions are thin adapters that
+//!   decide *which* concurrent updates a hop compensates for and *when*
+//!   to install, all driving the same mechanism.
 //!
 //! The transport is abstracted behind [`dw_simnet::NetHandle`], which both
 //! the deterministic simulator ([`dw_simnet::Network`]) and the live

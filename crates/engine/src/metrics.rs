@@ -23,11 +23,12 @@ pub struct PolicyMetrics {
     /// Compensating *queries* sent to sources (ECA / C-strobe — what SWEEP
     /// avoids).
     pub compensation_queries: u64,
-    /// Deepest recursion reached (Nested SWEEP frame stack; 1 = no
-    /// recursion).
+    /// Deepest Figure 6 frame stack a lane reached with
+    /// `EngineOptions::depth ≠ 1` (1 = no nesting; SWEEP leaves it 0).
     pub max_recursion_depth: u64,
-    /// Times recursion was refused because the depth bound was hit
-    /// (Nested SWEEP forced-termination switch).
+    /// Hops that stayed SWEEP-style with a `ΔR_j` queued because the
+    /// depth bound was reached or the walk had two legs (§6.2's
+    /// forced-termination switch; `depth ≠ 1` only).
     pub depth_bound_hits: u64,
     /// Per-update staleness: install time − delivery time, in simulation
     /// microseconds. Log-linear buckets; `count`/`sum`/`min`/`max` exact.

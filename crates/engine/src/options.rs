@@ -30,6 +30,11 @@ pub struct EngineOptions {
     /// (`0` = unbounded). `1`, the default, is Figure 4 — one sweep at a
     /// time per band; installs leave in arrival order either way.
     pub window: usize,
+    /// Figure 6's nesting: how many `ViewChange` frames a lane may stack
+    /// (`0` = unbounded). `1`, the default, is SWEEP; above it a one-leg
+    /// hop may absorb the queued `ΔR_j` into a child run (Nested SWEEP),
+    /// and `k` is §6.2's forced-termination bound.
+    pub depth: usize,
 }
 
 /// Two legs, one sweep per band, nothing else: for one view §5.3's
@@ -42,6 +47,7 @@ impl Default for EngineOptions {
             sequential: false,
             short_circuit_empty: false,
             window: 1,
+            depth: 1,
         }
     }
 }
@@ -55,14 +61,24 @@ impl EngineOptions {
         sequential: true,
         short_circuit_empty: false,
         window: 1,
+        depth: 1,
+    };
+
+    /// Nested SWEEP as the paper's Figure 6 draws it: Figure 4's walk with
+    /// unbounded nesting.
+    pub const FIGURE_6: EngineOptions = EngineOptions {
+        depth: 0,
+        ..EngineOptions::FIGURE_4
     };
 
     /// The report name of single-view SWEEP under these options:
-    /// `pipelined-sweep` with a window other than Figure 4's.
+    /// `nested-sweep` with any depth but 1, else `pipelined-sweep` with a
+    /// window other than Figure 4's.
     pub fn sweep_name(&self) -> &'static str {
-        match self.window {
-            1 => "sweep",
-            _ => "pipelined-sweep",
+        match (self.depth, self.window) {
+            (1, 1) => "sweep",
+            (1, _) => "pipelined-sweep",
+            _ => "nested-sweep",
         }
     }
 
@@ -88,7 +104,7 @@ mod tests {
     #[test]
     fn defaults_are_the_plain_scheduler_and_figure_4_is_one_leg() {
         let o = EngineOptions::default();
-        assert_eq!((o.batch, o.window), (1, 1));
+        assert_eq!((o.batch, o.window, o.depth), (1, 1, 1));
         assert!(!o.pushdown && !o.sequential && !o.short_circuit_empty);
         // Figure 4: one sweep at a time, sequential, always completed.
         let f = EngineOptions::FIGURE_4;
@@ -102,6 +118,12 @@ mod tests {
         assert_eq!(f.sweep_name(), "sweep");
         let pipelined = EngineOptions { window: 0, ..f };
         assert_eq!(pipelined.sweep_name(), "pipelined-sweep");
+        // Figure 6: Figure 4 with unbounded nesting; any bound but 1 nests.
+        assert_eq!(EngineOptions::FIGURE_6, EngineOptions { depth: 0, ..f });
+        for depth in [0, 2, 5] {
+            let nested = EngineOptions { depth, ..pipelined };
+            assert_eq!(nested.sweep_name(), "nested-sweep");
+        }
     }
 
     #[test]

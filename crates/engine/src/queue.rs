@@ -14,15 +14,13 @@ pub struct PendingUpdate {
     pub arrived_at: Time,
 }
 
-/// FIFO queue of updates awaiting view-change processing, with the two
-/// lookups the algorithms need:
-///
-/// * SWEEP checks `∃ ΔR_j ∈ UpdateMessageQueue` and **merges without
-///   removing** — the interfering update is compensated now but still
-///   processed individually later ([`UpdateQueue::merged_from_source`]).
-/// * Nested SWEEP **removes** the interfering updates because it folds them
-///   into the current composite view change
-///   ([`UpdateQueue::take_from_source`]).
+/// FIFO queue of updates awaiting view-change processing. Every hop
+/// checks `∃ ΔR_j ∈ UpdateMessageQueue` and **merges without removing**
+/// ([`UpdateQueue::merged_from_source`]) — SWEEP's compensation. What
+/// leaves the queue leaves by id ([`UpdateQueue::take_id`]) or as a
+/// same-source run ([`UpdateQueue::take_from_source_bounded`]): a sweep's
+/// own update, the successors batching folds into it, and the queued
+/// `ΔR_j` a Figure 6 hop nests.
 #[derive(Clone, Debug, Default)]
 pub struct UpdateQueue {
     q: VecDeque<PendingUpdate>,
@@ -68,29 +66,10 @@ impl UpdateQueue {
         out
     }
 
-    /// Remove every queued update from source `j`, returning their merged
-    /// delta and `(id, arrival time)` pairs in queue order (Nested SWEEP's
-    /// `Remove ΔR_j from UpdateMessageQueue`).
-    pub fn take_from_source(&mut self, j: SourceIndex) -> (Bag, Vec<(UpdateId, Time)>) {
-        let mut merged = Bag::new();
-        let mut ids = Vec::new();
-        self.q.retain(|p| {
-            if p.update.id.source == j {
-                merged.merge(&p.update.delta);
-                ids.push((p.update.id, p.arrived_at));
-                false
-            } else {
-                true
-            }
-        });
-        (merged, ids)
-    }
-
     /// Remove up to `max` queued updates that directly succeed update
     /// `after` at its source — `after.seq + 1`, `after.seq + 2`, … —
     /// returning their merged delta and `(id, arrival time)` pairs in
-    /// queue order. The bounded form of [`UpdateQueue::take_from_source`],
-    /// used by cross-update batching to fold a capped number of queued
+    /// queue order. Cross-update batching uses it to fold a capped number of queued
     /// same-source updates into the sweep for `after`. Stops at the
     /// bound, at the first successor that is no longer queued, and at the
     /// first one `admit` refuses — a successor is never skipped over;
@@ -147,9 +126,13 @@ impl UpdateQueue {
         self.q.remove(pos)
     }
 
-    /// Does the queue hold any update from source `j`?
-    pub fn has_from_source(&self, j: SourceIndex) -> bool {
-        self.q.iter().any(|p| p.update.id.source == j)
+    /// Put `pu` back ahead of the first queued update `before` picks (at
+    /// the tail when none does); every other update keeps its order. A
+    /// checkpoint image returns the updates a lane nested this way, so
+    /// they stand where they arrived.
+    pub fn insert_before(&mut self, pu: PendingUpdate, before: impl Fn(&PendingUpdate) -> bool) {
+        let pos = self.q.iter().position(before).unwrap_or(self.q.len());
+        self.q.insert(pos, pu);
     }
 
     /// Iterate pending updates in arrival order.
@@ -230,52 +213,20 @@ mod tests {
     }
 
     #[test]
-    fn take_from_source_removes_in_order() {
+    fn insert_before_restores_a_taken_update_to_its_place() {
         let mut q = UpdateQueue::new();
         q.push(upd(2, 0, 5), 1);
         q.push(upd(1, 0, 6), 2);
         q.push(upd(2, 1, 7), 3);
-        let (m, ids) = q.take_from_source(2);
-        assert_eq!(m.count(&tup![5]), 1);
-        assert_eq!(
-            ids,
-            vec![
-                (UpdateId { source: 2, seq: 0 }, 1),
-                (UpdateId { source: 2, seq: 1 }, 3)
-            ]
-        );
-        assert_eq!(q.len(), 1);
-        assert!(!q.has_from_source(2));
-        assert!(q.has_from_source(1));
-    }
-
-    #[test]
-    fn take_cancelling_pair_yields_empty_bag_but_both_ids() {
-        // An insert/delete pair from the same source cancels: the merged
-        // delta must carry no zero-count residue, while both updates are
-        // still consumed (their ids flow into install records).
-        let mut q = UpdateQueue::new();
-        q.push(
-            SourceUpdate {
-                id: UpdateId { source: 0, seq: 0 },
-                delta: Bag::from_pairs([(tup![1], 1)]),
-                global: None,
-            },
-            0,
-        );
-        q.push(
-            SourceUpdate {
-                id: UpdateId { source: 0, seq: 1 },
-                delta: Bag::from_pairs([(tup![1], -1)]),
-                global: None,
-            },
-            1,
-        );
-        let (m, ids) = q.take_from_source(0);
-        assert!(m.is_empty(), "cancelling pair left zero-count residue");
-        assert_eq!(m.distinct_len(), 0);
-        assert_eq!(ids.len(), 2);
-        assert!(q.is_empty());
+        let taken = q.take_id(UpdateId { source: 1, seq: 0 }).unwrap();
+        q.insert_before(taken.clone(), |p| p.arrived_at > taken.arrived_at);
+        let order: Vec<Time> = q.iter().map(|p| p.arrived_at).collect();
+        assert_eq!(order, vec![1, 2, 3]);
+        // Nothing picked: the tail.
+        let head = q.pop().unwrap();
+        q.insert_before(head, |_| false);
+        let order: Vec<Time> = q.iter().map(|p| p.arrived_at).collect();
+        assert_eq!(order, vec![2, 3, 1]);
     }
 
     #[test]
@@ -380,8 +331,6 @@ mod tests {
     fn empty_lookups() {
         let q = UpdateQueue::new();
         assert!(q.merged_from_source(0).is_empty());
-        assert!(!q.has_from_source(0));
-        assert!(q.is_empty());
         assert!(q.is_empty());
     }
 }

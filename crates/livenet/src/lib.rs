@@ -3,7 +3,7 @@
 //! A real-concurrency runtime for the same node state machines that run in
 //! the deterministic simulator: every source and the warehouse get an OS
 //! thread, messages travel over `std::sync::mpsc` FIFO channels, and time is the
-//! wall clock. Nothing in `dw-source`/`dw-warehouse` changes — both worlds
+//! wall clock. Nothing in `dw-source`/`dw-multiview` changes — both worlds
 //! talk through [`dw_simnet::NetHandle`] — so a livenet run demonstrates
 //! that the algorithms' correctness does not depend on simulator artifacts
 //! (fixture for the "livenet vs simnet agreement" integration tests).

@@ -1,23 +1,24 @@
-//! The multiview live arm: a [`MaintenanceScheduler`] on real OS
-//! threads, with or without shard lanes, with or without a serving
-//! layer attached.
+//! The one live warehouse: a [`MaintenanceScheduler`] on real OS
+//! threads — one view or many, with or without shard lanes, with or
+//! without a serving layer attached.
 //!
 //! The scheduler's lane concurrency is *logical* — any number of lanes
 //! in flight over one shared engine — so the warehouse runs on its own
 //! thread (where overlapping lanes interleave with real, OS-scheduled
-//! answer arrivals) and every source on its own thread, exactly like
-//! [`run_live`](crate::run_live). [`run_live_sharded`](crate::run_live_sharded)
-//! and [`run_live_serve`](crate::run_live_serve) both build a
+//! answer arrivals) and every source on its own thread.
+//! [`run_live`](crate::run_live), [`run_live_sharded`](crate::run_live_sharded)
+//! and [`run_live_serve`](crate::run_live_serve) all build a
 //! [`LiveWarehouse`] and differ only in what they hang off it.
 
-use crate::cluster::{injections, setup_failed, source_runners};
-use dw_engine::{run_cluster, LiveError, NodeRunner, SharedInstallPublisher, ThreadNet};
-use dw_multiview::{EngineOptions, MaintenanceScheduler, ViewId};
+use crate::cluster::{setup_failed, source_runners};
+use dw_engine::{
+    run_cluster, InstallRecord, LiveError, NodeRunner, SharedInstallPublisher, ThreadNet,
+};
+use dw_multiview::{EngineOptions, MaintenanceScheduler, OneViewSweep, ViewId};
 use dw_protocol::{Message, WAREHOUSE_NODE};
-use dw_relational::{Bag, ShardMap};
+use dw_relational::{eval_view, Bag, ShardMap, ViewDef};
 use dw_simnet::{NodeId, Time};
-use dw_warehouse::InstallRecord;
-use dw_workload::MultiViewScenario;
+use dw_workload::{GeneratedScenario, MultiViewScenario};
 use std::time::Duration;
 
 /// One view's outcome from a live multiview run.
@@ -32,7 +33,9 @@ pub struct LiveViewOutcome {
 }
 
 /// The warehouse node: a scheduler with every scenario view registered
-/// at its correct initial contents, behind the engine's runner face.
+/// at its correct initial contents, behind the engine's runner face. The
+/// drain detector polls [`NodeRunner::is_idle`], the scheduler's own
+/// quiescence.
 pub(crate) struct LiveWarehouse {
     sched: MaintenanceScheduler,
     ids: Vec<ViewId>,
@@ -46,7 +49,8 @@ impl NodeRunner for LiveWarehouse {
         msg: Message,
         net: &mut ThreadNet,
     ) -> Result<(), String> {
-        // Orchestration signal, not protocol traffic (see PolicyRunner).
+        // An orchestration signal, not protocol traffic: a supervisor may
+        // broadcast restarts without faulting the warehouse thread.
         if matches!(msg, Message::Restart) {
             return Ok(());
         }
@@ -96,19 +100,36 @@ impl LiveWarehouse {
         Ok(LiveWarehouse { sched, ids })
     }
 
-    /// Run `scenario`'s transactions through this warehouse and one
-    /// thread per source. `time_scale` compresses injection timestamps
-    /// (2.0 = twice as fast); `deadline` bounds the whole run. Returns
-    /// the drained scheduler, the per-view outcomes in registration
-    /// order, and the wall-clock duration.
+    /// SWEEP under `opts` — Nested SWEEP at any depth but 1 — over
+    /// `scenario`'s one view (a [`OneViewSweep`]), from its correct
+    /// initial contents; the view's id beside it.
+    pub fn one_view(
+        scenario: &GeneratedScenario,
+        opts: EngineOptions,
+    ) -> Result<(Self, ViewId), LiveError> {
+        let refs: Vec<&Bag> = scenario.initial.iter().collect();
+        let initial_view = eval_view(&scenario.view, &refs).map_err(setup_failed)?;
+        let sweep = OneViewSweep::new(&scenario.view, initial_view, opts).map_err(setup_failed)?;
+        let (sched, id) = sweep.into_parts();
+        let ids = vec![id];
+        Ok((LiveWarehouse { sched, ids }, id))
+    }
+
+    /// Run `injections` (time-sorted) through this warehouse and one
+    /// thread per relation of `chain`, each loaded with its `initial`
+    /// contents. `time_scale` compresses injection timestamps (2.0 =
+    /// twice as fast); `deadline` bounds the whole run. Returns the
+    /// drained scheduler, the per-view outcomes in registration order,
+    /// and the wall-clock duration.
     pub fn run(
         self,
-        scenario: &MultiViewScenario,
+        chain: &ViewDef,
+        initial: &[Bag],
+        injections: Vec<(Time, NodeId, Message)>,
         time_scale: f64,
         deadline: Duration,
     ) -> Result<(MaintenanceScheduler, Vec<LiveViewOutcome>, Duration), LiveError> {
-        let sources = source_runners(&scenario.base, &scenario.initial)?;
-        let injections = injections(&scenario.txns);
+        let sources = source_runners(chain, initial)?;
         let outcome = run_cluster(self, sources, injections, time_scale, deadline)?;
         let LiveWarehouse { sched, ids } = outcome.warehouse;
         let reg = sched.views();

@@ -14,12 +14,12 @@
 //! streams replay the install fingerprint, and (c) the final epoch
 //! equals the ground-truth evaluation.
 
-use crate::cluster::setup_failed as fail;
+use crate::cluster::{injections, setup_failed as fail};
 use crate::multiview::LiveWarehouse;
+use dw_engine::{InstallRecord, PolicyMetrics};
 use dw_relational::{SharedBag, Value};
 use dw_rng::Rng64;
 use dw_serve::{ReadFrontend, ServeStats};
-use dw_warehouse::{InstallRecord, PolicyMetrics};
 use dw_workload::MultiViewScenario;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -141,7 +141,12 @@ pub fn run_live_serve(
         ));
     }
 
-    let run = warehouse.run(scenario, time_scale, deadline);
+    let (base, initial, txns) = (
+        &scenario.base,
+        &scenario.initial,
+        injections(&scenario.txns),
+    );
+    let run = warehouse.run(base, initial, txns, time_scale, deadline);
     stop.store(true, Ordering::Relaxed);
     let mut reads: Vec<LiveRead> = Vec::new();
     let mut reader_err: Option<String> = None;

@@ -7,9 +7,10 @@
 //! install-by-install traces. The deterministic install-order identity
 //! claim lives in the simulator-backed conformance suite.
 
+use crate::cluster::injections;
 use crate::multiview::{LiveViewOutcome, LiveWarehouse};
+use dw_engine::PolicyMetrics;
 use dw_multiview::ShardStats;
-use dw_warehouse::PolicyMetrics;
 use dw_workload::ShardedScenario;
 use std::time::Duration;
 
@@ -41,7 +42,12 @@ pub fn run_live_sharded(
 ) -> Result<LiveShardedReport, LiveError> {
     let scenario = &generated.scenario;
     let warehouse = LiveWarehouse::new(scenario, Some(&generated.map), None, |_, _| {})?;
-    let (sched, views, wall) = warehouse.run(scenario, time_scale, deadline)?;
+    let (base, initial, txns) = (
+        &scenario.base,
+        &scenario.initial,
+        injections(&scenario.txns),
+    );
+    let (sched, views, wall) = warehouse.run(base, initial, txns, time_scale, deadline)?;
     Ok(LiveShardedReport {
         quiescent: sched.is_quiescent(),
         metrics: sched.metrics().clone(),

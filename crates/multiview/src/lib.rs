@@ -14,15 +14,16 @@
 //!   ([`dw_workload::ViewPolicy`]: SWEEP, Nested-SWEEP-style batching,
 //!   or deferred refresh);
 //! * a [`MaintenanceScheduler`] — **one** lane-based scheduler for every
-//!   configuration, one view ([`OneViewSweep`], the paper's SWEEP) or
-//!   many. On arrival of `ΔR_j` it executes one **shared sweep** over the
+//!   configuration, one view ([`OneViewSweep`], the paper's SWEEP and, at
+//!   any `EngineOptions::depth` but 1, its Nested SWEEP) or many. On arrival of `ΔR_j` it executes one **shared sweep** over the
 //!   *union* `[L, R]` of the spans of the views referencing `R_j` — one
 //!   incremental query per hop, compensated once (§4) on the shared
 //!   partial, each view peeling off its delta where the walk covers its
 //!   span — with two legs (§5.3) or Figure 4's one. Lanes claim value-band
 //!   masks and installs leave in arrival-ticket order, so sharding,
-//!   pipelining, batching, σ pushdown, global transactions and crash
-//!   recovery are options of that one state machine (module docs of
+//!   pipelining, Figure 6's nesting, batching, σ pushdown, global
+//!   transactions and crash recovery are options of that one state
+//!   machine (module docs of
 //!   `scheduler`); the two configurations it refuses (a map over a
 //!   cross-product hop, a batch width of 0) are typed errors from its
 //!   constructor. [`ShardedScheduler`] is a thin newtype for callers that

@@ -1,4 +1,5 @@
-//! SWEEP over one view, behind the single-view policy face.
+//! SWEEP and Nested SWEEP over one view, behind the single-view policy
+//! face.
 
 use crate::registry::{MvError, ViewId};
 use crate::scheduler::MaintenanceScheduler;
@@ -12,7 +13,8 @@ use std::cell::OnceCell;
 /// SWEEP over one view: a scheduler over the view's bare chain with the
 /// view itself — σ trees, residual and Π included — registered over the
 /// whole of it. What `dw_core::PolicyKind::Sweep` runs, in the simulator
-/// and on threads.
+/// and on threads: Figure 4 at [`EngineOptions::FIGURE_4`], Nested SWEEP
+/// (Figure 6) at any [`EngineOptions::depth`] but 1.
 ///
 /// The view's σ is always pushed down: over one view the pushed σ is the
 /// view's own, so the seed is filtered, an update the σ rejects
@@ -36,6 +38,12 @@ impl OneViewSweep {
         let id = registry.register_compiled(&spec, view.clone(), initial)?;
         let metrics = OnceCell::new();
         Ok(OneViewSweep { sched, id, metrics })
+    }
+
+    /// The scheduler and the view's id in it — for a caller that drives
+    /// the scheduler itself (the live warehouse node).
+    pub fn into_parts(self) -> (MaintenanceScheduler, ViewId) {
+        (self.sched, self.id)
     }
 }
 
@@ -62,17 +70,11 @@ impl MaintenancePolicy for OneViewSweep {
     }
 
     /// The view's installs and staleness beside the engine's update,
-    /// query, answer and compensation counts.
+    /// query, answer, compensation and nesting counts.
     fn metrics(&self) -> &PolicyMetrics {
-        self.metrics.get_or_init(|| {
-            let (engine, view) = (self.sched.metrics(), self.sched.views().slot(self.id));
-            let mut m = view.metrics.clone();
-            m.updates_received = engine.updates_received;
-            m.queries_sent = engine.queries_sent;
-            m.answers_received = engine.answers_received;
-            m.local_compensations = engine.local_compensations;
-            m
-        })
+        // `id` is the registration's own: the bill cannot miss.
+        let bill = || self.sched.view_bill(self.id).unwrap_or_default();
+        self.metrics.get_or_init(bill)
     }
 
     fn is_quiescent(&self) -> bool {

@@ -119,6 +119,33 @@
 //!   [`InstallSequencer`] validates its tag and holds releases until
 //!   every open transaction is whole.
 //!
+//! ## Nesting: Figure 6
+//!
+//! Nested SWEEP differs from SWEEP in one rule: after a hop's one
+//! compensation (queue plus `later`), a lane below its
+//! [`EngineOptions::depth`] bound (`0` = none, `1` = SWEEP) may **absorb**
+//! the queued `ΔR_j` into a child [`SweepRun::sequential`] over the
+//! segment the hop covered, which folds into the frame below
+//! ([`SweepRun::fold`]) once covered. Child hops follow the same rule.
+//!
+//! * **Where:** only in a one-leg walk (a child folds into one partial).
+//!   In two legs or at the bound the hop stays SWEEP-style, counting a
+//!   [`PolicyMetrics::depth_bound_hits`] if a `ΔR_j` is queued.
+//! * **What:** the queued `j`-updates in arrival order while each mask is
+//!   ⊆ the lane's — never skipping one — if `j` feeds exactly the lane's
+//!   views; never past a `j`-update held unreleased under a later ticket
+//!   (installs consume per-source prefixes), and nothing while another
+//!   formed or in-flight task overlaps the lane (its compensation must
+//!   still see the update; vacuous at window 1). Snapshots and the
+//!   short-circuit read the bottom frame, after every child has folded.
+//! * **Install and durability:** absorbed ids join the lane's consumed
+//!   set and install under its ticket; their own tickets release empty at
+//!   the commit. Durably they stay queued until the lane's `TaskCommit`,
+//!   which names them: a checkpoint image puts them back in the queue, and
+//!   the commit, live or replayed, takes them out — so a crash re-seeds
+//!   the task as it was formed. Consumed sets then depend on timing
+//!   (dovetailing): strong consistency, not complete.
+//!
 //! ## Crashes
 //!
 //! One crash, one recovery, for every configuration.
@@ -165,7 +192,6 @@ const SHARED_LABELS: SpanLabels = SpanLabels {
     sweep: "mv.sweep",
     hop: "mv.hop",
     compensations: "mv.compensations",
-    query_rows: None,
     query_counter: Some("mv.shared_queries"),
 };
 const SHARD_LABELS: SpanLabels = SpanLabels {
@@ -173,7 +199,6 @@ const SHARD_LABELS: SpanLabels = SpanLabels {
     hop: "shard.hop",
     compensations: "shard.compensations",
     query_counter: Some("shard.queries"),
-    ..SHARED_LABELS
 };
 
 /// How the scheduler turns one update into sweeps: one way. The enum
@@ -237,13 +262,16 @@ struct SweepTask {
 }
 
 /// An in-flight sweep: the task, its per-sweep context (span, pushed
-/// σ), its two-leg run, and per side
-/// (`JoinSide as usize`) the per-view partials captured the moment that
-/// leg reached the view's span endpoint (post-compensation for that hop).
+/// σ), its bottom run, the Figure 6 child runs stacked on it (the last
+/// has the query in flight) and the updates they absorbed, and per side
+/// (`JoinSide as usize`) the per-view partials captured the moment the
+/// bottom leg reached the view's span endpoint.
 struct Lane {
     task: SweepTask,
     ctx: SweepCtx,
     run: SweepRun,
+    children: Vec<SweepRun>,
+    absorbed: Vec<PendingUpdate>,
     snaps: [Vec<(ViewId, PartialDelta)>; 2],
 }
 
@@ -545,6 +573,20 @@ impl MaintenanceScheduler {
         &self.core.metrics
     }
 
+    /// View `id`'s bill as a single-view policy reports it: its installs
+    /// and staleness beside the engine's message and nesting counts.
+    pub fn view_bill(&self, id: ViewId) -> Result<PolicyMetrics, MvError> {
+        let engine = &self.core.metrics;
+        let mut bill = self.registry.metrics(id)?.clone();
+        bill.updates_received = engine.updates_received;
+        bill.queries_sent = engine.queries_sent;
+        bill.answers_received = engine.answers_received;
+        bill.local_compensations = engine.local_compensations;
+        bill.max_recursion_depth = engine.max_recursion_depth;
+        bill.depth_bound_hits = engine.depth_bound_hits;
+        Ok(bill)
+    }
+
     /// Lane and group counters.
     pub fn stats(&self) -> &ShardStats {
         &self.stats
@@ -732,15 +774,22 @@ impl MaintenanceScheduler {
     /// Replace the durable image with the current volatile state —
     /// queue, tickets, pending tasks, sequencer, groups and counters
     /// cloned, view contents captured as shared handles — and truncate
-    /// the log (no-op with durability off).
+    /// the log (no-op with durability off). Updates in-flight lanes
+    /// absorbed are durably queued still: back where their tickets go.
     fn checkpoint_now(&mut self) {
         if self.durable.is_none() {
             return;
         }
+        let mut queue = self.core.queue.clone();
+        let ticket = |pu: &PendingUpdate| self.arrivals.get(&pu.update.id).map(|a| a.ticket);
+        for pu in self.lanes.iter().flat_map(|l| &l.absorbed) {
+            let at = ticket(pu);
+            queue.insert_before(pu.clone(), |queued| ticket(queued) > at);
+        }
         let in_flight = self.lanes.iter().map(|l| &l.task);
         let image = MvCheckpoint {
             epoch: self.core.epoch,
-            queue: self.core.queue.clone(),
+            queue,
             arrivals: self.arrivals.clone(),
             tasks: in_flight.chain(&self.pending_tasks).cloned().collect(),
             unreleased: self.unreleased.clone(),
@@ -999,10 +1048,14 @@ impl MaintenanceScheduler {
         if !dead {
             run.advance(&mut self.core, &ctx, net);
         }
+        let deepest = &mut self.core.metrics.max_recursion_depth;
+        *deepest = (*deepest).max(u64::from(self.opts.depth != 1));
         let lane = Lane {
             task,
             ctx,
             run,
+            children: Vec::new(),
+            absorbed: Vec::new(),
             snaps,
         };
         if lane.run.is_done() {
@@ -1022,7 +1075,9 @@ impl MaintenanceScheduler {
             task,
             ctx,
             run,
+            absorbed,
             snaps,
+            ..
         } = lane;
         let mut deltas = Vec::with_capacity(task.views.len());
         for &v in &task.views {
@@ -1046,10 +1101,9 @@ impl MaintenanceScheduler {
         // One atomic commit record carrying every per-view delta: replay
         // either re-applies the whole sweep or none of it, and only a
         // committed task leaves the durable pending set.
-        let install = SequencedInstall {
-            consumed: task.consumed.clone(),
-            deltas,
-        };
+        let mut consumed = task.consumed.clone();
+        consumed.extend(absorbed.iter().map(|pu| (pu.update.id, pu.arrived_at)));
+        let install = SequencedInstall { consumed, deltas };
         self.wal(|| MvWalRecord::TaskCommit {
             at: now,
             ticket: task.ticket,
@@ -1064,15 +1118,30 @@ impl MaintenanceScheduler {
     /// replay): the delta's impure tuples are residents now — their
     /// bands share rows and must sweep as one group from here on — and
     /// the install enters the sequencer under its ticket, to land when
-    /// every earlier ticket has.
+    /// every earlier ticket has. Updates the lane absorbed (consumed past
+    /// the task's own) leave the queue and their tickets release empty.
     fn commit(
         &mut self,
-        task: SweepTask,
+        mut task: SweepTask,
         install: SequencedInstall,
         at: Time,
     ) -> Result<(), MvError> {
         for mask in &task.impure_masks {
             self.union_mask(*mask);
+        }
+        let absorbed = &install.consumed[task.consumed.len()..];
+        for (id, _) in absorbed {
+            self.core.queue.take_id(*id);
+            if let Some(arrival) = self.arrivals.remove(id) {
+                arrival
+                    .impure_masks
+                    .iter()
+                    .for_each(|&m| self.union_mask(m));
+                self.sequencer.complete(arrival.ticket, None);
+            }
+        }
+        if !absorbed.is_empty() {
+            task.consumed.clone_from(&install.consumed);
         }
         if let Some(d) = self.durable.as_mut() {
             d.committed_since_ckpt += 1;
@@ -1211,12 +1280,15 @@ impl SweepPolicy for MaintenanceScheduler {
             self.core.obs.add("mv.recovery.stale_answers_dropped", 1);
             return Ok(());
         }
-        let Some(pos) = self.lanes.iter().position(|l| l.run.waiting_on(qid)) else {
+        let top = |l: &Lane| l.children.last().unwrap_or(&l.run).waiting_on(qid);
+        let Some(pos) = self.lanes.iter().position(top) else {
             return Err(WarehouseError::UnknownQuery { qid }.into());
         };
         let mut lane = self.lanes.swap_remove(pos);
         let one_leg = lane.run.is_sequential();
-        let mut hop = lane.run.absorb(&mut self.core, qid, partial, net.now())?;
+        let frames = 1 + lane.children.len();
+        let top = lane.children.last_mut().unwrap_or(&mut lane.run);
+        let mut hop = top.absorb(&mut self.core, qid, partial, net.now())?;
         // Full-queue compensation: foreign-group queued deltas join the
         // scoped TempView to nothing, same-group ones subtract exactly —
         // and so do the later tasks a window lets overlap this one.
@@ -1230,20 +1302,111 @@ impl SweepPolicy for MaintenanceScheduler {
             .map(|t| &t.delta)
             .collect();
         self.core.compensate(&lane.ctx, &mut hop, &later)?;
-        // Views whose span the walk now covers peel off the shared
-        // partial *after* this hop's compensation.
-        let (views, snaps) = (&lane.task.views, &mut lane.snaps);
-        snapshot(&self.registry, views, snaps, one_leg, hop.side, hop.dv)?;
-        let dead = self.opts.short_circuit_empty && one_leg && hop.dv.bag.is_empty();
-        if !dead {
-            lane.run.advance(&mut self.core, &lane.ctx, net);
+        // Figure 6: below the bound, a one-leg hop nests the queued ΔR_j.
+        let (j, side, lo, hi) = (hop.j, hop.side, hop.dv.lo, hop.dv.hi);
+        let mut nested = false;
+        if self.opts.depth != 1 {
+            if one_leg && (self.opts.depth == 0 || frames < self.opts.depth) {
+                nested = self.nest(&mut lane, j, lo, hi)?;
+            } else if self.core.queue.iter().any(|pu| pu.update.id.source == j) {
+                self.core.metrics.depth_bound_hits += 1;
+            }
         }
-        if dead || lane.run.is_done() {
-            self.finish(lane, dead, net.now())?;
-            return self.pump(net);
+        self.step(lane, (frames == 1 && !nested).then_some(side), net)
+    }
+}
+
+impl MaintenanceScheduler {
+    /// Figure 6 at a one-leg hop of `lane` at `j` that covered `[lo, hi]`
+    /// (module docs): take the queued `ΔR_j` the rule admits out of the
+    /// queue and stack a child run over `[lo, hi]` seeded — and σ-filtered,
+    /// as a task's seed is — with their merged delta. `false`: none fit.
+    fn nest(&mut self, lane: &mut Lane, j: usize, lo: usize, hi: usize) -> Result<bool, MvError> {
+        let task = &lane.task;
+        let in_lanes = self.lanes.iter().map(|l| &l.task);
+        let mut others = in_lanes.clone().chain(&self.pending_tasks);
+        if others.any(|t| t.mask & task.mask != 0) || self.registry.affected_by(j) != task.views {
+            return Ok(false);
         }
-        self.lanes.push(lane);
-        Ok(())
+        // The first `ΔR_j` a later ticket holds bounds what may go first.
+        let later = |ticket: u64| ticket > task.ticket;
+        let tasks = in_lanes.chain(&self.pending_tasks).chain(&self.unreleased);
+        let held = tasks.filter(|t| later(t.ticket)).flat_map(|t| &t.consumed);
+        let lanes = self.lanes.iter().filter(|l| later(l.task.ticket));
+        let absorbed = lanes.flat_map(|l| &l.absorbed).map(|pu| pu.update.id);
+        let held = held.map(|&(id, _)| id).chain(absorbed);
+        let bound = held.filter(|id| id.source == j).map(|id| id.seq).min();
+        let fits = |pu: &PendingUpdate| {
+            let a = self.arrivals.get(&pu.update.id)?;
+            let mask = groups_of(&self.groups, a.bands.max(1));
+            let before = bound.is_none_or(|seq| pu.update.id.seq < seq);
+            (later(a.ticket) && before && mask & !task.mask == 0).then_some(pu.update.id)
+        };
+        let from_j = self.core.queue.iter().filter(|pu| pu.update.id.source == j);
+        let ids: Vec<UpdateId> = from_j.map_while(fits).collect();
+        if ids.is_empty() {
+            return Ok(false);
+        }
+        let mut merged = Bag::new();
+        for id in ids {
+            let Some(pu) = self.core.queue.take_id(id) else {
+                let what = "a nested update left the queue before the hop";
+                return Err(MvError::Internal { what });
+            };
+            merged.merge(&pu.update.delta);
+            lane.absorbed.push(pu);
+        }
+        let mut seed = PartialDelta::seed(&self.core.view, j, &merged)?;
+        if let Some(pred) = lane.ctx.push_pred(j) {
+            seed.bag = seed.bag.filter(|t| pred.eval(t));
+        }
+        lane.children.push(SweepRun::sequential(seed, lo, hi));
+        let deepest = &mut self.core.metrics.max_recursion_depth;
+        *deepest = (*deepest).max(1 + lane.children.len() as u64);
+        Ok(true)
+    }
+
+    /// Drive `lane` on after a hop. When its bottom run's leg on `moved`
+    /// changed — a hop there, or a child folded into it — the views whose
+    /// span it now covers peel off its partial and the short-circuit may
+    /// stop it; then the top run sends its next query, or covered children
+    /// fold into the frame below, until a query is in flight or the bottom
+    /// run is covered (or dead) and the lane finishes.
+    fn step(
+        &mut self,
+        mut lane: Lane,
+        mut moved: Option<JoinSide>,
+        net: &mut dyn NetHandle<Message>,
+    ) -> Result<(), MvError> {
+        loop {
+            let mut dead = false;
+            if let Some(side) = moved.take() {
+                let (one_leg, leg) = (lane.run.is_sequential(), lane.run.leg(side));
+                let (reg, views) = (&self.registry, &lane.task.views);
+                snapshot(reg, views, &mut lane.snaps, one_leg, side, leg)?;
+                dead = self.opts.short_circuit_empty && one_leg && leg.bag.is_empty();
+            }
+            if !dead {
+                let top = lane.children.last_mut().unwrap_or(&mut lane.run);
+                top.advance(&mut self.core, &lane.ctx, net);
+                if !top.is_done() {
+                    self.lanes.push(lane);
+                    return Ok(());
+                }
+            }
+            let Some(child) = lane.children.pop() else {
+                self.finish(lane, dead, net.now())?;
+                return self.pump(net);
+            };
+            let done = child.into_partial(&self.core.view);
+            match lane.children.last_mut() {
+                Some(parent) => parent.fold(&done),
+                None => {
+                    lane.run.fold(&done);
+                    moved = Some(JoinSide::Left);
+                }
+            }
+        }
     }
 }
 
@@ -2787,21 +2950,178 @@ mod tests {
 
         #[test]
         fn an_answer_to_a_query_never_sent_is_refused() {
-            let mut wh = OneView::new(paper_view(), Bag::new(), EngineOptions::FIGURE_4);
-            let idle = wh.on(0, answer(0, 0, 0, Bag::new()));
-            assert!(matches!(
-                idle,
-                Err(MvError::Warehouse(WarehouseError::UnknownQuery { qid: 0 }))
-            ));
-            wh.on(1, update(1, 0, Bag::from_tuples([tup![3, 5]])))
+            for opts in [EngineOptions::FIGURE_4, EngineOptions::FIGURE_6] {
+                let mut wh = OneView::new(paper_view(), Bag::new(), opts);
+                let idle = wh.on(0, answer(0, 0, 0, Bag::new()));
+                assert!(matches!(
+                    idle,
+                    Err(MvError::Warehouse(WarehouseError::UnknownQuery { qid: 0 }))
+                ));
+                wh.on(1, update(1, 0, Bag::from_tuples([tup![3, 5]])))
+                    .unwrap();
+                let res = wh.on(2, answer(999, 0, 1, Bag::new()));
+                assert!(matches!(
+                    res,
+                    Err(MvError::Warehouse(WarehouseError::UnknownQuery {
+                        qid: 999
+                    }))
+                ));
+            }
+        }
+
+        #[test]
+        fn without_concurrency_nesting_is_sweep() {
+            let mut wh = OneView::new(
+                paper_view(),
+                Bag::from_pairs([(tup![7, 8], 2)]),
+                EngineOptions::FIGURE_6,
+            );
+            wh.on(0, update(1, 0, Bag::from_tuples([tup![3, 5]])))
                 .unwrap();
-            let res = wh.on(2, answer(999, 0, 1, Bag::new()));
-            assert!(matches!(
-                res,
-                Err(MvError::Warehouse(WarehouseError::UnknownQuery {
-                    qid: 999
-                }))
-            ));
+            let (to, q1) = query(&mut wh.net);
+            assert_eq!((to, q1.side), (0, JoinSide::Left));
+            let left = Bag::from_tuples([tup![1, 3, 3, 5], tup![2, 3, 3, 5]]);
+            wh.on(5, answer(q1.qid, 0, 1, left)).unwrap();
+            let (to, q2) = query(&mut wh.net);
+            assert_eq!(to, 2);
+            let full = Bag::from_tuples([tup![1, 3, 3, 5, 5, 6], tup![2, 3, 3, 5, 5, 6]]);
+            wh.on(6, answer(q2.qid, 0, 2, full)).unwrap();
+            let want = Bag::from_pairs([(tup![5, 6], 2), (tup![7, 8], 2)]);
+            assert_eq!(wh.view(), &want);
+            let m = wh.sched.metrics();
+            assert_eq!((m.queries_sent, m.max_recursion_depth), (2, 1));
+            assert!(wh.sched.is_quiescent());
+        }
+
+        /// ΔR2 = +(3,5) is in flight; ΔR1 = −(2,3) arrives before R1's
+        /// answer. Figure 6: the hop compensates for it, absorbs it into
+        /// a child run over the covered segment, and one install
+        /// consumes both.
+        #[test]
+        fn a_hop_absorbs_a_queued_update_into_a_child_run() {
+            let mut wh = OneView::new(
+                paper_view(),
+                Bag::from_pairs([(tup![7, 8], 2)]),
+                EngineOptions::FIGURE_6,
+            );
+            wh.on(0, update(1, 0, Bag::from_tuples([tup![3, 5]])))
+                .unwrap();
+            let (_, q1) = query(&mut wh.net);
+            wh.on(1, update(0, 0, Bag::from_pairs([(tup![2, 3], -1)])))
+                .unwrap();
+            // R1 answers on its post-delete state.
+            let left = Bag::from_tuples([tup![1, 3, 3, 5]]);
+            wh.on(5, answer(q1.qid, 0, 1, left)).unwrap();
+            assert_eq!(wh.sched.metrics().local_compensations, 1);
+            assert_eq!(wh.sched.lanes[0].children.len(), 1, "child frame pushed");
+            assert!(wh.sched.core.queue.is_empty(), "ΔR1 left the queue");
+
+            // The child evaluates ΔR1's missing right part: a query to
+            // source 1 (covered range [0, 0] → extend right), carrying ΔR1.
+            let (to, qr) = query(&mut wh.net);
+            assert_eq!((to, qr.side), (1, JoinSide::Right));
+            assert_eq!(qr.partial.bag, Bag::from_pairs([(tup![2, 3], -1)]));
+            // R2 = {(3,7), (3,5)} answers −(2,3) ⋈ R2.
+            let joined = Bag::from_pairs([(tup![2, 3, 3, 7], -1), (tup![2, 3, 3, 5], -1)]);
+            wh.on(6, answer(qr.qid, 0, 1, joined)).unwrap();
+            // The child covered the parent's segment and folded into it;
+            // the combined partial sweeps on to source 2.
+            assert!(wh.sched.lanes[0].children.is_empty());
+            let (to, q2) = query(&mut wh.net);
+            assert_eq!(to, 2);
+            // (1,3,3,5) + (2,3,3,5) − (2,3,3,5) − (2,3,3,7).
+            let combined = Bag::from_pairs([(tup![1, 3, 3, 5], 1), (tup![2, 3, 3, 7], -1)]);
+            assert_eq!(q2.partial.bag, combined);
+            let full = Bag::from_pairs([(tup![1, 3, 3, 5, 5, 6], 1), (tup![2, 3, 3, 7, 7, 8], -1)]);
+            wh.on(7, answer(q2.qid, 0, 2, full)).unwrap();
+
+            assert_eq!(wh.installs().len(), 1);
+            let both = vec![
+                UpdateId { source: 1, seq: 0 },
+                UpdateId { source: 0, seq: 0 },
+            ];
+            assert_eq!(wh.installs()[0].consumed, both);
+            // V = {(7,8)[2]} + (5,6) − (7,8).
+            let want = Bag::from_pairs([(tup![5, 6], 1), (tup![7, 8], 1)]);
+            assert_eq!(wh.view(), &want);
+            assert_eq!(wh.sched.metrics().max_recursion_depth, 2);
+            assert!(wh.sched.is_quiescent());
+        }
+
+        /// Two queued updates from one source that cancel outright are
+        /// absorbed whole — both consumed, neither skipped — while the
+        /// hop subtracts nothing: their merged `ΔR_j` is empty.
+        #[test]
+        fn a_cancelling_pair_is_absorbed_without_a_compensation() {
+            let mut wh = OneView::new(paper_view(), Bag::new(), EngineOptions::FIGURE_6);
+            wh.on(0, update(1, 0, Bag::from_tuples([tup![3, 5]])))
+                .unwrap();
+            let (_, q1) = query(&mut wh.net);
+            wh.on(1, update(0, 0, Bag::from_tuples([tup![2, 3]])))
+                .unwrap();
+            wh.on(2, update(0, 1, Bag::from_pairs([(tup![2, 3], -1)])))
+                .unwrap();
+            let left = Bag::from_tuples([tup![1, 3, 3, 5]]);
+            wh.on(5, answer(q1.qid, 0, 1, left)).unwrap();
+            assert_eq!(wh.sched.metrics().local_compensations, 0);
+            let (to, qr) = query(&mut wh.net);
+            assert_eq!(to, 1);
+            assert!(qr.partial.bag.is_empty(), "the pair seeds an empty child");
+            wh.on(6, answer(qr.qid, 0, 1, Bag::new())).unwrap();
+            let (_, q2) = query(&mut wh.net);
+            wh.on(7, answer(q2.qid, 0, 2, Bag::new())).unwrap();
+            let seqs: Vec<(usize, u64)> = (wh.installs()[0].consumed.iter())
+                .map(|id| (id.source, id.seq))
+                .collect();
+            assert_eq!(seqs, vec![(1, 0), (0, 0), (0, 1)]);
+            assert!(wh.sched.is_quiescent());
+        }
+
+        /// §6.2's forced termination: at depth 2 a child's own hop may
+        /// not nest again — it compensates SWEEP-style, leaves the update
+        /// queued and counts a bound hit. Depth 1 (SWEEP) counts none.
+        #[test]
+        fn at_the_depth_bound_a_hop_stays_sweep_style() {
+            for (depth, hits) in [(2, 1), (1, 0)] {
+                let opts = EngineOptions {
+                    depth,
+                    ..EngineOptions::FIGURE_6
+                };
+                let initial = Bag::from_pairs([(tup![7, 8], 2)]);
+                let mut wh = OneView::new(paper_view(), initial, opts);
+                wh.on(0, update(1, 0, Bag::from_tuples([tup![3, 5]])))
+                    .unwrap();
+                let (_, q1) = query(&mut wh.net);
+                wh.on(1, update(0, 0, Bag::from_pairs([(tup![2, 3], -1)])))
+                    .unwrap();
+                let left = Bag::from_tuples([tup![1, 3, 3, 5]]);
+                wh.on(5, answer(q1.qid, 0, 1, left)).unwrap();
+                let (to, q) = query(&mut wh.net);
+                if depth == 1 {
+                    // SWEEP: ΔR1 stays queued, the walk goes on right.
+                    assert_eq!((to, wh.sched.core.queue.len()), (2, 1));
+                    assert_eq!(wh.sched.metrics().depth_bound_hits, hits);
+                    continue;
+                }
+                // The child asks R2, which meanwhile applied ΔR2' = +(3,9).
+                wh.on(6, update(1, 1, Bag::from_tuples([tup![3, 9]])))
+                    .unwrap();
+                let joined = Bag::from_pairs([
+                    (tup![2, 3, 3, 7], -1),
+                    (tup![2, 3, 3, 5], -1),
+                    (tup![2, 3, 3, 9], -1),
+                ]);
+                wh.on(7, answer(q.qid, 0, 1, joined)).unwrap();
+                let m = wh.sched.metrics();
+                assert_eq!((m.depth_bound_hits, m.max_recursion_depth), (hits, 2));
+                assert_eq!(wh.sched.core.queue.len(), 1, "ΔR2' stays queued");
+                assert!(wh.sched.lanes[0].children.is_empty());
+                let (to, q2) = query(&mut wh.net);
+                assert_eq!(to, 2);
+                // ΔR2' compensated out of the child's partial.
+                let combined = Bag::from_pairs([(tup![1, 3, 3, 5], 1), (tup![2, 3, 3, 7], -1)]);
+                assert_eq!(q2.partial.bag, combined);
+            }
         }
 
         /// Drive a one-view scheduler and real sources over its view to
@@ -2850,6 +3170,25 @@ mod tests {
             let view = sched.views().view_bag(id).unwrap();
             assert_eq!(view, &Bag::from_pairs([(tup![5, 6], 1)]));
             assert_eq!(sched.views().install_log(id).unwrap().len(), 3);
+        }
+
+        #[test]
+        fn nested_sweep_through_real_sources_matches_truth() {
+            let txns = [
+                (0, 1, Bag::from_pairs([(tup![3, 5], 1)])),
+                (700, 0, Bag::from_pairs([(tup![1, 3], -1)])),
+                (1_400, 2, Bag::from_pairs([(tup![5, 6], -1)])),
+                (2_100, 1, Bag::from_pairs([(tup![3, 7], -1)])),
+            ];
+            let latency = LatencyModel::Constant(2_000);
+            let (sched, id, _) = through_sources(EngineOptions::FIGURE_6, latency, &txns);
+            let log = consumed_log(&sched, id);
+            // Every update consumed exactly once, some of them dovetailed.
+            let mut seen: Vec<UpdateId> = log.iter().flatten().copied().collect();
+            seen.sort_by_key(|u| (u.source, u.seq));
+            seen.dedup();
+            assert_eq!(seen.len(), txns.len());
+            assert!(log.len() < txns.len(), "nothing dovetailed: {log:?}");
         }
 
         #[test]

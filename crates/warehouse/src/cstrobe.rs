@@ -40,7 +40,6 @@ const LABELS: SpanLabels = SpanLabels {
     sweep: "c_strobe",
     hop: "c_strobe.hop",
     compensations: "c_strobe.compensations",
-    query_rows: None,
     query_counter: None,
 };
 

@@ -6,7 +6,6 @@
 //!
 //! | Policy | Paper section | Consistency | Message cost / update | Notes |
 //! |---|---|---|---|---|
-//! | [`NestedSweep`] | §6, Fig. 6 | strong | `O(n)` amortized | dovetails concurrent updates |
 //! | [`Eca`] | §3 (ZGMHW95) | strong | `O(1)` queries, quadratic size | single-site source |
 //! | [`Strobe`] | §3 (ZGMW96) | strong | `O(n)` | unique keys, installs at quiescence |
 //! | [`CStrobe`] | §3 (ZGMW96) | complete | up to `K^(n−2)` queries | unique keys |
@@ -14,8 +13,11 @@
 //!
 //! SWEEP (§5, Fig. 4 — complete consistency, `2(n−1)` messages per
 //! update, §5.3's parallel legs, short-circuit and pipelining, type-3
-//! global transactions) is a one-view `dw_multiview::MaintenanceScheduler`:
-//! one scheduler runs it for one view or many.
+//! global transactions) and Nested SWEEP (§6, Fig. 6 — strong
+//! consistency, `O(n)` messages amortized over a dovetailed batch, the
+//! §6.2 depth bound) are one-view `dw_multiview::MaintenanceScheduler`s,
+//! Nested SWEEP being SWEEP with `EngineOptions::depth ≠ 1`: one
+//! scheduler runs the family for one view or many.
 //!
 //! All policies implement [`MaintenancePolicy`]; the orchestration layer
 //! feeds them [`dw_simnet::Delivery`] events and they talk back through the
@@ -26,7 +28,6 @@
 
 pub mod cstrobe;
 pub mod eca;
-pub mod nested_sweep;
 pub mod recompute;
 pub mod strobe;
 mod testkit;
@@ -40,6 +41,5 @@ pub use dw_engine::{
 
 pub use cstrobe::CStrobe;
 pub use eca::Eca;
-pub use nested_sweep::{NestedSweep, NestedSweepOptions};
 pub use recompute::Recompute;
 pub use strobe::Strobe;

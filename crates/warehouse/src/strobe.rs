@@ -37,7 +37,6 @@ const LABELS: SpanLabels = SpanLabels {
     sweep: "strobe",
     hop: "strobe.hop",
     compensations: "strobe.compensations",
-    query_rows: None,
     query_counter: None,
 };
 

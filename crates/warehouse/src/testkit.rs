@@ -1,24 +1,11 @@
-//! Shared fixtures of the policies' hand-driven unit tests: the paper's
-//! views and the three messages a warehouse receives.
+//! Shared fixtures of the policies' hand-driven unit tests: a two-chain
+//! view and the messages a warehouse receives.
 
 #![cfg(test)]
 
-use dw_protocol::{Message, SourceUpdate, SweepAnswer, UpdateId, WAREHOUSE_NODE};
-use dw_relational::{Bag, PartialDelta, Schema, ViewDef, ViewDefBuilder};
+use dw_protocol::{Message, SourceUpdate, UpdateId, WAREHOUSE_NODE};
+use dw_relational::{Bag, Schema, ViewDef, ViewDefBuilder};
 use dw_simnet::{Delivery, Time, ENV};
-
-/// The paper's running example: `Π[D,F](R1 ⋈ R2 ⋈ R3)`.
-pub(crate) fn paper_view() -> ViewDef {
-    ViewDefBuilder::new()
-        .relation(Schema::new("R1", ["A", "B"]).unwrap())
-        .relation(Schema::new("R2", ["C", "D"]).unwrap())
-        .relation(Schema::new("R3", ["E", "F"]).unwrap())
-        .join("R1.B", "R2.C")
-        .join("R2.D", "R3.E")
-        .project(["R2.D", "R3.F"])
-        .build()
-        .unwrap()
-}
 
 /// `R1(A,B) ⋈ R2(C,D)` with the identity projection.
 pub(crate) fn two_chain() -> ViewDef {
@@ -46,13 +33,5 @@ pub(crate) fn update(source: usize, seq: u64, delta: Bag) -> Message {
         id: UpdateId { source, seq },
         delta,
         global: None,
-    })
-}
-
-/// A source's answer to query `qid`: `bag` over `[lo, hi]`.
-pub(crate) fn answer(qid: u64, lo: usize, hi: usize, bag: Bag) -> Message {
-    Message::SweepAnswer(SweepAnswer {
-        qid,
-        partial: PartialDelta { lo, hi, bag },
     })
 }

@@ -1,13 +1,14 @@
-//! Warehouse ↔ source integration: policies driven against *real*
-//! `DataSource`/`EcaSite` nodes over the simulated network (not hand-crafted
-//! answers), with a local dispatch loop. Complements the `dw-core` harness
-//! by exercising the crate boundary directly.
+//! Warehouse ↔ source integration: a policy driven against a *real*
+//! `EcaSite` node over the simulated network (not hand-crafted answers),
+//! with a local dispatch loop. Complements the `dw-core` harness by
+//! exercising the crate boundary directly. (Nested SWEEP's arm lives with
+//! the scheduler that runs it, in `dw-multiview`.)
 
-use dw_protocol::{node_source, source_node, Message, WAREHOUSE_NODE};
+use dw_protocol::{source_node, Message, WAREHOUSE_NODE};
 use dw_relational::{eval_view, tup, Bag, BaseRelation, Schema, ViewDef, ViewDefBuilder};
 use dw_simnet::{LatencyModel, Network};
-use dw_source::{DataSource, EcaSite};
-use dw_warehouse::{Eca, MaintenancePolicy, NestedSweep};
+use dw_source::EcaSite;
+use dw_warehouse::{Eca, MaintenancePolicy};
 
 fn paper_view() -> ViewDef {
     ViewDefBuilder::new()
@@ -27,73 +28,6 @@ fn initial_bags() -> Vec<Bag> {
         Bag::from_tuples([tup![3, 7]]),
         Bag::from_tuples([tup![5, 6], tup![7, 8]]),
     ]
-}
-
-fn sources(view: &ViewDef, initial: &[Bag]) -> Vec<DataSource> {
-    initial
-        .iter()
-        .enumerate()
-        .map(|(i, bag)| {
-            let mut r = BaseRelation::new(view.schema(i).clone());
-            r.apply_delta(bag).unwrap();
-            DataSource::new(i, view.clone(), r)
-        })
-        .collect()
-}
-
-/// Drive a policy + sources to quiescence.
-fn drive(
-    net: &mut Network<Message>,
-    policy: &mut dyn MaintenancePolicy,
-    sources: &mut [DataSource],
-) {
-    while let Some(d) = net.next() {
-        if d.to == WAREHOUSE_NODE {
-            policy.on_message(d, net).unwrap();
-        } else {
-            let idx = node_source(d.to);
-            let (from, msg) = (d.from, d.msg);
-            sources[idx].handle(from, msg, net).unwrap();
-        }
-    }
-}
-
-#[test]
-fn nested_sweep_through_real_sources_matches_truth() {
-    let view = paper_view();
-    let initial = initial_bags();
-    let refs: Vec<&Bag> = initial.iter().collect();
-    let initial_view = eval_view(&view, &refs).unwrap();
-
-    let mut net: Network<Message> = Network::new(11);
-    net.set_default_latency(LatencyModel::Constant(2_000));
-    let mut policy = NestedSweep::new(view.clone(), initial_view).unwrap();
-    let mut srcs = sources(&view, &initial);
-    let mut rels = initial.clone();
-    for (i, (rel, delta)) in [
-        (1usize, Bag::from_pairs([(tup![3, 5], 1)])),
-        (0, Bag::from_pairs([(tup![1, 3], -1)])),
-        (2, Bag::from_pairs([(tup![5, 6], -1)])),
-        (1, Bag::from_pairs([(tup![3, 7], -1)])),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        rels[rel].merge(&delta);
-        net.inject(
-            i as u64 * 700,
-            source_node(rel),
-            Message::ApplyTxn {
-                rel,
-                delta,
-                global: None,
-            },
-        );
-    }
-    drive(&mut net, &mut policy, &mut srcs);
-    assert!(policy.is_quiescent());
-    let refs: Vec<&Bag> = rels.iter().collect();
-    assert_eq!(policy.view(), &eval_view(&view, &refs).unwrap());
 }
 
 #[test]

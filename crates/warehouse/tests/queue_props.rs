@@ -52,7 +52,9 @@ fn fifo_order_preserved() {
 }
 
 /// merged_from_source equals the sum of that source's queued deltas and
-/// leaves the queue untouched; take_from_source removes exactly them.
+/// leaves the queue untouched; taking that source's ids one by one (what
+/// a Figure 6 hop does to the `ΔR_j` it nests) removes exactly them, in
+/// per-source order, and leaves every other source's updates alone.
 #[test]
 fn merge_and_take_agree() {
     for case in 0..CASES {
@@ -72,13 +74,19 @@ fn merge_and_take_agree() {
         }
         assert_eq!(q.len(), before_len, "case {case}: merge must not consume");
 
-        let (taken, ids) = q.take_from_source(1);
+        let from_1: Vec<UpdateId> = (q.iter().map(|p| p.update.id))
+            .filter(|id| id.source == 1)
+            .collect();
+        let mut taken = Bag::new();
+        let mut ids = Vec::new();
+        for id in from_1 {
+            let p = q.take_id(id).unwrap();
+            taken.merge(&p.update.delta);
+            ids.push(p.update.id);
+        }
         assert_eq!(taken, manual[1], "case {case}");
-        assert!(
-            ids.windows(2).all(|w| w[0].0.seq < w[1].0.seq),
-            "case {case}"
-        );
-        assert!(!q.has_from_source(1), "case {case}");
+        assert!(ids.windows(2).all(|w| w[0].seq < w[1].seq), "case {case}");
+        assert!(q.iter().all(|p| p.update.id.source != 1), "case {case}");
         assert_eq!(q.len() + ids.len(), before_len, "case {case}");
         // Other sources untouched.
         assert_eq!(q.merged_from_source(0), manual[0], "case {case}");

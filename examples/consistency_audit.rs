@@ -30,7 +30,7 @@ fn main() {
 
     for kind in [
         PolicyKind::Sweep(EngineOptions::FIGURE_4),
-        PolicyKind::NestedSweep(Default::default()),
+        PolicyKind::Sweep(EngineOptions::FIGURE_6),
         PolicyKind::Strobe,
         PolicyKind::CStrobe,
         PolicyKind::Eca,

@@ -36,13 +36,7 @@ fn main() {
     );
     let report = run_live(
         &scenario,
-        |view, initial| {
-            Ok(Box::new(OneViewSweep::new(
-                &view,
-                initial,
-                EngineOptions::FIGURE_4,
-            )?))
-        },
+        EngineOptions::FIGURE_4,
         10.0, // compress scenario time 10×
         Duration::from_secs(60),
     )

@@ -107,7 +107,7 @@ fn main() {
             "SWEEP (parallel sweeps)",
             PolicyKind::Sweep(EngineOptions::default()),
         ),
-        ("Nested SWEEP", PolicyKind::NestedSweep(Default::default())),
+        ("Nested SWEEP", PolicyKind::Sweep(EngineOptions::FIGURE_6)),
     ] {
         let report = Experiment::new(build_scenario(2024))
             .policy(kind)

@@ -110,8 +110,10 @@ fn policy_kind(o: &Opts) -> Result<PolicyKind, String> {
             window: if name == "sweep" { 1 } else { o.window },
             ..EngineOptions::FIGURE_4
         }),
-        "nested-sweep" | "nested" => PolicyKind::NestedSweep(NestedSweepOptions {
-            max_depth: o.max_depth,
+        // Nested SWEEP is Figure 4 with a depth bound other than 1.
+        "nested-sweep" | "nested" => PolicyKind::Sweep(EngineOptions {
+            depth: o.max_depth.unwrap_or(0),
+            ..EngineOptions::FIGURE_6
         }),
         "strobe" => PolicyKind::Strobe,
         "c-strobe" | "cstrobe" => PolicyKind::CStrobe,
@@ -244,7 +246,8 @@ FLAGS (with defaults):
     --no-check          skip ground-truth consistency checking
     --parallel          SWEEP, pipelined: parallel left/right sweeps (§5.3)
     --short-circuit     SWEEP, pipelined: stop when ΔV is empty
-    --max-depth N       Nested SWEEP: forced-termination bound (§6.2)
+    --max-depth N       Nested SWEEP: forced-termination bound (§6.2);
+                        1 = plain SWEEP                   [∞]
     --window N          pipelined (SWEEP with a window): max concurrent
                         sweeps; 0 = ∞, 1 = plain SWEEP    [0]
 ";
@@ -353,6 +356,15 @@ mod tests {
         // Plain SWEEP keeps Figure 4's window whatever `--window` says.
         let o = kind("--policy sweep --window 5");
         assert_eq!(o, PolicyKind::Sweep(EngineOptions::FIGURE_4));
+        // Nested SWEEP: Figure 6, `--max-depth` its bound.
+        let o = kind("--policy nested-sweep");
+        assert_eq!(o, PolicyKind::Sweep(EngineOptions::FIGURE_6));
+        let o = kind("--policy nested --max-depth 3");
+        let want = EngineOptions {
+            depth: 3,
+            ..EngineOptions::FIGURE_6
+        };
+        assert_eq!(o, PolicyKind::Sweep(want));
     }
 
     #[test]

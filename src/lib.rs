@@ -45,11 +45,11 @@
 //! | [`simnet`] | `dw-simnet` | deterministic FIFO network simulator |
 //! | [`protocol`] | `dw-protocol` | source ↔ warehouse messages |
 //! | [`source`] | `dw-source` | the update & query server (paper Fig. 3) |
-//! | [`warehouse`] | `dw-warehouse` | Table 1's comparison policies: Nested SWEEP, ECA, Strobe, C-strobe, Recompute |
+//! | [`warehouse`] | `dw-warehouse` | Table 1's comparison policies: ECA, Strobe, C-strobe, Recompute |
 //! | [`engine`] | `dw-engine` | the one transport-blind sweep loop every executor adapts |
 //! | [`consistency`] | `dw-consistency` | ground truth + classification |
 //! | [`workload`] | `dw-workload` | scenario/stream generators |
-//! | [`multiview`] | `dw-multiview` | view registry + the one lane-based scheduler that runs SWEEP for one view or many (unsharded = one group) + derived-view DAG cascade |
+//! | [`multiview`] | `dw-multiview` | view registry + the one lane-based scheduler that runs SWEEP and Nested SWEEP (`EngineOptions::depth`) for one view or many (unsharded = one group) + derived-view DAG cascade |
 //! | [`serve`] | `dw-serve` | snapshot-pinned read path + subscriptions |
 //! | [`livenet`] | `dw-livenet` | thread-per-node live runtime |
 //! | [`core`] | `dw-core` | experiments and reports |
@@ -96,7 +96,7 @@ pub mod prelude {
         ServeError, ServeStats, StalenessBound,
     };
     pub use dw_simnet::{Crash, FaultPlan, LatencyModel, LinkFaults, Network, Outage, Time};
-    pub use dw_warehouse::{MaintenancePolicy, NestedSweep, NestedSweepOptions};
+    pub use dw_warehouse::MaintenancePolicy;
     pub use dw_workload::{
         DerivedOp, DerivedSpec, FaultScenarioConfig, GapKind, GeneratedScenario, MultiViewConfig,
         MultiViewScenario, ReadKind, ReadMixConfig, ReadOp, ScheduledTxn, ShardedConfig,

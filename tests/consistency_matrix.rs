@@ -76,7 +76,7 @@ fn nested_sweep_strong_across_seeds() {
     for seed in [7u64, 8, 9, 10] {
         let r = run(
             dense(4, seed),
-            PolicyKind::NestedSweep(Default::default()),
+            PolicyKind::Sweep(EngineOptions::FIGURE_6),
             LatencyModel::Constant(2_000),
         );
         let level = r.consistency.unwrap().level;
@@ -89,8 +89,9 @@ fn nested_sweep_with_depth_bound_still_strong() {
     for depth in [1usize, 2, 4] {
         let r = run(
             dense(4, 11),
-            PolicyKind::NestedSweep(NestedSweepOptions {
-                max_depth: Some(depth),
+            PolicyKind::Sweep(EngineOptions {
+                depth,
+                ..EngineOptions::FIGURE_6
             }),
             LatencyModel::Constant(2_000),
         );
@@ -162,7 +163,7 @@ fn all_policies_converge_to_identical_views() {
         latency.clone(),
     );
     for kind in [
-        PolicyKind::NestedSweep(Default::default()),
+        PolicyKind::Sweep(EngineOptions::FIGURE_6),
         PolicyKind::Strobe,
         PolicyKind::CStrobe,
         PolicyKind::Eca,
@@ -200,7 +201,7 @@ fn delete_heavy_workloads() {
     };
     for kind in [
         PolicyKind::Sweep(EngineOptions::FIGURE_4),
-        PolicyKind::NestedSweep(Default::default()),
+        PolicyKind::Sweep(EngineOptions::FIGURE_6),
         PolicyKind::Strobe,
     ] {
         let r = run(cfg.clone(), kind, LatencyModel::Constant(1_500));

@@ -86,13 +86,7 @@ fn sweep_conforms_across_backends() {
         let sim_fp = install_fingerprint(&sim.installs);
         let mut live = None;
         for &scale in &TIME_SCALES {
-            let r = run_live(
-                &s,
-                |view, initial| Ok(Box::new(OneViewSweep::new(&view, initial, FIGURE_4)?)),
-                scale,
-                DEADLINE,
-            )
-            .unwrap();
+            let r = run_live(&s, FIGURE_4, scale, DEADLINE).unwrap();
             let matched = r.quiescent && install_fingerprint(&r.installs) == sim_fp;
             live = Some(r);
             if matched {
@@ -281,19 +275,13 @@ fn nested_sweep_conforms_across_backends() {
         let truth = ground_truth(&s);
 
         let sim = Experiment::new(s.clone())
-            .policy(PolicyKind::NestedSweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_6))
             .run()
             .unwrap();
         let sim_fp = install_fingerprint(&sim.installs);
         let mut live = None;
         for &scale in &TIME_SCALES {
-            let r = run_live(
-                &s,
-                |view, initial| Ok(Box::new(NestedSweep::new(view, initial)?)),
-                scale,
-                DEADLINE,
-            )
-            .unwrap();
+            let r = run_live(&s, EngineOptions::FIGURE_6, scale, DEADLINE).unwrap();
             let matched = r.quiescent && install_fingerprint(&r.installs) == sim_fp;
             live = Some(r);
             if matched {

@@ -48,7 +48,16 @@
 //!   global transactions × S × durability × reads × batching, each held
 //!   to the flat referee (and atomicity) and each failing under one
 //!   mutation: compensation that skips the later tickets, the hold
-//!   released one part early, one leg on mixed span starts.
+//!   released one part early, one leg on mixed span starts;
+//! * **(g)** Nested SWEEP is the scheduler's `depth`: depth ∈ {0, 3} ×
+//!   S ∈ {1, 2, 4} × window ∈ {1, 3} on random spans, and the same cell
+//!   durable and served, state-crashed while a lane holds absorbed
+//!   updates. Consumed sets depend on timing, so the referee is per view
+//!   the flat depth-1 run's final bag, strong consistency and
+//!   exactly-once consumption. Each of these mutations fails it: absorb
+//!   without the hop's compensation, absorb a mask outside the lane's, a
+//!   checkpoint image that drops absorbed updates, a snapshot taken
+//!   before a child folds, absorbing past a later-ticket `ΔR_j`.
 //!
 //! The referee here is the plain constructor of the same scheduler, so
 //! every run is also held to the independent oracles: per-view
@@ -930,4 +939,119 @@ fn global_transactions_compose_with_shards_durability_reads_and_batching() {
         held >= SCHEDULES as usize / 2,
         "a transaction held installs in only {held} runs"
     );
+}
+
+/// Per view, every update of a source in the view's span is consumed by
+/// exactly one install, and nothing else is.
+fn assert_exactly_once(scenario: &MultiViewScenario, report: &MultiViewReport, arm: &str) {
+    let mut seqs = vec![0; scenario.base.num_relations()];
+    let mut all = Vec::new();
+    for t in &scenario.txns {
+        all.push(dwsweep::protocol::UpdateId {
+            source: t.source,
+            seq: seqs[t.source],
+        });
+        seqs[t.source] += 1;
+    }
+    for (spec, view) in scenario.views.iter().zip(&report.views) {
+        let mut seen = std::collections::HashSet::new();
+        for id in view.installs.iter().flat_map(|rec| &rec.consumed) {
+            assert!(spec.references(id.source), "{arm}: '{}' {id:?}", view.name);
+            assert!(
+                seen.insert(*id),
+                "{arm}: '{}' consumed {id:?} twice",
+                view.name
+            );
+        }
+        let want = all.iter().filter(|id| spec.references(id.source)).count();
+        assert_eq!(seen.len(), want, "{arm}: '{}' lost an update", view.name);
+    }
+}
+
+/// A nested run's referees: consumed sets depend on answer timing, so
+/// per view the final bag of the flat depth-1 run, strong consistency and
+/// exactly-once consumption — not install fingerprints.
+fn assert_nested_outcome(
+    scenario: &MultiViewScenario,
+    got: &MultiViewReport,
+    referee: &MultiViewReport,
+    arm: &str,
+) {
+    assert!(got.quiescent, "{arm}: did not drain");
+    for (a, b) in got.views.iter().zip(&referee.views) {
+        assert_eq!(a.view, b.view, "{arm}: view '{}'", a.name);
+    }
+    let level = got.min_consistency().unwrap();
+    assert!(
+        level >= ConsistencyLevel::Strong,
+        "{arm}: weakest view is {level}"
+    );
+    assert!(got.mutual.as_ref().unwrap().final_agreement, "{arm}");
+    assert!(got.derived_clean(), "{arm}: derived oracle audit");
+    assert_exactly_once(scenario, got, arm);
+}
+
+/// Figure 6 as the scheduler's `depth`: depth ∈ {0, 3} × S ∈ {1, 2, 4} ×
+/// window ∈ {1, 3} on Figure 4's one leg over random multi-view spans,
+/// hashed and banded — and the same cell durable and served, its
+/// warehouse state-crashed while a lane holds absorbed updates (the
+/// instant before the first install that absorbed). Each run lands on
+/// the flat depth-1 referee per view (see [`assert_nested_outcome`]), and
+/// the readers see only truth.
+#[test]
+fn nesting_composes_with_shards_windows_durability_and_reads() {
+    let (mut cells, mut nested, mut deep) = (0, 0, 0);
+    for k in 0..SCHEDULES {
+        let depth = [0, 3][(k % 2) as usize];
+        let shards = [1, 2, 4][(k / 2 % 3) as usize];
+        let window = [1, 3][(k / 6 % 2) as usize];
+        for (scenario, map) in sharded_arms(k, shards) {
+            let arm = format!("schedule {k}, {map:?}, depth {depth}, window {window}");
+            let referee = run(&scenario, None, k);
+            let opts = EngineOptions {
+                depth,
+                window,
+                sequential: true,
+                ..EngineOptions::default()
+            };
+            let cell = || {
+                MultiViewExperiment::new(scenario.clone())
+                    .shards(map.clone())
+                    .options(opts)
+                    .seed(k)
+            };
+            let quiet = cell().run().unwrap();
+            assert_nested_outcome(&scenario, &quiet, &referee, &arm);
+            cells += 1;
+            let absorbed = quiet.views.iter().flat_map(|v| &v.installs);
+            let Some(at) = absorbed
+                .filter(|r| r.consumed.len() > 1)
+                .map(|r| r.at)
+                .min()
+            else {
+                continue;
+            };
+            nested += 1;
+            deep += usize::from(quiet.scheduler_metrics.max_recursion_depth > 2);
+
+            let crash = FaultPlan::default().state_crash(WAREHOUSE_NODE, at - 1, at + 899);
+            let crashed = cell()
+                .reads(read_mix(k, &scenario))
+                .faults(crash)
+                .transport_auto()
+                .durability(2)
+                .run()
+                .unwrap();
+            let arm = format!("{arm}, crashed at {}", at - 1);
+            assert_eq!(crashed.recovery.recoveries, 1, "{arm}");
+            assert_nested_outcome(&scenario, &crashed, &referee, &arm);
+            let audit = audit_reads(&scenario, &crashed).unwrap();
+            assert!(audit.clean(), "{arm}: {audit:?}");
+        }
+    }
+    assert!(
+        nested >= cells / 3,
+        "only {nested} of {cells} cells ever absorbed an update"
+    );
+    assert!(deep > 0, "no lane ever stacked a second child");
 }

@@ -112,7 +112,7 @@ fn every_policy_reaches_figure5_final_state() {
             short_circuit_empty: true,
             ..EngineOptions::default()
         }),
-        PolicyKind::NestedSweep(Default::default()),
+        PolicyKind::Sweep(EngineOptions::FIGURE_6),
         PolicyKind::Strobe,
         PolicyKind::CStrobe,
         PolicyKind::Eca,
@@ -158,7 +158,7 @@ fn strobe_family_rejects_figure5_projection() {
 #[test]
 fn nested_sweep_batches_but_matches() {
     let report = Experiment::new(paper_scenario(1_000))
-        .policy(PolicyKind::NestedSweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_6))
         .latency(LatencyModel::Constant(5_000))
         .run()
         .unwrap();

@@ -13,11 +13,16 @@ use dwsweep::warehouse::InstallRecord;
 use std::collections::{HashMap, HashSet};
 
 fn scenario(seed: u64, updates: usize) -> GeneratedScenario {
+    stream(seed, updates, 1_200)
+}
+
+/// [`scenario`] with a mean gap of `mean_gap` µs between transactions.
+fn stream(seed: u64, updates: usize, mean_gap: u64) -> GeneratedScenario {
     StreamConfig {
         n_sources: 4,
         initial_per_source: 20,
         updates,
-        mean_gap: 1_200,
+        mean_gap,
         domain: 10,
         global_every: 4, // every 4th txn is global
         global_span: 3,  // spanning 3 sources
@@ -107,21 +112,52 @@ fn sweep_window_installs_global_txns_atomically(window: usize) {
     );
 }
 
+/// Nested SWEEP holds global transactions as SWEEP does — an absorbed
+/// part counts where it installs — and refuses a tag whose count cannot
+/// be met, at every depth. The parts of one transaction arrive together,
+/// so at a 2 ms link a hop finds its siblings queued and nests them.
+#[test]
+fn nested_sweep_installs_global_txns_atomically() {
+    for depth in [0, 1, 2] {
+        let opts = EngineOptions {
+            depth,
+            ..EngineOptions::FIGURE_6
+        };
+        for seed in 1..=4 {
+            let arm = format!("depth {depth}, seed {seed}");
+            let s = stream(seed, 24, 20_000);
+            let gid_of = groups(&s);
+            let report = Experiment::new(s)
+                .policy(PolicyKind::Sweep(opts))
+                .latency(LatencyModel::Constant(2_000))
+                .run()
+                .unwrap();
+            assert!(report.quiescent, "{arm}");
+            assert_atomic(&report.installs, &gid_of, |_| true, &arm);
+            let level = report.consistency.unwrap().level;
+            assert!(level >= ConsistencyLevel::Strong, "{arm}: got {level}");
+        }
+        let mut s = scenario(5, 12);
+        tag_plain_txns(&mut s.txns, 1, GlobalPart { gid: 900, parts: 0 });
+        let run = Experiment::new(s).policy(PolicyKind::Sweep(opts)).run();
+        assert_refused_typed(run.map(|r| r.view), "a transaction of zero parts");
+    }
+}
+
 #[test]
 fn global_txns_converge_across_policies_that_ignore_them() {
-    // Policies without atomic-group support still converge (parts are
-    // ordinary updates to them); SWEEP additionally guarantees atomicity.
+    // Recompute has no atomic-group support and still converges (parts
+    // are ordinary updates to it); SWEEP additionally guarantees
+    // atomicity.
     let baseline = Experiment::new(scenario(3, 16))
         .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .run()
         .unwrap();
-    for kind in [
-        PolicyKind::NestedSweep(Default::default()),
-        PolicyKind::Recompute,
-    ] {
-        let r = Experiment::new(scenario(3, 16)).policy(kind).run().unwrap();
-        assert_eq!(r.view, baseline.view, "{} diverged", r.policy);
-    }
+    let r = Experiment::new(scenario(3, 16))
+        .policy(PolicyKind::Recompute)
+        .run()
+        .unwrap();
+    assert_eq!(r.view, baseline.view, "{} diverged", r.policy);
 }
 
 #[test]

@@ -41,19 +41,7 @@ fn sweep_simnet_and_livenet_agree() {
         .unwrap();
     assert_eq!(sim.view, truth);
 
-    let live = run_live(
-        &s,
-        |view, initial| {
-            Ok(Box::new(OneViewSweep::new(
-                &view,
-                initial,
-                EngineOptions::FIGURE_4,
-            )?))
-        },
-        25.0,
-        Duration::from_secs(60),
-    )
-    .unwrap();
+    let live = run_live(&s, EngineOptions::FIGURE_4, 25.0, Duration::from_secs(60)).unwrap();
     assert_eq!(live.view, truth);
     assert_eq!(live.installs.len(), s.txns.len(), "one install per update");
 }
@@ -62,13 +50,7 @@ fn sweep_simnet_and_livenet_agree() {
 fn nested_sweep_live_converges() {
     let s = scenario(102);
     let truth = ground_truth(&s);
-    let live = run_live(
-        &s,
-        |view, initial| Ok(Box::new(NestedSweep::new(view, initial)?)),
-        25.0,
-        Duration::from_secs(60),
-    )
-    .unwrap();
+    let live = run_live(&s, EngineOptions::FIGURE_6, 25.0, Duration::from_secs(60)).unwrap();
     assert!(live.quiescent);
     assert_eq!(live.view, truth);
     // Batching means installs ≤ updates.
@@ -80,18 +62,6 @@ fn live_view_counts_never_negative() {
     // The MaterializedView install guard would have errored the thread;
     // reaching here with a quiescent cluster proves no negative counts.
     let s = scenario(103);
-    let live = run_live(
-        &s,
-        |view, initial| {
-            Ok(Box::new(OneViewSweep::new(
-                &view,
-                initial,
-                EngineOptions::FIGURE_4,
-            )?))
-        },
-        25.0,
-        Duration::from_secs(60),
-    )
-    .unwrap();
+    let live = run_live(&s, EngineOptions::FIGURE_4, 25.0, Duration::from_secs(60)).unwrap();
     assert!(live.view.all_positive());
 }

@@ -50,7 +50,7 @@ fn nested_sweep_amortizes_below_sweep_under_bursts() {
         .run()
         .unwrap();
     let nested = Experiment::new(burst_scenario)
-        .policy(PolicyKind::NestedSweep(Default::default()))
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_6))
         .latency(LatencyModel::Constant(3_000))
         .run()
         .unwrap();

@@ -108,7 +108,7 @@ fn nested_sweep_strong_on_random_schedules() {
         let net_seed = r.next_u64();
         let n = cfg.n_sources;
         let report = Experiment::new(cfg.generate().unwrap())
-            .policy(PolicyKind::NestedSweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_6))
             .latency(latency)
             .seed(net_seed)
             .event_cap(2_000_000)
@@ -337,7 +337,7 @@ fn nested_sweep_strong_on_fault_schedules() {
         let cfg = fault_config(&mut r);
         let plan = hostile_plan(&mut r, cfg.n_sources);
         let report = Experiment::new(cfg.generate().unwrap())
-            .policy(PolicyKind::NestedSweep(Default::default()))
+            .policy(PolicyKind::Sweep(EngineOptions::FIGURE_6))
             .latency(LatencyModel::Constant(r.u64_in(500, 3_000)))
             .seed(r.next_u64())
             .faults(plan)
