@@ -2055,3 +2055,31 @@ fn scale_read_mix(smoke: bool, n_views: usize, zipf_theta: f64) -> Vec<ReadOp> {
     }
     .generate()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `batch: 0` is no bound: E15's burst sweeps its first update alone
+    /// and folds every later one into the second sweep — the law
+    /// `1 + ⌈(U−1)/k⌉` as `k → ∞` — strongly consistent.
+    #[test]
+    fn an_unbounded_batch_sweeps_the_burst_twice() {
+        let n = 5;
+        let report = MultiViewExperiment::new(burst_scenario(n, 60, n / 2))
+            .options(EngineOptions {
+                batch: 0,
+                ..EngineOptions::default()
+            })
+            .latency(LatencyModel::Constant(2_000))
+            .run()
+            .unwrap();
+        assert!(report.quiescent && report.scheduler_metrics.updates_received > 2);
+        for view in &report.views {
+            assert_eq!(view.installs.len(), 2, "view '{}'", view.name);
+        }
+        assert_eq!(report.query_messages(), 2 * 2 * (n as u64 - 1));
+        assert_eq!(min_level(&[&report]), "strong");
+        assert!(mutual_agreement(&report));
+    }
+}

@@ -80,9 +80,9 @@ impl MultiViewExperiment {
 
     /// The scheduler's options ([`EngineOptions`]): cross-update batching
     /// (E15), σ pushdown (E16), Figure 4's one leg, the empty
-    /// short-circuit and pipelining, each composing with a partitioner,
-    /// durability and reads. A batch width of 0 is refused, typed, by
-    /// [`run`](Self::run).
+    /// short-circuit, pipelining and nesting, each composing with a
+    /// partitioner, durability and reads. `0` is no bound for `batch`,
+    /// `window` and `depth` alike.
     pub fn options(mut self, opts: EngineOptions) -> Self {
         self.opts = opts;
         self

@@ -36,9 +36,9 @@ pub enum WarehouseError {
     /// side panicked while holding it, so committed installs can no
     /// longer be announced.
     PublisherPoisoned,
-    /// A configuration is invalid at construction time (e.g. a zero
-    /// batch width). Raised before any message flows, so a bad knob
-    /// fails loudly instead of being silently clamped mid-run.
+    /// A configuration is refused before any message flows (a
+    /// warehouse state crash planned without a durable store), so it
+    /// fails loudly instead of being silently survived.
     Config {
         /// Which knob, and why it is rejected.
         reason: String,

@@ -7,7 +7,8 @@ pub struct EngineOptions {
     /// Cross-update batching width: one sweep may fold up to `batch`
     /// queued updates *from the same source* into a single composite view
     /// change, Nested-SWEEP-style, paying `2(n−1)` messages per batch
-    /// instead of per update. `1` disables batching (the default).
+    /// instead of per update. `1` disables batching (the default), `0`
+    /// is no bound: a sweep folds every queued successor it may.
     pub batch: usize,
     /// Push per-view selection predicates down to the sources: each
     /// sweep query carries the union of the affected views' σ over the
@@ -81,20 +82,6 @@ impl EngineOptions {
             _ => "nested-sweep",
         }
     }
-
-    /// Reject configurations that cannot mean anything: a batch width of
-    /// zero would let zero updates drive a sweep. Executors call this at
-    /// construction so the mistake surfaces as a typed
-    /// [`WarehouseError::Config`](crate::error::WarehouseError::Config)
-    /// instead of being clamped silently at use sites.
-    pub fn validate(&self) -> Result<(), crate::error::WarehouseError> {
-        if self.batch == 0 {
-            return Err(crate::error::WarehouseError::Config {
-                reason: "batch width must be at least 1 (got 0)".into(),
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -124,26 +111,5 @@ mod tests {
             let nested = EngineOptions { depth, ..pipelined };
             assert_eq!(nested.sweep_name(), "nested-sweep");
         }
-    }
-
-    #[test]
-    fn validate_rejects_zero_batch_with_typed_error() {
-        let bad = EngineOptions {
-            batch: 0,
-            ..Default::default()
-        };
-        match bad.validate() {
-            Err(crate::error::WarehouseError::Config { reason }) => {
-                assert!(reason.contains("batch"));
-            }
-            other => panic!("expected Config error, got {other:?}"),
-        }
-        assert!(EngineOptions::default().validate().is_ok());
-        assert!(EngineOptions {
-            batch: 16,
-            ..Default::default()
-        }
-        .validate()
-        .is_ok());
     }
 }

@@ -17,11 +17,22 @@
 //! `complete` and `drain` — a commit waiting behind an earlier ticket
 //! when the warehouse died still waits behind it afterwards.
 //!
-//! Global transactions (type 3 of §2, as \[ZGMW96\] handles them) are held
-//! here, at the one release point: from the release of a transaction's
-//! first part until every open transaction's last, payloads accumulate,
-//! then leave as one install per view. Parts count where their delta
-//! installs — by the updates a payload consumed.
+//! Released payloads land per view, and a view's delta may wait here, in
+//! its **hold**, merging with the next ones — the one place a committed
+//! sweep's delta waits:
+//!
+//! * global transactions (type 3 of §2, as \[ZGMW96\] handles them): from
+//!   the release of a transaction's first part until every open
+//!   transaction's last, every view holds. Parts count where their delta
+//!   installs — by the updates a payload consumed;
+//! * install cadence: outside a transaction, a view's batch leaves once
+//!   it has consumed at least `every` updates since the view's last
+//!   install (`1` = every payload, `0` = only when the caller
+//!   [`InstallSequencer::flush`]es it). The caller names each view's
+//!   `every` at drain time, so the rule adds no state of its own.
+//!
+//! Within a payload views are released in payload order; batches that
+//! leave together — at a transaction's close — in view order.
 
 use crate::error::WarehouseError;
 use dw_protocol::{GlobalPart, SourceUpdate, UpdateId};
@@ -58,8 +69,8 @@ pub struct InstallSequencer {
     parts: HashMap<UpdateId, GlobalPart>,
     /// Unreleased parts per open transaction (first part released).
     open: HashMap<u64, u32>,
-    /// Released while a transaction was open, per view: the merged delta
-    /// and the consumed updates.
+    /// Released but not installed, per view: the merged delta and the
+    /// consumed updates.
     held: BTreeMap<usize, (Bag, Vec<(UpdateId, Time)>)>,
 }
 
@@ -123,14 +134,17 @@ impl InstallSequencer {
         Ok(())
     }
 
-    /// Release every payload whose ticket is next in order, in order.
-    /// Empty slots (`None` payloads) are skipped over silently, and
-    /// payloads released while a global transaction is open are held.
-    pub fn drain(&mut self) -> Vec<SequencedInstall> {
+    /// Release every payload whose ticket is next in order, in order, and
+    /// land what each view's hold lets go (module docs); `every(view)` is
+    /// the view's cadence. Empty slots (`None` payloads) are skipped over
+    /// silently. Outside a transaction, a payload whose views hold nothing
+    /// at cadence 1 leaves as it came — no merge, no copy.
+    pub fn drain(&mut self, every: impl Fn(usize) -> usize) -> Vec<SequencedInstall> {
         let mut out = Vec::new();
         while let Some(payload) = self.buffered.remove(&self.next_release) {
             self.next_release += 1;
             let Some(p) = payload else { continue };
+            let was_open = !self.open.is_empty();
             for g in p
                 .consumed
                 .iter()
@@ -142,24 +156,56 @@ impl InstallSequencer {
                     self.open.remove(&g.gid);
                 }
             }
-            if self.open.is_empty() && self.held.is_empty() {
+            let outside = !was_open && self.open.is_empty();
+            let straight = |(v, _): &(usize, Bag)| every(*v) == 1 && !self.held.contains_key(v);
+            if outside && p.deltas.iter().all(straight) {
                 out.push(p);
                 continue;
             }
+            let mut due = Vec::with_capacity(p.deltas.len());
             for (view, delta) in p.deltas {
-                let (merged, consumed) = self.held.entry(view).or_default();
-                merged.merge(&delta);
-                consumed.extend_from_slice(&p.consumed);
+                // A view's first held delta is moved in, not copied.
+                let (merged, ids) = self.held.entry(view).or_default();
+                if ids.is_empty() {
+                    *merged = delta;
+                } else {
+                    merged.merge(&delta);
+                }
+                ids.extend_from_slice(&p.consumed);
+                due.push(view);
             }
-            if self.open.is_empty() {
-                let held = std::mem::take(&mut self.held).into_iter();
-                out.extend(held.map(|(view, (delta, consumed))| SequencedInstall {
-                    consumed,
-                    deltas: vec![(view, delta)],
-                }));
+            if !self.open.is_empty() {
+                continue;
+            }
+            // At a transaction's close every held view is due, in view order.
+            if was_open {
+                due = self.held.keys().copied().collect();
+            }
+            for view in due {
+                let k = every(view);
+                if k != 0 && self.held.get(&view).is_some_and(|(_, ids)| ids.len() >= k) {
+                    out.extend(self.flush(view));
+                }
             }
         }
         out
+    }
+
+    /// Release `view`'s held batch whatever its cadence (`None` when it
+    /// holds nothing). Call it only with no transaction open — at drain,
+    /// or replaying a flush made there.
+    pub fn flush(&mut self, view: usize) -> Option<SequencedInstall> {
+        debug_assert!(self.open.is_empty(), "flushing inside a transaction");
+        let (delta, consumed) = self.held.remove(&view)?;
+        Some(SequencedInstall {
+            consumed,
+            deltas: vec![(view, delta)],
+        })
+    }
+
+    /// The lowest view index with a batch held, if any.
+    pub fn first_held(&self) -> Option<usize> {
+        self.held.keys().next().copied()
     }
 
     /// Has `ticket` been released (installed, or held)?
@@ -168,7 +214,7 @@ impl InstallSequencer {
     }
 
     /// True when every issued ticket has been released and no global
-    /// transaction is open.
+    /// transaction is open — whatever a view's cadence still holds.
     pub fn is_drained(&self) -> bool {
         self.next_release == self.next_ticket && self.open.is_empty()
     }
@@ -197,14 +243,14 @@ mod tests {
         let (t0, t1, t2) = (s.issue(), s.issue(), s.issue());
         // t2 finishes first: nothing releases, it buffers behind t0.
         s.complete(t2, Some(install(2)));
-        assert!(s.drain().is_empty());
+        assert!(s.drain(|_| 1).is_empty());
         assert_eq!(s.outstanding(), 3);
         // t0 releases itself and nothing else (t1 still running).
         s.complete(t0, Some(install(0)));
-        assert_eq!(s.drain(), vec![install(0)]);
+        assert_eq!(s.drain(|_| 1), vec![install(0)]);
         // t1 unblocks the buffered t2 behind it.
         s.complete(t1, Some(install(1)));
-        assert_eq!(s.drain(), vec![install(1), install(2)]);
+        assert_eq!(s.drain(|_| 1), vec![install(1), install(2)]);
         assert!(s.is_drained());
     }
 
@@ -221,9 +267,9 @@ mod tests {
         restored.reissue(3);
         restored.reissue(2);
         assert_eq!(restored.issue(), 4);
-        assert!(restored.drain().is_empty(), "t1 overtook t0");
+        assert!(restored.drain(|_| 1).is_empty(), "t1 overtook t0");
         restored.complete(t0, Some(install(0)));
-        assert_eq!(restored.drain(), vec![install(0), install(1)]);
+        assert_eq!(restored.drain(|_| 1), vec![install(0), install(1)]);
         assert_eq!(restored.outstanding(), 3);
     }
 
@@ -233,7 +279,7 @@ mod tests {
         let (t0, t1) = (s.issue(), s.issue());
         s.complete(t0, None);
         s.complete(t1, Some(install(1)));
-        assert_eq!(s.drain(), vec![install(1)]);
+        assert_eq!(s.drain(|_| 1), vec![install(1)]);
         assert!(s.is_drained());
     }
 
@@ -243,8 +289,8 @@ mod tests {
         let _t0 = s.issue();
         let t1 = s.issue();
         s.complete(t1, Some(install(1)));
-        assert!(s.drain().is_empty());
-        assert!(s.drain().is_empty());
+        assert!(s.drain(|_| 1).is_empty());
+        assert!(s.drain(|_| 1).is_empty());
         assert!(!s.is_drained());
         assert_eq!(s.outstanding(), 2);
     }
@@ -284,12 +330,15 @@ mod tests {
         s.note_part(&part(2, 7, 2)).unwrap();
         let t: Vec<u64> = (0..3).map(|_| s.issue()).collect();
         s.complete(t[0], Some(install_at(0, &[0, 1])));
-        assert!(s.drain().is_empty(), "the first part opens the hold");
+        assert!(s.drain(|_| 1).is_empty(), "the first part opens the hold");
         s.complete(t[1], Some(install_at(1, &[1])));
-        assert!(s.drain().is_empty(), "a plain update inside it is held");
+        assert!(
+            s.drain(|_| 1).is_empty(),
+            "a plain update inside it is held"
+        );
         assert!(!s.is_drained());
         s.complete(t[2], Some(install_at(2, &[0])));
-        let out = s.drain();
+        let out = s.drain(|_| 1);
         let views: Vec<usize> = out.iter().map(|i| i.deltas[0].0).collect();
         assert_eq!(views, vec![0, 1]);
         let consumed = |i: &SequencedInstall| -> Vec<usize> {
@@ -299,6 +348,60 @@ mod tests {
         assert_eq!(consumed(&out[1]), vec![0, 1]);
         assert_eq!(out[0].deltas[0].1.distinct_len(), 2);
         assert!(s.is_drained());
+    }
+
+    fn sources(i: &SequencedInstall) -> Vec<usize> {
+        i.consumed.iter().map(|(id, _)| id.source).collect()
+    }
+
+    /// Cadence 1 lands every payload as is, 2 every second consumed
+    /// update, 0 nothing until flushed; what a cadence holds does not keep
+    /// the sequencer from being drained.
+    #[test]
+    fn a_view_holds_until_it_has_consumed_its_cadence() {
+        let every = |view: usize| [1, 2, 0][view];
+        let mut s = InstallSequencer::new();
+        let t: Vec<u64> = (0..2).map(|_| s.issue()).collect();
+        s.complete(t[0], Some(install_at(0, &[0, 1, 2])));
+        let out = s.drain(every);
+        assert_eq!(out.len(), 1, "view 0 lands, views 1 and 2 hold");
+        assert_eq!((out[0].deltas[0].0, sources(&out[0])), (0, vec![0]));
+        s.complete(t[1], Some(install_at(1, &[0, 1, 2])));
+        let out = s.drain(every);
+        let views: Vec<usize> = out.iter().map(|i| i.deltas[0].0).collect();
+        assert_eq!(views, vec![0, 1], "payload order");
+        assert_eq!(sources(&out[1]), vec![0, 1]);
+        assert_eq!(out[1].deltas[0].1.distinct_len(), 2);
+        assert!(s.is_drained());
+        assert_eq!(s.first_held(), Some(2));
+        assert_eq!(sources(&s.flush(2).unwrap()), vec![0, 1]);
+        assert_eq!((s.first_held(), s.flush(2)), (None, None));
+    }
+
+    /// A transaction holds every view whatever its cadence; at its close
+    /// only the views whose cadence is met leave, in view order, and the
+    /// rest keep counting from what they hold.
+    #[test]
+    fn a_transaction_close_releases_the_views_whose_cadence_is_met() {
+        let every = |view: usize| [1, 4][view];
+        let mut s = InstallSequencer::new();
+        s.note_part(&part(0, 7, 2)).unwrap();
+        s.note_part(&part(2, 7, 2)).unwrap();
+        let t: Vec<u64> = (0..4).map(|_| s.issue()).collect();
+        s.complete(t[0], Some(install_at(0, &[0, 1])));
+        s.complete(t[1], Some(install_at(1, &[0, 1])));
+        assert!(s.drain(every).is_empty(), "the hold is open");
+        s.complete(t[2], Some(install_at(2, &[0, 1])));
+        let out = s.drain(every);
+        assert_eq!(out.len(), 1);
+        assert_eq!((out[0].deltas[0].0, sources(&out[0])), (0, vec![0, 1, 2]));
+        s.complete(t[3], Some(install_at(3, &[1])));
+        let out = s.drain(every);
+        assert_eq!(
+            (out[0].deltas[0].0, sources(&out[0])),
+            (1, vec![0, 1, 2, 3])
+        );
+        assert_eq!(s.first_held(), None);
     }
 
     #[test]
@@ -314,7 +417,7 @@ mod tests {
         let (t0, t1) = (s.issue(), s.issue());
         s.complete(t0, Some(install_at(0, &[0])));
         s.complete(t1, Some(install_at(1, &[0])));
-        assert_eq!(s.drain().len(), 1);
+        assert_eq!(s.drain(|_| 1).len(), 1);
         assert!(s.is_drained());
     }
 
@@ -374,10 +477,10 @@ mod tests {
                 // Drain after a random prefix of completions, like the
                 // scheduler draining after every lane finish.
                 if rng.usize_below(2) == 0 {
-                    released.extend(s.drain());
+                    released.extend(s.drain(|_| 1));
                 }
             }
-            released.extend(s.drain());
+            released.extend(s.drain(|_| 1));
 
             let expected: Vec<SequencedInstall> =
                 payloads.iter().filter_map(|p| p.clone()).collect();

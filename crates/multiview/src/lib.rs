@@ -11,8 +11,9 @@
 //!   view stays for the registry's lifetime), each
 //!   a contiguous span `[lo, hi]` of one shared base chain with its own
 //!   selections, projection, and maintenance cadence
-//!   ([`dw_workload::ViewPolicy`]: SWEEP, Nested-SWEEP-style batching,
-//!   or deferred refresh);
+//!   ([`dw_workload::ViewPolicy`]: SWEEP, or deferred refresh every
+//!   `batch` consumed updates — `0`: only at drain — held where global
+//!   transactions are held, in the scheduler's install sequencer);
 //! * a [`MaintenanceScheduler`] — **one** lane-based scheduler for every
 //!   configuration, one view ([`OneViewSweep`], the paper's SWEEP and, at
 //!   any `EngineOptions::depth` but 1, its Nested SWEEP) or many. On arrival of `ΔR_j` it executes one **shared sweep** over the
@@ -24,10 +25,12 @@
 //!   pipelining, Figure 6's nesting, batching, σ pushdown, global
 //!   transactions and crash recovery are options of that one state
 //!   machine (module docs of
-//!   `scheduler`); the two configurations it refuses (a map over a
-//!   cross-product hop, a batch width of 0) are typed errors from its
-//!   constructor. [`ShardedScheduler`] is a thin newtype for callers that
-//!   want the sharded configuration as a type.
+//!   `scheduler`). Its constructor refuses no configuration — a map over
+//!   a cross-product hop starts every band in one group, and `0` is no
+//!   bound for batching as for the window and the depth; the one refusal
+//!   is a state crash without a durable store. [`ShardedScheduler`] is a
+//!   thin newtype for callers that want the sharded configuration as a
+//!   type.
 //! * a **maintenance DAG** — derived views registered *over* other views
 //!   ([`ViewRegistry::register_derived`], specs from
 //!   [`dw_workload::DerivedSpec`]): σ/Π and Σ/group-by operators, stacks

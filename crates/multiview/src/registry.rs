@@ -23,7 +23,6 @@ use dw_protocol::UpdateId;
 use dw_relational::{AggregateState, Bag, RelationalError, SharedBag, ViewDef};
 use dw_simnet::Time;
 use dw_workload::{DerivedOp, DerivedSpec, ViewPolicy, ViewSpec};
-use std::borrow::Cow;
 use std::fmt;
 
 /// Errors raised by the multi-view layer.
@@ -161,15 +160,6 @@ pub struct CascadeStats {
     pub linear_evals: u64,
 }
 
-/// A committed install: the delta that landed and the update ids it
-/// consumed — exactly what the cascade feeds to derived children. Lent
-/// from the caller when its delta installed as is, owned when a pending
-/// batch flushed.
-pub(crate) struct Installed<'a> {
-    pub(crate) delta: Cow<'a, Bag>,
-    pub(crate) consumed: Cow<'a, [(UpdateId, Time)]>,
-}
-
 /// Everything the scheduler keeps per registered view.
 pub(crate) struct ViewRuntime {
     pub(crate) name: String,
@@ -177,6 +167,8 @@ pub(crate) struct ViewRuntime {
     pub(crate) hi: usize,
     /// The compiled span-local definition (selections, projection).
     pub(crate) local: ViewDef,
+    /// The install cadence — applied where the view's batch waits, in
+    /// the scheduler's [`dw_engine::InstallSequencer`].
     pub(crate) policy: ViewPolicy,
     /// The materialized contents, the install log — in *global* chain
     /// coordinates (consumed ids carry the base-chain source index) —
@@ -187,10 +179,6 @@ pub(crate) struct ViewRuntime {
     /// `(slot, epoch)`.
     pub(crate) sink: InstallSink,
     pub(crate) metrics: PolicyMetrics,
-    /// Accumulated-but-uninstalled delta (NestedSweep / Deferred).
-    pub(crate) pending_delta: Bag,
-    pub(crate) pending_consumed: Vec<(UpdateId, Time)>,
-    pub(crate) since_flush: usize,
     /// Base (swept) or derived (cascade-fed) maintenance.
     pub(crate) kind: ViewKind,
     /// Slot indices of direct derived children, ascending (registration
@@ -208,9 +196,6 @@ pub(crate) struct ViewRuntime {
 pub(crate) struct SlotImage {
     pub(crate) sink: SinkImage,
     metrics: PolicyMetrics,
-    pending_delta: Bag,
-    pending_consumed: Vec<(UpdateId, Time)>,
-    since_flush: usize,
     agg: Option<AggregateState>,
 }
 
@@ -223,9 +208,6 @@ impl ViewRuntime {
         SlotImage {
             sink: self.sink.image(),
             metrics: self.metrics.clone(),
-            pending_delta: self.pending_delta.clone(),
-            pending_consumed: self.pending_consumed.clone(),
-            since_flush: self.since_flush,
             agg,
         }
     }
@@ -233,78 +215,9 @@ impl ViewRuntime {
     fn restore(&mut self, image: &SlotImage) {
         self.sink.restore(&image.sink);
         self.metrics = image.metrics.clone();
-        self.pending_delta = image.pending_delta.clone();
-        self.pending_consumed = image.pending_consumed.clone();
-        self.since_flush = image.since_flush;
         if let ViewKind::Derived { agg, .. } = &mut self.kind {
             *agg = image.agg.clone();
         }
-    }
-
-    /// Fold one finalized sweep delta into the view according to the
-    /// policy cadence. `consumed` lists the update(s) the sweep serviced
-    /// (one entry unless cross-update batching folded several in), in
-    /// per-source delivery order. Empty deltas are still *consumed* so
-    /// install logs keep the per-source prefix discipline.
-    ///
-    /// Returns what was actually **installed** this call — `Some` with
-    /// the committed delta and its consumed ids (the Sweep path installs
-    /// immediately; a Deferred auto-flush installs the whole pending
-    /// batch), `None` when the delta merely accumulated. The cascade
-    /// feeds the returned delta, never the argument: children must see
-    /// exactly what the parent committed.
-    pub(crate) fn apply_delta<'a>(
-        &mut self,
-        delta: &'a Bag,
-        consumed: &'a [(UpdateId, Time)],
-        now: Time,
-    ) -> Result<Option<Installed<'a>>, WarehouseError> {
-        match self.policy {
-            ViewPolicy::Sweep => {
-                self.sink.install(&mut self.metrics, delta, consumed, now)?;
-                Ok(Some(Installed {
-                    delta: Cow::Borrowed(delta),
-                    consumed: Cow::Borrowed(consumed),
-                }))
-            }
-            ViewPolicy::NestedSweep | ViewPolicy::Deferred { .. } => {
-                self.pending_delta.merge(delta);
-                self.pending_consumed.extend_from_slice(consumed);
-                self.since_flush += consumed.len();
-                if let ViewPolicy::Deferred { batch } = self.policy {
-                    if self.since_flush >= batch {
-                        return self.flush(now);
-                    }
-                }
-                Ok(None)
-            }
-        }
-    }
-
-    /// Is there an accumulated-but-uninstalled batch? (Durability logs a
-    /// `Flush` WAL record only for views where the flush will install.)
-    pub(crate) fn has_pending(&self) -> bool {
-        !self.pending_consumed.is_empty()
-    }
-
-    /// Install whatever has accumulated (no-op when nothing is pending).
-    /// Returns the installed delta and consumed ids, like
-    /// [`ViewRuntime::apply_delta`].
-    pub(crate) fn flush(
-        &mut self,
-        now: Time,
-    ) -> Result<Option<Installed<'static>>, WarehouseError> {
-        if self.pending_consumed.is_empty() {
-            return Ok(None);
-        }
-        let (delta, consumed) = (&self.pending_delta, &self.pending_consumed);
-        self.sink.install(&mut self.metrics, delta, consumed, now)?;
-        let installed = Installed {
-            delta: Cow::Owned(std::mem::take(&mut self.pending_delta)),
-            consumed: Cow::Owned(std::mem::take(&mut self.pending_consumed)),
-        };
-        self.since_flush = 0;
-        Ok(Some(installed))
     }
 }
 
@@ -399,9 +312,6 @@ impl ViewRegistry {
             policy: spec.policy,
             sink: self.new_sink(id, initial)?,
             metrics: PolicyMetrics::default(),
-            pending_delta: Bag::new(),
-            pending_consumed: Vec::new(),
-            since_flush: 0,
             kind: ViewKind::Base,
             children: Vec::new(),
             out_width,
@@ -455,9 +365,6 @@ impl ViewRegistry {
             policy: ViewPolicy::Sweep,
             sink: self.new_sink(id, initial)?,
             metrics: PolicyMetrics::default(),
-            pending_delta: Bag::new(),
-            pending_consumed: Vec::new(),
-            since_flush: 0,
             kind: ViewKind::Derived {
                 parent: parent_slot,
                 op: spec.op.clone(),
@@ -506,10 +413,9 @@ impl ViewRegistry {
             }
             remaining.retain(|i| !registered_this_pass.contains(i));
         }
-        Ok(ids
-            .into_iter()
-            .map(|i| i.expect("all registered"))
-            .collect())
+        let what = "a batch registration left a spec unregistered";
+        let ids = ids.into_iter().map(|i| i.ok_or(MvError::Internal { what }));
+        ids.collect()
     }
 
     /// Resolve a view by display name (first match in slot order).
@@ -604,10 +510,11 @@ impl ViewRegistry {
         }
     }
 
-    /// Apply a finalized sweep delta to `id` and, if it installed,
-    /// cascade the committed delta through the view's derived
-    /// descendants. Every install site in the schedulers routes through
-    /// here so children can never be skipped.
+    /// Install a delta at `id` — `consumed` lists the updates it covers,
+    /// in per-source delivery order; an empty delta still consumes them,
+    /// so install logs keep the per-source prefix discipline — then
+    /// cascade it through the view's derived descendants. The one install
+    /// site: children can never be skipped.
     pub(crate) fn apply_with_cascade(
         &mut self,
         id: ViewId,
@@ -615,29 +522,9 @@ impl ViewRegistry {
         consumed: &[(UpdateId, Time)],
         now: Time,
     ) -> Result<(), MvError> {
-        if let Some(installed) = self.runtime_mut(id)?.apply_delta(delta, consumed, now)? {
-            self.cascade_children(id.index(), &installed, now)?;
-        }
-        Ok(())
-    }
-
-    /// Flush `id`'s accumulated batch and cascade the installed delta.
-    pub(crate) fn flush_with_cascade(&mut self, id: ViewId, now: Time) -> Result<(), MvError> {
-        if let Some(installed) = self.runtime_mut(id)?.flush(now)? {
-            self.cascade_children(id.index(), &installed, now)?;
-        }
-        Ok(())
-    }
-
-    /// Flush every view (registration order), cascading each
-    /// install. Derived views have nothing pending by construction
-    /// (their cadence is the cascade itself), so this only ever installs
-    /// at base views and recurses downward.
-    pub(crate) fn flush_all_with_cascade(&mut self, now: Time) -> Result<(), MvError> {
-        for id in self.ids() {
-            self.flush_with_cascade(id, now)?;
-        }
-        Ok(())
+        let rt = self.runtime_mut(id)?;
+        rt.sink.install(&mut rt.metrics, delta, consumed, now)?;
+        self.cascade_children(id.index(), delta, consumed, now)
     }
 
     /// Feed a committed parent install to every direct child — ascending
@@ -651,7 +538,8 @@ impl ViewRegistry {
     fn cascade_children(
         &mut self,
         parent_slot: usize,
-        installed: &Installed<'_>,
+        delta: &Bag,
+        consumed: &[(UpdateId, Time)],
         now: Time,
     ) -> Result<(), MvError> {
         let children = self.slots[parent_slot].children.clone();
@@ -660,17 +548,20 @@ impl ViewRegistry {
             let (child_delta, linear_hit) = match &mut self.slots[child_slot].kind {
                 ViewKind::Derived {
                     agg: Some(state), ..
-                } => (state.apply(&installed.delta)?, None),
+                } => (state.apply(delta)?, None),
                 ViewKind::Derived { op, agg: None, .. } => {
                     if let Some((_, shared)) = memo.iter().find(|(o, _)| o == op) {
                         (shared.clone(), Some(true))
                     } else {
-                        let fresh = op.eval(&installed.delta)?;
+                        let fresh = op.eval(delta)?;
                         memo.push((op.clone(), fresh.clone()));
                         (fresh, Some(false))
                     }
                 }
-                ViewKind::Base => unreachable!("base view listed as a derived child"),
+                ViewKind::Base => {
+                    let what = "base view listed as a derived child";
+                    return Err(MvError::Internal { what });
+                }
             };
             match linear_hit {
                 Some(true) => self.stats.shared_derivations += 1,
@@ -678,11 +569,7 @@ impl ViewRegistry {
                 None => {}
             }
             self.stats.child_installs += 1;
-            let child_installed =
-                self.slots[child_slot].apply_delta(&child_delta, &installed.consumed, now)?;
-            if let Some(inst) = child_installed {
-                self.cascade_children(child_slot, &inst, now)?;
-            }
+            self.apply_with_cascade(ViewId(child_slot), &child_delta, consumed, now)?;
         }
         Ok(())
     }
@@ -786,6 +673,13 @@ impl ViewRegistry {
     /// The view's maintenance cadence.
     pub fn policy(&self, id: ViewId) -> Result<ViewPolicy, MvError> {
         Ok(self.runtime(id)?.policy)
+    }
+
+    /// [`ViewPolicy::every`] of the view in slot `index` — what the
+    /// install sequencer holds it to (`1` for a slot never issued, whose
+    /// install fails typed anyway).
+    pub(crate) fn every(&self, index: usize) -> usize {
+        self.slots.get(index).map_or(1, |rt| rt.policy.every())
     }
 
     /// The compiled span-local definition.

@@ -68,17 +68,20 @@
 //! any number of bands (the conformance suites hold no map and
 //! S ∈ {1, 2, 3, 4} to byte equality on this).
 //!
-//! Installs follow each view's [`ViewPolicy`] cadence: `Sweep` installs
-//! every update immediately (complete consistency); `NestedSweep`
-//! accumulates while work is in flight and installs at drain;
-//! `Deferred { batch }` installs every `batch` relevant updates and at
-//! drain (both strong consistency — consumed sets grow by whole
-//! delivery-order batches).
+//! The sequencer is also where each view's [`ViewPolicy`] cadence holds
+//! its batch — the same hold a global transaction uses. `Sweep` installs
+//! every update as it releases (complete consistency); `Deferred { batch }`
+//! once the view has consumed `batch` updates since its last install,
+//! `batch: 0` only at drain (strong consistency — consumed sets grow by
+//! whole delivery-order batches). Whatever a cadence still holds when the
+//! scheduler goes quiescent is flushed in the same message handling, one
+//! `Flush` record per view, so quiescent still means installed.
 //!
 //! ## Cross-update batching
 //!
-//! With [`EngineOptions::batch`] > 1: when the sweep for `ΔR_j` starts,
-//! up to `batch − 1` further queued updates *from the same source* are
+//! With [`EngineOptions::batch`] ≠ 1: when the sweep for `ΔR_j` starts,
+//! up to `batch − 1` (`0`: any number of) further queued updates *from
+//! the same source* are
 //! folded into it Nested-SWEEP-style — their deltas merge into one
 //! composite seed, the whole batch pays one `2(n−1)`-message sweep, and
 //! every affected view consumes all k updates in one delta. Message cost
@@ -150,8 +153,8 @@
 //!
 //! One crash, one recovery, for every configuration.
 //! [`MaintenanceScheduler::enable_durability`] journals what replay
-//! needs — an arrival with its ticket, a formed task, a commit, a
-//! cadence flush — and checkpoints every few commits, lanes in flight or
+//! needs — an arrival with its ticket, a formed task, a commit, a flush
+//! at drain — and checkpoints every few commits, lanes in flight or
 //! not: durably, an in-flight lane *is* its still-pending task.
 //! [`MaintenanceScheduler::crash_and_recover`] restores the image,
 //! replays the log through the live commit path, and lets the ordinary
@@ -163,12 +166,14 @@
 //!
 //! ## Refused combinations
 //!
-//! A [`ShardMap`] needs an equi-join on every hop of the base chain (a
-//! hop that equates nothing joins across bands, so purity would confine
-//! nothing), and a batch width of 0 means nothing. The constructor is
-//! the one place that says so, typed (table in DESIGN.md); a state crash
-//! without a durable store is refused by
-//! [`MaintenanceScheduler::crash_and_recover`].
+//! One: a state crash without a durable store, refused typed by
+//! [`MaintenanceScheduler::crash_and_recover`] (table in DESIGN.md). The
+//! constructor refuses none of its arguments. `0` is no bound for
+//! `batch`, `window` and `depth` alike, normalized once there; and a
+//! base chain with a hop that equates nothing composes with a
+//! [`ShardMap`]: such a hop joins across bands, so purity confines
+//! nothing and every band starts in one group — the one-lane schedule of
+//! the flat run.
 //!
 //! [`ViewPolicy`]: dw_workload::ViewPolicy
 
@@ -186,19 +191,12 @@ use dw_workload::{DerivedSpec, ViewSpec};
 use std::collections::{HashMap, VecDeque};
 use std::num::NonZeroUsize;
 
-/// The trace vocabulary: `mv.*` over one group, `shard.*` over a
-/// [`ShardMap`].
-const SHARED_LABELS: SpanLabels = SpanLabels {
+/// The trace vocabulary, with a [`ShardMap`] or without.
+const LABELS: SpanLabels = SpanLabels {
     sweep: "mv.sweep",
     hop: "mv.hop",
     compensations: "mv.compensations",
     query_counter: Some("mv.shared_queries"),
-};
-const SHARD_LABELS: SpanLabels = SpanLabels {
-    sweep: "shard.sweep",
-    hop: "shard.hop",
-    compensations: "shard.compensations",
-    query_counter: Some("shard.queries"),
 };
 
 /// How the scheduler turns one update into sweeps: one way. The enum
@@ -335,8 +333,8 @@ enum MvWalRecord {
         ticket: u64,
         install: SequencedInstall,
     },
-    /// A policy-cadence drain flush installed view `view`'s accumulated
-    /// batch.
+    /// The flush at drain released view `view`'s batch from the
+    /// sequencer's hold.
     Flush { view: ViewId, at: Time },
 }
 
@@ -441,21 +439,34 @@ impl MaintenanceScheduler {
     /// The general constructor. With `Some(map)` the lanes are the shard
     /// groups of `map`: sweeps over distinct groups run concurrently,
     /// installs still leave in arrival order. `None` is one group. Every
-    /// field of `opts` composes with a map.
+    /// field of `opts` composes with a map, and every base chain: the
+    /// constructor refuses none of its arguments.
     pub fn with_shards(
         base: ViewDef,
         opts: EngineOptions,
         map: Option<ShardMap>,
     ) -> Result<Self, MvError> {
-        let labels = map.as_ref().map_or(SHARED_LABELS, |_| SHARD_LABELS);
-        // A window of 0 is no bound: no band ever fills.
-        let window = NonZeroUsize::new(opts.window).map_or(usize::MAX, NonZeroUsize::get);
-        let sched = MaintenanceScheduler {
+        // `0` is no bound for every knob that counts: no band fills, no
+        // fold or nest stops short.
+        let unbounded = |k: usize| NonZeroUsize::new(k).map_or(usize::MAX, NonZeroUsize::get);
+        let opts = EngineOptions {
+            batch: unbounded(opts.batch),
+            window: unbounded(opts.window),
+            depth: unbounded(opts.depth),
+            ..opts
+        };
+        // The purity lemma needs every hop to equate values: a hop that
+        // equates nothing is a cross product, which joins across bands,
+        // so every update overlaps every other and the bands start as one
+        // group.
+        let cross = (0..base.num_relations() - 1).any(|k| base.join_cond(k).pairs.is_empty());
+        let (bands, all) = map.as_ref().map_or((1, 1), |m| (m.shards(), m.full_mask()));
+        Ok(MaintenanceScheduler {
             registry: ViewRegistry::new(base.clone())?,
-            core: EngineCore::new(base, labels),
-            opts: EngineOptions { window, ..opts },
-            groups: (0..map.as_ref().map_or(1, ShardMap::shards))
-                .map(|b| 1 << b)
+            core: EngineCore::new(base, LABELS),
+            opts,
+            groups: (0..bands)
+                .map(|b| if cross { all } else { 1 << b })
                 .collect(),
             map,
             arrivals: HashMap::new(),
@@ -466,31 +477,7 @@ impl MaintenanceScheduler {
             stats: ShardStats::default(),
             durable: None,
             recovery: RecoveryStats::default(),
-        };
-        sched.validate()?;
-        Ok(sched)
-    }
-
-    /// Is the configuration this scheduler holds a supported cell of the
-    /// feature matrix? The one place every refused combination of
-    /// constructor arguments is decided; nothing armed later can
-    /// invalidate a scheduler that was constructed.
-    fn validate(&self) -> Result<(), MvError> {
-        // A batch width of 0.
-        self.opts.validate()?;
-        if self.map.is_some() && !self.every_hop_equates() {
-            let reason = "sharded scheduler needs an equi-join on every hop of the base chain";
-            return Err(config_error(reason.into()));
-        }
-        Ok(())
-    }
-
-    /// Does every hop of the base chain equate at least one attribute
-    /// pair? The purity lemma rests on it: a hop that equates nothing is
-    /// a cross product, which joins tuples of different bands.
-    fn every_hop_equates(&self) -> bool {
-        let view = &self.core.view;
-        (0..view.num_relations() - 1).all(|k| !view.join_cond(k).pairs.is_empty())
+        })
     }
 
     /// Fold one base relation's *initial* contents into the shard
@@ -593,8 +580,8 @@ impl MaintenanceScheduler {
     }
 
     /// No lane in flight, no formed or queued work, every ticket
-    /// released. Policy-pending batches are flushed the moment this
-    /// becomes true, so quiescent ⇒ installed.
+    /// released. The batches views' cadences hold are flushed in the
+    /// message handling that makes this true, so quiescent ⇒ installed.
     pub fn is_quiescent(&self) -> bool {
         self.lanes.is_empty()
             && self.pending_tasks.is_empty()
@@ -627,9 +614,8 @@ impl MaintenanceScheduler {
     }
 
     /// Attach an observability recorder: `mv.sweep`/`mv.hop` spans plus
-    /// `mv.shared_queries`/`mv.compensations` counters (`shard.*` over a
-    /// [`ShardMap`]). Per-view staleness histograms live in the
-    /// registry's [`PolicyMetrics`].
+    /// `mv.shared_queries`/`mv.compensations` counters. Per-view
+    /// staleness histograms live in the registry's [`PolicyMetrics`].
     pub fn set_observer(&mut self, obs: Obs) {
         self.core.set_observer(obs);
     }
@@ -637,7 +623,7 @@ impl MaintenanceScheduler {
     /// Turn on durable checkpoints + sweep WAL: from here on the sweep
     /// lifecycle is journaled into a [`DurableStore`] — update arrivals
     /// with their tickets, task formation, one atomic commit record per
-    /// finished sweep, cadence flushes — and the full volatile image is
+    /// finished sweep, flushes at drain — and the full volatile image is
     /// checkpointed every few commits. The initial checkpoint, taken
     /// here, captures the current state whatever it is.
     pub fn enable_durability(&mut self, cfg: DurabilityConfig) {
@@ -761,11 +747,13 @@ impl MaintenanceScheduler {
                         let what = "commit record names no pending task";
                         return Err(MvError::Internal { what });
                     };
-                    self.commit(task, install.clone(), *at)?;
+                    self.commit(task, install.clone());
+                    // Only a `Flush` record flushes: a live drain may go
+                    // quiescent without a commit (an unreferenced update
+                    // dropped, not journaled), so the record says when.
+                    self.release(*at)?;
                 }
-                MvWalRecord::Flush { view, at } => {
-                    self.registry.flush_with_cascade(*view, *at)?;
-                }
+                MvWalRecord::Flush { view, at } => self.flush(view.index(), *at)?,
             }
         }
         Ok(())
@@ -946,7 +934,7 @@ impl MaintenanceScheduler {
         };
         if arrival.bands.count_ones() > 1 {
             self.stats.escalations += 1;
-            self.core.obs.add("shard.escalations", 1);
+            self.core.obs.add("mv.escalations", 1);
         } else {
             self.stats.shard_local += 1;
         }
@@ -1111,21 +1099,17 @@ impl MaintenanceScheduler {
         });
         self.core.end_sweep(&ctx, now);
         self.stats.completions.push((task.mask, now));
-        self.commit(task, install, now)
+        self.commit(task, install);
+        self.drain_installs(now)
     }
 
-    /// A sweep's commit takes effect, at `at` (live, and again in
-    /// replay): the delta's impure tuples are residents now — their
-    /// bands share rows and must sweep as one group from here on — and
-    /// the install enters the sequencer under its ticket, to land when
-    /// every earlier ticket has. Updates the lane absorbed (consumed past
-    /// the task's own) leave the queue and their tickets release empty.
-    fn commit(
-        &mut self,
-        mut task: SweepTask,
-        install: SequencedInstall,
-        at: Time,
-    ) -> Result<(), MvError> {
+    /// A sweep's commit takes effect (live, and again in replay): the
+    /// delta's impure tuples are residents now — their bands share rows
+    /// and must sweep as one group from here on — and the install enters
+    /// the sequencer under its ticket, to land when every earlier ticket
+    /// has. Updates the lane absorbed (consumed past the task's own)
+    /// leave the queue and their tickets release empty.
+    fn commit(&mut self, mut task: SweepTask, install: SequencedInstall) {
         for mask in &task.impure_masks {
             self.union_mask(*mask);
         }
@@ -1149,7 +1133,6 @@ impl MaintenanceScheduler {
         self.core.record_batch(install.consumed.len());
         self.sequencer.complete(task.ticket, Some(install));
         self.unreleased.push(task);
-        self.drain_installs(at)
     }
 
     /// Apply one sweep's per-view deltas, cascading each into the view's
@@ -1163,15 +1146,32 @@ impl MaintenanceScheduler {
         Ok(())
     }
 
-    /// Release every install whose ticket is next in order, then
-    /// checkpoint if the cadence says so, then, at full drain, install
-    /// policy-pending batches.
-    fn drain_installs(&mut self, now: Time) -> Result<(), MvError> {
-        for install in self.sequencer.drain() {
+    /// Release every install whose ticket is next in order, each view's
+    /// batch as its cadence lets it go (live, and replaying a commit).
+    fn release(&mut self, now: Time) -> Result<(), MvError> {
+        let registry = &self.registry;
+        for install in self.sequencer.drain(|view| registry.every(view)) {
             self.apply_install(&install, now)?;
         }
         let sequencer = &self.sequencer;
         self.unreleased.retain(|t| !sequencer.is_released(t.ticket));
+        Ok(())
+    }
+
+    /// Land `view`'s held batch whatever its cadence (at drain, and
+    /// replaying the `Flush` record that drain journaled).
+    fn flush(&mut self, view: usize, at: Time) -> Result<(), MvError> {
+        match self.sequencer.flush(view) {
+            Some(install) => self.apply_install(&install, at),
+            None => Ok(()),
+        }
+    }
+
+    /// [`MaintenanceScheduler::release`], then checkpoint if the cadence
+    /// says so, then, once quiescent, flush every batch a view's cadence
+    /// still holds, in view order — one `Flush` record each.
+    fn drain_installs(&mut self, now: Time) -> Result<(), MvError> {
+        self.release(now)?;
         // Checkpoint cadence: every `checkpoint_every` commits, replace
         // the durable image and truncate the log.
         let due = |d: &DurableState| d.committed_since_ckpt >= d.cfg.cadence();
@@ -1179,14 +1179,11 @@ impl MaintenanceScheduler {
             self.checkpoint_now();
         }
         if self.is_quiescent() {
-            if self.durable.is_some() {
-                for id in self.registry.ids() {
-                    if self.registry.runtime(id)?.has_pending() {
-                        self.wal(|| MvWalRecord::Flush { view: id, at: now });
-                    }
-                }
+            while let Some(view) = self.sequencer.first_held() {
+                let id = self.registry.id_at(view)?;
+                self.wal(|| MvWalRecord::Flush { view: id, at: now });
+                self.flush(view, now)?;
             }
-            self.registry.flush_all_with_cascade(now)?;
         }
         Ok(())
     }
@@ -1228,10 +1225,7 @@ impl SweepPolicy for MaintenanceScheduler {
     type Err = MvError;
 
     fn name(&self) -> &'static str {
-        match self.map {
-            Some(_) => "sharded-sweep",
-            None => "shared-sweep",
-        }
+        "shared-sweep"
     }
 
     fn core(&mut self) -> &mut EngineCore {
@@ -1306,7 +1300,7 @@ impl SweepPolicy for MaintenanceScheduler {
         let (j, side, lo, hi) = (hop.j, hop.side, hop.dv.lo, hop.dv.hi);
         let mut nested = false;
         if self.opts.depth != 1 {
-            if one_leg && (self.opts.depth == 0 || frames < self.opts.depth) {
+            if one_leg && frames < self.opts.depth {
                 nested = self.nest(&mut lane, j, lo, hi)?;
             } else if self.core.queue.iter().any(|pu| pu.update.id.source == j) {
                 self.core.metrics.depth_bound_hits += 1;
@@ -2364,20 +2358,21 @@ mod tests {
     }
 
     #[test]
-    fn cross_join_hops_are_refused_under_a_shard_map() {
+    fn a_cross_join_hop_puts_every_band_in_one_group() {
         // No `.join` names the pair: the hop is a cross product, which
-        // joins across bands — flat it is fine, sharded it is refused.
+        // joins across bands — so the bands start as one group.
         let cross = ViewDefBuilder::new()
             .relation(Schema::new("R1", ["A", "B"]).unwrap())
             .relation(Schema::new("R2", ["C", "D"]).unwrap())
             .build()
             .unwrap();
-        let opts = EngineOptions::default;
-        assert!(MaintenanceScheduler::with_shards(cross.clone(), opts(), None).is_ok());
-        assert!(matches!(
-            MaintenanceScheduler::with_shards(cross, opts(), Some(ShardMap::range(10, 2))),
-            Err(MvError::Warehouse(WarehouseError::Config { .. }))
-        ));
+        let map = Some(ShardMap::range(10, 4));
+        let sched = MaintenanceScheduler::with_shards(cross, EngineOptions::default(), map);
+        let sched = sched.unwrap();
+        assert!((0..4).all(|s| sched.group_mask_of(s) == 0b1111));
+        // With an equi-join on every hop, every band is its own group.
+        let sched = sharded(ShardMap::range(10, 4));
+        assert!((0..4).all(|s| sched.group_mask_of(s) == 1 << s));
     }
 
     /// All `R2` inserts, 50 µs apart from t = 100 on 1000 µs links: the

@@ -23,11 +23,9 @@ use dw_rng::Rng64;
 pub enum ViewPolicy {
     /// SWEEP cadence: one install per update, complete consistency.
     Sweep,
-    /// Nested-SWEEP cadence: deltas accumulate while work is in flight
-    /// and install as one batch at drain — strong consistency.
-    NestedSweep,
     /// Deferred refresh: install every `batch` relevant updates (and at
-    /// drain) — strong consistency, maximal staleness.
+    /// drain; `0` = only at drain) — strong consistency, maximal
+    /// staleness.
     Deferred {
         /// Install after this many relevant updates accumulate.
         batch: usize,
@@ -35,12 +33,12 @@ pub enum ViewPolicy {
 }
 
 impl ViewPolicy {
-    /// Short human-readable name.
-    pub fn name(&self) -> &'static str {
+    /// How many consumed updates a view batches per install: `1` for
+    /// SWEEP, `batch` when deferred, `0` for no bound (only at drain).
+    pub fn every(self) -> usize {
         match self {
-            ViewPolicy::Sweep => "sweep",
-            ViewPolicy::NestedSweep => "nested-sweep",
-            ViewPolicy::Deferred { .. } => "deferred",
+            ViewPolicy::Sweep => 1,
+            ViewPolicy::Deferred { batch } => batch,
         }
     }
 }
@@ -330,7 +328,7 @@ impl MultiViewConfig {
         };
         let policy = match r.usize_below(3) {
             0 => ViewPolicy::Sweep,
-            1 => ViewPolicy::NestedSweep,
+            1 => ViewPolicy::Deferred { batch: 0 },
             _ => ViewPolicy::Deferred {
                 batch: 1 + r.usize_below(4),
             },

@@ -14,8 +14,8 @@
 //! per consumed update. That makes the install fingerprint a pure
 //! function of arrival order — the property E18's `conforms` check and
 //! the conformance suite compare across the sharded and unsharded
-//! engines even when sweeps overlap in time. (Deferred cadences flush at
-//! queue-drain points, which concurrency legitimately moves; pinning
+//! engines even when sweeps overlap in time. (Deferred cadences also
+//! flush at quiescent points, which concurrency legitimately moves; pinning
 //! Sweep keeps the cross-engine comparison exact under bursts.)
 
 use crate::multiview::{MultiViewScenario, ViewPolicy, ViewSpec};

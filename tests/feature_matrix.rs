@@ -1,6 +1,6 @@
 //! The feature matrix: shards × {the plain constructor's defaults, σ
-//! pushdown, durability, cross-update batching}, serving on top, plus
-//! every refused cell.
+//! pushdown, durability, cross-update batching, install cadence}, serving
+//! on top, plus the one refused cell.
 //!
 //! One scheduler runs every configuration, so "flat" must literally be
 //! the one-group case of the lane machinery:
@@ -32,9 +32,12 @@
 //!   never costlier in messages than the unbatched sharded run — and the
 //!   same cell made durable and served recovers from a warehouse state
 //!   crash to its own fault-free bags under the read oracles;
-//! * **(c)** every combination the scheduler refuses returns its
-//!   documented, typed error (the table in DESIGN.md) instead of being
-//!   silently dropped — one builder, so one refusal per cell;
+//! * **(c)** the one combination the scheduler refuses — a state crash
+//!   with no durable store — returns its documented, typed error (the
+//!   table in DESIGN.md) instead of being silently survived; the two
+//!   former rows compose: a base chain whose hop equates nothing × S ∈
+//!   {2, 4} matches the flat run on bags, install fingerprints and message
+//!   counts, and `batch = 0` is no bound (E15's burst test in dw-bench);
 //! * **(d)** serving composes: `.reads(mix)` × {batch 4, pushdown, both}
 //!   on the same schedules, bounded subscriptions on, must pass the
 //!   read, lag and subscription oracles and leave
@@ -57,7 +60,19 @@
 //!   exactly-once consumption. Each of these mutations fails it: absorb
 //!   without the hop's compensation, absorb a mask outside the lane's, a
 //!   checkpoint image that drops absorbed updates, a snapshot taken
-//!   before a child folds, absorbing past a later-ticket `ΔR_j`.
+//!   before a child folds, absorbing past a later-ticket `ΔR_j`;
+//! * **(h)** per-view install cadence is the sequencer's hold: cadence
+//!   ∈ {1, 3, 0} across the views × S ∈ {1, 2} × batch ∈ {1, 2} × global
+//!   transactions open across cadence boundaries × durability × reads,
+//!   and the same cell state-crashed while a batch is held, after a flush
+//!   at a quiescent point. Per view: the SWEEP-cadence run's final bag,
+//!   strong consistency, exactly-once consumption, atomic transactions,
+//!   the read and subscription oracles, and — fault-free — installs that
+//!   group the SWEEP-cadence run's releases and stop at the first to meet
+//!   the cadence. Each of these mutations fails it: releasing a held batch
+//!   inside a transaction, a checkpoint image without the held batches, a
+//!   replay that skips a `Flush` record, counting payloads instead of
+//!   consumed updates toward the cadence.
 //!
 //! The referee here is the plain constructor of the same scheduler, so
 //! every run is also held to the independent oracles: per-view
@@ -494,22 +509,44 @@ fn refusal(e: impl Into<CoreError>) -> String {
 #[test]
 fn refused_combinations_return_their_documented_errors() {
     let scenario = schedule(1);
-    let base = scenario.base.clone();
-    let map = || ShardMap::hash(2);
     let multi = || MultiViewExperiment::new(scenario.clone());
     let state_crash = || FaultPlan::default().state_crash(WAREHOUSE_NODE, 500, 900);
 
-    // Exactly the three rows of DESIGN.md's table.
-    //
-    // 1. shards × a hop that equates nothing: a cross product joins across
-    // bands, so purity confines nothing and lanes may not run side by
-    // side. Two counter-examples: a pure insert whose only partner
-    // `(11,12)` is pure in the other band (the view must gain
-    // `(3,4,11,12)`), and two concurrent pure inserts in different bands
-    // (each lane's answer already holds the other's tuple, and an update
-    // sweeping in another lane has left the queue hops compensate
-    // against: `(3,4,13,14)` would count twice).
-    // Flat, both are completely consistent.
+    // Exactly the one row of DESIGN.md's table: a warehouse state crash
+    // with no durable store. Was silently survived — the window ate its
+    // messages, every volatile structure stayed, the run reported clean.
+    // Refused before any traffic, flat and sharded, and by the scheduler
+    // itself.
+    let e = multi().faults(state_crash()).run();
+    assert!(refusal(e.unwrap_err()).contains("a warehouse state crash needs a durable store"));
+    let e = multi()
+        .shards(ShardMap::hash(2))
+        .faults(state_crash())
+        .run();
+    assert!(refusal(e.unwrap_err()).contains("a warehouse state crash needs a durable store"));
+    let opts = EngineOptions::default();
+    let mut sched = MaintenanceScheduler::with_shards(scenario.base.clone(), opts, None).unwrap();
+    let mut net: Network<dwsweep::protocol::Message> = Network::new(0);
+    let e = sched.crash_and_recover(&mut net).unwrap_err();
+    assert!(refusal(e).contains("a warehouse state crash needs a durable store"));
+    sched.enable_durability(Default::default());
+    sched.crash_and_recover(&mut net).unwrap();
+
+    // Internal-invariant errors are typed too, not panics.
+    let e: CoreError = MvError::Internal { what: "x" }.into();
+    assert!(matches!(e, CoreError::Multi(msg) if msg.contains("invariant")));
+}
+
+/// A former refusal: shards × a hop that equates nothing. A cross product
+/// joins across bands, so purity confines nothing — every band starts in
+/// one group and the lanes keep the flat run's one-at-a-time schedule.
+/// The two counter-examples that once justified the refusal: a pure
+/// insert whose only partner `(11,12)` is pure in the other band (the
+/// view must gain `(3,4,11,12)`), and two concurrent pure inserts in
+/// different bands (`(3,4,13,14)` must count once). At S ∈ {2, 4} each
+/// matches the flat run on bags, install fingerprints and messages.
+#[test]
+fn cross_join_hops_compose_with_shards() {
     let insert = |at, source, t: Tuple| ScheduledTxn {
         at,
         source,
@@ -520,42 +557,20 @@ fn refused_combinations_return_their_documented_errors() {
     let lost = cross_join(resident, vec![insert(100, 0, tup![3, 4])]);
     let concurrent = vec![insert(100, 0, tup![3, 4]), insert(100, 1, tup![13, 14])];
     let doubled = cross_join([Bag::new(), Bag::new()], concurrent);
-    for scenario in [lost, doubled] {
-        run(&scenario, None, 0);
-        let sharded = MultiViewExperiment::new(scenario).shards(ShardMap::range(10, 2));
-        let reason = refusal(sharded.run().unwrap_err());
-        assert!(reason.contains("sharded scheduler needs an equi-join on every hop"));
+    for (name, scenario) in [("lost", lost), ("doubled", doubled)] {
+        let flat = run(&scenario, None, 0);
+        assert!(
+            !flat.views[0].view.is_empty(),
+            "{name}: the view joined nothing"
+        );
+        for shards in [2, 4] {
+            let arm = format!("{name}, S={shards}");
+            let sharded = run(&scenario, Some(ShardMap::range(10, shards)), 0);
+            assert_same_outcome(&sharded, &flat, &arm);
+            let stats = sharded.shard_stats.as_ref().unwrap();
+            assert_eq!(stats.max_concurrent_lanes, 1, "{arm}: one group, one lane");
+        }
     }
-
-    // 2. A warehouse state crash with no durable store: was silently
-    // survived — the window ate its messages, every volatile structure
-    // stayed, the run reported clean. Refused before any traffic, flat and
-    // sharded, and by the scheduler itself.
-    let e = multi().faults(state_crash()).run();
-    assert!(refusal(e.unwrap_err()).contains("a warehouse state crash needs a durable store"));
-    let e = multi().shards(map()).faults(state_crash()).run();
-    assert!(refusal(e.unwrap_err()).contains("a warehouse state crash needs a durable store"));
-    let opts = EngineOptions::default();
-    let mut sched = MaintenanceScheduler::with_shards(base.clone(), opts, None).unwrap();
-    let mut net: Network<dwsweep::protocol::Message> = Network::new(0);
-    let e = sched.crash_and_recover(&mut net).unwrap_err();
-    assert!(refusal(e).contains("a warehouse state crash needs a durable store"));
-    sched.enable_durability(Default::default());
-    sched.crash_and_recover(&mut net).unwrap();
-
-    // 3. The oldest one: a zero batch width, with a map or without.
-    let zero = EngineOptions {
-        batch: 0,
-        ..EngineOptions::default()
-    };
-    let e = MaintenanceScheduler::with_shards(base, zero, None).err();
-    assert!(refusal(e.expect("batch 0 must be refused")).contains("batch width"));
-    let e = multi().shards(map()).options(zero).run().unwrap_err();
-    assert!(refusal(e).contains("batch width"));
-
-    // Internal-invariant errors are typed too, not panics.
-    let e: CoreError = MvError::Internal { what: "x" }.into();
-    assert!(matches!(e, CoreError::Multi(msg) if msg.contains("invariant")));
 }
 
 /// The read schedule of case `k`: points, scans, polls of the bounded
@@ -1054,4 +1069,149 @@ fn nesting_composes_with_shards_windows_durability_and_reads() {
         "only {nested} of {cells} cells ever absorbed an update"
     );
     assert!(deep > 0, "no lane ever stacked a second child");
+}
+
+/// The cadence of view `v` in case `k`: 1, 3 and 0 (only at drain) in
+/// turn across the views, rotated by the case.
+fn cadence(k: u64, v: usize) -> usize {
+    [1, 3, 0][(v + k as usize) % 3]
+}
+
+/// Per view of cadence `k`, the installs group the releases of the
+/// SWEEP-cadence run with the same options and seed (cadence changes
+/// when a view installs, never what a sweep sends or when it commits) —
+/// consecutive, none skipped — and each stops at the first release that
+/// brings it to `k` consumed updates, or sooner, at a flush.
+fn assert_cadence(
+    got: &MultiViewReport,
+    sweep: &MultiViewReport,
+    scenario: &MultiViewScenario,
+    arm: &str,
+) {
+    for ((view, unit), spec) in got.views.iter().zip(&sweep.views).zip(&scenario.views) {
+        let every = spec.policy.every();
+        let mut units = unit.installs.iter().map(|r| r.consumed.as_slice());
+        for rec in &view.installs {
+            let (mut taken, mut last) = (0, 0);
+            while taken < rec.consumed.len() {
+                let next = units.next().unwrap_or_default();
+                let got = rec.consumed.get(taken..taken + next.len());
+                assert_eq!(
+                    got,
+                    Some(next),
+                    "{arm}: '{}' regrouped a release",
+                    view.name
+                );
+                (taken, last) = (taken + next.len(), next.len());
+            }
+            let held_past = every != 0 && taken - last >= every;
+            assert!(
+                !held_past,
+                "{arm}: '{}' held {taken} past cadence {every}",
+                view.name
+            );
+        }
+        assert_eq!(units.next(), None, "{arm}: '{}' left a release", view.name);
+    }
+}
+
+/// Per-view install cadence × S ∈ {1, 2} × batch ∈ {1, 2} × global
+/// transactions × durability × reads: against the SWEEP-cadence run of
+/// the same cell, fault-free and state-crashed while a batch is held just
+/// after a flush at a quiescent point (see the module docs, (h)).
+#[test]
+fn cadence_composes_with_shards_transactions_durability_and_reads() {
+    let (mut cells, mut across, mut folded, mut crashed_after_flush) = (0, 0, 0, 0);
+    for k in 0..SCHEDULES {
+        // Gaps about a sweep long: bursts fold and hold transactions
+        // open, lulls let the warehouse drain and flush mid-run.
+        let mut config = schedule_config(k);
+        config.stream.updates = 12 + (k % 5) as usize;
+        config.stream.mean_gap = 2_000 + 1_000 * (k % 3);
+        config.stream.global_every = 3;
+        config.stream.global_span = 2;
+        let mut scenario = config.generate().unwrap();
+        let sweep_cadence = {
+            let mut s = scenario.clone();
+            s.views
+                .iter_mut()
+                .for_each(|v| v.policy = ViewPolicy::Sweep);
+            s
+        };
+        for (v, view) in scenario.views.iter_mut().enumerate() {
+            view.policy = match cadence(k, v) {
+                1 => ViewPolicy::Sweep,
+                batch => ViewPolicy::Deferred { batch },
+            };
+        }
+        let (shards, batch) = ([1, 2][(k % 2) as usize], [1, 2][(k / 2 % 2) as usize]);
+        let arm = format!("schedule {k}, S={shards}, batch {batch}");
+        let cell = |scenario: &MultiViewScenario| {
+            MultiViewExperiment::new(scenario.clone())
+                .shards(ShardMap::hash(shards))
+                .options(EngineOptions {
+                    batch,
+                    ..EngineOptions::default()
+                })
+                .transport_auto()
+                .seed(k)
+        };
+        let referee = cell(&sweep_cadence).run().unwrap();
+        let check = |got: &MultiViewReport, arm: &str| {
+            assert!(got.quiescent, "{arm}: did not drain");
+            for (a, b) in got.views.iter().zip(&referee.views) {
+                assert_eq!(a.view, b.view, "{arm}: view '{}'", a.name);
+            }
+            let level = got.min_consistency().unwrap();
+            assert!(level >= ConsistencyLevel::Strong, "{arm}: {level}");
+            assert!(got.mutual.as_ref().unwrap().final_agreement, "{arm}");
+            assert!(got.derived_clean(), "{arm}: derived oracle audit");
+            assert_exactly_once(&scenario, got, arm);
+            assert_atomic(&scenario, got, arm);
+            let audit = audit_reads(&scenario, got).unwrap();
+            assert!(audit.clean(), "{arm}: {audit:?}");
+            assert!(got.subscriptions_match_installs(), "{arm}: subscriptions");
+        };
+        let served = || cell(&scenario).durability(2).reads(read_mix(k, &scenario));
+        let quiet = served().run().unwrap();
+        check(&quiet, &arm);
+        assert_cadence(&quiet, &referee, &scenario, &arm);
+        cells += 1;
+        let threes = quiet.views.iter().enumerate();
+        let threes = threes.filter(|(v, _)| cadence(k, *v) == 3);
+        let mut threes = threes.flat_map(|(_, view)| &view.installs);
+        across += usize::from(threes.any(|r| r.consumed.len() > 3));
+        let mut payloads = referee.views.iter().flat_map(|v| &v.installs);
+        folded += usize::from(batch > 1 && payloads.any(|r| r.consumed.len() > 1));
+
+        // Crash right after the first commit that follows a flush at a
+        // quiescent point: the checkpoint image holds batches, the log
+        // may still hold the flush, and a batch is held again.
+        let last_delivery = scenario.txns.last().unwrap().at;
+        let drains = quiet.views.iter().enumerate();
+        let drains = drains.filter(|(v, _)| cadence(k, *v) == 0);
+        let flushes = drains.flat_map(|(_, view)| &view.installs).map(|r| r.at);
+        let Some(flushed) = flushes.filter(|&at| at < last_delivery).min() else {
+            continue;
+        };
+        let completions = quiet.shard_stats.as_ref().unwrap().completions.iter();
+        let Some(commit) = completions.map(|c| c.1).filter(|&at| at > flushed).min() else {
+            continue;
+        };
+        let crash = FaultPlan::default().state_crash(WAREHOUSE_NODE, commit + 1, commit + 901);
+        let crashed = served().faults(crash).run().unwrap();
+        let arm = format!("{arm}, crashed at {}", commit + 1);
+        assert_eq!(crashed.recovery.recoveries, 1, "{arm}");
+        check(&crashed, &arm);
+        crashed_after_flush += 1;
+    }
+    assert!(
+        across >= 8,
+        "only {across} cells held a cadence-3 view past 3"
+    );
+    assert!(folded >= 8, "only {folded} cells folded a batch");
+    assert!(
+        crashed_after_flush >= cells / 3,
+        "only {crashed_after_flush} of {cells} cells crashed after a flush"
+    );
 }
