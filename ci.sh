@@ -297,6 +297,26 @@ stage_engine_boundary() {
     echo "FAIL: a view's batch waits in the InstallSequencer's hold (drain(every), flush) — no pending_delta or flush_with_cascade under crates/multiview/src" >&2
     ok=1
   fi
+  # One ground truth: the run's Recorder is the one record of what was
+  # delivered and the one place a view state is evaluated (eval_view( in
+  # the non-test code of dw-core and dw-consistency only in truth.rs), and
+  # a strategy matches its own messages — neither per-view log shifting,
+  # re-derived transaction deltas, the per-install prefix walks nor the
+  # engine's strategy trait and its dispatcher may come back.
+  hits=$({
+    grep -rnE '\b(remap_installs|txn_deltas|is_source_prefix_set|prefix_state|SweepPolicy)\b' \
+      crates src examples tests
+    grep -rn 'fn dispatch\b' crates/engine/src
+    for f in crates/core/src/*.rs crates/consistency/src/*.rs; do
+      [[ "$f" == crates/consistency/src/truth.rs ]] && continue
+      non_test_code "$f" | grep -n 'eval_view(' | sed "s|^|$f: |"
+    done
+  } 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: every oracle reads the run's one dw_consistency::Recorder (Recorder::state over a SlotView, global update ids, per-source prefix counters in classify), and the scheduler and Strobe match their own messages — no remap_installs, txn_deltas, is_source_prefix_set, prefix_state, SweepPolicy or engine dispatch, and no eval_view( in dw-core / dw-consistency outside truth.rs" >&2
+    ok=1
+  fi
   local rows
   rows=$(awk '/^\| Combination \| Why \| Error \|/ {t = 1; next}
     t && /^\|---/ {next}
@@ -356,7 +376,7 @@ stage_engine_boundary() {
   # code of each directory. A budget may only go down; lower it when the
   # count drops.
   local pair dir budget count
-  for pair in crates/multiview/src:0 crates/core/src:0 crates/warehouse/src:11 \
+  for pair in crates/multiview/src:0 crates/core/src:0 crates/warehouse/src:0 \
     crates/engine/src:0 crates/relational/src:2 crates/serve/src:2 \
     crates/protocol/src:2 crates/source/src:0 crates/livenet/src:0 \
     crates/simnet/src:0; do

@@ -1554,8 +1554,10 @@ row! {
     /// committed install delta, so the source-message bill must be
     /// byte-identical — the `2(n−1)` toll is paid exactly once at the base
     /// layer, and child maintenance costs exactly zero source messages.
-    /// Every derived view is audited per install epoch against a fresh
-    /// recompute of its operator over the parent's same-epoch snapshot.
+    /// Every derived view is audited per install epoch against the run's
+    /// one ground truth (`MultiViewReport::truth`): its operator chain
+    /// freshly evaluated over its base ancestor's state at the update set
+    /// the epoch consumed — never against the parent's snapshot.
     E20Row in e20 as "E20" / "e20_dag" {
         /// Stack-shape label ("sibling-fanout", "deep-stack").
         label: String = Key,
@@ -1584,8 +1586,8 @@ row! {
         linear_evals: u64 = Info,
         /// shared/(shared+fresh) — the sweep-sharing ratio the gate tracks.
         sharing_ratio: f64 = Ratio(Lower, "sharing ratio"),
-        /// Every derived view (σ/Π and Σ alike) matched the fresh-recompute
-        /// oracle at every audited install epoch and at quiescence.
+        /// Every derived view (σ/Π and Σ alike) matched the truth at every
+        /// audited install epoch and at quiescence.
         aggregate_fidelity: bool = Info,
         /// Both runs drained to quiescence.
         quiescent: bool = Info,

@@ -1,10 +1,10 @@
 //! Install-log classification against the ground truth.
 
-use crate::truth::Recorder;
+use crate::truth::{Recorder, SlotView};
 use dw_engine::InstallRecord;
-use dw_protocol::UpdateId;
+use dw_protocol::{SourceIndex, UpdateId};
 use dw_relational::SharedBag;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// The paper's consistency hierarchy (§2), plus the failure class.
@@ -47,16 +47,19 @@ pub struct ConsistencyReport {
     pub detail: String,
 }
 
-/// Classify a policy's install log against the ground truth.
+/// Classify a policy's install log for `view` against the ground truth.
 ///
-/// `final_view` is the policy's view at the end of the (quiescent) run.
-/// Install records without snapshots degrade the check to convergence.
+/// Only deliveries from `view`'s span count, and a consumed id no such
+/// delivery carries changes no state. `final_view` is the policy's view
+/// at the end of the (quiescent) run. Install records without snapshots
+/// degrade the check to convergence.
 pub fn classify(
     recorder: &Recorder,
+    view: &SlotView,
     installs: &[InstallRecord],
     final_view: &SharedBag,
 ) -> ConsistencyReport {
-    let truth_final = match recorder.final_state() {
+    let truth_final = match recorder.state(view, &|_| true) {
         Ok(b) => b,
         Err(e) => {
             return ConsistencyReport {
@@ -79,30 +82,52 @@ pub fn classify(
     }
 
     // Snapshots are needed for anything stronger than convergence.
-    if installs.iter().any(|r| r.view_after.is_none()) {
+    let snapshots: Option<Vec<&SharedBag>> =
+        installs.iter().map(|r| r.view_after.as_ref()).collect();
+    let Some(snapshots) = snapshots else {
         return ConsistencyReport {
             level: ConsistencyLevel::Convergent,
             installs_checked: installs.len(),
             detail: "snapshots disabled; only convergence verified".into(),
         };
-    }
+    };
 
     // --- Per-install state validity (needed for weak and above). -------
+    let in_span: Vec<UpdateId> = recorder
+        .deliveries()
+        .iter()
+        .map(|d| d.id)
+        .filter(|id| view.spans(id.source))
+        .collect();
+    let mut deliveries_of: HashMap<UpdateId, u64> = HashMap::new();
+    for id in &in_span {
+        *deliveries_of.entry(*id).or_default() += 1;
+    }
     let mut consumed_so_far: HashSet<UpdateId> = HashSet::new();
+    // Per source: deliveries of its consumed ids, how many distinct ids,
+    // one past the highest seq. A meaningful snapshot of an autonomous
+    // source consumed exactly its first `k` updates, each delivered once:
+    // all three are `k`.
+    let mut prefixes: HashMap<SourceIndex, (u64, u64, u64)> = HashMap::new();
     let mut all_states_meaningful = true;
     let mut monotone_prefix_discipline = true;
     let mut first_violation = String::new();
-    for (k, rec) in installs.iter().enumerate() {
+    for (k, (rec, snapshot)) in installs.iter().zip(snapshots).enumerate() {
+        let mut touched: Vec<SourceIndex> = Vec::new();
         for id in &rec.consumed {
             if !consumed_so_far.insert(*id) {
                 monotone_prefix_discipline = false;
                 if first_violation.is_empty() {
                     first_violation = format!("install {k} re-consumed {id:?}");
                 }
+            } else if let Some(&deliveries) = deliveries_of.get(id) {
+                let (seen, distinct, end) = prefixes.entry(id.source).or_default();
+                (*seen, *distinct) = (*seen + deliveries, *distinct + 1);
+                *end = (*end).max(id.seq + 1);
+                touched.push(id.source);
             }
         }
-        let snapshot = rec.view_after.as_ref().expect("checked above");
-        let expect = match recorder.eval_after(&|id| consumed_so_far.contains(&id)) {
+        let expect = match recorder.state(view, &|id| consumed_so_far.contains(&id)) {
             Ok(b) => b,
             Err(e) => {
                 return ConsistencyReport {
@@ -118,7 +143,8 @@ pub fn classify(
                 first_violation = format!("install {k} does not match its consumed set's state");
             }
         }
-        if !recorder.is_source_prefix_set(&|id| consumed_so_far.contains(&id)) {
+        let prefix = |s: &SourceIndex| matches!(prefixes[s], (a, b, c) if a == b && b == c);
+        if !touched.iter().all(prefix) {
             monotone_prefix_discipline = false;
             if first_violation.is_empty() {
                 first_violation =
@@ -146,13 +172,12 @@ pub fn classify(
     }
 
     // --- Complete: one install per delivery, in delivery order. --------
-    let delivery_order: Vec<UpdateId> = recorder.deliveries().iter().map(|d| d.id).collect();
     let consumed_concat: Vec<UpdateId> = installs
         .iter()
         .flat_map(|r| r.consumed.iter().copied())
         .collect();
     let one_each = installs.iter().all(|r| r.consumed.len() == 1);
-    if one_each && consumed_concat == delivery_order {
+    if one_each && consumed_concat == in_span {
         return ConsistencyReport {
             level: ConsistencyLevel::Complete,
             installs_checked: installs.len(),
@@ -179,25 +204,32 @@ mod tests {
     use super::*;
     use dw_relational::{tup, Bag, Schema, ViewDefBuilder};
 
-    /// Single-relation identity view: ground truth is trivially the bag of
-    /// all applied deltas — perfect for exercising the classifier itself.
-    fn recorder_with(deliveries: &[(usize, u64, Bag)]) -> Recorder {
-        let view = ViewDefBuilder::new()
-            .relation(Schema::new("R1", ["A"]).unwrap())
+    /// A single-relation identity view: ground truth is trivially the bag
+    /// of all applied deltas — perfect for exercising the classifier.
+    fn identity(name: &str) -> dw_relational::ViewDef {
+        ViewDefBuilder::new()
+            .relation(Schema::new(name, ["A"]).unwrap())
             .build()
-            .unwrap();
-        let mut r = Recorder::new(view, vec![Bag::new()]);
+            .unwrap()
+    }
+
+    /// Deliveries `(source, seq, delta)` over `chain` empty relations,
+    /// one time unit apart.
+    fn recorder_of(chain: usize, deliveries: &[(usize, u64, Bag)]) -> Recorder {
+        let mut r = Recorder::new(vec![Bag::new(); chain]);
         for (i, (source, seq, delta)) in deliveries.iter().enumerate() {
-            r.record_delivery(
-                UpdateId {
-                    source: *source,
-                    seq: *seq,
-                },
-                i as u64,
-                delta.clone(),
-            );
+            let id = UpdateId {
+                source: *source,
+                seq: *seq,
+            };
+            r.record_delivery(id, i as u64, delta.clone());
         }
         r
+    }
+
+    fn recorder_with(deliveries: &[(usize, u64, Bag)]) -> (Recorder, SlotView) {
+        let view = SlotView::base(identity("R1"), 0);
+        (recorder_of(1, deliveries), view)
     }
 
     fn install(consumed: Vec<UpdateId>, view: Bag) -> InstallRecord {
@@ -216,22 +248,23 @@ mod tests {
     fn complete_run_detected() {
         let a = Bag::from_tuples([tup![1]]);
         let b = Bag::from_tuples([tup![2]]);
-        let r = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
+        let (r, v) = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
         let installs = vec![
             install(vec![id(0)], a.clone()),
             install(vec![id(1)], a.plus(&b)),
         ];
-        let rep = classify(&r, &installs, &a.plus(&b).into());
+        let rep = classify(&r, &v, &installs, &a.plus(&b).into());
         assert_eq!(rep.level, ConsistencyLevel::Complete);
+        assert_eq!(rep.installs_checked, 2);
     }
 
     #[test]
     fn batched_installs_are_strong() {
         let a = Bag::from_tuples([tup![1]]);
         let b = Bag::from_tuples([tup![2]]);
-        let r = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
+        let (r, v) = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
         let installs = vec![install(vec![id(0), id(1)], a.plus(&b))];
-        let rep = classify(&r, &installs, &a.plus(&b).into());
+        let rep = classify(&r, &v, &installs, &a.plus(&b).into());
         assert_eq!(rep.level, ConsistencyLevel::Strong);
     }
 
@@ -243,12 +276,80 @@ mod tests {
         // the eval of {seq 1} alone — prefix check must still flag it.
         let a = Bag::from_tuples([tup![1]]);
         let b = Bag::from_tuples([tup![2]]);
-        let r = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
+        let (r, v) = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
         let installs = vec![
             install(vec![id(1)], b.clone()),
             install(vec![id(0)], a.plus(&b)),
         ];
-        let rep = classify(&r, &installs, &a.plus(&b).into());
+        let rep = classify(&r, &v, &installs, &a.plus(&b).into());
+        assert_eq!(rep.level, ConsistencyLevel::Weak);
+        assert_eq!(
+            rep.detail,
+            "install 0's cumulative consumed set skips a source-local update"
+        );
+    }
+
+    #[test]
+    fn a_prefix_within_one_install_may_come_in_any_order() {
+        // One install consuming seqs 1 then 0 lands on the prefix {0, 1}.
+        let a = Bag::from_tuples([tup![1]]);
+        let b = Bag::from_tuples([tup![2]]);
+        let (r, v) = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
+        let installs = vec![install(vec![id(1), id(0)], a.plus(&b))];
+        let rep = classify(&r, &v, &installs, &a.plus(&b).into());
+        assert_eq!(rep.level, ConsistencyLevel::Strong);
+    }
+
+    #[test]
+    fn an_update_delivered_twice_is_no_prefix() {
+        // The log holds seq 0 twice: its state is a double application,
+        // and no autonomous source ever emitted that history.
+        let a = Bag::from_tuples([tup![1]]);
+        let (r, v) = recorder_with(&[(0, 0, a.clone()), (0, 0, a.clone())]);
+        let twice = a.plus(&a);
+        let rep = classify(
+            &r,
+            &v,
+            &[install(vec![id(0)], twice.clone())],
+            &twice.into(),
+        );
+        assert_eq!(rep.level, ConsistencyLevel::Weak);
+    }
+
+    #[test]
+    fn a_span_view_counts_only_its_own_sources() {
+        // Base chain R0, R1; the view is R1 alone. Installs name global
+        // ids, and R0's interleaved deliveries are none of its business.
+        let b = Bag::from_tuples([tup![2]]);
+        let d = Bag::from_tuples([tup![4]]);
+        let other = Bag::from_tuples([tup![9]]);
+        let r = recorder_of(
+            2,
+            &[
+                (0, 0, other.clone()),
+                (1, 0, b.clone()),
+                (0, 1, other),
+                (1, 1, d.clone()),
+            ],
+        );
+        let v = SlotView::base(identity("R1"), 1);
+        let on_r1 = |seq| UpdateId { source: 1, seq };
+        let installs = vec![
+            install(vec![on_r1(0)], b.clone()),
+            install(vec![on_r1(1)], b.plus(&d)),
+        ];
+        let rep = classify(&r, &v, &installs, &b.plus(&d).into());
+        assert_eq!(rep.level, ConsistencyLevel::Complete, "{}", rep.detail);
+        assert_eq!(
+            rep.detail,
+            "2 installs, one per delivered update, all states verified"
+        );
+        // Skipping R1's first update is still caught in global coordinates.
+        let skipped = vec![
+            install(vec![on_r1(1)], d.clone()),
+            install(vec![on_r1(0)], b.plus(&d)),
+        ];
+        let rep = classify(&r, &v, &skipped, &b.plus(&d).into());
         assert_eq!(rep.level, ConsistencyLevel::Weak);
     }
 
@@ -256,34 +357,34 @@ mod tests {
     fn wrong_intermediate_state_is_convergent() {
         let a = Bag::from_tuples([tup![1]]);
         let b = Bag::from_tuples([tup![2]]);
-        let r = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
+        let (r, v) = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
         // First install claims a state that is not eval(consumed).
         let installs = vec![
             install(vec![id(0)], b.clone()), // wrong snapshot
             install(vec![id(1)], a.plus(&b)),
         ];
-        let rep = classify(&r, &installs, &a.plus(&b).into());
+        let rep = classify(&r, &v, &installs, &a.plus(&b).into());
         assert_eq!(rep.level, ConsistencyLevel::Convergent);
     }
 
     #[test]
     fn wrong_final_state_is_inconsistent() {
         let a = Bag::from_tuples([tup![1]]);
-        let r = recorder_with(&[(0, 0, a.clone())]);
-        let rep = classify(&r, &[], &SharedBag::new());
+        let (r, v) = recorder_with(&[(0, 0, a.clone())]);
+        let rep = classify(&r, &v, &[], &SharedBag::new());
         assert_eq!(rep.level, ConsistencyLevel::Inconsistent);
     }
 
     #[test]
     fn missing_snapshots_cap_at_convergent() {
         let a = Bag::from_tuples([tup![1]]);
-        let r = recorder_with(&[(0, 0, a.clone())]);
+        let (r, v) = recorder_with(&[(0, 0, a.clone())]);
         let installs = vec![InstallRecord {
             at: 0,
             consumed: vec![id(0)],
             view_after: None,
         }];
-        let rep = classify(&r, &installs, &a.clone().into());
+        let rep = classify(&r, &v, &installs, &a.clone().into());
         assert_eq!(rep.level, ConsistencyLevel::Convergent);
     }
 
@@ -299,12 +400,12 @@ mod tests {
     #[test]
     fn double_consumption_flagged() {
         let a = Bag::from_tuples([tup![1]]);
-        let r = recorder_with(&[(0, 0, a.clone())]);
+        let (r, v) = recorder_with(&[(0, 0, a.clone())]);
         let installs = vec![
             install(vec![id(0)], a.clone()),
             install(vec![id(0)], a.clone()),
         ];
-        let rep = classify(&r, &installs, &a.clone().into());
+        let rep = classify(&r, &v, &installs, &a.clone().into());
         assert!(rep.level <= ConsistencyLevel::Weak);
     }
 }

@@ -5,10 +5,13 @@
 //!
 //! > *convergence* ⊂ *weak* ⊂ *strong* ⊂ *complete*
 //!
-//! The [`Recorder`] shadows the initial base relations and logs every
-//! update **in warehouse delivery order** (the total order SWEEP installs
-//! against). The [`classify`] pass then replays the install log a
-//! policy produced:
+//! The [`Recorder`] shadows the base chain's initial relations and logs
+//! every update once, **in warehouse delivery order** (the total order
+//! SWEEP installs against). It is the one place a view state is
+//! evaluated: [`Recorder::state`] takes a [`SlotView`] — a span of the
+//! chain, plus the operator chain of a derived view — and any set of
+//! delivered updates. The [`classify`] pass then replays the install log
+//! a policy produced:
 //!
 //! * **Complete** — every install consumes exactly the next update in
 //!   delivery order and lands exactly on that prefix's recomputed view:
@@ -35,5 +38,5 @@ pub mod truth;
 pub use checker::{classify, ConsistencyLevel, ConsistencyReport};
 pub use fifo::{verify_fifo, FifoReport, FifoViolation};
 pub use lag::LagSeries;
-pub use multi::{mutual_consistency, remap_installs, MutualReport, ViewLog};
-pub use truth::Recorder;
+pub use multi::{mutual_consistency, MutualReport, ViewLog};
+pub use truth::{Recorder, SlotView};

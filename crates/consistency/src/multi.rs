@@ -6,12 +6,10 @@
 //! checker doesn't answer:
 //!
 //! 1. **Per-view levels.** Each view's install log uses *global* update
-//!    ids (`UpdateId.source` indexes the base chain), while the natural
-//!    ground truth for a span view `[lo, hi]` is a
-//!    [`Recorder`](crate::Recorder) over
-//!    the view's *local* definition fed only with in-span deliveries.
-//!    [`remap_installs`] shifts the log into span-local coordinates so
-//!    the ordinary [`classify`](crate::classify) pass applies.
+//!    ids (`UpdateId.source` indexes the base chain), and so does the
+//!    run's one [`Recorder`](crate::Recorder): [`classify`](crate::classify)
+//!    takes the view's [`SlotView`](crate::SlotView) and counts only the
+//!    deliveries from its span, so no log is shifted or copied per view.
 //! 2. **Mutual consistency.** Views sharing a source should not tell
 //!    contradictory stories about it. [`mutual_consistency`] replays
 //!    every view's install log on one timeline and measures, for each
@@ -22,30 +20,8 @@
 //!    *final* disagreement after a drain is a scheduler bug.
 
 use dw_engine::InstallRecord;
-use dw_protocol::{SourceIndex, UpdateId};
+use dw_protocol::SourceIndex;
 use std::collections::HashMap;
-
-/// Shift an install log from global chain coordinates into span-local
-/// coordinates (`source − lo`), for classification against a per-view
-/// [`Recorder`](crate::Recorder) built over the view's local definition.
-/// Sequence numbers are per-source and survive the shift unchanged.
-pub fn remap_installs(installs: &[InstallRecord], lo: usize) -> Vec<InstallRecord> {
-    installs
-        .iter()
-        .map(|rec| InstallRecord {
-            at: rec.at,
-            consumed: rec
-                .consumed
-                .iter()
-                .map(|id| UpdateId {
-                    source: id.source - lo,
-                    seq: id.seq,
-                })
-                .collect(),
-            view_after: rec.view_after.clone(),
-        })
-        .collect()
-}
 
 /// One view's install log plus its span, in global chain coordinates.
 #[derive(Clone, Debug)]
@@ -168,7 +144,7 @@ pub fn mutual_consistency(logs: &[ViewLog<'_>]) -> MutualReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_relational::{tup, Bag};
+    use dw_protocol::UpdateId;
 
     fn rec(at: u64, ids: &[(usize, u64)]) -> InstallRecord {
         InstallRecord {
@@ -179,23 +155,6 @@ mod tests {
                 .collect(),
             view_after: None,
         }
-    }
-
-    #[test]
-    fn remap_shifts_sources_and_keeps_seqs() {
-        let log = vec![rec(10, &[(2, 0), (3, 5)])];
-        let out = remap_installs(&log, 2);
-        assert_eq!(out[0].consumed[0], UpdateId { source: 0, seq: 0 });
-        assert_eq!(out[0].consumed[1], UpdateId { source: 1, seq: 5 });
-        assert_eq!(out[0].at, 10);
-    }
-
-    #[test]
-    fn remap_preserves_snapshots() {
-        let mut r = rec(10, &[(1, 0)]);
-        r.view_after = Some(Bag::from_tuples([tup![1]]).into());
-        let out = remap_installs(&[r], 1);
-        assert_eq!(out[0].view_after.as_ref().unwrap().distinct_len(), 1);
     }
 
     #[test]

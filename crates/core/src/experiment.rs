@@ -4,12 +4,12 @@ use crate::report::RunReport;
 use crate::runner::{
     build_sources, dispatch_to_source, inject_txns, net_setters, NetProfile, SimHarness,
 };
-use dw_consistency::{classify, Recorder};
+use dw_consistency::{classify, Recorder, SlotView};
 use dw_multiview::{EngineOptions, OneViewSweep};
-use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
-use dw_relational::{eval_view, Bag, RelationalError};
+use dw_protocol::{source_node, Message, WAREHOUSE_NODE};
+use dw_relational::RelationalError;
 use dw_serve::ServeError;
-use dw_simnet::{NodeId, Time};
+use dw_simnet::NodeId;
 use dw_source::{EcaSite, SourceError};
 use dw_warehouse::{CStrobe, Eca, MaintenancePolicy, Recompute, Strobe, WarehouseError};
 use dw_workload::GeneratedScenario;
@@ -151,9 +151,10 @@ impl Experiment {
         self
     }
 
-    /// Disable ground-truth tracking and classification (for big runs),
-    /// and with it the per-install view snapshots only the classifier
-    /// reads.
+    /// Disable classification (for big runs), and with it the
+    /// per-install view snapshots only the classifier reads. The
+    /// report's [`truth`](RunReport::truth) records every delivery
+    /// either way.
     pub fn check_consistency(mut self, on: bool) -> Self {
         self.check_consistency = on;
         self
@@ -178,8 +179,9 @@ impl Experiment {
         let scenario = &self.scenario;
         let view_def = scenario.view.clone();
         let n = view_def.num_relations();
-        let refs: Vec<&Bag> = scenario.initial.iter().collect();
-        let initial_view = eval_view(&view_def, &refs)?;
+        let mut truth = Recorder::new(scenario.initial.clone());
+        let truth_view = SlotView::base(view_def.clone(), 0);
+        let initial_view = truth.state(&truth_view, &|_| false)?;
 
         let mut policy: Box<dyn MaintenancePolicy> = match self.policy {
             PolicyKind::Sweep(opts) => Box::new(OneViewSweep::new(&view_def, initial_view, opts)?),
@@ -223,22 +225,14 @@ impl Experiment {
             )?;
         }
 
-        let mut recorder = self
-            .check_consistency
-            .then(|| Recorder::new(view_def.clone(), scenario.initial.clone()));
-
         inject_txns(&mut harness.net, &scenario.txns, |source| {
             source_node(if single_site { 0 } else { source })
         });
 
-        let mut delivery_log: Vec<(UpdateId, Time)> = Vec::new();
         harness.drive(|d, net| {
             if d.to == WAREHOUSE_NODE {
                 if let Message::Update(u) = &d.msg {
-                    delivery_log.push((u.id, d.at));
-                    if let Some(rec) = recorder.as_mut() {
-                        rec.record_delivery(u.id, d.at, u.delta.clone());
-                    }
+                    truth.record_delivery(u.id, d.at, u.delta.clone());
                 }
                 policy.on_message(d, net)?;
             } else if let Some(site) = eca_site.as_mut() {
@@ -252,9 +246,9 @@ impl Experiment {
             Ok(())
         })?;
 
-        let consistency = recorder
-            .as_ref()
-            .map(|rec| classify(rec, policy.installs(), policy.view()));
+        let consistency = self
+            .check_consistency
+            .then(|| classify(&truth, &truth_view, policy.installs(), policy.view()));
 
         // Quiescence means the policy has no sweep in flight AND the
         // transport has drained: no unacked frames, no reorder buffers,
@@ -272,7 +266,7 @@ impl Experiment {
             end_time: harness.net.now(),
             events: harness.events,
             trace: harness.net.trace().events().to_vec(),
-            delivery_log,
+            truth,
         })
     }
 }

@@ -18,23 +18,25 @@
 //! resolved between deliveries and reported in [`MultiViewReport::serve`].
 
 use crate::experiment::CoreError;
+use crate::report::message_accounting;
 use crate::runner::{
     build_sources, dispatch_to_source, inject_txns, net_setters, NetProfile, SimHarness,
 };
 use crate::serve::{ServeArm, ServeConfig, ServeOutcome};
 use dw_consistency::{
-    classify, mutual_consistency, remap_installs, ConsistencyLevel, ConsistencyReport,
-    MutualReport, Recorder, ViewLog,
+    classify, mutual_consistency, ConsistencyLevel, ConsistencyReport, MutualReport, Recorder,
+    SlotView, ViewLog,
 };
 use dw_multiview::{
     CascadeStats, DurabilityConfig, EngineOptions, MaintenanceScheduler, MvError, RecoveryStats,
     ShardStats, ViewId, ViewRegistry, NEEDS_DURABLE_STORE,
 };
 use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
-use dw_relational::{eval_view, Bag, ShardMap};
+use dw_relational::{Bag, ShardMap};
 use dw_simnet::{FaultPlan, NetHandle, NetStats, Time};
 use dw_warehouse::{InstallRecord, PolicyMetrics, WarehouseError};
 use dw_workload::{MultiViewScenario, ReadOp, ViewPolicy};
+use std::collections::HashSet;
 
 /// A configured multi-view experiment: scenario × partitioner ×
 /// scheduler options × read schedule × network profile.
@@ -88,9 +90,10 @@ impl MultiViewExperiment {
         self
     }
 
-    /// Disable ground-truth tracking and classification (for big runs),
-    /// and with it the per-install view snapshots only the classifier
-    /// reads.
+    /// Disable classification and mutual consistency (for big runs), and
+    /// with them the per-install view snapshots only the classifier
+    /// reads. The report's [`truth`](MultiViewReport::truth) records
+    /// every delivery either way.
     pub fn check_consistency(mut self, on: bool) -> Self {
         self.check_consistency = on;
         self
@@ -148,21 +151,16 @@ impl MultiViewExperiment {
             sched.seed_groups(bag);
         }
 
-        // Register every view with its correct initial contents; build a
-        // per-view recorder over the view's *local* definition (span
-        // coordinates), fed only with in-span deliveries.
+        // One record of what is delivered, for every view: each view
+        // registers with its truth state before anything is consumed.
+        let mut truth = Recorder::new(scenario.initial.clone());
         let mut ids: Vec<ViewId> = Vec::new();
-        let mut recorders: Vec<Option<Recorder>> = Vec::new();
+        let mut truth_views: Vec<SlotView> = Vec::new();
         for spec in &scenario.views {
-            let local = spec.compile(&base)?;
-            let refs: Vec<&Bag> = scenario.initial[spec.lo..=spec.hi].iter().collect();
-            let initial_view = eval_view(&local, &refs)?;
-            ids.push(sched.register(spec, initial_view)?);
-            recorders.push(self.check_consistency.then(|| {
-                Recorder::new(local.clone(), scenario.initial[spec.lo..=spec.hi].to_vec())
-            }));
+            let view = SlotView::base(spec.compile(&base)?, spec.lo);
+            ids.push(sched.register(spec, truth.state(&view, &|_| false)?)?);
+            truth_views.push(view);
         }
-        let spans: Vec<(usize, usize)> = scenario.views.iter().map(|s| (s.lo, s.hi)).collect();
         // Derived (view-over-view) registrations go on top of the base
         // set; order-independent resolution handles stacks given in any
         // order and rejects cycles/unknown parents up front. Reported in
@@ -188,10 +186,9 @@ impl MultiViewExperiment {
         let mut sources = build_sources(&base, &scenario.initial, false, obs)?;
         inject_txns(&mut harness.net, &scenario.txns, source_node);
 
-        let mut delivery_log: Vec<(UpdateId, Time)> = Vec::new();
         harness.drive(|d, net| {
             if let Some(arm) = serve.as_mut() {
-                arm.pump(Some(d.at), delivery_log.len())?;
+                arm.pump(Some(d.at), truth.deliveries().len())?;
             }
             if d.to != WAREHOUSE_NODE {
                 return dispatch_to_source(&mut sources, d, net);
@@ -202,40 +199,27 @@ impl MultiViewExperiment {
                 return recover(&mut sched, &mut restarts, d.at, net);
             }
             if let Message::Update(u) = &d.msg {
-                delivery_log.push((u.id, d.at));
-                // Each view's ground truth sees only in-span updates,
-                // with the source index shifted into span coordinates.
-                for (rec, &(lo, hi)) in recorders.iter_mut().zip(&spans) {
-                    let Some(rec) = rec else { continue };
-                    if (lo..=hi).contains(&u.id.source) {
-                        let local_id = UpdateId {
-                            source: u.id.source - lo,
-                            seq: u.id.seq,
-                        };
-                        rec.record_delivery(local_id, d.at, u.delta.clone());
-                    }
-                }
+                truth.record_delivery(u.id, d.at, u.delta.clone());
             }
             Ok(sched.on_message(d, net)?)
         })?;
         let serve = serve
-            .map(|arm| arm.finish(delivery_log.len()))
+            .map(|arm| arm.finish(truth.deliveries().len()))
             .transpose()?;
 
-        // Per-view outcomes: classify each install log (shifted into span
-        // coordinates) against the view's own recorder.
+        // Per-view outcomes: classify each install log against the truth
+        // of the view's span.
         let mut views: Vec<ViewOutcome> = Vec::new();
-        for (v, &id) in ids.iter().enumerate() {
+        for (&id, view) in ids.iter().zip(&truth_views) {
             let installs = sched.views().install_log(id)?.to_vec();
             let bag = sched.views().view_bag(id)?.clone();
-            let consistency = recorders[v].as_ref().map(|rec| {
-                let local_installs = remap_installs(&installs, spans[v].0);
-                classify(rec, &local_installs, &bag)
-            });
+            let consistency = self
+                .check_consistency
+                .then(|| classify(&truth, view, &installs, &bag));
             views.push(ViewOutcome {
                 name: sched.views().name(id)?.to_string(),
-                lo: spans[v].0,
-                hi: spans[v].1,
+                lo: view.lo,
+                hi: view.hi(),
                 policy: sched.views().policy(id)?,
                 view: bag.to_bag(),
                 installs,
@@ -244,7 +228,13 @@ impl MultiViewExperiment {
             });
         }
 
-        let derived = derived_outcomes(sched.views(), &derived_ids)?;
+        let reg = sched.views();
+        let names: Vec<&str> = reg
+            .ids()
+            .into_iter()
+            .map(|id| reg.name(id))
+            .collect::<Result<_, _>>()?;
+        let derived = derived_outcomes(reg, &derived_ids, &truth, scenario, &names)?;
 
         let mutual = self.check_consistency.then(|| {
             let logs: Vec<ViewLog<'_>> = views
@@ -283,7 +273,7 @@ impl MultiViewExperiment {
             quiescent: sched.is_quiescent() && transport_quiescent,
             end_time: harness.net.now(),
             events: harness.events,
-            delivery_log,
+            truth,
         })
     }
 }
@@ -323,33 +313,70 @@ impl From<MvError> for CoreError {
     }
 }
 
+/// What registry slot `slot` of a run over `scenario` evaluates to in the
+/// truth, given every slot's name in slot order (base views first, then
+/// derived views). A base slot is its spec's span; a derived slot walks
+/// the DAG up to its base ancestor — each parent resolved by name to the
+/// first slot carrying it, as the registry resolved it — collecting the
+/// operators on the way.
+pub(crate) fn slot_view(
+    scenario: &MultiViewScenario,
+    names: &[&str],
+    slot: usize,
+) -> Result<SlotView, CoreError> {
+    let no_view = |at: usize| CoreError::Multi(format!("oracle: no view {at}"));
+    let mut ops = Vec::new();
+    let mut at = slot;
+    while at >= scenario.views.len() {
+        let name = names.get(at).ok_or_else(|| no_view(at))?;
+        let spec = scenario.derived.iter().find(|d| d.name == *name);
+        let spec = spec.ok_or_else(|| no_view(at))?;
+        ops.insert(0, spec.op.clone());
+        let parent = names[..at].iter().position(|n| *n == spec.parent);
+        at = parent.ok_or_else(|| no_view(at))?;
+    }
+    let spec = &scenario.views[at];
+    Ok(SlotView {
+        ops,
+        ..SlotView::base(spec.compile(&scenario.base)?, spec.lo)
+    })
+}
+
 /// Build end-of-run outcomes for every derived view, auditing each
-/// install epoch against a fresh recompute of the operator over the
-/// parent's snapshot at the *same* epoch. The cascade consumes the same
-/// update ids as the parent install, so the two logs align 1:1 — any
-/// length difference is itself counted as a mismatch.
-fn derived_outcomes(reg: &ViewRegistry, ids: &[ViewId]) -> Result<Vec<DerivedOutcome>, CoreError> {
+/// install epoch against the truth of the derived slot — its operator
+/// chain over its base ancestor's span — at everything installs up to
+/// that epoch consumed. The cascade consumes the same update ids as the
+/// parent install, so the two logs align 1:1 — any length difference is
+/// itself counted as a mismatch.
+fn derived_outcomes(
+    reg: &ViewRegistry,
+    ids: &[ViewId],
+    truth: &Recorder,
+    scenario: &MultiViewScenario,
+    names: &[&str],
+) -> Result<Vec<DerivedOutcome>, CoreError> {
     let mut out = Vec::new();
     for &id in ids {
         let (Some(parent), Some(op)) = (reg.parent_of(id)?, reg.derived_op(id)?) else {
             let what = "derived outcome requested for a base view";
             return Err(MvError::Internal { what }.into());
         };
+        let view = slot_view(scenario, names, id.index())?;
         let installs = reg.install_log(id)?.to_vec();
-        let parent_installs = reg.install_log(parent)?;
         let mut epochs_audited = 0usize;
-        let mut epoch_mismatches = installs.len().abs_diff(parent_installs.len());
-        for (mine, theirs) in installs.iter().zip(parent_installs.iter()) {
-            if let (Some(child_after), Some(parent_after)) = (&mine.view_after, &theirs.view_after)
-            {
+        let mut epoch_mismatches = installs.len().abs_diff(reg.install_log(parent)?.len());
+        let mut consumed: HashSet<UpdateId> = HashSet::new();
+        for rec in &installs {
+            consumed.extend(&rec.consumed);
+            if let Some(after) = &rec.view_after {
                 epochs_audited += 1;
-                if *child_after != op.eval(&parent_after.to_bag())? {
+                if *after != truth.state(&view, &|id| consumed.contains(&id))? {
                     epoch_mismatches += 1;
                 }
             }
         }
         let final_matches_oracle =
-            *reg.view_bag(id)? == op.eval(&reg.view_bag(parent)?.to_bag())?;
+            *reg.view_bag(id)? == truth.state(&view, &|id| consumed.contains(&id))?;
         out.push(DerivedOutcome {
             name: reg.name(id)?.to_string(),
             parent: reg.name(parent)?.to_string(),
@@ -366,8 +393,8 @@ fn derived_outcomes(reg: &ViewRegistry, ids: &[ViewId]) -> Result<Vec<DerivedOut
     Ok(out)
 }
 
-/// One derived (view-over-view) view's end-of-run state, plus its
-/// fresh-recompute oracle audit.
+/// One derived (view-over-view) view's end-of-run state, plus its audit
+/// against the run's truth.
 #[derive(Clone, Debug)]
 pub struct DerivedOutcome {
     /// Display name from the spec.
@@ -387,12 +414,13 @@ pub struct DerivedOutcome {
     /// Install epochs whose snapshots were compared against the oracle
     /// (0 when snapshot recording was off).
     pub epochs_audited: usize,
-    /// Audited epochs where the incremental contents differed from a
-    /// fresh recompute over the parent's same-epoch snapshot, plus any
+    /// Audited epochs where the incremental contents differed from the
+    /// truth — the operator chain freshly evaluated over the base
+    /// ancestor's state at the epoch's consumed set — plus any
     /// epoch-count misalignment with the parent. Must be 0.
     pub epoch_mismatches: usize,
-    /// Final contents equal the operator freshly evaluated over the
-    /// parent's final contents (checked even with snapshots off).
+    /// Final contents equal the truth at everything the view's installs
+    /// consumed (checked even with snapshots off).
     pub final_matches_oracle: bool,
 }
 
@@ -465,52 +493,40 @@ pub struct MultiViewReport {
     pub end_time: Time,
     /// Deliveries processed.
     pub events: u64,
-    /// Warehouse delivery log `(update, delivery time)` in delivery order.
-    pub delivery_log: Vec<(UpdateId, Time)>,
+    /// What the warehouse was delivered: every update once, in delivery
+    /// order, over the base chain's initial relations — the ground truth
+    /// every view's classification and every oracle audit reads.
+    pub truth: Recorder,
 }
 
 impl MultiViewReport {
-    /// Query/answer round-trip messages (excludes the update stream).
-    pub fn query_messages(&self) -> u64 {
-        ["query", "answer"]
-            .iter()
-            .map(|l| self.net.label(l).messages)
-            .sum()
+    message_accounting!(scheduler_metrics);
+
+    /// Warehouse delivery log `(update, delivery time)` in delivery order.
+    pub fn delivery_log(&self) -> Vec<(UpdateId, Time)> {
+        self.truth.delivery_log()
     }
 
-    /// Query/answer messages per warehouse-received update — the E14
-    /// column: `≤ 2(n−1)` regardless of view count, where one warehouse
-    /// per view would pay that once per view.
-    pub fn messages_per_update(&self) -> f64 {
-        if self.scheduler_metrics.updates_received == 0 {
-            return 0.0;
-        }
-        self.query_messages() as f64 / self.scheduler_metrics.updates_received as f64
-    }
-
-    /// Query/answer messages counted once at send time, however often
-    /// the fault layer repeated them on the wire.
-    pub fn logical_query_messages(&self) -> u64 {
-        ["query", "answer"]
-            .iter()
-            .map(|l| self.net.label_logical(l).messages)
-            .sum()
-    }
-
-    /// Logical query/answer messages per update — robust to
-    /// retransmission inflation under faults.
-    pub fn logical_messages_per_update(&self) -> f64 {
-        if self.scheduler_metrics.updates_received == 0 {
-            return 0.0;
-        }
-        self.logical_query_messages() as f64 / self.scheduler_metrics.updates_received as f64
+    /// What registry slot `slot` evaluates to in [`truth`](Self::truth):
+    /// the span of its view in `scenario`, or a derived view's operator
+    /// chain over its base ancestor's span.
+    pub(crate) fn slot_view(
+        &self,
+        scenario: &MultiViewScenario,
+        slot: usize,
+    ) -> Result<SlotView, CoreError> {
+        let base = self.views.iter().map(|v| v.name.as_str());
+        let names: Vec<&str> = base
+            .chain(self.derived.iter().map(|d| d.name.as_str()))
+            .collect();
+        slot_view(scenario, &names, slot)
     }
 
     /// Makespan of the maintenance work (µs): last install time minus
     /// first transaction arrival — the virtual-time quantity E18's
     /// speedup gate divides.
     pub fn makespan(&self) -> Time {
-        let first = self.delivery_log.iter().map(|&(_, at)| at).min();
+        let first = self.truth.deliveries().iter().map(|d| d.at).min();
         let installs = self.views.iter().flat_map(|v| v.installs.iter());
         match (first, installs.map(|r| r.at).max()) {
             (Some(f), Some(l)) if l > f => l - f,
@@ -526,8 +542,7 @@ impl MultiViewReport {
     }
 
     /// Every derived view passed its oracle audit: zero per-epoch
-    /// mismatches and final contents equal to a fresh recompute over the
-    /// parent.
+    /// mismatches and final contents equal to the truth.
     pub fn derived_clean(&self) -> bool {
         self.derived
             .iter()
@@ -810,6 +825,40 @@ mod tests {
     }
 
     #[test]
+    fn one_record_holds_each_delivery_once_for_every_view() {
+        // E14's shape at eight views: the truth records every delivered
+        // delta once, however many views read it.
+        let stream = StreamConfig {
+            n_sources: 4,
+            initial_per_source: 20,
+            updates: 30,
+            mean_gap: 800,
+            domain: 10,
+            seed: 31,
+            ..Default::default()
+        };
+        let scenario = MultiViewConfig {
+            stream,
+            n_views: 8,
+            view_seed: 0xE14 ^ 8,
+            full_span: true,
+            n_derived: 0,
+            derived_seed: 0,
+        }
+        .generate()
+        .unwrap();
+        let report = MultiViewExperiment::new(scenario)
+            .latency(LatencyModel::Constant(2_000))
+            .run()
+            .unwrap();
+        let delivered = report.truth.deliveries().len() as u64;
+        assert_eq!(delivered, report.scheduler_metrics.updates_received);
+        assert_eq!(delivered, 30);
+        assert_eq!(report.views.len(), 8);
+        assert!(report.min_consistency() >= Some(ConsistencyLevel::Strong));
+    }
+
+    #[test]
     fn staleness_percentiles_are_reported() {
         let scenario = config(3, 9).generate().unwrap();
         let report = MultiViewExperiment::new(scenario).run().unwrap();
@@ -964,7 +1013,7 @@ mod tests {
             for (f, c) in faulted.views.iter().zip(clean.views.iter()) {
                 assert_eq!(f.view, c.view);
             }
-            let arrived = faulted.delivery_log.iter().map(|&(id, _)| vec![id]);
+            let arrived = faulted.delivery_log().into_iter().map(|(id, _)| vec![id]);
             let arrival_order: Vec<Vec<UpdateId>> = arrived.collect();
             for installed in faulted.install_fingerprint() {
                 assert_eq!(installed, arrival_order);

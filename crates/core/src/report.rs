@@ -1,10 +1,69 @@
-//! Run results.
+//! Run results, and the message accounting both reports share.
 
-use dw_consistency::{ConsistencyReport, LagSeries};
+use dw_consistency::{ConsistencyReport, LagSeries, Recorder};
 use dw_protocol::UpdateId;
 use dw_relational::Bag;
-use dw_simnet::{NetStats, Time, TraceEvent};
+use dw_simnet::{LinkStats, NetStats, Time, TraceEvent};
 use dw_warehouse::{InstallRecord, PolicyMetrics};
+
+/// Every policy's query/answer labels: sweep hops, ECA's queries and
+/// Recompute's dumps. A scheduler run sends only the first two.
+const QUERY_LABELS: [&str; 6] = [
+    "query",
+    "answer",
+    "eca_query",
+    "eca_answer",
+    "dump_query",
+    "dump_answer",
+];
+
+/// Query/answer messages in `net`, per label as `count` sees it: on the
+/// wire ([`NetStats::label`]) or logically ([`NetStats::label_logical`]:
+/// each once at send time, however often the fault layer and the
+/// transport made the wire repeat it).
+pub(crate) fn query_messages(net: &NetStats, count: fn(&NetStats, &str) -> LinkStats) -> u64 {
+    QUERY_LABELS.iter().map(|l| count(net, l).messages).sum()
+}
+
+/// `messages` per update (0 for a run that received none).
+pub(crate) fn per_update(messages: u64, updates: u64) -> f64 {
+    if updates == 0 {
+        return 0.0;
+    }
+    messages as f64 / updates as f64
+}
+
+/// The message accounting of a report with a `net: NetStats` field and
+/// a `PolicyMetrics` field `$metrics` counting the updates the warehouse
+/// received, as inherent methods.
+macro_rules! message_accounting {
+    ($metrics:ident) => {
+        /// Query/answer round-trip messages (excludes the update stream).
+        pub fn query_messages(&self) -> u64 {
+            $crate::report::query_messages(&self.net, dw_simnet::NetStats::label)
+        }
+
+        /// Query/answer messages per warehouse-received update — Table
+        /// 1's column, and E14's: `2(n−1)` for SWEEP whatever the view
+        /// count.
+        pub fn messages_per_update(&self) -> f64 {
+            $crate::report::per_update(self.query_messages(), self.$metrics.updates_received)
+        }
+
+        /// Query/answer messages counted once at send time — under faults
+        /// the number the paper's `2(n−1)` claim (E6) is about.
+        pub fn logical_query_messages(&self) -> u64 {
+            $crate::report::query_messages(&self.net, dw_simnet::NetStats::label_logical)
+        }
+
+        /// Logical query/answer messages per update.
+        pub fn logical_messages_per_update(&self) -> f64 {
+            let updates = self.$metrics.updates_received;
+            $crate::report::per_update(self.logical_query_messages(), updates)
+        }
+    };
+}
+pub(crate) use message_accounting;
 
 /// Everything observable from one experiment run.
 #[derive(Clone, Debug)]
@@ -29,60 +88,17 @@ pub struct RunReport {
     pub events: u64,
     /// Network trace (when tracing was enabled).
     pub trace: Vec<TraceEvent>,
-    /// Warehouse delivery log `(update, delivery time)` in delivery order.
-    pub delivery_log: Vec<(UpdateId, Time)>,
+    /// What the warehouse was delivered: every update once, in delivery
+    /// order, over the initial relations — the run's ground truth.
+    pub truth: Recorder,
 }
 
 impl RunReport {
-    /// Query/answer round-trip messages only (excludes the update stream).
-    pub fn query_messages(&self) -> u64 {
-        [
-            "query",
-            "answer",
-            "eca_query",
-            "eca_answer",
-            "dump_query",
-            "dump_answer",
-        ]
-        .iter()
-        .map(|l| self.net.label(l).messages)
-        .sum()
-    }
+    message_accounting!(metrics);
 
-    /// Query/answer messages per processed update — the Table 1 column.
-    pub fn messages_per_update(&self) -> f64 {
-        if self.metrics.updates_received == 0 {
-            return 0.0;
-        }
-        self.query_messages() as f64 / self.metrics.updates_received as f64
-    }
-
-    /// Query/answer round trips counted *logically* — each message once at
-    /// send time, however often the fault layer and the transport made the
-    /// wire repeat it. Under faults this is the number the paper's
-    /// `2(n−1)` claim (E6) is about; on a clean run it equals
-    /// [`RunReport::query_messages`].
-    pub fn logical_query_messages(&self) -> u64 {
-        [
-            "query",
-            "answer",
-            "eca_query",
-            "eca_answer",
-            "dump_query",
-            "dump_answer",
-        ]
-        .iter()
-        .map(|l| self.net.label_logical(l).messages)
-        .sum()
-    }
-
-    /// Logical query/answer messages per processed update — the Table 1
-    /// column, robust to retransmission inflation.
-    pub fn logical_messages_per_update(&self) -> f64 {
-        if self.metrics.updates_received == 0 {
-            return 0.0;
-        }
-        self.logical_query_messages() as f64 / self.metrics.updates_received as f64
+    /// Warehouse delivery log `(update, delivery time)` in delivery order.
+    pub fn delivery_log(&self) -> Vec<(UpdateId, Time)> {
+        self.truth.delivery_log()
     }
 
     /// Bytes the reliability transport added to the wire: retransmitted
@@ -99,7 +115,7 @@ impl RunReport {
     /// View lag over time — how far the view trails the delivered updates
     /// (the §3 "trailing" phenomenon, quantified).
     pub fn lag_series(&self) -> LagSeries {
-        LagSeries::new(&self.delivery_log, &self.installs)
+        LagSeries::new(&self.delivery_log(), &self.installs)
     }
 }
 
@@ -140,8 +156,9 @@ mod tests {
     #[test]
     fn delivery_log_matches_metrics() {
         let r = run();
-        assert_eq!(r.delivery_log.len() as u64, r.metrics.updates_received);
-        assert!(r.delivery_log.windows(2).all(|w| w[0].1 <= w[1].1));
+        let log = r.delivery_log();
+        assert_eq!(log.len() as u64, r.metrics.updates_received);
+        assert!(log.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     #[test]

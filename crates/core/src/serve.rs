@@ -12,22 +12,23 @@
 //! The outcome carries enough provenance for an external oracle: each
 //! [`ReadOutcome`] records the epoch it was answered from and the
 //! length of the delivery-log prefix visible at issue time, so
-//! [`oracle_view_at_epoch`] can recompute the pinned contents from the
-//! scenario's initial relations and transaction stream, and
-//! [`oracle_expects_rejection`] can re-derive every staleness verdict.
+//! [`oracle_view_at_epoch`] can evaluate the pinned contents in the
+//! run's truth ([`MultiViewReport::truth`]) — for base and derived slots
+//! alike — and [`oracle_expects_rejection`] can re-derive every
+//! staleness verdict from the same record.
 //!
 //! [`MultiViewExperiment`]: crate::MultiViewExperiment
 //! [`MultiViewExperiment::reads`]: crate::MultiViewExperiment::reads
 //! [`MultiViewReport::serve`]: crate::MultiViewReport::serve
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::experiment::CoreError;
 use crate::multi_experiment::MultiViewReport;
 use dw_multiview::{MaintenanceScheduler, ViewId};
 use dw_protocol::UpdateId;
-use dw_relational::{eval_view, Bag, SharedBag, Tuple, Value};
+use dw_relational::{Bag, SharedBag, Tuple, Value};
 use dw_serve::{
     InstallDelta, InstallEvent, PinnedEpoch, ReadFrontend, ServeError, ServeStats, StalenessBound,
 };
@@ -89,7 +90,7 @@ impl ServeArm {
     /// subscriptions start at epoch 0 on every slot, so their streams
     /// must replay each view's full install fingerprint; bounded ones
     /// (the lag arm, drained by `ReadKind::Poll` ops and at quiescence)
-    /// cover base views only — their resume snapshots are auditable
+    /// cover base views only; their resume snapshots are audited
     /// against [`oracle_view_at_epoch`].
     pub fn open(
         cfg: ServeConfig,
@@ -338,7 +339,7 @@ pub struct ReadOutcome {
     /// subscriptions, the epoch the stream starts after).
     pub epoch: u64,
     /// Warehouse deliveries visible when the op resolved — a prefix
-    /// length into [`MultiViewReport::delivery_log`].
+    /// length into [`MultiViewReport::truth`]'s deliveries.
     pub deliveries_seen: usize,
     /// What happened.
     pub result: ReadResult,
@@ -522,20 +523,17 @@ impl OracleAudit {
     }
 }
 
-/// Audit every read in `report` against the oracles: answered point and
-/// scan reads must equal a fresh recompute of the view at their pinned
-/// epoch ([`oracle_view_at_epoch`]), and each accept/reject verdict
-/// must match [`oracle_expects_rejection`].
+/// Audit every read in `report` — on base and derived slots alike —
+/// against the oracles: answered point and scan reads must equal the
+/// truth of the view at their pinned epoch ([`oracle_view_at_epoch`]),
+/// and each accept/reject verdict must match [`oracle_expects_rejection`].
 pub fn audit_reads(
     scenario: &MultiViewScenario,
     report: &MultiViewReport,
 ) -> Result<OracleAudit, CoreError> {
     let mut audit = OracleAudit::default();
     for read in &report.served()?.reads {
-        let truth = || {
-            let installs = report.installs_for_slot(read.op.view).unwrap_or_default();
-            oracle_view_at_epoch(scenario, read.op.view, installs, read.epoch)
-        };
+        let truth = || oracle_view_at_epoch(scenario, report, read.op.view, read.epoch);
         // `None`: rejected; `Some(ok)`: answered, contents matched or not.
         let answer = match (&read.result, &read.op.kind) {
             (ReadResult::Subscribed { .. } | ReadResult::Polled { .. }, _) => continue,
@@ -621,7 +619,8 @@ pub fn audit_lag_recoveries(
         let installs = report
             .installs_for_slot(sub.view)
             .ok_or_else(|| CoreError::Multi(format!("lag audit: no slot {}", sub.view)))?;
-        let mut running = oracle_view_at_epoch(scenario, sub.view, installs, sub.from_epoch)?;
+        let oracle = |epoch| oracle_view_at_epoch(scenario, report, sub.view, epoch);
+        let mut running = oracle(sub.from_epoch)?;
         let mut next = sub.from_epoch + 1;
         for ev in &sub.events {
             match ev {
@@ -636,8 +635,7 @@ pub fn audit_lag_recoveries(
                 LagEvent::Lagged { .. } => audit.lag_events += 1,
                 LagEvent::Resumed { epoch, snapshot } => {
                     audit.resumes += 1;
-                    let truth = oracle_view_at_epoch(scenario, sub.view, installs, *epoch)?;
-                    if snapshot != &truth {
+                    if snapshot != &oracle(*epoch)? {
                         audit.snapshot_mismatches += 1;
                     }
                     running = snapshot.to_bag();
@@ -652,57 +650,35 @@ pub fn audit_lag_recoveries(
             audit.final_mismatches += 1;
             continue;
         }
-        let truth = oracle_view_at_epoch(scenario, sub.view, installs, last)?;
-        if running != truth {
+        if running != oracle(last)? {
             audit.final_mismatches += 1;
         }
     }
     Ok(audit)
 }
 
-/// Recompute a view's contents at epoch `e` from first principles: the
-/// scenario's initial relations with the deltas of every transaction
-/// consumed by installs `1..=e` applied, evaluated through the view
-/// definition. This is the ground truth a snapshot read at a pinned
-/// epoch must equal.
+/// Slot `slot`'s contents at epoch `epoch` in the run's truth: its view
+/// — a base view's span, or a derived view's operator chain over its
+/// base ancestor's — evaluated over every delivery that installs
+/// `1..=epoch` consumed. This is the ground truth a snapshot read at a
+/// pinned epoch must equal.
 pub fn oracle_view_at_epoch(
     scenario: &MultiViewScenario,
-    view_index: usize,
-    installs: &[InstallRecord],
+    report: &MultiViewReport,
+    slot: usize,
     epoch: u64,
 ) -> Result<Bag, CoreError> {
-    let spec = scenario
-        .views
-        .get(view_index)
-        .ok_or_else(|| CoreError::Multi(format!("oracle: no view {view_index}")))?;
-    let local = spec.compile(&scenario.base)?;
-    let mut shadows: Vec<Bag> = scenario.initial[spec.lo..=spec.hi].to_vec();
-    if epoch > 0 {
-        let deltas = txn_deltas(scenario);
-        for rec in installs.iter().take(epoch as usize) {
-            for id in &rec.consumed {
-                let delta = deltas.get(id).ok_or_else(|| {
-                    CoreError::Multi(format!("oracle: consumed unknown update {id:?}"))
-                })?;
-                let shadow = id.source.checked_sub(spec.lo);
-                let shadow = shadow.and_then(|i| shadows.get_mut(i)).ok_or_else(|| {
-                    CoreError::Multi(format!(
-                        "oracle: view {view_index} (span {}..={}) consumed out-of-span update {id:?}",
-                        spec.lo, spec.hi
-                    ))
-                })?;
-                shadow.merge(delta);
-            }
-        }
-    }
-    let refs: Vec<&Bag> = shadows.iter().collect();
-    Ok(eval_view(&local, &refs)?)
+    let view = report.slot_view(scenario, slot)?;
+    let installs = report.installs_for_slot(slot).unwrap_or_default();
+    let consumed = consumed_through(installs, epoch);
+    Ok(report.truth.state(&view, &|id| consumed.contains(&id))?)
 }
 
 /// Whether the staleness oracle expects this read to have been
-/// rejected: some in-span update was delivered before the bound's
-/// cutoff (within the delivery prefix visible at issue time) yet was
-/// not consumed by any install up to the pinned epoch.
+/// rejected: some update from the slot's span — a derived slot's is its
+/// base ancestor's — was delivered before the bound's cutoff (within the
+/// delivery prefix visible at issue time) yet was not consumed by any
+/// install up to the pinned epoch.
 pub fn oracle_expects_rejection(
     scenario: &MultiViewScenario,
     report: &MultiViewReport,
@@ -711,51 +687,25 @@ pub fn oracle_expects_rejection(
     let Some(window) = read.op.bound_window else {
         return false;
     };
-    let (Some(spec), Some(outcome)) = (
-        scenario.views.get(read.op.view),
-        report.views.get(read.op.view),
+    let (Ok(view), Some(installs)) = (
+        report.slot_view(scenario, read.op.view),
+        report.installs_for_slot(read.op.view),
     ) else {
         return false;
     };
     let cutoff = read.op.at.saturating_sub(window);
-    // First delivery time per update within the visible prefix (the
-    // store also keeps the first).
-    let mut first_seen: HashMap<UpdateId, Time> = HashMap::new();
-    for &(id, at) in report.delivery_log.iter().take(read.deliveries_seen) {
-        first_seen.entry(id).or_insert(at);
-    }
-    let consumed: HashSet<UpdateId> = outcome
-        .installs
-        .iter()
-        .take(read.epoch as usize)
-        .flat_map(|r| r.consumed.iter().copied())
-        .collect();
-    first_seen.iter().any(|(id, &at)| {
-        spec.lo <= id.source && id.source <= spec.hi && at < cutoff && !consumed.contains(id)
-    })
+    let consumed = consumed_through(installs, read.epoch);
+    // Deliveries are time-ordered: an update redelivered before the
+    // cutoff was first delivered before it too (the time the store keeps).
+    let visible = report.truth.deliveries().iter().take(read.deliveries_seen);
+    let mut in_span = visible.filter(|d| view.spans(d.id.source));
+    in_span.any(|d| d.at < cutoff && !consumed.contains(&d.id))
 }
 
-/// Per-update transaction deltas, keyed by the `UpdateId` each source
-/// will stamp: sources emit one update per applied transaction, with
-/// per-source sequence numbers following injection (time) order.
-fn txn_deltas(scenario: &MultiViewScenario) -> HashMap<UpdateId, Bag> {
-    let mut next_seq: HashMap<usize, u64> = HashMap::new();
-    let mut map = HashMap::new();
-    let mut order: Vec<usize> = (0..scenario.txns.len()).collect();
-    order.sort_by_key(|&i| (scenario.txns[i].at, i));
-    for i in order {
-        let t = &scenario.txns[i];
-        let seq = next_seq.entry(t.source).or_insert(0);
-        map.insert(
-            UpdateId {
-                source: t.source,
-                seq: *seq,
-            },
-            t.delta.clone(),
-        );
-        *seq += 1;
-    }
-    map
+/// Every update installs `1..=epoch` consumed.
+fn consumed_through(installs: &[InstallRecord], epoch: u64) -> HashSet<UpdateId> {
+    let installs = installs.iter().take(epoch as usize);
+    installs.flat_map(|r| r.consumed.iter().copied()).collect()
 }
 
 #[cfg(test)]
@@ -804,13 +754,8 @@ mod tests {
         for read in &report.served().unwrap().reads {
             match &read.result {
                 ReadResult::Scan { bag } => {
-                    let truth = oracle_view_at_epoch(
-                        scenario,
-                        read.op.view,
-                        &report.views[read.op.view].installs,
-                        read.epoch,
-                    )
-                    .unwrap();
+                    let truth =
+                        oracle_view_at_epoch(scenario, report, read.op.view, read.epoch).unwrap();
                     assert_eq!(bag, &truth, "scan at epoch {} drifted", read.epoch);
                     assert!(!oracle_expects_rejection(scenario, report, read));
                 }
@@ -818,13 +763,8 @@ mod tests {
                     multiplicity,
                     matches,
                 } => {
-                    let truth = oracle_view_at_epoch(
-                        scenario,
-                        read.op.view,
-                        &report.views[read.op.view].installs,
-                        read.epoch,
-                    )
-                    .unwrap();
+                    let truth =
+                        oracle_view_at_epoch(scenario, report, read.op.view, read.epoch).unwrap();
                     let ReadKind::Point { column, key } = read.op.kind else {
                         panic!("point outcome from non-point op");
                     };

@@ -47,11 +47,11 @@ fn sweep_stays_complete_under_faults_with_transport() {
         .unwrap();
     assert!(report.quiescent, "transport must drain");
     assert_eq!(
-        report.consistency.unwrap().level,
+        report.consistency.as_ref().unwrap().level,
         ConsistencyLevel::Complete
     );
     assert_eq!(report.metrics.installs, report.metrics.updates_received);
-    let fifo = verify_fifo(&report.delivery_log);
+    let fifo = verify_fifo(&report.delivery_log());
     assert!(
         fifo.ok(),
         "channel contract breached: {:?}",
@@ -82,13 +82,13 @@ fn updates_are_exactly_once_under_duplication() {
         .transport_auto()
         .run()
         .unwrap();
-    let ids: HashSet<_> = report.delivery_log.iter().map(|(id, _)| *id).collect();
+    let ids: HashSet<_> = report.delivery_log().iter().map(|(id, _)| *id).collect();
     assert_eq!(
         ids.len(),
-        report.delivery_log.len(),
+        report.delivery_log().len(),
         "transport must deduplicate the update stream"
     );
-    assert!(verify_fifo(&report.delivery_log).ok());
+    assert!(verify_fifo(&report.delivery_log()).ok());
     assert_eq!(
         report.consistency.unwrap().level,
         ConsistencyLevel::Complete
@@ -106,7 +106,7 @@ fn duplication_without_transport_breaches_the_channel_contract() {
     {
         Err(_) => {} // duplicate updates corrupted an install outright
         Ok(report) => {
-            let fifo = verify_fifo(&report.delivery_log);
+            let fifo = verify_fifo(&report.delivery_log());
             assert!(
                 fifo.duplicates() > 0,
                 "80% duplication must show up in the delivery log"
@@ -206,7 +206,7 @@ fn deterministic_replay_under_faults_and_transport() {
     };
     let (a, b) = (run(), run());
     assert_eq!(a.view, b.view);
-    assert_eq!(a.delivery_log, b.delivery_log);
+    assert_eq!(a.delivery_log(), b.delivery_log());
     assert_eq!(a.events, b.events);
     assert_eq!(a.net.total(), b.net.total());
     assert_eq!(

@@ -11,11 +11,12 @@
 //!   [`SweepRun::merge`] — §5.3's parallel-sweep merge, generalized to
 //!   arbitrary spans;
 //! * [`InstallSink`] — atomic install with staleness accounting, the
-//!   install log the consistency checker reads, and the publish hook;
-//! * [`SweepPolicy`]/[`dispatch`] — the strategy hook: the scheduler's
-//!   lanes and the Strobe family decide *which* concurrent updates a hop
-//!   compensates for and *when* the result installs, the engine routes
-//!   deliveries and keeps the shared counters honest.
+//!   install log the consistency checker reads, and the publish hook.
+//!
+//! The strategy stays with the adapters: the scheduler's lanes and the
+//! Strobe family each match their own messages and decide *which*
+//! concurrent updates a hop compensates for and *when* the result
+//! installs.
 //!
 //! Observability: the engine emits its own `engine.hop` span nested under
 //! the adapter's hop span, bumps `engine.compensations` next to the
@@ -30,11 +31,11 @@ use crate::metrics::PolicyMetrics;
 use crate::queue::{PendingUpdate, UpdateQueue};
 use crate::view::MaterializedView;
 use dw_obs::{Obs, SpanId};
-use dw_protocol::{source_node, Message, SourceUpdate, SweepQuery, UpdateId, WAREHOUSE_NODE};
+use dw_protocol::{source_node, Message, SweepQuery, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{
     extend_hop, merge_pivot, Bag, JoinSide, Neighbor, PartialDelta, Predicate, SharedBag, ViewDef,
 };
-use dw_simnet::{Delivery, NetHandle, Time};
+use dw_simnet::{NetHandle, Time};
 
 /// The span and counter names an adapter wants the engine to emit on its
 /// behalf, so each executor keeps its historical trace vocabulary
@@ -108,7 +109,8 @@ impl SweepCtx {
 }
 
 /// The shared sweep mechanism: query plumbing, compensation, metrics,
-/// and span bookkeeping. Strategies ([`SweepPolicy`] impls) own one.
+/// and span bookkeeping. Each strategy (the scheduler, Strobe, C-strobe)
+/// owns one.
 pub struct EngineCore {
     /// The (base) view definition sweeps evaluate against.
     pub view: ViewDef,
@@ -636,70 +638,10 @@ impl InstallSink {
     }
 }
 
-/// The strategy hook: what distinguishes the scheduler's lanes (SWEEP and
-/// Nested SWEEP, one view or many) from the Strobe family once the
-/// mechanism lives in [`EngineCore`]. Implementors decide which hops to
-/// take and when to install; [`dispatch`] routes deliveries and keeps the
-/// shared counters.
-pub trait SweepPolicy {
-    /// The adapter's error type (`WarehouseError`, or a wrapper of it).
-    type Err: From<WarehouseError>;
-
-    /// Short policy name for error reports.
-    fn name(&self) -> &'static str;
-
-    /// The mechanism this strategy drives.
-    fn core(&mut self) -> &mut EngineCore;
-
-    /// Strategy-specific bookkeeping on update arrival (global-txn tags,
-    /// per-view counters, durability journaling), before the update is
-    /// queued. `at` is the delivery time the update will be queued under.
-    fn note_update(&mut self, _u: &SourceUpdate, _at: Time) -> Result<(), Self::Err> {
-        Ok(())
-    }
-
-    /// An update was queued: start work if the strategy is idle.
-    fn kick(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), Self::Err>;
-
-    /// A sweep answer arrived.
-    fn on_answer(
-        &mut self,
-        qid: u64,
-        partial: PartialDelta,
-        net: &mut dyn NetHandle<Message>,
-    ) -> Result<(), Self::Err>;
-}
-
-/// Route one warehouse delivery into a strategy: updates are counted,
-/// noted, queued, and the strategy kicked; answers are counted and
-/// forwarded; anything else is rejected.
-pub fn dispatch<P: SweepPolicy + ?Sized>(
-    policy: &mut P,
-    delivery: Delivery<Message>,
-    net: &mut dyn NetHandle<Message>,
-) -> Result<(), P::Err> {
-    match delivery.msg {
-        Message::Update(u) => {
-            policy.core().metrics.updates_received += 1;
-            policy.note_update(&u, delivery.at)?;
-            policy.core().queue.push(u, delivery.at);
-            policy.kick(net)
-        }
-        Message::SweepAnswer(a) => {
-            policy.core().metrics.answers_received += 1;
-            policy.on_answer(a.qid, a.partial, net)
-        }
-        other => Err(WarehouseError::UnexpectedMessage {
-            policy: policy.name(),
-            label: dw_simnet::Payload::label(&other),
-        }
-        .into()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dw_protocol::SourceUpdate;
     use dw_relational::{tup, Schema, ViewDefBuilder};
     use dw_simnet::Network;
 

@@ -9,12 +9,13 @@
 //!   against the FIFO update queue, pivot merging of parallel legs
 //!   ([`SweepRun::merge`]), and atomic install with staleness accounting
 //!   ([`InstallSink`]).
-//! * **Strategy** ([`SweepPolicy`] implementors): the scheduler's lanes
-//!   (SWEEP and Nested SWEEP over one view or many — a lane stacks Figure
-//!   6's child runs up to [`EngineOptions::depth`] — with in-order release)
-//!   and the Strobe family's key-based actions are thin adapters that
-//!   decide *which* concurrent updates a hop compensates for and *when*
-//!   to install, all driving the same mechanism.
+//! * **Strategy** (the adapters, each matching its own messages): the
+//!   scheduler's lanes (SWEEP and Nested SWEEP over one view or many — a
+//!   lane stacks Figure 6's child runs up to [`EngineOptions::depth`] —
+//!   with in-order release) and the Strobe family's key-based actions are
+//!   thin adapters that decide *which* concurrent updates a hop
+//!   compensates for and *when* to install, all driving the same
+//!   mechanism.
 //!
 //! The transport is abstracted behind [`dw_simnet::NetHandle`], which both
 //! the deterministic simulator ([`dw_simnet::Network`]) and the live
@@ -46,8 +47,7 @@ pub mod sequencer;
 pub mod view;
 
 pub use crate::core::{
-    dispatch, EngineCore, Hop, HopSpan, InstallSink, SinkImage, SpanLabels, SweepCtx, SweepPolicy,
-    SweepRun,
+    EngineCore, Hop, HopSpan, InstallSink, SinkImage, SpanLabels, SweepCtx, SweepRun,
 };
 pub use durable::{DurabilityConfig, DurableStats, DurableStore, WalRecord};
 pub use error::WarehouseError;

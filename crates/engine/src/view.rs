@@ -63,21 +63,6 @@ impl MaterializedView {
         self.installs += 1;
         Ok(())
     }
-
-    /// Replace the contents wholesale (full-recompute baseline).
-    pub fn replace(&mut self, contents: Bag) -> Result<(), WarehouseError> {
-        if !contents.all_positive() {
-            let bad = contents
-                .iter()
-                .find(|(_, c)| *c <= 0)
-                .map(|(t, _)| format!("{t}"))
-                .unwrap_or_default();
-            return Err(WarehouseError::InconsistentInstall { tuple: bad });
-        }
-        self.bag = contents.into();
-        self.installs += 1;
-        Ok(())
-    }
 }
 
 impl fmt::Debug for MaterializedView {
@@ -122,13 +107,5 @@ mod tests {
     #[test]
     fn initial_must_be_positive() {
         assert!(MaterializedView::new(Bag::from_pairs([(tup![1], -1)])).is_err());
-    }
-
-    #[test]
-    fn replace_swaps_contents() {
-        let mut v = MaterializedView::new(Bag::new()).unwrap();
-        v.replace(Bag::from_pairs([(tup![9], 3)])).unwrap();
-        assert_eq!(v.bag().count(&tup![9]), 3);
-        assert!(v.replace(Bag::from_pairs([(tup![9], -3)])).is_err());
     }
 }

@@ -179,9 +179,9 @@
 
 use crate::registry::{MvError, SlotImage, ViewId, ViewRegistry};
 use dw_engine::{
-    dispatch, DurabilityConfig, DurableStats, DurableStore, EngineCore, EngineOptions,
-    InstallSequencer, PendingUpdate, PolicyMetrics, SequencedInstall, SpanLabels, SweepCtx,
-    SweepPolicy, SweepRun, UpdateQueue, WalRecord, WarehouseError,
+    DurabilityConfig, DurableStats, DurableStore, EngineCore, EngineOptions, InstallSequencer,
+    PendingUpdate, PolicyMetrics, SequencedInstall, SpanLabels, SweepCtx, SweepRun, UpdateQueue,
+    WalRecord, WarehouseError,
 };
 use dw_obs::Obs;
 use dw_protocol::{Message, SourceUpdate, UpdateId};
@@ -801,13 +801,31 @@ impl MaintenanceScheduler {
         }
     }
 
-    /// Handle one warehouse delivery.
+    /// Handle one warehouse delivery: an update is counted, noted,
+    /// queued and scheduled; a sweep answer is counted and absorbed;
+    /// anything else is refused.
     pub fn on_message(
         &mut self,
         delivery: Delivery<Message>,
         net: &mut dyn NetHandle<Message>,
     ) -> Result<(), MvError> {
-        dispatch(self, delivery, net)
+        match delivery.msg {
+            Message::Update(u) => {
+                self.core.metrics.updates_received += 1;
+                self.note_update(&u, delivery.at)?;
+                self.core.queue.push(u, delivery.at);
+                self.pump(net)
+            }
+            Message::SweepAnswer(a) => {
+                self.core.metrics.answers_received += 1;
+                self.on_answer(a.qid, a.partial, net)
+            }
+            other => Err(WarehouseError::UnexpectedMessage {
+                policy: "shared-sweep",
+                label: dw_simnet::Payload::label(&other),
+            }
+            .into()),
+        }
     }
 
     // ---- shard groups ---------------------------------------------------
@@ -1221,17 +1239,9 @@ impl MaintenanceScheduler {
     }
 }
 
-impl SweepPolicy for MaintenanceScheduler {
-    type Err = MvError;
-
-    fn name(&self) -> &'static str {
-        "shared-sweep"
-    }
-
-    fn core(&mut self) -> &mut EngineCore {
-        &mut self.core
-    }
-
+impl MaintenanceScheduler {
+    /// Bookkeeping on update arrival, before the update is queued under
+    /// its delivery time `at`.
     fn note_update(&mut self, u: &SourceUpdate, at: Time) -> Result<(), MvError> {
         // A global-transaction tag whose count cannot be met is refused
         // before the update takes a ticket.
@@ -1256,10 +1266,7 @@ impl SweepPolicy for MaintenanceScheduler {
         self.registry.note_delivery(u.id, at)
     }
 
-    fn kick(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), MvError> {
-        self.pump(net)
-    }
-
+    /// A sweep answer arrived.
     fn on_answer(
         &mut self,
         qid: u64,
@@ -1308,9 +1315,7 @@ impl SweepPolicy for MaintenanceScheduler {
         }
         self.step(lane, (frames == 1 && !nested).then_some(side), net)
     }
-}
 
-impl MaintenanceScheduler {
     /// Figure 6 at a one-leg hop of `lane` at `j` that covered `[lo, hi]`
     /// (module docs): take the queued `ΔR_j` the rule admits out of the
     /// queue and stack a child run over `[lo, hi]` seeded — and σ-filtered,

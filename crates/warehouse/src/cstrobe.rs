@@ -52,7 +52,13 @@ struct CsQuery {
     pinned: BTreeMap<usize, Bag>,
 }
 
+/// The evaluation of one inserted tuple: its root query and every
+/// compensating query spawned for it.
 struct PartWork {
+    /// The update's relation and the inserted tuple every compensating
+    /// query restarts from.
+    rel: usize,
+    seed: Tuple,
     /// In-flight queries by current qid.
     queries: HashMap<u64, CsQuery>,
     /// Finalized (projected) answers.
@@ -61,14 +67,96 @@ struct PartWork {
     suppress: Vec<(usize, Vec<Value>)>,
 }
 
+impl PartWork {
+    /// A query from the part's seed, with `pinned` slots joined locally.
+    fn seeded(
+        &self,
+        view: &ViewDef,
+        pinned: BTreeMap<usize, Bag>,
+    ) -> Result<CsQuery, WarehouseError> {
+        let pd = PartialDelta::seed(view, self.rel, &Bag::singleton(self.seed.clone(), 1))?;
+        Ok(CsQuery {
+            pd,
+            hop: HopSpan::NONE,
+            pinned,
+        })
+    }
+
+    /// Drive one query as far as possible: join pinned neighbors locally,
+    /// send a network query otherwise. A query that covers the chain
+    /// lands in `answers`, one that went out in `queries`.
+    fn drive(
+        &mut self,
+        core: &mut EngineCore,
+        net: &mut dyn NetHandle<Message>,
+        mut q: CsQuery,
+    ) -> Result<(), WarehouseError> {
+        loop {
+            let (j, side) = if q.pd.lo > 0 {
+                (q.pd.lo - 1, JoinSide::Left)
+            } else if q.pd.hi + 1 < core.n() {
+                (q.pd.hi + 1, JoinSide::Right)
+            } else {
+                self.answers.push(q.pd.finalize(&core.view)?);
+                return Ok(());
+            };
+            if let Some(pin) = q.pinned.get(&j) {
+                q.pd = extend_partial(&core.view, &q.pd, pin, side)?;
+                continue;
+            }
+            let (qid, hop) = core.send_query(&SweepCtx::default(), net, &q.pd, j, side);
+            q.hop = hop;
+            self.queries.insert(qid, q);
+            return Ok(());
+        }
+    }
+
+    /// An update from `rel` was applied at its source while this part is
+    /// being evaluated: suppress its inserts by key, and spawn one
+    /// compensating query per in-flight query each delete can interfere
+    /// with.
+    fn register_concurrent(
+        &mut self,
+        core: &mut EngineCore,
+        keys: &KeySpec,
+        net: &mut dyn NetHandle<Message>,
+        rel: usize,
+        delta: &Bag,
+    ) -> Result<(), WarehouseError> {
+        let mut spawned: Vec<CsQuery> = Vec::new();
+        for (t, c) in delta.iter() {
+            if c > 0 {
+                // Concurrent insert: suppress its contribution by key.
+                self.suppress.push((rel, keys.key_of_tuple(rel, t)));
+            } else {
+                // Concurrent delete: spawn one compensating query per
+                // in-flight query it can interfere with. The new query
+                // restarts from the part's seed with the deleted tuple
+                // carried as an extra pinned local slot.
+                for q in self.queries.values() {
+                    if rel == self.rel || q.pinned.contains_key(&rel) {
+                        continue; // that slot is local — cannot interfere
+                    }
+                    let mut pinned = q.pinned.clone();
+                    pinned.insert(rel, Bag::singleton(t.clone(), 1));
+                    spawned.push(self.seeded(&core.view, pinned)?);
+                }
+            }
+        }
+        for q in spawned {
+            core.metrics.compensation_queries += 1;
+            self.drive(core, net, q)?;
+        }
+        Ok(())
+    }
+}
+
 struct Processing {
     upd: UpdateId,
     delivered_at: Time,
-    rel: usize,
     /// Parts of the update still to process (one tuple at a time).
     parts: VecDeque<(Tuple, i64)>,
-    /// Seed tuple of the part currently under query evaluation.
-    cur_seed: Option<Tuple>,
+    /// The part under query evaluation, if one is.
     work: Option<PartWork>,
     /// View delta accumulated by this update's completed parts.
     delta_accum: Bag,
@@ -102,62 +190,28 @@ impl CStrobe {
         })
     }
 
-    /// Drive one query as far as possible: join pinned neighbors locally,
-    /// send a network query otherwise. Returns the finalized answer when
-    /// the chain is fully covered.
-    fn drive(
-        &mut self,
-        net: &mut dyn NetHandle<Message>,
-        mut q: CsQuery,
-    ) -> Result<Result<Bag, (u64, CsQuery)>, WarehouseError> {
-        loop {
-            let (j, side) = if q.pd.lo > 0 {
-                (q.pd.lo - 1, JoinSide::Left)
-            } else if q.pd.hi + 1 < self.core.n() {
-                (q.pd.hi + 1, JoinSide::Right)
-            } else {
-                return Ok(Ok(q.pd.finalize(&self.core.view)?));
-            };
-            if let Some(pin) = q.pinned.get(&j) {
-                q.pd = extend_partial(&self.core.view, &q.pd, pin, side)?;
-                continue;
-            }
-            let ctx = SweepCtx::default();
-            let (qid, hop) = self.core.send_query(&ctx, net, &q.pd, j, side);
-            q.hop = hop;
-            return Ok(Err((qid, q)));
-        }
-    }
-
-    /// Start processing the next part (or finish the update).
+    /// Process the current update's parts until one waits on the network,
+    /// installing each completed update and beginning the next queued
+    /// one.
     fn advance_parts(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), WarehouseError> {
-        loop {
-            let Some(cur) = self.current.as_mut() else {
-                return Ok(());
-            };
+        while let Some(cur) = self.current.as_mut() {
             debug_assert!(cur.work.is_none());
             let Some((tuple, count)) = cur.parts.pop_front() else {
-                // Update complete: install its accumulated delta.
-                let cur = self.current.take().expect("checked");
-                self.sink.install(
-                    &mut self.core.metrics,
-                    &cur.delta_accum,
-                    &[(cur.upd, cur.delivered_at)],
-                    net.now(),
-                )?;
-                // Begin the next queued update, if any.
+                // Update complete: install its accumulated delta, then
+                // begin the next queued update, if any.
+                let consumed = [(cur.upd, cur.delivered_at)];
+                let (metrics, now) = (&mut self.core.metrics, net.now());
+                self.sink
+                    .install(metrics, &cur.delta_accum, &consumed, now)?;
+                self.current = None;
                 if let Some(PendingUpdate { update, arrived_at }) = self.core.queue.pop() {
-                    self.begin_update(net, update.id, update.delta, arrived_at)?;
-                    if self.current.as_ref().is_some_and(|c| c.work.is_some()) {
-                        return Ok(());
-                    }
-                    continue;
+                    self.begin_update(update.id, update.delta, arrived_at)?;
                 }
-                return Ok(());
+                continue;
             };
+            let rel = cur.upd.source;
             if count < 0 {
                 // Initial delete: local through the unique key.
-                let rel = cur.rel;
                 let key = self.keys.key_of_tuple(rel, &tuple);
                 let mut snapshot = self.sink.bag().to_bag();
                 snapshot.merge(&cur.delta_accum);
@@ -169,55 +223,40 @@ impl CStrobe {
                 continue; // next part
             }
             // Initial insert: root query.
-            cur.cur_seed = Some(tuple.clone());
-            let pd = PartialDelta::seed(&self.core.view, cur.rel, &Bag::singleton(tuple, 1))?;
-            let root = CsQuery {
-                pd,
-                hop: HopSpan::NONE,
-                pinned: BTreeMap::new(),
-            };
             let mut work = PartWork {
+                rel,
+                seed: tuple,
                 queries: HashMap::new(),
                 answers: Vec::new(),
                 suppress: Vec::new(),
             };
-            match self.drive(net, root)? {
-                Ok(ans) => work.answers.push(ans),
-                Err((qid, q)) => {
-                    work.queries.insert(qid, q);
+            let root = work.seeded(&self.core.view, BTreeMap::new())?;
+            work.drive(&mut self.core, net, root)?;
+            if !work.queries.is_empty() {
+                // Updates already queued behind this one were applied at
+                // their sources before our queries will arrive there —
+                // they are concurrent with this part's evaluation and must
+                // be compensated exactly like updates that arrive later.
+                let backlog: Vec<(usize, Bag)> = self
+                    .core
+                    .queue
+                    .iter()
+                    .map(|p| (p.update.id.source, p.update.delta.clone()))
+                    .collect();
+                for (rel, delta) in backlog {
+                    work.register_concurrent(&mut self.core, &self.keys, net, rel, &delta)?;
                 }
             }
-            let cur = self.current.as_mut().expect("still processing");
+            // Compensating queries may complete locally; if everything
+            // drained already, the part is done.
             if work.queries.is_empty() {
                 Self::finish_part(cur, &work, &self.vkm, self.sink.bag());
                 continue;
             }
             cur.work = Some(work);
-            // Updates already queued behind this one were applied at their
-            // sources before our queries will arrive there — they are
-            // concurrent with this part's evaluation and must be
-            // compensated exactly like updates that arrive later.
-            let backlog: Vec<(usize, Bag)> = self
-                .core
-                .queue
-                .iter()
-                .map(|p| (p.update.id.source, p.update.delta.clone()))
-                .collect();
-            for (rel, delta) in backlog {
-                self.register_concurrent(net, rel, &delta)?;
-            }
-            // Compensating queries may complete locally; if everything
-            // drained already, the part is done.
-            let cur = self.current.as_mut().expect("still processing");
-            if let Some(w) = cur.work.as_ref() {
-                if w.queries.is_empty() {
-                    let work = cur.work.take().expect("present");
-                    Self::finish_part(cur, &work, &self.vkm, self.sink.bag());
-                    continue;
-                }
-            }
             return Ok(());
         }
+        Ok(())
     }
 
     /// Fold a completed part's answers into the update's delta.
@@ -246,9 +285,10 @@ impl CStrobe {
         }
     }
 
+    /// Make update `id` the current one; [`CStrobe::advance_parts`]
+    /// processes it.
     fn begin_update(
         &mut self,
-        net: &mut dyn NetHandle<Message>,
         id: UpdateId,
         delta: Bag,
         delivered_at: Time,
@@ -268,77 +308,10 @@ impl CStrobe {
         self.current = Some(Processing {
             upd: id,
             delivered_at,
-            rel: id.source,
             parts: parts.into(),
-            cur_seed: None,
             work: None,
             delta_accum: Bag::new(),
         });
-        self.advance_parts(net)
-    }
-
-    /// Register an update that arrived while a part is being evaluated:
-    /// queue it for its own round, and compensate the in-flight work.
-    fn register_concurrent(
-        &mut self,
-        net: &mut dyn NetHandle<Message>,
-        rel: usize,
-        delta: &Bag,
-    ) -> Result<(), WarehouseError> {
-        let Some(cur) = self.current.as_mut() else {
-            return Ok(());
-        };
-        let Some(work) = cur.work.as_mut() else {
-            return Ok(());
-        };
-        let seed_rel = cur.rel;
-        let Some(seed_tuple) = cur.cur_seed.clone() else {
-            return Ok(());
-        };
-        let seed_bag = Bag::singleton(seed_tuple, 1);
-        let mut spawned: Vec<CsQuery> = Vec::new();
-        for (t, c) in delta.iter() {
-            if c > 0 {
-                // Concurrent insert: suppress its contribution by key.
-                work.suppress.push((rel, self.keys.key_of_tuple(rel, t)));
-            } else {
-                // Concurrent delete: spawn one compensating query per
-                // in-flight query it can interfere with. The new query
-                // restarts from the part's seed with the deleted tuple
-                // carried as an extra pinned local slot.
-                for q in work.queries.values() {
-                    if rel == seed_rel || q.pinned.contains_key(&rel) {
-                        continue; // that slot is local — cannot interfere
-                    }
-                    let mut pinned = q.pinned.clone();
-                    pinned.insert(rel, Bag::singleton(t.clone(), 1));
-                    spawned.push(CsQuery {
-                        pd: PartialDelta::seed(&self.core.view, seed_rel, &seed_bag)?,
-                        hop: HopSpan::NONE,
-                        pinned,
-                    });
-                }
-            }
-        }
-        for q in spawned {
-            self.core.metrics.compensation_queries += 1;
-            match self.drive(net, q)? {
-                Ok(ans) => {
-                    if let Some(cur) = self.current.as_mut() {
-                        if let Some(work) = cur.work.as_mut() {
-                            work.answers.push(ans);
-                        }
-                    }
-                }
-                Err((qid, q)) => {
-                    if let Some(cur) = self.current.as_mut() {
-                        if let Some(work) = cur.work.as_mut() {
-                            work.queries.insert(qid, q);
-                        }
-                    }
-                }
-            }
-        }
         Ok(())
     }
 
@@ -348,39 +321,22 @@ impl CStrobe {
         qid: u64,
         partial: PartialDelta,
     ) -> Result<(), WarehouseError> {
-        let cur = self
-            .current
-            .as_mut()
-            .ok_or(WarehouseError::UnknownQuery { qid })?;
-        let work = cur
-            .work
-            .as_mut()
-            .ok_or(WarehouseError::UnknownQuery { qid })?;
-        let mut q = work
-            .queries
-            .remove(&qid)
-            .ok_or(WarehouseError::UnknownQuery { qid })?;
+        let unknown = WarehouseError::UnknownQuery { qid };
+        let Some(cur) = self.current.as_mut() else {
+            return Err(unknown);
+        };
+        let Some(work) = cur.work.as_mut() else {
+            return Err(unknown);
+        };
+        let mut q = work.queries.remove(&qid).ok_or(unknown)?;
         self.core.end_hop(q.hop, net.now());
         q.pd = partial;
-        match self.drive(net, q)? {
-            Ok(ans) => {
-                let cur = self.current.as_mut().expect("processing");
-                let work = cur.work.as_mut().expect("part in flight");
-                work.answers.push(ans);
-                if work.queries.is_empty() {
-                    let work = cur.work.take().expect("present");
-                    Self::finish_part(cur, &work, &self.vkm, self.sink.bag());
-                    return self.advance_parts(net);
-                }
-                Ok(())
-            }
-            Err((new_qid, q)) => {
-                let cur = self.current.as_mut().expect("processing");
-                let work = cur.work.as_mut().expect("part in flight");
-                work.queries.insert(new_qid, q);
-                Ok(())
-            }
-        }
+        work.drive(&mut self.core, net, q)?;
+        let Some(work) = cur.work.take_if(|w| w.queries.is_empty()) else {
+            return Ok(());
+        };
+        Self::finish_part(cur, &work, &self.vkm, self.sink.bag());
+        self.advance_parts(net)
     }
 }
 
@@ -397,13 +353,16 @@ impl MaintenancePolicy for CStrobe {
         match delivery.msg {
             Message::Update(u) => {
                 self.core.metrics.updates_received += 1;
-                if self.current.is_some() {
-                    self.register_concurrent(net, u.id.source, &u.delta)?;
-                    self.core.queue.push(u, delivery.at);
-                    Ok(())
-                } else {
-                    self.begin_update(net, u.id, u.delta, delivery.at)
+                let Some(cur) = self.current.as_mut() else {
+                    self.begin_update(u.id, u.delta, delivery.at)?;
+                    return self.advance_parts(net);
+                };
+                if let Some(work) = cur.work.as_mut() {
+                    let (rel, delta) = (u.id.source, &u.delta);
+                    work.register_concurrent(&mut self.core, &self.keys, net, rel, delta)?;
                 }
+                self.core.queue.push(u, delivery.at);
+                Ok(())
             }
             Message::SweepAnswer(a) => {
                 self.core.metrics.answers_received += 1;

@@ -4,17 +4,19 @@
 //! systems of the era (Red Brick, §2) offered only convergence. This policy
 //! models that floor of the design space: whenever updates arrive it dumps
 //! every base relation (`n` dump queries + `n` answers = `2n` messages),
-//! re-evaluates the view from the snapshots, and replaces the warehouse
-//! contents wholesale. Snapshots from different sources are taken at
+//! re-evaluates the view from the snapshots, and installs the difference
+//! to the warehouse contents — the whole view changes in one install,
+//! through the same [`InstallSink`] every policy installs through.
+//! Snapshots from different sources are taken at
 //! different instants, so intermediate views can correspond to *no* global
 //! source state — only the final state after quiescence is guaranteed
 //! (convergence), which the consistency checker classifies accordingly.
 
 use crate::InstallRecord;
 use crate::MaintenancePolicy;
-use crate::MaterializedView;
 use crate::PolicyMetrics;
 use crate::WarehouseError;
+use dw_engine::InstallSink;
 use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{eval_view, Bag, SharedBag, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
@@ -23,7 +25,6 @@ struct Refresh {
     /// `qid` of the dump sent to source `i` is `base + i`.
     base_qid: u64,
     dumps: Vec<Option<Bag>>,
-    outstanding: usize,
     /// Updates received before this refresh started (surely reflected).
     covers: Vec<(UpdateId, Time)>,
 }
@@ -31,10 +32,8 @@ struct Refresh {
 /// The full-recompute warehouse policy.
 pub struct Recompute {
     view_def: ViewDef,
-    view: MaterializedView,
+    sink: InstallSink,
     metrics: PolicyMetrics,
-    install_log: Vec<InstallRecord>,
-    record_snapshots: bool,
     next_qid: u64,
     refresh: Option<Refresh>,
     /// Updates received and not yet covered by a started refresh.
@@ -46,10 +45,8 @@ impl Recompute {
     pub fn new(view_def: ViewDef, initial_view: Bag) -> Result<Self, WarehouseError> {
         Ok(Recompute {
             view_def,
-            view: MaterializedView::new(initial_view)?,
+            sink: InstallSink::new(initial_view)?,
             metrics: PolicyMetrics::default(),
-            install_log: Vec::new(),
-            record_snapshots: true,
             next_qid: 0,
             refresh: None,
             pending: Vec::new(),
@@ -73,7 +70,6 @@ impl Recompute {
         self.refresh = Some(Refresh {
             base_qid,
             dumps: vec![None; n],
-            outstanding: n,
             covers: std::mem::take(&mut self.pending),
         });
     }
@@ -111,30 +107,22 @@ impl MaintenancePolicy for Recompute {
                 if r.dumps[idx].replace(relation).is_some() {
                     return Err(WarehouseError::UnknownQuery { qid });
                 }
-                r.outstanding -= 1;
-                if r.outstanding == 0 {
-                    let r = self.refresh.take().expect("present");
-                    let bags: Vec<&Bag> = r
-                        .dumps
-                        .iter()
-                        .map(|d| d.as_ref().expect("all in"))
-                        .collect();
-                    let fresh = eval_view(&self.view_def, &bags)?;
-                    self.view.replace(fresh)?;
-                    self.metrics.installs += 1;
-                    let now = net.now();
-                    for &(_, d) in &r.covers {
-                        self.metrics.record_staleness(d, now);
-                    }
-                    self.install_log.push(InstallRecord {
-                        at: now,
-                        consumed: r.covers.iter().map(|&(id, _)| id).collect(),
-                        view_after: self.record_snapshots.then(|| self.view.bag().clone()),
-                    });
-                    // Updates arrived mid-refresh? Chase convergence.
-                    if !self.pending.is_empty() {
-                        self.start_refresh(net);
-                    }
+                let dumps: Option<Vec<&Bag>> = r.dumps.iter().map(Option::as_ref).collect();
+                let Some(dumps) = dumps else {
+                    return Ok(()); // more dumps to come
+                };
+                // The whole view changes in one install: fresh − current.
+                let mut delta = eval_view(&self.view_def, &dumps)?;
+                for (t, c) in self.sink.bag().iter() {
+                    delta.add(t.clone(), -c);
+                }
+                let covers = std::mem::take(&mut r.covers);
+                self.refresh = None;
+                self.sink
+                    .install(&mut self.metrics, &delta, &covers, net.now())?;
+                // Updates arrived mid-refresh? Chase convergence.
+                if !self.pending.is_empty() {
+                    self.start_refresh(net);
                 }
                 Ok(())
             }
@@ -146,11 +134,11 @@ impl MaintenancePolicy for Recompute {
     }
 
     fn view(&self) -> &SharedBag {
-        self.view.bag()
+        self.sink.bag()
     }
 
     fn installs(&self) -> &[InstallRecord] {
-        &self.install_log
+        self.sink.log()
     }
 
     fn metrics(&self) -> &PolicyMetrics {
@@ -162,7 +150,7 @@ impl MaintenancePolicy for Recompute {
     }
 
     fn set_record_snapshots(&mut self, record: bool) {
-        self.record_snapshots = record;
+        self.sink.record_snapshots = record;
     }
 }
 

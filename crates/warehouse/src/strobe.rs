@@ -20,10 +20,9 @@
 
 use crate::InstallRecord;
 use crate::MaintenancePolicy;
-use crate::PendingUpdate;
 use crate::PolicyMetrics;
 use crate::WarehouseError;
-use dw_engine::{dispatch, EngineCore, InstallSink, SpanLabels, SweepCtx, SweepPolicy, SweepRun};
+use dw_engine::{EngineCore, InstallSink, SpanLabels, SweepCtx, SweepRun};
 use dw_obs::Obs;
 use dw_protocol::{Message, UpdateId};
 use dw_relational::key::ViewKeyMap;
@@ -206,27 +205,8 @@ impl Strobe {
         self.ready.clear();
         Ok(())
     }
-}
 
-impl SweepPolicy for Strobe {
-    type Err = WarehouseError;
-
-    fn name(&self) -> &'static str {
-        "strobe"
-    }
-
-    fn core(&mut self) -> &mut EngineCore {
-        &mut self.core
-    }
-
-    /// Updates are processed as they arrive — nothing waits in the queue.
-    fn kick(&mut self, net: &mut dyn NetHandle<Message>) -> Result<(), WarehouseError> {
-        while let Some(PendingUpdate { update, arrived_at }) = self.core.queue.pop() {
-            self.on_update(net, update.id, update.delta, arrived_at)?;
-        }
-        Ok(())
-    }
-
+    /// A query answer arrived: advance that query.
     fn on_answer(
         &mut self,
         qid: u64,
@@ -255,7 +235,22 @@ impl MaintenancePolicy for Strobe {
         delivery: Delivery<Message>,
         net: &mut dyn NetHandle<Message>,
     ) -> Result<(), WarehouseError> {
-        dispatch(self, delivery, net)
+        match delivery.msg {
+            // Updates are processed as they arrive — nothing waits in a
+            // queue.
+            Message::Update(u) => {
+                self.core.metrics.updates_received += 1;
+                self.on_update(net, u.id, u.delta, delivery.at)
+            }
+            Message::SweepAnswer(a) => {
+                self.core.metrics.answers_received += 1;
+                self.on_answer(a.qid, a.partial, net)
+            }
+            other => Err(WarehouseError::UnexpectedMessage {
+                policy: self.name(),
+                label: dw_simnet::Payload::label(&other),
+            }),
+        }
     }
 
     fn view(&self) -> &SharedBag {

@@ -74,7 +74,7 @@ pub use dw_workload as workload;
 pub mod prelude {
     pub use dw_consistency::{
         mutual_consistency, verify_fifo, ConsistencyLevel, ConsistencyReport, MutualReport,
-        Recorder, ViewLog,
+        Recorder, SlotView, ViewLog,
     };
     pub use dw_core::{
         audit_lag_recoveries, audit_reads, oracle_expects_rejection, oracle_view_at_epoch,

@@ -213,7 +213,7 @@ fn sharded_conforms_to_unsharded_engine() {
         // concatenated install log consumes updates in warehouse arrival
         // order — checked against the run's own delivery log, not against
         // a second scheduler.
-        let arrival: Vec<UpdateId> = sharded.delivery_log.iter().map(|&(id, _)| id).collect();
+        let arrival: Vec<UpdateId> = sharded.delivery_log().iter().map(|&(id, _)| id).collect();
         for v in &sharded.views {
             let consumed = v.installs.iter().flat_map(|r| r.consumed.iter());
             let positions: Vec<usize> = consumed

@@ -190,7 +190,7 @@ fn assert_same_maintenance(got: &MultiViewReport, referee: &MultiViewReport, arm
     }
     assert_eq!(got.net.total(), referee.net.total(), "{arm}: wire");
     assert_eq!(got.makespan(), referee.makespan(), "{arm}");
-    assert_eq!(got.delivery_log, referee.delivery_log, "{arm}");
+    assert_eq!(got.delivery_log(), referee.delivery_log(), "{arm}");
     assert_eq!(
         (got.events, got.end_time),
         (referee.events, referee.end_time)

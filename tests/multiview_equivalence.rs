@@ -144,7 +144,7 @@ fn shared_sweep_matches_one_view_warehouses() {
             // Either way the view consumes its in-span updates in the
             // order its warehouse received them…
             let arrived = |report: &MultiViewReport| -> Vec<UpdateId> {
-                let ids = report.delivery_log.iter().map(|&(id, _)| id);
+                let ids = report.delivery_log().into_iter().map(|(id, _)| id);
                 ids.filter(|id| spec.references(id.source)).collect()
             };
             let consumed = |v: &ViewOutcome| -> Vec<Vec<UpdateId>> {

@@ -274,7 +274,7 @@ fn durability_is_invisible_without_a_crash() {
 /// view (full-span, SWEEP cadence) installs exactly one update per
 /// delivery, in delivery order.
 fn assert_installs_in_arrival_order(report: &dwsweep::core::MultiViewReport, k: u64) {
-    let arrived = report.delivery_log.iter().map(|&(id, _)| vec![id]);
+    let arrived = report.delivery_log().into_iter().map(|(id, _)| vec![id]);
     let arrival_order: Vec<Vec<UpdateId>> = arrived.collect();
     for installed in report.install_fingerprint() {
         assert_eq!(installed, arrival_order, "case {k}: install order");
@@ -441,7 +441,7 @@ fn dense_state_crashes_match_the_fault_free_flat_run() {
 
         assert!(referee.quiescent && crashed.quiescent, "case {k}");
         assert_eq!(crashed.recovery.recoveries, 1, "case {k}");
-        assert_eq!(crashed.delivery_log.len(), referee.delivery_log.len());
+        assert_eq!(crashed.delivery_log().len(), referee.delivery_log().len());
         assert_eq!(
             crashed.install_fingerprint(),
             referee.install_fingerprint(),

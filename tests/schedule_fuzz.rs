@@ -315,7 +315,7 @@ fn sweep_complete_on_fault_schedules() {
             report.consistency.as_ref().unwrap().detail
         );
         // The transport restored the channel contract end to end…
-        let fifo = verify_fifo(&report.delivery_log);
+        let fifo = verify_fifo(&report.delivery_log());
         assert!(fifo.ok(), "case {case}: {:?}", fifo.violations);
         // …and the logical cost per update is still the paper's 2(n−1).
         if report.metrics.updates_received > 0 {
@@ -352,7 +352,7 @@ fn nested_sweep_strong_on_fault_schedules() {
             report.consistency.as_ref().unwrap().detail
         );
         assert!(
-            verify_fifo(&report.delivery_log).ok(),
+            verify_fifo(&report.delivery_log()).ok(),
             "case {case}: channel contract breached"
         );
         assert!(report.view.all_positive(), "case {case}");
