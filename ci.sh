@@ -317,6 +317,17 @@ stage_engine_boundary() {
     echo "FAIL: every oracle reads the run's one dw_consistency::Recorder (Recorder::state over a SlotView, global update ids, per-source prefix counters in classify), and the scheduler and Strobe match their own messages — no remap_installs, txn_deltas, is_source_prefix_set, prefix_state, SweepPolicy or engine dispatch, and no eval_view( in dw-core / dw-consistency outside truth.rs" >&2
     ok=1
   fi
+  # One slot: a derived view is one more registry slot — reported as a
+  # ViewOutcome, graded by classify and audited from the report alone —
+  # so its second outcome type, its epoch audit and the name walk that
+  # rebuilt its SlotView from the scenario may not come back.
+  hits=$(grep -rnE '\b(DerivedOutcome|derived_clean|installs_for_slot)\b|fn (slot_view|derived_outcomes)\b' \
+    crates src examples tests 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: every registry slot is one ViewOutcome (MultiViewReport::views: base views, then derived ones, each with its SlotView and parent), graded by classify — no DerivedOutcome, derived_clean, installs_for_slot, slot_view or derived_outcomes" >&2
+    ok=1
+  fi
   local rows
   rows=$(awk '/^\| Combination \| Why \| Error \|/ {t = 1; next}
     t && /^\|---/ {next}

@@ -33,12 +33,12 @@
 //!     .generate()
 //!     .unwrap();
 //! let reads = ReadMixConfig { n_views: 2, ..Default::default() }.generate();
-//! let report = MultiViewExperiment::new(scenario.clone())
+//! let report = MultiViewExperiment::new(scenario)
 //!     .reads(reads)
 //!     .run()
 //!     .unwrap();
 //! assert!(report.served().unwrap().answered() > 0);
-//! assert!(audit_reads(&scenario, &report).unwrap().clean());
+//! assert!(audit_reads(&report).unwrap().clean());
 //! assert!(report.subscriptions_match_installs());
 //! ```
 
@@ -52,7 +52,7 @@ pub mod serve;
 
 pub use dw_multiview::EngineOptions;
 pub use experiment::{CoreError, Experiment, PolicyKind};
-pub use multi_experiment::{DerivedOutcome, MultiViewExperiment, MultiViewReport, ViewOutcome};
+pub use multi_experiment::{MultiViewExperiment, MultiViewReport, ViewOutcome};
 pub use report::RunReport;
 pub use serve::{
     audit_lag_recoveries, audit_reads, oracle_expects_rejection, oracle_view_at_epoch,

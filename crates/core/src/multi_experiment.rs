@@ -4,9 +4,10 @@
 //! [`MaintenanceScheduler`] instead of a single maintenance policy: the
 //! scenario carries a *base chain* plus a set of span views
 //! ([`dw_workload::MultiViewScenario`]), every view is registered before
-//! the stream starts, and the run reports per-view outcomes (final bag,
-//! install log, metrics, consistency level) plus cross-view mutual
-//! consistency and the message accounting E14 measures.
+//! the stream starts, and the run reports one outcome per registry slot
+//! — base and derived views alike: final bag, install log, metrics,
+//! consistency level — plus cross-view mutual consistency and the message
+//! accounting E14 measures.
 //!
 //! [`MultiViewExperiment::shards`] partitions the value space: the same
 //! scheduler then runs one sweep lane per shard group, and the report
@@ -29,14 +30,13 @@ use dw_consistency::{
 };
 use dw_multiview::{
     CascadeStats, DurabilityConfig, EngineOptions, MaintenanceScheduler, MvError, RecoveryStats,
-    ShardStats, ViewId, ViewRegistry, NEEDS_DURABLE_STORE,
+    ShardStats, ViewId, NEEDS_DURABLE_STORE,
 };
 use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{Bag, ShardMap};
 use dw_simnet::{FaultPlan, NetHandle, NetStats, Time};
 use dw_warehouse::{InstallRecord, PolicyMetrics, WarehouseError};
 use dw_workload::{MultiViewScenario, ReadOp, ViewPolicy};
-use std::collections::HashSet;
 
 /// A configured multi-view experiment: scenario × partitioner ×
 /// scheduler options × read schedule × network profile.
@@ -124,8 +124,9 @@ impl MultiViewExperiment {
         self
     }
 
-    /// Register one *bounded* subscription per base view before traffic
-    /// starts, with the given `max_lag` queue bound. `ReadKind::Poll`
+    /// Register one *bounded* subscription per view — every registry
+    /// slot, base and derived — before traffic starts, with the given
+    /// `max_lag` queue bound. `ReadKind::Poll`
     /// ops in the read mix drain them mid-run; an overflowed one is
     /// resumed through the snapshot-at-`resume_epoch` recovery path and
     /// its full event history lands in [`ServeOutcome::lag`], where
@@ -151,23 +152,34 @@ impl MultiViewExperiment {
             sched.seed_groups(bag);
         }
 
-        // One record of what is delivered, for every view: each view
+        // One record of what is delivered, for every view: each base view
         // registers with its truth state before anything is consumed.
         let mut truth = Recorder::new(scenario.initial.clone());
-        let mut ids: Vec<ViewId> = Vec::new();
-        let mut truth_views: Vec<SlotView> = Vec::new();
+        let mut slots: Vec<SlotView> = Vec::new();
         for spec in &scenario.views {
             let view = SlotView::base(spec.compile(&base)?, spec.lo);
-            ids.push(sched.register(spec, truth.state(&view, &|_| false)?)?);
-            truth_views.push(view);
+            sched.register(spec, truth.state(&view, &|_| false)?)?;
+            slots.push(view);
         }
         // Derived (view-over-view) registrations go on top of the base
         // set; order-independent resolution handles stacks given in any
-        // order and rejects cycles/unknown parents up front. Reported in
-        // slot order, whatever order the specs came in.
-        let mut derived_ids = sched.register_derived_many(&scenario.derived)?;
-        derived_ids.sort_by_key(|id| id.index());
-        let mut serve = ServeArm::open(self.serve, &mut sched, &ids, &derived_ids, obs)?;
+        // order and rejects cycles/unknown parents up front. A derived slot
+        // evaluates to its parent slot's view with its operator appended,
+        // and parents take lower slots, so one ascending pass resolves
+        // every stack.
+        sched.register_derived_many(&scenario.derived)?;
+        let reg = sched.views();
+        for id in reg.ids().into_iter().skip(slots.len()) {
+            let parent = reg.parent_of(id)?.and_then(|p| slots.get(p.index()));
+            let (Some(parent), Some(op)) = (parent, reg.derived_op(id)?) else {
+                let what = "a slot past the base views is not derived";
+                return Err(MvError::Internal { what }.into());
+            };
+            let mut view = parent.clone();
+            view.ops.push(op.clone());
+            slots.push(view);
+        }
+        let mut serve = ServeArm::open(self.serve, &mut sched, obs)?;
         // Durability arms after registration so the initial checkpoint
         // already carries every view at its correct initial contents. A
         // state crash nothing durable would survive is a fault that was
@@ -207,42 +219,38 @@ impl MultiViewExperiment {
             .map(|arm| arm.finish(truth.deliveries().len()))
             .transpose()?;
 
-        // Per-view outcomes: classify each install log against the truth
-        // of the view's span.
-        let mut views: Vec<ViewOutcome> = Vec::new();
-        for (&id, view) in ids.iter().zip(&truth_views) {
-            let installs = sched.views().install_log(id)?.to_vec();
-            let bag = sched.views().view_bag(id)?.clone();
+        // One outcome per registry slot, base and derived alike: classify
+        // each install log against the truth of the slot's view.
+        let reg = sched.views();
+        let mut views: Vec<ViewOutcome> = Vec::with_capacity(slots.len());
+        for (id, slot) in reg.ids().into_iter().zip(slots) {
+            let installs = reg.install_log(id)?.to_vec();
+            let bag = reg.view_bag(id)?;
             let consistency = self
                 .check_consistency
-                .then(|| classify(&truth, view, &installs, &bag));
+                .then(|| classify(&truth, &slot, &installs, bag));
             views.push(ViewOutcome {
-                name: sched.views().name(id)?.to_string(),
-                lo: view.lo,
-                hi: view.hi(),
-                policy: sched.views().policy(id)?,
+                name: reg.name(id)?.to_string(),
+                parent: reg.parent_of(id)?.map(ViewId::index),
+                policy: reg.policy(id)?,
                 view: bag.to_bag(),
                 installs,
-                metrics: sched.views().metrics(id)?.clone(),
+                metrics: reg.metrics(id)?.clone(),
                 consistency,
+                slot,
             });
         }
 
-        let reg = sched.views();
-        let names: Vec<&str> = reg
-            .ids()
-            .into_iter()
-            .map(|id| reg.name(id))
-            .collect::<Result<_, _>>()?;
-        let derived = derived_outcomes(reg, &derived_ids, &truth, scenario, &names)?;
-
+        // A derived slot consumes its parent's sets by construction:
+        // mutual consistency compares the base slots.
         let mutual = self.check_consistency.then(|| {
             let logs: Vec<ViewLog<'_>> = views
                 .iter()
+                .filter(|o| o.parent.is_none())
                 .map(|o| ViewLog {
                     name: &o.name,
-                    lo: o.lo,
-                    hi: o.hi,
+                    lo: o.slot.lo,
+                    hi: o.slot.hi(),
                     installs: &o.installs,
                 })
                 .collect();
@@ -253,7 +261,6 @@ impl MultiViewExperiment {
 
         Ok(MultiViewReport {
             views,
-            derived,
             cascade: sched.views().cascade_stats(),
             scheduler_metrics: sched.metrics().clone(),
             recovery: sched.recovery_stats(),
@@ -313,151 +320,41 @@ impl From<MvError> for CoreError {
     }
 }
 
-/// What registry slot `slot` of a run over `scenario` evaluates to in the
-/// truth, given every slot's name in slot order (base views first, then
-/// derived views). A base slot is its spec's span; a derived slot walks
-/// the DAG up to its base ancestor — each parent resolved by name to the
-/// first slot carrying it, as the registry resolved it — collecting the
-/// operators on the way.
-pub(crate) fn slot_view(
-    scenario: &MultiViewScenario,
-    names: &[&str],
-    slot: usize,
-) -> Result<SlotView, CoreError> {
-    let no_view = |at: usize| CoreError::Multi(format!("oracle: no view {at}"));
-    let mut ops = Vec::new();
-    let mut at = slot;
-    while at >= scenario.views.len() {
-        let name = names.get(at).ok_or_else(|| no_view(at))?;
-        let spec = scenario.derived.iter().find(|d| d.name == *name);
-        let spec = spec.ok_or_else(|| no_view(at))?;
-        ops.insert(0, spec.op.clone());
-        let parent = names[..at].iter().position(|n| *n == spec.parent);
-        at = parent.ok_or_else(|| no_view(at))?;
-    }
-    let spec = &scenario.views[at];
-    Ok(SlotView {
-        ops,
-        ..SlotView::base(spec.compile(&scenario.base)?, spec.lo)
-    })
-}
-
-/// Build end-of-run outcomes for every derived view, auditing each
-/// install epoch against the truth of the derived slot — its operator
-/// chain over its base ancestor's span — at everything installs up to
-/// that epoch consumed. The cascade consumes the same update ids as the
-/// parent install, so the two logs align 1:1 — any length difference is
-/// itself counted as a mismatch.
-fn derived_outcomes(
-    reg: &ViewRegistry,
-    ids: &[ViewId],
-    truth: &Recorder,
-    scenario: &MultiViewScenario,
-    names: &[&str],
-) -> Result<Vec<DerivedOutcome>, CoreError> {
-    let mut out = Vec::new();
-    for &id in ids {
-        let (Some(parent), Some(op)) = (reg.parent_of(id)?, reg.derived_op(id)?) else {
-            let what = "derived outcome requested for a base view";
-            return Err(MvError::Internal { what }.into());
-        };
-        let view = slot_view(scenario, names, id.index())?;
-        let installs = reg.install_log(id)?.to_vec();
-        let mut epochs_audited = 0usize;
-        let mut epoch_mismatches = installs.len().abs_diff(reg.install_log(parent)?.len());
-        let mut consumed: HashSet<UpdateId> = HashSet::new();
-        for rec in &installs {
-            consumed.extend(&rec.consumed);
-            if let Some(after) = &rec.view_after {
-                epochs_audited += 1;
-                if *after != truth.state(&view, &|id| consumed.contains(&id))? {
-                    epoch_mismatches += 1;
-                }
-            }
-        }
-        let final_matches_oracle =
-            *reg.view_bag(id)? == truth.state(&view, &|id| consumed.contains(&id))?;
-        out.push(DerivedOutcome {
-            name: reg.name(id)?.to_string(),
-            parent: reg.name(parent)?.to_string(),
-            op: op.name().to_string(),
-            linear: op.is_linear(),
-            view: reg.view_bag(id)?.to_bag(),
-            installs,
-            metrics: reg.metrics(id)?.clone(),
-            epochs_audited,
-            epoch_mismatches,
-            final_matches_oracle,
-        });
-    }
-    Ok(out)
-}
-
-/// One derived (view-over-view) view's end-of-run state, plus its audit
-/// against the run's truth.
-#[derive(Clone, Debug)]
-pub struct DerivedOutcome {
-    /// Display name from the spec.
-    pub name: String,
-    /// The parent view this one derives from.
-    pub parent: String,
-    /// Operator kind (`"select"` or `"aggregate"`).
-    pub op: String,
-    /// Whether the operator is linear (child delta = op on parent delta).
-    pub linear: bool,
-    /// Final materialized contents.
-    pub view: Bag,
-    /// Install log; consumed ids mirror the parent's epochs 1:1.
-    pub installs: Vec<InstallRecord>,
-    /// Per-view counters (installs, staleness histogram, …).
-    pub metrics: PolicyMetrics,
-    /// Install epochs whose snapshots were compared against the oracle
-    /// (0 when snapshot recording was off).
-    pub epochs_audited: usize,
-    /// Audited epochs where the incremental contents differed from the
-    /// truth — the operator chain freshly evaluated over the base
-    /// ancestor's state at the epoch's consumed set — plus any
-    /// epoch-count misalignment with the parent. Must be 0.
-    pub epoch_mismatches: usize,
-    /// Final contents equal the truth at everything the view's installs
-    /// consumed (checked even with snapshots off).
-    pub final_matches_oracle: bool,
-}
-
-/// One registered view's end-of-run state.
+/// One registry slot's end-of-run state — a base view or a derived one,
+/// reported, graded and audited alike.
 #[derive(Clone, Debug)]
 pub struct ViewOutcome {
     /// Display name from the spec.
     pub name: String,
-    /// First chain relation of the span.
-    pub lo: usize,
-    /// Last chain relation of the span (inclusive).
-    pub hi: usize,
-    /// The view's maintenance cadence.
+    /// What the slot evaluates to in the run's
+    /// [`truth`](MultiViewReport::truth): its base ancestor's span, then
+    /// the operator chain down to it (none for a base view).
+    pub slot: SlotView,
+    /// The parent slot of a derived view (`None` for a base view).
+    pub parent: Option<usize>,
+    /// The view's maintenance cadence (a derived view installs at every
+    /// parent install: `Sweep`).
     pub policy: ViewPolicy,
     /// Final materialized contents.
     pub view: Bag,
-    /// Install log, consumed ids in **global** chain coordinates.
+    /// Install log, consumed ids in **global** chain coordinates; a
+    /// derived view's mirror its parent's 1:1.
     pub installs: Vec<InstallRecord>,
     /// Per-view counters (installs, staleness histogram, …).
     pub metrics: PolicyMetrics,
-    /// Consistency classification against the view's own ground truth
-    /// (when checking was enabled).
+    /// Consistency classification against the slot's ground truth (when
+    /// checking was enabled).
     pub consistency: Option<ConsistencyReport>,
 }
 
 /// Everything observable from one multi-view run.
 #[derive(Clone, Debug)]
 pub struct MultiViewReport {
-    /// Per-view outcomes, in registration order.
+    /// One outcome per registry slot, in slot order: the base views in
+    /// registration order, then the derived ones. Derived views are fed
+    /// locally by the cascade, never by source round-trips, so they
+    /// appear nowhere in the message accounting.
     pub views: Vec<ViewOutcome>,
-    /// Derived (view-over-view) outcomes, ascending by registry slot —
-    /// their slots follow the base views', so slot `views.len() + k` is
-    /// `derived[k]` (registration order whenever parents are listed
-    /// first). Their maintenance is fed locally by the cascade, never by
-    /// source round-trips, so they appear nowhere in the message
-    /// accounting.
-    pub derived: Vec<DerivedOutcome>,
     /// Cascade counters: child installs, memoized sibling derivations,
     /// and fresh linear evaluations.
     pub cascade: CascadeStats,
@@ -507,21 +404,6 @@ impl MultiViewReport {
         self.truth.delivery_log()
     }
 
-    /// What registry slot `slot` evaluates to in [`truth`](Self::truth):
-    /// the span of its view in `scenario`, or a derived view's operator
-    /// chain over its base ancestor's span.
-    pub(crate) fn slot_view(
-        &self,
-        scenario: &MultiViewScenario,
-        slot: usize,
-    ) -> Result<SlotView, CoreError> {
-        let base = self.views.iter().map(|v| v.name.as_str());
-        let names: Vec<&str> = base
-            .chain(self.derived.iter().map(|d| d.name.as_str()))
-            .collect();
-        slot_view(scenario, &names, slot)
-    }
-
     /// Makespan of the maintenance work (µs): last install time minus
     /// first transaction arrival — the virtual-time quantity E18's
     /// speedup gate divides.
@@ -539,14 +421,6 @@ impl MultiViewReport {
     pub fn install_fingerprint(&self) -> Vec<Vec<Vec<UpdateId>>> {
         let consumed = |v: &ViewOutcome| v.installs.iter().map(|r| r.consumed.clone()).collect();
         self.views.iter().map(consumed).collect()
-    }
-
-    /// Every derived view passed its oracle audit: zero per-epoch
-    /// mismatches and final contents equal to the truth.
-    pub fn derived_clean(&self) -> bool {
-        self.derived
-            .iter()
-            .all(|d| d.epoch_mismatches == 0 && d.final_matches_oracle)
     }
 
     /// Fraction of linear child derivations served from the shared
@@ -584,8 +458,9 @@ impl MultiViewReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dw_relational::{AggFn, AggregateSpec, CmpOp, Value};
     use dw_simnet::LatencyModel;
-    use dw_workload::{MultiViewConfig, StreamConfig, ViewSpec};
+    use dw_workload::{DerivedOp, DerivedSpec, MultiViewConfig, StreamConfig, ViewSpec};
 
     fn config(n_views: usize, seed: u64) -> MultiViewConfig {
         MultiViewConfig {
@@ -750,22 +625,92 @@ mod tests {
         assert_eq!(report.messages_per_update(), 0.0);
     }
 
+    /// The derived slots of `report`, each asserted classified at least
+    /// `Strong`: every install the truth of its consumed set, consumed in
+    /// per-source prefix order, and the final contents the truth's.
+    fn strong_derived(report: &MultiViewReport) -> Vec<&ViewOutcome> {
+        let derived: Vec<&ViewOutcome> =
+            report.views.iter().filter(|v| v.parent.is_some()).collect();
+        for d in &derived {
+            let c = d.consistency.as_ref().expect("checking on");
+            assert!(
+                c.level >= ConsistencyLevel::Strong,
+                "derived '{}': {}",
+                d.name,
+                c.detail
+            );
+        }
+        derived
+    }
+
     #[test]
     fn derived_views_track_their_oracle_at_every_epoch() {
         for seed in [11u64, 12, 13] {
             let scenario = config_with_derived(3, 4, seed).generate().unwrap();
-            let n_derived = scenario.derived.len();
+            let (n_base, n_derived) = (scenario.views.len(), scenario.derived.len());
             let report = MultiViewExperiment::new(scenario).run().unwrap();
             assert!(report.quiescent);
-            assert_eq!(report.derived.len(), n_derived);
-            for d in &report.derived {
-                assert!(d.epochs_audited > 0, "derived '{}' never audited", d.name);
-                assert_eq!(d.epoch_mismatches, 0, "derived '{}'", d.name);
-                assert!(d.final_matches_oracle, "derived '{}'", d.name);
+            assert_eq!(report.views.len(), n_base + n_derived);
+            let derived = strong_derived(&report);
+            assert_eq!(derived.len(), n_derived);
+            for d in derived {
+                let checked = d.consistency.as_ref().unwrap().installs_checked;
+                assert!(checked > 0, "derived '{}' never audited", d.name);
+                assert!(d.parent.is_some_and(|p| p < n_base + n_derived));
             }
-            assert!(report.derived_clean());
             assert!(report.cascade.child_installs > 0);
         }
+    }
+
+    #[test]
+    fn a_derived_slot_is_graded_like_its_parent() {
+        // A SWEEP parent walks every delivered state, so its σ and Σ
+        // children do too (complete); a batch-3 parent's children walk
+        // its meaningful states (strong).
+        let mut scenario = config(1, 17).generate().unwrap();
+        scenario.views = vec![
+            ViewSpec::full("sweep", 4),
+            ViewSpec {
+                policy: ViewPolicy::Deferred { batch: 3 },
+                ..ViewSpec::full("batched", 4)
+            },
+        ];
+        let child = |name: &str, parent: &str, op: DerivedOp| DerivedSpec {
+            name: name.into(),
+            parent: parent.into(),
+            op,
+        };
+        let select = DerivedOp::Select {
+            selects: vec![(0, CmpOp::Ge, Value::Int(2))],
+            projection: None,
+        };
+        let count = DerivedOp::Aggregate(AggregateSpec {
+            group_by: vec![0],
+            aggs: vec![AggFn::CountRows],
+        });
+        scenario.derived = vec![
+            child("sweep-hot", "sweep", select.clone()),
+            child("sweep-counts", "sweep", count.clone()),
+            child("batched-hot", "batched", select),
+            child("batched-counts", "batched", count),
+        ];
+        let report = MultiViewExperiment::new(scenario).run().unwrap();
+        let levels: Vec<(Option<usize>, ConsistencyLevel)> = report
+            .views
+            .iter()
+            .map(|v| (v.parent, v.consistency.as_ref().unwrap().level))
+            .collect();
+        let (complete, strong) = (ConsistencyLevel::Complete, ConsistencyLevel::Strong);
+        let want = [
+            (None, complete),
+            (None, strong),
+            (Some(0), complete),
+            (Some(0), complete),
+            (Some(1), strong),
+            (Some(1), strong),
+        ];
+        assert_eq!(levels, want);
+        assert_eq!(report.min_consistency(), Some(strong));
     }
 
     #[test]
@@ -778,7 +723,7 @@ mod tests {
         without.derived.clear();
         let r_with = MultiViewExperiment::new(with).run().unwrap();
         let r_without = MultiViewExperiment::new(without).run().unwrap();
-        assert!(!r_with.derived.is_empty());
+        assert!(r_with.views.len() > r_without.views.len());
         assert_eq!(r_with.query_messages(), r_without.query_messages());
         assert_eq!(
             r_with.messages_per_update(),
@@ -794,15 +739,9 @@ mod tests {
     fn derived_epochs_align_with_parent_logs() {
         let scenario = config_with_derived(2, 3, 15).generate().unwrap();
         let report = MultiViewExperiment::new(scenario).run().unwrap();
-        for d in &report.derived {
-            let parent_installs = report
-                .views
-                .iter()
-                .map(|v| (&v.name, &v.installs))
-                .chain(report.derived.iter().map(|o| (&o.name, &o.installs)))
-                .find(|(n, _)| **n == d.parent)
-                .map(|(_, i)| i.clone())
-                .expect("parent appears in the report");
+        for d in &report.views {
+            let Some(parent) = d.parent else { continue };
+            let parent_installs = &report.views[parent].installs;
             assert_eq!(d.installs.len(), parent_installs.len(), "'{}'", d.name);
             for (mine, theirs) in d.installs.iter().zip(parent_installs.iter()) {
                 assert_eq!(mine.consumed, theirs.consumed, "'{}'", d.name);
@@ -821,7 +760,7 @@ mod tests {
             .unwrap();
         assert!(report.quiescent);
         assert!(report.recovery.recoveries > 0);
-        assert!(report.derived_clean());
+        assert!(!strong_derived(&report).is_empty());
     }
 
     #[test]
@@ -880,15 +819,14 @@ mod tests {
         ];
         let report = MultiViewExperiment::new(scenario).run().unwrap();
         assert_eq!(report.views[0].name, "all");
-        assert_eq!(report.views[1].lo, 1);
+        assert_eq!(report.views[1].slot.lo, 1);
         assert!(report.min_consistency().unwrap() >= ConsistencyLevel::Convergent);
     }
 
     /// The sharded arm: the same harness with a partitioner.
     mod sharded {
         use super::*;
-        use dw_relational::{AggFn, AggregateSpec, CmpOp, Value};
-        use dw_workload::{DerivedOp, DerivedSpec, ShardedConfig, ShardedScenario};
+        use dw_workload::{ShardedConfig, ShardedScenario};
 
         fn sharded(generated: ShardedScenario) -> MultiViewExperiment {
             MultiViewExperiment::new(generated.scenario).shards(generated.map)
@@ -1027,13 +965,13 @@ mod tests {
             let sharded = sharded(generated.clone()).run().unwrap();
             let flat = MultiViewExperiment::new(generated.scenario).run().unwrap();
             assert!(sharded.quiescent && flat.quiescent);
-            assert_eq!(sharded.derived.len(), 3);
-            assert!(sharded.derived_clean());
-            assert!(flat.derived_clean());
+            assert_eq!(strong_derived(&sharded).len(), 3);
+            assert_eq!(strong_derived(&flat).len(), 3);
             // Derived views add no source traffic under either engine.
             assert_eq!(sharded.query_messages(), flat.query_messages());
-            for (s, f) in sharded.derived.iter().zip(flat.derived.iter()) {
-                assert_eq!(s.view, f.view, "derived '{}'", s.name);
+            assert_eq!(sharded.views.len(), flat.views.len());
+            for (s, f) in sharded.views.iter().zip(flat.views.iter()) {
+                assert_eq!(s.view, f.view, "view '{}'", s.name);
             }
         }
 
@@ -1051,7 +989,7 @@ mod tests {
                 .unwrap();
             assert!(report.quiescent);
             assert_eq!(report.recovery.recoveries, 1);
-            assert!(report.derived_clean());
+            assert_eq!(strong_derived(&report).len(), 3);
         }
 
         #[test]

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use crate::experiment::CoreError;
 use crate::multi_experiment::MultiViewReport;
-use dw_multiview::{MaintenanceScheduler, ViewId};
+use dw_multiview::MaintenanceScheduler;
 use dw_protocol::UpdateId;
 use dw_relational::{Bag, SharedBag, Tuple, Value};
 use dw_serve::{
@@ -34,7 +34,7 @@ use dw_serve::{
 };
 use dw_simnet::Time;
 use dw_warehouse::InstallRecord;
-use dw_workload::{MultiViewScenario, ReadKind, ReadOp};
+use dw_workload::{ReadKind, ReadOp};
 
 /// The serve options of a [`MultiViewExperiment`](crate::MultiViewExperiment).
 /// The arm exists iff `reads` is set; `bounded_sub_lag` only shapes it.
@@ -78,25 +78,22 @@ pub(crate) struct ServeArm {
     next_op: usize,
     reads: Vec<ReadOutcome>,
     subscriptions: Vec<SubscriptionOutcome>,
-    /// Bounded subscriptions, one per base view: `lag[v]` is view `v`'s.
+    /// Bounded subscriptions, one per slot: `lag[v]` is slot `v`'s.
     lag: Vec<LagSubscription>,
 }
 
 impl ServeArm {
     /// Attach a frontend to `sched` as its install publisher — `None`
     /// unless the builder asked for reads. Frontend slots mirror the
-    /// registry's (the publisher keys epochs by slot): `base` in
-    /// registration order, then `derived` ascending by slot. Baseline
-    /// subscriptions start at epoch 0 on every slot, so their streams
-    /// must replay each view's full install fingerprint; bounded ones
-    /// (the lag arm, drained by `ReadKind::Poll` ops and at quiescence)
-    /// cover base views only; their resume snapshots are audited
-    /// against [`oracle_view_at_epoch`].
+    /// registry's (the publisher keys epochs by slot), base and derived
+    /// views alike. Baseline subscriptions start at epoch 0 on every
+    /// slot, so their streams must replay each view's full install
+    /// fingerprint; so do the bounded ones (the lag arm, drained by
+    /// `ReadKind::Poll` ops and at quiescence), whose resume snapshots are
+    /// audited against [`oracle_view_at_epoch`].
     pub fn open(
         cfg: ServeConfig,
         sched: &mut MaintenanceScheduler,
-        base: &[ViewId],
-        derived: &[ViewId],
         obs: &dw_obs::Obs,
     ) -> Result<Option<ServeArm>, CoreError> {
         let Some(ops) = cfg.reads else {
@@ -106,7 +103,7 @@ impl ServeArm {
         front.set_observer(obs.clone());
         sched.set_install_publisher(front.sink());
         let reg = sched.views();
-        for &id in base.iter().chain(derived) {
+        for id in reg.ids() {
             let slot = front.register_view(reg.name(id)?, reg.view_bag(id)?.clone(), 0);
             debug_assert_eq!(slot, id.index(), "frontend/registry slot drift");
         }
@@ -129,7 +126,7 @@ impl ServeArm {
             });
         }
         if let Some(max_lag) = cfg.bounded_sub_lag {
-            for view in 0..base.len() {
+            for view in 0..front.view_count() {
                 arm.lag.push(LagSubscription {
                     view,
                     sub: front.subscribe_bounded(view, max_lag)?,
@@ -379,7 +376,7 @@ pub enum LagEvent {
 /// One bounded subscription's full event history (lag arm).
 #[derive(Clone, Debug)]
 pub struct LagSubscription {
-    /// Subscribed base view (registry slot).
+    /// Subscribed view (registry slot).
     pub view: usize,
     /// Subscription id.
     pub sub: u64,
@@ -454,22 +451,13 @@ impl MultiViewReport {
         self.serve.as_ref().ok_or_else(none)
     }
 
-    /// The install log backing slot `slot` — a base view's outcome for
-    /// the leading slots, a derived view's for the trailing ones.
-    pub fn installs_for_slot(&self, slot: usize) -> Option<&[InstallRecord]> {
-        match slot.checked_sub(self.views.len()) {
-            None => self.views.get(slot).map(|v| v.installs.as_slice()),
-            Some(k) => self.derived.get(k).map(|d| d.installs.as_slice()),
-        }
-    }
-
     /// Whether the run served and every subscription's stream replays
     /// exactly the install fingerprint of its view (base or derived)
     /// from its start epoch: contiguous epochs, matching consumed sets,
     /// matching install times.
     pub fn subscriptions_match_installs(&self) -> bool {
         let replays = |sub: &SubscriptionOutcome| {
-            let installs = self.installs_for_slot(sub.view);
+            let installs = self.views.get(sub.view).map(|v| v.installs.as_slice());
             let Some(expected) = installs.and_then(|i| i.get(sub.from_epoch as usize..)) else {
                 return false;
             };
@@ -527,13 +515,10 @@ impl OracleAudit {
 /// against the oracles: answered point and scan reads must equal the
 /// truth of the view at their pinned epoch ([`oracle_view_at_epoch`]),
 /// and each accept/reject verdict must match [`oracle_expects_rejection`].
-pub fn audit_reads(
-    scenario: &MultiViewScenario,
-    report: &MultiViewReport,
-) -> Result<OracleAudit, CoreError> {
+pub fn audit_reads(report: &MultiViewReport) -> Result<OracleAudit, CoreError> {
     let mut audit = OracleAudit::default();
     for read in &report.served()?.reads {
-        let truth = || oracle_view_at_epoch(scenario, report, read.op.view, read.epoch);
+        let truth = || oracle_view_at_epoch(report, read.op.view, read.epoch);
         // `None`: rejected; `Some(ok)`: answered, contents matched or not.
         let answer = match (&read.result, &read.op.kind) {
             (ReadResult::Subscribed { .. } | ReadResult::Polled { .. }, _) => continue,
@@ -555,7 +540,7 @@ pub fn audit_reads(
             // A point answer to an op that asked for something else.
             (ReadResult::Point { .. }, _) => Some(false),
         };
-        let expect_reject = oracle_expects_rejection(scenario, report, read);
+        let expect_reject = oracle_expects_rejection(report, read);
         audit.reads += 1;
         audit.expected_rejected += u64::from(expect_reject);
         audit.verdict_mismatches += u64::from(answer.is_some() == expect_reject);
@@ -609,17 +594,16 @@ impl LagAudit {
 /// snapshot equal to [`oracle_view_at_epoch`] at its epoch, and (c) the
 /// folded end state equal to the oracle at the view's final epoch. That
 /// is exactly "resumed stream + snapshot == full stream".
-pub fn audit_lag_recoveries(
-    scenario: &MultiViewScenario,
-    report: &MultiViewReport,
-) -> Result<LagAudit, CoreError> {
+pub fn audit_lag_recoveries(report: &MultiViewReport) -> Result<LagAudit, CoreError> {
     let mut audit = LagAudit::default();
     for sub in &report.served()?.lag {
         audit.subs += 1;
-        let installs = report
-            .installs_for_slot(sub.view)
-            .ok_or_else(|| CoreError::Multi(format!("lag audit: no slot {}", sub.view)))?;
-        let oracle = |epoch| oracle_view_at_epoch(scenario, report, sub.view, epoch);
+        let installs = &report
+            .views
+            .get(sub.view)
+            .ok_or_else(|| CoreError::Multi(format!("lag audit: no slot {}", sub.view)))?
+            .installs;
+        let oracle = |epoch| oracle_view_at_epoch(report, sub.view, epoch);
         let mut running = oracle(sub.from_epoch)?;
         let mut next = sub.from_epoch + 1;
         for ev in &sub.events {
@@ -657,21 +641,22 @@ pub fn audit_lag_recoveries(
     Ok(audit)
 }
 
-/// Slot `slot`'s contents at epoch `epoch` in the run's truth: its view
-/// — a base view's span, or a derived view's operator chain over its
-/// base ancestor's — evaluated over every delivery that installs
-/// `1..=epoch` consumed. This is the ground truth a snapshot read at a
-/// pinned epoch must equal.
+/// Slot `slot`'s contents at epoch `epoch` in the run's truth: its
+/// [`SlotView`](dw_consistency::SlotView) — a base view's span, or a
+/// derived view's operator chain over its base ancestor's — evaluated over
+/// every delivery that installs `1..=epoch` consumed. This is the ground
+/// truth a snapshot read at a pinned epoch must equal.
 pub fn oracle_view_at_epoch(
-    scenario: &MultiViewScenario,
     report: &MultiViewReport,
     slot: usize,
     epoch: u64,
 ) -> Result<Bag, CoreError> {
-    let view = report.slot_view(scenario, slot)?;
-    let installs = report.installs_for_slot(slot).unwrap_or_default();
-    let consumed = consumed_through(installs, epoch);
-    Ok(report.truth.state(&view, &|id| consumed.contains(&id))?)
+    let no_view = || CoreError::Multi(format!("oracle: no view {slot}"));
+    let view = report.views.get(slot).ok_or_else(no_view)?;
+    let consumed = consumed_through(&view.installs, epoch);
+    Ok(report
+        .truth
+        .state(&view.slot, &|id| consumed.contains(&id))?)
 }
 
 /// Whether the staleness oracle expects this read to have been
@@ -679,26 +664,16 @@ pub fn oracle_view_at_epoch(
 /// base ancestor's — was delivered before the bound's cutoff (within the
 /// delivery prefix visible at issue time) yet was not consumed by any
 /// install up to the pinned epoch.
-pub fn oracle_expects_rejection(
-    scenario: &MultiViewScenario,
-    report: &MultiViewReport,
-    read: &ReadOutcome,
-) -> bool {
-    let Some(window) = read.op.bound_window else {
-        return false;
-    };
-    let (Ok(view), Some(installs)) = (
-        report.slot_view(scenario, read.op.view),
-        report.installs_for_slot(read.op.view),
-    ) else {
+pub fn oracle_expects_rejection(report: &MultiViewReport, read: &ReadOutcome) -> bool {
+    let (Some(window), Some(view)) = (read.op.bound_window, report.views.get(read.op.view)) else {
         return false;
     };
     let cutoff = read.op.at.saturating_sub(window);
-    let consumed = consumed_through(installs, read.epoch);
+    let consumed = consumed_through(&view.installs, read.epoch);
     // Deliveries are time-ordered: an update redelivered before the
     // cutoff was first delivered before it too (the time the store keeps).
     let visible = report.truth.deliveries().iter().take(read.deliveries_seen);
-    let mut in_span = visible.filter(|d| view.spans(d.id.source));
+    let mut in_span = visible.filter(|d| view.slot.spans(d.id.source));
     in_span.any(|d| d.at < cutoff && !consumed.contains(&d.id))
 }
 
@@ -715,7 +690,7 @@ mod tests {
     use dw_protocol::WAREHOUSE_NODE;
     use dw_relational::ShardMap;
     use dw_simnet::FaultPlan;
-    use dw_workload::{MultiViewConfig, ReadMixConfig, StreamConfig};
+    use dw_workload::{MultiViewConfig, MultiViewScenario, ReadMixConfig, StreamConfig};
 
     fn scenario(n_views: usize, seed: u64) -> MultiViewScenario {
         MultiViewConfig {
@@ -749,22 +724,20 @@ mod tests {
         .generate()
     }
 
-    fn check_against_oracle(scenario: &MultiViewScenario, report: &MultiViewReport) {
+    fn check_against_oracle(report: &MultiViewReport) {
         assert!(report.quiescent);
         for read in &report.served().unwrap().reads {
             match &read.result {
                 ReadResult::Scan { bag } => {
-                    let truth =
-                        oracle_view_at_epoch(scenario, report, read.op.view, read.epoch).unwrap();
+                    let truth = oracle_view_at_epoch(report, read.op.view, read.epoch).unwrap();
                     assert_eq!(bag, &truth, "scan at epoch {} drifted", read.epoch);
-                    assert!(!oracle_expects_rejection(scenario, report, read));
+                    assert!(!oracle_expects_rejection(report, read));
                 }
                 ReadResult::Point {
                     multiplicity,
                     matches,
                 } => {
-                    let truth =
-                        oracle_view_at_epoch(scenario, report, read.op.view, read.epoch).unwrap();
+                    let truth = oracle_view_at_epoch(report, read.op.view, read.epoch).unwrap();
                     let ReadKind::Point { column, key } = read.op.kind else {
                         panic!("point outcome from non-point op");
                     };
@@ -775,11 +748,11 @@ mod tests {
                         .collect();
                     assert_eq!(matches, &want);
                     assert_eq!(*multiplicity, want.iter().map(|&(_, m)| m).sum::<i64>());
-                    assert!(!oracle_expects_rejection(scenario, report, read));
+                    assert!(!oracle_expects_rejection(report, read));
                 }
                 ReadResult::Rejected { .. } => {
                     assert!(
-                        oracle_expects_rejection(scenario, report, read),
+                        oracle_expects_rejection(report, read),
                         "spurious rejection at epoch {} (op at {})",
                         read.epoch,
                         read.op.at
@@ -806,7 +779,7 @@ mod tests {
             installs
         );
         assert!(report.served().unwrap().answered() > 0);
-        check_against_oracle(&sc, &report);
+        check_against_oracle(&report);
     }
 
     #[test]
@@ -832,7 +805,7 @@ mod tests {
             report.served().unwrap().serve_stats.reads_rejected,
             "store counters disagree with outcomes"
         );
-        check_against_oracle(&sc, &report);
+        check_against_oracle(&report);
     }
 
     #[test]
@@ -850,7 +823,7 @@ mod tests {
             .run()
             .unwrap();
         assert!(sharded.shard_stats.is_some() && flat.shard_stats.is_none());
-        check_against_oracle(&sc, &sharded);
+        check_against_oracle(&sharded);
         assert_eq!(flat.install_fingerprint(), sharded.install_fingerprint());
     }
 
@@ -872,7 +845,7 @@ mod tests {
             report.served().unwrap().reads.len(),
             report.served().unwrap().answered() + report.served().unwrap().rejected()
         );
-        check_against_oracle(&sc, &report);
+        check_against_oracle(&report);
     }
 
     #[test]
@@ -888,13 +861,13 @@ mod tests {
             .reads(reads)
             .run()
             .unwrap();
-        check_against_oracle(&sc, &report);
+        check_against_oracle(&report);
         // The index really engaged — built, then reused — and answering
         // through it examined fewer tuples than scanning each answered
         // point read's pinned epoch would have.
         let stats = &report.served().unwrap().serve_stats;
         assert!(stats.point_index_builds > 0 && stats.point_index_hits > 0);
-        let audit = audit_reads(&sc, &report).unwrap();
+        let audit = audit_reads(&report).unwrap();
         assert!(audit.clean(), "{audit:?}");
         assert!(
             stats.read_work_tuples + stats.index_maintenance_tuples < audit.point_scan_tuples,
@@ -917,8 +890,8 @@ mod tests {
             .bounded_subscriptions(1)
             .run()
             .unwrap();
-        check_against_oracle(&sc, &report);
-        let audit = audit_lag_recoveries(&sc, &report).unwrap();
+        check_against_oracle(&report);
+        let audit = audit_lag_recoveries(&report).unwrap();
         assert_eq!(audit.subs, 2);
         assert!(
             audit.lag_events >= 1 && audit.resumes >= 1,

@@ -11,12 +11,11 @@
 //! [`LiveWarehouse`] and differ only in what they hang off it.
 
 use crate::cluster::{setup_failed, source_runners};
-use dw_engine::{
-    run_cluster, InstallRecord, LiveError, NodeRunner, SharedInstallPublisher, ThreadNet,
-};
+use dw_engine::{run_cluster, InstallRecord, LiveError, NodeRunner, ThreadNet};
 use dw_multiview::{EngineOptions, MaintenanceScheduler, OneViewSweep, ViewId};
 use dw_protocol::{Message, WAREHOUSE_NODE};
-use dw_relational::{eval_view, Bag, ShardMap, ViewDef};
+use dw_relational::{eval_view, Bag, ShardMap, SharedBag, ViewDef};
+use dw_serve::ReadFrontend;
 use dw_simnet::{NodeId, Time};
 use dw_workload::{GeneratedScenario, MultiViewScenario};
 use std::time::Duration;
@@ -32,13 +31,12 @@ pub struct LiveViewOutcome {
     pub installs: Vec<InstallRecord>,
 }
 
-/// The warehouse node: a scheduler with every scenario view registered
-/// at its correct initial contents, behind the engine's runner face. The
-/// drain detector polls [`NodeRunner::is_idle`], the scheduler's own
-/// quiescence.
+/// The warehouse node: a scheduler with every scenario view — base and
+/// derived — registered at its correct initial contents, behind the
+/// engine's runner face. The drain detector polls
+/// [`NodeRunner::is_idle`], the scheduler's own quiescence.
 pub(crate) struct LiveWarehouse {
     sched: MaintenanceScheduler,
-    ids: Vec<ViewId>,
 }
 
 impl NodeRunner for LiveWarehouse {
@@ -69,35 +67,47 @@ impl NodeRunner for LiveWarehouse {
 }
 
 impl LiveWarehouse {
-    /// A shared-sweep scheduler over `scenario` — one lane per shard
-    /// group of `map`, one group without — announcing installs through
-    /// `publisher`. `on_view` sees every base view's initial contents in
-    /// registration order (the serve arm mirrors them into its frontend).
+    /// A shared-sweep scheduler over `scenario` — its base views, then
+    /// its derived views on top — with one lane per shard group of `map`,
+    /// one group without. With a `front`, installs publish into it and
+    /// every registry slot is mirrored into it at epoch 0, in slot order.
     pub fn new(
         scenario: &MultiViewScenario,
         map: Option<&ShardMap>,
-        publisher: Option<SharedInstallPublisher>,
-        mut on_view: impl FnMut(&str, &Bag),
+        front: Option<&ReadFrontend>,
     ) -> Result<Self, LiveError> {
         let base = &scenario.base;
         let opts = EngineOptions::default();
         let mut sched = MaintenanceScheduler::with_shards(base.clone(), opts, map.cloned())
             .map_err(setup_failed)?;
-        if let Some(p) = publisher {
-            sched.set_install_publisher(p);
-        }
         for bag in &scenario.initial {
             sched.seed_groups(bag);
         }
-        let mut ids = Vec::with_capacity(scenario.views.len());
         for spec in &scenario.views {
             let local = spec.compile(base).map_err(setup_failed)?;
             let refs: Vec<&Bag> = scenario.initial[spec.lo..=spec.hi].iter().collect();
             let initial_view = dw_relational::eval_view(&local, &refs).map_err(setup_failed)?;
-            on_view(&spec.name, &initial_view);
-            ids.push(sched.register(spec, initial_view).map_err(setup_failed)?);
+            sched.register(spec, initial_view).map_err(setup_failed)?;
         }
-        Ok(LiveWarehouse { sched, ids })
+        sched
+            .register_derived_many(&scenario.derived)
+            .map_err(setup_failed)?;
+        if let Some(front) = front {
+            sched.set_install_publisher(front.sink());
+            let reg = sched.views();
+            for id in reg.ids() {
+                let bag = reg.view_bag(id).map_err(setup_failed)?;
+                front.register_view(reg.name(id).map_err(setup_failed)?, bag.clone(), 0);
+            }
+        }
+        Ok(LiveWarehouse { sched })
+    }
+
+    /// Every registry slot's current contents, in slot order.
+    pub fn bags(&self) -> Result<Vec<SharedBag>, LiveError> {
+        let reg = self.sched.views();
+        let bags = reg.ids().into_iter().map(|id| reg.view_bag(id).cloned());
+        bags.collect::<Result<_, _>>().map_err(setup_failed)
     }
 
     /// SWEEP under `opts` — Nested SWEEP at any depth but 1 — over
@@ -111,15 +121,14 @@ impl LiveWarehouse {
         let initial_view = eval_view(&scenario.view, &refs).map_err(setup_failed)?;
         let sweep = OneViewSweep::new(&scenario.view, initial_view, opts).map_err(setup_failed)?;
         let (sched, id) = sweep.into_parts();
-        let ids = vec![id];
-        Ok((LiveWarehouse { sched, ids }, id))
+        Ok((LiveWarehouse { sched }, id))
     }
 
     /// Run `injections` (time-sorted) through this warehouse and one
     /// thread per relation of `chain`, each loaded with its `initial`
     /// contents. `time_scale` compresses injection timestamps (2.0 =
     /// twice as fast); `deadline` bounds the whole run. Returns the
-    /// drained scheduler, the per-view outcomes in registration order,
+    /// drained scheduler, one outcome per registry slot in slot order,
     /// and the wall-clock duration.
     pub fn run(
         self,
@@ -131,9 +140,10 @@ impl LiveWarehouse {
     ) -> Result<(MaintenanceScheduler, Vec<LiveViewOutcome>, Duration), LiveError> {
         let sources = source_runners(chain, initial)?;
         let outcome = run_cluster(self, sources, injections, time_scale, deadline)?;
-        let LiveWarehouse { sched, ids } = outcome.warehouse;
+        let sched = outcome.warehouse.sched;
         let reg = sched.views();
-        let views = ids
+        let views = reg
+            .ids()
             .into_iter()
             .map(|id| {
                 Ok(LiveViewOutcome {

@@ -48,7 +48,8 @@ enum Observed {
 /// Result of a live serve run.
 #[derive(Debug)]
 pub struct LiveServeReport {
-    /// Final per-view contents and install logs, registration order.
+    /// Final contents and install log of every registry slot — base
+    /// views, then derived ones.
     pub views: Vec<crate::LiveViewOutcome>,
     /// Aggregate engine counters.
     pub metrics: PolicyMetrics,
@@ -80,24 +81,20 @@ pub fn run_live_serve(
     deadline: Duration,
 ) -> Result<LiveServeReport, LiveError> {
     let front = ReadFrontend::new();
-    let mut initial_bags: Vec<SharedBag> = Vec::with_capacity(scenario.views.len());
-    let warehouse = LiveWarehouse::new(scenario, None, Some(front.sink()), |name, initial| {
-        let epoch0 = SharedBag::from(initial.clone());
-        front.register_view(name, epoch0.clone(), 0);
-        initial_bags.push(epoch0);
-    })?;
+    let warehouse = LiveWarehouse::new(scenario, None, Some(&front))?;
+    let initial_bags = warehouse.bags()?;
+    let n_views = initial_bags.len();
 
-    // One subscription per view, from epoch 0: drained post-run and
+    // One subscription per slot, from epoch 0: drained post-run and
     // compared against the install fingerprint.
-    let mut subs = Vec::with_capacity(scenario.views.len());
-    for v in 0..scenario.views.len() {
+    let mut subs = Vec::with_capacity(n_views);
+    for v in 0..n_views {
         subs.push(front.subscribe(v).map_err(fail)?);
     }
 
     // Reader threads: pin → read → unpin in a tight loop until the
     // maintenance cluster drains. Each thread records what it saw.
     let stop = Arc::new(AtomicBool::new(false));
-    let n_views = scenario.views.len();
     let mut reader_handles = Vec::with_capacity(readers);
     for r in 0..readers {
         let front = front.clone();
@@ -226,27 +223,36 @@ pub fn run_live_serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_relational::{eval_view, Bag};
-    use dw_workload::{MultiViewConfig, StreamConfig};
+    use dw_relational::{eval_view, AggFn, AggregateSpec, Bag, CmpOp};
+    use dw_workload::{DerivedOp, DerivedSpec, MultiViewConfig, StreamConfig};
 
+    /// Every slot's final contents: each base view over the fully updated
+    /// relations, then each derived view's operator over its parent's
+    /// (parents listed first).
     fn ground_truth(s: &MultiViewScenario) -> Vec<Bag> {
         let mut rels = s.initial.clone();
         for t in &s.txns {
             rels[t.source].merge(&t.delta);
         }
-        s.views
+        let mut truth: Vec<(&str, Bag)> = s
+            .views
             .iter()
             .map(|spec| {
                 let local = spec.compile(&s.base).unwrap();
                 let refs: Vec<&Bag> = rels[spec.lo..=spec.hi].iter().collect();
-                eval_view(&local, &refs).unwrap()
+                (spec.name.as_str(), eval_view(&local, &refs).unwrap())
             })
-            .collect()
+            .collect();
+        for d in &s.derived {
+            let parent = truth.iter().find(|(name, _)| *name == d.parent).unwrap();
+            let bag = d.op.eval(&parent.1).unwrap();
+            truth.push((d.name.as_str(), bag));
+        }
+        truth.into_iter().map(|(_, bag)| bag).collect()
     }
 
-    #[test]
-    fn concurrent_readers_never_see_torn_epochs() {
-        let scenario = MultiViewConfig {
+    fn scenario() -> MultiViewScenario {
+        MultiViewConfig {
             stream: StreamConfig {
                 n_sources: 3,
                 updates: 16,
@@ -263,7 +269,12 @@ mod tests {
             derived_seed: 0,
         }
         .generate()
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn concurrent_readers_never_see_torn_epochs() {
+        let scenario = scenario();
         let report = run_live_serve(&scenario, 4, 20.0, Duration::from_secs(30)).unwrap();
         assert!(report.quiescent);
         assert_eq!(report.torn_reads, 0, "torn read observed");
@@ -272,5 +283,47 @@ mod tests {
         for (outcome, truth) in report.views.iter().zip(ground_truth(&scenario)) {
             assert_eq!(outcome.view, truth, "view '{}'", outcome.name);
         }
+    }
+
+    #[test]
+    fn derived_views_are_maintained_and_served_on_threads() {
+        // One σ and one Σ view over V0: the live warehouse maintains them
+        // through the cascade, and the readers and subscriptions see their
+        // slots like any other.
+        let mut scenario = scenario();
+        scenario.derived = vec![
+            DerivedSpec {
+                name: "hot".into(),
+                parent: "V0".into(),
+                op: DerivedOp::Select {
+                    selects: vec![(0, CmpOp::Ge, Value::Int(2))],
+                    projection: None,
+                },
+            },
+            DerivedSpec {
+                name: "counts".into(),
+                parent: "V0".into(),
+                op: DerivedOp::Aggregate(AggregateSpec {
+                    group_by: vec![0],
+                    aggs: vec![AggFn::CountRows],
+                }),
+            },
+        ];
+        let report = run_live_serve(&scenario, 4, 20.0, Duration::from_secs(30)).unwrap();
+        assert!(report.quiescent);
+        assert_eq!(report.torn_reads, 0, "torn read observed");
+        assert!(report.subs_match_installs);
+        let truth = ground_truth(&scenario);
+        assert_eq!(report.views.len(), truth.len());
+        for (outcome, truth) in report.views.iter().zip(truth) {
+            assert_eq!(outcome.view, truth, "view '{}'", outcome.name);
+        }
+        let names: Vec<&str> = report.views.iter().map(|v| v.name.as_str()).collect();
+        assert_eq!(names[3..], ["hot", "counts"]);
+        // Each child installs once per parent install.
+        assert_eq!(
+            report.views[3].installs.len(),
+            report.views[0].installs.len()
+        );
     }
 }

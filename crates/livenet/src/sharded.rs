@@ -19,7 +19,7 @@ pub use dw_engine::LiveError;
 /// Result of a live sharded run.
 #[derive(Debug)]
 pub struct LiveShardedReport {
-    /// Per-view outcomes, in registration order.
+    /// One outcome per registry slot: base views, then derived ones.
     pub views: Vec<LiveViewOutcome>,
     /// Aggregate engine counters.
     pub metrics: PolicyMetrics,
@@ -41,7 +41,7 @@ pub fn run_live_sharded(
     deadline: Duration,
 ) -> Result<LiveShardedReport, LiveError> {
     let scenario = &generated.scenario;
-    let warehouse = LiveWarehouse::new(scenario, Some(&generated.map), None, |_, _| {})?;
+    let warehouse = LiveWarehouse::new(scenario, Some(&generated.map), None)?;
     let (base, initial, txns) = (
         &scenario.base,
         &scenario.initial,

@@ -8,7 +8,8 @@
 //! pushed through each derived operator — σ/Π re-evaluated per delta,
 //! Σ folded into per-group accumulators with support multisets so
 //! MIN/MAX survive retractions — and every derived view stays equal to
-//! a fresh recompute over its parent at every single install epoch.
+//! a fresh recompute over its parent at every single install epoch: the
+//! report grades each slot, base or derived, against the same truth.
 //!
 //! Run with: `cargo run --example dag_demo`
 
@@ -74,17 +75,22 @@ fn main() {
         2 * (3 - 1),
     );
 
-    for d in &report.derived {
+    // One outcome per registry slot — the join view, then the stack —
+    // each graded against the run's one ground truth like any other view.
+    for v in &report.views {
+        let level = v.consistency.as_ref().unwrap().level;
+        let over = match v.parent {
+            Some(p) => format!("'{}'", report.views[p].name),
+            None => "the sources".to_string(),
+        };
+        let op = v.slot.ops.last().map_or("join", DerivedOp::name);
         println!(
-            "derived '{}' ({} over '{}'): {} epochs, {} tuples at quiescence, \
-             oracle-clean: {}",
-            d.name,
-            d.op,
-            d.parent,
-            d.installs.len(),
-            d.view.distinct_len(),
-            d.epoch_mismatches == 0 && d.final_matches_oracle,
+            "slot '{}' ({op} over {over}): {} epochs, {} tuples at quiescence, {level}",
+            v.name,
+            v.installs.len(),
+            v.view.distinct_len(),
         );
+        assert!(level >= ConsistencyLevel::Strong);
     }
 
     println!(
@@ -96,7 +102,6 @@ fn main() {
 
     // The whole stack cost zero extra source messages.
     assert_eq!(report.query_messages(), referee.query_messages());
-    assert!(report.derived_clean());
     println!(
         "source bill with stack = {} messages, without = {} — the DAG is free \
          at the sources:\nderived views are maintained from the parent's \

@@ -86,7 +86,7 @@ fn main() {
     }
 
     // --- The oracle audit: every answer equals a fresh recompute ---------
-    let audit = audit_reads(&scenario, &report).unwrap();
+    let audit = audit_reads(&report).unwrap();
     println!(
         "\noracle audit: {} answered, {} rejected (oracle demanded {}), {} mismatches",
         audit.answered,

@@ -78,9 +78,9 @@ pub mod prelude {
     };
     pub use dw_core::{
         audit_lag_recoveries, audit_reads, oracle_expects_rejection, oracle_view_at_epoch,
-        CoreError, DerivedOutcome, Experiment, LagAudit, LagEvent, LagSubscription,
-        MultiViewExperiment, MultiViewReport, OracleAudit, PolicyKind, ReadOutcome, ReadResult,
-        RunReport, ServeOutcome, SubscriptionOutcome, ViewOutcome,
+        CoreError, Experiment, LagAudit, LagEvent, LagSubscription, MultiViewExperiment,
+        MultiViewReport, OracleAudit, PolicyKind, ReadOutcome, ReadResult, RunReport, ServeOutcome,
+        SubscriptionOutcome, ViewOutcome,
     };
     pub use dw_multiview::{
         CascadeStats, EngineOptions, MaintenanceScheduler, OneViewSweep, SchedulerMode, ShardStats,

@@ -84,7 +84,7 @@ fn assert_documented_order(report: &MultiViewReport, arm: &str) {
 
     // Per-slot epoch contiguity: the k-th publication of a slot is its
     // epoch k, and the ledger length matches the install logs exactly.
-    let mut seen = vec![0u64; report.views.len() + report.derived.len()];
+    let mut seen = vec![0u64; report.views.len()];
     for &(slot, epoch) in log {
         seen[slot] += 1;
         assert_eq!(
@@ -93,10 +93,9 @@ fn assert_documented_order(report: &MultiViewReport, arm: &str) {
         );
     }
     for (slot, &count) in seen.iter().enumerate() {
-        let installs = report.installs_for_slot(slot).unwrap();
         assert_eq!(
             count as usize,
-            installs.len(),
+            report.views[slot].installs.len(),
             "{arm}: slot {slot} ledger/install-log drift"
         );
     }
@@ -118,9 +117,10 @@ fn assert_documented_order(report: &MultiViewReport, arm: &str) {
     }
 
     // Child epochs consume exactly what the parent consumed, 1:1.
-    for d in &report.derived {
-        let parent_slot = if d.parent == "V0" { 0 } else { 3 };
-        let parent = report.installs_for_slot(parent_slot).unwrap();
+    for d in &report.views[2..] {
+        let parent_slot = if d.name == "busy" { 3 } else { 0 };
+        assert_eq!(d.parent, Some(parent_slot), "{arm}: '{}' parent", d.name);
+        let parent = &report.views[parent_slot].installs;
         assert_eq!(d.installs.len(), parent.len(), "{arm}: '{}' epochs", d.name);
         for (mine, theirs) in d.installs.iter().zip(parent.iter()) {
             assert_eq!(mine.consumed, theirs.consumed, "{arm}: '{}'", d.name);
@@ -128,11 +128,26 @@ fn assert_documented_order(report: &MultiViewReport, arm: &str) {
     }
 }
 
+/// Every derived slot (2, 3, 4) is classified at least strong against its
+/// truth: each install its consumed set's state, the final one the run's.
+fn assert_derived_strong(report: &MultiViewReport, arm: &str) {
+    assert_eq!(report.views.len(), 5, "{arm}: one outcome per slot");
+    for d in &report.views[2..] {
+        let c = d.consistency.as_ref().unwrap();
+        assert!(
+            c.level >= ConsistencyLevel::Strong,
+            "{arm}: derived '{}' diverged from its truth: {}",
+            d.name,
+            c.detail
+        );
+    }
+}
+
 #[test]
 fn flat_cascade_publishes_in_documented_ticket_order() {
     let report = serving(scenario(31)).run().unwrap();
     assert!(report.quiescent);
-    assert!(report.derived_clean(), "derived diverged from oracle");
+    assert_derived_strong(&report, "flat");
     assert_documented_order(&report, "flat");
     // The hub fanned every block out: each baseline subscription (base
     // and derived slots alike) replays its view's full install log.
@@ -148,7 +163,7 @@ fn sharded_sequencer_releases_the_same_ticket_order() {
     let flat = serving(sc.clone()).run().unwrap();
     let sharded = serving(sc).shards(ShardMap::hash(2)).run().unwrap();
     assert!(sharded.shard_stats.is_some() && sharded.quiescent);
-    assert!(sharded.derived_clean());
+    assert_derived_strong(&sharded, "sharded");
     assert_documented_order(&sharded, "sharded");
     assert!(sharded.subscriptions_match_installs());
     // Sequenced per-shard lanes must release the exact flat order:
@@ -171,7 +186,7 @@ fn crash_recovery_replays_never_reenter_the_ledger() {
         .run()
         .unwrap();
     assert!(report.quiescent);
-    assert!(report.derived_clean(), "derived state lost in the crash");
+    assert_derived_strong(&report, "crash");
     assert_documented_order(&report, "crash");
     assert!(report.subscriptions_match_installs());
     // The crash arm engaged: recovery ran, and any WAL replays that
@@ -185,7 +200,7 @@ fn crash_recovery_replays_never_reenter_the_ledger() {
     // Final derived bags equal the fault-free run's (restart equivalence
     // through the serving layer included).
     let clean = serving(sc).run().unwrap();
-    for (a, b) in report.derived.iter().zip(clean.derived.iter()) {
+    for (a, b) in report.views[2..].iter().zip(&clean.views[2..]) {
         assert_eq!(a.view, b.view, "derived '{}' diverged across crash", a.name);
     }
     assert_eq!(

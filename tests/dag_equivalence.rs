@@ -51,29 +51,43 @@ fn arb_dag(r: &mut Rng64) -> MultiViewConfig {
     }
 }
 
-/// Assert every derived view's per-epoch oracle audit came back clean
-/// and that each child's install log mirrors its parent's epochs 1:1.
+/// The derived slots of a report.
+fn derived(report: &MultiViewReport) -> Vec<&ViewOutcome> {
+    report.views.iter().filter(|v| v.parent.is_some()).collect()
+}
+
+/// Assert every derived slot is classified at least strong — each install
+/// epoch equal to the fresh recompute of its operator chain over the
+/// truth at the epoch's consumed set, and the final contents the truth's
+/// — and that each child's install log mirrors its parent's epochs 1:1.
 fn assert_dag_clean(report: &MultiViewReport, case: u64, arm: &str) {
-    assert!(!report.derived.is_empty(), "case {case} [{arm}]: no stack");
-    for d in &report.derived {
+    let stack = derived(report);
+    assert!(!stack.is_empty(), "case {case} [{arm}]: no stack");
+    for d in stack {
+        let c = d.consistency.as_ref().expect("checking is on");
         // Snapshots are on in these arms, so every install epoch must
-        // have been audited (a parent whose span saw no traffic installs
-        // nothing, and its child then legitimately audits zero epochs).
+        // have been checked (a parent whose span saw no traffic installs
+        // nothing, and its child then legitimately checks zero epochs).
         assert_eq!(
-            d.epochs_audited,
+            c.installs_checked,
             d.installs.len(),
             "case {case} [{arm}]: derived '{}' partially audited",
             d.name
         );
-        assert_eq!(
-            d.epoch_mismatches, 0,
-            "case {case} [{arm}]: derived '{}' (op {}, parent '{}') diverged \
-             from its fresh-recompute oracle",
-            d.name, d.op, d.parent
-        );
         assert!(
-            d.final_matches_oracle,
-            "case {case} [{arm}]: derived '{}' wrong at quiescence",
+            c.level >= ConsistencyLevel::Strong,
+            "case {case} [{arm}]: derived '{}' (ops {:?}, parent slot {:?}) classified {}: {}",
+            d.name,
+            d.slot.ops,
+            d.parent,
+            c.level,
+            c.detail
+        );
+        let parent = &report.views[d.parent.unwrap()];
+        assert_eq!(
+            d.installs.len(),
+            parent.installs.len(),
+            "case {case} [{arm}]: derived '{}' epochs misaligned with its parent",
             d.name
         );
     }
@@ -98,11 +112,14 @@ fn derived_views_equal_fresh_recompute_at_every_epoch() {
             .seed(net_seed)
             .run()
             .unwrap();
-        assert_eq!(report.derived.len(), n_derived, "case {case}");
+        assert_eq!(derived(&report).len(), n_derived, "case {case}");
         assert_dag_clean(&report, case, "flat");
         // The cascade's install counter is exactly the sum of the
         // children's install logs — nothing fed twice, nothing skipped.
-        let total: u64 = report.derived.iter().map(|d| d.installs.len() as u64).sum();
+        let total: u64 = derived(&report)
+            .iter()
+            .map(|d| d.installs.len() as u64)
+            .sum();
         assert_eq!(report.cascade.child_installs, total, "case {case}");
     }
 }
@@ -192,9 +209,10 @@ fn sharded_cascade_matches_flat_per_epoch() {
             .unwrap();
         let flat = MultiViewExperiment::new(generated.scenario).run().unwrap();
         assert!(sharded.quiescent && flat.quiescent, "case {case}");
-        assert!(sharded.derived_clean(), "case {case}: sharded oracle");
+        assert_dag_clean(&sharded, case, "sharded");
         assert_dag_clean(&flat, case, "flat-arm");
-        for (s, f) in sharded.derived.iter().zip(flat.derived.iter()) {
+        assert_eq!(sharded.views.len(), flat.views.len(), "case {case}");
+        for (s, f) in derived(&sharded).into_iter().zip(derived(&flat)) {
             assert_eq!(s.view, f.view, "case {case}: derived '{}'", s.name);
             assert_eq!(
                 s.installs.len(),
@@ -275,8 +293,8 @@ fn dag_survives_warehouse_crashes_with_durability() {
             .seed(net_seed)
             .run()
             .unwrap();
-        assert_eq!(faulted.derived.len(), clean.derived.len(), "case {case}");
-        for (a, b) in faulted.derived.iter().zip(clean.derived.iter()) {
+        assert_eq!(faulted.views.len(), clean.views.len(), "case {case}");
+        for (a, b) in derived(&faulted).into_iter().zip(derived(&clean)) {
             assert_eq!(
                 a.view, b.view,
                 "case {case}: derived '{}' diverged across the crash",
@@ -307,12 +325,12 @@ fn reads_on_every_slot_audit_clean() {
             ..ReadMixConfig::default()
         }
         .generate();
-        let report = MultiViewExperiment::new(scenario.clone())
+        let report = MultiViewExperiment::new(scenario)
             .seed(net_seed)
             .reads(reads)
             .run()
             .unwrap();
-        let audit = audit_reads(&scenario, &report).unwrap();
+        let audit = audit_reads(&report).unwrap();
         assert!(audit.clean(), "case {case}: {audit:?}");
         let served = report.served().unwrap();
         let read = |r: &&ReadOutcome| matches!(r.op.kind, ReadKind::Point { .. } | ReadKind::Scan);
@@ -323,4 +341,91 @@ fn reads_on_every_slot_audit_clean() {
         derived_bounded += derived.filter(|r| r.op.bound_window.is_some()).count();
     }
     assert!(derived_answered > 0 && derived_bounded > 0);
+}
+
+/// Bounded subscriptions cover every slot: on an E20-shaped stack (σ → Σ →
+/// σ over one full-span SWEEP view) under a queue bound of 1, polls on the
+/// Σ slot in the middle of the stack find it lagged mid-run, and every
+/// resume snapshot and the folded stream audit clean against that slot's
+/// truth.
+#[test]
+fn lagged_subscriptions_on_a_derived_slot_resume_clean() {
+    let mut scenario = MultiViewConfig {
+        stream: StreamConfig {
+            n_sources: 3,
+            initial_per_source: 20,
+            updates: 16,
+            mean_gap: 1_200,
+            domain: 10,
+            keyed: true,
+            seed: 0xE20,
+            ..Default::default()
+        },
+        n_views: 1,
+        view_seed: 0xE20,
+        full_span: true,
+        n_derived: 0,
+        derived_seed: 0,
+    }
+    .generate()
+    .unwrap();
+    let derived = |name: &str, parent: &str, op| DerivedSpec {
+        name: name.into(),
+        parent: parent.into(),
+        op,
+    };
+    scenario.derived = vec![
+        derived(
+            "hot",
+            "V0",
+            DerivedOp::Select {
+                selects: vec![(0, CmpOp::Ge, Value::Int(2))],
+                projection: Some(vec![0, 1]),
+            },
+        ),
+        derived(
+            "counts",
+            "hot",
+            DerivedOp::Aggregate(AggregateSpec {
+                group_by: vec![0],
+                aggs: vec![AggFn::CountRows],
+            }),
+        ),
+        derived(
+            "busy",
+            "counts",
+            DerivedOp::Select {
+                selects: vec![(1, CmpOp::Ge, Value::Int(2))],
+                projection: None,
+            },
+        ),
+    ];
+    let slot = 2;
+    // A sweep takes ≈ 6 ms here: about two installs land between polls.
+    let polls = (1..=8).map(|k| ReadOp {
+        at: 12_000 * k,
+        reader: 0,
+        view: slot,
+        kind: ReadKind::Poll,
+        bound_window: None,
+    });
+    let report = MultiViewExperiment::new(scenario)
+        .latency(LatencyModel::Constant(2_000))
+        .reads(polls.collect())
+        .bounded_subscriptions(1)
+        .run()
+        .unwrap();
+    let audit = audit_lag_recoveries(&report).unwrap();
+    assert!(audit.clean(), "{audit:?}");
+    assert_eq!(audit.subs, 4, "one bounded subscription per slot");
+    let served = report.served().unwrap();
+    let on_slot = served.lag.iter().filter(|s| s.view == slot);
+    let events = on_slot.flat_map(|s| &s.events);
+    let resumes = events.filter(|e| matches!(e, LagEvent::Resumed { .. }));
+    assert!(resumes.count() >= 1, "{audit:?}");
+    let mid_run = |r: &&ReadOutcome| matches!(r.result, ReadResult::Polled { resumed: true, .. });
+    assert!(
+        served.reads.iter().any(|r| mid_run(&r)),
+        "no poll resumed mid-run"
+    );
 }

@@ -315,7 +315,7 @@ fn multiview_installs_global_txns_atomically() {
                 "{arm}"
             );
             if durable {
-                let audit = audit_reads(&s, &report).unwrap();
+                let audit = audit_reads(&report).unwrap();
                 assert!(audit.clean() && audit.answered > 0, "{arm}: {audit:?}");
             }
         }

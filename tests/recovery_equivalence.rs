@@ -457,7 +457,7 @@ fn dense_state_crashes_match_the_fault_free_flat_run() {
         // The readers' side: the oracle audit, every subscription against
         // its view's install log, and the referee's publication order and
         // from-the-start streams (install times aside).
-        let audit = audit_reads(scenario, &crashed).unwrap();
+        let audit = audit_reads(&crashed).unwrap();
         assert!(audit.clean(), "case {k}: {audit:?}");
         assert!(crashed.subscriptions_match_installs(), "case {k}");
         let (ours, theirs) = (crashed.served().unwrap(), referee.served().unwrap());

@@ -105,9 +105,9 @@ fn read_mix(k: u64, scenario: &MultiViewScenario) -> Vec<ReadOp> {
 /// Audit a finished run: every answered read equals the oracle recompute
 /// at its pinned epoch, every verdict matches the staleness oracle, and
 /// subscription streams replay the install log.
-fn check(scenario: &MultiViewScenario, report: &MultiViewReport, k: u64) -> OracleAudit {
+fn check(report: &MultiViewReport, k: u64) -> OracleAudit {
     assert!(report.quiescent, "case {k}: run did not drain");
-    let audit = audit_reads(scenario, report).unwrap();
+    let audit = audit_reads(report).unwrap();
     assert_eq!(
         audit.content_mismatches, 0,
         "case {k}: an answered read diverged from the oracle recompute at its pinned epoch"
@@ -149,7 +149,7 @@ fn answered_reads_equal_oracle_recompute_across_seeded_schedules() {
             sharded_runs += 1;
         }
         let report = exp.run().unwrap();
-        let audit = check(&scenario, &report, k);
+        let audit = check(&report, k);
         answered += audit.answered;
         rejected += audit.rejected;
         // Every install the engine committed became exactly one epoch. A
@@ -219,7 +219,7 @@ fn reads_during_crash_recovery_answer_from_last_committed_epoch() {
             .faults(FaultPlan::default().state_crash(0, down_at, up_at))
             .run()
             .unwrap();
-        check(&scenario, &report, k);
+        check(&report, k);
         recoveries += report.recovery.recoveries;
     }
     assert!(
@@ -251,8 +251,8 @@ fn lagged_subscribers_recover_equivalent_streams_across_schedules() {
             .bounded_subscriptions(1 + (k % 2) as usize)
             .run()
             .unwrap();
-        check(&scenario, &report, k);
-        let audit = audit_lag_recoveries(&scenario, &report).unwrap();
+        check(&report, k);
+        let audit = audit_lag_recoveries(&report).unwrap();
         assert!(audit.clean(), "case {k}: {audit:?}");
         assert_eq!(
             report.served().unwrap().serve_stats.subs_lagged,
@@ -303,7 +303,7 @@ fn reads_during_sharded_crash_recovery_answer_from_committed_epochs() {
             .faults(FaultPlan::default().state_crash(0, down_at, up_at))
             .run()
             .unwrap();
-        check(&scenario, &report, k);
+        check(&report, k);
         assert_eq!(
             report.recovery.recoveries, 1,
             "case {k}: the window never fired"
