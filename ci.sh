@@ -218,6 +218,21 @@ stage_engine_boundary() {
     echo "FAIL: the hop join's scan builds no per-row key vector — hash the key columns in place (hash_join); key_of / Vec<Value> keys live in index.rs for the JoinIndex" >&2
     ok=1
   fi
+  # One hash per tuple: a tuple carries SipHash under one process-wide
+  # random key (tuple.rs), and only a Bag hands that hash to its map
+  # unchanged (bag.rs). A pass-through hasher anywhere else could end up
+  # over an unkeyed hash and reopen bucket flooding; the one other hasher
+  # is SharedMap's deterministic chunk hash (shared.rs), which hashes
+  # values itself.
+  hits=$(grep -rnE 'BuildHasherDefault|OnceLock<RandomState>|\bPassThrough\b|impl ([a-z_]+::)*Hasher for' \
+    crates src examples tests 2>/dev/null |
+    grep -v '^crates/relational/src/tuple.rs:\|^crates/relational/src/bag.rs:' |
+    grep -v '^crates/relational/src/shared.rs:[0-9]*:impl Hasher for ChunkHasher' || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: a tuple's keyed hash (its process-wide OnceLock<RandomState> key) lives in crates/relational/src/tuple.rs and the pass-through hasher over it in bag.rs — key other maps with the default SipHash" >&2
+    ok=1
+  fi
   # A sharded sweep is an ordinary sweep on the wire: the sources never
   # learn the ShardMap, so neither the scope type, nor source-side
   # slices, nor a `scope:` field in a query literal may come back.

@@ -9,8 +9,86 @@
 
 use crate::error::RelationalError;
 use crate::tuple::Tuple;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// A bag's map key: a tuple, hashed by the keyed hash it carries (so the
+/// map never hashes a value).
+#[derive(Clone, PartialEq, Eq)]
+struct Key(Tuple);
+
+/// What a [`Key`] is borrowed as for a lookup, so a `&Tuple` probes the
+/// map without building a key. Hashes and compares as `Key` does.
+trait Probe {
+    fn tuple(&self) -> &Tuple;
+}
+
+impl Probe for Key {
+    fn tuple(&self) -> &Tuple {
+        &self.0
+    }
+}
+
+impl Probe for Tuple {
+    fn tuple(&self) -> &Tuple {
+        self
+    }
+}
+
+impl<'a> Borrow<dyn Probe + 'a> for Key {
+    fn borrow(&self) -> &(dyn Probe + 'a) {
+        self
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.keyed_hash());
+    }
+}
+
+impl Hash for dyn Probe + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.tuple().keyed_hash());
+    }
+}
+
+impl PartialEq for dyn Probe + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.tuple() == other.tuple()
+    }
+}
+
+impl Eq for dyn Probe + '_ {}
+
+/// Hands the map the keyed hash a [`Key`] writes, unchanged. The hash is
+/// already SipHash under a random key (`Tuple`'s), which is what keeps
+/// crafted rows from flooding one bucket; this hasher adds nothing, so it
+/// must never see an unkeyed hash.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    /// Only `write_u64` is ever called; other input is folded in, not
+    /// refused.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Counts = HashMap<Key, i64, BuildHasherDefault<PassThrough>>;
 
 /// A multiset of tuples with signed integer multiplicities.
 ///
@@ -19,13 +97,19 @@ use std::fmt;
 /// all `Bag`s. Zero-count entries are never stored.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Bag {
-    counts: HashMap<Tuple, i64>,
+    counts: Counts,
 }
 
 impl Bag {
     /// The empty bag.
     pub fn new() -> Self {
         Bag::default()
+    }
+
+    fn with_capacity(distinct: usize) -> Self {
+        Bag {
+            counts: Counts::with_capacity_and_hasher(distinct, Default::default()),
+        }
     }
 
     /// Bag with a single tuple at multiplicity `count`.
@@ -56,7 +140,7 @@ impl Bag {
             return;
         }
         use std::collections::hash_map::Entry;
-        match self.counts.entry(tuple) {
+        match self.counts.entry(Key(tuple)) {
             Entry::Occupied(mut e) => {
                 let next = *e.get() + count;
                 if next == 0 {
@@ -73,7 +157,7 @@ impl Bag {
 
     /// Multiplicity of `tuple` (zero when absent).
     pub fn count(&self, tuple: &Tuple) -> i64 {
-        self.counts.get(tuple).copied().unwrap_or(0)
+        self.counts.get(tuple as &dyn Probe).copied().unwrap_or(0)
     }
 
     /// Number of *distinct* tuples.
@@ -99,7 +183,7 @@ impl Bag {
 
     /// Iterate `(tuple, count)` in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, i64)> {
-        self.counts.iter().map(|(t, &c)| (t, c))
+        self.counts.iter().map(|(k, &c)| (&k.0, c))
     }
 
     /// Merge another bag into this one: `self += other` (bag union with
@@ -112,7 +196,7 @@ impl Bag {
 
     /// Consuming merge that avoids cloning tuples.
     pub fn merge_owned(&mut self, other: Bag) {
-        for (t, c) in other.counts {
+        for (Key(t), c) in other.counts {
             self.add(t, c);
         }
     }
@@ -138,9 +222,10 @@ impl Bag {
 
     /// The bag with all multiplicities negated.
     pub fn negated(&self) -> Bag {
-        Bag {
-            counts: self.counts.iter().map(|(t, &c)| (t.clone(), -c)).collect(),
-        }
+        let mut out = Bag::with_capacity(self.distinct_len());
+        out.counts
+            .extend(self.counts.iter().map(|(k, &c)| (k.clone(), -c)));
+        out
     }
 
     /// `self + other` without mutating either.
@@ -159,20 +244,20 @@ impl Bag {
 
     /// Keep only tuples satisfying `pred` (counts unchanged).
     pub fn filter(&self, mut pred: impl FnMut(&Tuple) -> bool) -> Bag {
-        Bag {
-            counts: self
-                .counts
+        let mut out = Bag::with_capacity(self.distinct_len());
+        out.counts.extend(
+            self.counts
                 .iter()
-                .filter(|(t, _)| pred(t))
-                .map(|(t, &c)| (t.clone(), c))
-                .collect(),
-        }
+                .filter(|(k, _)| pred(&k.0))
+                .map(|(k, &c)| (k.clone(), c)),
+        );
+        out
     }
 
     /// Map every tuple through `f`, summing counts of collided images.
     /// (Projection uses this.)
     pub fn map_tuples(&self, mut f: impl FnMut(&Tuple) -> Tuple) -> Bag {
-        let mut out = Bag::new();
+        let mut out = Bag::with_capacity(self.distinct_len());
         for (t, c) in self.iter() {
             out.add(f(t), c);
         }
@@ -182,7 +267,7 @@ impl Bag {
     /// Canonical sorted `(tuple, count)` listing — deterministic regardless
     /// of hash order; use for display, golden tests and digests.
     pub fn to_sorted_vec(&self) -> Vec<(Tuple, i64)> {
-        let mut v: Vec<(Tuple, i64)> = self.counts.iter().map(|(t, &c)| (t.clone(), c)).collect();
+        let mut v: Vec<(Tuple, i64)> = self.iter().map(|(t, c)| (t.clone(), c)).collect();
         v.sort();
         v
     }
@@ -193,13 +278,14 @@ impl Bag {
         8 + self
             .counts
             .keys()
-            .map(|t| t.size_bytes() + 8)
+            .map(|k| k.0.size_bytes() + 8)
             .sum::<usize>()
     }
 
-    /// The owned `tuple → count` map (distinct tuples, no zero counts).
-    pub(crate) fn into_counts(self) -> HashMap<Tuple, i64> {
-        self.counts
+    /// The owned `(tuple, count)` entries (distinct tuples, no zero
+    /// counts).
+    pub(crate) fn into_counts(self) -> impl ExactSizeIterator<Item = (Tuple, i64)> {
+        self.counts.into_iter().map(|(Key(t), c)| (t, c))
     }
 }
 
@@ -261,6 +347,7 @@ impl FromIterator<(Tuple, i64)> for Bag {
 mod tests {
     use super::*;
     use crate::tup;
+    use crate::value::Value;
 
     #[test]
     fn add_and_cancel() {
@@ -344,7 +431,7 @@ mod tests {
     #[test]
     fn filter_keeps_counts() {
         let a = Bag::from_pairs([(tup![1], 4), (tup![2], 2)]);
-        let f = a.filter(|t| *t.at(0) == crate::value::Value::Int(1));
+        let f = a.filter(|t| *t.at(0) == Value::Int(1));
         assert_eq!(f.count(&tup![1]), 4);
         assert_eq!(f.distinct_len(), 1);
     }
@@ -371,6 +458,30 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    /// Every tuple is hashed under one key per process: a tuple built on
+    /// another thread (a source's) finds the entry of an equal tuple built
+    /// on this one (the warehouse's).
+    #[test]
+    fn a_tuple_built_on_another_thread_finds_its_entry() {
+        let mut bag = Bag::from_pairs([(tup![1, "a", 2.5], 3)]);
+        let there = std::thread::spawn(|| tup![1, "a", 2.5]).join().unwrap();
+        assert_eq!(bag.count(&there), 3);
+        bag.add(there, -3);
+        assert!(bag.is_empty());
+    }
+
+    #[test]
+    fn distinct_tuples_with_equal_hashes_stay_distinct_entries() {
+        let a = Tuple::with_hash(vec![Value::Int(1)], 7);
+        let b = Tuple::with_hash(vec![Value::Int(2)], 7);
+        let mut bag = Bag::from_pairs([(a.clone(), 1), (b.clone(), 2)]);
+        assert_eq!(bag.distinct_len(), 2);
+        assert_eq!((bag.count(&a), bag.count(&b)), (1, 2));
+        bag.add(a.clone(), -1);
+        assert_eq!((bag.count(&a), bag.count(&b)), (0, 2));
+        assert_eq!(bag.distinct_len(), 1);
     }
 
     #[test]

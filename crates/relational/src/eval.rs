@@ -33,6 +33,7 @@ use crate::predicate::Predicate;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::view::ViewDef;
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash, Hasher};
 
@@ -94,6 +95,11 @@ impl PartialDelta {
     /// Apply the residual selection and projection, producing the final
     /// view-change bag. Errors unless the range covers the whole chain.
     pub fn finalize(&self, view: &ViewDef) -> Result<Bag, RelationalError> {
+        self.check_complete(view)?;
+        Ok(select_project(view, Cow::Borrowed(&self.bag)))
+    }
+
+    fn check_complete(&self, view: &ViewDef) -> Result<(), RelationalError> {
         if !self.is_complete(view) {
             return Err(RelationalError::BadRange {
                 reason: format!(
@@ -104,9 +110,7 @@ impl PartialDelta {
                 ),
             });
         }
-        let residual = view.residual();
-        let filtered = self.bag.filter(|t| residual.eval(t));
-        Ok(filtered.map_tuples(|t| t.project(view.projection())))
+        Ok(())
     }
 
     /// The per-hop on-line correction: subtract an error term computed
@@ -122,6 +126,23 @@ impl PartialDelta {
         );
         self.bag.subtract(&err.bag);
     }
+}
+
+/// `Π(σ(bag))` with the view's residual σ and projection Π, each skipped
+/// where it is the identity: a `True` residual keeps every tuple, and the
+/// projection `0..total_arity` (exactly that, not merely as wide) maps
+/// every tuple to itself.
+fn select_project(view: &ViewDef, bag: Cow<'_, Bag>) -> Bag {
+    let residual = view.residual();
+    let mut out = bag;
+    if residual != &Predicate::True {
+        out = Cow::Owned(out.filter(|t| residual.eval(t)));
+    }
+    let projection = view.projection();
+    if !projection.iter().copied().eq(0..view.total_arity()) {
+        out = Cow::Owned(out.map_tuples(|t| t.project(projection)));
+    }
+    out.into_owned()
 }
 
 fn check_rel_index(view: &ViewDef, i: usize) -> Result<(), RelationalError> {
@@ -402,7 +423,7 @@ pub fn merge_pivot(view: &ViewDef, left: &PartialDelta, right: &PartialDelta) ->
     let shared_off = left.width(view) - w;
     let lead: Vec<usize> = (0..w).collect();
     let trail: Vec<usize> = (shared_off..shared_off + w).collect();
-    let glue = |lt: &Tuple, rt: &Tuple| lt.concat(&Tuple::new(rt.values()[w..].to_vec()));
+    let glue = |lt: &Tuple, rt: &Tuple| Tuple::new([lt.values(), &rt.values()[w..]].concat());
     PartialDelta {
         lo: left.lo,
         hi: right.hi,
@@ -429,7 +450,8 @@ pub fn eval_view(view: &ViewDef, relations: &[&Bag]) -> Result<Bag, RelationalEr
     for neighbor in &relations[1..] {
         pd = extend_partial(view, &pd, neighbor, JoinSide::Right)?;
     }
-    pd.finalize(view)
+    pd.check_complete(view)?;
+    Ok(select_project(view, Cow::Owned(pd.bag)))
 }
 
 #[cfg(test)]

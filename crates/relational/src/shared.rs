@@ -390,7 +390,7 @@ impl From<Bag> for SharedBag {
     /// hashed once, chunks are presized.
     fn from(bag: Bag) -> Self {
         SharedBag {
-            counts: SharedMap::from_distinct(bag.into_counts().into_iter()),
+            counts: SharedMap::from_distinct(bag.into_counts()),
         }
     }
 }
@@ -432,6 +432,7 @@ impl fmt::Debug for SharedBag {
 mod tests {
     use super::*;
     use crate::tup;
+    use crate::value::Value;
 
     fn ints(range: std::ops::Range<i64>) -> Bag {
         Bag::from_tuples(range.map(|i| tup![i, i * 7]))
@@ -522,6 +523,25 @@ mod tests {
         assert_eq!(v.distinct_len(), 2);
         v.apply_delta(&Bag::singleton(tup![1], -1)).unwrap();
         assert_eq!(v, Bag::singleton(tup![5], 1));
+    }
+
+    /// The chunk hash hashes a tuple's values, never the keyed hash the
+    /// tuple carries (drawn per process): the same tuples must chunk the
+    /// same way in every process, or `BENCH_report.json`'s copied-tuple
+    /// counts would not repeat.
+    #[test]
+    fn chunk_hashes_of_tuples_are_the_same_in_every_process() {
+        let pinned = [
+            (tup![1, 2], 0xfed0_5d1c_7173_90f4),
+            (tup!["a", 2.5, true], 0xcf2b_dbe3_d775_22c3),
+            (
+                Tuple::new(vec![Value::Null, Value::Int(-7)]),
+                0x741b_ebae_cd6a_6451,
+            ),
+        ];
+        for (t, hash) in pinned {
+            assert_eq!(chunk_hash(&t), hash, "{t}");
+        }
     }
 
     #[test]

@@ -269,6 +269,103 @@ fn concat_then_project_recovers_parts() {
     }
 }
 
+/// How a random view projects its full-width join.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Proj {
+    /// No projection list: the identity.
+    Default,
+    /// Every attribute listed in chain order: the identity again.
+    Listed,
+    /// Every attribute, in a shuffled (non-identity) order: as wide as
+    /// the identity, but not it.
+    Permuted,
+    /// Some attributes, repeats allowed.
+    Narrowing,
+}
+
+/// `finalize` (and `eval_view`, which owns its bag) may skip the residual
+/// σ where it is `True` and the projection where it is exactly the
+/// identity; over random 1–3-relation chains with and without a residual
+/// and with each kind of projection, the result equals σ-then-Π applied
+/// literally.
+#[test]
+fn finalize_equals_literal_select_then_project() {
+    let (mut permuted, mut filtered) = (0, 0);
+    for case in 0..4 * CASES {
+        let mut r = Rng64::new(3_000 + case);
+        let n = 1 + r.usize_below(3);
+        let mut b = ViewDefBuilder::new();
+        let mut attrs = Vec::new();
+        for k in 0..n {
+            b = b.relation(Schema::new(format!("R{k}"), ["X", "Y"]).unwrap());
+            attrs.extend([format!("R{k}.X"), format!("R{k}.Y")]);
+        }
+        for k in 1..n {
+            b = b.join(format!("R{}.Y", k - 1), format!("R{k}.X"));
+        }
+        if r.chance(0.5) {
+            let (left, right) = (r.usize_below(attrs.len()), r.usize_below(attrs.len()));
+            b = b.select_across(attrs[left].clone(), CmpOp::Le, attrs[right].clone());
+        }
+        let proj = [Proj::Default, Proj::Listed, Proj::Permuted, Proj::Narrowing][r.usize_below(4)];
+        let listed: Vec<String> = match proj {
+            Proj::Default => Vec::new(),
+            Proj::Listed => attrs.clone(),
+            Proj::Permuted => {
+                let mut order = attrs.clone();
+                while order == attrs {
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, r.usize_below(i + 1));
+                    }
+                }
+                order
+            }
+            Proj::Narrowing => (0..1 + r.usize_below(attrs.len()))
+                .map(|_| attrs[r.usize_below(attrs.len())].clone())
+                .collect(),
+        };
+        let view = b.project(listed).build().unwrap();
+        let literal = |bag: &Bag| {
+            Bag::from_pairs(
+                bag.iter()
+                    .filter(|(t, _)| view.residual().eval(t))
+                    .map(|(t, c)| (t.project(view.projection()), c)),
+            )
+        };
+
+        let full = PartialDelta {
+            lo: 0,
+            hi: n - 1,
+            bag: Bag::from_pairs((0..r.usize_below(12)).map(|_| {
+                let vals: Vec<Value> = (0..2 * n).map(|_| r.i64_in(0, 3).into()).collect();
+                (Tuple::new(vals), r.i64_in(-2, 3))
+            })),
+        };
+        let out = full.finalize(&view).unwrap();
+        assert_eq!(out, literal(&full.bag), "case {case}, {proj:?}");
+
+        let relations: Vec<Bag> = (0..n).map(|_| arb_relation(&mut r)).collect();
+        let mut joined = PartialDelta::seed(&view, 0, &relations[0]).unwrap();
+        for rel in &relations[1..] {
+            joined = extend_partial(&view, &joined, rel, JoinSide::Right).unwrap();
+        }
+        let refs: Vec<&Bag> = relations.iter().collect();
+        let evaluated = eval_view(&view, &refs).unwrap();
+        assert_eq!(evaluated, literal(&joined.bag), "case {case}, {proj:?}");
+
+        permuted += usize::from(proj == Proj::Permuted && !full.bag.is_empty());
+        filtered += usize::from(full.bag.iter().any(|(t, _)| !view.residual().eval(t)));
+    }
+    assert!(
+        permuted > CASES as usize / 2,
+        "only {permuted} permuted cases"
+    );
+    assert!(
+        filtered > CASES as usize / 2,
+        "only {filtered} filtering cases"
+    );
+}
+
 // ---- The sharding lemma ------------------------------------------------
 
 /// A value in one of `bands` under a width-10 range map; the small

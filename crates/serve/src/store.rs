@@ -101,9 +101,9 @@ impl PointIndex {
 
     /// Derive the successor epoch's index from this one plus the install
     /// delta: clone the group map's handle (untouched groups stay
-    /// shared), rebuild only the keys the delta mentions (summing
-    /// multiplicities, dropping zeros — exactly [`Bag::merge`]
-    /// semantics). Returns the new index and the tuples examined.
+    /// shared), rebuild only the keys the delta mentions as the signed
+    /// [`Bag`] sum of the old group and its delta entries. Returns the new
+    /// index and the tuples examined.
     fn derive(&self, delta: &Bag, column: usize) -> (Self, u64) {
         let mut groups = self.groups.clone();
         let mut touched: HashMap<Value, Vec<(Tuple, i64)>> = HashMap::new();
@@ -117,17 +117,15 @@ impl PointIndex {
         }
         for (key, delta_entries) in touched {
             groups.update(key, |old| {
-                let mut counts: HashMap<Tuple, i64> = HashMap::new();
+                let mut merged = Bag::new();
                 for (t, m) in old.into_iter().flat_map(|(_, group)| group.iter()) {
                     work += 1;
-                    counts.insert(t.clone(), *m);
+                    merged.add(t.clone(), *m);
                 }
                 for (t, m) in delta_entries {
-                    *counts.entry(t).or_insert(0) += m;
+                    merged.add(t, m);
                 }
-                let merged: Vec<(Tuple, i64)> =
-                    counts.into_iter().filter(|&(_, m)| m != 0).collect();
-                (!merged.is_empty()).then(|| point_hit(merged))
+                (!merged.is_empty()).then(|| point_hit(merged.to_sorted_vec()))
             });
         }
         (PointIndex { groups }, work)
