@@ -473,9 +473,17 @@ stage_fmt() {
 # The frozen benchmark crate is its own workspace: check it here so an
 # API break of what it compiles (dw-multiview, dw-engine, dw-serve,
 # dw-bench) fails tier-1 instead of the next by-hand benchmark build.
+# Cargo rewrites the crate's lock file when the workspace's dependency
+# edges moved; the committed bytes are saved first and put back after,
+# so the stage leaves the tree as it found it.
 stage_build() {
+  local saved=benchmark/target/Cargo.lock.committed status
+  mkdir -p benchmark/target && cp benchmark/Cargo.lock "$saved" || return 1
   cargo build --release --workspace &&
     cargo check --offline --manifest-path benchmark/Cargo.toml
+  status=$?
+  mv "$saved" benchmark/Cargo.lock || return 1
+  return "$status"
 }
 
 stage_test() {

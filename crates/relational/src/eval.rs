@@ -17,9 +17,10 @@
 //!
 //! The join itself is written once: [`extend_hop`] computes the hop's
 //! geometry and joins the neighbor rows, whether they come from a bag
-//! hashed for the call (a flat, keyed table built without a per-row
-//! allocation) or from a maintained [`JoinIndex`]; [`merge_pivot`] (§5.3's
-//! merge of two legs) hashes with the same kernel. A NULL join key matches
+//! joined for the call (a flat, keyed table built without a per-row
+//! allocation on the smaller of the partial and the bag) or from a
+//! maintained [`JoinIndex`]; [`merge_pivot`] (§5.3's merge of two legs)
+//! joins with the same kernel. A NULL join key matches
 //! nothing, as under the residual selection's three-valued logic.
 //!
 //! Signed multiplicities flow through multiplication, so a delete joined
@@ -160,9 +161,9 @@ fn check_rel_index(view: &ViewDef, i: usize) -> Result<(), RelationalError> {
 /// Where a hop's neighbor rows come from.
 #[derive(Clone, Copy, Debug)]
 pub enum Neighbor<'a> {
-    /// A bag hashed on the join key for this one hop: a base relation at
-    /// a source that keeps no index, or a concurrent `ΔR_j` at the
-    /// warehouse.
+    /// A bag joined for this one hop, through a table hashed on the
+    /// smaller of it and the partial: a base relation at a source that
+    /// keeps no index, or a concurrent `ΔR_j` at the warehouse.
     Bag(&'a Bag),
     /// A [`JoinIndex`] maintained over the (unfiltered) base relation.
     Index(&'a JoinIndex),
@@ -238,45 +239,83 @@ impl HopGeometry {
     }
 }
 
-/// The link that ends a bucket's chain in [`hash_join`]'s table.
+/// The link that ends a bucket's chain in [`build_and_probe`]'s table.
 const END: usize = usize::MAX;
 
-/// Hash `rows` on their `row_keys` columns, then probe the table with
-/// `partial`: every pair whose keys are equal emits `glue(pt, nt)` at
+/// What [`hash_join`] produced, and how many rows it hashed into its
+/// table and streamed past it.
+struct Joined {
+    bag: Bag,
+    build_rows: u64,
+    probe_rows: u64,
+}
+
+/// Join `partial` with the `rows` that are `kept`: every pair whose key
+/// columns (`part_keys`, `row_keys`) are equal emits `glue(pt, nt)` at
 /// `pc · nc`, so signs multiply.
 ///
-/// The table is flat and borrows its rows: one vector of the kept rows,
-/// each with its key columns hashed **once** (SipHash under a key drawn
-/// for this call, so a crafted relation cannot flood one bucket), chained
-/// through power-of-two `heads` and `next` links. A probe row hashes its
-/// key columns the same way and compares columns only when the full
-/// 64-bit hashes agree — no key vector, no bucket vector, no rehash.
+/// The per-call table is built on the input with fewer distinct tuples —
+/// `rows` counted before `kept` filters them, a tie going to `partial` —
+/// and the other input streams through it. So a source's query (a few
+/// `ΔV` rows against all of `R_i`) hashes its few rows, not the relation;
+/// every row of `rows` is still visited exactly once, through `kept`,
+/// even when `partial` is empty. The two shapes share one build-and-probe
+/// loop; when `rows` is hashed, a glue adapter swaps the pair back, so the
+/// output is `glue(pt, nt)` at `pc · nc` either way.
 ///
 /// A row with a NULL key column joins nothing (SQL's `NULL = NULL` is not
 /// true) unless `nulls_join`: the pivot merge matches a tuple to itself.
-fn hash_join<'a>(
+fn hash_join(
     partial: &Bag,
     part_keys: &[usize],
-    rows: impl Iterator<Item = (&'a Tuple, i64)>,
+    rows: &Bag,
     row_keys: &[usize],
+    mut kept: impl FnMut(&Tuple) -> bool,
     nulls_join: bool,
     glue: impl Fn(&Tuple, &Tuple) -> Tuple,
-) -> Bag {
+) -> Joined {
+    let nbr = rows.iter().filter(|&(t, _)| kept(t));
+    if partial.distinct_len() <= rows.distinct_len() {
+        build_and_probe(partial.iter(), part_keys, nbr, row_keys, nulls_join, glue)
+    } else {
+        let glue = |nt: &Tuple, pt: &Tuple| glue(pt, nt);
+        build_and_probe(nbr, row_keys, partial.iter(), part_keys, nulls_join, glue)
+    }
+}
+
+/// Hash `build` on its `build_keys` columns, then stream `probe` through
+/// the table: each pair whose keys are equal emits `glue(bt, pt)` at
+/// `bc · pc`.
+///
+/// The table is flat and borrows its rows: one vector of the build rows,
+/// each with its key columns hashed **once** (SipHash under a key drawn
+/// for this call, so crafted rows cannot flood one bucket — at worst they
+/// lengthen chains in a table of the smaller input), chained through
+/// power-of-two `heads` and `next` links. A probe row hashes its key
+/// columns the same way and compares columns only when the full 64-bit
+/// hashes agree — no key vector, no bucket vector, no rehash. The NULL
+/// rule is the probe's: a build row keyed on NULL sits in the table, but
+/// no probe row carrying a NULL key reaches it, and a NULL-free key
+/// never equals one that holds a NULL.
+fn build_and_probe<'b, 'p>(
+    build: impl Iterator<Item = (&'b Tuple, i64)>,
+    build_keys: &[usize],
+    probe: impl Iterator<Item = (&'p Tuple, i64)>,
+    probe_keys: &[usize],
+    nulls_join: bool,
+    glue: impl Fn(&Tuple, &Tuple) -> Tuple,
+) -> Joined {
     let seed = RandomState::new();
     let hash = |t: &Tuple, cols: &[usize]| {
         let mut h = seed.build_hasher();
         for &k in cols {
-            let v = t.at(k);
-            if !nulls_join && matches!(v, Value::Null) {
-                return None;
-            }
-            v.hash(&mut h);
+            t.at(k).hash(&mut h);
         }
-        Some(h.finish())
+        h.finish()
     };
-    let (lower, upper) = rows.size_hint();
+    let (lower, upper) = build.size_hint();
     let mut built = Vec::with_capacity(upper.unwrap_or(lower));
-    built.extend(rows.filter_map(|(t, c)| Some((t, c, hash(t, row_keys)?))));
+    built.extend(build.map(|(t, c)| (t, c, hash(t, build_keys))));
     let mask = built.len().next_power_of_two() - 1;
     let mut heads = vec![END; mask + 1];
     let mut next = vec![END; built.len()];
@@ -285,25 +324,32 @@ fn hash_join<'a>(
         next[i] = *head;
         *head = i;
     }
-    let mut out = Bag::new();
-    for (pt, pc) in partial.iter() {
-        let Some(h) = hash(pt, part_keys) else {
+    let (mut bag, mut probe_rows) = (Bag::new(), 0u64);
+    for (pt, pc) in probe {
+        probe_rows += 1;
+        let null = !nulls_join && probe_keys.iter().any(|&k| matches!(pt.at(k), Value::Null));
+        if built.is_empty() || null {
             continue;
-        };
+        }
+        let h = hash(pt, probe_keys);
         let mut i = heads[h as usize & mask];
-        while let Some(&(nt, nc, nh)) = built.get(i) {
-            if nh == h
-                && part_keys
+        while let Some(&(bt, bc, bh)) = built.get(i) {
+            if bh == h
+                && probe_keys
                     .iter()
-                    .zip(row_keys)
-                    .all(|(&p, &r)| pt.at(p) == nt.at(r))
+                    .zip(build_keys)
+                    .all(|(&p, &b)| pt.at(p) == bt.at(b))
             {
-                out.add(glue(pt, nt), pc * nc);
+                bag.add(glue(bt, pt), bc * pc);
             }
             i = next[i];
         }
     }
-    out
+    Joined {
+        bag,
+        build_rows: built.len() as u64,
+        probe_rows,
+    }
 }
 
 /// Join a partial delta with the *neighbor* relation's bag on the given
@@ -327,14 +373,17 @@ pub fn extend_partial(
 /// The one hop join behind [`extend_partial`] and
 /// [`crate::extend_partial_indexed`]: widen `partial` by its neighbor on
 /// `side`, keeping the neighbor rows that pass the view's local selection
-/// **and** the query's pushed-down `pushed` σ. A [`Neighbor::Bag`] is
-/// filtered while it is hashed, a [`Neighbor::Index`] after the probe (it
-/// stores the unfiltered relation) — the answers are equal as bags.
+/// **and** the query's pushed-down `pushed` σ. A [`Neighbor::Bag`] row is
+/// filtered as the hash join visits it — whether it is hashed or streamed
+/// past the hashed partial — a [`Neighbor::Index`] match after the probe
+/// (it stores the unfiltered relation); the answers are equal as bags.
 ///
-/// The scan records its build input (`join.build_rows`), probe input
-/// (`join.probe_rows`) and output (`join.out_rows`) sizes into the
-/// recorder behind `obs`, and under a pushed σ how many rows it turned
-/// away (`source.pushdown_filtered`).
+/// The hop records into the recorder behind `obs` the rows it streamed
+/// past a table (`join.probe_rows`: the scan's larger input, or every
+/// partial row an index probe looks up) and its output (`join.out_rows`);
+/// the scan also records the rows it hashed for the call
+/// (`join.build_rows`, the smaller input) and, under a pushed σ, how many
+/// rows it turned away (`source.pushdown_filtered`).
 pub fn extend_hop(
     view: &ViewDef,
     partial: &PartialDelta,
@@ -352,8 +401,8 @@ pub fn extend_hop(
     let bag = match neighbor {
         Neighbor::Bag(rows) => {
             let arity = view.schema(geo.nbr).arity();
-            let (mut built, mut turned_away, mut bad_arity) = (0u64, 0u64, None);
-            let kept = rows.iter().filter(|&(t, _)| {
+            let (mut turned_away, mut bad_arity) = (0u64, None);
+            let kept = |t: &Tuple| {
                 if t.arity() != arity {
                     bad_arity = Some(t.arity());
                     return false;
@@ -362,15 +411,14 @@ pub fn extend_hop(
                     turned_away += 1;
                     return false;
                 }
-                let kept = local.eval(t);
-                built += u64::from(kept);
-                kept
-            });
-            let out = hash_join(
+                local.eval(t)
+            };
+            let joined = hash_join(
                 &partial.bag,
                 &geo.part_keys,
-                kept,
+                rows,
                 &geo.nbr_keys,
+                kept,
                 false,
                 glue,
             );
@@ -381,15 +429,12 @@ pub fn extend_hop(
                     found,
                 });
             }
-            if obs.enabled() {
-                if pushed.is_some() {
-                    obs.add("source.pushdown_filtered", turned_away);
-                }
-                obs.observe("join.build_rows", built);
-                obs.observe("join.probe_rows", partial.bag.distinct_len() as u64);
-                obs.observe("join.out_rows", out.distinct_len() as u64);
+            if pushed.is_some() {
+                obs.add("source.pushdown_filtered", turned_away);
             }
-            out
+            obs.observe("join.build_rows", joined.build_rows);
+            obs.observe("join.probe_rows", joined.probe_rows);
+            joined.bag
         }
         Neighbor::Index(index) => {
             if index.key_attrs() != geo.nbr_keys {
@@ -402,9 +447,11 @@ pub fn extend_hop(
                 });
             }
             let kept = |t: &Tuple| local.eval(t) && pushed.is_none_or(|p| p.eval(t));
+            obs.observe("join.probe_rows", partial.bag.distinct_len() as u64);
             index.join(&partial.bag, &geo.part_keys, kept, glue)
         }
     };
+    obs.observe("join.out_rows", bag.distinct_len() as u64);
     Ok(PartialDelta {
         lo: geo.lo,
         hi: geo.hi,
@@ -413,10 +460,10 @@ pub fn extend_hop(
 }
 
 /// Glue two partials that overlap in exactly one relation, the pivot
-/// `R_j` (`left.hi == j == right.lo`): hash the right partial on its
-/// leading `R_j` columns, probe with the left partial's trailing `R_j`
-/// columns, emit `left ++ right-tail` at the product of the counts (§5.3's
-/// parallel-sweep merge, span-generalized).
+/// `R_j` (`left.hi == j == right.lo`): equate the left partial's trailing
+/// `R_j` columns with the right partial's leading ones (the smaller leg is
+/// hashed, the left on a tie), emit `left ++ right-tail` at the product of
+/// the counts (§5.3's parallel-sweep merge, span-generalized).
 pub fn merge_pivot(view: &ViewDef, left: &PartialDelta, right: &PartialDelta) -> PartialDelta {
     debug_assert_eq!(left.hi, right.lo, "the legs must share their pivot");
     let w = view.schema(left.hi).arity();
@@ -427,7 +474,7 @@ pub fn merge_pivot(view: &ViewDef, left: &PartialDelta, right: &PartialDelta) ->
     PartialDelta {
         lo: left.lo,
         hi: right.hi,
-        bag: hash_join(&left.bag, &trail, right.bag.iter(), &lead, true, glue),
+        bag: hash_join(&left.bag, &trail, &right.bag, &lead, |_| true, true, glue).bag,
     }
 }
 
@@ -668,6 +715,77 @@ mod tests {
             let h = rec.histogram(hist).unwrap();
             assert_eq!((h.count(), h.sum()), (1, rows), "{hist}");
         }
+    }
+
+    /// The (count, sum) of each join histogram one traced hop recorded.
+    fn traced_hop(
+        v: &ViewDef,
+        pd: &PartialDelta,
+        neighbor: Neighbor<'_>,
+    ) -> (Bag, [Option<(u64, u128)>; 3]) {
+        let (obs, rec) = dw_obs::Obs::trace();
+        let out = extend_hop(v, pd, neighbor, JoinSide::Right, None, &obs).unwrap();
+        let rec = rec.lock().unwrap();
+        let hist = |name| rec.histogram(name).map(|h| (h.count(), h.sum()));
+        let sizes = ["join.build_rows", "join.probe_rows", "join.out_rows"].map(hist);
+        (out.bag, sizes)
+    }
+
+    #[test]
+    fn scan_hashes_the_smaller_input_and_the_index_counts_its_probes() {
+        // R3.F < 9 is R3's local σ: of R3's four rows, two are kept.
+        let v = ViewDefBuilder::new()
+            .relation(Schema::new("R1", ["A", "B"]).unwrap())
+            .relation(Schema::new("R2", ["C", "D"]).unwrap())
+            .relation(Schema::new("R3", ["E", "F"]).unwrap())
+            .join("R1.B", "R2.C")
+            .join("R2.D", "R3.E")
+            .select("R3.F", CmpOp::Lt, 9)
+            .build()
+            .unwrap();
+        let r3 = Bag::from_pairs([
+            (tup![5, 6], 2),
+            (tup![5, 9], 1), // fails the local σ
+            (tup![7, 8], 1),
+            (tup![8, 10], 1), // fails the local σ
+        ]);
+        // One partial row: it is the table, and the two kept rows of R3
+        // stream past it.
+        let one = PartialDelta::seed(&v, 1, &Bag::from_tuples([tup![3, 5]])).unwrap();
+        let (out, sizes) = traced_hop(&v, &one, Neighbor::Bag(&r3));
+        assert_eq!(out, Bag::from_pairs([(tup![3, 5, 5, 6], 2)]));
+        assert_eq!(sizes, [Some((1, 1)), Some((1, 2)), Some((1, 1))]);
+        // Four against four is a tie, so the partial is still the table;
+        // five partial rows against four make R3's kept rows the table.
+        let rows = |n| Bag::from_tuples((0..n).map(|k| tup![k, 7]));
+        let four = PartialDelta::seed(&v, 1, &rows(4)).unwrap();
+        let (out, sizes) = traced_hop(&v, &four, Neighbor::Bag(&r3));
+        assert_eq!(out.distinct_len(), 4);
+        assert_eq!(sizes, [Some((1, 4)), Some((1, 2)), Some((1, 4))]);
+        let five = PartialDelta::seed(&v, 1, &rows(5)).unwrap();
+        let (out, sizes) = traced_hop(&v, &five, Neighbor::Bag(&r3));
+        assert_eq!(out.distinct_len(), 5);
+        assert_eq!(sizes, [Some((1, 2)), Some((1, 5)), Some((1, 5))]);
+        // The index hashes nothing per call; its probes and output count
+        // as the scan's do.
+        let mut index = JoinIndex::for_neighbor(&v, 2, JoinSide::Right).unwrap();
+        index.apply_delta(&r3);
+        let (out, sizes) = traced_hop(&v, &one, Neighbor::Index(&index));
+        assert_eq!(out, Bag::from_pairs([(tup![3, 5, 5, 6], 2)]));
+        assert_eq!(sizes, [None, Some((1, 1)), Some((1, 1))]);
+    }
+
+    #[test]
+    fn an_empty_partial_still_checks_every_neighbor_row() {
+        // The empty partial is the (empty) table; the neighbor still
+        // streams through the arity check.
+        let v = paper_view();
+        let empty = PartialDelta::seed(&v, 1, &Bag::new()).unwrap();
+        let bad = Bag::from_tuples([tup![5, 6], tup![1]]);
+        assert!(matches!(
+            extend_partial(&v, &empty, &bad, JoinSide::Right),
+            Err(RelationalError::ArityMismatch { found: 1, .. })
+        ));
     }
 
     #[test]

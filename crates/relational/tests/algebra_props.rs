@@ -722,8 +722,9 @@ fn hop_join_over_typed_keys_fan_in_and_signed_duplicates_equals_nested_loop() {
 
 /// The pivot merge is the one equi-join a NULL takes part in: it matches
 /// a leg's pivot tuple to the other leg's copy of the same tuple, every
-/// column included. Over signed legs with duplicates and pivots of every
-/// value type, it equals the nested loop.
+/// column included. It hashes its smaller leg, the left on a tie: with the
+/// left leg smaller than, as large as and larger than the right, signed
+/// counts and pivots of every value type, it equals the nested loop.
 #[test]
 fn merge_pivot_equals_nested_loop() {
     let view = ViewDefBuilder::new()
@@ -734,39 +735,47 @@ fn merge_pivot_equals_nested_loop() {
         .join("R1.Y", "R2.X")
         .build()
         .unwrap();
-    let (mut null_pivots, mut nonempty) = (0, 0);
-    for case in 0..CASES {
+    let (mut null_pivots, mut nonempty) = ([0usize; 3], [0usize; 3]);
+    for case in 0..3 * CASES {
         let mut r = Rng64::new(6_000 + case);
+        let size = Size::ALL[case as usize % 3];
         let pivots: Vec<Tuple> = (0..1 + r.usize_below(8))
             .map(|_| arb_key_pair(&mut r))
             .collect();
-        let leg = |r: &mut Rng64, pivot_first: bool| {
-            Bag::from_pairs((0..r.usize_below(24)).map(|_| {
+        // `n` distinct rows: the pivot, and the row's number beside a
+        // random value.
+        let leg = |r: &mut Rng64, n: usize, pivot_first: bool| {
+            let legs = Bag::from_pairs((0..n).map(|i| {
                 let pivot = &pivots[r.usize_below(pivots.len())];
-                let other = arb_key_pair(r);
+                let other = Tuple::new(vec![Value::Int(i as i64), arb_key(r)]);
                 let t = if pivot_first {
                     pivot.concat(&other)
                 } else {
                     other.concat(pivot)
                 };
-                (t, r.i64_in(-3, 4))
-            }))
+                (t, signed_count(r))
+            }));
+            assert_eq!(legs.distinct_len(), n);
+            legs
         };
+        let right_rows = 1 + r.usize_below(24);
+        let left_rows = size.rows(&mut r, right_rows);
         let left = PartialDelta {
             lo: 0,
             hi: 1,
-            bag: leg(&mut r, false),
+            bag: leg(&mut r, left_rows, false),
         };
         let right = PartialDelta {
             lo: 1,
             hi: 2,
-            bag: leg(&mut r, true),
+            bag: leg(&mut r, right_rows, true),
         };
         let mut expected = Bag::new();
         for (lt, lc) in left.bag.iter() {
             for (rt, rc) in right.bag.iter() {
                 if lt.values()[2..] == rt.values()[..2] {
-                    null_pivots += usize::from(lt.values()[2..].contains(&Value::Null));
+                    let null = lt.values()[2..].contains(&Value::Null);
+                    null_pivots[size as usize] += usize::from(null);
                     let tail = Tuple::new(rt.values()[2..].to_vec());
                     expected.add(lt.concat(&tail), lc * rc);
                 }
@@ -774,15 +783,195 @@ fn merge_pivot_equals_nested_loop() {
         }
         let merged = merge_pivot(&view, &left, &right);
         assert_eq!((merged.lo, merged.hi), (0, 2), "case {case}");
-        assert_eq!(merged.bag, expected, "case {case}");
-        nonempty += usize::from(!expected.is_empty());
+        assert_eq!(merged.bag, expected, "case {case}: {size:?}");
+        nonempty[size as usize] += usize::from(!expected.is_empty());
+    }
+    for size in Size::ALL {
+        let (merges, nulls) = (nonempty[size as usize], null_pivots[size as usize]);
+        assert!(merges > 80, "{size:?}: only {merges} non-empty merges");
+        assert!(
+            nulls > 300,
+            "{size:?}: only {nulls} NULL-bearing pivots merged"
+        );
+    }
+}
+
+// ---- The hop join's build side: either input may be the table ----------
+
+/// How the partial's (the pivot merge's left leg's) distinct count
+/// compares with the other input's — the hash join's table is the partial
+/// on `Smaller` and `Equal`, the other input on `Larger`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Size {
+    Smaller,
+    Equal,
+    Larger,
+}
+
+impl Size {
+    const ALL: [Size; 3] = [Size::Smaller, Size::Equal, Size::Larger];
+
+    /// A partial row count of this class against `other` rows.
+    fn rows(self, r: &mut Rng64, other: usize) -> usize {
+        match self {
+            Size::Smaller => r.usize_below(other),
+            Size::Equal => other,
+            Size::Larger => other + 1 + r.usize_below(24),
+        }
+    }
+}
+
+/// A join-key value from a domain so small that most rows find partners:
+/// NULL, one boolean, one string and three integers.
+fn small_key(r: &mut Rng64) -> Value {
+    match r.usize_below(6) {
+        0 => Value::Null,
+        1 => Value::Bool(true),
+        2 => Value::str("a"),
+        _ => Value::Int(r.i64_in(0, 3)),
+    }
+}
+
+/// A signed, never-zero count.
+fn signed_count(r: &mut Rng64) -> i64 {
+    let c = r.i64_in(1, 4);
+    if r.chance(0.3) {
+        -c
+    } else {
+        c
+    }
+}
+
+/// `n` distinct rows `[key, key, i]` at signed counts: the third column
+/// makes every row distinct, so the bag holds exactly `n`.
+fn keyed_rows(r: &mut Rng64, n: usize) -> Bag {
+    let rows = (0..n).map(|i| {
+        let t = Tuple::new(vec![small_key(r), small_key(r), Value::Int(i as i64)]);
+        (t, signed_count(r))
+    });
+    let bag = Bag::from_pairs(rows);
+    assert_eq!(bag.distinct_len(), n);
+    bag
+}
+
+/// The hop join hashes whichever input has fewer distinct tuples. With
+/// the partial smaller than, as large as and larger than the neighbor —
+/// single- and two-column keys, NULL keys on both sides, signed counts on
+/// both, the neighbor's local σ and a pushed σ — the scan equals the
+/// nested loop and the index probe, on both sides of the partial.
+#[test]
+fn hop_join_equals_nested_loop_whichever_input_is_hashed() {
+    const SIZE_CASES: u64 = 600;
+    let mut nonempty = [0usize; 3];
+    let mut nulls_refused = [0usize; 3];
+    let (mut partial_nulls, mut nbr_nulls, mut both_keys, mut filtered) = (0, 0, 0, 0);
+    for case in 0..SIZE_CASES {
+        let mut r = Rng64::new(7_000 + case);
+        let size = Size::ALL[case as usize % 3];
+        let both = r.chance(0.4);
+        let bound = r.chance(0.5).then(|| r.i64_in(0, 12));
+        let side = if r.chance(0.5) {
+            JoinSide::Left
+        } else {
+            JoinSide::Right
+        };
+        let (lo, nbr) = match side {
+            JoinSide::Right => (0, 1),
+            JoinSide::Left => (1, 0),
+        };
+        let mut b = ViewDefBuilder::new()
+            .relation(Schema::new("R0", ["X", "Y", "Z"]).unwrap())
+            .relation(Schema::new("R1", ["X", "Y", "Z"]).unwrap());
+        if both {
+            b = b.join("R0.X", "R1.X").join("R0.Y", "R1.Y");
+        } else {
+            b = b.join("R0.Y", "R1.X");
+        }
+        if let Some(bound) = bound {
+            b = b.select(format!("R{nbr}.Z"), CmpOp::Ge, bound);
+        }
+        let view = b.build().unwrap();
+        // (partial column, neighbor column) of every key pair.
+        let keys = match (both, side) {
+            (true, _) => vec![(0, 0), (1, 1)],
+            (false, JoinSide::Right) => vec![(1, 0)],
+            (false, JoinSide::Left) => vec![(0, 1)],
+        };
+        let nbr_rows = 1 + r.usize_below(24);
+        let relation = keyed_rows(&mut r, nbr_rows);
+        let n = size.rows(&mut r, relation.distinct_len());
+        let partial = PartialDelta {
+            lo,
+            hi: lo,
+            bag: keyed_rows(&mut r, n),
+        };
+        let pushed = r.chance(0.5).then(|| Predicate::Cmp {
+            attr: 2,
+            op: CmpOp::Lt,
+            value: r.i64_in(12, 25).into(),
+        });
+
+        let z = |t: &Tuple| match t.at(2) {
+            Value::Int(v) => *v,
+            other => panic!("payload column holds {other:?}"),
+        };
+        let null_key = |t: &Tuple, side: fn(&(usize, usize)) -> usize| {
+            keys.iter().any(|pair| *t.at(side(pair)) == Value::Null)
+        };
+        let mut expected = Bag::new();
+        for (pt, pc) in partial.bag.iter() {
+            partial_nulls += usize::from(null_key(pt, |&(p, _)| p));
+            for (nt, nc) in relation.iter() {
+                let equal = keys.iter().all(|&(p, n)| pt.at(p) == nt.at(n));
+                let null = null_key(pt, |&(p, _)| p);
+                let kept =
+                    bound.is_none_or(|b| z(nt) >= b) && pushed.as_ref().is_none_or(|p| p.eval(nt));
+                if equal && kept && null {
+                    nulls_refused[size as usize] += 1;
+                } else if equal && kept {
+                    let glued = match side {
+                        JoinSide::Left => nt.concat(pt),
+                        JoinSide::Right => pt.concat(nt),
+                    };
+                    expected.add(glued, pc * nc);
+                }
+            }
+        }
+        nbr_nulls += relation
+            .iter()
+            .filter(|(t, _)| null_key(t, |&(_, n)| n))
+            .count();
+
+        let ctx = format!("case {case}: {size:?} both {both}, {side:?}, σ {bound:?} {pushed:?}");
+        let obs = dw_obs::Obs::off();
+        let hop = |neighbor| extend_hop(&view, &partial, neighbor, side, pushed.as_ref(), &obs);
+        let scan = hop(Neighbor::Bag(&relation)).unwrap();
+        assert_eq!(scan.bag, expected, "{ctx}");
+        assert_eq!((scan.lo, scan.hi), (0, 1), "{ctx}");
+        let mut index = JoinIndex::for_neighbor(&view, nbr, side).unwrap();
+        index.apply_delta(&relation);
+        assert_eq!(hop(Neighbor::Index(&index)).unwrap(), scan, "{ctx}");
+        if pushed.is_none() {
+            assert_eq!(
+                extend_partial(&view, &partial, &relation, side).unwrap(),
+                scan,
+                "{ctx}"
+            );
+        }
+        nonempty[size as usize] += usize::from(!expected.is_empty());
+        both_keys += usize::from(both);
+        filtered += usize::from(bound.is_some() && pushed.is_some());
+    }
+    // Every cell the claim names is visited, NULL = NULL pairs are turned
+    // away with either input hashed, and most joins produce rows.
+    for size in Size::ALL {
+        let (joins, refused) = (nonempty[size as usize], nulls_refused[size as usize]);
+        assert!(joins > 80, "{size:?}: only {joins} non-empty joins");
+        assert!(refused > 150, "{size:?}: only {refused} NULL = NULL pairs");
     }
     assert!(
-        nonempty > CASES as usize / 2,
-        "only {nonempty} non-empty merges"
+        partial_nulls > 800 && nbr_nulls > 800,
+        "{partial_nulls} / {nbr_nulls}"
     );
-    assert!(
-        null_pivots > 50,
-        "only {null_pivots} NULL-bearing pivots merged"
-    );
+    assert!(both_keys > 150 && filtered > 80, "{both_keys} / {filtered}");
 }
