@@ -218,6 +218,20 @@ stage_engine_boundary() {
     echo "FAIL: the hop join's scan builds no per-row key vector — hash the key columns in place (hash_join); key_of / Vec<Value> keys live in index.rs for the JoinIndex" >&2
     ok=1
   fi
+  # The small-table fast path may skip the hash, never weaken it: the one
+  # build-and-probe loop draws its one per-call SipHash key, and no
+  # unkeyed or fixed-key hasher may stand in for it on any table size.
+  local code
+  code=$(non_test_code crates/relational/src/eval.rs)
+  hits=$(grep -nE '\bDefaultHasher\b|\bBuildHasherDefault\b|\bSipHasher[0-9]*\b|\bFxHash|\bFnvHash|with_keys\(' <<<"$code" |
+    sed 's|^|crates/relational/src/eval.rs: |')
+  if [[ -n "$hits" ]] ||
+    [[ $(grep -c 'RandomState::new()' <<<"$code") -ne 1 ]] ||
+    [[ $(grep -c 'fn build_and_probe\b' <<<"$code") -ne 1 ]]; then
+    echo "$hits"
+    echo "FAIL: eval.rs holds one build-and-probe loop (fn build_and_probe) with one per-call key (RandomState::new()) — a small table may skip the hash, but no DefaultHasher, BuildHasherDefault or fixed-key hasher may replace it" >&2
+    ok=1
+  fi
   # One hash per tuple: a tuple carries SipHash under one process-wide
   # random key (tuple.rs), and only a Bag hands that hash to its map
   # unchanged (bag.rs). A pass-through hasher anywhere else could end up

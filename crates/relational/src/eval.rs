@@ -17,10 +17,10 @@
 //!
 //! The join itself is written once: [`extend_hop`] computes the hop's
 //! geometry and joins the neighbor rows, whether they come from a bag
-//! joined for the call (a flat, keyed table built without a per-row
-//! allocation on the smaller of the partial and the bag) or from a
-//! maintained [`JoinIndex`]; [`merge_pivot`] (§5.3's merge of two legs)
-//! joins with the same kernel. A NULL join key matches
+//! joined for the call (a flat table built without a per-row allocation
+//! on the smaller of the partial and the bag, hashed only above a few
+//! rows) or from a maintained [`JoinIndex`]; [`merge_pivot`] (§5.3's
+//! merge of two legs) joins with the same kernel. A NULL join key matches
 //! nothing, as under the residual selection's three-valued logic.
 //!
 //! Signed multiplicities flow through multiplication, so a delete joined
@@ -161,9 +161,11 @@ fn check_rel_index(view: &ViewDef, i: usize) -> Result<(), RelationalError> {
 /// Where a hop's neighbor rows come from.
 #[derive(Clone, Copy, Debug)]
 pub enum Neighbor<'a> {
-    /// A bag joined for this one hop, through a table hashed on the
-    /// smaller of it and the partial: a base relation at a source that
-    /// keeps no index, or a concurrent `ΔR_j` at the warehouse.
+    /// A bag joined for this one hop, through a table built on the
+    /// smaller of it and the partial (one unhashed bucket when that is a
+    /// few rows, as a source's `ΔV` is) while the larger streams past it:
+    /// a base relation at a source that keeps no index, or a concurrent
+    /// `ΔR_j` at the warehouse.
     Bag(&'a Bag),
     /// A [`JoinIndex`] maintained over the (unfiltered) base relation.
     Index(&'a JoinIndex),
@@ -242,8 +244,14 @@ impl HopGeometry {
 /// The link that ends a bucket's chain in [`build_and_probe`]'s table.
 const END: usize = usize::MAX;
 
-/// What [`hash_join`] produced, and how many rows it hashed into its
-/// table and streamed past it.
+/// The most build rows [`build_and_probe`] keeps in one unhashed bucket:
+/// up to this many, comparing a probe row's key columns with every row
+/// is cheaper than SipHashing it to pick a bucket (the crossover table in
+/// DESIGN.md, "One hop join").
+const ONE_BUCKET: usize = 4;
+
+/// What [`hash_join`] produced, and how many rows it put in its table and
+/// streamed past it.
 struct Joined {
     bag: Bag,
     build_rows: u64,
@@ -257,11 +265,13 @@ struct Joined {
 /// The per-call table is built on the input with fewer distinct tuples —
 /// `rows` counted before `kept` filters them, a tie going to `partial` —
 /// and the other input streams through it. So a source's query (a few
-/// `ΔV` rows against all of `R_i`) hashes its few rows, not the relation;
-/// every row of `rows` is still visited exactly once, through `kept`,
-/// even when `partial` is empty. The two shapes share one build-and-probe
-/// loop; when `rows` is hashed, a glue adapter swaps the pair back, so the
-/// output is `glue(pt, nt)` at `pc · nc` either way.
+/// `ΔV` rows against all of `R_i`) tables its few rows and streams the
+/// relation past them, comparing keys without hashing them while the
+/// table is [`ONE_BUCKET`] rows or fewer; every row of `rows` is still
+/// visited exactly once, through `kept`, even when `partial` is empty.
+/// The two shapes share one build-and-probe loop; when `rows` is the
+/// table, a glue adapter swaps the pair back, so the output is
+/// `glue(pt, nt)` at `pc · nc` either way.
 ///
 /// A row with a NULL key column joins nothing (SQL's `NULL = NULL` is not
 /// true) unless `nulls_join`: the pivot merge matches a tuple to itself.
@@ -283,20 +293,23 @@ fn hash_join(
     }
 }
 
-/// Hash `build` on its `build_keys` columns, then stream `probe` through
+/// Table `build` on its `build_keys` columns, then stream `probe` through
 /// the table: each pair whose keys are equal emits `glue(bt, pt)` at
 /// `bc · pc`.
 ///
-/// The table is flat and borrows its rows: one vector of the build rows,
-/// each with its key columns hashed **once** (SipHash under a key drawn
-/// for this call, so crafted rows cannot flood one bucket — at worst they
-/// lengthen chains in a table of the smaller input), chained through
-/// power-of-two `heads` and `next` links. A probe row hashes its key
-/// columns the same way and compares columns only when the full 64-bit
-/// hashes agree — no key vector, no bucket vector, no rehash. The NULL
-/// rule is the probe's: a build row keyed on NULL sits in the table, but
-/// no probe row carrying a NULL key reaches it, and a NULL-free key
-/// never equals one that holds a NULL.
+/// The table is flat and borrows its rows: one vector of the build rows
+/// chained through power-of-two `heads` and `next` links. A table of at
+/// most [`ONE_BUCKET`] rows is one bucket and hashes nothing: no key is
+/// drawn, every row's hash is 0, and a probe row compares its key columns
+/// with each of those few rows. A larger table hashes each build row's key
+/// columns **once** (SipHash under a key drawn for this call, so crafted
+/// rows cannot flood one bucket — at worst they lengthen chains in a table
+/// of the smaller input); a probe row hashes its key columns the same way
+/// and compares columns only when the full 64-bit hashes agree — no key
+/// vector, no bucket vector, no rehash. The NULL rule is the probe's: a
+/// build row keyed on NULL sits in the table, but no probe row carrying a
+/// NULL key reaches it, and a NULL-free key never equals one that holds a
+/// NULL.
 fn build_and_probe<'b, 'p>(
     build: impl Iterator<Item = (&'b Tuple, i64)>,
     build_keys: &[usize],
@@ -305,22 +318,30 @@ fn build_and_probe<'b, 'p>(
     nulls_join: bool,
     glue: impl Fn(&Tuple, &Tuple) -> Tuple,
 ) -> Joined {
-    let seed = RandomState::new();
-    let hash = |t: &Tuple, cols: &[usize]| {
-        let mut h = seed.build_hasher();
-        for &k in cols {
-            t.at(k).hash(&mut h);
-        }
-        h.finish()
-    };
     let (lower, upper) = build.size_hint();
     let mut built = Vec::with_capacity(upper.unwrap_or(lower));
-    built.extend(build.map(|(t, c)| (t, c, hash(t, build_keys))));
-    let mask = built.len().next_power_of_two() - 1;
+    built.extend(build.map(|(t, c)| (t, c, 0)));
+    let n = built.len();
+    let (seed, mask) = if n > ONE_BUCKET {
+        (Some(RandomState::new()), n.next_power_of_two() - 1)
+    } else {
+        (None, 0)
+    };
+    let hash = |t: &Tuple, cols: &[usize]| match &seed {
+        None => 0,
+        Some(seed) => {
+            let mut h = seed.build_hasher();
+            for &k in cols {
+                t.at(k).hash(&mut h);
+            }
+            h.finish()
+        }
+    };
     let mut heads = vec![END; mask + 1];
-    let mut next = vec![END; built.len()];
-    for (i, &(_, _, h)) in built.iter().enumerate() {
-        let head = &mut heads[h as usize & mask];
+    let mut next = vec![END; n];
+    for (i, (t, _, h)) in built.iter_mut().enumerate() {
+        *h = hash(t, build_keys);
+        let head = &mut heads[*h as usize & mask];
         next[i] = *head;
         *head = i;
     }
@@ -374,16 +395,16 @@ pub fn extend_partial(
 /// [`crate::extend_partial_indexed`]: widen `partial` by its neighbor on
 /// `side`, keeping the neighbor rows that pass the view's local selection
 /// **and** the query's pushed-down `pushed` σ. A [`Neighbor::Bag`] row is
-/// filtered as the hash join visits it — whether it is hashed or streamed
-/// past the hashed partial — a [`Neighbor::Index`] match after the probe
+/// filtered as the hash join visits it — whether it is tabled or streamed
+/// past the tabled partial — a [`Neighbor::Index`] match after the probe
 /// (it stores the unfiltered relation); the answers are equal as bags.
 ///
 /// The hop records into the recorder behind `obs` the rows it streamed
 /// past a table (`join.probe_rows`: the scan's larger input, or every
 /// partial row an index probe looks up) and its output (`join.out_rows`);
-/// the scan also records the rows it hashed for the call
-/// (`join.build_rows`, the smaller input) and, under a pushed σ, how many
-/// rows it turned away (`source.pushdown_filtered`).
+/// the scan also records the rows it tabled for the call
+/// (`join.build_rows`, the smaller input, hashed or not) and, under a
+/// pushed σ, how many rows it turned away (`source.pushdown_filtered`).
 pub fn extend_hop(
     view: &ViewDef,
     partial: &PartialDelta,
@@ -462,7 +483,7 @@ pub fn extend_hop(
 /// Glue two partials that overlap in exactly one relation, the pivot
 /// `R_j` (`left.hi == j == right.lo`): equate the left partial's trailing
 /// `R_j` columns with the right partial's leading ones (the smaller leg is
-/// hashed, the left on a tie), emit `left ++ right-tail` at the product of
+/// the table, the left on a tie), emit `left ++ right-tail` at the product of
 /// the counts (§5.3's parallel-sweep merge, span-generalized).
 pub fn merge_pivot(view: &ViewDef, left: &PartialDelta, right: &PartialDelta) -> PartialDelta {
     debug_assert_eq!(left.hi, right.lo, "the legs must share their pivot");
@@ -766,6 +787,20 @@ mod tests {
         let (out, sizes) = traced_hop(&v, &five, Neighbor::Bag(&r3));
         assert_eq!(out.distinct_len(), 5);
         assert_eq!(sizes, [Some((1, 2)), Some((1, 5)), Some((1, 5))]);
+        // Four rows are one unhashed bucket, five a hashed table: either
+        // way, on either build side, `join.build_rows` counts the table's
+        // rows and `join.probe_rows` the rows streamed past it.
+        let r2_rows =
+            |n: i64| PartialDelta::seed(&v, 1, &Bag::from_tuples((0..n).map(|k| tup![k, k])));
+        let r3_kept =
+            |kept: i64| Bag::from_tuples((0..kept).map(|e| tup![e, 1]).chain([tup![0, 9]]));
+        for k in [4i64, 5] {
+            let rows = Some((1, k as u128));
+            let (_, sizes) = traced_hop(&v, &r2_rows(k).unwrap(), Neighbor::Bag(&r3_kept(6)));
+            assert_eq!(sizes, [rows, Some((1, 6)), rows], "{k}-row partial");
+            let (_, sizes) = traced_hop(&v, &r2_rows(8).unwrap(), Neighbor::Bag(&r3_kept(k)));
+            assert_eq!(sizes, [rows, Some((1, 8)), rows], "{k} kept rows of R3");
+        }
         // The index hashes nothing per call; its probes and output count
         // as the scan's do.
         let mut index = JoinIndex::for_neighbor(&v, 2, JoinSide::Right).unwrap();

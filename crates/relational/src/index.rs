@@ -1,12 +1,13 @@
 //! Incremental join indexes.
 //!
 //! A data source answers a stream of `ComputeJoin(ΔV, R)` requests against
-//! the *same* base relation; hashing `R` from scratch on every request (as
-//! [`crate::eval::extend_partial`] does) costs `O(|R|)` per query. A
-//! [`JoinIndex`] maintains the hash table incrementally as transactions
-//! apply, so query service drops to `O(|ΔV| + |matches|)` — the classic
-//! maintained-index trade-off, recorded as the `extend_partial` vs
-//! `extend_partial_indexed` rows of the benchmark's `kernels` table.
+//! the *same* base relation; streaming all of `R` past a table of the few
+//! `ΔV` rows on every request (as [`crate::eval::extend_partial`] does)
+//! still costs `O(|R|)` per query. A [`JoinIndex`] maintains the hash
+//! table incrementally as transactions apply, so query service drops to
+//! `O(|ΔV| + |matches|)` — the classic maintained-index trade-off,
+//! recorded as the `extend_partial` vs `extend_partial_indexed` rows of
+//! the benchmark's `kernels` table.
 
 use crate::bag::Bag;
 use crate::error::RelationalError;

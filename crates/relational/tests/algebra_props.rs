@@ -736,7 +736,8 @@ fn merge_pivot_equals_nested_loop() {
         .build()
         .unwrap();
     let (mut null_pivots, mut nonempty) = ([0usize; 3], [0usize; 3]);
-    for case in 0..3 * CASES {
+    let mut built = [[0usize; 5]; 2];
+    for case in 0..6 * CASES {
         let mut r = Rng64::new(6_000 + case);
         let size = Size::ALL[case as usize % 3];
         let pivots: Vec<Tuple> = (0..1 + r.usize_below(8))
@@ -758,8 +759,8 @@ fn merge_pivot_equals_nested_loop() {
             assert_eq!(legs.distinct_len(), n);
             legs
         };
-        let right_rows = 1 + r.usize_below(24);
-        let left_rows = size.rows(&mut r, right_rows);
+        let table = table_rows(&mut r, case);
+        let (left_rows, right_rows) = size.rows(&mut r, table);
         let left = PartialDelta {
             lo: 0,
             hi: 1,
@@ -785,6 +786,9 @@ fn merge_pivot_equals_nested_loop() {
         assert_eq!((merged.lo, merged.hi), (0, 2), "case {case}");
         assert_eq!(merged.bag, expected, "case {case}: {size:?}");
         nonempty[size as usize] += usize::from(!expected.is_empty());
+        if let Some(k) = regime(table as u64) {
+            built[usize::from(size == Size::Larger)][k] += 1;
+        }
     }
     for size in Size::ALL {
         let (merges, nulls) = (nonempty[size as usize], null_pivots[size as usize]);
@@ -794,6 +798,7 @@ fn merge_pivot_equals_nested_loop() {
             "{size:?}: only {nulls} NULL-bearing pivots merged"
         );
     }
+    assert_every_regime(built, 20);
 }
 
 // ---- The hop join's build side: either input may be the table ----------
@@ -811,12 +816,54 @@ enum Size {
 impl Size {
     const ALL: [Size; 3] = [Size::Smaller, Size::Equal, Size::Larger];
 
-    /// A partial row count of this class against `other` rows.
-    fn rows(self, r: &mut Rng64, other: usize) -> usize {
+    /// Row counts `(partial, other)` of this class whose table — the
+    /// partial on `Smaller` and `Equal`, the other input on `Larger` —
+    /// holds `table` rows (before any σ filters the other input).
+    fn rows(self, r: &mut Rng64, table: usize) -> (usize, usize) {
+        let more = table + 1 + r.usize_below(24);
         match self {
-            Size::Smaller => r.usize_below(other),
-            Size::Equal => other,
-            Size::Larger => other + 1 + r.usize_below(24),
+            Size::Smaller => (table, more),
+            Size::Equal => (table, table),
+            Size::Larger => (more, table),
+        }
+    }
+}
+
+/// The table size of case `case`: the cases cycle through an empty
+/// table, both edges of the one unhashed bucket (1 and 4 rows), the
+/// smallest hashed table (5 rows), a hashed table of 9 to 24 rows, and
+/// any size up to 24.
+fn table_rows(r: &mut Rng64, case: u64) -> usize {
+    match (case / 3) % 6 {
+        0 => 0,
+        1 => 1,
+        2 => 4,
+        3 => 5,
+        4 => 9 + r.usize_below(16),
+        _ => r.usize_below(25),
+    }
+}
+
+/// The table sizes each side of the hop join must build at least once —
+/// 0, 1 and 4 rows (one unhashed bucket, edges included), 5 and ≥ 9 rows
+/// (hashed) — as an index into a per-regime count, `None` for the rest.
+fn regime(table: u64) -> Option<usize> {
+    match table {
+        0 => Some(0),
+        1 => Some(1),
+        4 => Some(2),
+        5 => Some(3),
+        9.. => Some(4),
+        _ => None,
+    }
+}
+
+/// Assert that both build sides (`[partial, other]`) hit every
+/// [`regime`] at least `min` times.
+fn assert_every_regime(built: [[usize; 5]; 2], min: usize) {
+    for (side, counts) in ["partial-built", "other-built"].iter().zip(built) {
+        for (rows, n) in ["0", "1", "4", "5", ">= 9"].iter().zip(counts) {
+            assert!(n >= min, "{side} tables of {rows} rows: only {n}");
         }
     }
 }
@@ -864,6 +911,7 @@ fn hop_join_equals_nested_loop_whichever_input_is_hashed() {
     const SIZE_CASES: u64 = 600;
     let mut nonempty = [0usize; 3];
     let mut nulls_refused = [0usize; 3];
+    let mut built = [[0usize; 5]; 2];
     let (mut partial_nulls, mut nbr_nulls, mut both_keys, mut filtered) = (0, 0, 0, 0);
     for case in 0..SIZE_CASES {
         let mut r = Rng64::new(7_000 + case);
@@ -897,9 +945,9 @@ fn hop_join_equals_nested_loop_whichever_input_is_hashed() {
             (false, JoinSide::Right) => vec![(1, 0)],
             (false, JoinSide::Left) => vec![(0, 1)],
         };
-        let nbr_rows = 1 + r.usize_below(24);
+        let drawn = table_rows(&mut r, case);
+        let (n, nbr_rows) = size.rows(&mut r, drawn);
         let relation = keyed_rows(&mut r, nbr_rows);
-        let n = size.rows(&mut r, relation.distinct_len());
         let partial = PartialDelta {
             lo,
             hi: lo,
@@ -918,14 +966,16 @@ fn hop_join_equals_nested_loop_whichever_input_is_hashed() {
         let null_key = |t: &Tuple, side: fn(&(usize, usize)) -> usize| {
             keys.iter().any(|pair| *t.at(side(pair)) == Value::Null)
         };
+        let kept = |nt: &Tuple| {
+            bound.is_none_or(|b| z(nt) >= b) && pushed.as_ref().is_none_or(|p| p.eval(nt))
+        };
         let mut expected = Bag::new();
         for (pt, pc) in partial.bag.iter() {
             partial_nulls += usize::from(null_key(pt, |&(p, _)| p));
             for (nt, nc) in relation.iter() {
                 let equal = keys.iter().all(|&(p, n)| pt.at(p) == nt.at(n));
                 let null = null_key(pt, |&(p, _)| p);
-                let kept =
-                    bound.is_none_or(|b| z(nt) >= b) && pushed.as_ref().is_none_or(|p| p.eval(nt));
+                let kept = kept(nt);
                 if equal && kept && null {
                     nulls_refused[size as usize] += 1;
                 } else if equal && kept {
@@ -943,10 +993,22 @@ fn hop_join_equals_nested_loop_whichever_input_is_hashed() {
             .count();
 
         let ctx = format!("case {case}: {size:?} both {both}, {side:?}, σ {bound:?} {pushed:?}");
-        let obs = dw_obs::Obs::off();
+        let (obs, rec) = dw_obs::Obs::trace();
         let hop = |neighbor| extend_hop(&view, &partial, neighbor, side, pushed.as_ref(), &obs);
         let scan = hop(Neighbor::Bag(&relation)).unwrap();
         assert_eq!(scan.bag, expected, "{ctx}");
+        // The table is the partial, or the neighbor's rows that pass σ.
+        let other_built = partial.bag.distinct_len() > relation.distinct_len();
+        let table = if other_built {
+            relation.iter().filter(|&(t, _)| kept(t)).count()
+        } else {
+            partial.bag.distinct_len()
+        };
+        let sum = |name| rec.lock().unwrap().histogram(name).map(|h| h.sum());
+        assert_eq!(sum("join.build_rows"), Some(table as u128), "{ctx}");
+        if let Some(k) = regime(table as u64) {
+            built[usize::from(other_built)][k] += 1;
+        }
         assert_eq!((scan.lo, scan.hi), (0, 1), "{ctx}");
         let mut index = JoinIndex::for_neighbor(&view, nbr, side).unwrap();
         index.apply_delta(&relation);
@@ -974,4 +1036,5 @@ fn hop_join_equals_nested_loop_whichever_input_is_hashed() {
         "{partial_nulls} / {nbr_nulls}"
     );
     assert!(both_keys > 150 && filtered > 80, "{both_keys} / {filtered}");
+    assert_every_regime(built, 10);
 }
