@@ -233,18 +233,22 @@ stage_engine_boundary() {
     ok=1
   fi
   # One hash per tuple: a tuple carries SipHash under one process-wide
-  # random key (tuple.rs), and only a Bag hands that hash to its map
-  # unchanged (bag.rs). A pass-through hasher anywhere else could end up
-  # over an unkeyed hash and reopen bucket flooding; the one other hasher
-  # is SharedMap's deterministic chunk hash (shared.rs), which hashes
-  # values itself.
-  hits=$(grep -rnE 'BuildHasherDefault|OnceLock<RandomState>|\bPassThrough\b|impl ([a-z_]+::)*Hasher for' \
-    crates src examples tests 2>/dev/null |
-    grep -v '^crates/relational/src/tuple.rs:\|^crates/relational/src/bag.rs:' |
-    grep -v '^crates/relational/src/shared.rs:[0-9]*:impl Hasher for ChunkHasher' || true)
+  # random key (tuple.rs), and a Bag places its entries by that hash in
+  # its one slot table (bag.rs) — no map and no pass-through hasher. A
+  # pass-through hasher anywhere could end up over an unkeyed hash and
+  # reopen bucket flooding; the one other hasher is SharedMap's
+  # deterministic chunk hash (shared.rs), which hashes values itself.
+  hits=$({
+    grep -rnE 'BuildHasherDefault|OnceLock<RandomState>|\bPassThrough\b|impl ([a-z_]+::)*Hasher for' \
+      crates src examples tests |
+      grep -v '^crates/relational/src/tuple.rs:' |
+      grep -v '^crates/relational/src/shared.rs:[0-9]*:impl Hasher for ChunkHasher'
+    non_test_code crates/relational/src/bag.rs | grep -n 'HashMap' |
+      sed 's|^|crates/relational/src/bag.rs: |'
+  } 2>/dev/null || true)
   if [[ -n "$hits" ]]; then
     echo "$hits"
-    echo "FAIL: a tuple's keyed hash (its process-wide OnceLock<RandomState> key) lives in crates/relational/src/tuple.rs and the pass-through hasher over it in bag.rs — key other maps with the default SipHash" >&2
+    echo "FAIL: a tuple's keyed hash (its process-wide OnceLock<RandomState> key) lives in crates/relational/src/tuple.rs, and a Bag indexes its dense entries by it in one slot table (no HashMap, no pass-through hasher in bag.rs) — key other maps with the default SipHash" >&2
     ok=1
   fi
   # A sharded sweep is an ordinary sweep on the wire: the sources never

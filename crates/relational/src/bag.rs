@@ -6,98 +6,56 @@
 //! counts are signed: `+k` means "insert `k` copies", `−k` means "delete `k`
 //! copies". The bag keeps the invariant that no stored count is zero, so
 //! `a + (−a) = ∅` and emptiness tests are exact.
+//!
+//! A bag is one dense vector of `(tuple, count)` entries in insertion order
+//! plus a table of `u32` positions into it, probed by the keyed hash every
+//! [`Tuple`] carries: scanning a bag (a source's `R_i`, a compensation
+//! term, a view) walks one slice, in the order its rows were allocated.
 
 use crate::error::RelationalError;
 use crate::tuple::Tuple;
-use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// A bag's map key: a tuple, hashed by the keyed hash it carries (so the
-/// map never hashes a value).
-#[derive(Clone, PartialEq, Eq)]
-struct Key(Tuple);
+/// A slot of the position table that holds no entry.
+const EMPTY: u32 = u32::MAX;
 
-/// What a [`Key`] is borrowed as for a lookup, so a `&Tuple` probes the
-/// map without building a key. Hashes and compares as `Key` does.
-trait Probe {
-    fn tuple(&self) -> &Tuple;
+/// Slots in the smallest non-empty table.
+const MIN_SLOTS: usize = 4;
+
+/// Slots of the smallest table that holds `distinct` entries: a power of
+/// two at load ≤ 3/4.
+fn slots_for(distinct: usize) -> usize {
+    (distinct * 4)
+        .div_ceil(3)
+        .next_power_of_two()
+        .max(MIN_SLOTS)
 }
-
-impl Probe for Key {
-    fn tuple(&self) -> &Tuple {
-        &self.0
-    }
-}
-
-impl Probe for Tuple {
-    fn tuple(&self) -> &Tuple {
-        self
-    }
-}
-
-impl<'a> Borrow<dyn Probe + 'a> for Key {
-    fn borrow(&self) -> &(dyn Probe + 'a) {
-        self
-    }
-}
-
-impl Hash for Key {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0.keyed_hash());
-    }
-}
-
-impl Hash for dyn Probe + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.tuple().keyed_hash());
-    }
-}
-
-impl PartialEq for dyn Probe + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.tuple() == other.tuple()
-    }
-}
-
-impl Eq for dyn Probe + '_ {}
-
-/// Hands the map the keyed hash a [`Key`] writes, unchanged. The hash is
-/// already SipHash under a random key (`Tuple`'s), which is what keeps
-/// crafted rows from flooding one bucket; this hasher adds nothing, so it
-/// must never see an unkeyed hash.
-#[derive(Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-
-    /// Only `write_u64` is ever called; other input is folded in, not
-    /// refused.
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type Counts = HashMap<Key, i64, BuildHasherDefault<PassThrough>>;
 
 /// A multiset of tuples with signed integer multiplicities.
 ///
 /// This is the `RELATION` type of the paper's pseudocode (Figures 3, 4, 6):
 /// updates, partial view changes, query answers and compensation terms are
 /// all `Bag`s. Zero-count entries are never stored.
-#[derive(Clone, Default, PartialEq, Eq)]
+///
+/// **Layout.** The entries are one dense `Vec<(Tuple, i64)>`; beside it an
+/// open-addressed table of `u32` positions into that vector (a power of
+/// two, load ≤ 3/4, linear probing) is indexed by the keyed hash each
+/// tuple carries, so no bag operation hashes a value, and walking the bag
+/// is a walk over one slice. Slots are placed by that per-process random
+/// SipHash, which is what keeps crafted rows from flooding one run of the
+/// table; tuples whose hashes collide stay distinct entries.
+///
+/// **Order.** Entries are kept in insertion order, except that an entry
+/// whose count reaches zero leaves by `swap_remove`: the last entry takes
+/// its place. [`Bag::iter`] walks that order; no caller may depend on it.
+///
+/// **Cap.** Positions are `u32` (with `u32::MAX` marking an empty slot), so
+/// a bag holds at most 2³² − 1 distinct tuples — 128 GiB of entries.
+#[derive(Clone, Default)]
 pub struct Bag {
-    counts: Counts,
+    entries: Vec<(Tuple, i64)>,
+    /// Positions into `entries`, or [`EMPTY`]; empty until the first entry.
+    slots: Box<[u32]>,
 }
 
 impl Bag {
@@ -108,7 +66,12 @@ impl Bag {
 
     fn with_capacity(distinct: usize) -> Self {
         Bag {
-            counts: Counts::with_capacity_and_hasher(distinct, Default::default()),
+            entries: Vec::with_capacity(distinct),
+            slots: if distinct == 0 {
+                Box::default()
+            } else {
+                vec![EMPTY; slots_for(distinct)].into()
+            },
         }
     }
 
@@ -133,57 +96,146 @@ impl Bag {
         Bag::from_pairs(tuples.into_iter().map(|t| (t, 1)))
     }
 
+    /// The table slot `hash` starts its probe run at.
+    fn home(&self, hash: u64) -> usize {
+        hash as usize & (self.slots.len() - 1)
+    }
+
+    fn next(&self, slot: usize) -> usize {
+        (slot + 1) & (self.slots.len() - 1)
+    }
+
+    /// The slot holding `tuple`'s position (`Ok`), or the empty slot that
+    /// ends its probe run (`Err`; `0` when the table is empty).
+    fn find(&self, tuple: &Tuple) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mut slot = self.home(tuple.keyed_hash());
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                pos if self.entries[pos as usize].0 == *tuple => return Ok(slot),
+                _ => slot = self.next(slot),
+            }
+        }
+    }
+
+    /// The first empty slot of `hash`'s probe run.
+    fn vacant(&self, hash: u64) -> usize {
+        let mut slot = self.home(hash);
+        while self.slots[slot] != EMPTY {
+            slot = self.next(slot);
+        }
+        slot
+    }
+
+    /// Append an entry whose tuple is not in the bag; `slot` is the empty
+    /// slot [`Bag::find`] ended on, unless the table has to grow first.
+    fn push(&mut self, slot: usize, tuple: Tuple, count: i64) {
+        let pos = self.entries.len();
+        debug_assert!(pos < EMPTY as usize, "a bag holds at most 2^32 - 1 tuples");
+        let slot = if pos < self.slots.len() / 4 * 3 {
+            slot
+        } else {
+            self.rebuild(slots_for(pos + 1));
+            self.vacant(tuple.keyed_hash())
+        };
+        self.slots[slot] = pos as u32;
+        self.entries.push((tuple, count));
+    }
+
+    /// Re-index every entry into a fresh table of `len` slots.
+    fn rebuild(&mut self, len: usize) {
+        self.slots = vec![EMPTY; len].into();
+        for pos in 0..self.entries.len() {
+            let slot = self.vacant(self.entries[pos].0.keyed_hash());
+            self.slots[slot] = pos as u32;
+        }
+    }
+
+    /// Drop the entry `slot` points at. The slot is emptied by backward
+    /// shift — every later entry of the probe run that may move closer to
+    /// its home moves into the hole — so lookups never meet a tombstone;
+    /// the entry leaves by `swap_remove`, and the slot of the entry moved
+    /// into its place is re-pointed.
+    fn remove(&mut self, slot: usize) {
+        let pos = self.slots[slot] as usize;
+        let mask = self.slots.len() - 1;
+        let (mut hole, mut at) = (slot, self.next(slot));
+        while self.slots[at] != EMPTY {
+            let home = self.home(self.entries[self.slots[at] as usize].0.keyed_hash());
+            // The entry at `at` may fill the hole when the hole lies on
+            // its probe run, i.e. in [home, at) cyclically.
+            if at.wrapping_sub(home) & mask >= at.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[at];
+                hole = at;
+            }
+            at = self.next(at);
+        }
+        self.slots[hole] = EMPTY;
+        let last = self.entries.len() - 1;
+        if pos != last {
+            let mut moved = self.home(self.entries[last].0.keyed_hash());
+            while self.slots[moved] as usize != last {
+                moved = self.next(moved);
+            }
+            self.slots[moved] = pos as u32;
+        }
+        self.entries.swap_remove(pos);
+    }
+
     /// Add `count` copies of `tuple` (negative to delete). Entries that
     /// reach zero are removed, preserving the no-zero invariant.
     pub fn add(&mut self, tuple: Tuple, count: i64) {
         if count == 0 {
             return;
         }
-        use std::collections::hash_map::Entry;
-        match self.counts.entry(Key(tuple)) {
-            Entry::Occupied(mut e) => {
-                let next = *e.get() + count;
-                if next == 0 {
-                    e.remove();
-                } else {
-                    e.insert(next);
+        match self.find(&tuple) {
+            Ok(slot) => {
+                let entry = &mut self.entries[self.slots[slot] as usize];
+                entry.1 += count;
+                if entry.1 == 0 {
+                    self.remove(slot);
                 }
             }
-            Entry::Vacant(e) => {
-                e.insert(count);
-            }
+            Err(slot) => self.push(slot, tuple, count),
         }
     }
 
     /// Multiplicity of `tuple` (zero when absent).
     pub fn count(&self, tuple: &Tuple) -> i64 {
-        self.counts.get(tuple as &dyn Probe).copied().unwrap_or(0)
+        self.find(tuple)
+            .map_or(0, |slot| self.entries[self.slots[slot] as usize].1)
     }
 
     /// Number of *distinct* tuples.
     pub fn distinct_len(&self) -> usize {
-        self.counts.len()
+        self.entries.len()
     }
 
     /// Sum of absolute multiplicities (total tuple occurrences carried).
     pub fn total_multiplicity(&self) -> u64 {
-        self.counts.values().map(|c| c.unsigned_abs()).sum()
+        self.entries.iter().map(|(_, c)| c.unsigned_abs()).sum()
     }
 
     /// True when no tuple has a non-zero count.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.entries.is_empty()
     }
 
     /// True when every count is strictly positive (a legal base-relation /
     /// materialized-view state).
     pub fn all_positive(&self) -> bool {
-        self.counts.values().all(|&c| c > 0)
+        self.entries.iter().all(|&(_, c)| c > 0)
     }
 
-    /// Iterate `(tuple, count)` in unspecified order.
+    /// Iterate `(tuple, count)` in the bag's order: insertion order, where
+    /// a cancelled entry's place is taken by the last entry (see [`Bag`]).
+    /// Callers must not depend on it — results are order-insensitive or
+    /// canonicalised ([`Bag::to_sorted_vec`]).
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, i64)> {
-        self.counts.iter().map(|(k, &c)| (&k.0, c))
+        self.entries.iter().map(|(t, c)| (t, *c))
     }
 
     /// Merge another bag into this one: `self += other` (bag union with
@@ -196,7 +248,7 @@ impl Bag {
 
     /// Consuming merge that avoids cloning tuples.
     pub fn merge_owned(&mut self, other: Bag) {
-        for (Key(t), c) in other.counts {
+        for (t, c) in other.entries {
             self.add(t, c);
         }
     }
@@ -220,12 +272,13 @@ impl Bag {
         Ok(())
     }
 
-    /// The bag with all multiplicities negated.
+    /// The bag with all multiplicities negated. Same tuples at the same
+    /// positions, so the table is copied unchanged.
     pub fn negated(&self) -> Bag {
-        let mut out = Bag::with_capacity(self.distinct_len());
-        out.counts
-            .extend(self.counts.iter().map(|(k, &c)| (k.clone(), -c)));
-        out
+        Bag {
+            entries: self.entries.iter().map(|(t, c)| (t.clone(), -c)).collect(),
+            slots: self.slots.clone(),
+        }
     }
 
     /// `self + other` without mutating either.
@@ -244,13 +297,19 @@ impl Bag {
 
     /// Keep only tuples satisfying `pred` (counts unchanged).
     pub fn filter(&self, mut pred: impl FnMut(&Tuple) -> bool) -> Bag {
-        let mut out = Bag::with_capacity(self.distinct_len());
-        out.counts.extend(
-            self.counts
+        let mut out = Bag {
+            entries: Vec::with_capacity(self.distinct_len()),
+            slots: Box::default(),
+        };
+        out.entries.extend(
+            self.entries
                 .iter()
-                .filter(|(k, _)| pred(&k.0))
-                .map(|(k, &c)| (k.clone(), c)),
+                .filter(|(t, _)| pred(t))
+                .map(|(t, c)| (t.clone(), *c)),
         );
+        if !out.entries.is_empty() {
+            out.rebuild(slots_for(out.entries.len()));
+        }
         out
     }
 
@@ -265,9 +324,9 @@ impl Bag {
     }
 
     /// Canonical sorted `(tuple, count)` listing — deterministic regardless
-    /// of hash order; use for display, golden tests and digests.
+    /// of the bag's order; use for display, golden tests and digests.
     pub fn to_sorted_vec(&self) -> Vec<(Tuple, i64)> {
-        let mut v: Vec<(Tuple, i64)> = self.iter().map(|(t, c)| (t.clone(), c)).collect();
+        let mut v = self.entries.clone();
         v.sort();
         v
     }
@@ -276,18 +335,28 @@ impl Bag {
     /// entry ships its tuple plus an 8-byte count.
     pub fn size_bytes(&self) -> usize {
         8 + self
-            .counts
-            .keys()
-            .map(|k| k.0.size_bytes() + 8)
+            .entries
+            .iter()
+            .map(|(t, _)| t.size_bytes() + 8)
             .sum::<usize>()
     }
 
     /// The owned `(tuple, count)` entries (distinct tuples, no zero
     /// counts).
     pub(crate) fn into_counts(self) -> impl ExactSizeIterator<Item = (Tuple, i64)> {
-        self.counts.into_iter().map(|(Key(t), c)| (t, c))
+        self.entries.into_iter()
     }
 }
+
+/// Order-independent: the same distinct tuples at the same counts.
+impl PartialEq for Bag {
+    fn eq(&self, other: &Bag) -> bool {
+        self.distinct_len() == other.distinct_len()
+            && self.entries.iter().all(|(t, c)| other.count(t) == *c)
+    }
+}
+
+impl Eq for Bag {}
 
 /// Would `state + changes` keep every multiplicity non-negative, `state`
 /// given by its count function? The one validation behind every checked
@@ -482,6 +551,79 @@ mod tests {
         bag.add(a.clone(), -1);
         assert_eq!((bag.count(&a), bag.count(&b)), (0, 2));
         assert_eq!(bag.distinct_len(), 1);
+    }
+
+    /// The table's invariants: every entry's position sits in exactly one
+    /// slot of its probe run (no empty slot between its home and it), no
+    /// other slot is occupied, and the load stays ≤ 3/4.
+    fn assert_table(bag: &Bag, ctx: &str) {
+        let n = bag.entries.len();
+        assert!(n <= bag.slots.len() / 4 * 3, "{ctx}: load");
+        let mut seen = vec![false; n];
+        for &pos in bag.slots.iter().filter(|&&p| p != EMPTY) {
+            assert!(
+                !std::mem::replace(&mut seen[pos as usize], true),
+                "{ctx}: {pos} twice"
+            );
+        }
+        assert!(seen.iter().all(|&s| s), "{ctx}: an entry has no slot");
+        for (pos, (t, _)) in bag.entries.iter().enumerate() {
+            let slot = bag
+                .find(t)
+                .unwrap_or_else(|_| panic!("{ctx}: {t} unreachable"));
+            assert_eq!(
+                bag.slots[slot] as usize, pos,
+                "{ctx}: {t} finds another entry"
+            );
+        }
+    }
+
+    /// Random add/cancel sequences over tuples with forced hashes — many
+    /// sharing one hash, many homed on a table's last slots (a hash of
+    /// `u64::MAX − j` is home to slot `mask − j` at every size), so probe
+    /// runs collide and wrap around the end — against a `BTreeMap` model,
+    /// checking the table after every operation.
+    #[test]
+    fn forced_hashes_match_a_model_and_keep_the_table_sound() {
+        use dw_rng::Rng64;
+        use std::collections::BTreeMap;
+        for case in 0..64 {
+            let mut r = Rng64::new(case);
+            let domain = 1 + r.usize_below(40) as i64;
+            let hash_of = |k: i64| match k % 3 {
+                0 => 7,
+                1 => u64::MAX - (k as u64 % 4),
+                _ => (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            };
+            let tuple = |k: i64| Tuple::with_hash(vec![Value::Int(k)], hash_of(k));
+            let (mut bag, mut model) = (Bag::new(), BTreeMap::new());
+            for step in 0..200 {
+                let ctx = format!("case {case} step {step}");
+                let k = r.i64_in(0, domain);
+                let held = model.get(&k).copied().unwrap_or(0);
+                let c = if held != 0 && r.chance(0.4) {
+                    -held
+                } else {
+                    [-2, -1, 1, 2, 3][r.usize_below(5)]
+                };
+                bag.add(tuple(k), c);
+                *model.entry(k).or_insert(0) += c;
+                model.retain(|_, c| *c != 0);
+                assert_table(&bag, &ctx);
+                assert_eq!(bag.distinct_len(), model.len(), "{ctx}");
+                for k in 0..domain {
+                    let want = model.get(&k).copied().unwrap_or(0);
+                    assert_eq!(bag.count(&tuple(k)), want, "{ctx}: count of {k}");
+                }
+            }
+            let ctx = format!("case {case}");
+            assert_table(&bag.negated(), &ctx);
+            assert_table(&bag.filter(|t| *t.at(0) != Value::Int(0)), &ctx);
+            assert_table(&bag.clone(), &ctx);
+            let owned: BTreeMap<Tuple, i64> = bag.clone().into_counts().collect();
+            let want: BTreeMap<Tuple, i64> = model.iter().map(|(&k, &c)| (tuple(k), c)).collect();
+            assert_eq!(owned, want, "{ctx}: into_counts");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   compensation* of Figure 4.
 //!
 //! The algebra is deliberately value-oriented and deterministic: equal inputs
-//! produce identical `Bag`s regardless of hash iteration order because all
+//! produce identical `Bag`s regardless of a bag's iteration order because all
 //! public observations (`to_sorted_vec`, equality, counts) are
 //! order-insensitive or canonicalized.
 

@@ -9,10 +9,11 @@
 
 use dw_relational::{
     eval_view, extend_hop, extend_partial, extend_partial_indexed, merge_pivot, tup, Bag, CmpOp,
-    JoinIndex, JoinSide, Neighbor, PartialDelta, Predicate, Schema, ShardMap, Tuple, Value,
-    ViewDefBuilder,
+    JoinIndex, JoinSide, Neighbor, PartialDelta, Predicate, Schema, ShardMap, SharedBag, Tuple,
+    Value, ViewDefBuilder,
 };
 use dw_rng::Rng64;
+use std::collections::BTreeMap;
 
 const CASES: u64 = 128;
 
@@ -110,6 +111,97 @@ fn sorted_vec_is_canonical() {
         let v = a.to_sorted_vec();
         assert!(v.windows(2).all(|w| w[0].0 <= w[1].0), "case {case}");
         assert_eq!(Bag::from_pairs(v), a, "case {case}");
+    }
+}
+
+/// `bag` against a `BTreeMap` model: counts, length, the iteration
+/// multiset, and equality (both ways) with the model's entries added in
+/// reverse order — a bag of the same counts in another order.
+fn assert_matches_model(bag: &Bag, model: &BTreeMap<Tuple, i64>, ctx: &str) {
+    assert_eq!(bag.distinct_len(), model.len(), "{ctx}");
+    for (t, &c) in model {
+        assert_eq!(bag.count(t), c, "{ctx}: count of {t}");
+    }
+    let mut listed: Vec<(Tuple, i64)> = bag.iter().map(|(t, c)| (t.clone(), c)).collect();
+    listed.sort();
+    let want: Vec<(Tuple, i64)> = model.iter().map(|(t, &c)| (t.clone(), c)).collect();
+    assert_eq!(listed, want, "{ctx}: iter");
+    let reversed = Bag::from_pairs(model.iter().rev().map(|(t, &c)| (t.clone(), c)));
+    assert_eq!(*bag, reversed, "{ctx}: reversed");
+    assert_eq!(reversed, *bag, "{ctx}: reversed");
+}
+
+fn model_of(bag: &Bag) -> BTreeMap<Tuple, i64> {
+    bag.iter().map(|(t, c)| (t.clone(), c)).collect()
+}
+
+/// Random add/cancel sequences against a `BTreeMap` model, checked after
+/// every operation; domains up to a few hundred tuples make tables grow
+/// and exact cancellations (swap-removes, backward shifts) frequent. The
+/// derived bags — negated, filtered, projected, cloned, merged, shared —
+/// are then checked against the model too.
+#[test]
+fn bag_matches_a_btreemap_model_under_add_and_cancel() {
+    for case in 0..CASES / 2 {
+        let mut r = Rng64::new(5_000 + case);
+        let domain = 1 + r.i64_in(0, 120);
+        let (mut bag, mut model) = (Bag::new(), BTreeMap::new());
+        let mut ops = Vec::new();
+        for step in 0..250 {
+            let t = tup![r.i64_in(0, domain), r.i64_in(0, 3)];
+            let held = model.get(&t).copied().unwrap_or(0);
+            let c = if held != 0 && r.chance(0.4) {
+                -held
+            } else {
+                [-2, -1, 1, 2, 3][r.usize_below(5)]
+            };
+            bag.add(t.clone(), c);
+            ops.push((t.clone(), c));
+            *model.entry(t).or_insert(0) += c;
+            model.retain(|_, c| *c != 0);
+            assert_matches_model(&bag, &model, &format!("case {case} step {step}"));
+        }
+        let ctx = format!("case {case}");
+        assert_eq!(
+            Bag::from_pairs(ops.into_iter().rev()),
+            bag,
+            "{ctx}: ops reversed"
+        );
+
+        let negated: BTreeMap<Tuple, i64> = model.iter().map(|(t, &c)| (t.clone(), -c)).collect();
+        assert_matches_model(&bag.negated(), &negated, &ctx);
+        assert_eq!(bag.negated().negated(), bag, "{ctx}");
+        let even = |t: &Tuple| matches!(t.at(0), Value::Int(k) if k % 2 == 0);
+        let mut kept = model.clone();
+        kept.retain(|t, _| even(t));
+        assert_matches_model(&bag.filter(even), &kept, &ctx);
+        let mut image = BTreeMap::new();
+        for (t, &c) in &model {
+            *image.entry(t.project(&[1])).or_insert(0) += c;
+        }
+        image.retain(|_, c| *c != 0);
+        assert_matches_model(&bag.map_tuples(|t| t.project(&[1])), &image, &ctx);
+        let mut copy = bag.clone();
+        assert_matches_model(&copy, &model, &ctx);
+        copy.merge_owned(bag.negated());
+        assert!(copy.is_empty(), "{ctx}: merge_owned of the negation");
+        copy.merge_owned(bag.clone());
+        assert_matches_model(&copy, &model, &ctx);
+        let other = arb_bag(&mut r);
+        let mut sum = model.clone();
+        for (t, c) in model_of(&other) {
+            *sum.entry(t).or_insert(0) += c;
+        }
+        sum.retain(|_, c| *c != 0);
+        let mut merged = bag.clone();
+        merged.merge_owned(other);
+        assert_matches_model(&merged, &sum, &ctx);
+        assert_eq!(
+            model_of(&SharedBag::from(bag.clone()).to_bag()),
+            model,
+            "{ctx}"
+        );
+        assert_matches_model(&bag, &model, &ctx);
     }
 }
 
