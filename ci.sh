@@ -361,6 +361,23 @@ stage_engine_boundary() {
     echo "FAIL: every registry slot is one ViewOutcome (MultiViewReport::views: base views, then derived ones, each with its SlotView and parent), graded by classify — no DerivedOutcome, derived_clean, installs_for_slot, slot_view or derived_outcomes" >&2
     ok=1
   fi
+  # No knob nobody sets: a transport's timers follow from the link
+  # latency (TransportConfig::for_latency_mean is its one constructor), a
+  # per-link latency override — which the derived RTO never saw — is gone,
+  # dw-obs has one recorder (TraceRecorder behind Obs), and dw-livenet
+  # one multi-view entry (run_live_views: shard map and readers compose).
+  hits=$({
+    grep -rnE 'TransportConfigError|Transport::Explicit|fn transport\(|fn link_latency|link_overrides' \
+      crates src tests examples
+    grep -rnE 'NoopRecorder|\bObs::new\b|run_live_sharded|run_live_serve|Live(Sharded|Serve)Report' \
+      crates src tests examples
+    grep -rn 'trait Recorder' crates/obs/src
+  } 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: a TransportConfig comes only from for_latency_mean (builders take transport_auto()), links share the one latency model, Obs feeds the one TraceRecorder (Obs::trace / Obs::off), and live multi-view runs go through run_live_views — no TransportConfigError, Transport::Explicit, .transport(cfg), link_latency / link_overrides, Recorder trait, NoopRecorder, Obs::new, run_live_sharded, run_live_serve or their reports" >&2
+    ok=1
+  fi
   local rows
   rows=$(awk '/^\| Combination \| Why \| Error \|/ {t = 1; next}
     t && /^\|---/ {next}

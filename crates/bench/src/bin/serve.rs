@@ -16,7 +16,7 @@
 
 use dw_bench::perf::{self, E19Row};
 use dw_bench::TableWriter;
-use dw_livenet::run_live_serve;
+use dw_livenet::run_live_views;
 use std::time::Duration;
 
 fn main() {
@@ -63,13 +63,15 @@ fn main() {
 
     println!("\nlivenet arm (same scenario on OS threads, 4 free-running readers):\n");
     let mut t = TableWriter::new(["readers", "answered", "torn", "subs ok", "wall (ms)"]);
-    let live = run_live_serve(&details[0].scenario, 4, 20.0, Duration::from_secs(60)).unwrap();
-    assert_eq!(live.torn_reads, 0, "livenet readers saw a torn epoch");
+    let scenario = &details[0].scenario;
+    let live = run_live_views(scenario, None, 4, 20.0, Duration::from_secs(60)).unwrap();
+    let served = live.serve.expect("a run with readers serves");
+    assert_eq!(served.torn_reads, 0, "livenet readers saw a torn epoch");
     t.row([
         "4".to_string(),
-        live.reads_answered.to_string(),
-        live.torn_reads.to_string(),
-        live.subs_match_installs.to_string(),
+        served.reads_answered.to_string(),
+        served.torn_reads.to_string(),
+        served.subs_match_installs.to_string(),
         format!("{:.1}", live.wall.as_secs_f64() * 1_000.0),
     ]);
     t.print();

@@ -16,7 +16,7 @@
 
 use dw_bench::perf::{self, E18Row};
 use dw_bench::TableWriter;
-use dw_livenet::run_live_sharded;
+use dw_livenet::run_live_views;
 use std::time::Duration;
 
 fn main() {
@@ -55,7 +55,8 @@ fn main() {
     println!("\nlivenet arm (same scenarios on OS threads; wall-clock, nondeterministic):\n");
     let mut t = TableWriter::new(["S", "wall (ms)", "max lanes", "quiescent"]);
     for (row, generated) in rows.iter().zip(&scenarios) {
-        let live = run_live_sharded(generated, 50.0, Duration::from_secs(60)).unwrap();
+        let (scenario, map) = (&generated.scenario, Some(&generated.map));
+        let live = run_live_views(scenario, map, 0, 50.0, Duration::from_secs(60)).unwrap();
         t.row([
             row.shards.to_string(),
             format!("{:.1}", live.wall.as_secs_f64() * 1_000.0),

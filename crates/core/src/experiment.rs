@@ -205,7 +205,7 @@ impl Experiment {
         // relation at one node and takes every transaction there.
         let single_site = self.policy.single_site();
         let node_count = if single_site { 2 } else { n + 1 };
-        let mut harness = SimHarness::new(&self.net, node_count)?;
+        let mut harness = SimHarness::new(&self.net, node_count);
         let mut sources = Vec::new();
         let mut eca_site: Option<EcaSite> = None;
         if single_site {

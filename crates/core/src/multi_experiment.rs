@@ -194,7 +194,7 @@ impl MultiViewExperiment {
             }
         }
 
-        let mut harness = SimHarness::new(&self.net, n + 1)?;
+        let mut harness = SimHarness::new(&self.net, n + 1);
         let mut sources = build_sources(&base, &scenario.initial, false, obs)?;
         inject_txns(&mut harness.net, &scenario.txns, source_node);
 

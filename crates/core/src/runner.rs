@@ -21,25 +21,16 @@ use dw_source::DataSource;
 use dw_workload::ScheduledTxn;
 use std::collections::{HashMap, HashSet};
 
-/// Whether nodes run behind the reliability transport. The builders
-/// record the *intent*; [`SimHarness::new`] resolves it against the final
-/// latency model, so setter order cannot matter.
-#[derive(Clone, Copy)]
-pub(crate) enum Transport {
-    Off,
-    /// Timing derived from the default latency model's mean.
-    Auto,
-    Explicit(TransportConfig),
-}
-
 /// Everything that shapes the simulated network, independent of which
 /// warehouse policy runs on it.
 pub(crate) struct NetProfile {
     pub latency: LatencyModel,
-    pub link_overrides: Vec<(NodeId, NodeId, LatencyModel)>,
     pub seed: u64,
     pub faults: FaultPlan,
-    pub transport: Transport,
+    /// Whether nodes run behind the reliability transport. The builders
+    /// record the intent; [`SimHarness::new`] derives the timers from the
+    /// final latency model, so setter order cannot matter.
+    pub transport: bool,
     pub event_cap: u64,
     pub trace: bool,
     pub obs: dw_obs::Obs,
@@ -50,10 +41,9 @@ impl Default for NetProfile {
     fn default() -> Self {
         NetProfile {
             latency: LatencyModel::Constant(1_000),
-            link_overrides: Vec::new(),
             seed: 0,
             faults: FaultPlan::default(),
-            transport: Transport::Off,
+            transport: false,
             event_cap: 10_000_000,
             trace: false,
             obs: dw_obs::Obs::off(),
@@ -81,17 +71,6 @@ macro_rules! net_setters {
             self
         }
 
-        /// Override one directed link's latency.
-        pub fn link_latency(
-            mut self,
-            from: dw_simnet::NodeId,
-            to: dw_simnet::NodeId,
-            l: dw_simnet::LatencyModel,
-        ) -> Self {
-            self.net.link_overrides.push((from, to, l));
-            self
-        }
-
         /// Network RNG seed.
         pub fn seed(mut self, seed: u64) -> Self {
             self.net.seed = seed;
@@ -106,8 +85,8 @@ macro_rules! net_setters {
 
         /// Install a fault plan: drops, duplicates, reordering,
         /// partitions, node crashes. Without
-        /// [`transport`](Self::transport) the warehouse sees the raw
-        /// faulted network — useful for demonstrating that the paper's
+        /// [`transport_auto`](Self::transport_auto) the warehouse sees the
+        /// raw faulted network — useful for demonstrating that the paper's
         /// consistency claims genuinely depend on reliable FIFO channels.
         pub fn faults(mut self, plan: dw_simnet::FaultPlan) -> Self {
             self.net.faults = plan;
@@ -116,17 +95,11 @@ macro_rules! net_setters {
 
         /// Run every node behind the reliability transport, restoring the
         /// exactly-once in-order contract over whatever the fault plan
-        /// does. An invalid configuration is refused, typed, by `run`.
-        pub fn transport(mut self, cfg: dw_protocol::TransportConfig) -> Self {
-            self.net.transport = $crate::runner::Transport::Explicit(cfg);
-            self
-        }
-
-        /// Enable the transport with timing derived from the latency
-        /// model the run ends up with (RTO ≈ three round trips), whether
+        /// does, with timing derived from the latency model the run ends
+        /// up with (RTO ≈ three round trips), whether
         /// [`latency`](Self::latency) is called before or after.
         pub fn transport_auto(mut self) -> Self {
-            self.net.transport = $crate::runner::Transport::Auto;
+            self.net.transport = true;
             self
         }
     };
@@ -211,24 +184,14 @@ pub(crate) struct SimHarness {
 
 impl SimHarness {
     /// Build the network and endpoints for `node_count` nodes
-    /// (warehouse + sources). Refuses an explicit transport
-    /// configuration whose timers cannot behave.
-    pub fn new(profile: &NetProfile, node_count: usize) -> Result<SimHarness, CoreError> {
-        let transport = match profile.transport {
-            Transport::Off => None,
-            Transport::Auto => Some(TransportConfig::for_latency_mean(profile.latency.mean())),
-            Transport::Explicit(cfg) => {
-                cfg.validate()
-                    .map_err(|e| CoreError::Multi(e.to_string()))?;
-                Some(cfg)
-            }
-        };
+    /// (warehouse + sources).
+    pub fn new(profile: &NetProfile, node_count: usize) -> SimHarness {
+        let transport = profile
+            .transport
+            .then(|| TransportConfig::for_latency_mean(profile.latency.mean()));
         let mut net: Network<Message> = Network::new(profile.seed);
         net.set_observer(profile.obs.clone());
         net.set_default_latency(profile.latency.clone());
-        for (from, to, l) in &profile.link_overrides {
-            net.set_link_latency(*from, *to, l.clone());
-        }
         net.set_faults(profile.faults.clone());
         if profile.trace {
             net.trace_mut().enable(0);
@@ -267,13 +230,13 @@ impl SimHarness {
             net.inject(c.up_at, c.node, Message::Restart);
         }
 
-        Ok(SimHarness {
+        SimHarness {
             net,
             endpoints,
             state_crash_nodes,
             event_cap: profile.event_cap,
             events: 0,
-        })
+        }
     }
 
     /// Pump the network until quiescence. With the transport enabled,

@@ -457,22 +457,9 @@ impl MultiViewReport {
     /// matching install times.
     pub fn subscriptions_match_installs(&self) -> bool {
         let replays = |sub: &SubscriptionOutcome| {
-            let installs = self.views.get(sub.view).map(|v| v.installs.as_slice());
-            let Some(expected) = installs.and_then(|i| i.get(sub.from_epoch as usize..)) else {
-                return false;
-            };
-            sub.stream.len() == expected.len()
-                && sub
-                    .stream
-                    .iter()
-                    .zip(expected)
-                    .enumerate()
-                    .all(|(i, (delta, inst))| {
-                        delta.view == sub.view
-                            && delta.epoch == sub.from_epoch + 1 + i as u64
-                            && delta.consumed == inst.consumed
-                            && delta.at == inst.at
-                    })
+            self.views.get(sub.view).is_some_and(|v| {
+                dw_serve::replays_installs(&sub.stream, sub.view, sub.from_epoch, &v.installs)
+            })
         };
         self.serve
             .as_ref()

@@ -129,18 +129,9 @@ fn run_spliced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::ground_truth;
     use dw_protocol::WAREHOUSE_NODE;
-    use dw_relational::eval_view;
     use dw_workload::StreamConfig;
-
-    fn expected_final(s: &GeneratedScenario) -> dw_relational::Bag {
-        let mut rels = s.initial.clone();
-        for t in &s.txns {
-            rels[t.source].merge(&t.delta);
-        }
-        let refs: Vec<&dw_relational::Bag> = rels.iter().collect();
-        eval_view(&s.view, &refs).unwrap()
-    }
 
     #[test]
     fn sweep_converges_on_real_threads() {
@@ -156,7 +147,11 @@ mod tests {
         let opts = EngineOptions::FIGURE_4;
         let report = run_live(&scenario, opts, 20.0, Duration::from_secs(30)).unwrap();
         assert!(report.quiescent);
-        assert_eq!(report.view, expected_final(&scenario));
+        let view = [("V", scenario.view.clone(), 0)];
+        assert_eq!(
+            report.view,
+            ground_truth(&scenario.initial, &scenario.txns, view, &[])[0]
+        );
         assert_eq!(report.metrics.updates_received, scenario.txns.len() as u64);
     }
 
@@ -179,7 +174,11 @@ mod tests {
         let opts = EngineOptions::FIGURE_4;
         let report = run_spliced(&scenario, opts, restart, 20.0, Duration::from_secs(30)).unwrap();
         assert!(report.quiescent);
-        assert_eq!(report.view, expected_final(&scenario));
+        let view = [("V", scenario.view.clone(), 0)];
+        assert_eq!(
+            report.view,
+            ground_truth(&scenario.initial, &scenario.txns, view, &[])[0]
+        );
     }
 
     #[test]

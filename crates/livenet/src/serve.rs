@@ -1,5 +1,6 @@
-//! Thread-per-reader live runtime: OS-thread readers against the
-//! snapshot store while maintenance runs on real threads.
+//! Reader threads for [`run_live_views`](crate::run_live_views):
+//! OS-thread readers against the snapshot store while maintenance runs
+//! on real threads.
 //!
 //! The serving layer's claim is that readers share frozen epochs with
 //! the engine without copies, locks held across sweeps, or torn states.
@@ -11,245 +12,153 @@
 //! the right assertions are (a) every scan observed exactly some
 //! committed install's contents — never a blend of two — checked
 //! post-hoc against the install log's snapshots, (b) subscription
-//! streams replay the install fingerprint, and (c) the final epoch
-//! equals the ground-truth evaluation.
+//! streams replay the install log ([`dw_serve::replays_installs`]), and
+//! (c) the final epoch equals the ground-truth evaluation.
 
-use crate::cluster::{injections, setup_failed as fail};
-use crate::multiview::LiveWarehouse;
-use dw_engine::{InstallRecord, PolicyMetrics};
-use dw_relational::{SharedBag, Value};
+use crate::cluster::setup_failed as fail;
+use crate::multiview::Drained;
+use dw_engine::LiveError;
+use dw_relational::{SharedBag, Tuple, Value};
 use dw_rng::Rng64;
 use dw_serve::{ReadFrontend, ServeStats};
-use dw_workload::MultiViewScenario;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-pub use dw_engine::LiveError;
-
-/// One live read's record, kept for post-hoc torn-state auditing.
+/// One live read's record, kept for post-hoc torn-state auditing: the
+/// slot, the pinned epoch, and what the read saw there.
 struct LiveRead {
     view: usize,
     epoch: u64,
-    /// Scans keep the whole frozen bag (a shared handle, no copy);
-    /// points keep their matches.
     observed: Observed,
 }
 
+/// A scan keeps the whole frozen bag (a shared handle, no copy); a point
+/// read on column 0 keeps its key and matches.
 enum Observed {
     Scan(SharedBag),
-    Point {
-        column: usize,
-        key: i64,
-        matches: Vec<(dw_relational::Tuple, i64)>,
-    },
+    Point(i64, Vec<(Tuple, i64)>),
 }
 
-/// Result of a live serve run.
+/// What the reader threads of a served live run observed.
 #[derive(Debug)]
-pub struct LiveServeReport {
-    /// Final contents and install log of every registry slot — base
-    /// views, then derived ones.
-    pub views: Vec<crate::LiveViewOutcome>,
-    /// Aggregate engine counters.
-    pub metrics: PolicyMetrics,
+pub struct LiveServeOutcome {
     /// Snapshot-store counters.
     pub serve_stats: ServeStats,
-    /// Whether the scheduler drained before shutdown.
-    pub quiescent: bool,
     /// Reads resolved across all reader threads.
     pub reads_answered: u64,
-    /// Scans whose observed bag matched no committed install of their
+    /// Reads whose observation matched no committed install of their
     /// pinned epoch — must be zero (torn or phantom states).
     pub torn_reads: u64,
-    /// Whether every subscription stream replayed its view's install
-    /// fingerprint exactly.
+    /// Whether every slot's subscription stream replayed its install log
+    /// exactly.
     pub subs_match_installs: bool,
-    /// Wall-clock duration of the maintenance run.
-    pub wall: Duration,
 }
 
-/// Run a multi-view scenario on real threads with `readers` concurrent
-/// reader threads hammering the snapshot store throughout.
-///
-/// `time_scale` compresses injection timestamps; `deadline` bounds the
-/// maintenance run (readers are stopped when it drains).
-pub fn run_live_serve(
-    scenario: &MultiViewScenario,
-    readers: usize,
-    time_scale: f64,
-    deadline: Duration,
-) -> Result<LiveServeReport, LiveError> {
-    let front = ReadFrontend::new();
-    let warehouse = LiveWarehouse::new(scenario, None, Some(&front))?;
-    let initial_bags = warehouse.bags()?;
-    let n_views = initial_bags.len();
-
-    // One subscription per slot, from epoch 0: drained post-run and
-    // compared against the install fingerprint.
-    let mut subs = Vec::with_capacity(n_views);
-    for v in 0..n_views {
-        subs.push(front.subscribe(v).map_err(fail)?);
+/// Run `maintain` while `n` reader threads pin, read and unpin the slots
+/// of `front` — whose epoch-0 contents are `initial`, in slot order — in
+/// a tight loop, one subscription per slot open from epoch 0. When it
+/// drains, stop the readers and audit what they saw against its slot
+/// outcomes: every read's pinned epoch must reproduce the committed
+/// contents at that install, and every stream must replay its slot's
+/// install log.
+pub(crate) fn with_readers(
+    front: &ReadFrontend,
+    initial: &[SharedBag],
+    n: usize,
+    maintain: impl FnOnce() -> Result<Drained, LiveError>,
+) -> Result<(Drained, LiveServeOutcome), LiveError> {
+    let subs: Vec<u64> = (0..initial.len())
+        .map(|v| front.subscribe(v).map_err(fail))
+        .collect::<Result<_, _>>()?;
+    let (stop, n_views) = (&AtomicBool::new(false), initial.len());
+    let (run, joined) = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..n as u64)
+            .map(|r| scope.spawn(move || read_until(front, stop, n_views, r)))
+            .collect();
+        let run = maintain();
+        stop.store(true, Ordering::Relaxed);
+        let joined: Vec<_> = threads.into_iter().map(|h| h.join()).collect();
+        (run, joined)
+    });
+    let drained = run?;
+    let views = &drained.1;
+    let mut reads = Vec::new();
+    for seen in joined {
+        let seen = seen.map_err(|_| fail("reader thread panicked"))?;
+        reads.extend(seen.map_err(fail)?);
     }
 
-    // Reader threads: pin → read → unpin in a tight loop until the
-    // maintenance cluster drains. Each thread records what it saw.
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut reader_handles = Vec::with_capacity(readers);
-    for r in 0..readers {
-        let front = front.clone();
-        let stop = stop.clone();
-        reader_handles.push(std::thread::spawn(
-            move || -> Result<Vec<LiveRead>, String> {
-                let mut rng = Rng64::new(0x5E12E).fork(r as u64);
-                let mut seen = Vec::new();
-                while !stop.load(Ordering::Relaxed) && n_views > 0 {
-                    let view = rng.usize_below(n_views);
-                    let pin = front.pin(view).map_err(|e| e.to_string())?;
-                    let epoch = pin.epoch();
-                    if rng.chance(0.7) {
-                        let a = front.read_scan(&pin, None).map_err(|e| e.to_string())?;
-                        seen.push(LiveRead {
-                            view,
-                            epoch,
-                            observed: Observed::Scan(a.bag),
-                        });
-                    } else {
-                        let column = 0;
-                        let key = rng.u64_below(16) as i64;
-                        let a = front
-                            .read_point(&pin, column, key, None)
-                            .map_err(|e| e.to_string())?;
-                        seen.push(LiveRead {
-                            view,
-                            epoch,
-                            observed: Observed::Point {
-                                column,
-                                key,
-                                matches: (*a.matches).clone(),
-                            },
-                        });
-                    }
-                    front.unpin(pin).map_err(|e| e.to_string())?;
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Ok(seen)
-            },
-        ));
-    }
-
-    let (base, initial, txns) = (
-        &scenario.base,
-        &scenario.initial,
-        injections(&scenario.txns),
-    );
-    let run = warehouse.run(base, initial, txns, time_scale, deadline);
-    stop.store(true, Ordering::Relaxed);
-    let mut reads: Vec<LiveRead> = Vec::new();
-    let mut reader_err: Option<String> = None;
-    for h in reader_handles {
-        match h.join() {
-            Ok(Ok(seen)) => reads.extend(seen),
-            Ok(Err(e)) => reader_err = Some(e),
-            Err(_) => reader_err = Some("reader thread panicked".to_string()),
-        }
-    }
-    let (sched, views, wall) = run?;
-    if let Some(e) = reader_err {
-        return Err(LiveError::NodeFailed { what: e });
-    }
-
-    // Torn-state audit: every read's pinned epoch must reproduce the
-    // committed contents at that install exactly.
-    let committed = |view: usize, epoch: u64| -> Option<&SharedBag> {
-        if epoch == 0 {
-            return Some(&initial_bags[view]);
-        }
-        views[view].installs[epoch as usize - 1].view_after.as_ref()
+    let committed = |view: usize, epoch: u64| match epoch.checked_sub(1) {
+        None => Some(&initial[view]),
+        Some(i) => views[view].installs[i as usize].view_after.as_ref(),
     };
-    let mut torn = 0u64;
-    for read in &reads {
+    let torn = reads.iter().filter(|read| {
         let Some(truth) = committed(read.view, read.epoch) else {
-            torn += 1;
-            continue;
+            return true;
         };
-        let ok = match &read.observed {
-            Observed::Scan(bag) => bag == truth,
-            Observed::Point {
-                column,
-                key,
-                matches,
-            } => {
-                let want: Vec<(dw_relational::Tuple, i64)> = truth
-                    .to_sorted_vec()
-                    .into_iter()
-                    .filter(|(t, _)| t.at(*column) == &Value::Int(*key))
-                    .collect();
-                matches == &want
+        match &read.observed {
+            Observed::Scan(bag) => bag != truth,
+            Observed::Point(key, matches) => {
+                let mut want = truth.to_sorted_vec();
+                want.retain(|(t, _)| t.at(0) == &Value::Int(*key));
+                *matches != want
             }
-        };
-        if !ok {
-            torn += 1;
         }
-    }
-
-    // Subscription streams must replay the install fingerprint.
-    let mut subs_match = true;
-    for (v, sub) in subs.into_iter().enumerate() {
+    });
+    let torn_reads = torn.count() as u64;
+    let mut subs_match_installs = true;
+    for (v, &sub) in subs.iter().enumerate() {
         let stream = front.poll(sub).map_err(fail)?;
-        let expected: &[InstallRecord] = &views[v].installs;
-        subs_match &= stream.len() == expected.len()
-            && stream
-                .iter()
-                .zip(expected)
-                .enumerate()
-                .all(|(i, (d, inst))| {
-                    d.epoch == i as u64 + 1 && d.view == v && d.consumed == inst.consumed
-                });
+        subs_match_installs &= dw_serve::replays_installs(&stream, v, 0, &views[v].installs);
     }
-
-    Ok(LiveServeReport {
-        quiescent: sched.is_quiescent(),
-        metrics: sched.metrics().clone(),
+    let served = LiveServeOutcome {
         serve_stats: front.stats(),
-        views,
         reads_answered: reads.len() as u64,
-        torn_reads: torn,
-        subs_match_installs: subs_match,
-        wall,
-    })
+        torn_reads,
+        subs_match_installs,
+    };
+    Ok((drained, served))
+}
+
+/// One reader thread's loop until `stop`: a random slot, pinned, then
+/// scanned (70 %) or point-read on column 0, then unpinned.
+fn read_until(
+    front: &ReadFrontend,
+    stop: &AtomicBool,
+    n_views: usize,
+    seed: u64,
+) -> Result<Vec<LiveRead>, String> {
+    let mut rng = Rng64::new(0x5E12E).fork(seed);
+    let mut seen = Vec::new();
+    while !stop.load(Ordering::Relaxed) && n_views > 0 {
+        let view = rng.usize_below(n_views);
+        let pin = front.pin(view).map_err(|e| e.to_string())?;
+        let observed = if rng.chance(0.7) {
+            let a = front.read_scan(&pin, None).map_err(|e| e.to_string())?;
+            Observed::Scan(a.bag)
+        } else {
+            let key = rng.u64_below(16) as i64;
+            let a = front.read_point(&pin, 0, key, None);
+            Observed::Point(key, (*a.map_err(|e| e.to_string())?.matches).clone())
+        };
+        let epoch = pin.epoch();
+        seen.push(LiveRead {
+            view,
+            epoch,
+            observed,
+        });
+        front.unpin(pin).map_err(|e| e.to_string())?;
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    Ok(seen)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dw_relational::{eval_view, AggFn, AggregateSpec, Bag, CmpOp};
-    use dw_workload::{DerivedOp, DerivedSpec, MultiViewConfig, StreamConfig};
-
-    /// Every slot's final contents: each base view over the fully updated
-    /// relations, then each derived view's operator over its parent's
-    /// (parents listed first).
-    fn ground_truth(s: &MultiViewScenario) -> Vec<Bag> {
-        let mut rels = s.initial.clone();
-        for t in &s.txns {
-            rels[t.source].merge(&t.delta);
-        }
-        let mut truth: Vec<(&str, Bag)> = s
-            .views
-            .iter()
-            .map(|spec| {
-                let local = spec.compile(&s.base).unwrap();
-                let refs: Vec<&Bag> = rels[spec.lo..=spec.hi].iter().collect();
-                (spec.name.as_str(), eval_view(&local, &refs).unwrap())
-            })
-            .collect();
-        for d in &s.derived {
-            let parent = truth.iter().find(|(name, _)| *name == d.parent).unwrap();
-            let bag = d.op.eval(&parent.1).unwrap();
-            truth.push((d.name.as_str(), bag));
-        }
-        truth.into_iter().map(|(_, bag)| bag).collect()
-    }
+    use crate::run_live_views;
+    use crate::testkit::{assert_converged, derived_on_v0};
+    use dw_workload::{MultiViewConfig, MultiViewScenario, StreamConfig};
+    use std::time::Duration;
 
     fn scenario() -> MultiViewScenario {
         MultiViewConfig {
@@ -274,15 +183,14 @@ mod tests {
 
     #[test]
     fn concurrent_readers_never_see_torn_epochs() {
-        let scenario = scenario();
-        let report = run_live_serve(&scenario, 4, 20.0, Duration::from_secs(30)).unwrap();
+        let s = scenario();
+        let report = run_live_views(&s, None, 4, 20.0, Duration::from_secs(30)).unwrap();
         assert!(report.quiescent);
-        assert_eq!(report.torn_reads, 0, "torn read observed");
-        assert!(report.reads_answered > 0, "readers never got a read in");
-        assert!(report.subs_match_installs);
-        for (outcome, truth) in report.views.iter().zip(ground_truth(&scenario)) {
-            assert_eq!(outcome.view, truth, "view '{}'", outcome.name);
-        }
+        let served = report.serve.as_ref().unwrap();
+        assert_eq!(served.torn_reads, 0, "torn read observed");
+        assert!(served.reads_answered > 0, "readers never got a read in");
+        assert!(served.subs_match_installs);
+        assert_converged(&report, &s);
     }
 
     #[test]
@@ -290,34 +198,14 @@ mod tests {
         // One σ and one Σ view over V0: the live warehouse maintains them
         // through the cascade, and the readers and subscriptions see their
         // slots like any other.
-        let mut scenario = scenario();
-        scenario.derived = vec![
-            DerivedSpec {
-                name: "hot".into(),
-                parent: "V0".into(),
-                op: DerivedOp::Select {
-                    selects: vec![(0, CmpOp::Ge, Value::Int(2))],
-                    projection: None,
-                },
-            },
-            DerivedSpec {
-                name: "counts".into(),
-                parent: "V0".into(),
-                op: DerivedOp::Aggregate(AggregateSpec {
-                    group_by: vec![0],
-                    aggs: vec![AggFn::CountRows],
-                }),
-            },
-        ];
-        let report = run_live_serve(&scenario, 4, 20.0, Duration::from_secs(30)).unwrap();
+        let mut s = scenario();
+        s.derived = derived_on_v0();
+        let report = run_live_views(&s, None, 4, 20.0, Duration::from_secs(30)).unwrap();
         assert!(report.quiescent);
-        assert_eq!(report.torn_reads, 0, "torn read observed");
-        assert!(report.subs_match_installs);
-        let truth = ground_truth(&scenario);
-        assert_eq!(report.views.len(), truth.len());
-        for (outcome, truth) in report.views.iter().zip(truth) {
-            assert_eq!(outcome.view, truth, "view '{}'", outcome.name);
-        }
+        let served = report.serve.as_ref().unwrap();
+        assert_eq!(served.torn_reads, 0, "torn read observed");
+        assert!(served.subs_match_installs);
+        assert_converged(&report, &s);
         let names: Vec<&str> = report.views.iter().map(|v| v.name.as_str()).collect();
         assert_eq!(names[3..], ["hot", "counts"]);
         // Each child installs once per parent install.

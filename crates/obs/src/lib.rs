@@ -7,9 +7,10 @@
 //! - **Histograms** with a fixed log-linear bucket layout (`p50/p95/p99`
 //!   by nearest rank; `count`/`sum`/`min`/`max` exact).
 //! - **Counters**, monotonic.
-//! - A [`Recorder`] trait with no-op defaults plus the cloneable [`Obs`]
-//!   handle: `Obs::off()` makes every call a null-pointer check, so
-//!   instrumented hot paths cost nothing when observability is disabled.
+//! - One recorder, the in-memory [`TraceRecorder`], behind the cloneable
+//!   [`Obs`] handle: `Obs::trace()` attaches one, `Obs::off()` makes every
+//!   call a null-pointer check, so instrumented hot paths cost nothing
+//!   when observability is disabled.
 //!
 //! This crate sits below every other `dw-*` crate and depends only on
 //! `std`.
@@ -24,4 +25,4 @@ mod trace;
 pub type Time = u64;
 
 pub use hist::Histogram;
-pub use trace::{NoopRecorder, Obs, Recorder, SpanId, TraceRecorder};
+pub use trace::{Obs, SpanId, TraceRecorder};

@@ -1,5 +1,5 @@
-//! The `Recorder` trait, the no-op default, and the in-memory
-//! `TraceRecorder` used by tests and the perf tooling.
+//! The in-memory [`TraceRecorder`] and the cloneable [`Obs`] handle that
+//! feeds it.
 
 use crate::hist::Histogram;
 use crate::Time;
@@ -22,34 +22,6 @@ impl SpanId {
     }
 }
 
-/// Sink for observability events. Every method has a no-op default, so
-/// `impl Recorder for MySink {}` is a valid (if deaf) recorder and the
-/// disabled path costs nothing.
-///
-/// Timestamps are **virtual** times supplied by the caller (the simulated
-/// clock), never wall clock — that is what makes traces byte-deterministic.
-pub trait Recorder {
-    /// Open a hierarchical span. `parent` may be [`SpanId::NONE`].
-    fn span_start(&mut self, _name: &'static str, _at: Time, _parent: SpanId) -> SpanId {
-        SpanId::NONE
-    }
-
-    /// Close a span opened by [`Recorder::span_start`].
-    fn span_end(&mut self, _id: SpanId, _at: Time) {}
-
-    /// Bump a monotonic counter.
-    fn add(&mut self, _counter: &'static str, _delta: u64) {}
-
-    /// Record one sample into a named histogram.
-    fn observe(&mut self, _hist: &'static str, _value: u64) {}
-}
-
-/// A recorder that ignores everything (the explicit form of "disabled").
-#[derive(Default, Clone, Copy, Debug)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
-
 #[derive(Clone, Debug)]
 struct SpanRec {
     name: &'static str,
@@ -62,7 +34,9 @@ struct SpanRec {
 /// renders them as deterministic text for snapshot tests and reports.
 ///
 /// Closing a span also records its duration into a histogram named after
-/// the span, so per-phase latency percentiles come for free.
+/// the span, so per-phase latency percentiles come for free. Timestamps
+/// are **virtual** times supplied by the caller (the simulated clock),
+/// never wall clock — that is what makes traces byte-deterministic.
 #[derive(Default, Clone, Debug)]
 pub struct TraceRecorder {
     spans: Vec<SpanRec>,
@@ -118,9 +92,9 @@ impl TraceRecorder {
         }
         out
     }
-}
 
-impl Recorder for TraceRecorder {
+    /// Open a hierarchical span at virtual time `at`. `parent` may be
+    /// [`SpanId::NONE`].
     fn span_start(&mut self, name: &'static str, at: Time, parent: SpanId) -> SpanId {
         let depth = if parent.is_none() {
             0
@@ -137,6 +111,9 @@ impl Recorder for TraceRecorder {
         id
     }
 
+    /// Close a span opened by [`TraceRecorder::span_start`], recording
+    /// its duration into the histogram named after it. Closing twice is
+    /// a no-op.
     fn span_end(&mut self, id: SpanId, at: Time) {
         if id.is_none() {
             return;
@@ -150,10 +127,12 @@ impl Recorder for TraceRecorder {
         }
     }
 
+    /// Bump a monotonic counter.
     fn add(&mut self, counter: &'static str, delta: u64) {
         *self.counters.entry(counter).or_insert(0) += delta;
     }
 
+    /// Record one sample into a named histogram.
     fn observe(&mut self, hist: &'static str, value: u64) {
         self.hists.entry(hist).or_default().record(value);
     }
@@ -163,7 +142,7 @@ impl Recorder for TraceRecorder {
 /// default) is a `None` inside — every call is a branch on a null pointer
 /// and nothing else, so instrumentation is free when disabled.
 #[derive(Clone, Default)]
-pub struct Obs(Option<Arc<Mutex<dyn Recorder + Send>>>);
+pub struct Obs(Option<Arc<Mutex<TraceRecorder>>>);
 
 impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -181,12 +160,7 @@ impl Obs {
         Obs(None)
     }
 
-    /// Wrap an arbitrary recorder.
-    pub fn new(rec: Arc<Mutex<dyn Recorder + Send>>) -> Self {
-        Obs(Some(rec))
-    }
-
-    /// Convenience: a fresh [`TraceRecorder`] plus the handle feeding it.
+    /// A fresh [`TraceRecorder`] plus the handle feeding it.
     /// Inspect or `render()` the returned recorder after the run.
     pub fn trace() -> (Self, Arc<Mutex<TraceRecorder>>) {
         let rec = Arc::new(Mutex::new(TraceRecorder::new()));
@@ -198,11 +172,9 @@ impl Obs {
         self.0.is_some()
     }
 
-    fn with<R>(&self, f: impl FnOnce(&mut dyn Recorder) -> R) -> Option<R> {
-        self.0.as_ref().map(|rec| {
-            let mut guard = rec.lock().unwrap_or_else(|e| e.into_inner());
-            f(&mut *guard)
-        })
+    fn with<R>(&self, f: impl FnOnce(&mut TraceRecorder) -> R) -> Option<R> {
+        let rec = self.0.as_ref()?;
+        Some(f(&mut rec.lock().unwrap_or_else(|e| e.into_inner())))
     }
 
     /// Open a span at virtual time `at`. Returns [`SpanId::NONE`] when
@@ -233,16 +205,6 @@ impl Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_recorder_returns_none() {
-        let mut r = NoopRecorder;
-        let id = r.span_start("x", 0, SpanId::NONE);
-        assert!(id.is_none());
-        r.span_end(id, 5);
-        r.add("c", 1);
-        r.observe("h", 1);
-    }
 
     #[test]
     fn disabled_obs_is_inert() {

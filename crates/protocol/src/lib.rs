@@ -26,7 +26,7 @@ pub mod transport;
 use dw_relational::{Bag, PartialDelta, Predicate};
 use dw_simnet::{NodeId, Payload};
 
-pub use transport::{Endpoint, TransportConfig, TransportConfigError, TransportNet};
+pub use transport::{Endpoint, TransportConfig, TransportNet};
 
 /// Chain position of a data source, `0..n` (the paper's subscript `i`).
 pub type SourceIndex = usize;

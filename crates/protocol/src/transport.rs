@@ -33,111 +33,39 @@ use dw_rng::Rng64;
 use dw_simnet::{Delivery, NetHandle, NodeId, Time};
 use std::collections::{BTreeMap, HashMap};
 
-/// Retransmission and resync timing knobs.
+/// Retransmission and resync timing, derived from a link's latency by
+/// [`TransportConfig::for_latency_mean`] — the only way to build one, so
+/// every config's timers hold `rto_max ≥ rto_initial` and
+/// `jitter < rto_initial`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TransportConfig {
-    /// First retransmission timeout (µs). Should comfortably exceed one
-    /// round trip.
-    pub rto_initial: Time,
+    /// First retransmission timeout (µs): roughly three round trips.
+    rto_initial: Time,
     /// Backoff ceiling (µs).
-    pub rto_max: Time,
+    rto_max: Time,
     /// Maximum seeded jitter added to every armed timer (µs) — keeps
     /// retransmissions from synchronizing across links.
-    pub jitter: Time,
+    jitter: Time,
     /// Retry interval for the resync handshake (µs).
-    pub resync_interval: Time,
+    resync_interval: Time,
 }
-
-impl Default for TransportConfig {
-    fn default() -> Self {
-        TransportConfig {
-            rto_initial: 30_000,
-            rto_max: 480_000,
-            jitter: 5_000,
-            resync_interval: 30_000,
-        }
-    }
-}
-
-/// A rejected [`TransportConfig`]: which relation between the knobs is
-/// violated. Raised by [`TransportConfig::validate`] before any endpoint
-/// is built, so a nonsensical timer setup fails loudly at construction
-/// instead of silently mis-pacing retransmissions mid-run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TransportConfigError {
-    /// `rto_max < rto_initial`: the backoff ceiling sits below the
-    /// starting timeout, so the very first doubling would *shrink* it.
-    BackoffCeilingBelowInitial {
-        /// Configured first timeout.
-        rto_initial: Time,
-        /// Configured (too-low) ceiling.
-        rto_max: Time,
-    },
-    /// `jitter >= rto_initial`: the random spread dominates the timeout
-    /// itself, so a timer can fire after up to twice its nominal RTO and
-    /// the backoff trajectory becomes noise.
-    JitterSwampsRto {
-        /// Configured first timeout.
-        rto_initial: Time,
-        /// Configured (too-large) jitter bound.
-        jitter: Time,
-    },
-}
-
-impl std::fmt::Display for TransportConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransportConfigError::BackoffCeilingBelowInitial {
-                rto_initial,
-                rto_max,
-            } => write!(
-                f,
-                "transport config: rto_max ({rto_max}µs) is below rto_initial ({rto_initial}µs)"
-            ),
-            TransportConfigError::JitterSwampsRto {
-                rto_initial,
-                jitter,
-            } => write!(
-                f,
-                "transport config: jitter ({jitter}µs) must be below rto_initial ({rto_initial}µs)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TransportConfigError {}
 
 impl TransportConfig {
     /// A config tuned to a link's mean latency: RTO of roughly three
     /// round trips, never below 4 ms.
     pub fn for_latency_mean(mean: f64) -> Self {
         let rto = ((mean * 6.0) as Time).max(4_000);
-        TransportConfig {
+        let cfg = TransportConfig {
             rto_initial: rto,
             rto_max: rto.saturating_mul(16),
             jitter: (rto / 8).max(500),
             resync_interval: rto,
-        }
-    }
-
-    /// Reject configurations whose timers cannot behave: a backoff
-    /// ceiling below the initial timeout, or jitter at least as large as
-    /// the timeout it perturbs. [`TransportConfig::default`] and every
-    /// [`TransportConfig::for_latency_mean`] output validate cleanly.
-    pub fn validate(&self) -> Result<(), TransportConfigError> {
-        if self.rto_max < self.rto_initial {
-            return Err(TransportConfigError::BackoffCeilingBelowInitial {
-                rto_initial: self.rto_initial,
-                rto_max: self.rto_max,
-            });
-        }
-        if self.jitter >= self.rto_initial {
-            return Err(TransportConfigError::JitterSwampsRto {
-                rto_initial: self.rto_initial,
-                jitter: self.jitter,
-            });
-        }
-        Ok(())
+        };
+        // A ceiling below the first timeout would shrink it on the first
+        // doubling; jitter at the timeout's size would make the backoff
+        // trajectory noise.
+        debug_assert!(cfg.rto_max >= cfg.rto_initial && cfg.jitter < cfg.rto_initial);
+        cfg
     }
 }
 
@@ -767,7 +695,7 @@ mod tests {
     #[test]
     fn transport_net_wraps_sends() {
         let mut net: Network<Message> = Network::new(0);
-        let mut ep = Endpoint::new(0, TransportConfig::default(), 1);
+        let mut ep = Endpoint::new(0, TransportConfig::for_latency_mean(1_000.0), 1);
         {
             let mut tnet = TransportNet::new(&mut ep, &mut net);
             tnet.send(0, 1, update(0, 0));
@@ -779,42 +707,26 @@ mod tests {
     }
 
     #[test]
-    fn config_validation_rejects_inverted_backoff_and_dominant_jitter() {
-        assert!(TransportConfig::default().validate().is_ok());
-        for mean in [1.0, 100.0, 2_000.0, 1_000_000.0] {
-            assert!(
-                TransportConfig::for_latency_mean(mean).validate().is_ok(),
-                "for_latency_mean({mean}) must always be valid"
-            );
+    fn latency_derived_timers_always_behave() {
+        // The two relations the timers rely on, at every scale of mean
+        // latency: the backoff ceiling never sits below the first timeout,
+        // and jitter never reaches the timeout it perturbs.
+        let mut means = vec![f64::NAN, -1.0, 0.0, f64::MAX, f64::INFINITY];
+        means.extend((0..64).map(|k| 1.5f64.powi(k)));
+        for mean in means {
+            let cfg = TransportConfig::for_latency_mean(mean);
+            assert!(cfg.rto_initial >= 4_000, "{mean}: {cfg:?}");
+            assert!(cfg.rto_max >= cfg.rto_initial, "{mean}: {cfg:?}");
+            assert!(cfg.jitter < cfg.rto_initial, "{mean}: {cfg:?}");
+            assert_eq!(cfg.resync_interval, cfg.rto_initial, "{mean}");
         }
-        let inverted = TransportConfig {
-            rto_initial: 10_000,
-            rto_max: 9_999,
-            ..Default::default()
-        };
-        assert!(matches!(
-            inverted.validate(),
-            Err(TransportConfigError::BackoffCeilingBelowInitial { .. })
-        ));
-        let noisy = TransportConfig {
-            rto_initial: 5_000,
-            jitter: 5_000,
-            ..Default::default()
-        };
-        assert!(matches!(
-            noisy.validate(),
-            Err(TransportConfigError::JitterSwampsRto { .. })
-        ));
-        // Errors render their offending values.
-        let msg = inverted.validate().unwrap_err().to_string();
-        assert!(msg.contains("9999") && msg.contains("10000"), "got: {msg}");
     }
 
     #[test]
     fn restart_handler_is_passthrough_free() {
         // Restart consumed by the endpoint, nothing re-dispatched.
         let mut net: Network<Message> = Network::new(0);
-        let mut ep = Endpoint::new(1, TransportConfig::default(), 1);
+        let mut ep = Endpoint::new(1, TransportConfig::for_latency_mean(1_000.0), 1);
         net.inject(10, 1, Message::Restart);
         let d = net.next().unwrap();
         assert!(ep.on_delivery(d, &mut net).is_empty());

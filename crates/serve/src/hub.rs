@@ -29,6 +29,7 @@
 //! latter. `publish` is O(subscribers-on-that-view); `poll` and
 //! `unsubscribe` are O(1) hash lookups.
 
+use dw_engine::InstallRecord;
 use dw_protocol::UpdateId;
 use dw_relational::Bag;
 use dw_simnet::Time;
@@ -51,6 +52,30 @@ pub struct InstallDelta {
     pub consumed: Vec<UpdateId>,
     /// The installed delta (shared, never copied).
     pub delta: Arc<Bag>,
+}
+
+/// Whether `stream` — a subscription on `view` that started after
+/// `from_epoch` — replays `installs`, that view's install log, exactly
+/// from there: contiguous epochs, the same consumed sets, the same
+/// install times. The one subscription-replay check of every run,
+/// simulated or on threads.
+pub fn replays_installs(
+    stream: &[InstallDelta],
+    view: usize,
+    from_epoch: u64,
+    installs: &[InstallRecord],
+) -> bool {
+    let from = usize::try_from(from_epoch).ok();
+    let Some(expected) = from.and_then(|e| installs.get(e..)) else {
+        return false;
+    };
+    stream.len() == expected.len()
+        && (stream.iter().zip(expected).zip(from_epoch + 1..)).all(|((delta, inst), epoch)| {
+            delta.view == view
+                && delta.epoch == epoch
+                && delta.consumed == inst.consumed
+                && delta.at == inst.at
+        })
 }
 
 /// Delivery state of one subscription.
@@ -264,6 +289,39 @@ mod tests {
             }],
             delta: Arc::new(Bag::new()),
         }
+    }
+
+    /// The install record `delta(view, epoch)` stands for.
+    fn install(view: usize, epoch: u64) -> InstallRecord {
+        let d = delta(view, epoch);
+        InstallRecord {
+            at: d.at,
+            consumed: d.consumed,
+            view_after: None,
+        }
+    }
+
+    #[test]
+    fn replay_check_matches_the_log_and_rejects_any_drift() {
+        let installs: Vec<InstallRecord> = (1..=4).map(|e| install(2, e)).collect();
+        let stream: Vec<InstallDelta> = (1..=4).map(|e| delta(2, e)).collect();
+        assert!(replays_installs(&stream, 2, 0, &installs));
+        // A subscription opened at epoch 2 replays the log's tail.
+        assert!(replays_installs(&stream[2..], 2, 2, &installs));
+        assert!(replays_installs(&[], 2, 4, &installs));
+        // A stream with a shifted install time is not the log.
+        let mut shifted = stream.clone();
+        shifted[1].at += 1;
+        assert!(!replays_installs(&shifted, 2, 0, &installs));
+        // Neither is one that drops, repeats or mislabels an install, nor
+        // one that starts past the log's end.
+        assert!(!replays_installs(&stream[..3], 2, 0, &installs));
+        assert!(!replays_installs(&stream[1..], 2, 0, &installs));
+        assert!(!replays_installs(&stream, 1, 0, &installs));
+        let mut wrong_set = stream.clone();
+        wrong_set[3].consumed.clear();
+        assert!(!replays_installs(&wrong_set, 2, 0, &installs));
+        assert!(!replays_installs(&[], 2, 5, &installs));
     }
 
     fn drained(hub: &mut SubscriptionHub, id: u64) -> Vec<InstallDelta> {

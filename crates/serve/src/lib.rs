@@ -53,7 +53,7 @@ pub mod store;
 pub use frontend::{
     PinnedEpoch, PointAnswer, ReadFrontend, ScanAnswer, ServeError, StalenessBound,
 };
-pub use hub::{HubPoll, InstallDelta, PublishOutcome, SubscriptionHub};
+pub use hub::{replays_installs, HubPoll, InstallDelta, PublishOutcome, SubscriptionHub};
 pub use store::{ServeStats, SnapshotStore};
 
 /// What [`ReadFrontend::sink`] is fed: the engine's install event.

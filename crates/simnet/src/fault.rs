@@ -102,7 +102,7 @@ pub struct Crash {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     default_link: LinkFaults,
-    link_overrides: HashMap<(NodeId, NodeId), LinkFaults>,
+    per_link: HashMap<(NodeId, NodeId), LinkFaults>,
     outages: Vec<Outage>,
     crashes: Vec<Crash>,
     state_crashes: Vec<Crash>,
@@ -141,7 +141,7 @@ impl FaultPlan {
 
     /// Override the fault rates of one directed link.
     pub fn link(mut self, from: NodeId, to: NodeId, faults: LinkFaults) -> Self {
-        self.link_overrides.insert((from, to), faults);
+        self.per_link.insert((from, to), faults);
         self
     }
 
@@ -189,7 +189,7 @@ impl FaultPlan {
 
     /// Fault rates in effect on a directed link.
     pub fn link_faults(&self, from: NodeId, to: NodeId) -> LinkFaults {
-        self.link_overrides
+        self.per_link
             .get(&(from, to))
             .copied()
             .unwrap_or(self.default_link)
@@ -233,7 +233,7 @@ impl FaultPlan {
     /// outages, no crashes. The network skips the fault path entirely.
     pub fn is_trivial(&self) -> bool {
         self.default_link.is_reliable()
-            && self.link_overrides.values().all(LinkFaults::is_reliable)
+            && self.per_link.values().all(LinkFaults::is_reliable)
             && self.outages.is_empty()
             && self.crashes.is_empty()
             && self.state_crashes.is_empty()
@@ -267,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn link_overrides_win() {
+    fn per_link_faults_win() {
         let plan = FaultPlan::default().drop_rate(0.1).link(
             2,
             0,

@@ -80,7 +80,6 @@ pub struct Network<M> {
     now: Time,
     seq: u64,
     default_latency: LatencyModel,
-    link_latency: HashMap<(NodeId, NodeId), LatencyModel>,
     last_delivery: HashMap<(NodeId, NodeId), Time>,
     faults: FaultPlan,
     stats: NetStats,
@@ -97,7 +96,6 @@ impl<M: Payload> Network<M> {
             now: 0,
             seq: 0,
             default_latency: LatencyModel::default(),
-            link_latency: HashMap::new(),
             last_delivery: HashMap::new(),
             faults: FaultPlan::default(),
             stats: NetStats::default(),
@@ -119,14 +117,9 @@ impl<M: Payload> Network<M> {
         self.now
     }
 
-    /// Latency model used for links with no specific override.
+    /// Latency model every link samples from.
     pub fn set_default_latency(&mut self, model: LatencyModel) {
         self.default_latency = model;
-    }
-
-    /// Override the latency model of one directed link.
-    pub fn set_link_latency(&mut self, from: NodeId, to: NodeId, model: LatencyModel) {
-        self.link_latency.insert((from, to), model);
     }
 
     /// Install a fault plan (replacing any previous one).
@@ -202,12 +195,10 @@ impl<M: Payload> Network<M> {
             return;
         }
 
-        let model = self
-            .link_latency
-            .get(&(from, to))
-            .unwrap_or(&self.default_latency)
-            .clone();
-        let latency = model.sample(&mut self.rng).saturating_add(delay);
+        let latency = self
+            .default_latency
+            .sample(&mut self.rng)
+            .saturating_add(delay);
         let naive = self.now.saturating_add(latency);
 
         self.trace.push(TraceEvent {
@@ -386,9 +377,7 @@ mod tests {
     #[test]
     fn cross_link_order_is_unconstrained() {
         let mut net: Network<Msg> = Network::new(1);
-        net.set_link_latency(0, 2, LatencyModel::Constant(100));
-        net.set_link_latency(1, 2, LatencyModel::Constant(10));
-        net.send(0, 2, Msg(1)); // sent first, arrives later
+        net.send_after(0, 2, Msg(1), 90); // sent first, arrives later
         net.send(1, 2, Msg(2));
         assert_eq!(net.next().unwrap().msg, Msg(2));
         assert_eq!(net.next().unwrap().msg, Msg(1));
