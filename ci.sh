@@ -378,6 +378,16 @@ stage_engine_boundary() {
     echo "FAIL: a TransportConfig comes only from for_latency_mean (builders take transport_auto()), links share the one latency model, Obs feeds the one TraceRecorder (Obs::trace / Obs::off), and live multi-view runs go through run_live_views — no TransportConfigError, Transport::Explicit, .transport(cfg), link_latency / link_overrides, Recorder trait, NoopRecorder, Obs::new, run_live_sharded, run_live_serve or their reports" >&2
     ok=1
   fi
+  # An image is its own lineage: a checkpoint advances the last image in
+  # place by the installs since, and a deep copy (SharedBag::deep_copy)
+  # seeds it, so no handle shares a chunk with the live view — the
+  # shared-chunk accounting that priced a handle image may not come back.
+  hits=$(grep -rnE '\bunshared_(len|tuples)\b' crates src tests examples 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: checkpoint images are lineages of their own (InstallSink::image advances the last one, SharedBag::deep_copy seeds it) and copies are counted where they happen (merge's return) — no unshared_len or unshared_tuples" >&2
+    ok=1
+  fi
   local rows
   rows=$(awk '/^\| Combination \| Why \| Error \|/ {t = 1; next}
     t && /^\|---/ {next}

@@ -1900,7 +1900,7 @@ impl Phase for E21Row {
             .run()
             .unwrap();
         let lag_audit = audit_lag_recoveries(&lagged).unwrap();
-        let (scale_27k, scale_270k) = (publish_copied(27_000), publish_copied(270_000));
+        let (scale_27k, scale_270k) = (publish_copied(27_000, true), publish_copied(270_000, true));
 
         let mixes: [(&str, f64, f64); 2] = [("hot-key-skew", 1.1, 5.0), ("uniform", 0.0, 1.0)];
         mixes
@@ -2040,8 +2040,10 @@ const SCALE_COPIED_MAX_RATIO: f64 = 1.5;
 /// E21's scale arm: register a view of `tuples` rows with a read
 /// frontend, publish 16 installs of 8 tuples each — half inserts of new
 /// rows, half deletes of rows every view size holds — and return the
-/// tuples those publishes copied.
-fn publish_copied(tuples: i64) -> u64 {
+/// tuples those publishes copied. The arm measures copy-on-write, so a
+/// reader (`pinned`) holds the latest epoch across each publish; unpinned,
+/// every epoch is retired in place and the count is 0.
+fn publish_copied(tuples: i64, pinned: bool) -> u64 {
     let view = Bag::from_tuples((0..tuples).map(|i| tup![i, i % 97]));
     let deltas = (1..=16i64).map(|epoch| {
         let inserts = (0..4).map(|k| (tup![-(epoch * 4 + k), k], 1));
@@ -2049,7 +2051,7 @@ fn publish_copied(tuples: i64) -> u64 {
         let deletes = deletes.map(|i| (tup![i, i % 97], -1));
         inserts.chain(deletes).collect()
     });
-    publish_copied_tuples(view, deltas)
+    publish_copied_tuples(view, deltas, pinned).unwrap()
 }
 
 /// The E21 read schedule: 6 readers hammering point lookups over a
@@ -2089,5 +2091,17 @@ mod tests {
         assert_eq!(report.query_messages(), 2 * 2 * (n as u64 - 1));
         assert_eq!(min_level(&[&report]), "strong");
         assert!(mutual_agreement(&report));
+    }
+
+    /// E21's scale arm pins the latest epoch across each publish because
+    /// only a reader makes a publish copy: the same stream with nobody
+    /// pinning retires every epoch into its successor and copies nothing,
+    /// at either view size.
+    #[test]
+    fn the_scale_arm_unpinned_copies_no_tuple() {
+        for tuples in [27_000, 270_000] {
+            assert_eq!(publish_copied(tuples, false), 0, "{tuples} tuples");
+        }
+        assert!(publish_copied(27_000, true) > 0);
     }
 }

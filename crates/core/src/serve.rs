@@ -47,14 +47,22 @@ pub(crate) struct ServeConfig {
 /// Serve `initial` as one view, publish `deltas` as its consecutive
 /// installs, and return the tuples those publishes copied
 /// ([`ServeStats::publish_copied_tuples`]) — the kernel behind E21's
-/// scale arm: the count must follow the deltas, not the view.
-pub fn publish_copied_tuples(initial: Bag, deltas: impl IntoIterator<Item = Bag>) -> u64 {
+/// scale arm: the count must follow the deltas, not the view. With
+/// `pinned`, a reader holds the latest epoch across each publish, which
+/// is what makes a publish copy (the chunks its delta touches); without,
+/// each epoch is retired into its successor and nothing is copied.
+pub fn publish_copied_tuples(
+    initial: Bag,
+    deltas: impl IntoIterator<Item = Bag>,
+    pinned: bool,
+) -> Result<u64, CoreError> {
     let front = ReadFrontend::new();
-    front.register_view("V", initial, 0);
+    let view = front.register_view("V", initial, 0);
     let sink = front.sink();
     for (epoch, delta) in (1..).zip(deltas) {
+        let pin = pinned.then(|| front.pin(view)).transpose()?;
         let event = InstallEvent {
-            view_index: 0,
+            view_index: view,
             epoch,
             at: epoch,
             consumed: Vec::new(),
@@ -66,8 +74,12 @@ pub fn publish_copied_tuples(initial: Bag, deltas: impl IntoIterator<Item = Bag>
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         store.publish(event);
+        drop(store);
+        if let Some(pin) = pin {
+            front.unpin(pin)?;
+        }
     }
-    front.stats().publish_copied_tuples
+    Ok(front.stats().publish_copied_tuples)
 }
 
 /// A running serving arm: the frontend, the read schedule's cursor, and

@@ -518,10 +518,13 @@ fn support(bag: &Bag) -> Bag {
     Bag::from_pairs(bag.iter().map(|(t, _)| (t.clone(), 1)))
 }
 
-/// What a checkpoint keeps of an [`InstallSink`]: the view contents as a
-/// shared handle, and the install log's *length*. The log is append-only
-/// history, so an image costs the same however long the run has been,
-/// and recovery truncates the log rather than restoring a copy of it.
+/// What a checkpoint keeps of an [`InstallSink`]: the view contents, and
+/// the install log's *length*. The contents are a lineage of their own —
+/// seeded once by a deep copy, then advanced in place at each checkpoint
+/// by what was installed since — so neither side's updates ever copy a
+/// chunk the other holds. The log is append-only history, so an image
+/// costs the same however long the run has been, and recovery truncates
+/// the log rather than restoring a copy of it.
 pub struct SinkImage {
     view: MaterializedView,
     log_len: usize,
@@ -531,6 +534,34 @@ impl SinkImage {
     /// The view contents the image captured.
     pub fn bag(&self) -> &SharedBag {
         self.view.bag()
+    }
+
+    /// Installs the captured view had applied.
+    pub fn installs(&self) -> u64 {
+        self.view.installs()
+    }
+
+    /// Length of the install log when the image was taken.
+    pub fn log_len(&self) -> usize {
+        self.log_len
+    }
+}
+
+/// View tuples taking or restoring [`SinkImage`]s copied.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ImageCost {
+    /// Copied copy-on-write advancing an image: 0 while only the durable
+    /// store holds it.
+    pub copied: u64,
+    /// Copied seeding a lineage: a view's first image, or the live view a
+    /// recovery rebuilds from one — `|V|` each.
+    pub seeded: u64,
+}
+
+impl std::ops::AddAssign for ImageCost {
+    fn add_assign(&mut self, other: ImageCost) {
+        self.copied += other.copied;
+        self.seeded += other.seeded;
     }
 }
 
@@ -548,6 +579,12 @@ pub struct InstallSink {
     /// Optional serving-layer hook: every committed install is also
     /// published as an epoch-stamped [`crate::InstallEvent`].
     publisher: Option<crate::SharedInstallPublisher>,
+    /// The signed sum of what was installed since the last image, which
+    /// advances that image at the next one — `None` until this sink has
+    /// an image, so a view nobody checkpoints keeps no sum.
+    since_image: Option<Bag>,
+    /// Tuples installs copied because a clone of the view shared them.
+    copied_tuples: u64,
 }
 
 impl InstallSink {
@@ -559,6 +596,8 @@ impl InstallSink {
             record_snapshots: true,
             view_index: 0,
             publisher: None,
+            since_image: None,
+            copied_tuples: 0,
         })
     }
 
@@ -577,20 +616,45 @@ impl InstallSink {
         self.view.bag()
     }
 
-    /// Capture this sink for a checkpoint (no tuple and no install
-    /// record is copied).
-    pub fn image(&self) -> SinkImage {
-        SinkImage {
-            view: self.view.clone(),
-            log_len: self.log.len(),
+    /// Tuples this sink's installs copied copy-on-write: the chunks a
+    /// delta touched that a clone of the view (an install record's
+    /// snapshot, a handle given out) still shared. 0 while nothing else
+    /// holds the view — never because of a checkpoint image.
+    pub fn copied_tuples(&self) -> u64 {
+        self.copied_tuples
+    }
+
+    /// Capture this sink for a checkpoint. `prev` is the image the last
+    /// checkpoint took of it: merged in place with the signed sum of the
+    /// installs since, it becomes the new one. Without one, the first
+    /// image is seeded by one deep copy of the view. No install record
+    /// is copied either way.
+    pub fn image(&mut self, prev: Option<SinkImage>) -> (SinkImage, ImageCost) {
+        let since = self.since_image.replace(Bag::new());
+        let log_len = self.log.len();
+        match (prev, since) {
+            (Some(mut image), Some(sum)) => {
+                let copied = image.view.catch_up(&sum, self.view.installs()) as u64;
+                image.log_len = log_len;
+                (image, ImageCost { copied, seeded: 0 })
+            }
+            _ => {
+                let view = self.view.deep_copy();
+                let seeded = view.bag().distinct_len() as u64;
+                (SinkImage { view, log_len }, ImageCost { copied: 0, seeded })
+            }
         }
     }
 
-    /// Crash recovery: back to `image` — its view contents, and the log
+    /// Crash recovery: back to `image` — its view contents, rebuilt by
+    /// one deep copy so the image stays a lineage of its own, and the log
     /// cut to the length it had then (replay re-appends what follows).
-    pub fn restore(&mut self, image: &SinkImage) {
-        self.view = image.view.clone();
+    /// Returns the tuples the copy seeded.
+    pub fn restore(&mut self, image: &SinkImage) -> u64 {
+        self.view = image.view.deep_copy();
         self.log.truncate(image.log_len);
+        self.since_image = Some(Bag::new());
+        self.view.bag().distinct_len() as u64
     }
 
     /// The install history.
@@ -607,7 +671,10 @@ impl InstallSink {
         consumed: &[(UpdateId, Time)],
         now: Time,
     ) -> Result<(), WarehouseError> {
-        self.view.install(delta)?;
+        self.copied_tuples += self.view.install(delta)? as u64;
+        if let Some(sum) = &mut self.since_image {
+            sum.merge(delta);
+        }
         metrics.installs += 1;
         for &(_, delivered_at) in consumed {
             metrics.record_staleness(delivered_at, now);

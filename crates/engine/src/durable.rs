@@ -125,6 +125,14 @@ impl<C, R> DurableStore<C, R> {
         self.checkpoint.as_ref()
     }
 
+    /// Take the last snapshot out to build the next one from it, which
+    /// [`DurableStore::checkpoint`] must then install. Atomic for the
+    /// same reason a checkpoint is: nothing crashes between the two
+    /// statements of one delivery.
+    pub fn take_checkpoint(&mut self) -> Option<C> {
+        self.checkpoint.take()
+    }
+
     /// The WAL suffix written since the last checkpoint, oldest first.
     pub fn wal(&self) -> &[R] {
         &self.wal
@@ -189,7 +197,8 @@ mod tests {
         store.checkpoint(1);
         assert_eq!(store.stats().truncations, 0, "empty log: nothing cut");
         store.append(Rec(3));
-        store.checkpoint(2);
+        let prev = store.take_checkpoint();
+        store.checkpoint(prev.unwrap() + 1);
         assert_eq!(store.checkpoint_ref(), Some(&2));
         assert!(store.wal().is_empty());
         let s = store.stats();

@@ -47,7 +47,7 @@ pub mod sequencer;
 pub mod view;
 
 pub use crate::core::{
-    EngineCore, Hop, HopSpan, InstallSink, SinkImage, SpanLabels, SweepCtx, SweepRun,
+    EngineCore, Hop, HopSpan, ImageCost, InstallSink, SinkImage, SpanLabels, SweepCtx, SweepRun,
 };
 pub use durable::{DurabilityConfig, DurableStats, DurableStore, WalRecord};
 pub use error::WarehouseError;

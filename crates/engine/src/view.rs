@@ -13,9 +13,11 @@ use std::fmt;
 /// deletes tuples the view does not contain, i.e. an inconsistency. The
 /// check makes a whole class of algorithm bugs loud instead of silent.
 ///
-/// The contents are a [`SharedBag`]: cloning the view (a checkpoint) or
-/// its bag (an install record's snapshot) copies no tuple, and the next
-/// install copies only the chunks its delta touches.
+/// The contents are a [`SharedBag`]: cloning the view or its bag (an
+/// install record's snapshot) copies no tuple, and the next install
+/// copies only the chunks its delta touches that such a clone shares. A
+/// checkpoint image is a lineage of its own instead, seeded by
+/// [`SharedBag::deep_copy`], so it never makes an install copy.
 #[derive(Clone, PartialEq, Eq)]
 pub struct MaterializedView {
     bag: SharedBag,
@@ -53,15 +55,35 @@ impl MaterializedView {
     /// `V ← V + ΔV`, validating that no count goes negative. Atomic:
     /// either the whole change applies or none of it. Routed through the
     /// signed-delta calculus, so inserts and deletes are one code path.
-    pub fn install(&mut self, delta: &Bag) -> Result<(), WarehouseError> {
-        self.bag.apply_delta(delta).map_err(|e| match e {
+    /// Returns the tuples copied because a clone of the bag still shares
+    /// the chunks the delta touches (0 when nothing else holds them).
+    pub fn install(&mut self, delta: &Bag) -> Result<usize, WarehouseError> {
+        let copied = self.bag.apply_delta(delta).map_err(|e| match e {
             RelationalError::NegativeMultiplicity { tuple, .. } => {
                 WarehouseError::InconsistentInstall { tuple }
             }
             other => WarehouseError::Relational(other),
         })?;
         self.installs += 1;
-        Ok(())
+        Ok(copied)
+    }
+
+    /// The same view in chunks no other handle shares
+    /// ([`SharedBag::deep_copy`]): what seeds a checkpoint image, and the
+    /// live view recovery rebuilds from one.
+    pub(crate) fn deep_copy(&self) -> MaterializedView {
+        MaterializedView {
+            bag: self.bag.deep_copy(),
+            installs: self.installs,
+        }
+    }
+
+    /// Bring a copy of this view up to `installs` installs by `sum`, the
+    /// signed sum of the deltas those installs made — already validated
+    /// on the live view, so merged unchecked. Returns the tuples copied.
+    pub(crate) fn catch_up(&mut self, sum: &Bag, installs: u64) -> usize {
+        self.installs = installs;
+        self.bag.merge(sum)
     }
 }
 

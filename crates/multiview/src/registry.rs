@@ -17,7 +17,8 @@
 //! subexpression idea, applied to the delta stream).
 
 use dw_engine::{
-    InstallRecord, InstallSink, PolicyMetrics, SharedInstallPublisher, SinkImage, WarehouseError,
+    ImageCost, InstallRecord, InstallSink, PolicyMetrics, SharedInstallPublisher, SinkImage,
+    WarehouseError,
 };
 use dw_protocol::UpdateId;
 use dw_relational::{AggregateState, Bag, RelationalError, SharedBag, ViewDef};
@@ -189,10 +190,12 @@ pub(crate) struct ViewRuntime {
 }
 
 /// What a durable checkpoint keeps of one runtime: the part a sweep can
-/// change. The view contents are a [`SharedBag`] handle and the install
-/// log is only its length ([`SinkImage`]), so an image copies no tuple
-/// and no history. Everything else in a [`ViewRuntime`] is fixed at
-/// registration, and a registration checkpoints on the spot.
+/// change. The view contents are the image's own lineage, advanced by
+/// the installs since the last checkpoint, and the install log is only
+/// its length ([`SinkImage`]), so an image copies no history and, after
+/// its first, only `O(|ΔV|)` tuples. Everything else in a
+/// [`ViewRuntime`] is fixed at registration, and a registration
+/// checkpoints on the spot.
 pub(crate) struct SlotImage {
     pub(crate) sink: SinkImage,
     metrics: PolicyMetrics,
@@ -200,24 +203,26 @@ pub(crate) struct SlotImage {
 }
 
 impl ViewRuntime {
-    fn image(&self) -> SlotImage {
+    fn image(&mut self, prev: Option<SlotImage>) -> (SlotImage, ImageCost) {
         let agg = match &self.kind {
             ViewKind::Derived { agg, .. } => agg.clone(),
             ViewKind::Base => None,
         };
-        SlotImage {
-            sink: self.sink.image(),
+        let (sink, cost) = self.sink.image(prev.map(|p| p.sink));
+        let image = SlotImage {
+            sink,
             metrics: self.metrics.clone(),
             agg,
-        }
+        };
+        (image, cost)
     }
 
-    fn restore(&mut self, image: &SlotImage) {
-        self.sink.restore(&image.sink);
+    fn restore(&mut self, image: &SlotImage) -> u64 {
         self.metrics = image.metrics.clone();
         if let ViewKind::Derived { agg, .. } = &mut self.kind {
             *agg = image.agg.clone();
         }
+        self.sink.restore(&image.sink)
     }
 }
 
@@ -605,31 +610,49 @@ impl ViewRegistry {
         Ok(self.runtime(id)?.out_width)
     }
 
-    /// The registry half of a durable checkpoint: what each slot's
-    /// sweeps can change, the view contents as a [`SharedBag`] handle and
-    /// the install log as its length — the cost of an image does not
-    /// grow with the run.
-    pub(crate) fn snapshot_slots(&self) -> Vec<SlotImage> {
-        self.slots.iter().map(ViewRuntime::image).collect()
+    /// The registry half of a durable checkpoint: `prev`, the images the
+    /// last checkpoint took, each advanced by what its slot installed
+    /// since, plus a seeded first image of every slot registered after
+    /// it. The install logs are kept as their lengths, so the cost of an
+    /// image does not grow with the run.
+    pub(crate) fn snapshot_slots(&mut self, prev: Vec<SlotImage>) -> (Vec<SlotImage>, ImageCost) {
+        debug_assert!(prev.len() <= self.slots.len());
+        let mut prev = prev.into_iter();
+        let mut cost = ImageCost::default();
+        let images = self.slots.iter_mut().map(|rt| {
+            let (image, paid) = rt.image(prev.next());
+            cost += paid;
+            image
+        });
+        (images.collect(), cost)
     }
 
-    /// View tuples of `image` that live in chunks the live views do not
-    /// physically share — what taking `image` copied (0 for an image
-    /// fresh from [`ViewRegistry::snapshot_slots`]).
-    pub(crate) fn unshared_tuples(&self, image: &[SlotImage]) -> u64 {
-        let pairs = image.iter().zip(&self.slots);
-        let unshared = pairs.map(|(kept, live)| kept.sink.bag().unshared_len(live.sink.bag()));
-        unshared.sum::<usize>() as u64
+    /// Does every slot image equal its live view — contents, install
+    /// count and install log length?
+    #[cfg(test)]
+    pub(crate) fn images_match_live(&self, image: &[SlotImage]) -> bool {
+        image.len() == self.slots.len()
+            && image.iter().zip(&self.slots).all(|(kept, rt)| {
+                kept.sink.bag() == rt.sink.bag()
+                    && kept.sink.installs() == rt.metrics.installs
+                    && kept.sink.log_len() == rt.sink.log().len()
+            })
+    }
+
+    /// Tuples every slot's installs copied copy-on-write.
+    #[cfg(test)]
+    pub(crate) fn install_copied_tuples(&self) -> u64 {
+        self.slots.iter().map(|rt| rt.sink.copied_tuples()).sum()
     }
 
     /// Crash recovery: every slot back to its checkpoint image. An image
     /// covers every registered view — a registration under durability
-    /// checkpoints on the spot.
-    pub(crate) fn restore_slots(&mut self, image: &[SlotImage]) {
+    /// checkpoints on the spot. Returns the view tuples seeded rebuilding
+    /// the live views.
+    pub(crate) fn restore_slots(&mut self, image: &[SlotImage]) -> u64 {
         debug_assert_eq!(image.len(), self.slots.len());
-        for (rt, kept) in self.slots.iter_mut().zip(image) {
-            rt.restore(kept);
-        }
+        let slots = self.slots.iter_mut().zip(image);
+        slots.map(|(rt, kept)| rt.restore(kept)).sum()
     }
 
     /// Attach an install publisher: every current and future runtime

@@ -179,9 +179,9 @@
 
 use crate::registry::{MvError, SlotImage, ViewId, ViewRegistry};
 use dw_engine::{
-    DurabilityConfig, DurableStats, DurableStore, EngineCore, EngineOptions, InstallSequencer,
-    PendingUpdate, PolicyMetrics, SequencedInstall, SpanLabels, SweepCtx, SweepRun, UpdateQueue,
-    WalRecord, WarehouseError,
+    DurabilityConfig, DurableStats, DurableStore, EngineCore, EngineOptions, ImageCost,
+    InstallSequencer, PendingUpdate, PolicyMetrics, SequencedInstall, SpanLabels, SweepCtx,
+    SweepRun, UpdateQueue, WalRecord, WarehouseError,
 };
 use dw_obs::Obs;
 use dw_protocol::{Message, SourceUpdate, UpdateId};
@@ -381,10 +381,17 @@ struct DurableState {
     store: DurableStore<MvCheckpoint, MvWalRecord>,
     /// Commits since the last checkpoint (cadence counter).
     committed_since_ckpt: usize,
-    /// View tuples the checkpoint images taken so far did *not* get by
-    /// sharing the live views' structure. An image holds handles, so
-    /// this stays 0; E17 gates it.
-    checkpoint_copied_tuples: u64,
+    /// View tuples the images cost so far. `copied`: copy-on-write while
+    /// advancing an image in place — the store alone holds it, so this
+    /// stays 0 (E17 gates it). `seeded`: the deep copies that start a
+    /// lineage — each view's first image and the live views a recovery
+    /// rebuilds.
+    image_cost: ImageCost,
+    /// Per checkpoint taken: did every slot image equal its live view
+    /// (contents, install count, log length)? The image-lineage tests
+    /// read it.
+    #[cfg(test)]
+    images_matched_live: Vec<bool>,
 }
 
 /// The refusal of a state crash nothing durable survives.
@@ -631,16 +638,27 @@ impl MaintenanceScheduler {
             cfg,
             store: DurableStore::new(),
             committed_since_ckpt: 0,
-            checkpoint_copied_tuples: 0,
+            image_cost: ImageCost::default(),
+            #[cfg(test)]
+            images_matched_live: Vec::new(),
         }));
         self.checkpoint_now();
     }
 
-    /// View tuples copied taking checkpoints so far (0 with durability
-    /// off — and 0 with it on: images share the live views' structure).
+    /// View tuples copied copy-on-write advancing checkpoint images so
+    /// far (0 with durability off — and 0 with it on: an image is a
+    /// lineage only the durable store holds).
     pub fn checkpoint_copied_tuples(&self) -> u64 {
-        let copied = self.durable.as_ref().map(|d| d.checkpoint_copied_tuples);
+        let copied = self.durable.as_ref().map(|d| d.image_cost.copied);
         copied.unwrap_or(0)
+    }
+
+    /// View tuples deep-copied seeding image lineages so far: each
+    /// view's first image, and the live views every recovery rebuilds
+    /// from the images (0 with durability off).
+    pub fn checkpoint_seeded_tuples(&self) -> u64 {
+        let seeded = self.durable.as_ref().map(|d| d.image_cost.seeded);
+        seeded.unwrap_or(0)
     }
 
     /// Durable-store write statistics (`None` until durability is
@@ -674,12 +692,15 @@ impl MaintenanceScheduler {
         // The store is detached while its log is read back: replay runs
         // the live commit path, and nothing it does there may be
         // journaled or checkpointed a second time.
-        let Some(durable) = self.durable.take() else {
+        let Some(mut durable) = self.durable.take() else {
             return Err(config_error(NEEDS_DURABLE_STORE.into()));
         };
         let replayed = self.replay(&durable.store);
         let records = durable.store.wal().len() as u64;
         let wal_bytes = durable.store.wal_bytes() as u64;
+        if let Ok(seeded) = replayed {
+            durable.image_cost.seeded += seeded;
+        }
         self.durable = Some(durable);
         replayed?;
         // Fence the dead incarnation, then persist the recovered image
@@ -704,8 +725,9 @@ impl MaintenanceScheduler {
 
     /// Volatile state dies with the crash: the checkpoint image replaces
     /// it wholesale, then the WAL rolls it forward — each record through
-    /// the same function its live transition went through.
-    fn replay(&mut self, store: &DurableStore<MvCheckpoint, MvWalRecord>) -> Result<(), MvError> {
+    /// the same function its live transition went through. Returns the
+    /// view tuples seeded rebuilding the live views from the image.
+    fn replay(&mut self, store: &DurableStore<MvCheckpoint, MvWalRecord>) -> Result<u64, MvError> {
         let Some(ckpt) = store.checkpoint_ref() else {
             let what = "durable store holds no checkpoint";
             return Err(MvError::Internal { what });
@@ -719,7 +741,7 @@ impl MaintenanceScheduler {
         self.unreleased = ckpt.unreleased.clone();
         self.sequencer = ckpt.sequencer.clone();
         self.groups = ckpt.groups.clone();
-        self.registry.restore_slots(&ckpt.slots);
+        let seeded = self.registry.restore_slots(&ckpt.slots);
         for rec in store.wal() {
             match rec {
                 MvWalRecord::UpdateQueued { update, at, ticket } => {
@@ -756,18 +778,21 @@ impl MaintenanceScheduler {
                 MvWalRecord::Flush { view, at } => self.flush(view.index(), *at)?,
             }
         }
-        Ok(())
+        Ok(seeded)
     }
 
     /// Replace the durable image with the current volatile state —
     /// queue, tickets, pending tasks, sequencer, groups and counters
-    /// cloned, view contents captured as shared handles — and truncate
-    /// the log (no-op with durability off). Updates in-flight lanes
-    /// absorbed are durably queued still: back where their tickets go.
+    /// cloned, each view's image taken out of the last checkpoint and
+    /// advanced by what the view installed since — and truncate the log
+    /// (no-op with durability off). Updates in-flight lanes absorbed are
+    /// durably queued still: back where their tickets go.
     fn checkpoint_now(&mut self) {
-        if self.durable.is_none() {
+        let Some(d) = self.durable.as_mut() else {
             return;
-        }
+        };
+        let prev = d.store.take_checkpoint().map(|c| c.slots);
+        let (slots, cost) = self.registry.snapshot_slots(prev.unwrap_or_default());
         let mut queue = self.core.queue.clone();
         let ticket = |pu: &PendingUpdate| self.arrivals.get(&pu.update.id).map(|a| a.ticket);
         for pu in self.lanes.iter().flat_map(|l| &l.absorbed) {
@@ -783,13 +808,16 @@ impl MaintenanceScheduler {
             unreleased: self.unreleased.clone(),
             sequencer: self.sequencer.clone(),
             groups: self.groups.clone(),
-            slots: self.registry.snapshot_slots(),
+            slots,
             metrics: self.core.metrics.clone(),
         };
-        let copied = self.registry.unshared_tuples(&image.slots);
+        #[cfg(test)]
+        let matched = self.registry.images_match_live(&image.slots);
         if let Some(d) = self.durable.as_mut() {
             d.committed_since_ckpt = 0;
-            d.checkpoint_copied_tuples += copied;
+            d.image_cost += cost;
+            #[cfg(test)]
+            d.images_matched_live.push(matched);
             d.store.checkpoint(image);
         }
     }
@@ -1480,7 +1508,7 @@ mod tests {
     use dw_relational::{eval_view, tup, CmpOp, Schema, SharedBag, Value, ViewDefBuilder};
     use dw_simnet::Network;
     use dw_source::DataSource;
-    use dw_workload::{DerivedOp, ViewPolicy};
+    use dw_workload::{DerivedOp, DerivedSpec, ViewPolicy};
 
     fn base3() -> ViewDef {
         ViewDefBuilder::new()
@@ -1723,8 +1751,8 @@ mod tests {
         ]
     }
 
-    /// A durable image is made of shared handles onto the live views
-    /// (no tuple copied), yet nothing installed afterwards shows in it.
+    /// A durable image is a lineage of its own, seeded from the live
+    /// views, and nothing installed afterwards shows in it.
     #[test]
     fn a_checkpoint_image_never_sees_later_installs() {
         let opts = EngineOptions::default();
@@ -2360,6 +2388,138 @@ mod tests {
         sched.crash_and_recover(&mut net).unwrap();
         assert_eq!(logged(&sched), 200);
         assert_eq!(oldest(&sched), before, "recovery copied the history");
+    }
+
+    /// A random source transaction over a small value domain (so the
+    /// chain joins hit): an insert, or the delete of a tuple `shadow`
+    /// holds.
+    fn random_txn(rng: &mut dw_rng::Rng64, shadow: &Bag) -> Bag {
+        let held: Vec<_> = shadow.iter().filter(|(_, c)| *c > 0).collect();
+        if !held.is_empty() && rng.chance(0.3) {
+            let (t, _) = held[rng.usize_below(held.len())];
+            return Bag::from_pairs([(t.clone(), -1)]);
+        }
+        Bag::from_tuples([tup![rng.i64_in(1, 12), rng.i64_in(1, 12)]])
+    }
+
+    /// Image lineage, over seeded install streams: per-view cadences,
+    /// σ/Π/Σ children, checkpoints after every commit, every third and
+    /// never (bar enable and recovery), and a state crash at a random
+    /// warehouse delivery. Every checkpoint leaves each slot image equal
+    /// to its live view (contents, install count, log length) at zero
+    /// tuples copied; the live views, with record snapshots off, copy
+    /// nothing either; and the deep copies seeding the lineages add up
+    /// to Σ|V| over the views at enable and over the images at recovery.
+    /// Seed an image by a handle clone instead and installs copy.
+    #[test]
+    fn checkpoint_images_are_lineages_of_their_own() {
+        for case in 0..36u64 {
+            let mut rng = dw_rng::Rng64::new(0x11e5_0000 + case);
+            let checkpoint_every = [1, 3, usize::MAX][case as usize % 3];
+            let opts = EngineOptions::default();
+            let mut sched = MaintenanceScheduler::with_shards(base3(), opts, None).unwrap();
+            sched.set_record_snapshots(false);
+            let policies = [
+                ViewPolicy::Sweep,
+                ViewPolicy::Deferred { batch: 2 },
+                ViewPolicy::Deferred { batch: 0 },
+            ];
+            let specs: Vec<ViewSpec> = specs()
+                .into_iter()
+                .map(|spec| ViewSpec {
+                    policy: policies[rng.usize_below(policies.len())],
+                    ..spec
+                })
+                .collect();
+            for spec in &specs {
+                register(&mut sched, spec, &initial3());
+            }
+            let derived = [
+                (
+                    "hot",
+                    "full",
+                    DerivedOp::Select {
+                        selects: vec![(5, CmpOp::Ge, Value::Int(6))],
+                        projection: None,
+                    },
+                ),
+                (
+                    "narrow",
+                    "right-pair",
+                    DerivedOp::Select {
+                        selects: Vec::new(),
+                        projection: Some(vec![1]),
+                    },
+                ),
+                (
+                    "per-a",
+                    "full",
+                    DerivedOp::Aggregate(dw_relational::AggregateSpec {
+                        group_by: vec![0],
+                        aggs: vec![
+                            dw_relational::AggFn::CountRows,
+                            dw_relational::AggFn::Max(5),
+                        ],
+                    }),
+                ),
+            ];
+            let derived: Vec<DerivedSpec> = derived
+                .into_iter()
+                .map(|(name, parent, op)| DerivedSpec {
+                    name: name.into(),
+                    parent: parent.into(),
+                    op,
+                })
+                .collect();
+            sched.register_derived_many(&derived).unwrap();
+            let sizes = |sched: &MaintenanceScheduler| -> u64 {
+                let views = sched.views();
+                let len = |id| views.view_bag(id).unwrap().distinct_len() as u64;
+                views.ids().into_iter().map(len).sum()
+            };
+            let mut seeded = sizes(&sched);
+            sched.enable_durability(DurabilityConfig { checkpoint_every });
+            assert_eq!(sched.checkpoint_seeded_tuples(), seeded, "case {case}");
+
+            let mut net: Network<Message> = Network::new(case);
+            let mut sources = sources(sched.views().base(), &initial3());
+            let mut shadows = initial3();
+            let mut at = 0;
+            for _ in 0..24 {
+                at += rng.u64_in(50, 3_000);
+                let src = rng.usize_below(3);
+                let delta = random_txn(&mut rng, &shadows[src]);
+                shadows[src].merge(&delta);
+                net.inject(at, source_node(src), txn(src, delta));
+            }
+            let mut crash_at = rng.usize_below(60);
+            pump_network(&mut net, &mut sched, &mut sources, |sched, _, net| {
+                if crash_at == 0 {
+                    let durable = sched.durable.as_ref().unwrap();
+                    let image = &durable.store.checkpoint_ref().unwrap().slots;
+                    seeded += image
+                        .iter()
+                        .map(|s| s.sink.bag().distinct_len() as u64)
+                        .sum::<u64>();
+                    sched.crash_and_recover(net).unwrap();
+                }
+                crash_at = crash_at.wrapping_sub(1);
+            });
+            assert!(sched.is_quiescent(), "case {case}");
+            assert_eq!(sched.recovery_stats().recoveries, 1, "case {case}");
+            assert_ground_truth(sched.views(), &specs, &shadows);
+
+            let durable = sched.durable.as_ref().unwrap();
+            let matched = &durable.images_matched_live;
+            assert_eq!(
+                matched.len() as u64,
+                durable.store.stats().checkpoints_taken
+            );
+            assert!(matched.iter().all(|&m| m), "case {case}: {matched:?}");
+            assert_eq!(sched.checkpoint_copied_tuples(), 0, "case {case}");
+            assert_eq!(sched.views().install_copied_tuples(), 0, "case {case}");
+            assert_eq!(sched.checkpoint_seeded_tuples(), seeded, "case {case}");
+        }
     }
 
     #[test]

@@ -20,6 +20,16 @@
 //!   many entries it copied that way — `0` on a uniquely held handle — so
 //!   callers can gate "publish copies `O(|Δ|)` tuples" on an exact count.
 //!
+//! A handle clone is for a moment someone will read while the original
+//! moves on (a pinned serving epoch, an install record's snapshot). A
+//! party that keeps its *own* lineage instead — a checkpoint image,
+//! advanced in place by the deltas since the last one, or the live view
+//! recovery rebuilds from it — starts from [`SharedBag::deep_copy`]: the
+//! same chunks copied as they are (no re-hash, no `Bag` round-trip), so
+//! neither side's updates ever copy a chunk the other holds. A lineage
+//! nobody else holds merges in place; a serving epoch nobody pins is
+//! retired into its successor the same way.
+//!
 //! The chunk count follows the map: chunks hold `CHUNK_TARGET` (64) entries
 //! when (re)built, and the map re-splits itself when the average load
 //! doubles or falls to a quarter, which keeps the entries copied per
@@ -34,8 +44,8 @@
 //!
 //! [`SharedBag`] is the counted-multiset face of a `SharedMap<Tuple,
 //! i64>` with [`Bag`]'s read surface and no-zero-count invariant; it is
-//! what `MaterializedView`, the snapshot store's epochs and checkpointed
-//! view runtimes hold. `Arc::make_mut` and the chunk layout appear in
+//! what `MaterializedView`, the snapshot store's epochs and checkpoint
+//! images hold. `Arc::make_mut` and the chunk layout appear in
 //! this file only (a `ci.sh` boundary guard keeps it that way).
 
 use crate::bag::Bag;
@@ -187,19 +197,17 @@ impl<K, V> SharedMap<K, V> {
         let entries = self.spine.iter().flat_map(|c| c.iter());
         entries.map(|e| (&e.key, &e.value))
     }
+}
 
-    /// Entries of `self` that live in chunks `other` does not physically
-    /// share — what a handle copy followed by updates has paid so far,
-    /// and `0` for a fresh clone.
-    pub fn unshared_len(&self, other: &Self) -> usize {
-        if Arc::ptr_eq(&self.spine, &other.spine) {
-            0
-        } else if self.spine.len() != other.spine.len() {
-            self.len
-        } else {
-            let pairs = self.spine.iter().zip(other.spine.iter());
-            let unshared = pairs.filter(|(a, b)| !Arc::ptr_eq(a, b));
-            unshared.map(|(a, _)| a.len()).sum()
+impl<K: Clone, V: Clone> SharedMap<K, V> {
+    /// A map with the same entries in the same chunks, sharing none of
+    /// them with `self`: every chunk is copied as it is, so nothing is
+    /// re-hashed or re-split, and the copy iterates in `self`'s order.
+    fn deep_copy(&self) -> Self {
+        let chunks = self.spine.iter().map(|c| Arc::new(Chunk::clone(c)));
+        SharedMap {
+            spine: Arc::new(chunks.collect()),
+            len: self.len,
         }
     }
 }
@@ -371,17 +379,21 @@ impl SharedBag {
         v
     }
 
-    /// Materialise a private [`Bag`] with the same contents — the one
-    /// deep copy this type offers, for oracles and algebra that need a
-    /// plain bag.
+    /// Materialise a private [`Bag`] with the same contents, for oracles
+    /// and algebra that need a plain bag.
     pub fn to_bag(&self) -> Bag {
         self.filter(|_| true)
     }
 
-    /// Tuples of `self` in chunks `other` does not physically share
-    /// (see [`SharedMap::unshared_len`]).
-    pub fn unshared_len(&self, other: &SharedBag) -> usize {
-        self.counts.unshared_len(&other.counts)
+    /// A bag with the same contents in the same chunk layout that shares
+    /// no chunk with `self`: each chunk is copied as it is, so no tuple is
+    /// re-hashed and no [`Bag`] is built on the way. Seeds a lineage of
+    /// its own — a checkpoint image, or the live view recovery rebuilds
+    /// from one — so installs on either side never copy a chunk.
+    pub fn deep_copy(&self) -> SharedBag {
+        SharedBag {
+            counts: self.counts.deep_copy(),
+        }
     }
 }
 
@@ -470,17 +482,37 @@ mod tests {
     #[test]
     fn a_frozen_handle_keeps_its_moment() {
         let mut live = SharedBag::from(ints(0..1_000));
-        let frozen = live.clone();
-        assert_eq!(live.unshared_len(&frozen), 0);
+        let mut frozen = live.clone();
         let delta = Bag::from_pairs([(tup![3, 21], -1), (tup![-1, -1], 1)]);
         let copied = live.merge(&delta);
         assert_eq!(frozen, ints(0..1_000));
         assert_eq!(live, ints(0..1_000).plus(&delta));
         // Two touched chunks (at most) were copied, not the bag.
         assert!(copied > 0 && copied <= 4 * 2 * CHUNK_TARGET, "{copied}");
-        assert!(live.unshared_len(&frozen) <= copied + 1);
         // The next merge of the same chunks finds them already private.
         assert_eq!(live.merge(&delta.negated()), 0);
+        // The live handle took copies of the touched chunks, so the
+        // frozen handle now holds their originals alone.
+        assert_eq!(frozen.merge(&delta), 0, "no sibling shares them now");
+    }
+
+    #[test]
+    fn a_deep_copy_is_a_lineage_of_its_own() {
+        let mut live = SharedBag::from(ints(0..5_000));
+        let mut image = live.deep_copy();
+        assert_eq!(image, live);
+        assert!(image.iter().eq(live.iter()), "same chunks, same order");
+        assert_eq!(image.counts.spine.len(), live.counts.spine.len());
+        // Neither side shares a chunk with the other: both merge in place.
+        let delta = Bag::from_pairs([(tup![3, 21], -1), (tup![-1, -1], 1)]);
+        assert_eq!(live.merge(&delta), 0);
+        assert_eq!(image, ints(0..5_000), "the copy kept its moment");
+        assert_eq!(image.merge(&delta), 0);
+        assert_eq!(image, live);
+        // A handle clone, by contrast, shares every chunk.
+        let shared = live.clone();
+        assert!(live.merge(&delta.negated()) > 0);
+        drop(shared);
     }
 
     #[test]

@@ -449,12 +449,40 @@ mod tests {
         front.unpin(pin).unwrap();
         let stats = front.stats();
         // Neither the two publishes nor the 100 reads deep-copied a bag,
-        // and publishing copied one (single-chunk) view per install, not
-        // one per read. This is the "zero-copy promise" the docs make,
-        // held as counters rather than a comment.
+        // and no publish copied a tuple: nobody pinned the latest epoch
+        // across one, so each was retired into its successor in place.
+        // This is the "zero-copy promise" the docs make, held as counters
+        // rather than a comment.
         assert_eq!(stats.bags_deep_cloned, 0);
-        assert_eq!(stats.publish_copied_tuples, 1 + 2);
+        assert_eq!(stats.publish_copied_tuples, 0);
+        assert_eq!(stats.snapshots_gced, 2);
         assert_eq!(stats.reads_answered, 100);
+    }
+
+    /// The twin of [`reads_never_deep_copy_the_snapshot`] with a reader
+    /// pinning the latest epoch across each publish: the successor then
+    /// starts as a second handle, and the merge copies the one chunk the
+    /// delta touches — the whole (single-chunk) view, 1 then 2 tuples.
+    #[test]
+    fn a_pinned_latest_epoch_makes_publish_copy_the_touched_chunks() {
+        let front = ReadFrontend::new();
+        let v = front.register_view("V", Bag::singleton(tup![1, 0], 1), 0);
+        let first = front.pin(v).unwrap();
+        install(&front, v, 1, 10, 1);
+        let second = front.pin(v).unwrap();
+        install(&front, v, 2, 20, 2);
+        let stats = front.stats();
+        assert_eq!(stats.publish_copied_tuples, 1 + 2);
+        assert_eq!(stats.snapshots_gced, 0);
+        assert_eq!(front.retained_epochs(v).unwrap(), vec![0, 1, 2]);
+        let scan = front.read_scan(&first, None).unwrap();
+        assert_eq!(scan.bag, Bag::singleton(tup![1, 0], 1));
+        let scan = front.read_scan(&second, None).unwrap();
+        assert_eq!(scan.bag.distinct_len(), 2);
+        front.unpin(first).unwrap();
+        front.unpin(second).unwrap();
+        assert_eq!(front.stats().snapshots_gced, 2);
+        assert_eq!(front.retained_epochs(v).unwrap(), vec![2]);
     }
 
     #[test]
@@ -543,6 +571,27 @@ mod tests {
         assert!(front.pin_epoch(v, 1).is_err(), "collected epoch unpinnable");
     }
 
+    /// Publish epochs `epochs` of `v` over a 2 000-tuple view: 40 fresh
+    /// tuples each, plus a delete and a re-insert of old ones — some go
+    /// to count 0, and the view grows past a re-split of its chunks.
+    fn churn(front: &ReadFrontend, v: usize, epochs: std::ops::RangeInclusive<u64>) {
+        for e in epochs {
+            let i = e as i64;
+            let fresh = (0..40).map(|k| (tup![k, 10_000 + i * 40 + k], 1));
+            let churn = [(tup![i % 50, i], -1), (tup![(i - 1) % 50, i - 1], 1)];
+            front.sink().lock().unwrap().publish(InstallEvent {
+                view_index: v,
+                epoch: e,
+                at: e * 10,
+                consumed: vec![id(e)],
+                delta: Arc::new(fresh.chain(churn).collect()),
+            });
+        }
+    }
+
+    /// A pinned epoch is never retired: the publishes after it share its
+    /// structure by handle and copy what they touch, so it stays
+    /// readable, answer for answer, and GC drops it only at the unpin.
     #[test]
     fn a_pinned_epoch_reads_identically_across_later_publishes() {
         let front = ReadFrontend::new();
@@ -558,27 +607,59 @@ mod tests {
             (scan, points)
         };
         let before = read();
-        // 80 publishes that delete and re-insert old tuples, drive some
-        // to count 0 and grow the view past a re-split of its chunks.
-        for e in 2..=81u64 {
-            let i = e as i64;
-            let fresh = (0..40).map(|k| (tup![k, 10_000 + i * 40 + k], 1));
-            let churn = [(tup![i % 50, i], -1), (tup![(i - 1) % 50, i - 1], 1)];
-            front.sink().lock().unwrap().publish(InstallEvent {
-                view_index: v,
-                epoch: e,
-                at: e * 10,
-                consumed: vec![id(e)],
-                delta: Arc::new(fresh.chain(churn).collect()),
-            });
-        }
+        churn(&front, v, 2..=81);
         assert_eq!(read(), before);
+        // Epoch 0 went at the first publish, epochs 2..=80 each at the
+        // next one; the pinned epoch 1 is retained beside the latest.
+        assert_eq!(front.stats().snapshots_gced, 80);
+        assert_eq!(front.retained_epochs(v).unwrap(), vec![1, 81]);
         let latest = front.pin(v).unwrap();
         let scan = front.read_scan(&latest, None).unwrap();
         assert_eq!(scan.bag.distinct_len(), 2_000 + 80 * 40);
         assert_eq!(front.stats().bags_deep_cloned, 0);
         front.unpin(latest).unwrap();
         front.unpin(pin).unwrap();
+    }
+
+    /// What a reader was handed is its own: once it unpins, the next
+    /// publish retires that epoch into its successor in place, yet the
+    /// scan's bag and the point groups the reader still holds never
+    /// change — the in-place merge copies exactly the chunks they share.
+    #[test]
+    fn held_answers_survive_the_retirement_of_their_epoch() {
+        let front = ReadFrontend::new();
+        let initial = Bag::from_tuples((0..2_000).map(|i| tup![i % 50, i]));
+        let v = front.register_view("V", initial.clone(), 0);
+        let pin = front.pin(v).unwrap();
+        let scan = front.read_scan(&pin, None).unwrap();
+        let points: Vec<PointAnswer> = (0..50)
+            .map(|k| front.read_point(&pin, 0, k, None).unwrap())
+            .collect();
+        let groups: Vec<Vec<(Tuple, i64)>> = points.iter().map(|p| p.matches.to_vec()).collect();
+        front.unpin(pin).unwrap();
+        churn(&front, v, 1..=40);
+        assert_eq!(scan.bag, initial);
+        for (point, group) in points.iter().zip(&groups) {
+            assert_eq!(*point.matches, *group);
+            assert_eq!(
+                point.multiplicity,
+                group.iter().map(|&(_, m)| m).sum::<i64>()
+            );
+        }
+        // Every publish retired its predecessor: GC counted each, and only
+        // the latest epoch is left.
+        let stats = front.stats();
+        assert_eq!(stats.snapshots_gced, 40);
+        assert!(
+            stats.publish_copied_tuples > 0,
+            "the held scan shared chunks"
+        );
+        assert_eq!(front.retained_epochs(v).unwrap(), vec![40]);
+        let latest = front.pin(v).unwrap();
+        let now = front.read_scan(&latest, None).unwrap();
+        // 40 × 40 fresh tuples; the last publish's delete is not re-inserted.
+        assert_eq!(now.bag.distinct_len(), 2_000 + 40 * 40 - 1);
+        front.unpin(latest).unwrap();
     }
 
     #[test]

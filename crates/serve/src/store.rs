@@ -12,12 +12,18 @@
 //! latest epoch plus every pinned one and garbage-collects the rest at
 //! publish and unpin. Epochs are [`SharedBag`] handles: pinning and
 //! scanning cost a refcount, never a copy, and an install can never
-//! mutate what a reader is looking at. A new epoch is a clone of the
-//! latest *handle* plus the delta merged into it, which copies only the
-//! chunks the delta touches — `O(|Δ|)` tuples however large the view
-//! (`publish_copied_tuples` counts them exactly). The serve side takes
-//! no bag deep copy at all: `bags_deep_cloned` stays 0 and CI greps for
-//! one.
+//! mutate what a reader is looking at. A new epoch is the latest one
+//! plus the delta. When no reader pins the latest epoch nobody can read
+//! it once its successor exists, so publish *retires* it: its bag and
+//! point indexes move into the successor and the delta is merged in
+//! place, copying nothing — counted in `snapshots_gced` and pruning the
+//! ledger exactly as GC would. When a reader pins it, the successor is a
+//! second handle plus the delta, which copies only the chunks the delta
+//! touches — `O(|Δ|)` tuples however large the view (a scan answer a
+//! reader still holds is protected the same way).
+//! `publish_copied_tuples` counts those copies exactly. The serve side
+//! takes no bag deep copy at all: `bags_deep_cloned` stays 0 and CI
+//! greps for one.
 //!
 //! **Point reads.** A point read has one route: the pinned epoch's
 //! secondary hash index on the read column, mapping a key value to the
@@ -25,10 +31,10 @@
 //! multiplicity*, summed once where the group is built. The first point
 //! read on a `(view, epoch, column)` builds the index with one full
 //! scan; every later epoch *derives* its index incrementally from the
-//! predecessor's (a handle clone of the same structurally shared map
-//! the bags use, then only the keys the install delta touched are
-//! rebuilt), so a steady-state point read is a hash lookup and two
-//! refcounts — it examines `O(|group|)` tuples instead of `O(|bag|)` —
+//! predecessor's (the same structurally shared map the bags use, taken
+//! over or handle-cloned as the bag is, then only the keys the install
+//! delta touched are rebuilt), so a steady-state point read is a hash
+//! lookup and two refcounts — it examines `O(|group|)` tuples instead of `O(|bag|)` —
 //! and publish is `O(|Δ|)` end to end. `read_work_tuples` /
 //! `index_maintenance_tuples` count exactly how many tuples each side
 //! examined — the deterministic work proxy E21 gates against scanning
@@ -77,7 +83,9 @@ fn point_hit(mut group: Vec<(Tuple, i64)>) -> PointHit {
 
 /// A secondary hash index of one frozen epoch on one column: key value →
 /// the matching group with its total multiplicity, handed out without
-/// copying or re-summing it.
+/// copying or re-summing it. Cloning one is a handle copy: no group is
+/// copied until one side is updated.
+#[derive(Clone)]
 pub(crate) struct PointIndex {
     groups: SharedMap<Value, PointHit>,
 }
@@ -100,12 +108,12 @@ impl PointIndex {
     }
 
     /// Derive the successor epoch's index from this one plus the install
-    /// delta: clone the group map's handle (untouched groups stay
-    /// shared), rebuild only the keys the delta mentions as the signed
-    /// [`Bag`] sum of the old group and its delta entries. Returns the new
-    /// index and the tuples examined.
-    fn derive(&self, delta: &Bag, column: usize) -> (Self, u64) {
-        let mut groups = self.groups.clone();
+    /// delta: rebuild only the keys the delta mentions, as the signed
+    /// [`Bag`] sum of the old group and its delta entries, in place — a
+    /// handle a pinned epoch still shares keeps its groups (copy on
+    /// write). Returns the new index and the tuples examined.
+    fn derive(self, delta: &Bag, column: usize) -> (Self, u64) {
+        let mut groups = self.groups;
         let mut touched: HashMap<Value, Vec<(Tuple, i64)>> = HashMap::new();
         let mut work = 0u64;
         for (t, m) in delta.iter() {
@@ -138,7 +146,10 @@ impl PointIndex {
     }
 }
 
-/// One frozen epoch of one view.
+/// One frozen epoch of one view. Cloning one is a second handle onto its
+/// bag and indexes: no tuple and no group is copied until one side is
+/// updated.
+#[derive(Clone)]
 pub(crate) struct EpochSnapshot {
     pub(crate) at: Time,
     pub(crate) bag: SharedBag,
@@ -177,7 +188,8 @@ pub struct ServeStats {
     pub snapshots_published: u64,
     /// Replayed installs ignored at the high-water mark (crash recovery).
     pub republished_ignored: u64,
-    /// Unpinned non-latest epochs dropped by GC.
+    /// Unpinned non-latest epochs dropped by GC, or retired into their
+    /// successor at publish.
     pub snapshots_gced: u64,
     /// Reads answered (point + scan).
     pub reads_answered: u64,
@@ -218,8 +230,10 @@ pub struct ServeStats {
     /// copies a bag (nothing in dw-serve increments this).
     pub bags_deep_cloned: u64,
     /// Tuples copied publishing new epochs: per install, the sizes of
-    /// the view's chunks its delta touched (copy-on-write against the
-    /// predecessor epoch). Proportional to `|Δ|`, not to the view.
+    /// the view's chunks its delta touched that a pinned predecessor
+    /// epoch or a held scan answer still shares (copy-on-write) — 0 when
+    /// nobody holds the predecessor. Proportional to `|Δ|`, not to the
+    /// view.
     pub publish_copied_tuples: u64,
 }
 
@@ -401,23 +415,23 @@ impl SnapshotStore {
             None => return Err(ServeError::NotPinned { view, epoch }),
         }
         self.stats.pins_released += 1;
-        self.gc(view);
+        self.gc(view, 0);
         Ok(())
     }
 
     /// Drop unpinned non-latest epochs of `view` (their indexes die with
     /// them) and the ledger entries no retained epoch can be missing
-    /// any more.
-    fn gc(&mut self, view: usize) {
+    /// any more. `retired` epochs were already dropped by the caller —
+    /// moved into their successor at publish — and count the same.
+    fn gc(&mut self, view: usize, retired: usize) {
         let Some(v) = self.views.get_mut(view) else {
             return;
         };
         let latest = v.latest;
         let pins = &v.pins;
         let before = v.epochs.len();
-        v.epochs
-            .retain(|&e, _| e == latest || pins.get(&e).is_some_and(|&n| n > 0));
-        let dropped = before - v.epochs.len();
+        v.epochs.retain(|&e, _| e == latest || pinned(pins, e));
+        let dropped = before - v.epochs.len() + retired;
         // The oldest retained epoch only moves when an epoch is dropped:
         // reads unpinning a still-retained epoch skip the ledger walk.
         if dropped > 0 {
@@ -511,6 +525,11 @@ impl SnapshotStore {
     }
 }
 
+/// Does a reader hold `epoch`?
+fn pinned(pins: &HashMap<u64, usize>, epoch: u64) -> bool {
+    pins.get(&epoch).is_some_and(|&n| n > 0)
+}
+
 impl InstallPublisher for SnapshotStore {
     fn note_delivery(&mut self, view_index: usize, id: UpdateId, delivered_at: Time) {
         let Some(v) = self.views.get_mut(view_index) else {
@@ -557,21 +576,36 @@ impl InstallPublisher for SnapshotStore {
                 })
                 .consumed_in = Some(epoch);
         }
-        let prev = &v.epochs[&v.latest];
+        // The successor epoch is the predecessor plus the delta. Nobody
+        // pins the predecessor: it is retired into its successor and the
+        // delta merged in place. A reader pins it: the successor starts
+        // as a second handle, and the merge copies only the chunks the
+        // delta touches (as it does for a chunk a scan answer holds).
+        let retired = !pinned(&v.pins, v.latest);
+        let prev = if retired {
+            v.epochs.remove(&v.latest)
+        } else {
+            v.epochs.get(&v.latest).cloned()
+        };
+        let Some(EpochSnapshot {
+            mut bag, indexes, ..
+        }) = prev
+        else {
+            return;
+        };
         // Successor indexes derive incrementally from the predecessor's:
-        // only delta-touched groups are rebuilt, everything else rides
-        // the shared map. (A column nobody has read yet has no index.)
-        let mut indexes = HashMap::new();
+        // only delta-touched groups are rebuilt. (A column nobody has
+        // read yet has no index.)
         let mut derive_work = 0u64;
-        for (&column, idx) in &prev.indexes {
-            let (next, work) = idx.derive(&event.delta, column);
-            indexes.insert(column, next);
-            derive_work += work;
-        }
+        let indexes: HashMap<usize, PointIndex> = indexes
+            .into_iter()
+            .map(|(column, idx)| {
+                let (next, work) = idx.derive(&event.delta, column);
+                derive_work += work;
+                (column, next)
+            })
+            .collect();
         let derived = indexes.len() as u64;
-        // The successor epoch: the predecessor's handle plus the delta —
-        // only the chunks the delta touches are copied.
-        let mut bag = SharedBag::clone(&prev.bag);
         self.stats.publish_copied_tuples += bag.merge(&event.delta) as u64;
         self.stats.index_maintenance_tuples += derive_work;
         self.stats.point_index_derived += derived;
@@ -589,7 +623,7 @@ impl InstallPublisher for SnapshotStore {
         v.latest = epoch;
         self.publication_log.push((event.view_index, epoch));
         self.stats.snapshots_published += 1;
-        self.gc(event.view_index);
+        self.gc(event.view_index, usize::from(retired));
         let out = self.hub.publish(&InstallDelta {
             view: event.view_index,
             epoch,
@@ -624,6 +658,59 @@ mod tests {
         }
     }
 
+    /// Retiring an unpinned epoch into its successor is GC by another
+    /// route. After every publish — readers pinning the latest epoch and
+    /// releasing older pins in between — each epoch ever published is
+    /// either retained or counted in `snapshots_gced` exactly once, the
+    /// retained set is the latest plus the pinned ones, a pinned epoch
+    /// still reads as it did, and the ledger holds exactly the updates a
+    /// retained epoch can still be missing.
+    #[test]
+    fn retiring_an_epoch_keeps_the_gc_counters_and_the_ledger() {
+        const AHEAD: u64 = 2;
+        let initial = Bag::from_tuples((0..300).map(|i| tup![i % 7, i]));
+        let mut store = SnapshotStore::default();
+        let v = store.register_view("V", initial.clone().into(), 0);
+        let id = |seq| UpdateId { source: 0, seq };
+        for seq in 1..=AHEAD {
+            store.note_delivery(v, id(seq), seq * 10);
+        }
+        let mut model = initial;
+        let mut pins: Vec<(u64, Bag)> = Vec::new();
+        for e in 1..=60u64 {
+            if e % 5 == 0 {
+                store.pin(v, e - 1).unwrap();
+                pins.push((e - 1, model.clone()));
+            }
+            if e % 7 == 0 {
+                let (epoch, _) = pins.remove(0);
+                store.unpin(v, epoch).unwrap();
+            }
+            let delta = Bag::singleton(tup![e as i64 % 7, 1_000 + e as i64], 1);
+            model.merge(&delta);
+            store.note_delivery(v, id(e + AHEAD), (e + AHEAD) * 10);
+            store.publish(InstallEvent {
+                view_index: v,
+                epoch: e,
+                at: e * 10 + 5,
+                consumed: vec![id(e)],
+                delta: Arc::new(delta),
+            });
+            let retained = store.retained_epochs(v).unwrap();
+            let mut want: Vec<u64> = pins.iter().map(|(p, _)| *p).collect();
+            want.push(e);
+            assert_eq!(retained, want, "epoch {e}");
+            for (p, contents) in &pins {
+                assert_eq!(&store.epoch(v, *p).unwrap().bag, contents, "pinned {p}");
+            }
+            assert_eq!(store.epoch(v, e).unwrap().bag, model, "latest {e}");
+            let gced = store.stats().snapshots_gced;
+            assert_eq!(gced, e + 1 - retained.len() as u64, "epoch {e}");
+            let ledger = store.ledger_len(v) as u64;
+            assert_eq!(ledger, e + AHEAD - retained[0], "epoch {e}");
+        }
+    }
+
     #[test]
     fn stored_multiplicity_is_the_sum_over_the_group_after_build_and_derive() {
         let mut bag: SharedBag = Bag::from_iter([
@@ -649,7 +736,7 @@ mod tests {
             (tup![5, 50], 7),
         ]);
         bag.merge(&delta);
-        let (derived, _) = built.derive(&delta, 0);
+        let (derived, _) = built.clone().derive(&delta, 0);
         assert_eq!(derived.hit(&Value::Int(1)).0, 5);
         assert_eq!(derived.hit(&Value::Int(3)).0, 4);
         assert_eq!(derived.hit(&Value::Int(5)).0, 7);
