@@ -205,17 +205,24 @@ stage_engine_boundary() {
   } 2>/dev/null || true)
   if [[ -n "$hits" ]]; then
     echo "$hits"
-    echo "FAIL: deltas are signed Bags (no DeltaRelation); sources take join keys from JoinIndex::for_neighbor and hand the pushed σ to extend_hop (no join_cond( under crates/source/src, no .filter( copy of the relation in node.rs)" >&2
+    echo "FAIL: deltas are signed Bags (no DeltaRelation); sources take join keys from dw_relational::neighbor_keys and hand the pushed σ to extend_hop (no join_cond( under crates/source/src, no .filter( copy of the relation in node.rs)" >&2
     ok=1
   fi
-  # The scan allocates nothing per row: hash_join hashes each row's key
-  # columns once into a flat table, and a key vector per row (key_of,
-  # a HashMap keyed by Vec<Value>) is the JoinIndex's alone (index.rs).
-  hits=$(non_test_code crates/relational/src/eval.rs |
-    grep -n 'key_of(\|HashMap<Vec<Value>' | sed 's|^|crates/relational/src/eval.rs: |')
+  # One copy of R_i: a join index is a chain over the relation's own bag
+  # (Bag::chain_on), probed by extend_hop when the neighbor carries one.
+  # Neither the scan nor the probe builds a per-row key vector (key_of, a
+  # HashMap keyed by Vec<Value>), and the second copy of the relation — a
+  # source's own indexes beside it, the Neighbor switch that chose them —
+  # may not come back.
+  hits=$({
+    for f in crates/relational/src/*.rs; do
+      non_test_code "$f" | grep -n 'key_of(\|HashMap<Vec<Value>' | sed "s|^|$f: |"
+    done
+    grep -rnE 'Neighbor::Index|enum Neighbor\b|indexes: \[Option<JoinIndex>' crates src examples tests
+  } 2>/dev/null || true)
   if [[ -n "$hits" ]]; then
     echo "$hits"
-    echo "FAIL: the hop join's scan builds no per-row key vector — hash the key columns in place (hash_join); key_of / Vec<Value> keys live in index.rs for the JoinIndex" >&2
+    echo "FAIL: a join index is a chain over the relation's own bag (Bag::chain_on, probed by extend_hop) — no key_of( or HashMap<Vec<Value> under crates/relational/src, no Neighbor::Index / enum Neighbor, no indexes: [Option<JoinIndex> beside a source's relation" >&2
     ok=1
   fi
   # The small-table fast path may skip the hash, never weaken it: the one
@@ -434,7 +441,7 @@ stage_engine_boundary() {
   # serving driver cannot grow beside the builder.
   local token
   for token in 'MaintenanceScheduler::with_shards(' 'ReadFrontend::new(' \
-    'DataSource::new(' 'Message::ApplyTxn {'; do
+    'load_sources(' 'Message::ApplyTxn {'; do
     files=$(for f in crates/core/src/*.rs; do
       non_test_code "$f" | grep -F "$token" >/dev/null && echo "$f"
     done)

@@ -15,7 +15,7 @@
 
 use crate::experiment::CoreError;
 use dw_protocol::{node_source, Endpoint, Message, TransportConfig, TransportNet};
-use dw_relational::{Bag, BaseRelation, ViewDef};
+use dw_relational::{Bag, ViewDef};
 use dw_simnet::{Delivery, FaultPlan, LatencyModel, NetHandle, Network, NodeId};
 use dw_source::DataSource;
 use dw_workload::ScheduledTxn;
@@ -106,26 +106,17 @@ macro_rules! net_setters {
 }
 pub(crate) use net_setters;
 
-/// One [`DataSource`] per chain relation of `view`, loaded with its
-/// initial contents; `indexed` answers queries through maintained join
-/// indexes instead of per-query hashing.
+/// The sources [`dw_source::load_sources`] builds, each recording into
+/// `obs`.
 pub(crate) fn build_sources(
     view: &ViewDef,
     initial: &[Bag],
     indexed: bool,
     obs: &dw_obs::Obs,
 ) -> Result<Vec<DataSource>, CoreError> {
-    let mut sources = Vec::with_capacity(initial.len());
-    for (i, bag) in initial.iter().enumerate() {
-        let mut r = BaseRelation::new(view.schema(i).clone());
-        r.apply_delta(bag)?;
-        let mut src = if indexed {
-            DataSource::with_indexes(i, view.clone(), r)
-        } else {
-            DataSource::new(i, view.clone(), r)
-        };
+    let mut sources = dw_source::load_sources(view, initial, indexed)?;
+    for src in &mut sources {
         src.set_observer(obs.clone());
-        sources.push(src);
     }
     Ok(sources)
 }

@@ -33,7 +33,7 @@ use crate::view::MaterializedView;
 use dw_obs::{Obs, SpanId};
 use dw_protocol::{source_node, Message, SweepQuery, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{
-    extend_hop, merge_pivot, Bag, JoinSide, Neighbor, PartialDelta, Predicate, SharedBag, ViewDef,
+    extend_hop, merge_pivot, Bag, JoinSide, PartialDelta, Predicate, SharedBag, ViewDef,
 };
 use dw_simnet::{NetHandle, Time};
 
@@ -255,8 +255,7 @@ impl EngineCore {
         if !merged.iter().any(|(t, _)| pred.is_none_or(|p| p.eval(t))) {
             return Ok(());
         }
-        let neighbor = Neighbor::Bag(&merged);
-        let err = extend_hop(&self.view, &hop.temp, neighbor, hop.side, pred, &Obs::off())?;
+        let err = extend_hop(&self.view, &hop.temp, &merged, hop.side, pred, &Obs::off())?;
         self.apply_compensation(hop.dv, &err);
         Ok(())
     }

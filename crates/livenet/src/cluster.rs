@@ -10,9 +10,9 @@
 use crate::multiview::LiveWarehouse;
 use dw_engine::{EngineOptions, InstallRecord, NodeRunner, PolicyMetrics, ThreadNet};
 use dw_protocol::{source_node, Message};
-use dw_relational::{Bag, BaseRelation, ViewDef};
+use dw_relational::{Bag, ViewDef};
 use dw_simnet::{NodeId, Time};
-use dw_source::DataSource;
+use dw_source::{load_sources, DataSource};
 use dw_workload::{GeneratedScenario, ScheduledTxn};
 use std::time::Duration;
 
@@ -63,13 +63,8 @@ pub(crate) fn source_runners(
     chain: &ViewDef,
     initial: &[Bag],
 ) -> Result<Vec<SourceRunner>, LiveError> {
-    (0..chain.num_relations())
-        .map(|i| {
-            let mut rel = BaseRelation::new(chain.schema(i).clone());
-            rel.apply_delta(&initial[i]).map_err(setup_failed)?;
-            Ok(SourceRunner(DataSource::new(i, chain.clone(), rel)))
-        })
-        .collect()
+    let sources = load_sources(chain, initial, false).map_err(setup_failed)?;
+    Ok(sources.into_iter().map(SourceRunner).collect())
 }
 
 /// The scenario's transactions as timed source injections.

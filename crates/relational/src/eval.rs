@@ -16,10 +16,11 @@
 //!   projection once the range covers the whole chain.
 //!
 //! The join itself is written once: [`extend_hop`] computes the hop's
-//! geometry and joins the neighbor rows, whether they come from a bag
-//! joined for the call (a flat table built without a per-row allocation
+//! geometry and joins the neighbor rows, probing the neighbor bag's chain
+//! on the hop's key when it carries one ([`Bag::chain_on`]) and otherwise
+//! through a flat table built for the call without a per-row allocation
 //! on the smaller of the partial and the bag, hashed only above a few
-//! rows) or from a maintained [`JoinIndex`]; [`merge_pivot`] (§5.3's
+//! rows; [`merge_pivot`] (§5.3's
 //! merge of two legs) joins with the same kernel. A NULL join key matches
 //! nothing, as under the residual selection's three-valued logic.
 //!
@@ -29,7 +30,6 @@
 
 use crate::bag::Bag;
 use crate::error::RelationalError;
-use crate::index::JoinIndex;
 use crate::predicate::Predicate;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -158,27 +158,14 @@ fn check_rel_index(view: &ViewDef, i: usize) -> Result<(), RelationalError> {
     Ok(())
 }
 
-/// Where a hop's neighbor rows come from.
-#[derive(Clone, Copy, Debug)]
-pub enum Neighbor<'a> {
-    /// A bag joined for this one hop, through a table built on the
-    /// smaller of it and the partial (one unhashed bucket when that is a
-    /// few rows, as a source's `ΔV` is) while the larger streams past it:
-    /// a base relation at a source that keeps no index, or a concurrent
-    /// `ΔR_j` at the warehouse.
-    Bag(&'a Bag),
-    /// A [`JoinIndex`] maintained over the (unfiltered) base relation.
-    Index(&'a JoinIndex),
-}
-
 /// The geometry of one hop of the chain join — which relation is the
 /// neighbor, where the join key sits on either side, what range the
 /// widened partial covers. The only place `JoinCond` pairs are read.
-pub(crate) struct HopGeometry {
+struct HopGeometry {
     /// Chain position of the neighbor relation.
-    pub(crate) nbr: usize,
+    nbr: usize,
     /// Join-key columns inside a neighbor tuple.
-    pub(crate) nbr_keys: Vec<usize>,
+    nbr_keys: Vec<usize>,
     /// The same key's columns inside the composite partial tuple.
     part_keys: Vec<usize>,
     /// Range of the widened partial.
@@ -190,7 +177,7 @@ impl HopGeometry {
     /// The hop that widens a partial over `[lo, hi]` by its neighbor on
     /// `side`; `BadRange` when the range or the neighbor falls off the
     /// chain.
-    pub(crate) fn of(
+    fn of(
         view: &ViewDef,
         lo: usize,
         hi: usize,
@@ -239,6 +226,18 @@ impl HopGeometry {
             }
         }
     }
+}
+
+/// The key columns of chain relation `rel` as the neighbor a hop on `side`
+/// widens into — the columns a source chains its relation on to answer
+/// that hop by probing; `None` when no relation lies beyond `rel` for such
+/// a hop to come from.
+pub fn neighbor_keys(view: &ViewDef, rel: usize, side: JoinSide) -> Option<Vec<usize>> {
+    let from = match side {
+        JoinSide::Left => rel + 1,
+        JoinSide::Right => rel.checked_sub(1)?,
+    };
+    Some(HopGeometry::of(view, from, from, side).ok()?.nbr_keys)
 }
 
 /// The link that ends a bucket's chain in [`build_and_probe`]'s table.
@@ -388,90 +387,150 @@ pub fn extend_partial(
     side: JoinSide,
 ) -> Result<PartialDelta, RelationalError> {
     let obs = dw_obs::Obs::off();
-    extend_hop(view, partial, Neighbor::Bag(neighbor), side, None, &obs)
+    extend_hop(view, partial, neighbor, side, None, &obs)
+}
+
+/// A maintained join index: a bag chained on one set of key attribute
+/// positions ([`Bag::chain_on`]). Streaming all of a relation `R` past the
+/// few `ΔV` rows of each `ComputeJoin(ΔV, R)` ([`extend_partial`]) costs
+/// `O(|R|)` per query; probing a chain that every transaction keeps up to
+/// date costs `O(|ΔV| + |matches|)` — the `extend_partial` vs
+/// `extend_partial_indexed` rows of the benchmark's `kernels` table. An
+/// indexed source chains its own relation the same way, holding no second
+/// copy of it.
+#[derive(Clone)]
+pub struct JoinIndex(Bag);
+
+impl JoinIndex {
+    /// Empty index on the given key attribute positions.
+    pub fn new(key_attrs: Vec<usize>) -> Self {
+        let mut bag = Bag::new();
+        bag.chain_on(key_attrs);
+        JoinIndex(bag)
+    }
+
+    /// Fold a signed delta into the index (tuples reaching count zero are
+    /// evicted).
+    pub fn apply_delta(&mut self, delta: &Bag) {
+        self.0.merge(delta);
+    }
+}
+
+/// [`extend_partial`] probing the [`JoinIndex`]'s chain instead of
+/// tabling the partial for the call — the same hop join; the view's local
+/// selection on the neighbor filters the matches. The index keys must
+/// equal the join condition's neighbor-side attributes in order (checked).
+pub fn extend_partial_indexed(
+    view: &ViewDef,
+    partial: &PartialDelta,
+    index: &JoinIndex,
+    side: JoinSide,
+) -> Result<PartialDelta, RelationalError> {
+    let geo = HopGeometry::of(view, partial.lo, partial.hi, side)?;
+    if !index.0.chained_on(&geo.nbr_keys) {
+        return Err(RelationalError::BadRange {
+            reason: format!("index has no chain on the join's {:?}", geo.nbr_keys),
+        });
+    }
+    let obs = dw_obs::Obs::off();
+    join_hop(view, partial, &geo, &index.0, side, None, &obs)
 }
 
 /// The one hop join behind [`extend_partial`] and
-/// [`crate::extend_partial_indexed`]: widen `partial` by its neighbor on
-/// `side`, keeping the neighbor rows that pass the view's local selection
-/// **and** the query's pushed-down `pushed` σ. A [`Neighbor::Bag`] row is
-/// filtered as the hash join visits it — whether it is tabled or streamed
-/// past the tabled partial — a [`Neighbor::Index`] match after the probe
-/// (it stores the unfiltered relation); the answers are equal as bags.
+/// [`extend_partial_indexed`]: widen `partial` by its `neighbor`
+/// rows on `side`, keeping those that pass the view's local selection
+/// **and** the query's pushed-down `pushed` σ. When `neighbor` is chained
+/// on the hop's key columns ([`Bag::chain_on`]) every partial row probes
+/// its chain; otherwise `hash_join` tables the smaller input for the
+/// call. Either way a neighbor row is filtered where the join meets it,
+/// and the answers are equal as bags.
 ///
 /// The hop records into the recorder behind `obs` the rows it streamed
 /// past a table (`join.probe_rows`: the scan's larger input, or every
-/// partial row an index probe looks up) and its output (`join.out_rows`);
+/// partial row a chain probe looks up) and its output (`join.out_rows`);
 /// the scan also records the rows it tabled for the call
-/// (`join.build_rows`, the smaller input, hashed or not) and, under a
-/// pushed σ, how many rows it turned away (`source.pushdown_filtered`).
+/// (`join.build_rows`, the smaller input, hashed or not). Under a pushed
+/// σ, `source.pushdown_filtered` counts what σ turned away: the scan
+/// counts neighbor rows (each once), the probe counts matches (a row
+/// once per partial row whose key it matches).
 pub fn extend_hop(
     view: &ViewDef,
     partial: &PartialDelta,
-    neighbor: Neighbor<'_>,
+    neighbor: &Bag,
     side: JoinSide,
     pushed: Option<&Predicate>,
     obs: &dw_obs::Obs,
 ) -> Result<PartialDelta, RelationalError> {
     let geo = HopGeometry::of(view, partial.lo, partial.hi, side)?;
+    join_hop(view, partial, &geo, neighbor, side, pushed, obs)
+}
+
+/// [`extend_hop`] over the hop's geometry, once computed — which
+/// [`extend_partial_indexed`] checks its index against first.
+fn join_hop(
+    view: &ViewDef,
+    partial: &PartialDelta,
+    geo: &HopGeometry,
+    neighbor: &Bag,
+    side: JoinSide,
+    pushed: Option<&Predicate>,
+    obs: &dw_obs::Obs,
+) -> Result<PartialDelta, RelationalError> {
     let local = view.local_select(geo.nbr);
     let glue = |pt: &Tuple, nt: &Tuple| match side {
         JoinSide::Left => nt.concat(pt),
         JoinSide::Right => pt.concat(nt),
     };
-    let bag = match neighbor {
-        Neighbor::Bag(rows) => {
-            let arity = view.schema(geo.nbr).arity();
-            let (mut turned_away, mut bad_arity) = (0u64, None);
-            let kept = |t: &Tuple| {
-                if t.arity() != arity {
-                    bad_arity = Some(t.arity());
-                    return false;
-                }
-                if pushed.is_some_and(|p| !p.eval(t)) {
-                    turned_away += 1;
-                    return false;
-                }
-                local.eval(t)
-            };
-            let joined = hash_join(
-                &partial.bag,
-                &geo.part_keys,
-                rows,
-                &geo.nbr_keys,
-                kept,
-                false,
-                glue,
-            );
-            if let Some(found) = bad_arity {
-                return Err(RelationalError::ArityMismatch {
-                    context: "extend_partial neighbor",
-                    expected: arity,
-                    found,
-                });
-            }
-            if pushed.is_some() {
-                obs.add("source.pushdown_filtered", turned_away);
-            }
-            obs.observe("join.build_rows", joined.build_rows);
-            obs.observe("join.probe_rows", joined.probe_rows);
-            joined.bag
+    let arity = view.schema(geo.nbr).arity();
+    let (mut turned_away, mut bad_arity) = (0u64, None);
+    let mut kept = |t: &Tuple| {
+        if t.arity() != arity {
+            bad_arity = Some(t.arity());
+            return false;
         }
-        Neighbor::Index(index) => {
-            if index.key_attrs() != geo.nbr_keys {
-                return Err(RelationalError::BadRange {
-                    reason: format!(
-                        "index keyed on {:?} cannot serve a join on {:?}",
-                        index.key_attrs(),
-                        geo.nbr_keys
-                    ),
-                });
-            }
-            let kept = |t: &Tuple| local.eval(t) && pushed.is_none_or(|p| p.eval(t));
-            obs.observe("join.probe_rows", partial.bag.distinct_len() as u64);
-            index.join(&partial.bag, &geo.part_keys, kept, glue)
+        if pushed.is_some_and(|p| !p.eval(t)) {
+            turned_away += 1;
+            return false;
         }
+        local.eval(t)
     };
+    let bag = if neighbor.chained_on(&geo.nbr_keys) {
+        let mut out = Bag::new();
+        for (pt, pc) in partial.bag.iter() {
+            let matches = neighbor.probe(&geo.nbr_keys, pt, &geo.part_keys);
+            for (nt, nc) in matches.into_iter().flatten() {
+                if kept(nt) {
+                    out.add(glue(pt, nt), pc * nc);
+                }
+            }
+        }
+        obs.observe("join.probe_rows", partial.bag.distinct_len() as u64);
+        out
+    } else {
+        let (part_keys, nbr_keys) = (&geo.part_keys, &geo.nbr_keys);
+        let joined = hash_join(
+            &partial.bag,
+            part_keys,
+            neighbor,
+            nbr_keys,
+            kept,
+            false,
+            glue,
+        );
+        obs.observe("join.build_rows", joined.build_rows);
+        obs.observe("join.probe_rows", joined.probe_rows);
+        joined.bag
+    };
+    if let Some(found) = bad_arity {
+        return Err(RelationalError::ArityMismatch {
+            context: "extend_partial neighbor",
+            expected: arity,
+            found,
+        });
+    }
+    if pushed.is_some() {
+        obs.add("source.pushdown_filtered", turned_away);
+    }
     obs.observe("join.out_rows", bag.distinct_len() as u64);
     Ok(PartialDelta {
         lo: geo.lo,
@@ -717,14 +776,7 @@ mod tests {
             value: Value::Int(6),
         };
         let (obs, rec) = dw_obs::Obs::trace();
-        let out = extend_hop(
-            &v,
-            &pd,
-            Neighbor::Bag(&r3),
-            JoinSide::Right,
-            Some(&pushed),
-            &obs,
-        );
+        let out = extend_hop(&v, &pd, &r3, JoinSide::Right, Some(&pushed), &obs);
         assert_eq!(out.unwrap().bag, Bag::from_pairs([(tup![3, 5, 5, 6], 2)]));
         let rec = rec.lock().unwrap();
         assert_eq!(rec.counter("source.pushdown_filtered"), 1);
@@ -736,13 +788,21 @@ mod tests {
             let h = rec.histogram(hist).unwrap();
             assert_eq!((h.count(), h.sum()), (1, rows), "{hist}");
         }
+        // Chained on E, R3 is probed on key 5 instead: the pushed σ turns
+        // away one of its three matches, (5,1).
+        let mut chained = r3.clone();
+        chained.chain_on(vec![0]);
+        let (obs, rec) = dw_obs::Obs::trace();
+        let out = extend_hop(&v, &pd, &chained, JoinSide::Right, Some(&pushed), &obs);
+        assert_eq!(out.unwrap().bag, Bag::from_pairs([(tup![3, 5, 5, 6], 2)]));
+        assert_eq!(rec.lock().unwrap().counter("source.pushdown_filtered"), 1);
     }
 
     /// The (count, sum) of each join histogram one traced hop recorded.
     fn traced_hop(
         v: &ViewDef,
         pd: &PartialDelta,
-        neighbor: Neighbor<'_>,
+        neighbor: &Bag,
     ) -> (Bag, [Option<(u64, u128)>; 3]) {
         let (obs, rec) = dw_obs::Obs::trace();
         let out = extend_hop(v, pd, neighbor, JoinSide::Right, None, &obs).unwrap();
@@ -773,18 +833,18 @@ mod tests {
         // One partial row: it is the table, and the two kept rows of R3
         // stream past it.
         let one = PartialDelta::seed(&v, 1, &Bag::from_tuples([tup![3, 5]])).unwrap();
-        let (out, sizes) = traced_hop(&v, &one, Neighbor::Bag(&r3));
+        let (out, sizes) = traced_hop(&v, &one, &r3);
         assert_eq!(out, Bag::from_pairs([(tup![3, 5, 5, 6], 2)]));
         assert_eq!(sizes, [Some((1, 1)), Some((1, 2)), Some((1, 1))]);
         // Four against four is a tie, so the partial is still the table;
         // five partial rows against four make R3's kept rows the table.
         let rows = |n| Bag::from_tuples((0..n).map(|k| tup![k, 7]));
         let four = PartialDelta::seed(&v, 1, &rows(4)).unwrap();
-        let (out, sizes) = traced_hop(&v, &four, Neighbor::Bag(&r3));
+        let (out, sizes) = traced_hop(&v, &four, &r3);
         assert_eq!(out.distinct_len(), 4);
         assert_eq!(sizes, [Some((1, 4)), Some((1, 2)), Some((1, 4))]);
         let five = PartialDelta::seed(&v, 1, &rows(5)).unwrap();
-        let (out, sizes) = traced_hop(&v, &five, Neighbor::Bag(&r3));
+        let (out, sizes) = traced_hop(&v, &five, &r3);
         assert_eq!(out.distinct_len(), 5);
         assert_eq!(sizes, [Some((1, 2)), Some((1, 5)), Some((1, 5))]);
         // Four rows are one unhashed bucket, five a hashed table: either
@@ -796,16 +856,16 @@ mod tests {
             |kept: i64| Bag::from_tuples((0..kept).map(|e| tup![e, 1]).chain([tup![0, 9]]));
         for k in [4i64, 5] {
             let rows = Some((1, k as u128));
-            let (_, sizes) = traced_hop(&v, &r2_rows(k).unwrap(), Neighbor::Bag(&r3_kept(6)));
+            let (_, sizes) = traced_hop(&v, &r2_rows(k).unwrap(), &r3_kept(6));
             assert_eq!(sizes, [rows, Some((1, 6)), rows], "{k}-row partial");
-            let (_, sizes) = traced_hop(&v, &r2_rows(8).unwrap(), Neighbor::Bag(&r3_kept(k)));
+            let (_, sizes) = traced_hop(&v, &r2_rows(8).unwrap(), &r3_kept(k));
             assert_eq!(sizes, [rows, Some((1, 8)), rows], "{k} kept rows of R3");
         }
-        // The index hashes nothing per call; its probes and output count
-        // as the scan's do.
-        let mut index = JoinIndex::for_neighbor(&v, 2, JoinSide::Right).unwrap();
-        index.apply_delta(&r3);
-        let (out, sizes) = traced_hop(&v, &one, Neighbor::Index(&index));
+        // A chained neighbor hashes nothing per call; its probes and
+        // output count as the scan's do.
+        let mut chained = r3.clone();
+        chained.chain_on(neighbor_keys(&v, 2, JoinSide::Right).unwrap());
+        let (out, sizes) = traced_hop(&v, &one, &chained);
         assert_eq!(out, Bag::from_pairs([(tup![3, 5, 5, 6], 2)]));
         assert_eq!(sizes, [None, Some((1, 1)), Some((1, 1))]);
     }
@@ -902,5 +962,110 @@ mod tests {
         let r2 = Bag::from_tuples([tup![10], tup![20]]);
         let out = eval_view(&v, &[&r1, &r2]).unwrap();
         assert_eq!(out.distinct_len(), 4);
+    }
+
+    fn view() -> ViewDef {
+        ViewDefBuilder::new()
+            .relation(Schema::new("R1", ["A", "B"]).unwrap())
+            .relation(Schema::new("R2", ["C", "D"]).unwrap())
+            .join("R1.B", "R2.C")
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn index_tracks_deltas() {
+        let mut idx = JoinIndex::new(vec![0]);
+        let hits = |idx: &JoinIndex, key: i64| idx.0.probe(&[0], &tup![key], &[0]).unwrap().count();
+        idx.apply_delta(&Bag::from_pairs([(tup![3, 7], 1), (tup![3, 9], 2)]));
+        assert_eq!(idx.0.distinct_len(), 2);
+        assert_eq!(hits(&idx, 3), 2);
+        idx.apply_delta(&Bag::from_pairs([(tup![3, 7], -1)]));
+        assert_eq!(idx.0.distinct_len(), 1);
+        assert_eq!(hits(&idx, 4), 0);
+        idx.apply_delta(&Bag::from_pairs([(tup![3, 9], -2)]));
+        assert!(idx.0.is_empty());
+        assert_eq!(hits(&idx, 3), 0);
+    }
+
+    #[test]
+    fn indexed_extension_matches_unindexed() {
+        let v = view();
+        let r2 = Bag::from_pairs([(tup![3, 7], 1), (tup![3, 9], 1), (tup![5, 1], 2)]);
+        let mut idx = JoinIndex::new(vec![0]); // R2.C
+        idx.apply_delta(&r2);
+        let pd = PartialDelta::seed(&v, 0, &Bag::from_tuples([tup![1, 3], tup![2, 5]])).unwrap();
+        let plain = extend_partial(&v, &pd, &r2, JoinSide::Right).unwrap();
+        let fast = extend_partial_indexed(&v, &pd, &idx, JoinSide::Right).unwrap();
+        assert_eq!(plain, fast);
+    }
+
+    #[test]
+    fn indexed_extension_after_updates_matches() {
+        let v = view();
+        let mut r2 = Bag::from_pairs([(tup![3, 7], 1)]);
+        let mut idx = JoinIndex::new(vec![0]);
+        idx.apply_delta(&r2);
+        // Apply a stream of deltas to both representations.
+        for d in [
+            Bag::from_pairs([(tup![3, 8], 1)]),
+            Bag::from_pairs([(tup![3, 7], -1), (tup![5, 5], 1)]),
+        ] {
+            r2.merge(&d);
+            idx.apply_delta(&d);
+        }
+        let pd = PartialDelta::seed(&v, 0, &Bag::from_tuples([tup![9, 3]])).unwrap();
+        let plain = extend_partial(&v, &pd, &r2, JoinSide::Right).unwrap();
+        let fast = extend_partial_indexed(&v, &pd, &idx, JoinSide::Right).unwrap();
+        assert_eq!(plain, fast);
+    }
+
+    #[test]
+    fn wrong_key_rejected() {
+        let v = view();
+        let idx = JoinIndex::new(vec![1]); // indexed on D, join needs C
+        let pd = PartialDelta::seed(&v, 0, &Bag::from_tuples([tup![1, 3]])).unwrap();
+        assert!(extend_partial_indexed(&v, &pd, &idx, JoinSide::Right).is_err());
+    }
+
+    #[test]
+    fn local_selection_filters_the_probed_matches() {
+        let v = ViewDefBuilder::new()
+            .relation(Schema::new("R1", ["A", "B"]).unwrap())
+            .relation(Schema::new("R2", ["C", "D"]).unwrap())
+            .join("R1.B", "R2.C")
+            .select("R2.D", crate::predicate::CmpOp::Gt, 0)
+            .build()
+            .unwrap();
+        let r2 = Bag::from_pairs([(tup![3, 7], 1), (tup![3, 0], 2), (tup![3, -4], 1)]);
+        let mut idx = JoinIndex::new(neighbor_keys(&v, 1, JoinSide::Right).unwrap());
+        idx.apply_delta(&r2);
+        let pd = PartialDelta::seed(&v, 0, &Bag::from_tuples([tup![1, 3]])).unwrap();
+        let fast = extend_partial_indexed(&v, &pd, &idx, JoinSide::Right).unwrap();
+        assert_eq!(fast.bag, Bag::from_tuples([tup![1, 3, 3, 7]]));
+        assert_eq!(fast, extend_partial(&v, &pd, &r2, JoinSide::Right).unwrap());
+    }
+
+    #[test]
+    fn neighbor_keys_follow_the_join_condition() {
+        let v = view();
+        // R2 entered from R1 is keyed on C; R1 entered from R2 on B.
+        assert_eq!(neighbor_keys(&v, 1, JoinSide::Right), Some(vec![0]));
+        assert_eq!(neighbor_keys(&v, 0, JoinSide::Left), Some(vec![1]));
+        // The chain ends: nothing left of R1, nothing right of R2.
+        assert!(neighbor_keys(&v, 0, JoinSide::Right).is_none());
+        assert!(neighbor_keys(&v, 1, JoinSide::Left).is_none());
+    }
+
+    #[test]
+    fn left_side_indexed_extension() {
+        let v = view();
+        let r1 = Bag::from_tuples([tup![1, 3], tup![2, 3], tup![9, 9]]);
+        let mut idx = JoinIndex::new(vec![1]); // R1.B
+        idx.apply_delta(&r1);
+        let pd = PartialDelta::seed(&v, 1, &Bag::from_tuples([tup![3, 5]])).unwrap();
+        let plain = extend_partial(&v, &pd, &r1, JoinSide::Left).unwrap();
+        let fast = extend_partial_indexed(&v, &pd, &idx, JoinSide::Left).unwrap();
+        assert_eq!(plain, fast);
     }
 }

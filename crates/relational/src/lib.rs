@@ -31,7 +31,6 @@ pub mod aggregate;
 pub mod bag;
 pub mod error;
 pub mod eval;
-pub mod index;
 pub mod key;
 pub mod predicate;
 pub mod relation;
@@ -47,9 +46,9 @@ pub use aggregate::{AggFn, AggregateSpec, AggregateState};
 pub use bag::Bag;
 pub use error::RelationalError;
 pub use eval::{
-    eval_view, extend_hop, extend_partial, merge_pivot, JoinSide, Neighbor, PartialDelta,
+    eval_view, extend_hop, extend_partial, extend_partial_indexed, merge_pivot, neighbor_keys,
+    JoinIndex, JoinSide, PartialDelta,
 };
-pub use index::{extend_partial_indexed, JoinIndex};
 pub use key::KeySpec;
 pub use predicate::{CmpOp, Predicate};
 pub use relation::BaseRelation;

@@ -50,6 +50,12 @@ impl BaseRelation {
         &self.bag
     }
 
+    /// Keep the contents chained on the key columns `cols`
+    /// ([`Bag::chain_on`]).
+    pub fn chain_on(&mut self, cols: Vec<usize>) {
+        self.bag.chain_on(cols);
+    }
+
     /// Number of distinct tuples.
     pub fn distinct_len(&self) -> usize {
         self.bag.distinct_len()

@@ -8,8 +8,8 @@
 //! property-testing framework needed.
 
 use dw_relational::{
-    eval_view, extend_hop, extend_partial, extend_partial_indexed, merge_pivot, tup, Bag, CmpOp,
-    JoinIndex, JoinSide, Neighbor, PartialDelta, Predicate, Schema, ShardMap, SharedBag, Tuple,
+    eval_view, extend_hop, extend_partial, extend_partial_indexed, merge_pivot, neighbor_keys, tup,
+    Bag, CmpOp, JoinIndex, JoinSide, PartialDelta, Predicate, Schema, ShardMap, SharedBag, Tuple,
     Value, ViewDefBuilder,
 };
 use dw_rng::Rng64;
@@ -131,6 +131,40 @@ fn assert_matches_model(bag: &Bag, model: &BTreeMap<Tuple, i64>, ctx: &str) {
     assert_eq!(reversed, *bag, "{ctx}: reversed");
 }
 
+/// Each chain of `bag` against the model: probing with any tuple's key
+/// yields exactly the model's tuples of that key — none for a key with a
+/// NULL column.
+fn assert_chains_match_model(
+    bag: &Bag,
+    chain_keys: &[Vec<usize>],
+    model: &BTreeMap<Tuple, i64>,
+    ctx: &str,
+) {
+    for cols in chain_keys {
+        let mut groups: BTreeMap<Vec<&Value>, Vec<(Tuple, i64)>> = BTreeMap::new();
+        for (t, &c) in model {
+            let key: Vec<&Value> = cols.iter().map(|&k| t.at(k)).collect();
+            groups.entry(key).or_default().push((t.clone(), c));
+        }
+        for (key, rows) in groups {
+            // A chain that cycles yields more rows than the bag holds.
+            let mut got: Vec<(Tuple, i64)> = bag
+                .probe(cols, &rows[0].0, cols)
+                .expect("chained")
+                .take(model.len() + 1)
+                .map(|(t, c)| (t.clone(), c))
+                .collect();
+            got.sort();
+            let want = if key.contains(&&Value::Null) {
+                Vec::new()
+            } else {
+                rows
+            };
+            assert_eq!(got, want, "{ctx}: chain on {cols:?}, key {key:?}");
+        }
+    }
+}
+
 fn model_of(bag: &Bag) -> BTreeMap<Tuple, i64> {
     bag.iter().map(|(t, c)| (t.clone(), c)).collect()
 }
@@ -142,13 +176,23 @@ fn model_of(bag: &Bag) -> BTreeMap<Tuple, i64> {
 /// are then checked against the model too.
 #[test]
 fn bag_matches_a_btreemap_model_under_add_and_cancel() {
+    let chain_keys = [vec![1], vec![0, 1]];
     for case in 0..CASES / 2 {
         let mut r = Rng64::new(5_000 + case);
         let domain = 1 + r.i64_in(0, 120);
         let (mut bag, mut model) = (Bag::new(), BTreeMap::new());
+        // The same operations on a bag chained on both key sets: from the
+        // start in even cases, from a loaded bag half-way in odd ones.
+        let (mut chained, chain_from) = (Bag::new(), (case % 2) * 125);
         let mut ops = Vec::new();
         for step in 0..250 {
-            let t = tup![r.i64_in(0, domain), r.i64_in(0, 3)];
+            if step == chain_from {
+                chain_keys.iter().for_each(|k| chained.chain_on(k.clone()));
+            }
+            // A 2 in column 1 spells a NULL key, which is on no chain.
+            let (a, b) = (r.i64_in(0, domain), r.i64_in(0, 3));
+            let b = if b == 2 { Value::Null } else { b.into() };
+            let t = Tuple::new(vec![a.into(), b]);
             let held = model.get(&t).copied().unwrap_or(0);
             let c = if held != 0 && r.chance(0.4) {
                 -held
@@ -156,12 +200,20 @@ fn bag_matches_a_btreemap_model_under_add_and_cancel() {
                 [-2, -1, 1, 2, 3][r.usize_below(5)]
             };
             bag.add(t.clone(), c);
+            chained.add(t.clone(), c);
             ops.push((t.clone(), c));
             *model.entry(t).or_insert(0) += c;
             model.retain(|_, c| *c != 0);
-            assert_matches_model(&bag, &model, &format!("case {case} step {step}"));
+            let ctx = format!("case {case} step {step}");
+            assert_matches_model(&bag, &model, &ctx);
+            assert_matches_model(&chained, &model, &ctx);
+            if step >= chain_from {
+                assert_chains_match_model(&chained, &chain_keys, &model, &ctx);
+            }
         }
         let ctx = format!("case {case}");
+        assert_chains_match_model(&chained.clone(), &chain_keys, &model, &ctx);
+        assert!(!chained.negated().chained_on(&[1]), "{ctx}");
         assert_eq!(
             Bag::from_pairs(ops.into_iter().rev()),
             bag,
@@ -537,7 +589,8 @@ enum Link {
 
 /// The hop kernel has three spellings — hash the neighbor bag and probe it
 /// (`extend_partial`, the source's default and the warehouse's
-/// compensation), probe a maintained `JoinIndex` (`extend_partial_indexed`)
+/// compensation), probe a bag chained on the join key (`extend_hop` on a
+/// chained relation, `extend_partial_indexed` on a `JoinIndex`)
 /// and, here, a nested loop written from the chain's own description. Over
 /// random 2–4-relation chains with local selections, an occasional
 /// cross-product hop, signed partials spanning 1–3 relations, both sides,
@@ -616,10 +669,14 @@ fn index_probe_equals_scan_equals_nested_loop() {
                 .chain((0..r.usize_below(4)).map(|_| (tup![r.i64_in(0, 6), r.i64_in(0, 6)], 2))),
         );
         let relation = initial.plus(&txn);
-        let mut index = JoinIndex::for_neighbor(&view, nbr, side).unwrap();
+        let keys = neighbor_keys(&view, nbr, side).unwrap();
+        let mut chained = initial.clone();
+        chained.chain_on(keys.clone());
+        chained.merge(&txn);
+        assert_eq!(chained, relation, "case {case}");
+        let mut index = JoinIndex::new(keys);
         index.apply_delta(&initial);
         index.apply_delta(&txn);
-        assert_eq!(index.to_bag(), relation, "case {case}");
         let pushed = r.chance(0.5).then(|| Predicate::Cmp {
             attr: 1,
             op: CmpOp::Lt,
@@ -657,8 +714,8 @@ fn index_probe_equals_scan_equals_nested_loop() {
 
         let obs = dw_obs::Obs::off();
         let hop = |neighbor| extend_hop(&view, &partial, neighbor, side, pushed.as_ref(), &obs);
-        let scan = hop(Neighbor::Bag(&relation)).unwrap();
-        let probe = hop(Neighbor::Index(&index)).unwrap();
+        let scan = hop(&relation).unwrap();
+        let probe = hop(&chained).unwrap();
         let ctx = format!("case {case}: {links:?} {bounds:?} [{lo},{hi}] {side:?} {pushed:?}");
         assert_eq!(scan, probe, "{ctx}");
         assert_eq!(scan.bag, expected, "{ctx}");
@@ -795,7 +852,7 @@ fn hop_join_over_typed_keys_fan_in_and_signed_duplicates_equals_nested_loop() {
             }
         }
 
-        let mut index = JoinIndex::for_neighbor(&view, nbr, side).unwrap();
+        let mut index = JoinIndex::new(neighbor_keys(&view, nbr, side).unwrap());
         index.apply_delta(&relation);
         let ctx = format!("case {case}: both {both}, {side:?}, hot {hot:?}");
         let scan = extend_partial(&view, &partial, &relation, side).unwrap();
@@ -1087,7 +1144,7 @@ fn hop_join_equals_nested_loop_whichever_input_is_hashed() {
         let ctx = format!("case {case}: {size:?} both {both}, {side:?}, σ {bound:?} {pushed:?}");
         let (obs, rec) = dw_obs::Obs::trace();
         let hop = |neighbor| extend_hop(&view, &partial, neighbor, side, pushed.as_ref(), &obs);
-        let scan = hop(Neighbor::Bag(&relation)).unwrap();
+        let scan = hop(&relation).unwrap();
         assert_eq!(scan.bag, expected, "{ctx}");
         // The table is the partial, or the neighbor's rows that pass σ.
         let other_built = partial.bag.distinct_len() > relation.distinct_len();
@@ -1102,9 +1159,9 @@ fn hop_join_equals_nested_loop_whichever_input_is_hashed() {
             built[usize::from(other_built)][k] += 1;
         }
         assert_eq!((scan.lo, scan.hi), (0, 1), "{ctx}");
-        let mut index = JoinIndex::for_neighbor(&view, nbr, side).unwrap();
-        index.apply_delta(&relation);
-        assert_eq!(hop(Neighbor::Index(&index)).unwrap(), scan, "{ctx}");
+        let mut chained = relation.clone();
+        chained.chain_on(neighbor_keys(&view, nbr, side).unwrap());
+        assert_eq!(hop(&chained).unwrap(), scan, "{ctx}");
         if pushed.is_none() {
             assert_eq!(
                 extend_partial(&view, &partial, &relation, side).unwrap(),

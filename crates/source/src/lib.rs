@@ -20,4 +20,4 @@ pub mod eca_site;
 pub mod node;
 
 pub use eca_site::EcaSite;
-pub use node::{DataSource, SourceError};
+pub use node::{load_sources, DataSource, SourceError};

@@ -3,7 +3,7 @@
 use dw_obs::Obs;
 use dw_protocol::{source_node, Message, SourceIndex, SourceUpdate, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{
-    extend_hop, BaseRelation, JoinIndex, JoinSide, Neighbor, RelationalError, ViewDef,
+    extend_hop, neighbor_keys, Bag, BaseRelation, JoinSide, RelationalError, ViewDef,
 };
 use dw_simnet::{NetHandle, NodeId};
 use std::fmt;
@@ -66,11 +66,6 @@ pub struct DataSource {
     relation: BaseRelation,
     next_seq: u64,
     txns_applied: u64,
-    /// Incrementally maintained join indexes, by the `JoinSide` of the
-    /// queries each serves: `[Left]` answers leftward extensions into this
-    /// relation, `[Right]` rightward ones. `None` when not enabled, and at
-    /// the chain end no query can come from.
-    indexes: [Option<JoinIndex>; 2],
     /// Highest sweep epoch seen on any query. A warehouse state-crash
     /// recovery bumps the epoch of every query it issues; a query from
     /// an *older* epoch belongs to a sweep the warehouse already
@@ -95,7 +90,6 @@ impl DataSource {
             relation,
             next_seq: 0,
             txns_applied: 0,
-            indexes: [None, None],
             max_epoch_seen: 0,
             stale_queries_dropped: 0,
             obs: Obs::off(),
@@ -108,26 +102,19 @@ impl DataSource {
         self.obs = obs;
     }
 
-    /// Create with maintained join indexes: queries are answered by
-    /// probing incrementally maintained hash indexes instead of re-hashing
-    /// the relation per request. The indexes cover the whole relation; the
+    /// Create with maintained join indexes: the relation's own bag is
+    /// chained on the key of each hop that can reach it, so queries probe
+    /// it instead of re-hashing per request, and every transaction keeps
+    /// the chains as it applies. The chains cover the whole relation; the
     /// view's local selection and a query's pushed-down σ filter the probed
     /// matches, so the answers equal [`DataSource::new`]'s.
-    pub fn with_indexes(index: SourceIndex, view: ViewDef, relation: BaseRelation) -> Self {
-        let indexes = [JoinSide::Left, JoinSide::Right].map(|side| {
-            let mut ix = JoinIndex::for_neighbor(&view, index, side)?;
-            ix.apply_delta(relation.bag());
-            Some(ix)
-        });
-        DataSource {
-            indexes,
-            ..DataSource::new(index, view, relation)
+    pub fn with_indexes(index: SourceIndex, view: ViewDef, mut relation: BaseRelation) -> Self {
+        for side in [JoinSide::Left, JoinSide::Right] {
+            if let Some(keys) = neighbor_keys(&view, index, side) {
+                relation.chain_on(keys);
+            }
         }
-    }
-
-    /// Are maintained join indexes active?
-    pub fn is_indexed(&self) -> bool {
-        self.indexes.iter().any(Option::is_some)
+        DataSource::new(index, view, relation)
     }
 
     /// Chain position of this source.
@@ -172,9 +159,6 @@ impl DataSource {
                     });
                 }
                 self.relation.apply_delta(&delta)?;
-                for ix in self.indexes.iter_mut().flatten() {
-                    ix.apply_delta(&delta);
-                }
                 self.txns_applied += 1;
                 let id = UpdateId {
                     source: self.index,
@@ -200,15 +184,11 @@ impl DataSource {
                     return Ok(());
                 }
                 self.max_epoch_seen = q.epoch;
-                // One hop join either way; a pushed-down σ rides into it,
-                // so only the qualifying tuples travel back.
-                let neighbor = match &self.indexes[q.side as usize] {
-                    Some(ix) => Neighbor::Index(ix),
-                    None => Neighbor::Bag(self.relation.bag()),
-                };
-                let pushed = q.pred.as_ref();
-                let widened =
-                    extend_hop(&self.view, &q.partial, neighbor, q.side, pushed, &self.obs)?;
+                // One hop join, probing the relation's chains when it has
+                // them; a pushed-down σ rides into it, so only the
+                // qualifying tuples travel back.
+                let (rel, pushed) = (self.relation.bag(), q.pred.as_ref());
+                let widened = extend_hop(&self.view, &q.partial, rel, q.side, pushed, &self.obs)?;
                 self.obs.add("source.queries_served", 1);
                 self.obs
                     .observe("source.answer_rows", widened.bag.distinct_len() as u64);
@@ -239,6 +219,27 @@ impl DataSource {
             }),
         }
     }
+}
+
+/// One source per chain relation of `view`, source `i` loaded with
+/// `initial[i]`; `indexed` chains each relation as
+/// [`DataSource::with_indexes`] does.
+pub fn load_sources(
+    view: &ViewDef,
+    initial: &[Bag],
+    indexed: bool,
+) -> Result<Vec<DataSource>, RelationalError> {
+    let source = if indexed {
+        DataSource::with_indexes
+    } else {
+        DataSource::new
+    };
+    let load = |(i, bag): (usize, &Bag)| {
+        let mut rel = BaseRelation::new(view.schema(i).clone());
+        rel.apply_delta(bag)?;
+        Ok(source(i, view.clone(), rel))
+    };
+    initial.iter().enumerate().map(load).collect()
 }
 
 #[cfg(test)]
@@ -381,43 +382,52 @@ mod tests {
         }
     }
 
+    /// Scanning or probing its chains, a source answers with σ applied,
+    /// and `source.pushdown_filtered` counts what σ turned away: here the
+    /// one row a scan streams past σ, which is the one match a probe finds.
     #[test]
     fn pushed_predicate_filters_the_join_and_counts_drops() {
         use dw_relational::{CmpOp, Predicate, Value};
-        let mut net: Network<Message> = Network::new(0);
-        let mut src = source1(); // R2 = {(3,7), (4,8)}
-        let (obs, rec) = dw_obs::Obs::trace();
-        src.set_observer(obs);
-        // Same partial as the unfiltered test, but σ_{D >= 8} drops the
-        // only join partner (3,7) — the answer must come back empty.
-        let q = SweepQuery {
-            qid: 43,
-            partial: PartialDelta {
-                lo: 0,
-                hi: 0,
-                bag: Bag::from_tuples([tup![1, 3]]),
-            },
-            side: JoinSide::Right,
-            epoch: 0,
-            pred: Some(Predicate::Cmp {
-                attr: 1,
-                op: CmpOp::Ge,
-                value: Value::Int(8),
-            }),
-        };
-        src.handle(WAREHOUSE_NODE, Message::SweepQuery(q), &mut net)
-            .unwrap();
-        match net.next().unwrap().msg {
-            Message::SweepAnswer(a) => {
-                assert_eq!(a.qid, 43);
-                assert!(a.partial.bag.is_empty());
-                assert_eq!((a.partial.lo, a.partial.hi), (0, 1));
+        for indexed in [false, true] {
+            let mut net: Network<Message> = Network::new(0);
+            let mut src = source1(); // R2 = {(3,7), (4,8)}
+            if indexed {
+                let (view, rel) = (src.view.clone(), src.relation().clone());
+                src = DataSource::with_indexes(1, view, rel);
             }
-            other => panic!("expected SweepAnswer, got {other:?}"),
+            let (obs, rec) = dw_obs::Obs::trace();
+            src.set_observer(obs);
+            // Same partial as the unfiltered test, but σ_{D >= 8} drops the
+            // only join partner (3,7) — the answer must come back empty.
+            let q = SweepQuery {
+                qid: 43,
+                partial: PartialDelta {
+                    lo: 0,
+                    hi: 0,
+                    bag: Bag::from_tuples([tup![1, 3]]),
+                },
+                side: JoinSide::Right,
+                epoch: 0,
+                pred: Some(Predicate::Cmp {
+                    attr: 1,
+                    op: CmpOp::Ge,
+                    value: Value::Int(8),
+                }),
+            };
+            src.handle(WAREHOUSE_NODE, Message::SweepQuery(q), &mut net)
+                .unwrap();
+            match net.next().unwrap().msg {
+                Message::SweepAnswer(a) => {
+                    assert_eq!(a.qid, 43);
+                    assert!(a.partial.bag.is_empty());
+                    assert_eq!((a.partial.lo, a.partial.hi), (0, 1));
+                }
+                other => panic!("expected SweepAnswer, got {other:?}"),
+            }
+            let rec = rec.lock().unwrap();
+            assert_eq!(rec.counter("source.pushdown_filtered"), 1, "{indexed}");
+            assert_eq!(rec.counter("source.queries_served"), 1);
         }
-        let rec = rec.lock().unwrap();
-        assert_eq!(rec.counter("source.pushdown_filtered"), 1);
-        assert_eq!(rec.counter("source.queries_served"), 1);
     }
 
     #[test]
@@ -528,7 +538,7 @@ mod indexed_tests {
     fn indexed_answers_match_plain_both_sides() {
         let mut plain = mid_source(false);
         let mut fast = mid_source(true);
-        assert!(fast.is_indexed());
+        assert!(fast.relation().bag().chained_on(&[0]));
         // Rightward into R2 (R2 is right neighbor of R1).
         let q_right = SweepQuery {
             qid: 1,
@@ -643,7 +653,7 @@ mod indexed_tests {
         };
         let mut plain = DataSource::new(1, v.clone(), rel());
         let mut fast = DataSource::with_indexes(1, v, rel());
-        assert!(fast.is_indexed());
+        assert!(fast.relation().bag().chained_on(&[0]));
         let probe = Bag::from_pairs([(tup![1, 3], 1), (tup![9, 4], -2)]);
         let stream = [
             query(1, 0, JoinSide::Right, probe.clone(), None),
@@ -769,6 +779,7 @@ mod indexed_tests {
         let rel = BaseRelation::new(Schema::new("R1", ["A", "B"]).unwrap());
         let src = DataSource::with_indexes(0, view3(), rel);
         // Leftmost: only serves leftward extension (as left neighbor).
-        assert!(src.is_indexed());
+        assert!(src.relation().bag().chained_on(&[1]));
+        assert!(!src.relation().bag().chained_on(&[0]));
     }
 }
