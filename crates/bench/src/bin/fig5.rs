@@ -4,6 +4,7 @@
 //! *same* state sequence either way — and SWEEP delivers it.
 
 use dw_bench::TableWriter;
+use dw_consistency::{view_states, SlotView};
 use dw_core::{EngineOptions, Experiment, PolicyKind};
 use dw_relational::{tup, Bag, KeySpec, Schema, ViewDefBuilder};
 use dw_simnet::LatencyModel;
@@ -51,15 +52,17 @@ fn scenario(gap: u64) -> GeneratedScenario {
 }
 
 fn run(label: &str, gap: u64) -> Vec<String> {
-    let report = Experiment::new(scenario(gap))
+    let scenario = scenario(gap);
+    let slot = SlotView::base(scenario.view.clone(), 0);
+    let report = Experiment::new(scenario)
         .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Constant(5_000))
         .run()
         .unwrap();
-    let mut states = vec![];
-    for rec in &report.installs {
-        states.push(format!("{:?}", rec.view_after.as_ref().unwrap()));
-    }
+    // The view after each install: its initial contents plus the deltas.
+    let initial = report.truth.state(&slot, &|_| false).unwrap();
+    let states = view_states(initial.into(), &report.installs);
+    let states: Vec<String> = states.map(|state| format!("{state:?}")).collect();
     println!(
         "{label}: consistency = {}, compensations = {}",
         report.consistency.as_ref().unwrap().level,

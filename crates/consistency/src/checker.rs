@@ -1,7 +1,7 @@
 //! Install-log classification against the ground truth.
 
 use crate::truth::{Recorder, SlotView};
-use dw_engine::InstallRecord;
+use dw_engine::{view_states, InstallEvent};
 use dw_protocol::{SourceIndex, UpdateId};
 use dw_relational::SharedBag;
 use std::collections::{HashMap, HashSet};
@@ -51,17 +51,19 @@ pub struct ConsistencyReport {
 ///
 /// Only deliveries from `view`'s span count, and a consumed id no such
 /// delivery carries changes no state. `final_view` is the policy's view
-/// at the end of the (quiescent) run. Install records without snapshots
-/// degrade the check to convergence.
+/// at the end of the (quiescent) run. The state after each install is
+/// the view's initial contents — the truth with nothing consumed, as
+/// every harness registers it — plus the log's deltas so far.
 pub fn classify(
     recorder: &Recorder,
     view: &SlotView,
-    installs: &[InstallRecord],
+    installs: &[InstallEvent],
     final_view: &SharedBag,
 ) -> ConsistencyReport {
-    let truth_final = match recorder.state(view, &|_| true) {
-        Ok(b) => b,
-        Err(e) => {
+    let truth = |consumed: &dyn Fn(UpdateId) -> bool| recorder.state(view, consumed);
+    let (initial, truth_final) = match (truth(&|_| false), truth(&|_| true)) {
+        (Ok(initial), Ok(last)) => (initial, last),
+        (Err(e), _) | (_, Err(e)) => {
             return ConsistencyReport {
                 level: ConsistencyLevel::Inconsistent,
                 installs_checked: 0,
@@ -80,17 +82,6 @@ pub fn classify(
             ),
         };
     }
-
-    // Snapshots are needed for anything stronger than convergence.
-    let snapshots: Option<Vec<&SharedBag>> =
-        installs.iter().map(|r| r.view_after.as_ref()).collect();
-    let Some(snapshots) = snapshots else {
-        return ConsistencyReport {
-            level: ConsistencyLevel::Convergent,
-            installs_checked: installs.len(),
-            detail: "snapshots disabled; only convergence verified".into(),
-        };
-    };
 
     // --- Per-install state validity (needed for weak and above). -------
     let in_span: Vec<UpdateId> = recorder
@@ -112,7 +103,8 @@ pub fn classify(
     let mut all_states_meaningful = true;
     let mut monotone_prefix_discipline = true;
     let mut first_violation = String::new();
-    for (k, (rec, snapshot)) in installs.iter().zip(snapshots).enumerate() {
+    let states = view_states(initial.into(), installs);
+    for (k, (rec, state)) in installs.iter().zip(states).enumerate() {
         let mut touched: Vec<SourceIndex> = Vec::new();
         for id in &rec.consumed {
             if !consumed_so_far.insert(*id) {
@@ -137,7 +129,7 @@ pub fn classify(
                 }
             }
         };
-        if snapshot != &expect {
+        if state != expect {
             all_states_meaningful = false;
             if first_violation.is_empty() {
                 first_violation = format!("install {k} does not match its consumed set's state");
@@ -154,7 +146,7 @@ pub fn classify(
     }
     // Every delivered update must end up consumed for the final state to
     // have matched; tolerate policies (Recompute) that do not track this —
-    // they already fell out at the snapshot/meaningful-state stage.
+    // they already fell out at the meaningful-state stage.
 
     if !all_states_meaningful {
         return ConsistencyReport {
@@ -232,12 +224,22 @@ mod tests {
         (recorder_of(1, deliveries), view)
     }
 
-    fn install(consumed: Vec<UpdateId>, view: Bag) -> InstallRecord {
-        InstallRecord {
-            at: 0,
-            consumed,
-            view_after: Some(view.into()),
-        }
+    /// The install log whose states, from the empty initial view, are
+    /// `steps`' bags, each install consuming its ids.
+    fn log(steps: &[(Vec<UpdateId>, Bag)]) -> Vec<InstallEvent> {
+        let mut prev = Bag::new();
+        let events = steps.iter().zip(1..).map(|((consumed, state), epoch)| {
+            let delta = state.minus(&prev);
+            prev = state.clone();
+            InstallEvent {
+                view_index: 0,
+                epoch,
+                at: 0,
+                consumed: consumed.clone(),
+                delta: std::sync::Arc::new(delta),
+            }
+        });
+        events.collect()
     }
 
     fn id(seq: u64) -> UpdateId {
@@ -249,10 +251,7 @@ mod tests {
         let a = Bag::from_tuples([tup![1]]);
         let b = Bag::from_tuples([tup![2]]);
         let (r, v) = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
-        let installs = vec![
-            install(vec![id(0)], a.clone()),
-            install(vec![id(1)], a.plus(&b)),
-        ];
+        let installs = log(&[(vec![id(0)], a.clone()), (vec![id(1)], a.plus(&b))]);
         let rep = classify(&r, &v, &installs, &a.plus(&b).into());
         assert_eq!(rep.level, ConsistencyLevel::Complete);
         assert_eq!(rep.installs_checked, 2);
@@ -263,7 +262,7 @@ mod tests {
         let a = Bag::from_tuples([tup![1]]);
         let b = Bag::from_tuples([tup![2]]);
         let (r, v) = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
-        let installs = vec![install(vec![id(0), id(1)], a.plus(&b))];
+        let installs = log(&[(vec![id(0), id(1)], a.plus(&b))]);
         let rep = classify(&r, &v, &installs, &a.plus(&b).into());
         assert_eq!(rep.level, ConsistencyLevel::Strong);
     }
@@ -277,10 +276,7 @@ mod tests {
         let a = Bag::from_tuples([tup![1]]);
         let b = Bag::from_tuples([tup![2]]);
         let (r, v) = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
-        let installs = vec![
-            install(vec![id(1)], b.clone()),
-            install(vec![id(0)], a.plus(&b)),
-        ];
+        let installs = log(&[(vec![id(1)], b.clone()), (vec![id(0)], a.plus(&b))]);
         let rep = classify(&r, &v, &installs, &a.plus(&b).into());
         assert_eq!(rep.level, ConsistencyLevel::Weak);
         assert_eq!(
@@ -295,7 +291,7 @@ mod tests {
         let a = Bag::from_tuples([tup![1]]);
         let b = Bag::from_tuples([tup![2]]);
         let (r, v) = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
-        let installs = vec![install(vec![id(1), id(0)], a.plus(&b))];
+        let installs = log(&[(vec![id(1), id(0)], a.plus(&b))]);
         let rep = classify(&r, &v, &installs, &a.plus(&b).into());
         assert_eq!(rep.level, ConsistencyLevel::Strong);
     }
@@ -307,12 +303,7 @@ mod tests {
         let a = Bag::from_tuples([tup![1]]);
         let (r, v) = recorder_with(&[(0, 0, a.clone()), (0, 0, a.clone())]);
         let twice = a.plus(&a);
-        let rep = classify(
-            &r,
-            &v,
-            &[install(vec![id(0)], twice.clone())],
-            &twice.into(),
-        );
+        let rep = classify(&r, &v, &log(&[(vec![id(0)], twice.clone())]), &twice.into());
         assert_eq!(rep.level, ConsistencyLevel::Weak);
     }
 
@@ -334,10 +325,7 @@ mod tests {
         );
         let v = SlotView::base(identity("R1"), 1);
         let on_r1 = |seq| UpdateId { source: 1, seq };
-        let installs = vec![
-            install(vec![on_r1(0)], b.clone()),
-            install(vec![on_r1(1)], b.plus(&d)),
-        ];
+        let installs = log(&[(vec![on_r1(0)], b.clone()), (vec![on_r1(1)], b.plus(&d))]);
         let rep = classify(&r, &v, &installs, &b.plus(&d).into());
         assert_eq!(rep.level, ConsistencyLevel::Complete, "{}", rep.detail);
         assert_eq!(
@@ -345,10 +333,7 @@ mod tests {
             "2 installs, one per delivered update, all states verified"
         );
         // Skipping R1's first update is still caught in global coordinates.
-        let skipped = vec![
-            install(vec![on_r1(1)], d.clone()),
-            install(vec![on_r1(0)], b.plus(&d)),
-        ];
+        let skipped = log(&[(vec![on_r1(1)], d.clone()), (vec![on_r1(0)], b.plus(&d))]);
         let rep = classify(&r, &v, &skipped, &b.plus(&d).into());
         assert_eq!(rep.level, ConsistencyLevel::Weak);
     }
@@ -359,10 +344,10 @@ mod tests {
         let b = Bag::from_tuples([tup![2]]);
         let (r, v) = recorder_with(&[(0, 0, a.clone()), (0, 1, b.clone())]);
         // First install claims a state that is not eval(consumed).
-        let installs = vec![
-            install(vec![id(0)], b.clone()), // wrong snapshot
-            install(vec![id(1)], a.plus(&b)),
-        ];
+        let installs = log(&[
+            (vec![id(0)], b.clone()), // wrong snapshot
+            (vec![id(1)], a.plus(&b)),
+        ]);
         let rep = classify(&r, &v, &installs, &a.plus(&b).into());
         assert_eq!(rep.level, ConsistencyLevel::Convergent);
     }
@@ -373,19 +358,6 @@ mod tests {
         let (r, v) = recorder_with(&[(0, 0, a.clone())]);
         let rep = classify(&r, &v, &[], &SharedBag::new());
         assert_eq!(rep.level, ConsistencyLevel::Inconsistent);
-    }
-
-    #[test]
-    fn missing_snapshots_cap_at_convergent() {
-        let a = Bag::from_tuples([tup![1]]);
-        let (r, v) = recorder_with(&[(0, 0, a.clone())]);
-        let installs = vec![InstallRecord {
-            at: 0,
-            consumed: vec![id(0)],
-            view_after: None,
-        }];
-        let rep = classify(&r, &v, &installs, &a.clone().into());
-        assert_eq!(rep.level, ConsistencyLevel::Convergent);
     }
 
     #[test]
@@ -401,10 +373,7 @@ mod tests {
     fn double_consumption_flagged() {
         let a = Bag::from_tuples([tup![1]]);
         let (r, v) = recorder_with(&[(0, 0, a.clone())]);
-        let installs = vec![
-            install(vec![id(0)], a.clone()),
-            install(vec![id(0)], a.clone()),
-        ];
+        let installs = log(&[(vec![id(0)], a.clone()), (vec![id(0)], a.clone())]);
         let rep = classify(&r, &v, &installs, &a.clone().into());
         assert!(rep.level <= ConsistencyLevel::Weak);
     }

@@ -3,7 +3,7 @@
 //! materialized view trails the updated state of the data sources"
 //! (§3, on Strobe's quiescence requirement).
 
-use dw_engine::InstallRecord;
+use dw_engine::InstallEvent;
 use dw_protocol::UpdateId;
 use dw_simnet::Time;
 
@@ -19,7 +19,7 @@ impl LagSeries {
     /// Build from a delivery log and an install log (both time-ordered).
     /// Each delivery raises the lag by one at its delivery time; each
     /// install lowers it by the number of updates it consumed.
-    pub fn new(deliveries: &[(UpdateId, Time)], installs: &[InstallRecord]) -> Self {
+    pub fn new(deliveries: &[(UpdateId, Time)], installs: &[InstallEvent]) -> Self {
         let mut events: Vec<(Time, i64)> = Vec::new();
         for &(_, at) in deliveries {
             events.push((at, 1));
@@ -77,16 +77,19 @@ impl LagSeries {
 mod tests {
     use super::*;
     use dw_relational::Bag;
+    use std::sync::Arc;
 
     fn id(seq: u64) -> UpdateId {
         UpdateId { source: 0, seq }
     }
 
-    fn install(at: Time, consumed: Vec<UpdateId>) -> InstallRecord {
-        InstallRecord {
+    fn install(at: Time, consumed: Vec<UpdateId>) -> InstallEvent {
+        InstallEvent {
+            view_index: 0,
+            epoch: 0,
             at,
             consumed,
-            view_after: Some(Bag::new().into()),
+            delta: Arc::new(Bag::new()),
         }
     }
 

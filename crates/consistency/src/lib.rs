@@ -40,3 +40,7 @@ pub use fifo::{verify_fifo, FifoReport, FifoViolation};
 pub use lag::LagSeries;
 pub use multi::{mutual_consistency, MutualReport, ViewLog};
 pub use truth::{Recorder, SlotView};
+
+/// How every reader of a past view state gets it: the initial contents
+/// plus the install log's deltas, folded in order.
+pub use dw_engine::view_states;

@@ -19,7 +19,7 @@
 //!    differing cadences (a deferred view lags a per-update view);
 //!    *final* disagreement after a drain is a scheduler bug.
 
-use dw_engine::InstallRecord;
+use dw_engine::InstallEvent;
 use dw_protocol::SourceIndex;
 use std::collections::HashMap;
 
@@ -33,7 +33,7 @@ pub struct ViewLog<'a> {
     /// Last chain relation the view references (inclusive).
     pub hi: usize,
     /// The view's install log, consumed ids in global coordinates.
-    pub installs: &'a [InstallRecord],
+    pub installs: &'a [InstallEvent],
 }
 
 impl ViewLog<'_> {
@@ -73,7 +73,7 @@ pub struct MutualReport {
 
 /// Replay every view's install log on the shared timeline and compare
 /// consumed prefixes on shared sources. Install times come from
-/// [`InstallRecord::at`]; records are processed in global time order
+/// [`InstallEvent::at`]; events are processed in global time order
 /// (ties: registry order), and skew is sampled after every install.
 pub fn mutual_consistency(logs: &[ViewLog<'_>]) -> MutualReport {
     let updates_checked = logs
@@ -146,14 +146,16 @@ mod tests {
     use super::*;
     use dw_protocol::UpdateId;
 
-    fn rec(at: u64, ids: &[(usize, u64)]) -> InstallRecord {
-        InstallRecord {
+    fn rec(at: u64, ids: &[(usize, u64)]) -> InstallEvent {
+        InstallEvent {
+            view_index: 0,
+            epoch: 0,
             at,
             consumed: ids
                 .iter()
                 .map(|&(source, seq)| UpdateId { source, seq })
                 .collect(),
-            view_after: None,
+            delta: std::sync::Arc::new(dw_relational::Bag::new()),
         }
     }
 

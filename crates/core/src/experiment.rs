@@ -198,7 +198,6 @@ impl Experiment {
             )?),
             PolicyKind::Recompute => Box::new(Recompute::new(view_def.clone(), initial_view)?),
         };
-        policy.set_record_snapshots(self.check_consistency);
         policy.set_observer(self.net.obs.clone());
 
         // Topology: the single-site architecture co-locates every

@@ -35,8 +35,9 @@ use dw_multiview::{
 use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{Bag, ShardMap};
 use dw_simnet::{FaultPlan, NetHandle, NetStats, Time};
-use dw_warehouse::{InstallRecord, PolicyMetrics, WarehouseError};
+use dw_warehouse::{InstallEvent, PolicyMetrics, WarehouseError};
 use dw_workload::{MultiViewScenario, ReadOp, ViewPolicy};
+use std::sync::Arc;
 
 /// A configured multi-view experiment: scenario × partitioner ×
 /// scheduler options × read schedule × network profile.
@@ -146,7 +147,6 @@ impl MultiViewExperiment {
 
         let mut sched =
             MaintenanceScheduler::with_shards(base.clone(), self.opts, self.map.clone())?;
-        sched.set_record_snapshots(self.check_consistency);
         sched.set_observer(obs.clone());
         for bag in &scenario.initial {
             sched.seed_groups(bag);
@@ -339,7 +339,7 @@ pub struct ViewOutcome {
     pub view: Bag,
     /// Install log, consumed ids in **global** chain coordinates; a
     /// derived view's mirror its parent's 1:1.
-    pub installs: Vec<InstallRecord>,
+    pub installs: Vec<InstallEvent>,
     /// Per-view counters (installs, staleness histogram, …).
     pub metrics: PolicyMetrics,
     /// Consistency classification against the slot's ground truth (when
@@ -416,11 +416,15 @@ impl MultiViewReport {
         }
     }
 
-    /// Install fingerprint: per view, the sequence of consumed-update
-    /// sets in install order (what the conformance suites compare).
-    pub fn install_fingerprint(&self) -> Vec<Vec<Vec<UpdateId>>> {
-        let consumed = |v: &ViewOutcome| v.installs.iter().map(|r| r.consumed.clone()).collect();
-        self.views.iter().map(consumed).collect()
+    /// Install fingerprint: per view, each install's consumed-update set
+    /// and delta, in install order — the install log but for its times
+    /// (what the conformance suites compare).
+    pub fn install_fingerprint(&self) -> Vec<Vec<(Vec<UpdateId>, Arc<Bag>)>> {
+        let installs = |v: &ViewOutcome| {
+            let install = |r: &InstallEvent| (r.consumed.clone(), Arc::clone(&r.delta));
+            v.installs.iter().map(install).collect()
+        };
+        self.views.iter().map(installs).collect()
     }
 
     /// Fraction of linear child derivations served from the shared
@@ -745,6 +749,12 @@ mod tests {
             assert_eq!(d.installs.len(), parent_installs.len(), "'{}'", d.name);
             for (mine, theirs) in d.installs.iter().zip(parent_installs.iter()) {
                 assert_eq!(mine.consumed, theirs.consumed, "'{}'", d.name);
+                assert_eq!(
+                    (mine.epoch, mine.at),
+                    (theirs.epoch, theirs.at),
+                    "'{}'",
+                    d.name
+                );
             }
         }
     }
@@ -909,8 +919,9 @@ mod tests {
             assert_eq!(sharded.query_messages(), flat.query_messages());
             for (s, f) in sharded.views.iter().zip(flat.views.iter()) {
                 assert_eq!(s.view, f.view, "view '{}'", s.name);
-                let fp = |o: &ViewOutcome| -> Vec<Vec<UpdateId>> {
-                    o.installs.iter().map(|r| r.consumed.clone()).collect()
+                let fp = |o: &ViewOutcome| -> Vec<_> {
+                    let install = |r: &InstallEvent| (r.consumed.clone(), r.delta.clone());
+                    o.installs.iter().map(install).collect()
                 };
                 assert_eq!(fp(s), fp(f), "view '{}'", s.name);
             }
@@ -954,7 +965,8 @@ mod tests {
             let arrived = faulted.delivery_log().into_iter().map(|(id, _)| vec![id]);
             let arrival_order: Vec<Vec<UpdateId>> = arrived.collect();
             for installed in faulted.install_fingerprint() {
-                assert_eq!(installed, arrival_order);
+                let consumed: Vec<_> = installed.into_iter().map(|(ids, _)| ids).collect();
+                assert_eq!(consumed, arrival_order);
             }
         }
 

@@ -4,7 +4,7 @@ use dw_consistency::{ConsistencyReport, LagSeries, Recorder};
 use dw_protocol::UpdateId;
 use dw_relational::Bag;
 use dw_simnet::{LinkStats, NetStats, Time, TraceEvent};
-use dw_warehouse::{InstallRecord, PolicyMetrics};
+use dw_warehouse::{InstallEvent, PolicyMetrics};
 
 /// Every policy's query/answer labels: sweep hops, ECA's queries and
 /// Recompute's dumps. A scheduler run sends only the first two.
@@ -73,7 +73,7 @@ pub struct RunReport {
     /// Final materialized view.
     pub view: Bag,
     /// Every install, in order.
-    pub installs: Vec<InstallRecord>,
+    pub installs: Vec<InstallEvent>,
     /// Algorithm-level counters (queries, compensations, staleness, …).
     pub metrics: PolicyMetrics,
     /// Network-level accounting (per link / per label messages and bytes).

@@ -29,11 +29,8 @@ use crate::multi_experiment::MultiViewReport;
 use dw_multiview::MaintenanceScheduler;
 use dw_protocol::UpdateId;
 use dw_relational::{Bag, SharedBag, Tuple, Value};
-use dw_serve::{
-    InstallDelta, InstallEvent, PinnedEpoch, ReadFrontend, ServeError, ServeStats, StalenessBound,
-};
+use dw_serve::{InstallEvent, PinnedEpoch, ReadFrontend, ServeError, ServeStats, StalenessBound};
 use dw_simnet::Time;
-use dw_warehouse::InstallRecord;
 use dw_workload::{ReadKind, ReadOp};
 
 /// The serve options of a [`MultiViewExperiment`](crate::MultiViewExperiment).
@@ -366,7 +363,7 @@ impl ReadOutcome {
 #[derive(Clone, Debug)]
 pub enum LagEvent {
     /// A poll drained this install delta while the subscription was live.
-    Delivered(InstallDelta),
+    Delivered(InstallEvent),
     /// A poll found the subscription lagged past its `max_lag` bound
     /// (its queue had been dropped at overflow time).
     Lagged {
@@ -414,7 +411,7 @@ pub struct SubscriptionOutcome {
     /// `from_epoch + 1 ..`.
     pub from_epoch: u64,
     /// Install deltas in publication (= install-ticket) order.
-    pub stream: Vec<InstallDelta>,
+    pub stream: Vec<InstallEvent>,
 }
 
 /// What the serving arm of a run observed — present in
@@ -464,13 +461,13 @@ impl MultiViewReport {
     }
 
     /// Whether the run served and every subscription's stream replays
-    /// exactly the install fingerprint of its view (base or derived)
-    /// from its start epoch: contiguous epochs, matching consumed sets,
-    /// matching install times.
+    /// exactly its view's install log (base or derived) from its start
+    /// epoch: the same events — epochs, install times, consumed sets and
+    /// deltas.
     pub fn subscriptions_match_installs(&self) -> bool {
         let replays = |sub: &SubscriptionOutcome| {
             self.views.get(sub.view).is_some_and(|v| {
-                dw_serve::replays_installs(&sub.stream, sub.view, sub.from_epoch, &v.installs)
+                dw_serve::replays_installs(&sub.stream, sub.from_epoch, &v.installs)
             })
         };
         self.serve
@@ -609,7 +606,7 @@ pub fn audit_lag_recoveries(report: &MultiViewReport) -> Result<LagAudit, CoreEr
             match ev {
                 LagEvent::Delivered(d) => {
                     audit.delivered += 1;
-                    if d.view != sub.view || d.epoch != next {
+                    if d.view_index != sub.view || d.epoch != next {
                         audit.gap_violations += 1;
                     }
                     running.merge(&d.delta);
@@ -677,7 +674,7 @@ pub fn oracle_expects_rejection(report: &MultiViewReport, read: &ReadOutcome) ->
 }
 
 /// Every update installs `1..=epoch` consumed.
-fn consumed_through(installs: &[InstallRecord], epoch: u64) -> HashSet<UpdateId> {
+fn consumed_through(installs: &[InstallEvent], epoch: u64) -> HashSet<UpdateId> {
     let installs = installs.iter().take(epoch as usize);
     installs.flat_map(|r| r.consumed.iter().copied()).collect()
 }

@@ -26,8 +26,8 @@
 //! stay stable.
 
 use crate::error::WarehouseError;
-use crate::install::InstallRecord;
 use crate::metrics::PolicyMetrics;
+use crate::publish::InstallEvent;
 use crate::queue::{PendingUpdate, UpdateQueue};
 use crate::view::MaterializedView;
 use dw_obs::{Obs, SpanId};
@@ -36,6 +36,7 @@ use dw_relational::{
     extend_hop, merge_pivot, Bag, JoinSide, PartialDelta, Predicate, SharedBag, ViewDef,
 };
 use dw_simnet::{NetHandle, Time};
+use std::sync::Arc;
 
 /// The span and counter names an adapter wants the engine to emit on its
 /// behalf, so each executor keeps its historical trace vocabulary
@@ -568,15 +569,14 @@ impl std::ops::AddAssign for ImageCost {
 /// log, and the staleness accounting every install owes the metrics.
 pub struct InstallSink {
     view: MaterializedView,
-    log: Vec<InstallRecord>,
-    /// Whether install records capture full view snapshots (needed by
-    /// the consistency checker; costly for big runs).
-    pub record_snapshots: bool,
+    /// One event per install, its delta shared with the publisher: the
+    /// view's states are the initial contents plus these deltas.
+    log: Vec<InstallEvent>,
     /// The coordinate install events are published under: the view's
     /// registry slot (0 for a single-view policy).
     pub view_index: usize,
-    /// Optional serving-layer hook: every committed install is also
-    /// published as an epoch-stamped [`crate::InstallEvent`].
+    /// Optional serving-layer hook: every committed install's event is
+    /// also published.
     publisher: Option<crate::SharedInstallPublisher>,
     /// The signed sum of what was installed since the last image, which
     /// advances that image at the next one — `None` until this sink has
@@ -592,7 +592,6 @@ impl InstallSink {
         Ok(InstallSink {
             view: MaterializedView::new(initial)?,
             log: Vec::new(),
-            record_snapshots: true,
             view_index: 0,
             publisher: None,
             since_image: None,
@@ -601,8 +600,8 @@ impl InstallSink {
     }
 
     /// Attach a serving-layer publisher; installs committed from now on
-    /// are published as epoch-stamped events. The epoch is the install
-    /// log's length *after* the push — a 1-based install ordinal, epoch 0
+    /// are published as they are logged. The epoch is the install log's
+    /// length *after* the push — a 1-based install ordinal, epoch 0
     /// being the initial contents — so a crash-recovery replay of the
     /// same install carries the same epoch and consumers can deduplicate
     /// (a cloned sink keeps feeding the same consumer).
@@ -616,9 +615,9 @@ impl InstallSink {
     }
 
     /// Tuples this sink's installs copied copy-on-write: the chunks a
-    /// delta touched that a clone of the view (an install record's
-    /// snapshot, a handle given out) still shared. 0 while nothing else
-    /// holds the view — never because of a checkpoint image.
+    /// delta touched that a clone of the view (a handle given out) still
+    /// shared. 0 while nothing else holds the view — never because of a
+    /// checkpoint image or the install log.
     pub fn copied_tuples(&self) -> u64 {
         self.copied_tuples
     }
@@ -626,7 +625,7 @@ impl InstallSink {
     /// Capture this sink for a checkpoint. `prev` is the image the last
     /// checkpoint took of it: merged in place with the signed sum of the
     /// installs since, it becomes the new one. Without one, the first
-    /// image is seeded by one deep copy of the view. No install record
+    /// image is seeded by one deep copy of the view. No install event
     /// is copied either way.
     pub fn image(&mut self, prev: Option<SinkImage>) -> (SinkImage, ImageCost) {
         let since = self.since_image.replace(Bag::new());
@@ -656,50 +655,46 @@ impl InstallSink {
         self.view.bag().distinct_len() as u64
     }
 
-    /// The install history.
-    pub fn log(&self) -> &[InstallRecord] {
+    /// The install history: one event per install, in install order.
+    pub fn log(&self) -> &[InstallEvent] {
         &self.log
     }
 
     /// Atomically install `delta`, account one install plus staleness
-    /// for every consumed update, and append the install record.
+    /// for every consumed update, log the install's event and publish
+    /// it. The delta is kept once, behind the event's `Arc`. A poisoned
+    /// publisher fails the install before anything changes.
     pub fn install(
         &mut self,
         metrics: &mut PolicyMetrics,
-        delta: &Bag,
+        delta: impl Into<Arc<Bag>>,
         consumed: &[(UpdateId, Time)],
         now: Time,
     ) -> Result<(), WarehouseError> {
-        self.copied_tuples += self.view.install(delta)? as u64;
+        // A reader thread that panicked holding the store's lock must
+        // not take the warehouse thread down with it.
+        let publisher = self.publisher.as_ref().map(|p| p.lock()).transpose();
+        let mut publisher = publisher.map_err(|_| WarehouseError::PublisherPoisoned)?;
+        let delta = delta.into();
+        self.copied_tuples += self.view.install(&delta)? as u64;
         if let Some(sum) = &mut self.since_image {
-            sum.merge(delta);
+            sum.merge(&delta);
         }
         metrics.installs += 1;
         for &(_, delivered_at) in consumed {
             metrics.record_staleness(delivered_at, now);
         }
-        let ids: Vec<UpdateId> = consumed.iter().map(|&(id, _)| id).collect();
-        let event = self.publisher.as_ref().map(|p| {
-            let event = crate::InstallEvent {
-                view_index: self.view_index,
-                epoch: self.log.len() as u64 + 1,
-                at: now,
-                consumed: ids.clone(),
-                delta: std::sync::Arc::new(delta.clone()),
-            };
-            (p, event)
-        });
-        self.log.push(InstallRecord {
+        let event = InstallEvent {
+            view_index: self.view_index,
+            epoch: self.log.len() as u64 + 1,
             at: now,
-            consumed: ids,
-            view_after: self.record_snapshots.then(|| self.view.bag().clone()),
-        });
-        if let Some((p, event)) = event {
-            // A reader thread that panicked holding the store's lock must
-            // not take the warehouse thread down with it.
-            let mut publisher = p.lock().map_err(|_| WarehouseError::PublisherPoisoned)?;
-            publisher.publish(event);
+            consumed: consumed.iter().map(|&(id, _)| id).collect(),
+            delta,
+        };
+        if let Some(publisher) = &mut publisher {
+            publisher.publish(event.clone());
         }
+        self.log.push(event);
         Ok(())
     }
 }
@@ -860,7 +855,7 @@ mod tests {
         let mut metrics = PolicyMetrics::default();
         sink.install(
             &mut metrics,
-            &Bag::from_tuples([tup![1]]),
+            Bag::from_tuples([tup![1]]),
             &[
                 (UpdateId { source: 0, seq: 0 }, 10),
                 (UpdateId { source: 1, seq: 0 }, 30),
@@ -875,6 +870,45 @@ mod tests {
         assert_eq!(sink.bag(), &Bag::from_tuples([tup![1]]));
     }
 
+    /// Over seeded signed-delta streams — inserts, deletes of held
+    /// tuples, and empty installs — the install log folded from the
+    /// initial bag is the live view after every install, one event per
+    /// install, epochs 1, 2, ….
+    #[test]
+    fn the_log_folded_from_the_initial_bag_is_the_view() {
+        for case in 0..24u64 {
+            let mut rng = dw_rng::Rng64::new(0xF01D_0000 + case);
+            let initial = Bag::from_tuples([tup![1, 1], tup![2, 3]]);
+            let mut sink = InstallSink::new(initial.clone()).unwrap();
+            let mut metrics = PolicyMetrics::default();
+            for k in 0..40u64 {
+                let mut delta = Bag::new();
+                for _ in 0..rng.usize_below(4) {
+                    let held: Vec<_> = sink.bag().iter().map(|(t, _)| t.clone()).collect();
+                    if !held.is_empty() && rng.chance(0.4) {
+                        let t = held[rng.usize_below(held.len())].clone();
+                        if delta.count(&t) + sink.bag().count(&t) > 0 {
+                            delta.add(t, -1);
+                        }
+                    } else {
+                        delta.add(tup![rng.i64_in(1, 4), rng.i64_in(1, 4)], 1);
+                    }
+                }
+                let id = UpdateId { source: 0, seq: k };
+                sink.install(&mut metrics, delta, &[(id, k)], k).unwrap();
+                let log = sink.log();
+                assert_eq!(log.len() as u64, metrics.installs, "case {case}");
+                assert_eq!(log.last().map(|e| e.epoch), Some(k + 1), "case {case}");
+                let folded = crate::view_states(initial.clone().into(), log).last();
+                assert_eq!(
+                    folded.as_ref(),
+                    Some(sink.bag()),
+                    "case {case}, install {k}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn a_poisoned_publisher_fails_the_install_typed() {
         struct Deaf;
@@ -884,16 +918,24 @@ mod tests {
         }
         let publisher: crate::SharedInstallPublisher =
             std::sync::Arc::new(std::sync::Mutex::new(Deaf));
-        let held = publisher.clone();
+        let mut sink = InstallSink::new(Bag::from_tuples([tup![7]])).unwrap();
+        sink.set_publisher(publisher.clone());
+        let mut metrics = PolicyMetrics::default();
+        let first = UpdateId { source: 0, seq: 0 };
+        sink.install(&mut metrics, Bag::from_tuples([tup![1]]), &[(first, 1)], 2)
+            .unwrap();
         let reader = std::thread::spawn(move || {
-            let _guard = held.lock().unwrap();
+            let _guard = publisher.lock().unwrap();
             panic!("reader dies holding the store's lock");
         });
         assert!(reader.join().is_err());
-        let mut sink = InstallSink::new(Bag::new()).unwrap();
-        sink.set_publisher(publisher);
-        let mut metrics = PolicyMetrics::default();
-        let res = sink.install(&mut metrics, &Bag::from_tuples([tup![1]]), &[], 5);
+        let before = (sink.bag().to_bag(), sink.log().to_vec(), metrics.installs);
+        let second = UpdateId { source: 0, seq: 1 };
+        let res = sink.install(&mut metrics, Bag::from_tuples([tup![2]]), &[(second, 3)], 5);
         assert_eq!(res, Err(WarehouseError::PublisherPoisoned));
+        // The failed install changed nothing: view, log and count.
+        let after = (sink.bag().to_bag(), sink.log().to_vec(), metrics.installs);
+        assert_eq!(after, before);
+        assert_eq!(metrics.max_staleness(), 1);
     }
 }

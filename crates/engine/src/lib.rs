@@ -36,7 +36,6 @@
 pub mod core;
 pub mod durable;
 pub mod error;
-pub mod install;
 pub mod live;
 pub mod metrics;
 pub mod options;
@@ -51,12 +50,11 @@ pub use crate::core::{
 };
 pub use durable::{DurabilityConfig, DurableStats, DurableStore, WalRecord};
 pub use error::WarehouseError;
-pub use install::InstallRecord;
 pub use live::{run_cluster, ClusterOutcome, LiveError, NodeRunner, ThreadNet};
 pub use metrics::PolicyMetrics;
 pub use options::EngineOptions;
 pub use policy::MaintenancePolicy;
-pub use publish::{InstallEvent, InstallPublisher, SharedInstallPublisher};
+pub use publish::{view_states, InstallEvent, InstallPublisher, SharedInstallPublisher};
 pub use queue::{PendingUpdate, UpdateQueue};
 pub use sequencer::{InstallSequencer, SequencedInstall};
 pub use view::MaterializedView;

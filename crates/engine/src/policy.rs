@@ -1,8 +1,8 @@
 //! The common interface all maintenance policies implement.
 
 use crate::error::WarehouseError;
-use crate::install::InstallRecord;
 use crate::metrics::PolicyMetrics;
+use crate::publish::InstallEvent;
 use dw_protocol::Message;
 use dw_relational::SharedBag;
 use dw_simnet::{Delivery, NetHandle};
@@ -28,17 +28,13 @@ pub trait MaintenancePolicy: Send {
     fn view(&self) -> &SharedBag;
 
     /// Every install performed so far, in order.
-    fn installs(&self) -> &[InstallRecord];
+    fn installs(&self) -> &[InstallEvent];
 
     /// Algorithm-level counters.
     fn metrics(&self) -> &PolicyMetrics;
 
     /// No queued updates and no in-flight queries.
     fn is_quiescent(&self) -> bool;
-
-    /// Enable/disable view snapshots in [`InstallRecord`]s (enabled by
-    /// default; disable for big benchmark runs).
-    fn set_record_snapshots(&mut self, record: bool);
 
     /// Attach an observability recorder. Policies that don't emit spans
     /// keep the no-op default; `Obs::off()` detaches.

@@ -1,4 +1,9 @@
-//! Install publication — the hook the serving layer hangs off the engine.
+//! Install events — the one value an install is, from the view's install
+//! log to the serving layer's subscribers.
+//!
+//! The paper's install is `V ← V + ΔV`, so a view's states are its
+//! initial contents plus its [`InstallEvent`] deltas, folded in order
+//! ([`view_states`]): the log keeps no snapshot of the view.
 //!
 //! Maintenance *installs* are the only state transitions a warehouse
 //! view ever makes, so a read path that wants immutable, epoch-stamped
@@ -22,11 +27,12 @@
 //! is invisible downstream exactly as it is in the install log itself.
 
 use dw_protocol::UpdateId;
-use dw_relational::Bag;
+use dw_relational::{Bag, SharedBag};
 use dw_simnet::Time;
 use std::sync::{Arc, Mutex};
 
-/// One committed install, as published to the serving layer.
+/// One committed install: an entry of the view's install log, and what
+/// the serving layer is published and its subscribers are streamed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InstallEvent {
     /// Registry slot of the view this install belongs to (registration
@@ -39,13 +45,28 @@ pub struct InstallEvent {
     /// Time of the install.
     pub at: Time,
     /// Updates whose effects this install newly incorporated, in
-    /// consumption order (equal to the install record's consumed set).
+    /// consumption order.
     pub consumed: Vec<UpdateId>,
     /// The installed delta: `view(e) = view(e−1) + delta`. `Arc`-shared
-    /// so the serving layer can fan one install out to any number of
-    /// subscriber queues at refcount cost — the publisher freezes the
-    /// delta once; nobody downstream ever deep-copies it.
+    /// so the install log, the publisher and any number of subscriber
+    /// queues hold one copy of it at refcount cost — nobody downstream
+    /// ever deep-copies it.
     pub delta: Arc<Bag>,
+}
+
+/// The view's states along its install log: `initial` plus the deltas of
+/// `log[..=k]` for each `k` — the state at epoch `k + 1`. Every reader of
+/// a past view state folds it here. A state the caller drops before
+/// taking the next costs no copy; one it keeps shares every chunk the
+/// next delta does not touch.
+pub fn view_states(
+    initial: SharedBag,
+    log: &[InstallEvent],
+) -> impl Iterator<Item = SharedBag> + '_ {
+    log.iter().scan(initial, |state, event| {
+        state.merge(&event.delta);
+        Some(state.clone())
+    })
 }
 
 /// Receiver of delivery notices and committed installs.

@@ -8,7 +8,7 @@
 //! `LiveWarehouse` into a [`LiveReport`].
 
 use crate::multiview::LiveWarehouse;
-use dw_engine::{EngineOptions, InstallRecord, NodeRunner, PolicyMetrics, ThreadNet};
+use dw_engine::{EngineOptions, InstallEvent, NodeRunner, PolicyMetrics, ThreadNet};
 use dw_protocol::{source_node, Message};
 use dw_relational::{Bag, ViewDef};
 use dw_simnet::{NodeId, Time};
@@ -24,7 +24,7 @@ pub struct LiveReport {
     /// Final materialized view.
     pub view: Bag,
     /// Install history (delivery order is nondeterministic).
-    pub installs: Vec<InstallRecord>,
+    pub installs: Vec<InstallEvent>,
     /// Policy counters.
     pub metrics: PolicyMetrics,
     /// Policy name.

@@ -19,7 +19,7 @@
 
 use crate::cluster::{injections, setup_failed, source_runners};
 use crate::serve::{with_readers, LiveServeOutcome};
-use dw_engine::{run_cluster, InstallRecord, LiveError, NodeRunner, PolicyMetrics, ThreadNet};
+use dw_engine::{run_cluster, InstallEvent, LiveError, NodeRunner, PolicyMetrics, ThreadNet};
 use dw_multiview::{EngineOptions, MaintenanceScheduler, OneViewSweep, ShardStats, ViewId};
 use dw_protocol::{Message, WAREHOUSE_NODE};
 use dw_relational::{eval_view, Bag, ShardMap, SharedBag, ViewDef};
@@ -36,7 +36,7 @@ pub struct LiveViewOutcome {
     /// Final materialized contents.
     pub view: Bag,
     /// Install history (delivery order is nondeterministic).
-    pub installs: Vec<InstallRecord>,
+    pub installs: Vec<InstallEvent>,
 }
 
 /// A drained warehouse: its scheduler, one outcome per registry slot in

@@ -9,15 +9,16 @@
 //! *real* concurrency: the warehouse publishes installs from its own
 //! thread while N reader threads pin, scan, and unpin as fast as the OS
 //! lets them. Delivery and read interleavings are nondeterministic, so
-//! the right assertions are (a) every scan observed exactly some
-//! committed install's contents — never a blend of two — checked
-//! post-hoc against the install log's snapshots, (b) subscription
+//! the right assertions are (a) every read observed exactly the
+//! committed contents of its pinned epoch — never a blend of two —
+//! checked post-hoc against the install log folded from the slot's
+//! initial contents, (b) subscription
 //! streams replay the install log ([`dw_serve::replays_installs`]), and
 //! (c) the final epoch equals the ground-truth evaluation.
 
 use crate::cluster::setup_failed as fail;
 use crate::multiview::Drained;
-use dw_engine::LiveError;
+use dw_engine::{view_states, InstallEvent, LiveError};
 use dw_relational::{SharedBag, Tuple, Value};
 use dw_rng::Rng64;
 use dw_serve::{ReadFrontend, ServeStats};
@@ -37,6 +38,44 @@ struct LiveRead {
 enum Observed {
     Scan(SharedBag),
     Point(i64, Vec<(Tuple, i64)>),
+}
+
+impl Observed {
+    /// Is this what a read of `state` answers: the whole bag, or the
+    /// sorted tuples with column 0 equal to the key?
+    fn reads(&self, state: &SharedBag) -> bool {
+        match self {
+            Observed::Scan(bag) => bag == state,
+            Observed::Point(key, matches) => {
+                let mut want = state.to_sorted_vec();
+                want.retain(|(t, _)| t.at(0) == &Value::Int(*key));
+                *matches == want
+            }
+        }
+    }
+}
+
+/// Reads that observed no committed state of their slot at their pinned
+/// epoch — a scan blending two epochs, a point answer from another
+/// epoch, an epoch past the slot's install log, a slot that does not
+/// exist. Slot `v`'s state at epoch `e` is `initial[v]` plus the first
+/// `e` deltas of `logs[v]`, folded once per slot in epoch order.
+fn torn_reads(reads: &[LiveRead], initial: &[SharedBag], logs: &[&[InstallEvent]]) -> u64 {
+    let mut sorted: Vec<&LiveRead> = reads.iter().collect();
+    sorted.sort_by_key(|r| (r.view, r.epoch));
+    let mut sorted = sorted.into_iter().peekable();
+    let mut torn = 0;
+    for (v, (start, log)) in initial.iter().zip(logs).enumerate() {
+        let mut states = std::iter::once(start.clone()).chain(view_states(start.clone(), log));
+        let (mut state, mut epoch) = (states.next(), 0);
+        while let Some(read) = sorted.next_if(|r| r.view == v) {
+            while epoch < read.epoch && state.is_some() {
+                (state, epoch) = (states.next(), epoch + 1);
+            }
+            torn += u64::from(!state.as_ref().is_some_and(|s| read.observed.reads(s)));
+        }
+    }
+    torn + sorted.count() as u64
 }
 
 /// What the reader threads of a served live run observed.
@@ -88,28 +127,12 @@ pub(crate) fn with_readers(
         reads.extend(seen.map_err(fail)?);
     }
 
-    let committed = |view: usize, epoch: u64| match epoch.checked_sub(1) {
-        None => Some(&initial[view]),
-        Some(i) => views[view].installs[i as usize].view_after.as_ref(),
-    };
-    let torn = reads.iter().filter(|read| {
-        let Some(truth) = committed(read.view, read.epoch) else {
-            return true;
-        };
-        match &read.observed {
-            Observed::Scan(bag) => bag != truth,
-            Observed::Point(key, matches) => {
-                let mut want = truth.to_sorted_vec();
-                want.retain(|(t, _)| t.at(0) == &Value::Int(*key));
-                *matches != want
-            }
-        }
-    });
-    let torn_reads = torn.count() as u64;
+    let logs: Vec<&[InstallEvent]> = views.iter().map(|v| v.installs.as_slice()).collect();
+    let torn_reads = torn_reads(&reads, initial, &logs);
     let mut subs_match_installs = true;
-    for (v, &sub) in subs.iter().enumerate() {
+    for (&sub, log) in subs.iter().zip(&logs) {
         let stream = front.poll(sub).map_err(fail)?;
-        subs_match_installs &= dw_serve::replays_installs(&stream, v, 0, &views[v].installs);
+        subs_match_installs &= dw_serve::replays_installs(&stream, 0, log);
     }
     let served = LiveServeOutcome {
         serve_stats: front.stats(),
@@ -179,6 +202,69 @@ mod tests {
         }
         .generate()
         .unwrap()
+    }
+
+    /// The post-hoc audit passes exactly the reads of a committed state
+    /// at their own epoch: a blend of two epochs, a point answer from
+    /// another epoch and an epoch past the log each count once.
+    #[test]
+    fn the_audit_counts_blends_wrong_epochs_and_epochs_past_the_log() {
+        use super::{torn_reads, LiveRead, Observed};
+        use dw_engine::InstallEvent;
+        use dw_relational::{tup, Bag, SharedBag};
+        use std::sync::Arc;
+        let event = |epoch, delta: Bag| InstallEvent {
+            view_index: 0,
+            epoch,
+            at: epoch,
+            consumed: Vec::new(),
+            delta: Arc::new(delta),
+        };
+        // Epoch 0: {(1,1)}; epoch 1: +(2,2); epoch 2: (1,1) → (1,3).
+        let initial = [SharedBag::from(Bag::from_tuples([tup![1, 1]]))];
+        let log = [
+            event(1, Bag::from_tuples([tup![2, 2]])),
+            event(2, Bag::from_pairs([(tup![1, 1], -1), (tup![1, 3], 1)])),
+        ];
+        let logs = [log.as_slice()];
+        let scan = |epoch, tuples: Vec<_>| LiveRead {
+            view: 0,
+            epoch,
+            observed: Observed::Scan(Bag::from_tuples(tuples).into()),
+        };
+        let point = |epoch, key, matches| LiveRead {
+            view: 0,
+            epoch,
+            observed: Observed::Point(key, matches),
+        };
+        let clean = || {
+            [
+                scan(2, vec![tup![2, 2], tup![1, 3]]),
+                scan(0, vec![tup![1, 1]]),
+                point(1, 1, vec![(tup![1, 1], 1)]),
+                point(2, 1, vec![(tup![1, 3], 1)]),
+                scan(1, vec![tup![1, 1], tup![2, 2]]),
+                point(0, 2, Vec::new()),
+            ]
+        };
+        assert_eq!(torn_reads(&clean(), &initial, &logs), 0);
+        let torn = || {
+            [
+                // Epoch 2's (1,3) beside epoch 1's (1,1).
+                scan(2, vec![tup![1, 1], tup![2, 2], tup![1, 3]]),
+                // Epoch 1's answer for key 1, pinned at epoch 2.
+                point(2, 1, vec![(tup![1, 1], 1)]),
+                // Epoch 2's contents, pinned at an epoch the log never had.
+                scan(3, vec![tup![2, 2], tup![1, 3]]),
+            ]
+        };
+        for read in torn() {
+            assert_eq!(torn_reads(&[read], &initial, &logs), 1);
+        }
+        let mixed: Vec<LiveRead> = torn().into_iter().chain(clean()).collect();
+        assert_eq!(torn_reads(&mixed, &initial, &logs), 3);
+        // A slot with no initial contents is no committed state either.
+        assert_eq!(torn_reads(&clean(), &[], &[]), 6);
     }
 
     #[test]

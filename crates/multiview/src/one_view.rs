@@ -3,7 +3,7 @@
 
 use crate::registry::{MvError, ViewId};
 use crate::scheduler::MaintenanceScheduler;
-use dw_engine::{EngineOptions, InstallRecord, MaintenancePolicy, PolicyMetrics, WarehouseError};
+use dw_engine::{EngineOptions, InstallEvent, MaintenancePolicy, PolicyMetrics, WarehouseError};
 use dw_protocol::Message;
 use dw_relational::{Bag, SharedBag, ViewDef};
 use dw_simnet::{Delivery, NetHandle};
@@ -65,7 +65,7 @@ impl MaintenancePolicy for OneViewSweep {
         self.sched.views().slot(self.id).sink.bag()
     }
 
-    fn installs(&self) -> &[InstallRecord] {
+    fn installs(&self) -> &[InstallEvent] {
         self.sched.views().slot(self.id).sink.log()
     }
 
@@ -79,10 +79,6 @@ impl MaintenancePolicy for OneViewSweep {
 
     fn is_quiescent(&self) -> bool {
         self.sched.is_quiescent()
-    }
-
-    fn set_record_snapshots(&mut self, record: bool) {
-        self.sched.set_record_snapshots(record);
     }
 
     fn set_observer(&mut self, obs: dw_obs::Obs) {

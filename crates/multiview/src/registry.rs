@@ -17,7 +17,7 @@
 //! subexpression idea, applied to the delta stream).
 
 use dw_engine::{
-    ImageCost, InstallRecord, InstallSink, PolicyMetrics, SharedInstallPublisher, SinkImage,
+    ImageCost, InstallEvent, InstallSink, PolicyMetrics, SharedInstallPublisher, SinkImage,
     WarehouseError,
 };
 use dw_protocol::UpdateId;
@@ -25,6 +25,7 @@ use dw_relational::{AggregateState, Bag, RelationalError, SharedBag, ViewDef};
 use dw_simnet::Time;
 use dw_workload::{DerivedOp, DerivedSpec, ViewPolicy, ViewSpec};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised by the multi-view layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,9 +240,6 @@ pub struct ViewRegistry {
     publisher: Option<SharedInstallPublisher>,
     /// Cascade bookkeeping (child installs, shared σ/Π evaluations).
     stats: CascadeStats,
-    /// Whether current and future runtimes keep a view snapshot per
-    /// install record.
-    record_snapshots: bool,
 }
 
 impl ViewRegistry {
@@ -269,7 +267,6 @@ impl ViewRegistry {
             slots: Vec::new(),
             publisher: None,
             stats: CascadeStats::default(),
-            record_snapshots: true,
         })
     }
 
@@ -279,10 +276,9 @@ impl ViewRegistry {
     }
 
     /// The install side of a runtime about to occupy slot `id`: the
-    /// registry's snapshot setting and publisher, events under the slot.
+    /// registry's publisher, events under the slot.
     fn new_sink(&self, id: ViewId, initial: Bag) -> Result<InstallSink, MvError> {
         let mut sink = InstallSink::new(initial)?;
-        sink.record_snapshots = self.record_snapshots;
         sink.view_index = id.0;
         if let Some(p) = &self.publisher {
             sink.set_publisher(p.clone());
@@ -506,40 +502,33 @@ impl ViewRegistry {
         self.slots.iter_mut()
     }
 
-    /// Toggle per-install view snapshots for every current and future
-    /// runtime.
-    pub(crate) fn set_record_snapshots(&mut self, record: bool) {
-        self.record_snapshots = record;
-        for rt in self.runtimes_mut() {
-            rt.sink.record_snapshots = record;
-        }
-    }
-
     /// Install a delta at `id` — `consumed` lists the updates it covers,
     /// in per-source delivery order; an empty delta still consumes them,
     /// so install logs keep the per-source prefix discipline — then
     /// cascade it through the view's derived descendants. The one install
-    /// site: children can never be skipped.
+    /// site: children can never be skipped. The view's install log keeps
+    /// `delta` itself; the cascade reads it through the same `Arc`.
     pub(crate) fn apply_with_cascade(
         &mut self,
         id: ViewId,
-        delta: &Bag,
+        delta: Arc<Bag>,
         consumed: &[(UpdateId, Time)],
         now: Time,
     ) -> Result<(), MvError> {
         let rt = self.runtime_mut(id)?;
-        rt.sink.install(&mut rt.metrics, delta, consumed, now)?;
-        self.cascade_children(id.index(), delta, consumed, now)
+        rt.sink
+            .install(&mut rt.metrics, Arc::clone(&delta), consumed, now)?;
+        self.cascade_children(id.index(), &delta, consumed, now)
     }
 
     /// Feed a committed parent install to every direct child — ascending
     /// slot order, depth-first recursion — installing each child's delta
     /// with the *same consumed ids* so child epochs stay 1:1 aligned
-    /// with the parent's (empty deltas included). σ/Π children reuse a
-    /// sibling's evaluation when the operators are identical; Σ children
-    /// each fold the delta into their own [`AggregateState`] (group
-    /// accumulators must mutate exactly once, so aggregate work is never
-    /// shared).
+    /// with the parent's (empty deltas included). σ/Π children share a
+    /// sibling's evaluation, by refcount, when the operators are
+    /// identical; Σ children each fold the delta into their own
+    /// [`AggregateState`] (group accumulators must mutate exactly once,
+    /// so aggregate work is never shared).
     fn cascade_children(
         &mut self,
         parent_slot: usize,
@@ -548,18 +537,18 @@ impl ViewRegistry {
         now: Time,
     ) -> Result<(), MvError> {
         let children = self.slots[parent_slot].children.clone();
-        let mut memo: Vec<(DerivedOp, Bag)> = Vec::new();
+        let mut memo: Vec<(DerivedOp, Arc<Bag>)> = Vec::new();
         for child_slot in children {
             let (child_delta, linear_hit) = match &mut self.slots[child_slot].kind {
                 ViewKind::Derived {
                     agg: Some(state), ..
-                } => (state.apply(delta)?, None),
+                } => (Arc::new(state.apply(delta)?), None),
                 ViewKind::Derived { op, agg: None, .. } => {
                     if let Some((_, shared)) = memo.iter().find(|(o, _)| o == op) {
-                        (shared.clone(), Some(true))
+                        (Arc::clone(shared), Some(true))
                     } else {
-                        let fresh = op.eval(delta)?;
-                        memo.push((op.clone(), fresh.clone()));
+                        let fresh = Arc::new(op.eval(delta)?);
+                        memo.push((op.clone(), Arc::clone(&fresh)));
                         (fresh, Some(false))
                     }
                 }
@@ -574,7 +563,7 @@ impl ViewRegistry {
                 None => {}
             }
             self.stats.child_installs += 1;
-            self.apply_with_cascade(ViewId(child_slot), &child_delta, consumed, now)?;
+            self.apply_with_cascade(ViewId(child_slot), child_delta, consumed, now)?;
         }
         Ok(())
     }
@@ -670,12 +659,17 @@ impl ViewRegistry {
     /// derived descendants — a source update logically reaches them (the
     /// serve layer's staleness ledger needs their delivery entries), even
     /// though only base views join the sweep.
+    /// A poisoned publisher fails the delivery before any count moves.
     pub(crate) fn note_delivery(&mut self, id: UpdateId, at: Time) -> Result<(), MvError> {
-        for view in self.affected_with_descendants(id.source) {
-            self.runtime_mut(view)?.metrics.updates_received += 1;
-            if let Some(p) = &self.publisher {
-                let what = "install publisher lock poisoned";
-                let mut publisher = p.lock().map_err(|_| MvError::Internal { what })?;
+        let views = self.affected_with_descendants(id.source);
+        let publisher = self.publisher.as_ref().map(|p| p.lock()).transpose();
+        let mut publisher = publisher.map_err(|_| WarehouseError::PublisherPoisoned)?;
+        for view in views {
+            let rt = self.slots.get_mut(view.0);
+            rt.ok_or(MvError::UnknownView { index: view.0 })?
+                .metrics
+                .updates_received += 1;
+            if let Some(publisher) = &mut publisher {
                 publisher.note_delivery(view.index(), id, at);
             }
         }
@@ -723,7 +717,7 @@ impl ViewRegistry {
     /// Per-view install log. Consumed [`UpdateId`]s are in *global*
     /// chain coordinates; shift `source` by `-lo` to replay against a
     /// span-local recorder.
-    pub fn install_log(&self, id: ViewId) -> Result<&[InstallRecord], MvError> {
+    pub fn install_log(&self, id: ViewId) -> Result<&[InstallEvent], MvError> {
         Ok(self.runtime(id)?.sink.log())
     }
 }
@@ -857,7 +851,7 @@ mod tests {
             .unwrap();
         let delta = Bag::from_pairs([(tup![5, 6, 6, 7, 7, 8], -1), (tup![9, 2, 2, 3, 3, 4], 1)]);
         let upd = UpdateId { source: 0, seq: 0 };
-        reg.apply_with_cascade(base, &delta, &[(upd, 10)], 20)
+        reg.apply_with_cascade(base, Arc::new(delta), &[(upd, 10)], 20)
             .unwrap();
         // σ/Π child: linear, so its contents are eval over the new parent bag.
         assert_eq!(
@@ -888,11 +882,15 @@ mod tests {
         };
         reg.register_derived_many(&[hot_spec(), twin]).unwrap();
         let delta = Bag::from_tuples([tup![7, 2, 2, 3, 3, 4]]);
-        reg.apply_with_cascade(base, &delta, &[(UpdateId { source: 0, seq: 0 }, 5)], 9)
+        let upd = UpdateId { source: 0, seq: 0 };
+        reg.apply_with_cascade(base, Arc::new(delta), &[(upd, 5)], 9)
             .unwrap();
         let stats = reg.cascade_stats();
         assert_eq!(stats.linear_evals, 1, "first sibling evaluates");
         assert_eq!(stats.shared_derivations, 1, "second reuses the memo");
+        // Both siblings log the one evaluation, shared by refcount.
+        let logged = |name| &reg.install_log(reg.resolve(name).unwrap()).unwrap()[0].delta;
+        assert!(Arc::ptr_eq(logged("hot"), logged("hot2")));
         assert_eq!(
             reg.view_bag(reg.resolve("hot").unwrap()).unwrap(),
             reg.view_bag(reg.resolve("hot2").unwrap()).unwrap()
@@ -917,8 +915,13 @@ mod tests {
             .register_derived_many(&[over_counts, counts_spec()])
             .unwrap();
         let delta = Bag::from_tuples([tup![1, 6, 6, 7, 7, 8]]);
-        reg.apply_with_cascade(base, &delta, &[(UpdateId { source: 1, seq: 0 }, 3)], 7)
-            .unwrap();
+        reg.apply_with_cascade(
+            base,
+            Arc::new(delta),
+            &[(UpdateId { source: 1, seq: 0 }, 3)],
+            7,
+        )
+        .unwrap();
         // Group 1 now has 2 rows, so it crosses the σ threshold.
         assert_eq!(
             reg.view_bag(ids[0]).unwrap(),
@@ -971,5 +974,40 @@ mod tests {
             assert_eq!(reg.affected_by(j), vec![base], "source {j}");
             assert_eq!(reg.affected_with_descendants(j), vec![base, hot]);
         }
+    }
+
+    #[test]
+    fn a_poisoned_publisher_fails_a_delivery_and_an_install_typed() {
+        struct Deaf;
+        impl dw_engine::InstallPublisher for Deaf {
+            fn note_delivery(&mut self, _: usize, _: UpdateId, _: Time) {}
+            fn publish(&mut self, _: InstallEvent) {}
+        }
+        let mut reg = ViewRegistry::new(base3()).unwrap();
+        let base = seeded_base(&mut reg);
+        let hot = reg.register_derived(&hot_spec()).unwrap();
+        let publisher: SharedInstallPublisher = Arc::new(std::sync::Mutex::new(Deaf));
+        reg.set_install_publisher(publisher.clone());
+        let reader = std::thread::spawn(move || {
+            let _guard = publisher.lock().unwrap();
+            panic!("reader dies holding the store's lock");
+        });
+        assert!(reader.join().is_err());
+        let poisoned = Err(MvError::Warehouse(WarehouseError::PublisherPoisoned));
+        let upd = UpdateId { source: 0, seq: 0 };
+        assert_eq!(reg.note_delivery(upd, 4), poisoned);
+        let delta = Arc::new(Bag::from_tuples([tup![7, 2, 2, 3, 3, 4]]));
+        assert_eq!(
+            reg.apply_with_cascade(base, delta, &[(upd, 4)], 9),
+            poisoned
+        );
+        // Nothing moved: no delivery counted, no install, no log entry.
+        for id in [base, hot] {
+            let metrics = reg.metrics(id).unwrap();
+            assert_eq!((metrics.updates_received, metrics.installs), (0, 0));
+            assert!(reg.install_log(id).unwrap().is_empty());
+        }
+        let seeded = Bag::from_tuples([tup![1, 2, 2, 3, 3, 4], tup![5, 6, 6, 7, 7, 8]]);
+        assert_eq!(reg.view_bag(base).unwrap(), &seeded);
     }
 }

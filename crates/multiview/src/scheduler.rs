@@ -190,6 +190,7 @@ use dw_simnet::{Delivery, NetHandle, Time};
 use dw_workload::{DerivedSpec, ViewSpec};
 use std::collections::{HashMap, VecDeque};
 use std::num::NonZeroUsize;
+use std::sync::Arc;
 
 /// The trace vocabulary, with a [`ShardMap`] or without.
 const LABELS: SpanLabels = SpanLabels {
@@ -601,11 +602,11 @@ impl MaintenanceScheduler {
         self.groups[s]
     }
 
-    /// Toggle per-install view snapshots in the install logs (needed by
-    /// the consistency checker; costly for big runs).
-    pub fn set_record_snapshots(&mut self, record: bool) {
-        self.registry.set_record_snapshots(record);
-    }
+    /// Does nothing: an install log keeps each install's delta, never a
+    /// snapshot of the view, so there is no snapshot to switch off. Kept
+    /// only because the frozen benchmark calls it; it goes with
+    /// `SchedulerMode` in the next benchmark-only change.
+    pub fn set_record_snapshots(&mut self, _record: bool) {}
 
     /// Attach an install publisher (e.g. a `dw-serve` snapshot store's
     /// sink): every committed install of every current and future view
@@ -1183,11 +1184,12 @@ impl MaintenanceScheduler {
 
     /// Apply one sweep's per-view deltas, cascading each into the view's
     /// derived children right behind it — inside the same ticket's slot.
-    fn apply_install(&mut self, install: &SequencedInstall, at: Time) -> Result<(), MvError> {
-        for (index, delta) in &install.deltas {
-            let id = self.registry.id_at(*index)?;
+    fn apply_install(&mut self, install: SequencedInstall, at: Time) -> Result<(), MvError> {
+        let SequencedInstall { consumed, deltas } = install;
+        for (index, delta) in deltas {
+            let id = self.registry.id_at(index)?;
             self.registry
-                .apply_with_cascade(id, delta, &install.consumed, at)?;
+                .apply_with_cascade(id, Arc::new(delta), &consumed, at)?;
         }
         Ok(())
     }
@@ -1197,7 +1199,7 @@ impl MaintenanceScheduler {
     fn release(&mut self, now: Time) -> Result<(), MvError> {
         let registry = &self.registry;
         for install in self.sequencer.drain(|view| registry.every(view)) {
-            self.apply_install(&install, now)?;
+            self.apply_install(install, now)?;
         }
         let sequencer = &self.sequencer;
         self.unreleased.retain(|t| !sequencer.is_released(t.ticket));
@@ -1208,7 +1210,7 @@ impl MaintenanceScheduler {
     /// replaying the `Flush` record that drain journaled).
     fn flush(&mut self, view: usize, at: Time) -> Result<(), MvError> {
         match self.sequencer.flush(view) {
-            Some(install) => self.apply_install(&install, at),
+            Some(install) => self.apply_install(install, at),
             None => Ok(()),
         }
     }
@@ -1991,13 +1993,13 @@ mod tests {
                 spec.name
             );
             // Identical install sequences: same consumed ids, same
-            // post-install snapshots, in the same order.
+            // deltas, in the same order.
             let a = plain.views().install_log(id).unwrap();
             let b = pushed.views().install_log(id).unwrap();
             assert_eq!(a.len(), b.len());
             for (ra, rb) in a.iter().zip(b) {
                 assert_eq!(ra.consumed, rb.consumed);
-                assert_eq!(ra.view_after, rb.view_after);
+                assert_eq!(ra.delta, rb.delta);
             }
         }
     }
@@ -2402,23 +2404,28 @@ mod tests {
         Bag::from_tuples([tup![rng.i64_in(1, 12), rng.i64_in(1, 12)]])
     }
 
-    /// Image lineage, over seeded install streams: per-view cadences,
-    /// σ/Π/Σ children, checkpoints after every commit, every third and
-    /// never (bar enable and recovery), and a state crash at a random
-    /// warehouse delivery. Every checkpoint leaves each slot image equal
-    /// to its live view (contents, install count, log length) at zero
-    /// tuples copied; the live views, with record snapshots off, copy
+    /// Image lineage, over seeded install streams, flat and in two shard
+    /// lanes: per-view cadences, σ/Π/Σ children, checkpoints after every
+    /// commit, every third and never (bar enable and recovery), and a
+    /// state crash at a random warehouse delivery. Every checkpoint
+    /// leaves each slot image equal to its live view (contents, install
+    /// count, log length) at zero tuples copied; the live views copy
     /// nothing either; and the deep copies seeding the lineages add up
     /// to Σ|V| over the views at enable and over the images at recovery.
-    /// Seed an image by a handle clone instead and installs copy.
+    /// Seed an image by a handle clone instead and installs copy. At the
+    /// end each slot's install log, folded from its registered contents,
+    /// is its view — one event per install.
     #[test]
     fn checkpoint_images_are_lineages_of_their_own() {
         for case in 0..36u64 {
             let mut rng = dw_rng::Rng64::new(0x11e5_0000 + case);
             let checkpoint_every = [1, 3, usize::MAX][case as usize % 3];
             let opts = EngineOptions::default();
-            let mut sched = MaintenanceScheduler::with_shards(base3(), opts, None).unwrap();
-            sched.set_record_snapshots(false);
+            let map = (case % 2 == 1).then(|| ShardMap::range(6, 2));
+            let mut sched = MaintenanceScheduler::with_shards(base3(), opts, map).unwrap();
+            for bag in &initial3() {
+                sched.seed_groups(bag);
+            }
             let policies = [
                 ViewPolicy::Sweep,
                 ViewPolicy::Deferred { batch: 2 },
@@ -2472,6 +2479,9 @@ mod tests {
                 })
                 .collect();
             sched.register_derived_many(&derived).unwrap();
+            let registered: Vec<Bag> = (sched.views().ids().into_iter())
+                .map(|id| sched.views().view_bag(id).unwrap().to_bag())
+                .collect();
             let sizes = |sched: &MaintenanceScheduler| -> u64 {
                 let views = sched.views();
                 let len = |id| views.view_bag(id).unwrap().distinct_len() as u64;
@@ -2519,6 +2529,15 @@ mod tests {
             assert_eq!(sched.checkpoint_copied_tuples(), 0, "case {case}");
             assert_eq!(sched.views().install_copied_tuples(), 0, "case {case}");
             assert_eq!(sched.checkpoint_seeded_tuples(), seeded, "case {case}");
+            let views = sched.views();
+            for (id, initial) in views.ids().into_iter().zip(registered) {
+                let log = views.install_log(id).unwrap();
+                assert_eq!(log.len() as u64, views.metrics(id).unwrap().installs);
+                let folded = dw_engine::view_states(initial.clone().into(), log).last();
+                let folded = folded.unwrap_or_else(|| initial.into());
+                let name = views.name(id).unwrap();
+                assert_eq!(&folded, views.view_bag(id).unwrap(), "case {case}: {name}");
+            }
         }
     }
 
@@ -2928,7 +2947,7 @@ mod tests {
                 self.sched.views().view_bag(self.id).unwrap()
             }
 
-            fn installs(&self) -> &[dw_engine::InstallRecord] {
+            fn installs(&self) -> &[dw_engine::InstallEvent] {
                 self.sched.views().install_log(self.id).unwrap()
             }
         }
@@ -2961,7 +2980,7 @@ mod tests {
             assert_eq!(wh.sched.metrics().local_compensations, 1);
             // A's install: the error term (7,3)⋈(3,9) removed → empty ΔV.
             assert_eq!(wh.installs().len(), 1);
-            assert!(wh.installs()[0].view_after.as_ref().unwrap().is_empty());
+            assert!(wh.installs()[0].delta.is_empty());
 
             // B's answer from source 1 includes A's tuple (3,9) — right
             // for B's target state (A precedes B): no compensation.

@@ -47,10 +47,9 @@ impl ShardedScheduler {
         self.0.register(spec, initial)
     }
 
-    /// See [`MaintenanceScheduler::set_record_snapshots`].
-    pub fn set_record_snapshots(&mut self, record: bool) {
-        self.0.set_record_snapshots(record);
-    }
+    /// Does nothing, as [`MaintenanceScheduler::set_record_snapshots`]:
+    /// kept only because the frozen benchmark calls it.
+    pub fn set_record_snapshots(&mut self, _record: bool) {}
 
     /// See [`MaintenanceScheduler::set_install_publisher`].
     pub fn set_install_publisher(&mut self, p: SharedInstallPublisher) {

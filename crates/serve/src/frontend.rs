@@ -350,7 +350,7 @@ impl ReadFrontend {
     /// Drain a subscription's pending install deltas, oldest first. A
     /// lagged subscription returns [`ServeError::Lagged`] with the epoch
     /// to resume from.
-    pub fn poll(&self, sub: u64) -> Result<Vec<crate::InstallDelta>, ServeError> {
+    pub fn poll(&self, sub: u64) -> Result<Vec<crate::InstallEvent>, ServeError> {
         self.lock().poll(sub)
     }
 

@@ -29,53 +29,21 @@
 //! latter. `publish` is O(subscribers-on-that-view); `poll` and
 //! `unsubscribe` are O(1) hash lookups.
 
-use dw_engine::InstallRecord;
-use dw_protocol::UpdateId;
-use dw_relational::Bag;
-use dw_simnet::Time;
+use dw_engine::InstallEvent;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::Arc;
 
-/// One install delta as seen by a subscriber. The delta bag is
-/// `Arc`-shared with the publisher and every other subscriber: fan-out
-/// costs a refcount per queue, never a copy of the data.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InstallDelta {
-    /// The view (registry slot index).
-    pub view: usize,
-    /// Epoch this delta produced: `view(epoch) = view(epoch−1) + delta`.
-    pub epoch: u64,
-    /// Install time.
-    pub at: Time,
-    /// Updates newly incorporated, in consumption order — identical to
-    /// the install record's consumed set.
-    pub consumed: Vec<UpdateId>,
-    /// The installed delta (shared, never copied).
-    pub delta: Arc<Bag>,
-}
-
-/// Whether `stream` — a subscription on `view` that started after
-/// `from_epoch` — replays `installs`, that view's install log, exactly
-/// from there: contiguous epochs, the same consumed sets, the same
-/// install times. The one subscription-replay check of every run,
-/// simulated or on threads.
+/// Whether `stream` — a subscription that started after `from_epoch` —
+/// replays `installs`, its view's install log, exactly from there: the
+/// same events (view, epochs, install times, consumed sets and deltas).
+/// The one subscription-replay check of every run, simulated or on
+/// threads.
 pub fn replays_installs(
-    stream: &[InstallDelta],
-    view: usize,
+    stream: &[InstallEvent],
     from_epoch: u64,
-    installs: &[InstallRecord],
+    installs: &[InstallEvent],
 ) -> bool {
     let from = usize::try_from(from_epoch).ok();
-    let Some(expected) = from.and_then(|e| installs.get(e..)) else {
-        return false;
-    };
-    stream.len() == expected.len()
-        && (stream.iter().zip(expected).zip(from_epoch + 1..)).all(|((delta, inst), epoch)| {
-            delta.view == view
-                && delta.epoch == epoch
-                && delta.consumed == inst.consumed
-                && delta.at == inst.at
-        })
+    from.and_then(|e| installs.get(e..)) == Some(stream)
 }
 
 /// Delivery state of one subscription.
@@ -87,7 +55,7 @@ enum SubState {
         /// are filtered by the store, this cursor guards the hub
         /// independently).
         delivered_through: u64,
-        queue: VecDeque<InstallDelta>,
+        queue: VecDeque<InstallEvent>,
     },
     /// Fell more than `max_lag` installs behind; queue dropped. Tracks
     /// the latest epoch published to the view so recovery can pin it.
@@ -105,7 +73,7 @@ struct Subscription {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HubPoll {
     /// The pending deltas, oldest first (possibly empty).
-    Deltas(Vec<InstallDelta>),
+    Deltas(Vec<InstallEvent>),
     /// The subscription overflowed its `max_lag` bound; its queue was
     /// dropped. Recover by reading the snapshot at `resume_epoch` and
     /// resuming the stream from there.
@@ -188,9 +156,9 @@ impl SubscriptionHub {
     /// ones queue it (or tip into lagged), already-lagged ones just
     /// advance their `resume_epoch`. Unsubscribed ids are long gone from
     /// the per-view set, so they cost nothing here.
-    pub fn publish(&mut self, delta: &InstallDelta) -> PublishOutcome {
+    pub fn publish(&mut self, delta: &InstallEvent) -> PublishOutcome {
         let mut out = PublishOutcome::default();
-        let Some(ids) = self.by_view.get(&delta.view) else {
+        let Some(ids) = self.by_view.get(&delta.view_index) else {
             return out;
         };
         for id in ids {
@@ -277,10 +245,13 @@ impl SubscriptionHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dw_protocol::UpdateId;
+    use dw_relational::Bag;
+    use std::sync::Arc;
 
-    fn delta(view: usize, epoch: u64) -> InstallDelta {
-        InstallDelta {
-            view,
+    fn delta(view: usize, epoch: u64) -> InstallEvent {
+        InstallEvent {
+            view_index: view,
             epoch,
             at: epoch * 10,
             consumed: vec![UpdateId {
@@ -291,40 +262,35 @@ mod tests {
         }
     }
 
-    /// The install record `delta(view, epoch)` stands for.
-    fn install(view: usize, epoch: u64) -> InstallRecord {
-        let d = delta(view, epoch);
-        InstallRecord {
-            at: d.at,
-            consumed: d.consumed,
-            view_after: None,
-        }
-    }
-
     #[test]
     fn replay_check_matches_the_log_and_rejects_any_drift() {
-        let installs: Vec<InstallRecord> = (1..=4).map(|e| install(2, e)).collect();
-        let stream: Vec<InstallDelta> = (1..=4).map(|e| delta(2, e)).collect();
-        assert!(replays_installs(&stream, 2, 0, &installs));
+        let installs: Vec<InstallEvent> = (1..=4).map(|e| delta(2, e)).collect();
+        let stream = installs.clone();
+        assert!(replays_installs(&stream, 0, &installs));
         // A subscription opened at epoch 2 replays the log's tail.
-        assert!(replays_installs(&stream[2..], 2, 2, &installs));
-        assert!(replays_installs(&[], 2, 4, &installs));
+        assert!(replays_installs(&stream[2..], 2, &installs));
+        assert!(replays_installs(&[], 4, &installs));
         // A stream with a shifted install time is not the log.
         let mut shifted = stream.clone();
         shifted[1].at += 1;
-        assert!(!replays_installs(&shifted, 2, 0, &installs));
+        assert!(!replays_installs(&shifted, 0, &installs));
         // Neither is one that drops, repeats or mislabels an install, nor
         // one that starts past the log's end.
-        assert!(!replays_installs(&stream[..3], 2, 0, &installs));
-        assert!(!replays_installs(&stream[1..], 2, 0, &installs));
-        assert!(!replays_installs(&stream, 1, 0, &installs));
+        assert!(!replays_installs(&stream[..3], 0, &installs));
+        assert!(!replays_installs(&stream[1..], 0, &installs));
+        let other_view: Vec<InstallEvent> = (1..=4).map(|e| delta(1, e)).collect();
+        assert!(!replays_installs(&other_view, 0, &installs));
         let mut wrong_set = stream.clone();
         wrong_set[3].consumed.clear();
-        assert!(!replays_installs(&wrong_set, 2, 0, &installs));
-        assert!(!replays_installs(&[], 2, 5, &installs));
+        assert!(!replays_installs(&wrong_set, 0, &installs));
+        // Nor one whose delta differs from the one installed.
+        let mut wrong_delta = stream.clone();
+        wrong_delta[0].delta = Arc::new(Bag::from_tuples([dw_relational::tup![1]]));
+        assert!(!replays_installs(&wrong_delta, 0, &installs));
+        assert!(!replays_installs(&[], 5, &installs));
     }
 
-    fn drained(hub: &mut SubscriptionHub, id: u64) -> Vec<InstallDelta> {
+    fn drained(hub: &mut SubscriptionHub, id: u64) -> Vec<InstallEvent> {
         match hub.poll(id) {
             HubPoll::Deltas(v) => v,
             other => panic!("expected deltas, got {other:?}"),

@@ -53,8 +53,9 @@ pub mod store;
 pub use frontend::{
     PinnedEpoch, PointAnswer, ReadFrontend, ScanAnswer, ServeError, StalenessBound,
 };
-pub use hub::{replays_installs, HubPoll, InstallDelta, PublishOutcome, SubscriptionHub};
+pub use hub::{replays_installs, HubPoll, PublishOutcome, SubscriptionHub};
 pub use store::{ServeStats, SnapshotStore};
 
-/// What [`ReadFrontend::sink`] is fed: the engine's install event.
+/// What [`ReadFrontend::sink`] is fed and a subscription streams: the
+/// engine's install event.
 pub use dw_engine::InstallEvent;

@@ -58,7 +58,7 @@
 //! readers or subscribers.
 
 use crate::frontend::ServeError;
-use crate::hub::{HubPoll, InstallDelta, SubscriptionHub};
+use crate::hub::{HubPoll, SubscriptionHub};
 use dw_engine::{InstallEvent, InstallPublisher};
 use dw_obs::Obs;
 use dw_protocol::UpdateId;
@@ -474,7 +474,7 @@ impl SnapshotStore {
         }
     }
 
-    pub(crate) fn poll(&mut self, sub: u64) -> Result<Vec<InstallDelta>, ServeError> {
+    pub(crate) fn poll(&mut self, sub: u64) -> Result<Vec<InstallEvent>, ServeError> {
         match self.hub.poll(sub) {
             HubPoll::Deltas(v) => Ok(v),
             state => Err(Self::sub_error(sub, state)),
@@ -624,13 +624,7 @@ impl InstallPublisher for SnapshotStore {
         self.publication_log.push((event.view_index, epoch));
         self.stats.snapshots_published += 1;
         self.gc(event.view_index, usize::from(retired));
-        let out = self.hub.publish(&InstallDelta {
-            view: event.view_index,
-            epoch,
-            at: event.at,
-            consumed: event.consumed,
-            delta: event.delta,
-        });
+        let out = self.hub.publish(&event);
         self.stats.sub_events += out.reached;
         self.stats.subs_lagged += out.newly_lagged;
     }

@@ -20,7 +20,7 @@
 //! The [`PolicyMetrics::compensation_queries`] counter measures the
 //! blow-up directly.
 
-use crate::InstallRecord;
+use crate::InstallEvent;
 use crate::MaintenancePolicy;
 use crate::PendingUpdate;
 use crate::PolicyMetrics;
@@ -201,8 +201,8 @@ impl CStrobe {
                 // begin the next queued update, if any.
                 let consumed = [(cur.upd, cur.delivered_at)];
                 let (metrics, now) = (&mut self.core.metrics, net.now());
-                self.sink
-                    .install(metrics, &cur.delta_accum, &consumed, now)?;
+                let delta = std::mem::take(&mut cur.delta_accum);
+                self.sink.install(metrics, delta, &consumed, now)?;
                 self.current = None;
                 if let Some(PendingUpdate { update, arrived_at }) = self.core.queue.pop() {
                     self.begin_update(update.id, update.delta, arrived_at)?;
@@ -379,7 +379,7 @@ impl MaintenancePolicy for CStrobe {
         self.sink.bag()
     }
 
-    fn installs(&self) -> &[InstallRecord] {
+    fn installs(&self) -> &[InstallEvent] {
         self.sink.log()
     }
 
@@ -389,10 +389,6 @@ impl MaintenancePolicy for CStrobe {
 
     fn is_quiescent(&self) -> bool {
         self.current.is_none() && self.core.queue.is_empty()
-    }
-
-    fn set_record_snapshots(&mut self, record: bool) {
-        self.sink.record_snapshots = record;
     }
 
     fn set_observer(&mut self, obs: Obs) {

@@ -21,7 +21,7 @@
 //! unanswered-query set drains — ECA **requires quiescence** to advance the
 //! view (Table 1), in contrast to SWEEP.
 
-use crate::InstallRecord;
+use crate::InstallEvent;
 use crate::MaintenancePolicy;
 use crate::PolicyMetrics;
 use crate::WarehouseError;
@@ -139,7 +139,7 @@ impl Eca {
             // Quiescence reached: install the accumulated change.
             let delta = std::mem::take(&mut self.collect);
             self.sink
-                .install(&mut self.metrics, &delta, &self.collected, net.now())?;
+                .install(&mut self.metrics, delta, &self.collected, net.now())?;
             self.collected.clear();
         }
         Ok(())
@@ -177,7 +177,7 @@ impl MaintenancePolicy for Eca {
         self.sink.bag()
     }
 
-    fn installs(&self) -> &[InstallRecord] {
+    fn installs(&self) -> &[InstallEvent] {
         self.sink.log()
     }
 
@@ -187,10 +187,6 @@ impl MaintenancePolicy for Eca {
 
     fn is_quiescent(&self) -> bool {
         self.uqs.is_empty()
-    }
-
-    fn set_record_snapshots(&mut self, record: bool) {
-        self.sink.record_snapshots = record;
     }
 }
 

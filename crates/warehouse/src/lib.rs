@@ -35,7 +35,7 @@ mod testkit;
 // The mechanism layer (errors, install log, metrics, the policy trait, the
 // update queue, the materialized view) lives in `dw-engine`.
 pub use dw_engine::{
-    InstallRecord, MaintenancePolicy, MaterializedView, PendingUpdate, PolicyMetrics, UpdateQueue,
+    InstallEvent, MaintenancePolicy, MaterializedView, PendingUpdate, PolicyMetrics, UpdateQueue,
     WarehouseError,
 };
 

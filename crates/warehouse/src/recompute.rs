@@ -12,7 +12,7 @@
 //! source state — only the final state after quiescence is guaranteed
 //! (convergence), which the consistency checker classifies accordingly.
 
-use crate::InstallRecord;
+use crate::InstallEvent;
 use crate::MaintenancePolicy;
 use crate::PolicyMetrics;
 use crate::WarehouseError;
@@ -119,7 +119,7 @@ impl MaintenancePolicy for Recompute {
                 let covers = std::mem::take(&mut r.covers);
                 self.refresh = None;
                 self.sink
-                    .install(&mut self.metrics, &delta, &covers, net.now())?;
+                    .install(&mut self.metrics, delta, &covers, net.now())?;
                 // Updates arrived mid-refresh? Chase convergence.
                 if !self.pending.is_empty() {
                     self.start_refresh(net);
@@ -137,7 +137,7 @@ impl MaintenancePolicy for Recompute {
         self.sink.bag()
     }
 
-    fn installs(&self) -> &[InstallRecord] {
+    fn installs(&self) -> &[InstallEvent] {
         self.sink.log()
     }
 
@@ -147,10 +147,6 @@ impl MaintenancePolicy for Recompute {
 
     fn is_quiescent(&self) -> bool {
         self.refresh.is_none() && self.pending.is_empty()
-    }
-
-    fn set_record_snapshots(&mut self, record: bool) {
-        self.sink.record_snapshots = record;
     }
 }
 

@@ -18,7 +18,7 @@
 //! provides strong consistency: every install lands exactly on the
 //! ground-truth state of a delivery prefix.
 
-use crate::InstallRecord;
+use crate::InstallEvent;
 use crate::MaintenancePolicy;
 use crate::PolicyMetrics;
 use crate::WarehouseError;
@@ -201,7 +201,7 @@ impl Strobe {
             }
         }
         self.sink
-            .install(&mut self.core.metrics, &delta, &self.ready, net.now())?;
+            .install(&mut self.core.metrics, delta, &self.ready, net.now())?;
         self.ready.clear();
         Ok(())
     }
@@ -257,7 +257,7 @@ impl MaintenancePolicy for Strobe {
         self.sink.bag()
     }
 
-    fn installs(&self) -> &[InstallRecord] {
+    fn installs(&self) -> &[InstallEvent] {
         self.sink.log()
     }
 
@@ -267,10 +267,6 @@ impl MaintenancePolicy for Strobe {
 
     fn is_quiescent(&self) -> bool {
         self.uqs.is_empty() && self.al.is_empty() && self.outstanding.is_empty()
-    }
-
-    fn set_record_snapshots(&mut self, record: bool) {
-        self.sink.record_snapshots = record;
     }
 
     fn set_observer(&mut self, obs: Obs) {

@@ -77,12 +77,10 @@ fn main() {
         aggs: vec![AggFn::CountRows, AggFn::Sum(1)],
     };
     let mut dashboard = AggregateState::new(spec.clone());
-    // The first delta is relative to the initial (empty-sales) view.
-    let mut prev = Bag::new();
+    // Each install logs its delta; the first is relative to the initial
+    // (empty-sales) view.
     for rec in &report.installs {
-        let after = rec.view_after.as_ref().unwrap().to_bag();
-        dashboard.apply(&after.minus(&prev)).unwrap();
-        prev = after;
+        dashboard.apply(&rec.delta).unwrap();
     }
 
     // Cross-check against a from-scratch aggregation of the final view.

@@ -62,21 +62,25 @@ fn main() {
     };
 
     // --- Run SWEEP over slow links so the updates overlap ---------------
+    let slot = SlotView::base(scenario.view.clone(), 0);
     let report = Experiment::new(scenario)
         .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Constant(5_000))
         .run()
         .unwrap();
 
+    // Each install logs its delta: the view's states are its initial
+    // contents plus the deltas so far.
     println!("\ninstall history (every intermediate state, in order):");
-    for (k, rec) in report.installs.iter().enumerate() {
+    let initial_view = report.truth.state(&slot, &|_| false).unwrap();
+    let states = view_states(initial_view.into(), &report.installs);
+    for (k, (rec, state)) in report.installs.iter().zip(states).enumerate() {
         let upd = rec.consumed[0];
         println!(
-            "  install {k}: after ΔR{} (seq {}) at t={}µs  →  V = {:?}",
+            "  install {k}: after ΔR{} (seq {}) at t={}µs  →  V = {state:?}",
             upd.source + 1,
             upd.seq,
             rec.at,
-            rec.view_after.as_ref().unwrap()
         );
     }
 

@@ -73,8 +73,8 @@ pub use dw_workload as workload;
 /// One-line import for applications.
 pub mod prelude {
     pub use dw_consistency::{
-        mutual_consistency, verify_fifo, ConsistencyLevel, ConsistencyReport, MutualReport,
-        Recorder, SlotView, ViewLog,
+        mutual_consistency, verify_fifo, view_states, ConsistencyLevel, ConsistencyReport,
+        MutualReport, Recorder, SlotView, ViewLog,
     };
     pub use dw_core::{
         audit_lag_recoveries, audit_reads, oracle_expects_rejection, oracle_view_at_epoch,
@@ -92,7 +92,7 @@ pub mod prelude {
         ShardMap, SharedBag, Tuple, Value, ViewDef, ViewDefBuilder,
     };
     pub use dw_serve::{
-        HubPoll, InstallDelta, PinnedEpoch, PointAnswer, PublishOutcome, ReadFrontend, ScanAnswer,
+        HubPoll, InstallEvent, PinnedEpoch, PointAnswer, PublishOutcome, ReadFrontend, ScanAnswer,
         ServeError, ServeStats, StalenessBound,
     };
     pub use dw_simnet::{Crash, FaultPlan, LatencyModel, LinkFaults, Network, Outage, Time};

@@ -227,8 +227,8 @@ fn sharded_cascade_matches_flat_per_epoch() {
                     s.name
                 );
                 assert_eq!(
-                    si.view_after, fi.view_after,
-                    "case {case}: derived '{}' epoch snapshot",
+                    si.delta, fi.delta,
+                    "case {case}: derived '{}' epoch delta",
                     s.name
                 );
             }

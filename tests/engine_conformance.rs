@@ -29,6 +29,7 @@ use dwsweep::livenet::run_live;
 use dwsweep::prelude::*;
 use dwsweep::protocol::UpdateId;
 use dwsweep::relational::eval_view;
+use std::sync::Arc;
 use std::time::Duration;
 
 const SEEDS: u64 = 64;
@@ -67,10 +68,11 @@ fn ground_truth(s: &GeneratedScenario) -> Bag {
     eval_view(&s.view, &refs).unwrap()
 }
 
-/// The backend-independent fingerprint of a run: the consumed-update
-/// sequence of every install, in install order.
-fn install_fingerprint(installs: &[dwsweep::warehouse::InstallRecord]) -> Vec<Vec<UpdateId>> {
-    installs.iter().map(|r| r.consumed.clone()).collect()
+/// The backend-independent fingerprint of a run: every install's
+/// consumed-update set and delta, in install order.
+fn install_fingerprint(installs: &[InstallEvent]) -> Vec<(Vec<UpdateId>, Arc<Bag>)> {
+    let install = |r: &InstallEvent| (r.consumed.clone(), Arc::clone(&r.delta));
+    installs.iter().map(install).collect()
 }
 
 #[test]

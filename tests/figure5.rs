@@ -61,41 +61,40 @@ fn figure5_states() -> [Bag; 3] {
     ]
 }
 
-#[test]
-fn sweep_walks_figure5_states_sequentially() {
-    let report = Experiment::new(paper_scenario(100_000))
+/// SWEEP (Figure 4) over the paper's scenario with `gap` µs between
+/// updates, and the view's state after each install: its initial
+/// contents plus the logged deltas so far.
+fn sweep_states(gap: u64) -> (RunReport, Vec<SharedBag>) {
+    let scenario = paper_scenario(gap);
+    let slot = SlotView::base(scenario.view.clone(), 0);
+    let report = Experiment::new(scenario)
         .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .latency(LatencyModel::Constant(5_000))
         .run()
         .unwrap();
-    let states: Vec<&SharedBag> = report
-        .installs
-        .iter()
-        .map(|r| r.view_after.as_ref().unwrap())
-        .collect();
+    let initial = report.truth.state(&slot, &|_| false).unwrap();
+    let states = view_states(initial.into(), &report.installs).collect();
+    (report, states)
+}
+
+#[test]
+fn sweep_walks_figure5_states_sequentially() {
+    let (report, states) = sweep_states(100_000);
     let expected = figure5_states();
     assert_eq!(states.len(), 3);
     for (got, want) in states.iter().zip(expected.iter()) {
-        assert_eq!(*got, want);
+        assert_eq!(got, want);
     }
     assert_eq!(report.metrics.local_compensations, 0, "no interference");
 }
 
 #[test]
 fn sweep_walks_figure5_states_concurrently() {
-    let report = Experiment::new(paper_scenario(1_000))
-        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
-        .latency(LatencyModel::Constant(5_000))
-        .run()
-        .unwrap();
-    let states: Vec<&SharedBag> = report
-        .installs
-        .iter()
-        .map(|r| r.view_after.as_ref().unwrap())
-        .collect();
+    let (report, states) = sweep_states(1_000);
     let expected = figure5_states();
+    assert_eq!(states.len(), 3);
     for (got, want) in states.iter().zip(expected.iter()) {
-        assert_eq!(*got, want, "complete consistency under interference");
+        assert_eq!(got, want, "complete consistency under interference");
     }
     assert!(report.metrics.local_compensations > 0, "updates interfered");
     assert_eq!(

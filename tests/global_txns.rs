@@ -9,7 +9,6 @@
 use dwsweep::engine::WarehouseError;
 use dwsweep::prelude::*;
 use dwsweep::protocol::{GlobalPart, UpdateId};
-use dwsweep::warehouse::InstallRecord;
 use std::collections::{HashMap, HashSet};
 
 fn scenario(seed: u64, updates: usize) -> GeneratedScenario {
@@ -182,7 +181,7 @@ fn non_global_updates_between_parts_are_held_not_lost() {
 /// global transaction that land in its view — the parts whose source
 /// `in_view` admits.
 fn assert_atomic(
-    installs: &[InstallRecord],
+    installs: &[InstallEvent],
     gid_of: &HashMap<UpdateId, u64>,
     in_view: impl Fn(&UpdateId) -> bool,
     arm: &str,

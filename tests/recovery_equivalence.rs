@@ -38,7 +38,7 @@
 
 use dwsweep::prelude::*;
 use dwsweep::protocol::UpdateId;
-use dwsweep::warehouse::InstallRecord;
+use std::sync::Arc;
 
 const SEED_BASE: u64 = 0xD0_0000;
 
@@ -75,8 +75,10 @@ fn sparse_scenario(k: u64) -> MultiViewScenario {
     .unwrap()
 }
 
-fn install_fingerprint(installs: &[InstallRecord]) -> Vec<Vec<UpdateId>> {
-    installs.iter().map(|r| r.consumed.clone()).collect()
+/// Every install's consumed-update set and delta, in install order.
+fn install_fingerprint(installs: &[InstallEvent]) -> Vec<(Vec<UpdateId>, Arc<Bag>)> {
+    let install = |r: &InstallEvent| (r.consumed.clone(), Arc::clone(&r.delta));
+    installs.iter().map(install).collect()
 }
 
 /// Adversarial state-crash window for case `k`, anchored on one chosen
@@ -277,7 +279,8 @@ fn assert_installs_in_arrival_order(report: &dwsweep::core::MultiViewReport, k: 
     let arrived = report.delivery_log().into_iter().map(|(id, _)| vec![id]);
     let arrival_order: Vec<Vec<UpdateId>> = arrived.collect();
     for installed in report.install_fingerprint() {
-        assert_eq!(installed, arrival_order, "case {k}: install order");
+        let consumed: Vec<_> = installed.into_iter().map(|(ids, _)| ids).collect();
+        assert_eq!(consumed, arrival_order, "case {k}: install order");
     }
 }
 
@@ -467,7 +470,8 @@ fn dense_state_crashes_match_the_fault_free_flat_run() {
                 .subscriptions
                 .iter()
                 .filter(|s| s.reader == usize::MAX);
-            let content = |d: &InstallDelta| (d.view, d.epoch, d.consumed.clone(), d.delta.clone());
+            let content =
+                |d: &InstallEvent| (d.view_index, d.epoch, d.consumed.clone(), d.delta.clone());
             baseline
                 .map(|s| s.stream.iter().map(content).collect::<Vec<_>>())
                 .collect()

@@ -218,7 +218,7 @@ fn window_changes_when_never_what() {
         let what = |rep: &RunReport| -> Vec<_> {
             let installs = rep.installs.iter();
             installs
-                .map(|i| (i.consumed.clone(), i.view_after.clone()))
+                .map(|i| (i.consumed.clone(), i.delta.clone()))
                 .collect()
         };
         let runs = [1, 0, 2].map(|window| (window, run(window)));
@@ -499,8 +499,9 @@ fn multiview_pushdown_equivalent_on_fault_schedules() {
                 "case {case}: view '{}' diverged under pushdown",
                 a.name
             );
-            let fp = |installs: &[dwsweep::warehouse::InstallRecord]| -> Vec<Vec<_>> {
-                installs.iter().map(|rec| rec.consumed.clone()).collect()
+            let fp = |installs: &[InstallEvent]| -> Vec<_> {
+                let install = |rec: &InstallEvent| (rec.consumed.clone(), rec.delta.clone());
+                installs.iter().map(install).collect()
             };
             assert_eq!(
                 fp(&a.installs),
