@@ -395,9 +395,9 @@ stage_engine_boundary() {
     echo "FAIL: checkpoint images are lineages of their own (InstallSink::image advances the last one, SharedBag::deep_copy seeds it) and copies are counted where they happen (merge's return) — no unshared_len or unshared_tuples" >&2
     ok=1
   fi
-  # One install value: an install is the InstallEvent its sink logs and
-  # publishes (the delta behind one Arc), and a past view state is the
-  # initial contents plus the logged deltas (view_states). The install
+  # One install value: an install is the InstallEvent its sink publishes
+  # (the delta behind one Arc), and a past view state is the initial
+  # contents plus the published deltas (view_states). The install
   # record with its view snapshot, the subscriber's copy of the event and
   # the snapshot knob may not come back; the two inert
   # set_record_snapshots the frozen benchmark calls are the only code
@@ -410,7 +410,29 @@ stage_engine_boundary() {
   } 2>/dev/null || true)
   if [[ -n "$hits" ]]; then
     echo "$hits"
-    echo "FAIL: an install is one InstallEvent (logged by InstallSink, published, streamed to subscribers) and a past state is view_states(initial, log) — no InstallRecord, InstallDelta, view_after or record_snapshots beyond the two inert set_record_snapshots(&mut self, _record: bool) {} the frozen benchmark calls" >&2
+    echo "FAIL: an install is one InstallEvent (published by InstallSink, streamed to subscribers, kept only by an attached InstallLog) and a past state is view_states(initial, events) — no InstallRecord, InstallDelta, view_after or record_snapshots beyond the two inert set_record_snapshots(&mut self, _record: bool) {} the frozen benchmark calls" >&2
+    ok=1
+  fi
+  # An install is published, not kept: the warehouse and the serve store
+  # record no install history, and a run that reads it attaches one
+  # InstallLog. The sink's log and its image, the registry's and the
+  # policies' log accessors and the store's publication ledger may not
+  # come back, nor may a non-test struct field of dw-engine, dw-multiview
+  # or dw-serve hold a Vec of InstallEvents beside InstallLog's own.
+  hits=$({
+    grep -rnE '\b(SinkImage|log_len)\b|install_log\(' crates src tests examples
+    grep -rnF 'fn installs(&self) -> &[InstallEvent]' crates src tests examples
+    grep -rn 'publication_log' crates/serve/src
+    for f in crates/engine/src/*.rs crates/multiview/src/*.rs crates/serve/src/*.rs; do
+      non_test_code "$f" |
+        grep -nE '(^[[:space:]]*|\{ *)(pub(\([a-z]+\))? )?[a-z_]+: .*Vec<([a-z_]+::)*InstallEvent>' |
+        grep -v 'fn ' |
+        sed "s|^|$f: |"
+    done | grep -v '^crates/engine/src/publish\.rs: [0-9]*:    views: HashMap<usize, Vec<InstallEvent>>,$'
+  } 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: an install is published, not kept — InstallSink, the registry, the policies and the serve store keep no install history, and a run that reads it attaches one InstallLog (dw_engine::publish) — no SinkImage, log_len, install_log(, fn installs(&self) -> &[InstallEvent], publication_log under crates/serve/src, or Vec<InstallEvent> field in non-test dw-engine / dw-multiview / dw-serve outside InstallLog" >&2
     ok=1
   fi
   local rows

@@ -11,9 +11,11 @@ use dw_relational::RelationalError;
 use dw_serve::ServeError;
 use dw_simnet::NodeId;
 use dw_source::{EcaSite, SourceError};
+use dw_warehouse::InstallLog;
 use dw_warehouse::{CStrobe, Eca, MaintenancePolicy, Recompute, Strobe, WarehouseError};
 use dw_workload::GeneratedScenario;
 use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which maintenance algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,10 +153,8 @@ impl Experiment {
         self
     }
 
-    /// Disable classification (for big runs), and with it the
-    /// per-install view snapshots only the classifier reads. The
-    /// report's [`truth`](RunReport::truth) records every delivery
-    /// either way.
+    /// Disable classification (for big runs). The report's
+    /// [`truth`](RunReport::truth) records every delivery either way.
     pub fn check_consistency(mut self, on: bool) -> Self {
         self.check_consistency = on;
         self
@@ -199,6 +199,8 @@ impl Experiment {
             PolicyKind::Recompute => Box::new(Recompute::new(view_def.clone(), initial_view)?),
         };
         policy.set_observer(self.net.obs.clone());
+        let log = Arc::new(Mutex::new(InstallLog::new(None)));
+        policy.set_install_publisher(log.clone());
 
         // Topology: the single-site architecture co-locates every
         // relation at one node and takes every transaction there.
@@ -245,9 +247,11 @@ impl Experiment {
             Ok(())
         })?;
 
+        let log = log.lock().unwrap_or_else(PoisonError::into_inner);
+        let installs = log.installs(0).to_vec();
         let consistency = self
             .check_consistency
-            .then(|| classify(&truth, &truth_view, policy.installs(), policy.view()));
+            .then(|| classify(&truth, &truth_view, &installs, policy.view()));
 
         // Quiescence means the policy has no sweep in flight AND the
         // transport has drained: no unacked frames, no reorder buffers,
@@ -257,7 +261,7 @@ impl Experiment {
         Ok(RunReport {
             policy: policy.name(),
             view: policy.view().to_bag(),
-            installs: policy.installs().to_vec(),
+            installs,
             metrics: policy.metrics().clone(),
             net: harness.net.stats().clone(),
             consistency,

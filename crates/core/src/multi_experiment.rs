@@ -35,9 +35,9 @@ use dw_multiview::{
 use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{Bag, ShardMap};
 use dw_simnet::{FaultPlan, NetHandle, NetStats, Time};
-use dw_warehouse::{InstallEvent, PolicyMetrics, WarehouseError};
+use dw_warehouse::{InstallEvent, InstallLog, PolicyMetrics, WarehouseError};
 use dw_workload::{MultiViewScenario, ReadOp, ViewPolicy};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A configured multi-view experiment: scenario × partitioner ×
 /// scheduler options × read schedule × network profile.
@@ -179,7 +179,10 @@ impl MultiViewExperiment {
             view.ops.push(op.clone());
             slots.push(view);
         }
-        let mut serve = ServeArm::open(self.serve, &mut sched, obs)?;
+        let mut serve = ServeArm::open(self.serve, &sched, obs)?;
+        let store = serve.as_ref().map(|arm| arm.front.sink());
+        let log = Arc::new(Mutex::new(InstallLog::new(store)));
+        sched.set_install_publisher(log.clone());
         // Durability arms after registration so the initial checkpoint
         // already carries every view at its correct initial contents. A
         // state crash nothing durable would survive is a fault that was
@@ -215,16 +218,17 @@ impl MultiViewExperiment {
             }
             Ok(sched.on_message(d, net)?)
         })?;
+        let log = log.lock().unwrap_or_else(PoisonError::into_inner);
         let serve = serve
-            .map(|arm| arm.finish(truth.deliveries().len()))
+            .map(|arm| arm.finish(truth.deliveries().len(), log.order()))
             .transpose()?;
 
         // One outcome per registry slot, base and derived alike: classify
-        // each install log against the truth of the slot's view.
+        // each slot's installs against the truth of the slot's view.
         let reg = sched.views();
         let mut views: Vec<ViewOutcome> = Vec::with_capacity(slots.len());
         for (id, slot) in reg.ids().into_iter().zip(slots) {
-            let installs = reg.install_log(id)?.to_vec();
+            let installs = log.installs(id.index()).to_vec();
             let bag = reg.view_bag(id)?;
             let consistency = self
                 .check_consistency
@@ -274,6 +278,7 @@ impl MultiViewExperiment {
                 .map(|s| s.checkpoints_taken)
                 .unwrap_or(0),
             checkpoint_copied_tuples: sched.checkpoint_copied_tuples(),
+            install_divergences: log.divergences(),
             mutual,
             serve,
             net: harness.net.stats().clone(),
@@ -337,8 +342,8 @@ pub struct ViewOutcome {
     pub policy: ViewPolicy,
     /// Final materialized contents.
     pub view: Bag,
-    /// Install log, consumed ids in **global** chain coordinates; a
-    /// derived view's mirror its parent's 1:1.
+    /// Every install, in order, consumed ids in **global** chain
+    /// coordinates; a derived view's mirror its parent's 1:1.
     pub installs: Vec<InstallEvent>,
     /// Per-view counters (installs, staleness histogram, …).
     pub metrics: PolicyMetrics,
@@ -375,6 +380,8 @@ pub struct MultiViewReport {
     /// View tuples copied taking those checkpoints — 0: a checkpoint
     /// holds structurally shared handles onto the live views.
     pub checkpoint_copied_tuples: u64,
+    /// Replays unlike the install first published, plus epoch gaps (0).
+    pub install_divergences: u64,
     /// Cross-view mutual consistency (when checking was enabled).
     pub mutual: Option<MutualReport>,
     /// What the readers observed — `Some` iff the run served
@@ -417,7 +424,7 @@ impl MultiViewReport {
     }
 
     /// Install fingerprint: per view, each install's consumed-update set
-    /// and delta, in install order — the install log but for its times
+    /// and delta, in install order — the installs but for their times
     /// (what the conformance suites compare).
     pub fn install_fingerprint(&self) -> Vec<Vec<(Vec<UpdateId>, Arc<Bag>)>> {
         let installs = |v: &ViewOutcome| {

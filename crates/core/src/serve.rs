@@ -82,7 +82,7 @@ pub fn publish_copied_tuples(
 /// A running serving arm: the frontend, the read schedule's cursor, and
 /// everything the readers have observed so far.
 pub(crate) struct ServeArm {
-    front: ReadFrontend,
+    pub(crate) front: ReadFrontend,
     ops: Vec<ReadOp>,
     next_op: usize,
     reads: Vec<ReadOutcome>,
@@ -92,7 +92,7 @@ pub(crate) struct ServeArm {
 }
 
 impl ServeArm {
-    /// Attach a frontend to `sched` as its install publisher — `None`
+    /// A frontend for the run's install log to forward to — `None`
     /// unless the builder asked for reads. Frontend slots mirror the
     /// registry's (the publisher keys epochs by slot), base and derived
     /// views alike. Baseline subscriptions start at epoch 0 on every
@@ -102,7 +102,7 @@ impl ServeArm {
     /// audited against [`oracle_view_at_epoch`].
     pub fn open(
         cfg: ServeConfig,
-        sched: &mut MaintenanceScheduler,
+        sched: &MaintenanceScheduler,
         obs: &dw_obs::Obs,
     ) -> Result<Option<ServeArm>, CoreError> {
         let Some(ops) = cfg.reads else {
@@ -110,7 +110,6 @@ impl ServeArm {
         };
         let front = ReadFrontend::new();
         front.set_observer(obs.clone());
-        sched.set_install_publisher(front.sink());
         let reg = sched.views();
         for id in reg.ids() {
             let slot = front.register_view(reg.name(id)?, reg.view_bag(id)?.clone(), 0);
@@ -210,8 +209,8 @@ impl ServeArm {
 
     /// Quiescence: resolve the ops scheduled past the last delivery,
     /// drain every subscription, and hand over what the readers saw.
-    pub fn finish(mut self, deliveries_seen: usize) -> Result<ServeOutcome, CoreError> {
-        self.pump(None, deliveries_seen)?;
+    pub fn finish(mut self, seen: usize, log: &[(usize, u64)]) -> Result<ServeOutcome, CoreError> {
+        self.pump(None, seen)?;
         let front = &self.front;
         for sub in &mut self.subscriptions {
             sub.stream = front.poll(sub.sub)?;
@@ -229,7 +228,7 @@ impl ServeArm {
         Ok(ServeOutcome {
             serve_stats: front.stats(),
             retained,
-            publication_log: front.publication_log(),
+            publication_log: log.to_vec(),
             reads: self.reads,
             subscriptions: self.subscriptions,
             lag: self.lag,
@@ -426,7 +425,8 @@ pub struct ServeOutcome {
     /// then derived slots).
     pub retained: Vec<Vec<u64>>,
     /// Every accepted install as `(view slot, epoch)` in publication
-    /// order — the global install-ticket order. A base install and its
+    /// order — the global install-ticket order, as the run's `InstallLog`
+    /// kept it (first, as the store does). A base install and its
     /// cascaded derived descendants form one contiguous block (children
     /// ascending by slot, depth-first); replays never re-enter it.
     pub publication_log: Vec<(usize, u64)>,
@@ -460,19 +460,18 @@ impl MultiViewReport {
         self.serve.as_ref().ok_or_else(none)
     }
 
-    /// Whether the run served and every subscription's stream replays
-    /// exactly its view's install log (base or derived) from its start
-    /// epoch: the same events — epochs, install times, consumed sets and
-    /// deltas.
+    /// Whether the run served, replayed no install unlike the first, and
+    /// every subscription's stream replays exactly its view's installs
+    /// (base or derived) from its start epoch: the same events — epochs,
+    /// install times, consumed sets and deltas.
     pub fn subscriptions_match_installs(&self) -> bool {
         let replays = |sub: &SubscriptionOutcome| {
             self.views.get(sub.view).is_some_and(|v| {
                 dw_serve::replays_installs(&sub.stream, sub.from_epoch, &v.installs)
             })
         };
-        self.serve
-            .as_ref()
-            .is_some_and(|s| s.subscriptions.iter().all(replays))
+        let served = self.serve.as_ref();
+        self.install_divergences == 0 && served.is_some_and(|s| s.subscriptions.iter().all(replays))
     }
 }
 

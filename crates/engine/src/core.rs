@@ -10,8 +10,8 @@
 //! * the support seed and pivot merge behind [`SweepRun::two_legs`] and
 //!   [`SweepRun::merge`] — §5.3's parallel-sweep merge, generalized to
 //!   arbitrary spans;
-//! * [`InstallSink`] — atomic install with staleness accounting, the
-//!   install log the consistency checker reads, and the publish hook.
+//! * [`InstallSink`] — atomic install with staleness accounting and the
+//!   publish hook: an install is published, not kept.
 //!
 //! The strategy stays with the adapters: the scheduler's lanes and the
 //! Strobe family each match their own messages and decide *which*
@@ -518,36 +518,7 @@ fn support(bag: &Bag) -> Bag {
     Bag::from_pairs(bag.iter().map(|(t, _)| (t.clone(), 1)))
 }
 
-/// What a checkpoint keeps of an [`InstallSink`]: the view contents, and
-/// the install log's *length*. The contents are a lineage of their own —
-/// seeded once by a deep copy, then advanced in place at each checkpoint
-/// by what was installed since — so neither side's updates ever copy a
-/// chunk the other holds. The log is append-only history, so an image
-/// costs the same however long the run has been, and recovery truncates
-/// the log rather than restoring a copy of it.
-pub struct SinkImage {
-    view: MaterializedView,
-    log_len: usize,
-}
-
-impl SinkImage {
-    /// The view contents the image captured.
-    pub fn bag(&self) -> &SharedBag {
-        self.view.bag()
-    }
-
-    /// Installs the captured view had applied.
-    pub fn installs(&self) -> u64 {
-        self.view.installs()
-    }
-
-    /// Length of the install log when the image was taken.
-    pub fn log_len(&self) -> usize {
-        self.log_len
-    }
-}
-
-/// View tuples taking or restoring [`SinkImage`]s copied.
+/// View tuples taking or restoring checkpoint images of a view copied.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ImageCost {
     /// Copied copy-on-write advancing an image: 0 while only the durable
@@ -565,13 +536,11 @@ impl std::ops::AddAssign for ImageCost {
     }
 }
 
-/// The install side of the engine: the materialized view, its install
-/// log, and the staleness accounting every install owes the metrics.
+/// The install side of the engine: the materialized view, the staleness
+/// accounting every install owes the metrics, and the publish hook —
+/// each install's event goes to the publisher and nowhere else.
 pub struct InstallSink {
     view: MaterializedView,
-    /// One event per install, its delta shared with the publisher: the
-    /// view's states are the initial contents plus these deltas.
-    log: Vec<InstallEvent>,
     /// The coordinate install events are published under: the view's
     /// registry slot (0 for a single-view policy).
     pub view_index: usize,
@@ -591,7 +560,6 @@ impl InstallSink {
     pub fn new(initial: Bag) -> Result<Self, WarehouseError> {
         Ok(InstallSink {
             view: MaterializedView::new(initial)?,
-            log: Vec::new(),
             view_index: 0,
             publisher: None,
             since_image: None,
@@ -599,12 +567,10 @@ impl InstallSink {
         })
     }
 
-    /// Attach a serving-layer publisher; installs committed from now on
-    /// are published as they are logged. The epoch is the install log's
-    /// length *after* the push — a 1-based install ordinal, epoch 0
-    /// being the initial contents — so a crash-recovery replay of the
-    /// same install carries the same epoch and consumers can deduplicate
-    /// (a cloned sink keeps feeding the same consumer).
+    /// Attach a publisher; installs committed from now on are published
+    /// to it, each under the view's install count after it — restored
+    /// from the checkpoint image, so a replay of the same install carries
+    /// the same epoch (a restored sink keeps feeding the same consumer).
     pub fn set_publisher(&mut self, p: crate::SharedInstallPublisher) {
         self.publisher = Some(p);
     }
@@ -617,7 +583,7 @@ impl InstallSink {
     /// Tuples this sink's installs copied copy-on-write: the chunks a
     /// delta touched that a clone of the view (a handle given out) still
     /// shared. 0 while nothing else holds the view — never because of a
-    /// checkpoint image or the install log.
+    /// checkpoint image.
     pub fn copied_tuples(&self) -> u64 {
         self.copied_tuples
     }
@@ -625,45 +591,35 @@ impl InstallSink {
     /// Capture this sink for a checkpoint. `prev` is the image the last
     /// checkpoint took of it: merged in place with the signed sum of the
     /// installs since, it becomes the new one. Without one, the first
-    /// image is seeded by one deep copy of the view. No install event
-    /// is copied either way.
-    pub fn image(&mut self, prev: Option<SinkImage>) -> (SinkImage, ImageCost) {
+    /// image is seeded by one deep copy of the view (contents and install
+    /// count: no history, so its cost does not grow with the run).
+    pub fn image(&mut self, prev: Option<MaterializedView>) -> (MaterializedView, ImageCost) {
         let since = self.since_image.replace(Bag::new());
-        let log_len = self.log.len();
         match (prev, since) {
             (Some(mut image), Some(sum)) => {
-                let copied = image.view.catch_up(&sum, self.view.installs()) as u64;
-                image.log_len = log_len;
+                let copied = image.catch_up(&sum, self.view.installs()) as u64;
                 (image, ImageCost { copied, seeded: 0 })
             }
             _ => {
-                let view = self.view.deep_copy();
-                let seeded = view.bag().distinct_len() as u64;
-                (SinkImage { view, log_len }, ImageCost { copied: 0, seeded })
+                let image = self.view.deep_copy();
+                let seeded = image.bag().distinct_len() as u64;
+                (image, ImageCost { copied: 0, seeded })
             }
         }
     }
 
-    /// Crash recovery: back to `image` — its view contents, rebuilt by
-    /// one deep copy so the image stays a lineage of its own, and the log
-    /// cut to the length it had then (replay re-appends what follows).
-    /// Returns the tuples the copy seeded.
-    pub fn restore(&mut self, image: &SinkImage) -> u64 {
-        self.view = image.view.deep_copy();
-        self.log.truncate(image.log_len);
+    /// Crash recovery: back to `image`, rebuilt by one deep copy so the
+    /// image stays a lineage of its own. Returns the tuples it seeded.
+    pub fn restore(&mut self, image: &MaterializedView) -> u64 {
+        self.view = image.deep_copy();
         self.since_image = Some(Bag::new());
         self.view.bag().distinct_len() as u64
     }
 
-    /// The install history: one event per install, in install order.
-    pub fn log(&self) -> &[InstallEvent] {
-        &self.log
-    }
-
     /// Atomically install `delta`, account one install plus staleness
-    /// for every consumed update, log the install's event and publish
-    /// it. The delta is kept once, behind the event's `Arc`. A poisoned
-    /// publisher fails the install before anything changes.
+    /// for every consumed update, and publish the install's event (the
+    /// delta behind its `Arc`). A poisoned publisher fails the install
+    /// before anything changes.
     pub fn install(
         &mut self,
         metrics: &mut PolicyMetrics,
@@ -684,17 +640,15 @@ impl InstallSink {
         for &(_, delivered_at) in consumed {
             metrics.record_staleness(delivered_at, now);
         }
-        let event = InstallEvent {
-            view_index: self.view_index,
-            epoch: self.log.len() as u64 + 1,
-            at: now,
-            consumed: consumed.iter().map(|&(id, _)| id).collect(),
-            delta,
-        };
         if let Some(publisher) = &mut publisher {
-            publisher.publish(event.clone());
+            publisher.publish(InstallEvent {
+                view_index: self.view_index,
+                epoch: self.view.installs(),
+                at: now,
+                consumed: consumed.iter().map(|&(id, _)| id).collect(),
+                delta,
+            });
         }
-        self.log.push(event);
         Ok(())
     }
 }
@@ -849,9 +803,17 @@ mod tests {
         assert_eq!(support(&b), Bag::from_pairs([(tup![1], 1), (tup![2], 1)]));
     }
 
+    /// Attach a fresh install log to `sink`.
+    fn logged(sink: &mut InstallSink) -> Arc<std::sync::Mutex<crate::InstallLog>> {
+        let log = Arc::new(std::sync::Mutex::new(crate::InstallLog::new(None)));
+        sink.set_publisher(log.clone());
+        log
+    }
+
     #[test]
     fn install_sink_accounts_staleness_per_consumed_update() {
         let mut sink = InstallSink::new(Bag::new()).unwrap();
+        let log = logged(&mut sink);
         let mut metrics = PolicyMetrics::default();
         sink.install(
             &mut metrics,
@@ -865,14 +827,15 @@ mod tests {
         .unwrap();
         assert_eq!(metrics.installs, 1);
         assert_eq!(metrics.max_staleness(), 90);
-        assert_eq!(sink.log().len(), 1);
-        assert_eq!(sink.log()[0].consumed.len(), 2);
+        let log = log.lock().unwrap();
+        assert_eq!(log.installs(0).len(), 1);
+        assert_eq!(log.installs(0)[0].consumed.len(), 2);
         assert_eq!(sink.bag(), &Bag::from_tuples([tup![1]]));
     }
 
     /// Over seeded signed-delta streams — inserts, deletes of held
-    /// tuples, and empty installs — the install log folded from the
-    /// initial bag is the live view after every install, one event per
+    /// tuples, and empty installs — the published events folded from the
+    /// initial bag are the live view after every install, one event per
     /// install, epochs 1, 2, ….
     #[test]
     fn the_log_folded_from_the_initial_bag_is_the_view() {
@@ -880,6 +843,7 @@ mod tests {
             let mut rng = dw_rng::Rng64::new(0xF01D_0000 + case);
             let initial = Bag::from_tuples([tup![1, 1], tup![2, 3]]);
             let mut sink = InstallSink::new(initial.clone()).unwrap();
+            let log = logged(&mut sink);
             let mut metrics = PolicyMetrics::default();
             for k in 0..40u64 {
                 let mut delta = Bag::new();
@@ -896,7 +860,8 @@ mod tests {
                 }
                 let id = UpdateId { source: 0, seq: k };
                 sink.install(&mut metrics, delta, &[(id, k)], k).unwrap();
-                let log = sink.log();
+                let log = log.lock().unwrap();
+                let log = log.installs(0);
                 assert_eq!(log.len() as u64, metrics.installs, "case {case}");
                 assert_eq!(log.last().map(|e| e.epoch), Some(k + 1), "case {case}");
                 let folded = crate::view_states(initial.clone().into(), log).last();
@@ -929,12 +894,12 @@ mod tests {
             panic!("reader dies holding the store's lock");
         });
         assert!(reader.join().is_err());
-        let before = (sink.bag().to_bag(), sink.log().to_vec(), metrics.installs);
+        let before = (sink.bag().to_bag(), metrics.installs);
         let second = UpdateId { source: 0, seq: 1 };
         let res = sink.install(&mut metrics, Bag::from_tuples([tup![2]]), &[(second, 3)], 5);
         assert_eq!(res, Err(WarehouseError::PublisherPoisoned));
-        // The failed install changed nothing: view, log and count.
-        let after = (sink.bag().to_bag(), sink.log().to_vec(), metrics.installs);
+        // The failed install changed nothing: view and count.
+        let after = (sink.bag().to_bag(), metrics.installs);
         assert_eq!(after, before);
         assert_eq!(metrics.max_staleness(), 1);
     }

@@ -46,7 +46,7 @@ pub mod sequencer;
 pub mod view;
 
 pub use crate::core::{
-    EngineCore, Hop, HopSpan, ImageCost, InstallSink, SinkImage, SpanLabels, SweepCtx, SweepRun,
+    EngineCore, Hop, HopSpan, ImageCost, InstallSink, SpanLabels, SweepCtx, SweepRun,
 };
 pub use durable::{DurabilityConfig, DurableStats, DurableStore, WalRecord};
 pub use error::WarehouseError;
@@ -54,7 +54,8 @@ pub use live::{run_cluster, ClusterOutcome, LiveError, NodeRunner, ThreadNet};
 pub use metrics::PolicyMetrics;
 pub use options::EngineOptions;
 pub use policy::MaintenancePolicy;
-pub use publish::{view_states, InstallEvent, InstallPublisher, SharedInstallPublisher};
+pub use publish::{view_states, InstallEvent, InstallLog};
+pub use publish::{InstallPublisher, SharedInstallPublisher};
 pub use queue::{PendingUpdate, UpdateQueue};
 pub use sequencer::{InstallSequencer, SequencedInstall};
 pub use view::MaterializedView;

@@ -2,7 +2,7 @@
 
 use crate::error::WarehouseError;
 use crate::metrics::PolicyMetrics;
-use crate::publish::InstallEvent;
+use crate::publish::SharedInstallPublisher;
 use dw_protocol::Message;
 use dw_relational::SharedBag;
 use dw_simnet::{Delivery, NetHandle};
@@ -27,8 +27,8 @@ pub trait MaintenancePolicy: Send {
     /// Current materialized view contents.
     fn view(&self) -> &SharedBag;
 
-    /// Every install performed so far, in order.
-    fn installs(&self) -> &[InstallEvent];
+    /// Publish every install from now on to `p` (say, an `InstallLog`).
+    fn set_install_publisher(&mut self, p: SharedInstallPublisher);
 
     /// Algorithm-level counters.
     fn metrics(&self) -> &PolicyMetrics;

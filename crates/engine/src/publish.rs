@@ -1,9 +1,9 @@
-//! Install events — the one value an install is, from the view's install
-//! log to the serving layer's subscribers.
+//! Install events — the one value an install is, published to the
+//! serving layer's subscribers and kept only by an [`InstallLog`].
 //!
 //! The paper's install is `V ← V + ΔV`, so a view's states are its
 //! initial contents plus its [`InstallEvent`] deltas, folded in order
-//! ([`view_states`]): the log keeps no snapshot of the view.
+//! ([`view_states`]). The warehouse keeps the view, not the deltas.
 //!
 //! Maintenance *installs* are the only state transitions a warehouse
 //! view ever makes, so a read path that wants immutable, epoch-stamped
@@ -19,28 +19,29 @@
 //! ticket order, which makes subscription streams built from these
 //! events byte-identical to the unsharded install sequence.
 //!
-//! Events carry an **epoch**: the 1-based index of the install in the
-//! view's install log (epoch 0 is the registered initial contents).
-//! Crash recovery replays the WAL through the same apply path, which
-//! re-emits events for installs that were already published before the
-//! crash — consumers deduplicate on `(view_index, epoch)`, so recovery
-//! is invisible downstream exactly as it is in the install log itself.
+//! Events carry an **epoch**: the view's 1-based install ordinal (epoch
+//! 0 is the registered initial contents), restored with the view from a
+//! checkpoint image. Crash recovery replays the WAL through the same
+//! apply path, which re-emits events already published before the crash
+//! under the same epochs — consumers keep the first of each
+//! `(view_index, epoch)`, and an [`InstallLog`] checks the replay.
 
 use dw_protocol::UpdateId;
 use dw_relational::{Bag, SharedBag};
 use dw_simnet::Time;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// One committed install: an entry of the view's install log, and what
-/// the serving layer is published and its subscribers are streamed.
+/// One committed install: what the serving layer is published, its
+/// subscribers are streamed and an [`InstallLog`] keeps.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InstallEvent {
     /// Registry slot of the view this install belongs to (registration
     /// order; the same index [`SequencedInstall`](crate::SequencedInstall)
     /// keys its deltas by).
     pub view_index: usize,
-    /// 1-based install ordinal within the view's install log. Epoch 0 is
-    /// the initial contents; epoch `e` is the state after `e` installs.
+    /// 1-based install ordinal within the view. Epoch 0 is the initial
+    /// contents; epoch `e` is the state after `e` installs.
     pub epoch: u64,
     /// Time of the install.
     pub at: Time,
@@ -48,13 +49,12 @@ pub struct InstallEvent {
     /// consumption order.
     pub consumed: Vec<UpdateId>,
     /// The installed delta: `view(e) = view(e−1) + delta`. `Arc`-shared
-    /// so the install log, the publisher and any number of subscriber
-    /// queues hold one copy of it at refcount cost — nobody downstream
-    /// ever deep-copies it.
+    /// so publishers and subscriber queues hold one copy of it at
+    /// refcount cost — nobody downstream ever deep-copies it.
     pub delta: Arc<Bag>,
 }
 
-/// The view's states along its install log: `initial` plus the deltas of
+/// The view's states along its installs: `initial` plus the deltas of
 /// `log[..=k]` for each `k` — the state at epoch `k + 1`. Every reader of
 /// a past view state folds it here. A state the caller drops before
 /// taking the next costs no copy; one it keeps shares every chunk the
@@ -88,9 +88,73 @@ pub trait InstallPublisher {
 /// possibly on its own thread in the live runtime) and the read side.
 pub type SharedInstallPublisher = Arc<Mutex<dyn InstallPublisher + Send>>;
 
+/// Install history, kept by the run that reads it: each view's events in
+/// install order and every `(view_index, epoch)` in publish order, every
+/// call forwarded to `downstream`. A re-published epoch (a recovery
+/// replay) is kept-first, as the serve store keeps it; one that differs
+/// from the kept event, or an epoch gap, counts as a divergence.
+#[derive(Default)]
+pub struct InstallLog {
+    views: HashMap<usize, Vec<InstallEvent>>,
+    order: Vec<(usize, u64)>,
+    divergences: u64,
+    downstream: Option<SharedInstallPublisher>,
+}
+
+impl InstallLog {
+    /// An empty log forwarding every call to `downstream`.
+    pub fn new(downstream: Option<SharedInstallPublisher>) -> InstallLog {
+        InstallLog {
+            downstream,
+            ..InstallLog::default()
+        }
+    }
+
+    /// Slot `view_index`'s events, epochs 1, 2, … in order.
+    pub fn installs(&self, view_index: usize) -> &[InstallEvent] {
+        self.views.get(&view_index).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every kept event as `(view_index, epoch)`, in publish order.
+    pub fn order(&self) -> &[(usize, u64)] {
+        &self.order
+    }
+
+    /// Re-publications unlike the kept event, plus epoch gaps.
+    pub fn divergences(&self) -> u64 {
+        self.divergences
+    }
+
+    /// Forward to `downstream`. A poisoned one (a reader thread died
+    /// holding it) is not fed again: that failure is its runner's.
+    fn forward(&self, call: impl FnOnce(&mut (dyn InstallPublisher + Send))) {
+        if let Some(Ok(mut downstream)) = self.downstream.as_ref().map(|d| d.lock()) {
+            call(&mut *downstream);
+        }
+    }
+}
+
+impl InstallPublisher for InstallLog {
+    fn note_delivery(&mut self, view_index: usize, id: UpdateId, delivered_at: Time) {
+        self.forward(|d| d.note_delivery(view_index, id, delivered_at));
+    }
+
+    fn publish(&mut self, event: InstallEvent) {
+        let kept = self.views.entry(event.view_index).or_default();
+        if event.epoch == kept.len() as u64 + 1 {
+            self.order.push((event.view_index, event.epoch));
+            kept.push(event.clone());
+        } else if kept.get(event.epoch.wrapping_sub(1) as usize) != Some(&event) {
+            self.divergences += 1;
+        }
+        self.forward(|d| d.publish(event));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dw_relational::tup;
 
     #[derive(Default)]
     struct Tape {
@@ -127,5 +191,92 @@ mod tests {
         assert_eq!(t.events.len(), 1);
         assert_eq!(t.events[0].epoch, 1);
         assert_eq!(t.events[0].consumed, vec![id]);
+    }
+
+    fn event(view_index: usize, epoch: u64, at: Time, delta: Bag) -> InstallEvent {
+        let consumed = vec![UpdateId {
+            source: 0,
+            seq: epoch,
+        }];
+        let delta = Arc::new(delta);
+        InstallEvent {
+            view_index,
+            epoch,
+            at,
+            consumed,
+            delta,
+        }
+    }
+
+    /// A log in front of a tape: what it keeps and what it forwards.
+    fn logged() -> (InstallLog, Arc<Mutex<Tape>>) {
+        let tape = Arc::new(Mutex::new(Tape::default()));
+        (InstallLog::new(Some(tape.clone())), tape)
+    }
+
+    #[test]
+    fn the_log_keeps_per_view_and_global_order_and_forwards_every_call() {
+        let (mut log, tape) = logged();
+        let id = UpdateId { source: 2, seq: 5 };
+        log.note_delivery(1, id, 3);
+        log.publish(event(1, 1, 4, Bag::from_tuples([tup![1]])));
+        log.publish(event(0, 1, 5, Bag::new()));
+        log.publish(event(1, 2, 6, Bag::from_tuples([tup![2]])));
+        let epochs = |v| log.installs(v).iter().map(|e| e.epoch).collect::<Vec<_>>();
+        assert_eq!(
+            (epochs(0), epochs(1), epochs(7)),
+            (vec![1], vec![1, 2], vec![])
+        );
+        assert_eq!(log.order(), &[(1, 1), (0, 1), (1, 2)]);
+        assert_eq!(log.divergences(), 0);
+        let tape = tape.lock().unwrap();
+        assert_eq!(tape.deliveries, vec![(1, id, 3)]);
+        assert_eq!(tape.events.len(), 3);
+    }
+
+    #[test]
+    fn an_identical_republication_is_kept_first_and_counts_nothing() {
+        let (mut log, tape) = logged();
+        let first = event(0, 1, 4, Bag::from_tuples([tup![1]]));
+        log.publish(first.clone());
+        log.publish(event(0, 2, 5, Bag::new()));
+        log.publish(first.clone());
+        assert_eq!(log.installs(0).len(), 2);
+        assert_eq!(log.installs(0)[0], first);
+        assert_eq!(log.order(), &[(0, 1), (0, 2)]);
+        assert_eq!(log.divergences(), 0);
+        // The replay still reaches the downstream publisher, which keeps
+        // its own first event.
+        assert_eq!(tape.lock().unwrap().events.len(), 3);
+    }
+
+    #[test]
+    fn a_republication_with_another_delta_or_time_is_counted() {
+        let (mut log, _) = logged();
+        let first = event(0, 1, 4, Bag::from_tuples([tup![1]]));
+        log.publish(first.clone());
+        log.publish(event(0, 1, 5, Bag::from_tuples([tup![1]])));
+        assert_eq!(log.divergences(), 1);
+        log.publish(event(0, 1, 4, Bag::new()));
+        assert_eq!(log.divergences(), 2);
+        let mut moved = first.clone();
+        moved.consumed.clear();
+        log.publish(moved);
+        assert_eq!(log.divergences(), 3);
+        // Kept-first: the recorded event is the original.
+        assert_eq!(log.installs(0), &[first]);
+        assert_eq!(log.order(), &[(0, 1)]);
+    }
+
+    #[test]
+    fn an_epoch_gap_is_counted_and_not_kept() {
+        let (mut log, _) = logged();
+        log.publish(event(0, 2, 4, Bag::new()));
+        assert_eq!(log.divergences(), 1);
+        log.publish(event(0, 1, 4, Bag::new()));
+        log.publish(event(0, 3, 5, Bag::new()));
+        log.publish(event(0, 0, 6, Bag::new()));
+        assert_eq!(log.divergences(), 3);
+        assert_eq!(log.order(), &[(0, 1)]);
     }
 }

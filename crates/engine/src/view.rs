@@ -13,10 +13,10 @@ use std::fmt;
 /// deletes tuples the view does not contain, i.e. an inconsistency. The
 /// check makes a whole class of algorithm bugs loud instead of silent.
 ///
-/// The contents are a [`SharedBag`]: cloning the view or its bag (an
-/// install record's snapshot) copies no tuple, and the next install
-/// copies only the chunks its delta touches that such a clone shares. A
-/// checkpoint image is a lineage of its own instead, seeded by
+/// The contents are a [`SharedBag`]: cloning the view or its bag (a
+/// reader's handle) copies no tuple, and the next install copies only
+/// the chunks its delta touches that such a clone shares. A checkpoint
+/// image is a view of its own instead, seeded by
 /// [`SharedBag::deep_copy`], so it never makes an install copy.
 #[derive(Clone, PartialEq, Eq)]
 pub struct MaterializedView {
@@ -47,7 +47,7 @@ impl MaterializedView {
         &self.bag
     }
 
-    /// How many installs have been applied.
+    /// How many installs have been applied: the epoch of the last one.
     pub fn installs(&self) -> u64 {
         self.installs
     }

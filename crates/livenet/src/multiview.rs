@@ -19,6 +19,7 @@
 
 use crate::cluster::{injections, setup_failed, source_runners};
 use crate::serve::{with_readers, LiveServeOutcome};
+use dw_engine::InstallLog;
 use dw_engine::{run_cluster, InstallEvent, LiveError, NodeRunner, PolicyMetrics, ThreadNet};
 use dw_multiview::{EngineOptions, MaintenanceScheduler, OneViewSweep, ShardStats, ViewId};
 use dw_protocol::{Message, WAREHOUSE_NODE};
@@ -26,6 +27,7 @@ use dw_relational::{eval_view, Bag, ShardMap, SharedBag, ViewDef};
 use dw_serve::ReadFrontend;
 use dw_simnet::{NodeId, Time};
 use dw_workload::{GeneratedScenario, MultiViewScenario};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// One view's outcome from a live multiview run.
@@ -45,10 +47,12 @@ pub(crate) type Drained = (MaintenanceScheduler, Vec<LiveViewOutcome>, Duration)
 
 /// The warehouse node: a scheduler with every scenario view — base and
 /// derived — registered at its correct initial contents, behind the
-/// engine's runner face. The drain detector polls
-/// [`NodeRunner::is_idle`], the scheduler's own quiescence.
+/// engine's runner face, and the install log its outcomes read. The
+/// drain detector polls [`NodeRunner::is_idle`], the scheduler's own
+/// quiescence.
 pub(crate) struct LiveWarehouse {
     sched: MaintenanceScheduler,
+    log: Arc<Mutex<InstallLog>>,
 }
 
 impl NodeRunner for LiveWarehouse {
@@ -81,7 +85,7 @@ impl NodeRunner for LiveWarehouse {
 impl LiveWarehouse {
     /// A shared-sweep scheduler over `scenario` — its base views, then
     /// its derived views on top — with one lane per shard group of `map`,
-    /// one group without. With a `front`, installs publish into it and
+    /// one group without. With a `front`, the log forwards into it and
     /// every registry slot is mirrored into it at epoch 0, in slot order.
     pub fn new(
         scenario: &MultiViewScenario,
@@ -105,14 +109,15 @@ impl LiveWarehouse {
             .register_derived_many(&scenario.derived)
             .map_err(setup_failed)?;
         if let Some(front) = front {
-            sched.set_install_publisher(front.sink());
             let reg = sched.views();
             for id in reg.ids() {
                 let bag = reg.view_bag(id).map_err(setup_failed)?;
                 front.register_view(reg.name(id).map_err(setup_failed)?, bag.clone(), 0);
             }
         }
-        Ok(LiveWarehouse { sched })
+        let log = Arc::new(Mutex::new(InstallLog::new(front.map(ReadFrontend::sink))));
+        sched.set_install_publisher(log.clone());
+        Ok(LiveWarehouse { sched, log })
     }
 
     /// Every registry slot's current contents, in slot order.
@@ -132,8 +137,10 @@ impl LiveWarehouse {
         let refs: Vec<&Bag> = scenario.initial.iter().collect();
         let initial_view = eval_view(&scenario.view, &refs).map_err(setup_failed)?;
         let sweep = OneViewSweep::new(&scenario.view, initial_view, opts).map_err(setup_failed)?;
-        let (sched, id) = sweep.into_parts();
-        Ok((LiveWarehouse { sched }, id))
+        let (mut sched, id) = sweep.into_parts();
+        let log = Arc::new(Mutex::new(InstallLog::new(None)));
+        sched.set_install_publisher(log.clone());
+        Ok((LiveWarehouse { sched, log }, id))
     }
 
     /// Run `injections` (time-sorted) through this warehouse and one
@@ -150,7 +157,8 @@ impl LiveWarehouse {
     ) -> Result<Drained, LiveError> {
         let sources = source_runners(chain, initial)?;
         let outcome = run_cluster(self, sources, injections, time_scale, deadline)?;
-        let sched = outcome.warehouse.sched;
+        let LiveWarehouse { sched, log } = outcome.warehouse;
+        let log = log.lock().unwrap_or_else(PoisonError::into_inner);
         let reg = sched.views();
         let views = reg
             .ids()
@@ -159,7 +167,7 @@ impl LiveWarehouse {
                 Ok(LiveViewOutcome {
                     name: reg.name(id)?.to_string(),
                     view: reg.view_bag(id)?.to_bag(),
-                    installs: reg.install_log(id)?.to_vec(),
+                    installs: log.installs(id.index()).to_vec(),
                 })
             })
             .collect::<Result<_, dw_multiview::MvError>>()

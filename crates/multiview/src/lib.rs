@@ -39,7 +39,7 @@
 //!   commits an install, the signed delta cascades to each child locally
 //!   at the warehouse — children ascending by slot, depth-first, each
 //!   child's install consuming the *same* update ids as the parent so
-//!   the install logs stay 1:1 epoch-aligned. Identical sibling σ/Π
+//!   the install streams stay 1:1 epoch-aligned. Identical sibling σ/Π
 //!   derivations are evaluated once and shared ([`CascadeStats`] counts
 //!   the memo hits); aggregate children each fold the delta into their
 //!   own accumulators (group state mutates exactly once, so Σ work is

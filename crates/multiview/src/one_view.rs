@@ -3,7 +3,7 @@
 
 use crate::registry::{MvError, ViewId};
 use crate::scheduler::MaintenanceScheduler;
-use dw_engine::{EngineOptions, InstallEvent, MaintenancePolicy, PolicyMetrics, WarehouseError};
+use dw_engine::{EngineOptions, MaintenancePolicy, PolicyMetrics, WarehouseError};
 use dw_protocol::Message;
 use dw_relational::{Bag, SharedBag, ViewDef};
 use dw_simnet::{Delivery, NetHandle};
@@ -65,8 +65,8 @@ impl MaintenancePolicy for OneViewSweep {
         self.sched.views().slot(self.id).sink.bag()
     }
 
-    fn installs(&self) -> &[InstallEvent] {
-        self.sched.views().slot(self.id).sink.log()
+    fn set_install_publisher(&mut self, p: dw_engine::SharedInstallPublisher) {
+        self.sched.set_install_publisher(p);
     }
 
     /// The view's installs and staleness beside the engine's update,

@@ -1,5 +1,5 @@
 //! The runtime view registry: per-view materialized state, policy
-//! cadence, metrics and install logs, keyed by stable [`ViewId`]s.
+//! cadence and metrics, keyed by stable [`ViewId`]s.
 //!
 //! Since PR 9 the registry is a **maintenance DAG**, not a flat list:
 //! a view may be *derived* — defined over another registered view by a
@@ -17,8 +17,7 @@
 //! subexpression idea, applied to the delta stream).
 
 use dw_engine::{
-    ImageCost, InstallEvent, InstallSink, PolicyMetrics, SharedInstallPublisher, SinkImage,
-    WarehouseError,
+    ImageCost, InstallSink, MaterializedView, PolicyMetrics, SharedInstallPublisher, WarehouseError,
 };
 use dw_protocol::UpdateId;
 use dw_relational::{AggregateState, Bag, RelationalError, SharedBag, ViewDef};
@@ -172,13 +171,12 @@ pub(crate) struct ViewRuntime {
     /// The install cadence — applied where the view's batch waits, in
     /// the scheduler's [`dw_engine::InstallSequencer`].
     pub(crate) policy: ViewPolicy,
-    /// The materialized contents, the install log — in *global* chain
-    /// coordinates (consumed ids carry the base-chain source index) —
-    /// and where committed installs are announced (e.g. a `dw-serve`
-    /// snapshot store), under this runtime's registry slot index. The
-    /// publisher is a shared handle: a recovered runtime keeps feeding
-    /// the same consumer, which deduplicates recovery replays on
-    /// `(slot, epoch)`.
+    /// The materialized contents and where committed installs are
+    /// announced (an `InstallLog`, a `dw-serve` snapshot store), under
+    /// this runtime's registry slot index, consumed ids in *global* chain
+    /// coordinates (the base-chain source index). The publisher is a
+    /// shared handle: a recovered runtime keeps feeding the same
+    /// consumer, which keeps the first event of each `(slot, epoch)`.
     pub(crate) sink: InstallSink,
     pub(crate) metrics: PolicyMetrics,
     /// Base (swept) or derived (cascade-fed) maintenance.
@@ -191,14 +189,13 @@ pub(crate) struct ViewRuntime {
 }
 
 /// What a durable checkpoint keeps of one runtime: the part a sweep can
-/// change. The view contents are the image's own lineage, advanced by
-/// the installs since the last checkpoint, and the install log is only
-/// its length ([`SinkImage`]), so an image copies no history and, after
-/// its first, only `O(|ΔV|)` tuples. Everything else in a
-/// [`ViewRuntime`] is fixed at registration, and a registration
+/// change. The view — contents and install count — is the image's own
+/// lineage, advanced by the installs since the last checkpoint, so an
+/// image after its first copies only `O(|ΔV|)` tuples. Everything else
+/// in a [`ViewRuntime`] is fixed at registration, and a registration
 /// checkpoints on the spot.
 pub(crate) struct SlotImage {
-    pub(crate) sink: SinkImage,
+    pub(crate) sink: MaterializedView,
     metrics: PolicyMetrics,
     agg: Option<AggregateState>,
 }
@@ -504,9 +501,9 @@ impl ViewRegistry {
 
     /// Install a delta at `id` — `consumed` lists the updates it covers,
     /// in per-source delivery order; an empty delta still consumes them,
-    /// so install logs keep the per-source prefix discipline — then
+    /// so the installs keep the per-source prefix discipline — then
     /// cascade it through the view's derived descendants. The one install
-    /// site: children can never be skipped. The view's install log keeps
+    /// site: children can never be skipped. The published event carries
     /// `delta` itself; the cascade reads it through the same `Arc`.
     pub(crate) fn apply_with_cascade(
         &mut self,
@@ -602,8 +599,8 @@ impl ViewRegistry {
     /// The registry half of a durable checkpoint: `prev`, the images the
     /// last checkpoint took, each advanced by what its slot installed
     /// since, plus a seeded first image of every slot registered after
-    /// it. The install logs are kept as their lengths, so the cost of an
-    /// image does not grow with the run.
+    /// it. An image keeps no install history, so its cost does not grow
+    /// with the run.
     pub(crate) fn snapshot_slots(&mut self, prev: Vec<SlotImage>) -> (Vec<SlotImage>, ImageCost) {
         debug_assert!(prev.len() <= self.slots.len());
         let mut prev = prev.into_iter();
@@ -616,15 +613,13 @@ impl ViewRegistry {
         (images.collect(), cost)
     }
 
-    /// Does every slot image equal its live view — contents, install
-    /// count and install log length?
+    /// Does every slot image equal its live view — contents and install
+    /// count?
     #[cfg(test)]
     pub(crate) fn images_match_live(&self, image: &[SlotImage]) -> bool {
         image.len() == self.slots.len()
             && image.iter().zip(&self.slots).all(|(kept, rt)| {
-                kept.sink.bag() == rt.sink.bag()
-                    && kept.sink.installs() == rt.metrics.installs
-                    && kept.sink.log_len() == rt.sink.log().len()
+                kept.sink.bag() == rt.sink.bag() && kept.sink.installs() == rt.metrics.installs
             })
     }
 
@@ -713,13 +708,6 @@ impl ViewRegistry {
     pub fn metrics(&self, id: ViewId) -> Result<&PolicyMetrics, MvError> {
         Ok(&self.runtime(id)?.metrics)
     }
-
-    /// Per-view install log. Consumed [`UpdateId`]s are in *global*
-    /// chain coordinates; shift `source` by `-lo` to replay against a
-    /// span-local recorder.
-    pub fn install_log(&self, id: ViewId) -> Result<&[InstallEvent], MvError> {
-        Ok(self.runtime(id)?.sink.log())
-    }
 }
 
 #[cfg(test)]
@@ -801,6 +789,13 @@ mod tests {
         reg.register(&ViewSpec::full("base", 3), initial).unwrap()
     }
 
+    /// Attach a fresh install log to every slot of `reg`.
+    fn logged(reg: &mut ViewRegistry) -> Arc<std::sync::Mutex<dw_engine::InstallLog>> {
+        let log = Arc::new(std::sync::Mutex::new(dw_engine::InstallLog::new(None)));
+        reg.set_install_publisher(log.clone());
+        log
+    }
+
     fn hot_spec() -> DerivedSpec {
         DerivedSpec {
             name: "hot".into(),
@@ -849,6 +844,7 @@ mod tests {
         let ids = reg
             .register_derived_many(&[hot_spec(), counts_spec()])
             .unwrap();
+        let log = logged(&mut reg);
         let delta = Bag::from_pairs([(tup![5, 6, 6, 7, 7, 8], -1), (tup![9, 2, 2, 3, 3, 4], 1)]);
         let upd = UpdateId { source: 0, seq: 0 };
         reg.apply_with_cascade(base, Arc::new(delta), &[(upd, 10)], 20)
@@ -864,8 +860,9 @@ mod tests {
             &Bag::from_tuples([tup![1, 1], tup![9, 1]])
         );
         // Epochs stay 1:1 aligned, children consume the same update ids.
+        let log = log.lock().unwrap();
         for &id in std::iter::once(&base).chain(ids.iter()) {
-            let log = reg.install_log(id).unwrap();
+            let log = log.installs(id.index());
             assert_eq!(log.len(), 1, "{}", reg.name(id).unwrap());
             assert_eq!(log[0].consumed, vec![upd]);
         }
@@ -881,6 +878,7 @@ mod tests {
             ..hot_spec()
         };
         reg.register_derived_many(&[hot_spec(), twin]).unwrap();
+        let log = logged(&mut reg);
         let delta = Bag::from_tuples([tup![7, 2, 2, 3, 3, 4]]);
         let upd = UpdateId { source: 0, seq: 0 };
         reg.apply_with_cascade(base, Arc::new(delta), &[(upd, 5)], 9)
@@ -888,8 +886,9 @@ mod tests {
         let stats = reg.cascade_stats();
         assert_eq!(stats.linear_evals, 1, "first sibling evaluates");
         assert_eq!(stats.shared_derivations, 1, "second reuses the memo");
-        // Both siblings log the one evaluation, shared by refcount.
-        let logged = |name| &reg.install_log(reg.resolve(name).unwrap()).unwrap()[0].delta;
+        // Both siblings publish the one evaluation, shared by refcount.
+        let log = log.lock().unwrap();
+        let logged = |name| &log.installs(reg.resolve(name).unwrap().index())[0].delta;
         assert!(Arc::ptr_eq(logged("hot"), logged("hot2")));
         assert_eq!(
             reg.view_bag(reg.resolve("hot").unwrap()).unwrap(),
@@ -914,6 +913,7 @@ mod tests {
         let ids = reg
             .register_derived_many(&[over_counts, counts_spec()])
             .unwrap();
+        let log = logged(&mut reg);
         let delta = Bag::from_tuples([tup![1, 6, 6, 7, 7, 8]]);
         reg.apply_with_cascade(
             base,
@@ -927,7 +927,7 @@ mod tests {
             reg.view_bag(ids[0]).unwrap(),
             &Bag::from_tuples([tup![1, 2]])
         );
-        assert_eq!(reg.install_log(ids[0]).unwrap().len(), 1);
+        assert_eq!(log.lock().unwrap().installs(ids[0].index()).len(), 1);
     }
 
     #[test]
@@ -981,7 +981,7 @@ mod tests {
         struct Deaf;
         impl dw_engine::InstallPublisher for Deaf {
             fn note_delivery(&mut self, _: usize, _: UpdateId, _: Time) {}
-            fn publish(&mut self, _: InstallEvent) {}
+            fn publish(&mut self, _: dw_engine::InstallEvent) {}
         }
         let mut reg = ViewRegistry::new(base3()).unwrap();
         let base = seeded_base(&mut reg);
@@ -1001,11 +1001,10 @@ mod tests {
             reg.apply_with_cascade(base, delta, &[(upd, 4)], 9),
             poisoned
         );
-        // Nothing moved: no delivery counted, no install, no log entry.
+        // Nothing moved: no delivery counted, no install.
         for id in [base, hot] {
             let metrics = reg.metrics(id).unwrap();
             assert_eq!((metrics.updates_received, metrics.installs), (0, 0));
-            assert!(reg.install_log(id).unwrap().is_empty());
         }
         let seeded = Bag::from_tuples([tup![1, 2, 2, 3, 3, 4], tup![5, 6, 6, 7, 7, 8]]);
         assert_eq!(reg.view_bag(base).unwrap(), &seeded);

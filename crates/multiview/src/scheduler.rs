@@ -227,7 +227,7 @@ pub struct ShardStats {
     /// crash undid is done, and counted, again.
     pub skipped: u64,
     /// Every lane completion: `(the lane's band mask, finish time)`. The
-    /// recovery suite reads this against the install log to find commits
+    /// recovery suite reads this against the installs to find commits
     /// a crash caught still waiting behind an earlier ticket.
     pub completions: Vec<(u64, Time)>,
     /// High-water mark of concurrently in-flight lanes.
@@ -602,9 +602,9 @@ impl MaintenanceScheduler {
         self.groups[s]
     }
 
-    /// Does nothing: an install log keeps each install's delta, never a
-    /// snapshot of the view, so there is no snapshot to switch off. Kept
-    /// only because the frozen benchmark calls it; it goes with
+    /// Does nothing: the warehouse keeps no install history, so there is
+    /// no snapshot to switch off. Kept only because the frozen benchmark
+    /// calls it; it goes with
     /// `SchedulerMode` in the next benchmark-only change.
     pub fn set_record_snapshots(&mut self, _record: bool) {}
 
@@ -615,8 +615,8 @@ impl MaintenanceScheduler {
     /// lanes complete out of order — keyed by the view's registry slot,
     /// and update arrivals are forwarded as delivery notices so the
     /// consumer can account staleness. Crash recovery replays committed
-    /// installs through the same handle with their original epochs;
-    /// consumers deduplicate on `(view, epoch)`.
+    /// installs through the same handle with their original epochs. A
+    /// caller that reads install history attaches an `InstallLog` here.
     pub fn set_install_publisher(&mut self, p: dw_engine::SharedInstallPublisher) {
         self.registry.set_install_publisher(p);
     }
@@ -1512,6 +1512,41 @@ mod tests {
     use dw_source::DataSource;
     use dw_workload::{DerivedOp, DerivedSpec, ViewPolicy};
 
+    /// A scheduler with an install log attached: where a test reads
+    /// install history.
+    struct Logged {
+        sched: MaintenanceScheduler,
+        log: Arc<std::sync::Mutex<dw_engine::InstallLog>>,
+    }
+
+    impl From<MaintenanceScheduler> for Logged {
+        fn from(mut sched: MaintenanceScheduler) -> Logged {
+            let log = Arc::new(std::sync::Mutex::new(dw_engine::InstallLog::new(None)));
+            sched.set_install_publisher(log.clone());
+            Logged { sched, log }
+        }
+    }
+
+    impl std::ops::Deref for Logged {
+        type Target = MaintenanceScheduler;
+        fn deref(&self) -> &MaintenanceScheduler {
+            &self.sched
+        }
+    }
+
+    impl std::ops::DerefMut for Logged {
+        fn deref_mut(&mut self) -> &mut MaintenanceScheduler {
+            &mut self.sched
+        }
+    }
+
+    impl Logged {
+        /// View `id`'s installs, in order.
+        fn installs(&self, id: ViewId) -> Vec<dw_engine::InstallEvent> {
+            self.log.lock().unwrap().installs(id.index()).to_vec()
+        }
+    }
+
     fn base3() -> ViewDef {
         ViewDefBuilder::new()
             .relation(Schema::new("R1", ["A", "B"]).unwrap())
@@ -1619,12 +1654,13 @@ mod tests {
     /// warehouse state-crashes just before the first answer is delivered
     /// — every lane started so far is mid-sweep.
     fn drive(
-        mut sched: MaintenanceScheduler,
+        sched: impl Into<Logged>,
         initial: Vec<Bag>,
         view_specs: &[ViewSpec],
         txns: &[(Time, usize, Bag)],
         crash_at_first_answer: bool,
-    ) -> (MaintenanceScheduler, Vec<Bag>) {
+    ) -> (Logged, Vec<Bag>) {
+        let mut sched = sched.into();
         for bag in &initial {
             sched.seed_groups(bag);
         }
@@ -1640,11 +1676,12 @@ mod tests {
     /// [`drive`] for a scheduler whose views are already registered (and
     /// whose durability, if it is to crash, is already armed).
     fn drive_registered(
-        mut sched: MaintenanceScheduler,
+        sched: impl Into<Logged>,
         initial: Vec<Bag>,
         txns: &[(Time, usize, Bag)],
         crash_at_first_answer: bool,
-    ) -> (MaintenanceScheduler, Vec<Bag>) {
+    ) -> (Logged, Vec<Bag>) {
+        let mut sched = sched.into();
         let mut net: Network<Message> = Network::new(7);
         let mut sources = sources(sched.views().base(), &initial);
         let mut shadows = initial;
@@ -1663,10 +1700,7 @@ mod tests {
         (sched, shadows)
     }
 
-    fn run(
-        view_specs: &[ViewSpec],
-        txns: &[(Time, usize, Bag)],
-    ) -> (MaintenanceScheduler, Vec<Bag>) {
+    fn run(view_specs: &[ViewSpec], txns: &[(Time, usize, Bag)]) -> (Logged, Vec<Bag>) {
         run_with_options(EngineOptions::default(), view_specs, txns)
     }
 
@@ -1674,23 +1708,25 @@ mod tests {
         opts: EngineOptions,
         view_specs: &[ViewSpec],
         txns: &[(Time, usize, Bag)],
-    ) -> (MaintenanceScheduler, Vec<Bag>) {
+    ) -> (Logged, Vec<Bag>) {
         let sched = MaintenanceScheduler::with_shards(base3(), opts, None).unwrap();
         drive(sched, initial3(), view_specs, txns, false)
     }
 
-    fn sharded(map: ShardMap) -> MaintenanceScheduler {
+    fn sharded(map: ShardMap) -> Logged {
         batched(map, 1)
     }
 
     /// A sharded scheduler folding up to `batch` same-source updates
     /// per sweep.
-    fn batched(map: ShardMap, batch: usize) -> MaintenanceScheduler {
+    fn batched(map: ShardMap, batch: usize) -> Logged {
         let opts = EngineOptions {
             batch,
             ..EngineOptions::default()
         };
-        MaintenanceScheduler::with_shards(base3(), opts, Some(map)).unwrap()
+        MaintenanceScheduler::with_shards(base3(), opts, Some(map))
+            .unwrap()
+            .into()
     }
 
     /// Drive a sharded scheduler to quiescence over `txns` (see
@@ -1701,7 +1737,7 @@ mod tests {
         view_specs: &[ViewSpec],
         txns: &[(Time, usize, Bag)],
         crash_at_first_answer: bool,
-    ) -> (MaintenanceScheduler, Vec<Bag>) {
+    ) -> (Logged, Vec<Bag>) {
         let sched = sharded(map);
         drive(sched, initial, view_specs, txns, crash_at_first_answer)
     }
@@ -1736,8 +1772,8 @@ mod tests {
     }
 
     /// Per-install consumed-update sets of view `id`, in install order.
-    fn consumed_log(sched: &MaintenanceScheduler, id: ViewId) -> Vec<Vec<UpdateId>> {
-        let log = sched.views().install_log(id).unwrap();
+    fn consumed_log(sched: &Logged, id: ViewId) -> Vec<Vec<UpdateId>> {
+        let log = sched.installs(id);
         log.iter().map(|rec| rec.consumed.clone()).collect()
     }
 
@@ -1863,7 +1899,7 @@ mod tests {
         let id = sched.views().ids()[0];
         assert_eq!(sched.views().view_bag(id).unwrap(), &shadows[2]);
         // Only the in-span update was consumed.
-        assert_eq!(sched.views().install_log(id).unwrap().len(), 1);
+        assert_eq!(sched.installs(id).len(), 1);
     }
 
     #[test]
@@ -1878,7 +1914,7 @@ mod tests {
         let truth = eval_view(&batched.compile(sched.views().base()).unwrap(), &refs).unwrap();
         assert_eq!(sched.views().view_bag(id).unwrap(), &truth);
         // Every install consumed a whole delivery-order batch.
-        let log = sched.views().install_log(id).unwrap();
+        let log = sched.installs(id);
         assert_eq!(log.len(), 2);
         assert!(log.iter().all(|rec| rec.consumed.len() == 3));
     }
@@ -1918,7 +1954,7 @@ mod tests {
             &eval_view(&full, &refs).unwrap()
         );
         // The folded install consumed both updates at once.
-        let log = batched.views().install_log(id).unwrap();
+        let log = batched.installs(id);
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].consumed.len(), 1);
         assert_eq!(log[1].consumed.len(), 2);
@@ -1994,8 +2030,8 @@ mod tests {
             );
             // Identical install sequences: same consumed ids, same
             // deltas, in the same order.
-            let a = plain.views().install_log(id).unwrap();
-            let b = pushed.views().install_log(id).unwrap();
+            let a = plain.installs(id);
+            let b = pushed.installs(id);
             assert_eq!(a.len(), b.len());
             for (ra, rb) in a.iter().zip(b) {
                 assert_eq!(ra.consumed, rb.consumed);
@@ -2335,7 +2371,7 @@ mod tests {
                 assert_eq!((sched.lanes.len(), sched.lanes[0].task.ticket), (1, 0));
                 assert_eq!(sched.sequencer.outstanding(), 2);
                 let id = sched.views().ids()[0];
-                assert!(sched.views().install_log(id).unwrap().is_empty());
+                assert_eq!(sched.views().metrics(id).unwrap().installs, 0);
             });
             assert!(crashed && sched.is_quiescent());
             assert_ground_truth(sched.views(), &specs, &shadows);
@@ -2356,40 +2392,212 @@ mod tests {
         }
     }
 
-    /// A checkpoint image keeps each install log as its *length*, so the
-    /// 200th checkpoint of a run clones exactly the install records the
-    /// 1st did — none — and recovery cuts the live log back instead of
-    /// restoring a copy: the surviving prefix is the very same records.
+    /// A checkpoint image is the view and its install count, so the
+    /// 200th checkpoint of a run copies exactly what the 1st did —
+    /// nothing — and recovery re-publishes under the image's count: the
+    /// attached log sees the same 200 installs and no divergence, and
+    /// the next install continues at epoch 201.
     #[test]
     fn a_checkpoint_costs_the_same_however_long_the_history() {
-        let mut sched = MaintenanceScheduler::new(base3(), SchedulerMode::Shared).unwrap();
+        let mut sched: Logged = MaintenanceScheduler::new(base3(), SchedulerMode::Shared)
+            .unwrap()
+            .into();
         let spec = ViewSpec::full("full", 3);
         let id = register(&mut sched, &spec, &initial3());
         sched.enable_durability(DurabilityConfig {
             checkpoint_every: 1,
         });
-        let logged = |sched: &MaintenanceScheduler| sched.views().install_log(id).unwrap().len();
-        // 200 single-update sweeps, each committed and checkpointed.
+        // 201 single-update sweeps, each committed and checkpointed.
         let insert = |k: i64| Bag::from_tuples([tup![1_000 + k, 3]]);
-        let txns: Vec<_> = (0..200)
+        let txns: Vec<_> = (0..201)
             .map(|k| (100 + 10_000 * k, 0, insert(k as i64)))
             .collect();
         let (first, rest) = txns.split_at(1);
+        let (rest, last) = rest.split_at(199);
         let (sched, _) = drive_registered(sched, initial3(), first, false);
-        assert_eq!(logged(&sched), 1);
+        assert_eq!(sched.installs(id).len(), 1);
         let (mut sched, _) = drive_registered(sched, initial3(), rest, false);
-        assert_eq!(logged(&sched), 200);
+        assert_eq!(sched.installs(id).len(), 200);
         assert_eq!(sched.durable_stats().unwrap().checkpoints_taken, 201);
         assert_eq!(sched.checkpoint_copied_tuples(), 0);
 
-        let oldest = |sched: &MaintenanceScheduler| {
-            sched.views().install_log(id).unwrap()[0].consumed.as_ptr()
-        };
-        let before = oldest(&sched);
         let mut net: Network<Message> = Network::new(3);
         sched.crash_and_recover(&mut net).unwrap();
-        assert_eq!(logged(&sched), 200);
-        assert_eq!(oldest(&sched), before, "recovery copied the history");
+        let mut shadows = initial3();
+        shadows[0].merge(&Bag::from_tuples((0..200).map(|k| tup![1_000 + k, 3])));
+        let (sched, _) = drive_registered(sched, shadows, last, false);
+        let epochs: Vec<u64> = sched.installs(id).iter().map(|e| e.epoch).collect();
+        assert_eq!(epochs, (1..=201).collect::<Vec<_>>());
+        assert_eq!(sched.log.lock().unwrap().divergences(), 0);
+    }
+
+    /// Keeps a `Weak` of each published delta and drops the event; with
+    /// `keep`, keeps every event too, replays included.
+    #[derive(Default)]
+    struct Tape {
+        keep: bool,
+        deltas: Vec<std::sync::Weak<Bag>>,
+        events: Vec<dw_engine::InstallEvent>,
+    }
+
+    impl dw_engine::InstallPublisher for Tape {
+        fn note_delivery(&mut self, _: usize, _: UpdateId, _: Time) {}
+        fn publish(&mut self, event: dw_engine::InstallEvent) {
+            self.deltas.push(Arc::downgrade(&event.delta));
+            if self.keep {
+                self.events.push(event);
+            }
+        }
+    }
+
+    /// `n` random transactions over `initial3`, 500 µs apart, and the
+    /// relations after them.
+    fn random_txns(seed: u64, n: usize) -> (Vec<(Time, usize, Bag)>, Vec<Bag>) {
+        let mut rng = dw_rng::Rng64::new(seed);
+        let mut shadows = initial3();
+        let txns = (1..=n as u64).map(|k| {
+            let src = rng.usize_below(3);
+            let delta = random_txn(&mut rng, &shadows[src]);
+            shadows[src].merge(&delta);
+            (500 * k, src, delta)
+        });
+        (txns.collect(), shadows)
+    }
+
+    /// The warehouse keeps no install: with no publisher, and with one
+    /// that drops each event, no delta outlives its publish. A durable
+    /// run's recovery re-publishes from the image's install count, each
+    /// event equal to the one first published.
+    #[test]
+    fn no_delta_outlives_its_publish_and_replays_continue_the_epochs() {
+        let dead = |deltas: &[std::sync::Weak<Bag>]| deltas.iter().all(|d| d.strong_count() == 0);
+        let specs = specs();
+        let hot = DerivedSpec {
+            name: "hot".into(),
+            parent: "full".into(),
+            op: DerivedOp::Select {
+                selects: vec![(0, CmpOp::Ge, Value::Int(2))],
+                projection: None,
+            },
+        };
+        let scheduler = |initial: &[Bag]| {
+            let mut sched = MaintenanceScheduler::new(base3(), SchedulerMode::Shared).unwrap();
+            for spec in &specs {
+                register(&mut sched, spec, initial);
+            }
+            sched.register_derived(&hot).unwrap();
+            sched
+        };
+
+        // No publisher: the one install site, fed deltas only this test
+        // holds.
+        let mut sched = scheduler(&initial3());
+        let full = sched.views().ids()[0];
+        let deltas: Vec<_> = (0..50)
+            .map(|k| {
+                let delta = Arc::new(Bag::from_tuples([tup![100 + k, 3, 3, 5, 5, 9]]));
+                let id = UpdateId {
+                    source: 0,
+                    seq: k as u64,
+                };
+                let at = k as Time;
+                let consumed = [(id, at)];
+                (sched.registry)
+                    .apply_with_cascade(full, Arc::clone(&delta), &consumed, at)
+                    .unwrap();
+                Arc::downgrade(&delta)
+            })
+            .collect();
+        assert_eq!(sched.views().metrics(full).unwrap().installs, 50);
+        assert!(dead(&deltas), "the warehouse kept an installed delta");
+
+        // A publisher that drops each event, over real sweeps.
+        let (txns, shadows) = random_txns(0x7e7a, 40);
+        let mut sched = scheduler(&initial3());
+        let tape = Arc::new(std::sync::Mutex::new(Tape::default()));
+        sched.set_install_publisher(tape.clone());
+        let mut net: Network<Message> = Network::new(5);
+        let mut srcs = sources(sched.views().base(), &initial3());
+        for (at, src, delta) in &txns {
+            net.inject(*at, source_node(*src), txn(*src, delta.clone()));
+        }
+        pump_network(&mut net, &mut sched, &mut srcs, |_, _, _| {});
+        assert!(sched.is_quiescent());
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        let published = tape.lock().unwrap().deltas.len() as u64;
+        let installs = sched.views().ids().into_iter();
+        let installs = installs.map(|id| sched.views().metrics(id).unwrap().installs);
+        assert_eq!(published, installs.sum::<u64>());
+        assert!(published >= 40);
+        assert!(
+            dead(&tape.lock().unwrap().deltas),
+            "a published delta outlived its publish"
+        );
+
+        // Durable: crash once the tape holds 7 installs of the full view.
+        let mut sched = scheduler(&initial3());
+        sched.enable_durability(DurabilityConfig {
+            checkpoint_every: 3,
+        });
+        let keep = Tape {
+            keep: true,
+            ..Tape::default()
+        };
+        let tape = Arc::new(std::sync::Mutex::new(keep));
+        sched.set_install_publisher(tape.clone());
+        let mut net: Network<Message> = Network::new(5);
+        let mut srcs = sources(sched.views().base(), &initial3());
+        for (at, src, delta) in &txns {
+            net.inject(*at, source_node(*src), txn(*src, delta.clone()));
+        }
+        let mut crash = None;
+        pump_network(&mut net, &mut sched, &mut srcs, |sched, _, net| {
+            let (before, of_full) = {
+                let events = &tape.lock().unwrap().events;
+                let full = events.iter().filter(|e| e.view_index == 0);
+                (events.len(), full.count())
+            };
+            if crash.is_some() || of_full < 7 {
+                return;
+            }
+            let durable = sched.durable.as_ref().unwrap();
+            let image = &durable.store.checkpoint_ref().unwrap().slots;
+            let counts: Vec<u64> = image.iter().map(|s| s.sink.installs()).collect();
+            sched.crash_and_recover(net).unwrap();
+            crash = Some((before, tape.lock().unwrap().events.len(), counts));
+        });
+        let (before, after, image) = crash.unwrap();
+        assert!(sched.is_quiescent());
+        assert_ground_truth(sched.views(), &specs, &shadows);
+        let events = &tape.lock().unwrap().events;
+        let replayed = &events[before..after];
+        assert!(!replayed.is_empty(), "the crash replayed nothing");
+        for (slot, &count) in image.iter().enumerate() {
+            let epochs: Vec<u64> = (replayed.iter())
+                .filter(|e| e.view_index == slot)
+                .map(|e| e.epoch)
+                .collect();
+            let expected: Vec<u64> = (count + 1..=count + epochs.len() as u64).collect();
+            assert_eq!(
+                epochs, expected,
+                "slot {slot}: replay starts past the image"
+            );
+        }
+        // Every replay equals the first event of its epoch.
+        let first = |e: &dw_engine::InstallEvent| {
+            let kept = events[..before].iter();
+            kept.filter(|k| k.view_index == e.view_index)
+                .nth(e.epoch as usize - 1)
+        };
+        assert!(replayed.iter().all(|e| first(e) == Some(e)));
+        // Outside the replay each slot's epochs run 1, 2, … up to its
+        // install count: the installs after recovery continue it.
+        for (slot, id) in sched.views().ids().into_iter().enumerate() {
+            let rest = events[..before].iter().chain(&events[after..]);
+            let ours = rest.filter(|e| e.view_index == slot).map(|e| e.epoch);
+            let installs = sched.views().metrics(id).unwrap().installs;
+            assert_eq!(ours.collect::<Vec<_>>(), (1..=installs).collect::<Vec<_>>());
+        }
     }
 
     /// A random source transaction over a small value domain (so the
@@ -2422,7 +2630,9 @@ mod tests {
             let checkpoint_every = [1, 3, usize::MAX][case as usize % 3];
             let opts = EngineOptions::default();
             let map = (case % 2 == 1).then(|| ShardMap::range(6, 2));
-            let mut sched = MaintenanceScheduler::with_shards(base3(), opts, map).unwrap();
+            let mut sched: Logged = MaintenanceScheduler::with_shards(base3(), opts, map)
+                .unwrap()
+                .into();
             for bag in &initial3() {
                 sched.seed_groups(bag);
             }
@@ -2530,10 +2740,11 @@ mod tests {
             assert_eq!(sched.views().install_copied_tuples(), 0, "case {case}");
             assert_eq!(sched.checkpoint_seeded_tuples(), seeded, "case {case}");
             let views = sched.views();
+            assert_eq!(sched.log.lock().unwrap().divergences(), 0, "case {case}");
             for (id, initial) in views.ids().into_iter().zip(registered) {
-                let log = views.install_log(id).unwrap();
+                let log = sched.installs(id);
                 assert_eq!(log.len() as u64, views.metrics(id).unwrap().installs);
-                let folded = dw_engine::view_states(initial.clone().into(), log).last();
+                let folded = dw_engine::view_states(initial.clone().into(), &log).last();
                 let folded = folded.unwrap_or_else(|| initial.into());
                 let name = views.name(id).unwrap();
                 assert_eq!(&folded, views.view_bag(id).unwrap(), "case {case}: {name}");
@@ -2571,7 +2782,7 @@ mod tests {
     }
 
     /// The `seq`s each install of view `id` consumed.
-    fn consumed_seqs(sched: &MaintenanceScheduler, id: ViewId) -> Vec<Vec<u64>> {
+    fn consumed_seqs(sched: &Logged, id: ViewId) -> Vec<Vec<u64>> {
         let seqs = |ids: Vec<UpdateId>| ids.iter().map(|u| u.seq).collect();
         consumed_log(sched, id).into_iter().map(seqs).collect()
     }
@@ -2670,7 +2881,7 @@ mod tests {
         );
         assert_eq!(sched.stats().skipped, 1);
         let id = sched.views().ids()[0];
-        assert_eq!(sched.views().install_log(id).unwrap().len(), 1);
+        assert_eq!(sched.installs(id).len(), 1);
         let refs: Vec<&Bag> = shadows[2..=2].iter().collect();
         let truth = eval_view(&specs[0].compile(sched.views().base()).unwrap(), &refs).unwrap();
         assert_eq!(sched.views().view_bag(id).unwrap(), &truth);
@@ -2701,9 +2912,7 @@ mod tests {
         assert_eq!(sched.stats().max_concurrent_lanes, 1);
         let id = sched.views().ids()[0];
         let consumed: Vec<u64> = sched
-            .views()
-            .install_log(id)
-            .unwrap()
+            .installs(id)
             .iter()
             .flat_map(|rec| rec.consumed.iter().map(|u| u.seq))
             .collect();
@@ -2926,7 +3135,7 @@ mod tests {
         }
 
         struct OneView {
-            sched: MaintenanceScheduler,
+            sched: Logged,
             id: ViewId,
             net: Network<Message>,
         }
@@ -2936,6 +3145,7 @@ mod tests {
                 let OneViewSweep { sched, id, .. } =
                     OneViewSweep::new(&view, initial, opts).unwrap();
                 let net = Network::new(0);
+                let sched = sched.into();
                 OneView { sched, id, net }
             }
 
@@ -2947,8 +3157,8 @@ mod tests {
                 self.sched.views().view_bag(self.id).unwrap()
             }
 
-            fn installs(&self) -> &[dw_engine::InstallEvent] {
-                self.sched.views().install_log(self.id).unwrap()
+            fn installs(&self) -> Vec<dw_engine::InstallEvent> {
+                self.sched.installs(self.id)
             }
         }
 
@@ -3309,7 +3519,7 @@ mod tests {
             opts: EngineOptions,
             latency: LatencyModel,
             txns: &[(Time, usize, Bag)],
-        ) -> (MaintenanceScheduler, ViewId, Vec<Bag>) {
+        ) -> (Logged, ViewId, Vec<Bag>) {
             let initial = vec![
                 Bag::from_tuples([tup![1, 3], tup![2, 3]]),
                 Bag::from_tuples([tup![3, 7]]),
@@ -3319,7 +3529,8 @@ mod tests {
             let refs: Vec<&Bag> = initial.iter().collect();
             let start = eval_view(&view, &refs).unwrap();
             let sweep = OneViewSweep::new(&view, start, opts).unwrap();
-            let OneViewSweep { mut sched, id, .. } = sweep;
+            let OneViewSweep { sched, id, .. } = sweep;
+            let mut sched = Logged::from(sched);
             let mut net: Network<Message> = Network::new(11);
             net.set_default_latency(latency);
             let mut srcs = sources(&view, &initial);
@@ -3348,7 +3559,7 @@ mod tests {
             let (sched, id, _) = through_sources(EngineOptions::FIGURE_4, latency, &txns);
             let view = sched.views().view_bag(id).unwrap();
             assert_eq!(view, &Bag::from_pairs([(tup![5, 6], 1)]));
-            assert_eq!(sched.views().install_log(id).unwrap().len(), 3);
+            assert_eq!(sched.installs(id).len(), 3);
         }
 
         #[test]

@@ -374,16 +374,6 @@ impl ReadFrontend {
     pub fn retained_epochs(&self, view: usize) -> Result<Vec<u64>, ServeError> {
         self.lock().retained_epochs(view)
     }
-
-    /// Every accepted install as `(view slot, epoch)`, in publication
-    /// order — the global install-ticket order readers and subscribers
-    /// observe. A cascaded derived child's install follows its parent's
-    /// immediately (children ascending by slot, depth-first), so a base
-    /// install and its derived descendants form one contiguous block;
-    /// crash-recovery replays never re-enter the ledger.
-    pub fn publication_log(&self) -> Vec<(usize, u64)> {
-        self.lock().publication_log().to_vec()
-    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use dw_engine::InstallEvent;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Whether `stream` — a subscription that started after `from_epoch` —
-/// replays `installs`, its view's install log, exactly from there: the
+/// replays `installs`, its view's installs, exactly from there: the
 /// same events (view, epochs, install times, consumed sets and deltas).
 /// The one subscription-replay check of every run, simulated or on
 /// threads.

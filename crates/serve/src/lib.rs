@@ -10,7 +10,7 @@
 //! * every committed install arrives as an epoch-stamped event and is
 //!   frozen into an immutable snapshot inside the [`SnapshotStore`] —
 //!   epoch `e` is the view after exactly `e` installs, with the install
-//!   log's own consumed-update sets as provenance;
+//!   events' own consumed-update sets as provenance;
 //! * the [`ReadFrontend`] answers point/scan queries against a chosen
 //!   (usually **pinned**) epoch, so a concurrent sweep can never block
 //!   or torn-read a reader — readers hold `Arc` snapshots, installs only
@@ -35,8 +35,8 @@
 //!
 //! Old epochs are retained only while pinned (plus the latest); garbage
 //! collection runs at publish and unpin. Crash recovery replays installs
-//! through the same publication hook; the store deduplicates on
-//! `(view, epoch)`, so recovery is invisible to readers — they keep
+//! through the same publication hook; the store keeps the first event
+//! of each `(view, epoch)`, so recovery is invisible to readers — they keep
 //! answering from the last committed epoch throughout.
 //!
 //! Construction discipline: **only this crate builds snapshots**. Every

@@ -6,7 +6,7 @@
 //! is fed through [`dw_engine::InstallPublisher`]: the schedulers call
 //! `note_delivery` when an update reaches the warehouse and `publish`
 //! at every committed install, so the store's epoch sequence *is* the
-//! install log — same consumed sets, same order, one bag per record.
+//! install sequence — same consumed sets, same order, one bag per epoch.
 //!
 //! **Retention.** Readers hold epochs through pins; the store keeps the
 //! latest epoch plus every pinned one and garbage-collects the rest at
@@ -240,32 +240,12 @@ pub struct ServeStats {
 /// The store itself (see module docs). Consumers never construct or
 /// hold one directly — [`crate::ReadFrontend`] owns it behind a mutex
 /// and hands the engine a publisher handle onto it.
+#[derive(Default)]
 pub struct SnapshotStore {
     views: Vec<ViewState>,
     hub: SubscriptionHub,
     stats: ServeStats,
     obs: Obs,
-    /// Every accepted install as `(view slot, epoch)`, in publication
-    /// order — the documented global ticket order. Under the flat engine
-    /// that is apply order; under the sharded engine it is
-    /// [`dw_engine::InstallSequencer`] ticket order. A cascaded derived
-    /// child's install is published immediately after its parent's,
-    /// children in ascending slot order, depth-first — so a base install
-    /// and its derived descendants always form one contiguous block.
-    /// Replays (crash recovery) are ignored and never re-enter the log.
-    publication_log: Vec<(usize, u64)>,
-}
-
-impl Default for SnapshotStore {
-    fn default() -> Self {
-        SnapshotStore {
-            views: Vec::new(),
-            hub: SubscriptionHub::new(),
-            stats: ServeStats::default(),
-            obs: Obs::off(),
-            publication_log: Vec::new(),
-        }
-    }
 }
 
 impl SnapshotStore {
@@ -518,11 +498,6 @@ impl SnapshotStore {
     pub(crate) fn retained_epochs(&self, view: usize) -> Result<Vec<u64>, ServeError> {
         Ok(self.view(view)?.epochs.keys().copied().collect())
     }
-
-    /// The global publication ledger (see the field docs).
-    pub(crate) fn publication_log(&self) -> &[(usize, u64)] {
-        &self.publication_log
-    }
 }
 
 /// Does a reader hold `epoch`?
@@ -621,7 +596,6 @@ impl InstallPublisher for SnapshotStore {
             },
         );
         v.latest = epoch;
-        self.publication_log.push((event.view_index, epoch));
         self.stats.snapshots_published += 1;
         self.gc(event.view_index, usize::from(retired));
         let out = self.hub.publish(&event);

@@ -20,7 +20,6 @@
 //! The [`PolicyMetrics::compensation_queries`] counter measures the
 //! blow-up directly.
 
-use crate::InstallEvent;
 use crate::MaintenancePolicy;
 use crate::PendingUpdate;
 use crate::PolicyMetrics;
@@ -379,8 +378,8 @@ impl MaintenancePolicy for CStrobe {
         self.sink.bag()
     }
 
-    fn installs(&self) -> &[InstallEvent] {
-        self.sink.log()
+    fn set_install_publisher(&mut self, p: dw_engine::SharedInstallPublisher) {
+        self.sink.set_publisher(p);
     }
 
     fn metrics(&self) -> &PolicyMetrics {

@@ -21,7 +21,6 @@
 //! unanswered-query set drains — ECA **requires quiescence** to advance the
 //! view (Table 1), in contrast to SWEEP.
 
-use crate::InstallEvent;
 use crate::MaintenancePolicy;
 use crate::PolicyMetrics;
 use crate::WarehouseError;
@@ -177,8 +176,8 @@ impl MaintenancePolicy for Eca {
         self.sink.bag()
     }
 
-    fn installs(&self) -> &[InstallEvent] {
-        self.sink.log()
+    fn set_install_publisher(&mut self, p: dw_engine::SharedInstallPublisher) {
+        self.sink.set_publisher(p);
     }
 
     fn metrics(&self) -> &PolicyMetrics {
@@ -225,7 +224,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(wh.view().count(&tup![1, 3, 3, 7]), 1);
-        assert_eq!(wh.installs().len(), 1);
+        assert_eq!(wh.metrics().installs, 1);
         assert!(wh.is_quiescent());
     }
 
@@ -233,6 +232,7 @@ mod tests {
     fn interfering_update_adds_compensation_terms() {
         let mut net: Network<Message> = Network::new(0);
         let mut wh = Eca::new(two_chain(), Bag::new()).unwrap();
+        let log = crate::testkit::logged(&mut wh);
         // u1 at relation 0 — query pending.
         wh.on_message(
             deliver(0, update(0, 0, Bag::from_tuples([tup![1, 3]]))),
@@ -273,7 +273,7 @@ mod tests {
             &mut net,
         )
         .unwrap();
-        assert_eq!(wh.installs().len(), 0);
+        assert_eq!(wh.metrics().installs, 0);
         assert!(!wh.is_quiescent());
         wh.on_message(
             deliver(
@@ -286,8 +286,8 @@ mod tests {
             &mut net,
         )
         .unwrap();
-        assert_eq!(wh.installs().len(), 1);
-        assert_eq!(wh.installs()[0].consumed.len(), 2);
+        assert_eq!(wh.metrics().installs, 1);
+        assert_eq!(log.lock().unwrap().installs(0)[0].consumed.len(), 2);
     }
 
     #[test]

@@ -32,11 +32,11 @@ pub mod recompute;
 pub mod strobe;
 mod testkit;
 
-// The mechanism layer (errors, install log, metrics, the policy trait, the
+// The mechanism layer (errors, install events, metrics, the policy trait, the
 // update queue, the materialized view) lives in `dw-engine`.
 pub use dw_engine::{
-    InstallEvent, MaintenancePolicy, MaterializedView, PendingUpdate, PolicyMetrics, UpdateQueue,
-    WarehouseError,
+    InstallEvent, InstallLog, MaintenancePolicy, MaterializedView, PendingUpdate, PolicyMetrics,
+    UpdateQueue, WarehouseError,
 };
 
 pub use cstrobe::CStrobe;

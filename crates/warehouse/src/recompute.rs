@@ -12,7 +12,6 @@
 //! source state — only the final state after quiescence is guaranteed
 //! (convergence), which the consistency checker classifies accordingly.
 
-use crate::InstallEvent;
 use crate::MaintenancePolicy;
 use crate::PolicyMetrics;
 use crate::WarehouseError;
@@ -137,8 +136,8 @@ impl MaintenancePolicy for Recompute {
         self.sink.bag()
     }
 
-    fn installs(&self) -> &[InstallEvent] {
-        self.sink.log()
+    fn set_install_publisher(&mut self, p: dw_engine::SharedInstallPublisher) {
+        self.sink.set_publisher(p);
     }
 
     fn metrics(&self) -> &PolicyMetrics {
@@ -195,7 +194,7 @@ mod tests {
             &mut net,
         )
         .unwrap();
-        assert_eq!(wh.installs().len(), 0);
+        assert_eq!(wh.metrics().installs, 0);
         wh.on_message(
             deliver(
                 6,
@@ -208,7 +207,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(wh.view().count(&tup![1, 3, 3, 7]), 1);
-        assert_eq!(wh.installs().len(), 1);
+        assert_eq!(wh.metrics().installs, 1);
         assert!(wh.is_quiescent());
     }
 
@@ -246,7 +245,7 @@ mod tests {
             .unwrap();
         }
         // First refresh installed, second refresh already launched.
-        assert_eq!(wh.installs().len(), 1);
+        assert_eq!(wh.metrics().installs, 1);
         assert!(!wh.is_quiescent());
         assert_eq!(wh.metrics().queries_sent, 4);
     }

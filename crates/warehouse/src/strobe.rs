@@ -18,7 +18,6 @@
 //! provides strong consistency: every install lands exactly on the
 //! ground-truth state of a delivery prefix.
 
-use crate::InstallEvent;
 use crate::MaintenancePolicy;
 use crate::PolicyMetrics;
 use crate::WarehouseError;
@@ -257,8 +256,8 @@ impl MaintenancePolicy for Strobe {
         self.sink.bag()
     }
 
-    fn installs(&self) -> &[InstallEvent] {
-        self.sink.log()
+    fn set_install_publisher(&mut self, p: dw_engine::SharedInstallPublisher) {
+        self.sink.set_publisher(p);
     }
 
     fn metrics(&self) -> &PolicyMetrics {
@@ -323,7 +322,7 @@ mod tests {
         assert!(net.next().is_none());
         assert!(wh.view().is_empty());
         assert_eq!(wh.metrics().queries_sent, 0);
-        assert_eq!(wh.installs().len(), 1);
+        assert_eq!(wh.metrics().installs, 1);
         assert!(wh.is_quiescent());
     }
 
@@ -341,7 +340,7 @@ mod tests {
             panic!()
         };
         assert_eq!(q.side, JoinSide::Right);
-        assert_eq!(wh.installs().len(), 0);
+        assert_eq!(wh.metrics().installs, 0);
         wh.on_message(
             deliver(
                 5,
@@ -358,7 +357,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(wh.view().count(&tup![1, 3, 7]), 1);
-        assert_eq!(wh.installs().len(), 1);
+        assert_eq!(wh.metrics().installs, 1);
     }
 
     #[test]
@@ -407,6 +406,7 @@ mod tests {
         let (v, k) = keyed_view();
         let mut net: Network<Message> = Network::new(0);
         let mut wh = Strobe::new(v, k, Bag::new()).unwrap();
+        let log = crate::testkit::logged(&mut wh);
         // Two concurrent inserts whose answers both contain the join tuple.
         wh.on_message(
             deliver(0, update(0, 0, Bag::from_tuples([tup![1, 3]]))),
@@ -444,8 +444,8 @@ mod tests {
         }
         // Suppressed to a single copy.
         assert_eq!(wh.view().count(&tup![1, 3, 7]), 1);
-        assert_eq!(wh.installs().len(), 1);
-        assert_eq!(wh.installs()[0].consumed.len(), 2);
+        assert_eq!(wh.metrics().installs, 1);
+        assert_eq!(log.lock().unwrap().installs(0)[0].consumed.len(), 2);
     }
 
     #[test]

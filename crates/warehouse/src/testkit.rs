@@ -3,9 +3,11 @@
 
 #![cfg(test)]
 
+use crate::{InstallLog, MaintenancePolicy};
 use dw_protocol::{Message, SourceUpdate, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{Bag, Schema, ViewDef, ViewDefBuilder};
 use dw_simnet::{Delivery, Time, ENV};
+use std::sync::{Arc, Mutex};
 
 /// `R1(A,B) ⋈ R2(C,D)` with the identity projection.
 pub(crate) fn two_chain() -> ViewDef {
@@ -34,4 +36,11 @@ pub(crate) fn update(source: usize, seq: u64, delta: Bag) -> Message {
         delta,
         global: None,
     })
+}
+
+/// Attach a fresh install log to `wh`: where a test reads its installs.
+pub(crate) fn logged(wh: &mut dyn MaintenancePolicy) -> Arc<Mutex<InstallLog>> {
+    let log = Arc::new(Mutex::new(InstallLog::new(None)));
+    wh.set_install_publisher(log.clone());
+    log
 }
