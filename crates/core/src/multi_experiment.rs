@@ -278,7 +278,6 @@ impl MultiViewExperiment {
                 .map(|s| s.checkpoints_taken)
                 .unwrap_or(0),
             checkpoint_copied_tuples: sched.checkpoint_copied_tuples(),
-            install_divergences: log.divergences(),
             mutual,
             serve,
             net: harness.net.stats().clone(),
@@ -380,8 +379,6 @@ pub struct MultiViewReport {
     /// View tuples copied taking those checkpoints — 0: a checkpoint
     /// holds structurally shared handles onto the live views.
     pub checkpoint_copied_tuples: u64,
-    /// Replays unlike the install first published, plus epoch gaps (0).
-    pub install_divergences: u64,
     /// Cross-view mutual consistency (when checking was enabled).
     pub mutual: Option<MutualReport>,
     /// What the readers observed — `Some` iff the run served

@@ -629,8 +629,9 @@ impl InstallSink {
     ) -> Result<(), WarehouseError> {
         // A reader thread that panicked holding the store's lock must
         // not take the warehouse thread down with it.
-        let publisher = self.publisher.as_ref().map(|p| p.lock()).transpose();
-        let mut publisher = publisher.map_err(|_| WarehouseError::PublisherPoisoned)?;
+        let publisher = self.publisher.as_ref().map(|p| p.lock()).transpose().ok();
+        let publisher = publisher.filter(|p| !p.as_ref().is_some_and(|p| p.is_poisoned()));
+        let mut publisher = publisher.ok_or(WarehouseError::PublisherPoisoned)?;
         let delta = delta.into();
         self.copied_tuples += self.view.install(&delta)? as u64;
         if let Some(sum) = &mut self.since_image {
@@ -874,6 +875,8 @@ mod tests {
         }
     }
 
+    /// The store's lock poisoned, attached directly or behind an
+    /// `InstallLog`: the install fails typed and changes nothing.
     #[test]
     fn a_poisoned_publisher_fails_the_install_typed() {
         struct Deaf;
@@ -881,26 +884,34 @@ mod tests {
             fn note_delivery(&mut self, _: usize, _: UpdateId, _: Time) {}
             fn publish(&mut self, _: crate::InstallEvent) {}
         }
-        let publisher: crate::SharedInstallPublisher =
-            std::sync::Arc::new(std::sync::Mutex::new(Deaf));
-        let mut sink = InstallSink::new(Bag::from_tuples([tup![7]])).unwrap();
-        sink.set_publisher(publisher.clone());
-        let mut metrics = PolicyMetrics::default();
-        let first = UpdateId { source: 0, seq: 0 };
-        sink.install(&mut metrics, Bag::from_tuples([tup![1]]), &[(first, 1)], 2)
-            .unwrap();
-        let reader = std::thread::spawn(move || {
-            let _guard = publisher.lock().unwrap();
-            panic!("reader dies holding the store's lock");
-        });
-        assert!(reader.join().is_err());
-        let before = (sink.bag().to_bag(), metrics.installs);
-        let second = UpdateId { source: 0, seq: 1 };
-        let res = sink.install(&mut metrics, Bag::from_tuples([tup![2]]), &[(second, 3)], 5);
-        assert_eq!(res, Err(WarehouseError::PublisherPoisoned));
-        // The failed install changed nothing: view and count.
-        let after = (sink.bag().to_bag(), metrics.installs);
-        assert_eq!(after, before);
-        assert_eq!(metrics.max_staleness(), 1);
+        for behind_log in [false, true] {
+            let store: crate::SharedInstallPublisher =
+                std::sync::Arc::new(std::sync::Mutex::new(Deaf));
+            let publisher: crate::SharedInstallPublisher = match behind_log {
+                false => store.clone(),
+                true => std::sync::Arc::new(std::sync::Mutex::new(crate::InstallLog::new(Some(
+                    store.clone(),
+                )))),
+            };
+            let mut sink = InstallSink::new(Bag::from_tuples([tup![7]])).unwrap();
+            sink.set_publisher(publisher);
+            let mut metrics = PolicyMetrics::default();
+            let first = UpdateId { source: 0, seq: 0 };
+            sink.install(&mut metrics, Bag::from_tuples([tup![1]]), &[(first, 1)], 2)
+                .unwrap();
+            let reader = std::thread::spawn(move || {
+                let _guard = store.lock().unwrap();
+                panic!("reader dies holding the store's lock");
+            });
+            assert!(reader.join().is_err());
+            let before = (sink.bag().to_bag(), metrics.installs);
+            let second = UpdateId { source: 0, seq: 1 };
+            let res = sink.install(&mut metrics, Bag::from_tuples([tup![2]]), &[(second, 3)], 5);
+            assert_eq!(res, Err(WarehouseError::PublisherPoisoned), "{behind_log}");
+            // The failed install changed nothing: view and count.
+            let after = (sink.bag().to_bag(), metrics.installs);
+            assert_eq!(after, before);
+            assert_eq!(metrics.max_staleness(), 1);
+        }
     }
 }

@@ -23,8 +23,8 @@
 //! 0 is the registered initial contents), restored with the view from a
 //! checkpoint image. Crash recovery replays the WAL through the same
 //! apply path, which re-emits events already published before the crash
-//! under the same epochs — consumers keep the first of each
-//! `(view_index, epoch)`, and an [`InstallLog`] checks the replay.
+//! under the same epochs — the serve store keeps the first of each
+//! `(view_index, epoch)`, an [`InstallLog`] the replay.
 
 use dw_protocol::UpdateId;
 use dw_relational::{Bag, SharedBag};
@@ -82,6 +82,12 @@ pub trait InstallPublisher {
 
     /// An install committed.
     fn publish(&mut self, event: InstallEvent);
+
+    /// Whether a publisher this one forwards to is poisoned (a reader
+    /// died holding it): the warehouse then fails typed, as on its own.
+    fn is_poisoned(&self) -> bool {
+        false
+    }
 }
 
 /// How publishers are shared between the maintenance side (scheduler,
@@ -90,14 +96,13 @@ pub type SharedInstallPublisher = Arc<Mutex<dyn InstallPublisher + Send>>;
 
 /// Install history, kept by the run that reads it: each view's events in
 /// install order and every `(view_index, epoch)` in publish order, every
-/// call forwarded to `downstream`. A re-published epoch (a recovery
-/// replay) is kept-first, as the serve store keeps it; one that differs
-/// from the kept event, or an epoch gap, counts as a divergence.
+/// call forwarded to `downstream`. A re-published epoch (a recovery replay)
+/// replaces the logged event, so install comparisons see what recovery
+/// produced; the order keeps the first, as the serve store does.
 #[derive(Default)]
 pub struct InstallLog {
     views: HashMap<usize, Vec<InstallEvent>>,
     order: Vec<(usize, u64)>,
-    divergences: u64,
     downstream: Option<SharedInstallPublisher>,
 }
 
@@ -115,18 +120,12 @@ impl InstallLog {
         self.views.get(&view_index).map_or(&[], Vec::as_slice)
     }
 
-    /// Every kept event as `(view_index, epoch)`, in publish order.
+    /// Every epoch as `(view_index, epoch)`, in first-publish order.
     pub fn order(&self) -> &[(usize, u64)] {
         &self.order
     }
 
-    /// Re-publications unlike the kept event, plus epoch gaps.
-    pub fn divergences(&self) -> u64 {
-        self.divergences
-    }
-
-    /// Forward to `downstream`. A poisoned one (a reader thread died
-    /// holding it) is not fed again: that failure is its runner's.
+    /// Forward to `downstream` unless poisoned ([`InstallPublisher::is_poisoned`]).
     fn forward(&self, call: impl FnOnce(&mut (dyn InstallPublisher + Send))) {
         if let Some(Ok(mut downstream)) = self.downstream.as_ref().map(|d| d.lock()) {
             call(&mut *downstream);
@@ -141,13 +140,19 @@ impl InstallPublisher for InstallLog {
 
     fn publish(&mut self, event: InstallEvent) {
         let kept = self.views.entry(event.view_index).or_default();
-        if event.epoch == kept.len() as u64 + 1 {
-            self.order.push((event.view_index, event.epoch));
-            kept.push(event.clone());
-        } else if kept.get(event.epoch.wrapping_sub(1) as usize) != Some(&event) {
-            self.divergences += 1;
+        match kept.get_mut(event.epoch.wrapping_sub(1) as usize) {
+            Some(replayed) => *replayed = event.clone(),
+            None => {
+                debug_assert_eq!(kept.len() as u64 + 1, event.epoch, "epochs are contiguous");
+                self.order.push((event.view_index, event.epoch));
+                kept.push(event.clone());
+            }
         }
         self.forward(|d| d.publish(event));
+    }
+
+    fn is_poisoned(&self) -> bool {
+        self.downstream.as_ref().is_some_and(|d| d.is_poisoned())
     }
 }
 
@@ -228,55 +233,58 @@ mod tests {
             (vec![1], vec![1, 2], vec![])
         );
         assert_eq!(log.order(), &[(1, 1), (0, 1), (1, 2)]);
-        assert_eq!(log.divergences(), 0);
         let tape = tape.lock().unwrap();
         assert_eq!(tape.deliveries, vec![(1, id, 3)]);
         assert_eq!(tape.events.len(), 3);
     }
 
     #[test]
-    fn an_identical_republication_is_kept_first_and_counts_nothing() {
+    fn an_identical_republication_leaves_the_log_as_it_was() {
         let (mut log, tape) = logged();
-        let first = event(0, 1, 4, Bag::from_tuples([tup![1]]));
-        log.publish(first.clone());
-        log.publish(event(0, 2, 5, Bag::new()));
-        log.publish(first.clone());
-        assert_eq!(log.installs(0).len(), 2);
-        assert_eq!(log.installs(0)[0], first);
+        let events = [
+            event(0, 1, 4, Bag::from_tuples([tup![1]])),
+            event(0, 2, 5, Bag::new()),
+        ];
+        for e in events.iter().chain(&events) {
+            log.publish(e.clone());
+        }
+        assert_eq!(log.installs(0), &events);
         assert_eq!(log.order(), &[(0, 1), (0, 2)]);
-        assert_eq!(log.divergences(), 0);
         // The replay still reaches the downstream publisher, which keeps
         // its own first event.
-        assert_eq!(tape.lock().unwrap().events.len(), 3);
+        assert_eq!(tape.lock().unwrap().events.len(), 4);
     }
 
+    /// A replay unlike the original replaces it in the log, so the
+    /// history is what the recovered warehouse produced; the publish
+    /// order keeps each epoch's first publication.
     #[test]
-    fn a_republication_with_another_delta_or_time_is_counted() {
-        let (mut log, _) = logged();
+    fn a_republication_with_another_delta_time_or_consumed_set_replaces_its_epoch() {
         let first = event(0, 1, 4, Bag::from_tuples([tup![1]]));
-        log.publish(first.clone());
-        log.publish(event(0, 1, 5, Bag::from_tuples([tup![1]])));
-        assert_eq!(log.divergences(), 1);
-        log.publish(event(0, 1, 4, Bag::new()));
-        assert_eq!(log.divergences(), 2);
+        let second = event(0, 2, 6, Bag::from_tuples([tup![2]]));
+        let mut later = first.clone();
+        later.at += 1;
+        let mut emptied = first.clone();
+        emptied.delta = Arc::new(Bag::new());
         let mut moved = first.clone();
         moved.consumed.clear();
-        log.publish(moved);
-        assert_eq!(log.divergences(), 3);
-        // Kept-first: the recorded event is the original.
-        assert_eq!(log.installs(0), &[first]);
-        assert_eq!(log.order(), &[(0, 1)]);
+        for replay in [later, emptied, moved] {
+            let (mut log, tape) = logged();
+            log.publish(first.clone());
+            log.publish(second.clone());
+            log.publish(replay.clone());
+            assert_eq!(log.installs(0), &[replay, second.clone()]);
+            assert_eq!(log.order(), &[(0, 1), (0, 2)]);
+            assert_eq!(tape.lock().unwrap().events.len(), 3);
+        }
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn an_epoch_gap_is_counted_and_not_kept() {
+    #[should_panic(expected = "contiguous")]
+    fn an_epoch_gap_is_refused() {
         let (mut log, _) = logged();
-        log.publish(event(0, 2, 4, Bag::new()));
-        assert_eq!(log.divergences(), 1);
         log.publish(event(0, 1, 4, Bag::new()));
         log.publish(event(0, 3, 5, Bag::new()));
-        log.publish(event(0, 0, 6, Bag::new()));
-        assert_eq!(log.divergences(), 3);
-        assert_eq!(log.order(), &[(0, 1)]);
     }
 }

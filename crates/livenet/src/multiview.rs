@@ -47,9 +47,8 @@ pub(crate) type Drained = (MaintenanceScheduler, Vec<LiveViewOutcome>, Duration)
 
 /// The warehouse node: a scheduler with every scenario view — base and
 /// derived — registered at its correct initial contents, behind the
-/// engine's runner face, and the install log its outcomes read. The
-/// drain detector polls [`NodeRunner::is_idle`], the scheduler's own
-/// quiescence.
+/// engine's runner face, with the install log its outcomes read. The
+/// drain detector polls [`NodeRunner::is_idle`], its own quiescence.
 pub(crate) struct LiveWarehouse {
     sched: MaintenanceScheduler,
     log: Arc<Mutex<InstallLog>>,

@@ -176,7 +176,7 @@ pub(crate) struct ViewRuntime {
     /// this runtime's registry slot index, consumed ids in *global* chain
     /// coordinates (the base-chain source index). The publisher is a
     /// shared handle: a recovered runtime keeps feeding the same
-    /// consumer, which keeps the first event of each `(slot, epoch)`.
+    /// consumer with the same `(slot, epoch)`s.
     pub(crate) sink: InstallSink,
     pub(crate) metrics: PolicyMetrics,
     /// Base (swept) or derived (cascade-fed) maintenance.
@@ -657,8 +657,9 @@ impl ViewRegistry {
     /// A poisoned publisher fails the delivery before any count moves.
     pub(crate) fn note_delivery(&mut self, id: UpdateId, at: Time) -> Result<(), MvError> {
         let views = self.affected_with_descendants(id.source);
-        let publisher = self.publisher.as_ref().map(|p| p.lock()).transpose();
-        let mut publisher = publisher.map_err(|_| WarehouseError::PublisherPoisoned)?;
+        let publisher = self.publisher.as_ref().map(|p| p.lock()).transpose().ok();
+        let publisher = publisher.filter(|p| !p.as_ref().is_some_and(|p| p.is_poisoned()));
+        let mut publisher = publisher.ok_or(WarehouseError::PublisherPoisoned)?;
         for view in views {
             let rt = self.slots.get_mut(view.0);
             rt.ok_or(MvError::UnknownView { index: view.0 })?
@@ -976,6 +977,8 @@ mod tests {
         }
     }
 
+    /// The store's lock poisoned, attached directly or behind an
+    /// `InstallLog`: deliveries and installs fail typed, nothing moves.
     #[test]
     fn a_poisoned_publisher_fails_a_delivery_and_an_install_typed() {
         struct Deaf;
@@ -983,30 +986,38 @@ mod tests {
             fn note_delivery(&mut self, _: usize, _: UpdateId, _: Time) {}
             fn publish(&mut self, _: dw_engine::InstallEvent) {}
         }
-        let mut reg = ViewRegistry::new(base3()).unwrap();
-        let base = seeded_base(&mut reg);
-        let hot = reg.register_derived(&hot_spec()).unwrap();
-        let publisher: SharedInstallPublisher = Arc::new(std::sync::Mutex::new(Deaf));
-        reg.set_install_publisher(publisher.clone());
-        let reader = std::thread::spawn(move || {
-            let _guard = publisher.lock().unwrap();
-            panic!("reader dies holding the store's lock");
-        });
-        assert!(reader.join().is_err());
-        let poisoned = Err(MvError::Warehouse(WarehouseError::PublisherPoisoned));
-        let upd = UpdateId { source: 0, seq: 0 };
-        assert_eq!(reg.note_delivery(upd, 4), poisoned);
-        let delta = Arc::new(Bag::from_tuples([tup![7, 2, 2, 3, 3, 4]]));
-        assert_eq!(
-            reg.apply_with_cascade(base, delta, &[(upd, 4)], 9),
-            poisoned
-        );
-        // Nothing moved: no delivery counted, no install.
-        for id in [base, hot] {
-            let metrics = reg.metrics(id).unwrap();
-            assert_eq!((metrics.updates_received, metrics.installs), (0, 0));
+        for behind_log in [false, true] {
+            let mut reg = ViewRegistry::new(base3()).unwrap();
+            let base = seeded_base(&mut reg);
+            let hot = reg.register_derived(&hot_spec()).unwrap();
+            let store: SharedInstallPublisher = Arc::new(std::sync::Mutex::new(Deaf));
+            let publisher: SharedInstallPublisher = match behind_log {
+                false => store.clone(),
+                true => Arc::new(std::sync::Mutex::new(dw_engine::InstallLog::new(Some(
+                    store.clone(),
+                )))),
+            };
+            reg.set_install_publisher(publisher);
+            let reader = std::thread::spawn(move || {
+                let _guard = store.lock().unwrap();
+                panic!("reader dies holding the store's lock");
+            });
+            assert!(reader.join().is_err());
+            let poisoned = Err(MvError::Warehouse(WarehouseError::PublisherPoisoned));
+            let upd = UpdateId { source: 0, seq: 0 };
+            assert_eq!(reg.note_delivery(upd, 4), poisoned, "{behind_log}");
+            let delta = Arc::new(Bag::from_tuples([tup![7, 2, 2, 3, 3, 4]]));
+            assert_eq!(
+                reg.apply_with_cascade(base, delta, &[(upd, 4)], 9),
+                poisoned
+            );
+            // Nothing moved: no delivery counted, no install.
+            for id in [base, hot] {
+                let metrics = reg.metrics(id).unwrap();
+                assert_eq!((metrics.updates_received, metrics.installs), (0, 0));
+            }
+            let seeded = Bag::from_tuples([tup![1, 2, 2, 3, 3, 4], tup![5, 6, 6, 7, 7, 8]]);
+            assert_eq!(reg.view_bag(base).unwrap(), &seeded);
         }
-        let seeded = Bag::from_tuples([tup![1, 2, 2, 3, 3, 4], tup![5, 6, 6, 7, 7, 8]]);
-        assert_eq!(reg.view_bag(base).unwrap(), &seeded);
     }
 }
