@@ -435,6 +435,17 @@ stage_engine_boundary() {
     echo "FAIL: an install is published, not kept — InstallSink, the registry, the policies and the serve store keep no install history, and a run that reads it attaches one InstallLog (dw_engine::publish) — no SinkImage, log_len, install_log(, fn installs(&self) -> &[InstallEvent], publication_log under crates/serve/src, or Vec<InstallEvent> field in non-test dw-engine / dw-multiview / dw-serve outside InstallLog" >&2
     ok=1
   fi
+  # A count or a record is kept where it is read: the store's delivery
+  # and pin tallies had no reader outside dw-serve, and the scheduler's
+  # per-sweep completion list grew with run length for three tests, which
+  # now attach their own CompletionLog. Neither may come back.
+  hits=$(grep -rnE '\b(deliveries_noted|pins_taken|pins_released)\b|\bcompletions: Vec<|\bstats(\(\))?\.completions\b' \
+    crates src tests examples 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: nothing keeps a tally or a per-sweep record nobody reads — no ServeStats deliveries_noted / pins_taken / pins_released, no completions: Vec< or stats.completions (attach a dw_multiview::CompletionLog where a test reads lane completions)" >&2
+    ok=1
+  fi
   local rows
   rows=$(awk '/^\| Combination \| Why \| Error \|/ {t = 1; next}
     t && /^\|---/ {next}

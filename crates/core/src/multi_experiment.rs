@@ -29,8 +29,8 @@ use dw_consistency::{
     SlotView, ViewLog,
 };
 use dw_multiview::{
-    CascadeStats, DurabilityConfig, EngineOptions, MaintenanceScheduler, MvError, RecoveryStats,
-    ShardStats, ViewId, NEEDS_DURABLE_STORE,
+    CascadeStats, CompletionLog, DurabilityConfig, EngineOptions, MaintenanceScheduler, MvError,
+    RecoveryStats, ShardStats, ViewId, NEEDS_DURABLE_STORE,
 };
 use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{Bag, ShardMap};
@@ -49,6 +49,7 @@ pub struct MultiViewExperiment {
     check_consistency: bool,
     durability: Option<DurabilityConfig>,
     serve: ServeConfig,
+    completions: Option<CompletionLog>,
 }
 
 impl MultiViewExperiment {
@@ -64,6 +65,7 @@ impl MultiViewExperiment {
             check_consistency: true,
             durability: None,
             serve: ServeConfig::default(),
+            completions: None,
         }
     }
 
@@ -138,6 +140,13 @@ impl MultiViewExperiment {
         self
     }
 
+    /// Append every lane completion, `(band mask, finish time)`, to
+    /// `log` — a record the run keeps only when asked.
+    pub fn record_completions(mut self, log: CompletionLog) -> Self {
+        self.completions = Some(log);
+        self
+    }
+
     /// Run to network quiescence and report.
     pub fn run(self) -> Result<MultiViewReport, CoreError> {
         let scenario = &self.scenario;
@@ -148,6 +157,7 @@ impl MultiViewExperiment {
         let mut sched =
             MaintenanceScheduler::with_shards(base.clone(), self.opts, self.map.clone())?;
         sched.set_observer(obs.clone());
+        sched.record_completions(self.completions.clone());
         for bag in &scenario.initial {
             sched.seed_groups(bag);
         }

@@ -76,6 +76,7 @@ pub use dw_engine::{DurabilityConfig, EngineOptions};
 pub use one_view::OneViewSweep;
 pub use registry::{CascadeStats, MvError, ViewId, ViewRegistry};
 pub use scheduler::{
-    MaintenanceScheduler, RecoveryStats, SchedulerMode, ShardStats, NEEDS_DURABLE_STORE,
+    CompletionLog, MaintenanceScheduler, RecoveryStats, SchedulerMode, ShardStats,
+    NEEDS_DURABLE_STORE,
 };
 pub use sharded::ShardedScheduler;

@@ -190,7 +190,7 @@ use dw_simnet::{Delivery, NetHandle, Time};
 use dw_workload::{DerivedSpec, ViewSpec};
 use std::collections::{HashMap, VecDeque};
 use std::num::NonZeroUsize;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The trace vocabulary, with a [`ShardMap`] or without.
 const LABELS: SpanLabels = SpanLabels {
@@ -226,13 +226,13 @@ pub struct ShardStats {
     /// source (they take no ticket). A skip is not journaled: one a
     /// crash undid is done, and counted, again.
     pub skipped: u64,
-    /// Every lane completion: `(the lane's band mask, finish time)`. The
-    /// recovery suite reads this against the installs to find commits
-    /// a crash caught still waiting behind an earlier ticket.
-    pub completions: Vec<(u64, Time)>,
     /// High-water mark of concurrently in-flight lanes.
     pub max_concurrent_lanes: usize,
 }
+
+/// Lane completions, `(the lane's band mask, finish time)`, kept only where
+/// a caller attaches one ([`MaintenanceScheduler::record_completions`]).
+pub type CompletionLog = Arc<Mutex<Vec<(u64, Time)>>>;
 
 /// One unit of sweep work: the batch of updates it services, the span to
 /// cover, the views fed by it, the bands it claims and the ticket its
@@ -430,6 +430,7 @@ pub struct MaintenanceScheduler {
     unreleased: Vec<SweepTask>,
     sequencer: InstallSequencer,
     stats: ShardStats,
+    completions: Option<CompletionLog>,
     durable: Option<Box<DurableState>>,
     recovery: RecoveryStats,
 }
@@ -483,6 +484,7 @@ impl MaintenanceScheduler {
             unreleased: Vec::new(),
             sequencer: InstallSequencer::new(),
             stats: ShardStats::default(),
+            completions: None,
             durable: None,
             recovery: RecoveryStats::default(),
         })
@@ -619,6 +621,12 @@ impl MaintenanceScheduler {
     /// caller that reads install history attaches an `InstallLog` here.
     pub fn set_install_publisher(&mut self, p: dw_engine::SharedInstallPublisher) {
         self.registry.set_install_publisher(p);
+    }
+
+    /// Append every lane completion to `log`. Without one nothing is
+    /// kept, so the scheduler does not grow with the sweeps it ran.
+    pub fn record_completions(&mut self, log: Option<CompletionLog>) {
+        self.completions = log;
     }
 
     /// Attach an observability recorder: `mv.sweep`/`mv.hop` spans plus
@@ -1145,7 +1153,9 @@ impl MaintenanceScheduler {
             install: install.clone(),
         });
         self.core.end_sweep(&ctx, now);
-        self.stats.completions.push((task.mask, now));
+        if let Some(log) = &self.completions {
+            (log.lock().unwrap_or_else(PoisonError::into_inner)).push((task.mask, now));
+        }
         self.commit(task, install);
         self.drain_installs(now)
     }
@@ -1512,18 +1522,21 @@ mod tests {
     use dw_source::DataSource;
     use dw_workload::{DerivedOp, DerivedSpec, ViewPolicy};
 
-    /// A scheduler with an install log attached: where a test reads
-    /// install history.
+    /// A scheduler with an install log and a completion log attached:
+    /// where a test reads install and lane history.
     struct Logged {
         sched: MaintenanceScheduler,
-        log: Arc<std::sync::Mutex<dw_engine::InstallLog>>,
+        log: Arc<Mutex<dw_engine::InstallLog>>,
+        done: CompletionLog,
     }
 
     impl From<MaintenanceScheduler> for Logged {
         fn from(mut sched: MaintenanceScheduler) -> Logged {
-            let log = Arc::new(std::sync::Mutex::new(dw_engine::InstallLog::new(None)));
+            let log = Arc::new(Mutex::new(dw_engine::InstallLog::new(None)));
             sched.set_install_publisher(log.clone());
-            Logged { sched, log }
+            let done = CompletionLog::default();
+            sched.record_completions(Some(done.clone()));
+            Logged { sched, log, done }
         }
     }
 
@@ -1544,6 +1557,11 @@ mod tests {
         /// View `id`'s installs, in order.
         fn installs(&self, id: ViewId) -> Vec<dw_engine::InstallEvent> {
             self.log.lock().unwrap().installs(id.index()).to_vec()
+        }
+
+        /// Every lane completion, `(band mask, finish time)`, in order.
+        fn completions(&self) -> Vec<(u64, Time)> {
+            self.done.lock().unwrap().clone()
         }
     }
 
@@ -2359,8 +2377,9 @@ mod tests {
                 net.inject(at, source_node(src), txn(src, delta.clone()));
             }
             let mut crashed = false;
+            let done = sched.done.clone();
             pump_network(&mut net, &mut sched, &mut sources, |sched, _, net| {
-                if crashed || sched.stats().completions.len() != 1 {
+                if crashed || done.lock().unwrap().len() != 1 {
                     return;
                 }
                 crashed = true;
@@ -2375,11 +2394,7 @@ mod tests {
             });
             assert!(crashed && sched.is_quiescent());
             assert_ground_truth(sched.views(), &specs, &shadows);
-            assert_eq!(
-                sched.stats().completions.len(),
-                2,
-                "committed B swept again"
-            );
+            assert_eq!(sched.completions().len(), 2, "committed B swept again");
             let id = sched.views().ids()[0];
             assert_eq!(
                 consumed_log(&sched, id),
@@ -2962,7 +2977,7 @@ mod tests {
         // band-0 update ran under the same mask — and only after the
         // straddler finished: a full query round trip later, not beside it.
         assert_eq!(sched.group_mask_of(0), 0b011);
-        let of_01: Vec<Time> = (stats.completions.iter())
+        let of_01: Vec<Time> = (sched.completions().iter())
             .filter(|&&(mask, _)| mask == 0b011)
             .map(|&(_, at)| at)
             .collect();
@@ -2986,9 +3001,9 @@ mod tests {
         let recovery = sched.recovery_stats();
         assert_eq!((recovery.recoveries, recovery.sweeps_reseeded), (1, 1));
         assert!(recovery.stale_answers_dropped >= 1);
-        let stats = sched.stats();
-        assert_eq!(stats.completions.len(), 1);
-        assert_eq!(stats.completions[0].0, 0b011);
+        let completions = sched.completions();
+        assert_eq!(completions.len(), 1);
+        assert_eq!(completions[0].0, 0b011);
         // The commit fused the groups, on the recovered scheduler too.
         assert_eq!(sched.group_mask_of(0), 0b011);
     }

@@ -50,7 +50,7 @@ fn mix(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29)
 }
 
-fn value_hash(v: &Value) -> u64 {
+pub(crate) fn value_hash(v: &Value) -> u64 {
     match v {
         Value::Null => mix(0xA1, 0),
         Value::Bool(b) => mix(0xB2, u64::from(*b)),

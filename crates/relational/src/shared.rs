@@ -113,7 +113,7 @@ impl Hasher for ChunkHasher {
     }
 }
 
-fn chunk_hash<K: Hash>(key: &K) -> u64 {
+pub(crate) fn chunk_hash<K: Hash>(key: &K) -> u64 {
     let mut h = ChunkHasher::default();
     key.hash(&mut h);
     h.finish()

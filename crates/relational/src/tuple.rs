@@ -27,11 +27,14 @@ pub struct Tuple {
     hash: u64,
 }
 
+// A slice handle and the keyed hash: what every bag entry holds per tuple.
+const _: () = assert!(std::mem::size_of::<Tuple>() == 24);
+
 /// The one SipHash key every tuple's hash is taken under. It is drawn once
 /// per *process*, not per thread or per map: a tuple built on a source's
 /// thread is looked up in a bag on the warehouse's. Drawn at random so
 /// that rows crafted to collide cannot be chosen in advance.
-fn tuple_key() -> &'static RandomState {
+pub(crate) fn tuple_key() -> &'static RandomState {
     static KEY: OnceLock<RandomState> = OnceLock::new();
     KEY.get_or_init(RandomState::new)
 }

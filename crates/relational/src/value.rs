@@ -78,9 +78,13 @@ pub enum Value {
     Int(i64),
     /// 64-bit float with canonical NaN/zero.
     Float(OrderedF64),
-    /// Interned string; `Arc` keeps tuple clones cheap.
-    Str(Arc<str>),
+    /// String. `Arc` keeps clones cheap and `Box` keeps its pointer thin, so a `Value` is 16
+    /// bytes (24 with `Arc<str>`'s fat pointer); a string read takes one hop more.
+    Str(Arc<Box<str>>),
 }
+
+// Every stored tuple is a slice of these: a wider `Value` costs every layer.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl Value {
     /// Construct a float value.
@@ -90,7 +94,7 @@ impl Value {
 
     /// Construct a string value.
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Arc::new(s.as_ref().into()))
     }
 
     /// Compare two values *as a predicate would*: `None` when the variants
@@ -165,7 +169,7 @@ impl From<&str> for Value {
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(Arc::from(v.as_str()))
+        Value::Str(Arc::new(v.into_boxed_str()))
     }
 }
 
@@ -236,6 +240,58 @@ mod tests {
         assert_eq!(Value::Int(7).size_bytes(), 8);
         assert_eq!(Value::str("abc").size_bytes(), 7);
         assert_eq!(Value::Null.size_bytes(), 1);
+    }
+
+    /// A string's every observable is pinned to what the 24-byte
+    /// `Arc<str>` layout gave: the thin pointer must change no hash (the
+    /// chunk hash places `SharedBag` entries, so copied-tuple counts
+    /// repeat), no order and no rendering.
+    #[test]
+    fn the_string_path_is_pinned() {
+        use crate::{shard::value_hash, shared::chunk_hash, tuple::tuple_key, Tuple};
+        use std::hash::BuildHasher;
+        let pinned = [
+            ("", 0x1e29_53ce_9714_0a92, 0x1d26_fef0_10c6_029a, 0xe5),
+            (
+                "abc",
+                0x7d4c_5cf1_ddd4_e93f,
+                0xc4c5_aec4_58d9_23f6,
+                0x8767_c80e_02b7_069d,
+            ),
+            (
+                "héllo, wörld",
+                0x7c85_0614_dcbc_735c,
+                0x5587_184d_e3d4_d719,
+                0x7bf1_65ea_bdcd_7aa4,
+            ),
+        ];
+        for (s, sip, chunk, band) in pinned {
+            let v = Value::str(s);
+            assert_eq!(hash_of(&v), sip, "{s:?}: std Hash, SipHash-1-3");
+            assert_eq!(chunk_hash(&v), chunk, "{s:?}: SharedMap chunk hash");
+            assert_eq!(value_hash(&v), band, "{s:?}: ShardMap band hash");
+            assert_eq!(Value::from(s.to_string()), v);
+            assert_eq!(format!("{v:?}"), format!("{s:?}"));
+            assert_eq!(v.to_string(), s);
+            assert_eq!(v.size_bytes(), 4 + s.len());
+            // The keyed hash: arity, one word of kind tags (4 = string),
+            // the bytes, 0xff.
+            let mut h = tuple_key().build_hasher();
+            h.write_usize(1);
+            h.write_u64(4);
+            h.write(s.as_bytes());
+            h.write_u8(0xff);
+            assert_eq!(Tuple::new(vec![v]).keyed_hash(), h.finish(), "{s:?}");
+        }
+        let t = crate::tup!["abc", 7, "xyz"];
+        assert_eq!(hash_of(&t), 0x5223_e566_5255_175f);
+        assert_eq!(chunk_hash(&t), 0x5603_2c90_7a1e_3b68);
+        assert_eq!(format!("{t:?}"), "(abc,7,xyz)");
+        assert_eq!(t.size_bytes(), 26);
+        let mut vals = ["b", "a", "ab", ""].map(Value::str).to_vec();
+        vals.extend([Value::Int(3), Value::Null]);
+        vals.sort();
+        assert_eq!(format!("{vals:?}"), r#"[NULL, 3, "", "a", "ab", "b"]"#);
     }
 
     #[test]

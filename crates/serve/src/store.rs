@@ -182,8 +182,6 @@ struct ViewState {
 /// Counters the store keeps about its own traffic. All exact.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Update deliveries noted (per affected view).
-    pub deliveries_noted: u64,
     /// Installs accepted as new epochs.
     pub snapshots_published: u64,
     /// Replayed installs ignored at the high-water mark (crash recovery).
@@ -195,10 +193,6 @@ pub struct ServeStats {
     pub reads_answered: u64,
     /// Reads rejected with `TooStale`.
     pub reads_rejected: u64,
-    /// Pins taken.
-    pub pins_taken: u64,
-    /// Pins released.
-    pub pins_released: u64,
     /// Install deltas enqueued across all subscribers.
     pub sub_events: u64,
     /// Subscriptions that overflowed their `max_lag` bound.
@@ -381,7 +375,6 @@ impl SnapshotStore {
         // resurrection.
         self.epoch(view, epoch)?;
         *self.view_mut(view)?.pins.entry(epoch).or_insert(0) += 1;
-        self.stats.pins_taken += 1;
         Ok(())
     }
 
@@ -394,7 +387,6 @@ impl SnapshotStore {
             }
             None => return Err(ServeError::NotPinned { view, epoch }),
         }
-        self.stats.pins_released += 1;
         self.gc(view, 0);
         Ok(())
     }
@@ -520,7 +512,6 @@ impl InstallPublisher for SnapshotStore {
                 consumed_in: None,
             });
         }
-        self.stats.deliveries_noted += 1;
     }
 
     fn publish(&mut self, event: InstallEvent) {

@@ -26,6 +26,7 @@
 //! scale.
 
 use dwsweep::livenet::run_live;
+use dwsweep::multiview::CompletionLog;
 use dwsweep::prelude::*;
 use dwsweep::protocol::UpdateId;
 use dwsweep::relational::eval_view;
@@ -201,9 +202,11 @@ fn sharded_conforms_to_unsharded_engine() {
         }
         .generate()
         .unwrap();
+        let done = CompletionLog::default();
         let sharded = MultiViewExperiment::new(generated.scenario.clone())
             .shards(generated.map)
             .seed(k)
+            .record_completions(done.clone())
             .run()
             .unwrap();
         let flat = MultiViewExperiment::new(generated.scenario)
@@ -253,11 +256,7 @@ fn sharded_conforms_to_unsharded_engine() {
         }
         // A lane is in flight for at least one 2 ms query round trip, so
         // two completions closer than that ran side by side.
-        let done = &sharded
-            .shard_stats
-            .as_ref()
-            .expect("sharded run")
-            .completions;
+        let done = done.lock().unwrap();
         let beside = |&(mask, at): &(u64, Time)| {
             let near = |&(other, t): &(u64, Time)| other != mask && t.abs_diff(at) < 2_000;
             mask.count_ones() > 1 && done.iter().any(near)

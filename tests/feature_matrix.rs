@@ -80,7 +80,7 @@
 //! fresh recompute at every epoch included — and mutual consistency.
 
 use dwsweep::engine::{EngineOptions, WarehouseError};
-use dwsweep::multiview::MvError;
+use dwsweep::multiview::{CompletionLog, MvError};
 use dwsweep::prelude::*;
 use dwsweep::protocol::WAREHOUSE_NODE;
 
@@ -727,6 +727,7 @@ fn windows_compose_with_shards_and_durability() {
         let delivered = scenario.txns.last().unwrap().at + 1_000;
         let down_at = delivered + 50 + 400 * (k % 8);
         let crash = FaultPlan::default().state_crash(WAREHOUSE_NODE, down_at, down_at + 900);
+        let done = CompletionLog::default();
         let crashed = MultiViewExperiment::new(scenario.clone())
             .shards(generated.map)
             .options(EngineOptions {
@@ -738,6 +739,7 @@ fn windows_compose_with_shards_and_durability() {
             .faults(crash)
             .transport_auto()
             .durability(1 + (k % 3) as usize)
+            .record_completions(done.clone())
             .run()
             .unwrap();
         assert!(crashed.quiescent, "{arm}: crashed run did not drain");
@@ -752,9 +754,8 @@ fn windows_compose_with_shards_and_durability() {
         assert!(audit.clean(), "{arm}: {audit:?}");
         // A lane completion before the window that the first view's log
         // does not show installed by then was committed, unreleased.
-        let stats = crashed.shard_stats.as_ref().unwrap();
         let before = |at: Time| at < down_at;
-        let completed = stats.completions.iter().filter(|c| before(c.1)).count();
+        let completed = done.lock().unwrap().iter().filter(|c| before(c.1)).count();
         let installs = crashed.views[0].installs.iter();
         buffered += usize::from(completed > installs.filter(|r| before(r.at)).count());
     }
@@ -1177,7 +1178,8 @@ fn cadence_composes_with_shards_transactions_durability_and_reads() {
             assert!(got.subscriptions_match_installs(), "{arm}: subscriptions");
         };
         let served = || cell(&scenario).durability(2).reads(read_mix(k, &scenario));
-        let quiet = served().run().unwrap();
+        let done = CompletionLog::default();
+        let quiet = served().record_completions(done.clone()).run().unwrap();
         check(&quiet, &arm);
         assert_cadence(&quiet, &referee, &scenario, &arm);
         cells += 1;
@@ -1199,8 +1201,9 @@ fn cadence_composes_with_shards_transactions_durability_and_reads() {
         let Some(flushed) = flushes.filter(|&at| at < last_delivery).min() else {
             continue;
         };
-        let completions = quiet.shard_stats.as_ref().unwrap().completions.iter();
-        let Some(commit) = completions.map(|c| c.1).filter(|&at| at > flushed).min() else {
+        let completions = done.lock().unwrap();
+        let commits = completions.iter().map(|c| c.1);
+        let Some(commit) = commits.filter(|&at| at > flushed).min() else {
             continue;
         };
         let crash = FaultPlan::default().state_crash(WAREHOUSE_NODE, commit + 1, commit + 901);

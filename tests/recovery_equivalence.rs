@@ -36,6 +36,7 @@
 //! `DW_FUZZ_SCHEDULES=<k>` multiplies the schedule count (`ci.sh --deep`
 //! sets it; every failure message names the case seed for replay).
 
+use dwsweep::multiview::CompletionLog;
 use dwsweep::prelude::*;
 use dwsweep::protocol::UpdateId;
 use std::sync::Arc;
@@ -432,6 +433,7 @@ fn dense_state_crashes_match_the_fault_free_flat_run() {
             .seed(k)
             .run()
             .unwrap();
+        let done = CompletionLog::default();
         let crashed = MultiViewExperiment::new(scenario.clone())
             .shards(generated.map.clone())
             .reads(reads)
@@ -439,6 +441,7 @@ fn dense_state_crashes_match_the_fault_free_flat_run() {
             .faults(FaultPlan::default().state_crash(0, down_at, up_at))
             .transport_auto()
             .durability(cadence)
+            .record_completions(done.clone())
             .run()
             .unwrap();
 
@@ -481,9 +484,8 @@ fn dense_state_crashes_match_the_fault_free_flat_run() {
         // What the crash caught. A lane completion before the window that
         // the first view's log does not show installed by then is a
         // commit that was waiting behind an earlier ticket.
-        let stats = crashed.shard_stats.as_ref().expect("sharded run");
         let before = |at: Time| at < down_at;
-        let completed = stats.completions.iter().filter(|c| before(c.1)).count();
+        let completed = done.lock().unwrap().iter().filter(|c| before(c.1)).count();
         let installs = crashed.views[0].installs.iter();
         let installed = installs.filter(|r| before(r.at)).count();
         assert!(completed >= installed, "case {k}");
