@@ -140,8 +140,7 @@ impl MultiViewExperiment {
         self
     }
 
-    /// Append every lane completion, `(band mask, finish time)`, to
-    /// `log` — a record the run keeps only when asked.
+    /// Append every lane completion, `(band mask, finish time)`, to `log`.
     pub fn record_completions(mut self, log: CompletionLog) -> Self {
         self.completions = Some(log);
         self
@@ -157,7 +156,9 @@ impl MultiViewExperiment {
         let mut sched =
             MaintenanceScheduler::with_shards(base.clone(), self.opts, self.map.clone())?;
         sched.set_observer(obs.clone());
-        sched.record_completions(self.completions.clone());
+        if let Some(log) = &self.completions {
+            sched.record_completions(log.clone());
+        }
         for bag in &scenario.initial {
             sched.seed_groups(bag);
         }

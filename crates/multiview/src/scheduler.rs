@@ -230,8 +230,7 @@ pub struct ShardStats {
     pub max_concurrent_lanes: usize,
 }
 
-/// Lane completions, `(the lane's band mask, finish time)`, kept only where
-/// a caller attaches one ([`MaintenanceScheduler::record_completions`]).
+/// Lane completions, `(band mask, finish time)`, kept where a caller attaches one.
 pub type CompletionLog = Arc<Mutex<Vec<(u64, Time)>>>;
 
 /// One unit of sweep work: the batch of updates it services, the span to
@@ -623,10 +622,9 @@ impl MaintenanceScheduler {
         self.registry.set_install_publisher(p);
     }
 
-    /// Append every lane completion to `log`. Without one nothing is
-    /// kept, so the scheduler does not grow with the sweeps it ran.
-    pub fn record_completions(&mut self, log: Option<CompletionLog>) {
-        self.completions = log;
+    /// Append every lane completion to `log` (without one, none is kept).
+    pub fn record_completions(&mut self, log: CompletionLog) {
+        self.completions = Some(log);
     }
 
     /// Attach an observability recorder: `mv.sweep`/`mv.hop` spans plus
@@ -1242,6 +1240,9 @@ impl MaintenanceScheduler {
                 self.wal(|| MvWalRecord::Flush { view: id, at: now });
                 self.flush(view, now)?;
             }
+            // A drained backlog's depth is not state: free what it grew.
+            self.arrivals.shrink_to_fit();
+            self.core.queue = Default::default();
         }
         Ok(())
     }
@@ -1535,7 +1536,7 @@ mod tests {
             let log = Arc::new(Mutex::new(dw_engine::InstallLog::new(None)));
             sched.set_install_publisher(log.clone());
             let done = CompletionLog::default();
-            sched.record_completions(Some(done.clone()));
+            sched.record_completions(done.clone());
             Logged { sched, log, done }
         }
     }
