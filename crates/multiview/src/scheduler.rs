@@ -1240,9 +1240,11 @@ impl MaintenanceScheduler {
                 self.wal(|| MvWalRecord::Flush { view: id, at: now });
                 self.flush(view, now)?;
             }
-            // A drained backlog's depth is not state: free what it grew.
-            self.arrivals.shrink_to_fit();
-            self.core.queue = Default::default();
+            // Free what a drained backlog grew; a paced run's few slots stay.
+            if self.arrivals.capacity() > 64 {
+                self.arrivals.shrink_to_fit();
+                self.core.queue = Default::default();
+            }
         }
         Ok(())
     }
