@@ -166,6 +166,15 @@ stage_engine_boundary() {
     echo "FAIL: dw-serve never deep-copies a bag — epochs, scans and publishes share structure (spell a handle copy SharedBag::clone(&..); only test oracles materialise with to_bag())" >&2
     ok=1
   fi
+  # A point index is edited in place at publish (merge_sorted_group per
+  # touched group): no group is rebuilt through a Bag and re-sorted.
+  hits=$(non_test_code crates/serve/src/store.rs | grep -n 'Bag::new()' |
+    sed 's|^|crates/serve/src/store.rs: |')
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: PointIndex::derive edits each touched group in place (dw_relational::merge_sorted_group) — no Bag::new() in store.rs outside its tests" >&2
+    ok=1
+  fi
   hits=$(grep -rn "make_mut\|ChunkHasher\|CHUNK_TARGET" crates/*/src src examples tests 2>/dev/null |
     grep -v "^crates/relational/src/shared.rs" || true)
   if [[ -n "$hits" ]]; then

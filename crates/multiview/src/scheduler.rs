@@ -203,7 +203,7 @@ const LABELS: SpanLabels = SpanLabels {
 /// How the scheduler turns one update into sweeps: one way. The enum
 /// (and [`MaintenanceScheduler::new`]'s second parameter) survives only
 /// because the frozen `benchmark/src/round.rs` spells both; nothing reads
-/// it. On ROADMAP A(v)'s delete list.
+/// it. On ROADMAP A2(iii)'s delete list.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerMode {
     /// One shared sweep over the union of the affected spans; every
@@ -439,7 +439,7 @@ impl MaintenanceScheduler {
     /// chain, with default options (one group, no batching). The second
     /// parameter is read by nobody: it and [`SchedulerMode`] stay only
     /// because the frozen `benchmark/src/round.rs` spells both (ROADMAP
-    /// A(v) deletes them).
+    /// A2(iii) deletes them).
     pub fn new(base: ViewDef, _: SchedulerMode) -> Result<Self, MvError> {
         Self::with_shards(base, EngineOptions::default(), None)
     }

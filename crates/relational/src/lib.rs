@@ -54,7 +54,7 @@ pub use predicate::{CmpOp, Predicate};
 pub use relation::BaseRelation;
 pub use schema::Schema;
 pub use shard::ShardMap;
-pub use shared::{SharedBag, SharedMap};
+pub use shared::{merge_sorted_group, Edit, SharedBag, SharedMap};
 pub use sql::parse_view;
 pub use tuple::Tuple;
 pub use value::Value;

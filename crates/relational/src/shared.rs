@@ -8,9 +8,12 @@
 //! is the one representation all three hold instead.
 //!
 //! [`SharedMap`] is a hash map cut into **chunks**: entry `(k, v)` lives
-//! in chunk `⌊hash(k) · n / 2⁶⁴⌋` of `n`, a small vector that keeps each
-//! entry's hash beside it (a key is hashed once: the hash picks the
-//! chunk, screens the scan inside it, and re-splits without re-hashing).
+//! in chunk `⌊hash(k) · n / 2⁶⁴⌋` of `n`. A chunk is two vectors side by
+//! side, position for position: a **hash lane** of each entry's 64-bit
+//! hash and the `(key, value)` items. A key is hashed once: the hash
+//! picks the chunk, a lookup walks the hash lane (8 bytes an entry, one
+//! cache line per eight entries) and reads an item only on a full hash
+//! match, and a re-split moves entries without re-hashing.
 //! Chunks sit behind `Arc`s under an `Arc`'d spine, so
 //!
 //! * **cloning a handle** is one refcount bump — no entry is copied;
@@ -36,6 +39,16 @@
 //! touched chunk flat from a 27k- to a 270k-tuple view at amortised
 //! `O(1)` per update. Nothing about the sizing is configurable.
 //!
+//! **One slack rule.** A chunk of `len` entries has room for at most
+//! `len + len / 8 + 1`, wherever its capacity was set: `scatter` presizes
+//! to the rule and gives back what its hashes did not fill, a
+//! `deep_copy` or copy-on-write copies to the rule (an exact copy would
+//! double at its first insert), and an insert into a full chunk grows it
+//! to the rule. Removals shrink nothing. So a 40-byte entry (8-byte hash,
+//! 32-byte `(Tuple, i64)` item) costs about 45.5 B in every lineage,
+//! built or copied, before and after installs (`tests/memory_by_layer.rs`).
+//! [`merge_sorted_group`] grows a point-index group by the same rule.
+//!
 //! The chunk hash is an in-tree multiply–rotate hasher, **deterministic**
 //! (no per-process seed): equal contents always chunk, iterate and count
 //! copies identically, which is what lets `BENCH_report.json` hold exact
@@ -46,7 +59,11 @@
 //! i64>` with [`Bag`]'s read surface and no-zero-count invariant; it is
 //! what `MaterializedView`, the snapshot store's epochs and checkpoint
 //! images hold. `Arc::make_mut` and the chunk layout appear in
-//! this file only (a `ci.sh` boundary guard keeps it that way).
+//! this file only (a `ci.sh` boundary guard keeps it that way) — which is
+//! why [`SharedMap::edit`] (a value changed through a `&mut`, its chunk
+//! copied first if shared) and [`merge_sorted_group`] (a shared sorted
+//! group edited copy-on-write) live here, for the serve layer's point
+//! index.
 
 use crate::bag::Bag;
 use crate::error::RelationalError;
@@ -60,6 +77,10 @@ use std::sync::Arc;
 /// with bigger chunks (`|V| / target` pointers), the copy of each touched
 /// shared chunk grows with them (`target` entries per delta tuple).
 const CHUNK_TARGET: usize = 64;
+
+/// A chunk holds room for at most one entry in `SLACK` beyond its
+/// entries, plus one (see [`with_slack`]).
+const SLACK: usize = 8;
 
 /// The deterministic chunk hasher: FxHash's multiply–rotate word mix
 /// with a final avalanche, so the *high* bits (which pick the chunk)
@@ -129,30 +150,110 @@ fn chunks_for(len: usize) -> usize {
     (len / CHUNK_TARGET).max(1)
 }
 
-#[derive(Clone)]
-struct Entry<K, V> {
-    hash: u64,
-    key: K,
-    value: V,
+/// The most entries a chunk of `len` may have room for: `len / SLACK + 1`
+/// beyond them. Every place a chunk's capacity is set keeps to it — a
+/// chunk `scatter` builds, one a `deep_copy` or copy-on-write copies, one
+/// an insert grows — and the point index's groups grow by the same rule.
+fn with_slack(len: usize) -> usize {
+    len + len / SLACK + 1
 }
 
-type Chunk<K, V> = Vec<Entry<K, V>>;
+/// One chunk: the entries' hashes in a lane of their own beside the
+/// `(key, value)` items, position for position. A lookup walks the hash
+/// lane (8 bytes an entry) and reads an item only on a full 64-bit match.
+struct Chunk<K, V> {
+    hashes: Vec<u64>,
+    items: Vec<(K, V)>,
+}
+
+impl<K, V> Chunk<K, V> {
+    fn with_capacity(cap: usize) -> Self {
+        Chunk {
+            hashes: Vec::with_capacity(cap),
+            items: Vec::with_capacity(cap),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Where `key` sits: the hash lane screens, keys are compared only on
+    /// a full 64-bit match.
+    fn locate(&self, hash: u64, key: &K) -> Option<usize>
+    where
+        K: Eq,
+    {
+        let mut from = 0;
+        while let Some(i) = self.hashes[from..].iter().position(|&h| h == hash) {
+            let at = from + i;
+            if self.items[at].0 == *key {
+                return Some(at);
+            }
+            from = at + 1;
+        }
+        None
+    }
+
+    /// Append an entry; a full chunk grows to the slack rule's room.
+    fn push(&mut self, hash: u64, key: K, value: V) {
+        let len = self.len();
+        if len == self.items.capacity() {
+            let extra = with_slack(len + 1) - len;
+            self.hashes.reserve_exact(extra);
+            self.items.reserve_exact(extra);
+        }
+        self.hashes.push(hash);
+        self.items.push((key, value));
+    }
+
+    /// Remove entry `at`; the last entry takes its place.
+    fn swap_remove(&mut self, at: usize) {
+        self.hashes.swap_remove(at);
+        self.items.swap_remove(at);
+    }
+
+    /// Give back room beyond the slack rule (a chunk `scatter` presized
+    /// for more entries than its hashes sent it).
+    fn trim(&mut self) {
+        let room = with_slack(self.len());
+        self.hashes.shrink_to(room);
+        self.items.shrink_to(room);
+    }
+
+    fn into_entries(self) -> impl Iterator<Item = (u64, (K, V))> {
+        self.hashes.into_iter().zip(self.items)
+    }
+}
+
+impl<K: Clone, V: Clone> Clone for Chunk<K, V> {
+    /// A private copy, entries in the same order, with the slack rule's
+    /// room (a derived clone would be exact, and double at its first
+    /// insert).
+    fn clone(&self) -> Self {
+        let mut c = Chunk::with_capacity(with_slack(self.len()));
+        c.hashes.extend_from_slice(&self.hashes);
+        c.items.extend_from_slice(&self.items);
+        c
+    }
+}
 
 /// Cut `entries` (distinct keys) into the chunks their hashes name.
-fn scatter<K, V>(entries: impl Iterator<Item = Entry<K, V>>, len: usize) -> Vec<Arc<Chunk<K, V>>> {
+fn scatter<K, V>(
+    entries: impl Iterator<Item = (u64, (K, V))>,
+    len: usize,
+) -> Vec<Arc<Chunk<K, V>>> {
     let n = chunks_for(len);
-    let per = len / n;
-    let mut chunks: Vec<Chunk<K, V>> = (0..n).map(|_| Vec::with_capacity(per + per / 2)).collect();
-    for e in entries {
-        chunks[chunk_of(e.hash, n)].push(e);
+    let room = with_slack(len / n);
+    let mut chunks: Vec<Chunk<K, V>> = (0..n).map(|_| Chunk::with_capacity(room)).collect();
+    for (hash, (key, value)) in entries {
+        chunks[chunk_of(hash, n)].push(hash, key, value);
     }
-    chunks.into_iter().map(Arc::new).collect()
-}
-
-/// Where `key` sits in its chunk. The stored hash screens the scan, so
-/// keys are compared only on a full 64-bit match.
-fn locate<K: Eq, V>(chunk: &[Entry<K, V>], hash: u64, key: &K) -> Option<usize> {
-    chunk.iter().position(|e| e.hash == hash && e.key == *key)
+    let chunks = chunks.into_iter().map(|mut c| {
+        c.trim();
+        Arc::new(c)
+    });
+    chunks.collect()
 }
 
 /// A hash map whose handles share structure (see the module docs).
@@ -174,7 +275,7 @@ impl<K, V> Clone for SharedMap<K, V> {
 impl<K, V> Default for SharedMap<K, V> {
     fn default() -> Self {
         SharedMap {
-            spine: Arc::new(vec![Arc::new(Vec::new())]),
+            spine: Arc::new(vec![Arc::new(Chunk::with_capacity(0))]),
             len: 0,
         }
     }
@@ -194,8 +295,8 @@ impl<K, V> SharedMap<K, V> {
     /// Iterate `(key, value)`, chunk by chunk. The order is a function
     /// of the update history alone (no per-process hash seed).
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        let entries = self.spine.iter().flat_map(|c| c.iter());
-        entries.map(|e| (&e.key, &e.value))
+        let items = self.spine.iter().flat_map(|c| c.items.iter());
+        items.map(|(k, v)| (k, v))
     }
 }
 
@@ -210,6 +311,30 @@ impl<K: Clone, V: Clone> SharedMap<K, V> {
             len: self.len,
         }
     }
+
+    /// Chunk `i`, private to this handle: the spine and the chunk are
+    /// copied first if a sibling handle shares them. Returns the chunk and
+    /// the entries copied (`0` when it was private already).
+    fn chunk_mut(&mut self, i: usize) -> (&mut Chunk<K, V>, usize) {
+        let slot = &mut Arc::make_mut(&mut self.spine)[i];
+        let copied = if Arc::get_mut(slot).is_some() {
+            0
+        } else {
+            slot.len()
+        };
+        (Arc::make_mut(slot), copied)
+    }
+}
+
+/// What [`SharedMap::edit`] leaves for its key.
+pub enum Edit<V> {
+    /// The stored value as the edit left it; an absent key stays absent.
+    Keep,
+    /// No entry for the key.
+    Remove,
+    /// Store this value: a new entry for an absent key, else a
+    /// replacement.
+    Insert(V),
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> SharedMap<K, V> {
@@ -217,11 +342,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SharedMap<K, V> {
     /// would shadow nothing and break `len`). Each key is hashed once.
     pub fn from_distinct(entries: impl ExactSizeIterator<Item = (K, V)>) -> Self {
         let len = entries.len();
-        let entries = entries.map(|(key, value)| Entry {
-            hash: chunk_hash(&key),
-            key,
-            value,
-        });
+        let entries = entries.map(|(key, value)| (chunk_hash(&key), (key, value)));
         SharedMap {
             spine: Arc::new(scatter(entries, len)),
             len,
@@ -232,7 +353,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SharedMap<K, V> {
     pub fn get(&self, key: &K) -> Option<&V> {
         let hash = chunk_hash(key);
         let chunk = &self.spine[chunk_of(hash, self.spine.len())];
-        locate(chunk, hash, key).map(|at| &chunk[at].value)
+        chunk.locate(hash, key).map(|at| &chunk.items[at].1)
     }
 
     /// Insert, replace or remove the entry for `key`: `next` sees the
@@ -243,30 +364,58 @@ impl<K: Hash + Eq + Clone, V: Clone> SharedMap<K, V> {
     pub fn update(&mut self, key: K, next: impl FnOnce(Option<&V>) -> Option<V>) -> usize {
         let hash = chunk_hash(&key);
         let i = chunk_of(hash, self.spine.len());
-        let at = locate(&self.spine[i], hash, &key);
-        let next = next(at.map(|at| &self.spine[i][at].value));
+        let at = self.spine[i].locate(hash, &key);
+        let next = next(at.map(|at| &self.spine[i].items[at].1));
         if at.is_none() && next.is_none() {
             return 0;
         }
-        let slot = &mut Arc::make_mut(&mut self.spine)[i];
-        let copied = if Arc::get_mut(slot).is_some() {
-            0
-        } else {
-            slot.len()
-        };
-        let chunk = Arc::make_mut(slot);
+        let (chunk, copied) = self.chunk_mut(i);
         match (at, next) {
-            (Some(at), Some(value)) => chunk[at].value = value,
+            (Some(at), Some(value)) => chunk.items[at].1 = value,
             (Some(at), None) => {
                 chunk.swap_remove(at);
                 self.len -= 1;
             }
             (None, Some(value)) => {
-                chunk.push(Entry { hash, key, value });
+                chunk.push(hash, key, value);
                 self.len += 1;
             }
             (None, None) => {}
         }
+        copied + self.rebalance()
+    }
+
+    /// [`SharedMap::update`] in place: `edit` changes the stored value
+    /// through a `&mut` (its chunk copied first if a sibling handle shares
+    /// it, whatever the edit then does) or, for an absent key, may insert
+    /// one. Entries keep the places `update` would give them. Returns the
+    /// entries copied, as `update` does.
+    pub fn edit(&mut self, key: K, edit: impl FnOnce(Option<&mut V>) -> Edit<V>) -> usize {
+        let hash = chunk_hash(&key);
+        let i = chunk_of(hash, self.spine.len());
+        let copied = match self.spine[i].locate(hash, &key) {
+            Some(at) => {
+                let (chunk, copied) = self.chunk_mut(i);
+                match edit(Some(&mut chunk.items[at].1)) {
+                    Edit::Keep => {}
+                    Edit::Insert(value) => chunk.items[at].1 = value,
+                    Edit::Remove => {
+                        chunk.swap_remove(at);
+                        self.len -= 1;
+                    }
+                }
+                copied
+            }
+            None => match edit(None) {
+                Edit::Insert(value) => {
+                    let (chunk, copied) = self.chunk_mut(i);
+                    chunk.push(hash, key, value);
+                    self.len += 1;
+                    copied
+                }
+                Edit::Keep | Edit::Remove => return 0,
+            },
+        };
         copied + self.rebalance()
     }
 
@@ -285,14 +434,48 @@ impl<K: Hash + Eq + Clone, V: Clone> SharedMap<K, V> {
         let spine = std::mem::take(&mut self.spine);
         let old = Arc::try_unwrap(spine).unwrap_or_else(|shared| (*shared).clone());
         let entries = old.into_iter().flat_map(|chunk| {
-            Arc::try_unwrap(chunk).unwrap_or_else(|shared| {
+            let own = Arc::try_unwrap(chunk).unwrap_or_else(|shared| {
                 copied += shared.len();
-                (*shared).clone()
-            })
+                Chunk::clone(&shared)
+            });
+            own.into_entries()
         });
         self.spine = Arc::new(scatter(entries, self.len));
         copied
     }
+}
+
+/// `group += delta` on a sorted `(tuple, count)` group held behind an
+/// `Arc`: per delta entry a binary-search insert, a count change or a
+/// removal (a count reaching 0 leaves), so nothing is re-sorted. The
+/// group is copied first only if another holder shares it — a pinned
+/// epoch's index or an answer a reader still holds — and grows by the
+/// chunks' slack rule. Returns the change in the group's total count.
+pub fn merge_sorted_group(
+    group: &mut Arc<Vec<(Tuple, i64)>>,
+    delta: impl IntoIterator<Item = (Tuple, i64)>,
+) -> i64 {
+    let group = Arc::make_mut(group);
+    let mut change = 0;
+    for (tuple, count) in delta.into_iter().filter(|&(_, c)| c != 0) {
+        change += count;
+        match group.binary_search_by(|(t, _)| t.cmp(&tuple)) {
+            Ok(at) => {
+                group[at].1 += count;
+                if group[at].1 == 0 {
+                    group.remove(at);
+                }
+            }
+            Err(at) => {
+                let len = group.len();
+                if len == group.capacity() {
+                    group.reserve_exact(with_slack(len + 1) - len);
+                }
+                group.insert(at, (tuple, count));
+            }
+        }
+    }
+    change
 }
 
 /// A counted bag (multiset with signed multiplicities, no zero counts)
@@ -446,6 +629,8 @@ mod tests {
     use crate::tup;
     use crate::value::Value;
 
+    const PINNED_ORDER: [i64; 12] = [699, 691, 685, 679, 231, 546, 658, 637, 476, 280, 245, 399];
+
     fn ints(range: std::ops::Range<i64>) -> Bag {
         Bag::from_tuples(range.map(|i| tup![i, i * 7]))
     }
@@ -578,17 +763,208 @@ mod tests {
 
     #[test]
     fn colliding_hashes_still_resolve_by_key() {
-        let entry = |key: i64| Entry {
-            hash: 42,
-            key,
-            value: key * 10,
-        };
-        let chunk: Chunk<i64, i64> = (0..4).map(entry).collect();
-        for k in 0..4 {
-            assert_eq!(chunk[locate(&chunk, 42, &k).unwrap()].value, k * 10);
+        let mut chunk: Chunk<i64, i64> = Chunk::with_capacity(0);
+        for key in 0..4 {
+            chunk.push(42, key, key * 10);
         }
-        assert_eq!(locate(&chunk, 42, &9), None);
-        assert_eq!(locate(&chunk, 41, &0), None);
+        for k in 0..4 {
+            assert_eq!(chunk.items[chunk.locate(42, &k).unwrap()].1, k * 10);
+        }
+        assert_eq!(chunk.locate(42, &9), None);
+        assert_eq!(chunk.locate(41, &0), None);
+    }
+
+    /// A key whose chunk hash is forced: every multiple of 16 hashes
+    /// alike, so those keys share one chunk and one full hash, and only
+    /// the key comparison tells them apart.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct Forced(i64);
+
+    impl Hash for Forced {
+        fn hash<H: Hasher>(&self, h: &mut H) {
+            h.write_i64(if self.0 % 16 == 0 { -1 } else { self.0 });
+        }
+    }
+
+    /// (address, capacity of each lane) of every chunk.
+    fn chunk_rooms<K, V>(m: &SharedMap<K, V>) -> Vec<(*const Chunk<K, V>, usize, usize)> {
+        let rooms = m.spine.iter();
+        rooms
+            .map(|c| (Arc::as_ptr(c), c.hashes.capacity(), c.items.capacity()))
+            .collect()
+    }
+
+    /// Every chunk of `m` whose (address, room) is not in `before` was
+    /// built, copied or grown since: its room keeps the slack rule for
+    /// the entries it held then (`removed` more than now).
+    fn assert_slack<K, V>(
+        m: &SharedMap<K, V>,
+        before: &[(*const Chunk<K, V>, usize, usize)],
+        removed: usize,
+        ctx: &str,
+    ) {
+        for (c, room) in m.spine.iter().zip(chunk_rooms(m)) {
+            if !before.contains(&room) {
+                let most = with_slack(c.len() + removed);
+                assert!(
+                    room.1 <= most && room.2 <= most,
+                    "{ctx}: {} entries in room {room:?}",
+                    c.len()
+                );
+            }
+            assert_eq!(c.hashes.len(), c.items.len(), "{ctx}: lanes in step");
+        }
+    }
+
+    /// `SharedMap` against a `HashMap` model over seeded runs: a build,
+    /// inserts that re-split the map upward, updates, removals that
+    /// re-split it back down, keys whose hashes are forced to collide, and
+    /// a sibling handle taken part-way that must keep its moment. After
+    /// every operation: lookups, `len`, the copied count (the touched
+    /// chunk if the sibling still shares it, plus every still-shared
+    /// chunk a re-split moves) and the slack rule on every chunk that was
+    /// built, copied or grown.
+    #[test]
+    fn matches_a_hashmap_model_with_collisions_resplits_and_a_sibling() {
+        use dw_rng::Rng64;
+        use std::collections::{HashMap, HashSet};
+        for case in 0..12u64 {
+            let mut r = Rng64::new(case);
+            let mut model: HashMap<i64, i64> = (0..200).map(|k| (k, k * 3)).collect();
+            let mut map = SharedMap::from_distinct(model.iter().map(|(&k, &v)| (Forced(k), v)));
+            assert_slack(&map, &[], 0, "build");
+            let image = map.deep_copy();
+            assert_slack(&image, &[], 0, "deep copy");
+            assert!(image.iter().eq(map.iter()), "a deep copy iterates alike");
+            let mut sibling: Option<(SharedMap<Forced, i64>, HashMap<i64, i64>)> = None;
+            let mut splits = (0, 0);
+            for step in 0..12_000 {
+                let ctx = format!("case {case} step {step}");
+                if step == 1_000 + 200 * case as usize {
+                    sibling = Some((map.clone(), model.clone()));
+                }
+                let grow = step < 3_000;
+                let k = r.i64_in(0, 4_000);
+                let held = model.get(&k).copied();
+                let next = match (held, r.usize_below(10)) {
+                    (Some(_), 0..=7) if !grow => None,
+                    (None, _) if !grow => None,
+                    (Some(_), 0) => None,
+                    (_, n) => Some(k + n as i64),
+                };
+                let (hash, n) = (chunk_hash(&Forced(k)), map.spine.len());
+                let i = chunk_of(hash, n);
+                let shared: HashSet<*const Chunk<Forced, i64>> = sibling
+                    .iter()
+                    .flat_map(|(s, _)| s.spine.iter().map(Arc::as_ptr))
+                    .collect();
+                let len_of = |j: usize| map.spine[j].len();
+                let is_shared = |j: usize| shared.contains(&Arc::as_ptr(&map.spine[j]));
+                let changes = held.is_some() || next.is_some();
+                let len_after =
+                    model.len() + usize::from(next.is_some()) - usize::from(held.is_some());
+                let resplit = changes
+                    && (len_after > 2 * CHUNK_TARGET * n
+                        || (n > 1 && 4 * len_after < CHUNK_TARGET * n));
+                let mut want = if changes && is_shared(i) {
+                    len_of(i)
+                } else {
+                    0
+                };
+                if resplit {
+                    want += (0..n)
+                        .filter(|&j| j != i && is_shared(j))
+                        .map(len_of)
+                        .sum::<usize>();
+                }
+                let before = chunk_rooms(&map);
+                let copied = map.update(Forced(k), |old| {
+                    assert_eq!(old.copied(), held, "{ctx}: the value update sees");
+                    next
+                });
+                assert_eq!(copied, want, "{ctx}: copied");
+                if resplit {
+                    let grew = map.spine.len() > n;
+                    if grew {
+                        splits.0 += 1
+                    } else {
+                        splits.1 += 1
+                    }
+                }
+                match next {
+                    Some(v) => model.insert(k, v),
+                    None => model.remove(&k),
+                };
+                let removed = usize::from(held.is_some() && next.is_none());
+                assert_slack(&map, &before, removed, &ctx);
+                assert_eq!(map.len(), model.len(), "{ctx}");
+                for probe in [k, k + 16, r.i64_in(0, 4_000)] {
+                    assert_eq!(
+                        map.get(&Forced(probe)),
+                        model.get(&probe),
+                        "{ctx}: key {probe}"
+                    );
+                }
+            }
+            assert!(
+                splits.0 > 0 && splits.1 > 0,
+                "case {case}: re-splits both ways {splits:?}"
+            );
+            let got: HashMap<i64, i64> = map.iter().map(|(k, &v)| (k.0, v)).collect();
+            assert_eq!(got, model, "case {case}: iteration");
+            let (sibling, then) = sibling.unwrap();
+            assert_eq!(sibling.len(), then.len(), "case {case}: the sibling's len");
+            for (k, v) in &then {
+                assert_eq!(
+                    sibling.get(&Forced(*k)),
+                    Some(v),
+                    "case {case}: the sibling's moment"
+                );
+            }
+            let copy = image.deep_copy();
+            assert_slack(&copy, &[], 0, "deep copy of the image");
+        }
+    }
+
+    /// The same operations on the same map iterate in the same order, in
+    /// every process: the chunk hash is deterministic and a chunk's
+    /// entries keep the order of `push` and `swap_remove`. Pinned, so a
+    /// change of layout cannot reorder what `BENCH_report.json` counts.
+    #[test]
+    fn iteration_order_is_pinned() {
+        // Build, delete in place, grow past a re-split, shrink past one.
+        let mut b = SharedBag::from(ints(0..200));
+        for i in (0..200).step_by(7) {
+            b.add(tup![i, i * 7], -1);
+        }
+        for i in 200..700 {
+            b.add(tup![i, i * 7], 2);
+        }
+        let grown = b.counts.spine.len();
+        for i in (0..680).filter(|i| i % 7 != 0) {
+            b.add(tup![i, i * 7], -b.count(&tup![i, i * 7]));
+        }
+        assert!(
+            grown > 3 && b.counts.spine.len() < grown,
+            "re-split both ways"
+        );
+        let order: Vec<i64> = b
+            .iter()
+            .map(|(t, _)| match t.at(0) {
+                Value::Int(i) => *i,
+                v => panic!("{v}"),
+            })
+            .collect();
+        // The first twelve keys, and a checksum of the whole order.
+        let sum = order.iter().enumerate();
+        let sum = sum.fold(0u64, |h, (at, &k)| {
+            h.wrapping_mul(31).wrapping_add(at as u64 ^ k as u64)
+        });
+        assert_eq!(
+            (&order[..12], sum),
+            (&PINNED_ORDER[..], 0xa3bc_533f_89b3_2fb7),
+            "{order:?} {sum:#x}"
+        );
     }
 
     #[test]

@@ -28,14 +28,17 @@
 //! **Point reads.** A point read has one route: the pinned epoch's
 //! secondary hash index on the read column, mapping a key value to the
 //! sorted matching `(tuple, multiplicity)` group *and the group's total
-//! multiplicity*, summed once where the group is built. The first point
-//! read on a `(view, epoch, column)` builds the index with one full
-//! scan; every later epoch *derives* its index incrementally from the
+//! multiplicity*, summed where the group is built. The first point read
+//! on a `(view, epoch, column)` builds the index with one full scan;
+//! every later epoch *derives* its index incrementally from the
 //! predecessor's (the same structurally shared map the bags use, taken
-//! over or handle-cloned as the bag is, then only the keys the install
-//! delta touched are rebuilt), so a steady-state point read is a hash
-//! lookup and two refcounts — it examines `O(|group|)` tuples instead of `O(|bag|)` —
-//! and publish is `O(|Δ|)` end to end. `read_work_tuples` /
+//! over or handle-cloned as the bag is). Each group the install delta
+//! touches is edited in place — a binary-search insert, count change or
+//! removal per delta entry, the total adjusted by the delta — and a group
+//! a pinned epoch or a held answer shares is copied first; nothing is
+//! rebuilt or re-sorted. A steady-state point read is a hash lookup and
+//! two refcounts — it examines `O(|group|)` tuples instead of `O(|bag|)`
+//! — and publish is `O(|Δ|)` end to end. `read_work_tuples` /
 //! `index_maintenance_tuples` count exactly how many tuples each side
 //! examined — the deterministic work proxy E21 gates against scanning
 //! the pinned epoch. Nothing sits in front of the index and nothing
@@ -62,7 +65,7 @@ use crate::hub::{HubPoll, SubscriptionHub};
 use dw_engine::{InstallEvent, InstallPublisher};
 use dw_obs::Obs;
 use dw_protocol::UpdateId;
-use dw_relational::{Bag, SharedBag, SharedMap, Tuple, Value};
+use dw_relational::{merge_sorted_group, Bag, Edit, SharedBag, SharedMap, Tuple, Value};
 use dw_simnet::Time;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -75,9 +78,11 @@ type PointHit = (i64, Arc<Vec<(Tuple, i64)>>);
 
 /// Sort a freshly collected group and sum its multiplicities — the one
 /// place a stored [`PointHit`] is made, so the total can never drift
-/// from its matches.
+/// from its matches. The group keeps no room beyond its entries: a
+/// publish that inserts into it grows it by the chunks' slack rule.
 fn point_hit(mut group: Vec<(Tuple, i64)>) -> PointHit {
     group.sort();
+    group.shrink_to_fit();
     (group.iter().map(|&(_, m)| m).sum(), Arc::new(group))
 }
 
@@ -108,10 +113,13 @@ impl PointIndex {
     }
 
     /// Derive the successor epoch's index from this one plus the install
-    /// delta: rebuild only the keys the delta mentions, as the signed
-    /// [`Bag`] sum of the old group and its delta entries, in place — a
-    /// handle a pinned epoch still shares keeps its groups (copy on
-    /// write). Returns the new index and the tuples examined.
+    /// delta: each group the delta mentions is edited in place — per
+    /// delta entry a binary-search insert, count change or removal, the
+    /// total adjusted by the entry's count, an emptied group dropped, a
+    /// new key's group made from its delta entries. A group or chunk a
+    /// pinned epoch or a held answer shares is copied first (copy on
+    /// write). Returns the new index and the tuples examined: the delta
+    /// entries plus each touched group's old length.
     fn derive(self, delta: &Bag, column: usize) -> (Self, u64) {
         let mut groups = self.groups;
         let mut touched: HashMap<Value, Vec<(Tuple, i64)>> = HashMap::new();
@@ -124,16 +132,17 @@ impl PointIndex {
             work += 1;
         }
         for (key, delta_entries) in touched {
-            groups.update(key, |old| {
-                let mut merged = Bag::new();
-                for (t, m) in old.into_iter().flat_map(|(_, group)| group.iter()) {
-                    work += 1;
-                    merged.add(t.clone(), *m);
+            groups.edit(key, |old| match old {
+                Some((total, group)) => {
+                    work += group.len() as u64;
+                    *total += merge_sorted_group(group, delta_entries);
+                    if group.is_empty() {
+                        Edit::Remove
+                    } else {
+                        Edit::Keep
+                    }
                 }
-                for (t, m) in delta_entries {
-                    merged.add(t, m);
-                }
-                (!merged.is_empty()).then(|| point_hit(merged.to_sorted_vec()))
+                None => Edit::Insert(point_hit(delta_entries)),
             });
         }
         (PointIndex { groups }, work)
@@ -210,7 +219,7 @@ pub struct ServeStats {
     /// Incremental index derivations at publish.
     pub point_index_derived: u64,
     /// Always 0: nothing sits in front of the epoch index. Kept only
-    /// because the frozen `benchmark/` crate reads it (ROADMAP A(v)).
+    /// because the frozen `benchmark/` crate reads it (ROADMAP A2(iii)).
     pub cache_hits: u64,
     /// Always 0, kept for the same reader as `cache_hits`.
     pub cache_misses: u64,
@@ -560,7 +569,7 @@ impl InstallPublisher for SnapshotStore {
             return;
         };
         // Successor indexes derive incrementally from the predecessor's:
-        // only delta-touched groups are rebuilt. (A column nobody has
+        // only delta-touched groups are edited. (A column nobody has
         // read yet has no index.)
         let mut derive_work = 0u64;
         let indexes: HashMap<usize, PointIndex> = indexes
@@ -667,6 +676,119 @@ mod tests {
             assert_eq!(gced, e + 1 - retained.len() as u64, "epoch {e}");
             let ledger = store.ledger_len(v) as u64;
             assert_eq!(ledger, e + AHEAD - retained[0], "epoch {e}");
+        }
+    }
+
+    /// A copy of the index's groups, totals and group order, keyed by
+    /// value (the groups' contents, not their shared handles).
+    fn index_groups(index: &PointIndex) -> HashMap<Value, (i64, Vec<(Tuple, i64)>)> {
+        let groups = index.groups.iter();
+        groups
+            .map(|(k, (total, group))| (k.clone(), (*total, group.to_vec())))
+            .collect()
+    }
+
+    /// Seeded runs of publishes whose deltas insert into groups, change
+    /// counts, delete, cancel whole groups to empty and open new keys.
+    /// On some steps a reader pins the predecessor epoch (so its chunks
+    /// and groups are shared with the successor); across others it holds
+    /// a point answer (so the group is). After every publish the derived
+    /// column-0 index equals a fresh `PointIndex::build` of the new bag —
+    /// groups, their order and totals — `index_maintenance_tuples` grew by
+    /// the delta entries plus the touched groups' old lengths, and every
+    /// pinned epoch and held answer still reads as it did.
+    #[test]
+    fn a_derived_index_equals_a_fresh_build_under_pins_and_held_answers() {
+        use dw_rng::Rng64;
+        for case in 0..16u64 {
+            let mut r = Rng64::new(case);
+            let initial = Bag::from_iter((0..60).map(|i| (tup![i % 6, i], 1 + i % 3)));
+            let mut store = SnapshotStore::default();
+            let v = store.register_view("V", initial.clone().into(), 0);
+            store.point_lookup(v, 0, 0, &Value::Int(0)).unwrap();
+            let mut model = initial;
+            let mut pins = Vec::new();
+            let mut held: Vec<(PointHit, Vec<(Tuple, i64)>)> = Vec::new();
+            for e in 1..=80u64 {
+                let ctx = format!("case {case} epoch {e}");
+                if r.chance(0.3) {
+                    let prev = store.epoch(v, e - 1).unwrap();
+                    let answers = index_groups(&prev.indexes[&0]);
+                    store.pin(v, e - 1).unwrap();
+                    pins.push((e - 1, model.clone(), answers));
+                }
+                if !pins.is_empty() && r.chance(0.25) {
+                    let (p, _, _) = pins.remove(r.usize_below(pins.len()));
+                    store.unpin(v, p).unwrap();
+                }
+                if r.chance(0.4) {
+                    let key = Value::Int(r.i64_in(0, 9));
+                    let hit = store.point_lookup(v, e - 1, 0, &key).unwrap();
+                    let contents = hit.1.to_vec();
+                    held.push((hit, contents));
+                }
+                if held.len() > 3 {
+                    held.remove(0);
+                }
+                let mut delta = Bag::new();
+                for (t, m) in model.iter() {
+                    match r.usize_below(12) {
+                        0 => delta.add(t.clone(), -m),
+                        1 => delta.add(t.clone(), if m > 1 { -1 } else { 2 }),
+                        _ => {}
+                    }
+                }
+                if r.chance(0.2) {
+                    let gone = Value::Int(r.i64_in(0, 9));
+                    for (t, m) in model.iter().filter(|(t, _)| t.at(0) == &gone) {
+                        let rest = -m - delta.count(t);
+                        if rest != 0 {
+                            delta.add(t.clone(), rest);
+                        }
+                    }
+                }
+                for _ in 0..r.usize_below(4) {
+                    let t = tup![r.i64_in(0, 9), 100 + r.i64_in(0, 200)];
+                    if model.count(&t) == 0 {
+                        delta.add(t, 1 + r.i64_in(0, 2));
+                    }
+                }
+                let mut want_work = delta.distinct_len() as u64;
+                let touched: std::collections::HashSet<&Value> =
+                    delta.iter().map(|(t, _)| t.at(0)).collect();
+                for key in touched {
+                    want_work += model.iter().filter(|(t, _)| t.at(0) == key).count() as u64;
+                }
+                let work_before = store.stats().index_maintenance_tuples;
+                model.merge(&delta);
+                store.publish(InstallEvent {
+                    view_index: v,
+                    epoch: e,
+                    at: e * 10,
+                    consumed: vec![],
+                    delta: Arc::new(delta),
+                });
+                let snap = store.epoch(v, e).unwrap();
+                assert_eq!(snap.bag, model, "{ctx}");
+                let (built, _) = PointIndex::build(&snap.bag, 0);
+                let derived = &snap.indexes[&0];
+                assert_eq!(index_groups(derived), index_groups(&built), "{ctx}");
+                assert_index_matches(derived, &snap.bag);
+                let work = store.stats().index_maintenance_tuples - work_before;
+                assert_eq!(work, want_work, "{ctx}: index maintenance tuples");
+                for (p, contents, answers) in &pins {
+                    let pinned = store.epoch(v, *p).unwrap();
+                    assert_eq!(&pinned.bag, contents, "{ctx}: pinned {p}");
+                    assert_eq!(
+                        &index_groups(&pinned.indexes[&0]),
+                        answers,
+                        "{ctx}: pinned {p}"
+                    );
+                }
+                for (hit, contents) in &held {
+                    assert_eq!(&*hit.1, contents, "{ctx}: a held answer");
+                }
+            }
         }
     }
 

@@ -9,15 +9,17 @@
 //! Run with `cargo test --release --test memory_by_layer -- --nocapture`
 //! to see the table; the bounds hold in debug and release alike.
 
+use dwsweep::engine::{InstallEvent, InstallLog, SharedInstallPublisher};
 use dwsweep::multiview::{EngineOptions, MaintenanceScheduler};
 use dwsweep::protocol::{node_source, source_node, Message, WAREHOUSE_NODE};
 use dwsweep::relational::{eval_view, BaseRelation, SharedBag, Tuple};
+use dwsweep::serve::ReadFrontend;
 use dwsweep::source::DataSource;
 use dwsweep::workload::{GapKind, MultiViewConfig, StreamConfig, ViewSpec};
 use dwsweep::{prelude::*, simnet::Network};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 struct Counting;
 
@@ -154,11 +156,13 @@ fn bytes_per_tuple(s: &Scenario) -> [f64; 3] {
 
 /// What each layer pays per tuple at the `steady` and `serve_mixed`
 /// shapes. A 9-column view tuple's value slice is 16 + 9 × 16 = 160 B
-/// (232 B with 24-byte values) beside its 40-byte `(hash, tuple, count)`
-/// entry and the chunk's slack: 220.9 B in all (292.9 B with 24-byte
-/// values); a 3-column relation row's slice is 64 B (88 B). An extra
-/// lineage shares the view's tuples and copies only entries. The bounds
-/// fail if `Value` or `Tuple` grows back.
+/// (232 B with 24-byte values) beside its 40-byte entry (an 8-byte hash
+/// in the chunk's hash lane, a 32-byte `(tuple, count)` item) and the
+/// chunk's slack (at most `len / 8 + 1` entries): about 206 B in all;
+/// a 3-column relation row's slice is 64 B (88 B). An extra lineage
+/// shares the view's tuples and copies only entries, to the same slack
+/// rule. The bounds fail if `Value` or `Tuple` grows back, or a built
+/// chunk's slack does.
 #[test]
 fn bytes_per_tuple_by_layer() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -168,16 +172,14 @@ fn bytes_per_tuple_by_layer() {
     for (name, [row, view, lineage]) in [("steady", steady), ("serve_mixed", serve_mixed)] {
         println!("{name:<12} {row:>5.1} {view:>14.1} {lineage:>17.1}");
         assert!(row <= 128.0, "{name}: {row:.1} B per relation row");
-        assert!(view <= 224.0, "{name}: {view:.1} B per view tuple");
-        assert!(lineage <= 44.0, "{name}: {lineage:.1} B per lineage entry");
+        assert!(view <= 208.0, "{name}: {view:.1} B per view tuple");
+        assert!(lineage <= 47.0, "{name}: {lineage:.1} B per lineage entry");
     }
 }
 
-/// Drain `s`'s updates through a scheduler with no install log attached
-/// and return the bytes it retains beyond its views' own storage (which
-/// is state: it follows the view's size and the chunk slack its installs
-/// left).
-fn retained_beyond_views(s: &Scenario) -> usize {
+/// Drain `s`'s updates through a scheduler, installs published to
+/// `publisher` when one is given, and return the quiescent scheduler.
+fn drain(s: &Scenario, publisher: Option<SharedInstallPublisher>) -> MaintenanceScheduler {
     let base = &s.scenario.base;
     let mut sched =
         MaintenanceScheduler::with_shards(base.clone(), EngineOptions::default(), None).unwrap();
@@ -185,6 +187,9 @@ fn retained_beyond_views(s: &Scenario) -> usize {
         sched
             .register(spec, s.view(v, &s.scenario.initial))
             .unwrap();
+    }
+    if let Some(p) = publisher {
+        sched.set_install_publisher(p);
     }
     let mut sources: Vec<DataSource> = (s.scenario.initial.iter().enumerate())
         .map(|(i, bag)| {
@@ -212,7 +217,15 @@ fn retained_beyond_views(s: &Scenario) -> usize {
         }
     }
     assert!(sched.is_quiescent());
-    drop((sources, net));
+    sched
+}
+
+/// Drain `s`'s updates through a scheduler with no install log attached
+/// and return the bytes it retains beyond its views' own storage (which
+/// is state: it follows the view's size and the chunk slack its installs
+/// left).
+fn retained_beyond_views(s: &Scenario) -> usize {
+    let sched = drain(s, None);
     // Handles keep the views alive while the scheduler is dropped.
     let reg = sched.views();
     let views: Vec<SharedBag> = (reg.ids().into_iter())
@@ -221,6 +234,99 @@ fn retained_beyond_views(s: &Scenario) -> usize {
     let retained = freed_by(sched);
     drop(views);
     retained
+}
+
+/// A served epoch of `initial` (its own lineage, as a copy-on-write
+/// epoch ends up once installs have touched its chunks) after `deltas`,
+/// with a column-0 point index when `indexed`.
+fn served_after(initial: &SharedBag, deltas: &[Arc<Bag>], indexed: bool) -> ReadFrontend {
+    let frontend = ReadFrontend::new();
+    let v = frontend.register_view("V0", initial.deep_copy(), 0);
+    if indexed {
+        let pin = frontend.pin(v).unwrap();
+        frontend.read_point(&pin, 0, 0, None).unwrap();
+        frontend.unpin(pin).unwrap();
+    }
+    let sink = frontend.sink();
+    let mut sink = sink.lock().unwrap();
+    for (e, delta) in deltas.iter().enumerate() {
+        sink.publish(InstallEvent {
+            view_index: v,
+            epoch: e as u64 + 1,
+            at: e as u64 + 1,
+            consumed: Vec::new(),
+            delta: Arc::clone(delta),
+        });
+    }
+    drop(sink);
+    frontend
+}
+
+/// Bytes per entry of each `SharedBag` lineage of view 0 after the
+/// installs of `s`'s updates — the live view (built by `scatter`), a
+/// checkpoint image and a served epoch (both copies) — and the bytes
+/// the served epoch's column-0 point index adds per indexed tuple.
+fn bytes_after_installs(s: &Scenario) -> (usize, [f64; 4]) {
+    let log = Arc::new(Mutex::new(InstallLog::new(None)));
+    drop(drain(s, Some(log.clone())));
+    let deltas: Vec<Arc<Bag>> = log
+        .lock()
+        .unwrap()
+        .installs(0)
+        .iter()
+        .map(|e| Arc::clone(&e.delta))
+        .collect();
+    // `initial` and `deltas` own every tuple: each lineage's bytes are
+    // its chunks (and the index's groups), never a value slice.
+    let initial = SharedBag::from(s.view(0, &s.scenario.initial));
+    let mut live = SharedBag::from(initial.to_bag());
+    let mut image = initial.deep_copy();
+    for delta in &deltas {
+        live.merge(delta);
+        image.merge(delta);
+    }
+    let plain = served_after(&initial, &deltas, false);
+    let indexed = served_after(&initial, &deltas, true);
+    let entries = image.distinct_len() as f64;
+    let live = freed_by(live) as f64 / entries;
+    let image = freed_by(image) as f64 / entries;
+    let epoch = freed_by(plain) as f64;
+    let index = (freed_by(indexed) as f64 - epoch) / entries;
+    (deltas.len(), [live, image, epoch / entries, index])
+}
+
+/// What each lineage of a `serve_mixed` view (27 k nine-column tuples)
+/// pays per entry after the installs of 300 updates: the live view,
+/// built by `scatter`; a checkpoint image and a served epoch, both
+/// copies; and the bytes a served epoch's column-0 point index adds per
+/// indexed tuple. An entry is 40 B (an 8-byte hash beside a 32-byte
+/// `(tuple, count)` item), and every chunk keeps to one slack rule —
+/// room for `len / 8 + 1` more — however it was made, so an entry costs
+/// at most 40 × 9/8 B and a chunk's overhead wherever its lineage came
+/// from. The bound fails if a lineage carries the half-empty chunks of a
+/// 1.5× presize (60.9 B an entry) or the doubled ones of a copy's first
+/// insert (≈ 80 B).
+#[test]
+fn lineage_bytes_per_entry_after_installs() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (installs, [live, image, epoch, index]) =
+        bytes_after_installs(&shape(3_000, 1_000, 3, 300, 2_000));
+    println!("after {installs} installs (B per entry): live view {live:.1}, checkpoint image {image:.1}, served epoch {epoch:.1}; point index {index:.1} B per indexed tuple");
+    assert!(installs >= 250, "{installs} installs");
+    for (name, bytes) in [
+        ("live view", live),
+        ("checkpoint image", image),
+        ("served epoch", epoch),
+    ] {
+        assert!(
+            bytes <= 47.0,
+            "{name}: {bytes:.1} B per lineage entry after {installs} installs"
+        );
+    }
+    assert!(
+        index <= 46.0,
+        "{index:.1} B of point index per indexed tuple"
+    );
 }
 
 /// Nothing a scheduler keeps grows with the number of updates it has
