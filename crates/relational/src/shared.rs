@@ -8,12 +8,10 @@
 //! is the one representation all three hold instead.
 //!
 //! [`SharedMap`] is a hash map cut into **chunks**: entry `(k, v)` lives
-//! in chunk `⌊hash(k) · n / 2⁶⁴⌋` of `n`. A chunk is two vectors side by
-//! side, position for position: a **hash lane** of each entry's 64-bit
-//! hash and the `(key, value)` items. A key is hashed once: the hash
-//! picks the chunk, a lookup walks the hash lane (8 bytes an entry, one
-//! cache line per eight entries) and reads an item only on a full hash
-//! match, and a re-split moves entries without re-hashing.
+//! in chunk `⌊hash(k) · n / 2⁶⁴⌋` of `n`, stored with its 64-bit hash. A
+//! key is hashed once: the hash picks the chunk, screens the scan of a
+//! lookup (keys are compared only on a full hash match) and lets a
+//! re-split move entries without re-hashing.
 //! Chunks sit behind `Arc`s under an `Arc`'d spine, so
 //!
 //! * **cloning a handle** is one refcount bump — no entry is copied;
@@ -45,7 +43,7 @@
 //! `deep_copy` or copy-on-write copies to the rule (an exact copy would
 //! double at its first insert), and an insert into a full chunk grows it
 //! to the rule. Removals shrink nothing. So a 40-byte entry (8-byte hash,
-//! 32-byte `(Tuple, i64)` item) costs about 45.5 B in every lineage,
+//! 24-byte `Tuple`, 8-byte count) costs about 45 B in every lineage,
 //! built or copied, before and after installs (`tests/memory_by_layer.rs`).
 //! [`merge_sorted_group`] grows a point-index group by the same rule.
 //!
@@ -158,71 +156,52 @@ fn with_slack(len: usize) -> usize {
     len + len / SLACK + 1
 }
 
-/// One chunk: the entries' hashes in a lane of their own beside the
-/// `(key, value)` items, position for position. A lookup walks the hash
-/// lane (8 bytes an entry) and reads an item only on a full 64-bit match.
+#[derive(Clone)]
+struct Entry<K, V> {
+    hash: u64,
+    key: K,
+    value: V,
+}
+
+/// One chunk's entries, each with its key's hash.
 struct Chunk<K, V> {
-    hashes: Vec<u64>,
-    items: Vec<(K, V)>,
+    entries: Vec<Entry<K, V>>,
 }
 
 impl<K, V> Chunk<K, V> {
     fn with_capacity(cap: usize) -> Self {
         Chunk {
-            hashes: Vec::with_capacity(cap),
-            items: Vec::with_capacity(cap),
+            entries: Vec::with_capacity(cap),
         }
     }
 
     fn len(&self) -> usize {
-        self.items.len()
+        self.entries.len()
     }
 
-    /// Where `key` sits: the hash lane screens, keys are compared only on
-    /// a full 64-bit match.
+    /// Where `key` sits. The stored hash screens the scan, so keys are
+    /// compared only on a full 64-bit match.
     fn locate(&self, hash: u64, key: &K) -> Option<usize>
     where
         K: Eq,
     {
-        let mut from = 0;
-        while let Some(i) = self.hashes[from..].iter().position(|&h| h == hash) {
-            let at = from + i;
-            if self.items[at].0 == *key {
-                return Some(at);
-            }
-            from = at + 1;
-        }
-        None
+        let mut entries = self.entries.iter();
+        entries.position(|e| e.hash == hash && e.key == *key)
     }
 
     /// Append an entry; a full chunk grows to the slack rule's room.
-    fn push(&mut self, hash: u64, key: K, value: V) {
+    fn push(&mut self, entry: Entry<K, V>) {
         let len = self.len();
-        if len == self.items.capacity() {
-            let extra = with_slack(len + 1) - len;
-            self.hashes.reserve_exact(extra);
-            self.items.reserve_exact(extra);
+        if len == self.entries.capacity() {
+            self.entries.reserve_exact(with_slack(len + 1) - len);
         }
-        self.hashes.push(hash);
-        self.items.push((key, value));
-    }
-
-    /// Remove entry `at`; the last entry takes its place.
-    fn swap_remove(&mut self, at: usize) {
-        self.hashes.swap_remove(at);
-        self.items.swap_remove(at);
+        self.entries.push(entry);
     }
 
     /// Give back room beyond the slack rule (a chunk `scatter` presized
     /// for more entries than its hashes sent it).
     fn trim(&mut self) {
-        let room = with_slack(self.len());
-        self.hashes.shrink_to(room);
-        self.items.shrink_to(room);
-    }
-
-    fn into_entries(self) -> impl Iterator<Item = (u64, (K, V))> {
-        self.hashes.into_iter().zip(self.items)
+        self.entries.shrink_to(with_slack(self.len()));
     }
 }
 
@@ -232,22 +211,18 @@ impl<K: Clone, V: Clone> Clone for Chunk<K, V> {
     /// insert).
     fn clone(&self) -> Self {
         let mut c = Chunk::with_capacity(with_slack(self.len()));
-        c.hashes.extend_from_slice(&self.hashes);
-        c.items.extend_from_slice(&self.items);
+        c.entries.extend_from_slice(&self.entries);
         c
     }
 }
 
 /// Cut `entries` (distinct keys) into the chunks their hashes name.
-fn scatter<K, V>(
-    entries: impl Iterator<Item = (u64, (K, V))>,
-    len: usize,
-) -> Vec<Arc<Chunk<K, V>>> {
+fn scatter<K, V>(entries: impl Iterator<Item = Entry<K, V>>, len: usize) -> Vec<Arc<Chunk<K, V>>> {
     let n = chunks_for(len);
     let room = with_slack(len / n);
     let mut chunks: Vec<Chunk<K, V>> = (0..n).map(|_| Chunk::with_capacity(room)).collect();
-    for (hash, (key, value)) in entries {
-        chunks[chunk_of(hash, n)].push(hash, key, value);
+    for e in entries {
+        chunks[chunk_of(e.hash, n)].push(e);
     }
     let chunks = chunks.into_iter().map(|mut c| {
         c.trim();
@@ -295,8 +270,8 @@ impl<K, V> SharedMap<K, V> {
     /// Iterate `(key, value)`, chunk by chunk. The order is a function
     /// of the update history alone (no per-process hash seed).
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        let items = self.spine.iter().flat_map(|c| c.items.iter());
-        items.map(|(k, v)| (k, v))
+        let entries = self.spine.iter().flat_map(|c| c.entries.iter());
+        entries.map(|e| (&e.key, &e.value))
     }
 }
 
@@ -342,7 +317,11 @@ impl<K: Hash + Eq + Clone, V: Clone> SharedMap<K, V> {
     /// would shadow nothing and break `len`). Each key is hashed once.
     pub fn from_distinct(entries: impl ExactSizeIterator<Item = (K, V)>) -> Self {
         let len = entries.len();
-        let entries = entries.map(|(key, value)| (chunk_hash(&key), (key, value)));
+        let entries = entries.map(|(key, value)| Entry {
+            hash: chunk_hash(&key),
+            key,
+            value,
+        });
         SharedMap {
             spine: Arc::new(scatter(entries, len)),
             len,
@@ -353,54 +332,26 @@ impl<K: Hash + Eq + Clone, V: Clone> SharedMap<K, V> {
     pub fn get(&self, key: &K) -> Option<&V> {
         let hash = chunk_hash(key);
         let chunk = &self.spine[chunk_of(hash, self.spine.len())];
-        chunk.locate(hash, key).map(|at| &chunk.items[at].1)
+        chunk.locate(hash, key).map(|at| &chunk.entries[at].value)
     }
 
-    /// Insert, replace or remove the entry for `key`: `next` sees the
-    /// current value and returns the one to store (`None` = absent).
-    /// Returns the entries this handle had to copy because a sibling
-    /// handle shares them — `0` when the handle is uniquely held or the
-    /// update changes nothing.
-    pub fn update(&mut self, key: K, next: impl FnOnce(Option<&V>) -> Option<V>) -> usize {
-        let hash = chunk_hash(&key);
-        let i = chunk_of(hash, self.spine.len());
-        let at = self.spine[i].locate(hash, &key);
-        let next = next(at.map(|at| &self.spine[i].items[at].1));
-        if at.is_none() && next.is_none() {
-            return 0;
-        }
-        let (chunk, copied) = self.chunk_mut(i);
-        match (at, next) {
-            (Some(at), Some(value)) => chunk.items[at].1 = value,
-            (Some(at), None) => {
-                chunk.swap_remove(at);
-                self.len -= 1;
-            }
-            (None, Some(value)) => {
-                chunk.push(hash, key, value);
-                self.len += 1;
-            }
-            (None, None) => {}
-        }
-        copied + self.rebalance()
-    }
-
-    /// [`SharedMap::update`] in place: `edit` changes the stored value
-    /// through a `&mut` (its chunk copied first if a sibling handle shares
-    /// it, whatever the edit then does) or, for an absent key, may insert
-    /// one. Entries keep the places `update` would give them. Returns the
-    /// entries copied, as `update` does.
+    /// Insert, replace or remove the entry for `key`: `edit` may change
+    /// the stored value through a `&mut` (its chunk copied first if a
+    /// sibling handle shares it, whatever the edit then does) and says
+    /// what to leave (see [`Edit`]). Returns the entries this handle had
+    /// to copy because a sibling handle shares them — `0` when the handle
+    /// is uniquely held or an absent key stays absent.
     pub fn edit(&mut self, key: K, edit: impl FnOnce(Option<&mut V>) -> Edit<V>) -> usize {
         let hash = chunk_hash(&key);
         let i = chunk_of(hash, self.spine.len());
         let copied = match self.spine[i].locate(hash, &key) {
             Some(at) => {
                 let (chunk, copied) = self.chunk_mut(i);
-                match edit(Some(&mut chunk.items[at].1)) {
+                match edit(Some(&mut chunk.entries[at].value)) {
                     Edit::Keep => {}
-                    Edit::Insert(value) => chunk.items[at].1 = value,
+                    Edit::Insert(value) => chunk.entries[at].value = value,
                     Edit::Remove => {
-                        chunk.swap_remove(at);
+                        chunk.entries.swap_remove(at);
                         self.len -= 1;
                     }
                 }
@@ -409,7 +360,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SharedMap<K, V> {
             None => match edit(None) {
                 Edit::Insert(value) => {
                     let (chunk, copied) = self.chunk_mut(i);
-                    chunk.push(hash, key, value);
+                    chunk.push(Entry { hash, key, value });
                     self.len += 1;
                     copied
                 }
@@ -417,6 +368,19 @@ impl<K: Hash + Eq + Clone, V: Clone> SharedMap<K, V> {
             },
         };
         copied + self.rebalance()
+    }
+
+    /// [`SharedMap::edit`] by value: `next` sees the current value and
+    /// returns the one to store (`None` = absent).
+    pub fn update(&mut self, key: K, next: impl FnOnce(Option<&V>) -> Option<V>) -> usize {
+        self.edit(key, |old| {
+            let held = old.is_some();
+            match (held, next(old.as_deref())) {
+                (_, Some(value)) => Edit::Insert(value),
+                (true, None) => Edit::Remove,
+                (false, None) => Edit::Keep,
+            }
+        })
     }
 
     /// Re-split when the average chunk load has doubled or fallen to a
@@ -438,7 +402,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SharedMap<K, V> {
                 copied += shared.len();
                 Chunk::clone(&shared)
             });
-            own.into_entries()
+            own.entries
         });
         self.spine = Arc::new(scatter(entries, self.len));
         copied
@@ -765,10 +729,15 @@ mod tests {
     fn colliding_hashes_still_resolve_by_key() {
         let mut chunk: Chunk<i64, i64> = Chunk::with_capacity(0);
         for key in 0..4 {
-            chunk.push(42, key, key * 10);
+            let value = key * 10;
+            chunk.push(Entry {
+                hash: 42,
+                key,
+                value,
+            });
         }
         for k in 0..4 {
-            assert_eq!(chunk.items[chunk.locate(42, &k).unwrap()].1, k * 10);
+            assert_eq!(chunk.entries[chunk.locate(42, &k).unwrap()].value, k * 10);
         }
         assert_eq!(chunk.locate(42, &9), None);
         assert_eq!(chunk.locate(41, &0), None);
@@ -786,11 +755,11 @@ mod tests {
         }
     }
 
-    /// (address, capacity of each lane) of every chunk.
-    fn chunk_rooms<K, V>(m: &SharedMap<K, V>) -> Vec<(*const Chunk<K, V>, usize, usize)> {
+    /// (address, capacity) of every chunk.
+    fn chunk_rooms<K, V>(m: &SharedMap<K, V>) -> Vec<(*const Chunk<K, V>, usize)> {
         let rooms = m.spine.iter();
         rooms
-            .map(|c| (Arc::as_ptr(c), c.hashes.capacity(), c.items.capacity()))
+            .map(|c| (Arc::as_ptr(c), c.entries.capacity()))
             .collect()
     }
 
@@ -799,7 +768,7 @@ mod tests {
     /// the entries it held then (`removed` more than now).
     fn assert_slack<K, V>(
         m: &SharedMap<K, V>,
-        before: &[(*const Chunk<K, V>, usize, usize)],
+        before: &[(*const Chunk<K, V>, usize)],
         removed: usize,
         ctx: &str,
     ) {
@@ -807,12 +776,11 @@ mod tests {
             if !before.contains(&room) {
                 let most = with_slack(c.len() + removed);
                 assert!(
-                    room.1 <= most && room.2 <= most,
+                    room.1 <= most,
                     "{ctx}: {} entries in room {room:?}",
                     c.len()
                 );
             }
-            assert_eq!(c.hashes.len(), c.items.len(), "{ctx}: lanes in step");
         }
     }
 

@@ -156,13 +156,18 @@ fn bytes_per_tuple(s: &Scenario) -> [f64; 3] {
 
 /// What each layer pays per tuple at the `steady` and `serve_mixed`
 /// shapes. A 9-column view tuple's value slice is 16 + 9 × 16 = 160 B
-/// (232 B with 24-byte values) beside its 40-byte entry (an 8-byte hash
-/// in the chunk's hash lane, a 32-byte `(tuple, count)` item) and the
-/// chunk's slack (at most `len / 8 + 1` entries): about 206 B in all;
-/// a 3-column relation row's slice is 64 B (88 B). An extra lineage
-/// shares the view's tuples and copies only entries, to the same slack
-/// rule. The bounds fail if `Value` or `Tuple` grows back, or a built
-/// chunk's slack does.
+/// (232 B with 24-byte values) beside its 40-byte entry (an 8-byte hash,
+/// the 24-byte tuple, an 8-byte count) and the chunk's slack (at most
+/// `len / 8 + 1` entries): about 206 B in all; a 3-column relation row's
+/// slice is 64 B (88 B). An extra lineage shares the view's tuples and
+/// copies only entries, to the same slack rule. The bounds fail if
+/// `Value` or `Tuple` grows back, or a built chunk's slack does.
+///
+/// The lineage bound, 47 B, is what the slack rule costs a copy when it
+/// is made: an exact copy read 40.8 B here but doubled each chunk at its
+/// first insert. That doubling is guarded by
+/// `lineage_bytes_per_entry_after_installs`, the bound that holds once a
+/// lineage has seen installs; raising this one needs a reason of its own.
 #[test]
 fn bytes_per_tuple_by_layer() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -299,8 +304,8 @@ fn bytes_after_installs(s: &Scenario) -> (usize, [f64; 4]) {
 /// pays per entry after the installs of 300 updates: the live view,
 /// built by `scatter`; a checkpoint image and a served epoch, both
 /// copies; and the bytes a served epoch's column-0 point index adds per
-/// indexed tuple. An entry is 40 B (an 8-byte hash beside a 32-byte
-/// `(tuple, count)` item), and every chunk keeps to one slack rule —
+/// indexed tuple. An entry is 40 B (an 8-byte hash, the 24-byte tuple,
+/// an 8-byte count), and every chunk keeps to one slack rule —
 /// room for `len / 8 + 1` more — however it was made, so an entry costs
 /// at most 40 × 9/8 B and a chunk's overhead wherever its lineage came
 /// from. The bound fails if a lineage carries the half-empty chunks of a
