@@ -151,6 +151,19 @@ stage_engine_boundary() {
     echo "FAIL: snapshots are dw-serve internals — consume them through ReadFrontend, never SnapshotStore" >&2
     ok=1
   fi
+  # Subscriptions are store internals with one error type: the registry
+  # refuses in ServeError and counts into ServeStats itself, and an index
+  # build is a miss — no second poll type, publish outcome or build
+  # counter may come back, nor the registry outside dw-serve's sources.
+  hits=$({
+    grep -rnE '\b(HubPoll|PublishOutcome|point_index_builds)\b' crates src tests examples
+    grep -rn 'SubscriptionHub' crates src tests examples | grep -v '^crates/serve/src/'
+  } 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: subscriptions are dw-serve store internals — subscribe, poll, resume and unsubscribe through ReadFrontend (refusals are ServeError, counters ServeStats::{sub_events, subs_lagged}); a point index build is counted as point_index_misses — no HubPoll, PublishOutcome or point_index_builds, no SubscriptionHub outside crates/serve/src" >&2
+    ok=1
+  fi
   hits=$(grep -rn "GroupState" crates/*/src src examples 2>/dev/null |
     grep -v "^crates/relational/src" || true)
   if [[ -n "$hits" ]]; then

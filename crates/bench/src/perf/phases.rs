@@ -1828,7 +1828,7 @@ row! {
         /// The floor `speedup` must clear (5.0 on the skewed mix).
         expected_min_speedup: f64 = Info,
         /// Full index builds (first point read on a `(view, epoch,
-        /// column)`).
+        /// column)`): the store's index misses, each of which builds.
         index_builds: u64 = Info,
         /// Incremental index derivations at publish.
         index_derives: u64 = Info,
@@ -1927,7 +1927,7 @@ impl Phase for E21Row {
                     index_work_tuples: index_work,
                     speedup: linear_work as f64 / index_work.max(1) as f64,
                     expected_min_speedup,
-                    index_builds: stats.point_index_builds,
+                    index_builds: stats.point_index_misses,
                     index_derives: stats.point_index_derived,
                     index_hits: stats.point_index_hits,
                     bags_deep_cloned: stats.bags_deep_cloned,

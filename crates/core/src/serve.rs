@@ -862,7 +862,7 @@ mod tests {
         // through it examined fewer tuples than scanning each answered
         // point read's pinned epoch would have.
         let stats = &report.served().unwrap().serve_stats;
-        assert!(stats.point_index_builds > 0 && stats.point_index_hits > 0);
+        assert!(stats.point_index_misses > 0 && stats.point_index_hits > 0);
         let audit = audit_reads(&report).unwrap();
         assert!(audit.clean(), "{audit:?}");
         assert!(

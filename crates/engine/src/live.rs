@@ -99,6 +99,32 @@ pub struct ClusterOutcome<W> {
     pub wall: Duration,
 }
 
+/// One node thread's loop: handle each delivered message at its live
+/// receive time until `Stop`, then hand the node back. After each
+/// message the warehouse stores its idle answer in `idle` (sources pass
+/// `None`), and only then is the message counted in `processed` — so a
+/// drain that sees every send processed also sees the idle flag it left.
+fn run_node<N: NodeRunner>(
+    mut node: N,
+    rx: Receiver<Item>,
+    mut net: ThreadNet,
+    processed: &AtomicU64,
+    idle: Option<&AtomicBool>,
+) -> Result<N, String> {
+    for item in rx.iter() {
+        let Item::Msg { from, msg } = item else {
+            break;
+        };
+        let at = net.now();
+        node.handle(from, at, msg, &mut net)?;
+        if let Some(idle) = idle {
+            idle.store(node.is_idle(), Ordering::SeqCst);
+        }
+        processed.fetch_add(1, Ordering::SeqCst);
+    }
+    Ok(node)
+}
+
 /// Run a cluster of real threads: node 0 is `warehouse`, node `i + 1`
 /// runs `sources[i]`. `injections` is a `(sim time, target node,
 /// message)` schedule in nondecreasing time order, replayed from this
@@ -132,46 +158,18 @@ pub fn run_cluster<W: NodeRunner, S: NodeRunner>(
         sent: sent.clone(),
     };
 
-    // Warehouse thread.
+    // Warehouse thread, then one thread per source: the same loop, the
+    // warehouse's also publishing its idle flag.
     let wh_rx = receivers.remove(0);
-    let wh_net = net.clone();
-    let wh_processed = processed.clone();
-    let wh_idle_flag = wh_idle.clone();
-    let wh_handle = thread::spawn(move || -> Result<W, String> {
-        let mut warehouse = warehouse;
-        let mut net = wh_net;
-        for item in wh_rx.iter() {
-            match item {
-                Item::Stop => break,
-                Item::Msg { from, msg } => {
-                    let at = net.now();
-                    warehouse.handle(from, at, msg, &mut net)?;
-                    wh_idle_flag.store(warehouse.is_idle(), Ordering::SeqCst);
-                    wh_processed.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        }
-        Ok(warehouse)
+    let (wh_net, wh_processed, wh_idle_flag) = (net.clone(), processed.clone(), wh_idle.clone());
+    let wh_handle = thread::spawn(move || {
+        run_node(warehouse, wh_rx, wh_net, &wh_processed, Some(&wh_idle_flag))
     });
-
-    // Source threads.
     let mut src_handles = Vec::with_capacity(n);
     for (src, rx) in sources.into_iter().zip(receivers) {
-        let mut src_net = net.clone();
-        let src_processed = processed.clone();
-        src_handles.push(thread::spawn(move || -> Result<(), String> {
-            let mut src = src;
-            for item in rx.iter() {
-                match item {
-                    Item::Stop => break,
-                    Item::Msg { from, msg } => {
-                        let at = src_net.now();
-                        src.handle(from, at, msg, &mut src_net)?;
-                        src_processed.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            }
-            Ok(())
+        let (src_net, src_processed) = (net.clone(), processed.clone());
+        src_handles.push(thread::spawn(move || {
+            run_node(src, rx, src_net, &src_processed, None)
         }));
     }
 

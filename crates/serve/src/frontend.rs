@@ -50,14 +50,16 @@ pub enum ServeError {
         /// The epoch without a pin.
         epoch: u64,
     },
-    /// Poll of a subscription id never issued.
+    /// A subscription call (`poll`, `resume`, `unsubscribe`) naming an
+    /// id never issued.
     NoSuchSubscription {
         /// The unknown subscription id.
         sub: u64,
     },
-    /// Poll of a subscription id that was explicitly unsubscribed —
-    /// distinguishable from [`NoSuchSubscription`](Self::NoSuchSubscription)
-    /// because ids are never reused.
+    /// A subscription call naming an id that was explicitly unsubscribed
+    /// — distinguishable from
+    /// [`NoSuchSubscription`](Self::NoSuchSubscription) because ids are
+    /// never reused.
     Unsubscribed {
         /// The dropped subscription id.
         sub: u64,
@@ -216,20 +218,20 @@ impl ReadFrontend {
         self.lock().register_view(name, initial.into(), at)
     }
 
-    /// Attach an observability handle: index hit/miss/build/derive
+    /// Attach an observability handle: index hit/miss/derive
     /// counters flow to it alongside [`ServeStats`](crate::ServeStats).
     pub fn set_observer(&self, obs: dw_obs::Obs) {
-        self.lock().set_observer(obs)
+        self.lock().obs = obs;
     }
 
     /// Number of registered views.
     pub fn view_count(&self) -> usize {
-        self.lock().view_count()
+        self.lock().views.len()
     }
 
     /// Name a view slot was registered under.
     pub fn view_name(&self, view: usize) -> Result<String, ServeError> {
-        Ok(self.lock().view_name(view)?.to_string())
+        Ok(self.lock().view(view)?.name.clone())
     }
 
     /// The latest published epoch of `view`.
@@ -273,7 +275,7 @@ impl ReadFrontend {
         self.admit(&mut s, pin, bound)?;
         let (multiplicity, matches) =
             s.point_lookup(pin.view, pin.epoch, column, &Value::Int(key))?;
-        s.stats_mut().reads_answered += 1;
+        s.stats.reads_answered += 1;
         Ok(PointAnswer {
             view: pin.view,
             epoch: pin.epoch,
@@ -299,7 +301,7 @@ impl ReadFrontend {
             at: snap.at,
             bag: SharedBag::clone(&snap.bag),
         };
-        s.stats_mut().reads_answered += 1;
+        s.stats.reads_answered += 1;
         Ok(answer)
     }
 
@@ -314,7 +316,7 @@ impl ReadFrontend {
         if let Some(b) = bound {
             if !s.admissible(pin.view, pin.epoch, b.reflect_before)? {
                 let freshest = s.freshest_admissible(pin.view, b.reflect_before)?;
-                s.stats_mut().reads_rejected += 1;
+                s.stats.reads_rejected += 1;
                 return Err(ServeError::TooStale {
                     view: pin.view,
                     epoch: pin.epoch,
@@ -330,28 +332,39 @@ impl ReadFrontend {
     /// epoch), with an unbounded queue. Returns the subscription id to
     /// [`poll`](Self::poll).
     pub fn subscribe(&self, view: usize) -> Result<u64, ServeError> {
-        self.lock().subscribe(view, None)
+        self.open(view, None)
     }
 
     /// Subscribe with a bounded queue: once more than `max_lag` installs
     /// pile up undrained, the subscription lags (queue dropped, typed
     /// [`ServeError::Lagged`] on poll) and must [`resume`](Self::resume).
     pub fn subscribe_bounded(&self, view: usize, max_lag: usize) -> Result<u64, ServeError> {
-        self.lock().subscribe(view, Some(max_lag))
+        self.open(view, Some(max_lag))
+    }
+
+    /// Register a subscription streaming `view`'s installs after its
+    /// current latest epoch.
+    fn open(&self, view: usize, max_lag: Option<usize>) -> Result<u64, ServeError> {
+        let mut s = self.lock();
+        let from = s.latest_epoch(view)?;
+        Ok(s.hub.subscribe(view, from, max_lag))
     }
 
     /// Remove a subscription, freeing its queue immediately. Polling the
     /// id afterwards reports [`ServeError::Unsubscribed`] — never
     /// confusable with an id that was never issued.
     pub fn unsubscribe(&self, sub: u64) -> Result<(), ServeError> {
-        self.lock().unsubscribe(sub)
+        let mut s = self.lock();
+        s.hub.unsubscribe(sub)?;
+        s.stats.subs_unsubscribed += 1;
+        Ok(())
     }
 
     /// Drain a subscription's pending install deltas, oldest first. A
     /// lagged subscription returns [`ServeError::Lagged`] with the epoch
     /// to resume from.
     pub fn poll(&self, sub: u64) -> Result<Vec<crate::InstallEvent>, ServeError> {
-        self.lock().poll(sub)
+        self.lock().hub.poll(sub)
     }
 
     /// Recover a lagged subscription: atomically flip it live (streaming
@@ -361,18 +374,23 @@ impl ReadFrontend {
     /// subscriber received. The flip and the pin share one store lock,
     /// so the resume snapshot can never be collected in between.
     pub fn resume(&self, sub: u64) -> Result<PinnedEpoch, ServeError> {
-        let (view, epoch) = self.lock().resume(sub)?;
+        let mut s = self.lock();
+        let (view, epoch) = s.hub.resume(sub)?;
+        // The resume epoch tracks the view's latest, which retention
+        // always keeps — the pin cannot fail.
+        s.pin(view, epoch)?;
+        s.stats.subs_resumed += 1;
         Ok(PinnedEpoch { view, epoch })
     }
 
     /// Snapshot of the store's counters.
     pub fn stats(&self) -> crate::ServeStats {
-        self.lock().stats().clone()
+        self.lock().stats.clone()
     }
 
     /// Retained epoch numbers of `view` (diagnostics / GC inspection).
     pub fn retained_epochs(&self, view: usize) -> Result<Vec<u64>, ServeError> {
-        self.lock().retained_epochs(view)
+        Ok(self.lock().view(view)?.epochs.keys().copied().collect())
     }
 }
 
@@ -485,8 +503,7 @@ mod tests {
         let b = front.read_point(&pin, 0, 1, None).unwrap();
         assert_eq!(a, b);
         let stats = front.stats();
-        assert_eq!(stats.point_index_builds, 1, "first read builds");
-        assert_eq!(stats.point_index_misses, 1);
+        assert_eq!(stats.point_index_misses, 1, "first read builds");
         assert_eq!(stats.point_index_hits, 1, "second read rides it");
         // The two answers alias one index group — shared, not re-collected.
         assert!(Arc::ptr_eq(&a.matches, &b.matches));
@@ -498,7 +515,7 @@ mod tests {
         assert_eq!(c.multiplicity, 3);
         let stats = front.stats();
         assert_eq!(stats.point_index_derived, 1, "publish derived the index");
-        assert_eq!(stats.point_index_builds, 1, "no second full build");
+        assert_eq!(stats.point_index_misses, 1, "no second full build");
         front.unpin(pin).unwrap();
         front.unpin(pin2).unwrap();
     }
@@ -529,7 +546,7 @@ mod tests {
         }
         front.unpin(pin).unwrap();
         let stats = front.stats();
-        assert_eq!(stats.point_index_builds, 1);
+        assert_eq!(stats.point_index_misses, 1);
         // One build over the six-tuple bag plus the four answered groups
         // — less than the four scans the referee just made.
         assert_eq!(stats.read_work_tuples, 6 + 6);
@@ -863,6 +880,57 @@ mod tests {
         let stats = front.stats();
         assert_eq!(stats.sub_events, 1);
         assert_eq!(stats.subs_unsubscribed, 1);
+    }
+
+    /// Every refusal of a subscription call, one row per cell: each is
+    /// the `ServeError` naming the id (or view) it refused.
+    #[test]
+    fn subscription_refusals_are_typed_per_cell() {
+        let front = ReadFrontend::new();
+        let v = front.register_view("V", Bag::new(), 0);
+        let gone = front.subscribe(v).unwrap();
+        front.unsubscribe(gone).unwrap();
+        let lagged = front.subscribe_bounded(v, 1).unwrap();
+        install(&front, v, 1, 10, 1);
+        install(&front, v, 2, 20, 2);
+        assert!(matches!(front.poll(lagged), Err(ServeError::Lagged { .. })));
+        front.unsubscribe(lagged).unwrap();
+        let never = 99;
+        let cells: [(&str, Result<(), ServeError>, ServeError); 6] = [
+            (
+                "unsubscribe a never-issued id",
+                front.unsubscribe(never),
+                ServeError::NoSuchSubscription { sub: never },
+            ),
+            (
+                "resume a never-issued id",
+                front.resume(never).map(drop),
+                ServeError::NoSuchSubscription { sub: never },
+            ),
+            (
+                "resume an unsubscribed id",
+                front.resume(gone).map(drop),
+                ServeError::Unsubscribed { sub: gone },
+            ),
+            (
+                "poll a lagged id after unsubscribing it",
+                front.poll(lagged).map(drop),
+                ServeError::Unsubscribed { sub: lagged },
+            ),
+            (
+                "subscribe to an unknown view",
+                front.subscribe(v + 1).map(drop),
+                ServeError::NoSuchView { view: v + 1 },
+            ),
+            (
+                "subscribe bounded to an unknown view",
+                front.subscribe_bounded(v + 1, 1).map(drop),
+                ServeError::NoSuchView { view: v + 1 },
+            ),
+        ];
+        for (cell, got, want) in cells {
+            assert_eq!(got, Err(want), "{cell}");
+        }
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! Reactive subscriptions: install deltas pushed to registered readers
 //! in install order, with bounded-queue backpressure.
 //!
+//! Subscriptions are snapshot-store internals: the store owns the one
+//! registry and feeds it every accepted install, and readers reach it
+//! only through [`crate::ReadFrontend`]'s `subscribe` / `poll` /
+//! `resume` / `unsubscribe`. Every refusal is a [`crate::ServeError`],
+//! the serve layer's one error type, made here and handed up unchanged.
+//!
 //! A subscription is a per-view cursor plus a queue. When the store
 //! accepts epoch `e` of view `v`, every subscription on `v` whose cursor
 //! is behind `e` gets the delta appended and its cursor advanced —
@@ -16,7 +22,7 @@
 //! is dropped on the spot (no memory held for a reader that stopped
 //! reading) and the subscription remembers only a `resume_epoch` — the
 //! latest epoch published to its view, kept current while lagged.
-//! Polling a lagged subscription reports the lag as a typed condition;
+//! Polling a lagged subscription refuses with [`crate::ServeError::Lagged`];
 //! the reader recovers by pinning the snapshot at `resume_epoch` and
 //! streaming deltas from there — the stale-snapshot + delta-stream
 //! recovery of the Stale View Cleaning line of work, so a bounded
@@ -25,10 +31,12 @@
 //!
 //! **Lifecycle.** Ids are allocated monotonically and never reused, so
 //! an unsubscribed id stays distinguishable from one never issued:
-//! `poll` reports `Unsubscribed` for the former, `Unknown` for the
-//! latter. `publish` is O(subscribers-on-that-view); `poll` and
-//! `unsubscribe` are O(1) hash lookups.
+//! `poll`, `resume` and `unsubscribe` refuse the former with
+//! `Unsubscribed`, the latter with `NoSuchSubscription`. `publish` is
+//! O(subscribers-on-that-view); `poll` and `unsubscribe` are O(1) hash
+//! lookups.
 
+use crate::{ServeError, ServeStats};
 use dw_engine::InstallEvent;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -69,28 +77,10 @@ struct Subscription {
     state: SubState,
 }
 
-/// What polling a subscription yields.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum HubPoll {
-    /// The pending deltas, oldest first (possibly empty).
-    Deltas(Vec<InstallEvent>),
-    /// The subscription overflowed its `max_lag` bound; its queue was
-    /// dropped. Recover by reading the snapshot at `resume_epoch` and
-    /// resuming the stream from there.
-    Lagged {
-        /// Latest epoch published to the subscribed view.
-        resume_epoch: u64,
-    },
-    /// The id was valid once but has been unsubscribed.
-    Unsubscribed,
-    /// The id was never issued.
-    Unknown,
-}
-
 /// The fan-out registry (see module docs). Owned by the snapshot store;
-/// reached through [`crate::ReadFrontend::subscribe`] / `poll`.
+/// reached only through [`crate::ReadFrontend`]'s subscription calls.
 #[derive(Default)]
-pub struct SubscriptionHub {
+pub(crate) struct SubscriptionHub {
     next_id: u64,
     subs: HashMap<u64, Subscription>,
     /// Per-view subscriber ids, ordered — publish fan-out must be
@@ -98,27 +88,16 @@ pub struct SubscriptionHub {
     by_view: HashMap<usize, BTreeSet<u64>>,
 }
 
-/// Counters returned by one [`SubscriptionHub::publish`] call.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PublishOutcome {
-    /// Queues the delta was appended to.
-    pub reached: u64,
-    /// Subscriptions this install tipped over their `max_lag` bound.
-    pub newly_lagged: u64,
-}
-
 impl SubscriptionHub {
-    /// A hub with no subscribers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Register a subscriber on `view`, receiving every install *after*
-    /// `from_epoch` (pass the view's current latest epoch to stream only
-    /// the future; pass 0 to replay nothing and still see everything
-    /// published after registration). `max_lag` bounds the undrained
-    /// queue; `None` never lags.
-    pub fn subscribe(&mut self, view: usize, from_epoch: u64, max_lag: Option<usize>) -> u64 {
+    /// `from_epoch` (the view's latest epoch at registration). `max_lag`
+    /// bounds the undrained queue; `None` never lags.
+    pub(crate) fn subscribe(
+        &mut self,
+        view: usize,
+        from_epoch: u64,
+        max_lag: Option<usize>,
+    ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.subs.insert(
@@ -136,30 +115,35 @@ impl SubscriptionHub {
         id
     }
 
-    /// Remove a subscription, freeing its queue. `HubPoll::Unsubscribed`
-    /// if already removed, `HubPoll::Unknown` if never issued (returned
-    /// as the error side so callers type their responses).
-    pub fn unsubscribe(&mut self, id: u64) -> Result<(), HubPoll> {
-        match self.subs.remove(&id) {
-            Some(sub) => {
-                if let Some(set) = self.by_view.get_mut(&sub.view) {
-                    set.remove(&id);
-                }
-                Ok(())
-            }
-            None if id < self.next_id => Err(HubPoll::Unsubscribed),
-            None => Err(HubPoll::Unknown),
+    /// Why `sub` names no subscription: ids are never reused, so one
+    /// below the next id was issued and since removed.
+    fn missing(&self, sub: u64) -> ServeError {
+        if sub < self.next_id {
+            ServeError::Unsubscribed { sub }
+        } else {
+            ServeError::NoSuchSubscription { sub }
         }
+    }
+
+    /// Remove a subscription, freeing its queue.
+    pub(crate) fn unsubscribe(&mut self, sub: u64) -> Result<(), ServeError> {
+        let Some(gone) = self.subs.remove(&sub) else {
+            return Err(self.missing(sub));
+        };
+        if let Some(set) = self.by_view.get_mut(&gone.view) {
+            set.remove(&sub);
+        }
+        Ok(())
     }
 
     /// Fan one accepted install out to its view's subscribers — live
     /// ones queue it (or tip into lagged), already-lagged ones just
-    /// advance their `resume_epoch`. Unsubscribed ids are long gone from
-    /// the per-view set, so they cost nothing here.
-    pub fn publish(&mut self, delta: &InstallEvent) -> PublishOutcome {
-        let mut out = PublishOutcome::default();
+    /// advance their `resume_epoch` — counting both in `stats`.
+    /// Unsubscribed ids are long gone from the per-view set, so they
+    /// cost nothing here.
+    pub(crate) fn publish(&mut self, delta: &InstallEvent, stats: &mut ServeStats) {
         let Some(ids) = self.by_view.get(&delta.view_index) else {
-            return out;
+            return;
         };
         for id in ids {
             let sub = self.subs.get_mut(id).expect("by_view/subs drift");
@@ -177,12 +161,12 @@ impl SubscriptionHub {
                         sub.state = SubState::Lagged {
                             resume_epoch: delta.epoch,
                         };
-                        out.newly_lagged += 1;
+                        stats.subs_lagged += 1;
                         continue;
                     }
                     *delivered_through = delta.epoch;
                     queue.push_back(delta.clone());
-                    out.reached += 1;
+                    stats.sub_events += 1;
                 }
                 SubState::Lagged { resume_epoch } => {
                     // Keep the resume point at the view's latest epoch:
@@ -192,53 +176,38 @@ impl SubscriptionHub {
                 }
             }
         }
-        out
     }
 
     /// Drain a subscriber's pending deltas (oldest first), or report its
-    /// lag / lifecycle state. O(1).
-    pub fn poll(&mut self, id: u64) -> HubPoll {
-        match self.subs.get_mut(&id) {
-            Some(sub) => match &mut sub.state {
-                SubState::Live { queue, .. } => HubPoll::Deltas(queue.drain(..).collect()),
-                SubState::Lagged { resume_epoch } => HubPoll::Lagged {
-                    resume_epoch: *resume_epoch,
-                },
-            },
-            None if id < self.next_id => HubPoll::Unsubscribed,
-            None => HubPoll::Unknown,
+    /// lag. O(1).
+    pub(crate) fn poll(&mut self, sub: u64) -> Result<Vec<InstallEvent>, ServeError> {
+        let Some(s) = self.subs.get_mut(&sub) else {
+            return Err(self.missing(sub));
+        };
+        match &mut s.state {
+            SubState::Live { queue, .. } => Ok(queue.drain(..).collect()),
+            SubState::Lagged { resume_epoch } => Err(ServeError::Lagged {
+                sub,
+                resume_epoch: *resume_epoch,
+            }),
         }
     }
 
     /// Flip a lagged subscription back to live, streaming from
-    /// `resume_epoch`. Returns `(view, resume_epoch)` so the caller can
-    /// pin the snapshot it must read to catch up; errors with the
-    /// subscription's poll state when it is not lagged.
-    pub fn resume(&mut self, id: u64) -> Result<(usize, u64), HubPoll> {
-        match self.subs.get_mut(&id) {
-            Some(sub) => match sub.state {
-                SubState::Lagged { resume_epoch } => {
-                    sub.state = SubState::Live {
-                        delivered_through: resume_epoch,
-                        queue: VecDeque::new(),
-                    };
-                    Ok((sub.view, resume_epoch))
-                }
-                SubState::Live { .. } => Err(HubPoll::Deltas(Vec::new())),
-            },
-            None if id < self.next_id => Err(HubPoll::Unsubscribed),
-            None => Err(HubPoll::Unknown),
-        }
-    }
-
-    /// Number of registered subscribers.
-    pub fn len(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// True when nobody subscribed.
-    pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
+    /// `resume_epoch`. Returns `(view, resume_epoch)`: the snapshot the
+    /// caller must pin to catch up.
+    pub(crate) fn resume(&mut self, sub: u64) -> Result<(usize, u64), ServeError> {
+        let Some(s) = self.subs.get_mut(&sub) else {
+            return Err(self.missing(sub));
+        };
+        let SubState::Lagged { resume_epoch } = s.state else {
+            return Err(ServeError::NotLagged { sub });
+        };
+        s.state = SubState::Live {
+            delivered_through: resume_epoch,
+            queue: VecDeque::new(),
+        };
+        Ok((s.view, resume_epoch))
     }
 }
 
@@ -292,19 +261,27 @@ mod tests {
 
     fn drained(hub: &mut SubscriptionHub, id: u64) -> Vec<InstallEvent> {
         match hub.poll(id) {
-            HubPoll::Deltas(v) => v,
+            Ok(v) => v,
             other => panic!("expected deltas, got {other:?}"),
         }
     }
 
+    /// Publish `delta` and return what it added to the store's
+    /// `(sub_events, subs_lagged)`.
+    fn publish(hub: &mut SubscriptionHub, delta: &InstallEvent) -> (u64, u64) {
+        let mut stats = ServeStats::default();
+        hub.publish(delta, &mut stats);
+        (stats.sub_events, stats.subs_lagged)
+    }
+
     #[test]
     fn installs_reach_only_matching_views_in_order() {
-        let mut hub = SubscriptionHub::new();
+        let mut hub = SubscriptionHub::default();
         let a = hub.subscribe(0, 0, None);
         let b = hub.subscribe(1, 0, None);
-        hub.publish(&delta(0, 1));
-        hub.publish(&delta(1, 1));
-        hub.publish(&delta(0, 2));
+        publish(&mut hub, &delta(0, 1));
+        publish(&mut hub, &delta(1, 1));
+        publish(&mut hub, &delta(0, 2));
         assert_eq!(
             drained(&mut hub, a),
             vec![delta(0, 1), delta(0, 2)],
@@ -317,20 +294,20 @@ mod tests {
 
     #[test]
     fn from_epoch_skips_already_seen_installs() {
-        let mut hub = SubscriptionHub::new();
+        let mut hub = SubscriptionHub::default();
         let late = hub.subscribe(0, 2, None);
-        hub.publish(&delta(0, 2)); // replay of something pre-subscription
-        hub.publish(&delta(0, 3));
+        publish(&mut hub, &delta(0, 2)); // replay of something pre-subscription
+        publish(&mut hub, &delta(0, 3));
         assert_eq!(drained(&mut hub, late), vec![delta(0, 3)]);
     }
 
     #[test]
     fn duplicate_epochs_are_not_redelivered() {
-        let mut hub = SubscriptionHub::new();
+        let mut hub = SubscriptionHub::default();
         let s = hub.subscribe(0, 0, None);
-        assert_eq!(hub.publish(&delta(0, 1)).reached, 1);
+        assert_eq!(publish(&mut hub, &delta(0, 1)).0, 1);
         assert_eq!(
-            hub.publish(&delta(0, 1)).reached,
+            publish(&mut hub, &delta(0, 1)).0,
             0,
             "replayed install refused"
         );
@@ -339,59 +316,73 @@ mod tests {
 
     #[test]
     fn unknown_unsubscribed_and_live_ids_are_distinguishable() {
-        let mut hub = SubscriptionHub::new();
-        assert_eq!(hub.poll(99), HubPoll::Unknown);
-        assert!(hub.is_empty());
+        let mut hub = SubscriptionHub::default();
+        assert_eq!(
+            hub.poll(99),
+            Err(ServeError::NoSuchSubscription { sub: 99 })
+        );
+        assert!(hub.subs.is_empty());
         let s = hub.subscribe(0, 0, None);
-        assert_eq!(hub.len(), 1);
+        assert_eq!(hub.subs.len(), 1);
         hub.unsubscribe(s).unwrap();
-        assert!(hub.is_empty());
-        assert_eq!(hub.poll(s), HubPoll::Unsubscribed, "dropped ≠ never issued");
-        assert_eq!(hub.unsubscribe(s), Err(HubPoll::Unsubscribed));
-        assert_eq!(hub.unsubscribe(77), Err(HubPoll::Unknown));
+        assert!(hub.subs.is_empty());
+        assert_eq!(
+            hub.poll(s),
+            Err(ServeError::Unsubscribed { sub: s }),
+            "dropped ≠ never issued"
+        );
+        assert_eq!(hub.unsubscribe(s), Err(ServeError::Unsubscribed { sub: s }));
+        assert_eq!(
+            hub.unsubscribe(77),
+            Err(ServeError::NoSuchSubscription { sub: 77 })
+        );
     }
 
     #[test]
     fn publish_skips_unsubscribed_slots_without_leaking() {
-        let mut hub = SubscriptionHub::new();
+        let mut hub = SubscriptionHub::default();
         let gone = hub.subscribe(0, 0, None);
         let kept = hub.subscribe(0, 0, None);
-        hub.publish(&delta(0, 1));
+        publish(&mut hub, &delta(0, 1));
         hub.unsubscribe(gone).unwrap();
         // Fan-out reaches only the survivor; the dropped queue is freed.
-        assert_eq!(hub.publish(&delta(0, 2)).reached, 1);
+        assert_eq!(publish(&mut hub, &delta(0, 2)).0, 1);
         assert_eq!(drained(&mut hub, kept), vec![delta(0, 1), delta(0, 2)]);
-        assert_eq!(hub.poll(gone), HubPoll::Unsubscribed);
+        assert_eq!(hub.poll(gone), Err(ServeError::Unsubscribed { sub: gone }));
     }
 
     #[test]
     fn overflow_lags_drops_the_queue_and_tracks_resume_epoch() {
-        let mut hub = SubscriptionHub::new();
+        let mut hub = SubscriptionHub::default();
         let s = hub.subscribe(0, 0, Some(2));
-        assert_eq!(hub.publish(&delta(0, 1)).reached, 1);
-        assert_eq!(hub.publish(&delta(0, 2)).reached, 1);
+        assert_eq!(publish(&mut hub, &delta(0, 1)).0, 1);
+        assert_eq!(publish(&mut hub, &delta(0, 2)).0, 1);
         // Third undrained install overflows max_lag = 2.
-        let out = hub.publish(&delta(0, 3));
-        assert_eq!((out.reached, out.newly_lagged), (0, 1));
-        assert_eq!(hub.poll(s), HubPoll::Lagged { resume_epoch: 3 });
+        assert_eq!(publish(&mut hub, &delta(0, 3)), (0, 1));
+        let lagged = |resume_epoch| {
+            Err(ServeError::Lagged {
+                sub: s,
+                resume_epoch,
+            })
+        };
+        assert_eq!(hub.poll(s), lagged(3));
         // While lagged, later installs only advance the resume point.
-        let out = hub.publish(&delta(0, 4));
-        assert_eq!((out.reached, out.newly_lagged), (0, 0));
-        assert_eq!(hub.poll(s), HubPoll::Lagged { resume_epoch: 4 });
+        assert_eq!(publish(&mut hub, &delta(0, 4)), (0, 0));
+        assert_eq!(hub.poll(s), lagged(4));
         // Resume: live again, streaming strictly after resume_epoch.
         assert_eq!(hub.resume(s), Ok((0, 4)));
-        hub.publish(&delta(0, 5));
+        publish(&mut hub, &delta(0, 5));
         assert_eq!(drained(&mut hub, s), vec![delta(0, 5)]);
         // Resuming a live subscription is a typed error.
-        assert_eq!(hub.resume(s), Err(HubPoll::Deltas(Vec::new())));
+        assert_eq!(hub.resume(s), Err(ServeError::NotLagged { sub: s }));
     }
 
     #[test]
     fn polling_keeps_a_bounded_subscription_live() {
-        let mut hub = SubscriptionHub::new();
+        let mut hub = SubscriptionHub::default();
         let s = hub.subscribe(0, 0, Some(1));
         for e in 1..=6 {
-            hub.publish(&delta(0, e));
+            publish(&mut hub, &delta(0, e));
             assert_eq!(drained(&mut hub, s), vec![delta(0, e)], "epoch {e}");
         }
     }

@@ -23,15 +23,18 @@
 //!   **secondary hash index** — built on first touch, incrementally
 //!   derived at every publish, each group stored with its total
 //!   multiplicity — so a lookup touches its group, never the bag;
-//! * a [`SubscriptionHub`] pushes install deltas to registered readers
-//!   in install order — under the sharded scheduler that order is the
-//!   [`dw_engine::InstallSequencer`] ticket order, so subscription
-//!   streams are byte-identical to the install sequence. A subscriber
-//!   registered with a `max_lag` bound that stops draining is *lagged*
-//!   (queue dropped, typed [`ServeError::Lagged`] on poll) and recovers
-//!   by [`ReadFrontend::resume`]: pin the snapshot at `resume_epoch`,
-//!   read it, stream deltas from there — equivalent to the unbounded
-//!   stream it missed.
+//! * [`ReadFrontend::subscribe`] registers a reader with the store's
+//!   subscription registry (a store internal, see [`hub`]), which pushes
+//!   install deltas to it in install order — under the sharded scheduler
+//!   that order is the [`dw_engine::InstallSequencer`] ticket order, so
+//!   subscription streams are byte-identical to the install sequence. A
+//!   subscriber registered with a `max_lag` bound that stops draining is
+//!   *lagged* (queue dropped, typed [`ServeError::Lagged`] on poll) and
+//!   recovers by [`ReadFrontend::resume`]: pin the snapshot at
+//!   `resume_epoch`, read it, stream deltas from there — equivalent to
+//!   the unbounded stream it missed. Every refusal, of a read or a
+//!   subscription call alike, is a [`ServeError`]: the crate's one error
+//!   type.
 //!
 //! Old epochs are retained only while pinned (plus the latest); garbage
 //! collection runs at publish and unpin. Crash recovery replays installs
@@ -53,7 +56,7 @@ pub mod store;
 pub use frontend::{
     PinnedEpoch, PointAnswer, ReadFrontend, ScanAnswer, ServeError, StalenessBound,
 };
-pub use hub::{replays_installs, HubPoll, PublishOutcome, SubscriptionHub};
+pub use hub::replays_installs;
 pub use store::{ServeStats, SnapshotStore};
 
 /// What [`ReadFrontend::sink`] is fed and a subscription streams: the

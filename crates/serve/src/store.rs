@@ -55,13 +55,21 @@
 //! bounded by (unconsumed + consumed inside the retained window), not by
 //! the run's length.
 //!
+//! **Subscriptions.** Subscriptions are store internals: the store owns
+//! the one registry (`hub.rs`) and, once a new epoch is in place, fans
+//! the install out to it, which counts `sub_events` and `subs_lagged`
+//! itself. The registry refuses in [`ServeError`], the store's one error
+//! type, and [`crate::ReadFrontend`] calls it under the store's lock —
+//! so a lagged subscriber's resume flips it live and pins its resume
+//! epoch in one step.
+//!
 //! **Replays.** Crash recovery re-publishes installs that predate the
 //! crash; the store ignores any epoch at or below its high-water mark
 //! (`republished_ignored` counts them), so recovery never disturbs
 //! readers or subscribers.
 
 use crate::frontend::ServeError;
-use crate::hub::{HubPoll, SubscriptionHub};
+use crate::hub::SubscriptionHub;
 use dw_engine::{InstallEvent, InstallPublisher};
 use dw_obs::Obs;
 use dw_protocol::UpdateId;
@@ -172,11 +180,11 @@ struct DeliveredUpdate {
     consumed_in: Option<u64>,
 }
 
-struct ViewState {
-    name: String,
+pub(crate) struct ViewState {
+    pub(crate) name: String,
     /// Retained epochs, keyed by epoch number. Always contains `latest`;
     /// older entries only while pinned.
-    epochs: BTreeMap<u64, EpochSnapshot>,
+    pub(crate) epochs: BTreeMap<u64, EpochSnapshot>,
     latest: u64,
     /// The delivery ledger (see the module docs' *Staleness*).
     delivered: HashMap<UpdateId, DeliveredUpdate>,
@@ -212,10 +220,9 @@ pub struct ServeStats {
     pub subs_unsubscribed: u64,
     /// Point reads answered through an already-present index.
     pub point_index_hits: u64,
-    /// Point reads that found no index for their `(epoch, column)`.
+    /// Point reads that found no index for their `(epoch, column)` and
+    /// built it with one full scan.
     pub point_index_misses: u64,
-    /// Full index builds (first point read on a column).
-    pub point_index_builds: u64,
     /// Incremental index derivations at publish.
     pub point_index_derived: u64,
     /// Always 0: nothing sits in front of the epoch index. Kept only
@@ -245,10 +252,11 @@ pub struct ServeStats {
 /// and hands the engine a publisher handle onto it.
 #[derive(Default)]
 pub struct SnapshotStore {
-    views: Vec<ViewState>,
-    hub: SubscriptionHub,
-    stats: ServeStats,
-    obs: Obs,
+    pub(crate) views: Vec<ViewState>,
+    /// The subscription registry, fed every accepted install.
+    pub(crate) hub: SubscriptionHub,
+    pub(crate) stats: ServeStats,
+    pub(crate) obs: Obs,
 }
 
 impl SnapshotStore {
@@ -277,19 +285,7 @@ impl SnapshotStore {
         self.views.len() - 1
     }
 
-    pub(crate) fn set_observer(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    pub(crate) fn view_count(&self) -> usize {
-        self.views.len()
-    }
-
-    pub(crate) fn view_name(&self, view: usize) -> Result<&str, ServeError> {
-        Ok(&self.view(view)?.name)
-    }
-
-    fn view(&self, view: usize) -> Result<&ViewState, ServeError> {
+    pub(crate) fn view(&self, view: usize) -> Result<&ViewState, ServeError> {
         self.views.get(view).ok_or(ServeError::NoSuchView { view })
     }
 
@@ -339,10 +335,8 @@ impl SnapshotStore {
             Entry::Vacant(slot) => {
                 let (index, work) = PointIndex::build(&snap.bag, column);
                 self.stats.point_index_misses += 1;
-                self.stats.point_index_builds += 1;
                 self.stats.read_work_tuples += work;
                 self.obs.add("serve.index.miss", 1);
-                self.obs.add("serve.index.build", 1);
                 slot.insert(index)
             }
         };
@@ -434,70 +428,6 @@ impl SnapshotStore {
     #[cfg(test)]
     pub(crate) fn ledger_len(&self, view: usize) -> usize {
         self.views[view].delivered.len()
-    }
-
-    pub(crate) fn subscribe(
-        &mut self,
-        view: usize,
-        max_lag: Option<usize>,
-    ) -> Result<u64, ServeError> {
-        let from = self.latest_epoch(view)?;
-        Ok(self.hub.subscribe(view, from, max_lag))
-    }
-
-    pub(crate) fn unsubscribe(&mut self, sub: u64) -> Result<(), ServeError> {
-        match self.hub.unsubscribe(sub) {
-            Ok(()) => {
-                self.stats.subs_unsubscribed += 1;
-                Ok(())
-            }
-            Err(state) => Err(Self::sub_error(sub, state)),
-        }
-    }
-
-    pub(crate) fn poll(&mut self, sub: u64) -> Result<Vec<InstallEvent>, ServeError> {
-        match self.hub.poll(sub) {
-            HubPoll::Deltas(v) => Ok(v),
-            state => Err(Self::sub_error(sub, state)),
-        }
-    }
-
-    /// Flip a lagged subscription live again and pin the snapshot it
-    /// must read to catch up — one atomic step, so the resume epoch can
-    /// never be garbage-collected between the flip and the read.
-    pub(crate) fn resume(&mut self, sub: u64) -> Result<(usize, u64), ServeError> {
-        match self.hub.resume(sub) {
-            Ok((view, epoch)) => {
-                // The resume epoch tracks the view's latest, which
-                // retention always keeps — the pin cannot fail.
-                self.pin(view, epoch)?;
-                self.stats.subs_resumed += 1;
-                Ok((view, epoch))
-            }
-            Err(HubPoll::Deltas(_)) => Err(ServeError::NotLagged { sub }),
-            Err(state) => Err(Self::sub_error(sub, state)),
-        }
-    }
-
-    fn sub_error(sub: u64, state: HubPoll) -> ServeError {
-        match state {
-            HubPoll::Lagged { resume_epoch } => ServeError::Lagged { sub, resume_epoch },
-            HubPoll::Unsubscribed => ServeError::Unsubscribed { sub },
-            _ => ServeError::NoSuchSubscription { sub },
-        }
-    }
-
-    pub(crate) fn stats(&self) -> &ServeStats {
-        &self.stats
-    }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut ServeStats {
-        &mut self.stats
-    }
-
-    /// Retained epoch numbers of `view` (diagnostics, GC tests).
-    pub(crate) fn retained_epochs(&self, view: usize) -> Result<Vec<u64>, ServeError> {
-        Ok(self.view(view)?.epochs.keys().copied().collect())
     }
 }
 
@@ -598,9 +528,7 @@ impl InstallPublisher for SnapshotStore {
         v.latest = epoch;
         self.stats.snapshots_published += 1;
         self.gc(event.view_index, usize::from(retired));
-        let out = self.hub.publish(&event);
-        self.stats.sub_events += out.reached;
-        self.stats.subs_lagged += out.newly_lagged;
+        self.hub.publish(&event, &mut self.stats);
     }
 }
 
@@ -664,7 +592,7 @@ mod tests {
                 consumed: vec![id(e)],
                 delta: Arc::new(delta),
             });
-            let retained = store.retained_epochs(v).unwrap();
+            let retained: Vec<u64> = store.views[v].epochs.keys().copied().collect();
             let mut want: Vec<u64> = pins.iter().map(|(p, _)| *p).collect();
             want.push(e);
             assert_eq!(retained, want, "epoch {e}");
@@ -672,7 +600,7 @@ mod tests {
                 assert_eq!(&store.epoch(v, *p).unwrap().bag, contents, "pinned {p}");
             }
             assert_eq!(store.epoch(v, e).unwrap().bag, model, "latest {e}");
-            let gced = store.stats().snapshots_gced;
+            let gced = store.stats.snapshots_gced;
             assert_eq!(gced, e + 1 - retained.len() as u64, "epoch {e}");
             let ledger = store.ledger_len(v) as u64;
             assert_eq!(ledger, e + AHEAD - retained[0], "epoch {e}");
@@ -759,7 +687,7 @@ mod tests {
                 for key in touched {
                     want_work += model.iter().filter(|(t, _)| t.at(0) == key).count() as u64;
                 }
-                let work_before = store.stats().index_maintenance_tuples;
+                let work_before = store.stats.index_maintenance_tuples;
                 model.merge(&delta);
                 store.publish(InstallEvent {
                     view_index: v,
@@ -774,7 +702,7 @@ mod tests {
                 let derived = &snap.indexes[&0];
                 assert_eq!(index_groups(derived), index_groups(&built), "{ctx}");
                 assert_index_matches(derived, &snap.bag);
-                let work = store.stats().index_maintenance_tuples - work_before;
+                let work = store.stats.index_maintenance_tuples - work_before;
                 assert_eq!(work, want_work, "{ctx}: index maintenance tuples");
                 for (p, contents, answers) in &pins {
                     let pinned = store.epoch(v, *p).unwrap();

@@ -92,8 +92,8 @@ pub mod prelude {
         ShardMap, SharedBag, Tuple, Value, ViewDef, ViewDefBuilder,
     };
     pub use dw_serve::{
-        HubPoll, InstallEvent, PinnedEpoch, PointAnswer, PublishOutcome, ReadFrontend, ScanAnswer,
-        ServeError, ServeStats, StalenessBound,
+        InstallEvent, PinnedEpoch, PointAnswer, ReadFrontend, ScanAnswer, ServeError, ServeStats,
+        StalenessBound,
     };
     pub use dw_simnet::{Crash, FaultPlan, LatencyModel, LinkFaults, Network, Outage, Time};
     pub use dw_warehouse::MaintenancePolicy;

@@ -2,8 +2,9 @@
 //! view's install commits, its derived descendants' installs are
 //! published in one deterministic, documented ticket order — the parent
 //! first, then its children ascending by registry slot, depth-first —
-//! and that order is what the `SubscriptionHub` fans out and what the
-//! store's publication ledger records. The order must be identical
+//! and that order is what the snapshot store's subscriptions (store
+//! internals, reached through `ReadFrontend::subscribe` / `poll`) stream
+//! and what the store's publication ledger records. The order must be identical
 //! under the flat scheduler, the sharded scheduler's
 //! `InstallSequencer`-sequenced releases, and crash-recovery replays.
 
