@@ -164,6 +164,22 @@ stage_engine_boundary() {
     echo "FAIL: subscriptions are dw-serve store internals — subscribe, poll, resume and unsubscribe through ReadFrontend (refusals are ServeError, counters ServeStats::{sub_events, subs_lagged}); a point index build is counted as point_index_misses — no HubPoll, PublishOutcome or point_index_builds, no SubscriptionHub outside crates/serve/src" >&2
     ok=1
   fi
+  # One record per traced event: the engine names its own sweep, hop and
+  # compensation (engine.*) whichever strategy drives it, and a source
+  # answer is counted by the join.* histograms of the join that made it.
+  # No per-adapter label set, twin hop span, repeated counter or unread
+  # stale-query tally may come back.
+  hits=$({
+    grep -rnE '\b(SpanLabels|HopSpan|query_counter|stale_queries_dropped)\b' crates src tests examples
+    grep -rnF -e '"mv.sweep"' -e '"mv.hop"' -e '"mv.compensations"' -e '"mv.shared_queries"' \
+      -e '"strobe.' -e '"c_strobe' -e '"source.answer_rows"' -e '"source.queries_served"' \
+      crates src tests examples
+  } 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: dw-engine owns the sweep vocabulary (engine.sweep, engine.hop, engine.compensations, engine.batch_size; table in DESIGN.md) and a source answer is recorded once by join.* — no SpanLabels, HopSpan, query_counter or stale_queries_dropped, no \"mv.sweep\", \"mv.hop\", \"mv.compensations\", \"mv.shared_queries\", \"strobe.*\", \"c_strobe*\", \"source.answer_rows\" or \"source.queries_served\"" >&2
+    ok=1
+  fi
   hits=$(grep -rn "GroupState" crates/*/src src examples 2>/dev/null |
     grep -v "^crates/relational/src" || true)
   if [[ -n "$hits" ]]; then

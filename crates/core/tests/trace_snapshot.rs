@@ -49,97 +49,115 @@ fn sweep_trace_contains_expected_spans_and_counters() {
     let rec = rec.lock().unwrap();
     let text = rec.render();
 
-    // SWEEP is the one scheduler, so it speaks the scheduler's `mv.*`
-    // vocabulary: one "mv.sweep" span per processed update, one hop span
-    // per query leg.
+    // The engine names its own events: one "engine.sweep" span per
+    // processed update, one "engine.hop" span per query leg.
     assert!(text.contains("== spans =="));
-    assert!(text.contains("mv.sweep ["));
+    assert!(text.contains("engine.sweep ["));
     assert!(
-        text.contains("  mv.hop ["),
+        text.contains("  engine.hop ["),
         "hops nest under the sweep span"
     );
     assert!(text.contains("== histograms =="));
     assert!(
-        text.contains("mv.sweep:"),
+        text.contains("engine.sweep:"),
         "span durations feed a histogram"
     );
     assert!(text.contains("net.queue_delay:"));
 
     // Span accounting matches the report's own counters.
-    let sweeps = rec.histogram("mv.sweep").map_or(0, |h| h.count());
+    let sweeps = rec.histogram("engine.sweep").map_or(0, |h| h.count());
     assert_eq!(sweeps, report.metrics.updates_received);
-    let hops = rec.histogram("mv.hop").map_or(0, |h| h.count());
+    let hops = rec.histogram("engine.hop").map_or(0, |h| h.count());
     assert_eq!(hops, report.metrics.queries_sent);
     assert_eq!(
-        rec.counter("mv.shared_queries"),
-        report.metrics.queries_sent
-    );
-    assert_eq!(
-        rec.counter("mv.compensations"),
+        rec.counter("engine.compensations"),
         report.metrics.local_compensations
     );
 }
 
 #[test]
 fn nested_sweep_traces_are_deterministic_and_labeled() {
-    // Nested SWEEP is the scheduler at depth 0: the same `mv.*`
-    // vocabulary, one `mv.sweep` span per install (a dovetailed batch is
-    // one sweep) and one `mv.hop` per query, child runs' included.
+    // Nested SWEEP is the scheduler at depth 0: the same `engine.*`
+    // vocabulary, one `engine.sweep` span per install (a dovetailed batch
+    // is one sweep) and one `engine.hop` per query, child runs' included.
     let render = || {
         let (obs, rec) = Obs::trace();
         let report = run(PolicyKind::Sweep(EngineOptions::FIGURE_6), obs);
         let rec = rec.lock().unwrap();
         let count = |name| rec.histogram(name).map_or(0, |h| h.count());
-        assert_eq!(count("mv.sweep"), report.metrics.installs);
-        assert_eq!(count("mv.hop"), report.metrics.queries_sent);
-        let compensations = rec.counter("mv.compensations");
+        assert_eq!(count("engine.sweep"), report.metrics.installs);
+        assert_eq!(count("engine.hop"), report.metrics.queries_sent);
+        let compensations = rec.counter("engine.compensations");
         assert_eq!(compensations, report.metrics.local_compensations);
         rec.render()
     };
     let first = render();
     assert_eq!(first, render());
-    assert!(first.contains("mv.sweep ["));
+    assert!(first.contains("engine.sweep ["));
     assert!(
-        first.contains("  mv.hop ["),
+        first.contains("  engine.hop ["),
         "hops nest under the sweep span"
     );
 }
 
-/// Every policy sends its queries through the engine, so every
-/// `SweepQuery` is observable: pipelined SWEEP and Strobe record the same
-/// `engine.hop` span per query that SWEEP and Nested SWEEP always have.
-#[test]
-fn pipelined_and_strobe_hops_are_observable_and_deterministic() {
+/// Every policy that runs through the engine, in the order the paper
+/// compares them: Figure 4, Figure 6, pipelined SWEEP, Strobe, C-strobe.
+fn engine_policies() -> [PolicyKind; 5] {
     let pipelined = PolicyKind::Sweep(EngineOptions {
         window: 0,
         ..EngineOptions::FIGURE_4
     });
-    for policy in [pipelined, PolicyKind::Strobe] {
+    [
+        PolicyKind::Sweep(EngineOptions::FIGURE_4),
+        PolicyKind::Sweep(EngineOptions::FIGURE_6),
+        pipelined,
+        PolicyKind::Strobe,
+        PolicyKind::CStrobe,
+    ]
+}
+
+/// Every `SweepQuery` goes through the engine, which records each event
+/// once under its own name: the trace holds one `engine.sweep` span per
+/// unit of sweep work (Strobe and C-strobe open none) and one
+/// `engine.hop` span per query and nothing else, and one
+/// `engine.compensations` bump per local compensation.
+#[test]
+fn every_engine_policy_records_one_span_per_sweep_and_per_query() {
+    for policy in engine_policies() {
+        let name = policy.name();
         let render = || {
             let (obs, rec) = Obs::trace();
             let report = run(policy, obs);
             let rec = rec.lock().unwrap();
-            let hops = rec.histogram("engine.hop").map_or(0, |h| h.count());
-            assert!(hops > 0, "{}: no engine.hop span", policy.name());
-            assert_eq!(hops, report.metrics.queries_sent, "{}", policy.name());
+            let count = |name| rec.histogram(name).map_or(0, |h| h.count());
+            let (sweeps, hops) = (count("engine.sweep"), count("engine.hop"));
+            assert!(hops > 0, "{name}: no engine.hop span");
+            assert_eq!(hops, report.metrics.queries_sent, "{name}");
+            let spans = rec.span_count() as u64;
+            assert_eq!(spans, sweeps + report.metrics.queries_sent, "{name}");
+            let compensations = rec.counter("engine.compensations");
+            assert_eq!(compensations, report.metrics.local_compensations, "{name}");
             rec.render()
         };
-        assert_eq!(render(), render(), "{}", policy.name());
+        assert_eq!(render(), render(), "{name}");
     }
 }
 
 #[test]
 fn observer_does_not_change_results() {
-    let silent = run(PolicyKind::Sweep(EngineOptions::FIGURE_4), Obs::off());
-    let (obs, _rec) = Obs::trace();
-    let observed = run(PolicyKind::Sweep(EngineOptions::FIGURE_4), obs);
-    assert_eq!(silent.view, observed.view);
-    assert_eq!(silent.end_time, observed.end_time);
-    assert_eq!(silent.events, observed.events);
-    assert_eq!(
-        silent.metrics.local_compensations,
-        observed.metrics.local_compensations
-    );
+    for policy in engine_policies() {
+        let silent = run(policy, Obs::off());
+        let (obs, _rec) = Obs::trace();
+        let observed = run(policy, obs);
+        let name = policy.name();
+        assert_eq!(silent.view, observed.view, "{name}");
+        assert_eq!(silent.end_time, observed.end_time, "{name}");
+        assert_eq!(silent.events, observed.events, "{name}");
+        assert_eq!(
+            silent.metrics.local_compensations, observed.metrics.local_compensations,
+            "{name}"
+        );
+    }
 }
 
 #[test]

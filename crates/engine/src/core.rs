@@ -18,12 +18,11 @@
 //! concurrent updates a hop compensates for and *when* the result
 //! installs.
 //!
-//! Observability: the engine emits its own `engine.hop` span nested under
-//! the adapter's hop span, bumps `engine.compensations` next to the
-//! adapter's counter, and records fold widths into the
-//! `engine.batch_size` histogram. Adapter-visible span names are
-//! caller-supplied through [`SpanLabels`], so existing trace snapshots
-//! stay stable.
+//! Observability: the engine names its own events, whichever strategy
+//! drives it — one `engine.sweep` span per unit of sweep work, one
+//! `engine.hop` span per [`SweepQuery`] (a child of its sweep span), one
+//! `engine.compensations` bump per local compensation, and the fold
+//! widths in the `engine.batch_size` histogram.
 
 use crate::error::WarehouseError;
 use crate::metrics::PolicyMetrics;
@@ -38,42 +37,6 @@ use dw_relational::{
 use dw_simnet::{NetHandle, Time};
 use std::sync::Arc;
 
-/// The span and counter names an adapter wants the engine to emit on its
-/// behalf, so each executor keeps its historical trace vocabulary
-/// (`mv.hop`, `shard.hop`, `strobe.hop`, …) while the mechanism lives in
-/// one place.
-#[derive(Clone, Copy, Debug)]
-pub struct SpanLabels {
-    /// Top-level span opened per unit of sweep work (`"mv.sweep"`,
-    /// `"shard.sweep"`, …).
-    pub sweep: &'static str,
-    /// Per-hop span (`"mv.hop"`, …), parented under [`SpanLabels::sweep`].
-    pub hop: &'static str,
-    /// Counter bumped on every local compensation.
-    pub compensations: &'static str,
-    /// Optional counter bumped once per query sent (the scheduler's
-    /// `mv.shared_queries`).
-    pub query_counter: Option<&'static str>,
-}
-
-/// A hop's span pair: the adapter-named outer span and the engine's own
-/// `engine.hop` span nested inside it.
-#[derive(Clone, Copy, Debug)]
-pub struct HopSpan {
-    /// The adapter-visible hop span ([`SpanLabels::hop`]).
-    pub outer: SpanId,
-    /// The engine's `engine.hop` span, child of `outer`.
-    pub inner: SpanId,
-}
-
-impl HopSpan {
-    /// A hop span that records nothing.
-    pub const NONE: HopSpan = HopSpan {
-        outer: SpanId::NONE,
-        inner: SpanId::NONE,
-    };
-}
-
 /// The ambient state of **one** sweep: what every query of that sweep is
 /// stamped with and what its compensations must mirror. Owned by
 /// whoever owns the sweep — the scheduler keeps one per in-flight lane,
@@ -81,8 +44,8 @@ impl HopSpan {
 /// sweeps can share an [`EngineCore`] without stepping on each other.
 #[derive(Clone, Debug)]
 pub struct SweepCtx {
-    /// The open top-level sweep span ([`SpanLabels::sweep`]), parent of
-    /// the sweep's hop spans; [`SpanId::NONE`] when idle.
+    /// The open `engine.sweep` span, parent of the sweep's `engine.hop`
+    /// spans; [`SpanId::NONE`] when idle.
     pub span: SpanId,
     /// Per-relation σ pushed to the sources, indexed by chain position
     /// (empty when pushdown is off). [`EngineCore::send_query`] attaches
@@ -121,8 +84,6 @@ pub struct EngineCore {
     pub metrics: PolicyMetrics,
     /// Observability handle (no-op unless a recorder is attached).
     pub obs: Obs,
-    /// Adapter-visible span/counter names.
-    pub labels: SpanLabels,
     /// The warehouse incarnation: 0 until a crash-recovery replay enters
     /// the next one ([`EngineCore::bump_epoch`]). Stamped onto every
     /// outgoing [`SweepQuery`] — sources remember the highest epoch they
@@ -142,14 +103,13 @@ pub struct EngineCore {
 const QID_SEQ_BITS: u32 = 48;
 
 impl EngineCore {
-    /// A fresh core over `view` emitting `labels`.
-    pub fn new(view: ViewDef, labels: SpanLabels) -> Self {
+    /// A fresh core over `view`.
+    pub fn new(view: ViewDef) -> Self {
         EngineCore {
             view,
             queue: UpdateQueue::new(),
             metrics: PolicyMetrics::default(),
             obs: Obs::off(),
-            labels,
             epoch: 0,
             next_qid: 0,
         }
@@ -180,23 +140,23 @@ impl EngineCore {
         self.obs = obs;
     }
 
-    /// Open the top-level sweep span for a new unit of work and hand
-    /// back its (otherwise default) context.
+    /// Open the `engine.sweep` span for a new unit of work and hand back
+    /// its (otherwise default) context.
     pub fn begin_sweep(&mut self, now: Time) -> SweepCtx {
         SweepCtx {
-            span: self.obs.span_start(self.labels.sweep, now, SpanId::NONE),
+            span: self.obs.span_start("engine.sweep", now, SpanId::NONE),
             ..SweepCtx::default()
         }
     }
 
-    /// Close a sweep's top-level span.
+    /// Close a sweep's `engine.sweep` span.
     pub fn end_sweep(&mut self, ctx: &SweepCtx, now: Time) {
         self.obs.span_end(ctx.span, now);
     }
 
-    /// Allocate a qid, account the query, open its hop spans, and send
-    /// `dv` to source `j` for a one-hop join extension on `side`, stamped
-    /// with the sweep's context.
+    /// Allocate a qid, account the query, open its `engine.hop` span, and
+    /// send `dv` to source `j` for a one-hop join extension on `side`,
+    /// stamped with the sweep's context.
     pub fn send_query(
         &mut self,
         ctx: &SweepCtx,
@@ -204,15 +164,11 @@ impl EngineCore {
         dv: &PartialDelta,
         j: usize,
         side: JoinSide,
-    ) -> (u64, HopSpan) {
+    ) -> (u64, SpanId) {
         let qid = self.epoch << QID_SEQ_BITS | self.next_qid;
         self.next_qid += 1;
         self.metrics.queries_sent += 1;
-        if let Some(counter) = self.labels.query_counter {
-            self.obs.add(counter, 1);
-        }
-        let outer = self.obs.span_start(self.labels.hop, net.now(), ctx.span);
-        let inner = self.obs.span_start("engine.hop", net.now(), outer);
+        let span = self.obs.span_start("engine.hop", net.now(), ctx.span);
         net.send(
             WAREHOUSE_NODE,
             source_node(j),
@@ -224,13 +180,7 @@ impl EngineCore {
                 epoch: self.epoch,
             }),
         );
-        (qid, HopSpan { outer, inner })
-    }
-
-    /// Close a hop's span pair (inner first, then the adapter span).
-    pub fn end_hop(&mut self, hop: HopSpan, now: Time) {
-        self.obs.span_end(hop.inner, now);
-        self.obs.span_end(hop.outer, now);
+        (qid, span)
     }
 
     /// The paper's on-line error correction (§4): subtract
@@ -257,15 +207,10 @@ impl EngineCore {
             return Ok(());
         }
         let err = extend_hop(&self.view, &hop.temp, &merged, hop.side, pred, &Obs::off())?;
-        self.apply_compensation(hop.dv, &err);
-        Ok(())
-    }
-
-    fn apply_compensation(&mut self, dv: &mut PartialDelta, err: &PartialDelta) {
-        dv.compensate(err);
+        hop.dv.compensate(&err);
         self.metrics.local_compensations += 1;
-        self.obs.add(self.labels.compensations, 1);
         self.obs.add("engine.compensations", 1);
+        Ok(())
     }
 
     /// Record how many queued updates one completed unit of sweep work
@@ -309,7 +254,7 @@ struct Pending {
     j: usize,
     side: JoinSide,
     temp: PartialDelta,
-    span: HopSpan,
+    span: SpanId,
 }
 
 impl Walker {
@@ -425,7 +370,7 @@ impl SweepRun {
         self.legs.iter().all(|leg| leg.pending.is_none())
     }
 
-    /// The answer to `qid` arrived: close the hop's spans, make the
+    /// The answer to `qid` arrived: close the hop's span, make the
     /// answer the walker's partial and hand the hop to the strategy for
     /// compensation. [`WarehouseError::UnknownQuery`] when this run is
     /// not waiting on `qid`.
@@ -443,7 +388,7 @@ impl SweepRun {
         let Some((leg, p)) = waiting else {
             return Err(WarehouseError::UnknownQuery { qid });
         };
-        core.end_hop(p.span, now);
+        core.obs.span_end(p.span, now);
         leg.dv = answer;
         Ok(Hop {
             j: p.j,
@@ -661,13 +606,6 @@ mod tests {
     use dw_relational::{tup, Schema, ViewDefBuilder};
     use dw_simnet::Network;
 
-    const LABELS: SpanLabels = SpanLabels {
-        sweep: "t.sweep",
-        hop: "t.hop",
-        compensations: "t.comp",
-        query_counter: None,
-    };
-
     /// A just-answered left hop at source 0, as `SweepRun::absorb` hands
     /// it out.
     fn left_hop<'a>(temp: &PartialDelta, dv: &'a mut PartialDelta) -> Hop<'a> {
@@ -693,7 +631,7 @@ mod tests {
     #[test]
     fn send_query_stamps_qid_and_side() {
         let mut net: Network<Message> = Network::new(0);
-        let mut core = EngineCore::new(chain3(), LABELS);
+        let mut core = EngineCore::new(chain3());
         let ctx = SweepCtx::default();
         let dv =
             PartialDelta::seed(&core.view.clone(), 1, &Bag::from_tuples([tup![3, 5]])).unwrap();
@@ -710,7 +648,7 @@ mod tests {
 
     #[test]
     fn compensate_subtracts_queued_interference() {
-        let mut core = EngineCore::new(chain3(), LABELS);
+        let mut core = EngineCore::new(chain3());
         // ΔR2 = +(3,5) swept left; TempView carries it. A queued
         // concurrent ΔR1 = +(2,3) must be cancelled out of the answer.
         let temp =
@@ -739,7 +677,7 @@ mod tests {
     fn pushed_predicate_rides_the_query_and_filters_compensation() {
         use dw_relational::{CmpOp, Predicate, Value};
         let mut net: Network<Message> = Network::new(0);
-        let mut core = EngineCore::new(chain3(), LABELS);
+        let mut core = EngineCore::new(chain3());
         // σ_{B >= 3} pushed for R1 (chain position 0).
         let sigma = Predicate::Cmp {
             attr: 1,

@@ -45,9 +45,7 @@ pub mod queue;
 pub mod sequencer;
 pub mod view;
 
-pub use crate::core::{
-    EngineCore, Hop, HopSpan, ImageCost, InstallSink, SpanLabels, SweepCtx, SweepRun,
-};
+pub use crate::core::{EngineCore, Hop, ImageCost, InstallSink, SweepCtx, SweepRun};
 pub use durable::{DurabilityConfig, DurableStats, DurableStore, WalRecord};
 pub use error::WarehouseError;
 pub use live::{run_cluster, ClusterOutcome, LiveError, NodeRunner, ThreadNet};

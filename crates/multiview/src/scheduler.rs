@@ -180,8 +180,8 @@
 use crate::registry::{MvError, SlotImage, ViewId, ViewRegistry};
 use dw_engine::{
     DurabilityConfig, DurableStats, DurableStore, EngineCore, EngineOptions, ImageCost,
-    InstallSequencer, PendingUpdate, PolicyMetrics, SequencedInstall, SpanLabels, SweepCtx,
-    SweepRun, UpdateQueue, WalRecord, WarehouseError,
+    InstallSequencer, PendingUpdate, PolicyMetrics, SequencedInstall, SweepCtx, SweepRun,
+    UpdateQueue, WalRecord, WarehouseError,
 };
 use dw_obs::Obs;
 use dw_protocol::{Message, SourceUpdate, UpdateId};
@@ -191,14 +191,6 @@ use dw_workload::{DerivedSpec, ViewSpec};
 use std::collections::{HashMap, VecDeque};
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// The trace vocabulary, with a [`ShardMap`] or without.
-const LABELS: SpanLabels = SpanLabels {
-    sweep: "mv.sweep",
-    hop: "mv.hop",
-    compensations: "mv.compensations",
-    query_counter: Some("mv.shared_queries"),
-};
 
 /// How the scheduler turns one update into sweeps: one way. The enum
 /// (and [`MaintenanceScheduler::new`]'s second parameter) survives only
@@ -471,7 +463,7 @@ impl MaintenanceScheduler {
         let (bands, all) = map.as_ref().map_or((1, 1), |m| (m.shards(), m.full_mask()));
         Ok(MaintenanceScheduler {
             registry: ViewRegistry::new(base.clone())?,
-            core: EngineCore::new(base, LABELS),
+            core: EngineCore::new(base),
             opts,
             groups: (0..bands)
                 .map(|b| if cross { all } else { 1 << b })
@@ -627,9 +619,11 @@ impl MaintenanceScheduler {
         self.completions = Some(log);
     }
 
-    /// Attach an observability recorder: `mv.sweep`/`mv.hop` spans plus
-    /// `mv.shared_queries`/`mv.compensations` counters. Per-view
-    /// staleness histograms live in the registry's [`PolicyMetrics`].
+    /// Attach an observability recorder: the engine's `engine.sweep` /
+    /// `engine.hop` spans, `engine.compensations` counter and
+    /// `engine.batch_size` histogram, plus the scheduler's own `mv.*`
+    /// events. Per-view staleness histograms live in the registry's
+    /// [`PolicyMetrics`].
     pub fn set_observer(&mut self, obs: Obs) {
         self.core.set_observer(obs);
     }

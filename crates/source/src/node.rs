@@ -74,9 +74,6 @@ pub struct DataSource {
     /// end to end. Epoch 0 queries (the pre-recovery protocol) are never
     /// dropped.
     max_epoch_seen: u64,
-    /// Stale-epoch queries dropped (test/inspection hook; also counted
-    /// on `source.stale_epoch_dropped`).
-    stale_queries_dropped: u64,
     /// Observability handle (no-op unless a recorder is attached).
     obs: Obs,
 }
@@ -91,7 +88,6 @@ impl DataSource {
             next_seq: 0,
             txns_applied: 0,
             max_epoch_seen: 0,
-            stale_queries_dropped: 0,
             obs: Obs::off(),
         }
     }
@@ -130,11 +126,6 @@ impl DataSource {
     /// Number of transactions applied so far.
     pub fn txns_applied(&self) -> u64 {
         self.txns_applied
-    }
-
-    /// Queries dropped because they carried a stale sweep epoch.
-    pub fn stale_queries_dropped(&self) -> u64 {
-        self.stale_queries_dropped
     }
 
     /// Service one delivered event.
@@ -179,7 +170,6 @@ impl DataSource {
                     // epoch, so this straggler must not produce an
                     // answer. Dropping is safe — nothing at the
                     // warehouse is waiting on the stale qid.
-                    self.stale_queries_dropped += 1;
                     self.obs.add("source.stale_epoch_dropped", 1);
                     return Ok(());
                 }
@@ -189,9 +179,6 @@ impl DataSource {
                 // qualifying tuples travel back.
                 let (rel, pushed) = (self.relation.bag(), q.pred.as_ref());
                 let widened = extend_hop(&self.view, &q.partial, rel, q.side, pushed, &self.obs)?;
-                self.obs.add("source.queries_served", 1);
-                self.obs
-                    .observe("source.answer_rows", widened.bag.distinct_len() as u64);
                 net.send(
                     source_node(self.index),
                     WAREHOUSE_NODE,
@@ -382,6 +369,46 @@ mod tests {
         }
     }
 
+    /// The stale-epoch fence: once a query of epoch 1 was served, an
+    /// epoch-0 query sends nothing and counts one drop; a source that has
+    /// seen only epoch 0 answers every epoch-0 query.
+    #[test]
+    fn queries_of_an_older_epoch_are_dropped_and_counted() {
+        let query = |qid, epoch| {
+            Message::SweepQuery(SweepQuery {
+                qid,
+                partial: PartialDelta {
+                    lo: 0,
+                    hi: 0,
+                    bag: Bag::from_tuples([tup![1, 3]]),
+                },
+                side: JoinSide::Right,
+                epoch,
+                pred: None,
+            })
+        };
+        let answered = |epochs: &[u64]| {
+            let mut net: Network<Message> = Network::new(0);
+            let mut src = source1();
+            let (obs, rec) = dw_obs::Obs::trace();
+            src.set_observer(obs);
+            for (qid, &epoch) in epochs.iter().enumerate() {
+                src.handle(WAREHOUSE_NODE, query(qid as u64, epoch), &mut net)
+                    .unwrap();
+            }
+            let qids: Vec<u64> = std::iter::from_fn(|| net.next())
+                .map(|d| match d.msg {
+                    Message::SweepAnswer(a) => a.qid,
+                    other => panic!("expected SweepAnswer, got {other:?}"),
+                })
+                .collect();
+            let dropped = rec.lock().unwrap().counter("source.stale_epoch_dropped");
+            (qids, dropped)
+        };
+        assert_eq!(answered(&[1, 0]), (vec![0], 1));
+        assert_eq!(answered(&[0, 0]), (vec![0, 1], 0));
+    }
+
     /// Scanning or probing its chains, a source answers with σ applied,
     /// and `source.pushdown_filtered` counts what σ turned away: here the
     /// one row a scan streams past σ, which is the one match a probe finds.
@@ -426,7 +453,8 @@ mod tests {
             }
             let rec = rec.lock().unwrap();
             assert_eq!(rec.counter("source.pushdown_filtered"), 1, "{indexed}");
-            assert_eq!(rec.counter("source.queries_served"), 1);
+            let served = rec.histogram("join.out_rows").map(|h| h.count());
+            assert_eq!(served, Some(1));
         }
     }
 

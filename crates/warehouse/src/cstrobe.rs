@@ -24,8 +24,8 @@ use crate::MaintenancePolicy;
 use crate::PendingUpdate;
 use crate::PolicyMetrics;
 use crate::WarehouseError;
-use dw_engine::{EngineCore, HopSpan, InstallSink, SpanLabels, SweepCtx};
-use dw_obs::Obs;
+use dw_engine::{EngineCore, InstallSink, SweepCtx};
+use dw_obs::{Obs, SpanId};
 use dw_protocol::{Message, UpdateId};
 use dw_relational::key::ViewKeyMap;
 use dw_relational::{
@@ -34,18 +34,10 @@ use dw_relational::{
 use dw_simnet::{Delivery, NetHandle, Time};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// C-strobe's trace vocabulary (its queries hang under no sweep span).
-const LABELS: SpanLabels = SpanLabels {
-    sweep: "c_strobe",
-    hop: "c_strobe.hop",
-    compensations: "c_strobe.compensations",
-    query_counter: None,
-};
-
 struct CsQuery {
     pd: PartialDelta,
-    /// Spans of the network hop in flight.
-    hop: HopSpan,
+    /// The `engine.hop` span of the network hop in flight.
+    hop: SpanId,
     /// Chain positions whose slot is carried locally (the update's own
     /// relation implicitly, plus one pinned delete per compensation level).
     pinned: BTreeMap<usize, Bag>,
@@ -76,7 +68,7 @@ impl PartWork {
         let pd = PartialDelta::seed(view, self.rel, &Bag::singleton(self.seed.clone(), 1))?;
         Ok(CsQuery {
             pd,
-            hop: HopSpan::NONE,
+            hop: SpanId::NONE,
             pinned,
         })
     }
@@ -181,7 +173,7 @@ impl CStrobe {
     ) -> Result<Self, WarehouseError> {
         let vkm = keys.view_key_map(&view_def)?;
         Ok(CStrobe {
-            core: EngineCore::new(view_def, LABELS),
+            core: EngineCore::new(view_def),
             keys,
             vkm,
             sink: InstallSink::new(initial_view)?,
@@ -328,7 +320,7 @@ impl CStrobe {
             return Err(unknown);
         };
         let mut q = work.queries.remove(&qid).ok_or(unknown)?;
-        self.core.end_hop(q.hop, net.now());
+        self.core.obs.span_end(q.hop, net.now());
         q.pd = partial;
         work.drive(&mut self.core, net, q)?;
         let Some(work) = cur.work.take_if(|w| w.queries.is_empty()) else {
@@ -390,6 +382,8 @@ impl MaintenancePolicy for CStrobe {
         self.current.is_none() && self.core.queue.is_empty()
     }
 
+    /// The engine's vocabulary: one `engine.hop` span per query, its
+    /// compensating queries included, under no `engine.sweep` span.
     fn set_observer(&mut self, obs: Obs) {
         self.core.set_observer(obs);
     }

@@ -21,22 +21,13 @@
 use crate::MaintenancePolicy;
 use crate::PolicyMetrics;
 use crate::WarehouseError;
-use dw_engine::{EngineCore, InstallSink, SpanLabels, SweepCtx, SweepRun};
+use dw_engine::{EngineCore, InstallSink, SweepCtx, SweepRun};
 use dw_obs::Obs;
 use dw_protocol::{Message, UpdateId};
 use dw_relational::key::ViewKeyMap;
 use dw_relational::{Bag, KeySpec, PartialDelta, SharedBag, Value, ViewDef};
 use dw_simnet::{Delivery, NetHandle, Time};
 use std::collections::HashMap;
-
-/// Strobe's trace vocabulary (nothing opens the per-sweep span: a query
-/// belongs to one inserted tuple, not to a unit of install).
-const LABELS: SpanLabels = SpanLabels {
-    sweep: "strobe",
-    hop: "strobe.hop",
-    compensations: "strobe.compensations",
-    query_counter: None,
-};
 
 /// One entry of the action list.
 #[derive(Clone, Debug)]
@@ -79,7 +70,7 @@ impl Strobe {
     ) -> Result<Self, WarehouseError> {
         let vkm = keys.view_key_map(&view_def)?;
         Ok(Strobe {
-            core: EngineCore::new(view_def, LABELS),
+            core: EngineCore::new(view_def),
             keys,
             vkm,
             sink: InstallSink::new(initial_view)?,
@@ -268,6 +259,9 @@ impl MaintenancePolicy for Strobe {
         self.uqs.is_empty() && self.al.is_empty() && self.outstanding.is_empty()
     }
 
+    /// The engine's vocabulary: one `engine.hop` span per query, under
+    /// no `engine.sweep` span (a query belongs to one inserted tuple, not
+    /// to a unit of install).
     fn set_observer(&mut self, obs: Obs) {
         self.core.set_observer(obs);
     }
