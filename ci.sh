@@ -164,6 +164,14 @@ stage_engine_boundary() {
     echo "FAIL: subscriptions are dw-serve store internals — subscribe, poll, resume and unsubscribe through ReadFrontend (refusals are ServeError, counters ServeStats::{sub_events, subs_lagged}); a point index build is counted as point_index_misses — no HubPoll, PublishOutcome or point_index_builds, no SubscriptionHub outside crates/serve/src" >&2
     ok=1
   fi
+  # The read frontend keeps only what a caller uses: a view is known by
+  # its slot, and a pin is of the latest epoch.
+  hits=$(grep -rnE '\b(view_name|pin_epoch)\b' crates src tests examples 2>/dev/null || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: ReadFrontend::view_name and ReadFrontend::pin_epoch are gone (no caller) — pin with ReadFrontend::pin, name a view by its slot" >&2
+    ok=1
+  fi
   # One record per traced event: the engine names its own sweep, hop and
   # compensation (engine.*) whichever strategy drives it, and a source
   # answer is counted by the join.* histograms of the join that made it.
@@ -275,6 +283,22 @@ stage_engine_boundary() {
     [[ $(grep -c 'fn build_and_probe\b' <<<"$code") -ne 1 ]]; then
     echo "$hits"
     echo "FAIL: eval.rs holds one build-and-probe loop (fn build_and_probe) with one per-call key (RandomState::new()) — a small table may skip the hash, but no DefaultHasher, BuildHasherDefault or fixed-key hasher may replace it" >&2
+    ok=1
+  fi
+  # Full evaluation is pipelined: eval_view walks each R_0 row through
+  # one probe table per neighbour and allocates only the view's tuples, so
+  # the left-deep fold — a seeded copy of R_0, then one hop join per
+  # relation, each materialising its intermediate — may not come back.
+  # String literals are dropped first: the errors keep the fold's context
+  # names.
+  local body
+  body=$(non_test_code crates/relational/src/eval.rs |
+    awk '/^pub fn eval_view\(/{on=1} on{print} on&&/^}/{exit}')
+  hits=$(sed 's/"[^"]*"//g' <<<"$body" | grep -nE 'extend_partial|extend_hop|PartialDelta::seed' |
+    sed 's|^|crates/relational/src/eval.rs eval_view: |' || true)
+  if [[ -z "$body" ]] || [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: eval_view (pub fn eval_view in crates/relational/src/eval.rs) is the pipelined full evaluation — its body calls none of extend_partial, extend_hop or PartialDelta::seed (the left-deep fold is its test referee only)" >&2
     ok=1
   fi
   # One hash per tuple: a tuple carries SipHash under one process-wide

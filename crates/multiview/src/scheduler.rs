@@ -1111,19 +1111,20 @@ impl MaintenanceScheduler {
             ctx,
             run,
             absorbed,
-            snaps,
+            mut snaps,
             ..
         } = lane;
         let mut deltas = Vec::with_capacity(task.views.len());
         for &v in &task.views {
             let local = &self.registry.runtime(v)?.local;
-            let snap_of = |side: usize| snaps[side].iter().find(|(id, _)| *id == v);
+            let snap_of = |side: usize| snaps[side].iter().position(|(id, _)| *id == v);
             // A covered walk passed through every task view's span, so a
             // miss is a scheduler bug, reported rather than panicked on.
             let delta = match (run.is_sequential(), snap_of(0), snap_of(1)) {
-                (true, Some((_, whole)), _) => finalize_for_view(local, whole)?,
-                (false, Some((_, left)), Some((_, right))) => {
-                    finalize_for_view(local, &run.merge(&self.core.view, left, right))?
+                (true, Some(whole), _) => finalize_for_view(local, snaps[0].swap_remove(whole).1)?,
+                (false, Some(left), Some(right)) => {
+                    let (left, right) = (&snaps[0][left].1, &snaps[1][right].1);
+                    finalize_for_view(local, run.merge(&self.core.view, left, right))?
                 }
                 _ if dead => Bag::new(),
                 _ => {
@@ -1493,8 +1494,10 @@ fn snapshot(
 /// offsets), then its residual predicate and projection. Sound because
 /// the shared sweep ran on unfiltered tuples and selection commutes
 /// with join; subtraction (compensation) distributes over the filter.
-fn finalize_for_view(local: &ViewDef, merged: &PartialDelta) -> Result<Bag, RelationalError> {
-    let mut bag = merged.bag.clone();
+/// The view's own snapshot is taken by value, so a view with no σ and an
+/// identity Π installs the walk's bag itself, copying no entry.
+fn finalize_for_view(local: &ViewDef, merged: PartialDelta) -> Result<Bag, RelationalError> {
+    let mut bag = merged.bag;
     for r in 0..local.num_relations() {
         let sel = local.local_select(r);
         if sel != &Predicate::True {

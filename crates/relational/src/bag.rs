@@ -85,24 +85,9 @@ struct Chain {
 }
 
 impl Chain {
-    /// SipHash of the key in `t`'s `cols` under this chain's key; `None`
-    /// when a key column is NULL. Always inlined: as a call from
-    /// [`Chain::rehash`]'s loop it made loading a chain ≈ 20 % slower.
-    #[inline(always)]
-    fn hash(&self, t: &Tuple, cols: &[usize]) -> Option<usize> {
-        let mut h = self.seed.build_hasher();
-        let mut null = false;
-        for &k in cols {
-            let v = t.at(k);
-            null |= matches!(v, Value::Null);
-            v.hash(&mut h);
-        }
-        (!null).then(|| h.finish() as usize)
-    }
-
     /// The bucket of the key in `t`'s `cols`; `None` when one is NULL.
     fn bucket(&self, t: &Tuple, cols: &[usize]) -> Option<usize> {
-        Some(self.hash(t, cols)? & (self.heads.len() - 1))
+        Some(key_hash(&self.seed, t, cols)? as usize & (self.heads.len() - 1))
     }
 
     /// Link every entry afresh, under heads sized for them.
@@ -111,8 +96,8 @@ impl Chain {
         let mut links = vec![[EMPTY; 2]; entries.len()];
         let mask = heads.len() - 1;
         for (pos, (t, _)) in entries.iter().enumerate() {
-            if let Some(h) = self.hash(t, &self.cols) {
-                link(&mut heads, &mut links, pos, h & mask);
+            if let Some(h) = key_hash(&self.seed, t, &self.cols) {
+                link(&mut heads, &mut links, pos, h as usize & mask);
             }
         }
         self.heads = heads.into();
@@ -133,6 +118,24 @@ impl Chain {
             self.heads[b] = to.unwrap_or(next);
         }
     }
+}
+
+/// SipHash of the key in `t`'s `cols` under `seed`, a table's own key;
+/// `None` when a key column is NULL, as a NULL key joins nothing. The one
+/// key hash of a bag's chains and of `eval`'s per-call tables. Always
+/// inlined: as a call from [`Chain::rehash`]'s loop it made loading a
+/// chain ≈ 20 % slower.
+#[inline(always)]
+pub(crate) fn key_hash(seed: &RandomState, t: &Tuple, cols: &[usize]) -> Option<u64> {
+    let mut h = seed.build_hasher();
+    for &k in cols {
+        let v = t.at(k);
+        if matches!(v, Value::Null) {
+            return None;
+        }
+        v.hash(&mut h);
+    }
+    Some(h.finish())
 }
 
 /// Put entry `pos`, linked nowhere, first in bucket `b` of a chain's

@@ -24,19 +24,24 @@
 //! merge of two legs) joins with the same kernel. A NULL join key matches
 //! nothing, as under the residual selection's three-valued logic.
 //!
+//! Full evaluation is the third shape: [`eval_view`] builds no partial.
+//! It tables every neighbour `R_1..R_n` once (the per-call table type the
+//! hop join uses) and walks each `R_0` row depth first through them,
+//! allocating only the view's tuples — the paper's initial `V` and the
+//! recomputation it is measured against pay for their result and one
+//! table entry per neighbour row, never for an intermediate join.
+//!
 //! Signed multiplicities flow through multiplication, so a delete joined
 //! with a delete produces a positive term — exactly the arithmetic the
 //! paper's §5.2 example exercises.
 
-use crate::bag::Bag;
+use crate::bag::{key_hash, Bag};
 use crate::error::RelationalError;
 use crate::predicate::Predicate;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::view::ViewDef;
-use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Which side of the current range a neighbor relation is joined on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,10 +99,12 @@ impl PartialDelta {
     }
 
     /// Apply the residual selection and projection, producing the final
-    /// view-change bag. Errors unless the range covers the whole chain.
-    pub fn finalize(&self, view: &ViewDef) -> Result<Bag, RelationalError> {
+    /// view-change bag; an identity σ and Π hand the partial's bag back
+    /// unchanged, copying nothing. Errors unless the range covers the
+    /// whole chain.
+    pub fn finalize(self, view: &ViewDef) -> Result<Bag, RelationalError> {
         self.check_complete(view)?;
-        Ok(select_project(view, Cow::Borrowed(&self.bag)))
+        Ok(select_project(view, self.bag))
     }
 
     fn check_complete(&self, view: &ViewDef) -> Result<(), RelationalError> {
@@ -133,17 +140,16 @@ impl PartialDelta {
 /// where it is the identity: a `True` residual keeps every tuple, and the
 /// projection `0..total_arity` (exactly that, not merely as wide) maps
 /// every tuple to itself.
-fn select_project(view: &ViewDef, bag: Cow<'_, Bag>) -> Bag {
+fn select_project(view: &ViewDef, mut bag: Bag) -> Bag {
     let residual = view.residual();
-    let mut out = bag;
     if residual != &Predicate::True {
-        out = Cow::Owned(out.filter(|t| residual.eval(t)));
+        bag = bag.filter(|t| residual.eval(t));
     }
     let projection = view.projection();
     if !projection.iter().copied().eq(0..view.total_arity()) {
-        out = Cow::Owned(out.map_tuples(|t| t.project(projection)));
+        bag = bag.map_tuples(|t| t.project(projection));
     }
-    out.into_owned()
+    bag
 }
 
 fn check_rel_index(view: &ViewDef, i: usize) -> Result<(), RelationalError> {
@@ -240,14 +246,110 @@ pub fn neighbor_keys(view: &ViewDef, rel: usize, side: JoinSide) -> Option<Vec<u
     Some(HopGeometry::of(view, from, from, side).ok()?.nbr_keys)
 }
 
-/// The link that ends a bucket's chain in [`build_and_probe`]'s table.
-const END: usize = usize::MAX;
+/// The link that ends a bucket's chain in a [`Table`].
+const END: u32 = u32::MAX;
 
-/// The most build rows [`build_and_probe`] keeps in one unhashed bucket:
-/// up to this many, comparing a probe row's key columns with every row
-/// is cheaper than SipHashing it to pick a bucket (the crossover table in
-/// DESIGN.md, "One hop join").
+/// The most rows a [`Table`] keeps in one unhashed bucket: up to this
+/// many, comparing a probe row's key columns with every row is cheaper
+/// than SipHashing it to pick a bucket (the crossover table in DESIGN.md,
+/// "One hop join").
 const ONE_BUCKET: usize = 4;
+
+/// A flat hash table over borrowed rows, built for one call: one vector
+/// of `(row, count, key hash)` chained through power-of-two `heads` and
+/// `u32` `next` links, so a row is hashed once and no key is copied. A
+/// table of at most [`ONE_BUCKET`] rows is one bucket and hashes nothing:
+/// no key is drawn, every row's hash is 0, and a probe row compares its
+/// key columns with each of those few rows. A larger table hashes each
+/// row's key columns with [`key_hash`] under a key drawn for this table,
+/// so crafted rows cannot flood one bucket — at worst they lengthen
+/// chains in a table of the smaller input; a probe row hashes its key
+/// columns the same way and compares columns only when the full 64-bit
+/// hashes agree. A row with a NULL key column is counted but linked
+/// nowhere, and a probe row with one finds nothing (SQL's `NULL = NULL`
+/// is not true), unless `nulls_join`: then a NULL-keyed row hashes to 0
+/// and is compared column by column like any other (the pivot merge
+/// matches a tuple to itself).
+struct Table<'r> {
+    rows: Vec<(&'r Tuple, i64, u64)>,
+    keys: &'r [usize],
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    seed: Option<RandomState>,
+    nulls_join: bool,
+}
+
+impl<'r> Table<'r> {
+    /// Table `rows` on their `keys` columns.
+    fn build(
+        rows: impl Iterator<Item = (&'r Tuple, i64)>,
+        keys: &'r [usize],
+        nulls_join: bool,
+    ) -> Table<'r> {
+        let (lower, upper) = rows.size_hint();
+        let mut built = Vec::with_capacity(upper.unwrap_or(lower));
+        built.extend(rows.map(|(t, c)| (t, c, 0)));
+        let n = built.len();
+        let (seed, slots) = if n > ONE_BUCKET {
+            (Some(RandomState::new()), n.next_power_of_two())
+        } else {
+            (None, 1)
+        };
+        let mut table = Table {
+            rows: Vec::new(),
+            keys,
+            heads: vec![END; slots],
+            next: vec![END; n],
+            seed,
+            nulls_join,
+        };
+        for (i, (t, _, h)) in built.iter_mut().enumerate() {
+            if let Some(hash) = table.hash(t, keys) {
+                *h = hash;
+                let head = &mut table.heads[hash as usize & (slots - 1)];
+                table.next[i] = std::mem::replace(head, i as u32);
+            }
+        }
+        table.rows = built;
+        table
+    }
+
+    /// The hash of the key in `t`'s `cols`: [`key_hash`] under the
+    /// table's key, 0 in one bucket; `None` when a key column is NULL,
+    /// unless NULLs join.
+    #[inline]
+    fn hash(&self, t: &Tuple, cols: &[usize]) -> Option<u64> {
+        let hash = match &self.seed {
+            Some(seed) => key_hash(seed, t, cols),
+            None => (!cols.iter().any(|&k| matches!(t.at(k), Value::Null))).then_some(0),
+        };
+        hash.or(self.nulls_join.then_some(0))
+    }
+
+    /// Call `f` on each row whose key columns equal `row`'s `cols`, pair
+    /// by pair.
+    #[inline]
+    fn probe(&self, row: &Tuple, cols: &[usize], mut f: impl FnMut(&'r Tuple, i64)) {
+        if self.rows.is_empty() {
+            return;
+        }
+        let Some(hash) = self.hash(row, cols) else {
+            return;
+        };
+        let mut i = self.heads[hash as usize & (self.heads.len() - 1)];
+        while let Some(&(t, c, h)) = self.rows.get(i as usize) {
+            if h == hash
+                && cols
+                    .iter()
+                    .zip(self.keys)
+                    .all(|(&p, &k)| row.at(p) == t.at(k))
+            {
+                f(t, c);
+            }
+            i = self.next[i as usize];
+        }
+    }
+}
 
 /// What [`hash_join`] produced, and how many rows it put in its table and
 /// streamed past it.
@@ -292,82 +394,26 @@ fn hash_join(
     }
 }
 
-/// Table `build` on its `build_keys` columns, then stream `probe` through
-/// the table: each pair whose keys are equal emits `glue(bt, pt)` at
-/// `bc · pc`.
-///
-/// The table is flat and borrows its rows: one vector of the build rows
-/// chained through power-of-two `heads` and `next` links. A table of at
-/// most [`ONE_BUCKET`] rows is one bucket and hashes nothing: no key is
-/// drawn, every row's hash is 0, and a probe row compares its key columns
-/// with each of those few rows. A larger table hashes each build row's key
-/// columns **once** (SipHash under a key drawn for this call, so crafted
-/// rows cannot flood one bucket — at worst they lengthen chains in a table
-/// of the smaller input); a probe row hashes its key columns the same way
-/// and compares columns only when the full 64-bit hashes agree — no key
-/// vector, no bucket vector, no rehash. The NULL rule is the probe's: a
-/// build row keyed on NULL sits in the table, but no probe row carrying a
-/// NULL key reaches it, and a NULL-free key never equals one that holds a
-/// NULL.
+/// [`Table`] `build` on its `build_keys` columns, then stream `probe`
+/// through the table: each pair whose keys are equal emits `glue(bt, pt)`
+/// at `bc · pc`. Every probe row is visited, even past an empty table.
 fn build_and_probe<'b, 'p>(
     build: impl Iterator<Item = (&'b Tuple, i64)>,
-    build_keys: &[usize],
+    build_keys: &'b [usize],
     probe: impl Iterator<Item = (&'p Tuple, i64)>,
     probe_keys: &[usize],
     nulls_join: bool,
     glue: impl Fn(&Tuple, &Tuple) -> Tuple,
 ) -> Joined {
-    let (lower, upper) = build.size_hint();
-    let mut built = Vec::with_capacity(upper.unwrap_or(lower));
-    built.extend(build.map(|(t, c)| (t, c, 0)));
-    let n = built.len();
-    let (seed, mask) = if n > ONE_BUCKET {
-        (Some(RandomState::new()), n.next_power_of_two() - 1)
-    } else {
-        (None, 0)
-    };
-    let hash = |t: &Tuple, cols: &[usize]| match &seed {
-        None => 0,
-        Some(seed) => {
-            let mut h = seed.build_hasher();
-            for &k in cols {
-                t.at(k).hash(&mut h);
-            }
-            h.finish()
-        }
-    };
-    let mut heads = vec![END; mask + 1];
-    let mut next = vec![END; n];
-    for (i, (t, _, h)) in built.iter_mut().enumerate() {
-        *h = hash(t, build_keys);
-        let head = &mut heads[*h as usize & mask];
-        next[i] = *head;
-        *head = i;
-    }
+    let table = Table::build(build, build_keys, nulls_join);
     let (mut bag, mut probe_rows) = (Bag::new(), 0u64);
     for (pt, pc) in probe {
         probe_rows += 1;
-        let null = !nulls_join && probe_keys.iter().any(|&k| matches!(pt.at(k), Value::Null));
-        if built.is_empty() || null {
-            continue;
-        }
-        let h = hash(pt, probe_keys);
-        let mut i = heads[h as usize & mask];
-        while let Some(&(bt, bc, bh)) = built.get(i) {
-            if bh == h
-                && probe_keys
-                    .iter()
-                    .zip(build_keys)
-                    .all(|(&p, &b)| pt.at(p) == bt.at(b))
-            {
-                bag.add(glue(bt, pt), bc * pc);
-            }
-            i = next[i];
-        }
+        table.probe(pt, probe_keys, |bt, bc| bag.add(glue(bt, pt), bc * pc));
     }
     Joined {
         bag,
-        build_rows: built.len() as u64,
+        build_rows: table.rows.len() as u64,
         probe_rows,
     }
 }
@@ -563,6 +609,18 @@ pub fn merge_pivot(view: &ViewDef, left: &PartialDelta, right: &PartialDelta) ->
 ///
 /// Used for initializing the warehouse, for the `Recompute` baseline, and
 /// as the ground truth of the consistency checker.
+///
+/// A pipelined left-deep hash join: each neighbour `R_1..R_n` is one
+/// table of its rows that pass its local σ, keyed on its join with the
+/// relation before it (NULL keys match nothing), and each `R_0` row that
+/// passes its σ walks the tables depth first, the rows of its chain held
+/// in one reusable buffer. At the leaf the residual σ is read off those
+/// rows and Π copies each kept value once into exactly one output tuple,
+/// one allocation: no copy of `R_0`, no intermediate bag or tuple. The
+/// tables borrow the relations' rows, so what the call holds beyond its
+/// result is one table entry per kept neighbour row. Errors are the
+/// left-deep fold's: `R_0`'s first row of the wrong width, else the last
+/// one of the first neighbour that has one.
 pub fn eval_view(view: &ViewDef, relations: &[&Bag]) -> Result<Bag, RelationalError> {
     if relations.len() != view.num_relations() {
         return Err(RelationalError::InvalidViewDef {
@@ -573,12 +631,97 @@ pub fn eval_view(view: &ViewDef, relations: &[&Bag]) -> Result<Bag, RelationalEr
             ),
         });
     }
-    let mut pd = PartialDelta::seed(view, 0, relations[0])?;
-    for neighbor in &relations[1..] {
-        pd = extend_partial(view, &pd, neighbor, JoinSide::Right)?;
+    let expected = view.schema(0).arity();
+    if let Some((t, _)) = relations[0].iter().find(|(t, _)| t.arity() != expected) {
+        return Err(RelationalError::ArityMismatch {
+            context: "PartialDelta::seed",
+            expected,
+            found: t.arity(),
+        });
     }
-    pd.check_complete(view)?;
-    Ok(select_project(view, Cow::Owned(pd.bag)))
+    // `JoinCond` pairs are (attr in R_{k-1}, attr in R_k): a walk at
+    // R_{k-1} probes R_k's table with its row's left columns.
+    let keys: Vec<(Vec<usize>, Vec<usize>)> = (1..relations.len())
+        .map(|k| view.join_cond(k - 1).pairs.iter().copied().unzip())
+        .collect();
+    let mut tables = Vec::with_capacity(keys.len());
+    for ((_, nbr_keys), (k, rel)) in keys.iter().zip(relations.iter().enumerate().skip(1)) {
+        let (arity, local) = (view.schema(k).arity(), view.local_select(k));
+        let mut bad_arity = None;
+        let kept = rel.iter().filter(|&(t, _)| {
+            if t.arity() != arity {
+                bad_arity = Some(t.arity());
+                return false;
+            }
+            local.eval(t)
+        });
+        tables.push(Table::build(kept, nbr_keys, false));
+        if let Some(found) = bad_arity {
+            return Err(RelationalError::ArityMismatch {
+                context: "extend_partial neighbor",
+                expected: arity,
+                found,
+            });
+        }
+    }
+    let mut out = Bag::new();
+    if tables.iter().any(|t| t.rows.is_empty()) {
+        return Ok(out);
+    }
+    // Each chain column's (relation, column); the output's are Π's.
+    let columns: Vec<(usize, usize)> = (0..relations.len())
+        .flat_map(|k| (0..view.schema(k).arity()).map(move |c| (k, c)))
+        .collect();
+    let walk = Walk {
+        output: view.projection().iter().map(|&i| columns[i]).collect(),
+        columns,
+        tables,
+        probe_keys: keys.iter().map(|(cols, _)| cols.as_slice()).collect(),
+        residual: view.residual(),
+    };
+    let local = view.local_select(0);
+    let mut chain = Vec::with_capacity(relations.len());
+    for (t, c) in relations[0].iter().filter(|&(t, _)| local.eval(t)) {
+        walk.descend(t, c, &mut chain, &mut out);
+    }
+    Ok(out)
+}
+
+/// The depth-first walk of [`eval_view`]: `tables[k]` holds the kept rows
+/// of `R_{k+1}`, probed with the columns `probe_keys[k]` of an `R_k` row.
+struct Walk<'r> {
+    tables: Vec<Table<'r>>,
+    probe_keys: Vec<&'r [usize]>,
+    residual: &'r Predicate,
+    /// Where each column of the chain's concatenated tuple lives:
+    /// `(relation, column)`.
+    columns: Vec<(usize, usize)>,
+    /// The columns Π keeps, located the same way.
+    output: Vec<(usize, usize)>,
+}
+
+impl<'r> Walk<'r> {
+    /// Put `row`, reached at `count`, on the `chain` of rows walked so
+    /// far, then walk each of its matches in the next table — or, once
+    /// the chain is whole, test the residual σ on it and emit Π of it as
+    /// one new tuple.
+    fn descend(&self, row: &'r Tuple, count: i64, chain: &mut Vec<&'r Tuple>, out: &mut Bag) {
+        chain.push(row);
+        if let Some(table) = self.tables.get(chain.len() - 1) {
+            let keys = self.probe_keys[chain.len() - 1];
+            table.probe(row, keys, |t, c| self.descend(t, count * c, chain, out));
+        } else {
+            let at = |i: usize| {
+                let (k, c) = self.columns[i];
+                chain[k].at(c)
+            };
+            if self.residual.eval_at(&at) {
+                let values = self.output.iter().map(|&(k, c)| chain[k].at(c).clone());
+                out.add(Tuple::collect(values), count);
+            }
+        }
+        chain.pop();
+    }
 }
 
 #[cfg(test)]
@@ -609,6 +752,120 @@ mod tests {
             Bag::from_tuples([tup![3, 7]]),             // R2
             Bag::from_tuples([tup![5, 6], tup![7, 8]]), // R3
         )
+    }
+
+    /// The left-deep fold `eval_view` replaced: seed `R_0`, extend by each
+    /// neighbour in turn, finalize — the referee of the pipeline.
+    fn eval_left_deep(view: &ViewDef, relations: &[&Bag]) -> Result<Bag, RelationalError> {
+        if relations.len() != view.num_relations() {
+            return Err(RelationalError::InvalidViewDef {
+                reason: format!(
+                    "eval_view got {} relations for a {}-relation view",
+                    relations.len(),
+                    view.num_relations()
+                ),
+            });
+        }
+        let mut pd = PartialDelta::seed(view, 0, relations[0])?;
+        for neighbor in &relations[1..] {
+            pd = extend_partial(view, &pd, neighbor, JoinSide::Right)?;
+        }
+        pd.finalize(view)
+    }
+
+    /// A small key: NULL one time in eight, so NULL keys meet both sides.
+    fn small_value(r: &mut dw_rng::Rng64) -> Value {
+        if r.chance(0.125) {
+            Value::Null
+        } else {
+            Value::Int(r.i64_in(0, 4))
+        }
+    }
+
+    /// The pipelined `eval_view` equals the left-deep fold, as bags and as
+    /// errors, over chains of 1–4 relations of 1–3 columns: joins on zero
+    /// (a cross product), one or two column pairs; a local σ on some
+    /// relations, a residual σ across two of them, a projection; NULL
+    /// keys; signed counts with duplicates that sum and cancel; tables on
+    /// both sides of the one-bucket threshold; a row of the wrong width
+    /// in one relation or two, and a wrong relation count.
+    #[test]
+    fn pipelined_eval_view_equals_the_left_deep_fold() {
+        let (mut seen, mut wide) = ([0; 5], 0);
+        for case in 0..600u64 {
+            let mut r = dw_rng::Rng64::new(45_000 + case);
+            let n = 1 + r.usize_below(4);
+            let arity: Vec<usize> = (0..n).map(|_| 1 + r.usize_below(3)).collect();
+            let name = |k: usize, c: usize| format!("R{k}.{}", (b'A' + c as u8) as char);
+            let mut b = ViewDefBuilder::new();
+            for (k, &a) in arity.iter().enumerate() {
+                let cols: Vec<String> = (0..a)
+                    .map(|c| ((b'A' + c as u8) as char).to_string())
+                    .collect();
+                b = b.relation(Schema::new(format!("R{k}"), cols).unwrap());
+            }
+            for k in 1..n {
+                for _ in 0..r.usize_below(3) {
+                    let (lc, rc) = (r.usize_below(arity[k - 1]), r.usize_below(arity[k]));
+                    b = b.join(name(k - 1, lc), name(k, rc));
+                }
+            }
+            for (k, &a) in arity.iter().enumerate() {
+                if r.chance(0.3) {
+                    let op = [CmpOp::Lt, CmpOp::Ge, CmpOp::Ne][r.usize_below(3)];
+                    b = b.select(name(k, r.usize_below(a)), op, r.i64_in(0, 4));
+                }
+            }
+            if n > 1 && r.chance(0.4) {
+                let (k1, k2) = (r.usize_below(n), r.usize_below(n));
+                let (c1, c2) = (r.usize_below(arity[k1]), r.usize_below(arity[k2]));
+                b = b.select_across(name(k1, c1), CmpOp::Le, name(k2, c2));
+            }
+            if r.chance(0.5) {
+                let cols: Vec<String> = (0..1 + r.usize_below(3))
+                    .map(|_| {
+                        let k = r.usize_below(n);
+                        name(k, r.usize_below(arity[k]))
+                    })
+                    .collect();
+                b = b.project(cols);
+            }
+            let view = b.build().unwrap();
+            let mut rels: Vec<Bag> = (arity.iter())
+                .map(|&a| {
+                    let rows = r.usize_below(12);
+                    Bag::from_pairs((0..rows).map(|_| {
+                        let t = Tuple::new((0..a).map(|_| small_value(&mut r)).collect());
+                        (t, [-2, -1, 1, 1, 2][r.usize_below(5)])
+                    }))
+                })
+                .collect();
+            if r.chance(0.1) {
+                for _ in 0..1 + r.usize_below(2) {
+                    let k = r.usize_below(n);
+                    let a = arity[k] + 1 + r.usize_below(2);
+                    rels[k].add(Tuple::new((0..a).map(|_| small_value(&mut r)).collect()), 1);
+                }
+            }
+            let mut refs: Vec<&Bag> = rels.iter().collect();
+            if r.chance(0.03) {
+                refs.pop();
+            }
+            let (got, want) = (eval_view(&view, &refs), eval_left_deep(&view, &refs));
+            assert_eq!(got, want, "case {case}");
+            let kind = match want {
+                Ok(bag) => usize::from(!bag.is_empty()),
+                Err(RelationalError::ArityMismatch { context, .. }) => {
+                    2 + usize::from(context == "extend_partial neighbor")
+                }
+                Err(_) => 4,
+            };
+            seen[kind] += 1;
+            wide += usize::from(rels.iter().any(|b| b.distinct_len() > ONE_BUCKET) && n > 1);
+        }
+        // Empty and non-empty views, both arity errors, a wrong count.
+        assert!(seen.iter().all(|&k| k >= 5) && seen[1] >= 150, "{seen:?}");
+        assert!(wide >= 150, "{wide} cases with a hashed table");
     }
 
     #[test]

@@ -107,6 +107,12 @@ impl Predicate {
         self.eval3(tuple) == Some(true)
     }
 
+    /// [`Predicate::eval`] over the attributes `at` reads by position:
+    /// a chain of rows before one tuple is built of them.
+    pub(crate) fn eval_at<'v>(&self, at: &impl Fn(usize) -> &'v Value) -> bool {
+        self.eval3_at(at) == Some(true)
+    }
+
     /// Three-valued evaluation: `Some(true)` / `Some(false)` /
     /// `None` (UNKNOWN — a comparison touched NULL or mismatched types).
     ///
@@ -118,20 +124,21 @@ impl Predicate {
     /// Panics if an attribute position is out of bounds; positions are
     /// validated at view-build time.
     pub fn eval3(&self, tuple: &Tuple) -> Option<bool> {
+        self.eval3_at(&|k| tuple.at(k))
+    }
+
+    fn eval3_at<'v>(&self, at: &impl Fn(usize) -> &'v Value) -> Option<bool> {
         match self {
             Predicate::True => Some(true),
             Predicate::False => Some(false),
-            Predicate::Cmp { attr, op, value } => {
-                tuple.at(*attr).sql_cmp(value).map(|ord| op.test(ord))
+            Predicate::Cmp { attr, op, value } => at(*attr).sql_cmp(value).map(|ord| op.test(ord)),
+            Predicate::AttrCmp { left, op, right } => {
+                at(*left).sql_cmp(at(*right)).map(|ord| op.test(ord))
             }
-            Predicate::AttrCmp { left, op, right } => tuple
-                .at(*left)
-                .sql_cmp(tuple.at(*right))
-                .map(|ord| op.test(ord)),
             Predicate::And(ps) => {
                 let mut unknown = false;
                 for p in ps {
-                    match p.eval3(tuple) {
+                    match p.eval3_at(at) {
                         Some(false) => return Some(false),
                         None => unknown = true,
                         Some(true) => {}
@@ -146,7 +153,7 @@ impl Predicate {
             Predicate::Or(ps) => {
                 let mut unknown = false;
                 for p in ps {
-                    match p.eval3(tuple) {
+                    match p.eval3_at(at) {
                         Some(true) => return Some(true),
                         None => unknown = true,
                         Some(false) => {}
@@ -158,7 +165,7 @@ impl Predicate {
                     Some(false)
                 }
             }
-            Predicate::Not(p) => p.eval3(tuple).map(|b| !b),
+            Predicate::Not(p) => p.eval3_at(at).map(|b| !b),
         }
     }
 

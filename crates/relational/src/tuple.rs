@@ -125,16 +125,21 @@ impl Tuple {
     }
 
     /// Concatenate `self ++ other` (used when a sweep extends rightward).
+    /// One allocation: the slice is collected from an iterator of known
+    /// length straight into its `Arc`.
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.arity() + other.arity());
-        v.extend_from_slice(&self.values);
-        v.extend_from_slice(&other.values);
-        Tuple::new(v)
+        Tuple::collect(self.values.iter().chain(other.values.iter()).cloned())
     }
 
     /// Project the tuple onto the given attribute positions.
     pub fn project(&self, indices: &[usize]) -> Tuple {
         Tuple::from_arc(indices.iter().map(|&i| self.values[i].clone()).collect())
+    }
+
+    /// A tuple of `values`, in one allocation when the iterator knows its
+    /// exact length (a slice's, mapped or chained).
+    pub(crate) fn collect(values: impl Iterator<Item = Value>) -> Tuple {
+        Tuple::from_arc(values.collect())
     }
 
     /// Approximate serialized size in bytes for message accounting.

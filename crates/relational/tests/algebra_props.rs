@@ -485,7 +485,7 @@ fn finalize_equals_literal_select_then_project() {
                 (Tuple::new(vals), r.i64_in(-2, 3))
             })),
         };
-        let out = full.finalize(&view).unwrap();
+        let out = full.clone().finalize(&view).unwrap();
         assert_eq!(out, literal(&full.bag), "case {case}, {proj:?}");
 
         let relations: Vec<Bag> = (0..n).map(|_| arb_relation(&mut r)).collect();

@@ -213,9 +213,10 @@ impl ReadFrontend {
     /// Register the next view slot with its initial contents as epoch 0
     /// — a [`dw_relational::Bag`] (partitioned here, once) or a [`SharedBag`]
     /// handle.
-    /// Call in scheduler-registry order so slot indices line up.
-    pub fn register_view(&self, name: &str, initial: impl Into<SharedBag>, at: Time) -> usize {
-        self.lock().register_view(name, initial.into(), at)
+    /// Call in scheduler-registry order so slot indices line up: a view
+    /// is known by its slot, and `_name` is not kept (ROADMAP A2(iii)).
+    pub fn register_view(&self, _name: &str, initial: impl Into<SharedBag>, at: Time) -> usize {
+        self.lock().register_view(initial.into(), at)
     }
 
     /// Attach an observability handle: index hit/miss/derive
@@ -229,11 +230,6 @@ impl ReadFrontend {
         self.lock().views.len()
     }
 
-    /// Name a view slot was registered under.
-    pub fn view_name(&self, view: usize) -> Result<String, ServeError> {
-        Ok(self.lock().view(view)?.name.clone())
-    }
-
     /// The latest published epoch of `view`.
     pub fn latest_epoch(&self, view: usize) -> Result<u64, ServeError> {
         self.lock().latest_epoch(view)
@@ -244,13 +240,6 @@ impl ReadFrontend {
         let mut s = self.lock();
         let epoch = s.latest_epoch(view)?;
         s.pin(view, epoch)?;
-        Ok(PinnedEpoch { view, epoch })
-    }
-
-    /// Pin a specific retained epoch of `view` (errors if already
-    /// garbage-collected).
-    pub fn pin_epoch(&self, view: usize, epoch: u64) -> Result<PinnedEpoch, ServeError> {
-        self.lock().pin(view, epoch)?;
         Ok(PinnedEpoch { view, epoch })
     }
 
@@ -575,7 +564,10 @@ mod tests {
         // Dropped: epoch 0 at the first install, epoch 2 once epoch 3
         // superseded it, epoch 1 at unpin.
         assert_eq!(stats.snapshots_gced, 3);
-        assert!(front.pin_epoch(v, 1).is_err(), "collected epoch unpinnable");
+        assert!(
+            front.lock().pin(v, 1).is_err(),
+            "collected epoch unpinnable"
+        );
     }
 
     /// Publish epochs `epochs` of `v` over a 2 000-tuple view: 40 fresh
@@ -781,7 +773,8 @@ mod tests {
                 freshest_admissible: Some(2),
             }
         );
-        let fresh = front.pin_epoch(v, 2).unwrap();
+        front.lock().pin(v, 2).unwrap();
+        let fresh = PinnedEpoch { view: v, epoch: 2 };
         assert!(front
             .read_scan(&fresh, Some(StalenessBound { reflect_before: 20 }))
             .is_ok());
@@ -942,7 +935,7 @@ mod tests {
         );
         let v = front.register_view("V", Bag::new(), 0);
         assert_eq!(
-            front.pin_epoch(v, 9).unwrap_err(),
+            front.lock().pin(v, 9).unwrap_err(),
             ServeError::NoSuchEpoch { view: v, epoch: 9 }
         );
         assert_eq!(

@@ -181,7 +181,6 @@ struct DeliveredUpdate {
 }
 
 pub(crate) struct ViewState {
-    pub(crate) name: String,
     /// Retained epochs, keyed by epoch number. Always contains `latest`;
     /// older entries only while pinned.
     pub(crate) epochs: BTreeMap<u64, EpochSnapshot>,
@@ -264,7 +263,7 @@ impl SnapshotStore {
     /// epoch 0. Must be called in registry order: slot indices here must
     /// equal the scheduler registry's, or published events land on the
     /// wrong view.
-    pub(crate) fn register_view(&mut self, name: &str, initial: SharedBag, at: Time) -> usize {
+    pub(crate) fn register_view(&mut self, initial: SharedBag, at: Time) -> usize {
         let mut epochs = BTreeMap::new();
         epochs.insert(
             0,
@@ -275,7 +274,6 @@ impl SnapshotStore {
             },
         );
         self.views.push(ViewState {
-            name: name.to_string(),
             epochs,
             latest: 0,
             delivered: HashMap::new(),
@@ -566,7 +564,7 @@ mod tests {
         const AHEAD: u64 = 2;
         let initial = Bag::from_tuples((0..300).map(|i| tup![i % 7, i]));
         let mut store = SnapshotStore::default();
-        let v = store.register_view("V", initial.clone().into(), 0);
+        let v = store.register_view(initial.clone().into(), 0);
         let id = |seq| UpdateId { source: 0, seq };
         for seq in 1..=AHEAD {
             store.note_delivery(v, id(seq), seq * 10);
@@ -632,7 +630,7 @@ mod tests {
             let mut r = Rng64::new(case);
             let initial = Bag::from_iter((0..60).map(|i| (tup![i % 6, i], 1 + i % 3)));
             let mut store = SnapshotStore::default();
-            let v = store.register_view("V", initial.clone().into(), 0);
+            let v = store.register_view(initial.clone().into(), 0);
             store.point_lookup(v, 0, 0, &Value::Int(0)).unwrap();
             let mut model = initial;
             let mut pins = Vec::new();
