@@ -301,6 +301,16 @@ stage_engine_boundary() {
     echo "FAIL: eval_view (pub fn eval_view in crates/relational/src/eval.rs) is the pipelined full evaluation — its body calls none of extend_partial, extend_hop or PartialDelta::seed (the left-deep fold is its test referee only)" >&2
     ok=1
   fi
+  # The ECA site evaluates a substitution term as a whole view over its
+  # slot bags: eval_view, not a fold of its own.
+  hits=$(non_test_code crates/source/src/eca_site.rs | sed 's/"[^"]*"//g' |
+    grep -nE 'extend_partial|extend_hop|PartialDelta::seed' |
+    sed 's|^|crates/source/src/eca_site.rs: |' || true)
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "FAIL: EcaSite evaluates each substitution term with one eval_view over its slot bags — no extend_partial, extend_hop or PartialDelta::seed fold in the non-test code of crates/source/src/eca_site.rs" >&2
+    ok=1
+  fi
   # One hash per tuple: a tuple carries SipHash under one process-wide
   # random key (tuple.rs), and a Bag places its entries by that hash in
   # its one slot table (bag.rs) — no map and no pass-through hasher. A
@@ -368,14 +378,20 @@ stage_engine_boundary() {
     echo "FAIL: MaintenanceScheduler has one mode — measure per-view maintenance as V one-view MultiViewExperiment runs (E14, tests/multiview_equivalence.rs), not as a scheduler mode or a builder .mode(..)" >&2
     ok=1
   fi
-  # One SWEEP: single-view SWEEP is a one-view MaintenanceScheduler
-  # under EngineOptions — the second warehouse stack and its option set
-  # must not come back (Nested SWEEP's constructors do not match).
-  hits=$(grep -rnE '\bSweepOptions\b|\bsweep::Sweep\b|(^|[^A-Za-z_])Sweep::(new|with_options)\(' \
+  # One SWEEP, one report: single-view SWEEP is a one-view
+  # MultiViewScenario that the scheduler registers through
+  # MaintenanceScheduler::register like any view (Experiment hands it to
+  # MultiViewExperiment, run_live to LiveWarehouse::new), and every
+  # simulated run reports a MultiViewReport, every live one a
+  # LiveViewsReport. The second warehouse stack and its option set, the
+  # one-view adapter with its compiled registration and bill, and the
+  # second report types with their shared accounting macro must not come
+  # back (Nested SWEEP's constructors do not match).
+  hits=$(grep -rnE '\bSweepOptions\b|\bsweep::Sweep\b|(^|[^A-Za-z_])Sweep::(new|with_options)\(|\b(OneViewSweep|register_compiled|view_bill|RunReport|message_accounting|LiveReport)\b|fn one_view\b' \
     crates src examples tests 2>/dev/null || true)
   if [[ -n "$hits" ]]; then
     echo "$hits"
-    echo "FAIL: SWEEP runs only as a MaintenanceScheduler (dw_multiview::OneViewSweep, PolicyKind::Sweep(EngineOptions::FIGURE_4)) — no single-view Sweep, no SweepOptions" >&2
+    echo "FAIL: SWEEP runs only as a MaintenanceScheduler over a MultiViewScenario, its one view registered through MaintenanceScheduler::register (PolicyKind::Sweep(EngineOptions::FIGURE_4) is a one-view MultiViewExperiment, run_live a one-view LiveWarehouse::new), and runs report MultiViewReport / LiveViewsReport — no single-view Sweep, SweepOptions, OneViewSweep, register_compiled, view_bill, fn one_view, RunReport, message_accounting! or LiveReport" >&2
     ok=1
   fi
   # One SWEEP family: Nested SWEEP is the scheduler's `depth` (Figure 6's

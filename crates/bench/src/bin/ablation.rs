@@ -85,7 +85,7 @@ fn main() {
                 .latency(LatencyModel::Constant(3_000))
                 .run()
                 .unwrap();
-            let level = report.consistency.as_ref().unwrap().level;
+            let level = report.min_consistency().unwrap();
             assert_eq!(level.to_string(), "complete", "{label} broke consistency");
             let makespan = report.end_time as f64 / 1_000.0;
             if label == "baseline" {
@@ -95,7 +95,7 @@ fn main() {
                 label.to_string(),
                 sel_label.to_string(),
                 format!("{:.2}", report.messages_per_update()),
-                format!("{:.2}", report.metrics.mean_staleness() / 1_000.0),
+                format!("{:.2}", report.views[0].metrics.mean_staleness() / 1_000.0),
                 format!(
                     "{makespan:.1} ({:.0}%)",
                     100.0 * makespan / base_makespan.unwrap()

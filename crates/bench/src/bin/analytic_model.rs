@@ -74,11 +74,11 @@ fn main() {
             "exact prediction must hold"
         );
         let comp_pred = model::sweep_compensations_per_update_queued(n, lambda, latency);
-        let comp_meas =
-            sweep.metrics.local_compensations as f64 / sweep.metrics.updates_received as f64;
+        let comp_meas = sweep.scheduler_metrics.local_compensations as f64
+            / sweep.scheduler_metrics.updates_received as f64;
         let batch_pred = model::nested_batch_size(n, lambda, latency);
-        let batch_meas =
-            nested.metrics.updates_received as f64 / nested.metrics.installs.max(1) as f64;
+        let batch_meas = nested.scheduler_metrics.updates_received as f64
+            / nested.views[0].metrics.installs.max(1) as f64;
         let mpu_pred = model::nested_messages_per_update(n, lambda, latency);
         let mpu_meas = nested.messages_per_update();
 

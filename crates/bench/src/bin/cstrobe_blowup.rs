@@ -29,9 +29,10 @@ fn run(n: usize, gap: u64, kind: PolicyKind, updates: usize) -> (f64, String) {
         .latency(LatencyModel::Constant(2_000))
         .run()
         .unwrap();
-    let cons = report.consistency.unwrap().level.to_string();
+    let cons = report.min_consistency().unwrap().to_string();
     (
-        report.metrics.queries_sent as f64 / report.metrics.updates_received as f64,
+        report.scheduler_metrics.queries_sent as f64
+            / report.scheduler_metrics.updates_received as f64,
         cons,
     )
 }

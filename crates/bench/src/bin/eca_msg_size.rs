@@ -51,10 +51,10 @@ fn main() {
             queries.to_string(),
             bytes.to_string(),
             format!("{bpq:.0}"),
-            report.metrics.compensation_queries.to_string(),
+            report.scheduler_metrics.compensation_queries.to_string(),
             format!(
                 "{:.1}",
-                report.metrics.compensation_queries as f64 / queries as f64
+                report.scheduler_metrics.compensation_queries as f64 / queries as f64
             ),
         ]);
         assert!(bpq >= prev_bpq, "query size must grow with interference");

@@ -20,7 +20,7 @@ fn main() {
     println!(
         "fault sweep (n = {}, 2 ms links, {} updates, SWEEP + reliability transport;\n\
          each loss rate also duplicates 2% and reorders 2% of messages)\n",
-        details[0].n, details[0].report.metrics.updates_received
+        details[0].n, details[0].report.scheduler_metrics.updates_received
     );
     let mut t = TableWriter::new([
         "loss",
@@ -47,7 +47,7 @@ fn main() {
             format!("{:.3}", row.inflation),
             report.transport_overhead_bytes().to_string(),
             format!("{:.2}", row.logical_msgs_per_update),
-            format!("{:.2}", report.metrics.mean_staleness() / 1_000.0),
+            format!("{:.2}", report.views[0].metrics.mean_staleness() / 1_000.0),
             format!("{:.1}", report.end_time as f64 / 1_000.0),
             row.consistency.clone(),
         ]);

@@ -61,12 +61,12 @@ fn run(label: &str, gap: u64) -> Vec<String> {
         .unwrap();
     // The view after each install: its initial contents plus the deltas.
     let initial = report.truth.state(&slot, &|_| false).unwrap();
-    let states = view_states(initial.into(), &report.installs);
+    let states = view_states(initial.into(), &report.views[0].installs);
     let states: Vec<String> = states.map(|state| format!("{state:?}")).collect();
     println!(
         "{label}: consistency = {}, compensations = {}",
-        report.consistency.as_ref().unwrap().level,
-        report.metrics.local_compensations
+        report.min_consistency().unwrap(),
+        report.scheduler_metrics.local_compensations
     );
     states
 }

@@ -31,8 +31,8 @@ fn msgs_per_update(kind: PolicyKind, burst: usize) -> (f64, u64, String) {
         .unwrap();
     (
         report.messages_per_update(),
-        report.metrics.installs,
-        report.consistency.unwrap().level.to_string(),
+        report.views[0].metrics.installs,
+        report.min_consistency().unwrap().to_string(),
     )
 }
 

@@ -69,17 +69,14 @@ fn main() {
 
     println!(
         "\nlocal compensations: {}",
-        report.metrics.local_compensations
+        report.scheduler_metrics.local_compensations
     );
     println!(
         "compensating queries sent: {}",
-        report.metrics.compensation_queries
+        report.scheduler_metrics.compensation_queries
     );
-    println!(
-        "consistency: {}",
-        report.consistency.as_ref().unwrap().level
-    );
-    assert!(report.metrics.local_compensations >= 1);
-    assert_eq!(report.metrics.compensation_queries, 0);
+    println!("consistency: {}", report.min_consistency().unwrap());
+    assert!(report.scheduler_metrics.local_compensations >= 1);
+    assert_eq!(report.scheduler_metrics.compensation_queries, 0);
     println!("\nerror corrected on-line with zero compensating queries ✓");
 }

@@ -39,10 +39,10 @@ fn run(updates: usize, depth: usize) -> (u64, u64, u64, String) {
         .run()
         .unwrap();
     (
-        report.metrics.max_recursion_depth,
-        report.metrics.depth_bound_hits,
-        report.metrics.installs,
-        report.consistency.unwrap().level.to_string(),
+        report.scheduler_metrics.max_recursion_depth,
+        report.scheduler_metrics.depth_bound_hits,
+        report.views[0].metrics.installs,
+        report.min_consistency().unwrap().to_string(),
     )
 }
 

@@ -58,21 +58,22 @@ fn main() {
                 .latency(LatencyModel::Constant(2_000))
                 .run()
                 .unwrap();
-            let first_install = report
+            let view = &report.views[0];
+            let first_install = view
                 .installs
                 .first()
                 .map_or(f64::NAN, |r| r.at as f64 / 1_000.0);
-            let lag = report.lag_series();
+            let lag = report.lag_series(view);
             t.row([
                 gap.to_string(),
-                report.policy.to_string(),
-                report.metrics.installs.to_string(),
+                kind.name().to_string(),
+                view.metrics.installs.to_string(),
                 format!("{first_install:.2}"),
-                format!("{:.2}", report.metrics.mean_staleness() / 1_000.0),
-                format!("{:.2}", report.metrics.max_staleness() as f64 / 1_000.0),
+                format!("{:.2}", view.metrics.mean_staleness() / 1_000.0),
+                format!("{:.2}", view.metrics.max_staleness() as f64 / 1_000.0),
                 lag.max_lag().to_string(),
                 format!("{:.1}", lag.mean_lag()),
-                report.consistency.unwrap().level.to_string(),
+                report.min_consistency().unwrap().to_string(),
             ]);
         }
     }

@@ -13,7 +13,7 @@ use crate::pick;
 use dw_consistency::ConsistencyLevel;
 use dw_core::{
     audit_lag_recoveries, audit_reads, publish_copied_tuples, EngineOptions, Experiment, LagAudit,
-    MultiViewExperiment, MultiViewReport, PolicyKind, RunReport,
+    MultiViewExperiment, MultiViewReport, PolicyKind,
 };
 use dw_relational::{tup, AggFn, AggregateSpec, Bag, CmpOp, Value};
 use dw_simnet::{FaultPlan, LatencyModel, LinkFaults};
@@ -53,11 +53,12 @@ fn views_floor(v: &mut Vec<String>, what: &str, min_consistency: &str, mutual_ag
     }
 }
 
-fn stale_percentiles(report: &RunReport) -> (u64, u64, u64) {
+fn stale_percentiles(report: &MultiViewReport) -> (u64, u64, u64) {
+    let metrics = &report.views[0].metrics;
     (
-        report.metrics.staleness_percentile(50.0),
-        report.metrics.staleness_percentile(95.0),
-        report.metrics.staleness_percentile(99.0),
+        metrics.staleness_percentile(50.0),
+        metrics.staleness_percentile(95.0),
+        metrics.staleness_percentile(99.0),
     )
 }
 
@@ -145,12 +146,12 @@ impl Phase for E1Row {
                 let (stale_p50_us, stale_p95_us, stale_p99_us) = stale_percentiles(&report);
                 let row = E1Row {
                     policy: name.to_string(),
-                    consistency: report.consistency.as_ref().unwrap().level.to_string(),
+                    consistency: report.min_consistency().unwrap().to_string(),
                     msgs_per_update: report.messages_per_update(),
-                    installs: report.metrics.installs,
-                    updates: report.metrics.updates_received,
-                    local_compensations: report.metrics.local_compensations,
-                    compensation_queries: report.metrics.compensation_queries,
+                    installs: report.views[0].metrics.installs,
+                    updates: report.scheduler_metrics.updates_received,
+                    local_compensations: report.scheduler_metrics.local_compensations,
+                    compensation_queries: report.scheduler_metrics.compensation_queries,
                     stale_p50_us,
                     stale_p95_us,
                     stale_p99_us,
@@ -223,8 +224,8 @@ impl Phase for E6Row {
                     expected_msgs_per_update: (2 * (n - 1)) as f64,
                     sparse_msgs_per_update: sparse.messages_per_update(),
                     dense_msgs_per_update: dense.messages_per_update(),
-                    dense_compensations: dense.metrics.local_compensations,
-                    consistency: dense.consistency.as_ref().unwrap().level.to_string(),
+                    dense_compensations: dense.scheduler_metrics.local_compensations,
+                    consistency: dense.min_consistency().unwrap().to_string(),
                 };
                 (row, ())
             })
@@ -294,7 +295,7 @@ pub struct E12Detail {
     /// Number of data sources.
     pub n: usize,
     /// The run: wire counters, transport overhead, mean staleness.
-    pub report: RunReport,
+    pub report: MultiViewReport,
 }
 
 impl Phase for E12Row {
@@ -341,7 +342,7 @@ impl Phase for E12Row {
                     logical_msgs_per_update: report.logical_messages_per_update(),
                     expected_msgs_per_update: (2 * (n - 1)) as f64,
                     inflation: report.net.inflation(),
-                    consistency: report.consistency.as_ref().unwrap().level.to_string(),
+                    consistency: report.min_consistency().unwrap().to_string(),
                     quiescent: report.quiescent,
                     stale_p50_us,
                     stale_p95_us,

@@ -1,19 +1,19 @@
 //! Experiment construction and the dispatch loop.
 
-use crate::report::RunReport;
+use crate::multi_experiment::{MultiViewExperiment, MultiViewReport, ViewOutcome};
 use crate::runner::{
     build_sources, dispatch_to_source, inject_txns, net_setters, NetProfile, SimHarness,
 };
 use dw_consistency::{classify, Recorder, SlotView};
-use dw_multiview::{EngineOptions, OneViewSweep};
+use dw_multiview::EngineOptions;
 use dw_protocol::{source_node, Message, WAREHOUSE_NODE};
-use dw_relational::RelationalError;
+use dw_relational::{Bag, KeySpec, RelationalError, ViewDef};
 use dw_serve::ServeError;
 use dw_simnet::NodeId;
 use dw_source::{EcaSite, SourceError};
 use dw_warehouse::InstallLog;
 use dw_warehouse::{CStrobe, Eca, MaintenancePolicy, Recompute, Strobe, WarehouseError};
-use dw_workload::GeneratedScenario;
+use dw_workload::{GeneratedScenario, ViewPolicy};
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -21,7 +21,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicyKind {
     /// SWEEP (§5) — complete consistency, local compensation — as a
-    /// one-view scheduler ([`OneViewSweep`]) under these options.
+    /// [`MultiViewExperiment`] over the scenario's one view under these
+    /// options, σ pushdown forced on.
     /// [`EngineOptions::FIGURE_4`] is the paper's Figure 4;
     /// `EngineOptions::default()` is the scheduler's default: §5.3's two
     /// concurrent legs, not Figure 4's one. With [`EngineOptions::window`]
@@ -154,7 +155,7 @@ impl Experiment {
     }
 
     /// Disable classification (for big runs). The report's
-    /// [`truth`](RunReport::truth) records every delivery either way.
+    /// [`truth`](MultiViewReport::truth) records every delivery either way.
     pub fn check_consistency(mut self, on: bool) -> Self {
         self.check_consistency = on;
         self
@@ -174,30 +175,49 @@ impl Experiment {
         self
     }
 
-    /// Run to network quiescence and report.
-    pub fn run(self) -> Result<RunReport, CoreError> {
+    /// SWEEP over the scenario's one view: a [`MultiViewExperiment`] on
+    /// the same network profile, σ pushdown forced on — over one view the
+    /// pushed σ is the view's own, so the seed is filtered, an update the
+    /// σ rejects short-circuits, and the sources answer over the view, as
+    /// they do for every policy.
+    fn sweep(self, mut opts: EngineOptions) -> Result<MultiViewReport, CoreError> {
+        opts.pushdown = true;
+        let mut sweep = MultiViewExperiment::new(self.scenario.into_multi_view()?)
+            .options(opts)
+            .check_consistency(self.check_consistency);
+        sweep.net = self.net;
+        sweep.indexed_sources = self.indexed_sources;
+        sweep.run()
+    }
+
+    /// Run to network quiescence and report: one slot, the scenario's
+    /// view. SWEEP is a [`MultiViewExperiment`] over the scenario as a
+    /// one-view [`dw_workload::MultiViewScenario`]; a baseline policy sits
+    /// at the warehouse node itself, its metrics in both the slot's and
+    /// the scheduler's place.
+    pub fn run(self) -> Result<MultiViewReport, CoreError> {
+        type Build =
+            fn(ViewDef, &KeySpec, Bag) -> Result<Box<dyn MaintenancePolicy>, WarehouseError>;
+        let build: Build = match self.policy {
+            PolicyKind::Sweep(opts) => return self.sweep(opts),
+            PolicyKind::Eca => |view, _, initial| Ok(Box::new(Eca::new(view, initial)?)),
+            PolicyKind::Strobe => {
+                |view, keys, initial| Ok(Box::new(Strobe::new(view, keys.clone(), initial)?))
+            }
+            PolicyKind::CStrobe => {
+                |view, keys, initial| Ok(Box::new(CStrobe::new(view, keys.clone(), initial)?))
+            }
+            PolicyKind::Recompute => {
+                |view, _, initial| Ok(Box::new(Recompute::new(view, initial)?))
+            }
+        };
         let scenario = &self.scenario;
         let view_def = scenario.view.clone();
         let n = view_def.num_relations();
         let mut truth = Recorder::new(scenario.initial.clone());
-        let truth_view = SlotView::base(view_def.clone(), 0);
-        let initial_view = truth.state(&truth_view, &|_| false)?;
-
-        let mut policy: Box<dyn MaintenancePolicy> = match self.policy {
-            PolicyKind::Sweep(opts) => Box::new(OneViewSweep::new(&view_def, initial_view, opts)?),
-            PolicyKind::Eca => Box::new(Eca::new(view_def.clone(), initial_view)?),
-            PolicyKind::Strobe => Box::new(Strobe::new(
-                view_def.clone(),
-                scenario.keys.clone(),
-                initial_view,
-            )?),
-            PolicyKind::CStrobe => Box::new(CStrobe::new(
-                view_def.clone(),
-                scenario.keys.clone(),
-                initial_view,
-            )?),
-            PolicyKind::Recompute => Box::new(Recompute::new(view_def.clone(), initial_view)?),
-        };
+        let slot = SlotView::base(view_def.clone(), 0);
+        let initial_view = truth.state(&slot, &|_| false)?;
+        let mut policy = build(view_def.clone(), &scenario.keys, initial_view)?;
         policy.set_observer(self.net.obs.clone());
         let log = Arc::new(Mutex::new(InstallLog::new(None)));
         policy.set_install_publisher(log.clone());
@@ -251,26 +271,28 @@ impl Experiment {
         let installs = log.installs(0).to_vec();
         let consistency = self
             .check_consistency
-            .then(|| classify(&truth, &truth_view, &installs, policy.view()));
+            .then(|| classify(&truth, &slot, &installs, policy.view()));
 
         // Quiescence means the policy has no sweep in flight AND the
         // transport has drained: no unacked frames, no reorder buffers,
         // no pending resync.
         let transport_quiescent = harness.transport_quiescent();
 
-        Ok(RunReport {
-            policy: policy.name(),
+        let metrics = policy.metrics().clone();
+        let view = ViewOutcome {
+            name: "view".into(),
+            slot,
+            parent: None,
+            policy: ViewPolicy::Sweep,
             view: policy.view().to_bag(),
             installs,
-            metrics: policy.metrics().clone(),
-            net: harness.net.stats().clone(),
+            metrics: metrics.clone(),
             consistency,
-            quiescent: policy.is_quiescent() && transport_quiescent,
-            end_time: harness.net.now(),
-            events: harness.events,
-            trace: harness.net.trace().events().to_vec(),
-            truth,
-        })
+        };
+        let quiescent = policy.is_quiescent() && transport_quiescent;
+        Ok(MultiViewReport::one_slot(
+            view, metrics, &harness, quiescent, truth,
+        ))
     }
 }
 
@@ -302,10 +324,13 @@ mod tests {
             .unwrap();
         assert!(report.quiescent);
         assert_eq!(
-            report.consistency.unwrap().level,
+            report.views[0].consistency.as_ref().unwrap().level,
             ConsistencyLevel::Complete
         );
-        assert_eq!(report.metrics.installs, report.metrics.updates_received);
+        assert_eq!(
+            report.views[0].metrics.installs,
+            report.scheduler_metrics.updates_received
+        );
     }
 
     #[test]
@@ -315,7 +340,7 @@ mod tests {
             .run()
             .unwrap();
         assert!(report.quiescent);
-        let level = report.consistency.unwrap().level;
+        let level = report.views[0].consistency.as_ref().unwrap().level;
         assert!(level >= ConsistencyLevel::Strong, "got {level}");
     }
 
@@ -326,7 +351,7 @@ mod tests {
             .run()
             .unwrap();
         assert!(report.quiescent);
-        let level = report.consistency.unwrap().level;
+        let level = report.views[0].consistency.as_ref().unwrap().level;
         assert!(level >= ConsistencyLevel::Strong, "got {level}");
     }
 
@@ -337,7 +362,7 @@ mod tests {
             .run()
             .unwrap();
         assert!(report.quiescent);
-        let level = report.consistency.unwrap().level;
+        let level = report.views[0].consistency.as_ref().unwrap().level;
         assert!(level >= ConsistencyLevel::Complete, "got {level}");
     }
 
@@ -348,7 +373,7 @@ mod tests {
             .run()
             .unwrap();
         assert!(report.quiescent);
-        let level = report.consistency.unwrap().level;
+        let level = report.views[0].consistency.as_ref().unwrap().level;
         assert!(level >= ConsistencyLevel::Strong, "got {level}");
     }
 
@@ -359,7 +384,7 @@ mod tests {
             .run()
             .unwrap();
         assert!(report.quiescent);
-        let level = report.consistency.unwrap().level;
+        let level = report.views[0].consistency.as_ref().unwrap().level;
         assert!(level >= ConsistencyLevel::Convergent, "got {level}");
     }
 
@@ -412,7 +437,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(
-            report.consistency.unwrap().level,
+            report.views[0].consistency.as_ref().unwrap().level,
             ConsistencyLevel::Complete
         );
     }
@@ -440,8 +465,8 @@ mod tests {
             .run()
             .unwrap();
         assert!(report.quiescent);
-        assert!(report.metrics.max_recursion_depth <= 4);
-        let level = report.consistency.unwrap().level;
+        assert!(report.scheduler_metrics.max_recursion_depth <= 4);
+        let level = report.views[0].consistency.as_ref().unwrap().level;
         assert!(level >= ConsistencyLevel::Strong, "got {level}");
     }
 
@@ -452,10 +477,10 @@ mod tests {
             .indexed_sources(true)
             .run()
             .unwrap();
-        assert_eq!(plain.view, indexed.view);
+        assert_eq!(plain.views[0].view, indexed.views[0].view);
         assert_eq!(plain.events, indexed.events);
         assert_eq!(
-            indexed.consistency.unwrap().level,
+            indexed.views[0].consistency.as_ref().unwrap().level,
             ConsistencyLevel::Complete
         );
     }
@@ -464,7 +489,7 @@ mod tests {
     fn deterministic_replay() {
         let r1 = Experiment::new(quick(20, 11)).seed(3).run().unwrap();
         let r2 = Experiment::new(quick(20, 11)).seed(3).run().unwrap();
-        assert_eq!(r1.view, r2.view);
+        assert_eq!(r1.views[0].view, r2.views[0].view);
         assert_eq!(r1.events, r2.events);
         assert_eq!(r1.end_time, r2.end_time);
     }
@@ -479,9 +504,73 @@ mod tests {
             .policy(PolicyKind::Sweep(EngineOptions::default()))
             .run()
             .unwrap();
-        assert_eq!(seq.view, par.view);
-        assert_eq!(par.consistency.unwrap().level, ConsistencyLevel::Complete);
+        assert_eq!(seq.views[0].view, par.views[0].view);
+        assert_eq!(
+            par.views[0].consistency.as_ref().unwrap().level,
+            ConsistencyLevel::Complete
+        );
         // Parallel halves the per-update critical path.
         assert!(par.end_time <= seq.end_time);
+    }
+
+    fn report_run() -> MultiViewReport {
+        Experiment::new(
+            StreamConfig {
+                n_sources: 3,
+                updates: 10,
+                initial_per_source: 15,
+                mean_gap: 500,
+                seed: 77,
+                ..Default::default()
+            }
+            .generate()
+            .unwrap(),
+        )
+        .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
+        .run()
+        .unwrap()
+    }
+
+    #[test]
+    fn message_accounting_consistent() {
+        let r = report_run();
+        // Updates + queries + answers == everything except injections.
+        let updates = r.net.label("update").messages;
+        let maintenance = r.net.total().messages - r.net.label("txn").messages;
+        assert_eq!(maintenance, updates + r.query_messages());
+        assert_eq!(r.messages_per_update(), 4.0); // 2(n−1)
+        assert!(r.net.label("query").bytes > 0);
+    }
+
+    #[test]
+    fn delivery_log_matches_metrics() {
+        let r = report_run();
+        let log = r.delivery_log();
+        assert_eq!(log.len() as u64, r.scheduler_metrics.updates_received);
+        assert!(log.windows(2).all(|w| w[0].1 <= w[1].1));
+    }
+
+    #[test]
+    fn lag_series_from_report() {
+        let r = report_run();
+        let lag = r.lag_series(&r.views[0]);
+        assert_eq!(lag.final_lag(), 0, "quiescent run must catch up");
+        assert!(lag.max_lag() >= 1);
+    }
+
+    #[test]
+    fn zero_update_run_divides_safely() {
+        let r = Experiment::new(
+            StreamConfig {
+                updates: 0,
+                ..Default::default()
+            }
+            .generate()
+            .unwrap(),
+        )
+        .run()
+        .unwrap();
+        assert_eq!(r.messages_per_update(), 0.0);
+        assert_eq!(r.net.total().messages, r.net.label("txn").messages);
     }
 }

@@ -3,8 +3,9 @@
 //! The public orchestration API of `dwsweep`: build a scenario (view +
 //! initial data + transaction stream), pick a maintenance policy and a
 //! network profile, run the deterministic simulation, and get back a
-//! [`RunReport`] with the materialized view, install history, message
-//! accounting, staleness, and a verified consistency classification.
+//! [`MultiViewReport`] — one slot per view, each with its materialized
+//! contents, install history, staleness and verified consistency
+//! classification — with the run's message accounting.
 //!
 //! ```
 //! use dw_core::{EngineOptions, Experiment, PolicyKind};
@@ -17,7 +18,8 @@
 //!     .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
 //!     .run()
 //!     .unwrap();
-//! assert_eq!(report.consistency.as_ref().unwrap().level.to_string(), "complete");
+//! let view = &report.views[0];
+//! assert_eq!(view.consistency.as_ref().unwrap().level.to_string(), "complete");
 //! ```
 //!
 //! Many views under one scheduler is [`MultiViewExperiment`]; sharding,
@@ -46,14 +48,12 @@
 
 pub mod experiment;
 pub mod multi_experiment;
-pub mod report;
 mod runner;
 pub mod serve;
 
 pub use dw_multiview::EngineOptions;
 pub use experiment::{CoreError, Experiment, PolicyKind};
 pub use multi_experiment::{MultiViewExperiment, MultiViewReport, ViewOutcome};
-pub use report::RunReport;
 pub use serve::{
     audit_lag_recoveries, audit_reads, oracle_expects_rejection, oracle_view_at_epoch,
     publish_copied_tuples, LagAudit, LagEvent, LagSubscription, OracleAudit, ReadOutcome,

@@ -19,14 +19,13 @@
 //! resolved between deliveries and reported in [`MultiViewReport::serve`].
 
 use crate::experiment::CoreError;
-use crate::report::message_accounting;
 use crate::runner::{
     build_sources, dispatch_to_source, inject_txns, net_setters, NetProfile, SimHarness,
 };
 use crate::serve::{ServeArm, ServeConfig, ServeOutcome};
 use dw_consistency::{
-    classify, mutual_consistency, ConsistencyLevel, ConsistencyReport, MutualReport, Recorder,
-    SlotView, ViewLog,
+    classify, mutual_consistency, ConsistencyLevel, ConsistencyReport, LagSeries, MutualReport,
+    Recorder, SlotView, ViewLog,
 };
 use dw_multiview::{
     CascadeStats, CompletionLog, DurabilityConfig, EngineOptions, MaintenanceScheduler, MvError,
@@ -34,7 +33,7 @@ use dw_multiview::{
 };
 use dw_protocol::{source_node, Message, UpdateId, WAREHOUSE_NODE};
 use dw_relational::{Bag, ShardMap};
-use dw_simnet::{FaultPlan, NetHandle, NetStats, Time};
+use dw_simnet::{FaultPlan, LinkStats, NetHandle, NetStats, Time, TraceEvent};
 use dw_warehouse::{InstallEvent, InstallLog, PolicyMetrics, WarehouseError};
 use dw_workload::{MultiViewScenario, ReadOp, ViewPolicy};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -45,7 +44,10 @@ pub struct MultiViewExperiment {
     scenario: MultiViewScenario,
     map: Option<ShardMap>,
     opts: EngineOptions,
-    net: NetProfile,
+    pub(crate) net: NetProfile,
+    /// Sources answer through maintained join indexes (what
+    /// `Experiment::indexed_sources` asks of a SWEEP run).
+    pub(crate) indexed_sources: bool,
     check_consistency: bool,
     durability: Option<DurabilityConfig>,
     serve: ServeConfig,
@@ -62,6 +64,7 @@ impl MultiViewExperiment {
             map: None,
             opts: EngineOptions::default(),
             net: NetProfile::default(),
+            indexed_sources: false,
             check_consistency: true,
             durability: None,
             serve: ServeConfig::default(),
@@ -209,7 +212,7 @@ impl MultiViewExperiment {
         }
 
         let mut harness = SimHarness::new(&self.net, n + 1);
-        let mut sources = build_sources(&base, &scenario.initial, false, obs)?;
+        let mut sources = build_sources(&base, &scenario.initial, self.indexed_sources, obs)?;
         inject_txns(&mut harness.net, &scenario.txns, source_node);
 
         harness.drive(|d, net| {
@@ -295,6 +298,7 @@ impl MultiViewExperiment {
             quiescent: sched.is_quiescent() && transport_quiescent,
             end_time: harness.net.now(),
             events: harness.events,
+            trace: harness.net.trace().events().to_vec(),
             truth,
         })
     }
@@ -405,18 +409,121 @@ pub struct MultiViewReport {
     pub end_time: Time,
     /// Deliveries processed.
     pub events: u64,
+    /// Network trace (when tracing was enabled).
+    pub trace: Vec<TraceEvent>,
     /// What the warehouse was delivered: every update once, in delivery
     /// order, over the base chain's initial relations — the ground truth
     /// every view's classification and every oracle audit reads.
     pub truth: Recorder,
 }
 
+/// Every policy's query/answer labels: sweep hops, ECA's queries and
+/// Recompute's dumps. A scheduler run sends only the first two.
+const QUERY_LABELS: [&str; 6] = [
+    "query",
+    "answer",
+    "eca_query",
+    "eca_answer",
+    "dump_query",
+    "dump_answer",
+];
+
+/// `messages` per update (0 for a run that received none).
+fn per_update(messages: u64, updates: u64) -> f64 {
+    if updates == 0 {
+        return 0.0;
+    }
+    messages as f64 / updates as f64
+}
+
 impl MultiViewReport {
-    message_accounting!(scheduler_metrics);
+    /// The report of a run with one slot, `view`, maintained by a policy
+    /// whose counters are `metrics`, on `harness` once it drained.
+    pub(crate) fn one_slot(
+        view: ViewOutcome,
+        metrics: PolicyMetrics,
+        harness: &SimHarness,
+        quiescent: bool,
+        truth: Recorder,
+    ) -> MultiViewReport {
+        MultiViewReport {
+            views: vec![view],
+            cascade: CascadeStats::default(),
+            scheduler_metrics: metrics,
+            recovery: RecoveryStats::default(),
+            shard_stats: None,
+            wal_bytes_written: 0,
+            checkpoints_taken: 0,
+            checkpoint_copied_tuples: 0,
+            mutual: None,
+            serve: None,
+            net: harness.net.stats().clone(),
+            quiescent,
+            end_time: harness.net.now(),
+            events: harness.events,
+            trace: harness.net.trace().events().to_vec(),
+            truth,
+        }
+    }
+
+    /// Query/answer messages in `net`, per label as `count` sees it: on
+    /// the wire ([`NetStats::label`]) or logically
+    /// ([`NetStats::label_logical`]: each once at send time, however often
+    /// the fault layer and the transport made the wire repeat it).
+    fn count_queries(&self, count: fn(&NetStats, &str) -> LinkStats) -> u64 {
+        QUERY_LABELS
+            .iter()
+            .map(|l| count(&self.net, l).messages)
+            .sum()
+    }
+
+    /// Query/answer round-trip messages (excludes the update stream).
+    pub fn query_messages(&self) -> u64 {
+        self.count_queries(NetStats::label)
+    }
+
+    /// Query/answer messages per warehouse-received update — Table 1's
+    /// column, and E14's: `2(n−1)` for SWEEP whatever the view count.
+    pub fn messages_per_update(&self) -> f64 {
+        per_update(
+            self.query_messages(),
+            self.scheduler_metrics.updates_received,
+        )
+    }
+
+    /// Query/answer messages counted once at send time — under faults the
+    /// number the paper's `2(n−1)` claim (E6) is about.
+    pub fn logical_query_messages(&self) -> u64 {
+        self.count_queries(NetStats::label_logical)
+    }
+
+    /// Logical query/answer messages per update.
+    pub fn logical_messages_per_update(&self) -> f64 {
+        let updates = self.scheduler_metrics.updates_received;
+        per_update(self.logical_query_messages(), updates)
+    }
+
+    /// Bytes the reliability transport added to the wire: retransmitted
+    /// frames plus ack/resync control traffic. Zero when the transport is
+    /// off or the network is clean enough to never retransmit.
+    pub fn transport_overhead_bytes(&self) -> u64 {
+        self.net.retransmitted().bytes
+            + ["ack", "resync", "resync_ack"]
+                .iter()
+                .map(|l| self.net.label(l).bytes)
+                .sum::<u64>()
+    }
 
     /// Warehouse delivery log `(update, delivery time)` in delivery order.
     pub fn delivery_log(&self) -> Vec<(UpdateId, Time)> {
         self.truth.delivery_log()
+    }
+
+    /// How far `view` trails the delivered updates over time (the §3
+    /// "trailing" phenomenon, quantified): deliveries minus the updates
+    /// its installs consumed — the view's lag when it spans every source.
+    pub fn lag_series(&self, view: &ViewOutcome) -> LagSeries {
+        LagSeries::new(&self.delivery_log(), &view.installs)
     }
 
     /// Makespan of the maintenance work (µs): last install time minus

@@ -47,10 +47,13 @@ fn sweep_stays_complete_under_faults_with_transport() {
         .unwrap();
     assert!(report.quiescent, "transport must drain");
     assert_eq!(
-        report.consistency.as_ref().unwrap().level,
+        report.views[0].consistency.as_ref().unwrap().level,
         ConsistencyLevel::Complete
     );
-    assert_eq!(report.metrics.installs, report.metrics.updates_received);
+    assert_eq!(
+        report.views[0].metrics.installs,
+        report.scheduler_metrics.updates_received
+    );
     let fifo = verify_fifo(&report.delivery_log());
     assert!(
         fifo.ok(),
@@ -68,7 +71,7 @@ fn nested_sweep_stays_strong_under_faults_with_transport() {
         .run()
         .unwrap();
     assert!(report.quiescent);
-    let level = report.consistency.unwrap().level;
+    let level = report.views[0].consistency.as_ref().unwrap().level;
     assert!(level >= ConsistencyLevel::Strong, "got {level}");
 }
 
@@ -90,7 +93,7 @@ fn updates_are_exactly_once_under_duplication() {
     );
     assert!(verify_fifo(&report.delivery_log()).ok());
     assert_eq!(
-        report.consistency.unwrap().level,
+        report.views[0].consistency.as_ref().unwrap().level,
         ConsistencyLevel::Complete
     );
 }
@@ -130,8 +133,9 @@ fn faults_without_transport_break_sweep() {
     {
         Err(_) => {} // e.g. InconsistentInstall — visibly broken
         Ok(report) => {
-            let complete = report
+            let complete = report.views[0]
                 .consistency
+                .as_ref()
                 .map(|c| c.level == ConsistencyLevel::Complete)
                 .unwrap_or(false);
             assert!(
@@ -156,7 +160,7 @@ fn transport_is_invisible_on_a_clean_network() {
         .transport_auto()
         .run()
         .unwrap();
-    assert_eq!(bare.view, transported.view);
+    assert_eq!(bare.views[0].view, transported.views[0].view);
     assert_eq!(
         bare.query_messages(),
         transported.logical_query_messages(),
@@ -165,7 +169,7 @@ fn transport_is_invisible_on_a_clean_network() {
     assert_eq!(transported.logical_messages_per_update(), 4.0);
     assert_eq!(transported.net.retransmitted().messages, 0);
     assert_eq!(
-        transported.consistency.unwrap().level,
+        transported.views[0].consistency.as_ref().unwrap().level,
         ConsistencyLevel::Complete
     );
 }
@@ -188,7 +192,7 @@ fn retransmission_overhead_is_measurable_under_loss() {
     // the algorithm.
     assert_eq!(report.logical_messages_per_update(), 4.0);
     assert_eq!(
-        report.consistency.unwrap().level,
+        report.views[0].consistency.as_ref().unwrap().level,
         ConsistencyLevel::Complete
     );
 }
@@ -205,7 +209,7 @@ fn deterministic_replay_under_faults_and_transport() {
             .unwrap()
     };
     let (a, b) = (run(), run());
-    assert_eq!(a.view, b.view);
+    assert_eq!(a.views[0].view, b.views[0].view);
     assert_eq!(a.delivery_log(), b.delivery_log());
     assert_eq!(a.events, b.events);
     assert_eq!(a.net.total(), b.net.total());
@@ -227,8 +231,11 @@ fn source_crash_recovery_preserves_completeness() {
         .unwrap();
     assert!(report.quiescent);
     assert_eq!(
-        report.consistency.unwrap().level,
+        report.views[0].consistency.as_ref().unwrap().level,
         ConsistencyLevel::Complete
     );
-    assert_eq!(report.metrics.installs, report.metrics.updates_received);
+    assert_eq!(
+        report.views[0].metrics.installs,
+        report.scheduler_metrics.updates_received
+    );
 }

@@ -3,12 +3,12 @@
 //! byte-identical rendered traces — and attaching the recorder must not
 //! change what the experiment computes.
 
-use dw_core::{EngineOptions, Experiment, MultiViewExperiment, PolicyKind, RunReport};
+use dw_core::{EngineOptions, Experiment, MultiViewExperiment, MultiViewReport, PolicyKind};
 use dw_obs::Obs;
 use dw_simnet::LatencyModel;
 use dw_workload::{MultiViewConfig, ReadMixConfig, StreamConfig};
 
-fn run(policy: PolicyKind, obs: Obs) -> RunReport {
+fn run(policy: PolicyKind, obs: Obs) -> MultiViewReport {
     let scenario = StreamConfig {
         n_sources: 3,
         initial_per_source: 15,
@@ -66,12 +66,12 @@ fn sweep_trace_contains_expected_spans_and_counters() {
 
     // Span accounting matches the report's own counters.
     let sweeps = rec.histogram("engine.sweep").map_or(0, |h| h.count());
-    assert_eq!(sweeps, report.metrics.updates_received);
+    assert_eq!(sweeps, report.scheduler_metrics.updates_received);
     let hops = rec.histogram("engine.hop").map_or(0, |h| h.count());
-    assert_eq!(hops, report.metrics.queries_sent);
+    assert_eq!(hops, report.scheduler_metrics.queries_sent);
     assert_eq!(
         rec.counter("engine.compensations"),
-        report.metrics.local_compensations
+        report.scheduler_metrics.local_compensations
     );
 }
 
@@ -85,10 +85,10 @@ fn nested_sweep_traces_are_deterministic_and_labeled() {
         let report = run(PolicyKind::Sweep(EngineOptions::FIGURE_6), obs);
         let rec = rec.lock().unwrap();
         let count = |name| rec.histogram(name).map_or(0, |h| h.count());
-        assert_eq!(count("engine.sweep"), report.metrics.installs);
-        assert_eq!(count("engine.hop"), report.metrics.queries_sent);
+        assert_eq!(count("engine.sweep"), report.views[0].metrics.installs);
+        assert_eq!(count("engine.hop"), report.scheduler_metrics.queries_sent);
         let compensations = rec.counter("engine.compensations");
-        assert_eq!(compensations, report.metrics.local_compensations);
+        assert_eq!(compensations, report.scheduler_metrics.local_compensations);
         rec.render()
     };
     let first = render();
@@ -132,11 +132,18 @@ fn every_engine_policy_records_one_span_per_sweep_and_per_query() {
             let count = |name| rec.histogram(name).map_or(0, |h| h.count());
             let (sweeps, hops) = (count("engine.sweep"), count("engine.hop"));
             assert!(hops > 0, "{name}: no engine.hop span");
-            assert_eq!(hops, report.metrics.queries_sent, "{name}");
+            assert_eq!(hops, report.scheduler_metrics.queries_sent, "{name}");
             let spans = rec.span_count() as u64;
-            assert_eq!(spans, sweeps + report.metrics.queries_sent, "{name}");
+            assert_eq!(
+                spans,
+                sweeps + report.scheduler_metrics.queries_sent,
+                "{name}"
+            );
             let compensations = rec.counter("engine.compensations");
-            assert_eq!(compensations, report.metrics.local_compensations, "{name}");
+            assert_eq!(
+                compensations, report.scheduler_metrics.local_compensations,
+                "{name}"
+            );
             rec.render()
         };
         assert_eq!(render(), render(), "{name}");
@@ -150,11 +157,12 @@ fn observer_does_not_change_results() {
         let (obs, _rec) = Obs::trace();
         let observed = run(policy, obs);
         let name = policy.name();
-        assert_eq!(silent.view, observed.view, "{name}");
+        assert_eq!(silent.views[0].view, observed.views[0].view, "{name}");
         assert_eq!(silent.end_time, observed.end_time, "{name}");
         assert_eq!(silent.events, observed.events, "{name}");
         assert_eq!(
-            silent.metrics.local_compensations, observed.metrics.local_compensations,
+            silent.scheduler_metrics.local_compensations,
+            observed.scheduler_metrics.local_compensations,
             "{name}"
         );
     }

@@ -15,9 +15,10 @@ pub struct EngineOptions {
     /// target relation, the source filters before joining, and the
     /// compensation term applies the same predicate. Off by default —
     /// the sources then answer over the bare join chain and every view's
-    /// σ is applied at the warehouse. SWEEP over one view
-    /// (`dw_multiview::OneViewSweep`) always pushes: its pushed σ is the
-    /// view's own, which its sources apply anyway.
+    /// σ is applied at the warehouse. A scenario's one view run as SWEEP
+    /// (`dw_core::PolicyKind::Sweep`, `dw_livenet::run_live`) always
+    /// pushes: its pushed σ is the view's own, so its sources answer over
+    /// the view as they do for every other policy.
     pub pushdown: bool,
     /// Walk Figure 4's one leg (leftward, then rightward) wherever it
     /// serves every view of the sweep — always, for one view — instead of

@@ -4,11 +4,11 @@
 //! The threads, channels, injection pacing and drain detection all live
 //! in [`dw_engine::run_cluster`]; this module only knows how to wrap the
 //! repo's sources as engine [`NodeRunner`]s, how to schedule a
-//! scenario's transactions, and how to fold a drained one-view
-//! `LiveWarehouse` into a [`LiveReport`].
+//! scenario's transactions, and how to run a scenario's one view as a
+//! one-view multi-view scenario.
 
-use crate::multiview::LiveWarehouse;
-use dw_engine::{EngineOptions, InstallEvent, NodeRunner, PolicyMetrics, ThreadNet};
+use crate::multiview::{LiveViewsReport, LiveWarehouse};
+use dw_engine::{EngineOptions, NodeRunner, ThreadNet};
 use dw_protocol::{source_node, Message};
 use dw_relational::{Bag, ViewDef};
 use dw_simnet::{NodeId, Time};
@@ -17,23 +17,6 @@ use dw_workload::{GeneratedScenario, ScheduledTxn};
 use std::time::Duration;
 
 pub use dw_engine::LiveError;
-
-/// Result of a live run.
-#[derive(Debug)]
-pub struct LiveReport {
-    /// Final materialized view.
-    pub view: Bag,
-    /// Install history (delivery order is nondeterministic).
-    pub installs: Vec<InstallEvent>,
-    /// Policy counters.
-    pub metrics: PolicyMetrics,
-    /// Policy name.
-    pub policy: &'static str,
-    /// Whether the policy was quiescent at shutdown.
-    pub quiescent: bool,
-    /// Wall-clock duration of the run.
-    pub wall: Duration,
-}
 
 /// A source node: the unmodified [`DataSource`] state machine. The one
 /// source runner every live arm uses.
@@ -78,10 +61,10 @@ pub(crate) fn injections(txns: &[ScheduledTxn]) -> Vec<(Time, NodeId, Message)> 
         .collect()
 }
 
-/// Run a scenario's one view on real threads: SWEEP under `opts` (a
-/// `dw_multiview::OneViewSweep` — Nested SWEEP at any
-/// [`EngineOptions::depth`] but 1) on the warehouse thread, one thread
-/// per source answering over the view.
+/// Run a scenario's one view on real threads: SWEEP under `opts`, σ
+/// pushdown forced on (Nested SWEEP at any [`EngineOptions::depth`] but
+/// one), on the warehouse thread over the scenario as a one-view
+/// [`dw_workload::MultiViewScenario`], one thread per source.
 /// `time_scale` compresses the scenario's injection timestamps (2.0 = run
 /// twice as fast). `deadline` bounds the whole run.
 pub fn run_live(
@@ -89,7 +72,7 @@ pub fn run_live(
     opts: EngineOptions,
     time_scale: f64,
     deadline: Duration,
-) -> Result<LiveReport, LiveError> {
+) -> Result<LiveViewsReport, LiveError> {
     run_spliced(scenario, opts, Vec::new(), time_scale, deadline)
 }
 
@@ -97,28 +80,20 @@ pub fn run_live(
 /// schedule (kept sorted by time, as `run_cluster` expects).
 fn run_spliced(
     scenario: &GeneratedScenario,
-    opts: EngineOptions,
+    mut opts: EngineOptions,
     extra: Vec<(Time, NodeId, Message)>,
     time_scale: f64,
     deadline: Duration,
-) -> Result<LiveReport, LiveError> {
-    let (warehouse, id) = LiveWarehouse::one_view(scenario, opts)?;
+) -> Result<LiveViewsReport, LiveError> {
+    opts.pushdown = true;
+    let scenario = scenario.clone().into_multi_view().map_err(setup_failed)?;
+    let warehouse = LiveWarehouse::new(&scenario, opts, None, None)?;
     let mut schedule = injections(&scenario.txns);
     schedule.extend(extra);
     schedule.sort_by_key(|&(at, _, _)| at);
-    let (view, initial) = (&scenario.view, &scenario.initial);
-    let (sched, views, wall) = warehouse.run(view, initial, schedule, time_scale, deadline)?;
-    let Some(outcome) = views.into_iter().next() else {
-        return Err(setup_failed("the one-view warehouse lost its view"));
-    };
-    Ok(LiveReport {
-        view: outcome.view,
-        installs: outcome.installs,
-        metrics: sched.view_bill(id).map_err(setup_failed)?,
-        policy: opts.sweep_name(),
-        quiescent: sched.is_quiescent(),
-        wall,
-    })
+    let (base, initial) = (&scenario.base, &scenario.initial);
+    let drained = warehouse.run(base, initial, schedule, time_scale, deadline)?;
+    Ok(LiveViewsReport::new(drained, None))
 }
 
 #[cfg(test)]
@@ -144,7 +119,7 @@ mod tests {
         assert!(report.quiescent);
         let view = [("V", scenario.view.clone(), 0)];
         assert_eq!(
-            report.view,
+            report.views[0].view,
             ground_truth(&scenario.initial, &scenario.txns, view, &[])[0]
         );
         assert_eq!(report.metrics.updates_received, scenario.txns.len() as u64);
@@ -171,7 +146,7 @@ mod tests {
         assert!(report.quiescent);
         let view = [("V", scenario.view.clone(), 0)];
         assert_eq!(
-            report.view,
+            report.views[0].view,
             ground_truth(&scenario.initial, &scenario.txns, view, &[])[0]
         );
     }
@@ -189,7 +164,10 @@ mod tests {
         .unwrap();
         let opts = EngineOptions::FIGURE_4;
         let report = run_live(&scenario, opts, 20.0, Duration::from_secs(30)).unwrap();
-        assert_eq!(report.installs.len(), scenario.txns.len());
-        assert!(report.installs.iter().all(|r| r.consumed.len() == 1));
+        assert_eq!(report.views[0].installs.len(), scenario.txns.len());
+        assert!(report.views[0]
+            .installs
+            .iter()
+            .all(|r| r.consumed.len() == 1));
     }
 }

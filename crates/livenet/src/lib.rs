@@ -8,8 +8,9 @@
 //! that the algorithms' correctness does not depend on simulator artifacts
 //! (fixture for the "livenet vs simnet agreement" integration tests).
 //!
-//! Two entry points, one warehouse node behind both: [`run_live`] runs a
-//! scenario's one view under any `EngineOptions`, and [`run_live_views`]
+//! Two entry points, one warehouse node and one report
+//! ([`LiveViewsReport`]) behind both: [`run_live`] runs a scenario's one
+//! view under any `EngineOptions`, and [`run_live_views`]
 //! runs every view of a multi-view scenario — base and derived, over an
 //! optional shard map, with any number of reader threads on a serving
 //! layer (zero: no serving layer at all).
@@ -25,7 +26,7 @@ pub mod cluster;
 mod multiview;
 pub mod serve;
 
-pub use cluster::{run_live, LiveError, LiveReport};
+pub use cluster::{run_live, LiveError};
 pub use multiview::{run_live_views, LiveViewOutcome, LiveViewsReport};
 pub use serve::LiveServeOutcome;
 

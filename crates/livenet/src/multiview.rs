@@ -8,8 +8,8 @@
 //! answer arrivals) and every source on its own thread.
 //! [`run_live`](crate::run_live) (one view, any [`EngineOptions`]) and
 //! [`run_live_views`] (every view of a scenario, optionally sharded and
-//! served) both build a [`LiveWarehouse`] and differ only in what they
-//! hang off it.
+//! served) both build a [`LiveWarehouse`] over a multi-view scenario and
+//! differ only in what they hang off it.
 //!
 //! Delivery order across threads is nondeterministic, so the assertions
 //! that make sense here are convergence against ground truth and the
@@ -21,12 +21,12 @@ use crate::cluster::{injections, setup_failed, source_runners};
 use crate::serve::{with_readers, LiveServeOutcome};
 use dw_engine::InstallLog;
 use dw_engine::{run_cluster, InstallEvent, LiveError, NodeRunner, PolicyMetrics, ThreadNet};
-use dw_multiview::{EngineOptions, MaintenanceScheduler, OneViewSweep, ShardStats, ViewId};
+use dw_multiview::{EngineOptions, MaintenanceScheduler, ShardStats};
 use dw_protocol::{Message, WAREHOUSE_NODE};
-use dw_relational::{eval_view, Bag, ShardMap, SharedBag, ViewDef};
+use dw_relational::{Bag, ShardMap, SharedBag, ViewDef};
 use dw_serve::ReadFrontend;
 use dw_simnet::{NodeId, Time};
-use dw_workload::{GeneratedScenario, MultiViewScenario};
+use dw_workload::MultiViewScenario;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -82,17 +82,18 @@ impl NodeRunner for LiveWarehouse {
 }
 
 impl LiveWarehouse {
-    /// A shared-sweep scheduler over `scenario` — its base views, then
-    /// its derived views on top — with one lane per shard group of `map`,
-    /// one group without. With a `front`, the log forwards into it and
-    /// every registry slot is mirrored into it at epoch 0, in slot order.
+    /// A shared-sweep scheduler under `opts` over `scenario` — its base
+    /// views, then its derived views on top — with one lane per shard
+    /// group of `map`, one group without. With a `front`, the log
+    /// forwards into it and every registry slot is mirrored into it at
+    /// epoch 0, in slot order.
     pub fn new(
         scenario: &MultiViewScenario,
+        opts: EngineOptions,
         map: Option<&ShardMap>,
         front: Option<&ReadFrontend>,
     ) -> Result<Self, LiveError> {
         let base = &scenario.base;
-        let opts = EngineOptions::default();
         let mut sched = MaintenanceScheduler::with_shards(base.clone(), opts, map.cloned())
             .map_err(setup_failed)?;
         for bag in &scenario.initial {
@@ -124,22 +125,6 @@ impl LiveWarehouse {
         let reg = self.sched.views();
         let bags = reg.ids().into_iter().map(|id| reg.view_bag(id).cloned());
         bags.collect::<Result<_, _>>().map_err(setup_failed)
-    }
-
-    /// SWEEP under `opts` — Nested SWEEP at any depth but 1 — over
-    /// `scenario`'s one view (a [`OneViewSweep`]), from its correct
-    /// initial contents; the view's id beside it.
-    pub fn one_view(
-        scenario: &GeneratedScenario,
-        opts: EngineOptions,
-    ) -> Result<(Self, ViewId), LiveError> {
-        let refs: Vec<&Bag> = scenario.initial.iter().collect();
-        let initial_view = eval_view(&scenario.view, &refs).map_err(setup_failed)?;
-        let sweep = OneViewSweep::new(&scenario.view, initial_view, opts).map_err(setup_failed)?;
-        let (mut sched, id) = sweep.into_parts();
-        let log = Arc::new(Mutex::new(InstallLog::new(None)));
-        sched.set_install_publisher(log.clone());
-        Ok((LiveWarehouse { sched, log }, id))
     }
 
     /// Run `injections` (time-sorted) through this warehouse and one
@@ -192,6 +177,21 @@ pub struct LiveViewsReport {
     pub serve: Option<LiveServeOutcome>,
 }
 
+impl LiveViewsReport {
+    /// The report of a drained warehouse and what its readers saw.
+    pub(crate) fn new(drained: Drained, serve: Option<LiveServeOutcome>) -> Self {
+        let (sched, views, wall) = drained;
+        LiveViewsReport {
+            quiescent: sched.is_quiescent(),
+            metrics: sched.metrics().clone(),
+            shard_stats: sched.stats().clone(),
+            views,
+            wall,
+            serve,
+        }
+    }
+}
+
 /// Run every view of `scenario` — base views, then derived ones — on
 /// real threads: one lane per shard group of `map` (one lane without),
 /// and with `readers > 0` that many reader threads pinning, scanning and
@@ -207,26 +207,20 @@ pub fn run_live_views(
     deadline: Duration,
 ) -> Result<LiveViewsReport, LiveError> {
     let front = (readers > 0).then(ReadFrontend::new);
-    let warehouse = LiveWarehouse::new(scenario, map, front.as_ref())?;
+    let opts = EngineOptions::default();
+    let warehouse = LiveWarehouse::new(scenario, opts, map, front.as_ref())?;
     let initial = warehouse.bags()?;
     let (base, chain) = (&scenario.base, &scenario.initial);
     let txns = injections(&scenario.txns);
     let maintain = || warehouse.run(base, chain, txns, time_scale, deadline);
-    let ((sched, views, wall), serve) = match &front {
+    let (drained, serve) = match &front {
         Some(front) => {
             let (drained, served) = with_readers(front, &initial, readers, maintain)?;
             (drained, Some(served))
         }
         None => (maintain()?, None),
     };
-    Ok(LiveViewsReport {
-        quiescent: sched.is_quiescent(),
-        metrics: sched.metrics().clone(),
-        shard_stats: sched.stats().clone(),
-        views,
-        wall,
-        serve,
-    })
+    Ok(LiveViewsReport::new(drained, serve))
 }
 
 #[cfg(test)]

@@ -15,8 +15,9 @@
 //!   `batch` consumed updates — `0`: only at drain — held where global
 //!   transactions are held, in the scheduler's install sequencer);
 //! * a [`MaintenanceScheduler`] — **one** lane-based scheduler for every
-//!   configuration, one view ([`OneViewSweep`], the paper's SWEEP and, at
-//!   any `EngineOptions::depth` but 1, its Nested SWEEP) or many. On arrival of `ΔR_j` it executes one **shared sweep** over the
+//!   configuration, one view (the paper's SWEEP, a one-view registry
+//!   over the view's bare chain, and at any `EngineOptions::depth` but 1
+//!   its Nested SWEEP) or many. On arrival of `ΔR_j` it executes one **shared sweep** over the
 //!   *union* `[L, R]` of the spans of the views referencing `R_j` — one
 //!   incremental query per hop, compensated once (§4) on the shared
 //!   partial, each view peeling off its delta where the walk covers its
@@ -67,13 +68,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod one_view;
 mod registry;
 mod scheduler;
 mod sharded;
 
 pub use dw_engine::{DurabilityConfig, EngineOptions};
-pub use one_view::OneViewSweep;
 pub use registry::{CascadeStats, MvError, ViewId, ViewRegistry};
 pub use scheduler::{
     CompletionLog, MaintenanceScheduler, RecoveryStats, SchedulerMode, ShardStats,

@@ -96,19 +96,6 @@ impl From<WarehouseError> for MvError {
     }
 }
 
-/// A scheduler failure as a single-view policy reports it.
-impl From<MvError> for WarehouseError {
-    fn from(e: MvError) -> Self {
-        match e {
-            MvError::Warehouse(e) => e,
-            MvError::Relational(e) => WarehouseError::Relational(e),
-            other => WarehouseError::Precondition {
-                reason: other.to_string(),
-            },
-        }
-    }
-}
-
 /// Stable handle to a registered view. Ids are never reused within one
 /// registry, so a dangling handle fails loudly instead of aliasing a
 /// newer view.
@@ -288,18 +275,7 @@ impl ViewRegistry {
     /// base relations; at a mid-run quiescent point: the span evaluation
     /// of the sources' current state).
     pub fn register(&mut self, spec: &ViewSpec, initial: Bag) -> Result<ViewId, MvError> {
-        self.register_compiled(spec, spec.compile(&self.base)?, initial)
-    }
-
-    /// Register `spec` under its compiled definition `local` — what
-    /// [`ViewSpec::compile`] produces, or any [`ViewDef`] on the span's
-    /// relations and joins (σ trees and a residual included).
-    pub(crate) fn register_compiled(
-        &mut self,
-        spec: &ViewSpec,
-        local: ViewDef,
-        initial: Bag,
-    ) -> Result<ViewId, MvError> {
+        let local = spec.compile(&self.base)?;
         let out_width = local.projection().len();
         let id = ViewId(self.slots.len());
         self.slots.push(ViewRuntime {
@@ -484,11 +460,6 @@ impl ViewRegistry {
             .ok_or(MvError::UnknownView { index: id.0 })
     }
 
-    /// The runtime of a view this registry issued `id` for.
-    pub(crate) fn slot(&self, id: ViewId) -> &ViewRuntime {
-        &self.slots[id.0]
-    }
-
     pub(crate) fn runtime_mut(&mut self, id: ViewId) -> Result<&mut ViewRuntime, MvError> {
         self.slots
             .get_mut(id.0)
@@ -571,7 +542,8 @@ impl ViewRegistry {
     }
 
     /// Is the view derived (cascade-fed) rather than swept?
-    pub fn is_derived(&self, id: ViewId) -> Result<bool, MvError> {
+    #[cfg(test)]
+    pub(crate) fn is_derived(&self, id: ViewId) -> Result<bool, MvError> {
         Ok(matches!(self.runtime(id)?.kind, ViewKind::Derived { .. }))
     }
 

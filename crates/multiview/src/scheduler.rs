@@ -561,20 +561,6 @@ impl MaintenanceScheduler {
         &self.core.metrics
     }
 
-    /// View `id`'s bill as a single-view policy reports it: its installs
-    /// and staleness beside the engine's message and nesting counts.
-    pub fn view_bill(&self, id: ViewId) -> Result<PolicyMetrics, MvError> {
-        let engine = &self.core.metrics;
-        let mut bill = self.registry.metrics(id)?.clone();
-        bill.updates_received = engine.updates_received;
-        bill.queries_sent = engine.queries_sent;
-        bill.answers_received = engine.answers_received;
-        bill.local_compensations = engine.local_compensations;
-        bill.max_recursion_depth = engine.max_recursion_depth;
-        bill.depth_bound_hits = engine.depth_bound_hits;
-        Ok(bill)
-    }
-
     /// Lane and group counters.
     pub fn stats(&self) -> &ShardStats {
         &self.stats
@@ -591,7 +577,8 @@ impl MaintenanceScheduler {
     }
 
     /// The band mask of the group shard `s` currently belongs to.
-    pub fn group_mask_of(&self, s: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn group_mask_of(&self, s: usize) -> u64 {
         self.groups[s]
     }
 
@@ -657,7 +644,8 @@ impl MaintenanceScheduler {
     /// View tuples deep-copied seeding image lineages so far: each
     /// view's first image, and the live views every recovery rebuilds
     /// from the images (0 with durability off).
-    pub fn checkpoint_seeded_tuples(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn checkpoint_seeded_tuples(&self) -> u64 {
         let seeded = self.durable.as_ref().map(|d| d.image_cost.seeded);
         seeded.unwrap_or(0)
     }
@@ -3096,7 +3084,6 @@ mod tests {
     /// would) and through real sources.
     mod one_view {
         use super::*;
-        use crate::OneViewSweep;
         use dw_protocol::{SweepAnswer, SweepQuery};
         use dw_simnet::{LatencyModel, ENV};
 
@@ -3156,6 +3143,16 @@ mod tests {
             (node_source(d.to), q)
         }
 
+        /// SWEEP over `view` alone under `opts`, σ pushed: a scheduler
+        /// over the view's bare chain with the view as its one spec.
+        fn sweep_over(view: &ViewDef, initial: Bag, mut opts: EngineOptions) -> (Logged, ViewId) {
+            opts.pushdown = true;
+            let mut sched = MaintenanceScheduler::with_shards(view.chain(), opts, None).unwrap();
+            let spec = ViewSpec::of("view", view).unwrap();
+            let id = sched.register(&spec, initial).unwrap();
+            (sched.into(), id)
+        }
+
         struct OneView {
             sched: Logged,
             id: ViewId,
@@ -3164,10 +3161,8 @@ mod tests {
 
         impl OneView {
             fn new(view: ViewDef, initial: Bag, opts: EngineOptions) -> OneView {
-                let OneViewSweep { sched, id, .. } =
-                    OneViewSweep::new(&view, initial, opts).unwrap();
+                let (sched, id) = sweep_over(&view, initial, opts);
                 let net = Network::new(0);
-                let sched = sched.into();
                 OneView { sched, id, net }
             }
 
@@ -3550,9 +3545,7 @@ mod tests {
             let view = paper_view();
             let refs: Vec<&Bag> = initial.iter().collect();
             let start = eval_view(&view, &refs).unwrap();
-            let sweep = OneViewSweep::new(&view, start, opts).unwrap();
-            let OneViewSweep { sched, id, .. } = sweep;
-            let mut sched = Logged::from(sched);
+            let (mut sched, id) = sweep_over(&view, start, opts);
             let mut net: Network<Message> = Network::new(11);
             net.set_default_latency(latency);
             let mut srcs = sources(&view, &initial);

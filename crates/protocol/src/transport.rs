@@ -417,7 +417,8 @@ impl Endpoint {
     }
 
     /// Unacknowledged frames currently journaled for `peer`.
-    pub fn outbox_len(&self, peer: NodeId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn outbox_len(&self, peer: NodeId) -> usize {
         self.peers.get(&peer).map_or(0, |s| s.outbox.len())
     }
 

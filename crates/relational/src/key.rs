@@ -57,7 +57,8 @@ impl KeySpec {
     }
 
     /// Key positions (local) for relation `i`.
-    pub fn keys_of(&self, i: usize) -> &[usize] {
+    #[cfg(test)]
+    pub(crate) fn keys_of(&self, i: usize) -> &[usize] {
         &self.per_relation[i]
     }
 

@@ -62,7 +62,8 @@ impl BaseRelation {
     }
 
     /// Total number of tuple occurrences.
-    pub fn cardinality(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cardinality(&self) -> u64 {
         self.bag.total_multiplicity()
     }
 

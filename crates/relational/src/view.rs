@@ -117,7 +117,8 @@ impl ViewDef {
     }
 
     /// Resolve a qualified `"Rel.Attr"` reference to a global position.
-    pub fn resolve_qualified(&self, qualified: &str) -> Result<usize, RelationalError> {
+    #[cfg(test)]
+    pub(crate) fn resolve_qualified(&self, qualified: &str) -> Result<usize, RelationalError> {
         let (rel, attr) =
             qualified
                 .split_once('.')

@@ -158,7 +158,8 @@ impl FaultPlan {
 
     /// Cut both directions between `a` and `b` during `[start, end)` — a
     /// transient partition of the pair.
-    pub fn partition(self, a: NodeId, b: NodeId, start: Time, end: Time) -> Self {
+    #[cfg(test)]
+    pub(crate) fn partition(self, a: NodeId, b: NodeId, start: Time, end: Time) -> Self {
         self.outage(a, b, start, end).outage(b, a, start, end)
     }
 

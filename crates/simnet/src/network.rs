@@ -338,7 +338,8 @@ impl<M: Payload> Network<M> {
     }
 
     /// Peek at the time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<Time> {
+    #[cfg(test)]
+    pub(crate) fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|Reverse(ev)| ev.at)
     }
 }

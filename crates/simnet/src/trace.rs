@@ -83,11 +83,6 @@ impl Trace {
         self.cap = cap;
     }
 
-    /// Stop recording (existing events are kept).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// Record an event if enabled and under capacity.
     pub fn push(&mut self, ev: TraceEvent) {
         if self.enabled && (self.cap == 0 || self.events.len() < self.cap) {

@@ -12,7 +12,7 @@ use crate::node::SourceError;
 use dw_protocol::{
     EcaAnswer, EcaSlot, Message, SourceIndex, SourceUpdate, UpdateId, WAREHOUSE_NODE,
 };
-use dw_relational::{extend_partial, Bag, BaseRelation, JoinSide, PartialDelta, ViewDef};
+use dw_relational::{eval_view, Bag, BaseRelation, ViewDef};
 use dw_simnet::{NetHandle, NodeId};
 
 /// The centralized multi-relation source site.
@@ -48,30 +48,17 @@ impl EcaSite {
         &self.relations[i]
     }
 
-    /// Evaluate one signed substitution term against current state:
-    /// seed with slot 0, extend rightward, finalize (residual+projection).
+    /// Evaluate one signed substitution term against current state: the
+    /// view over each slot's bag — the relation itself or the delta that
+    /// stands in for it.
     fn eval_term(&self, slots: &[EcaSlot]) -> Result<Bag, SourceError> {
-        let slot_bag = |i: usize| -> &Bag {
-            match &slots[i] {
-                EcaSlot::Base => self.relations[i].bag(),
+        let bags: Vec<&Bag> = (slots.iter().zip(&self.relations))
+            .map(|(slot, rel)| match slot {
+                EcaSlot::Base => rel.bag(),
                 EcaSlot::Delta(b) => b,
-            }
-        };
-        let mut pd = PartialDelta::seed(&self.view, 0, slot_bag(0))?;
-        for i in 1..self.view.num_relations() {
-            if pd.bag.is_empty() {
-                // Short-circuit: joins of an empty bag stay empty; widen
-                // the range bookkeeping without work.
-                pd = PartialDelta {
-                    lo: 0,
-                    hi: i,
-                    bag: Bag::new(),
-                };
-                continue;
-            }
-            pd = extend_partial(&self.view, &pd, slot_bag(i), JoinSide::Right)?;
-        }
-        Ok(pd.finalize(&self.view)?)
+            })
+            .collect();
+        Ok(eval_view(&self.view, &bags)?)
     }
 
     /// Service one delivered event.

@@ -43,7 +43,8 @@ impl DerivedOp {
     /// Is the operator linear in the signed-delta algebra? (Linear ⇒ a
     /// parent delta maps to a child delta by plain re-evaluation;
     /// non-linear ⇒ the child keeps incremental state.)
-    pub fn is_linear(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_linear(&self) -> bool {
         matches!(self, DerivedOp::Select { .. })
     }
 

@@ -14,7 +14,8 @@ use crate::derived::{DerivedOp, DerivedSpec};
 use crate::scenario::ScheduledTxn;
 use crate::stream::StreamConfig;
 use dw_relational::{
-    AggFn, AggregateSpec, Bag, CmpOp, KeySpec, RelationalError, Value, ViewDef, ViewDefBuilder,
+    AggFn, AggregateSpec, Bag, CmpOp, KeySpec, Predicate, RelationalError, Value, ViewDef,
+    ViewDefBuilder,
 };
 use dw_rng::Rng64;
 
@@ -57,6 +58,10 @@ pub struct ViewSpec {
     /// relation, op, value)`. Applied on top of the base chain's
     /// (selection-free) relations.
     pub selects: Vec<(usize, usize, CmpOp, Value)>,
+    /// Residual comparisons between two attributes: `(chain index, attr
+    /// index, op, chain index, attr index)`, applied after the span's join
+    /// (the two may sit in any relations of the span).
+    pub residual: Vec<(usize, usize, CmpOp, usize, usize)>,
     /// Qualified projection attributes (`"R2.B"`); `None` keeps every
     /// column of the span.
     pub projection: Option<Vec<String>>,
@@ -73,9 +78,62 @@ impl ViewSpec {
             lo: 0,
             hi: n.saturating_sub(1),
             selects: Vec::new(),
+            residual: Vec::new(),
             projection: None,
             policy: ViewPolicy::Sweep,
         }
+    }
+
+    /// The spec of `view` over the whole of its own chain
+    /// ([`ViewDef::chain`]) under SWEEP: `ViewSpec::of(name, &v)?
+    /// .compile(&v.chain())` evaluates as `v` does. A view holds the
+    /// conjunctions [`ViewDefBuilder`] builds — per-relation
+    /// `attr op constant`, residual `attr op attr` — and any other
+    /// predicate shape is refused.
+    pub fn of(name: impl Into<String>, view: &ViewDef) -> Result<ViewSpec, RelationalError> {
+        let n = view.num_relations();
+        let shape = |what: &str, p: &Predicate| RelationalError::InvalidViewDef {
+            reason: format!("{what} {p:?} is not a conjunction of comparisons"),
+        };
+        fn conjuncts(p: &Predicate) -> Option<&[Predicate]> {
+            match p {
+                Predicate::True => Some(&[]),
+                Predicate::And(ps) => Some(ps),
+                _ => None,
+            }
+        }
+        // A global attribute position as `(chain index, attr index)`.
+        let locate = |global: usize| {
+            let k = (0..n)
+                .rev()
+                .find(|&k| view.offset(k) <= global)
+                .unwrap_or(0);
+            (k, global - view.offset(k))
+        };
+        let mut spec = ViewSpec::full(name, n);
+        for k in 0..n {
+            let local = view.local_select(k);
+            for p in conjuncts(local).ok_or_else(|| shape("selection", local))? {
+                let Predicate::Cmp { attr, op, value } = p else {
+                    return Err(shape("selection", local));
+                };
+                spec.selects.push((k, *attr, *op, value.clone()));
+            }
+        }
+        let residual = view.residual();
+        for p in conjuncts(residual).ok_or_else(|| shape("residual", residual))? {
+            let Predicate::AttrCmp { left, op, right } = p else {
+                return Err(shape("residual", residual));
+            };
+            let ((lr, la), (rr, ra)) = (locate(*left), locate(*right));
+            spec.residual.push((lr, la, *op, rr, ra));
+        }
+        let identity = view.projection().iter().copied().eq(0..view.total_arity());
+        if !identity {
+            let names = view.projection().iter().map(|&p| view.attr_name(p));
+            spec.projection = Some(names.collect());
+        }
+        Ok(spec)
     }
 
     /// Compile this spec into a self-contained [`ViewDef`] over the span
@@ -109,21 +167,31 @@ impl ViewSpec {
                 );
             }
         }
-        for &(rel, attr, op, ref value) in &self.selects {
+        let qualified = |rel: usize, attr: usize| {
             if rel < self.lo || rel > self.hi {
                 return Err(RelationalError::BadRange {
                     reason: format!(
-                        "view '{}' selects on relation {} outside its span [{}, {}]",
+                        "view '{}' compares relation {} outside its span [{}, {}]",
                         self.name, rel, self.lo, self.hi
                     ),
                 });
             }
             let schema = base.schema(rel);
-            b = b.select(
-                format!("{}.{}", schema.name(), schema.attrs()[attr]),
-                op,
-                value.clone(),
-            );
+            let name =
+                schema
+                    .attrs()
+                    .get(attr)
+                    .ok_or_else(|| RelationalError::UnknownAttribute {
+                        relation: schema.name().to_string(),
+                        attribute: format!("#{attr}"),
+                    })?;
+            Ok(format!("{}.{name}", schema.name()))
+        };
+        for &(rel, attr, op, ref value) in &self.selects {
+            b = b.select(qualified(rel, attr)?, op, value.clone());
+        }
+        for &(lr, la, op, rr, ra) in &self.residual {
+            b = b.select_across(qualified(lr, la)?, op, qualified(rr, ra)?);
         }
         if let Some(proj) = &self.projection {
             b = b.project(proj.iter().cloned());
@@ -338,6 +406,7 @@ impl MultiViewConfig {
             lo,
             hi,
             selects,
+            residual: Vec::new(),
             projection,
             policy,
         }
@@ -359,7 +428,7 @@ fn projection_dedup(cols: Vec<String>) -> Option<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_relational::{eval_view, Predicate};
+    use dw_relational::eval_view;
 
     #[test]
     fn generated_views_compile_against_base() {
@@ -423,5 +492,10 @@ mod tests {
             ..ViewSpec::full("bad", 3)
         };
         assert!(bad.compile(&scenario.base).is_err());
+        let bad_attr = ViewSpec {
+            residual: vec![(0, 0, CmpOp::Lt, 1, 99)],
+            ..ViewSpec::full("bad", 3)
+        };
+        assert!(bad_attr.compile(&scenario.base).is_err());
     }
 }

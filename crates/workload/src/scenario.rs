@@ -1,7 +1,8 @@
 //! Generated scenarios: a view, initial contents, and a transaction stream.
 
+use crate::multiview::{MultiViewScenario, ViewSpec};
 use dw_protocol::{GlobalPart, SourceIndex};
-use dw_relational::{Bag, KeySpec, ViewDef};
+use dw_relational::{Bag, KeySpec, RelationalError, ViewDef};
 use dw_simnet::Time;
 
 /// One source-local transaction scheduled for injection.
@@ -42,6 +43,20 @@ impl GeneratedScenario {
     /// Time of the last injection (0 when empty).
     pub fn horizon(&self) -> Time {
         self.txns.last().map_or(0, |t| t.at)
+    }
+
+    /// This scenario as a one-view [`MultiViewScenario`]: the view's bare
+    /// chain ([`ViewDef::chain`]) is the base, and the view itself, σ and
+    /// Π included, is its one spec ([`ViewSpec::of`], named `"view"`).
+    pub fn into_multi_view(self) -> Result<MultiViewScenario, RelationalError> {
+        Ok(MultiViewScenario {
+            base: self.view.chain(),
+            views: vec![ViewSpec::of("view", &self.view)?],
+            keys: self.keys,
+            initial: self.initial,
+            txns: self.txns,
+            derived: Vec::new(),
+        })
     }
 }
 

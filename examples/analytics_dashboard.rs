@@ -79,12 +79,15 @@ fn main() {
     let mut dashboard = AggregateState::new(spec.clone());
     // Each install logs its delta; the first is relative to the initial
     // (empty-sales) view.
-    for rec in &report.installs {
+    for rec in &report.views[0].installs {
         dashboard.apply(&rec.delta).unwrap();
     }
 
     // Cross-check against a from-scratch aggregation of the final view.
-    assert_eq!(dashboard.current(), spec.eval(&report.view).unwrap());
+    assert_eq!(
+        dashboard.current(),
+        spec.eval(&report.views[0].view).unwrap()
+    );
 
     println!("region dashboard (incrementally maintained):");
     println!(
@@ -105,6 +108,6 @@ fn main() {
     }
     println!(
         "\nconsistency: {} — aggregates match a from-scratch recomputation ✓",
-        report.consistency.as_ref().unwrap().level
+        report.min_consistency().unwrap()
     );
 }

@@ -41,20 +41,20 @@ fn main() {
             .latency(LatencyModel::Constant(2_000))
             .run()
             .unwrap();
-        let cons = report.consistency.as_ref().unwrap();
+        let cons = report.views[0].consistency.as_ref().unwrap();
         println!(
             "{:<14} {:>12} {:>9} {:>10.2} {:>12.2}  {}",
-            report.policy,
+            kind.name(),
             cons.level.to_string(),
-            report.metrics.installs,
+            report.views[0].metrics.installs,
             report.messages_per_update(),
-            report.metrics.mean_staleness() / 1_000.0,
+            report.views[0].metrics.mean_staleness() / 1_000.0,
             cons.detail
         );
         assert!(
             cons.level >= ConsistencyLevel::Convergent,
             "{}: view corrupted!",
-            report.policy
+            kind.name()
         );
     }
 

@@ -42,24 +42,24 @@ fn main() {
     )
     .unwrap();
 
-    println!("policy:        {}", report.policy);
+    println!("policy:        {}", EngineOptions::FIGURE_4.sweep_name());
     println!("wall time:     {:?}", report.wall);
     println!("updates:       {}", report.metrics.updates_received);
     println!(
         "installs:      {} (one per update — complete consistency)",
-        report.installs.len()
+        report.views[0].installs.len()
     );
     println!(
         "compensations: {} error terms corrected locally",
         report.metrics.local_compensations
     );
-    println!("view tuples:   {}", report.view.distinct_len());
+    println!("view tuples:   {}", report.views[0].view.distinct_len());
 
     assert!(report.quiescent);
     assert_eq!(
-        report.view, expected,
+        report.views[0].view, expected,
         "live run must converge to ground truth"
     );
-    assert_eq!(report.installs.len(), scenario.txns.len());
+    assert_eq!(report.views[0].installs.len(), scenario.txns.len());
     println!("\nlive view matches the ground-truth recomputation ✓");
 }

@@ -73,8 +73,8 @@ fn main() {
     // contents plus the deltas so far.
     println!("\ninstall history (every intermediate state, in order):");
     let initial_view = report.truth.state(&slot, &|_| false).unwrap();
-    let states = view_states(initial_view.into(), &report.installs);
-    for (k, (rec, state)) in report.installs.iter().zip(states).enumerate() {
+    let states = view_states(initial_view.into(), &report.views[0].installs);
+    for (k, (rec, state)) in report.views[0].installs.iter().zip(states).enumerate() {
         let upd = rec.consumed[0];
         println!(
             "  install {k}: after ΔR{} (seq {}) at t={}µs  →  V = {state:?}",
@@ -84,8 +84,8 @@ fn main() {
         );
     }
 
-    let consistency = report.consistency.as_ref().unwrap();
-    println!("\nfinal view:   {:?}", report.view);
+    let consistency = report.views[0].consistency.as_ref().unwrap();
+    println!("\nfinal view:   {:?}", report.views[0].view);
     println!(
         "consistency:  {} ({})",
         consistency.level, consistency.detail
@@ -93,15 +93,15 @@ fn main() {
     println!(
         "messages:     {} queries + answers for {} updates ({} per update = 2(n−1))",
         report.query_messages(),
-        report.metrics.updates_received,
+        report.scheduler_metrics.updates_received,
         report.messages_per_update()
     );
     println!(
         "compensated:  {} concurrent error terms, all locally",
-        report.metrics.local_compensations
+        report.scheduler_metrics.local_compensations
     );
 
     // The Figure 5 final state.
-    assert_eq!(report.view, Bag::from_pairs([(tup![5, 6], 1)]));
+    assert_eq!(report.views[0].view, Bag::from_pairs([(tup![5, 6], 1)]));
     assert_eq!(consistency.level, ConsistencyLevel::Complete);
 }

@@ -117,15 +117,15 @@ fn main() {
             })
             .run()
             .unwrap();
-        let cons = report.consistency.as_ref().unwrap();
+        let cons = report.views[0].consistency.as_ref().unwrap();
         rows.push((
             label,
             cons.level.to_string(),
-            report.metrics.installs,
+            report.views[0].metrics.installs,
             report.messages_per_update(),
-            report.metrics.mean_staleness() / 1_000.0,
-            report.metrics.local_compensations,
-            report.view.distinct_len(),
+            report.views[0].metrics.mean_staleness() / 1_000.0,
+            report.scheduler_metrics.local_compensations,
+            report.views[0].view.distinct_len(),
         ));
     }
 

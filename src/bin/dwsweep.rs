@@ -152,33 +152,45 @@ fn latency(o: &Opts) -> LatencyModel {
     }
 }
 
-fn run_one(o: &Opts) -> Result<RunReport, String> {
-    Experiment::new(scenario(o)?)
-        .policy(policy_kind(o)?)
+/// The policy's name and its run's report.
+fn run_one(o: &Opts) -> Result<(&'static str, MultiViewReport), String> {
+    let policy = policy_kind(o)?;
+    let report = Experiment::new(scenario(o)?)
+        .policy(policy)
         .latency(latency(o))
         .seed(o.seed)
         .check_consistency(o.check)
         .run()
-        .map_err(|e| e.to_string())
+        .map_err(|e| e.to_string())?;
+    Ok((policy.name(), report))
 }
 
-fn print_report(r: &RunReport) {
-    println!("policy:            {}", r.policy);
-    println!("updates received:  {}", r.metrics.updates_received);
-    println!("installs:          {}", r.metrics.installs);
-    println!("queries sent:      {}", r.metrics.queries_sent);
+fn print_report((policy, r): (&str, MultiViewReport)) {
+    println!("policy:            {policy}");
+    println!(
+        "updates received:  {}",
+        r.scheduler_metrics.updates_received
+    );
+    println!("installs:          {}", r.views[0].metrics.installs);
+    println!("queries sent:      {}", r.scheduler_metrics.queries_sent);
     println!("msgs/update:       {:.2}", r.messages_per_update());
-    println!("local comp.:       {}", r.metrics.local_compensations);
-    println!("comp. queries:     {}", r.metrics.compensation_queries);
+    println!(
+        "local comp.:       {}",
+        r.scheduler_metrics.local_compensations
+    );
+    println!(
+        "comp. queries:     {}",
+        r.scheduler_metrics.compensation_queries
+    );
     println!(
         "staleness ms:      mean {:.2}  p95 {:.2}  max {:.2}",
-        r.metrics.mean_staleness() / 1e3,
-        r.metrics.staleness_percentile(95.0) as f64 / 1e3,
-        r.metrics.max_staleness() as f64 / 1e3
+        r.views[0].metrics.mean_staleness() / 1e3,
+        r.views[0].metrics.staleness_percentile(95.0) as f64 / 1e3,
+        r.views[0].metrics.max_staleness() as f64 / 1e3
     );
     println!("makespan:          {:.2} ms", r.end_time as f64 / 1e3);
-    println!("view tuples:       {}", r.view.distinct_len());
-    match &r.consistency {
+    println!("view tuples:       {}", r.views[0].view.distinct_len());
+    match &r.views[0].consistency {
         Some(c) => println!("consistency:       {} ({})", c.level, c.detail),
         None => println!("consistency:       (checking disabled)"),
     }
@@ -202,16 +214,17 @@ fn cmd_compare(o: &Opts) -> Result<(), String> {
         let mut po = o.clone();
         po.policy = name.into();
         match run_one(&po) {
-            Ok(r) => println!(
+            Ok((policy, r)) => println!(
                 "{:<16} {:>12} {:>9} {:>10.2} {:>11.2} {:>12.2}",
-                r.policy,
-                r.consistency
+                policy,
+                r.views[0]
+                    .consistency
                     .as_ref()
                     .map(|c| c.level.to_string())
                     .unwrap_or_default(),
-                r.metrics.installs,
+                r.views[0].metrics.installs,
                 r.messages_per_update(),
-                r.metrics.staleness_percentile(95.0) as f64 / 1e3,
+                r.views[0].metrics.staleness_percentile(95.0) as f64 / 1e3,
                 r.end_time as f64 / 1e3
             ),
             Err(e) => println!("{name:<16} error: {e}"),
@@ -259,7 +272,7 @@ fn main() -> ExitCode {
         None => ("help", &[][..]),
     };
     let result = match cmd {
-        "run" => parse_opts(rest).and_then(|o| run_one(&o).map(|r| print_report(&r))),
+        "run" => parse_opts(rest).and_then(|o| run_one(&o).map(print_report)),
         "compare" => parse_opts(rest).and_then(|o| cmd_compare(&o)),
         "help" | "--help" | "-h" => {
             print!("{HELP}");
@@ -374,10 +387,10 @@ mod tests {
             initial: 10,
             ..Opts::default()
         };
-        let r = run_one(&o).unwrap();
+        let (_, r) = run_one(&o).unwrap();
         assert!(r.quiescent);
         assert_eq!(
-            r.consistency.unwrap().level,
+            r.views[0].consistency.as_ref().unwrap().level,
             dwsweep::prelude::ConsistencyLevel::Complete
         );
     }

@@ -34,7 +34,7 @@
 //!
 //! assert!(report.quiescent);
 //! assert_eq!(report.messages_per_update(), 4.0); // 2(n−1)
-//! assert_eq!(report.consistency.unwrap().level, ConsistencyLevel::Complete);
+//! assert_eq!(report.views[0].consistency.as_ref().unwrap().level, ConsistencyLevel::Complete);
 //! ```
 //!
 //! ## Crate map
@@ -79,11 +79,11 @@ pub mod prelude {
     pub use dw_core::{
         audit_lag_recoveries, audit_reads, oracle_expects_rejection, oracle_view_at_epoch,
         CoreError, Experiment, LagAudit, LagEvent, LagSubscription, MultiViewExperiment,
-        MultiViewReport, OracleAudit, PolicyKind, ReadOutcome, ReadResult, RunReport, ServeOutcome,
+        MultiViewReport, OracleAudit, PolicyKind, ReadOutcome, ReadResult, ServeOutcome,
         SubscriptionOutcome, ViewOutcome,
     };
     pub use dw_multiview::{
-        CascadeStats, EngineOptions, MaintenanceScheduler, OneViewSweep, SchedulerMode, ShardStats,
+        CascadeStats, EngineOptions, MaintenanceScheduler, SchedulerMode, ShardStats,
         ShardedScheduler, ViewId, ViewRegistry,
     };
     pub use dw_protocol::TransportConfig;

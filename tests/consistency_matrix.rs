@@ -4,7 +4,7 @@
 
 use dwsweep::prelude::*;
 
-fn run(cfg: StreamConfig, kind: PolicyKind, latency: LatencyModel) -> RunReport {
+fn run(cfg: StreamConfig, kind: PolicyKind, latency: LatencyModel) -> MultiViewReport {
     Experiment::new(cfg.generate().unwrap())
         .policy(kind)
         .latency(latency)
@@ -35,7 +35,7 @@ fn sweep_complete_across_topologies() {
                 LatencyModel::Constant(2_000),
             );
             assert_eq!(
-                r.consistency.unwrap().level,
+                r.views[0].consistency.as_ref().unwrap().level,
                 ConsistencyLevel::Complete,
                 "n={n} seed={seed}"
             );
@@ -51,7 +51,7 @@ fn sweep_complete_under_random_latency() {
             PolicyKind::Sweep(EngineOptions::FIGURE_4),
             LatencyModel::Uniform(100, 8_000),
         );
-        let level = r.consistency.unwrap().level;
+        let level = r.views[0].consistency.as_ref().unwrap().level;
         assert_eq!(level, ConsistencyLevel::Complete, "latency seed={seed}");
     }
 }
@@ -68,7 +68,10 @@ fn sweep_complete_with_source_local_transactions() {
         PolicyKind::Sweep(EngineOptions::FIGURE_4),
         LatencyModel::Constant(2_000),
     );
-    assert_eq!(r.consistency.unwrap().level, ConsistencyLevel::Complete);
+    assert_eq!(
+        r.views[0].consistency.as_ref().unwrap().level,
+        ConsistencyLevel::Complete
+    );
 }
 
 #[test]
@@ -79,7 +82,7 @@ fn nested_sweep_strong_across_seeds() {
             PolicyKind::Sweep(EngineOptions::FIGURE_6),
             LatencyModel::Constant(2_000),
         );
-        let level = r.consistency.unwrap().level;
+        let level = r.views[0].consistency.as_ref().unwrap().level;
         assert!(level >= ConsistencyLevel::Strong, "seed={seed}: {level}");
     }
 }
@@ -95,9 +98,9 @@ fn nested_sweep_with_depth_bound_still_strong() {
             }),
             LatencyModel::Constant(2_000),
         );
-        let level = r.consistency.unwrap().level;
+        let level = r.views[0].consistency.as_ref().unwrap().level;
         assert!(level >= ConsistencyLevel::Strong, "depth={depth}: {level}");
-        assert!(r.metrics.max_recursion_depth <= depth as u64);
+        assert!(r.scheduler_metrics.max_recursion_depth <= depth as u64);
     }
 }
 
@@ -109,13 +112,16 @@ fn strobe_strong_and_cstrobe_complete() {
             PolicyKind::Strobe,
             LatencyModel::Constant(2_000),
         );
-        assert!(s.consistency.unwrap().level >= ConsistencyLevel::Strong);
+        assert!(s.views[0].consistency.as_ref().unwrap().level >= ConsistencyLevel::Strong);
         let c = run(
             dense(3, seed),
             PolicyKind::CStrobe,
             LatencyModel::Constant(2_000),
         );
-        assert_eq!(c.consistency.unwrap().level, ConsistencyLevel::Complete);
+        assert_eq!(
+            c.views[0].consistency.as_ref().unwrap().level,
+            ConsistencyLevel::Complete
+        );
     }
 }
 
@@ -127,7 +133,7 @@ fn eca_strong_on_single_site() {
             PolicyKind::Eca,
             LatencyModel::Constant(2_000),
         );
-        assert!(r.consistency.unwrap().level >= ConsistencyLevel::Strong);
+        assert!(r.views[0].consistency.as_ref().unwrap().level >= ConsistencyLevel::Strong);
     }
 }
 
@@ -142,7 +148,7 @@ fn recompute_only_convergent_under_interference() {
             PolicyKind::Recompute,
             LatencyModel::Constant(2_000),
         );
-        let level = r.consistency.unwrap().level;
+        let level = r.views[0].consistency.as_ref().unwrap().level;
         assert!(level >= ConsistencyLevel::Convergent);
         if level == ConsistencyLevel::Convergent {
             saw_convergent_only = true;
@@ -170,7 +176,12 @@ fn all_policies_converge_to_identical_views() {
         PolicyKind::Recompute,
     ] {
         let r = run(dense(3, 50), kind, latency.clone());
-        assert_eq!(r.view, baseline.view, "{} diverged", r.policy);
+        assert_eq!(
+            r.views[0].view,
+            baseline.views[0].view,
+            "{} diverged",
+            kind.name()
+        );
     }
 }
 
@@ -189,7 +200,10 @@ fn zipf_skew_does_not_break_anything() {
             jitter: 2_000,
         },
     );
-    assert_eq!(r.consistency.unwrap().level, ConsistencyLevel::Complete);
+    assert_eq!(
+        r.views[0].consistency.as_ref().unwrap().level,
+        ConsistencyLevel::Complete
+    );
 }
 
 #[test]
@@ -206,9 +220,9 @@ fn delete_heavy_workloads() {
     ] {
         let r = run(cfg.clone(), kind, LatencyModel::Constant(1_500));
         assert!(
-            r.consistency.unwrap().level >= ConsistencyLevel::Strong,
+            r.views[0].consistency.as_ref().unwrap().level >= ConsistencyLevel::Strong,
             "{}",
-            r.policy
+            kind.name()
         );
     }
 }

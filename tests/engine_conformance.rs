@@ -86,11 +86,11 @@ fn sweep_conforms_across_backends() {
             .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
             .run()
             .unwrap();
-        let sim_fp = install_fingerprint(&sim.installs);
+        let sim_fp = install_fingerprint(&sim.views[0].installs);
         let mut live = None;
         for &scale in &TIME_SCALES {
             let r = run_live(&s, FIGURE_4, scale, DEADLINE).unwrap();
-            let matched = r.quiescent && install_fingerprint(&r.installs) == sim_fp;
+            let matched = r.quiescent && install_fingerprint(&r.views[0].installs) == sim_fp;
             live = Some(r);
             if matched {
                 break;
@@ -99,11 +99,17 @@ fn sweep_conforms_across_backends() {
         let live = live.unwrap();
 
         assert!(sim.quiescent && live.quiescent, "seed {k}");
-        assert_eq!(sim.view, truth, "seed {k}: simnet diverged from truth");
-        assert_eq!(live.view, truth, "seed {k}: livenet diverged from truth");
         assert_eq!(
-            install_fingerprint(&sim.installs),
-            install_fingerprint(&live.installs),
+            sim.views[0].view, truth,
+            "seed {k}: simnet diverged from truth"
+        );
+        assert_eq!(
+            live.views[0].view, truth,
+            "seed {k}: livenet diverged from truth"
+        );
+        assert_eq!(
+            install_fingerprint(&sim.views[0].installs),
+            install_fingerprint(&live.views[0].installs),
             "seed {k}: install sequences differ across backends"
         );
     }
@@ -279,11 +285,11 @@ fn nested_sweep_conforms_across_backends() {
             .policy(PolicyKind::Sweep(EngineOptions::FIGURE_6))
             .run()
             .unwrap();
-        let sim_fp = install_fingerprint(&sim.installs);
+        let sim_fp = install_fingerprint(&sim.views[0].installs);
         let mut live = None;
         for &scale in &TIME_SCALES {
             let r = run_live(&s, EngineOptions::FIGURE_6, scale, DEADLINE).unwrap();
-            let matched = r.quiescent && install_fingerprint(&r.installs) == sim_fp;
+            let matched = r.quiescent && install_fingerprint(&r.views[0].installs) == sim_fp;
             live = Some(r);
             if matched {
                 break;
@@ -292,11 +298,17 @@ fn nested_sweep_conforms_across_backends() {
         let live = live.unwrap();
 
         assert!(sim.quiescent && live.quiescent, "seed {k}");
-        assert_eq!(sim.view, truth, "seed {k}: simnet diverged from truth");
-        assert_eq!(live.view, truth, "seed {k}: livenet diverged from truth");
         assert_eq!(
-            install_fingerprint(&sim.installs),
-            install_fingerprint(&live.installs),
+            sim.views[0].view, truth,
+            "seed {k}: simnet diverged from truth"
+        );
+        assert_eq!(
+            live.views[0].view, truth,
+            "seed {k}: livenet diverged from truth"
+        );
+        assert_eq!(
+            install_fingerprint(&sim.views[0].installs),
+            install_fingerprint(&live.views[0].installs),
             "seed {k}: install sequences differ across backends"
         );
     }

@@ -64,7 +64,7 @@ fn figure5_states() -> [Bag; 3] {
 /// SWEEP (Figure 4) over the paper's scenario with `gap` µs between
 /// updates, and the view's state after each install: its initial
 /// contents plus the logged deltas so far.
-fn sweep_states(gap: u64) -> (RunReport, Vec<SharedBag>) {
+fn sweep_states(gap: u64) -> (MultiViewReport, Vec<SharedBag>) {
     let scenario = paper_scenario(gap);
     let slot = SlotView::base(scenario.view.clone(), 0);
     let report = Experiment::new(scenario)
@@ -73,7 +73,7 @@ fn sweep_states(gap: u64) -> (RunReport, Vec<SharedBag>) {
         .run()
         .unwrap();
     let initial = report.truth.state(&slot, &|_| false).unwrap();
-    let states = view_states(initial.into(), &report.installs).collect();
+    let states = view_states(initial.into(), &report.views[0].installs).collect();
     (report, states)
 }
 
@@ -85,7 +85,10 @@ fn sweep_walks_figure5_states_sequentially() {
     for (got, want) in states.iter().zip(expected.iter()) {
         assert_eq!(got, want);
     }
-    assert_eq!(report.metrics.local_compensations, 0, "no interference");
+    assert_eq!(
+        report.scheduler_metrics.local_compensations, 0,
+        "no interference"
+    );
 }
 
 #[test]
@@ -96,9 +99,12 @@ fn sweep_walks_figure5_states_concurrently() {
     for (got, want) in states.iter().zip(expected.iter()) {
         assert_eq!(got, want, "complete consistency under interference");
     }
-    assert!(report.metrics.local_compensations > 0, "updates interfered");
+    assert!(
+        report.scheduler_metrics.local_compensations > 0,
+        "updates interfered"
+    );
     assert_eq!(
-        report.consistency.unwrap().level,
+        report.views[0].consistency.as_ref().unwrap().level,
         ConsistencyLevel::Complete
     );
 }
@@ -132,7 +138,7 @@ fn every_policy_reaches_figure5_final_state() {
                 .unwrap();
             assert!(report.quiescent, "{:?} gap {gap}", kind.name());
             assert_eq!(
-                report.view,
+                report.views[0].view,
                 figure5_final(),
                 "{:?} at gap {gap} diverged",
                 kind.name()
@@ -161,10 +167,10 @@ fn nested_sweep_batches_but_matches() {
         .latency(LatencyModel::Constant(5_000))
         .run()
         .unwrap();
-    assert_eq!(report.view, figure5_final());
-    let level = report.consistency.unwrap().level;
+    assert_eq!(report.views[0].view, figure5_final());
+    let level = report.views[0].consistency.as_ref().unwrap().level;
     assert!(level >= ConsistencyLevel::Strong);
     // With all three updates interfering, Nested SWEEP folds them into
     // fewer installs than SWEEP's three.
-    assert!(report.installs.len() <= 3);
+    assert!(report.views[0].installs.len() <= 3);
 }

@@ -101,10 +101,10 @@ fn sweep_window_installs_global_txns_atomically(window: usize) {
 
     // Atomicity: every install consumes all-or-none of each gid's parts.
     let arm = format!("window {window}");
-    assert_atomic(&report.installs, &gid_of, |_| true, &arm);
+    assert_atomic(&report.views[0].installs, &gid_of, |_| true, &arm);
 
     // Batching globals trades complete for strong consistency — verified.
-    let level = report.consistency.unwrap().level;
+    let level = report.views[0].consistency.as_ref().unwrap().level;
     assert!(
         level >= ConsistencyLevel::Strong,
         "window {window}: got {level}"
@@ -132,14 +132,14 @@ fn nested_sweep_installs_global_txns_atomically() {
                 .run()
                 .unwrap();
             assert!(report.quiescent, "{arm}");
-            assert_atomic(&report.installs, &gid_of, |_| true, &arm);
-            let level = report.consistency.unwrap().level;
+            assert_atomic(&report.views[0].installs, &gid_of, |_| true, &arm);
+            let level = report.views[0].consistency.as_ref().unwrap().level;
             assert!(level >= ConsistencyLevel::Strong, "{arm}: got {level}");
         }
         let mut s = scenario(5, 12);
         tag_plain_txns(&mut s.txns, 1, GlobalPart { gid: 900, parts: 0 });
         let run = Experiment::new(s).policy(PolicyKind::Sweep(opts)).run();
-        assert_refused_typed(run.map(|r| r.view), "a transaction of zero parts");
+        assert_refused_typed(run.map(|r| r.views), "a transaction of zero parts");
     }
 }
 
@@ -156,7 +156,12 @@ fn global_txns_converge_across_policies_that_ignore_them() {
         .policy(PolicyKind::Recompute)
         .run()
         .unwrap();
-    assert_eq!(r.view, baseline.view, "{} diverged", r.policy);
+    assert_eq!(
+        r.views[0].view,
+        baseline.views[0].view,
+        "{} diverged",
+        PolicyKind::Recompute.name()
+    );
 }
 
 #[test]
@@ -169,12 +174,12 @@ fn non_global_updates_between_parts_are_held_not_lost() {
         .unwrap();
     // Every delivered update is consumed exactly once across installs.
     let mut seen = HashSet::new();
-    for rec in &report.installs {
+    for rec in &report.views[0].installs {
         for id in &rec.consumed {
             assert!(seen.insert(*id), "{id:?} consumed twice");
         }
     }
-    assert_eq!(seen.len() as u64, report.metrics.updates_received);
+    assert_eq!(seen.len() as u64, report.scheduler_metrics.updates_received);
 }
 
 /// Every install in `installs` consumes all or none of the parts of each
@@ -229,7 +234,7 @@ fn assert_refused_both_ways(seed: u64, tags: usize, tag: GlobalPart, what: &str)
     let mut s = scenario(seed, 12);
     tag_plain_txns(&mut s.txns, tags, tag);
     let one = Experiment::new(s).policy(PolicyKind::Sweep(EngineOptions::FIGURE_4));
-    assert_refused_typed(one.run().map(|r| r.view), what);
+    assert_refused_typed(one.run().map(|r| r.views), what);
     let mut s = mv_scenario(seed, 12);
     tag_plain_txns(&mut s.txns, tags, tag);
     let many = MultiViewExperiment::new(s).shards(ShardMap::hash(2));

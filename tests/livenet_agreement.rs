@@ -39,11 +39,15 @@ fn sweep_simnet_and_livenet_agree() {
         .policy(PolicyKind::Sweep(EngineOptions::FIGURE_4))
         .run()
         .unwrap();
-    assert_eq!(sim.view, truth);
+    assert_eq!(sim.views[0].view, truth);
 
     let live = run_live(&s, EngineOptions::FIGURE_4, 25.0, Duration::from_secs(60)).unwrap();
-    assert_eq!(live.view, truth);
-    assert_eq!(live.installs.len(), s.txns.len(), "one install per update");
+    assert_eq!(live.views[0].view, truth);
+    assert_eq!(
+        live.views[0].installs.len(),
+        s.txns.len(),
+        "one install per update"
+    );
 }
 
 #[test]
@@ -52,9 +56,9 @@ fn nested_sweep_live_converges() {
     let truth = ground_truth(&s);
     let live = run_live(&s, EngineOptions::FIGURE_6, 25.0, Duration::from_secs(60)).unwrap();
     assert!(live.quiescent);
-    assert_eq!(live.view, truth);
+    assert_eq!(live.views[0].view, truth);
     // Batching means installs ≤ updates.
-    assert!(live.installs.len() <= s.txns.len());
+    assert!(live.views[0].installs.len() <= s.txns.len());
 }
 
 #[test]
@@ -63,5 +67,5 @@ fn live_view_counts_never_negative() {
     // reaching here with a quiescent cluster proves no negative counts.
     let s = scenario(103);
     let live = run_live(&s, EngineOptions::FIGURE_4, 25.0, Duration::from_secs(60)).unwrap();
-    assert!(live.view.all_positive());
+    assert!(live.views[0].view.all_positive());
 }

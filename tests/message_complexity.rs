@@ -26,7 +26,10 @@ fn sweep_exactly_2n_minus_2_messages_per_update() {
             .unwrap();
         assert_eq!(report.messages_per_update(), (2 * (n - 1)) as f64, "n={n}");
         // And exactly one query + one answer per link per update:
-        assert_eq!(report.metrics.queries_sent, report.metrics.answers_received);
+        assert_eq!(
+            report.scheduler_metrics.queries_sent,
+            report.scheduler_metrics.answers_received
+        );
     }
 }
 
@@ -60,7 +63,7 @@ fn nested_sweep_amortizes_below_sweep_under_bursts() {
         nested.messages_per_update(),
         sweep.messages_per_update()
     );
-    assert_eq!(nested.view, sweep.view);
+    assert_eq!(nested.views[0].view, sweep.views[0].view);
 }
 
 #[test]
@@ -76,12 +79,12 @@ fn cstrobe_query_count_exceeds_sweep_under_interference() {
         .run()
         .unwrap();
     assert!(
-        cstrobe.metrics.queries_sent > sweep.metrics.queries_sent,
+        cstrobe.scheduler_metrics.queries_sent > sweep.scheduler_metrics.queries_sent,
         "c-strobe {} vs sweep {}",
-        cstrobe.metrics.queries_sent,
-        sweep.metrics.queries_sent
+        cstrobe.scheduler_metrics.queries_sent,
+        sweep.scheduler_metrics.queries_sent
     );
-    assert_eq!(cstrobe.view, sweep.view);
+    assert_eq!(cstrobe.views[0].view, sweep.views[0].view);
 }
 
 #[test]
@@ -92,10 +95,13 @@ fn sweep_never_sends_compensating_queries() {
         .run()
         .unwrap();
     assert!(
-        report.metrics.local_compensations > 0,
+        report.scheduler_metrics.local_compensations > 0,
         "interference happened"
     );
-    assert_eq!(report.metrics.compensation_queries, 0, "and stayed local");
+    assert_eq!(
+        report.scheduler_metrics.compensation_queries, 0,
+        "and stayed local"
+    );
 }
 
 #[test]
@@ -129,7 +135,7 @@ fn eca_query_sizes_grow_with_pending_queries() {
         mean_query_bytes > 150.0,
         "mean query bytes {mean_query_bytes}"
     );
-    assert!(report.metrics.compensation_queries >= 8);
+    assert!(report.scheduler_metrics.compensation_queries >= 8);
 }
 
 #[test]
@@ -140,5 +146,5 @@ fn recompute_costs_2n_messages_per_refresh() {
         .run()
         .unwrap();
     let dumps = report.net.label("dump_query").messages + report.net.label("dump_answer").messages;
-    assert_eq!(dumps, report.metrics.installs * 2 * 4);
+    assert_eq!(dumps, report.views[0].metrics.installs * 2 * 4);
 }

@@ -84,10 +84,10 @@ fn sweep_complete_on_random_schedules() {
             .unwrap();
         assert!(report.quiescent, "case {case}");
         assert_eq!(
-            report.consistency.as_ref().unwrap().level,
+            report.views[0].consistency.as_ref().unwrap().level,
             ConsistencyLevel::Complete,
             "case {case}: {}",
-            report.consistency.as_ref().unwrap().detail
+            report.views[0].consistency.as_ref().unwrap().detail
         );
         if updates > 0.0 {
             assert_eq!(
@@ -115,14 +115,14 @@ fn nested_sweep_strong_on_random_schedules() {
             .run()
             .unwrap();
         assert!(report.quiescent, "case {case}");
-        let level = report.consistency.as_ref().unwrap().level;
+        let level = report.views[0].consistency.as_ref().unwrap().level;
         assert!(
             level >= ConsistencyLevel::Strong,
             "case {case}: got {level}: {}",
-            report.consistency.as_ref().unwrap().detail
+            report.views[0].consistency.as_ref().unwrap().detail
         );
         // Amortization bound: never worse than SWEEP.
-        if report.metrics.updates_received > 0 {
+        if report.scheduler_metrics.updates_received > 0 {
             assert!(
                 report.messages_per_update() <= (2 * (n - 1)) as f64 + 1e-9,
                 "case {case}"
@@ -150,9 +150,9 @@ fn sweep_parallel_equals_sequential() {
             .seed(net_seed)
             .run()
             .unwrap();
-        assert_eq!(&seq.view, &par.view, "case {case}");
+        assert_eq!(&seq.views[0].view, &par.views[0].view, "case {case}");
         assert_eq!(
-            par.consistency.as_ref().unwrap().level,
+            par.views[0].consistency.as_ref().unwrap().level,
             ConsistencyLevel::Complete,
             "case {case}"
         );
@@ -180,10 +180,10 @@ fn pipelined_sweep_complete_on_random_schedules() {
             .unwrap();
         assert!(report.quiescent, "case {case}");
         assert_eq!(
-            report.consistency.as_ref().unwrap().level,
+            report.views[0].consistency.as_ref().unwrap().level,
             ConsistencyLevel::Complete,
             "case {case} (window {window}, parallel {parallel}): {}",
-            report.consistency.as_ref().unwrap().detail
+            report.views[0].consistency.as_ref().unwrap().detail
         );
     }
 }
@@ -215,8 +215,8 @@ fn window_changes_when_never_what() {
         };
         // Same updates, same order, same view after each: the per-update
         // install deltas are equal.
-        let what = |rep: &RunReport| -> Vec<_> {
-            let installs = rep.installs.iter();
+        let what = |rep: &MultiViewReport| -> Vec<_> {
+            let installs = rep.views[0].installs.iter();
             installs
                 .map(|i| (i.consumed.clone(), i.delta.clone()))
                 .collect()
@@ -224,11 +224,14 @@ fn window_changes_when_never_what() {
         let runs = [1, 0, 2].map(|window| (window, run(window)));
         let fig4 = &runs[0].1;
         for (window, report) in &runs {
-            assert_eq!(report.view, fig4.view, "case {case} (window {window})");
+            assert_eq!(
+                report.views[0].view, fig4.views[0].view,
+                "case {case} (window {window})"
+            );
             assert_eq!(what(report), what(fig4), "case {case} (window {window})");
             assert_eq!(
-                report.metrics.queries_sent,
-                (cfg.n_sources as u64 - 1) * report.metrics.updates_received,
+                report.scheduler_metrics.queries_sent,
+                (cfg.n_sources as u64 - 1) * report.scheduler_metrics.updates_received,
                 "case {case} (window {window})"
             );
         }
@@ -250,7 +253,7 @@ fn short_circuit_preserves_completeness() {
             .run()
             .unwrap();
         assert_eq!(
-            report.consistency.as_ref().unwrap().level,
+            report.views[0].consistency.as_ref().unwrap().level,
             ConsistencyLevel::Complete,
             "case {case}"
         );
@@ -309,16 +312,16 @@ fn sweep_complete_on_fault_schedules() {
             .unwrap();
         assert!(report.quiescent, "case {case}");
         assert_eq!(
-            report.consistency.as_ref().unwrap().level,
+            report.views[0].consistency.as_ref().unwrap().level,
             ConsistencyLevel::Complete,
             "case {case}: {}",
-            report.consistency.as_ref().unwrap().detail
+            report.views[0].consistency.as_ref().unwrap().detail
         );
         // The transport restored the channel contract end to end…
         let fifo = verify_fifo(&report.delivery_log());
         assert!(fifo.ok(), "case {case}: {:?}", fifo.violations);
         // …and the logical cost per update is still the paper's 2(n−1).
-        if report.metrics.updates_received > 0 {
+        if report.scheduler_metrics.updates_received > 0 {
             assert_eq!(
                 report.logical_messages_per_update(),
                 (2 * (cfg.n_sources - 1)) as f64,
@@ -326,7 +329,7 @@ fn sweep_complete_on_fault_schedules() {
             );
         }
         // View state is a legal bag: no negative multiplicities.
-        assert!(report.view.all_positive(), "case {case}");
+        assert!(report.views[0].view.all_positive(), "case {case}");
     }
 }
 
@@ -345,17 +348,17 @@ fn nested_sweep_strong_on_fault_schedules() {
             .run()
             .unwrap();
         assert!(report.quiescent, "case {case}");
-        let level = report.consistency.as_ref().unwrap().level;
+        let level = report.views[0].consistency.as_ref().unwrap().level;
         assert!(
             level >= ConsistencyLevel::Strong,
             "case {case}: got {level}: {}",
-            report.consistency.as_ref().unwrap().detail
+            report.views[0].consistency.as_ref().unwrap().detail
         );
         assert!(
             verify_fifo(&report.delivery_log()).ok(),
             "case {case}: channel contract breached"
         );
-        assert!(report.view.all_positive(), "case {case}");
+        assert!(report.views[0].view.all_positive(), "case {case}");
     }
 }
 
@@ -630,11 +633,11 @@ fn generated_fault_scenarios_preserve_completeness() {
             .unwrap();
         assert!(report.quiescent, "case {case}");
         assert_eq!(
-            report.consistency.as_ref().unwrap().level,
+            report.views[0].consistency.as_ref().unwrap().level,
             ConsistencyLevel::Complete,
             "case {case}: {}",
-            report.consistency.as_ref().unwrap().detail
+            report.views[0].consistency.as_ref().unwrap().detail
         );
-        assert!(report.view.all_positive(), "case {case}");
+        assert!(report.views[0].view.all_positive(), "case {case}");
     }
 }
